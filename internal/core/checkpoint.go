@@ -37,7 +37,7 @@ import (
 //     a checkpoint. The ckpt/ namespace itself lives outside every
 //     replica prefix, on the trusted tier's store like script inputs.
 //   - Agreement uses the same f+1-with-ambiguity-rejection rule as the
-//     online KeyDeviants pass: a key where two sums both reach f+1
+//     online Observe check: a key where two sums both reach f+1
 //     proves the fault budget was exceeded and is never persisted.
 //   - Each entry records the upstream source signature (sid + replica
 //     per upstream cluster) at save time; an attempt whose sources

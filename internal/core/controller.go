@@ -574,6 +574,10 @@ func (c *Controller) tryLaunch(cs *clusterState) {
 			cs.r = 1
 		}
 	}
+	if cs.r > MaxReplicas {
+		c.fail(fmt.Errorf("core: sub-graph c%d needs %d replicas, the verifier tallies at most %d per attempt", cs.id, cs.r, MaxReplicas))
+		return
+	}
 	cs.launched = true
 	cs.launchedAtV = c.Eng.Now()
 	cs.totalTries++
@@ -802,12 +806,12 @@ func (c *Controller) onDigest(r digest.Report) {
 		c.pool.Submit(r)
 		return
 	}
-	c.matcher.Add(r)
+	deviants := c.matcher.Observe(r)
 	if r.Key.Point == mapred.CkptPoint {
 		c.maybeCheckpoint(cs, r.Key)
 	}
-	for _, rep := range c.matcher.KeyDeviants(cs.sid) {
-		if rep < len(cs.replicas) {
+	for _, rep := range deviants {
+		if rep >= 0 && rep < len(cs.replicas) {
 			c.markFaulty(cs, cs.replicas[rep])
 		}
 	}
@@ -845,7 +849,7 @@ func (c *Controller) syncVerdicts() {
 		case VerdictCkpt:
 			c.maybeCheckpoint(cs, ev.Key)
 		case VerdictDeviant:
-			if ev.Replica < len(cs.replicas) {
+			if ev.Replica >= 0 && ev.Replica < len(cs.replicas) {
 				c.markFaulty(cs, cs.replicas[ev.Replica])
 			}
 		}
@@ -959,7 +963,7 @@ func (c *Controller) markVerified(cs *clusterState, winner int, deviants []int) 
 // quizReplica is the replica index quiz re-executions report under; the
 // primary is always 0 under quiz/deferred (r=1), and keeping quizzes at
 // a fixed non-zero index lets the matcher compare the two vectors with
-// the machinery it already has. The online KeyDeviants pass never sees
+// the machinery it already has. The online Observe check never sees
 // an f+1 class among {primary, quiz} with f >= 1, so quiz evidence is
 // judged only by QuizAgrees.
 const quizReplica = 1

@@ -565,3 +565,20 @@ func TestControllerCombinedCommissionCaught(t *testing.T) {
 		t.Errorf("verified output differs between combine on (faulty) and off (honest):\n%v\nvs\n%v", on, off)
 	}
 }
+
+// TestLaunchRejectsReplicationBeyondTally: the verifier's vote classes
+// are 64-bit replica masks, and a replica the matcher cannot tally would
+// fingerprint as an empty vector — so a degree past MaxReplicas must end
+// the run with an error, never launch.
+func TestLaunchRejectsReplicationBeyondTally(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.R = MaxReplicas + 1
+	h := newHarness(t, 4, 2, cfg)
+	_, err := h.ctrl.Run(weatherScript)
+	if err == nil || !strings.Contains(err.Error(), "replicas") {
+		t.Fatalf("Run at r=%d: err = %v, want the replica-limit error", cfg.R, err)
+	}
+	if n := h.eng.JobCount(); n != 0 {
+		t.Errorf("engine holds %d jobs of an attempt that must not launch", n)
+	}
+}

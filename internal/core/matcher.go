@@ -1,12 +1,24 @@
 package core
 
 import (
+	"cmp"
 	"crypto/sha256"
-	"fmt"
+	"hash"
+	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"clusterbft/internal/digest"
 )
+
+// MaxReplicas bounds the replica indices one sub-graph attempt may use:
+// a key's vote classes are replica bitmasks in one machine word. The
+// controller refuses to launch an attempt wider than this (far beyond
+// any 3f+1 degree plus retry escalations); the matcher ignores reports
+// outside [0, MaxReplicas).
+const MaxReplicas = 64
 
 // Matcher is the verifier's digest store (§4.1): it collects digest
 // reports from replicas and asserts that at least f+1 corresponding
@@ -18,63 +30,265 @@ import (
 //   - per replica (offline): a completed replica's full digest vector is
 //     rolled into a fingerprint; f+1 equal fingerprints verify the
 //     sub-graph.
+//
+// State is a per-key vote tally maintained as reports arrive: each key
+// of a sid holds its vote classes (sum -> replica bitmask), so the
+// online check of one report reads the classes of that report's key and
+// nothing else. The per-replica views (Lookup, Reports, QuizAgrees,
+// Fingerprint) are answered from the same tally through a per-replica
+// list of the keys it voted on.
 type Matcher struct {
 	f     int
-	bySID map[string]map[int]map[digest.Key]digest.Sum
+	bySID map[string]*sidVotes
+
+	// fingerprint scratch, reused across calls
+	hash hash.Hash
+	buf  []byte
+}
+
+// voteKey is digest.Key without the SID: tallies are already per sid.
+type voteKey struct {
+	point int
+	task  string
+	chunk int
+}
+
+func voteKeyOf(k digest.Key) voteKey { return voteKey{k.Point, k.Task, k.Chunk} }
+
+func (a voteKey) compare(b voteKey) int {
+	if c := cmp.Compare(a.point, b.point); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.task, b.task); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.chunk, b.chunk)
+}
+
+// voteClass is one distinct sum reported for a key and the replicas
+// currently voting for it. Classes of one key chain through next; a
+// class emptied by a vote move stays chained with reps == 0.
+type voteClass struct {
+	sum  digest.Sum
+	reps uint64
+	next int32
+}
+
+// keyTally heads one key's class chain (-1 when empty).
+type keyTally struct {
+	key   voteKey
+	first int32
+}
+
+// repVotes is one replica's view of a sid: the keys it voted on (any
+// order; Fingerprint sorts in place) and its memoised fingerprint.
+type repVotes struct {
+	keys []int32
+	fp   digest.Sum
+	fpOK bool
+}
+
+// sidVotes is all digest state of one sub-graph attempt. keys and
+// classes are slabs indexed by the int32 handles above, so a new key
+// costs amortised appends rather than per-key map and slice objects.
+type sidVotes struct {
+	index   map[voteKey]int32
+	keys    []keyTally
+	classes []voteClass
+	reps    []repVotes
 }
 
 // NewMatcher builds a matcher asserting f+1 agreement.
 func NewMatcher(f int) *Matcher {
-	return &Matcher{f: f, bySID: make(map[string]map[int]map[digest.Key]digest.Sum)}
+	return &Matcher{f: f, bySID: make(map[string]*sidVotes)}
 }
 
-// Add stores one report.
-func (m *Matcher) Add(r digest.Report) {
-	replicas := m.bySID[r.Key.SID]
-	if replicas == nil {
-		replicas = make(map[int]map[digest.Key]digest.Sum)
-		m.bySID[r.Key.SID] = replicas
+// add stores one report: the replica's vote on r.Key joins the class of
+// r.Sum, leaving whichever class held its earlier vote on that key (a
+// requizzed task or a committed speculative backup re-reports a key).
+// It returns the sid's state and the key's handle, nil for a replica
+// index the tally cannot represent.
+func (m *Matcher) add(r digest.Report) (*sidVotes, int32) {
+	if r.Replica < 0 || r.Replica >= MaxReplicas {
+		return nil, -1
 	}
-	sums := replicas[r.Replica]
-	if sums == nil {
-		sums = make(map[digest.Key]digest.Sum)
-		replicas[r.Replica] = sums
+	st := m.bySID[r.Key.SID]
+	if st == nil {
+		st = &sidVotes{index: make(map[voteKey]int32)}
+		m.bySID[r.Key.SID] = st
 	}
-	sums[r.Key] = r.Sum
+	vk := voteKeyOf(r.Key)
+	ki, seen := st.index[vk]
+	if !seen {
+		ki = int32(len(st.keys))
+		st.keys = append(st.keys, keyTally{key: vk, first: -1})
+		st.index[vk] = ki
+	}
+	bit := uint64(1) << r.Replica
+	held, target := int32(-1), int32(-1)
+	for ci := st.keys[ki].first; ci >= 0; ci = st.classes[ci].next {
+		c := &st.classes[ci]
+		if c.reps&bit != 0 {
+			held = ci
+		}
+		if c.sum == r.Sum {
+			target = ci
+		}
+	}
+	if held >= 0 && held == target {
+		return st, ki // same vote again: nothing moves, memo stays valid
+	}
+	for len(st.reps) <= r.Replica {
+		st.reps = append(st.reps, repVotes{})
+	}
+	rv := &st.reps[r.Replica]
+	if held >= 0 {
+		st.classes[held].reps &^= bit
+	} else {
+		rv.keys = append(rv.keys, ki)
+	}
+	if target < 0 {
+		target = int32(len(st.classes))
+		st.classes = append(st.classes, voteClass{sum: r.Sum, next: st.keys[ki].first})
+		st.keys[ki].first = target
+	}
+	st.classes[target].reps |= bit
+	rv.fpOK = false
+	return st, ki
+}
+
+// Observe stores r and runs the online per-key check (approximate,
+// offline comparison, §3.3) on r.Key: when exactly one sum holds f+1
+// replica votes, every replica voting a different sum for the key is
+// deviant — a commission fault flagged before replicas finish. The
+// result is ascending and nil when nobody deviates.
+//
+// Checking r.Key alone is complete, not approximate: a report changes
+// the vote classes of its own key only, so every other key's deviants
+// were already returned when that key's last report arrived.
+//
+// A key where TWO sums reach f+1 votes yields no deviants. With at most
+// f faulty replicas every f+1 class contains an honest replica, and
+// honest replicas agree — so two qualifying classes prove the fault
+// budget was exceeded for this key and the evidence is unusable.
+// Short chunks make the case practical, not hypothetical: two replicas
+// faulty in unrelated ways (a truncated partition, a corruption that
+// shifted a record into another partition) both emit an EMPTY stream
+// for the key, and empty streams share the digest of no input. Picking
+// a winner there would blame honest replicas.
+func (m *Matcher) Observe(r digest.Report) []int {
+	st, ki := m.add(r)
+	if st == nil {
+		return nil
+	}
+	winner, ok := st.winner(ki, m.f)
+	if !ok {
+		return nil
+	}
+	var others uint64
+	for ci := st.keys[ki].first; ci >= 0; ci = st.classes[ci].next {
+		if ci != winner {
+			others |= st.classes[ci].reps
+		}
+	}
+	return maskReplicas(others)
+}
+
+// winner returns the class of key ki holding at least f+1 votes, and
+// ok=false when no class or more than one class does.
+func (st *sidVotes) winner(ki int32, f int) (int32, bool) {
+	win := int32(-1)
+	for ci := st.keys[ki].first; ci >= 0; ci = st.classes[ci].next {
+		if bits.OnesCount64(st.classes[ci].reps) >= f+1 {
+			if win >= 0 {
+				return -1, false // ambiguous
+			}
+			win = ci
+		}
+	}
+	return win, win >= 0
+}
+
+// maskReplicas lists the replica indices set in mask, ascending.
+func maskReplicas(mask uint64) []int {
+	if mask == 0 {
+		return nil
+	}
+	out := make([]int, 0, bits.OnesCount64(mask))
+	for ; mask != 0; mask &= mask - 1 {
+		out = append(out, bits.TrailingZeros64(mask))
+	}
+	return out
+}
+
+// votes returns sid's state and replica's view of it, nil when the
+// replica has filed nothing under sid.
+func (m *Matcher) votes(sid string, replica int) (*sidVotes, *repVotes) {
+	st := m.bySID[sid]
+	if st == nil || replica < 0 || replica >= len(st.reps) {
+		return nil, nil
+	}
+	return st, &st.reps[replica]
+}
+
+// sumOf returns the sum replica currently votes for key ki.
+func (st *sidVotes) sumOf(ki int32, replica int) (digest.Sum, bool) {
+	if replica < 0 {
+		return digest.Sum{}, false
+	}
+	bit := uint64(1) << replica // 0 from MaxReplicas up: never set
+	for ci := st.keys[ki].first; ci >= 0; ci = st.classes[ci].next {
+		if st.classes[ci].reps&bit != 0 {
+			return st.classes[ci].sum, true
+		}
+	}
+	return digest.Sum{}, false
 }
 
 // Reports returns how many digests replica has filed under sid.
 func (m *Matcher) Reports(sid string, replica int) int {
-	return len(m.bySID[sid][replica])
+	_, rv := m.votes(sid, replica)
+	if rv == nil {
+		return 0
+	}
+	return len(rv.keys)
 }
 
 // Fingerprint rolls a replica's digest vector for sid into one sum,
 // iterating keys in sorted order so equal vectors give equal prints.
+// The result is memoised per (sid, replica) and recomputed only after
+// an Observe changed one of that replica's votes.
 func (m *Matcher) Fingerprint(sid string, replica int) digest.Sum {
-	sums := m.bySID[sid][replica]
-	keys := make([]digest.Key, 0, len(sums))
-	for k := range sums {
-		keys = append(keys, k)
+	st, rv := m.votes(sid, replica)
+	if rv == nil {
+		return sha256.Sum256(nil)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Point != b.Point {
-			return a.Point < b.Point
-		}
-		if a.Task != b.Task {
-			return a.Task < b.Task
-		}
-		return a.Chunk < b.Chunk
+	if rv.fpOK {
+		return rv.fp
+	}
+	slices.SortFunc(rv.keys, func(a, b int32) int {
+		return st.keys[a].key.compare(st.keys[b].key)
 	})
-	h := sha256.New()
-	for _, k := range keys {
-		s := sums[k]
-		fmt.Fprintf(h, "%d|%s|%d|", k.Point, k.Task, k.Chunk)
-		h.Write(s[:])
+	if m.hash == nil {
+		m.hash = sha256.New()
 	}
-	var out digest.Sum
-	h.Sum(out[:0])
-	return out
+	m.hash.Reset()
+	for _, ki := range rv.keys {
+		k := &st.keys[ki].key
+		sum, _ := st.sumOf(ki, replica)
+		b := strconv.AppendInt(m.buf[:0], int64(k.point), 10)
+		b = append(b, '|')
+		b = append(b, k.task...)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(k.chunk), 10)
+		b = append(b, '|')
+		b = append(b, sum[:]...)
+		m.hash.Write(b)
+		m.buf = b
+	}
+	m.hash.Sum(rv.fp[:0])
+	rv.fpOK = true
+	return rv.fp
 }
 
 // Agreement groups the given (completed) replicas of sid by fingerprint.
@@ -109,100 +323,32 @@ func (m *Matcher) Agreement(sid string, completed []int) (majority, deviants []i
 	return best, deviants, true
 }
 
-// KeyDeviants performs the online per-key check over everything reported
-// so far for sid: for each key where exactly one sum has f+1 replica
-// votes, any replica with a different sum is deviant. This flags
-// commission faults before replicas finish (approximate, offline
-// comparison, §3.3).
-//
-// A key where TWO sums reach f+1 votes yields no deviants. With at most
-// f faulty replicas every f+1 class contains an honest replica, and
-// honest replicas agree — so two qualifying classes prove the fault
-// budget was exceeded for this key and the evidence is unusable.
-// Short chunks make the case practical, not hypothetical: two replicas
-// faulty in unrelated ways (a truncated partition, a corruption that
-// shifted a record into another partition) both emit an EMPTY stream
-// for the key, and empty streams share the digest of no input. Picking
-// a winner here — the pre-fix code took whichever class map iteration
-// happened to visit first — blamed honest replicas nondeterministically.
-func (m *Matcher) KeyDeviants(sid string) []int {
-	replicas := m.bySID[sid]
-	votes := make(map[digest.Key]map[digest.Sum][]int)
-	for rep, sums := range replicas {
-		for k, s := range sums {
-			if votes[k] == nil {
-				votes[k] = make(map[digest.Sum][]int)
-			}
-			votes[k][s] = append(votes[k][s], rep)
-		}
-	}
-	deviant := make(map[int]bool)
-	for _, bysum := range votes {
-		var winner []int
-		ambiguous := false
-		for _, reps := range bysum {
-			if len(reps) >= m.f+1 {
-				if winner != nil {
-					ambiguous = true
-				}
-				winner = reps
-			}
-		}
-		if winner == nil || ambiguous {
-			continue
-		}
-		inWin := make(map[int]bool, len(winner))
-		for _, r := range winner {
-			inWin[r] = true
-		}
-		for _, reps := range bysum {
-			for _, r := range reps {
-				if !inWin[r] {
-					deviant[r] = true
-				}
-			}
-		}
-	}
-	out := make([]int, 0, len(deviant))
-	for r := range deviant {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // KeyAgreement resolves one exact key of sid: it returns the sum with
 // at least f+1 replica votes and the ascending list of agreeing
-// replicas. Like KeyDeviants, a key where two sums both reach f+1 is
+// replicas. Like Observe, a key where two sums both reach f+1 is
 // ambiguous (the fault budget was exceeded) and yields ok=false — the
 // checkpoint path must never persist bytes whose agreement evidence is
 // unusable.
 func (m *Matcher) KeyAgreement(sid string, key digest.Key) (digest.Sum, []int, bool) {
-	votes := make(map[digest.Sum][]int)
-	for rep, sums := range m.bySID[sid] {
-		if s, ok := sums[key]; ok {
-			votes[s] = append(votes[s], rep)
-		}
-	}
-	var winSum digest.Sum
-	var winner []int
-	for s, reps := range votes {
-		if len(reps) >= m.f+1 {
-			if winner != nil {
-				return digest.Sum{}, nil, false // ambiguous
-			}
-			winSum, winner = s, reps
-		}
-	}
-	if winner == nil {
+	st := m.bySID[sid]
+	if st == nil {
 		return digest.Sum{}, nil, false
 	}
-	sort.Ints(winner)
-	return winSum, winner, true
+	ki, seen := st.index[voteKeyOf(key)]
+	if !seen {
+		return digest.Sum{}, nil, false
+	}
+	win, ok := st.winner(ki, m.f)
+	if !ok {
+		return digest.Sum{}, nil, false
+	}
+	c := &st.classes[win]
+	return c.sum, maskReplicas(c.reps), true
 }
 
 // Forget drops all state for a sub-graph attempt (after verification or
-// abandonment) so long controller runs don't accumulate stale digests.
+// abandonment) — tally, per-replica key lists and memoised fingerprints
+// together — so long controller runs don't accumulate stale digests.
 func (m *Matcher) Forget(sid string) {
 	delete(m.bySID, sid)
 }
@@ -214,8 +360,15 @@ func (m *Matcher) SIDs() int { return len(m.bySID) }
 
 // Lookup returns the sum a replica reported for one exact key under sid.
 func (m *Matcher) Lookup(sid string, replica int, key digest.Key) (digest.Sum, bool) {
-	s, ok := m.bySID[sid][replica][key]
-	return s, ok
+	st, rv := m.votes(sid, replica)
+	if rv == nil {
+		return digest.Sum{}, false
+	}
+	ki, seen := st.index[voteKeyOf(key)]
+	if !seen {
+		return digest.Sum{}, false
+	}
+	return st.sumOf(ki, replica)
 }
 
 // QuizAgrees checks quiz evidence against the primary: every digest the
@@ -227,10 +380,13 @@ func (m *Matcher) Lookup(sid string, replica int, key digest.Key) (digest.Sum, b
 // the always-emitted final chunk makes a shorter honest stream produce a
 // missing-key mismatch rather than silence.
 func (m *Matcher) QuizAgrees(sid string, primary, quiz int) bool {
-	prim := m.bySID[sid][primary]
-	for k, qs := range m.bySID[sid][quiz] {
-		ps, ok := prim[k]
-		if !ok || ps != qs {
+	st, qv := m.votes(sid, quiz)
+	if qv == nil {
+		return true
+	}
+	for _, ki := range qv.keys {
+		qs, _ := st.sumOf(ki, quiz)
+		if ps, ok := st.sumOf(ki, primary); !ok || ps != qs {
 			return false
 		}
 	}

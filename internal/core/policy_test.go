@@ -2,6 +2,7 @@ package core
 
 import (
 	"clusterbft/internal/mapred"
+	"crypto/sha256"
 	"strings"
 	"testing"
 
@@ -208,6 +209,14 @@ func TestControllerLifecycleBounded(t *testing.T) {
 		cfg.QuizFraction = 1
 		h := newHarness(t, 4, 3, cfg)
 		sched := h.eng.Sched.(*OverlapScheduler)
+		// Record every report the verifier is handed, to probe the matcher
+		// for leftovers of exactly those votes after teardown.
+		var filed []digest.Report
+		sink := h.eng.DigestSink
+		h.eng.DigestSink = func(r digest.Report) {
+			filed = append(filed, r)
+			sink(r)
+		}
 		scripts := []string{weatherScript, weatherScript, weatherScript}
 		for run, script := range scripts {
 			if run == 1 {
@@ -231,6 +240,24 @@ func TestControllerLifecycleBounded(t *testing.T) {
 			if n := h.ctrl.matcher.SIDs(); n != 0 {
 				t.Errorf("policy %v run %d: matcher retains %d sids after teardown", p, run, n)
 			}
+			// Forget drops the vote tally, the per-key state and the
+			// memoised fingerprints together: no filed vote answers.
+			if len(filed) == 0 {
+				t.Fatalf("policy %v run %d: no digest reports observed", p, run)
+			}
+			for _, r := range filed {
+				sid := r.Key.SID
+				if _, ok := h.ctrl.matcher.Lookup(sid, r.Replica, r.Key); ok {
+					t.Fatalf("policy %v run %d: vote %v of replica %d survived teardown", p, run, r.Key, r.Replica)
+				}
+				if _, _, ok := h.ctrl.matcher.KeyAgreement(sid, r.Key); ok {
+					t.Fatalf("policy %v run %d: tally of %v survived teardown", p, run, r.Key)
+				}
+				if h.ctrl.matcher.Fingerprint(sid, r.Replica) != sha256.Sum256(nil) {
+					t.Fatalf("policy %v run %d: fingerprint of %s/r%d survived teardown", p, run, sid, r.Replica)
+				}
+			}
+			filed = filed[:0]
 			if n := sched.HostedSIDs(); n != 0 {
 				t.Errorf("policy %v run %d: scheduler retains %d sid affinities", p, run, n)
 			}

@@ -216,7 +216,7 @@ func TestMatcherAgreementInvariants(t *testing.T) {
 				if next(4) == 0 {
 					payload = "y"
 				}
-				m.Add(report("s", rep, k, "t", 0, payload))
+				m.Observe(report("s", rep, k, "t", 0, payload))
 			}
 		}
 		maj, dev, ok := m.Agreement("s", completed)

@@ -80,8 +80,9 @@ type verdictReq struct {
 }
 
 // shardMsg is the single message type a shard worker receives: exactly
-// one of report (Add + online comparison), verdict (Agreement), or sync
-// (barrier token, acknowledged by closing the channel) is set.
+// one of report (Observe: store + online comparison), verdict
+// (Agreement), or sync (barrier token, acknowledged by closing the
+// channel) is set.
 type shardMsg struct {
 	report  digest.Report
 	stamp   uint64
@@ -98,14 +99,14 @@ type verdictShard struct {
 	done chan struct{}
 
 	m *Matcher
-	// deviant dedupes first detections per (sid, replica) so the event
-	// stream carries each piece of evidence once, mirroring the
-	// idempotence of markFaulty.
-	deviant map[string]map[int]bool
-	// votes counts reports accumulated per sid; it models the cost of
-	// the online comparison (KeyDeviants scans every vote of the sid)
-	// and of fingerprinting, giving the deterministic work accounting
-	// the scaling experiment reports.
+	// deviant dedupes first detections per sid (a replica bitmask) so
+	// the event stream carries each piece of evidence once, mirroring
+	// the idempotence of markFaulty.
+	deviant map[string]uint64
+	// votes counts reports accumulated per sid: the digests a verdict
+	// request rolls into fingerprints. With one unit per report for the
+	// online comparison it gives the deterministic work accounting the
+	// scaling experiment reports.
 	votes  map[string]int
 	events []VerdictEvent
 	work   uint64
@@ -144,7 +145,7 @@ func NewVerdictPool(f, n int, reg *obs.Registry) *VerdictPool {
 			ch:      make(chan shardMsg, 256),
 			done:    make(chan struct{}),
 			m:       NewMatcher(f),
-			deviant: make(map[string]map[int]bool),
+			deviant: make(map[string]uint64),
 			votes:   make(map[string]int),
 		}
 		if reg != nil {
@@ -226,8 +227,9 @@ func (p *VerdictPool) Forget(sid string) {
 	delete(s.votes, sid)
 }
 
-// Work returns each shard's deterministic work-unit counter (votes
-// scanned by online comparison + fingerprinting). Valid only post-Sync.
+// Work returns each shard's deterministic work-unit counter (one unit
+// per report observed plus one per vote a verdict request
+// fingerprints). Valid only post-Sync.
 func (p *VerdictPool) Work() []uint64 {
 	out := make([]uint64, len(p.shards))
 	for i, s := range p.shards {
@@ -279,27 +281,22 @@ func (s *verdictShard) process(msg shardMsg) {
 	}
 	r := msg.report
 	sid := r.Key.SID
-	s.m.Add(r)
+	deviants := s.m.Observe(r)
 	s.votes[sid]++
-	units := uint64(1 + s.votes[sid])
-	s.work += units
+	s.work++
 	s.obsReports.Inc()
-	s.obsWork.Add(int64(units))
+	s.obsWork.Inc()
 	if r.Key.Point == mapred.CkptPoint {
 		s.events = append(s.events, VerdictEvent{
 			Stamp: msg.stamp, Shard: s.idx, SID: sid, Kind: VerdictCkpt, Key: r.Key,
 		})
 	}
-	for _, rep := range s.m.KeyDeviants(sid) {
-		seen := s.deviant[sid]
-		if seen == nil {
-			seen = make(map[int]bool)
-			s.deviant[sid] = seen
-		}
-		if seen[rep] {
+	for _, rep := range deviants {
+		bit := uint64(1) << rep // Observe returns indices below MaxReplicas
+		if s.deviant[sid]&bit != 0 {
 			continue
 		}
-		seen[rep] = true
+		s.deviant[sid] |= bit
 		s.obsDeviants.Inc()
 		s.events = append(s.events, VerdictEvent{
 			Stamp: msg.stamp, Shard: s.idx, SID: sid, Kind: VerdictDeviant, Replica: rep,

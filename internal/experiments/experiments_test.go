@@ -413,8 +413,11 @@ func TestShardScaleSmallScale(t *testing.T) {
 	if eight.Shards != 8 {
 		t.Fatalf("last row is shards=%d, want 8", eight.Shards)
 	}
-	if eight.Speedup < 3 {
-		t.Fatalf("critical-path speedup at 8 shards = %.2fx, want >= 3x", eight.Speedup)
+	// 2x, not more: pipelines hold two work units per report against one
+	// serial submission unit, so 3x is the ceiling at any shard count
+	// (faultsim.TestShardBenchCriticalPathScales derives the bound).
+	if eight.Speedup < 2 {
+		t.Fatalf("critical-path speedup at 8 shards = %.2fx, want >= 2x", eight.Speedup)
 	}
 	if eight.Evidence == 0 || eight.Evicted == 0 {
 		t.Fatalf("workload surfaced no Byzantine evidence: %+v", eight)

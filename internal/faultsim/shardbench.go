@@ -27,13 +27,14 @@ import (
 // Scaling is reported two ways. WallNs is the host wall-clock of the
 // processing loop — honest but hardware-dependent (a single-core
 // container cannot show parallel speedup). The deterministic numbers
-// are work units: each shard counts the votes it scans (the O(votes)
-// online comparison and fingerprinting), the producer counts one unit
-// per submission and one per merged event. SpanUnits is the critical
-// path with one core per shard — serial units plus the busiest
-// pipeline — so SpanUnits(1)/SpanUnits(N) is the throughput scaling
-// the partitioning achieves, byte-identical across runs and exactly
-// reproducible at any shard count.
+// are work units: each shard counts one unit per report (the per-key
+// tally update of the online comparison) and one per vote a verdict
+// fingerprints, the producer counts one unit per submission and one
+// per merged event. SpanUnits is the critical path with one core per
+// shard — serial units plus the busiest pipeline — so
+// SpanUnits(1)/SpanUnits(N) is the throughput scaling the partitioning
+// achieves, byte-identical across runs and exactly reproducible at any
+// shard count.
 
 // ShardBenchConfig parameterizes one workload.
 type ShardBenchConfig struct {

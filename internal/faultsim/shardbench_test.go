@@ -64,10 +64,14 @@ func TestShardBenchReplaysByteIdentically(t *testing.T) {
 }
 
 // TestShardBenchCriticalPathScales asserts the deterministic scaling
-// claim: with one core per shard, the critical path at 8 shards is at
-// least 3x shorter than the serial pipeline's (the acceptance bar of
-// the verdict-throughput experiment; BenchmarkVerdictThroughput shows
-// the wall-clock equivalent on multi-core hosts).
+// claim under the work model the matcher actually has: a report costs
+// its pipeline one unit (the per-key tally update) and a verdict one
+// unit per vote it fingerprints, so pipelines hold W = 2 units per
+// report against S = 1 serial unit per report (submission) plus the
+// merged events. Amdahl bounds the 8-shard critical path at
+// (S+W)/(S+W/8) ~ 2.4x, with 3x the ceiling at any shard count — the
+// bar is 2x, and the partitioning must land within 10% of the bound
+// (hash imbalance is all that separates them).
 func TestShardBenchCriticalPathScales(t *testing.T) {
 	cfg := testBenchConfig()
 	cfg.Shards = 1
@@ -75,9 +79,17 @@ func TestShardBenchCriticalPathScales(t *testing.T) {
 	cfg.Shards = 8
 	eight := ShardBench(cfg)
 	speedup := float64(one.SpanUnits) / float64(eight.SpanUnits)
-	if speedup < 3 {
-		t.Errorf("critical-path speedup at 8 shards = %.2fx (span %d -> %d), want >= 3x",
+	if speedup < 2 {
+		t.Errorf("critical-path speedup at 8 shards = %.2fx (span %d -> %d), want >= 2x",
 			speedup, one.SpanUnits, eight.SpanUnits)
+	}
+	bound := float64(one.SpanUnits) / (float64(eight.SerialUnits) + float64(eight.WorkTotal)/8)
+	if speedup < 0.9*bound {
+		t.Errorf("critical-path speedup %.2fx is below 90%% of the balanced-partition bound %.2fx", speedup, bound)
+	}
+	if want := 2 * uint64(one.Reports); one.WorkTotal != want {
+		t.Errorf("pipeline work = %d units for %d reports, want %d (1 per report + 1 per fingerprinted vote)",
+			one.WorkTotal, one.Reports, want)
 	}
 }
 
