@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -580,5 +581,63 @@ func TestLaunchRejectsReplicationBeyondTally(t *testing.T) {
 	}
 	if n := h.eng.JobCount(); n != 0 {
 		t.Errorf("engine holds %d jobs of an attempt that must not launch", n)
+	}
+}
+
+// TestControllerPrunedInputCommissionCaught: the map side of GROUP BY
+// origin + COUNT reads one input column of five and leaves the rest
+// undecoded. A commission fault tampers every column of every tuple; the
+// one column the job reads carries it into the partials and the digested
+// output, so the deviation is detected, the node suspected, and the
+// verified output equals an honest run's.
+func TestControllerPrunedInputCommissionCaught(t *testing.T) {
+	const script = `
+fl = LOAD 'data/flights' AS (year:int, month:int, origin, dest, delay:int);
+g = GROUP fl BY origin;
+n = FOREACH g GENERATE group AS airport, COUNT(fl) AS flights;
+STORE n INTO 'out/n';
+`
+	cfg := DefaultConfig() // r=4, f=1; the one point is the STORE's parent
+	plan, err := pig.Parse(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := mapred.Compile(plan, mapred.CompileOptions{Points: []int{plan.ByAlias("n").ID}, NumReduces: cfg.NumReduces})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := jobs[0].Inputs[0]; len(jobs) != 1 || len(in.Ops) != 0 || !jobs[0].Reduce.Combine || len(in.KeyCols) != 1 {
+		t.Fatalf("premise broken: want one combining job reading only its key column map-side, got %v ops %v", jobs, in.Ops)
+	}
+	run := func(faulty bool) (*harness, *Result) {
+		h := newHarness(t, 16, 3, cfg)
+		for i := 0; i < 3000; i++ {
+			h.fs.Append("data/flights", fmt.Sprintf("%d\t%d\tAP%02d\tAP%02d\t%d", 1990+i%20, 1+i%12, i%17, (i*7)%17, i%90-30))
+		}
+		if faulty {
+			if err := h.cl.SetAdversary("node-003", cluster.FaultCommission, 1.0, 11); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := h.ctrl.Run(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Verified {
+			t.Fatalf("faulty=%v: run did not verify", faulty)
+		}
+		return h, res
+	}
+	h, res := run(true)
+	if res.FaultyReplicas == 0 {
+		t.Error("commission fault on a column-pruned input not detected")
+	}
+	if !slices.Contains(res.Suspects, cluster.NodeID("node-003")) {
+		t.Errorf("suspects %v do not include the faulty node", res.Suspects)
+	}
+	h2, res2 := run(false)
+	got, want := h.outputLines(t, res, "out/n"), h2.outputLines(t, res2, "out/n")
+	if len(want) != 17 || !slices.Equal(got, want) {
+		t.Errorf("verified output under the fault differs from the honest run's:\n%v\nvs\n%v", got, want)
 	}
 }

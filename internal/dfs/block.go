@@ -6,7 +6,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // The block format is the at-rest representation of file records: a file
@@ -108,13 +111,13 @@ func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
 	if compress && rawLen > 0 {
 		var zb bytes.Buffer
 		zb.Grow(rawLen / 2)
-		zw, err := flate.NewWriter(&zb, flate.BestSpeed)
-		if err == nil {
-			if _, err := zw.Write(payload); err == nil && zw.Close() == nil && zb.Len() < rawLen {
-				payload = zb.Bytes()
-				flags |= blockFlagFlate
-			}
+		zw := deflaters.Get().(*flate.Writer)
+		zw.Reset(&zb)
+		if _, err := zw.Write(payload); err == nil && zw.Close() == nil && zb.Len() < rawLen {
+			payload = zb.Bytes()
+			flags |= blockFlagFlate
 		}
+		deflaters.Put(zw)
 	}
 
 	data = make([]byte, 0, 2+binary.MaxVarintLen64+len(payload))
@@ -136,92 +139,156 @@ func BlockRecords(data []byte) (int, error) {
 	return int(n), nil
 }
 
+// Building flate state costs more than running one block through it, so
+// it is pooled and reset per block. An inflater also keeps its output
+// buffer: decoded lines are copied out of it into a string of their own.
+type inflater struct {
+	zr  io.ReadCloser // a flate reader, which is a flate.Resetter
+	src bytes.Reader
+	out bytes.Buffer
+}
+
+var (
+	deflaters = sync.Pool{New: func() any {
+		zw, _ := flate.NewWriter(nil, flate.BestSpeed) // errs on a bad level only
+		return zw
+	}}
+	inflaters = sync.Pool{New: func() any { return &inflater{zr: flate.NewReader(nil)} }}
+)
+
 // DecodeBlock reverses EncodeBlock, reconstructing the exact record
 // lines the block was sealed from.
 func DecodeBlock(data []byte) ([]string, error) {
+	return decodeBlockRange(nil, data, 0, math.MaxInt)
+}
+
+// decodeBlockRange appends records [lo, hi) of the block to dst, clamping
+// the range to the block. The layout is column-grouped, so the walk
+// covers and bounds-checks the whole payload whatever the range (a
+// malformed block fails for every range alike), but only the records
+// asked for are materialised, as substrings of one backing string built
+// in a single copy.
+func decodeBlockRange(dst []string, data []byte, lo, hi int) ([]string, error) {
 	if len(data) < 2 {
-		return nil, fmt.Errorf("dfs: block too short")
+		return dst, fmt.Errorf("dfs: block too short")
 	}
 	if data[0] != blockVersion {
-		return nil, fmt.Errorf("dfs: unknown block version 0x%02x", data[0])
+		return dst, fmt.Errorf("dfs: unknown block version 0x%02x", data[0])
 	}
 	flags := data[1]
 	rest := data[2:]
-	n, w := binary.Uvarint(rest)
+	n64, w := binary.Uvarint(rest)
 	if w <= 0 {
-		return nil, fmt.Errorf("dfs: bad block record count")
+		return dst, fmt.Errorf("dfs: bad block record count")
 	}
 	payload := rest[w:]
 	if flags&blockFlagFlate != 0 {
-		zr := flate.NewReader(bytes.NewReader(payload))
-		raw, err := io.ReadAll(zr)
-		if err != nil {
-			return nil, fmt.Errorf("dfs: block decompress: %w", err)
+		z := inflaters.Get().(*inflater)
+		defer inflaters.Put(z)
+		z.src.Reset(payload)
+		z.out.Reset()
+		err := z.zr.(flate.Resetter).Reset(&z.src, nil)
+		if err == nil {
+			_, err = z.out.ReadFrom(z.zr)
 		}
-		zr.Close()
-		payload = raw
+		if err != nil {
+			return dst, fmt.Errorf("dfs: block decompress: %w", err)
+		}
+		payload = z.out.Bytes()
 	}
-	numRecords := int(n)
-	if numRecords == 0 {
-		return nil, nil
+	if n64 == 0 {
+		return dst, nil
 	}
-
-	maxCols64, w := binary.Uvarint(payload)
-	if w <= 0 {
-		return nil, fmt.Errorf("dfs: bad block maxCols")
+	// Counts and lengths are compared as uint64 against the bytes left
+	// before any becomes an int: a record costs at least its column-count
+	// byte, a column its length byte.
+	if n64 > uint64(len(payload)) {
+		return dst, fmt.Errorf("dfs: block record count exceeds payload")
+	}
+	n := int(n64)
+	maxCols64, w := uvarint(payload)
+	if w <= 0 || maxCols64 > uint64(len(payload)) {
+		return dst, fmt.Errorf("dfs: bad block maxCols")
 	}
 	off := w
 	maxCols := int(maxCols64)
-	colCounts := make([]int, numRecords)
-	pre := make([]int, numRecords+1)
+	colCounts := make([]int, n)
 	for i := range colCounts {
-		c, w := binary.Uvarint(payload[off:])
+		c, w := uvarint(payload[off:])
 		if w <= 0 {
-			return nil, fmt.Errorf("dfs: bad block column count")
+			return dst, fmt.Errorf("dfs: bad block column count")
 		}
 		off += w
-		colCounts[i] = int(c)
-		pre[i+1] = pre[i] + int(c)
-		if int(c) > maxCols || c == 0 {
-			return nil, fmt.Errorf("dfs: block column count out of range")
+		if c > maxCols64 || c == 0 {
+			return dst, fmt.Errorf("dfs: block column count out of range")
 		}
+		colCounts[i] = int(c)
 	}
+	hi = max(0, min(hi, n))
+	lo = min(max(lo, 0), hi)
 
-	// Column-major scan records every value's span; pre maps it back to
-	// its row-major slot.
-	type span struct{ start, end int }
-	spans := make([]span, pre[numRecords])
+	// Column-major walk: colStart[c] is where column c's values for records
+	// lo onwards begin, size the text of [lo, hi) with a tab per value.
+	colStart := make([]int, maxCols)
+	size := 0
 	for c := 0; c < maxCols; c++ {
-		for i := 0; i < numRecords; i++ {
-			if colCounts[i] <= c {
+		for i, cols := range colCounts {
+			if i == lo {
+				colStart[c] = off
+			}
+			if cols <= c {
 				continue
 			}
-			l, w := binary.Uvarint(payload[off:])
+			l, w := uvarint(payload[off:])
 			if w <= 0 {
-				return nil, fmt.Errorf("dfs: bad block value length")
+				return dst, fmt.Errorf("dfs: bad block value length")
 			}
 			off += w
-			end := off + int(l)
-			if end > len(payload) {
-				return nil, fmt.Errorf("dfs: block value overruns payload")
+			if l > uint64(len(payload)-off) {
+				return dst, fmt.Errorf("dfs: block value overruns payload")
 			}
-			spans[pre[i]+c] = span{start: off, end: end}
-			off = end
+			off += int(l)
+			if i >= lo && i < hi {
+				size += int(l) + 1
+			}
 		}
+	}
+	if lo == hi {
+		return dst, nil
 	}
 
-	lines := make([]string, numRecords)
-	var buf []byte
-	for i := 0; i < numRecords; i++ {
-		buf = buf[:0]
+	// Row-major rebuild: a cursor per column re-reads the lengths the walk
+	// validated. A line's first value takes no tab.
+	var text strings.Builder
+	text.Grow(size - (hi - lo))
+	ends := make([]int, hi-lo)
+	for i := lo; i < hi; i++ {
 		for c := 0; c < colCounts[i]; c++ {
 			if c > 0 {
-				buf = append(buf, '\t')
+				text.WriteByte('\t')
 			}
-			sp := spans[pre[i]+c]
-			buf = append(buf, payload[sp.start:sp.end]...)
+			l, w := uvarint(payload[colStart[c]:])
+			start := colStart[c] + w
+			colStart[c] = start + int(l)
+			text.Write(payload[start:colStart[c]])
 		}
-		lines[i] = string(buf)
+		ends[i-lo] = text.Len()
 	}
-	return lines, nil
+	all := text.String()
+	dst = slices.Grow(dst, hi-lo)
+	start := 0
+	for _, end := range ends {
+		dst = append(dst, all[start:end])
+		start = end
+	}
+	return dst, nil
+}
+
+// uvarint is binary.Uvarint with the one-byte case, which nearly every
+// count and length in a block is, taken inline.
+func uvarint(b []byte) (uint64, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	return binary.Uvarint(b)
 }

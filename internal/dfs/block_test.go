@@ -1,8 +1,12 @@
 package dfs
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -78,6 +82,103 @@ func TestDecodeBlockRejectsMalformed(t *testing.T) {
 	for i, data := range bad {
 		if _, err := DecodeBlock(data); err == nil {
 			t.Fatalf("case %d: expected error for malformed block", i)
+		}
+	}
+}
+
+// TestDecodeBlockHostileLengths pins the two panics arbitrary bytes used
+// to reach: a value length of 2^63 or more wrapped the end offset
+// negative, past the overrun check and into a slice expression, and a
+// record count of 2^40 went straight to make.
+func TestDecodeBlockHostileLengths(t *testing.T) {
+	payload := []byte{1, 1}                                      // maxCols 1, one record of one column
+	payload = binary.AppendUvarint(payload, 1<<63|5)             // its value's length
+	huge := binary.AppendUvarint([]byte{blockVersion, 0}, 1<<40) // record count, no payload to match
+	for i, data := range [][]byte{
+		append([]byte{blockVersion, 0, 1}, payload...),
+		append(huge, 1, 1, 0),
+	} {
+		if _, err := DecodeBlock(data); err == nil {
+			t.Errorf("case %d: hostile block decoded without error", i)
+		}
+	}
+}
+
+// TestDecodeBlockRange: every range of a block decodes to exactly those
+// records, ragged column counts included, compressed and raw; out-of-range
+// bounds clamp.
+func TestDecodeBlockRange(t *testing.T) {
+	lines := []string{"a\tb\tc", "", "d", "\t\t", "e\tf", "g\th\ti\tj", "k"}
+	for _, compress := range []bool{false, true} {
+		data := EncodeBlock(slices.Repeat(lines, 3), compress)
+		want := slices.Repeat(lines, 3)
+		for lo := 0; lo <= len(want); lo++ {
+			for hi := lo; hi <= len(want); hi++ {
+				got, err := decodeBlockRange(nil, data, lo, hi)
+				if err != nil {
+					t.Fatalf("compress=%v [%d,%d): %v", compress, lo, hi, err)
+				}
+				if !slices.Equal(got, want[lo:hi]) {
+					t.Fatalf("compress=%v [%d,%d) = %q, want %q", compress, lo, hi, got, want[lo:hi])
+				}
+			}
+		}
+		got, err := decodeBlockRange([]string{"kept"}, data, -3, len(want)+9)
+		if err != nil || !slices.Equal(got, append([]string{"kept"}, want...)) {
+			t.Fatalf("compress=%v clamped append = %q, %v", compress, got, err)
+		}
+	}
+}
+
+// TestPooledDeflateMatchesFresh: a deflater that has already compressed
+// other blocks emits the bytes a newly built one would, so which pooled
+// state a block meets never shows in the store.
+func TestPooledDeflateMatchesFresh(t *testing.T) {
+	var blocks [][]string
+	for b := 0; b < 4; b++ {
+		lines := make([]string, 300+b)
+		for i := range lines {
+			lines[i] = fmt.Sprintf("station-%03d\t%d\tsky-%d", (i*(b+3))%11, 20+i%5, b)
+		}
+		blocks = append(blocks, lines)
+	}
+	for round := 0; round < 2; round++ { // second round meets used deflaters only
+		for b, lines := range blocks {
+			raw := EncodeBlock(lines, false)
+			_, w := binary.Uvarint(raw[2:])
+			var fresh bytes.Buffer
+			zw, err := flate.NewWriter(&fresh, flate.BestSpeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zw.Write(raw[2+w:])
+			zw.Close()
+			want := append(append([]byte{blockVersion, blockFlagFlate}, raw[2:2+w]...), fresh.Bytes()...)
+			if got := EncodeBlock(lines, true); !bytes.Equal(got, want) {
+				t.Fatalf("round %d block %d: pooled deflater output differs from a fresh writer's", round, b)
+			}
+		}
+	}
+}
+
+// TestBlockDecodeAllocs pins the decode's allocation count as independent
+// of the record count: the column counts, one cursor per column, the
+// backing string, the line ends and the line slice.
+func TestBlockDecodeAllocs(t *testing.T) {
+	lines := make([]string, 1000)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("station-%03d\t%d\tclear-%d", i%50, 20+i%7, i%3)
+	}
+	for _, compress := range []bool{false, true} {
+		data := EncodeBlock(lines, compress)
+		DecodeBlock(data) // warm the inflater pool
+		got := testing.AllocsPerRun(50, func() {
+			if _, err := DecodeBlock(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 10 {
+			t.Errorf("compress=%v: DecodeBlock of 1000 records = %v allocs, want <= 10", compress, got)
 		}
 	}
 }

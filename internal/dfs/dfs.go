@@ -363,13 +363,14 @@ func (fs *FS) spillBlock(b *block) error {
 	return nil
 }
 
-// loadBlock returns the decoded lines of b. Safe for concurrent use:
-// the encoded bytes are immutable once sealed, and a spilled block is
-// read back with a positioned read. Decode failure means the trusted
-// store itself broke (spill-file corruption), which the fault model
-// assumes away — it panics rather than inventing an error path every
-// reader would have to thread.
-func (fs *FS) loadBlock(b *block) []string {
+// loadBlock appends records [lo, hi) of b to dst (hi is clamped to the
+// block's record count). Safe for concurrent use: the encoded bytes are
+// immutable once sealed, and a spilled block is read back with a
+// positioned read. Decode failure means the trusted store itself broke
+// (spill-file corruption), which the fault model assumes away — it
+// panics rather than inventing an error path every reader would have to
+// thread.
+func (fs *FS) loadBlock(dst []string, b *block, lo, hi int) []string {
 	fs.mu.RLock()
 	data := b.data
 	off, size := b.off, b.size
@@ -387,11 +388,11 @@ func (fs *FS) loadBlock(b *block) []string {
 		}
 		data = buf
 	}
-	lines, err := DecodeBlock(data)
+	dst, err := decodeBlockRange(dst, data, lo, hi)
 	if err != nil {
 		panic(fmt.Sprintf("dfs: block decode: %v", err))
 	}
-	return lines
+	return dst
 }
 
 // ---- reads ------------------------------------------------------------
@@ -423,7 +424,7 @@ func (fs *FS) readRaw(path string) ([]string, error) {
 
 	out := make([]string, 0, total)
 	for _, b := range blocks {
-		out = append(out, fs.loadBlock(b)...)
+		out = fs.loadBlock(out, b, 0, b.records)
 	}
 	out = append(out, tail...)
 	fs.bytesRead.Add(n)

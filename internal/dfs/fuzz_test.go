@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,14 @@ func FuzzBlockRoundTrip(f *testing.F) {
 				t.Fatalf("line %d: decode %q, want %q", i, got[i], lines[i])
 			}
 		}
+		// A range decode returns the same records a whole decode would;
+		// the range is derived from the input so the corpus moves it.
+		lo := len(raw) % (len(lines) + 1)
+		hi := lo + (len(raw)/7)%(len(lines)-lo+1)
+		part, err := decodeBlockRange(nil, data, lo, hi)
+		if err != nil || !slices.Equal(part, lines[lo:hi]) {
+			t.Fatalf("range [%d,%d) = %q, %v; want %q", lo, hi, part, err, lines[lo:hi])
+		}
 
 		// Stage 2: the same records through a spilling FS — tiny blocks
 		// and a tiny budget so sealing and spilling both trigger.
@@ -68,6 +77,37 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		}
 		if err := fs.SpillErr(); err != nil {
 			t.Fatalf("spill error: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeBlockNoPanic hands the block decoder arbitrary bytes, as a
+// corrupted spill file would: it must return records or an error, never
+// panic or size an allocation from an unchecked length, and a range
+// decode must fail on exactly the inputs a whole decode fails on.
+func FuzzDecodeBlockNoPanic(f *testing.F) {
+	f.Add(EncodeBlock([]string{"a\tb", "c", "\t\t"}, false), 1, 2)
+	f.Add(EncodeBlock([]string{strings.Repeat("wide\tblock\t", 40)}, true), 0, 1)
+	f.Add([]byte{blockVersion, 0, 1, 1, 1, 0x85, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, 0, 1)
+	f.Add([]byte{blockVersion, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1, 1, 0}, 0, 9)
+	f.Add([]byte{blockVersion, blockFlagFlate, 3, 0xff, 0xff}, 0, 0)
+	f.Add(EncodeBlock([]string{"a", "b"}, false), 1, -28)
+	f.Fuzz(func(t *testing.T, data []byte, lo, hi int) {
+		all, err := DecodeBlock(data)
+		part, perr := decodeBlockRange(nil, data, lo, hi)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("whole decode err %v, range [%d,%d) err %v", err, lo, hi, perr)
+		}
+		if err != nil {
+			return
+		}
+		if n, nerr := BlockRecords(data); nerr != nil || n != len(all) {
+			t.Fatalf("BlockRecords = %d, %v; decoded %d", n, nerr, len(all))
+		}
+		hi = max(0, min(hi, len(all)))
+		lo = min(max(lo, 0), hi)
+		if !slices.Equal(part, all[lo:hi]) {
+			t.Fatalf("range [%d,%d) = %q, want %q", lo, hi, part, all[lo:hi])
 		}
 	})
 }

@@ -120,10 +120,10 @@ func (r *Reader) addFile(f *file) {
 // NumRecords returns the total record count snapshotted at open.
 func (r *Reader) NumRecords() int { return r.total }
 
-// ReadRange returns the records in [start, end), decoding only the
-// blocks that range overlaps. It is stateless and safe to call
-// concurrently from parallel task bodies. Out-of-range bounds are
-// clamped.
+// ReadRange returns the records in [start, end), decoding from each
+// block the range overlaps only the records inside it. It is stateless
+// and safe to call concurrently from parallel task bodies. Out-of-range
+// bounds are clamped.
 func (r *Reader) ReadRange(start, end int) []string {
 	if start < 0 {
 		start = 0
@@ -154,11 +154,11 @@ func (r *Reader) ReadRange(start, end int) []string {
 		if e := end - r.starts[i]; e < b {
 			b = e
 		}
-		lines := seg.lines
 		if seg.blk != nil {
-			lines = r.fs.loadBlock(seg.blk)
+			out = r.fs.loadBlock(out, seg.blk, a, b)
+		} else {
+			out = append(out, seg.lines[a:b]...)
 		}
-		out = append(out, lines[a:b]...)
 	}
 	return out
 }
@@ -172,7 +172,7 @@ func (r *Reader) Next() ([]string, bool) {
 	seg := r.segs[r.cursor]
 	r.cursor++
 	if seg.blk != nil {
-		return r.fs.loadBlock(seg.blk), true
+		return r.fs.loadBlock(nil, seg.blk, 0, seg.n), true
 	}
 	return seg.lines, true
 }

@@ -87,12 +87,14 @@ func aggOrdinals(gens []pig.GenItem) []int {
 
 // partialTuple encodes per-aggregate partial state as a flat
 // [n0, v0, n1, v1, ...] tuple, so combined records flow through the
-// same interRec plumbing (and byte accounting) as raw ones.
+// same interRec plumbing (and byte accounting) as raw ones. A MIN/MAX
+// over a string column holds a substring of the split's text; the
+// partial, which outlives the task, gets its own copy.
 func partialTuple(accs []aggAcc) tuple.Tuple {
 	t := make(tuple.Tuple, 2*len(accs))
 	for i, a := range accs {
 		t[2*i] = tuple.Int(a.n)
-		t[2*i+1] = a.v
+		t[2*i+1] = detachValue(a.v)
 	}
 	return t
 }
@@ -211,15 +213,34 @@ func (p *combinePart) insert(h uint64, key []byte, t tuple.Tuple, c *combiner) *
 	if 4*(len(p.entries)+1) > 3*len(p.slots) {
 		p.grow()
 	}
-	e := combineEntry{hash: h, keyStr: string(key), key: c.keyBuf.Clone()}
+	// An entry outlives the task in its map outcome; its values are
+	// substrings of the split's text and its tuples carved from a decode
+	// slab. Detach what is kept, or a few dozen keys pin the whole split.
+	e := combineEntry{hash: h, keyStr: string(key), key: detach(c.keyBuf)}
 	if c.spec.Kind == ReduceDistinct {
-		e.first = t
+		e.first = detach(t)
 	} else {
 		e.accs = make([]aggAcc, len(c.aggs))
 	}
 	p.entries = append(p.entries, e)
 	p.place(h, int32(len(p.entries)))
 	return &p.entries[len(p.entries)-1]
+}
+
+// detach copies t into storage of its own, string bytes included.
+func detach(t tuple.Tuple) tuple.Tuple {
+	c := make(tuple.Tuple, len(t))
+	for i, v := range t {
+		c[i] = detachValue(v)
+	}
+	return c
+}
+
+func detachValue(v tuple.Value) tuple.Value {
+	if v.Kind() == tuple.KindString {
+		return tuple.Str(strings.Clone(v.Str()))
+	}
+	return v
 }
 
 func (p *combinePart) place(h uint64, idx int32) {

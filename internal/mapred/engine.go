@@ -974,7 +974,7 @@ func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), co
 	cost := e.Cost
 	o := e.obsTask
 	return func() bodyResult {
-		// Decode only this split's blocks, here on the worker pool —
+		// Decode only this split's records, here on the worker pool —
 		// block decode parallelizes across map tasks and the split's
 		// lines never outlive the body. ReadRange is concurrency-safe.
 		lines := src.ReadRange(split[0], split[1])

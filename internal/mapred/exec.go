@@ -3,6 +3,7 @@ package mapred
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"strings"
 
 	"clusterbft/internal/digest"
@@ -203,6 +204,62 @@ type mapOutcome struct {
 // corruptFn tampers tuples at the task source; nil for honest execution.
 type corruptFn func(tuple.Tuple) tuple.Tuple
 
+// neededCols derives from the spec which columns of an input the map
+// side reads, as a tuple.Decoder.Need mask; nil means all (DESIGN.md §6).
+// A column may stay undecoded only if nothing consumes the input tuple
+// whole: a digest or sample ahead of the first projection forces nil,
+// and so does every job shape that ships the unprojected tuple on — all
+// but the combining aggregate, whose combiner reads key and aggregate
+// columns only. Audited inputs, and expressions of unknown type or
+// reaching past the schema, decode in full.
+func neededCols(job *JobSpec, inputIdx int) []bool {
+	in := &job.Inputs[inputIdx]
+	if in.AuditIn || in.Schema == nil {
+		return nil
+	}
+	need := make([]bool, in.Schema.Len())
+	width, ok := 0, true // width is 1 + the highest column read
+	read := func(c int) {
+		if c < 0 || c >= len(need) {
+			ok = false
+			return
+		}
+		need[c] = true
+		width = max(width, c+1)
+	}
+	ops := in.Ops
+	if p := slices.IndexFunc(ops, func(op Op) bool { return op.Kind == PhysProject }); p >= 0 {
+		ops = ops[:p+1]
+	} else if r := job.Reduce; r != nil && r.Kind == ReduceAggregate && r.Combine && in.KeyCols != nil {
+		for _, c := range in.KeyCols {
+			read(c)
+		}
+		for _, gen := range r.Gens {
+			if gen.Agg != nil && gen.Agg.ColIdx >= 0 { // COUNT(bag) reads no column
+				read(gen.Agg.ColIdx)
+			}
+		}
+	} else {
+		return nil
+	}
+	for _, op := range ops {
+		switch op.Kind {
+		case PhysDigest, PhysSample:
+			return nil
+		case PhysFilter:
+			ok = pig.Columns(op.Pred, read) && ok
+		case PhysProject:
+			for _, gen := range op.Gens {
+				ok = gen.Expr != nil && pig.Columns(gen.Expr, read) && ok
+			}
+		}
+	}
+	if !ok {
+		return nil
+	}
+	return need[:width]
+}
+
 // runMapTask executes one map task over its split's raw lines.
 func runMapTask(job *JobSpec, inputIdx int, lines []string, df digestFactory, corrupt corruptFn, o taskObs) *mapOutcome {
 	in := &job.Inputs[inputIdx]
@@ -220,8 +277,9 @@ func runMapTask(job *JobSpec, inputIdx int, lines []string, df digestFactory, co
 			out.partitions[p] = make([]interRec, 0, per)
 		}
 	}
-	var scratch []byte    // per-task encode buffer, reused across records
-	var dec tuple.Decoder // per-task decoder, amortizes unescape scratch
+	var scratch []byte // per-task encode buffer, reused across records
+	// Per-task decoder: tuple slabs, unescape scratch, column mask.
+	dec := tuple.Decoder{Need: neededCols(job, inputIdx)}
 	for _, line := range lines {
 		t := dec.DecodeLine(line, in.Schema)
 		out.recordsIn++
@@ -261,6 +319,18 @@ func runMapTask(job *JobSpec, inputIdx int, lines []string, df digestFactory, co
 		}
 	} else if shuffle {
 		out.shuffleRecs = out.recordsOut
+		if 2*out.recordsOut <= out.recordsIn {
+			// The few survivors of a selective chain would each pin a tuple
+			// slab and the split's text for the life of the outcome.
+			for p, part := range out.partitions {
+				kept := make([]interRec, len(part))
+				for i, r := range part {
+					r.key, r.t = detach(r.key), detach(r.t)
+					kept[i] = r
+				}
+				out.partitions[p] = kept
+			}
+		}
 	}
 	if shuffle {
 		sortRuns(out.partitions, job.Reduce)

@@ -21,6 +21,30 @@ type Expr interface {
 	String() string
 }
 
+// Columns calls visit with the index of every column e reads. It reports
+// false for an expression type it does not know, which may read columns
+// visit never saw. Valid only after Bind.
+func Columns(e Expr, visit func(int)) bool {
+	switch e := e.(type) {
+	case *Col:
+		visit(e.idx)
+	case *Lit:
+	case *Unary:
+		return Columns(e.X, visit)
+	case *Binary:
+		return Columns(e.L, visit) && Columns(e.R, visit)
+	case *Call:
+		for _, a := range e.Args {
+			if !Columns(a, visit) {
+				return false
+			}
+		}
+	default:
+		return false
+	}
+	return true
+}
+
 // Col references a column by name ("user", "A::user") or by position
 // ("$0"). Bind resolves it to an index.
 type Col struct {

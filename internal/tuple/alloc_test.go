@@ -1,6 +1,10 @@
 package tuple
 
-import "testing"
+import (
+	"strconv"
+	"strings"
+	"testing"
+)
 
 // Allocation regressions in the codec multiply across every record the
 // engine touches, so the per-record costs are pinned here with
@@ -13,9 +17,27 @@ func TestDecodeLinePlainAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(200, func() {
 		_ = DecodeLine(line, schema)
 	})
-	// Exactly the Tuple backing array: escape-free fields slice the line.
+	// Exactly the Tuple backing array: escape-free fields slice the line,
+	// and a Decoder's first slab is one tuple wide.
 	if got != 1 {
 		t.Errorf("DecodeLine (escape-free) allocs/record = %v, want 1", got)
+	}
+}
+
+// TestDecoderPlainAllocs: over a task's worth of lines the only
+// allocations left are the slabs, one per slabValues Values.
+func TestDecoderPlainAllocs(t *testing.T) {
+	schema := NewSchema("user", "follower", "note")
+	line := "1234\t5678\tplain-text-field"
+	const records = 10000
+	got := testing.AllocsPerRun(10, func() {
+		var d Decoder
+		for i := 0; i < records; i++ {
+			_ = d.DecodeLine(line, schema)
+		}
+	})
+	if got/records > 0.01 {
+		t.Errorf("Decoder.DecodeLine (escape-free) = %v allocs per %d records, want <= 0.01 each", got, records)
 	}
 }
 
@@ -23,15 +45,70 @@ func TestDecoderEscapedAllocs(t *testing.T) {
 	schema := NewSchema("user", "note", "more")
 	line := "1234\tesc\\taped\\nvalue\tand\\\\more"
 	var d Decoder
-	d.DecodeLine(line, schema) // warm the scratch buffers
-	got := testing.AllocsPerRun(200, func() {
-		_ = d.DecodeLine(line, schema)
+	const records = 1000
+	got := testing.AllocsPerRun(10, func() {
+		for i := 0; i < records; i++ {
+			_ = d.DecodeLine(line, schema)
+		}
 	})
-	// Exactly the shared backing string for the unescaped fields plus the
-	// Tuple backing array — the per-field strings.Builder churn of the old
-	// slow path is gone.
-	if got != 2 {
-		t.Errorf("Decoder.DecodeLine (escaped, warm) allocs/record = %v, want 2", got)
+	// The shared backing string for the unescaped fields, per record, plus
+	// a slab now and then.
+	if got < records || got > records+10 {
+		t.Errorf("Decoder.DecodeLine (escaped) = %v allocs per %d records, want one each plus slabs", got, records)
+	}
+}
+
+// TestDecoderTuplesStayValid: tuples are carved from slabs that are never
+// reused, so everything a Decoder returned keeps its values and its own
+// storage however many lines follow, across slab boundaries.
+func TestDecoderTuplesStayValid(t *testing.T) {
+	schema := &Schema{Fields: []Field{{"n", TypeInt}, {"s", TypeString}}}
+	var d Decoder
+	const records = 3 * slabValues
+	got := make([]Tuple, records)
+	for i := range got {
+		got[i] = d.DecodeLine(strconv.Itoa(i)+"\tv"+strconv.Itoa(i), schema)
+	}
+	for i, tup := range got {
+		if len(tup) != 2 || cap(tup) != 2 || tup[0] != Int(int64(i)) || tup[1] != Str("v"+strconv.Itoa(i)) {
+			t.Fatalf("tuple %d = %v (cap %d) after %d later decodes", i, tup, cap(tup), records-i-1)
+		}
+	}
+	got[0] = append(got[0], Int(-1)) // must reallocate, not run into tuple 1
+	if got[1][0] != Int(1) {
+		t.Fatalf("append to tuple 0 overwrote tuple 1: %v", got[1])
+	}
+}
+
+// TestDecoderNeed: a listed column decodes as it would without the mask
+// and width never depends on the mask, on both decode paths, for rows
+// shorter and wider than mask and schema; an unlisted column is null in
+// its place on the escape-free path and free to be either on the other.
+func TestDecoderNeed(t *testing.T) {
+	schema := &Schema{Fields: []Field{{"a", TypeInt}, {"b", TypeAny}, {"c", TypeInt}}}
+	lines := []string{"1\tx\t3", "1", "1\tx", "1\tx\t3\t4\tfive", "7\tesc\\taped\t9\t\\n", "\t\t", "\\\\"}
+	masks := [][]bool{{}, {true}, {false, true}, {false, false, true}, {true, false, true}, {true, true, true}}
+	for _, line := range lines {
+		full := DecodeLine(line, schema)
+		for _, need := range masks {
+			d := Decoder{Need: need}
+			got := d.DecodeLine(line, schema)
+			if len(got) != len(full) {
+				t.Fatalf("%q need %v: width %d, unmasked %d", line, need, len(got), len(full))
+			}
+			for i := range got {
+				ok := got[i].IsNull()
+				switch {
+				case i < len(need) && need[i]:
+					ok = got[i] == full[i]
+				case strings.Contains(line, "\\"):
+					ok = ok || got[i] == full[i]
+				}
+				if !ok {
+					t.Errorf("%q need %v col %d = %v, unmasked %v", line, need, i, got[i], full[i])
+				}
+			}
+		}
 	}
 }
 

@@ -72,14 +72,41 @@ func DecodeLine(line string, schema *Schema) Tuple {
 	return d.DecodeLine(line, schema)
 }
 
-// Decoder decodes record lines while reusing one unescape scratch buffer
-// across calls, so the escaped slow path costs two allocations per record
-// (the backing string shared by every unescaped field, and the tuple)
-// instead of one per field. The zero value is ready to use. Not safe for
-// concurrent use; each task body owns its own Decoder.
+// Decoder decodes the record lines of one task. It reuses one unescape
+// scratch buffer across calls, so the escaped slow path costs one
+// allocation per record (the backing string shared by every unescaped
+// field), and it carves tuples from slabs of Values rather than
+// allocating each one. A slab is never reused: tuples stay valid, and
+// independent, after later calls. The zero value is ready to use. Not
+// safe for concurrent use; each task body owns its own Decoder.
 type Decoder struct {
+	// Need, when non-nil, lists the columns the caller reads: column i is
+	// sure to be coerced only where i < len(Need) && Need[i]. Any other
+	// may be left null in its place (the escape-free path does, the
+	// escaped path coerces everything); width and positions never change.
+	Need []bool
+
 	buf    []byte
 	bounds []int
+	slab   []Value // unused tail of the current slab, all null
+	grown  int     // Values in the current slab, to size the next one
+}
+
+// slabValues caps a slab at the largest malloc size class, 32 KiB, which
+// 819 Values fill to within eight bytes.
+const slabValues = 819
+
+// tuple carves a null-filled n-column tuple off the slab. Slabs double
+// from the first tuple's width up to slabValues, so a Decoder used for
+// one line allocates exactly that line's tuple.
+func (d *Decoder) tuple(n int) Tuple {
+	if n > len(d.slab) {
+		d.grown = max(n, min(2*d.grown, slabValues))
+		d.slab = make([]Value, d.grown)
+	}
+	t := d.slab[:n:n]
+	d.slab = d.slab[n:]
+	return t
 }
 
 // DecodeLine parses one encoded record into a tuple; see the package
@@ -89,7 +116,7 @@ func (d *Decoder) DecodeLine(line string, schema *Schema) Tuple {
 		return Tuple{}
 	}
 	if strings.IndexByte(line, '\\') < 0 {
-		return decodePlain(line, schema)
+		return d.decodePlain(line, schema)
 	}
 	// Escaped slow path: unescape the whole line into the shared scratch
 	// buffer, recording where each field ends, then cut one backing
@@ -119,7 +146,7 @@ func (d *Decoder) DecodeLine(line string, schema *Schema) Tuple {
 	}
 	d.bounds = append(d.bounds, len(d.buf))
 	all := string(d.buf)
-	t := make(Tuple, len(d.bounds))
+	t := d.tuple(len(d.bounds))
 	start := 0
 	for i, end := range d.bounds {
 		t[i] = fieldType(schema, i).Coerce(all[start:end])
@@ -129,17 +156,23 @@ func (d *Decoder) DecodeLine(line string, schema *Schema) Tuple {
 }
 
 // decodePlain is the escape-free fast path: every field is a direct
-// slice of line, so the only allocation is the tuple itself.
-func decodePlain(line string, schema *Schema) Tuple {
-	t := make(Tuple, strings.Count(line, "\t")+1)
+// slice of line, and the scan stops at the last column Need lists.
+func (d *Decoder) decodePlain(line string, schema *Schema) Tuple {
+	t := d.tuple(strings.Count(line, "\t") + 1)
+	cols := len(t)
+	if d.Need != nil {
+		cols = min(cols, len(d.Need))
+	}
 	start := 0
-	for i := range t {
+	for i := 0; i < cols; i++ {
 		rest := line[start:]
 		end := strings.IndexByte(rest, '\t')
 		if end < 0 {
 			end = len(rest)
 		}
-		t[i] = fieldType(schema, i).Coerce(rest[:end])
+		if d.Need == nil || d.Need[i] {
+			t[i] = fieldType(schema, i).Coerce(rest[:end])
+		}
 		start += end + 1
 	}
 	return t
