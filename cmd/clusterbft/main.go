@@ -64,7 +64,6 @@ func run() error {
 	finalOnly := flag.Bool("final-only", false, "verify final outputs only (the P baseline)")
 	policyName := flag.String("verify-policy", "full", "verification policy: full, quiz, deferred or auto")
 	checkpoint := flag.Bool("checkpoint", false, "persist verified interior outputs as checkpoints so retries re-execute only the DAG suffix, and arm quantile straggler re-launch")
-	shards := flag.Int("shards", 0, "split digest verification across N parallel verdict pipelines (<=1: inline; outputs are identical either way)")
 	show := flag.Int("show", 20, "output records to print per store")
 	explain := flag.Bool("explain", false, "print the replication structure after the run")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON timeline here (a .jsonl twin is written next to it)")
@@ -116,7 +115,6 @@ func run() error {
 	}
 	cfg.Storage = storage
 	cfg.Checkpoint = *checkpoint
-	cfg.Shards = *shards
 	susp := core.NewSuspicionTable(cfg.SuspicionThreshold)
 	eng := mapred.NewEngine(fs, cl, core.NewOverlapScheduler(susp), mapred.DefaultCostModel())
 	if *checkpoint {

@@ -2,8 +2,8 @@
 //
 // Usage:
 //
-//	experiments [-exp all|fig9|fig10|table3|fig11|fig12|fig13|fig14|recovery|verifycost|outofcore|shardscale]
-//	            [-scale small|paper] [-combine=on|off] [-verify-policy=full|quiz|deferred|auto] [-shards N]
+//	experiments [-exp all|fig9|fig10|table3|fig11|fig12|fig13|fig14|recovery|verifycost|outofcore]
+//	            [-scale small|paper] [-combine=on|off] [-verify-policy=full|quiz|deferred|auto]
 //	            [-block-size N] [-mem-budget 64m] [-spill-dir DIR] [-compress]
 //	            [--trace=run.json] [--metrics] [-http :8080]
 //
@@ -33,12 +33,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig9, fig10, table3, fig11, fig12, fig13, fig14, recovery, verifycost, outofcore, shardscale")
+	exp := flag.String("exp", "all", "experiment: all, fig9, fig10, table3, fig11, fig12, fig13, fig14, recovery, verifycost, outofcore")
 	scaleName := flag.String("scale", "small", "workload scale: small or paper")
 	combine := flag.String("combine", "on", "map-side combiners: on or off (results are identical either way; latencies differ)")
 	policyName := flag.String("verify-policy", "", "verification policy for every figure's controllers: full, quiz, deferred or auto (default: full)")
 	checkpoint := flag.Bool("checkpoint", false, "enable checkpoint-granular recovery and quantile straggler re-launch in every controller the experiments build")
-	shards := flag.Int("shards", 0, "split every controller's digest verification across N parallel verdict pipelines (<=1: inline; figures are identical either way)")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON timeline here (a .jsonl twin is written next to it)")
 	metrics := flag.Bool("metrics", false, "print the accumulated metrics registry after the experiments")
 	httpAddr := flag.String("http", "", "serve live introspection (/metrics, /healthz, /jobs, /trace, pprof) on this address, e.g. :8080")
@@ -122,7 +121,6 @@ func main() {
 	}
 	sc.VerifyPolicy = policy
 	sc.Checkpoint = *checkpoint
-	sc.Shards = *shards
 	sc.Storage, err = storageFlags()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -143,7 +141,6 @@ func main() {
 		{"recovery", func() (string, error) { r, err := experiments.Recovery(); return render(r, err) }},
 		{"verifycost", func() (string, error) { r, err := experiments.VerifyCost(sc); return render(r, err) }},
 		{"outofcore", func() (string, error) { r, err := experiments.OutOfCore(sc); return render(r, err) }},
-		{"shardscale", func() (string, error) { return experiments.ShardScale(sc).Render(), nil }},
 	}
 
 	matched := false

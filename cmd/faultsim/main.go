@@ -67,7 +67,6 @@ func main() {
 	campaign := flag.Int("campaign", 0, "run N seeded fault-injection schedules with invariant checks (uses -seed as base)")
 	policyName := flag.String("verify-policy", "full", "chaos-mode verification policy: full, quiz, deferred or auto")
 	checkpoint := flag.Bool("checkpoint", false, "chaos mode: enable checkpoint-granular recovery and quantile straggler re-launch in every schedule")
-	shards := flag.Int("shards", 0, "chaos mode: split each controller's digest verification across N parallel verdict pipelines (<=1: inline)")
 	httpAddr := flag.String("http", "", "chaos mode: serve live introspection (/metrics, /healthz, /jobs, /trace, pprof) on this address, e.g. :8080")
 	storageFlags := dfs.Flags(flag.CommandLine)
 	flag.Parse()
@@ -89,7 +88,6 @@ func main() {
 		cfg.Core.VerifyPolicy = policy
 		cfg.Core.Storage = storage
 		cfg.Core.Checkpoint = *checkpoint
-		cfg.Core.Shards = *shards
 		if *checkpoint {
 			cfg.Speculation = true
 			cfg.SpecQuantile = 0.95

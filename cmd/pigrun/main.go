@@ -62,7 +62,6 @@ func run() error {
 	combine := flag.String("combine", "on", "map-side combiners: on or off (outputs are identical either way)")
 	policyName := flag.String("verify-policy", "", "run under the BFT controller with this verification policy: full, quiz, deferred or auto (default: no verification)")
 	checkpoint := flag.Bool("checkpoint", false, "with -verify-policy full: persist verified interior outputs as checkpoints so retries re-execute only the DAG suffix, and arm quantile straggler re-launch")
-	shards := flag.Int("shards", 0, "with -verify-policy: split digest verification across N parallel verdict pipelines (<=1: inline; outputs are identical either way)")
 	show := flag.Int("show", 20, "output records to print per store")
 	explain := flag.Bool("explain", false, "print the logical plan and compiled jobs, then exit")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON timeline here (a .jsonl twin is written next to it)")
@@ -185,7 +184,6 @@ func run() error {
 		cfg.DisableCombine = *combine == "off"
 		cfg.Storage = storage
 		cfg.Checkpoint = *checkpoint
-		cfg.Shards = *shards
 		if *checkpoint {
 			eng.Speculation = true
 			eng.SpecQuantile = 0.95

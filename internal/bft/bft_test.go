@@ -281,8 +281,15 @@ func TestNetworkDeliveryOrdering(t *testing.T) {
 
 func TestReplicaStringAndIDs(t *testing.T) {
 	g, _ := newGroup(1)
-	if g.Replicas[2].ID() != "replica-2" {
-		t.Errorf("ID = %v", g.Replicas[2].ID())
+	// These names go on the wire (request digests, peer and reply
+	// addressing), so a default group's are pinned byte for byte.
+	for i, r := range g.Replicas {
+		if want := ID(fmt.Sprintf("replica-%d", i)); r.ID() != want || ReplicaID(i) != want {
+			t.Errorf("replica %d: ID = %q, ReplicaID = %q, want %q", i, r.ID(), ReplicaID(i), want)
+		}
+	}
+	if g.Client.ID() != "client-0" {
+		t.Errorf("client ID = %q, want client-0", g.Client.ID())
 	}
 	if !strings.Contains(g.Replicas[0].String(), "view=0") {
 		t.Errorf("String = %q", g.Replicas[0].String())

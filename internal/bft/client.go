@@ -32,25 +32,14 @@ type pendingCall struct {
 
 // NewClient registers a client for a group of n = 3f+1 replicas.
 func NewClient(net *Network, name string, f int) *Client {
-	return NewClientIn(net, "", name, f)
-}
-
-// NewClientIn registers a client addressing the named group's replicas
-// on a (possibly shared) network. The empty group is the historical
-// single-group namespace.
-func NewClientIn(net *Network, group, name string, f int) *Client {
-	id := ID("client-" + name)
-	if group != "" {
-		id = ID(group + "/client-" + name)
-	}
 	c := &Client{
-		id:             id,
+		id:             ID("client-" + name),
 		net:            net,
 		f:              f,
 		RetryTimeoutUs: 150_000,
 	}
 	for i := 0; i < 3*f+1; i++ {
-		c.replicas = append(c.replicas, GroupReplicaID(group, i))
+		c.replicas = append(c.replicas, ReplicaID(i))
 	}
 	net.Register(c.id, c)
 	return c
@@ -120,7 +109,6 @@ func (c *Client) Receive(from ID, msg Message) {
 // request handler behind one of these.
 type Group struct {
 	Net      *Network
-	Name     string
 	Replicas []*Replica
 	Client   *Client
 	F        int
@@ -130,28 +118,13 @@ type Group struct {
 // produced by smFactory (one per replica — they must be deterministic
 // and mutually consistent).
 func NewGroup(f int, smFactory func(i int) StateMachine) *Group {
-	return NewGroupOn(NewNetwork(), "", f, smFactory)
-}
-
-// NewGroupOn builds a named group on an existing network, so several
-// independent replica groups — one per control-tier shard — run their
-// protocol rounds concurrently over one shared virtual-time transport.
-// Groups sharing a network must have distinct names.
-func NewGroupOn(net *Network, name string, f int, smFactory func(i int) StateMachine) *Group {
-	g := &Group{Net: net, Name: name, F: f}
+	net := NewNetwork()
+	g := &Group{Net: net, F: f}
 	for i := 0; i < 3*f+1; i++ {
-		g.Replicas = append(g.Replicas, NewReplicaIn(net, name, i, f, smFactory(i)))
+		g.Replicas = append(g.Replicas, NewReplica(net, i, f, smFactory(i)))
 	}
-	g.Client = NewClientIn(net, name, "0", f)
+	g.Client = NewClient(net, "0", f)
 	return g
-}
-
-// Start submits op asynchronously: done fires when f+1 replicas agree.
-// Unlike Invoke it does not drive the network — the caller runs it,
-// which is how concurrent invocations on several groups sharing one
-// network interleave their protocol rounds.
-func (g *Group) Start(op []byte, done func([]byte)) error {
-	return g.Client.Invoke(op, done)
 }
 
 // Invoke runs one operation synchronously through the group and returns

@@ -18,20 +18,6 @@ type ID string
 // ReplicaID formats the conventional replica name for index i.
 func ReplicaID(i int) ID { return ID(fmt.Sprintf("replica-%d", i)) }
 
-// GroupReplicaID formats replica i of a named group. The empty group
-// yields the conventional un-namespaced name, so single-group setups
-// are byte-identical to historical behavior. Namespaced IDs are the
-// whole multi-group mechanism: the transport only knows a flat ID
-// space, so disjoint names give each group an isolated protocol domain
-// over one shared virtual-time network (the sharded control tier runs
-// one group per verdict shard this way).
-func GroupReplicaID(group string, i int) ID {
-	if group == "" {
-		return ReplicaID(i)
-	}
-	return ID(fmt.Sprintf("%s/replica-%d", group, i))
-}
-
 // Digest is a SHA-256 over a request's identity, binding the three
 // protocol phases to one request.
 type Digest [sha256.Size]byte

@@ -39,7 +39,6 @@ func votesFor(votes map[ID]Digest, d Digest) int {
 // Replica is one PBFT replica. All methods run on the network goroutine.
 type Replica struct {
 	id    ID
-	group string
 	index int
 	n, f  int
 	net   *Network
@@ -77,18 +76,9 @@ type Replica struct {
 // NewReplica constructs replica index i of a 3f+1 group and registers it
 // on the network.
 func NewReplica(net *Network, index, f int, sm StateMachine) *Replica {
-	return NewReplicaIn(net, "", index, f, sm)
-}
-
-// NewReplicaIn constructs replica index i of the named group's 3f+1
-// members and registers it on the (possibly shared) network. Replicas
-// of different groups never address each other: peers, primaries and
-// client reply targets all live in the group's namespace.
-func NewReplicaIn(net *Network, group string, index, f int, sm StateMachine) *Replica {
 	n := 3*f + 1
 	r := &Replica{
-		id:                  GroupReplicaID(group, index),
-		group:               group,
+		id:                  ReplicaID(index),
 		index:               index,
 		n:                   n,
 		f:                   f,
@@ -106,7 +96,7 @@ func NewReplicaIn(net *Network, group string, index, f int, sm StateMachine) *Re
 		ViewChangeTimeoutUs: 50_000,
 	}
 	for i := 0; i < n; i++ {
-		r.peers = append(r.peers, GroupReplicaID(group, i))
+		r.peers = append(r.peers, ReplicaID(i))
 	}
 	net.Register(r.id, r)
 	return r
@@ -120,7 +110,7 @@ func (r *Replica) View() uint64 { return r.view }
 
 // primary returns the primary's ID for a view.
 func (r *Replica) primary(view uint64) ID {
-	return GroupReplicaID(r.group, int(view%uint64(r.n)))
+	return ReplicaID(int(view % uint64(r.n)))
 }
 
 // isPrimary reports whether this replica leads the current view.

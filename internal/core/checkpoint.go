@@ -108,7 +108,7 @@ func (c *Controller) maybeCheckpoint(cs *clusterState, key digest.Key) {
 	if c.ckpts[cs.id][tmplID] != nil {
 		return
 	}
-	sum, agreeing, ok := c.mat(cs.sid).KeyAgreement(cs.sid, key)
+	sum, agreeing, ok := c.matcher.KeyAgreement(cs.sid, key)
 	if !ok {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 
 	"clusterbft/internal/digest"
 	"clusterbft/internal/mapred"
+	"clusterbft/internal/pig"
 )
 
 // TestCheckpointCleanRunSavesAndTearsDown: with checkpointing on, a
@@ -162,5 +163,101 @@ func TestCheckpointEligibility(t *testing.T) {
 	c.Cfg.Checkpoint = false
 	if c.ckptEligible(cs, "j01") {
 		t.Error("checkpointing off must disable eligibility")
+	}
+}
+
+// TestSuffixRetryShedsSuffixEscalations is the satellite-1 regression
+// test for suffix-scoped replica sizing: timeout escalations earned
+// while re-executing only a checkpointed suffix must not follow the
+// checkpointed-prefix jobs into a later full re-execution — those jobs
+// re-run at their original degree. Escalations earned by full-graph
+// attempts are kept.
+func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.R = 3
+	cfg.MaxAttempts = 10
+	cfg.Checkpoint = true
+	cfg.ForcePointAliases = []string{"counts"}
+	h := newHarness(t, 8, 2, cfg)
+	c := h.ctrl
+
+	plan, err := pig.Parse(weatherScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := c.choosePoints(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := mapred.Compile(plan, mapred.CompileOptions{Points: points, NumReduces: cfg.NumReduces})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.runSeq++
+	c.initRun(jobs, points)
+	cs := c.clusters[0]
+	c.tryLaunch(cs)
+	if cs.r != 3 || len(cs.launchJobs) != len(cs.jobs) {
+		t.Fatalf("first attempt: r=%d launchJobs=%d/%d", cs.r, len(cs.launchJobs), len(cs.jobs))
+	}
+
+	// As if attempt a0 reached f+1 agreement on the interior job before
+	// timing out: plant its checkpoint (no upstream, so the source
+	// signature is empty and stays valid across attempts).
+	var interior string
+	for id := range cs.hasInDep {
+		interior = id
+	}
+	if interior == "" {
+		t.Fatal("scenario needs an interior (checkpointable) job")
+	}
+	h.fs.Append("ckpt/run1/c0/"+interior, "st00\t1")
+	c.ckpts[cs.id] = map[string]*ckptEntry{interior: {
+		path: "ckpt/run1/c0/" + interior, records: 1, bytes: 8,
+		srcs: map[int]ckptSrc{},
+	}}
+
+	// Full attempt a0 times out: a classic cluster-wide escalation.
+	c.retry(cs, true)
+	if cs.r != 4 || cs.suffixBoost != 0 {
+		t.Fatalf("full-graph escalation: r=%d boost=%d, want r=4 boost=0", cs.r, cs.suffixBoost)
+	}
+	if len(cs.launchJobs) >= len(cs.jobs) {
+		t.Fatal("retry did not consume the planted checkpoint")
+	}
+	// Two suffix-only attempts time out: escalations scoped to the suffix.
+	c.retry(cs, true)
+	c.retry(cs, true)
+	if cs.r != 6 || cs.suffixBoost != 2 {
+		t.Fatalf("suffix escalations: r=%d boost=%d, want r=6 boost=2", cs.r, cs.suffixBoost)
+	}
+	// Upstream lineage becomes suspect: checkpoints dropped, the next
+	// attempt re-executes the full graph — the checkpointed-prefix jobs
+	// come back at the degree they always had (base 3 + the one
+	// full-graph escalation), not at the suffix-inflated 7.
+	c.dropCkpts(cs)
+	c.retry(cs, true)
+	if len(cs.launchJobs) != len(cs.jobs) {
+		t.Fatal("expected a full re-execution after dropping checkpoints")
+	}
+	if cs.r != 4 || cs.suffixBoost != 0 {
+		t.Errorf("full re-execution r=%d boost=%d, want r=4 boost=0 (suffix escalations shed)", cs.r, cs.suffixBoost)
+	}
+	if st := c.ClusterStates()[cs.id]; st.R != cs.r {
+		t.Errorf("ClusterStatus.R=%d, want %d", st.R, cs.r)
+	}
+
+	// Control: the identical sequence without checkpoint coverage keeps
+	// the historical cluster-wide escalation.
+	c2 := newHarness(t, 8, 2, cfg).ctrl
+	c2.runSeq++
+	c2.initRun(jobs, points)
+	cs2 := c2.clusters[0]
+	c2.tryLaunch(cs2)
+	for i := 0; i < 4; i++ {
+		c2.retry(cs2, true)
+	}
+	if cs2.r != 7 || cs2.suffixBoost != 0 {
+		t.Errorf("uncovered retries: r=%d boost=%d, want r=7 boost=0", cs2.r, cs2.suffixBoost)
 	}
 }

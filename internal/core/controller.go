@@ -79,15 +79,6 @@ type Config struct {
 	// verified point (see checkpoint.go). Off by default; off is
 	// byte-identical to historical behavior.
 	Checkpoint bool
-	// Shards > 1 partitions the verifier across that many independent
-	// verdict pipelines (per-shard matcher state and worker goroutine,
-	// no shared mutex on the digest hot path), keyed by sub-graph
-	// attempt hash; suspicion evidence is merged back in deterministic
-	// global order at the controller's decision points (see shard.go and
-	// DESIGN.md §13). <= 1 keeps the historical inline verifier and is
-	// byte-identical to it. Verified outputs are identical at any shard
-	// count; a fixed (seed, shard count) pair replays byte-identically.
-	Shards int
 }
 
 // DefaultConfig mirrors the paper's common setup: f=1, full BFT
@@ -222,13 +213,6 @@ type Controller struct {
 	OnRecovery func(action string, cluster, attempt int)
 
 	matcher *Matcher
-	// pool is the sharded verdict plane (Cfg.Shards > 1): onDigest
-	// becomes a routing step and all evidence/matcher effects apply at
-	// syncVerdicts merge points. Nil means the inline matcher serves
-	// every verdict, byte-identical to historical behavior. Run-scoped:
-	// built in initRun, closed in teardownRun so worker goroutines never
-	// outlive the run.
-	pool    *VerdictPool
 	runSeq  int
 	reports int64
 	audit   *analyze.AuditTrail
@@ -514,12 +498,6 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 	c.faultyReps = 0
 	c.reports = 0
 	c.runErr = nil
-	if c.Cfg.Shards > 1 {
-		// Lazily per run, so the registry the host attached after
-		// NewController still receives the per-shard families, and so
-		// teardownRun can reap the worker goroutines between runs.
-		c.pool = NewVerdictPool(c.Cfg.F, c.Cfg.Shards, c.Eng.Registry())
-	}
 }
 
 func contains(xs []int, x int) bool {
@@ -798,14 +776,6 @@ func (c *Controller) onDigest(r digest.Report) {
 		return
 	}
 	c.reports++
-	if c.pool != nil {
-		// Sharded control tier: the hot path is a stamped routing step;
-		// matching, online comparison and checkpoint agreement happen on
-		// the sid's shard pipeline, and their effects land in
-		// deterministic global order at the next syncVerdicts.
-		c.pool.Submit(r)
-		return
-	}
 	deviants := c.matcher.Observe(r)
 	if r.Key.Point == mapred.CkptPoint {
 		c.maybeCheckpoint(cs, r.Key)
@@ -817,48 +787,8 @@ func (c *Controller) onDigest(r digest.Report) {
 	}
 }
 
-// mat resolves the Matcher owning a sid: the sharded pool's pipeline
-// matcher, or the inline one. Shard matchers may only be read at
-// decision points, which all run after a syncVerdicts barrier.
-func (c *Controller) mat(sid string) *Matcher {
-	if c.pool != nil {
-		return c.pool.MatcherFor(sid)
-	}
-	return c.matcher
-}
-
-// syncVerdicts is the merge layer of the sharded control tier: it
-// barriers every shard pipeline and applies the merged evidence stream
-// — commission deviants and checkpoint agreements — in global
-// submission order on the simulation goroutine. Every controller
-// decision point (job completion, quiz completion, verifier timeout,
-// teardown) enters through here, so decisions observe exactly the
-// evidence a single inline matcher would have accumulated by that
-// event, and AuditTrail/suspicion ordering is assigned here rather
-// than at emit time. No-op when unsharded.
-func (c *Controller) syncVerdicts() {
-	if c.pool == nil {
-		return
-	}
-	for _, ev := range c.pool.Sync() {
-		cs := c.sidIndex[ev.SID]
-		if cs == nil || cs.sid != ev.SID {
-			continue // attempt superseded after submission
-		}
-		switch ev.Kind {
-		case VerdictCkpt:
-			c.maybeCheckpoint(cs, ev.Key)
-		case VerdictDeviant:
-			if ev.Replica >= 0 && ev.Replica < len(cs.replicas) {
-				c.markFaulty(cs, cs.replicas[ev.Replica])
-			}
-		}
-	}
-}
-
 // onJobDone advances replica completion and verification.
 func (c *Controller) onJobDone(js *mapred.JobState) {
-	c.syncVerdicts()
 	ref, ok := c.jobRef[js.Spec.ID]
 	if !ok {
 		return
@@ -905,7 +835,7 @@ func (c *Controller) checkVerify(cs *clusterState) {
 			completed = append(completed, rs.idx)
 		}
 	}
-	majority, deviants, ok := c.mat(cs.sid).Agreement(cs.sid, completed)
+	majority, deviants, ok := c.matcher.Agreement(cs.sid, completed)
 	if !ok {
 		if len(completed) == cs.r {
 			// Everyone replied and still no f+1 agreement: rerun with a
@@ -925,7 +855,7 @@ func (c *Controller) markVerified(cs *clusterState, winner int, deviants []int) 
 	cs.verifiedAt = c.Eng.Now()
 	c.notify("verify", cs)
 	cs.winner = winner
-	cs.winnerFP = c.mat(cs.sid).Fingerprint(cs.sid, cs.winner)
+	cs.winnerFP = c.matcher.Fingerprint(cs.sid, cs.winner)
 	c.Eng.Ledger.Verified(cs.sid, winner)
 	c.Eng.Board.SIDState(cs.sid, "verified", winner)
 	c.Eng.Trace.Record("verify", "verifier", cs.sid, cs.launchedAtV, cs.verifiedAt,
@@ -1032,14 +962,14 @@ func (c *Controller) auditIO(cs *clusterState) (clean bool, badUpstreams []*clus
 			}
 			inKey := digest.Key{SID: cs.sid, Point: mapred.AuditIOInPoint,
 				Task: fmt.Sprintf("%s/in%d", tmpl.ID, i)}
-			inSum, haveIn := c.mat(cs.sid).Lookup(cs.sid, 0, inKey)
+			inSum, haveIn := c.matcher.Lookup(cs.sid, 0, inKey)
 			if !haveIn {
 				continue
 			}
 			pc := c.clusterOf[prod]
 			if pc == cs.id {
 				outKey := digest.Key{SID: cs.sid, Point: mapred.AuditIOOutPoint, Task: prod}
-				outSum, haveOut := c.mat(cs.sid).Lookup(cs.sid, 0, outKey)
+				outSum, haveOut := c.matcher.Lookup(cs.sid, 0, outKey)
 				if haveOut && outSum != inSum {
 					clean = false
 				}
@@ -1050,7 +980,7 @@ func (c *Controller) auditIO(cs *clusterState) (clean bool, badUpstreams []*clus
 				continue
 			}
 			outKey := digest.Key{SID: src.sid, Point: mapred.AuditIOOutPoint, Task: prod}
-			outSum, haveOut := c.mat(src.sid).Lookup(src.sid, src.replica, outKey)
+			outSum, haveOut := c.matcher.Lookup(src.sid, src.replica, outKey)
 			if haveOut && outSum != inSum && !blamed[pc] {
 				blamed[pc] = true
 				badUpstreams = append(badUpstreams, c.clusters[pc])
@@ -1101,7 +1031,6 @@ func (c *Controller) startQuiz(cs *clusterState) {
 
 // onQuizDone fires as each quiz re-execution commits its digests.
 func (c *Controller) onQuizDone(cs *clusterState, sid string) {
-	c.syncVerdicts() // the quiz digests themselves route through the pool
 	if cs.sid != sid || cs.failed {
 		return // quiz of a superseded attempt straggling in
 	}
@@ -1109,7 +1038,7 @@ func (c *Controller) onQuizDone(cs *clusterState, sid string) {
 	if cs.quizFailed {
 		return // already escalated on an earlier quiz of this attempt
 	}
-	if !c.mat(sid).QuizAgrees(sid, 0, quizReplica) {
+	if !c.matcher.QuizAgrees(sid, 0, quizReplica) {
 		// A trusted re-execution of the primary's own task, against the
 		// primary's own stored inputs, produced different records: the
 		// primary computed wrongly (commission), and with r=1 there is
@@ -1151,11 +1080,7 @@ func (c *Controller) escalate(cs *clusterState, detail string) {
 // digest vectors, the controller's sid index and the engine's job and
 // scheduler-affinity records.
 func (c *Controller) forgetSID(sid string) {
-	if c.pool != nil {
-		c.pool.Forget(sid)
-	} else {
-		c.matcher.Forget(sid)
-	}
+	c.matcher.Forget(sid)
 	delete(c.sidIndex, sid)
 	c.Eng.ForgetSID(sid)
 }
@@ -1164,7 +1089,6 @@ func (c *Controller) forgetSID(sid string) {
 // verified winners' outputs live in the DFS, so nothing referenced by
 // Result is touched.
 func (c *Controller) teardownRun() {
-	c.syncVerdicts()
 	sids := make([]string, 0, len(c.sidIndex))
 	for sid := range c.sidIndex {
 		sids = append(sids, sid)
@@ -1185,10 +1109,6 @@ func (c *Controller) teardownRun() {
 	// route such charges are dead weight — drop them to keep ledger map
 	// sizes at baseline across sequential runs.
 	c.Eng.Ledger.DropFolds()
-	if c.pool != nil {
-		c.pool.Close()
-		c.pool = nil
-	}
 }
 
 // sourceMatchesWinner reports whether a consumed source replica produced
@@ -1197,7 +1117,7 @@ func (c *Controller) sourceMatchesWinner(cs *clusterState, src sourceRef) bool {
 	if src.verified || (src.sid == cs.sid && src.replica == cs.winner) {
 		return true
 	}
-	return c.mat(src.sid).Fingerprint(src.sid, src.replica) == cs.winnerFP
+	return c.matcher.Fingerprint(src.sid, src.replica) == cs.winnerFP
 }
 
 // liveNodes unions the nodes recorded at replica-job completion with the
@@ -1392,7 +1312,6 @@ func (c *Controller) failCluster(cs *clusterState) {
 
 // onTimeout fires when a sub-graph attempt exceeds the verifier timeout.
 func (c *Controller) onTimeout(cs *clusterState, sid string) {
-	c.syncVerdicts()
 	if cs.sid != sid || cs.verified || cs.failed || !cs.launched {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"clusterbft/internal/analyze"
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/dfs"
 	"clusterbft/internal/mapred"
@@ -11,10 +12,11 @@ import (
 
 // TestControllerFullyDeterministic: two identical controller runs —
 // including a commission fault and the resulting detection — agree on
-// every observable: latency, attempts, suspects, metrics and output
-// bytes.
+// every observable: latency, attempts, suspects, metrics, output
+// bytes, the audit trail (kind, detail, nodes, removed and timestamp of
+// every event, in order) and each node's suspicion level.
 func TestControllerFullyDeterministic(t *testing.T) {
-	runOnce := func() (*Result, []string, *harness) {
+	runOnce := func() (*Result, []string, []analyze.AuditEvent, map[cluster.NodeID]float64) {
 		fs := dfs.New()
 		fs.Append("data/weather", weatherData(2000)...)
 		cl := cluster.New(12, 3)
@@ -26,14 +28,20 @@ func TestControllerFullyDeterministic(t *testing.T) {
 		eng := mapred.NewEngine(fs, cl, NewOverlapScheduler(susp), mapred.DefaultCostModel())
 		ctrl := NewController(eng, cfg, susp, nil)
 		h := &harness{fs: fs, cl: cl, eng: eng, ctrl: ctrl}
+		trail := analyze.NewAuditTrail(eng.Now)
+		ctrl.AttachAudit(trail)
 		res, err := ctrl.Run(weatherScript)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, h.outputLines(t, res, "out/counts"), h
+		levels := make(map[cluster.NodeID]float64)
+		for _, n := range cl.Nodes() {
+			levels[n.ID] = susp.Level(n.ID)
+		}
+		return res, h.outputLines(t, res, "out/counts"), trail.Events(), levels
 	}
-	r1, o1, _ := runOnce()
-	r2, o2, _ := runOnce()
+	r1, o1, audit1, levels1 := runOnce()
+	r2, o2, audit2, levels2 := runOnce()
 	if r1.LatencyUs != r2.LatencyUs {
 		t.Errorf("latency differs: %d vs %d", r1.LatencyUs, r2.LatencyUs)
 	}
@@ -48,6 +56,15 @@ func TestControllerFullyDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(o1, o2) {
 		t.Error("verified outputs differ across identical runs")
+	}
+	if len(audit1) == 0 {
+		t.Error("audit trail is empty: the commission fault left no evidence to compare")
+	}
+	if !reflect.DeepEqual(audit1, audit2) {
+		t.Errorf("audit trails differ:\n%v\n%v", audit1, audit2)
+	}
+	if !reflect.DeepEqual(levels1, levels2) {
+		t.Errorf("suspicion levels differ: %v vs %v", levels1, levels2)
 	}
 }
 

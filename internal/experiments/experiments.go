@@ -49,11 +49,6 @@ type Scale struct {
 	// beyond checkpoint-write work; the recovery experiment always
 	// reports both paths regardless of this setting.
 	Checkpoint bool
-	// Shards splits every controller's verdict pipeline across this many
-	// shard workers (cmd/experiments -shards). Results are identical at
-	// any setting — the merge layer reaches the inline verdict state —
-	// so any figure can be reproduced under the sharded control tier.
-	Shards int
 }
 
 // Small returns a scale suitable for unit tests (sub-second runs).
@@ -105,7 +100,6 @@ type rig struct {
 	disableCombine bool
 	verifyPolicy   core.Policy
 	checkpoint     bool
-	shards         int
 }
 
 func newRig(sc Scale, path string, lines []string) *rig {
@@ -120,7 +114,7 @@ func newRig(sc Scale, path string, lines []string) *rig {
 		eng.Speculation = true
 		eng.SpecQuantile = 0.95
 	}
-	return &rig{fs: fs, cl: cl, eng: eng, disableCombine: sc.DisableCombine, verifyPolicy: sc.VerifyPolicy, checkpoint: sc.Checkpoint, shards: sc.Shards}
+	return &rig{fs: fs, cl: cl, eng: eng, disableCombine: sc.DisableCombine, verifyPolicy: sc.VerifyPolicy, checkpoint: sc.Checkpoint}
 }
 
 // expCostModel puts the experiments in the paper's operating regime:
@@ -148,9 +142,6 @@ func (r *rig) controller(cfg core.Config) *core.Controller {
 	cfg.Checkpoint = cfg.Checkpoint || r.checkpoint
 	if cfg.VerifyPolicy == 0 {
 		cfg.VerifyPolicy = r.verifyPolicy
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = r.shards
 	}
 	susp := core.NewSuspicionTable(cfg.SuspicionThreshold)
 	r.eng.Sched = core.NewOverlapScheduler(susp)

@@ -397,52 +397,3 @@ func TestOutOfCoreSmallScale(t *testing.T) {
 		t.Errorf("render:\n%s", out)
 	}
 }
-
-func TestShardScaleSmallScale(t *testing.T) {
-	res := ShardScale(Small())
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %+v", res.Rows)
-	}
-	if res.Nodes < 250 {
-		t.Fatalf("scaling study must run at 250+ nodes, got %d", res.Nodes)
-	}
-	if !res.MergeOK {
-		t.Fatal("cross-shard merge diverged from the single-pipeline verdict state")
-	}
-	eight := res.Rows[3]
-	if eight.Shards != 8 {
-		t.Fatalf("last row is shards=%d, want 8", eight.Shards)
-	}
-	// 2x, not more: pipelines hold two work units per report against one
-	// serial submission unit, so 3x is the ceiling at any shard count
-	// (faultsim.TestShardBenchCriticalPathScales derives the bound).
-	if eight.Speedup < 2 {
-		t.Fatalf("critical-path speedup at 8 shards = %.2fx, want >= 2x", eight.Speedup)
-	}
-	if eight.Evidence == 0 || eight.Evicted == 0 {
-		t.Fatalf("workload surfaced no Byzantine evidence: %+v", eight)
-	}
-	out := res.Render()
-	if !strings.Contains(out, "speedup") || !strings.Contains(out, "merge identical at every shard count: true") {
-		t.Errorf("render:\n%s", out)
-	}
-	if again := ShardScale(Small()).Render(); again != out {
-		t.Error("shardscale table is not deterministic")
-	}
-}
-
-func TestScaleShardsFlowIntoControllers(t *testing.T) {
-	sc := Small()
-	sc.Shards = 4
-	res, err := Fig14(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Fig14(Small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Render() != base.Render() {
-		t.Error("Fig 14 differs under the sharded control tier")
-	}
-}

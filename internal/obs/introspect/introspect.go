@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
+	"time"
 
 	"clusterbft/internal/obs"
 )
@@ -170,6 +171,16 @@ type Server struct {
 	srv *http.Server
 }
 
+// Request-side deadlines, so a peer that connects and stalls cannot hold
+// a connection (and its goroutine) for the life of the run. WriteTimeout
+// stays unset on purpose: /debug/pprof/profile?seconds=N and a large
+// /trace body legitimately write for longer than any fixed bound.
+const (
+	readHeaderTimeout = 2 * time.Second
+	readTimeout       = 10 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
 // Start listens on addr (":8080", "127.0.0.1:0", ...) and serves the
 // introspection handler in a background goroutine. The returned
 // Server's Addr reports the bound address, so ":0" works for tests and
@@ -179,7 +190,12 @@ func Start(addr string, o Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("introspect: listen %s: %w", addr, err)
 	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: Handler(o)}}
+	s := &Server{ln: ln, srv: &http.Server{
+		Handler:           Handler(o),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }

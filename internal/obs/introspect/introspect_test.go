@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/core"
@@ -331,6 +333,36 @@ func TestHealthCallbackAndUnservedEndpoints(t *testing.T) {
 	code, body, _ = get(t, srv.URL()+"/jobs")
 	if code != http.StatusOK || !strings.Contains(body, `"jobs": []`) {
 		t.Errorf("/jobs with nil board = %d %q", code, body)
+	}
+}
+
+// TestSilentClientIsDisconnected: a peer that opens a connection and
+// never sends a request header is dropped by the server once
+// readHeaderTimeout passes, instead of pinning a goroutine forever.
+func TestSilentClientIsDisconnected(t *testing.T) {
+	t.Parallel()
+	srv, err := Start("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The client-side deadline only bounds the test: hitting it means the
+	// server never hung up.
+	if err := conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = conn.Read(make([]byte, 1))
+	if err != io.EOF {
+		t.Fatalf("read on a silent connection = %v after %v, want EOF (server hang-up)", err, time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Errorf("server hung up after %v, before readHeaderTimeout %v could have fired", waited, readHeaderTimeout)
 	}
 }
 

@@ -137,7 +137,7 @@ func TestSnapshotRaceHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			r.With("shard", string(rune('A'+i%26))).Gauge("hammer.depth").Set(int64(i))
+			r.With("lane", string(rune('A'+i%26))).Gauge("hammer.depth").Set(int64(i))
 		}
 	}()
 	// Readers: all three read paths share Snapshot/sortedSeries.

@@ -1,12 +1,9 @@
 #!/usr/bin/env sh
 # Regenerates BENCH_dataplane.json: the tracked ns/op, B/op and allocs/op
 # baseline of the per-record data plane (see bench_dataplane_test.go and
-# EXPERIMENTS.md "Data-plane micro-benchmarks"), plus the verdict-plane
-# shard sweep (BenchmarkVerdictThroughput in internal/faultsim — note its
-# wall-clock only scales with shards when GOMAXPROCS provides the cores;
-# the deterministic scaling table is `experiments -exp shardscale`) and
-# the matcher's per-report cost (BenchmarkMatcherObserve in
-# internal/core: ns_per_op / records_per_op must not grow with keys).
+# EXPERIMENTS.md "Data-plane micro-benchmarks"), plus the matcher's
+# per-report cost (BenchmarkMatcherObserve in internal/core: ns_per_op /
+# records_per_op must not grow with keys).
 # Run from the repo root:
 #
 #   scripts/bench_dataplane.sh [extra go-test args]
@@ -20,7 +17,6 @@ out=BENCH_dataplane.json
 
 {
 	go test -run='^$' -bench='BenchmarkDataplane' -benchmem "$@" ./internal/mapred/
-	go test -run='^$' -bench='BenchmarkVerdictThroughput' -benchmem "$@" ./internal/faultsim/
 	go test -run='^$' -bench='BenchmarkMatcherObserve' -benchmem "$@" ./internal/core/
 } |
 	awk '
@@ -28,7 +24,7 @@ out=BENCH_dataplane.json
 	/^goos:/ { goos = $2 }
 	/^goarch:/ { goarch = $2 }
 	/^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
-	$1 ~ /^Benchmark(Dataplane|VerdictThroughput|MatcherObserve)/ {
+	$1 ~ /^Benchmark(Dataplane|MatcherObserve)/ {
 		name = $1
 		sub(/-[0-9]+$/, "", name)
 		sub(/^BenchmarkDataplane/, "", name)
