@@ -5,36 +5,43 @@
 // Usage:
 //
 //	clusterbft -script q.pig -input data/edges=edges.tsv \
-//	    [-f 1] [-r 4] [-points 2] [-nodes 16] [-slots 3] \
+//	    [-f 1] [-r 4] [-points 2] [-nodes 16] [-slots 3] [-reduces 2] \
 //	    [-d 0] [-final-only] [-faulty node-003:commission:1.0] [-show 20]
-//	    [-verify-policy=full|quiz|deferred|auto] [-explain]
+//	    [-verify-policy=full|quiz|deferred|auto|none] [-checkpoint] [-explain]
 //	    [-block-size N] [-mem-budget 64m] [-spill-dir DIR] [-compress]
-//	    [--trace=run.json] [--metrics] [-http :8080]
+//	    [--trace=run.json] [--metrics] [-http :8080] [-http-linger]
 //
 // Inputs are tab-separated local files copied into the trusted in-memory
 // DFS at the path the script LOADs. -faulty attaches an adversary to a
 // node (kind: commission or omission; probability in [0,1]) and may be
-// repeated. --trace/--metrics/-http are the observability flags shared
-// with pigrun, experiments and faultsim: trace timeline export, metrics
-// registry dump, and the live HTTP introspection plane (/metrics,
-// /healthz, /jobs, /trace, pprof).
+// repeated. -verify-policy none leaves the controller out and runs the
+// script once, unreplicated and unverified — the "Pure Pig" baseline —
+// so one command line can A/B the pure cost against each policy's
+// overhead; with it, -explain prints the logical plan and compiled jobs
+// and exits. The flags from -verify-policy to -http are shared with
+// experiments and faultsim and documented in internal/cli; -http-linger
+// keeps the -http endpoints up after the run, until SIGINT/SIGTERM.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
-	"sort"
+	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 
+	"clusterbft/internal/cli"
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/core"
 	"clusterbft/internal/dfs"
 	"clusterbft/internal/mapred"
-	"clusterbft/internal/obs"
-	"clusterbft/internal/obs/introspect"
 	"clusterbft/internal/pig"
 )
 
@@ -44,33 +51,33 @@ func (r *repeated) String() string     { return strings.Join(*r, ",") }
 func (r *repeated) Set(s string) error { *r = append(*r, s); return nil }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "clusterbft:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fset := flag.NewFlagSet("clusterbft", flag.ContinueOnError)
 	var inputs, faulty repeated
-	script := flag.String("script", "", "path to the Pig script (required)")
-	flag.Var(&inputs, "input", "dfspath=localfile input mapping (repeatable)")
-	flag.Var(&faulty, "faulty", "node:kind:probability adversary (repeatable)")
-	f := flag.Int("f", 1, "tolerated faults")
-	r := flag.Int("r", 4, "replication degree (f+1, 2f+1 or 3f+1)")
-	points := flag.Int("points", 2, "verification points (-1: every candidate vertex)")
-	nodes := flag.Int("nodes", 16, "untrusted tier size")
-	slots := flag.Int("slots", 3, "task slots per node")
-	d := flag.Int("d", 0, "digest granularity: records per digest (0: per stream)")
-	finalOnly := flag.Bool("final-only", false, "verify final outputs only (the P baseline)")
-	policyName := flag.String("verify-policy", "full", "verification policy: full, quiz, deferred or auto")
-	checkpoint := flag.Bool("checkpoint", false, "persist verified interior outputs as checkpoints so retries re-execute only the DAG suffix, and arm quantile straggler re-launch")
-	show := flag.Int("show", 20, "output records to print per store")
-	explain := flag.Bool("explain", false, "print the replication structure after the run")
-	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON timeline here (a .jsonl twin is written next to it)")
-	metrics := flag.Bool("metrics", false, "print the metrics registry after the run")
-	httpAddr := flag.String("http", "", "serve live introspection (/metrics, /healthz, /jobs, /trace, pprof) on this address, e.g. :8080")
-	storageFlags := dfs.Flags(flag.CommandLine)
-	flag.Parse()
+	script := fset.String("script", "", "path to the Pig script (required)")
+	fset.Var(&inputs, "input", "dfspath=localfile input mapping (repeatable)")
+	fset.Var(&faulty, "faulty", "node:kind:probability adversary (repeatable)")
+	f := fset.Int("f", 1, "tolerated faults")
+	r := fset.Int("r", 4, "replication degree (f+1, 2f+1 or 3f+1)")
+	points := fset.Int("points", 2, "verification points (-1: every candidate vertex)")
+	nodes := fset.Int("nodes", 16, "untrusted tier size")
+	slots := fset.Int("slots", 3, "task slots per node")
+	reduces := fset.Int("reduces", 2, "reduce parallelism")
+	d := fset.Int("d", 0, "digest granularity: records per digest (0: per stream)")
+	finalOnly := fset.Bool("final-only", false, "verify final outputs only (the P baseline)")
+	show := fset.Int("show", 20, "output records to print per store")
+	explain := fset.Bool("explain", false, "print the replication structure after the run; with -verify-policy none, print the logical plan and compiled jobs and exit")
+	httpLinger := fset.Bool("http-linger", false, "with -http: keep serving introspection after the run completes, until interrupted")
+	shared := cli.Bind(fset)
+	if err := fset.Parse(args); err != nil {
+		return err
+	}
 
 	if *script == "" {
 		return fmt.Errorf("-script is required")
@@ -79,12 +86,47 @@ func run() error {
 	if err != nil {
 		return err
 	}
-
-	storage, err := storageFlags()
+	plan, err := pig.Parse(string(src))
 	if err != nil {
 		return err
 	}
-	fs := dfs.NewWith(storage)
+	if *nodes < 1 || *slots < 1 {
+		return fmt.Errorf("-nodes %d -slots %d: want at least 1 of each", *nodes, *slots)
+	}
+
+	// "none" is this command's own: the unverified baseline is not a
+	// verification policy, so core.Policy has no value for it.
+	baseline := shared.VerifyPolicy == "none"
+	cfg := core.DefaultConfig()
+	cfg.F, cfg.R, cfg.Points, cfg.NumReduces = *f, *r, *points, *reduces
+	cfg.DigestChunk, cfg.VerifyFinalOnly = *d, *finalOnly
+	if baseline {
+		if shared.Checkpoint {
+			return fmt.Errorf("-checkpoint needs a verifying -verify-policy, not none")
+		}
+		cfg.Storage, err = shared.Storage()
+	} else {
+		err = shared.Apply(&cfg)
+	}
+	if err != nil {
+		return err
+	}
+	compileOpts := mapred.CompileOptions{NumReduces: cfg.NumReduces}
+	if baseline && *explain {
+		jobs, err := mapred.Compile(plan, compileOpts)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, "logical plan:")
+		fmt.Fprint(stdout, plan.String())
+		fmt.Fprintln(stdout, "\ncompiled jobs:")
+		for _, j := range jobs {
+			fmt.Fprintf(stdout, "  %v deps=%v\n", j, j.Deps)
+		}
+		return nil
+	}
+
+	fs := dfs.NewWith(cfg.Storage)
 	defer fs.Close()
 	for _, in := range inputs {
 		dfsPath, local, ok := strings.Cut(in, "=")
@@ -95,6 +137,9 @@ func run() error {
 			return err
 		}
 	}
+	if err := checkLoadPaths(fs, plan); err != nil {
+		return err
+	}
 
 	cl := cluster.New(*nodes, *slots)
 	for _, spec := range faulty {
@@ -102,114 +147,84 @@ func run() error {
 			return err
 		}
 	}
-
-	cfg := core.DefaultConfig()
-	cfg.F = *f
-	cfg.R = *r
-	cfg.Points = *points
-	cfg.DigestChunk = *d
-	cfg.VerifyFinalOnly = *finalOnly
-	cfg.VerifyPolicy, err = core.ParsePolicy(*policyName)
+	var susp *core.SuspicionTable
+	var sched mapred.Scheduler // nil: FIFO, the baseline's
+	if !baseline {
+		susp = core.NewSuspicionTable(cfg.SuspicionThreshold)
+		sched = core.NewOverlapScheduler(susp)
+	}
+	eng := mapred.NewEngine(fs, cl, sched, mapred.DefaultCostModel())
+	plane, err := shared.Start(stdout)
 	if err != nil {
 		return err
 	}
-	cfg.Storage = storage
-	cfg.Checkpoint = *checkpoint
-	susp := core.NewSuspicionTable(cfg.SuspicionThreshold)
-	eng := mapred.NewEngine(fs, cl, core.NewOverlapScheduler(susp), mapred.DefaultCostModel())
-	if *checkpoint {
-		eng.Speculation = true
-		eng.SpecQuantile = 0.95
-	}
-	ctrl := core.NewController(eng, cfg, susp, nil)
+	defer plane.Close()
+	plane.Attach(eng)
 
-	var reg *obs.Registry
-	if *metrics || *httpAddr != "" {
-		reg = obs.NewRegistry()
-		eng.InstrumentMetrics(reg)
-	}
-	var tracer *obs.Tracer
-	if *traceFile != "" || *httpAddr != "" {
-		tracer = obs.NewTracer(0)
-		if *traceFile != "" {
-			tracer.EnableWallClock(obs.WallUnixMicros)
-		}
-		eng.Trace = tracer
-	}
-	if *httpAddr != "" {
-		eng.Board = obs.NewJobsBoard()
-		srv, err := introspect.Start(*httpAddr, introspect.Options{
-			Registry: reg,
-			Tracer:   tracer,
-			Board:    eng.Board,
-			Cost:     func() any { return eng.Ledger.Buckets() },
-			SIDCost: func(sid string) (any, bool) {
-				b, ok := eng.Ledger.SIDBuckets(sid)
-				return b, ok
-			},
-		})
+	// outputs maps each STORE path to where its records live: the
+	// script's own path on the baseline, the verified winner replica's
+	// copy under a controller.
+	outputs := make(map[string]string)
+	if baseline {
+		lat, err := core.RunPlainOpts(eng, string(src), compileOpts)
 		if err != nil {
 			return err
 		}
-		defer srv.Close()
-		fmt.Printf("introspection: %s\n", srv.URL())
+		fmt.Fprintf(stdout, "latency: %.2fs (virtual)   cpu: %.2fs   jobs: %d\n",
+			float64(lat)/1e6, float64(eng.Metrics.CPUTimeUs)/1e6, eng.Metrics.JobsCompleted)
+		for _, st := range plan.Stores() {
+			outputs[st.Path] = st.Path
+		}
+	} else {
+		ctrl := core.NewController(eng, cfg, susp, nil)
+		res, err := ctrl.Run(string(src))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "verified:        %v\n", res.Verified)
+		fmt.Fprintf(stdout, "latency:         %.2fs (virtual)\n", float64(res.LatencyUs)/1e6)
+		fmt.Fprintf(stdout, "sub-graphs:      %d (attempts: %d)\n", res.Clusters, res.Attempts)
+		fmt.Fprintf(stdout, "points:          %v\n", res.PointsUsed)
+		fmt.Fprintf(stdout, "digest reports:  %d\n", res.DigestReports)
+		fmt.Fprintf(stdout, "faulty replicas: %d\n", res.FaultyReplicas)
+		if len(res.Suspects) > 0 {
+			fmt.Fprintf(stdout, "suspects:        %v\n", res.Suspects)
+		}
+		m := res.Metrics
+		fmt.Fprintf(stdout, "cpu time:        %.2fs   hdfs r/w: %d/%d B   shuffle r/w: %d/%d B\n",
+			float64(m.CPUTimeUs)/1e6, m.HDFSBytesRead, m.HDFSBytesWritten, m.LocalBytesRead, m.LocalBytesWritten)
+		if *explain {
+			fmt.Fprintln(stdout)
+			fmt.Fprint(stdout, ctrl.Explain())
+		}
+		outputs = res.Outputs
 	}
-
-	if err := checkLoadPaths(fs, string(src)); err != nil {
+	if err := plane.Report(stdout); err != nil {
 		return err
 	}
 
-	res, err := ctrl.Run(string(src))
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("verified:        %v\n", res.Verified)
-	fmt.Printf("latency:         %.2fs (virtual)\n", float64(res.LatencyUs)/1e6)
-	fmt.Printf("sub-graphs:      %d (attempts: %d)\n", res.Clusters, res.Attempts)
-	fmt.Printf("points:          %v\n", res.PointsUsed)
-	fmt.Printf("digest reports:  %d\n", res.DigestReports)
-	fmt.Printf("faulty replicas: %d\n", res.FaultyReplicas)
-	if len(res.Suspects) > 0 {
-		fmt.Printf("suspects:        %v\n", res.Suspects)
-	}
-	m := res.Metrics
-	fmt.Printf("cpu time:        %.2fs   hdfs r/w: %d/%d B   shuffle r/w: %d/%d B\n",
-		float64(m.CPUTimeUs)/1e6, m.HDFSBytesRead, m.HDFSBytesWritten, m.LocalBytesRead, m.LocalBytesWritten)
-	if *explain {
-		fmt.Println()
-		fmt.Print(ctrl.Explain())
-	}
-	if *traceFile != "" {
-		twin, err := obs.WriteTraceFiles(tracer, *traceFile)
+	for _, store := range slices.Sorted(maps.Keys(outputs)) {
+		lines, err := fs.ReadTree(outputs[store])
 		if err != nil {
 			return err
 		}
-		fmt.Printf("trace: %s (chrome://tracing, Perfetto)  jsonl: %s  spans: %d  dropped: %d\n",
-			*traceFile, twin, tracer.Len(), tracer.Dropped())
-	}
-	if *metrics {
-		fmt.Printf("\nmetrics:\n%s", reg.RenderText())
-	}
-
-	var stores []string
-	for store := range res.Outputs {
-		stores = append(stores, store)
-	}
-	sort.Strings(stores)
-	for _, store := range stores {
-		lines, err := fs.ReadTree(res.Outputs[store])
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\n%s (%d records):\n", store, len(lines))
+		fmt.Fprintf(stdout, "\n%s (%d records):\n", store, len(lines))
 		for i, l := range lines {
 			if i >= *show {
-				fmt.Printf("  ... %d more\n", len(lines)-i)
+				fmt.Fprintf(stdout, "  ... %d more\n", len(lines)-i)
 				break
 			}
-			fmt.Println(" ", l)
+			fmt.Fprintln(stdout, " ", l)
 		}
+	}
+
+	// -http-linger keeps the introspection endpoints live after the run
+	// so scripts (and the CI smoke check) can scrape the final state.
+	if shared.HTTP != "" && *httpLinger {
+		fmt.Fprintln(stdout, "lingering: introspection stays up until SIGINT/SIGTERM")
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		<-sig
 	}
 	return nil
 }
@@ -217,11 +232,7 @@ func run() error {
 // checkLoadPaths warns about LOAD paths with no data: the engine treats
 // missing inputs as empty (legitimate for intermediate outputs), but for
 // a CLI run an empty source is almost always a typo in -input.
-func checkLoadPaths(fs *dfs.FS, src string) error {
-	plan, err := pig.Parse(src)
-	if err != nil {
-		return err
-	}
+func checkLoadPaths(fs *dfs.FS, plan *pig.Plan) error {
 	for _, v := range plan.Loads() {
 		if !fs.Exists(v.Path) && len(fs.List(v.Path)) == 0 {
 			return fmt.Errorf("LOAD %q has no data; add -input %s=<file>", v.Path, v.Path)

@@ -32,7 +32,9 @@
 // every commission fault is quizzable). The storage flags (-block-size,
 // -mem-budget, -spill-dir, -compress) configure the chaos runs' DFS
 // block data plane; reports are byte-identical at any setting. The
-// suspicion simulator has no storage layer and ignores them.
+// suspicion simulator has no engine, controller or storage layer: of
+// the shared flags (internal/cli) it reads only --trace and --metrics,
+// for its own audit-trail export.
 package main
 
 import (
@@ -40,17 +42,14 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync/atomic"
 
 	"clusterbft/internal/analyze"
 	"clusterbft/internal/chaos"
+	"clusterbft/internal/cli"
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/core"
-	"clusterbft/internal/dfs"
 	"clusterbft/internal/faultsim"
-	"clusterbft/internal/mapred"
 	"clusterbft/internal/obs"
-	"clusterbft/internal/obs/introspect"
 )
 
 func main() {
@@ -61,86 +60,42 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	trials := flag.Int("trials", 1, "averaging trials for jobs-to-isolate")
 	timeline := flag.Int("timeline", 0, "print the last N suspicion audit events (-1 = all, 0 = off)")
-	traceFile := flag.String("trace", "", "write the audit trail as Chrome trace_event JSON here (a .jsonl twin is written next to it)")
-	metrics := flag.Bool("metrics", false, "print run counters as a metrics registry snapshot")
 	chaosRun := flag.Bool("chaos", false, "run one seeded fault-injection schedule end-to-end (uses -seed)")
 	campaign := flag.Int("campaign", 0, "run N seeded fault-injection schedules with invariant checks (uses -seed as base)")
-	policyName := flag.String("verify-policy", "full", "chaos-mode verification policy: full, quiz, deferred or auto")
-	checkpoint := flag.Bool("checkpoint", false, "chaos mode: enable checkpoint-granular recovery and quantile straggler re-launch in every schedule")
-	httpAddr := flag.String("http", "", "chaos mode: serve live introspection (/metrics, /healthz, /jobs, /trace, pprof) on this address, e.g. :8080")
-	storageFlags := dfs.Flags(flag.CommandLine)
+	shared := cli.Bind(flag.CommandLine)
 	flag.Parse()
 
 	if *chaosRun || *campaign > 0 {
-		policy, err := core.ParsePolicy(*policyName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaos:", err)
-			os.Exit(2)
-		}
-		storage, err := storageFlags()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chaos:", err)
-			os.Exit(2)
-		}
 		cfg := chaos.DefaultCampaign()
 		cfg.BaseSeed = *seed
 		cfg.Schedules = *campaign
-		cfg.Core.VerifyPolicy = policy
-		cfg.Core.Storage = storage
-		cfg.Core.Checkpoint = *checkpoint
-		if *checkpoint {
-			cfg.Speculation = true
-			cfg.SpecQuantile = 0.95
-		}
-		if policy != core.PolicyFull {
-			cfg.Core.QuizFraction = 1
-		}
 		if *chaosRun && *campaign <= 0 {
 			cfg.Schedules = 1
 		}
-		if *httpAddr != "" {
-			reg := obs.NewRegistry()
-			tracer := obs.NewTracer(0)
-			board := obs.NewJobsBoard()
-			var cur atomic.Pointer[mapred.Engine]
-			cfg.Observe = func(e *mapred.Engine) {
-				e.InstrumentMetrics(reg)
-				e.Trace = tracer
-				e.Board = board
-				cur.Store(e)
-			}
-			srv, err := introspect.Start(*httpAddr, introspect.Options{
-				Registry: reg,
-				Tracer:   tracer,
-				Board:    board,
-				Cost: func() any {
-					if e := cur.Load(); e != nil {
-						return e.Ledger.Buckets()
-					}
-					return nil
-				},
-				SIDCost: func(sid string) (any, bool) {
-					if e := cur.Load(); e != nil {
-						if b, ok := e.Ledger.SIDBuckets(sid); ok {
-							return b, true
-						}
-					}
-					return nil, false
-				},
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "chaos:", err)
-				os.Exit(2)
-			}
-			defer srv.Close()
-			fmt.Printf("introspection: %s\n", srv.URL())
+		if err := shared.Apply(&cfg.Core); err != nil {
+			fmt.Fprintln(os.Stderr, "chaos:", err)
+			os.Exit(2)
 		}
+		if cfg.Core.VerifyPolicy != core.PolicyFull {
+			cfg.Core.QuizFraction = 1
+		}
+		plane, err := shared.Start(os.Stdout)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "chaos:", err)
+			os.Exit(2)
+		}
+		defer plane.Close()
+		cfg.Observe = plane.Attach
 		rep, err := chaos.RunCampaign(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "chaos:", err)
 			os.Exit(1)
 		}
 		fmt.Print(rep.Render())
+		if err := plane.Report(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "chaos:", err)
+			os.Exit(1)
+		}
 		if len(rep.Violations()) > 0 {
 			os.Exit(1)
 		}
@@ -197,16 +152,16 @@ func main() {
 		fmt.Printf("\nsuspicion convergence timeline (%d events, t = simulator tick):\n%s",
 			len(res.Timeline), res.RenderTimeline(max))
 	}
-	if *traceFile != "" {
-		twin, err := obs.WriteTraceFiles(auditTracer(res.Timeline), *traceFile)
+	if shared.Trace != "" {
+		twin, err := obs.WriteTraceFiles(auditTracer(res.Timeline), shared.Trace)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "trace:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("\ntrace: %s (chrome://tracing, Perfetto)  jsonl: %s  events: %d\n",
-			*traceFile, twin, len(res.Timeline))
+			shared.Trace, twin, len(res.Timeline))
 	}
-	if *metrics {
+	if shared.Metrics {
 		reg := obs.NewRegistry()
 		reg.Counter("faultsim.jobs_completed").Add(int64(res.JobsCompleted))
 		reg.Counter("faultsim.faults_observed").Add(int64(res.FaultsObserved))

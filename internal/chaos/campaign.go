@@ -31,11 +31,9 @@ type CampaignConfig struct {
 	// BFT replica group under the schedule's network perturbations.
 	NetOps int
 	// Speculation enables the engine's backup-task machinery for every
-	// run; SpecQuantile additionally arms the cross-replica quantile
-	// trigger. The checkpoint campaign leg sets both: checkpoint-granular
+	// run. The checkpoint campaign leg sets it: checkpoint-granular
 	// recovery and straggler re-launch ship together.
-	Speculation  bool
-	SpecQuantile float64
+	Speculation bool
 	// Observe, when set, is called with every freshly built engine (the
 	// baseline's and each schedule's) before the run starts, so a caller
 	// can attach metrics, tracing, or a jobs board to a live campaign.
@@ -259,9 +257,6 @@ func newRun(cfg CampaignConfig) *chaosRun {
 	susp := core.NewSuspicionTable(cfg.Core.SuspicionThreshold)
 	eng := mapred.NewEngine(fs, cl, core.NewOverlapScheduler(susp), mapred.DefaultCostModel())
 	eng.Speculation = cfg.Speculation
-	if cfg.SpecQuantile > 0 {
-		eng.SpecQuantile = cfg.SpecQuantile
-	}
 	if cfg.Observe != nil {
 		cfg.Observe(eng)
 	}

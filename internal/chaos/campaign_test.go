@@ -85,7 +85,6 @@ func TestChaosCampaignCheckpoint(t *testing.T) {
 	cfg := DefaultCampaign()
 	cfg.Core.Checkpoint = true
 	cfg.Speculation = true
-	cfg.SpecQuantile = 0.95
 	if testing.Short() {
 		cfg.Schedules = 40
 	}
@@ -148,7 +147,6 @@ func TestCheckpointHitRecovery(t *testing.T) {
 	cfg := DefaultCampaign()
 	cfg.Core.Checkpoint = true
 	cfg.Speculation = true
-	cfg.SpecQuantile = 0.95
 	baseline, err := Baseline(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -40,9 +40,6 @@ type Config struct {
 	DigestChunk int
 	// NumReduces is the reduce parallelism handed to the compiler.
 	NumReduces int
-	// DisableCombine turns off map-side combining in compiled jobs (the
-	// -combine=off escape hatch); observables are identical either way.
-	DisableCombine bool
 	// TimeoutUs is the verifier timeout for one sub-graph attempt; on
 	// expiry the sub-graph is re-initiated with r+1 replicas and twice
 	// the timeout (§4.2 step 6).
@@ -96,6 +93,22 @@ func DefaultConfig() Config {
 		MaxAttempts: 6,
 		Offline:     true,
 	}
+}
+
+// Validate rejects what cannot verify or cannot launch: F < 0 makes f+1
+// agreement among none, R < 1 launches nothing and waits out every
+// timeout, and the verifier tallies at most MaxReplicas per attempt.
+// Zero-value defaulting stays in NewController.
+func (c Config) Validate() error {
+	switch {
+	case c.F < 0:
+		return fmt.Errorf("core: f = %d, want >= 0", c.F)
+	case c.R < 1:
+		return fmt.Errorf("core: r = %d, want >= 1", c.R)
+	case c.R > MaxReplicas:
+		return fmt.Errorf("core: r = %d replicas, the verifier tallies at most %d per attempt", c.R, MaxReplicas)
+	}
+	return nil
 }
 
 // Result summarizes one assured script execution.
@@ -293,6 +306,9 @@ func (c *Controller) AttachAudit(trail *analyze.AuditTrail) {
 // Run executes one script under BFT protection and blocks until the
 // simulation drains.
 func (c *Controller) Run(script string) (*Result, error) {
+	if err := c.Cfg.Validate(); err != nil {
+		return nil, err
+	}
 	plan, err := pig.Parse(script)
 	if err != nil {
 		return nil, err
@@ -302,9 +318,8 @@ func (c *Controller) Run(script string) (*Result, error) {
 		return nil, err
 	}
 	jobs, err := mapred.Compile(plan, mapred.CompileOptions{
-		Points:         points,
-		NumReduces:     c.Cfg.NumReduces,
-		DisableCombine: c.Cfg.DisableCombine,
+		Points:     points,
+		NumReduces: c.Cfg.NumReduces,
 	})
 	if err != nil {
 		return nil, err
@@ -1324,8 +1339,8 @@ func RunPlain(eng *mapred.Engine, script string) (int64, error) {
 	return RunPlainOpts(eng, script, mapred.CompileOptions{NumReduces: 2})
 }
 
-// RunPlainOpts is RunPlain with explicit compile options, so baselines
-// can mirror a controller's combiner setting.
+// RunPlainOpts is RunPlain with explicit compile options (the CLI's
+// -reduces).
 func RunPlainOpts(eng *mapred.Engine, script string, opts mapred.CompileOptions) (int64, error) {
 	plan, err := pig.Parse(script)
 	if err != nil {

@@ -496,8 +496,9 @@ func TestControllerAuditTrailAndSpans(t *testing.T) {
 // a commission-faulty node corrupts records that reach the shuffle only
 // as combined partial state — yet the verification points digest the
 // pre-combine stream, so the deviation is still detected and attributed,
-// and the verified output matches an honest combiner-off run byte for
-// byte.
+// and the verified output matches an honest run byte for byte (which
+// mapred's TestCombineOnOffEquivalence in turn pins to the un-combined
+// path).
 func TestControllerCombinedCommissionCaught(t *testing.T) {
 	// The first weather job must actually combine, or this test would
 	// silently degrade into the plain commission scenario.
@@ -546,24 +547,19 @@ func TestControllerCombinedCommissionCaught(t *testing.T) {
 		t.Error("no records were combined; combiner was not active")
 	}
 
-	// Honest combiner-off baseline: same observables.
-	cfg := DefaultConfig()
-	cfg.DisableCombine = true
-	h2 := newHarness(t, 16, 3, cfg)
+	// Honest baseline: same observables.
+	h2 := newHarness(t, 16, 3, DefaultConfig())
 	res2, err := h2.ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res2.Verified {
-		t.Fatal("combiner-off baseline failed to verify")
+		t.Fatal("honest baseline failed to verify")
 	}
-	if h2.eng.Metrics.CombinedRecords != 0 {
-		t.Error("DisableCombine did not reach the engine")
-	}
-	on := h.outputLines(t, res, "out/counts")
-	off := h2.outputLines(t, res2, "out/counts")
-	if strings.Join(on, "|") != strings.Join(off, "|") {
-		t.Errorf("verified output differs between combine on (faulty) and off (honest):\n%v\nvs\n%v", on, off)
+	faulty := h.outputLines(t, res, "out/counts")
+	honest := h2.outputLines(t, res2, "out/counts")
+	if strings.Join(faulty, "|") != strings.Join(honest, "|") {
+		t.Errorf("verified output differs between the faulty and the honest run:\n%v\nvs\n%v", faulty, honest)
 	}
 }
 
@@ -581,6 +577,51 @@ func TestLaunchRejectsReplicationBeyondTally(t *testing.T) {
 	}
 	if n := h.eng.JobCount(); n != 0 {
 		t.Errorf("engine holds %d jobs of an attempt that must not launch", n)
+	}
+}
+
+// TestConfigValidate: a configuration that can verify nothing (f+1 = 0
+// agreeing replicas), launch nothing (r = 0: three timeouts, then a
+// "verified" run of no replicas) or tally nothing (r past the vote
+// mask) is refused by Run up front with Validate's own error, before
+// the engine's clock moves; the boundary values stay legal.
+func TestConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(*Config)
+		want string // "" = valid
+	}{
+		{"default", func(*Config) {}, ""},
+		{"f=0 r=1", func(c *Config) { c.F, c.R = 0, 1 }, ""},
+		{"r=MaxReplicas", func(c *Config) { c.R = MaxReplicas }, ""},
+		{"f=-1", func(c *Config) { c.F = -1 }, "f = -1"},
+		{"r=0", func(c *Config) { c.R = 0 }, "r = 0"},
+		{"r=-2", func(c *Config) { c.R = -2 }, "r = -2"},
+		{"r=100", func(c *Config) { c.R = 100 }, "r = 100 replicas"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.set(&cfg)
+			verr := cfg.Validate()
+			if tc.want == "" {
+				if verr != nil {
+					t.Fatalf("Validate = %v, want nil", verr)
+				}
+				return
+			}
+			if verr == nil || !strings.Contains(verr.Error(), tc.want) {
+				t.Fatalf("Validate = %v, want an error mentioning %q", verr, tc.want)
+			}
+			h := newHarness(t, 4, 2, cfg)
+			res, err := h.ctrl.Run(weatherScript)
+			if res != nil || err == nil || err.Error() != verr.Error() {
+				t.Fatalf("Run = %v, %v; want Validate's error %q", res, err, verr)
+			}
+			if h.eng.Now() != 0 || h.eng.JobCount() != 0 {
+				t.Errorf("rejected run advanced the engine: now=%d jobs=%d", h.eng.Now(), h.eng.JobCount())
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -171,12 +172,18 @@ func TestBlockDecodeAllocs(t *testing.T) {
 	}
 	for _, compress := range []bool{false, true} {
 		data := EncodeBlock(lines, compress)
-		DecodeBlock(data) // warm the inflater pool
-		got := testing.AllocsPerRun(50, func() {
-			if _, err := DecodeBlock(data); err != nil {
-				t.Fatal(err)
-			}
-		})
+		// The minimum over single runs, not the mean: under -race
+		// sync.Pool drops a quarter of its Puts on purpose, and a decode
+		// that has to rebuild its inflater is not the steady state
+		// pinned here.
+		got := math.Inf(1)
+		for i := 0; i < 50; i++ {
+			got = min(got, testing.AllocsPerRun(1, func() {
+				if _, err := DecodeBlock(data); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
 		if got > 10 {
 			t.Errorf("compress=%v: DecodeBlock of 1000 records = %v allocs, want <= 10", compress, got)
 		}

@@ -30,9 +30,6 @@ type Scale struct {
 	Trials          int // fault-isolation trials per configuration
 	SimTime         int // fault-isolation simulated ticks
 	Seed            int64
-	// DisableCombine turns off map-side combining in every compiled job
-	// (cmd/experiments -combine=off), for A/B shuffle-volume comparisons.
-	DisableCombine bool
 	// VerifyPolicy, when non-zero, is applied to every controller the
 	// experiments build that does not pin a policy itself
 	// (cmd/experiments -verify-policy), so any figure can be reproduced
@@ -92,14 +89,12 @@ func Paper() Scale {
 var Observe func(*mapred.Engine)
 
 // rig is one disposable measurement setup: fresh storage, cluster and
-// engine over a seeded dataset.
+// engine over a seeded dataset, plus the scale it was built at.
 type rig struct {
-	fs             *dfs.FS
-	cl             *cluster.Cluster
-	eng            *mapred.Engine
-	disableCombine bool
-	verifyPolicy   core.Policy
-	checkpoint     bool
+	fs  *dfs.FS
+	cl  *cluster.Cluster
+	eng *mapred.Engine
+	sc  Scale
 }
 
 func newRig(sc Scale, path string, lines []string) *rig {
@@ -110,11 +105,8 @@ func newRig(sc Scale, path string, lines []string) *rig {
 	if Observe != nil {
 		Observe(eng)
 	}
-	if sc.Checkpoint {
-		eng.Speculation = true
-		eng.SpecQuantile = 0.95
-	}
-	return &rig{fs: fs, cl: cl, eng: eng, disableCombine: sc.DisableCombine, verifyPolicy: sc.VerifyPolicy, checkpoint: sc.Checkpoint}
+	eng.Speculation = sc.Checkpoint
+	return &rig{fs: fs, cl: cl, eng: eng, sc: sc}
 }
 
 // expCostModel puts the experiments in the paper's operating regime:
@@ -138,10 +130,9 @@ func expCostModel() mapred.CostModel {
 
 // controller builds a fresh controller with an overlap scheduler.
 func (r *rig) controller(cfg core.Config) *core.Controller {
-	cfg.DisableCombine = cfg.DisableCombine || r.disableCombine
-	cfg.Checkpoint = cfg.Checkpoint || r.checkpoint
+	cfg.Checkpoint = cfg.Checkpoint || r.sc.Checkpoint
 	if cfg.VerifyPolicy == 0 {
-		cfg.VerifyPolicy = r.verifyPolicy
+		cfg.VerifyPolicy = r.sc.VerifyPolicy
 	}
 	susp := core.NewSuspicionTable(cfg.SuspicionThreshold)
 	r.eng.Sched = core.NewOverlapScheduler(susp)

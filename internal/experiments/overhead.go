@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"clusterbft/internal/core"
-	"clusterbft/internal/mapred"
 	"clusterbft/internal/workload"
 )
 
@@ -46,9 +45,7 @@ func runOverhead(sc Scale, name, script, dataPath string, data []string, rows []
 	res := &OverheadResult{Name: name}
 
 	pure := newRig(sc, dataPath, data)
-	lat, err := core.RunPlainOpts(pure.eng, script, mapred.CompileOptions{
-		NumReduces: 2, DisableCombine: sc.DisableCombine,
-	})
+	lat, err := core.RunPlain(pure.eng, script)
 	if err != nil {
 		return nil, fmt.Errorf("%s pure: %w", name, err)
 	}

@@ -42,7 +42,7 @@ type RecoveryResult struct {
 // Recovery runs one hand-built schedule per fault class through the
 // deterministic fault-injection subsystem, once with the baseline
 // recovery path and once with checkpoint-granular recovery plus
-// quantile speculation, and reports both recovery latencies relative to
+// speculation, and reports both recovery latencies relative to
 // the fault-free run. Scenarios reuse the campaign workload (three
 // chained sub-graphs, R=3 on a 6x2 cluster), so rows are comparable
 // with campaign reports; every row is a pure function of the fixed
@@ -56,7 +56,6 @@ func Recovery() (*RecoveryResult, error) {
 	ckptCfg := cfg
 	ckptCfg.Core.Checkpoint = true
 	ckptCfg.Speculation = true
-	ckptCfg.SpecQuantile = 0.95
 	node := func(i int) cluster.NodeID {
 		return cluster.NodeID(fmt.Sprintf("node-%03d", i))
 	}

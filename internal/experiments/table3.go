@@ -75,9 +75,7 @@ func Table3(sc Scale) (*Table3Result, error) {
 	res := &Table3Result{}
 
 	base := newRig(sc, workload.AirlinePath, data)
-	lat, err := core.RunPlainOpts(base.eng, workload.AirlineScript, mapred.CompileOptions{
-		NumReduces: 2, DisableCombine: sc.DisableCombine,
-	})
+	lat, err := core.RunPlain(base.eng, workload.AirlineScript)
 	if err != nil {
 		return nil, fmt.Errorf("table3 baseline: %w", err)
 	}

@@ -108,9 +108,7 @@ func VerifyCost(sc Scale) (*VerifyCostResult, error) {
 	res := &VerifyCostResult{Name: "Verification policies: fault-free cost vs detection latency"}
 
 	pure := newRig(sc, workload.TwitterPath, data)
-	lat, err := core.RunPlainOpts(pure.eng, script, mapred.CompileOptions{
-		NumReduces: 2, DisableCombine: sc.DisableCombine,
-	})
+	lat, err := core.RunPlain(pure.eng, script)
 	if err != nil {
 		return nil, fmt.Errorf("verifycost pure: %w", err)
 	}

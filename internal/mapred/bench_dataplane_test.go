@@ -236,7 +236,7 @@ func BenchmarkDataplaneSampleKeep(b *testing.B) {
 // of the follower job: decode, filter, key extraction, partitioning,
 // run sort.
 func BenchmarkDataplaneMapTaskShuffle(b *testing.B) {
-	job := benchCompile(b, followerSrc, CompileOptions{NumReduces: 4, DisableCombine: true})[0]
+	job := uncombined(benchCompile(b, followerSrc, CompileOptions{NumReduces: 4})...)[0]
 	lines := benchEdgeLines()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -274,7 +274,7 @@ func BenchmarkDataplaneMapTaskCombine(b *testing.B) {
 // BenchmarkDataplaneMapTaskCombineOff is the same workload with the
 // combiner disabled, the baseline for the shuffle-volume comparison.
 func BenchmarkDataplaneMapTaskCombineOff(b *testing.B) {
-	job := benchCompile(b, followerSrc, CompileOptions{NumReduces: 4, DisableCombine: true})[0]
+	job := uncombined(benchCompile(b, followerSrc, CompileOptions{NumReduces: 4})...)[0]
 	lines := benchHotKeyLines()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -303,7 +303,7 @@ STORE p INTO 'out/prod';
 }
 
 func BenchmarkDataplaneReduceAggregate(b *testing.B) {
-	job := benchCompile(b, followerSrc, CompileOptions{NumReduces: 1, DisableCombine: true})[0]
+	job := uncombined(benchCompile(b, followerSrc, CompileOptions{NumReduces: 1})...)[0]
 	runs, total := benchShuffleRuns(b, job, map[int][]string{0: benchEdgeLines()})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -334,7 +334,7 @@ func BenchmarkDataplaneReduceMergeSorted(b *testing.B) {
 }
 
 func BenchmarkDataplaneReduceMergeSortedOff(b *testing.B) {
-	job := benchCompile(b, followerSrc, CompileOptions{NumReduces: 1, DisableCombine: true})[0]
+	job := uncombined(benchCompile(b, followerSrc, CompileOptions{NumReduces: 1})...)[0]
 	runs, _ := benchShuffleRuns(b, job, map[int][]string{0: benchHotKeyLines()})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -368,11 +368,11 @@ STORE j INTO 'out/joined';
 }
 
 func BenchmarkDataplaneReduceDistinct(b *testing.B) {
-	job := benchCompile(b, `
+	job := uncombined(benchCompile(b, `
 a = LOAD 'in/edges' AS (user:int, follower:int);
 d = DISTINCT a;
 STORE d INTO 'out/distinct';
-`, CompileOptions{NumReduces: 1, DisableCombine: true})[0]
+`, CompileOptions{NumReduces: 1})...)[0]
 	runs, total := benchShuffleRuns(b, job, map[int][]string{0: benchEdgeLines()})
 	b.ReportAllocs()
 	b.ResetTimer()

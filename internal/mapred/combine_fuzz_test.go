@@ -79,11 +79,11 @@ func FuzzCombineEquivalence(f *testing.F) {
 		inputs := map[string][]string{"in/edges": lines}
 		p := plan(t, sc.src)
 		points := digestPoints(t, p, sc.aliases...)
-		var got [2]string
-		for i, disable := range []bool{false, true} {
-			opts := CompileOptions{Points: points, NumReduces: nr, DisableCombine: disable}
-			tr := run(t, sc.src, inputs, opts, func(e *Engine) { e.DigestChunk = int(chunk) })
-			got[i] = observables(t, tr, sc.stores)
+		opts := CompileOptions{Points: points, NumReduces: nr}
+		mutate := func(e *Engine) { e.DigestChunk = int(chunk) }
+		got := [2]string{
+			observables(t, run(t, sc.src, inputs, opts, mutate), sc.stores),
+			observables(t, runUncombined(t, sc.src, inputs, opts, mutate), sc.stores),
 		}
 		if got[0] != got[1] {
 			t.Errorf("combiner changed observables (script %d, n=%d k=%d r=%d chunk=%d):\n--- on ---\n%s--- off ---\n%s",

@@ -15,17 +15,16 @@ import (
 
 // TestCompileMarksCombine pins which compiled jobs carry the combiner
 // flag: algebraic grouped aggregates and DISTINCT combine, float-typed
-// SUM/AVG and sorts don't, and DisableCombine turns everything off.
+// SUM/AVG and sorts don't, and the uncombined oracle helper clears it.
 func TestCompileMarksCombine(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
 		want []bool // per compiled job with a Reduce spec, in job order
-		opts CompileOptions
+		off  bool   // pass the jobs through uncombined first
 	}{
 		{name: "count-int-key", src: followerSrc, want: []bool{true}},
-		{name: "count-disabled", src: followerSrc, want: []bool{false},
-			opts: CompileOptions{DisableCombine: true}},
+		{name: "count-disabled", src: followerSrc, want: []bool{false}, off: true},
 		{name: "avg-int", src: `
 a = LOAD 'in/w' AS (st, temp:int);
 g = GROUP a BY st;
@@ -63,9 +62,12 @@ STORE o INTO 'out/o';
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			jobs, err := compileHelper(tc.src, tc.opts)
+			jobs, err := compileHelper(tc.src, CompileOptions{})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.off {
+				uncombined(jobs...)
 			}
 			var got []bool
 			for _, j := range jobs {
@@ -183,11 +185,11 @@ func TestCombineOnOffEquivalence(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			p := plan(t, sc.src)
 			points := digestPoints(t, p, sc.aliases...)
-			var got [2]string
-			for i, disable := range []bool{false, true} {
-				opts := CompileOptions{Points: points, NumReduces: 3, DisableCombine: disable}
-				tr := run(t, sc.src, inputs, opts, func(e *Engine) { e.DigestChunk = 50 })
-				got[i] = observables(t, tr, sc.stores)
+			opts := CompileOptions{Points: points, NumReduces: 3}
+			mutate := func(e *Engine) { e.DigestChunk = 50 }
+			got := [2]string{
+				observables(t, run(t, sc.src, inputs, opts, mutate), sc.stores),
+				observables(t, runUncombined(t, sc.src, inputs, opts, mutate), sc.stores),
 			}
 			if got[0] != got[1] {
 				t.Errorf("observables differ between combine on and off:\n--- on ---\n%s--- off ---\n%s",

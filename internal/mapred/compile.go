@@ -19,12 +19,6 @@ type CompileOptions struct {
 	// TempPrefix is the DFS directory receiving intermediate
 	// (between-job) outputs. Defaults to "tmp".
 	TempPrefix string
-	// DisableCombine turns off map-side combining (the -combine=off
-	// escape hatch). Combining is on by default: the compiler only marks
-	// jobs where the combined result is byte-identical to the uncombined
-	// one, so the switch exists for A/B measurement and defense in
-	// depth, not correctness.
-	DisableCombine bool
 }
 
 // Compile lowers a logical plan into a DAG of MapReduce jobs, mirroring
@@ -373,7 +367,7 @@ func (c *compiler) emitShuffleJob(s *pig.Vertex, chain []*pig.Vertex, out *pig.V
 		}
 		fe := chain[0]
 		reduce.Gens = fe.Gens
-		reduce.Combine = !c.opts.DisableCombine && combinableGens(fe.Gens, s.Parents[0].Schema)
+		reduce.Combine = combinableGens(fe.Gens, s.Parents[0].Schema)
 		keyCols := s.GroupCols
 		if s.GroupAll {
 			keyCols = []int{}
@@ -419,7 +413,7 @@ func (c *compiler) emitShuffleJob(s *pig.Vertex, chain []*pig.Vertex, out *pig.V
 		// DISTINCT always combines: dedup keyed on the canonical encoding
 		// of the whole tuple keeps the first arrival, and merging
 		// task-local firsts in map-task order preserves the global first.
-		reduce.Combine = !c.opts.DisableCombine
+		reduce.Combine = true
 		keyCols := make([]int, s.Schema.Len())
 		for i := range keyCols {
 			keyCols[i] = i

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/dfs"
@@ -48,7 +49,9 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// Metrics accumulates the resource counters Table 3 reports.
+// Metrics accumulates the resource counters Table 3 reports. Fields are
+// plain int64s (goldens pin the %+v) written with atomic adds, so
+// InstrumentMetrics' views can be scraped while the simulation runs.
 type Metrics struct {
 	CPUTimeUs         int64 // summed task durations
 	HDFSBytesRead     int64 // job input reads
@@ -251,32 +254,18 @@ type Engine struct {
 	seq    int64
 	events eventHeap
 
-	// Speculation enables Hadoop-style backup tasks: a task still
-	// running SpecLagFactor times longer than the slowest committed
-	// sibling of its kind gets a second copy on another node; the first
-	// completion wins. Backups rescue replicas from stragglers and from
-	// omission-hung tasks without waiting for the verifier timeout.
-	Speculation    bool
-	SpecLagFactor  float64 // default 2.0
-	SpecIntervalUs int64   // sweep period; default 1s virtual
-	// SpecQuantile, when > 0 with Speculation on, adds a second trigger:
-	// an attempt running longer than SpecLagFactor times the
-	// SpecQuantile bucket bound of committed durations for the same
-	// (base job, task kind) gets a backup. The histogram is keyed by
-	// base job ID, so a healthy replica's commits inform a fully-hung
-	// sibling replica — which the maxDur rule (per-job, needs one
-	// committed task in the same job) never can. 0 (the default) keeps
-	// legacy behavior exactly.
+	// Speculation enables Hadoop-style backup tasks: an attempt running
+	// specLagFactor times longer than its comparator (see specSweep)
+	// gets another copy on another node; the first completion wins.
+	// Backups rescue replicas from stragglers and from omission-hung
+	// tasks without waiting for the verifier timeout.
+	Speculation bool
+	// SpecQuantile is the comparator's quantile. NewEngine sets 0.95
+	// and nothing in this module assigns it; it is still an exported
+	// field only because bench/workloads.go assigns it (the same 0.95)
+	// and bench/ is frozen outside benchmark PRs — the next one should
+	// drop that line and make this a constant.
 	SpecQuantile float64
-	// SpecMinSamples gates the quantile trigger until the histogram has
-	// at least this many observations; default 1 — a single committed
-	// sibling is exactly the evidence the legacy maxDur trigger trusts,
-	// and the quantile histogram merely widens it across replicas. The
-	// campaign workload's later jobs run ONE map per replica, so any
-	// higher floor leaves a replica pinned to hanging nodes waiting out
-	// the full verifier timeout: no sibling of its own ever commits, and
-	// the healthy replicas contribute just one observation each.
-	SpecMinSamples int
 
 	jobs       map[string]*JobState
 	jobOrder   []string
@@ -290,7 +279,7 @@ type Engine struct {
 	tickArmed  bool
 
 	// specHist holds committed-duration histograms per (base job ID,
-	// task kind), feeding the SpecQuantile trigger. Cross-replica by
+	// task kind), feeding the speculation trigger. Cross-replica by
 	// construction: replicas of one cluster share base IDs.
 	specHist map[string]*obs.Histogram
 
@@ -334,20 +323,18 @@ func NewEngine(fs *dfs.FS, cl *cluster.Cluster, sched Scheduler, cost CostModel)
 		sched = FIFOScheduler{}
 	}
 	e := &Engine{
-		FS:             fs,
-		Cluster:        cl,
-		Sched:          sched,
-		Cost:           cost,
-		Ledger:         NewCostLedger(),
-		SpecLagFactor:  2.0,
-		SpecIntervalUs: 1_000_000,
-		SpecMinSamples: 1,
-		specHist:       make(map[string]*obs.Histogram),
-		jobs:           make(map[string]*JobState),
-		byOutput:       make(map[string]*JobState),
-		dead:           make(map[cluster.NodeID]bool),
-		freeSlots:      make(map[cluster.NodeID]int),
-		sidBinding:     make(map[cluster.NodeID]map[string]int),
+		FS:           fs,
+		Cluster:      cl,
+		Sched:        sched,
+		Cost:         cost,
+		Ledger:       NewCostLedger(),
+		SpecQuantile: 0.95,
+		specHist:     make(map[string]*obs.Histogram),
+		jobs:         make(map[string]*JobState),
+		byOutput:     make(map[string]*JobState),
+		dead:         make(map[cluster.NodeID]bool),
+		freeSlots:    make(map[cluster.NodeID]int),
+		sidBinding:   make(map[cluster.NodeID]map[string]int),
 	}
 	for _, n := range cl.Nodes() {
 		e.freeSlots[n.ID] = n.Slots
@@ -363,28 +350,29 @@ func NewEngine(fs *dfs.FS, cl *cluster.Cluster, sched Scheduler, cost CostModel)
 // CPU split (CPUTimeUs itself includes losing attempts, a pinned
 // semantic), a committed-task duration histogram, data-plane record
 // counters threaded into task bodies, digest record counts, and the
-// engine's DFS counters.
+// engine's DFS counters. The -http plane reads the views from another
+// goroutine mid-run, hence the atomic loads.
 func (e *Engine) InstrumentMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	e.obsReg = reg
 	m := &e.Metrics
-	reg.Func("mapred.metrics.cpu_time_us", func() int64 { return m.CPUTimeUs })
-	reg.Func("mapred.metrics.hdfs_bytes_read", func() int64 { return m.HDFSBytesRead })
-	reg.Func("mapred.metrics.hdfs_bytes_written", func() int64 { return m.HDFSBytesWritten })
-	reg.Func("mapred.metrics.local_bytes_read", func() int64 { return m.LocalBytesRead })
-	reg.Func("mapred.metrics.local_bytes_written", func() int64 { return m.LocalBytesWritten })
-	reg.Func("mapred.metrics.map_tasks", func() int64 { return m.MapTasks })
-	reg.Func("mapred.metrics.reduce_tasks", func() int64 { return m.ReduceTasks })
-	reg.Func("mapred.metrics.records_in", func() int64 { return m.RecordsIn })
-	reg.Func("mapred.metrics.records_out", func() int64 { return m.RecordsOut })
-	reg.Func("mapred.metrics.shuffle_records", func() int64 { return m.ShuffleRecords })
-	reg.Func("mapred.metrics.combined_records", func() int64 { return m.CombinedRecords })
-	reg.Func("mapred.metrics.digest_records", func() int64 { return m.DigestRecords })
-	reg.Func("mapred.metrics.jobs_completed", func() int64 { return m.JobsCompleted })
-	reg.Func("mapred.metrics.tasks_hung", func() int64 { return m.TasksHung })
-	reg.Func("mapred.metrics.speculative_tasks", func() int64 { return m.SpeculativeTasks })
+	reg.Func("mapred.metrics.cpu_time_us", func() int64 { return atomic.LoadInt64(&m.CPUTimeUs) })
+	reg.Func("mapred.metrics.hdfs_bytes_read", func() int64 { return atomic.LoadInt64(&m.HDFSBytesRead) })
+	reg.Func("mapred.metrics.hdfs_bytes_written", func() int64 { return atomic.LoadInt64(&m.HDFSBytesWritten) })
+	reg.Func("mapred.metrics.local_bytes_read", func() int64 { return atomic.LoadInt64(&m.LocalBytesRead) })
+	reg.Func("mapred.metrics.local_bytes_written", func() int64 { return atomic.LoadInt64(&m.LocalBytesWritten) })
+	reg.Func("mapred.metrics.map_tasks", func() int64 { return atomic.LoadInt64(&m.MapTasks) })
+	reg.Func("mapred.metrics.reduce_tasks", func() int64 { return atomic.LoadInt64(&m.ReduceTasks) })
+	reg.Func("mapred.metrics.records_in", func() int64 { return atomic.LoadInt64(&m.RecordsIn) })
+	reg.Func("mapred.metrics.records_out", func() int64 { return atomic.LoadInt64(&m.RecordsOut) })
+	reg.Func("mapred.metrics.shuffle_records", func() int64 { return atomic.LoadInt64(&m.ShuffleRecords) })
+	reg.Func("mapred.metrics.combined_records", func() int64 { return atomic.LoadInt64(&m.CombinedRecords) })
+	reg.Func("mapred.metrics.digest_records", func() int64 { return atomic.LoadInt64(&m.DigestRecords) })
+	reg.Func("mapred.metrics.jobs_completed", func() int64 { return atomic.LoadInt64(&m.JobsCompleted) })
+	reg.Func("mapred.metrics.tasks_hung", func() int64 { return atomic.LoadInt64(&m.TasksHung) })
+	reg.Func("mapred.metrics.speculative_tasks", func() int64 { return atomic.LoadInt64(&m.SpeculativeTasks) })
 	e.obsCPUCommitted = reg.Counter("mapred.cpu_committed_us")
 	e.obsCPULost = reg.Counter("mapred.cpu_lost_us")
 	e.obsTaskDur = reg.Histogram("mapred.task_duration_us", obs.DurationBucketsUs)
@@ -396,7 +384,7 @@ func (e *Engine) InstrumentMetrics(reg *obs.Registry) {
 	reg.With("bucket", "verify", "mode", CostModeQuiz).Func("cost.cpu_us", func() int64 { return led.Buckets().VerifyQuizUs })
 	reg.With("bucket", "verify", "mode", CostModeDeferred).Func("cost.cpu_us", func() int64 { return led.Buckets().VerifyDeferredUs })
 	reg.With("bucket", "recovery_rerun").Func("cost.cpu_us", func() int64 { return led.Buckets().RecoveryRerunUs })
-	reg.With("bucket", "in_flight").Func("cost.cpu_us", func() int64 { return m.CPUTimeUs - led.TotalUs() })
+	reg.With("bucket", "in_flight").Func("cost.cpu_us", func() int64 { return atomic.LoadInt64(&m.CPUTimeUs) - led.TotalUs() })
 	e.obsDigestRecs = reg.Counter("digest.records")
 	e.obsTask = taskObs{
 		mapRecords:     reg.Counter("mapred.task.map_records"),
@@ -746,10 +734,10 @@ func (e *Engine) settle() {
 		if p.slow > 1 {
 			dur = int64(float64(dur) * p.slow)
 		}
-		e.Metrics.CPUTimeUs += dur
+		atomic.AddInt64(&e.Metrics.CPUTimeUs, dur)
 		if p.hung {
 			p.rt.hung = true
-			e.Metrics.TasksHung++
+			atomic.AddInt64(&e.Metrics.TasksHung, 1)
 			// The withheld result never commits: its CPU is lost work.
 			e.obsCPULost.Add(dur)
 			spec := p.rt.task.Job.Spec
@@ -796,7 +784,7 @@ func (e *Engine) scheduleCommit(p pendingBody, dur int64, commit func()) {
 		} else {
 			js.obsRedDur.Observe(dur)
 		}
-		if e.SpecQuantile > 0 {
+		if e.Speculation { // the histogram's only reader is specSweep
 			k := specKey(js.Spec.ID, t.Kind)
 			h := e.specHist[k]
 			if h == nil {
@@ -853,7 +841,7 @@ func (e *Engine) armSpec() {
 		return
 	}
 	e.specArmed = true
-	e.After(e.SpecIntervalUs, func() {
+	e.After(specIntervalUs, func() {
 		e.specArmed = false
 		if e.specSweep() {
 			e.armSpec()
@@ -862,15 +850,16 @@ func (e *Engine) armSpec() {
 }
 
 // specSweep launches backups for laggard tasks and reports whether a
-// future sweep could still act. Only a task with a single live attempt,
-// no backup yet, and a committed sibling to compare against can benefit
-// from the clock advancing — it either gets its backup now or on a
-// later sweep. Everything else (hung attempts with backups pending,
-// tasks with no committed sibling) changes state only through engine
-// events, and those re-arm the sweep; re-arming on "anything still
-// running" would spin the event loop forever when a hung task's backup
-// can never be placed. Iteration follows submission order and sorted
-// task IDs so runs stay deterministic.
+// future sweep could still act. Only a task whose spawned backups have
+// all been placed, with fewer than maxBackups of them and a comparator
+// to be measured against, can benefit from the clock advancing — it
+// either gets its backup now or on a later sweep. Everything else (hung
+// attempts with backups pending, tasks with no comparator) changes
+// state only through engine events, and those re-arm the sweep;
+// re-arming on "anything still running" would spin the event loop
+// forever when a hung task's backup can never be placed. Iteration
+// follows submission order and sorted task IDs so runs stay
+// deterministic.
 func (e *Engine) specSweep() bool {
 	again := false
 	for _, id := range e.jobOrder {
@@ -888,35 +877,26 @@ func (e *Engine) specSweep() bool {
 			if len(rts) == 0 {
 				continue
 			}
-			if e.SpecQuantile > 0 {
-				// Quantile mode allows capped re-speculation: a backup that
-				// itself lands on a hung node must not pin the task forever.
-				// A task qualifies only when every spawned backup has been
-				// placed (len(rts) counts live placed attempts, speculated
-				// counts spawns — original included in rts makes the queue
-				// empty exactly when len(rts) > speculated) and fewer than
-				// maxQuantileBackups were spawned.
-				if js.speculated[tid] >= maxQuantileBackups || len(rts) <= js.speculated[tid] {
-					continue
-				}
-			} else if js.speculated[tid] > 0 || len(rts) > 1 {
+			// Capped re-speculation: a backup that itself lands on a hung
+			// node must not pin the task forever. len(rts) counts live
+			// placed attempts (original included), speculated counts
+			// spawns, so every spawned backup has been placed exactly when
+			// len(rts) > speculated.
+			if js.speculated[tid] >= maxBackups || len(rts) <= js.speculated[tid] {
 				continue
 			}
 			kind := rts[0].task.Kind
-			// Legacy trigger: the slowest committed sibling of the same
-			// kind in the same job, scaled by the lag factor.
+			// Comparator: the slowest committed sibling of the same kind
+			// in the same job, tightened by the committed durations for the
+			// same base job across all replicas — a fully-hung replica has
+			// maxDur == 0 forever; its healthy siblings' histogram still
+			// catches it. One observation is enough: the campaign's later
+			// jobs run ONE map per replica, so a higher floor would leave a
+			// replica pinned to hanging nodes until the verifier timeout.
 			threshold := js.maxDur[kind]
-			// Quantile trigger: committed durations for the same base job
-			// across all replicas. A fully-hung replica has maxDur == 0
-			// forever; its healthy siblings' histogram still catches it.
-			if e.SpecQuantile > 0 {
-				h := e.specHist[specKey(js.Spec.ID, kind)]
-				if h.Count() >= int64(e.SpecMinSamples) {
-					if ub, ok := h.Quantile(e.SpecQuantile); ok {
-						if threshold == 0 || ub < threshold {
-							threshold = ub
-						}
-					}
+			if ub, ok := e.specHist[specKey(js.Spec.ID, kind)].Quantile(e.SpecQuantile); ok {
+				if threshold == 0 || ub < threshold {
+					threshold = ub
 				}
 			}
 			if threshold == 0 {
@@ -924,19 +904,18 @@ func (e *Engine) specSweep() bool {
 				// change that, and commits re-arm the sweep.
 				continue
 			}
-			// The youngest live attempt governs the trigger: with multiple
-			// attempts (quantile re-speculation), spawning again is only
-			// justified once even the freshest backup has lagged past the
-			// threshold. With a single attempt this is the legacy check.
+			// The youngest live attempt governs the trigger: spawning
+			// again is only justified once even the freshest backup has
+			// lagged past the threshold.
 			newest := rts[0].start
 			for _, rt := range rts[1:] {
 				if rt.start > newest {
 					newest = rt.start
 				}
 			}
-			if float64(e.now-newest) > e.SpecLagFactor*float64(threshold) {
+			if float64(e.now-newest) > specLagFactor*float64(threshold) {
 				js.speculated[tid]++
-				e.Metrics.SpeculativeTasks++
+				atomic.AddInt64(&e.Metrics.SpeculativeTasks, 1)
 				e.ready = append(e.ready, rts[0].task)
 				e.armTick()
 			} else {
@@ -947,11 +926,15 @@ func (e *Engine) specSweep() bool {
 	return again
 }
 
-// maxQuantileBackups caps backups per task under quantile speculation.
-// Two backups drive the probability that every attempt of a task sits
-// on a pathological node to (bad placement)^3 while bounding the slot
-// pressure hung attempts can exert.
-const maxQuantileBackups = 2
+const (
+	specLagFactor  = 2.0       // an attempt may run this many times its comparator
+	specIntervalUs = 1_000_000 // sweep period: 1s virtual
+	// maxBackups caps backups per task. Two backups drive the
+	// probability that every attempt of a task sits on a pathological
+	// node to (bad placement)^3 while bounding the slot pressure hung
+	// attempts can exert.
+	maxBackups = 2
+)
 
 // specKey is the specHist map key: base job ID (stable across replicas
 // and attempts) plus task kind.
@@ -998,20 +981,20 @@ func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), co
 			cost.CombineRecordUs*out.combinedIn +
 			cost.ShuffleRecordUs*shuffleRecs
 		commit := func() {
-			e.Metrics.MapTasks++
-			e.Metrics.RecordsIn += out.recordsIn
-			e.Metrics.HDFSBytesRead += inBytes
-			e.Metrics.LocalBytesWritten += out.localBytes
-			e.Metrics.DigestRecords += out.digested
-			e.Metrics.ShuffleRecords += out.shuffleRecs
-			e.Metrics.CombinedRecords += out.combinedIn
+			atomic.AddInt64(&e.Metrics.MapTasks, 1)
+			atomic.AddInt64(&e.Metrics.RecordsIn, out.recordsIn)
+			atomic.AddInt64(&e.Metrics.HDFSBytesRead, inBytes)
+			atomic.AddInt64(&e.Metrics.LocalBytesWritten, out.localBytes)
+			atomic.AddInt64(&e.Metrics.DigestRecords, out.digested)
+			atomic.AddInt64(&e.Metrics.ShuffleRecords, out.shuffleRecs)
+			atomic.AddInt64(&e.Metrics.CombinedRecords, out.combinedIn)
 			ord := js.mapOrdinal[t.ID()]
 			js.mapOutcomes[ord] = out
 			js.mapsDone++
 			if js.Spec.Reduce == nil {
 				// Map-only job: task output is final.
 				e.writeOutput(js, partFileName(MapTask, t.InputIdx, t.Index), out.outLines)
-				e.Metrics.RecordsOut += out.recordsOut
+				atomic.AddInt64(&e.Metrics.RecordsOut, out.recordsOut)
 			}
 			if js.mapsDone == js.mapsTotal {
 				e.mapsFinished(js)
@@ -1081,10 +1064,10 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report))
 			cost.ShuffleRecordUs*out.recordsIn +
 			cost.DigestRecordUs*out.digested
 		commit := func() {
-			e.Metrics.ReduceTasks++
-			e.Metrics.LocalBytesRead += localBytes
-			e.Metrics.DigestRecords += out.digested
-			e.Metrics.RecordsOut += out.recordsOut
+			atomic.AddInt64(&e.Metrics.ReduceTasks, 1)
+			atomic.AddInt64(&e.Metrics.LocalBytesRead, localBytes)
+			atomic.AddInt64(&e.Metrics.DigestRecords, out.digested)
+			atomic.AddInt64(&e.Metrics.RecordsOut, out.recordsOut)
 			e.writeOutput(js, partFileName(ReduceTask, 0, t.Index), out.outLines)
 			js.redsDone++
 			if js.redsDone == js.redsTotal {
@@ -1108,7 +1091,7 @@ func (e *Engine) writeOutput(js *JobState, part string, lines []string) {
 	}
 	path := joinPath(js.Spec.Output, part)
 	e.FS.Append(path, lines...)
-	e.Metrics.HDFSBytesWritten += linesBytes(lines)
+	atomic.AddInt64(&e.Metrics.HDFSBytesWritten, linesBytes(lines))
 }
 
 // completeJob finishes a job and unblocks dependents.
@@ -1149,7 +1132,7 @@ func (e *Engine) completeJob(js *JobState) {
 		}
 		delete(js.running, tid)
 	}
-	e.Metrics.JobsCompleted++
+	atomic.AddInt64(&e.Metrics.JobsCompleted, 1)
 	e.Board.JobDone(js.Spec.ID, e.now)
 	for _, dep := range js.dependents {
 		dep.depsLeft--
@@ -1441,7 +1424,7 @@ func (e *Engine) Requiz(jobID, taskID string, quizReplica int, sink func(digest.
 		body = e.reduceBody(t, df, quizAdd)
 	}
 	res := pool.Go(e.bodyPool(), body).Wait()
-	e.Metrics.CPUTimeUs += res.dur
+	atomic.AddInt64(&e.Metrics.CPUTimeUs, res.dur)
 	e.obsCPUCommitted.Add(res.dur)
 	e.Ledger.Quiz(js.Spec.SID, res.dur)
 	e.QuizTasks++

@@ -27,21 +27,40 @@ func run(t *testing.T, script string, inputs map[string][]string, opts CompileOp
 	return runOn(t, dfs.New(), script, inputs, opts, mutate)
 }
 
+// uncombined clears Reduce.Combine on compiled specs and returns them:
+// the un-combined shuffle path — the one non-algebraic aggregates, joins
+// and sorts always run — as the test oracle for the combiner. Every
+// "combine off" test and bench goes through here.
+func uncombined(jobs ...*JobSpec) []*JobSpec {
+	for _, j := range jobs {
+		if j.Reduce != nil {
+			j.Reduce.Combine = false
+		}
+	}
+	return jobs
+}
+
+// runUncombined is run with the combiner cleared on every compiled job.
+func runUncombined(t *testing.T, script string, inputs map[string][]string, opts CompileOptions, mutate func(*Engine)) *testRun {
+	t.Helper()
+	p := plan(t, script)
+	return runJobs(t, dfs.New(), inputs, p, uncombined(compile(t, script, opts)...), mutate)
+}
+
 // runOn is run over a caller-built FS, so suites can exercise the same
 // script on differently-configured block data planes (tiny blocks,
 // spill budgets, compression).
 func runOn(t *testing.T, fs *dfs.FS, script string, inputs map[string][]string, opts CompileOptions, mutate func(*Engine)) *testRun {
 	t.Helper()
+	return runJobs(t, fs, inputs, plan(t, script), compile(t, script, opts), mutate)
+}
+
+// runJobs loads inputs into fs and runs already-compiled jobs of plan p
+// to completion on a fresh 4x2 cluster.
+func runJobs(t *testing.T, fs *dfs.FS, inputs map[string][]string, p *pig.Plan, jobs []*JobSpec, mutate func(*Engine)) *testRun {
+	t.Helper()
 	for path, lines := range inputs {
 		fs.Append(path, lines...)
-	}
-	p, err := pig.Parse(script)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := Compile(p, opts)
-	if err != nil {
-		t.Fatal(err)
 	}
 	cl := cluster.New(4, 2)
 	eng := NewEngine(fs, cl, nil, DefaultCostModel())

@@ -33,7 +33,6 @@ func TestNeededCols(t *testing.T) {
 	cases := []struct {
 		name   string
 		src    string
-		opts   CompileOptions
 		points []string       // aliases carrying verification points
 		tweak  func(*JobSpec) // applied to the first job
 		want   [][]bool       // per input of the first job
@@ -91,7 +90,7 @@ STORE late INTO 'out/late';`, want: [][]bool{nil}},
 		{name: "aggregate-not-combined", src: flightsLoad + `
 g = GROUP fl BY origin;
 c = FOREACH g GENERATE group, COUNT(fl);
-STORE c INTO 'out/c';`, opts: CompileOptions{DisableCombine: true}, want: [][]bool{nil}},
+STORE c INTO 'out/c';`, tweak: func(j *JobSpec) { uncombined(j) }, want: [][]bool{nil}},
 		{name: "audit-in", src: flightsLoad + `
 p = FOREACH fl GENERATE origin;
 STORE p INTO 'out/p';`, tweak: func(j *JobSpec) { j.Inputs[0].AuditIn = true }, want: [][]bool{nil}},
@@ -116,8 +115,7 @@ STORE p INTO 'out/p';`, tweak: func(j *JobSpec) { j.Inputs[0].Schema = nil }, wa
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := plan(t, tc.src)
-			tc.opts.Points = digestPoints(t, p, tc.points...)
-			jobs, err := Compile(p, tc.opts)
+			jobs, err := Compile(p, CompileOptions{Points: digestPoints(t, p, tc.points...)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,7 +37,7 @@ func weatherData(n int) []string {
 	return lines
 }
 
-// rig is a BFT-controlled run wired the way cmd/pigrun -http wires one.
+// rig is a BFT-controlled run wired the way cmd/clusterbft -http wires one.
 type rig struct {
 	eng  *mapred.Engine
 	ctrl *core.Controller
