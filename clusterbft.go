@@ -13,7 +13,8 @@
 // storage, a simulated untrusted worker tier, the MapReduce engine and
 // the ClusterBFT control tier into one System. The detailed machinery
 // lives in internal/ packages (pig, mapred, core, bft, ...); everything
-// a client needs is re-exported here.
+// a client needs is re-exported here — examples/quickstart and
+// examples/weather are written against this package alone.
 //
 // Basic usage:
 //
@@ -82,11 +83,7 @@ func DefaultCostModel() CostModel { return mapred.DefaultCostModel() }
 // untrusted simulated worker tier, the MapReduce engine and the
 // ClusterBFT controller. A System is not safe for concurrent use.
 type System struct {
-	fs      *dfs.FS
-	workers *cluster.Cluster
-	engine  *mapred.Engine
-	susp    *core.SuspicionTable
-	ctrl    *core.Controller
+	sys *core.System
 }
 
 // New builds a system with `nodes` worker nodes of `slots` task slots
@@ -97,18 +94,15 @@ func New(nodes, slots int, cfg Config) *System {
 
 // NewWithCost is New with an explicit virtual-time cost model.
 func NewWithCost(nodes, slots int, cfg Config, cost CostModel) *System {
-	fs := dfs.NewWith(cfg.Storage)
-	workers := cluster.New(nodes, slots)
-	susp := core.NewSuspicionTable(cfg.SuspicionThreshold)
-	engine := mapred.NewEngine(fs, workers, core.NewOverlapScheduler(susp), cost)
-	ctrl := core.NewController(engine, cfg, susp, nil)
-	return &System{fs: fs, workers: workers, engine: engine, susp: susp, ctrl: ctrl}
+	sys := core.NewSystem(nodes, slots, cfg.Storage, cost)
+	sys.Assure(cfg)
+	return &System{sys: sys}
 }
 
 // LoadData appends records (one per line, tab-separated columns) to the
 // trusted store at path, where scripts LOAD them.
 func (s *System) LoadData(path string, lines ...string) {
-	s.fs.Append(path, lines...)
+	s.sys.FS.Append(path, lines...)
 }
 
 // InjectFault attaches a seeded Byzantine adversary to a node: a
@@ -116,42 +110,35 @@ func (s *System) LoadData(path string, lines ...string) {
 // withholds task completions, a slow adversary stretches task durations.
 // probability is the per-task chance of firing.
 func (s *System) InjectFault(node NodeID, kind FaultKind, probability float64, seed int64) error {
-	return s.workers.SetAdversary(node, kind, probability, seed)
+	return s.sys.Cluster.SetAdversary(node, kind, probability, seed)
 }
 
 // InjectFaultWithFactor is InjectFault with an explicit straggler factor
 // for FaultSlow adversaries.
 func (s *System) InjectFaultWithFactor(node NodeID, kind FaultKind, probability float64, seed int64, slowFactor float64) error {
-	if err := s.workers.SetAdversary(node, kind, probability, seed); err != nil {
+	if err := s.sys.Cluster.SetAdversary(node, kind, probability, seed); err != nil {
 		return err
 	}
-	s.workers.Node(node).Adversary.SlowFactor = slowFactor
+	s.sys.Cluster.Node(node).Adversary.SlowFactor = slowFactor
 	return nil
 }
 
 // SetSpeculation toggles Hadoop-style speculative execution in the
 // engine: laggard tasks get backup copies on other nodes, rescuing
 // replicas from stragglers and omission-hung tasks.
-func (s *System) SetSpeculation(on bool) { s.engine.Speculation = on }
-
-// SetWorkers bounds the pool that computes task bodies: 0 means
-// GOMAXPROCS, 1 serializes bodies. Every virtual-time observable
-// (latencies, metrics, digests, outputs) is identical at any setting —
-// the pool changes only wall-clock time. Must be called before the
-// first Run.
-func (s *System) SetWorkers(n int) { s.engine.Workers = n }
+func (s *System) SetSpeculation(on bool) { s.sys.Engine.Speculation = on }
 
 // Run executes a script under BFT protection and blocks until the
 // simulation settles. Suspicion state persists across calls, so a stream
 // of Runs sharpens fault isolation.
 func (s *System) Run(script string) (*Result, error) {
-	return s.ctrl.Run(script)
+	return s.sys.Ctrl.Run(script)
 }
 
 // RunPlain executes a script with no replication or verification (the
 // "Pure Pig" baseline) and returns its virtual latency in microseconds.
 func (s *System) RunPlain(script string) (int64, error) {
-	return core.RunPlain(s.engine, script)
+	return core.RunPlain(s.sys.Engine, script)
 }
 
 // Output reads the verified output of one STORE path from res.
@@ -160,25 +147,25 @@ func (s *System) Output(res *Result, store string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("clusterbft: no verified output for store %q", store)
 	}
-	return s.fs.ReadTree(path)
+	return s.sys.FS.ReadTree(path)
 }
 
 // Suspicion returns a node's current suspicion level in [0, 1].
-func (s *System) Suspicion(node NodeID) float64 { return s.susp.Level(node) }
+func (s *System) Suspicion(node NodeID) float64 { return s.sys.Susp.Level(node) }
 
 // Excluded reports whether a node fell off the scheduler's inclusion
 // list.
-func (s *System) Excluded(node NodeID) bool { return s.susp.Excluded(node) }
+func (s *System) Excluded(node NodeID) bool { return s.sys.Susp.Excluded(node) }
 
 // Suspects returns the fault analyzer's current suspicion set.
-func (s *System) Suspects() []NodeID { return s.ctrl.FA.Suspects() }
+func (s *System) Suspects() []NodeID { return s.sys.Ctrl.FA.Suspects() }
 
 // EngineMetrics snapshots the engine's cumulative resource counters.
-func (s *System) EngineMetrics() Metrics { return s.engine.Metrics }
+func (s *System) EngineMetrics() Metrics { return s.sys.Engine.Metrics }
 
 // VirtualNow returns the engine's virtual clock in microseconds.
-func (s *System) VirtualNow() int64 { return s.engine.Now() }
+func (s *System) VirtualNow() int64 { return s.sys.Engine.Now() }
 
 // Close releases the trusted store's spill file, if a memory budget ever
 // forced blocks to disk. Safe to call on systems that never spilled.
-func (s *System) Close() error { return s.fs.Close() }
+func (s *System) Close() error { return s.sys.FS.Close() }

@@ -63,14 +63,15 @@ func run(args []string, stdout io.Writer) error {
 	script := fset.String("script", "", "path to the Pig script (required)")
 	fset.Var(&inputs, "input", "dfspath=localfile input mapping (repeatable)")
 	fset.Var(&faulty, "faulty", "node:kind:probability adversary (repeatable)")
-	f := fset.Int("f", 1, "tolerated faults")
-	r := fset.Int("r", 4, "replication degree (f+1, 2f+1 or 3f+1)")
-	points := fset.Int("points", 2, "verification points (-1: every candidate vertex)")
+	cfg := core.DefaultConfig()
+	fset.IntVar(&cfg.F, "f", cfg.F, "tolerated faults")
+	fset.IntVar(&cfg.R, "r", cfg.R, "replication degree (f+1, 2f+1 or 3f+1)")
+	fset.IntVar(&cfg.Points, "points", cfg.Points, "verification points (-1: every candidate vertex)")
 	nodes := fset.Int("nodes", 16, "untrusted tier size")
 	slots := fset.Int("slots", 3, "task slots per node")
-	reduces := fset.Int("reduces", 2, "reduce parallelism")
-	d := fset.Int("d", 0, "digest granularity: records per digest (0: per stream)")
-	finalOnly := fset.Bool("final-only", false, "verify final outputs only (the P baseline)")
+	fset.IntVar(&cfg.NumReduces, "reduces", cfg.NumReduces, "reduce parallelism")
+	fset.IntVar(&cfg.DigestChunk, "d", cfg.DigestChunk, "digest granularity: records per digest (0: per stream)")
+	fset.BoolVar(&cfg.VerifyFinalOnly, "final-only", cfg.VerifyFinalOnly, "verify final outputs only (the P baseline)")
 	show := fset.Int("show", 20, "output records to print per store")
 	explain := fset.Bool("explain", false, "print the replication structure after the run; with -verify-policy none, print the logical plan and compiled jobs and exit")
 	httpLinger := fset.Bool("http-linger", false, "with -http: keep serving introspection after the run completes, until interrupted")
@@ -97,9 +98,6 @@ func run(args []string, stdout io.Writer) error {
 	// "none" is this command's own: the unverified baseline is not a
 	// verification policy, so core.Policy has no value for it.
 	baseline := shared.VerifyPolicy == "none"
-	cfg := core.DefaultConfig()
-	cfg.F, cfg.R, cfg.Points, cfg.NumReduces = *f, *r, *points, *reduces
-	cfg.DigestChunk, cfg.VerifyFinalOnly = *d, *finalOnly
 	if baseline {
 		if shared.Checkpoint {
 			return fmt.Errorf("-checkpoint needs a verifying -verify-policy, not none")
@@ -126,7 +124,8 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	fs := dfs.NewWith(cfg.Storage)
+	sys := core.NewSystem(*nodes, *slots, cfg.Storage, mapred.DefaultCostModel())
+	fs := sys.FS
 	defer fs.Close()
 	for _, in := range inputs {
 		dfsPath, local, ok := strings.Cut(in, "=")
@@ -141,19 +140,12 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	cl := cluster.New(*nodes, *slots)
 	for _, spec := range faulty {
-		if err := attachAdversary(cl, spec); err != nil {
+		if err := attachAdversary(sys.Cluster, spec); err != nil {
 			return err
 		}
 	}
-	var susp *core.SuspicionTable
-	var sched mapred.Scheduler // nil: FIFO, the baseline's
-	if !baseline {
-		susp = core.NewSuspicionTable(cfg.SuspicionThreshold)
-		sched = core.NewOverlapScheduler(susp)
-	}
-	eng := mapred.NewEngine(fs, cl, sched, mapred.DefaultCostModel())
+	eng := sys.Engine
 	plane, err := shared.Start(stdout)
 	if err != nil {
 		return err
@@ -176,7 +168,7 @@ func run(args []string, stdout io.Writer) error {
 			outputs[st.Path] = st.Path
 		}
 	} else {
-		ctrl := core.NewController(eng, cfg, susp, nil)
+		ctrl := sys.Assure(cfg)
 		res, err := ctrl.Run(string(src))
 		if err != nil {
 			return err
@@ -277,6 +269,9 @@ func attachAdversary(cl *cluster.Cluster, spec string) error {
 	p, err := strconv.ParseFloat(parts[2], 64)
 	if err != nil {
 		return fmt.Errorf("bad probability in %q: %v", spec, err)
+	}
+	if !(p >= 0 && p <= 1) { // also rejects NaN
+		return fmt.Errorf("bad probability in %q: want a number in [0,1]", spec)
 	}
 	return cl.SetAdversary(cluster.NodeID(parts[0]), kind, p, 42)
 }

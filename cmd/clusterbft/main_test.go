@@ -58,6 +58,9 @@ func TestAttachAdversaryErrors(t *testing.T) {
 		"node-001:evil:1.0",        // unknown kind
 		"node-001:commission:nope", // bad probability
 		"node-099:commission:1.0",  // unknown node
+		"node-001:commission:NaN",  // not a probability
+		"node-001:commission:-1",   // below [0,1]
+		"node-001:commission:7",    // above [0,1]
 	}
 	for _, c := range cases {
 		if err := attachAdversary(cl, c); err == nil {

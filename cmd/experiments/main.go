@@ -47,12 +47,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
 		os.Exit(2)
 	}
-	cfg := core.DefaultConfig()
-	if err := shared.Apply(&cfg); err != nil {
+	sc.Core = core.DefaultConfig()
+	if err := shared.Apply(&sc.Core); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	sc.VerifyPolicy, sc.Checkpoint, sc.Storage = cfg.VerifyPolicy, cfg.Checkpoint, cfg.Storage
 
 	plane, err := shared.Start(os.Stdout)
 	if err != nil {
@@ -60,7 +59,7 @@ func main() {
 		os.Exit(2)
 	}
 	defer plane.Close()
-	experiments.Observe = plane.Attach
+	sc.Observe = plane.Attach
 
 	runners := []struct {
 		name string

@@ -19,21 +19,18 @@ import (
 )
 
 func main() {
-	fs := dfs.New()
-	fs.Append(workload.AirlinePath, workload.Airline(50_000, 0, 3)...)
-	workers := cluster.New(24, 3)
+	sys := core.NewSystem(24, 3, dfs.Options{}, mapred.DefaultCostModel())
+	sys.FS.Append(workload.AirlinePath, workload.Airline(50_000, 0, 3)...)
 
 	// node-005 lies on every task it runs.
 	const evil = cluster.NodeID("node-005")
-	if err := workers.SetAdversary(evil, cluster.FaultCommission, 1.0, 99); err != nil {
+	if err := sys.Cluster.SetAdversary(evil, cluster.FaultCommission, 1.0, 99); err != nil {
 		log.Fatal(err)
 	}
 
 	cfg := core.DefaultConfig()
 	cfg.SuspicionThreshold = 0.5 // evict once suspicion crosses 50%
-	susp := core.NewSuspicionTable(cfg.SuspicionThreshold)
-	eng := mapred.NewEngine(fs, workers, core.NewOverlapScheduler(susp), mapred.DefaultCostModel())
-	ctrl := core.NewController(eng, cfg, susp, nil)
+	ctrl := sys.Assure(cfg)
 
 	// Suspicion persists across jobs: submit the analysis a few times,
 	// as a stream of client requests would.
@@ -45,10 +42,10 @@ func main() {
 		fmt.Printf("round %d: verified=%v latency=%.2fs attempts=%d deviant-replicas=%d suspects=%v\n",
 			round, res.Verified, float64(res.LatencyUs)/1e6, res.Attempts, res.FaultyReplicas, res.Suspects)
 		fmt.Printf("         suspicion(%s)=%.2f category=%v excluded=%v\n",
-			evil, susp.Level(evil), susp.CategoryOf(evil), susp.Excluded(evil))
+			evil, sys.Susp.Level(evil), sys.Susp.CategoryOf(evil), sys.Susp.Excluded(evil))
 
 		if round == 3 {
-			top, err := fs.ReadTree(res.Outputs["out/airline/overall"])
+			top, err := sys.FS.ReadTree(res.Outputs["out/airline/overall"])
 			if err != nil {
 				log.Fatal(err)
 			}

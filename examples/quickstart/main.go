@@ -12,30 +12,21 @@ import (
 	"fmt"
 	"log"
 
-	"clusterbft/internal/cluster"
-	"clusterbft/internal/core"
-	"clusterbft/internal/dfs"
-	"clusterbft/internal/mapred"
+	"clusterbft"
 	"clusterbft/internal/workload"
 )
 
 func main() {
-	// 1. Trusted storage with the input dataset.
-	fs := dfs.New()
-	fs.Append(workload.TwitterPath, workload.Twitter(20_000, 500, 1)...)
+	// 1. One deployment: trusted storage, an untrusted worker tier of 16
+	//    nodes with 3 task slots each, and the trusted control tier over
+	//    them (engine, overlap-maximizing scheduler, ClusterBFT controller).
+	sys := clusterbft.New(16, 3, clusterbft.DefaultConfig())
 
-	// 2. The untrusted worker tier: 16 nodes, 3 task slots each.
-	workers := cluster.New(16, 3)
+	// 2. The input dataset, into trusted storage.
+	sys.LoadData(workload.TwitterPath, workload.Twitter(20_000, 500, 1)...)
 
-	// 3. The trusted control tier: engine + ClusterBFT controller with
-	//    the resource manager's overlap-maximizing scheduler.
-	cfg := core.DefaultConfig()
-	susp := core.NewSuspicionTable(cfg.SuspicionThreshold)
-	engine := mapred.NewEngine(fs, workers, core.NewOverlapScheduler(susp), mapred.DefaultCostModel())
-	ctrl := core.NewController(engine, cfg, susp, nil)
-
-	// 4. Submit the script.
-	res, err := ctrl.Run(workload.FollowerScript)
+	// 3. Submit the script.
+	res, err := sys.Run(workload.FollowerScript)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,8 +34,8 @@ func main() {
 	fmt.Printf("verified: %v in %.2f virtual seconds (%d sub-graphs, %d digests)\n",
 		res.Verified, float64(res.LatencyUs)/1e6, res.Clusters, res.DigestReports)
 
-	// 5. Read the verified winner replica's output.
-	lines, err := fs.ReadTree(res.Outputs["out/twitter/followers"])
+	// 4. Read the verified winner replica's output.
+	lines, err := sys.Output(res, "out/twitter/followers")
 	if err != nil {
 		log.Fatal(err)
 	}

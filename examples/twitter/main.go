@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 
-	"clusterbft/internal/cluster"
 	"clusterbft/internal/core"
 	"clusterbft/internal/dfs"
 	"clusterbft/internal/mapred"
@@ -24,17 +23,14 @@ const (
 	nodes = 32
 )
 
-func newEngine() (*dfs.FS, *mapred.Engine) {
-	fs := dfs.New()
-	fs.Append(workload.TwitterPath, workload.Twitter(edges, users, 7)...)
-	return fs, mapred.NewEngine(fs, cluster.New(nodes, 3), nil, mapred.DefaultCostModel())
+func newSystem() *core.System {
+	sys := core.NewSystem(nodes, 3, dfs.Options{}, mapred.DefaultCostModel())
+	sys.FS.Append(workload.TwitterPath, workload.Twitter(edges, users, 7)...)
+	return sys
 }
 
 func assured(script string, cfg core.Config) *core.Result {
-	_, eng := newEngine()
-	susp := core.NewSuspicionTable(0)
-	eng.Sched = core.NewOverlapScheduler(susp)
-	res, err := core.NewController(eng, cfg, susp, nil).Run(script)
+	res, err := newSystem().Assure(cfg).Run(script)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,8 +41,7 @@ func main() {
 	base := core.Config{NumReduces: 2, TimeoutUs: 3_600_000_000, Offline: true, MaxAttempts: 4}
 
 	fmt.Println("== Follower Analysis (Fig 8 i) ==")
-	_, eng := newEngine()
-	pure, err := core.RunPlain(eng, workload.FollowerScript)
+	pure, err := core.RunPlain(newSystem().Engine, workload.FollowerScript)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,8 +60,7 @@ func main() {
 	}
 
 	fmt.Println("\n== Two Hop Analysis (Fig 8 ii) ==")
-	_, eng2 := newEngine()
-	pure2, err := core.RunPlain(eng2, workload.TwoHopScript)
+	pure2, err := core.RunPlain(newSystem().Engine, workload.TwoHopScript)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,11 +11,8 @@ import (
 	"fmt"
 	"log"
 
+	"clusterbft"
 	"clusterbft/internal/bft"
-	"clusterbft/internal/cluster"
-	"clusterbft/internal/core"
-	"clusterbft/internal/dfs"
-	"clusterbft/internal/mapred"
 	"clusterbft/internal/workload"
 )
 
@@ -34,19 +31,14 @@ func main() {
 		d = 500 // records per digest: approximation accuracy knob
 	)
 
-	fs := dfs.New()
-	fs.Append(workload.WeatherPath, workload.Weather(40_000, 200, 11)...)
-	workers := cluster.New(32, 3)
-
-	cfg := core.DefaultConfig()
+	cfg := clusterbft.DefaultConfig()
 	cfg.F = f
 	cfg.R = 3*f + 1
 	cfg.DigestChunk = d
-	susp := core.NewSuspicionTable(0)
-	eng := mapred.NewEngine(fs, workers, core.NewOverlapScheduler(susp), mapred.DefaultCostModel())
-	ctrl := core.NewController(eng, cfg, susp, nil)
+	sys := clusterbft.New(32, 3, cfg)
+	sys.LoadData(workload.WeatherPath, workload.Weather(40_000, 200, 11)...)
 
-	res, err := ctrl.Run(workload.WeatherScript)
+	res, err := sys.Run(workload.WeatherScript)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +61,7 @@ func main() {
 	fmt.Printf("end-to-end assured latency: %.2fs\n",
 		float64(res.LatencyUs+controlUs)/1e6)
 
-	hist, err := fs.ReadTree(res.Outputs["out/weather/histogram"])
+	hist, err := sys.Output(res, "out/weather/histogram")
 	if err != nil {
 		log.Fatal(err)
 	}

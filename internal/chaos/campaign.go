@@ -8,7 +8,6 @@ import (
 	"clusterbft/internal/analyze"
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/core"
-	"clusterbft/internal/dfs"
 	"clusterbft/internal/mapred"
 )
 
@@ -30,10 +29,6 @@ type CampaignConfig struct {
 	// NetOps, when > 0, additionally runs that many operations through a
 	// BFT replica group under the schedule's network perturbations.
 	NetOps int
-	// Speculation enables the engine's backup-task machinery for every
-	// run. The checkpoint campaign leg sets it: checkpoint-granular
-	// recovery and straggler re-launch ship together.
-	Speculation bool
 	// Observe, when set, is called with every freshly built engine (the
 	// baseline's and each schedule's) before the run starts, so a caller
 	// can attach metrics, tracing, or a jobs board to a live campaign.
@@ -188,7 +183,7 @@ func renderCounts(m map[string]int) string {
 // (e.g. the fault-free baseline fails); schedule-level violations are in
 // the report.
 func RunCampaign(cfg CampaignConfig) (*Report, error) {
-	baseline, err := cleanBaseline(cfg)
+	baseline, err := Baseline(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: fault-free baseline: %w", err)
 	}
@@ -198,7 +193,7 @@ func RunCampaign(cfg CampaignConfig) (*Report, error) {
 	}
 	for i := 0; i < cfg.Schedules; i++ {
 		seed := cfg.BaseSeed + int64(i)
-		rep.Results = append(rep.Results, runOne(cfg, Generate(seed, cfg.Profile), baseline))
+		rep.Results = append(rep.Results, RunSchedule(cfg, Generate(seed, cfg.Profile), baseline))
 	}
 	return rep, nil
 }
@@ -207,28 +202,15 @@ func RunCampaign(cfg CampaignConfig) (*Report, error) {
 // sorted record set of every STORE output — the ground truth RunSchedule
 // checks verified outputs against.
 func Baseline(cfg CampaignConfig) (map[string][]string, error) {
-	return cleanBaseline(cfg)
-}
-
-// RunSchedule executes one explicit (possibly hand-built) schedule under
-// the campaign config and checks the same invariants as a campaign run.
-// baseline may come from Baseline; nil skips the output comparison.
-func RunSchedule(cfg CampaignConfig, sched *Schedule, baseline map[string][]string) ScheduleResult {
-	return runOne(cfg, sched, baseline)
-}
-
-// cleanBaseline runs the script once with no faults and returns the
-// sorted record set of every STORE output.
-func cleanBaseline(cfg CampaignConfig) (map[string][]string, error) {
 	h := newRun(cfg)
-	defer h.fs.Close()
-	res, err := h.ctrl.Run(cfg.Script)
+	defer h.FS.Close()
+	res, err := h.Ctrl.Run(cfg.Script)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]string, len(res.Outputs))
 	for store, path := range res.Outputs {
-		lines, err := h.fs.ReadTree(path)
+		lines, err := h.FS.ReadTree(path)
 		if err != nil {
 			return nil, fmt.Errorf("read %s: %w", path, err)
 		}
@@ -241,52 +223,47 @@ func cleanBaseline(cfg CampaignConfig) (map[string][]string, error) {
 	return out, nil
 }
 
-type chaosRun struct {
-	fs   *dfs.FS
-	cl   *cluster.Cluster
-	eng  *mapred.Engine
-	ctrl *core.Controller
-}
-
-func newRun(cfg CampaignConfig) *chaosRun {
-	fs := dfs.NewWith(cfg.Core.Storage)
+// newRun builds one run's deployment: seeded storage, a fresh cluster
+// and engine (observed before the controller reads its registry), and
+// the control tier from cfg.Core.
+func newRun(cfg CampaignConfig) *core.System {
+	h := core.NewSystem(cfg.Nodes, cfg.Slots, cfg.Core.Storage, mapred.DefaultCostModel())
 	for path, lines := range cfg.Data {
-		fs.Append(path, lines...)
+		h.FS.Append(path, lines...)
 	}
-	cl := cluster.New(cfg.Nodes, cfg.Slots)
-	susp := core.NewSuspicionTable(cfg.Core.SuspicionThreshold)
-	eng := mapred.NewEngine(fs, cl, core.NewOverlapScheduler(susp), mapred.DefaultCostModel())
-	eng.Speculation = cfg.Speculation
 	if cfg.Observe != nil {
-		cfg.Observe(eng)
+		cfg.Observe(h.Engine)
 	}
-	ctrl := core.NewController(eng, cfg.Core, susp, nil)
-	return &chaosRun{fs: fs, cl: cl, eng: eng, ctrl: ctrl}
+	h.Assure(cfg.Core)
+	return h
 }
 
-func runOne(cfg CampaignConfig, sched *Schedule, baseline map[string][]string) ScheduleResult {
+// RunSchedule executes one explicit (possibly hand-built) schedule under
+// the campaign config and checks the global invariants on it. baseline
+// may come from Baseline; nil skips the output comparison.
+func RunSchedule(cfg CampaignConfig, sched *Schedule, baseline map[string][]string) ScheduleResult {
 	in := NewInjector(sched)
 	h := newRun(cfg)
-	defer h.fs.Close()
-	trail := analyze.NewAuditTrail(h.eng.Now)
-	h.ctrl.AttachAudit(trail)
+	defer h.FS.Close()
+	trail := analyze.NewAuditTrail(h.Engine.Now)
+	h.Ctrl.AttachAudit(trail)
 	sr := ScheduleResult{Seed: sched.Seed, Desc: sched.String(), Recoveries: map[string]int{}}
-	h.ctrl.OnRecovery = func(action string, _, _ int) { sr.Recoveries[action]++ }
-	in.AttachEngine(h.eng)
+	h.Ctrl.OnRecovery = func(action string, _, _ int) { sr.Recoveries[action]++ }
+	in.AttachEngine(h.Engine)
 
-	res, err := h.ctrl.Run(cfg.Script)
-	sr.EndUs = h.eng.Now()
+	res, err := h.Ctrl.Run(cfg.Script)
+	sr.EndUs = h.Engine.Now()
 	sr.Verified = err == nil
 	if err != nil {
 		sr.Err = err.Error()
 	}
-	states := h.ctrl.ClusterStates()
+	states := h.Ctrl.ClusterStates()
 	sr.Clusters = len(states)
 	for _, st := range states {
 		sr.Attempts += st.Attempts
 	}
 	sr.Mangled = len(in.MangledReplicas())
-	ckpt := h.ctrl.CheckpointStats()
+	ckpt := h.Ctrl.CheckpointStats()
 	sr.CkptSaves, sr.CkptHits = ckpt.Saves, ckpt.Hits
 
 	bad := func(format string, args ...any) {
@@ -337,13 +314,13 @@ func runOne(cfg CampaignConfig, sched *Schedule, baseline map[string][]string) S
 	}
 	// I2: slot accounting returns to full capacity (every crash is paired
 	// with a rejoin inside the drained event horizon).
-	if free, total := h.eng.FreeSlotsTotal(), h.cl.TotalSlots(); free != total {
+	if free, total := h.Engine.FreeSlotsTotal(), h.Cluster.TotalSlots(); free != total {
 		bad("slot leak: free=%d total=%d", free, total)
 	}
 	// I6: cost attribution is complete — after the simulation drains,
 	// every CPU microsecond the engine charged must sit in exactly one
 	// ledger bucket (committed, replica waste, verify, recovery rerun).
-	if got, want := h.eng.Ledger.Buckets().TotalUs(), h.eng.Metrics.CPUTimeUs; got != want {
+	if got, want := h.Engine.Ledger.Buckets().TotalUs(), h.Engine.Metrics.CPUTimeUs; got != want {
 		bad("cost ledger leak: buckets sum to %dus but engine charged %dus (unattributed=%d)",
 			got, want, want-got)
 	}
@@ -355,7 +332,7 @@ func runOne(cfg CampaignConfig, sched *Schedule, baseline map[string][]string) S
 				bad("verified run missing output %s", store)
 				continue
 			}
-			got, rerr := h.fs.ReadTree(path)
+			got, rerr := h.FS.ReadTree(path)
 			if rerr != nil {
 				bad("read verified output %s: %v", path, rerr)
 				continue
@@ -408,7 +385,7 @@ func runOne(cfg CampaignConfig, sched *Schedule, baseline map[string][]string) S
 	}
 	// Suspicion consistency: the fault analyzer may only suspect nodes
 	// that appear in recorded evidence.
-	for _, s := range h.ctrl.FA.Suspects() {
+	for _, s := range h.Ctrl.FA.Suspects() {
 		if !blamed[s] {
 			bad("analyzer suspects %s with no supporting audit evidence", s)
 		}

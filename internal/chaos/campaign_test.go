@@ -84,7 +84,6 @@ func TestChaosCampaign(t *testing.T) {
 func TestChaosCampaignCheckpoint(t *testing.T) {
 	cfg := DefaultCampaign()
 	cfg.Core.Checkpoint = true
-	cfg.Speculation = true
 	if testing.Short() {
 		cfg.Schedules = 40
 	}
@@ -146,7 +145,6 @@ func TestChaosCampaignCheckpoint(t *testing.T) {
 func TestCheckpointHitRecovery(t *testing.T) {
 	cfg := DefaultCampaign()
 	cfg.Core.Checkpoint = true
-	cfg.Speculation = true
 	baseline, err := Baseline(cfg)
 	if err != nil {
 		t.Fatal(err)

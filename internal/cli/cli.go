@@ -71,9 +71,9 @@ func (f *Flags) Apply(cfg *core.Config) error {
 }
 
 // Plane is what the shared flags do to a run's engines: a registry when
-// -metrics or -http is set, a tracer for -trace or -http, a jobs board
-// and the HTTP server for -http, and speculation for -checkpoint. With
-// none of them set it is inert and every method is a no-op.
+// -metrics or -http is set, a tracer for -trace or -http, and a jobs
+// board and the HTTP server for -http. With none of them set it is inert
+// and every method is a no-op.
 type Plane struct {
 	flags  *Flags
 	reg    *obs.Registry
@@ -129,15 +129,12 @@ func (f *Flags) Start(out io.Writer) (*Plane, error) {
 
 // Attach wires one engine into the plane before it runs. A command with
 // one engine calls it directly; one that builds many passes it as
-// experiments.Observe / chaos.CampaignConfig.Observe, and the registry,
-// trace ring and board accumulate across them.
+// experiments.Scale.Observe / chaos.CampaignConfig.Observe, and the
+// registry, trace ring and board accumulate across them.
 func (p *Plane) Attach(e *mapred.Engine) {
 	e.InstrumentMetrics(p.reg)
 	e.Trace = p.tracer
 	e.Board = p.board
-	if p.flags.Checkpoint {
-		e.Speculation = true
-	}
 	p.cur.Store(e)
 }
 

@@ -97,11 +97,10 @@ func plainEngine(t *testing.T, rows int) *mapred.Engine {
 
 // TestPlaneAttachSuccessiveEngines: a command that builds many engines
 // attaches each in turn; /jobs then serves the ledger of the one
-// attached last, /metrics accumulates across them, and -checkpoint arms
-// speculation on each.
+// attached last, and /metrics accumulates across them.
 func TestPlaneAttachSuccessiveEngines(t *testing.T) {
 	var out bytes.Buffer
-	plane, err := parse(t, "-http", "127.0.0.1:0", "-checkpoint").Start(&out)
+	plane, err := parse(t, "-http", "127.0.0.1:0").Start(&out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +143,6 @@ func TestPlaneAttachSuccessiveEngines(t *testing.T) {
 	}
 	if got := cost(); got != second.Ledger.Buckets() || got == firstCost {
 		t.Errorf("/jobs cost = %+v, want the second engine's ledger %+v", got, second.Ledger.Buckets())
-	}
-	if !first.Speculation || !second.Speculation {
-		t.Error("-checkpoint did not arm speculation on every attached engine")
 	}
 
 	var report bytes.Buffer

@@ -21,14 +21,14 @@ func TestCheckpointCleanRunSavesAndTearsDown(t *testing.T) {
 		// cluster, making the first an interior (checkpointable) job.
 		cfg.ForcePointAliases = []string{"counts"}
 		h := newHarness(t, 8, 2, cfg)
-		res, err := h.ctrl.Run(weatherScript)
+		res, err := h.Ctrl.Run(weatherScript)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Verified {
 			t.Fatal("clean run must verify")
 		}
-		return h, h.outputLines(t, res, "out/counts"), h.ctrl.CheckpointStats()
+		return h, h.outputLines(t, res, "out/counts"), h.Ctrl.CheckpointStats()
 	}
 	hOn, withCkpt, stats := run(true)
 	_, without, offStats := run(false)
@@ -50,7 +50,7 @@ func TestCheckpointCleanRunSavesAndTearsDown(t *testing.T) {
 		}
 	}
 	// Teardown dropped every entry and deleted the persisted files.
-	for cid, reg := range hOn.ctrl.ckpts {
+	for cid, reg := range hOn.Ctrl.ckpts {
 		t.Errorf("cluster %d retains %d checkpoint entries after teardown", cid, len(reg))
 	}
 }
@@ -179,7 +179,7 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	cfg.Checkpoint = true
 	cfg.ForcePointAliases = []string{"counts"}
 	h := newHarness(t, 8, 2, cfg)
-	c := h.ctrl
+	c := h.Ctrl
 
 	plan, err := pig.Parse(weatherScript)
 	if err != nil {
@@ -211,7 +211,7 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	if interior == "" {
 		t.Fatal("scenario needs an interior (checkpointable) job")
 	}
-	h.fs.Append("ckpt/run1/c0/"+interior, "st00\t1")
+	h.FS.Append("ckpt/run1/c0/"+interior, "st00\t1")
 	c.ckpts[cs.id] = map[string]*ckptEntry{interior: {
 		path: "ckpt/run1/c0/" + interior, records: 1, bytes: 8,
 		srcs: map[int]ckptSrc{},
@@ -249,7 +249,7 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 
 	// Control: the identical sequence without checkpoint coverage keeps
 	// the historical cluster-wide escalation.
-	c2 := newHarness(t, 8, 2, cfg).ctrl
+	c2 := newHarness(t, 8, 2, cfg).Ctrl
 	c2.runSeq++
 	c2.initRun(jobs, points)
 	cs2 := c2.clusters[0]

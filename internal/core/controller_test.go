@@ -32,22 +32,21 @@ func weatherData(n int) []string {
 	return lines
 }
 
-type harness struct {
-	fs   *dfs.FS
-	cl   *cluster.Cluster
-	eng  *mapred.Engine
-	ctrl *Controller
+type harness struct{ *System }
+
+// newRig is the un-Assured half of newHarness, for tests that plant
+// adversaries or engine settings before the control tier goes on.
+func newRig(nodes, slots int) *harness {
+	sys := NewSystem(nodes, slots, dfs.Options{}, mapred.DefaultCostModel())
+	sys.FS.Append("data/weather", weatherData(2000)...)
+	return &harness{sys}
 }
 
 func newHarness(t *testing.T, nodes, slots int, cfg Config) *harness {
 	t.Helper()
-	fs := dfs.New()
-	fs.Append("data/weather", weatherData(2000)...)
-	cl := cluster.New(nodes, slots)
-	susp := NewSuspicionTable(cfg.SuspicionThreshold)
-	eng := mapred.NewEngine(fs, cl, NewOverlapScheduler(susp), mapred.DefaultCostModel())
-	ctrl := NewController(eng, cfg, susp, nil)
-	return &harness{fs: fs, cl: cl, eng: eng, ctrl: ctrl}
+	h := newRig(nodes, slots)
+	h.Assure(cfg)
+	return h
 }
 
 func (h *harness) outputLines(t *testing.T, res *Result, store string) []string {
@@ -56,7 +55,7 @@ func (h *harness) outputLines(t *testing.T, res *Result, store string) []string 
 	if !ok {
 		t.Fatalf("no output mapping for %q: %v", store, res.Outputs)
 	}
-	lines, err := h.fs.ReadTree(path)
+	lines, err := h.FS.ReadTree(path)
 	if err != nil {
 		t.Fatalf("read %s: %v", path, err)
 	}
@@ -66,7 +65,7 @@ func (h *harness) outputLines(t *testing.T, res *Result, store string) []string 
 
 func TestControllerHonestRun(t *testing.T) {
 	h := newHarness(t, 16, 3, DefaultConfig())
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestControllerHonestRun(t *testing.T) {
 
 func TestControllerOutputMatchesPlainRun(t *testing.T) {
 	h := newHarness(t, 16, 3, DefaultConfig())
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestControllerSingleExecution(t *testing.T) {
 	cfg.F = 0
 	cfg.R = 1
 	h := newHarness(t, 8, 2, cfg)
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +130,10 @@ func TestControllerSingleExecution(t *testing.T) {
 func TestControllerDetectsCommissionFault(t *testing.T) {
 	cfg := DefaultConfig() // r=4, f=1
 	h := newHarness(t, 16, 3, cfg)
-	if err := h.cl.SetAdversary("node-003", cluster.FaultCommission, 1.0, 11); err != nil {
+	if err := h.Cluster.SetAdversary("node-003", cluster.FaultCommission, 1.0, 11); err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestControllerDetectsCommissionFault(t *testing.T) {
 	if !found {
 		t.Errorf("suspects %v do not include the faulty node", res.Suspects)
 	}
-	if h.ctrl.Susp.Level("node-003") == 0 {
+	if h.Ctrl.Susp.Level("node-003") == 0 {
 		t.Error("suspicion level of faulty node is zero")
 	}
 	// Output still correct.
@@ -168,10 +167,10 @@ func TestControllerOptimisticR2Retries(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.R = 2 // optimistic f+1: one commission fault forces a re-run
 	h := newHarness(t, 16, 3, cfg)
-	if err := h.cl.SetAdversary("node-001", cluster.FaultCommission, 1.0, 7); err != nil {
+	if err := h.Cluster.SetAdversary("node-001", cluster.FaultCommission, 1.0, 7); err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +192,11 @@ func TestControllerTimeoutOnOmission(t *testing.T) {
 	// (Table 3, r=3 case 2 behaviour). Several nodes omit with p=0.5 so
 	// hitting one does not depend on exact task placement.
 	for i, n := range []cluster.NodeID{"node-000", "node-001", "node-002"} {
-		if err := h.cl.SetAdversary(n, cluster.FaultOmission, 0.9, int64(40+i)); err != nil {
+		if err := h.Cluster.SetAdversary(n, cluster.FaultOmission, 0.9, int64(40+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +208,7 @@ func TestControllerTimeoutOnOmission(t *testing.T) {
 	}
 	suspected := false
 	for _, n := range []cluster.NodeID{"node-000", "node-001", "node-002"} {
-		if h.ctrl.Susp.Level(n) > 0 {
+		if h.Ctrl.Susp.Level(n) > 0 {
 			suspected = true
 		}
 	}
@@ -228,10 +227,10 @@ func TestControllerCvsPRecomputationAdvantage(t *testing.T) {
 		cfg.R = 2
 		cfg.VerifyFinalOnly = finalOnly
 		h := newHarness(t, 20, 3, cfg)
-		if err := h.cl.SetAdversary("node-002", cluster.FaultCommission, 1.0, 13); err != nil {
+		if err := h.Cluster.SetAdversary("node-002", cluster.FaultCommission, 1.0, 13); err != nil {
 			t.Fatal(err)
 		}
-		res, err := h.ctrl.Run(weatherScript)
+		res, err := h.Ctrl.Run(weatherScript)
 		if err != nil {
 			t.Fatalf("finalOnly=%v: %v", finalOnly, err)
 		}
@@ -251,7 +250,7 @@ func TestControllerVerifyFinalOnlySingleCluster(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VerifyFinalOnly = true
 	h := newHarness(t, 16, 3, cfg)
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +263,7 @@ func TestControllerConservativeMode(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Offline = false
 	h := newHarness(t, 16, 3, cfg)
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +277,7 @@ func TestControllerOfflineFasterOrEqual(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Offline = offline
 		h := newHarness(t, 16, 3, cfg)
-		res, err := h.ctrl.Run(weatherScript)
+		res, err := h.Ctrl.Run(weatherScript)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,17 +293,17 @@ func TestControllerSuspicionExclusionEvictsNode(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SuspicionThreshold = 0.5
 	h := newHarness(t, 16, 3, cfg)
-	if err := h.cl.SetAdversary("node-004", cluster.FaultCommission, 1.0, 3); err != nil {
+	if err := h.Cluster.SetAdversary("node-004", cluster.FaultCommission, 1.0, 3); err != nil {
 		t.Fatal(err)
 	}
 	// Run several scripts; the bad node should eventually be excluded.
 	for i := 0; i < 3; i++ {
-		if _, err := h.ctrl.Run(weatherScript); err != nil {
+		if _, err := h.Ctrl.Run(weatherScript); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	if !h.ctrl.Susp.Excluded("node-004") {
-		t.Errorf("faulty node not evicted; level=%v", h.ctrl.Susp.Level("node-004"))
+	if !h.Ctrl.Susp.Excluded("node-004") {
+		t.Errorf("faulty node not evicted; level=%v", h.Ctrl.Susp.Level("node-004"))
 	}
 }
 
@@ -313,7 +312,7 @@ func TestControllerLatencyOverheadVsPlain(t *testing.T) {
 	// modest factor of Pure Pig when replicas run in parallel.
 	cfg := DefaultConfig()
 	h := newHarness(t, 32, 3, cfg)
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +334,7 @@ func TestControllerStrongModel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Model = analyze.Strong
 	h := newHarness(t, 16, 3, cfg)
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +345,7 @@ func TestControllerStrongModel(t *testing.T) {
 
 func TestControllerParseError(t *testing.T) {
 	h := newHarness(t, 4, 2, DefaultConfig())
-	if _, err := h.ctrl.Run("this is not pig;"); err == nil {
+	if _, err := h.Ctrl.Run("this is not pig;"); err == nil {
 		t.Error("bad script must error")
 	}
 }
@@ -424,15 +423,15 @@ func TestOverlapSchedulerLocalityTiebreak(t *testing.T) {
 // spans plus suspicion instants alongside the engine's task spans.
 func TestControllerAuditTrailAndSpans(t *testing.T) {
 	h := newHarness(t, 16, 3, DefaultConfig()) // r=4, f=1
-	if err := h.cl.SetAdversary("node-003", cluster.FaultCommission, 1.0, 11); err != nil {
+	if err := h.Cluster.SetAdversary("node-003", cluster.FaultCommission, 1.0, 11); err != nil {
 		t.Fatal(err)
 	}
-	trail := analyze.NewAuditTrail(h.eng.Now)
-	h.ctrl.AttachAudit(trail)
+	trail := analyze.NewAuditTrail(h.Engine.Now)
+	h.Ctrl.AttachAudit(trail)
 	tracer := obs.NewTracer(0)
-	h.eng.Trace = tracer
+	h.Engine.Trace = tracer
 
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,10 +520,10 @@ func TestControllerCombinedCommissionCaught(t *testing.T) {
 	}
 
 	h := newHarness(t, 16, 3, DefaultConfig()) // r=4, f=1, combiners on
-	if err := h.cl.SetAdversary("node-003", cluster.FaultCommission, 1.0, 11); err != nil {
+	if err := h.Cluster.SetAdversary("node-003", cluster.FaultCommission, 1.0, 11); err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,13 +542,13 @@ func TestControllerCombinedCommissionCaught(t *testing.T) {
 	if !found {
 		t.Errorf("suspects %v do not include the faulty node", res.Suspects)
 	}
-	if h.eng.Metrics.CombinedRecords == 0 {
+	if h.Engine.Metrics.CombinedRecords == 0 {
 		t.Error("no records were combined; combiner was not active")
 	}
 
 	// Honest baseline: same observables.
 	h2 := newHarness(t, 16, 3, DefaultConfig())
-	res2, err := h2.ctrl.Run(weatherScript)
+	res2, err := h2.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,11 +570,11 @@ func TestLaunchRejectsReplicationBeyondTally(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.R = MaxReplicas + 1
 	h := newHarness(t, 4, 2, cfg)
-	_, err := h.ctrl.Run(weatherScript)
+	_, err := h.Ctrl.Run(weatherScript)
 	if err == nil || !strings.Contains(err.Error(), "replicas") {
 		t.Fatalf("Run at r=%d: err = %v, want the replica-limit error", cfg.R, err)
 	}
-	if n := h.eng.JobCount(); n != 0 {
+	if n := h.Engine.JobCount(); n != 0 {
 		t.Errorf("engine holds %d jobs of an attempt that must not launch", n)
 	}
 }
@@ -614,12 +613,12 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("Validate = %v, want an error mentioning %q", verr, tc.want)
 			}
 			h := newHarness(t, 4, 2, cfg)
-			res, err := h.ctrl.Run(weatherScript)
+			res, err := h.Ctrl.Run(weatherScript)
 			if res != nil || err == nil || err.Error() != verr.Error() {
 				t.Fatalf("Run = %v, %v; want Validate's error %q", res, err, verr)
 			}
-			if h.eng.Now() != 0 || h.eng.JobCount() != 0 {
-				t.Errorf("rejected run advanced the engine: now=%d jobs=%d", h.eng.Now(), h.eng.JobCount())
+			if h.Engine.Now() != 0 || h.Engine.JobCount() != 0 {
+				t.Errorf("rejected run advanced the engine: now=%d jobs=%d", h.Engine.Now(), h.Engine.JobCount())
 			}
 		})
 	}
@@ -653,14 +652,14 @@ STORE n INTO 'out/n';
 	run := func(faulty bool) (*harness, *Result) {
 		h := newHarness(t, 16, 3, cfg)
 		for i := 0; i < 3000; i++ {
-			h.fs.Append("data/flights", fmt.Sprintf("%d\t%d\tAP%02d\tAP%02d\t%d", 1990+i%20, 1+i%12, i%17, (i*7)%17, i%90-30))
+			h.FS.Append("data/flights", fmt.Sprintf("%d\t%d\tAP%02d\tAP%02d\t%d", 1990+i%20, 1+i%12, i%17, (i*7)%17, i%90-30))
 		}
 		if faulty {
-			if err := h.cl.SetAdversary("node-003", cluster.FaultCommission, 1.0, 11); err != nil {
+			if err := h.Cluster.SetAdversary("node-003", cluster.FaultCommission, 1.0, 11); err != nil {
 				t.Fatal(err)
 			}
 		}
-		res, err := h.ctrl.Run(script)
+		res, err := h.Ctrl.Run(script)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,8 +6,6 @@ import (
 
 	"clusterbft/internal/analyze"
 	"clusterbft/internal/cluster"
-	"clusterbft/internal/dfs"
-	"clusterbft/internal/mapred"
 )
 
 // TestControllerFullyDeterministic: two identical controller runs —
@@ -17,26 +15,20 @@ import (
 // every event, in order) and each node's suspicion level.
 func TestControllerFullyDeterministic(t *testing.T) {
 	runOnce := func() (*Result, []string, []analyze.AuditEvent, map[cluster.NodeID]float64) {
-		fs := dfs.New()
-		fs.Append("data/weather", weatherData(2000)...)
-		cl := cluster.New(12, 3)
-		if err := cl.SetAdversary("node-004", cluster.FaultCommission, 1.0, 77); err != nil {
+		h := newRig(12, 3)
+		if err := h.Cluster.SetAdversary("node-004", cluster.FaultCommission, 1.0, 77); err != nil {
 			t.Fatal(err)
 		}
-		cfg := DefaultConfig()
-		susp := NewSuspicionTable(0)
-		eng := mapred.NewEngine(fs, cl, NewOverlapScheduler(susp), mapred.DefaultCostModel())
-		ctrl := NewController(eng, cfg, susp, nil)
-		h := &harness{fs: fs, cl: cl, eng: eng, ctrl: ctrl}
-		trail := analyze.NewAuditTrail(eng.Now)
+		ctrl := h.Assure(DefaultConfig())
+		trail := analyze.NewAuditTrail(h.Engine.Now)
 		ctrl.AttachAudit(trail)
 		res, err := ctrl.Run(weatherScript)
 		if err != nil {
 			t.Fatal(err)
 		}
 		levels := make(map[cluster.NodeID]float64)
-		for _, n := range cl.Nodes() {
-			levels[n.ID] = susp.Level(n.ID)
+		for _, n := range h.Cluster.Nodes() {
+			levels[n.ID] = h.Susp.Level(n.ID)
 		}
 		return res, h.outputLines(t, res, "out/counts"), trail.Events(), levels
 	}
@@ -76,19 +68,13 @@ func TestControllerFullyDeterministic(t *testing.T) {
 // and speculative re-execution.
 func TestControllerDeterministicAcrossPoolSizes(t *testing.T) {
 	runWith := func(workers int) (*Result, []string) {
-		fs := dfs.New()
-		fs.Append("data/weather", weatherData(2000)...)
-		cl := cluster.New(12, 3)
-		if err := cl.SetAdversary("node-004", cluster.FaultCommission, 1.0, 77); err != nil {
+		h := newRig(12, 3)
+		if err := h.Cluster.SetAdversary("node-004", cluster.FaultCommission, 1.0, 77); err != nil {
 			t.Fatal(err)
 		}
-		cfg := DefaultConfig()
-		susp := NewSuspicionTable(0)
-		eng := mapred.NewEngine(fs, cl, NewOverlapScheduler(susp), mapred.DefaultCostModel())
-		eng.Workers = workers
-		eng.Speculation = true
-		ctrl := NewController(eng, cfg, susp, nil)
-		h := &harness{fs: fs, cl: cl, eng: eng, ctrl: ctrl}
+		h.Engine.Workers = workers
+		h.Engine.Speculation = true
+		ctrl := h.Assure(DefaultConfig())
 		res, err := ctrl.Run(weatherScript)
 		if err != nil {
 			t.Fatal(err)
@@ -124,15 +110,15 @@ func TestControllerDeterministicAcrossPoolSizes(t *testing.T) {
 // consistent timeline).
 func TestControllerRepeatedRunsAdvanceClock(t *testing.T) {
 	h := newHarness(t, 12, 3, DefaultConfig())
-	if _, err := h.ctrl.Run(weatherScript); err != nil {
+	if _, err := h.Ctrl.Run(weatherScript); err != nil {
 		t.Fatal(err)
 	}
-	t1 := h.eng.Now()
-	if _, err := h.ctrl.Run(weatherScript); err != nil {
+	t1 := h.Engine.Now()
+	if _, err := h.Ctrl.Run(weatherScript); err != nil {
 		t.Fatal(err)
 	}
-	if h.eng.Now() <= t1 {
-		t.Errorf("clock did not advance: %d then %d", t1, h.eng.Now())
+	if h.Engine.Now() <= t1 {
+		t.Errorf("clock did not advance: %d then %d", t1, h.Engine.Now())
 	}
 }
 
@@ -149,7 +135,7 @@ func TestMarkProperties(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Points = n
 		h2 := newHarness(t, 8, 2, cfg)
-		res, err := h2.ctrl.Run(weatherScript)
+		res, err := h2.Ctrl.Run(weatherScript)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

@@ -13,8 +13,8 @@ import (
 // residue is zero once the controller has drained.
 func checkLedger(t *testing.T, h *harness, label string) mapred.CostBuckets {
 	t.Helper()
-	b := h.eng.Ledger.Buckets()
-	if got, want := b.TotalUs(), h.eng.Metrics.CPUTimeUs; got != want {
+	b := h.Engine.Ledger.Buckets()
+	if got, want := b.TotalUs(), h.Engine.Metrics.CPUTimeUs; got != want {
 		t.Errorf("%s: ledger buckets sum to %dus, engine charged %dus (in_flight=%d)",
 			label, got, want, want-got)
 	}
@@ -32,7 +32,7 @@ func TestCostLedgerFaultFree(t *testing.T) {
 		cfg.VerifyPolicy = p
 		cfg.QuizFraction = 1
 		h := newHarness(t, 16, 3, cfg)
-		res, err := h.ctrl.Run(weatherScript)
+		res, err := h.Ctrl.Run(weatherScript)
 		if err != nil {
 			t.Fatalf("policy %v: %v", p, err)
 		}
@@ -82,7 +82,7 @@ func TestCostLedgerUnderCommission(t *testing.T) {
 		cfg.VerifyPolicy = p
 		cfg.QuizFraction = 1
 		h := commissionHarness(t, cfg)
-		res, err := h.ctrl.Run(weatherScript)
+		res, err := h.Ctrl.Run(weatherScript)
 		if err != nil {
 			t.Fatalf("policy %v: %v", p, err)
 		}
@@ -108,7 +108,7 @@ func TestCostLedgerUnderCommission(t *testing.T) {
 			if b.VerifyFullUs == 0 {
 				t.Errorf("policy %v: escalated full-r attempt charged no verify_full: %+v", p, b)
 			}
-			if h.eng.QuizTasks == 0 {
+			if h.Engine.QuizTasks == 0 {
 				t.Errorf("policy %v: no quiz tasks ran", p)
 			}
 		}
@@ -123,19 +123,19 @@ func TestCostLedgerAcrossRuns(t *testing.T) {
 	cfg.VerifyPolicy = PolicyQuiz
 	cfg.QuizFraction = 1
 	h := commissionHarness(t, cfg)
-	hook := h.eng.TaskHook
+	hook := h.Engine.TaskHook
 	for run := 0; run < 3; run++ {
 		if run == 1 {
-			h.eng.TaskHook = hook
+			h.Engine.TaskHook = hook
 		} else {
-			h.eng.TaskHook = nil
+			h.Engine.TaskHook = nil
 		}
-		if _, err := h.ctrl.Run(weatherScript); err != nil {
+		if _, err := h.Ctrl.Run(weatherScript); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
 		checkLedger(t, h, "after run")
 	}
-	if b := h.eng.Ledger.Buckets(); b.RecoveryRerunUs == 0 {
+	if b := h.Engine.Ledger.Buckets(); b.RecoveryRerunUs == 0 {
 		t.Error("faulty middle run left no recovery_rerun spend")
 	}
 }
@@ -156,13 +156,13 @@ func TestCostLedgerNoLeakAcrossRuns(t *testing.T) {
 	// Omission nodes force verifier-timeout retries, producing superseded
 	// sids whose late charges need tombstones.
 	for i, n := range []cluster.NodeID{"node-000", "node-001"} {
-		if err := h.cl.SetAdversary(n, cluster.FaultOmission, 0.9, int64(40+i)); err != nil {
+		if err := h.Cluster.SetAdversary(n, cluster.FaultOmission, 0.9, int64(40+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	retried := false
 	for run := 0; run < 3; run++ {
-		res, err := h.ctrl.Run(weatherScript)
+		res, err := h.Ctrl.Run(weatherScript)
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -172,7 +172,7 @@ func TestCostLedgerNoLeakAcrossRuns(t *testing.T) {
 		if res.Attempts > res.Clusters {
 			retried = true
 		}
-		live, folded := h.eng.Ledger.Sizes()
+		live, folded := h.Engine.Ledger.Sizes()
 		if live != 0 || folded != 0 {
 			t.Fatalf("run %d: ledger retains live=%d folded=%d sids after teardown", run, live, folded)
 		}

@@ -17,7 +17,7 @@ func runPolicy(t *testing.T, p Policy) (*harness, *Result) {
 	cfg := DefaultConfig()
 	cfg.VerifyPolicy = p
 	h := newHarness(t, 16, 3, cfg)
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatalf("policy %v: %v", p, err)
 	}
@@ -34,8 +34,8 @@ func TestPolicyFaultFreeEquivalence(t *testing.T) {
 	hFull, resFull := runPolicy(t, PolicyFull)
 	want := strings.Join(hFull.outputLines(t, resFull, "out/counts"), "|")
 	fullCPU := resFull.Metrics.CPUTimeUs
-	if hFull.eng.QuizTasks != 0 {
-		t.Errorf("full-r ran %d quizzes; wanted none", hFull.eng.QuizTasks)
+	if hFull.Engine.QuizTasks != 0 {
+		t.Errorf("full-r ran %d quizzes; wanted none", hFull.Engine.QuizTasks)
 	}
 
 	for _, p := range []Policy{PolicyQuiz, PolicyDeferred} {
@@ -43,7 +43,7 @@ func TestPolicyFaultFreeEquivalence(t *testing.T) {
 		if got := strings.Join(h.outputLines(t, res, "out/counts"), "|"); got != want {
 			t.Errorf("policy %v output differs from full-r:\n%s\nvs\n%s", p, got, want)
 		}
-		if h.eng.QuizTasks == 0 {
+		if h.Engine.QuizTasks == 0 {
 			t.Errorf("policy %v ran no quiz tasks", p)
 		}
 		if cpu := res.Metrics.CPUTimeUs; cpu*2 > fullCPU {
@@ -63,7 +63,7 @@ func TestPolicyFaultFreeEquivalence(t *testing.T) {
 func commissionHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
 	h := newHarness(t, 4, 3, cfg)
-	h.eng.TaskHook = func(_ cluster.NodeID, tk *mapred.Task) mapred.TaskFault {
+	h.Engine.TaskHook = func(_ cluster.NodeID, tk *mapred.Task) mapred.TaskFault {
 		if tk.Kind == mapred.MapTask && tk.Job.Spec.Replica == 0 {
 			return mapred.TaskFault{Corrupt: cluster.Corrupt}
 		}
@@ -82,7 +82,7 @@ func TestQuizDetectsCommission(t *testing.T) {
 		cfg.QuizFraction = 1
 		h := commissionHarness(t, cfg)
 		var escalations, retries int
-		h.ctrl.OnRecovery = func(action string, _, _ int) {
+		h.Ctrl.OnRecovery = func(action string, _, _ int) {
 			switch action {
 			case "escalate":
 				escalations++
@@ -90,7 +90,7 @@ func TestQuizDetectsCommission(t *testing.T) {
 				retries++
 			}
 		}
-		res, err := h.ctrl.Run(weatherScript)
+		res, err := h.Ctrl.Run(weatherScript)
 		if err != nil {
 			t.Fatalf("policy %v: %v", p, err)
 		}
@@ -122,28 +122,28 @@ func TestAutoPolicySelection(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VerifyPolicy = PolicyAuto
 	h := newHarness(t, 4, 2, cfg)
-	if got := h.ctrl.decidePolicy(); got != PolicyDeferred {
+	if got := h.Ctrl.decidePolicy(); got != PolicyDeferred {
 		t.Errorf("clean history: got %v, want deferred", got)
 	}
 	// One fault over four jobs: s = 0.25 -> Low -> quiz.
 	nodes := []cluster.NodeID{"node-000"}
 	for i := 0; i < 4; i++ {
-		h.ctrl.Susp.RecordJob(nodes)
+		h.Ctrl.Susp.RecordJob(nodes)
 	}
-	h.ctrl.Susp.RecordFault(nodes)
-	if got := h.ctrl.decidePolicy(); got != PolicyQuiz {
+	h.Ctrl.Susp.RecordFault(nodes)
+	if got := h.Ctrl.decidePolicy(); got != PolicyQuiz {
 		t.Errorf("low suspicion: got %v, want quiz", got)
 	}
 	// Two faults over four jobs: s = 0.5 -> Med -> full.
-	h.ctrl.Susp.RecordFault(nodes)
-	if got := h.ctrl.decidePolicy(); got != PolicyFull {
+	h.Ctrl.Susp.RecordFault(nodes)
+	if got := h.Ctrl.decidePolicy(); got != PolicyFull {
 		t.Errorf("medium suspicion: got %v, want full", got)
 	}
 
 	// End to end: a clean auto run picks the cheap path for every
 	// sub-graph and stays byte-identical with full-r.
 	hAuto, resAuto := runPolicy(t, PolicyAuto)
-	for _, cs := range hAuto.ctrl.clusters {
+	for _, cs := range hAuto.Ctrl.clusters {
 		if cs.policy != PolicyDeferred {
 			t.Errorf("auto on clean history resolved c%d to %v, want deferred", cs.id, cs.policy)
 		}
@@ -162,7 +162,7 @@ func TestChoosePointsUnknownAlias(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ForcePointAliases = []string{"avgs", "nosuchrelation"}
 	h := newHarness(t, 4, 2, cfg)
-	_, err := h.ctrl.Run(weatherScript)
+	_, err := h.Ctrl.Run(weatherScript)
 	if err == nil {
 		t.Fatal("unknown forced alias must error")
 	}
@@ -177,7 +177,7 @@ func TestChoosePointsUnknownAlias(t *testing.T) {
 // counted.
 func TestStaleDigestDropped(t *testing.T) {
 	h := newHarness(t, 4, 2, DefaultConfig())
-	c := h.ctrl
+	c := h.Ctrl
 	cs := &clusterState{sid: "run1-c0-a1"} // already retried once
 	c.sidIndex = map[string]*clusterState{
 		"run1-c0-a0": cs, // stale sid still indexed until verification
@@ -208,12 +208,12 @@ func TestControllerLifecycleBounded(t *testing.T) {
 		cfg.VerifyPolicy = p
 		cfg.QuizFraction = 1
 		h := newHarness(t, 4, 3, cfg)
-		sched := h.eng.Sched.(*OverlapScheduler)
+		sched := h.Engine.Sched.(*OverlapScheduler)
 		// Record every report the verifier is handed, to probe the matcher
 		// for leftovers of exactly those votes after teardown.
 		var filed []digest.Report
-		sink := h.eng.DigestSink
-		h.eng.DigestSink = func(r digest.Report) {
+		sink := h.Engine.DigestSink
+		h.Engine.DigestSink = func(r digest.Report) {
 			filed = append(filed, r)
 			sink(r)
 		}
@@ -221,23 +221,23 @@ func TestControllerLifecycleBounded(t *testing.T) {
 		for run, script := range scripts {
 			if run == 1 {
 				// Middle run: every replica-0 map task computes wrongly.
-				h.eng.TaskHook = func(_ cluster.NodeID, tk *mapred.Task) mapred.TaskFault {
+				h.Engine.TaskHook = func(_ cluster.NodeID, tk *mapred.Task) mapred.TaskFault {
 					if tk.Kind == mapred.MapTask && tk.Job.Spec.Replica == 0 {
 						return mapred.TaskFault{Corrupt: cluster.Corrupt}
 					}
 					return mapred.TaskFault{}
 				}
 			} else {
-				h.eng.TaskHook = nil
+				h.Engine.TaskHook = nil
 			}
-			res, err := h.ctrl.Run(script)
+			res, err := h.Ctrl.Run(script)
 			if err != nil {
 				t.Fatalf("policy %v run %d: %v", p, run, err)
 			}
 			if !res.Verified {
 				t.Fatalf("policy %v run %d not verified", p, run)
 			}
-			if n := h.ctrl.matcher.SIDs(); n != 0 {
+			if n := h.Ctrl.matcher.SIDs(); n != 0 {
 				t.Errorf("policy %v run %d: matcher retains %d sids after teardown", p, run, n)
 			}
 			// Forget drops the vote tally, the per-key state and the
@@ -247,13 +247,13 @@ func TestControllerLifecycleBounded(t *testing.T) {
 			}
 			for _, r := range filed {
 				sid := r.Key.SID
-				if _, ok := h.ctrl.matcher.Lookup(sid, r.Replica, r.Key); ok {
+				if _, ok := h.Ctrl.matcher.Lookup(sid, r.Replica, r.Key); ok {
 					t.Fatalf("policy %v run %d: vote %v of replica %d survived teardown", p, run, r.Key, r.Replica)
 				}
-				if _, _, ok := h.ctrl.matcher.KeyAgreement(sid, r.Key); ok {
+				if _, _, ok := h.Ctrl.matcher.KeyAgreement(sid, r.Key); ok {
 					t.Fatalf("policy %v run %d: tally of %v survived teardown", p, run, r.Key)
 				}
-				if h.ctrl.matcher.Fingerprint(sid, r.Replica) != sha256.Sum256(nil) {
+				if h.Ctrl.matcher.Fingerprint(sid, r.Replica) != sha256.Sum256(nil) {
 					t.Fatalf("policy %v run %d: fingerprint of %s/r%d survived teardown", p, run, sid, r.Replica)
 				}
 			}
@@ -261,16 +261,16 @@ func TestControllerLifecycleBounded(t *testing.T) {
 			if n := sched.HostedSIDs(); n != 0 {
 				t.Errorf("policy %v run %d: scheduler retains %d sid affinities", p, run, n)
 			}
-			if n := h.eng.JobCount(); n != 0 {
+			if n := h.Engine.JobCount(); n != 0 {
 				t.Errorf("policy %v run %d: engine retains %d jobs", p, run, n)
 			}
-			if n := len(h.ctrl.sidIndex); n != 0 {
+			if n := len(h.Ctrl.sidIndex); n != 0 {
 				t.Errorf("policy %v run %d: sidIndex retains %d entries", p, run, n)
 			}
-			if free, total := h.eng.FreeSlotsTotal(), h.cl.TotalSlots(); free != total {
+			if free, total := h.Engine.FreeSlotsTotal(), h.Cluster.TotalSlots(); free != total {
 				t.Errorf("policy %v run %d: slots leaked: free=%d total=%d", p, run, free, total)
 			}
-			if run >= 1 && len(h.ctrl.Susp.Suspects()) == 0 {
+			if run >= 1 && len(h.Ctrl.Susp.Suspects()) == 0 {
 				t.Errorf("policy %v run %d: suspicion did not carry across runs", p, run)
 			}
 		}

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"clusterbft/internal/cluster"
-	"clusterbft/internal/dfs"
-	"clusterbft/internal/mapred"
 )
 
 // chainScript has three GROUP stages; with verification points forced at
@@ -45,21 +43,17 @@ STORE j INTO 'out/j';
 // the optimistic source for downstream sub-graphs.
 func liarHarness(t *testing.T, nodes int, cfg Config) *harness {
 	t.Helper()
-	fs := dfs.New()
-	fs.Append("data/weather", weatherData(2000)...)
-	cl := cluster.New(nodes, 3)
-	if err := cl.SetAdversary("node-000", cluster.FaultCommission, 1.0, 5); err != nil {
+	h := newRig(nodes, 3)
+	if err := h.Cluster.SetAdversary("node-000", cluster.FaultCommission, 1.0, 5); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < cl.Len(); i++ {
+	for i := 1; i < h.Cluster.Len(); i++ {
 		adv := cluster.NewAdversary(cluster.FaultSlow, 1.0, int64(i))
 		adv.SlowFactor = 6
-		cl.Nodes()[i].Adversary = adv
+		h.Cluster.Nodes()[i].Adversary = adv
 	}
-	susp := NewSuspicionTable(0)
-	eng := mapred.NewEngine(fs, cl, NewOverlapScheduler(susp), mapred.DefaultCostModel())
-	ctrl := NewController(eng, cfg, susp, nil)
-	return &harness{fs: fs, cl: cl, eng: eng, ctrl: ctrl}
+	h.Assure(cfg)
+	return h
 }
 
 // TestRestartExhaustionTearsDownConsumers is the regression test for the
@@ -75,12 +69,12 @@ func TestRestartExhaustionTearsDownConsumers(t *testing.T) {
 	cfg.ForcePointAliases = []string{"avgs", "counts"}
 	h := liarHarness(t, 3, cfg)
 
-	_, err := h.ctrl.Run(chainScript)
+	_, err := h.Ctrl.Run(chainScript)
 	if err == nil {
 		t.Fatal("exhaustion must surface as a run error")
 	}
 	failed := false
-	for _, cs := range h.ctrl.clusters {
+	for _, cs := range h.Ctrl.clusters {
 		if cs.failed {
 			failed = true
 		}
@@ -92,24 +86,24 @@ func TestRestartExhaustionTearsDownConsumers(t *testing.T) {
 	// upstream it consumed from is verified too. Pre-fix, the terminal
 	// sub-graph stays launched after its input sub-graph failed and later
 	// "verifies" against the dead attempt's output.
-	for _, cs := range h.ctrl.clusters {
+	for _, cs := range h.Ctrl.clusters {
 		if !cs.verified {
 			continue
 		}
 		for _, u := range cs.upstream {
-			if !h.ctrl.clusters[u].verified {
+			if !h.Ctrl.clusters[u].verified {
 				t.Errorf("cluster %d verified but upstream %d is not (failed=%v launched=%v)",
-					cs.id, u, h.ctrl.clusters[u].failed, h.ctrl.clusters[u].launched)
+					cs.id, u, h.Ctrl.clusters[u].failed, h.Ctrl.clusters[u].launched)
 			}
 		}
 	}
 	// Consumers of a failed sub-graph must not be left running either.
-	for _, cs := range h.ctrl.clusters {
+	for _, cs := range h.Ctrl.clusters {
 		if cs.launched && !cs.verified && !cs.failed {
 			t.Errorf("cluster %d left launched after upstream failure", cs.id)
 		}
 	}
-	if free, total := h.eng.FreeSlotsTotal(), h.cl.TotalSlots(); free != total {
+	if free, total := h.Engine.FreeSlotsTotal(), h.Cluster.TotalSlots(); free != total {
 		t.Errorf("slots leaked across the teardown: free=%d total=%d", free, total)
 	}
 }
@@ -125,7 +119,7 @@ func TestRestartDiamondCascadeSingleCharge(t *testing.T) {
 	cfg.ForcePointAliases = []string{"avgs", "hs", "cs"}
 
 	clean := newHarness(t, 16, 3, cfg)
-	cleanRes, err := clean.ctrl.Run(diamondScript)
+	cleanRes, err := clean.Ctrl.Run(diamondScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +129,7 @@ func TestRestartDiamondCascadeSingleCharge(t *testing.T) {
 	}
 
 	h := liarHarness(t, 3, cfg)
-	res, err := h.ctrl.Run(diamondScript)
+	res, err := h.Ctrl.Run(diamondScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +142,7 @@ func TestRestartDiamondCascadeSingleCharge(t *testing.T) {
 	if got := h.outputLines(t, res, "out/j"); !reflect.DeepEqual(got, want) {
 		t.Errorf("verified output differs from clean run:\n got %v\nwant %v", got, want)
 	}
-	for _, cs := range h.ctrl.clusters {
+	for _, cs := range h.Ctrl.clusters {
 		// One optimistic launch plus at most one restart per upstream
 		// verification round; double-charging in a single cascade blows
 		// past this bound and toward MaxAttempts.
@@ -159,7 +153,7 @@ func TestRestartDiamondCascadeSingleCharge(t *testing.T) {
 			t.Errorf("cluster %d burned all %d attempts on a recoverable fault", cs.id, cs.totalTries)
 		}
 	}
-	if free, total := h.eng.FreeSlotsTotal(), h.cl.TotalSlots(); free != total {
+	if free, total := h.Engine.FreeSlotsTotal(), h.Cluster.TotalSlots(); free != total {
 		t.Errorf("slots leaked: free=%d total=%d", free, total)
 	}
 }
@@ -176,11 +170,11 @@ func TestRetryReArmsTimeoutPerAttempt(t *testing.T) {
 	cfg.MaxAttempts = 8
 	h := newHarness(t, 6, 2, cfg)
 	for _, n := range []cluster.NodeID{"node-000", "node-001"} {
-		if err := h.cl.SetAdversary(n, cluster.FaultOmission, 1.0, 3); err != nil {
+		if err := h.Cluster.SetAdversary(n, cluster.FaultOmission, 1.0, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +187,7 @@ func TestRetryReArmsTimeoutPerAttempt(t *testing.T) {
 	// Each retried sub-graph must have doubled its timeout at least once;
 	// the retry only fires because the fresh timer for the new sid did.
 	doubled := false
-	for _, cs := range h.ctrl.clusters {
+	for _, cs := range h.Ctrl.clusters {
 		if !cs.verified {
 			t.Errorf("cluster %d not verified", cs.id)
 		}
@@ -216,17 +210,17 @@ func TestRelaunchedAttemptStartsFromCleanOutput(t *testing.T) {
 	cfg.R = 2 // optimistic f+1: one commission fault forces a full re-run
 
 	clean := newHarness(t, 16, 3, cfg)
-	cleanRes, err := clean.ctrl.Run(weatherScript)
+	cleanRes, err := clean.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := clean.outputLines(t, cleanRes, "out/counts")
 
 	h := newHarness(t, 16, 3, cfg)
-	if err := h.cl.SetAdversary("node-001", cluster.FaultCommission, 1.0, 7); err != nil {
+	if err := h.Cluster.SetAdversary("node-001", cluster.FaultCommission, 1.0, 7); err != nil {
 		t.Fatal(err)
 	}
-	res, err := h.ctrl.Run(weatherScript)
+	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"clusterbft/internal/cluster"
-	"clusterbft/internal/dfs"
-	"clusterbft/internal/mapred"
 )
 
 // TestOfflineRestartOnDeviantSource drives the offline-comparison repair
@@ -18,11 +16,10 @@ import (
 // on the verified data and still produce the correct result.
 func TestOfflineRestartOnDeviantSource(t *testing.T) {
 	build := func(corrupt bool) (*harness, *Controller) {
-		fs := dfs.New()
-		fs.Append("data/weather", weatherData(2000)...)
 		// Three nodes, three replicas: the replica-exclusion constraint
 		// pins each replica to one node.
-		cl := cluster.New(3, 3)
+		h := newRig(3, 3)
+		cl := h.Cluster
 		if corrupt {
 			// node-000 lies; the two honest nodes are 6x stragglers, so
 			// the corrupt replica reliably completes first and becomes
@@ -38,14 +35,11 @@ func TestOfflineRestartOnDeviantSource(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.R = 3
-		susp := NewSuspicionTable(0)
-		eng := mapred.NewEngine(fs, cl, NewOverlapScheduler(susp), mapred.DefaultCostModel())
-		ctrl := NewController(eng, cfg, susp, nil)
-		return &harness{fs: fs, cl: cl, eng: eng, ctrl: ctrl}, ctrl
+		return h, h.Assure(cfg)
 	}
 
 	honest, _ := build(false)
-	honestRes, err := honest.ctrl.Run(weatherScript)
+	honestRes, err := honest.Ctrl.Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,19 +73,14 @@ func TestOfflineRestartOnDeviantSource(t *testing.T) {
 // disabled, downstream sub-graphs wait for verification, so a corrupt
 // first-finisher costs latency but never a restart.
 func TestConservativeModeNeverConsumesUnverified(t *testing.T) {
-	fs := dfs.New()
-	fs.Append("data/weather", weatherData(2000)...)
-	cl := cluster.New(8, 3)
-	if err := cl.SetAdversary("node-000", cluster.FaultCommission, 1.0, 5); err != nil {
+	h := newRig(8, 3)
+	if err := h.Cluster.SetAdversary("node-000", cluster.FaultCommission, 1.0, 5); err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.R = 3
 	cfg.Offline = false
-	susp := NewSuspicionTable(0)
-	eng := mapred.NewEngine(fs, cl, NewOverlapScheduler(susp), mapred.DefaultCostModel())
-	ctrl := NewController(eng, cfg, susp, nil)
-	res, err := ctrl.Run(weatherScript)
+	res, err := h.Assure(cfg).Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +98,15 @@ func TestConservativeModeNeverConsumesUnverified(t *testing.T) {
 // node history over a stream of scripts (how isolation sharpens, §4.3).
 func TestSuspicionPersistsAcrossRuns(t *testing.T) {
 	h := newHarness(t, 16, 3, DefaultConfig())
-	if err := h.cl.SetAdversary("node-003", cluster.FaultCommission, 1.0, 11); err != nil {
+	if err := h.Cluster.SetAdversary("node-003", cluster.FaultCommission, 1.0, 11); err != nil {
 		t.Fatal(err)
 	}
 	var levels []float64
 	for i := 0; i < 3; i++ {
-		if _, err := h.ctrl.Run(weatherScript); err != nil {
+		if _, err := h.Ctrl.Run(weatherScript); err != nil {
 			t.Fatal(err)
 		}
-		levels = append(levels, h.ctrl.Susp.Level("node-003"))
+		levels = append(levels, h.Ctrl.Susp.Level("node-003"))
 	}
 	if levels[len(levels)-1] == 0 {
 		t.Fatalf("suspicion never rose: %v", levels)
@@ -125,13 +114,13 @@ func TestSuspicionPersistsAcrossRuns(t *testing.T) {
 	// The fault analyzer keeps narrowing; suspects must always include
 	// the culprit.
 	found := false
-	for _, s := range h.ctrl.FA.Suspects() {
+	for _, s := range h.Ctrl.FA.Suspects() {
 		if s == "node-003" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("suspects %v missing culprit", h.ctrl.FA.Suspects())
+		t.Errorf("suspects %v missing culprit", h.Ctrl.FA.Suspects())
 	}
 }
 
@@ -139,18 +128,12 @@ func TestSuspicionPersistsAcrossRuns(t *testing.T) {
 // engines with speculative execution enabled (backups must not confuse
 // digest matching: per-task digests come from whichever attempt wins).
 func TestEngineSpeculationUnderController(t *testing.T) {
-	fs := dfs.New()
-	fs.Append("data/weather", weatherData(2000)...)
-	cl := cluster.New(8, 3)
+	h := newRig(8, 3)
 	adv := cluster.NewAdversary(cluster.FaultSlow, 1.0, 2)
 	adv.SlowFactor = 15
-	cl.Nodes()[2].Adversary = adv
-	cfg := DefaultConfig()
-	susp := NewSuspicionTable(0)
-	eng := mapred.NewEngine(fs, cl, NewOverlapScheduler(susp), mapred.DefaultCostModel())
-	eng.Speculation = true
-	ctrl := NewController(eng, cfg, susp, nil)
-	res, err := ctrl.Run(weatherScript)
+	h.Cluster.Nodes()[2].Adversary = adv
+	h.Engine.Speculation = true
+	res, err := h.Assure(DefaultConfig()).Run(weatherScript)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -358,10 +359,19 @@ func TestParseBytes(t *testing.T) {
 			t.Fatalf("ParseBytes(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "-1", "x", "12q", "k"} {
-		if _, err := ParseBytes(bad); err == nil {
+	// The last two overflow int64 once multiplied: a wrapped negative
+	// budget would read as "no budget" to enforceBudget.
+	for _, bad := range []string{"", "-1", "x", "12q", "k", "1.5m", "9999999999g", "9223372036854775807k"} {
+		_, err := ParseBytes(bad)
+		if err == nil {
 			t.Fatalf("ParseBytes(%q): expected error", bad)
 		}
+		if !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Fatalf("ParseBytes(%q) error %q does not quote the input", bad, err)
+		}
+	}
+	if got, err := ParseBytes("8589934591g"); err != nil || got != 8589934591<<30 {
+		t.Fatalf("largest representable g size = %d, %v", got, err)
 	}
 }
 

@@ -18,6 +18,7 @@ package dfs
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -55,20 +56,20 @@ type Options struct {
 // ParseBytes parses a human byte size: a non-negative integer with an
 // optional k/m/g (KiB/MiB/GiB) suffix, case-insensitive.
 func ParseBytes(s string) (int64, error) {
-	s = strings.TrimSpace(s)
+	digits := strings.TrimSpace(s)
 	mult := int64(1)
-	if len(s) > 0 {
-		switch s[len(s)-1] {
+	if len(digits) > 0 {
+		switch digits[len(digits)-1] {
 		case 'k', 'K':
-			mult, s = 1<<10, s[:len(s)-1]
+			mult, digits = 1<<10, digits[:len(digits)-1]
 		case 'm', 'M':
-			mult, s = 1<<20, s[:len(s)-1]
+			mult, digits = 1<<20, digits[:len(digits)-1]
 		case 'g', 'G':
-			mult, s = 1<<30, s[:len(s)-1]
+			mult, digits = 1<<30, digits[:len(digits)-1]
 		}
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 {
+	n, err := strconv.ParseInt(digits, 10, 64)
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("dfs: bad byte size %q", s)
 	}
 	return n * mult, nil

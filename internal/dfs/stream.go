@@ -4,10 +4,11 @@ package dfs
 // sorted part-file tree) as an indexed sequence of records without
 // materializing the whole file: record ranges decode only the blocks
 // they overlap, and batch iteration hands back one block's records at a
-// time. A Writer is the mirror image for appends. Both sit strictly
-// above the block layer — they never see encoded bytes, only record
-// lines — so everything the FS guarantees about hooks, counters, and
-// spilling holds for streamed access too.
+// time. Appends need no mirror image: FS.Append already seals and spills
+// batch by batch. A Reader sits strictly above the block layer — it
+// never sees encoded bytes, only record lines — so everything the FS
+// guarantees about hooks, counters, and spilling holds for streamed
+// access too.
 
 // rseg is one contiguous run of records inside a Reader: either a
 // sealed block (decoded on demand) or a snapshot of a file's unsealed
@@ -176,25 +177,3 @@ func (r *Reader) Next() ([]string, bool) {
 	}
 	return seg.lines, true
 }
-
-// Writer streams appended record batches into a file. Each Append is one
-// storage write: the WriteHook (if set) fires per batch, sealed blocks
-// form and spill incrementally as batches accumulate, exactly as direct
-// FS.Append calls would.
-type Writer struct {
-	fs   *FS
-	path string
-}
-
-// OpenWriter returns a streaming writer appending to path (created on
-// first Append if missing).
-func (fs *FS) OpenWriter(path string) *Writer {
-	return &Writer{fs: fs, path: clean(path)}
-}
-
-// Append adds one batch of records to the file.
-func (w *Writer) Append(lines ...string) { w.fs.Append(w.path, lines...) }
-
-// Close is a no-op — appends are durable immediately — but gives
-// callers a conventional lifecycle hook.
-func (w *Writer) Close() error { return nil }

@@ -11,9 +11,7 @@ import (
 	"fmt"
 	"strings"
 
-	"clusterbft/internal/cluster"
 	"clusterbft/internal/core"
-	"clusterbft/internal/dfs"
 	"clusterbft/internal/mapred"
 )
 
@@ -30,22 +28,18 @@ type Scale struct {
 	Trials          int // fault-isolation trials per configuration
 	SimTime         int // fault-isolation simulated ticks
 	Seed            int64
-	// VerifyPolicy, when non-zero, is applied to every controller the
-	// experiments build that does not pin a policy itself
-	// (cmd/experiments -verify-policy), so any figure can be reproduced
-	// under quiz/deferred verification.
-	VerifyPolicy core.Policy
-	// Storage configures the DFS block data plane of every rig
-	// (cmd/experiments -block-size/-mem-budget/-spill-dir/-compress).
-	// Observables are identical at any setting; only memory use and
-	// wall-clock change.
-	Storage dfs.Options
-	// Checkpoint enables checkpoint-granular recovery plus quantile
-	// straggler re-launch in every controller the experiments build
-	// (cmd/experiments -checkpoint). Fault-free figures are unaffected
-	// beyond checkpoint-write work; the recovery experiment always
-	// reports both paths regardless of this setting.
-	Checkpoint bool
+	// Core is what the shared flags resolved; cmd/experiments has
+	// cli.Apply fill it in place. Storage shapes every rig's DFS block
+	// data plane (observables are identical at any setting); a non-zero
+	// VerifyPolicy applies to every controller that does not pin one
+	// itself; Checkpoint applies to every controller (the recovery
+	// experiment reports both paths regardless). Figures pin the rest.
+	Core core.Config
+	// Observe, when non-nil, is applied to every engine a rig constructs
+	// (cmd/experiments attaches its shared tracer and registry; the
+	// registry's register-or-get semantics make the sequential rigs
+	// accumulate into the same counters).
+	Observe func(*mapred.Engine)
 }
 
 // Small returns a scale suitable for unit tests (sub-second runs).
@@ -81,32 +75,20 @@ func Paper() Scale {
 	}
 }
 
-// Observe, when non-nil, is applied to every engine a rig constructs.
-// cmd/experiments sets it to attach a shared tracer and metrics registry
-// without threading observability through each figure's signature; the
-// registry's register-or-get semantics make the sequential rigs
-// accumulate into the same counters.
-var Observe func(*mapred.Engine)
-
-// rig is one disposable measurement setup: fresh storage, cluster and
-// engine over a seeded dataset, plus the scale it was built at.
+// rig is one disposable measurement setup: a fresh system over a seeded
+// dataset, plus the scale it was built at.
 type rig struct {
-	fs  *dfs.FS
-	cl  *cluster.Cluster
-	eng *mapred.Engine
-	sc  Scale
+	*core.System
+	sc Scale
 }
 
 func newRig(sc Scale, path string, lines []string) *rig {
-	fs := dfs.NewWith(sc.Storage)
-	fs.Append(path, lines...)
-	cl := cluster.New(sc.Nodes, sc.Slots)
-	eng := mapred.NewEngine(fs, cl, nil, expCostModel())
-	if Observe != nil {
-		Observe(eng)
+	sys := core.NewSystem(sc.Nodes, sc.Slots, sc.Core.Storage, expCostModel())
+	sys.FS.Append(path, lines...)
+	if sc.Observe != nil {
+		sc.Observe(sys.Engine)
 	}
-	eng.Speculation = sc.Checkpoint
-	return &rig{fs: fs, cl: cl, eng: eng, sc: sc}
+	return &rig{System: sys, sc: sc}
 }
 
 // expCostModel puts the experiments in the paper's operating regime:
@@ -128,15 +110,14 @@ func expCostModel() mapred.CostModel {
 	}
 }
 
-// controller builds a fresh controller with an overlap scheduler.
+// controller puts the control tier over the rig, with the scale's policy
+// and checkpoint settings overlaid on the figure's own cfg.
 func (r *rig) controller(cfg core.Config) *core.Controller {
-	cfg.Checkpoint = cfg.Checkpoint || r.sc.Checkpoint
+	cfg.Checkpoint = cfg.Checkpoint || r.sc.Core.Checkpoint
 	if cfg.VerifyPolicy == 0 {
-		cfg.VerifyPolicy = r.sc.VerifyPolicy
+		cfg.VerifyPolicy = r.sc.Core.VerifyPolicy
 	}
-	susp := core.NewSuspicionTable(cfg.SuspicionThreshold)
-	r.eng.Sched = core.NewOverlapScheduler(susp)
-	return core.NewController(r.eng, cfg, susp, nil)
+	return r.Assure(cfg)
 }
 
 // seconds renders virtual microseconds as seconds with two decimals.

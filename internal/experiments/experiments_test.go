@@ -368,7 +368,7 @@ func TestOutOfCoreSmallScale(t *testing.T) {
 	// counts and engine metrics matched the all-resident run byte for
 	// byte. Any violation surfaces as err.
 	sc := Small()
-	sc.Storage.SpillDir = t.TempDir()
+	sc.Core.Storage.SpillDir = t.TempDir()
 	res, err := OutOfCore(sc)
 	if err != nil {
 		t.Fatal(err)

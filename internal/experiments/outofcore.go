@@ -103,11 +103,11 @@ func OutOfCore(sc Scale) (*OutOfCoreResult, error) {
 
 	runMode := func(mode string, storage dfs.Options) (*outOfCoreOutcome, error) {
 		msc := sc
-		msc.Storage = storage
+		msc.Core.Storage = storage
 		r := newRig(msc, workload.TwitterPath, data)
-		defer r.fs.Close()
+		defer r.FS.Close()
 		reg := obs.NewRegistry()
-		r.fs.Instrument(reg)
+		r.FS.Instrument(reg)
 		cr, err := r.controller(cfg).Run(workload.FollowerScript)
 		if err != nil {
 			return nil, fmt.Errorf("outofcore %s: %w", mode, err)
@@ -117,7 +117,7 @@ func OutOfCore(sc Scale) (*OutOfCoreResult, error) {
 		}
 		out := make(map[string][]string, len(cr.Outputs))
 		for store, path := range cr.Outputs {
-			lines, err := r.fs.ReadTree(path)
+			lines, err := r.FS.ReadTree(path)
 			if err != nil {
 				return nil, fmt.Errorf("outofcore %s: read %s: %w", mode, path, err)
 			}
@@ -138,7 +138,7 @@ func OutOfCore(sc Scale) (*OutOfCoreResult, error) {
 				DigestCount: cr.DigestReports,
 			},
 			outputs: out,
-			metrics: fmt.Sprintf("%+v", r.eng.Metrics),
+			metrics: fmt.Sprintf("%+v", r.Engine.Metrics),
 		}, nil
 	}
 
@@ -149,7 +149,7 @@ func OutOfCore(sc Scale) (*OutOfCoreResult, error) {
 	spill, err := runMode("spill+flate", dfs.Options{
 		BlockSize: blockSize,
 		MemBudget: budget,
-		SpillDir:  sc.Storage.SpillDir,
+		SpillDir:  sc.Core.Storage.SpillDir,
 		Compress:  true,
 	})
 	if err != nil {

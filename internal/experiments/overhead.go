@@ -45,7 +45,7 @@ func runOverhead(sc Scale, name, script, dataPath string, data []string, rows []
 	res := &OverheadResult{Name: name}
 
 	pure := newRig(sc, dataPath, data)
-	lat, err := core.RunPlain(pure.eng, script)
+	lat, err := core.RunPlain(pure.Engine, script)
 	if err != nil {
 		return nil, fmt.Errorf("%s pure: %w", name, err)
 	}

@@ -55,7 +55,6 @@ func Recovery() (*RecoveryResult, error) {
 	}
 	ckptCfg := cfg
 	ckptCfg.Core.Checkpoint = true
-	ckptCfg.Speculation = true
 	node := func(i int) cluster.NodeID {
 		return cluster.NodeID(fmt.Sprintf("node-%03d", i))
 	}

@@ -75,11 +75,11 @@ func Table3(sc Scale) (*Table3Result, error) {
 	res := &Table3Result{}
 
 	base := newRig(sc, workload.AirlinePath, data)
-	lat, err := core.RunPlain(base.eng, workload.AirlineScript)
+	lat, err := core.RunPlain(base.Engine, workload.AirlineScript)
 	if err != nil {
 		return nil, fmt.Errorf("table3 baseline: %w", err)
 	}
-	res.Baseline = Table3Cell{LatencyUs: lat, Metrics: base.eng.Metrics, Verified: true, Attempts: 1}
+	res.Baseline = Table3Cell{LatencyUs: lat, Metrics: base.Engine.Metrics, Verified: true, Attempts: 1}
 
 	configs := []table3Config{
 		{label: "r=2", r: 2},
@@ -108,7 +108,7 @@ func Table3(sc Scale) (*Table3Result, error) {
 func table3Run(sc Scale, data []string, tc table3Config, finalOnly bool, baselineUs int64) (Table3Cell, error) {
 	r := newRig(sc, workload.AirlinePath, data)
 	// One node always produces commission failures (§6.2).
-	if err := r.cl.SetAdversary("node-001", cluster.FaultCommission, 1.0, sc.Seed+5); err != nil {
+	if err := r.Cluster.SetAdversary("node-001", cluster.FaultCommission, 1.0, sc.Seed+5); err != nil {
 		return Table3Cell{}, err
 	}
 	if tc.omission {
@@ -117,7 +117,7 @@ func table3Run(sc Scale, data []string, tc table3Config, finalOnly bool, baselin
 		// times out waiting for f+1 matching digests and re-initiates
 		// with a larger timeout (Table 3's case 2).
 		for i, n := range []cluster.NodeID{"node-002", "node-003", "node-004"} {
-			if err := r.cl.SetAdversary(n, cluster.FaultOmission, 0.7, sc.Seed+6+int64(i)); err != nil {
+			if err := r.Cluster.SetAdversary(n, cluster.FaultOmission, 0.7, sc.Seed+6+int64(i)); err != nil {
 				return Table3Cell{}, err
 			}
 		}

@@ -108,13 +108,13 @@ func VerifyCost(sc Scale) (*VerifyCostResult, error) {
 	res := &VerifyCostResult{Name: "Verification policies: fault-free cost vs detection latency"}
 
 	pure := newRig(sc, workload.TwitterPath, data)
-	lat, err := core.RunPlain(pure.eng, script)
+	lat, err := core.RunPlain(pure.Engine, script)
 	if err != nil {
 		return nil, fmt.Errorf("verifycost pure: %w", err)
 	}
 	res.PureUs = lat
-	res.PureCPUUs = pure.eng.Metrics.CPUTimeUs
-	res.PureCost = pure.eng.Ledger.Buckets()
+	res.PureCPUUs = pure.Engine.Metrics.CPUTimeUs
+	res.PureCost = pure.Engine.Ledger.Buckets()
 
 	for _, p := range []core.Policy{core.PolicyFull, core.PolicyQuiz, core.PolicyDeferred} {
 		row := VerifyCostRow{Policy: p.String()}
@@ -127,18 +127,18 @@ func VerifyCost(sc Scale) (*VerifyCostResult, error) {
 		}
 		row.LatencyUs = cr.LatencyUs
 		row.CPUUs = cr.Metrics.CPUTimeUs
-		row.QuizTasks = r.eng.QuizTasks
-		row.Cost = r.eng.Ledger.Buckets()
+		row.QuizTasks = r.Engine.QuizTasks
+		row.Cost = r.Engine.Ledger.Buckets()
 
 		// Detection latency under a commission-faulty primary.
 		cfg := verifyCostConfig(p)
 		cfg.QuizFraction = 1
 		r2 := newRig(sc, workload.TwitterPath, data)
-		r2.eng.TaskHook = corruptPrimaryHook
+		r2.Engine.TaskHook = corruptPrimaryHook
 		ctrl := r2.controller(cfg)
-		trail := analyze.NewAuditTrail(r2.eng.Now)
+		trail := analyze.NewAuditTrail(r2.Engine.Now)
 		ctrl.AttachAudit(trail)
-		start := r2.eng.Now()
+		start := r2.Engine.Now()
 		cr2, err := ctrl.Run(script)
 		if err != nil {
 			return nil, fmt.Errorf("verifycost %s adversarial: %w", p, err)

@@ -4,9 +4,9 @@ package mapred
 // shuffle hashing (partition + sample), map-task execution, each reduce
 // kind, and digest chunking. Every benchmark processes a fixed batch of
 // records per iteration and reports allocations, so allocs/op is the
-// per-batch allocation count tracked in BENCH_dataplane.json
-// (scripts/bench_dataplane.sh regenerates it; EXPERIMENTS.md records the
-// trajectory).
+// per-batch allocation count. Compare revisions with -count=6 medians on
+// one host; EXPERIMENTS.md records the trajectory, bench/ tracks the
+// kernels worth tracking as per-layer metrics.
 
 import (
 	"fmt"

@@ -540,21 +540,6 @@ func TestAfterAndNow(t *testing.T) {
 	}
 }
 
-func TestLocalitySchedulerPrefersHome(t *testing.T) {
-	node := &cluster.Node{ID: "node-001"}
-	js := &JobState{Spec: &JobSpec{ID: "j"}}
-	remote := &Task{Job: js, Kind: MapTask, Index: 0, Home: "node-000"}
-	local := &Task{Job: js, Kind: MapTask, Index: 1, Home: "node-001"}
-	got := LocalityScheduler{}.Pick(node, []*Task{remote, local})
-	if got != local {
-		t.Error("locality scheduler did not prefer local task")
-	}
-	got = LocalityScheduler{}.Pick(node, []*Task{remote})
-	if got != remote {
-		t.Error("fallback to FIFO failed")
-	}
-}
-
 func TestReplicatedLatencyOverheadIsModest(t *testing.T) {
 	// The headline claim (§6.1): with enough nodes, running 4 replicas
 	// with digests costs only a little extra latency over one replica,

@@ -24,19 +24,3 @@ type FIFOScheduler struct{}
 func (FIFOScheduler) Pick(_ *cluster.Node, candidates []*Task) *Task {
 	return candidates[0]
 }
-
-// LocalityScheduler prefers tasks whose input split is hosted on the
-// offering node, falling back to FIFO; used by the ablation benches to
-// quantify the value of data-local execution (§4.2: "data local tasks
-// enable faster execution").
-type LocalityScheduler struct{}
-
-// Pick prefers node-local splits.
-func (LocalityScheduler) Pick(node *cluster.Node, candidates []*Task) *Task {
-	for _, t := range candidates {
-		if t.Home == node.ID {
-			return t
-		}
-	}
-	return candidates[0]
-}

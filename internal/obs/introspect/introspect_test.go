@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"clusterbft/internal/cluster"
 	"clusterbft/internal/core"
 	"clusterbft/internal/dfs"
 	"clusterbft/internal/mapred"
@@ -46,16 +45,14 @@ type rig struct {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	fs := dfs.New()
+	sys := core.NewSystem(8, 3, dfs.Options{}, mapred.DefaultCostModel())
+	fs, eng := sys.FS, sys.Engine
 	fs.Append("data/weather", weatherData(500)...)
-	cfg := core.DefaultConfig()
-	susp := core.NewSuspicionTable(cfg.SuspicionThreshold)
-	eng := mapred.NewEngine(fs, cluster.New(8, 3), core.NewOverlapScheduler(susp), mapred.DefaultCostModel())
 	reg := obs.NewRegistry()
 	eng.InstrumentMetrics(reg)
 	eng.Trace = obs.NewTracer(0)
 	eng.Board = obs.NewJobsBoard()
-	ctrl := core.NewController(eng, cfg, susp, nil)
+	ctrl := sys.Assure(core.DefaultConfig())
 	srv, err := Start("127.0.0.1:0", Options{
 		Registry: reg,
 		Tracer:   eng.Trace,

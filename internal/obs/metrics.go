@@ -121,14 +121,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Bounds returns the bucket upper bounds (shared; do not mutate).
-func (h *Histogram) Bounds() []int64 {
-	if h == nil {
-		return nil
-	}
-	return h.bounds
-}
-
 // Quantile returns the upper bound of the bucket holding the q-th
 // observation (0 < q <= 1). The second result is false when the
 // histogram is nil, empty, or the quantile falls in the +Inf bucket —
@@ -160,8 +152,8 @@ func (h *Histogram) Quantile(q float64) (int64, bool) {
 	return 0, false // quantile lives in the +Inf bucket
 }
 
-// BucketCount returns the count of bucket i (i == len(Bounds()) is the
-// +Inf bucket).
+// BucketCount returns the count of bucket i (the one past the last
+// bound is the +Inf bucket).
 func (h *Histogram) BucketCount(i int) int64 {
 	if h == nil || i < 0 || i >= len(h.counts) {
 		return 0
