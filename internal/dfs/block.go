@@ -57,14 +57,17 @@ func EncodeBlock(lines []string, compress bool) []byte {
 // which the FS folds into its compression-ratio accounting.
 func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
 	// Pass 1: find the field spans of every line. starts/ends are flat,
-	// row-major; pre[i] is the index of line i's first span.
-	var logical int
+	// row-major, and sized once: a line has one span more than it has
+	// tabs. pre[i] is the index of line i's first span.
+	logical, spans := 0, len(lines)
 	for _, l := range lines {
 		logical += len(l) + 1
+		spans += strings.Count(l, "\t")
 	}
 	colCounts := make([]int, len(lines))
 	pre := make([]int, len(lines)+1)
-	var starts, ends []int
+	starts := make([]int, 0, spans)
+	ends := make([]int, 0, spans)
 	maxCols := 0
 	for i, l := range lines {
 		n := 0

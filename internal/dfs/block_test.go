@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -231,6 +232,67 @@ func TestSealSpillReadBack(t *testing.T) {
 		if err := fs.Close(); err != nil {
 			t.Fatalf("compress=%v: close: %v", compress, err)
 		}
+	}
+}
+
+// TestOneAppendSealsLikeMany: an Append that seals ten blocks leaves the
+// file exactly as ten Appends sealing one block each do — same blocks,
+// same unsealed tail, same lines read back — with and without a spill
+// budget. The tail is cut off the pending array once per Append, however
+// many blocks came off it.
+func TestOneAppendSealsLikeMany(t *testing.T) {
+	const blockSize, perBlock, blocks = 256, 16, 10 // 16 lines of 15 bytes + newline
+	lines := make([]string, perBlock*blocks+5)      // five lines stay unsealed
+	for i := range lines {
+		lines[i] = fmt.Sprintf("key-%04d\t%06d", i%37, i)
+	}
+	for _, budget := range []int64{0, 512} {
+		opts := Options{BlockSize: blockSize, MemBudget: budget, Compress: budget > 0}
+		if budget > 0 {
+			opts.SpillDir = t.TempDir()
+		}
+		one, many := NewWith(opts), NewWith(opts)
+		one.Append("f", lines...)
+		for i := 0; i < len(lines); i += perBlock {
+			many.Append("f", lines[i:min(i+perBlock, len(lines))]...)
+		}
+		for _, fs := range []*FS{one, many} {
+			f := fs.files["f"]
+			if len(f.blocks) != blocks || len(f.pending) != 5 || f.pendingBytes != 5*16 {
+				t.Fatalf("budget %d: %d blocks, %d pending lines (%d bytes), want %d, 5 (80)",
+					budget, len(f.blocks), len(f.pending), f.pendingBytes, blocks)
+			}
+			if cap(f.pending) > 2*len(f.pending) {
+				t.Errorf("budget %d: tail keeps an array of %d for %d lines: sealed strings stay reachable", budget, cap(f.pending), len(f.pending))
+			}
+			got, err := fs.ReadLines("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, lines) {
+				t.Errorf("budget %d: read back %d lines, not the %d appended", budget, len(got), len(lines))
+			}
+		}
+		if one.ResidentBytes() != many.ResidentBytes() || one.SpilledBlocks() != many.SpilledBlocks() {
+			t.Errorf("budget %d: one Append leaves %d resident bytes and %d spilled blocks, ten leave %d and %d",
+				budget, one.ResidentBytes(), one.SpilledBlocks(), many.ResidentBytes(), many.SpilledBlocks())
+		}
+		if err := errors.Join(one.Close(), many.Close()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBlockEncodeAllocs pins block encoding at a fixed number of
+// allocations whatever the record count: the span arrays are sized once
+// from a tab count, not grown a record at a time.
+func TestBlockEncodeAllocs(t *testing.T) {
+	lines := make([]string, 1000)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("station-%03d\t%d\tclear-%d", i%50, 20+i%7, i%3)
+	}
+	if got := testing.AllocsPerRun(20, func() { _ = EncodeBlock(lines, false) }); got > 8 {
+		t.Errorf("EncodeBlock = %v allocs per 1000 records, want <= 8", got)
 	}
 }
 

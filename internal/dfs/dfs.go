@@ -280,28 +280,32 @@ func (fs *FS) Append(path string, lines ...string) {
 // sealPending seals full blocks off f's tail and enforces the resident
 // budget; caller holds mu.
 func (fs *FS) sealPending(f *file) {
+	sealed := 0 // pending lines already in blocks
 	for f.pendingBytes >= fs.opts.BlockSize {
 		// Take the shortest prefix of pending lines reaching the target.
 		take, taken := 0, 0
-		for _, l := range f.pending {
+		for _, l := range f.pending[sealed:] {
 			taken += len(l) + 1
 			take++
 			if taken >= fs.opts.BlockSize {
 				break
 			}
 		}
-		chunk := f.pending[:take]
-		data, rawLen := encodeBlockStats(chunk, fs.opts.Compress)
+		data, rawLen := encodeBlockStats(f.pending[sealed:sealed+take], fs.opts.Compress)
 		b := &block{records: take, logical: int64(taken), data: data}
 		f.blocks = append(f.blocks, b)
-		rest := f.pending[take:]
-		f.pending = append([]string(nil), rest...) // release sealed strings
+		sealed += take
 		f.pendingBytes -= taken
 		fs.rawPayload += int64(rawLen)
 		fs.storedPayload += int64(len(data))
 		fs.residentBlocks++
 		fs.residentBytes += int64(len(data))
 		fs.residentQ = append(fs.residentQ, b)
+	}
+	if sealed > 0 {
+		// The tail moves once, however many blocks came off it, into an
+		// array of its own: the old one would keep every sealed string.
+		f.pending = append([]string(nil), f.pending[sealed:]...)
 	}
 	fs.enforceBudget()
 	if fs.residentBytes > fs.maxResident {

@@ -90,7 +90,18 @@ func (w *Writer) Add(t tuple.Tuple) {
 		return
 	}
 	w.buf = tuple.AppendCanonical(w.buf[:0], t)
-	w.h.Write(w.buf)
+	w.AddCanonical(w.buf)
+}
+
+// AddCanonical is Add for a record the caller has already encoded: canon
+// must be tuple.AppendCanonical's bytes for exactly one tuple. A task
+// whose operator chain digests the same tuple at several points encodes
+// it once and hands every writer the same bytes.
+func (w *Writer) AddCanonical(canon []byte) {
+	if w.closed {
+		return
+	}
+	w.h.Write(canon)
 	w.inChunk++
 	w.Obs.Inc()
 	if w.every > 0 && w.inChunk >= int64(w.every) {

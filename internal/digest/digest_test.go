@@ -1,6 +1,7 @@
 package digest
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -203,5 +204,49 @@ func TestChunkingInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWriterAddCanonicalMatchesAdd: a stream folded through AddCanonical
+// from caller-encoded bytes reports exactly what the same stream folded
+// through Add does — sums, chunk boundaries and record counts — at every
+// chunking, including when the two are mixed on one writer; and a closed
+// writer ignores both.
+func TestWriterAddCanonicalMatchesAdd(t *testing.T) {
+	data := rows(250)
+	data[7] = tuple.Tuple{tuple.Str("tab\tnewline\nbackslash\\"), tuple.Null(), tuple.Float(2.5)}
+	data[8] = tuple.Tuple{}
+	for _, every := range []int{0, 1, 100, 250, 1000} {
+		var viaAdd, viaCanon, mixed []Report
+		key := Key{SID: "s", Point: 4, Task: "r001"}
+		a := NewWriter(key, 1, every, collect(&viaAdd))
+		c := NewWriter(key, 1, every, collect(&viaCanon))
+		m := NewWriter(key, 1, every, collect(&mixed))
+		var buf []byte
+		for i, r := range data {
+			a.Add(r)
+			buf = tuple.AppendCanonical(buf[:0], r)
+			c.AddCanonical(buf)
+			if i%2 == 0 {
+				m.Add(r)
+			} else {
+				m.AddCanonical(buf)
+			}
+			if a.Records() != c.Records() || a.Records() != m.Records() {
+				t.Fatalf("every=%d record %d: open-chunk Records %d (Add), %d (AddCanonical), %d (mixed)",
+					every, i, a.Records(), c.Records(), m.Records())
+			}
+		}
+		a.Close()
+		c.Close()
+		m.Close()
+		if len(viaAdd) == 0 || !reflect.DeepEqual(viaAdd, viaCanon) || !reflect.DeepEqual(viaAdd, mixed) {
+			t.Errorf("every=%d: reports differ: %d via Add, %d via AddCanonical, %d mixed", every, len(viaAdd), len(viaCanon), len(mixed))
+		}
+		c.AddCanonical(buf)
+		c.Close()
+		if c.Records() != 0 || len(viaCanon) != len(viaAdd) {
+			t.Errorf("every=%d: closed writer took a record or reported again", every)
+		}
 	}
 }

@@ -246,6 +246,28 @@ func BenchmarkDataplaneMapTaskShuffle(b *testing.B) {
 	b.ReportMetric(benchBatch, "records/op")
 }
 
+// BenchmarkDataplaneSortRuns sorts one 10,000-record partition of 2,500
+// distinct keys, four records a key in arrival order — the shape a
+// non-combining map task hands sortRuns. Each op sorts a fresh copy.
+func BenchmarkDataplaneSortRuns(b *testing.B) {
+	const records, distinct = 10_000, 2_500
+	recs := make([]interRec, records)
+	for i := range recs {
+		k := int64(i*7919+13) % distinct
+		t := tuple.Tuple{tuple.Int(k), tuple.Int(int64(i))}
+		recs[i] = interRec{keyStr: fmt.Sprint(k), key: t[:1], t: t, encLen: tuple.EncodedLen(t)}
+	}
+	work := make([]interRec, records)
+	spec := &ReduceSpec{Kind: ReduceJoin}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, recs)
+		sortRuns([][]interRec{work}, spec)
+	}
+	b.ReportMetric(records, "records/op")
+}
+
 // benchHotKeyLines generates benchBatch edge records over 16 distinct
 // keys — the combiner's target regime, where shuffle volume collapses
 // from O(records) to O(keys).
@@ -308,9 +330,7 @@ func BenchmarkDataplaneReduceAggregate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runReduceTask(job.Reduce, runs, nil, taskObs{}); err != nil {
-			b.Fatal(err)
-		}
+		_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -326,9 +346,7 @@ func BenchmarkDataplaneReduceMergeSorted(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runReduceTask(job.Reduce, runs, nil, taskObs{}); err != nil {
-			b.Fatal(err)
-		}
+		_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -339,9 +357,7 @@ func BenchmarkDataplaneReduceMergeSortedOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runReduceTask(job.Reduce, runs, nil, taskObs{}); err != nil {
-			b.Fatal(err)
-		}
+		_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -360,9 +376,7 @@ STORE j INTO 'out/joined';
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runReduceTask(job.Reduce, runs, nil, taskObs{}); err != nil {
-			b.Fatal(err)
-		}
+		_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -377,9 +391,7 @@ STORE d INTO 'out/distinct';
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runReduceTask(job.Reduce, runs, nil, taskObs{}); err != nil {
-			b.Fatal(err)
-		}
+		_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -394,9 +406,7 @@ STORE o INTO 'out/sorted';
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runReduceTask(job.Reduce, runs, nil, taskObs{}); err != nil {
-			b.Fatal(err)
-		}
+		_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
 	}
 	b.ReportMetric(float64(total), "records/op")
 }

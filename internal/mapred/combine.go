@@ -291,33 +291,64 @@ func (c *combiner) emit() ([][]interRec, int64) {
 	return parts, total
 }
 
-// sortRuns stable-sorts each emitted partition into the run order the
-// reduce-side merge expects: by canonical key for grouping kinds, by
-// the ORDER BY comparator for sorts. Stability keeps equal keys in
-// arrival order, so the merge's (key, run, position) emission order is
-// exactly the (key, global arrival) order the previous reduce-side
-// global sort produced. Bare-LIMIT pass-through jobs (ReduceSort with
-// no OrderBy) keep arrival order untouched.
+// sortRuns sorts each emitted partition into the run order the
+// reduce-side merge expects: by canonical key for grouping kinds, by the
+// ORDER BY comparator for sorts, equal records in arrival order, so the
+// merge's (key, run, position) emission order is exactly the (key,
+// global arrival) order the previous reduce-side global sort produced.
+// Bare-LIMIT pass-through jobs (ReduceSort with no OrderBy) keep arrival
+// order untouched.
 func sortRuns(parts [][]interRec, spec *ReduceSpec) {
 	if spec == nil {
 		return
 	}
+	cmp := func(a, b *interRec) int { return strings.Compare(a.keyStr, b.keyStr) }
 	if spec.Kind == ReduceSort {
 		if len(spec.OrderBy) == 0 {
 			return
 		}
-		for _, p := range parts {
-			slices.SortStableFunc(p, func(a, b interRec) int {
-				return orderCmp(a.t, b.t, spec.OrderBy)
-			})
-		}
-		return
+		cmp = func(a, b *interRec) int { return orderCmp(a.t, b.t, spec.OrderBy) }
 	}
+	var idx []int32 // one index scratch for all of the task's partitions
 	for _, p := range parts {
-		slices.SortStableFunc(p, func(a, b interRec) int {
-			return strings.Compare(a.keyStr, b.keyStr)
-		})
+		idx = sortRun(p, cmp, idx)
 	}
+}
+
+// sortRun sorts one run by (cmp, arrival position) and returns the index
+// scratch for the next. Position breaks every tie, so the order is total
+// and its one sorted arrangement is the stable sort by cmp, whatever the
+// algorithm: an unstable sort moves 4-byte indices where a stable one
+// rotates 80-byte records. The permutation is then applied in place,
+// cycle by cycle: each record moves once, through one temporary.
+func sortRun(p []interRec, cmp func(a, b *interRec) int, idx []int32) []int32 {
+	idx = slices.Grow(idx[:0], len(p))[:len(p)]
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := cmp(&p[a], &p[b]); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	// idx[i] is the arrival position of the record that belongs at i.
+	for i := range idx {
+		if int(idx[i]) == i {
+			continue
+		}
+		first := p[i]
+		j := i
+		for int(idx[j]) != i {
+			next := int(idx[j])
+			p[j] = p[next]
+			idx[j] = int32(j)
+			j = next
+		}
+		p[j] = first
+		idx[j] = int32(j)
+	}
+	return idx
 }
 
 // mergeRuns streams the k-way merge of pre-sorted runs through yield in

@@ -426,10 +426,25 @@ func (e *Engine) Job(id string) *JobState { return e.jobs[id] }
 func (e *Engine) JobByOutput(dir string) *JobState { return e.byOutput[dir] }
 
 // Submit enqueues a job. Dependencies must have been submitted earlier
-// (compiler output order satisfies this). Duplicate IDs are an error.
+// (compiler output order satisfies this). A duplicate ID, an unsubmitted
+// dependency or an unknown reduce kind is an error, and a spec that
+// fails leaves the engine as it was: nothing is registered before
+// everything is checked.
 func (e *Engine) Submit(spec *JobSpec) (*JobState, error) {
 	if _, ok := e.jobs[spec.ID]; ok {
 		return nil, fmt.Errorf("mapred: duplicate job id %q", spec.ID)
+	}
+	for _, dep := range spec.Deps {
+		if e.jobs[dep] == nil {
+			return nil, fmt.Errorf("mapred: job %q depends on unsubmitted %q", spec.ID, dep)
+		}
+	}
+	if r := spec.Reduce; r != nil {
+		switch r.Kind {
+		case ReduceAggregate, ReduceJoin, ReduceDistinct, ReduceSort:
+		default:
+			return nil, fmt.Errorf("mapred: job %q has unknown reduce kind %d", spec.ID, r.Kind)
+		}
 	}
 	js := &JobState{
 		Spec:       spec,
@@ -446,9 +461,6 @@ func (e *Engine) Submit(spec *JobSpec) (*JobState, error) {
 	e.byOutput[spec.Output] = js
 	for _, dep := range spec.Deps {
 		d := e.jobs[dep]
-		if d == nil {
-			return nil, fmt.Errorf("mapred: job %q depends on unsubmitted %q", spec.ID, dep)
-		}
 		d.hasDependents = true
 		if !d.Done {
 			js.depsLeft++
@@ -1049,12 +1061,7 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report))
 				localBytes += out.partitions[t.Index][i].bytes()
 			}
 		}
-		out, err := runReduceTask(js.Spec.Reduce, runs, df, o)
-		if err != nil {
-			// Compiled specs cannot produce unknown reduce kinds; treat as a
-			// job with no output rather than crash the simulation.
-			out = &reduceOutcome{}
-		}
+		out := runReduceTask(js.Spec.Reduce, runs, df, o)
 		if js.Spec.Audit && emit != nil {
 			sum, n := auditReduceSum(out)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))

@@ -599,3 +599,38 @@ func dfsWith(lines []string) *dfs.FS {
 	fs.Append("in/edges", lines...)
 	return fs
 }
+
+// TestSubmitFailsClosed: a spec Submit rejects leaves no trace — the job
+// is not counted, not found by ID or by output directory, and the same
+// ID submits cleanly once the spec is fixed.
+func TestSubmitFailsClosed(t *testing.T) {
+	jobs := compile(t, followerSrc, CompileOptions{NumReduces: 2})
+	fs := dfs.New()
+	fs.Append("in/edges", edges()...)
+	eng := NewEngine(fs, cluster.New(4, 2), nil, DefaultCostModel())
+
+	orphan := jobs[0].Clone()
+	orphan.ID, orphan.Output = "orphan", "out/orphan"
+	orphan.Deps = []string{"never-submitted"}
+	badKind := jobs[0].Clone()
+	badKind.ID, badKind.Output = "bad-kind", "out/bad-kind"
+	badKind.Reduce.Kind = ReduceSort + 1
+	for _, spec := range []*JobSpec{orphan, badKind} {
+		if _, err := eng.Submit(spec); err == nil {
+			t.Fatalf("Submit(%s) succeeded, want an error", spec.ID)
+		}
+		if eng.JobCount() != 0 || eng.Job(spec.ID) != nil || eng.JobByOutput(spec.Output) != nil {
+			t.Errorf("failed Submit(%s) left state behind: JobCount=%d Job=%v JobByOutput=%v",
+				spec.ID, eng.JobCount(), eng.Job(spec.ID), eng.JobByOutput(spec.Output))
+		}
+	}
+	orphan.Deps = nil
+	js, err := eng.Submit(orphan)
+	if err != nil {
+		t.Fatalf("resubmit after fixing the spec: %v", err)
+	}
+	eng.Run()
+	if !js.Done || eng.JobCount() != 1 {
+		t.Errorf("fixed spec: Done=%v JobCount=%d, want true and 1", js.Done, eng.JobCount())
+	}
+}

@@ -37,56 +37,71 @@ type digestFactory func(point int) *digest.Writer
 // feeding PhysDigest points into their writers.
 type opChain struct {
 	ops     []Op
-	writers []*digest.Writer // parallel to ops; non-nil only for digests
-	passed  []int64          // parallel to ops; PhysLimit counters
-	digests int64            // records folded into digest writers
-	scratch []byte           // reusable canonical-encode buffer (sampling)
+	state   []opState // parallel to ops
+	digests int64     // records folded into digest writers
+	// canon holds the canonical bytes of the tuple in flight while
+	// canonOK: every digest and sample between two projections, and the
+	// output line after the last, share one encode.
+	canon   []byte
+	canonOK bool
 }
 
-func newOpChain(ops []Op, df digestFactory) *opChain {
-	c := &opChain{
-		ops:     ops,
-		writers: make([]*digest.Writer, len(ops)),
-		passed:  make([]int64, len(ops)),
-	}
-	if df != nil {
-		for i, op := range ops {
-			if op.Kind == PhysDigest {
-				c.writers[i] = df(op.Point)
-			}
+// opState is what one op of a running chain keeps between records.
+type opState struct {
+	w      *digest.Writer // PhysDigest: nil when digests are off
+	passed int64          // PhysLimit: records let through so far
+	out    tuple.Tuple    // PhysProject: reusable output, nil to allocate
+}
+
+// newOpChain builds the chain for one task. reuse lets each PhysProject
+// write every record into one buffer of its own; the caller must then be
+// done with a tuple apply returned before it calls apply again.
+func newOpChain(ops []Op, df digestFactory, reuse bool) *opChain {
+	c := &opChain{ops: ops, state: make([]opState, len(ops))}
+	for i, op := range ops {
+		switch {
+		case op.Kind == PhysDigest && df != nil:
+			c.state[i].w = df(op.Point)
+		case op.Kind == PhysProject && reuse:
+			c.state[i].out = make(tuple.Tuple, len(op.Gens))
 		}
 	}
 	return c
 }
 
 // apply runs one tuple through the chain; ok is false when the tuple was
-// dropped (filter miss or limit exhausted).
+// dropped (filter miss or limit exhausted). t is only read.
 func (c *opChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
-	for i, op := range c.ops {
+	c.canonOK = false
+	for i := range c.ops {
+		op, st := &c.ops[i], &c.state[i]
 		switch op.Kind {
 		case PhysFilter:
 			if !op.Pred.Eval(t).Truthy() {
 				return nil, false
 			}
 		case PhysProject:
-			out := make(tuple.Tuple, len(op.Gens))
+			out := st.out
+			if out == nil {
+				out = make(tuple.Tuple, len(op.Gens))
+			}
 			for g, gen := range op.Gens {
 				out[g] = gen.Expr.Eval(t)
 			}
 			t = out
+			c.canonOK = false
 		case PhysDigest:
-			if c.writers[i] != nil {
-				c.writers[i].Add(t)
+			if st.w != nil {
+				st.w.AddCanonical(c.canonical(t))
 				c.digests++
 			}
 		case PhysLimit:
-			if c.passed[i] >= op.Limit {
+			if st.passed >= op.Limit {
 				return nil, false
 			}
-			c.passed[i]++
+			st.passed++
 		case PhysSample:
-			c.scratch = tuple.AppendCanonical(c.scratch[:0], t)
-			if !sampleKeepHash(c.scratch, op.Fraction) {
+			if !sampleKeepHash(c.canonical(t), op.Fraction) {
 				return nil, false
 			}
 		}
@@ -94,11 +109,29 @@ func (c *opChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 	return t, true
 }
 
+// canonical returns tuple.AppendCanonical of t, the tuple in flight,
+// encoding it only if no earlier op of this apply already has.
+func (c *opChain) canonical(t tuple.Tuple) []byte {
+	if !c.canonOK {
+		c.canon = tuple.AppendCanonical(c.canon[:0], t)
+		c.canonOK = true
+	}
+	return c.canon
+}
+
+// line returns tuple.AppendEncoded of t, the tuple apply just returned:
+// its canonical bytes less the trailing newline. Valid until the next
+// apply.
+func (c *opChain) line(t tuple.Tuple) []byte {
+	b := c.canonical(t)
+	return b[:len(b)-1]
+}
+
 // close finalizes all digest writers in the chain.
 func (c *opChain) close() {
-	for _, w := range c.writers {
-		if w != nil {
-			w.Close()
+	for _, st := range c.state {
+		if st.w != nil {
+			st.w.Close()
 		}
 	}
 }
@@ -158,20 +191,31 @@ func partitionOf(keyStr string, numReduces int) int {
 	return int(h % uint32(numReduces))
 }
 
-// extractKey projects the shuffle key out of a post-chain tuple,
-// encoding the canonical key string through the caller's scratch buffer
-// (returned possibly grown).
-func extractKey(t tuple.Tuple, keyCols []int, scratch []byte) (string, tuple.Tuple, []byte) {
-	key := make(tuple.Tuple, len(keyCols))
-	for i, c := range keyCols {
-		if c < len(t) {
-			key[i] = t[c]
-		} else {
-			key[i] = tuple.Null()
-		}
+// strArena hands out strings as substrings of a few large chunks, one
+// allocation per chunk instead of one per string. A chunk is freed when
+// the last string cut from it is.
+type strArena struct {
+	b    strings.Builder
+	size int // capacity of the current chunk, to size the next one
+}
+
+// Chunks double from the first up to the largest malloc size class, so
+// the slack a short-lived arena leaves is bounded by what it holds.
+const (
+	arenaChunkMin = 1 << 10
+	arenaChunkMax = 32 << 10
+)
+
+// add copies p into the arena and returns it as a string.
+func (a *strArena) add(p []byte) string {
+	if a.b.Cap()-a.b.Len() < len(p) {
+		a.size = max(len(p), min(2*a.size, arenaChunkMax), arenaChunkMin)
+		a.b.Reset() // strings already handed out keep the old chunk
+		a.b.Grow(a.size)
 	}
-	scratch = tuple.AppendEncoded(scratch[:0], key)
-	return string(scratch), key, scratch
+	start := a.b.Len()
+	a.b.Write(p)
+	return a.b.String()[start:]
 }
 
 // taskObs carries optional observability counters into task bodies.
@@ -263,8 +307,6 @@ func neededCols(job *JobSpec, inputIdx int) []bool {
 // runMapTask executes one map task over its split's raw lines.
 func runMapTask(job *JobSpec, inputIdx int, lines []string, df digestFactory, corrupt corruptFn, o taskObs) *mapOutcome {
 	in := &job.Inputs[inputIdx]
-	chain := newOpChain(in.Ops, df)
-	defer chain.close()
 	out := &mapOutcome{}
 	shuffle := in.KeyCols != nil
 	var comb *combiner
@@ -277,9 +319,19 @@ func runMapTask(job *JobSpec, inputIdx int, lines []string, df digestFactory, co
 			out.partitions[p] = make([]interRec, 0, per)
 		}
 	}
+	// Only the uncombined shuffle keeps the chain's tuples (in interRec);
+	// the combiner detaches what it keeps and output lines are encoded at
+	// once, so there a projection may reuse its buffer.
+	chain := newOpChain(in.Ops, df, comb != nil || !shuffle)
+	defer chain.close()
 	var scratch []byte // per-task encode buffer, reused across records
 	// Per-task decoder: tuple slabs, unescape scratch, column mask.
 	dec := tuple.Decoder{Need: neededCols(job, inputIdx)}
+	// Shuffle keys and key strings, or map-only output lines, live as long
+	// as the outcome: a slab and an arena for all of them, not two
+	// allocations a record.
+	var keys tuple.Slab
+	var strs strArena
 	for _, line := range lines {
 		t := dec.DecodeLine(line, in.Schema)
 		out.recordsIn++
@@ -298,16 +350,19 @@ func runMapTask(job *JobSpec, inputIdx int, lines []string, df digestFactory, co
 			// reshapes what crosses the shuffle.
 			scratch = comb.fold(t, in.KeyCols, scratch)
 		case shuffle:
-			var keyStr string
-			var key tuple.Tuple
-			keyStr, key, scratch = extractKey(t, in.KeyCols, scratch)
-			rec := interRec{keyStr: keyStr, key: key, tag: in.Tag, t: t, encLen: tuple.EncodedLen(t)}
-			p := partitionOf(keyStr, job.NumReduces)
+			key := keys.Tuple(len(in.KeyCols))
+			for i, c := range in.KeyCols {
+				if c < len(t) {
+					key[i] = t[c]
+				}
+			}
+			scratch = tuple.AppendEncoded(scratch[:0], key)
+			rec := interRec{keyStr: strs.add(scratch), key: key, tag: in.Tag, t: t, encLen: tuple.EncodedLen(t)}
+			p := partitionOf(rec.keyStr, job.NumReduces)
 			out.partitions[p] = append(out.partitions[p], rec)
 			out.localBytes += rec.bytes()
 		default:
-			scratch = tuple.AppendEncoded(scratch[:0], t)
-			out.outLines = append(out.outLines, string(scratch))
+			out.outLines = append(out.outLines, strs.add(chain.line(t)))
 		}
 	}
 	out.digested = chain.digests
@@ -359,8 +414,14 @@ type reduceOutcome struct {
 // streams its groups off the merge with no reduce-side sort and no
 // buffering beyond the current group. Runs are never mutated: backup
 // attempts of the same task merge the same shared runs concurrently.
-func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o taskObs) (*reduceOutcome, error) {
-	chain := newOpChain(spec.PostOps, df)
+//
+// emit is the only consumer of what a kind produces and of what the
+// chain makes of it, and it encodes the result before it returns. So
+// nothing here allocates per emitted record: the join's concatenation,
+// the aggregate's row and the chain's projections are buffers written
+// over by the next record, and output lines are cut from one arena.
+func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o taskObs) *reduceOutcome {
+	chain := newOpChain(spec.PostOps, df, true)
 	defer chain.close()
 	out := &reduceOutcome{}
 	var liveRuns int64
@@ -372,12 +433,11 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 	}
 	o.reduceRecords.Add(out.recordsIn)
 	o.mergedRuns.Add(liveRuns)
-	var scratch []byte // per-task encode buffer, reused across emits
+	var lines strArena
 	emit := func(t tuple.Tuple) {
 		if t, ok := chain.apply(t); ok {
 			out.recordsOut++
-			scratch = tuple.AppendEncoded(scratch[:0], t)
-			out.outLines = append(out.outLines, string(scratch))
+			out.outLines = append(out.outLines, lines.add(chain.line(t)))
 		}
 	}
 	keyCmp := func(a, b *interRec) int { return strings.Compare(a.keyStr, b.keyStr) }
@@ -403,11 +463,11 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 	case ReduceAggregate:
 		aggIdx := aggOrdinals(spec.Gens)
 		accs := make([]aggAcc, len(aggIdx))
+		row := make(tuple.Tuple, len(spec.Gens))
 		var curKey tuple.Tuple
 		started := false
 		var lastKey string
 		flush := func() {
-			row := make(tuple.Tuple, len(spec.Gens))
 			ai := 0
 			for i, gen := range spec.Gens {
 				if gen.Agg == nil {
@@ -445,13 +505,16 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 			flush()
 		}
 	case ReduceJoin:
-		var left, right []tuple.Tuple
+		left, right := make([]tuple.Tuple, 0, 16), make([]tuple.Tuple, 0, 16) // one key's two sides
+		var joined tuple.Tuple
 		started := false
 		var lastKey string
 		flush := func() {
 			for _, lt := range left {
+				joined = append(joined[:0], lt...)
 				for _, rt := range right {
-					emit(tuple.Concat(lt, rt))
+					joined = append(joined[:len(lt)], rt...)
+					emit(joined)
 				}
 			}
 			left, right = left[:0], right[:0]
@@ -474,12 +537,10 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 		if started {
 			flush()
 		}
-	default:
-		return nil, fmt.Errorf("mapred: unknown reduce kind %v", spec.Kind)
 	}
 	out.digested = chain.digests
 	o.outRecords.Add(out.recordsOut)
-	return out, nil
+	return out
 }
 
 // orderCmp compares two tuples under an ORDER BY key list, three-way.
@@ -576,7 +637,7 @@ func splitLines(n, per int) [][2]int {
 	return out
 }
 
-// joinPartitionName keeps part-file names sortable and unique per task.
+// partFileName keeps part-file names sortable and unique per task.
 func partFileName(kind TaskKind, inputIdx, index int) string {
 	if kind == MapTask {
 		return fmt.Sprintf("part-m-%d-%05d", inputIdx, index)
@@ -584,7 +645,8 @@ func partFileName(kind TaskKind, inputIdx, index int) string {
 	return fmt.Sprintf("part-r-%05d", index)
 }
 
-// cleanPath normalizes a DFS path for prefix joins.
+// joinPath joins a DFS path onto a directory prefix; an empty prefix
+// leaves p as it is.
 func joinPath(prefix, p string) string {
 	if prefix == "" {
 		return p

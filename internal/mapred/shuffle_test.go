@@ -1,0 +1,340 @@
+package mapred
+
+// Equivalence oracles for the allocation-free shuffle and reduce paths:
+// the permutation sort against the stable sort it replaced, and the
+// buffer-reusing reduce against one that allocates every tuple it makes
+// and encodes at every digest.
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"clusterbft/internal/digest"
+	"clusterbft/internal/pig"
+	"clusterbft/internal/tuple"
+)
+
+// stableSortRuns is sortRuns as it was: a stable sort moving the records
+// themselves.
+func stableSortRuns(parts [][]interRec, spec *ReduceSpec) {
+	if spec.Kind == ReduceSort {
+		if len(spec.OrderBy) == 0 {
+			return
+		}
+		for _, p := range parts {
+			slices.SortStableFunc(p, func(a, b interRec) int { return orderCmp(a.t, b.t, spec.OrderBy) })
+		}
+		return
+	}
+	for _, p := range parts {
+		slices.SortStableFunc(p, func(a, b interRec) int { return strings.Compare(a.keyStr, b.keyStr) })
+	}
+}
+
+// sortSpecs are the comparators sortRuns runs under: the canonical key,
+// and ORDER BY lists with and without Desc. The second ORDER BY column
+// is the arrival position, so the last spec has no ties at all.
+var sortSpecs = []*ReduceSpec{
+	{Kind: ReduceAggregate},
+	{Kind: ReduceSort, OrderBy: []pig.OrderKey{{Col: 0}}},
+	{Kind: ReduceSort, OrderBy: []pig.OrderKey{{Col: 0, Desc: true}}},
+	{Kind: ReduceSort, OrderBy: []pig.OrderKey{{Col: 0, Desc: true}, {Col: 1}}},
+	{Kind: ReduceSort}, // bare LIMIT: arrival order
+}
+
+// sortFixture spreads one record per data byte over three partitions of
+// different lengths. Keys repeat heavily (at most 8 distinct) and every
+// record carries its arrival position, so two records never compare
+// equal as wholes and any reordering of equal keys shows.
+func sortFixture(data []byte) [][]interRec {
+	parts := make([][]interRec, 3)
+	for i, b := range data {
+		k := int64(b % 8)
+		t := tuple.Tuple{tuple.Int(k), tuple.Int(int64(i))}
+		p := int(b>>3) % len(parts)
+		parts[p] = append(parts[p], interRec{
+			keyStr: fmt.Sprint(k), key: t[:1], tag: i % 2, t: t, encLen: tuple.EncodedLen(t),
+		})
+	}
+	return parts
+}
+
+func FuzzSortRunsMatchesStable(f *testing.F) {
+	for _, seed := range [][]byte{
+		nil, {3}, {3, 3}, {9, 1, 9}, {7, 6, 5, 4, 3, 2, 1},
+		[]byte("the quick brown fox jumps over the lazy dog and keeps on running"),
+		make([]byte, 257),
+	} {
+		for mode := range sortSpecs {
+			f.Add(seed, uint8(mode))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		spec := sortSpecs[int(mode)%len(sortSpecs)]
+		got, want := sortFixture(data), sortFixture(data)
+		sortRuns(got, spec)
+		stableSortRuns(want, spec)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("spec %+v over %d records:\n got %v\nwant %v", spec, len(data), got, want)
+		}
+	})
+}
+
+// freshChain is opChain as it was: a new tuple for every projection, an
+// encode inside every digest writer.
+type freshChain struct {
+	ops     []Op
+	writers []*digest.Writer
+	passed  []int64
+	digests int64
+}
+
+func newFreshChain(ops []Op, df digestFactory) *freshChain {
+	c := &freshChain{ops: ops, writers: make([]*digest.Writer, len(ops)), passed: make([]int64, len(ops))}
+	for i, op := range ops {
+		if op.Kind == PhysDigest && df != nil {
+			c.writers[i] = df(op.Point)
+		}
+	}
+	return c
+}
+
+func (c *freshChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
+	for i, op := range c.ops {
+		switch op.Kind {
+		case PhysFilter:
+			if !op.Pred.Eval(t).Truthy() {
+				return nil, false
+			}
+		case PhysProject:
+			out := make(tuple.Tuple, len(op.Gens))
+			for g, gen := range op.Gens {
+				out[g] = gen.Expr.Eval(t)
+			}
+			t = out
+		case PhysDigest:
+			if c.writers[i] != nil {
+				c.writers[i].Add(t)
+				c.digests++
+			}
+		case PhysLimit:
+			if c.passed[i] >= op.Limit {
+				return nil, false
+			}
+			c.passed[i]++
+		case PhysSample:
+			if !sampleKeep(t, op.Fraction) {
+				return nil, false
+			}
+		}
+	}
+	return t, true
+}
+
+// freshReduce is runReduceTask as it was: tuple.Concat per joined pair, a
+// new row per group, EncodeLine per output record.
+func freshReduce(spec *ReduceSpec, runs [][]interRec, df digestFactory) *reduceOutcome {
+	chain := newFreshChain(spec.PostOps, df)
+	out := &reduceOutcome{}
+	for _, r := range runs {
+		out.recordsIn += int64(len(r))
+	}
+	emit := func(t tuple.Tuple) {
+		if t, ok := chain.apply(t); ok {
+			out.recordsOut++
+			out.outLines = append(out.outLines, tuple.EncodeLine(t))
+		}
+	}
+	keyCmp := func(a, b *interRec) int { return strings.Compare(a.keyStr, b.keyStr) }
+	// Collect the merge into groups of equal key, then run each kind over
+	// whole groups.
+	var groups [][]*interRec
+	cmp := keyCmp
+	if spec.Kind == ReduceSort {
+		cmp = nil
+		if len(spec.OrderBy) > 0 {
+			cmp = func(a, b *interRec) int { return orderCmp(a.t, b.t, spec.OrderBy) }
+		}
+	}
+	mergeRuns(runs, cmp, func(r *interRec) {
+		if n := len(groups); spec.Kind != ReduceSort && n > 0 && groups[n-1][0].keyStr == r.keyStr {
+			groups[n-1] = append(groups[n-1], r)
+			return
+		}
+		groups = append(groups, []*interRec{r})
+	})
+	for _, g := range groups {
+		switch spec.Kind {
+		case ReduceSort, ReduceDistinct:
+			emit(g[0].t)
+		case ReduceAggregate:
+			aggIdx := aggOrdinals(spec.Gens)
+			accs := make([]aggAcc, len(aggIdx))
+			for _, r := range g {
+				for j, gi := range aggIdx {
+					agg := spec.Gens[gi].Agg
+					if spec.Combine {
+						n, v := partialAcc(r.t, j)
+						mergeAgg(agg, &accs[j], n, v)
+					} else {
+						mergeAgg(agg, &accs[j], 1, colOf(r.t, agg.ColIdx))
+					}
+				}
+			}
+			row := make(tuple.Tuple, len(spec.Gens))
+			ai := 0
+			for i, gen := range spec.Gens {
+				if gen.Agg == nil {
+					row[i] = gen.Expr.Eval(g[0].key)
+					continue
+				}
+				row[i] = finalizeAgg(gen.Agg, accs[ai])
+				ai++
+			}
+			emit(row)
+		case ReduceJoin:
+			for _, l := range g {
+				for _, r := range g {
+					if l.tag == 0 && r.tag != 0 {
+						emit(tuple.Concat(l.t, r.t))
+					}
+				}
+			}
+		}
+	}
+	for _, w := range chain.writers {
+		if w != nil {
+			w.Close()
+		}
+	}
+	out.digested = chain.digests
+	return out
+}
+
+// reuseScripts put digest, filter, digest, project, digest after each
+// reduce kind: two digests sharing one encode, a projection between
+// digests, and an output line taken from the last digest's bytes.
+var reuseScripts = map[string]string{
+	"join": `
+a = LOAD 'in/l' AS (user:int, follower:int);
+b = LOAD 'in/r' AS (user:int, follower:int);
+j = JOIN a BY follower, b BY user;
+f = FILTER j BY a::user != b::follower;
+p = FOREACH f GENERATE a::user AS src, b::follower AS dst;
+STORE p INTO 'out/p';`,
+	"aggregate": `
+a = LOAD 'in/l' AS (user:int, follower:int);
+g = GROUP a BY user;
+j = FOREACH g GENERATE group AS user, COUNT(a) AS n, MIN(a.follower) AS lo;
+f = FILTER j BY n > 1;
+p = FOREACH f GENERATE user, n * 2 AS twice, lo;
+STORE p INTO 'out/p';`,
+	"distinct": `
+a = LOAD 'in/l' AS (user:int, follower:int);
+j = DISTINCT a;
+f = FILTER j BY user != follower;
+p = FOREACH f GENERATE follower, user;
+STORE p INTO 'out/p';`,
+	"sort": `
+a = LOAD 'in/l' AS (user:int, follower:int);
+j = ORDER a BY follower DESC, user;
+f = FILTER j BY user != follower;
+p = FOREACH f GENERATE follower, user;
+STORE p INTO 'out/p';`,
+}
+
+func TestReduceReuseMatchesFresh(t *testing.T) {
+	lines := make([]string, 1500)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("%d\t%d", i%40, (i*7919+13)%60)
+	}
+	for name, src := range reuseScripts {
+		compileJob := func() *JobSpec {
+			return compile(t, src, CompileOptions{NumReduces: 1, Points: digestPoints(t, plan(t, src), "j", "f", "p")})[0]
+		}
+		// A combinable kind is checked both ways: over partial-state runs
+		// and over raw ones.
+		jobs := []*JobSpec{compileJob()}
+		if jobs[0].Reduce.Combine {
+			jobs = append(jobs, uncombined(compileJob())[0])
+		}
+		for _, job := range jobs {
+			var kinds []PhysKind
+			for _, op := range job.Reduce.PostOps {
+				kinds = append(kinds, op.Kind)
+			}
+			if want := []PhysKind{PhysDigest, PhysFilter, PhysDigest, PhysProject, PhysDigest}; !slices.Equal(kinds, want) {
+				t.Fatalf("%s: PostOps = %v, want %v", name, kinds, want)
+			}
+			// Three map tasks per input, so the reduce merges several runs.
+			var runs [][]interRec
+			for idx := range job.Inputs {
+				for s := 0; s < len(lines); s += 500 {
+					runs = append(runs, runMapTask(job, idx, lines[s:s+500], nil, nil, taskObs{}).partitions[0])
+				}
+			}
+			for _, chunk := range []int{0, 100} {
+				var got, want []digest.Report
+				factory := func(sink *[]digest.Report) digestFactory {
+					return func(point int) *digest.Writer {
+						return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "r000"}, 0, chunk,
+							func(r digest.Report) { *sink = append(*sink, r) })
+					}
+				}
+				g := runReduceTask(job.Reduce, runs, factory(&got), taskObs{})
+				w := freshReduce(job.Reduce, runs, factory(&want))
+				if len(w.outLines) == 0 || w.digested == 0 {
+					t.Fatalf("%s: oracle produced %d lines, %d digested records", name, len(w.outLines), w.digested)
+				}
+				if !reflect.DeepEqual(g, w) {
+					t.Errorf("%s combine=%v d=%d: outcome differs:\n got %d lines, %+v\nwant %d lines, %+v",
+						name, job.Reduce.Combine, chunk, len(g.outLines), g.outLines[:min(3, len(g.outLines))],
+						len(w.outLines), w.outLines[:min(3, len(w.outLines))])
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s combine=%v d=%d: digest reports differ: got %d, want %d", name, job.Reduce.Combine, chunk, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestReduceJoinAllocs pins the reduce side of a join at a cost that
+// does not grow with what it emits: 1,000 joined records cost the chain,
+// the group buffers, the line arena's chunks and the doublings of
+// outLines — not a concatenation, a projection and a line each.
+func TestReduceJoinAllocs(t *testing.T) {
+	src := reuseScripts["join"]
+	job := compile(t, src, CompileOptions{NumReduces: 1, Points: digestPoints(t, plan(t, src), "j", "f", "p")})[0]
+	// Ten keys, ten records a side each: 10 x 10 x 10 joined pairs, none
+	// of which the filter drops.
+	left, right := make([]string, 100), make([]string, 100)
+	for i := range left {
+		left[i] = fmt.Sprintf("%d\t%d", 1000+i, i%10)
+		right[i] = fmt.Sprintf("%d\t%d", i%10, 2000+i)
+	}
+	runs := [][]interRec{
+		runMapTask(job, 0, left, nil, nil, taskObs{}).partitions[0],
+		runMapTask(job, 1, right, nil, nil, taskObs{}).partitions[0],
+	}
+	df := func(point int) *digest.Writer {
+		return digest.NewWriter(digest.Key{Point: point}, 0, 0, func(digest.Report) {})
+	}
+	if out := runReduceTask(job.Reduce, runs, df, taskObs{}); out.recordsOut != 1000 {
+		t.Fatalf("join emitted %d records, want 1000", out.recordsOut)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		_ = runReduceTask(job.Reduce, runs, df, taskObs{})
+	})
+	if got >= 42 { // 30, and four for each of the three digest writers
+		t.Errorf("reduce join = %v allocs per 1000 emitted records, want < 42", got)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
+	}); got >= 30 {
+		t.Errorf("reduce join without digests = %v allocs per 1000 emitted records, want < 30", got)
+	}
+}

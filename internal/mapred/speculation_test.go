@@ -2,6 +2,8 @@ package mapred
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"clusterbft/internal/cluster"
@@ -456,5 +458,64 @@ func TestKillJobDiscardsInFlightBackups(t *testing.T) {
 	}
 	if got := eng.FreeSlotsTotal(); got != eng.Cluster.TotalSlots() {
 		t.Errorf("free slots = %d, want %d", got, eng.Cluster.TotalSlots())
+	}
+}
+
+// TestBackupReduceMergesSharedRuns: the first attempt of one reduce task
+// of a join is slowed past the speculation threshold, so a backup attempt
+// merges the very runs the primary merged — the map outcomes' partitions,
+// sorted in place before the outcome was published and shared, not
+// copied, by every attempt since (the sibling reduce task reads the same
+// outcomes from another worker in the primary's tick). The output must
+// equal the fault-free run's and the runs must come out as they went in.
+func TestBackupReduceMergesSharedRuns(t *testing.T) {
+	src := `
+a = LOAD 'in/edges' AS (user:int, follower:int);
+b = LOAD 'in/edges' AS (user:int, follower:int);
+j = JOIN a BY follower, b BY user;
+p = FOREACH j GENERATE a::user, b::follower;
+STORE p INTO 'out/hops';`
+	in := map[string][]string{"in/edges": geomEdges(3000)}
+	opts := CompileOptions{NumReduces: 2}
+	clean := run(t, src, in, opts, nil)
+
+	var backups int
+	var before [][]interRec
+	tr := run(t, src, in, opts, func(e *Engine) {
+		e.Speculation = true
+		e.Cost.SplitRecords = 1000 // three runs per input and partition
+		attempts := 0
+		e.TaskHook = func(_ cluster.NodeID, task *Task) TaskFault {
+			if task.Kind != ReduceTask || task.Index != 0 {
+				return TaskFault{}
+			}
+			attempts++
+			if attempts > 1 {
+				backups++
+				return TaskFault{}
+			}
+			for _, out := range task.Job.mapOutcomes {
+				before = append(before, slices.Clone(out.partitions[0]))
+			}
+			return TaskFault{SlowFactor: 50}
+		}
+	})
+	js := tr.eng.Job(tr.jobs[0].ID)
+	if !js.Done {
+		t.Fatal("job incomplete")
+	}
+	if backups == 0 || tr.eng.Metrics.SpeculativeTasks == 0 {
+		t.Fatalf("no backup attempt of r000 ran (backups=%d, speculative=%d)", backups, tr.eng.Metrics.SpeculativeTasks)
+	}
+	if got, want := tr.output(t, "out/hops"), clean.output(t, "out/hops"); !reflect.DeepEqual(got, want) {
+		t.Errorf("output with a backup reduce differs from the clean run: %d vs %d lines", len(got), len(want))
+	}
+	if len(before) != 6 {
+		t.Fatalf("r000 merged %d runs, want 6", len(before))
+	}
+	for i, out := range js.mapOutcomes {
+		if !reflect.DeepEqual(out.partitions[0], before[i]) {
+			t.Errorf("run %d changed after it was published", i)
+		}
 	}
 }

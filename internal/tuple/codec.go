@@ -75,10 +75,10 @@ func DecodeLine(line string, schema *Schema) Tuple {
 // Decoder decodes the record lines of one task. It reuses one unescape
 // scratch buffer across calls, so the escaped slow path costs one
 // allocation per record (the backing string shared by every unescaped
-// field), and it carves tuples from slabs of Values rather than
-// allocating each one. A slab is never reused: tuples stay valid, and
-// independent, after later calls. The zero value is ready to use. Not
-// safe for concurrent use; each task body owns its own Decoder.
+// field), and it carves tuples from a Slab rather than allocating each
+// one: tuples stay valid, and independent, after later calls. The zero
+// value is ready to use. Not safe for concurrent use; each task body owns
+// its own Decoder.
 type Decoder struct {
 	// Need, when non-nil, lists the columns the caller reads: column i is
 	// sure to be coerced only where i < len(Need) && Need[i]. Any other
@@ -88,24 +88,32 @@ type Decoder struct {
 
 	buf    []byte
 	bounds []int
-	slab   []Value // unused tail of the current slab, all null
-	grown  int     // Values in the current slab, to size the next one
+	slab   Slab
 }
 
-// slabValues caps a slab at the largest malloc size class, 32 KiB, which
-// 819 Values fill to within eight bytes.
+// Slab carves tuples out of shared arrays of Values instead of
+// allocating each one. An array is never reused: every tuple handed out
+// keeps its own storage for as long as it is referenced, and all tuples
+// of one array are freed together. The zero value is ready to use.
+type Slab struct {
+	free  []Value // unused tail of the current array, all null
+	grown int     // Values in the current array, to size the next one
+}
+
+// slabValues caps a slab array at the largest malloc size class, 32 KiB,
+// which 819 Values fill to within eight bytes.
 const slabValues = 819
 
-// tuple carves a null-filled n-column tuple off the slab. Slabs double
-// from the first tuple's width up to slabValues, so a Decoder used for
-// one line allocates exactly that line's tuple.
-func (d *Decoder) tuple(n int) Tuple {
-	if n > len(d.slab) {
-		d.grown = max(n, min(2*d.grown, slabValues))
-		d.slab = make([]Value, d.grown)
+// Tuple carves a null-filled n-column tuple off the slab. Arrays double
+// from the first tuple's width up to slabValues, so a Slab used for one
+// tuple allocates exactly that tuple.
+func (s *Slab) Tuple(n int) Tuple {
+	if n > len(s.free) {
+		s.grown = max(n, min(2*s.grown, slabValues))
+		s.free = make([]Value, s.grown)
 	}
-	t := d.slab[:n:n]
-	d.slab = d.slab[n:]
+	t := s.free[:n:n]
+	s.free = s.free[n:]
 	return t
 }
 
@@ -146,7 +154,7 @@ func (d *Decoder) DecodeLine(line string, schema *Schema) Tuple {
 	}
 	d.bounds = append(d.bounds, len(d.buf))
 	all := string(d.buf)
-	t := d.tuple(len(d.bounds))
+	t := d.slab.Tuple(len(d.bounds))
 	start := 0
 	for i, end := range d.bounds {
 		t[i] = fieldType(schema, i).Coerce(all[start:end])
@@ -158,7 +166,7 @@ func (d *Decoder) DecodeLine(line string, schema *Schema) Tuple {
 // decodePlain is the escape-free fast path: every field is a direct
 // slice of line, and the scan stops at the last column Need lists.
 func (d *Decoder) decodePlain(line string, schema *Schema) Tuple {
-	t := d.tuple(strings.Count(line, "\t") + 1)
+	t := d.slab.Tuple(strings.Count(line, "\t") + 1)
 	cols := len(t)
 	if d.Need != nil {
 		cols = min(cols, len(d.Need))
