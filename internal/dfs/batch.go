@@ -1,0 +1,174 @@
+package dfs
+
+import (
+	"bytes"
+	"math"
+	"slices"
+	"strings"
+)
+
+// Batch holds a run of records of one sealed block as the block stores
+// them, column by column: the values of every carried column copied into
+// one backing string, with one array of offsets to cut them out of it. No
+// line is rebuilt and a column that is not carried is never copied. Next
+// steps through the records; Width and Value read the one it stands on.
+//
+// A Batch is only ever served for records whose values hold neither a
+// backslash nor a newline, the two bytes to which a line codec gives a
+// meaning that reaches across values (an escaped tab joins two of them),
+// so that what a consumer makes of the values one by one is what it
+// would make of the line. The zero value is ready to use, and a Batch
+// that is read into again reuses its arrays; the text of an earlier read
+// stays valid for as long as a Value cut from it is referenced.
+type Batch struct {
+	shape  blockShape
+	text   string
+	widths []int // column count of each record, 0 for the empty line
+	row    int
+	// One array, cut in three, so that a read costs one allocation for all
+	// of its offsets.
+	ints    []int32
+	cur     []int32 // per column, the index in ends of the current record's value; -1 when not carried
+	carried []int32 // the carried columns, ascending
+	ends    []int32 // ends[k+1] is where the k-th carried value ends in text, column after column
+}
+
+// Len returns the number of records in the batch.
+func (b *Batch) Len() int { return len(b.widths) }
+
+// LineBytes returns the size of the batch's records as lines, a newline
+// after each: what ReadRange's lines for them would add up to.
+func (b *Batch) LineBytes() int64 { return int64(b.shape.lineBytes) }
+
+// Cols returns the column count of the widest record of the block, which
+// no record of the batch exceeds.
+func (b *Batch) Cols() int { return len(b.shape.cols) }
+
+// Next moves to the next record, the first on the first call, and
+// reports whether there is one.
+func (b *Batch) Next() bool {
+	if b.row >= 0 && b.row < len(b.widths) {
+		w := b.widths[b.row]
+		for _, c := range b.carried {
+			if int(c) >= w {
+				break
+			}
+			b.cur[c]++
+		}
+	}
+	b.row++
+	return b.row < len(b.widths)
+}
+
+// Width returns the current record's column count. The empty line has
+// width 0: a line codec reads it as no columns, not as one empty one.
+func (b *Batch) Width() int { return b.widths[b.row] }
+
+// Value returns the text of column c of the current record. c must be a
+// carried column below Width.
+func (b *Batch) Value(c int) string {
+	k := b.cur[c]
+	return b.text[b.ends[k]:b.ends[k+1]]
+}
+
+// reset empties b, keeping its arrays.
+func (b *Batch) reset() {
+	b.text, b.widths, b.row, b.shape.lineBytes = "", nil, -1, 0
+}
+
+// decode reads records [lo, hi) of an encoded block into b, carrying the
+// columns need lists (nil: all; column c where c < len(need) && need[c]).
+// ok is false, and b empty, when a value in the range holds a backslash
+// or a newline. The walk is decodeBlockRange's: both fail on the same
+// blocks.
+func (b *Batch) decode(data []byte, lo, hi int, need []bool) (ok bool, err error) {
+	b.reset()
+	n, payload, z, err := openBlock(data)
+	if z != nil {
+		defer inflaters.Put(z) // after the copy below: text never aliases its buffer
+	}
+	if err != nil {
+		return false, err
+	}
+	s := &b.shape
+	if err := s.walk(payload, n, lo, hi); err != nil {
+		return false, err
+	}
+	if len(payload) > math.MaxInt32 { // offsets are int32
+		b.reset()
+		return false, nil
+	}
+	widths := s.counts[s.lo:s.hi]
+	size, vals := 0, 0
+	for c, r := range s.cols {
+		if holdsEscape(payload, r, widths, c) {
+			b.reset()
+			return false, nil
+		}
+		if carries(need, c) {
+			size += r.text
+			vals += r.vals
+		}
+	}
+
+	var text strings.Builder
+	text.Grow(size)
+	k := len(s.cols)
+	b.ints = slices.Grow(b.ints[:0], 2*k+vals+1)[:2*k+vals+1]
+	b.cur, b.carried, b.ends = b.ints[:k:k], b.ints[k:k:2*k], append(b.ints[2*k:2*k], 0)
+	for c, r := range s.cols {
+		b.cur[c] = -1
+		carry := carries(need, c)
+		if carry {
+			b.cur[c] = int32(len(b.ends) - 1)
+			b.carried = append(b.carried, int32(c))
+		} else if c > 0 || s.minCols > 1 {
+			continue // only column 0 of a one-column record can make an empty line
+		}
+		off := r.start
+		for i, cols := range widths {
+			if cols <= c {
+				continue
+			}
+			start, end := valueAt(payload, off)
+			off = end
+			if c == 0 && cols == 1 && start == end {
+				widths[i] = 0 // the empty line: no column, and no value to step over
+				continue
+			}
+			if carry {
+				text.Write(payload[start:end])
+				b.ends = append(b.ends, int32(text.Len()))
+			}
+		}
+	}
+	b.text, b.widths = text.String(), widths
+	return true, nil
+}
+
+func carries(need []bool, c int) bool {
+	return need == nil || c < len(need) && need[c]
+}
+
+// holdsEscape reports whether a value of the region holds a backslash or
+// a newline.
+func holdsEscape(payload []byte, r colRegion, counts []int, c int) bool {
+	region := payload[r.start:r.end]
+	if bytes.IndexByte(region, '\\') < 0 && bytes.IndexByte(region, '\n') < 0 {
+		return false
+	}
+	// A length of 92 or 10 is one of the two bytes as well: look at the
+	// values alone.
+	off := r.start
+	for _, cols := range counts {
+		if cols <= c {
+			continue
+		}
+		start, end := valueAt(payload, off)
+		off = end
+		if v := payload[start:end]; bytes.IndexByte(v, '\\') >= 0 || bytes.IndexByte(v, '\n') >= 0 {
+			return true
+		}
+	}
+	return false
+}

@@ -165,120 +165,199 @@ func DecodeBlock(data []byte) ([]string, error) {
 	return decodeBlockRange(nil, data, 0, math.MaxInt)
 }
 
-// decodeBlockRange appends records [lo, hi) of the block to dst, clamping
-// the range to the block. The layout is column-grouped, so the walk
-// covers and bounds-checks the whole payload whatever the range (a
-// malformed block fails for every range alike), but only the records
-// asked for are materialised, as substrings of one backing string built
-// in a single copy.
-func decodeBlockRange(dst []string, data []byte, lo, hi int) ([]string, error) {
+// openBlock checks the header of an encoded block and returns its record
+// count and payload. A compressed payload is inflated into the buffer of a
+// pooled inflater, returned as z: the caller copies what it keeps of the
+// payload and then puts z back.
+func openBlock(data []byte) (n uint64, payload []byte, z *inflater, err error) {
 	if len(data) < 2 {
-		return dst, fmt.Errorf("dfs: block too short")
+		return 0, nil, nil, fmt.Errorf("dfs: block too short")
 	}
 	if data[0] != blockVersion {
-		return dst, fmt.Errorf("dfs: unknown block version 0x%02x", data[0])
+		return 0, nil, nil, fmt.Errorf("dfs: unknown block version 0x%02x", data[0])
 	}
-	flags := data[1]
 	rest := data[2:]
-	n64, w := binary.Uvarint(rest)
+	n, w := binary.Uvarint(rest)
 	if w <= 0 {
-		return dst, fmt.Errorf("dfs: bad block record count")
+		return 0, nil, nil, fmt.Errorf("dfs: bad block record count")
 	}
-	payload := rest[w:]
-	if flags&blockFlagFlate != 0 {
-		z := inflaters.Get().(*inflater)
-		defer inflaters.Put(z)
-		z.src.Reset(payload)
-		z.out.Reset()
-		err := z.zr.(flate.Resetter).Reset(&z.src, nil)
-		if err == nil {
-			_, err = z.out.ReadFrom(z.zr)
-		}
-		if err != nil {
-			return dst, fmt.Errorf("dfs: block decompress: %w", err)
-		}
-		payload = z.out.Bytes()
+	payload = rest[w:]
+	if data[1]&blockFlagFlate == 0 {
+		return n, payload, nil, nil
 	}
+	z = inflaters.Get().(*inflater)
+	z.src.Reset(payload)
+	z.out.Reset()
+	err = z.zr.(flate.Resetter).Reset(&z.src, nil)
+	if err == nil {
+		_, err = z.out.ReadFrom(z.zr)
+	}
+	if err != nil {
+		return 0, nil, z, fmt.Errorf("dfs: block decompress: %w", err)
+	}
+	return n, z.out.Bytes(), z, nil
+}
+
+// blockShape is what one walk over a block's payload learns of it: the
+// column count of every record and, per column, where the values of a
+// record range lie. Both ways of reading a block start from it, and a
+// reader that keeps one across blocks keeps its arrays.
+type blockShape struct {
+	counts  []int // column count of each record of the block
+	minCols int   // the narrowest record's
+	lo, hi  int   // the range walked, clamped to the block
+	cols    []colRegion
+	// lineBytes is what the range's records take as lines: every value and
+	// the tab or newline after it.
+	lineBytes int
+}
+
+// colRegion locates, in the payload, the values one column holds for the
+// records of the range: payload[start:end] is their lengths and bytes,
+// vals how many they are and text the bytes of the values alone.
+type colRegion struct {
+	start, end int
+	vals, text int
+}
+
+// walk validates a whole payload of n records, column by column, and
+// records the shape of [lo, hi), clamping the range to the block. The
+// layout is column-grouped, so the walk covers and bounds-checks every
+// value whatever the range: a malformed block fails for every range alike.
+func (s *blockShape) walk(payload []byte, n64 uint64, lo, hi int) error {
+	*s = blockShape{counts: s.counts[:0], cols: s.cols[:0]}
 	if n64 == 0 {
-		return dst, nil
+		return nil
 	}
 	// Counts and lengths are compared as uint64 against the bytes left
 	// before any becomes an int: a record costs at least its column-count
 	// byte, a column its length byte.
 	if n64 > uint64(len(payload)) {
-		return dst, fmt.Errorf("dfs: block record count exceeds payload")
+		return fmt.Errorf("dfs: block record count exceeds payload")
 	}
 	n := int(n64)
 	maxCols64, w := uvarint(payload)
 	if w <= 0 || maxCols64 > uint64(len(payload)) {
-		return dst, fmt.Errorf("dfs: bad block maxCols")
+		return fmt.Errorf("dfs: bad block maxCols")
 	}
 	off := w
-	maxCols := int(maxCols64)
-	colCounts := make([]int, n)
-	for i := range colCounts {
+	s.counts = slices.Grow(s.counts, n)[:n]
+	s.minCols = int(maxCols64)
+	for i := range s.counts {
 		c, w := uvarint(payload[off:])
 		if w <= 0 {
-			return dst, fmt.Errorf("dfs: bad block column count")
+			return fmt.Errorf("dfs: bad block column count")
 		}
 		off += w
 		if c > maxCols64 || c == 0 {
-			return dst, fmt.Errorf("dfs: block column count out of range")
+			return fmt.Errorf("dfs: block column count out of range")
 		}
-		colCounts[i] = int(c)
+		s.counts[i] = int(c)
+		s.minCols = min(s.minCols, int(c))
 	}
-	hi = max(0, min(hi, n))
-	lo = min(max(lo, 0), hi)
+	s.hi = max(0, min(hi, n))
+	s.lo = min(max(lo, 0), s.hi)
 
-	// Column-major walk: colStart[c] is where column c's values for records
-	// lo onwards begin, size the text of [lo, hi) with a tab per value.
-	colStart := make([]int, maxCols)
-	size := 0
-	for c := 0; c < maxCols; c++ {
-		for i, cols := range colCounts {
-			if i == lo {
-				colStart[c] = off
-			}
-			if cols <= c {
-				continue
-			}
-			l, w := uvarint(payload[off:])
-			if w <= 0 {
-				return dst, fmt.Errorf("dfs: bad block value length")
-			}
-			off += w
-			if l > uint64(len(payload)-off) {
-				return dst, fmt.Errorf("dfs: block value overruns payload")
-			}
-			off += int(l)
-			if i >= lo && i < hi {
-				size += int(l) + 1
-			}
+	s.cols = slices.Grow(s.cols, int(maxCols64))[:maxCols64]
+	for c := range s.cols {
+		r := &s.cols[c]
+		var extra int
+		var err error
+		if off, _, _, err = skipValues(payload, off, s.counts[:s.lo], c); err != nil {
+			return err
+		}
+		r.start = off
+		if off, r.vals, extra, err = skipValues(payload, off, s.counts[s.lo:s.hi], c); err != nil {
+			return err
+		}
+		r.end = off
+		r.text = r.end - r.start - r.vals - extra
+		s.lineBytes += r.text + r.vals
+		if off, _, _, err = skipValues(payload, off, s.counts[s.hi:], c); err != nil {
+			return err
 		}
 	}
-	if lo == hi {
+	return nil
+}
+
+// skipValues steps from off over the values that the records with the
+// given column counts hold in column c, checking each length against the
+// bytes left. It returns the offset after the last, how many values there
+// were and the bytes their lengths took beyond one each.
+func skipValues(payload []byte, off int, counts []int, c int) (end, vals, extra int, err error) {
+	for _, cols := range counts {
+		if cols <= c {
+			continue
+		}
+		if off >= len(payload) {
+			return 0, 0, 0, fmt.Errorf("dfs: bad block value length")
+		}
+		// Nearly every length is one byte: binary.Uvarint's case for it,
+		// taken here, because a call per value is a tenth of the walk.
+		l, w := uint64(payload[off]), 1
+		if l >= 0x80 {
+			if l, w = binary.Uvarint(payload[off:]); w <= 0 {
+				return 0, 0, 0, fmt.Errorf("dfs: bad block value length")
+			}
+			extra += w - 1
+		}
+		off += w
+		if l > uint64(len(payload)-off) {
+			return 0, 0, 0, fmt.Errorf("dfs: block value overruns payload")
+		}
+		off += int(l)
+		vals++
+	}
+	return off, vals, extra, nil
+}
+
+// valueAt reads the length-prefixed value at payload[off:], which the
+// walk has validated, and returns where its bytes begin and end.
+func valueAt(payload []byte, off int) (start, end int) {
+	l, w := uint64(payload[off]), 1
+	if l >= 0x80 {
+		l, w = binary.Uvarint(payload[off:])
+	}
+	return off + w, off + w + int(l)
+}
+
+// decodeBlockRange appends records [lo, hi) of the block to dst, clamping
+// the range to the block. Only the records asked for are materialised, as
+// substrings of one backing string built in a single copy.
+func decodeBlockRange(dst []string, data []byte, lo, hi int) ([]string, error) {
+	n, payload, z, err := openBlock(data)
+	if z != nil {
+		defer inflaters.Put(z)
+	}
+	if err != nil {
+		return dst, err
+	}
+	var s blockShape
+	if err := s.walk(payload, n, lo, hi); err != nil {
+		return dst, err
+	}
+	if s.lo == s.hi {
 		return dst, nil
 	}
 
-	// Row-major rebuild: a cursor per column re-reads the lengths the walk
-	// validated. A line's first value takes no tab.
+	// Row-major rebuild: each column's region start serves as its cursor.
+	// A line's first value takes no tab.
 	var text strings.Builder
-	text.Grow(size - (hi - lo))
-	ends := make([]int, hi-lo)
-	for i := lo; i < hi; i++ {
-		for c := 0; c < colCounts[i]; c++ {
+	text.Grow(s.lineBytes - (s.hi - s.lo))
+	ends := make([]int, s.hi-s.lo)
+	for i, cols := range s.counts[s.lo:s.hi] {
+		for c := 0; c < cols; c++ {
 			if c > 0 {
 				text.WriteByte('\t')
 			}
-			l, w := uvarint(payload[colStart[c]:])
-			start := colStart[c] + w
-			colStart[c] = start + int(l)
-			text.Write(payload[start:colStart[c]])
+			start, end := valueAt(payload, s.cols[c].start)
+			s.cols[c].start = end
+			text.Write(payload[start:end])
 		}
-		ends[i-lo] = text.Len()
+		ends[i] = text.Len()
 	}
 	all := text.String()
-	dst = slices.Grow(dst, hi-lo)
+	dst = slices.Grow(dst, s.hi-s.lo)
 	start := 0
 	for _, end := range ends {
 		dst = append(dst, all[start:end])

@@ -334,23 +334,6 @@ func TestReaderRangesOnSpilledFile(t *testing.T) {
 			}
 		}
 	}
-	// Batch iteration covers everything exactly once, in order.
-	var streamed []string
-	for {
-		batch, ok := r.Next()
-		if !ok {
-			break
-		}
-		streamed = append(streamed, batch...)
-	}
-	if len(streamed) != len(want) {
-		t.Fatalf("Next() streamed %d lines want %d", len(streamed), len(want))
-	}
-	for i := range want {
-		if streamed[i] != want[i] {
-			t.Fatalf("streamed line %d mismatch", i)
-		}
-	}
 }
 
 func TestTreeReaderMatchesReadTree(t *testing.T) {

@@ -368,32 +368,35 @@ func (fs *FS) spillBlock(b *block) error {
 	return nil
 }
 
-// loadBlock appends records [lo, hi) of b to dst (hi is clamped to the
-// block's record count). Safe for concurrent use: the encoded bytes are
-// immutable once sealed, and a spilled block is read back with a
-// positioned read. Decode failure means the trusted store itself broke
-// (spill-file corruption), which the fault model assumes away — it
-// panics rather than inventing an error path every reader would have to
-// thread.
-func (fs *FS) loadBlock(dst []string, b *block, lo, hi int) []string {
+// blockData returns b's encoded bytes, reading a spilled block back
+// with a positioned read. Safe for concurrent use: the encoded bytes are
+// immutable once sealed. A failure here, or in decoding what it returns,
+// means the trusted store itself broke (spill-file corruption), which the
+// fault model assumes away — it panics rather than inventing an error
+// path every reader would have to thread.
+func (fs *FS) blockData(b *block) []byte {
 	fs.mu.RLock()
 	data := b.data
 	off, size := b.off, b.size
+	sf := fs.spillF
 	fs.mu.RUnlock()
-	if data == nil {
-		buf := make([]byte, size)
-		fs.mu.RLock()
-		sf := fs.spillF
-		fs.mu.RUnlock()
-		if sf == nil {
-			panic("dfs: spilled block with no spill file")
-		}
-		if _, err := sf.ReadAt(buf, off); err != nil {
-			panic(fmt.Sprintf("dfs: spill read: %v", err))
-		}
-		data = buf
+	if data != nil {
+		return data
 	}
-	dst, err := decodeBlockRange(dst, data, lo, hi)
+	if sf == nil {
+		panic("dfs: spilled block with no spill file")
+	}
+	buf := make([]byte, size)
+	if _, err := sf.ReadAt(buf, off); err != nil {
+		panic(fmt.Sprintf("dfs: spill read: %v", err))
+	}
+	return buf
+}
+
+// loadBlock appends records [lo, hi) of b to dst (hi is clamped to the
+// block's record count).
+func (fs *FS) loadBlock(dst []string, b *block, lo, hi int) []string {
+	dst, err := decodeBlockRange(dst, fs.blockData(b), lo, hi)
 	if err != nil {
 		panic(fmt.Sprintf("dfs: block decode: %v", err))
 	}

@@ -84,7 +84,10 @@ func FuzzBlockRoundTrip(f *testing.F) {
 // FuzzDecodeBlockNoPanic hands the block decoder arbitrary bytes, as a
 // corrupted spill file would: it must return records or an error, never
 // panic or size an allocation from an unchecked length, and a range
-// decode must fail on exactly the inputs a whole decode fails on.
+// decode, as lines or as a batch of columns, must fail on exactly the
+// inputs a whole decode fails on. A batch is served for exactly the
+// ranges free of backslash and newline, and holds the values their lines
+// are made of.
 func FuzzDecodeBlockNoPanic(f *testing.F) {
 	f.Add(EncodeBlock([]string{"a\tb", "c", "\t\t"}, false), 1, 2)
 	f.Add(EncodeBlock([]string{strings.Repeat("wide\tblock\t", 40)}, true), 0, 1)
@@ -92,11 +95,17 @@ func FuzzDecodeBlockNoPanic(f *testing.F) {
 	f.Add([]byte{blockVersion, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1, 1, 0}, 0, 9)
 	f.Add([]byte{blockVersion, blockFlagFlate, 3, 0xff, 0xff}, 0, 0)
 	f.Add(EncodeBlock([]string{"a", "b"}, false), 1, -28)
+	f.Add(EncodeBlock([]string{"", "x\\\ty", "", "p\tq\tr"}, false), 0, 4)
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int) {
 		all, err := DecodeBlock(data)
 		part, perr := decodeBlockRange(nil, data, lo, hi)
 		if (err == nil) != (perr == nil) {
 			t.Fatalf("whole decode err %v, range [%d,%d) err %v", err, lo, hi, perr)
+		}
+		var b Batch
+		ok, berr := b.decode(data, lo, hi, nil)
+		if (err == nil) != (berr == nil) {
+			t.Fatalf("whole decode err %v, batch [%d,%d) err %v", err, lo, hi, berr)
 		}
 		if err != nil {
 			return
@@ -108,6 +117,14 @@ func FuzzDecodeBlockNoPanic(f *testing.F) {
 		lo = min(max(lo, 0), hi)
 		if !slices.Equal(part, all[lo:hi]) {
 			t.Fatalf("range [%d,%d) = %q, want %q", lo, hi, part, all[lo:hi])
+		}
+		if plain := !strings.ContainsAny(strings.Join(part, ""), "\\\n"); ok != plain {
+			t.Fatalf("batch [%d,%d) served=%v over %q", lo, hi, ok, part)
+		}
+		// Joined by tabs the values are the line, whatever bytes a hostile
+		// block put in them.
+		if got := batchLines(&b, nil); ok && !slices.Equal(got, part) {
+			t.Fatalf("batch [%d,%d) = %q, want %q", lo, hi, got, part)
 		}
 	})
 }

@@ -50,11 +50,7 @@ func TestHookEquivalenceBlockVsLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			if _, ok := r.Next(); !ok {
-				break
-			}
-		}
+		r.ReadRange(0, r.NumRecords())
 		tr, err := fs.OpenTreeReader("job/parts")
 		if err != nil {
 			t.Fatal(err)

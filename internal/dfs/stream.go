@@ -1,14 +1,15 @@
 package dfs
 
+import "fmt"
+
 // Streaming access to block-backed files. A Reader exposes a file (or a
 // sorted part-file tree) as an indexed sequence of records without
-// materializing the whole file: record ranges decode only the blocks
-// they overlap, and batch iteration hands back one block's records at a
-// time. Appends need no mirror image: FS.Append already seals and spills
-// batch by batch. A Reader sits strictly above the block layer — it
-// never sees encoded bytes, only record lines — so everything the FS
-// guarantees about hooks, counters, and spilling holds for streamed
-// access too.
+// materializing the whole file, in two shapes: ReadRange returns record
+// lines, ReadColumns the column spans a sealed block stores; either decodes
+// only the blocks a range overlaps. Appends need no mirror image:
+// FS.Append already seals and spills batch by batch. A Reader never hands
+// out encoded bytes, so everything the FS guarantees about hooks, counters,
+// and spilling holds for streamed access too.
 
 // rseg is one contiguous run of records inside a Reader: either a
 // sealed block (decoded on demand) or a snapshot of a file's unsealed
@@ -22,14 +23,12 @@ type rseg struct {
 // Reader is a positioned, random-access view over the records of a file
 // or file tree, snapshotted at open time (appends after open are not
 // visible, matching the copy semantics of ReadLines). The zero value is
-// an empty reader. ReadRange and NumRecords are safe for concurrent
-// use; Next is not.
+// an empty reader, and every method is safe for concurrent use.
 type Reader struct {
 	fs     *FS
 	segs   []rseg
 	starts []int // segs[i] covers records [starts[i], starts[i]+segs[i].n)
 	total  int
-	cursor int // next segment for Next
 
 	logicalBytes int64 // accumulated by addFile, charged once at open
 }
@@ -121,6 +120,21 @@ func (r *Reader) addFile(f *file) {
 // NumRecords returns the total record count snapshotted at open.
 func (r *Reader) NumRecords() int { return r.total }
 
+// segAt returns the index of the segment holding record start, which
+// must be in [0, total).
+func (r *Reader) segAt(start int) int {
+	lo, hi := 0, len(r.segs)-1
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if r.starts[mid] <= start {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
 // ReadRange returns the records in [start, end), decoding from each
 // block the range overlaps only the records inside it. It is stateless
 // and safe to call concurrently from parallel task bodies. Out-of-range
@@ -135,18 +149,8 @@ func (r *Reader) ReadRange(start, end int) []string {
 	if start >= end {
 		return nil
 	}
-	// Find the first overlapping segment by binary search on starts.
-	lo, hi := 0, len(r.segs)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if r.starts[mid] <= start {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
 	out := make([]string, 0, end-start)
-	for i := lo; i < len(r.segs) && r.starts[i] < end; i++ {
+	for i := r.segAt(start); i < len(r.segs) && r.starts[i] < end; i++ {
 		seg := r.segs[i]
 		a, b := 0, seg.n
 		if s := start - r.starts[i]; s > a {
@@ -164,16 +168,29 @@ func (r *Reader) ReadRange(start, end int) []string {
 	return out
 }
 
-// Next returns the next batch of records — one segment (typically one
-// block) at a time — and false once the reader is exhausted.
-func (r *Reader) Next() ([]string, bool) {
-	if r.cursor >= len(r.segs) {
-		return nil, false
+// ReadColumns reads records from start on into b as column spans, up to
+// end or the end of the sealed block holding start, whichever comes first,
+// and returns the record it stopped before; need lists the columns to
+// carry (nil: all). ok is false, with b left empty, where the records are
+// not to be had as columns: [start, next) is held as lines (an unsealed
+// tail, a reader materialized for a ReadHook), or one of its values holds
+// a backslash or a newline (see Batch). ReadRange serves those. b belongs
+// to the caller; the Reader stays safe for concurrent use.
+func (r *Reader) ReadColumns(b *Batch, start, end int, need []bool) (next int, ok bool) {
+	b.reset()
+	start = max(start, 0)
+	if start >= min(end, r.total) {
+		return end, false
 	}
-	seg := r.segs[r.cursor]
-	r.cursor++
-	if seg.blk != nil {
-		return r.fs.loadBlock(nil, seg.blk, 0, seg.n), true
+	i := r.segAt(start)
+	seg := r.segs[i]
+	next = min(end, r.starts[i]+seg.n)
+	if seg.blk == nil {
+		return next, false
 	}
-	return seg.lines, true
+	ok, err := b.decode(r.fs.blockData(seg.blk), start-r.starts[i], next-r.starts[i], need)
+	if err != nil {
+		panic(fmt.Sprintf("dfs: block decode: %v", err))
+	}
+	return next, ok
 }

@@ -60,6 +60,9 @@ type Writer struct {
 	// and without a counter.
 	Obs *obs.Counter
 
+	// also lists further verification points this writer reports under.
+	also []int
+
 	h       hash.Hash
 	buf     []byte
 	inChunk int64
@@ -83,6 +86,16 @@ func NewWriter(key Key, replica, every int, emit func(Report)) *Writer {
 	}
 }
 
+// Also makes w report every chunk under verification point p as well,
+// right after its own: two points that see the same records in the same
+// order with the same chunking hash the same bytes, so one hash state
+// serves both and their reports come out as two writers would have
+// emitted them. Each record still counts once per point in Obs.
+func (w *Writer) Also(p int) { w.also = append(w.also, p) }
+
+// Points returns how many verification points w reports under.
+func (w *Writer) Points() int { return 1 + len(w.also) }
+
 // Add folds one tuple's canonical bytes into the current chunk, emitting
 // a Report when the chunk fills.
 func (w *Writer) Add(t tuple.Tuple) {
@@ -103,7 +116,7 @@ func (w *Writer) AddCanonical(canon []byte) {
 	}
 	w.h.Write(canon)
 	w.inChunk++
-	w.Obs.Inc()
+	w.Obs.Add(int64(w.Points()))
 	if w.every > 0 && w.inChunk >= int64(w.every) {
 		w.flush(false)
 	}
@@ -134,6 +147,10 @@ func (w *Writer) flush(final bool) {
 	}
 	w.h.Sum(r.Sum[:0])
 	w.emit(r)
+	for _, p := range w.also {
+		r.Key.Point = p
+		w.emit(r)
+	}
 	w.h.Reset()
 	w.inChunk = 0
 	w.chunk++

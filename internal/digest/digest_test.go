@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"clusterbft/internal/obs"
 	"clusterbft/internal/tuple"
 )
 
@@ -247,6 +248,42 @@ func TestWriterAddCanonicalMatchesAdd(t *testing.T) {
 		c.Close()
 		if c.Records() != 0 || len(viaCanon) != len(viaAdd) {
 			t.Errorf("every=%d: closed writer took a record or reported again", every)
+		}
+	}
+}
+
+// TestAlsoMatchesTwoWriters: one writer reporting under a second point
+// emits, report for report, what two writers fed the same records in turn
+// do — same keys, counts, sums and order — at every chunk size and for an
+// empty stream, and counts each record once per point.
+func TestAlsoMatchesTwoWriters(t *testing.T) {
+	for _, every := range []int{0, 1, 100} {
+		for _, n := range []int{0, 1, 99, 100, 250} {
+			reg := obs.NewRegistry()
+			var want, got []Report
+			w0 := NewWriter(Key{SID: "j", Point: 4, Task: "m0-001"}, 2, every, collect(&want))
+			w1 := NewWriter(Key{SID: "j", Point: 9, Task: "m0-001"}, 2, every, collect(&want))
+			w0.Obs, w1.Obs = reg.Counter("two"), reg.Counter("two")
+			fused := NewWriter(Key{SID: "j", Point: 4, Task: "m0-001"}, 2, every, collect(&got))
+			fused.Also(9)
+			fused.Obs = reg.Counter("fused")
+			if fused.Points() != 2 {
+				t.Fatalf("Points = %d", fused.Points())
+			}
+			for _, r := range rows(n) {
+				w0.Add(r)
+				w1.Add(r)
+				fused.Add(r)
+			}
+			w0.Close()
+			w1.Close()
+			fused.Close()
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("d=%d, %d records: fused writer emitted\n%v\ntwo writers\n%v", every, n, got, want)
+			}
+			if two, one := reg.Counter("two").Value(), reg.Counter("fused").Value(); one != two || one != int64(2*n) {
+				t.Errorf("d=%d, %d records: counted %d fused, %d apart, want %d", every, n, one, two, 2*n)
+			}
 		}
 	}
 }

@@ -49,9 +49,10 @@ func TestMapInnerLoopObsAllocs(t *testing.T) {
 	for i := range lines {
 		lines[i] = "12\t34"
 	}
+	src := sealedBlock(t, lines)
 	measure := func(o taskObs) float64 {
 		return testing.AllocsPerRun(20, func() {
-			_ = runMapTask(job, 0, lines, nil, nil, o)
+			_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, o)
 		})
 	}
 	disabled := measure(taskObs{})

@@ -64,7 +64,7 @@ func benchShuffleRuns(b *testing.B, job *JobSpec, inputs map[int][]string) ([][]
 	var runs [][]interRec
 	total := 0
 	for idx := range job.Inputs {
-		out := runMapTask(job, idx, inputs[idx], nil, nil, taskObs{})
+		out := runMapTask(job, idx, sealedBlock(b, inputs[idx]), 0, len(inputs[idx]), nil, nil, taskObs{})
 		for _, part := range out.partitions {
 			runs = append(runs, part)
 			total += len(part)
@@ -185,15 +185,7 @@ func BenchmarkDataplaneSpillRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		n := 0
-		for {
-			batch, ok := r.Next()
-			if !ok {
-				break
-			}
-			n += len(batch)
-		}
-		if n != len(lines) {
+		if n := len(r.ReadRange(0, r.NumRecords())); n != len(lines) {
 			b.Fatalf("round-trip lost records: %d != %d", n, len(lines))
 		}
 		if err := fs.Close(); err != nil {
@@ -238,10 +230,11 @@ func BenchmarkDataplaneSampleKeep(b *testing.B) {
 func BenchmarkDataplaneMapTaskShuffle(b *testing.B) {
 	job := uncombined(benchCompile(b, followerSrc, CompileOptions{NumReduces: 4})...)[0]
 	lines := benchEdgeLines()
+	src := sealedBlock(b, lines)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runMapTask(job, 0, lines, nil, nil, taskObs{})
+		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{})
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -285,10 +278,11 @@ func benchHotKeyLines() []string {
 func BenchmarkDataplaneMapTaskCombine(b *testing.B) {
 	job := benchCompile(b, followerSrc, CompileOptions{NumReduces: 4})[0]
 	lines := benchHotKeyLines()
+	src := sealedBlock(b, lines)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runMapTask(job, 0, lines, nil, nil, taskObs{})
+		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{})
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -298,10 +292,11 @@ func BenchmarkDataplaneMapTaskCombine(b *testing.B) {
 func BenchmarkDataplaneMapTaskCombineOff(b *testing.B) {
 	job := uncombined(benchCompile(b, followerSrc, CompileOptions{NumReduces: 4})...)[0]
 	lines := benchHotKeyLines()
+	src := sealedBlock(b, lines)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runMapTask(job, 0, lines, nil, nil, taskObs{})
+		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{})
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -316,10 +311,11 @@ p = FOREACH f GENERATE user, user * follower AS prod;
 STORE p INTO 'out/prod';
 `, CompileOptions{})[0]
 	lines := benchEdgeLines()
+	src := sealedBlock(b, lines)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runMapTask(job, 0, lines, nil, nil, taskObs{})
+		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{})
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }

@@ -90,11 +90,11 @@ func aggOrdinals(gens []pig.GenItem) []int {
 // same interRec plumbing (and byte accounting) as raw ones. A MIN/MAX
 // over a string column holds a substring of the split's text; the
 // partial, which outlives the task, gets its own copy.
-func partialTuple(accs []aggAcc) tuple.Tuple {
-	t := make(tuple.Tuple, 2*len(accs))
+func (c *combiner) partialTuple(accs []aggAcc) tuple.Tuple {
+	t := c.slab.Tuple(2 * len(accs))
 	for i, a := range accs {
 		t[2*i] = tuple.Int(a.n)
-		t[2*i+1] = detachValue(a.v)
+		t[2*i+1] = c.keepValue(a.v)
 	}
 	return t
 }
@@ -110,20 +110,25 @@ func partialAcc(t tuple.Tuple, i int) (int64, tuple.Value) {
 
 // combiner folds a map task's post-digest output into per-partition
 // open-addressing tables keyed by the canonical shuffle key. Hits cost
-// zero allocations: the key encodes into the task's scratch buffer, the
+// zero allocations: the key encodes into the task's scratch buffer and the
 // probe compares bytes against stored keys without materializing a
-// string, and only a first-seen key allocates its entry.
+// string. A first-seen key costs none of its own either: what its entry
+// keeps is cut from the slab, the arena and its partition's accumulator
+// array, which the task's outcome holds together for as long as it lives.
 type combiner struct {
 	spec   *ReduceSpec
 	aggs   []*pig.Aggregate // ReduceAggregate: aggregates in generator order
 	tag    int
-	keyBuf tuple.Tuple // reusable key projection, cloned on first sight
+	keyBuf tuple.Tuple // reusable key projection, copied on first sight
 	parts  []combinePart
+	slab   tuple.Slab // key tuples, first tuples, partials
+	strs   strArena   // key strings and the string values of kept tuples
 }
 
 type combinePart struct {
 	entries []combineEntry
-	slots   []int32 // 1-based indices into entries; 0 = empty
+	accs    []aggAcc // ReduceAggregate: len(aggs) per entry, in entry order
+	slots   []int32  // 1-based indices into entries; 0 = empty
 }
 
 type combineEntry struct {
@@ -131,7 +136,6 @@ type combineEntry struct {
 	keyStr string
 	key    tuple.Tuple
 	first  tuple.Tuple // ReduceDistinct: first-arriving tuple of the key
-	accs   []aggAcc    // ReduceAggregate: one per aggregate generator
 }
 
 func newCombiner(spec *ReduceSpec, in *JobInput, numParts int) *combiner {
@@ -165,13 +169,14 @@ func (c *combiner) fold(t tuple.Tuple, keyCols []int, scratch []byte) []byte {
 		h ^= uint64(b)
 		h *= fnvPrime64
 	}
-	p := partitionOfBytes(scratch, len(c.parts))
-	e := c.parts[p].find(h, scratch)
-	if e == nil {
-		e = c.parts[p].insert(h, scratch, t, c)
+	part := &c.parts[partitionOfBytes(scratch, len(c.parts))]
+	e := part.find(h, scratch)
+	if e < 0 {
+		e = part.insert(h, scratch, t, c)
 	}
+	accs := part.accs[e*len(c.aggs):]
 	for i, agg := range c.aggs {
-		mergeAgg(agg, &e.accs[i], 1, colOf(t, agg.ColIdx))
+		mergeAgg(agg, &accs[i], 1, colOf(t, agg.ColIdx))
 	}
 	return scratch
 }
@@ -191,40 +196,60 @@ func partitionOfBytes(key []byte, numReduces int) int {
 	return int(h % uint32(numReduces))
 }
 
-func (p *combinePart) find(h uint64, key []byte) *combineEntry {
+// find returns the index of key's entry, -1 when it has none.
+func (p *combinePart) find(h uint64, key []byte) int {
 	if len(p.slots) == 0 {
-		return nil
+		return -1
 	}
 	mask := uint64(len(p.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		s := p.slots[i]
 		if s == 0 {
-			return nil
+			return -1
 		}
 		e := &p.entries[s-1]
 		// string(key) in a comparison does not allocate.
 		if e.hash == h && e.keyStr == string(key) {
-			return e
+			return int(s - 1)
 		}
 	}
 }
 
-func (p *combinePart) insert(h uint64, key []byte, t tuple.Tuple, c *combiner) *combineEntry {
+// insert adds key's entry and returns its index.
+func (p *combinePart) insert(h uint64, key []byte, t tuple.Tuple, c *combiner) int {
 	if 4*(len(p.entries)+1) > 3*len(p.slots) {
-		p.grow()
+		p.grow(len(c.aggs))
 	}
 	// An entry outlives the task in its map outcome; its values are
-	// substrings of the split's text and its tuples carved from a decode
-	// slab. Detach what is kept, or a few dozen keys pin the whole split.
-	e := combineEntry{hash: h, keyStr: string(key), key: detach(c.keyBuf)}
+	// substrings of the split's text and its tuples the task's rows. Copy
+	// what is kept, or a few dozen keys pin the whole split.
+	e := combineEntry{hash: h, keyStr: c.strs.add(key), key: c.keep(c.keyBuf)}
 	if c.spec.Kind == ReduceDistinct {
-		e.first = detach(t)
+		e.first = c.keep(t)
 	} else {
-		e.accs = make([]aggAcc, len(c.aggs))
+		n := len(p.accs) + len(c.aggs)
+		p.accs = slices.Grow(p.accs, len(c.aggs))[:n]
+		clear(p.accs[n-len(c.aggs):])
 	}
 	p.entries = append(p.entries, e)
 	p.place(h, int32(len(p.entries)))
-	return &p.entries[len(p.entries)-1]
+	return len(p.entries) - 1
+}
+
+// keep copies t into the combiner's slab, string bytes into its arena.
+func (c *combiner) keep(t tuple.Tuple) tuple.Tuple {
+	k := c.slab.Tuple(len(t))
+	for i, v := range t {
+		k[i] = c.keepValue(v)
+	}
+	return k
+}
+
+func (c *combiner) keepValue(v tuple.Value) tuple.Value {
+	if v.Kind() == tuple.KindString {
+		return tuple.Str(c.strs.addString(v.Str()))
+	}
+	return v
 }
 
 // detach copies t into storage of its own, string bytes included.
@@ -253,7 +278,9 @@ func (p *combinePart) place(h uint64, idx int32) {
 	}
 }
 
-func (p *combinePart) grow() {
+// grow doubles the table, and with it the room for the entries and
+// accumulators it can index before it next grows.
+func (p *combinePart) grow(aggs int) {
 	n := 2 * len(p.slots)
 	if n == 0 {
 		n = 16
@@ -262,6 +289,9 @@ func (p *combinePart) grow() {
 	for i := range p.entries {
 		p.place(p.entries[i].hash, int32(i+1))
 	}
+	room := 3*n/4 - len(p.entries)
+	p.entries = slices.Grow(p.entries, room)
+	p.accs = slices.Grow(p.accs, room*aggs)
 }
 
 // emit materializes every partition as interRec records — the distinct
@@ -281,7 +311,7 @@ func (c *combiner) emit() ([][]interRec, int64) {
 			e := &entries[i]
 			t := e.first
 			if c.spec.Kind != ReduceDistinct {
-				t = partialTuple(e.accs)
+				t = c.partialTuple(c.parts[pi].accs[i*len(c.aggs) : (i+1)*len(c.aggs)])
 			}
 			recs[i] = interRec{keyStr: e.keyStr, key: e.key, tag: c.tag, t: t, encLen: tuple.EncodedLen(t)}
 			total += recs[i].bytes()

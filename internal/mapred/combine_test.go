@@ -215,7 +215,7 @@ func TestMapTaskCombineOutcome(t *testing.T) {
 	for i := range lines {
 		lines[i] = fmt.Sprintf("%d\t%d", i%16, i+1) // 16 keys, no zero followers
 	}
-	out := runMapTask(job, 0, lines, nil, nil, taskObs{})
+	out := runMapTask(job, 0, sealedBlock(t, lines), 0, len(lines), nil, nil, taskObs{})
 	if out.recordsOut != 600 || out.combinedIn != 600 {
 		t.Errorf("recordsOut=%d combinedIn=%d, want 600/600", out.recordsOut, out.combinedIn)
 	}
@@ -332,7 +332,7 @@ func TestReduceMergeLeavesRunsIntact(t *testing.T) {
 	for i := range lines {
 		lines[i] = fmt.Sprintf("%d\t%d", i%7, i+1)
 	}
-	out := runMapTask(job, 0, lines, nil, nil, taskObs{})
+	out := runMapTask(job, 0, heldLines(t, lines), 0, len(lines), nil, nil, taskObs{})
 	runs := [][]interRec{out.partitions[0]}
 	before := make([]interRec, len(runs[0]))
 	copy(before, runs[0])

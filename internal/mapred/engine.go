@@ -970,15 +970,13 @@ func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), co
 	o := e.obsTask
 	return func() bodyResult {
 		// Decode only this split's records, here on the worker pool —
-		// block decode parallelizes across map tasks and the split's
-		// lines never outlive the body. ReadRange is concurrency-safe.
-		lines := src.ReadRange(split[0], split[1])
-		out := runMapTask(js.Spec, t.InputIdx, lines, df, corrupt, o)
+		// block decode parallelizes across map tasks and what is decoded
+		// never outlives the body. The reader is concurrency-safe.
+		out := runMapTask(js.Spec, t.InputIdx, src, split[0], split[1], df, corrupt, o)
 		if js.Spec.Audit && emit != nil {
 			sum, n := auditMapSum(out)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
 		}
-		inBytes := linesBytes(lines)
 		// Shuffle cost is charged on the post-combiner record count: the
 		// combiner shrinks what crosses the wire and pays CombineRecordUs
 		// per folded record instead. Map-only jobs write recordsOut lines
@@ -995,7 +993,7 @@ func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), co
 		commit := func() {
 			atomic.AddInt64(&e.Metrics.MapTasks, 1)
 			atomic.AddInt64(&e.Metrics.RecordsIn, out.recordsIn)
-			atomic.AddInt64(&e.Metrics.HDFSBytesRead, inBytes)
+			atomic.AddInt64(&e.Metrics.HDFSBytesRead, out.inBytes)
 			atomic.AddInt64(&e.Metrics.LocalBytesWritten, out.localBytes)
 			atomic.AddInt64(&e.Metrics.DigestRecords, out.digested)
 			atomic.AddInt64(&e.Metrics.ShuffleRecords, out.shuffleRecs)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"clusterbft/internal/dfs"
 	"clusterbft/internal/digest"
 	"clusterbft/internal/obs"
 	"clusterbft/internal/pig"
@@ -44,24 +45,44 @@ type opChain struct {
 	// output line after the last, share one encode.
 	canon   []byte
 	canonOK bool
+	// While fromSrc, src stands on the record the tuple given to apply was
+	// read from, and schema is what its columns coerce by; srcRow holds while
+	// the tuple in flight is still that record, untouched by a projection.
+	// Its canonical bytes are then put together from the batch's spans.
+	src     dfs.Batch
+	schema  *tuple.Schema
+	fromSrc bool
+	srcRow  bool
 }
 
 // opState is what one op of a running chain keeps between records.
 type opState struct {
-	w      *digest.Writer // PhysDigest: nil when digests are off
-	passed int64          // PhysLimit: records let through so far
-	out    tuple.Tuple    // PhysProject: reusable output, nil to allocate
+	// PhysDigest: nil when digests are off, and in a digest fused into the
+	// one before it (digest.Writer.Also).
+	w      *digest.Writer
+	passed int64       // PhysLimit: records let through so far
+	out    tuple.Tuple // PhysProject: reusable output, nil to allocate
 }
 
 // newOpChain builds the chain for one task. reuse lets each PhysProject
 // write every record into one buffer of its own; the caller must then be
 // done with a tuple apply returned before it calls apply again.
-func newOpChain(ops []Op, df digestFactory, reuse bool) *opChain {
-	c := &opChain{ops: ops, state: make([]opState, len(ops))}
+func newOpChain(ops []Op, df digestFactory, reuse bool) opChain {
+	c := opChain{ops: ops, state: make([]opState, len(ops))}
 	for i, op := range ops {
 		switch {
 		case op.Kind == PhysDigest && df != nil:
-			c.state[i].w = df(op.Point)
+			// Digests with nothing between them see one stream: the first
+			// hashes it for all of them.
+			first := i
+			for first > 0 && ops[first-1].Kind == PhysDigest {
+				first--
+			}
+			if first == i {
+				c.state[i].w = df(op.Point)
+			} else {
+				c.state[first].w.Also(op.Point)
+			}
 		case op.Kind == PhysProject && reuse:
 			c.state[i].out = make(tuple.Tuple, len(op.Gens))
 		}
@@ -73,6 +94,7 @@ func newOpChain(ops []Op, df digestFactory, reuse bool) *opChain {
 // dropped (filter miss or limit exhausted). t is only read.
 func (c *opChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 	c.canonOK = false
+	c.srcRow = c.fromSrc
 	for i := range c.ops {
 		op, st := &c.ops[i], &c.state[i]
 		switch op.Kind {
@@ -89,11 +111,11 @@ func (c *opChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 				out[g] = gen.Expr.Eval(t)
 			}
 			t = out
-			c.canonOK = false
+			c.canonOK, c.srcRow = false, false
 		case PhysDigest:
 			if st.w != nil {
 				st.w.AddCanonical(c.canonical(t))
-				c.digests++
+				c.digests += int64(st.w.Points())
 			}
 		case PhysLimit:
 			if st.passed >= op.Limit {
@@ -112,10 +134,25 @@ func (c *opChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 // canonical returns tuple.AppendCanonical of t, the tuple in flight,
 // encoding it only if no earlier op of this apply already has.
 func (c *opChain) canonical(t tuple.Tuple) []byte {
-	if !c.canonOK {
-		c.canon = tuple.AppendCanonical(c.canon[:0], t)
-		c.canonOK = true
+	if c.canonOK {
+		return c.canon
 	}
+	c.canonOK = true
+	if !c.srcRow {
+		c.canon = tuple.AppendCanonical(c.canon[:0], t)
+		return c.canon
+	}
+	// t is the source record as coerced, column by column, from the spans:
+	// AppendCoerced writes what encoding t's values would, whether or not
+	// t holds them, and copies the span wherever that is the same bytes.
+	buf := c.canon[:0]
+	for i, w := 0, c.src.Width(); i < w; i++ {
+		if i > 0 {
+			buf = append(buf, '\t')
+		}
+		buf = c.schema.ColType(i).AppendCoerced(buf, c.src.Value(i))
+	}
+	c.canon = append(buf, '\n')
 	return c.canon
 }
 
@@ -208,14 +245,27 @@ const (
 
 // add copies p into the arena and returns it as a string.
 func (a *strArena) add(p []byte) string {
-	if a.b.Cap()-a.b.Len() < len(p) {
-		a.size = max(len(p), min(2*a.size, arenaChunkMax), arenaChunkMin)
+	start := a.room(len(p))
+	a.b.Write(p)
+	return a.b.String()[start:]
+}
+
+// addString is add for a string.
+func (a *strArena) addString(s string) string {
+	start := a.room(len(s))
+	a.b.WriteString(s)
+	return a.b.String()[start:]
+}
+
+// room makes sure the current chunk has n bytes left, starting a new one
+// if not, and returns where in it the next string will begin.
+func (a *strArena) room(n int) int {
+	if a.b.Cap()-a.b.Len() < n {
+		a.size = max(n, min(2*a.size, arenaChunkMax), arenaChunkMin)
 		a.b.Reset() // strings already handed out keep the old chunk
 		a.b.Grow(a.size)
 	}
-	start := a.b.Len()
-	a.b.Write(p)
-	return a.b.String()[start:]
+	return a.b.Len()
 }
 
 // taskObs carries optional observability counters into task bodies.
@@ -237,6 +287,7 @@ type taskObs struct {
 type mapOutcome struct {
 	partitions  [][]interRec // shuffle jobs: per-reduce-partition sorted runs
 	outLines    []string     // map-only jobs: final output records
+	inBytes     int64        // input read, as lines with a newline each
 	recordsIn   int64
 	recordsOut  int64 // records surviving the operator chain
 	shuffleRecs int64 // records written into shuffle partitions
@@ -249,17 +300,21 @@ type mapOutcome struct {
 type corruptFn func(tuple.Tuple) tuple.Tuple
 
 // neededCols derives from the spec which columns of an input the map
-// side reads, as a tuple.Decoder.Need mask; nil means all (DESIGN.md §6).
-// A column may stay undecoded only if nothing consumes the input tuple
-// whole: a digest or sample ahead of the first projection forces nil,
-// and so does every job shape that ships the unprojected tuple on — all
-// but the combining aggregate, whose combiner reads key and aggregate
-// columns only. Audited inputs, and expressions of unknown type or
-// reaching past the schema, decode in full.
-func neededCols(job *JobSpec, inputIdx int) []bool {
+// side reads (DESIGN.md §6): eval lists the columns its expressions, keys
+// and aggregates evaluate, carry those whose bytes it needs at all; nil
+// means all. A column may stay unevaluated only if nothing consumes the
+// input tuple whole, which every job shape does that ships the unprojected
+// tuple on — all but the combining aggregate, whose combiner reads key and
+// aggregate columns only. Audited inputs, and expressions of unknown type
+// or reaching past the schema, evaluate in full. A digest or sample ahead
+// of the first projection reads the whole record, but only its bytes:
+// carry is then nil and eval unchanged. A reader that has the record as
+// column spans coerces eval and carries carry; one that has only the line
+// must coerce every column it is to encode again, so carry is its mask.
+func neededCols(job *JobSpec, inputIdx int) (eval, carry []bool) {
 	in := &job.Inputs[inputIdx]
 	if in.AuditIn || in.Schema == nil {
-		return nil
+		return nil, nil
 	}
 	need := make([]bool, in.Schema.Len())
 	width, ok := 0, true // width is 1 + the highest column read
@@ -284,12 +339,13 @@ func neededCols(job *JobSpec, inputIdx int) []bool {
 			}
 		}
 	} else {
-		return nil
+		return nil, nil
 	}
+	whole := false
 	for _, op := range ops {
 		switch op.Kind {
 		case PhysDigest, PhysSample:
-			return nil
+			whole = true
 		case PhysFilter:
 			ok = pig.Columns(op.Pred, read) && ok
 		case PhysProject:
@@ -299,76 +355,171 @@ func neededCols(job *JobSpec, inputIdx int) []bool {
 		}
 	}
 	if !ok {
-		return nil
+		return nil, nil
 	}
-	return need[:width]
+	if whole {
+		return need[:width], nil
+	}
+	return need[:width], need[:width]
 }
 
-// runMapTask executes one map task over its split's raw lines.
-func runMapTask(job *JobSpec, inputIdx int, lines []string, df digestFactory, corrupt corruptFn, o taskObs) *mapOutcome {
+// mapRun is the state of one running map task past its reader: what each
+// record goes through once it is a tuple, whichever way it was read.
+type mapRun struct {
+	job     *JobSpec
+	in      *JobInput
+	out     *mapOutcome
+	chain   opChain
+	comb    *combiner
+	corrupt corruptFn
+	o       taskObs
+	scratch []byte // per-task encode buffer, reused across records
+	// Shuffle keys and key strings, or map-only output lines, live as long
+	// as the outcome: a slab and an arena for all of them, not two
+	// allocations a record.
+	keys tuple.Slab
+	strs strArena
+}
+
+// record runs one source tuple through the chain and on to the combiner,
+// the shuffle or the output.
+func (m *mapRun) record(t tuple.Tuple) {
+	in, out := m.in, m.out
+	out.recordsIn++
+	m.o.mapRecords.Inc()
+	if m.corrupt != nil {
+		t = m.corrupt(t)
+	}
+	t, ok := m.chain.apply(t)
+	if !ok {
+		return
+	}
+	out.recordsOut++
+	switch {
+	case m.comb != nil:
+		// Digests fired inside the chain above; combining only
+		// reshapes what crosses the shuffle.
+		m.scratch = m.comb.fold(t, in.KeyCols, m.scratch)
+	case in.KeyCols != nil:
+		key := m.keys.Tuple(len(in.KeyCols))
+		for i, c := range in.KeyCols {
+			if c < len(t) {
+				key[i] = t[c]
+			}
+		}
+		m.scratch = tuple.AppendEncoded(m.scratch[:0], key)
+		rec := interRec{keyStr: m.strs.add(m.scratch), key: key, tag: in.Tag, t: t, encLen: tuple.EncodedLen(t)}
+		p := partitionOf(rec.keyStr, m.job.NumReduces)
+		out.partitions[p] = append(out.partitions[p], rec)
+		out.localBytes += rec.bytes()
+	default:
+		out.outLines = append(out.outLines, m.strs.add(m.chain.line(t)))
+	}
+}
+
+// noColumns is the tuple of the empty line, as tuple.Decoder returns it.
+var noColumns = tuple.Tuple{}
+
+// runMapTask executes one map task over records [lo, hi) of its input.
+//
+// A sealed block reaches the chain as column spans (dfs.Batch): each
+// record is a row of values coerced straight from its columns' spans, only
+// the columns neededCols lists, with no line rebuilt and no tab searched
+// for. Where nothing keeps the chain's tuples — reuse, below — every
+// record overwrites one row; the uncombined shuffle carves its rows from
+// a slab. What a sealed block cannot serve that way is read as lines and
+// decoded by tuple.Decoder, to the same tuples: an unsealed tail or a
+// reader materialized for a ReadHook, a range with an escape in it, and
+// all of a corrupting task, whose digests are of tuples no span holds.
+func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df digestFactory, corrupt corruptFn, o taskObs) *mapOutcome {
 	in := &job.Inputs[inputIdx]
 	out := &mapOutcome{}
+	m := mapRun{job: job, in: in, out: out, corrupt: corrupt, o: o}
 	shuffle := in.KeyCols != nil
-	var comb *combiner
 	if shuffle && job.Reduce != nil && job.Reduce.Combine {
-		comb = newCombiner(job.Reduce, in, job.NumReduces)
+		m.comb = newCombiner(job.Reduce, in, job.NumReduces)
 	} else if shuffle {
 		out.partitions = make([][]interRec, job.NumReduces)
-		per := len(lines)/job.NumReduces + 1
+		per := (hi-lo)/job.NumReduces + 1
 		for p := range out.partitions {
 			out.partitions[p] = make([]interRec, 0, per)
 		}
 	}
 	// Only the uncombined shuffle keeps the chain's tuples (in interRec);
 	// the combiner detaches what it keeps and output lines are encoded at
-	// once, so there a projection may reuse its buffer.
-	chain := newOpChain(in.Ops, df, comb != nil || !shuffle)
-	defer chain.close()
-	var scratch []byte // per-task encode buffer, reused across records
-	// Per-task decoder: tuple slabs, unescape scratch, column mask.
-	dec := tuple.Decoder{Need: neededCols(job, inputIdx)}
-	// Shuffle keys and key strings, or map-only output lines, live as long
-	// as the outcome: a slab and an arena for all of them, not two
-	// allocations a record.
-	var keys tuple.Slab
-	var strs strArena
-	for _, line := range lines {
-		t := dec.DecodeLine(line, in.Schema)
-		out.recordsIn++
-		o.mapRecords.Inc()
-		if corrupt != nil {
-			t = corrupt(t)
-		}
-		t, ok := chain.apply(t)
-		if !ok {
-			continue
-		}
-		out.recordsOut++
-		switch {
-		case comb != nil:
-			// Digests fired inside the chain above; combining only
-			// reshapes what crosses the shuffle.
-			scratch = comb.fold(t, in.KeyCols, scratch)
-		case shuffle:
-			key := keys.Tuple(len(in.KeyCols))
-			for i, c := range in.KeyCols {
-				if c < len(t) {
-					key[i] = t[c]
-				}
-			}
-			scratch = tuple.AppendEncoded(scratch[:0], key)
-			rec := interRec{keyStr: strs.add(scratch), key: key, tag: in.Tag, t: t, encLen: tuple.EncodedLen(t)}
-			p := partitionOf(rec.keyStr, job.NumReduces)
-			out.partitions[p] = append(out.partitions[p], rec)
-			out.localBytes += rec.bytes()
-		default:
-			out.outLines = append(out.outLines, strs.add(chain.line(t)))
+	// once, so there a projection may reuse its buffer, and so may the row.
+	reuse := m.comb != nil || !shuffle
+	m.chain = newOpChain(in.Ops, df, reuse)
+	defer m.chain.close()
+	eval, carry := neededCols(job, inputIdx)
+
+	// Per-task decoder of the line path: tuple slabs, unescape scratch,
+	// column mask.
+	dec := tuple.Decoder{Need: carry}
+	lines := func(held []string) {
+		m.chain.fromSrc = false
+		for _, line := range held {
+			out.inBytes += int64(len(line)) + 1
+			m.record(dec.DecodeLine(line, in.Schema))
 		}
 	}
-	out.digested = chain.digests
-	if comb != nil {
+	if corrupt != nil {
+		lines(src.ReadRange(lo, hi))
+		lo = hi
+	}
+	// The chain's batch serves the whole task: every block range reuses its
+	// arrays, and the chain reads the record it stands on.
+	batch := &m.chain.src
+	m.chain.schema = in.Schema
+	var cols []int // the columns to coerce, when not all
+	for c, need := range eval {
+		if need {
+			cols = append(cols, c)
+		}
+	}
+	var row tuple.Tuple // the one row, under reuse; else each is carved from the decoder's slab
+	for lo < hi {
+		next, ok := src.ReadColumns(batch, lo, hi, carry)
+		if !ok {
+			lines(src.ReadRange(lo, next))
+			lo = next
+			continue
+		}
+		lo = next
+		out.inBytes += batch.LineBytes()
+		m.chain.fromSrc = true
+		if reuse && len(row) < batch.Cols() {
+			row = make(tuple.Tuple, batch.Cols()) // columns not in eval stay null for good
+		}
+		for batch.Next() {
+			w := batch.Width()
+			t := noColumns
+			switch {
+			case w == 0: // the empty line
+			case reuse:
+				t = row[:w]
+			default:
+				t = dec.Slab.Tuple(w)
+			}
+			if eval == nil {
+				for c := range t {
+					t[c] = in.Schema.ColType(c).Coerce(batch.Value(c))
+				}
+			}
+			for _, c := range cols {
+				if c >= w {
+					break
+				}
+				t[c] = in.Schema.ColType(c).Coerce(batch.Value(c))
+			}
+			m.record(t)
+		}
+	}
+
+	out.digested = m.chain.digests
+	if m.comb != nil {
 		out.combinedIn = out.recordsOut
-		out.partitions, out.localBytes = comb.emit()
+		out.partitions, out.localBytes = m.comb.emit()
 		for _, p := range out.partitions {
 			out.shuffleRecs += int64(len(p))
 		}

@@ -20,7 +20,9 @@ type opaqueExpr struct{ pig.Lit }
 
 // TestNeededCols pins the column-mask derivation: nil wherever something
 // consumes the input tuple whole or the walk cannot see every read, the
-// exact set otherwise.
+// exact set otherwise; and where a digest or sample reads the source
+// record whole, the exact set to evaluate with every column's bytes
+// carried.
 func TestNeededCols(t *testing.T) {
 	mask := func(cols ...int) []bool {
 		m := []bool{}
@@ -36,6 +38,7 @@ func TestNeededCols(t *testing.T) {
 		points []string       // aliases carrying verification points
 		tweak  func(*JobSpec) // applied to the first job
 		want   [][]bool       // per input of the first job
+		whole  bool           // the source record's bytes are read whole: carry is nil
 	}{
 		{name: "filter-project", src: flightsLoad + `
 late = FILTER fl BY delay > 0;
@@ -65,15 +68,15 @@ STORE c INTO 'out/c';`, want: [][]bool{{}}},
 		{name: "digest-before-project", src: flightsLoad + `
 f = FILTER fl BY delay > 0;
 p = FOREACH f GENERATE origin;
-STORE p INTO 'out/p';`, points: []string{"f"}, want: [][]bool{nil}},
+STORE p INTO 'out/p';`, points: []string{"f"}, want: [][]bool{mask(2, 4)}, whole: true},
 		{name: "group-point-digests-map-side", src: flightsLoad + `
 g = GROUP fl BY origin;
 c = FOREACH g GENERATE group, COUNT(fl);
-STORE c INTO 'out/c';`, points: []string{"g"}, want: [][]bool{nil}},
+STORE c INTO 'out/c';`, points: []string{"g"}, want: [][]bool{mask(2)}, whole: true},
 		{name: "sample", src: flightsLoad + `
 s = SAMPLE fl 0.5;
 p = FOREACH s GENERATE origin;
-STORE p INTO 'out/p';`, want: [][]bool{nil}},
+STORE p INTO 'out/p';`, want: [][]bool{mask(2)}, whole: true},
 		{name: "join", src: flightsLoad + `
 b = LOAD 'in/ap' AS (code, city);
 j = JOIN fl BY origin, b BY code;
@@ -127,9 +130,15 @@ STORE p INTO 'out/p';`, tweak: func(j *JobSpec) { j.Inputs[0].Schema = nil }, wa
 				t.Fatalf("job has %d inputs, want %d", len(job.Inputs), len(tc.want))
 			}
 			for i, want := range tc.want {
-				got := neededCols(job, i)
-				if (got == nil) != (want == nil) || !slices.Equal(got, want) {
-					t.Errorf("input %d: neededCols = %v, want %v", i, got, want)
+				eval, carry := neededCols(job, i)
+				if (eval == nil) != (want == nil) || !slices.Equal(eval, want) {
+					t.Errorf("input %d: neededCols evaluates %v, want %v", i, eval, want)
+				}
+				if tc.whole {
+					want = nil
+				}
+				if (carry == nil) != (want == nil) || !slices.Equal(carry, want) {
+					t.Errorf("input %d: neededCols carries %v, want %v", i, carry, want)
 				}
 			}
 		})
@@ -138,8 +147,8 @@ STORE p INTO 'out/p';`, tweak: func(j *JobSpec) { j.Inputs[0].Schema = nil }, wa
 
 // pruneScripts are the shapes FuzzPrunedDecodeEquivalence drives over
 // five-column rows: each leaves some input column unread on the map
-// side, except the last, whose verification point on the filter forces
-// the whole tuple.
+// side; the last has a verification point on the filter, which reads
+// every column's bytes and evaluates two.
 var pruneScripts = []struct {
 	src    string
 	points []string
@@ -224,7 +233,8 @@ func FuzzPrunedDecodeEquivalence(f *testing.F) {
 			for _, j := range jobs {
 				for i := range j.Inputs {
 					j.Inputs[i].AuditIn = side == 1
-					pruned = pruned || neededCols(j, i) != nil
+					eval, _ := neededCols(j, i)
+					pruned = pruned || eval != nil
 				}
 			}
 			if side == 1 && pruned {
@@ -292,7 +302,7 @@ STORE o INTO 'out/o';`,
 			runtime.ReadMemStats(&before)
 			outcomes := make([]*mapOutcome, splits)
 			for s := range outcomes {
-				outcomes[s] = runMapTask(job, 0, r.ReadRange(s*perSplit, (s+1)*perSplit), nil, nil, taskObs{})
+				outcomes[s] = runMapTask(job, 0, r, s*perSplit, (s+1)*perSplit, nil, nil, taskObs{})
 			}
 			runtime.GC()
 			runtime.ReadMemStats(&after)
@@ -307,8 +317,10 @@ STORE o INTO 'out/o';`,
 }
 
 // TestMapTaskAllocs pins the per-task allocation count of the three map
-// paths the micro-benchmarks track, per 1,000 input records. None grows
-// with the record count beyond slabs, arena chunks and slice doublings.
+// paths the micro-benchmarks track, per 1,000 input records, read as
+// lines and as the column spans of one sealed block. None grows with the
+// record count beyond slabs, arena chunks and slice doublings, and where
+// one row serves every record a sealed block costs no slab either.
 func TestMapTaskAllocs(t *testing.T) {
 	mapOnly := compile(t, `
 a = LOAD 'in/edges' AS (user:int, follower:int);
@@ -321,25 +333,36 @@ STORE p INTO 'out/prod';`, CompileOptions{})[0]
 	for i := range lines {
 		lines[i] = fmt.Sprintf("%d\t%d", i%16, (i*7919+13)%1000)
 	}
+	held, sealed := heldLines(t, lines), sealedBlock(t, lines)
 	for _, tc := range []struct {
 		name string
 		job  *JobSpec
-		max  float64
+		max  float64 // read as lines
+		cols float64 // read as columns
 	}{
-		// Slabs, the partition tables and, per key, its entry.
-		{"combine", combine, 100},
-		// Decode and key slabs, key-string chunks, the partitions and the
-		// sort's index scratch; was two allocations a record.
-		{"shuffle", shuffle, 39},
-		// Decode slabs, line chunks and the doublings of outLines; was a
-		// projected tuple and an output line a record.
-		{"map-only", mapOnly, 39},
+		// The bounds leave room for -race, under which every slices.Grow
+		// allocates twice.
+		//
+		// Decode slabs, the partition tables, their entries' slab, arena
+		// and accumulators; was three allocations a key.
+		{"combine", combine, 60, 56},
+		// Row and key slabs, key-string chunks, the partitions and the
+		// sort's index scratch.
+		{"shuffle", shuffle, 39, 45},
+		// Decode slabs, line chunks and the doublings of outLines.
+		{"map-only", mapOnly, 37, 32},
 	} {
-		got := testing.AllocsPerRun(20, func() {
-			_ = runMapTask(tc.job, 0, lines, nil, nil, taskObs{})
-		})
-		if got > tc.max {
-			t.Errorf("%s map task = %v allocs per 1000 records, want <= %v", tc.name, got, tc.max)
+		for _, src := range []struct {
+			shape string
+			r     *dfs.Reader
+			max   float64
+		}{{"lines", held, tc.max}, {"columns", sealed, tc.cols}} {
+			got := testing.AllocsPerRun(20, func() {
+				_ = runMapTask(tc.job, 0, src.r, 0, len(lines), nil, nil, taskObs{})
+			})
+			if got > src.max {
+				t.Errorf("%s map task over %s = %v allocs per 1000 records, want <= %v", tc.name, src.shape, got, src.max)
+			}
 		}
 	}
 }

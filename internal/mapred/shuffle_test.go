@@ -273,7 +273,7 @@ func TestReduceReuseMatchesFresh(t *testing.T) {
 			var runs [][]interRec
 			for idx := range job.Inputs {
 				for s := 0; s < len(lines); s += 500 {
-					runs = append(runs, runMapTask(job, idx, lines[s:s+500], nil, nil, taskObs{}).partitions[0])
+					runs = append(runs, runMapTask(job, idx, sealedBlock(t, lines), s, s+500, nil, nil, taskObs{}).partitions[0])
 				}
 			}
 			for _, chunk := range []int{0, 100} {
@@ -317,8 +317,8 @@ func TestReduceJoinAllocs(t *testing.T) {
 		right[i] = fmt.Sprintf("%d\t%d", i%10, 2000+i)
 	}
 	runs := [][]interRec{
-		runMapTask(job, 0, left, nil, nil, taskObs{}).partitions[0],
-		runMapTask(job, 1, right, nil, nil, taskObs{}).partitions[0],
+		runMapTask(job, 0, sealedBlock(t, left), 0, len(left), nil, nil, taskObs{}).partitions[0],
+		runMapTask(job, 1, heldLines(t, right), 0, len(right), nil, nil, taskObs{}).partitions[0],
 	}
 	df := func(point int) *digest.Writer {
 		return digest.NewWriter(digest.Key{Point: point}, 0, 0, func(digest.Report) {})

@@ -148,6 +148,29 @@ func TestAppendCanonicalAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendCoercedAllocs: neither the copy nor the coerce-and-encode
+// side of AppendCoerced allocates into a buffer with room. (Text that a
+// numeric column fails to parse costs strconv's error, as in Coerce.)
+func TestAppendCoercedAllocs(t *testing.T) {
+	buf := make([]byte, 0, 256)
+	got := testing.AllocsPerRun(200, func() {
+		b := buf
+		for _, raw := range []string{"42", "-7", "007", "+5", "-0"} {
+			for ft := TypeAny; ft <= TypeString; ft++ {
+				b = ft.AppendCoerced(b, raw)
+			}
+		}
+		for _, raw := range []string{"ORD", "3.50", ""} {
+			b = TypeAny.AppendCoerced(b, raw)
+			b = TypeString.AppendCoerced(b, raw)
+		}
+		b = TypeFloat.AppendCoerced(b, "3.50")
+	})
+	if got != 0 {
+		t.Errorf("AppendCoerced allocs = %v, want 0", got)
+	}
+}
+
 func TestEncodedLenAllocs(t *testing.T) {
 	row := Tuple{Int(-9000), Str("a\tb"), Float(2.25)}
 	got := testing.AllocsPerRun(200, func() {

@@ -86,9 +86,13 @@ type Decoder struct {
 	// escaped path coerces everything); width and positions never change.
 	Need []bool
 
+	// Slab is what decoded tuples are carved from. A task that also builds
+	// source tuples some other way carves those from it too, and fills one
+	// run of arrays instead of two.
+	Slab Slab
+
 	buf    []byte
 	bounds []int
-	slab   Slab
 }
 
 // Slab carves tuples out of shared arrays of Values instead of
@@ -154,10 +158,10 @@ func (d *Decoder) DecodeLine(line string, schema *Schema) Tuple {
 	}
 	d.bounds = append(d.bounds, len(d.buf))
 	all := string(d.buf)
-	t := d.slab.Tuple(len(d.bounds))
+	t := d.Slab.Tuple(len(d.bounds))
 	start := 0
 	for i, end := range d.bounds {
-		t[i] = fieldType(schema, i).Coerce(all[start:end])
+		t[i] = schema.ColType(i).Coerce(all[start:end])
 		start = end
 	}
 	return t
@@ -166,7 +170,7 @@ func (d *Decoder) DecodeLine(line string, schema *Schema) Tuple {
 // decodePlain is the escape-free fast path: every field is a direct
 // slice of line, and the scan stops at the last column Need lists.
 func (d *Decoder) decodePlain(line string, schema *Schema) Tuple {
-	t := d.slab.Tuple(strings.Count(line, "\t") + 1)
+	t := d.Slab.Tuple(strings.Count(line, "\t") + 1)
 	cols := len(t)
 	if d.Need != nil {
 		cols = min(cols, len(d.Need))
@@ -179,18 +183,11 @@ func (d *Decoder) decodePlain(line string, schema *Schema) Tuple {
 			end = len(rest)
 		}
 		if d.Need == nil || d.Need[i] {
-			t[i] = fieldType(schema, i).Coerce(rest[:end])
+			t[i] = schema.ColType(i).Coerce(rest[:end])
 		}
 		start += end + 1
 	}
 	return t
-}
-
-func fieldType(schema *Schema, i int) FieldType {
-	if schema != nil && i < len(schema.Fields) {
-		return schema.Fields[i].Type
-	}
-	return TypeAny
 }
 
 // appendEscapedValue appends the escaped text form of v. Numeric and

@@ -84,3 +84,30 @@ func FuzzDecodeLineNoPanic(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRawCanonical pins the rule that lets a verification digest copy a
+// source column's bytes instead of encoding its value: for every field
+// type and every raw free of tab, newline and backslash, AppendCoerced
+// writes exactly the encoded text of ft.Coerce(raw) — whether it copied
+// raw (strings, integers in canonical form) or coerced and encoded it
+// (padded, signed, spaced and overflowing integers, "-0", every float).
+func FuzzRawCanonical(f *testing.F) {
+	for _, raw := range []string{"", "0", "7", "-12", "007", "+5", " 5", "5 ", "-0", "-", "+", "00",
+		"999999999999999999", "1000000000000000000", "9223372036854775807", "9223372036854775808",
+		"-9223372036854775808", "99999999999999999999", "1.50", "1e3", "NaN", "-Inf", "0x10", "1_000",
+		"ORD", "ünï", "12ab", "\x00x"} {
+		for ft := TypeAny; ft <= TypeString; ft++ {
+			f.Add(raw, uint8(ft))
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw string, ft uint8) {
+		if strings.ContainsAny(raw, "\t\n\\") {
+			t.Skip("a range holding an escape byte never reaches AppendCoerced")
+		}
+		typ := FieldType(ft % 4)
+		want := appendEscapedValue([]byte("row\t"), typ.Coerce(raw))
+		if got := typ.AppendCoerced([]byte("row\t"), raw); string(got) != string(want) {
+			t.Fatalf("%v.AppendCoerced(%q) = %q, the coerced value encodes to %q", typ, raw, got, want)
+		}
+	})
+}

@@ -116,6 +116,15 @@ func NewSchema(names ...string) *Schema {
 // Len returns the number of columns.
 func (s *Schema) Len() int { return len(s.Fields) }
 
+// ColType returns the type the decoder coerces column i by: its declared
+// type, or TypeAny past the schema's columns and under a nil schema.
+func (s *Schema) ColType(i int) FieldType {
+	if s != nil && i < len(s.Fields) {
+		return s.Fields[i].Type
+	}
+	return TypeAny
+}
+
 // Index returns the position of the named column, or -1 if absent.
 func (s *Schema) Index(name string) int {
 	for i, f := range s.Fields {
@@ -176,6 +185,49 @@ func (ft FieldType) Coerce(raw string) Value {
 		}
 		return Str(raw)
 	}
+}
+
+// AppendCoerced appends the encoded text of ft.Coerce(raw) — what
+// AppendEncoded writes for the value — for a raw free of tab, newline
+// and backslash. Where raw is provably that text already it is copied,
+// and nothing is parsed: a string stays as it is (there is nothing in it
+// to escape), and an integer in canonical form formats back to itself.
+// Everything else is coerced and encoded.
+func (ft FieldType) AppendCoerced(dst []byte, raw string) []byte {
+	switch ft {
+	case TypeString:
+		return append(dst, raw...)
+	case TypeInt:
+		if canonicalInt(raw) {
+			return append(dst, raw...)
+		}
+	case TypeAny:
+		if canonicalInt(raw) || !looksInt(raw) {
+			return append(dst, raw...)
+		}
+	}
+	return appendEscapedValue(dst, ft.Coerce(raw))
+}
+
+// canonicalInt reports whether s matches 0|-?[1-9][0-9]{0,17}: an
+// integer as strconv formats it, short enough to be sure to fit an int64,
+// so that parsing and formatting s gives s.
+func canonicalInt(s string) bool {
+	if s == "0" {
+		return true
+	}
+	if s != "" && s[0] == '-' {
+		s = s[1:]
+	}
+	if len(s) == 0 || len(s) > 18 || s[0] < '1' || s[0] > '9' {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 func looksInt(s string) bool {
