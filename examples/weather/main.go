@@ -12,18 +12,9 @@ import (
 	"log"
 
 	"clusterbft"
-	"clusterbft/internal/bft"
+	"clusterbft/internal/core"
 	"clusterbft/internal/workload"
 )
-
-// verdictSM is the replicated request-handler state: an ordered log of
-// digest-verdict batches.
-type verdictSM struct{ applied int }
-
-func (s *verdictSM) Apply(op []byte) []byte {
-	s.applied++
-	return []byte(fmt.Sprintf("committed %s as #%d", op, s.applied))
-}
 
 func main() {
 	const (
@@ -46,16 +37,10 @@ func main() {
 		res.Verified, float64(res.LatencyUs)/1e6, cfg.R, res.DigestReports, d)
 
 	// Control tier: 3f+1 request-handler replicas order the verdicts.
-	group := bft.NewGroup(f, func(int) bft.StateMachine { return &verdictSM{} })
-	const batch = 20
-	batches := int((res.DigestReports + batch - 1) / batch)
-	start := group.Net.Now()
-	for i := 0; i < batches; i++ {
-		if _, _, err := group.Invoke(fmt.Appendf(nil, "verdict-batch-%03d", i)); err != nil {
-			log.Fatal(err)
-		}
+	controlUs, batches, err := core.ControlTierTime(f, res.DigestReports)
+	if err != nil {
+		log.Fatal(err)
 	}
-	controlUs := group.Net.Now() - start
 	fmt.Printf("control tier: %d PBFT replicas ordered %d verdict batches in %.3fs (virtual)\n",
 		3*f+1, batches, float64(controlUs)/1e6)
 	fmt.Printf("end-to-end assured latency: %.2fs\n",

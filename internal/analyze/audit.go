@@ -16,7 +16,9 @@ type AuditKind uint8
 // Audit event kinds, in rough pipeline order.
 const (
 	// AuditMismatch: a replica's digests deviated from the f+1 majority
-	// (or a job cluster returned a commission fault) — the raw evidence.
+	// (or a job cluster returned a commission fault) or, with
+	// CauseTimeout, were not all in when the verifier's timer fired — the
+	// raw evidence.
 	AuditMismatch AuditKind = iota + 1
 	// AuditNewDisjoint: the faulty set was disjoint from every current
 	// suspicion set and became a new member of D (Fig 7 lines 4-5).
@@ -44,9 +46,44 @@ const (
 	// AuditEscalate: a sub-graph running a cheap verification policy
 	// (quiz/deferred) produced fault evidence — quiz digest mismatch or
 	// storage-boundary conflict — and was re-initiated at full
-	// replication. The detail names the sub-graph and the evidence.
+	// replication. The detail names the evidence.
 	AuditEscalate
+	// The verifier's lifecycle decisions about one sub-graph attempt
+	// (SID): launched, superseding the attempt in Detail if any; verified
+	// with Replica the winner; re-initiated at r+1 after a timeout (Cause)
+	// or f+1 agreement failing; restarted because the input it read
+	// optimistically turned out deviant; failed with its attempts
+	// exhausted; an interior job's f+1-agreed output (Detail)
+	// checkpointed from Replica.
+	AuditLaunch
+	AuditVerify
+	AuditRetry
+	AuditRestart
+	AuditFail
+	AuditCheckpoint
 )
+
+// AuditCause says which fault an event rests on, where it rests on one.
+type AuditCause uint8
+
+const (
+	// CauseCommission: digests that differ from the f+1 majority's.
+	CauseCommission AuditCause = iota + 1
+	// CauseTimeout: no complete digest vector when the verifier timer
+	// fired (omission, §4.2 step 6).
+	CauseTimeout
+)
+
+// String names the cause; empty for none.
+func (c AuditCause) String() string {
+	switch c {
+	case CauseCommission:
+		return "commission"
+	case CauseTimeout:
+		return "timeout"
+	}
+	return ""
+}
 
 // String names the kind for timelines.
 func (k AuditKind) String() string {
@@ -69,6 +106,18 @@ func (k AuditKind) String() string {
 		return "score"
 	case AuditEscalate:
 		return "escalate"
+	case AuditLaunch:
+		return "launch"
+	case AuditVerify:
+		return "verify"
+	case AuditRetry:
+		return "retry"
+	case AuditRestart:
+		return "restart"
+	case AuditFail:
+		return "fail"
+	case AuditCheckpoint:
+		return "checkpoint"
 	default:
 		return "audit(?)"
 	}
@@ -77,18 +126,32 @@ func (k AuditKind) String() string {
 // AuditEvent is one recorded reasoning step with the evidence that
 // caused it. T is a virtual timestamp from the clock the trail was
 // built with (engine microseconds, or simulator ticks in faultsim).
+// SID, Replica and Cause are set on the controller's events only: which
+// sub-graph attempt, which of its replicas, resting on which fault.
 type AuditEvent struct {
 	T       int64
 	Kind    AuditKind
+	SID     string           // sub-graph attempt; "" when the event is about none
+	Replica int              // replica of SID; -1 when none
+	Cause   AuditCause       // 0 when the event rests on no fault
 	Nodes   []cluster.NodeID // the set concluded about (sorted)
 	Removed []cluster.NodeID // exonerated nodes, for AuditIntersect
 	Detail  string           // free-form evidence description
 }
 
-// String renders one timeline line: "t=... kind nodes [detail]".
+// String renders one timeline line: "t=... kind [attempt] nodes [detail]".
 func (e AuditEvent) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "t=%-8d %-15s", e.T, e.Kind.String())
+	if e.SID != "" {
+		fmt.Fprintf(&b, " %s", e.SID)
+		if e.Replica >= 0 {
+			fmt.Fprintf(&b, "/r%d", e.Replica)
+		}
+		if e.Cause != 0 {
+			fmt.Fprintf(&b, " %s", e.Cause)
+		}
+	}
 	if len(e.Nodes) > 0 {
 		fmt.Fprintf(&b, " %v", e.Nodes)
 	}
@@ -126,16 +189,18 @@ func NewAuditTrail(clock func() int64) *AuditTrail {
 
 // Add records one event, stamping T from the trail's clock.
 func (a *AuditTrail) Add(kind AuditKind, nodes []cluster.NodeID, detail string) {
-	a.add(AuditEvent{Kind: kind, Nodes: nodes, Detail: detail})
+	a.Record(AuditEvent{Kind: kind, Replica: -1, Nodes: nodes, Detail: detail})
 }
 
 // AddRemoved records an intersection-style event carrying both the
 // surviving and the exonerated nodes.
 func (a *AuditTrail) AddRemoved(kind AuditKind, nodes, removed []cluster.NodeID, detail string) {
-	a.add(AuditEvent{Kind: kind, Nodes: nodes, Removed: removed, Detail: detail})
+	a.Record(AuditEvent{Kind: kind, Replica: -1, Nodes: nodes, Removed: removed, Detail: detail})
 }
 
-func (a *AuditTrail) add(e AuditEvent) {
+// Record appends e as given — the controller's way in, with the attempt
+// fields filled — stamping T from the trail's clock.
+func (a *AuditTrail) Record(e AuditEvent) {
 	if a == nil {
 		return
 	}

@@ -89,3 +89,36 @@ func TestSortedIDs(t *testing.T) {
 		t.Error("SortedIDs must not mutate its input")
 	}
 }
+
+// TestAuditEventAttemptFields: Add and AddRemoved record events about no
+// attempt (Replica -1, so a zero is never mistaken for replica 0);
+// Record keeps the attempt fields it is handed, and the timeline names
+// the attempt only where there is one — the simulator's lines, which
+// have none, render as before.
+func TestAuditEventAttemptFields(t *testing.T) {
+	a := NewAuditTrail(nil)
+	a.Add(AuditMismatch, ids("n2"), "point 3")
+	a.AddRemoved(AuditIntersect, ids("n2"), ids("n1"), "")
+	a.Record(AuditEvent{Kind: AuditMismatch, SID: "run1-c0-a0", Replica: 2, Cause: CauseCommission, Nodes: ids("n2")})
+	a.Record(AuditEvent{Kind: AuditRetry, SID: "run1-c0-a0", Replica: -1, Cause: CauseTimeout})
+	ev := a.Events()
+	for _, e := range ev[:2] {
+		if e.SID != "" || e.Replica != -1 || e.Cause != 0 {
+			t.Errorf("event about no attempt carries attempt fields: %+v", e)
+		}
+	}
+	if got, want := ev[0].String(), "t=0        mismatch        [n2]  (point 3)"; got != want {
+		t.Errorf("attempt-less line = %q, want %q", got, want)
+	}
+	if got, want := ev[2].String(), "t=0        mismatch        run1-c0-a0/r2 commission [n2]"; got != want {
+		t.Errorf("mismatch line = %q, want %q", got, want)
+	}
+	if got, want := ev[3].String(), "t=0        retry           run1-c0-a0 timeout"; got != want {
+		t.Errorf("retry line = %q, want %q", got, want)
+	}
+	for k := AuditMismatch; k <= AuditCheckpoint; k++ {
+		if k.String() == "audit(?)" {
+			t.Errorf("kind %d has no name", k)
+		}
+	}
+}

@@ -1,9 +1,8 @@
 package bft
 
 import (
-	"container/heap"
-
 	"clusterbft/internal/obs"
+	"clusterbft/internal/vtime"
 )
 
 // Handler consumes messages delivered by the network.
@@ -11,40 +10,15 @@ type Handler interface {
 	Receive(from ID, msg Message)
 }
 
-// netEvent is a pending delivery or timer.
-type netEvent struct {
-	at  int64
-	seq int64
-	fn  func()
-}
-
-type netHeap []netEvent
-
-func (h netHeap) Len() int { return len(h) }
-func (h netHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h netHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *netHeap) Push(x any)   { *h = append(*h, x.(netEvent)) }
-func (h *netHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 // Network is a deterministic virtual-time message bus. Delivery order is
 // fully determined by send order and the Delay/Drop policies, making
 // protocol tests reproducible. All handlers run on the driving goroutine.
 type Network struct {
-	now    int64
-	seq    int64
-	events netHeap
-	nodes  map[ID]Handler
+	// Queue holds the pending deliveries and timers: Now reads its clock,
+	// After schedules on it.
+	vtime.Queue
+
+	nodes map[ID]Handler
 
 	// Delay returns the virtual-microsecond latency for a message;
 	// defaults to a constant 1000 (1ms) when nil.
@@ -89,9 +63,6 @@ func NewNetwork() *Network {
 // Register attaches a handler under the given ID, replacing any previous
 // registration.
 func (n *Network) Register(id ID, h Handler) { n.nodes[id] = h }
-
-// Now returns the current virtual time in microseconds.
-func (n *Network) Now() int64 { return n.now }
 
 // Delivered returns the number of messages delivered so far.
 func (n *Network) Delivered() int64 { return n.delivered }
@@ -144,15 +115,6 @@ func (n *Network) Send(from, to ID, msg Message) {
 	}
 }
 
-// After schedules fn at now+delayUs.
-func (n *Network) After(delayUs int64, fn func()) {
-	if delayUs < 0 {
-		delayUs = 0
-	}
-	n.seq++
-	heap.Push(&n.events, netEvent{at: n.now + delayUs, seq: n.seq, fn: fn})
-}
-
 // Run processes events until the queue drains or the optional budget of
 // deliveries is exhausted (budget <= 0 means unbounded). It returns the
 // virtual time reached.
@@ -167,16 +129,14 @@ func (n *Network) Run(budget int64) int64 {
 // than when the queue drained.
 func (n *Network) RunWhile(budget int64, cond func() bool) int64 {
 	start := n.delivered
-	for len(n.events) > 0 {
+	for n.Pending() > 0 {
 		if cond != nil && !cond() {
 			break
 		}
 		if budget > 0 && n.delivered-start >= budget {
 			break
 		}
-		ev := heap.Pop(&n.events).(netEvent)
-		n.now = ev.at
-		ev.fn()
+		n.Step()
 	}
-	return n.now
+	return n.Now()
 }

@@ -248,7 +248,6 @@ func RunSchedule(cfg CampaignConfig, sched *Schedule, baseline map[string][]stri
 	trail := analyze.NewAuditTrail(h.Engine.Now)
 	h.Ctrl.AttachAudit(trail)
 	sr := ScheduleResult{Seed: sched.Seed, Desc: sched.String(), Recoveries: map[string]int{}}
-	h.Ctrl.OnRecovery = func(action string, _, _ int) { sr.Recoveries[action]++ }
 	in.AttachEngine(h.Engine)
 
 	res, err := h.Ctrl.Run(cfg.Script)
@@ -256,6 +255,14 @@ func RunSchedule(cfg CampaignConfig, sched *Schedule, baseline map[string][]stri
 	sr.Verified = err == nil
 	if err != nil {
 		sr.Err = err.Error()
+	}
+	events := trail.Events()
+	for _, ev := range events {
+		switch ev.Kind {
+		case analyze.AuditLaunch, analyze.AuditVerify, analyze.AuditEscalate,
+			analyze.AuditRetry, analyze.AuditRestart, analyze.AuditFail:
+			sr.Recoveries[ev.Kind.String()]++
+		}
 	}
 	states := h.Ctrl.ClusterStates()
 	sr.Clusters = len(states)
@@ -353,23 +360,17 @@ func RunSchedule(cfg CampaignConfig, sched *Schedule, baseline map[string][]stri
 		victims[n] = true
 	}
 	blamed := map[cluster.NodeID]bool{}
-	for _, ev := range trail.Events() {
+	for _, ev := range events {
 		if ev.Kind != analyze.AuditMismatch {
 			continue
 		}
 		for _, n := range ev.Nodes {
 			blamed[n] = true
 		}
-		if strings.Contains(ev.Detail, "timed out (omission)") {
+		if ev.Cause == analyze.CauseTimeout {
 			continue
 		}
-		var rep int
-		var sid string
-		if _, serr := fmt.Sscanf(ev.Detail, "replica %d of %s deviated", &rep, &sid); serr != nil {
-			bad("unparseable mismatch attribution %q", ev.Detail)
-			continue
-		}
-		if in.WasMangled(fmt.Sprintf("%s/r%d", sid, rep)) {
+		if in.WasMangled(fmt.Sprintf("%s/r%d", ev.SID, ev.Replica)) {
 			continue
 		}
 		hit := false
@@ -379,8 +380,7 @@ func RunSchedule(cfg CampaignConfig, sched *Schedule, baseline map[string][]stri
 			}
 		}
 		if !hit {
-			bad("mismatch blamed %v but no victim present and replica %s/r%d not mangled (%s)",
-				ev.Nodes, sid, rep, ev.Detail)
+			bad("mismatch blamed %v but no victim present and replica %s/r%d not mangled", ev.Nodes, ev.SID, ev.Replica)
 		}
 	}
 	// Suspicion consistency: the fault analyzer may only suspect nodes

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 
+	"clusterbft/internal/analyze"
 	"clusterbft/internal/digest"
-	"clusterbft/internal/obs"
 )
 
 // Checkpoint-granular recovery (ROADMAP item 5, DESIGN.md §12).
@@ -152,8 +152,7 @@ func (c *Controller) maybeCheckpoint(cs *clusterState, key digest.Key) {
 		c.ckptStats.BytesWritten += e.bytes
 		c.obsCkptSaves.Inc()
 		c.obsCkptBytesWritten.Add(e.bytes)
-		c.Eng.Trace.Instant("ckpt", "verifier", "save "+cs.sid+"/"+tmplID, c.Eng.Now(),
-			obs.AI("records", e.records), obs.AI("replica", int64(rep)))
+		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditCheckpoint, Replica: rep, Detail: tmplID}, e.records)
 		return
 	}
 }

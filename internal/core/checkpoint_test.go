@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"clusterbft/internal/analyze"
 	"clusterbft/internal/digest"
 	"clusterbft/internal/mapred"
 	"clusterbft/internal/pig"
@@ -218,7 +219,7 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	}}
 
 	// Full attempt a0 times out: a classic cluster-wide escalation.
-	c.retry(cs, true)
+	c.retry(cs, analyze.CauseTimeout)
 	if cs.r != 4 || cs.suffixBoost != 0 {
 		t.Fatalf("full-graph escalation: r=%d boost=%d, want r=4 boost=0", cs.r, cs.suffixBoost)
 	}
@@ -226,8 +227,8 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 		t.Fatal("retry did not consume the planted checkpoint")
 	}
 	// Two suffix-only attempts time out: escalations scoped to the suffix.
-	c.retry(cs, true)
-	c.retry(cs, true)
+	c.retry(cs, analyze.CauseTimeout)
+	c.retry(cs, analyze.CauseTimeout)
 	if cs.r != 6 || cs.suffixBoost != 2 {
 		t.Fatalf("suffix escalations: r=%d boost=%d, want r=6 boost=2", cs.r, cs.suffixBoost)
 	}
@@ -236,15 +237,12 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	// come back at the degree they always had (base 3 + the one
 	// full-graph escalation), not at the suffix-inflated 7.
 	c.dropCkpts(cs)
-	c.retry(cs, true)
+	c.retry(cs, analyze.CauseTimeout)
 	if len(cs.launchJobs) != len(cs.jobs) {
 		t.Fatal("expected a full re-execution after dropping checkpoints")
 	}
 	if cs.r != 4 || cs.suffixBoost != 0 {
 		t.Errorf("full re-execution r=%d boost=%d, want r=4 boost=0 (suffix escalations shed)", cs.r, cs.suffixBoost)
-	}
-	if st := c.ClusterStates()[cs.id]; st.R != cs.r {
-		t.Errorf("ClusterStatus.R=%d, want %d", st.R, cs.r)
 	}
 
 	// Control: the identical sequence without checkpoint coverage keeps
@@ -255,7 +253,7 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	cs2 := c2.clusters[0]
 	c2.tryLaunch(cs2)
 	for i := 0; i < 4; i++ {
-		c2.retry(cs2, true)
+		c2.retry(cs2, analyze.CauseTimeout)
 	}
 	if cs2.r != 7 || cs2.suffixBoost != 0 {
 		t.Errorf("uncovered retries: r=%d boost=%d, want r=7 boost=0", cs2.r, cs2.suffixBoost)

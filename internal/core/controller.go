@@ -215,16 +215,6 @@ type Controller struct {
 	Susp *SuspicionTable
 	FA   *FaultAnalyzer
 
-	// OnRecovery, when set, observes the controller's lifecycle decisions
-	// for each sub-graph: "launch", "verify", "retry" (timeout or
-	// no-agreement re-initiation at r+1), "restart" (deviant optimistic
-	// source), "escalate" (quiz or storage-boundary evidence revoking a
-	// quiz/deferred policy — always followed by a retry or restart) and
-	// "fail" (MaxAttempts exhausted). The attempt argument is
-	// the sub-graph's total launch count so far. Nil costs nothing; chaos
-	// campaigns and the recovery-latency experiment tabulate it.
-	OnRecovery func(action string, cluster, attempt int)
-
 	matcher *Matcher
 	runSeq  int
 	reports int64
@@ -249,7 +239,6 @@ type Controller struct {
 	clusters   []*clusterState
 	jobRef     map[string][2]int // engine job ID -> (cluster, replica)
 	sidIndex   map[string]*clusterState
-	attempts   int
 	faultyReps int
 	runErr     error
 }
@@ -293,9 +282,9 @@ func NewController(eng *mapred.Engine, cfg Config, susp *SuspicionTable, fa *Fau
 	return c
 }
 
-// AttachAudit routes the suspicion audit trail through the pipeline:
-// digest-mismatch evidence from the verifier, category transitions from
-// the suspicion table, and every intersection step of the fault analyzer
+// AttachAudit routes the audit trail through the pipeline: the
+// verifier's decisions (see record), category transitions from the
+// suspicion table, and every intersection step of the fault analyzer
 // land in trail with the evidence that caused them. Nil detaches.
 func (c *Controller) AttachAudit(trail *analyze.AuditTrail) {
 	c.audit = trail
@@ -345,7 +334,6 @@ func (c *Controller) Run(script string) (*Result, error) {
 	res := &Result{
 		Verified:       true,
 		Outputs:        make(map[string]string),
-		Attempts:       c.attempts,
 		Clusters:       len(c.clusters),
 		PointsUsed:     points,
 		FaultyReplicas: c.faultyReps,
@@ -354,6 +342,7 @@ func (c *Controller) Run(script string) (*Result, error) {
 		Metrics:        c.Eng.Metrics,
 	}
 	for _, cs := range c.clusters {
+		res.Attempts += cs.totalTries
 		if !cs.verified {
 			res.Verified = false
 			continue
@@ -509,7 +498,6 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 	c.ckpts = make(map[int]map[string]*ckptEntry)
 	c.jobRef = make(map[string][2]int)
 	c.sidIndex = make(map[string]*clusterState)
-	c.attempts = 0
 	c.faultyReps = 0
 	c.reports = 0
 	c.runErr = nil
@@ -574,15 +562,13 @@ func (c *Controller) tryLaunch(cs *clusterState) {
 	cs.launched = true
 	cs.launchedAtV = c.Eng.Now()
 	cs.totalTries++
-	c.attempts++
 	cs.quizPending = 0
 	cs.quizFailed = false
-	if cs.sid != "" {
+	superseded := cs.sid
+	if superseded != "" {
 		// The superseded attempt's digests are still needed for the
 		// downstream restart decisions at verification; sweep then.
-		cs.staleSids = append(cs.staleSids, cs.sid)
-		c.Eng.Ledger.Supersede(cs.sid)
-		c.Eng.Board.SIDState(cs.sid, "superseded", -1)
+		cs.staleSids = append(cs.staleSids, superseded)
 	}
 	cs.sid = fmt.Sprintf("run%d-c%d-a%d", c.runSeq, cs.id, cs.attempt)
 	c.sidIndex[cs.sid] = cs
@@ -633,11 +619,7 @@ func (c *Controller) tryLaunch(cs *clusterState) {
 		cs.r -= cs.suffixBoost
 		cs.suffixBoost = 0
 	}
-	c.Eng.Ledger.Launch(cs.sid, cs.policy.String())
-	c.Eng.Board.SetSID(obs.SIDStatus{
-		SID: cs.sid, Cluster: cs.id, Attempt: cs.totalTries, Replicas: cs.r,
-		Policy: cs.policy.String(), State: "running", Winner: -1,
-	})
+	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditLaunch, Replica: -1, Detail: superseded}, 0)
 	cs.replicas = make([]*repState, cs.r)
 	for rep := 0; rep < cs.r; rep++ {
 		rs := &repState{idx: rep, nodes: make(NodeSet)}
@@ -658,7 +640,6 @@ func (c *Controller) tryLaunch(cs *clusterState) {
 			}
 		}
 	}
-	c.notify("launch", cs)
 	c.armTimeout(cs)
 }
 
@@ -735,27 +716,14 @@ func (c *Controller) fail(err error) {
 	}
 }
 
-func (c *Controller) notify(action string, cs *clusterState) {
-	if c.OnRecovery != nil {
-		c.OnRecovery(action, cs.id, cs.totalTries)
-	}
-}
-
 // ClusterStatus is a read-only snapshot of one sub-graph's recovery
-// state, exposed for invariant checks (chaos campaigns assert every
-// sub-graph ends Verified or explicitly Failed).
+// state, for the chaos campaign's invariant checks.
 type ClusterStatus struct {
-	ID        int
-	Attempts  int
-	Upstream  []int
-	Verified  bool
-	Failed    bool
-	Launched  bool
-	Terminal  bool
-	TimeoutUs int64
-	// R is the replication degree of the most recent attempt (suffix
-	// escalations included; see suffix-scoped sizing in tryLaunch).
-	R int
+	ID       int
+	Attempts int
+	Upstream []int
+	Verified bool
+	Failed   bool
 }
 
 // ClusterStates snapshots every sub-graph of the most recent Run.
@@ -763,15 +731,11 @@ func (c *Controller) ClusterStates() []ClusterStatus {
 	out := make([]ClusterStatus, len(c.clusters))
 	for i, cs := range c.clusters {
 		out[i] = ClusterStatus{
-			ID:        cs.id,
-			Attempts:  cs.totalTries,
-			Upstream:  append([]int(nil), cs.upstream...),
-			Verified:  cs.verified,
-			Failed:    cs.failed,
-			Launched:  cs.launched,
-			Terminal:  cs.terminal,
-			TimeoutUs: cs.timeoutUs,
-			R:         cs.r,
+			ID:       cs.id,
+			Attempts: cs.totalTries,
+			Upstream: append([]int(nil), cs.upstream...),
+			Verified: cs.verified,
+			Failed:   cs.failed,
 		}
 	}
 	return out
@@ -855,7 +819,7 @@ func (c *Controller) checkVerify(cs *clusterState) {
 		if len(completed) == cs.r {
 			// Everyone replied and still no f+1 agreement: rerun with a
 			// higher replication degree.
-			c.retry(cs, false)
+			c.retry(cs, 0)
 		}
 		return
 	}
@@ -868,13 +832,9 @@ func (c *Controller) checkVerify(cs *clusterState) {
 func (c *Controller) markVerified(cs *clusterState, winner int, deviants []int) {
 	cs.verified = true
 	cs.verifiedAt = c.Eng.Now()
-	c.notify("verify", cs)
 	cs.winner = winner
 	cs.winnerFP = c.matcher.Fingerprint(cs.sid, cs.winner)
-	c.Eng.Ledger.Verified(cs.sid, winner)
-	c.Eng.Board.SIDState(cs.sid, "verified", winner)
-	c.Eng.Trace.Record("verify", "verifier", cs.sid, cs.launchedAtV, cs.verifiedAt,
-		obs.AI("winner", int64(cs.winner)), obs.AI("deviants", int64(len(deviants))))
+	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditVerify, Replica: winner}, int64(len(deviants)))
 	for _, rep := range deviants {
 		c.markFaulty(cs, cs.replicas[rep])
 	}
@@ -1077,9 +1037,7 @@ func (c *Controller) escalate(cs *clusterState, detail string) {
 	if cs.failed {
 		return
 	}
-	c.audit.Add(analyze.AuditEscalate, nil,
-		fmt.Sprintf("sub-graph c%d (%s) escalated to full replication: %s", cs.id, cs.sid, detail))
-	c.notify("escalate", cs)
+	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditEscalate, Replica: -1, Detail: detail}, 0)
 	if cs.verified {
 		cs.policy = PolicyFull
 		if cs.r < c.Cfg.R {
@@ -1088,7 +1046,7 @@ func (c *Controller) escalate(cs *clusterState, detail string) {
 		c.restart(cs)
 		return
 	}
-	c.retry(cs, false)
+	c.retry(cs, 0)
 }
 
 // forgetSID reclaims every trace of one sub-graph attempt: the verifier's
@@ -1158,42 +1116,68 @@ func (c *Controller) markFaulty(cs *clusterState, rs *repState) {
 	}
 	rs.faulty = true
 	c.faultyReps++
-	nodes := c.liveNodes(rs)
-	sorted := nodes.Sorted()
-	c.audit.Add(analyze.AuditMismatch, sorted,
-		fmt.Sprintf("replica %d of %s deviated from the f+1 majority", rs.idx, cs.sid))
-	c.Eng.Trace.Instant("suspicion", "verifier", "fault "+cs.sid, c.Eng.Now(),
-		obs.AI("replica", int64(rs.idx)), obs.AI("nodes", int64(len(sorted))))
-	c.Susp.RecordFault(sorted)
-	c.FA.Report(nodes)
-	if c.Eng.Board != nil {
-		names := make([]string, len(sorted))
-		for i, n := range sorted {
-			names[i] = string(n)
-		}
-		c.Eng.Board.SIDFaulty(cs.sid, rs.idx, names)
-		c.pushSuspicion()
-	}
+	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditMismatch, Replica: rs.idx, Cause: analyze.CauseCommission}, 0)
 }
 
-// pushSuspicion mirrors the suspicion table into the jobs board so the
-// /jobs endpoint can serve it without touching controller state from
-// HTTP goroutines. Called at decision points on the simulation
-// goroutine.
-func (c *Controller) pushSuspicion() {
-	b := c.Eng.Board
-	if b == nil {
-		return
+// record is the one writer of what the control tier keeps about a
+// decision on a sub-graph attempt; nothing else in this package writes
+// these stores, so they cannot fall out of step. ev is the decision as
+// the audit trail holds it (Replica -1 for none); the ledger is told what
+// the attempt's CPU bought, the board what /jobs serves once teardown
+// forgot the sid, the tracer the timeline (n: deviants outvoted, records
+// saved), the suspicion table and fault analyzer the blame.
+func (c *Controller) record(cs *clusterState, ev analyze.AuditEvent, n int64) {
+	eng, sid, rep := c.Eng, cs.sid, int64(ev.Replica)
+	ev.SID = sid
+	if ev.Kind == analyze.AuditMismatch {
+		ev.Nodes = c.liveNodes(cs.replicas[ev.Replica]).Sorted()
 	}
-	h := c.Susp.Histogram()
-	st := obs.SuspicionStatus{Low: h[Low], Med: h[Med], High: h[High]}
-	for _, n := range c.Susp.Suspects() {
-		st.Suspects = append(st.Suspects, string(n))
-		if c.Susp.Excluded(n) {
-			st.Excluded = append(st.Excluded, string(n))
+	c.audit.Record(ev)
+	b, tr, now := eng.Board, eng.Trace, eng.Now()
+	switch ev.Kind {
+	case analyze.AuditLaunch: // Detail: the attempt this one supersedes
+		if ev.Detail != "" {
+			eng.Ledger.Supersede(ev.Detail)
+			b.UpsertSID(ev.Detail, func(s *obs.SIDStatus) { s.State = "superseded" })
+		}
+		eng.Ledger.Launch(sid, cs.policy.String())
+		b.UpsertSID(sid, func(s *obs.SIDStatus) {
+			s.Cluster, s.Attempt, s.Replicas = cs.id, cs.totalTries, cs.r
+			s.Policy, s.State, s.Winner = cs.policy.String(), "running", -1
+		})
+	case analyze.AuditVerify:
+		eng.Ledger.Verified(sid, ev.Replica)
+		b.UpsertSID(sid, func(s *obs.SIDStatus) { s.State, s.Winner = "verified", ev.Replica })
+		tr.Record("verify", "verifier", sid, cs.launchedAtV, now, obs.AI("winner", rep), obs.AI("deviants", n))
+	case analyze.AuditFail:
+		eng.Ledger.Supersede(sid)
+		b.UpsertSID(sid, func(s *obs.SIDStatus) { s.State = "failed" })
+	case analyze.AuditCheckpoint: // Detail: the template job saved
+		tr.Instant("ckpt", "verifier", "save "+sid+"/"+ev.Detail, now, obs.AI("records", n), obs.AI("replica", rep))
+	case analyze.AuditMismatch:
+		c.Susp.RecordFault(ev.Nodes)
+		if ev.Cause == analyze.CauseCommission { // a timeout over-approximates (§4.3): suspicion only
+			c.FA.Report(NewNodeSet(ev.Nodes...))
+			tr.Instant("suspicion", "verifier", "fault "+sid, now, obs.AI("replica", rep), obs.AI("nodes", int64(len(ev.Nodes))))
+			b.UpsertSID(sid, func(s *obs.SIDStatus) {
+				s.FaultyReplicas = append(s.FaultyReplicas, ev.Replica)
+				for _, n := range ev.Nodes {
+					s.FaultyNodes = append(s.FaultyNodes, string(n))
+				}
+			})
 		}
 	}
-	b.SetSuspicion(st)
+	if b != nil && ev.Cause != 0 { // blame moved, or a timeout found none to move: refresh what /jobs serves
+		h := c.Susp.Histogram()
+		st := obs.SuspicionStatus{Low: h[Low], Med: h[Med], High: h[High]}
+		for _, n := range c.Susp.Suspects() {
+			st.Suspects = append(st.Suspects, string(n))
+			if c.Susp.Excluded(n) {
+				st.Excluded = append(st.Excluded, string(n))
+			}
+		}
+		b.SetSuspicion(st)
+	}
 }
 
 func (c *Controller) killReplica(rs *repState) {
@@ -1203,31 +1187,24 @@ func (c *Controller) killReplica(rs *repState) {
 }
 
 // retry re-initiates a sub-graph with r+1 replicas and a doubled timeout
-// (§4.2 step 6). omission marks incomplete replicas' nodes suspicious
-// first (timeout path).
-func (c *Controller) retry(cs *clusterState, omission bool) {
+// (§4.2 step 6). On the timeout path (cause) the incomplete replicas'
+// nodes are marked suspicious first (omission).
+func (c *Controller) retry(cs *clusterState, cause analyze.AuditCause) {
 	if cs.verified || cs.failed {
 		return
 	}
-	if omission {
+	if cause == analyze.CauseTimeout {
 		for _, rs := range cs.replicas {
-			if rs.completed {
-				continue
-			}
-			if nodes := c.liveNodes(rs); len(nodes) > 0 {
-				sorted := nodes.Sorted()
-				c.audit.Add(analyze.AuditMismatch, sorted,
-					fmt.Sprintf("replica %d of %s timed out (omission)", rs.idx, cs.sid))
-				c.Susp.RecordFault(sorted)
+			if !rs.completed {
+				c.record(cs, analyze.AuditEvent{Kind: analyze.AuditMismatch, Replica: rs.idx, Cause: cause}, 0)
 			}
 		}
-		c.pushSuspicion()
 	}
 	for _, rs := range cs.replicas {
 		c.killReplica(rs)
 	}
 	if cs.totalTries >= c.Cfg.MaxAttempts {
-		c.failCluster(cs)
+		c.failCluster(cs, cause)
 		// Exhaustion outside a restart cascade: consumers launched against
 		// this sub-graph's optimistic output must not keep running.
 		c.restart(cs)
@@ -1254,7 +1231,7 @@ func (c *Controller) retry(cs *clusterState, omission bool) {
 	}
 	cs.timeoutUs *= 2
 	cs.launched = false
-	c.notify("retry", cs)
+	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditRetry, Replica: -1, Cause: cause}, 0)
 	c.tryLaunch(cs)
 }
 
@@ -1298,10 +1275,10 @@ func (c *Controller) restart(root *clusterState) {
 		if wasLaunched {
 			cs.attempt++
 			if cs.totalTries >= c.Cfg.MaxAttempts {
-				c.failCluster(cs)
+				c.failCluster(cs, 0)
 				continue
 			}
-			c.notify("restart", cs)
+			c.record(cs, analyze.AuditEvent{Kind: analyze.AuditRestart, Replica: -1}, 0)
 		}
 	}
 	// Relaunch survivors upstream-first; consumers of a still-incomplete
@@ -1316,12 +1293,10 @@ func (c *Controller) restart(root *clusterState) {
 // run-level error. Its consumers are not torn down here — the restart
 // cascade that discovered the exhaustion already holds them in its
 // worklist, and unlaunched consumers are fenced by sourcesReady.
-func (c *Controller) failCluster(cs *clusterState) {
+func (c *Controller) failCluster(cs *clusterState, cause analyze.AuditCause) {
 	cs.failed = true
 	c.dropCkpts(cs)
-	c.Eng.Ledger.Supersede(cs.sid)
-	c.Eng.Board.SIDState(cs.sid, "failed", -1)
-	c.notify("fail", cs)
+	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditFail, Replica: -1, Cause: cause}, 0)
 	c.fail(fmt.Errorf("core: sub-graph c%d exhausted %d attempts", cs.id, cs.totalTries))
 }
 
@@ -1330,7 +1305,7 @@ func (c *Controller) onTimeout(cs *clusterState, sid string) {
 	if cs.sid != sid || cs.verified || cs.failed || !cs.launched {
 		return
 	}
-	c.retry(cs, true)
+	c.retry(cs, analyze.CauseTimeout)
 }
 
 // RunPlain executes a script without replication or verification — the

@@ -681,3 +681,116 @@ STORE n INTO 'out/n';
 		t.Errorf("verified output under the fault differs from the honest run's:\n%v\nvs\n%v", got, want)
 	}
 }
+
+// TestAuditEventFields: what the chaos invariants and a future explain
+// read off the trail is in fields, not prose. Every mismatch the
+// controller records names an attempt the trail saw launched, a replica
+// that attempt has, and the fault it rests on; a lifecycle decision names
+// its attempt and no replica (a verify, the winner); the analyzer's and
+// the suspicion table's own events name no attempt at all.
+func TestAuditEventFields(t *testing.T) {
+	scenarios := map[string]func(*harness){
+		"commission": func(h *harness) {
+			if err := h.Cluster.SetAdversary("node-003", cluster.FaultCommission, 1.0, 11); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"omission": func(h *harness) {
+			for i, n := range []cluster.NodeID{"node-000", "node-001", "node-002"} {
+				if err := h.Cluster.SetAdversary(n, cluster.FaultOmission, 0.9, int64(40+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	}
+	wantCause := map[string]analyze.AuditCause{"commission": analyze.CauseCommission, "omission": analyze.CauseTimeout}
+	for name, arm := range scenarios {
+		cfg := DefaultConfig()
+		nodes, slots := 16, 3
+		if name == "omission" { // TestControllerTimeoutOnOmission's rig: r=2 must time out and retry
+			cfg.R, cfg.TimeoutUs, nodes, slots = 2, 60_000_000, 6, 2
+		}
+		h := newHarness(t, nodes, slots, cfg)
+		arm(h)
+		trail := analyze.NewAuditTrail(h.Engine.Now)
+		h.Ctrl.AttachAudit(trail)
+		h.Engine.Board = obs.NewJobsBoard() // one row per attempt: how many replicas it has
+		if res, err := h.Ctrl.Run(weatherScript); err != nil || !res.Verified {
+			t.Fatalf("%s: run did not verify: %v", name, err)
+		}
+		replicas := map[string]int{}
+		for _, row := range h.Engine.Board.SIDs() {
+			replicas[row.SID] = row.Replicas
+		}
+		launched := map[string]bool{}
+		causes := map[analyze.AuditCause]int{}
+		retriedOnTimeout := false
+		for _, e := range trail.Events() {
+			switch e.Kind {
+			case analyze.AuditLaunch:
+				if e.SID == "" || launched[e.SID] || e.Replica != -1 {
+					t.Errorf("%s: launch event %+v: want a fresh attempt and no replica", name, e)
+				}
+				launched[e.SID] = true
+			case analyze.AuditMismatch:
+				if !launched[e.SID] {
+					t.Errorf("%s: mismatch names attempt %q, which was never launched: %+v", name, e.SID, e)
+				}
+				if e.Replica < 0 || e.Replica >= replicas[e.SID] {
+					t.Errorf("%s: mismatch names replica %d of %s, which has %d: %+v", name, e.Replica, e.SID, replicas[e.SID], e)
+				}
+				if e.Cause != analyze.CauseCommission && e.Cause != analyze.CauseTimeout {
+					t.Errorf("%s: mismatch rests on no fault: %+v", name, e)
+				}
+				causes[e.Cause]++
+			case analyze.AuditVerify:
+				if !launched[e.SID] || e.Replica < 0 || e.Replica >= replicas[e.SID] {
+					t.Errorf("%s: verify event %+v: want a launched attempt and its winner", name, e)
+				}
+			case analyze.AuditRetry, analyze.AuditRestart, analyze.AuditEscalate, analyze.AuditFail:
+				if !launched[e.SID] || e.Replica != -1 {
+					t.Errorf("%s: %s event %+v: want a launched attempt and no replica", name, e.Kind, e)
+				}
+				retriedOnTimeout = retriedOnTimeout || (e.Kind == analyze.AuditRetry && e.Cause == analyze.CauseTimeout)
+			default: // the analyzer's and the suspicion table's reasoning
+				if e.SID != "" || e.Replica != -1 || e.Cause != 0 {
+					t.Errorf("%s: %s event carries attempt fields: %+v", name, e.Kind, e)
+				}
+			}
+		}
+		if causes[wantCause[name]] == 0 {
+			t.Errorf("%s: no mismatch resting on %s: %v", name, wantCause[name], causes)
+		}
+		if name == "omission" && !retriedOnTimeout {
+			t.Errorf("omission: no retry event resting on the timeout")
+		}
+	}
+}
+
+// TestRecordDetachedAllocs: the timed paths run with no trail, board or
+// tracer attached, and there a lifecycle decision must cost what the
+// call sites it replaced did — the ledger update and nil checks, no
+// formatted detail, no name list, no heap-allocated closure.
+func TestRecordDetachedAllocs(t *testing.T) {
+	h := newHarness(t, 4, 2, DefaultConfig())
+	c := h.Ctrl
+	if c.audit != nil || c.Eng.Board != nil || c.Eng.Trace != nil {
+		t.Fatal("harness attaches a store; the pin needs none")
+	}
+	cs := &clusterState{id: 1, sid: "run1-c1-a1", policy: PolicyFull, r: 4, totalTries: 2}
+	kinds := []analyze.AuditEvent{
+		{Kind: analyze.AuditLaunch, Replica: -1, Detail: "run1-c1-a0"},
+		{Kind: analyze.AuditVerify, Replica: 2},
+		{Kind: analyze.AuditEscalate, Replica: -1, Detail: "quiz re-execution digest mismatch"},
+		{Kind: analyze.AuditRetry, Replica: -1, Cause: analyze.CauseTimeout},
+		{Kind: analyze.AuditRestart, Replica: -1},
+		{Kind: analyze.AuditFail, Replica: -1},
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		for _, ev := range kinds {
+			c.record(cs, ev, 3)
+		}
+	}); got != 0 {
+		t.Errorf("record with nothing attached allocates %v times per %d decisions, want 0", got, len(kinds))
+	}
+}

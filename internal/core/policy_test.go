@@ -1,13 +1,14 @@
 package core
 
 import (
-	"clusterbft/internal/mapred"
 	"crypto/sha256"
 	"strings"
 	"testing"
 
+	"clusterbft/internal/analyze"
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/digest"
+	"clusterbft/internal/mapred"
 )
 
 // runPolicy executes weatherScript on a fresh honest harness under one
@@ -81,18 +82,20 @@ func TestQuizDetectsCommission(t *testing.T) {
 		cfg.VerifyPolicy = p
 		cfg.QuizFraction = 1
 		h := commissionHarness(t, cfg)
-		var escalations, retries int
-		h.Ctrl.OnRecovery = func(action string, _, _ int) {
-			switch action {
-			case "escalate":
-				escalations++
-			case "retry", "restart":
-				retries++
-			}
-		}
+		trail := analyze.NewAuditTrail(h.Engine.Now)
+		h.Ctrl.AttachAudit(trail)
 		res, err := h.Ctrl.Run(weatherScript)
 		if err != nil {
 			t.Fatalf("policy %v: %v", p, err)
+		}
+		var escalations, retries int
+		for _, ev := range trail.Events() {
+			switch ev.Kind {
+			case analyze.AuditEscalate:
+				escalations++
+			case analyze.AuditRetry, analyze.AuditRestart:
+				retries++
+			}
 		}
 		if !res.Verified {
 			t.Fatalf("policy %v: run not verified after escalation", p)

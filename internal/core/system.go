@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+
+	"clusterbft/internal/bft"
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/dfs"
 	"clusterbft/internal/mapred"
@@ -39,3 +42,25 @@ func (s *System) Assure(cfg Config) *Controller {
 	s.Ctrl = NewController(s.Engine, cfg, s.Susp, nil)
 	return s.Ctrl
 }
+
+// ControlTierTime models this control tier replicated (§5.2, Fig 14):
+// the virtual time a fresh 3f+1 PBFT group takes to order the verdicts
+// on reports digests, verdictBatch to a consensus instance, and the
+// instances. The verifier has matched; a handler only acknowledges.
+func ControlTierTime(f int, reports int64) (virtUs int64, batches int, err error) {
+	const verdictBatch = 20
+	batches = int((reports + verdictBatch - 1) / verdictBatch)
+	g := bft.NewGroup(f, func(int) bft.StateMachine { return ackHandler{} })
+	for i := 0; i < batches; i++ {
+		_, us, err := g.Invoke(fmt.Appendf(nil, "verdict-batch-%d", i))
+		if err != nil {
+			return 0, 0, err
+		}
+		virtUs += us
+	}
+	return virtUs, batches, nil
+}
+
+type ackHandler struct{}
+
+func (ackHandler) Apply(op []byte) []byte { return op }

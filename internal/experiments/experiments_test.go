@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"clusterbft/internal/core"
 )
 
 func TestFig9SmallScale(t *testing.T) {
@@ -196,22 +198,25 @@ func TestFig14SmallScale(t *testing.T) {
 }
 
 func TestControlTierTime(t *testing.T) {
-	zero, err := controlTierTime(1, 0, 20)
-	if err != nil || zero != 0 {
-		t.Errorf("no reports should cost nothing: %d, %v", zero, err)
+	zero, batches, err := core.ControlTierTime(1, 0)
+	if err != nil || zero != 0 || batches != 0 {
+		t.Errorf("no reports should cost nothing: %d in %d batches, %v", zero, batches, err)
 	}
-	small, err := controlTierTime(1, 40, 20)
+	small, batches, err := core.ControlTierTime(1, 41)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := controlTierTime(1, 400, 20)
+	if batches != 3 {
+		t.Errorf("41 reports ordered in %d batches, want 3 (20 to a batch)", batches)
+	}
+	big, _, err := core.ControlTierTime(1, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if big <= small {
 		t.Errorf("10x reports should cost more: %d vs %d", big, small)
 	}
-	f3, err := controlTierTime(3, 40, 20)
+	f3, _, err := core.ControlTierTime(3, 41)
 	if err != nil {
 		t.Fatal(err)
 	}

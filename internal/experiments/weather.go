@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"clusterbft/internal/bft"
 	"clusterbft/internal/core"
 	"clusterbft/internal/workload"
 )
@@ -35,9 +34,6 @@ type Fig14Row struct {
 // with Individual growing much faster.
 type Fig14Result struct {
 	Rows []Fig14Row
-	// VerifyBatch is how many digest verdicts the replicated request
-	// handler orders per consensus instance.
-	VerifyBatch int
 }
 
 // Render prints one row per (f, d).
@@ -67,21 +63,21 @@ func dLabel(d int) string {
 // Fig14 runs the sweep.
 func Fig14(sc Scale) (*Fig14Result, error) {
 	data := workload.Weather(sc.WeatherRows, sc.WeatherStations, sc.Seed+7)
-	res := &Fig14Result{VerifyBatch: 20}
+	res := &Fig14Result{}
 	for _, f := range []int{1, 2, 3} {
 		for _, d := range []int{10_000, 1_000, 100} {
 			row := Fig14Row{F: f, D: d}
 			var err error
-			if row.Full, err = fig14Run(sc, data, f, d, res.VerifyBatch, core.Config{VerifyFinalOnly: true}); err != nil {
+			if row.Full, err = fig14Run(sc, data, f, d, core.Config{VerifyFinalOnly: true}); err != nil {
 				return nil, fmt.Errorf("fig14 full f=%d d=%d: %w", f, d, err)
 			}
 			// ClusterBFT's two §6.4 verification points: the first
 			// grouping operator (digesting the full pre-shuffle stream)
 			// and the per-station averages.
-			if row.Cluster, err = fig14Run(sc, data, f, d, res.VerifyBatch, core.Config{ForcePointAliases: []string{"bystation", "avgs"}}); err != nil {
+			if row.Cluster, err = fig14Run(sc, data, f, d, core.Config{ForcePointAliases: []string{"bystation", "avgs"}}); err != nil {
 				return nil, fmt.Errorf("fig14 clusterbft f=%d d=%d: %w", f, d, err)
 			}
-			if row.Indiv, err = fig14Run(sc, data, f, d, res.VerifyBatch, core.Config{Points: -1}); err != nil {
+			if row.Indiv, err = fig14Run(sc, data, f, d, core.Config{Points: -1}); err != nil {
 				return nil, fmt.Errorf("fig14 individual f=%d d=%d: %w", f, d, err)
 			}
 			res.Rows = append(res.Rows, row)
@@ -90,7 +86,7 @@ func Fig14(sc Scale) (*Fig14Result, error) {
 	return res, nil
 }
 
-func fig14Run(sc Scale, data []string, f, d, batch int, variant core.Config) (Fig14Cell, error) {
+func fig14Run(sc Scale, data []string, f, d int, variant core.Config) (Fig14Cell, error) {
 	cfg := core.Config{
 		F:                 f,
 		R:                 3*f + 1,
@@ -108,39 +104,8 @@ func fig14Run(sc Scale, data []string, f, d, batch int, variant core.Config) (Fi
 		return Fig14Cell{}, err
 	}
 	cell := Fig14Cell{EngineUs: result.LatencyUs, Reports: result.DigestReports}
-	cell.ControlUs, err = controlTierTime(f, result.DigestReports, batch)
-	if err != nil {
-		return Fig14Cell{}, err
-	}
-	return cell, nil
-}
-
-// verdictSM is the request handler's replicated state: a count of agreed
-// digest verdicts (the actual matching already happened in the matcher;
-// consensus orders and makes the verdicts durable across 3f+1 handlers).
-type verdictSM struct{ n int }
-
-func (s *verdictSM) Apply(op []byte) []byte {
-	s.n++
-	return []byte(fmt.Sprintf("ok-%d", s.n))
-}
-
-// controlTierTime measures the virtual time a 3f+1 PBFT request-handler
-// group needs to order all digest verdicts, batch-at-a-time. Workers
-// stream digests to every handler replica (the paper's multi-coordinator
-// Penny, §5.2); each batch of `batch` verdicts costs one consensus
-// instance.
-func controlTierTime(f int, reports int64, batch int) (int64, error) {
-	if reports == 0 {
-		return 0, nil
-	}
-	ops := int((reports + int64(batch) - 1) / int64(batch))
-	g := bft.NewGroup(f, func(int) bft.StateMachine { return &verdictSM{} })
-	start := g.Net.Now()
-	for i := 0; i < ops; i++ {
-		if _, _, err := g.Invoke([]byte(fmt.Sprintf("verdict-batch-%d", i))); err != nil {
-			return 0, err
-		}
-	}
-	return g.Net.Now() - start, nil
+	// Workers stream digests to every handler replica (the paper's
+	// multi-coordinator Penny, §5.2); the handlers order the verdicts.
+	cell.ControlUs, _, err = core.ControlTierTime(f, result.DigestReports)
+	return cell, err
 }

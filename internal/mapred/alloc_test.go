@@ -3,6 +3,8 @@ package mapred
 import (
 	"testing"
 
+	"clusterbft/internal/cluster"
+	"clusterbft/internal/dfs"
 	"clusterbft/internal/obs"
 	"clusterbft/internal/tuple"
 )
@@ -127,5 +129,29 @@ func TestCombineFoldAllocs(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("combiner fold allocs/batch = %v, want 0 on table hits", got)
+	}
+}
+
+// TestResolveDetachedAllocs pins the disabled-observability contract on
+// the per-attempt accounting: with no registry and no jobs board — how
+// the timed runs execute — settling an attempt's CPU, committed, lost or
+// hung, is the ledger update and nil-receiver no-ops: no task ID is
+// formatted for a board that is not there.
+func TestResolveDetachedAllocs(t *testing.T) {
+	eng := NewEngine(dfs.New(), cluster.New(2, 1), nil, DefaultCostModel())
+	if eng.Board != nil || eng.Registry() != nil {
+		t.Fatal("a fresh engine attaches a store; the pin needs none")
+	}
+	js := &JobState{Spec: &JobSpec{ID: "x/r0/j0", SID: "run1-c0-a0", Replica: 1}}
+	rt := &runningTask{task: &Task{Job: js, Kind: MapTask, Index: 3}, node: "node-000"}
+	if got := testing.AllocsPerRun(200, func() {
+		eng.resolve(rt, 800_004, attemptCommitted)
+		eng.resolve(rt, 800_004, attemptLost)
+		eng.resolve(rt, 800_004, attemptHung)
+	}); got != 0 {
+		t.Errorf("resolve with nothing attached allocates %v times per three attempts, want 0", got)
+	}
+	if b := eng.Ledger.Buckets(); b.CommittedUs == 0 || b.ReplicaWasteUs != 2*b.CommittedUs {
+		t.Errorf("ledger after one committed and two lost attempts per round: %+v", b)
 	}
 }

@@ -1,10 +1,10 @@
 package mapred
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -15,6 +15,7 @@ import (
 	"clusterbft/internal/obs"
 	"clusterbft/internal/pool"
 	"clusterbft/internal/tuple"
+	"clusterbft/internal/vtime"
 )
 
 // CostModel sets the virtual-time costs of engine operations, in
@@ -173,25 +174,6 @@ func (j *JobState) ProducedLines() []string {
 // land after the digests were taken, which trusted storage rules out).
 func (j *JobState) HasDependents() bool { return j.hasDependents }
 
-type event struct {
-	at  int64
-	seq int64
-	fn  func()
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
 // Engine is the deterministic virtual-time MapReduce runtime: a job
 // tracker (queue + dependency tracking), task trackers (node slots
 // claimed via heartbeat ticks), and the execution of real map/reduce
@@ -202,6 +184,9 @@ func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h 
 // order on the simulation goroutine, keeping results byte-identical at
 // every pool size.
 type Engine struct {
+	// Queue is the simulation clock: Now reads it, After schedules on it.
+	vtime.Queue
+
 	FS      *dfs.FS
 	Cluster *cluster.Cluster
 	Sched   Scheduler
@@ -249,10 +234,6 @@ type Engine struct {
 	DigestSink func(digest.Report)
 	// OnJobDone fires when a job's last task completes.
 	OnJobDone func(*JobState)
-
-	now    int64
-	seq    int64
-	events eventHeap
 
 	// Speculation enables Hadoop-style backup tasks: an attempt running
 	// specLagFactor times longer than its comparator (see specSweep)
@@ -400,23 +381,11 @@ func (e *Engine) InstrumentMetrics(reg *obs.Registry) {
 	}
 }
 
-// Now returns the current virtual time in microseconds.
-func (e *Engine) Now() int64 { return e.now }
-
 // Registry returns the metrics registry attached via InstrumentMetrics;
 // nil when metrics are off. Components layered over the engine (the
 // controller's checkpoint counters) register through it so everything
 // lands in one exposition.
 func (e *Engine) Registry() *obs.Registry { return e.obsReg }
-
-// After schedules fn at now+delayUs on the simulation clock.
-func (e *Engine) After(delayUs int64, fn func()) {
-	if delayUs < 0 {
-		delayUs = 0
-	}
-	e.seq++
-	heap.Push(&e.events, event{at: e.now + delayUs, seq: e.seq, fn: fn})
-}
 
 // Job returns the state of a submitted job, or nil.
 func (e *Engine) Job(id string) *JobState { return e.jobs[id] }
@@ -427,9 +396,10 @@ func (e *Engine) JobByOutput(dir string) *JobState { return e.byOutput[dir] }
 
 // Submit enqueues a job. Dependencies must have been submitted earlier
 // (compiler output order satisfies this). A duplicate ID, an unsubmitted
-// dependency or an unknown reduce kind is an error, and a spec that
-// fails leaves the engine as it was: nothing is registered before
-// everything is checked.
+// dependency, an unknown reduce kind, a reduce into no partitions or a
+// negative shuffle key column is an error, and a spec that fails leaves
+// the engine as it was: nothing is registered before everything is
+// checked.
 func (e *Engine) Submit(spec *JobSpec) (*JobState, error) {
 	if _, ok := e.jobs[spec.ID]; ok {
 		return nil, fmt.Errorf("mapred: duplicate job id %q", spec.ID)
@@ -445,11 +415,19 @@ func (e *Engine) Submit(spec *JobSpec) (*JobState, error) {
 		default:
 			return nil, fmt.Errorf("mapred: job %q has unknown reduce kind %d", spec.ID, r.Kind)
 		}
+		if spec.NumReduces < 1 {
+			return nil, fmt.Errorf("mapred: job %q reduces into %d partitions, want >= 1", spec.ID, spec.NumReduces)
+		}
+	}
+	for i := range spec.Inputs {
+		if kc := spec.Inputs[i].KeyCols; len(kc) > 0 && slices.Min(kc) < 0 {
+			return nil, fmt.Errorf("mapred: job %q input %d has a negative shuffle key column: %v", spec.ID, i, kc)
+		}
 	}
 	js := &JobState{
 		Spec:       spec,
 		Nodes:      make(map[cluster.NodeID]bool),
-		SubmitTime: e.now,
+		SubmitTime: e.Now(),
 		mapOrdinal: make(map[string]int),
 		running:    make(map[string][]*runningTask),
 		committed:  make(map[string]bool),
@@ -467,7 +445,7 @@ func (e *Engine) Submit(spec *JobSpec) (*JobState, error) {
 			d.dependents = append(d.dependents, js)
 		}
 	}
-	e.Board.JobSubmitted(spec.ID, spec.SID, spec.Replica, e.now)
+	e.Board.JobSubmitted(spec.ID, spec.SID, spec.Replica, e.Now())
 	if js.depsLeft == 0 {
 		e.makeRunnable(js)
 	}
@@ -480,7 +458,7 @@ func (e *Engine) makeRunnable(js *JobState) {
 		return
 	}
 	js.runnable = true
-	js.runnableTime = e.now
+	js.runnableTime = e.Now()
 	js.splits = make([][][2]int, len(js.Spec.Inputs))
 	js.inputSrcs = make([]*dfs.Reader, len(js.Spec.Inputs))
 	for i, in := range js.Spec.Inputs {
@@ -668,7 +646,7 @@ func (e *Engine) startTask(node *cluster.Node, t *Task) {
 		}
 		e.sidBinding[node.ID][sid] = js.Spec.Replica
 	}
-	rt := &runningTask{task: t, node: node.ID, start: e.now, wallStart: e.Trace.WallNow()}
+	rt := &runningTask{task: t, node: node.ID, start: e.Now(), wallStart: e.Trace.WallNow()}
 	js.running[t.ID()] = append(js.running[t.ID()], rt)
 	e.Board.TaskStarted(js.Spec.ID)
 
@@ -750,12 +728,8 @@ func (e *Engine) settle() {
 		if p.hung {
 			p.rt.hung = true
 			atomic.AddInt64(&e.Metrics.TasksHung, 1)
-			// The withheld result never commits: its CPU is lost work.
-			e.obsCPULost.Add(dur)
-			spec := p.rt.task.Job.Spec
-			e.Ledger.ResolveLost(spec.SID, spec.Replica, dur)
-			e.Board.TaskHung(spec.ID)
-			e.Trace.Instant("fault", string(p.rt.node), p.rt.task.ID()+" hung", e.now,
+			e.resolve(p.rt, dur, attemptHung)
+			e.Trace.Instant("fault", string(p.rt.node), p.rt.task.ID()+" hung", e.Now(),
 				obs.A("job", p.rt.task.Job.Spec.ID))
 			continue // no completion event: the node withholds the result
 		}
@@ -772,30 +746,18 @@ func (e *Engine) scheduleCommit(p pendingBody, dur int64, commit func()) {
 	js := t.Job
 	e.After(dur, func() {
 		if rt.dead {
-			e.obsCPULost.Add(dur) // torn down before its completion fired
-			e.Ledger.ResolveLost(js.Spec.SID, js.Spec.Replica, dur)
-			e.Board.TaskLost(js.Spec.ID)
+			e.resolve(rt, dur, attemptLost) // torn down before its completion fired
 			return
 		}
 		e.unlink(js, t.ID(), rt)
 		e.releaseSlot(rt.node)
 		if js.Killed || js.committed[t.ID()] {
-			e.obsCPULost.Add(dur) // job gone, or a backup raced us and won
-			e.Ledger.ResolveLost(js.Spec.SID, js.Spec.Replica, dur)
-			e.Board.TaskLost(js.Spec.ID)
+			e.resolve(rt, dur, attemptLost) // job gone, or a backup raced us and won
 			e.armTick()
 			return
 		}
 		js.committed[t.ID()] = true
-		e.obsCPUCommitted.Add(dur)
-		e.obsTaskDur.Observe(dur)
-		e.Ledger.ResolveCommitted(js.Spec.SID, js.Spec.Replica, dur)
-		e.Board.TaskCommitted(js.Spec.ID, t.Kind.String(), t.ID(), dur)
-		if t.Kind == MapTask {
-			js.obsMapDur.Observe(dur)
-		} else {
-			js.obsRedDur.Observe(dur)
-		}
+		e.resolve(rt, dur, attemptCommitted)
 		if e.Speculation { // the histogram's only reader is specSweep
 			k := specKey(js.Spec.ID, t.Kind)
 			h := e.specHist[k]
@@ -808,7 +770,7 @@ func (e *Engine) scheduleCommit(p pendingBody, dur int64, commit func()) {
 		if e.Trace != nil {
 			e.Trace.Emit(obs.Span{
 				Cat: "task", Track: string(rt.node), Name: t.ID(),
-				VStart: rt.start, VEnd: e.now, WallStart: rt.wallStart,
+				VStart: rt.start, VEnd: e.Now(), WallStart: rt.wallStart,
 				Attrs: []obs.Attr{obs.A("job", js.Spec.ID), obs.A("kind", t.Kind.String())},
 			})
 		}
@@ -834,6 +796,45 @@ func (e *Engine) scheduleCommit(p pendingBody, dur int64, commit func()) {
 		commit()
 		e.armTick()
 	})
+}
+
+// attemptOutcome is how one dispatched attempt's charged CPU resolved.
+type attemptOutcome uint8
+
+const (
+	attemptCommitted attemptOutcome = iota // its result is the task's result
+	attemptLost                            // raced, killed or torn down: the result was discarded
+	attemptHung                            // the node withholds the result: no completion ever fires
+)
+
+// resolve settles the dur microseconds an attempt was charged at
+// dispatch into one side of every committed/lost account — the
+// registry's CPU split and duration histograms, the cost ledger, the
+// jobs board. It is their only writer, so they cannot disagree; with no
+// registry and no board attached it costs the ledger update alone.
+func (e *Engine) resolve(rt *runningTask, dur int64, outcome attemptOutcome) {
+	t, spec := rt.task, rt.task.Job.Spec
+	if outcome != attemptCommitted {
+		e.obsCPULost.Add(dur)
+		e.Ledger.ResolveLost(spec.SID, spec.Replica, dur)
+		if outcome == attemptHung {
+			e.Board.TaskHung(spec.ID)
+		} else {
+			e.Board.TaskLost(spec.ID)
+		}
+		return
+	}
+	e.obsCPUCommitted.Add(dur)
+	e.obsTaskDur.Observe(dur)
+	e.Ledger.ResolveCommitted(spec.SID, spec.Replica, dur)
+	if e.Board != nil { // the task ID is formatted for the board alone
+		e.Board.TaskCommitted(spec.ID, t.Kind.String(), t.ID(), dur)
+	}
+	if t.Kind == MapTask {
+		t.Job.obsMapDur.Observe(dur)
+	} else {
+		t.Job.obsRedDur.Observe(dur)
+	}
 }
 
 // unlink removes one attempt from a task's live list.
@@ -925,7 +926,7 @@ func (e *Engine) specSweep() bool {
 					newest = rt.start
 				}
 			}
-			if float64(e.now-newest) > specLagFactor*float64(threshold) {
+			if float64(e.Now()-newest) > specLagFactor*float64(threshold) {
 				js.speculated[tid]++
 				atomic.AddInt64(&e.Metrics.SpeculativeTasks, 1)
 				e.ready = append(e.ready, rts[0].task)
@@ -1016,8 +1017,8 @@ func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), co
 
 // mapsFinished either completes a map-only job or enqueues reduces.
 func (e *Engine) mapsFinished(js *JobState) {
-	js.mapsDoneTime = e.now
-	e.Trace.Record("stage", js.Spec.ID, "map", js.runnableTime, e.now,
+	js.mapsDoneTime = e.Now()
+	e.Trace.Record("stage", js.Spec.ID, "map", js.runnableTime, e.Now(),
 		obs.AI("tasks", int64(js.mapsTotal)))
 	if js.Spec.Reduce == nil {
 		e.completeJob(js)
@@ -1102,7 +1103,7 @@ func (e *Engine) writeOutput(js *JobState, part string, lines []string) {
 // completeJob finishes a job and unblocks dependents.
 func (e *Engine) completeJob(js *JobState) {
 	js.Done = true
-	js.DoneTime = e.now
+	js.DoneTime = e.Now()
 	if js.Spec.Audit && e.DigestSink != nil {
 		// Digest the job's output as produced, concatenated in sorted
 		// part-name order — the order ReadTree serves it to consumers —
@@ -1123,10 +1124,10 @@ func (e *Engine) completeJob(js *JobState) {
 			int64(len(lines)), digest.OfLines(lines)))
 	}
 	if js.Spec.Reduce != nil {
-		e.Trace.Record("stage", js.Spec.ID, "reduce", js.mapsDoneTime, e.now,
+		e.Trace.Record("stage", js.Spec.ID, "reduce", js.mapsDoneTime, e.Now(),
 			obs.AI("tasks", int64(js.redsTotal)))
 	}
-	e.Trace.Record("job", js.Spec.ID, "job", js.SubmitTime, e.now,
+	e.Trace.Record("job", js.Spec.ID, "job", js.SubmitTime, e.Now(),
 		obs.A("sid", js.Spec.SID))
 	// Release any attempts still occupying slots (hung originals whose
 	// work was rescued by a backup).
@@ -1138,7 +1139,7 @@ func (e *Engine) completeJob(js *JobState) {
 		delete(js.running, tid)
 	}
 	atomic.AddInt64(&e.Metrics.JobsCompleted, 1)
-	e.Board.JobDone(js.Spec.ID, e.now)
+	e.Board.JobDone(js.Spec.ID, e.Now())
 	for _, dep := range js.dependents {
 		dep.depsLeft--
 		if dep.depsLeft == 0 {
@@ -1173,7 +1174,7 @@ func (e *Engine) KillJob(id string) {
 		}
 	}
 	e.ready = keep
-	e.Board.JobKilled(id, e.now)
+	e.Board.JobKilled(id, e.Now())
 	e.armTick()
 }
 
@@ -1212,7 +1213,7 @@ func (e *Engine) CrashNode(id cluster.NodeID) bool {
 	e.dead[id] = true
 	e.freeSlots[id] = 0
 	delete(e.sidBinding, id)
-	e.Trace.Instant("fault", string(id), "crash", e.now)
+	e.Trace.Instant("fault", string(id), "crash", e.Now())
 	// jobOrder iteration keeps the requeue order deterministic.
 	for _, jid := range e.jobOrder {
 		js := e.jobs[jid]
@@ -1277,7 +1278,7 @@ func (e *Engine) RejoinNode(id cluster.NodeID) bool {
 			break
 		}
 	}
-	e.Trace.Instant("fault", string(id), "rejoin", e.now)
+	e.Trace.Instant("fault", string(id), "rejoin", e.Now())
 	e.armTick()
 	return true
 }
@@ -1289,10 +1290,7 @@ func (e *Engine) NodeDead(id cluster.NodeID) bool { return e.dead[id] }
 // faults leave the queue empty with jobs incomplete — callers arm
 // timeouts via After to regain control (the verifier does, §4.2 step 6).
 func (e *Engine) Run() {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(event)
-		e.now = ev.at
-		ev.fn()
+	for e.Step() {
 	}
 }
 
@@ -1433,7 +1431,7 @@ func (e *Engine) Requiz(jobID, taskID string, quizReplica int, sink func(digest.
 	e.obsCPUCommitted.Add(res.dur)
 	e.Ledger.Quiz(js.Spec.SID, res.dur)
 	e.QuizTasks++
-	e.Trace.Instant("quiz", "trusted", jobID+"/"+taskID, e.now)
+	e.Trace.Instant("quiz", "trusted", jobID+"/"+taskID, e.Now())
 	e.After(res.dur, func() {
 		// res.commit is deliberately dropped: the primary already
 		// committed this task's effects.

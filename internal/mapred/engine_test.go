@@ -615,7 +615,15 @@ func TestSubmitFailsClosed(t *testing.T) {
 	badKind := jobs[0].Clone()
 	badKind.ID, badKind.Output = "bad-kind", "out/bad-kind"
 	badKind.Reduce.Kind = ReduceSort + 1
-	for _, spec := range []*JobSpec{orphan, badKind} {
+	// The two a task body would otherwise meet on a pool goroutine: an
+	// integer divide by zero sizing partitions, and t[c] with c < 0.
+	noParts := jobs[0].Clone()
+	noParts.ID, noParts.Output = "no-parts", "out/no-parts"
+	noParts.NumReduces = 0
+	negKey := jobs[0].Clone()
+	negKey.ID, negKey.Output = "neg-key", "out/neg-key"
+	negKey.Inputs[0].KeyCols = []int{-1}
+	for _, spec := range []*JobSpec{orphan, badKind, noParts, negKey} {
 		if _, err := eng.Submit(spec); err == nil {
 			t.Fatalf("Submit(%s) succeeded, want an error", spec.ID)
 		}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"clusterbft/internal/cluster"
 	"clusterbft/internal/core"
 	"clusterbft/internal/dfs"
 	"clusterbft/internal/mapred"
@@ -43,10 +44,21 @@ type rig struct {
 	srv  *Server
 }
 
+// newRig builds the deployment. Its runs meet faults — node-003 always
+// corrupts, node-005 always withholds — so the endpoints are read, and
+// under -race hammered, while the fault path writes the board.
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	sys := core.NewSystem(8, 3, dfs.Options{}, mapred.DefaultCostModel())
 	fs, eng := sys.FS, sys.Engine
+	for id, kind := range map[cluster.NodeID]cluster.FaultKind{
+		"node-003": cluster.FaultCommission,
+		"node-005": cluster.FaultOmission,
+	} {
+		if err := sys.Cluster.SetAdversary(id, kind, 1.0, 11); err != nil {
+			t.Fatal(err)
+		}
+	}
 	fs.Append("data/weather", weatherData(500)...)
 	reg := obs.NewRegistry()
 	eng.InstrumentMetrics(reg)
@@ -105,7 +117,7 @@ func TestMetricsGolden(t *testing.T) {
 	h := reg.With("stage", "map", "job", "weird\"job\\name\n").Histogram("mapred.stage_task_duration_us", []int64{1000, 10000})
 	h.Observe(500)
 	h.Observe(20000)
-	reg.Gauge("slots.free").Set(12)
+	reg.Func("slots.free", func() int64 { return 12 })
 
 	srv, err := Start("127.0.0.1:0", Options{Registry: reg})
 	if err != nil {
@@ -138,7 +150,12 @@ func TestMetricsGolden(t *testing.T) {
 }
 
 // TestEndpointsAfterRealRun drives a real verified run and round-trips
-// every JSON endpoint against the engine's own state.
+// every JSON endpoint against the engine's own state. The run meets
+// faults (newRig), so /jobs must also name the deviant replicas and the
+// nodes blamed for them, carry the suspicion summary and count the hung
+// tasks; the sids rows and the summary are pinned to what the board
+// served before its three SID setters became one upsert
+// (testdata/faulty_sids.json, captured at that commit).
 func TestEndpointsAfterRealRun(t *testing.T) {
 	r := newRig(t)
 	res, err := r.ctrl.Run(testScript)
@@ -188,6 +205,31 @@ func TestEndpointsAfterRealRun(t *testing.T) {
 	}
 	if verified == 0 {
 		t.Errorf("no verified sid on the board: %+v", doc.SIDs)
+	}
+	hung := 0
+	for _, j := range doc.Jobs {
+		hung += j.TasksHung
+	}
+	if hung == 0 {
+		t.Error("/jobs counts no hung task though node-005 withholds every result")
+	}
+	if len(doc.Suspicion.Suspects) == 0 {
+		t.Errorf("/jobs suspicion names no suspect: %+v", doc.Suspicion)
+	}
+	sids, err := json.MarshalIndent(map[string]any{"sids": doc.SIDs, "suspicion": doc.Suspicion}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture := filepath.Join("testdata", "faulty_sids.json")
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(want), "faulty_replicas") || !strings.Contains(string(want), "faulty_nodes") {
+		t.Fatalf("%s pins no deviant replica or blamed node", fixture)
+	}
+	if string(sids) != strings.TrimSpace(string(want)) {
+		t.Errorf("sids rows diverge from %s:\ngot:\n%s\nwant:\n%s", fixture, sids, want)
 	}
 	if doc.Cost == nil || doc.Cost.CommittedUs == 0 {
 		t.Fatalf("/jobs cost missing or empty: %+v", doc.Cost)

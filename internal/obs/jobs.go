@@ -10,7 +10,9 @@ import (
 // simulation goroutine; HTTP handlers read JSON-ready snapshots from
 // any goroutine. It is deliberately a plain mutex-guarded mirror — the
 // authoritative state stays inside Engine/Controller, which are not
-// safe to read concurrently with a run.
+// safe to read concurrently with a run. It is also the one record of a
+// sub-graph attempt that outlives the run: the controller's teardown
+// forgets every sid everywhere else.
 //
 // All methods are nil-safe no-ops, so a disabled board costs one nil
 // check per hook, like the rest of the obs instruments.
@@ -71,9 +73,12 @@ type TaskSample struct {
 	DurUs int64  `json:"dur_us"`
 }
 
-// StragglerReport flags tasks of one (job, stage) whose duration
-// exceeds twice the stage median — the signal ROADMAP item 5's
-// speculative re-launch will act on.
+// StragglerReport flags committed tasks of one (job, stage) that took
+// more than twice the stage median: a report for a reader, not what the
+// engine acts on. Speculative re-launch (mapred's specSweep) judges
+// running tasks by a different rule — the youngest live attempt has run
+// past twice the smaller of the job's slowest committed sibling and the
+// 0.95 quantile committed for the same base job and kind on any replica.
 type StragglerReport struct {
 	Job        string       `json:"job"`
 	Stages     []StageStats `json:"stages"`
@@ -291,56 +296,31 @@ func (b *JobsBoard) JobKilled(id string, at int64) {
 	b.mu.Unlock()
 }
 
-// SetSID upserts a verification sub-graph entry.
-func (b *JobsBoard) SetSID(st SIDStatus) {
-	if b == nil || st.SID == "" {
+// UpsertSID applies update to sid's verification sub-graph entry under
+// the board's lock, creating the entry first (SID set, the oldest one
+// evicted at the retention bound) when the board holds none.
+func (b *JobsBoard) UpsertSID(sid string, update func(*SIDStatus)) {
+	if b == nil || sid == "" {
 		return
 	}
 	b.mu.Lock()
-	if _, ok := b.sids[st.SID]; !ok {
+	st := b.sids[sid]
+	if st == nil {
 		if len(b.sidIDs) >= b.maxJobs {
 			delete(b.sids, b.sidIDs[0])
 			b.sidIDs = b.sidIDs[1:]
 		}
-		b.sidIDs = append(b.sidIDs, st.SID)
+		b.sidIDs = append(b.sidIDs, sid)
+		st = &SIDStatus{SID: sid}
+		b.sids[sid] = st
 	}
-	cp := st
-	b.sids[st.SID] = &cp
+	update(st)
 	b.mu.Unlock()
 }
 
-// SIDState updates just the state (and winner) of an existing entry.
-func (b *JobsBoard) SIDState(sid, state string, winner int) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	if s := b.sids[sid]; s != nil {
-		s.State = state
-		if winner >= 0 {
-			s.Winner = winner
-		}
-	}
-	b.mu.Unlock()
-}
-
-// SIDFaulty appends a replica index (and the blamed nodes) to a sid's
-// faulty set.
-func (b *JobsBoard) SIDFaulty(sid string, replica int, nodes []string) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	if s := b.sids[sid]; s != nil {
-		s.FaultyReplicas = append(s.FaultyReplicas, replica)
-		s.FaultyNodes = append(s.FaultyNodes, nodes...)
-	}
-	b.mu.Unlock()
-}
-
-// SetSuspicion replaces the suspicion summary. The controller calls it
-// on the simulation goroutine because SuspicionTable itself is not
-// safe for concurrent reads.
+// SetSuspicion replaces the suspicion summary. The controller pushes
+// it whenever blame moves: this package cannot see the table it
+// summarizes.
 func (b *JobsBoard) SetSuspicion(s SuspicionStatus) {
 	if b == nil {
 		return

@@ -98,7 +98,6 @@ func TestNilViewChain(t *testing.T) {
 		t.Fatal("nil registry must hand out a nil view")
 	}
 	v.With("b", "2").Counter("x").Inc()
-	v.Gauge("y").Set(1)
 	v.Histogram("z", DurationBucketsUs).Observe(1)
 	v.Func("w", func() int64 { return 1 })
 }
@@ -137,7 +136,7 @@ func TestSnapshotRaceHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			r.With("lane", string(rune('A'+i%26))).Gauge("hammer.depth").Set(int64(i))
+			r.With("lane", string(rune('A'+i%26))).Func("hammer.depth", func() int64 { return int64(i) })
 		}
 	}()
 	// Readers: all three read paths share Snapshot/sortedSeries.

@@ -37,36 +37,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a metric that can move in both directions (slots in use,
-// queue depth). Nil-safe like Counter.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add moves the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current value; 0 on a nil gauge.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Histogram counts observations into fixed, registration-time bucket
 // boundaries (upper bounds, inclusive, in ascending order) plus an
 // implicit +Inf bucket, and tracks sum and count. Observe is nil-safe
@@ -183,7 +153,6 @@ type series struct {
 	key    seriesKey
 	labels []Label
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() int64
 }
@@ -243,24 +212,6 @@ func (r *Registry) counter(name string, labels []Label, suffix string) *Counter 
 		s.c = &Counter{}
 	}
 	return s.c
-}
-
-// Gauge registers (or returns the existing) gauge under name.
-func (r *Registry) Gauge(name string) *Gauge {
-	return r.gauge(name, nil, "")
-}
-
-func (r *Registry) gauge(name string, labels []Label, suffix string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.get(seriesKey{kind: KindGauge, name: name, suffix: suffix}, labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
 }
 
 // Histogram registers (or returns the existing) histogram under name.
@@ -367,14 +318,6 @@ func (v *View) Counter(name string) *Counter {
 	return v.r.counter(name, v.labels, v.suffix)
 }
 
-// Gauge registers (or returns the existing) labeled gauge.
-func (v *View) Gauge(name string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.r.gauge(name, v.labels, v.suffix)
-}
-
 // Histogram registers (or returns the existing) labeled histogram.
 func (v *View) Histogram(name string, bounds []int64) *Histogram {
 	if v == nil {
@@ -437,7 +380,6 @@ func escapeLabelValue(v string) string {
 // Instrument kinds as reported in Sample.Kind.
 const (
 	KindCounter = "counter"
-	KindGauge   = "gauge"
 	KindHist    = "hist"
 	KindFunc    = "func"
 )
@@ -448,7 +390,7 @@ const (
 type Sample struct {
 	Name   string
 	Labels string
-	Kind   string // "counter", "gauge", "hist", "func"
+	Kind   string // "counter", "hist", "func"
 	Value  int64
 }
 
@@ -485,8 +427,6 @@ func (r *Registry) Snapshot() []Sample {
 		switch s.key.kind {
 		case KindCounter:
 			out = append(out, Sample{Name: s.key.name, Labels: s.key.suffix, Kind: KindCounter, Value: s.c.Value()})
-		case KindGauge:
-			out = append(out, Sample{Name: s.key.name, Labels: s.key.suffix, Kind: KindGauge, Value: s.g.Value()})
 		case KindFunc:
 			out = append(out, Sample{Name: s.key.name, Labels: s.key.suffix, Kind: KindFunc, Value: s.fn()})
 		case KindHist:

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
+func TestCounterBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("x.count")
 	c.Add(3)
@@ -17,25 +17,17 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if again := r.Counter("x.count"); again != c {
 		t.Error("re-registering a counter name must return the same instrument")
 	}
-	g := r.Gauge("x.gauge")
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Errorf("gauge = %d, want 7", got)
-	}
 }
 
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("a")
-	g := r.Gauge("b")
 	h := r.Histogram("c", DurationBucketsUs)
 	c.Add(5)
 	c.Inc()
-	g.Set(9)
 	h.Observe(100)
 	r.Func("d", func() int64 { return 1 })
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil instruments must read as zero")
 	}
 	if r.Snapshot() != nil || r.RenderText() != "" {
@@ -74,7 +66,7 @@ func TestSnapshotDeterministicAndSorted(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z.last").Add(1)
 	r.Counter("a.first").Add(2)
-	r.Gauge("m.mid").Set(3)
+	r.Func("m.mid", func() int64 { return 3 })
 	r.Func("f.view", func() int64 { return 42 })
 	r.Histogram("h.lat", []int64{10}).Observe(4)
 	s1 := r.Snapshot()

@@ -1,5 +1,5 @@
 // Package obs is the unified observability layer: a typed metrics
-// registry (counters, gauges, fixed-bucket histograms, read-only func
+// registry (counters, fixed-bucket histograms, read-only func
 // gauges) and a virtual-time span tracer with deterministic exports.
 // Every component of the pipeline — engine, controller, DFS, worker
 // pool, BFT tier — registers into one Registry and emits spans into one

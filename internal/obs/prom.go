@@ -64,7 +64,7 @@ func promType(kind string) string {
 	switch kind {
 	case KindCounter:
 		return "counter"
-	case KindGauge, KindFunc:
+	case KindFunc:
 		return "gauge"
 	case KindHist:
 		return "histogram"
@@ -126,8 +126,6 @@ func (r *Registry) WriteExposition(w io.Writer) error {
 			switch s.key.kind {
 			case KindCounter:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.key.suffix, s.c.Value())
-			case KindGauge:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.key.suffix, s.g.Value())
 			case KindFunc:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.key.suffix, s.fn())
 			case KindHist:

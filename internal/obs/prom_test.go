@@ -13,7 +13,7 @@ func TestWriteExpositionShape(t *testing.T) {
 	r.Help("mapred.tasks", "tasks by stage")
 	r.With("stage", "map").Counter("mapred.tasks").Add(3)
 	r.With("stage", "reduce").Counter("mapred.tasks").Add(1)
-	r.Gauge("slots.free").Set(7)
+	r.Func("slots.free", func() int64 { return 7 })
 	h := r.Histogram("lat.us", []int64{10, 100})
 	h.Observe(5)
 	h.Observe(50)

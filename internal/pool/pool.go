@@ -42,7 +42,7 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 	if p == nil || reg == nil {
 		return
 	}
-	reg.Gauge("pool.size").Set(int64(p.Size()))
+	reg.Func("pool.size", func() int64 { return int64(p.Size()) })
 	p.obs = reg.Counter("pool.tasks_submitted")
 }
 
