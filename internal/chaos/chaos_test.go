@@ -77,9 +77,16 @@ func TestGenerateRespectsBounds(t *testing.T) {
 // two victim nodes must never corrupt a tuple into identical bytes, or
 // their replicas could assemble a false f+1 agreement.
 func TestSaltedCorruptDistinctPerNode(t *testing.T) {
+	tamper := func(node cluster.NodeID, salt uint64, in tuple.Tuple) tuple.Tuple {
+		out := make(tuple.Tuple, len(in))
+		for i, v := range in {
+			out[i] = saltedCorrupt(node, salt)(v, func(s, suffix string) string { return s + suffix })
+		}
+		return out
+	}
 	in := tuple.Tuple{tuple.Str("st01"), tuple.Int(17), tuple.Float(2.5)}
-	a := saltedCorrupt("node-000", 99)(in)
-	b := saltedCorrupt("node-001", 99)(in)
+	a := tamper("node-000", 99, in)
+	b := tamper("node-001", 99, in)
 	if tuple.EqualTuples(a, in) || tuple.EqualTuples(b, in) {
 		t.Fatal("corruption left the tuple unchanged")
 	}
@@ -94,8 +101,8 @@ func TestSaltedCorruptDistinctPerNode(t *testing.T) {
 	for salt := uint64(1); salt <= 50; salt++ {
 		for i := range nodes {
 			for j := i + 1; j < len(nodes); j++ {
-				ci := saltedCorrupt(cluster.NodeID(nodes[i]), salt)(ints)
-				cj := saltedCorrupt(cluster.NodeID(nodes[j]), salt)(ints)
+				ci := tamper(cluster.NodeID(nodes[i]), salt, ints)
+				cj := tamper(cluster.NodeID(nodes[j]), salt, ints)
 				if tuple.EqualTuples(ci, cj) {
 					t.Fatalf("salt %d: %s and %s corrupt all-int tuples identically (%v)",
 						salt, nodes[i], nodes[j], ci)

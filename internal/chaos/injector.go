@@ -25,7 +25,7 @@ type Injector struct {
 	mu      sync.Mutex
 	mangled map[string]bool // "sid/r<idx>" whose stored/read data was tampered
 
-	corrupts map[cluster.NodeID]func(tuple.Tuple) tuple.Tuple
+	corrupts map[cluster.NodeID]corruptFn
 	netSeq   uint64
 }
 
@@ -36,7 +36,7 @@ func NewInjector(s *Schedule) *Injector {
 	in := &Injector{
 		Sched:    s,
 		mangled:  make(map[string]bool),
-		corrupts: make(map[cluster.NodeID]func(tuple.Tuple) tuple.Tuple),
+		corrupts: make(map[cluster.NodeID]corruptFn),
 	}
 	for _, ev := range s.Events {
 		if ev.Kind == Commission {
@@ -247,6 +247,9 @@ func (in *Injector) AttachNetwork(net *bft.Network) {
 	}
 }
 
+// corruptFn is the type of mapred.TaskFault.Corrupt.
+type corruptFn = func(v tuple.Value, cat func(s, suffix string) string) tuple.Value
+
 // saltedCorrupt builds a commission fault distinct per victim node: two
 // commission-faulty nodes must never produce byte-identical corruption,
 // or their replicas could assemble an accidental f+1 agreement the
@@ -255,23 +258,19 @@ func (in *Injector) AttachNetwork(net *bft.Network) {
 // five, and on all-integer tuples (no string field to carry the node
 // tag) two victims then corrupted byte-identically, formed a false f+1
 // and got the honest replica blamed.
-func saltedCorrupt(node cluster.NodeID, salt uint64) func(tuple.Tuple) tuple.Tuple {
+func saltedCorrupt(node cluster.NodeID, salt uint64) corruptFn {
 	delta := int64(det64(salt, string(node))%1_000_000_007) + 1
 	tag := fmt.Sprintf("\x00%s", node)
-	return func(t tuple.Tuple) tuple.Tuple {
-		out := make(tuple.Tuple, len(t))
-		for i, v := range t {
-			switch v.Kind() {
-			case tuple.KindInt:
-				out[i] = tuple.Int(v.Int() + delta)
-			case tuple.KindFloat:
-				out[i] = tuple.Float(v.Float() + float64(delta))
-			case tuple.KindString:
-				out[i] = tuple.Str(v.Str() + tag)
-			default:
-				out[i] = v
-			}
+	return func(v tuple.Value, cat func(s, suffix string) string) tuple.Value {
+		switch v.Kind() {
+		case tuple.KindInt:
+			return tuple.Int(v.Int() + delta)
+		case tuple.KindFloat:
+			return tuple.Float(v.Float() + float64(delta))
+		case tuple.KindString:
+			return tuple.Str(cat(v.Str(), tag))
+		default:
+			return v
 		}
-		return out
 	}
 }

@@ -90,25 +90,22 @@ func (a *Adversary) Fire() bool {
 	return a.rng.Float64() < a.Probability
 }
 
-// Corrupt returns a tampered copy of t, the visible effect of a
-// commission fault: integer fields are incremented and string fields get
-// a marker suffix, so both the downstream computation and the digest of
-// the stream change.
-func Corrupt(t tuple.Tuple) tuple.Tuple {
-	out := make(tuple.Tuple, len(t))
-	for i, v := range t {
-		switch v.Kind() {
-		case tuple.KindInt:
-			out[i] = tuple.Int(v.Int() + 1)
-		case tuple.KindFloat:
-			out[i] = tuple.Float(v.Float() + 1)
-		case tuple.KindString:
-			out[i] = tuple.Str(v.Str() + "\x00x")
-		default:
-			out[i] = tuple.Str("\x00x")
-		}
+// Corrupt returns v tampered with, the visible effect of a commission
+// fault: an integer is incremented and a string gets a marker suffix, so
+// both the downstream computation and the digest of the stream change.
+// cat(s, suffix) is s+suffix, from wherever the caller keeps a task's
+// strings (mapred.TaskFault).
+func Corrupt(v tuple.Value, cat func(s, suffix string) string) tuple.Value {
+	switch v.Kind() {
+	case tuple.KindInt:
+		return tuple.Int(v.Int() + 1)
+	case tuple.KindFloat:
+		return tuple.Float(v.Float() + 1)
+	case tuple.KindString:
+		return tuple.Str(cat(v.Str(), "\x00x"))
+	default:
+		return tuple.Str("\x00x")
 	}
-	return out
 }
 
 // Node is one virtual machine of the untrusted tier.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"clusterbft/internal/mapred"
 	"clusterbft/internal/obs"
 	"clusterbft/internal/pig"
+	"clusterbft/internal/tuple"
 )
 
 const weatherScript = `
@@ -792,5 +794,70 @@ func TestRecordDetachedAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("record with nothing attached allocates %v times per %d decisions, want 0", got, len(kinds))
+	}
+}
+
+// TestPanickingBodyIsAnOmission: a task body that panics costs the run
+// what a node withholding its result does, not the process. Every map
+// task placed on node-002 panics inside its Corrupt hook; at r=2 the
+// replica that met it times out, the sub-graph is retried, the run ends
+// verified with honest output and node-002 is the one charged. A plain
+// run has no retry to fall back on: with every node panicking it must
+// return an error.
+func TestPanickingBodyIsAnOmission(t *testing.T) {
+	const bad = cluster.NodeID("node-002")
+	panicOn := func(h *harness, everywhere bool) {
+		h.Engine.TaskHook = func(n cluster.NodeID, tk *mapred.Task) mapred.TaskFault {
+			if !everywhere && n != bad || tk.Kind != mapred.MapTask {
+				return mapred.TaskFault{}
+			}
+			return mapred.TaskFault{Corrupt: func(tuple.Value, func(s, suffix string) string) tuple.Value {
+				panic("tampering went wrong")
+			}}
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.R = 2
+	cfg.TimeoutUs = 60_000_000
+	h := newRig(6, 2)
+	panicOn(h, false)
+	h.Assure(cfg)
+	trail := analyze.NewAuditTrail(h.Engine.Now)
+	h.Ctrl.AttachAudit(trail)
+	res, err := h.Ctrl.Run(weatherScript)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verified {
+		t.Fatal("run with a panicking body did not end verified")
+	}
+	if h.Engine.Metrics.TasksHung == 0 || res.Attempts <= res.Clusters {
+		t.Errorf("no body panicked, or nothing was retried: hung=%d attempts=%d clusters=%d",
+			h.Engine.Metrics.TasksHung, res.Attempts, res.Clusters)
+	}
+	timedOut := false
+	for _, ev := range trail.Events() {
+		if ev.Kind == analyze.AuditMismatch && ev.Cause == analyze.CauseTimeout {
+			timedOut = true
+		}
+	}
+	if !timedOut {
+		t.Error("no mismatch event carries CauseTimeout")
+	}
+	if h.Ctrl.Susp.Level(bad) == 0 {
+		t.Errorf("%s not charged", bad)
+	}
+	honest, resHonest := newHarness(t, 6, 2, cfg), (*Result)(nil)
+	if resHonest, err = honest.Ctrl.Run(weatherScript); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := h.outputLines(t, res, "out/counts"), honest.outputLines(t, resHonest, "out/counts"); !reflect.DeepEqual(got, want) {
+		t.Errorf("verified output %v, honest run %v", got, want)
+	}
+
+	plain := newRig(6, 2)
+	panicOn(plain, true)
+	if _, err := RunPlain(plain.Engine, weatherScript); err == nil {
+		t.Error("plain run over a panicking body returned no error")
 	}
 }

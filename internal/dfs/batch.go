@@ -19,7 +19,9 @@ import (
 // so that what a consumer makes of the values one by one is what it
 // would make of the line. The zero value is ready to use, and a Batch
 // that is read into again reuses its arrays; the text of an earlier read
-// stays valid for as long as a Value cut from it is referenced.
+// stays valid for as long as a Value cut from it is referenced, and the
+// Batch itself lets go of it once Next has stepped past the last record:
+// one kept between tasks holds arrays, not data.
 type Batch struct {
 	shape  blockShape
 	text   string
@@ -57,7 +59,11 @@ func (b *Batch) Next() bool {
 		}
 	}
 	b.row++
-	return b.row < len(b.widths)
+	if b.row < len(b.widths) {
+		return true
+	}
+	b.text = ""
+	return false
 }
 
 // Width returns the current record's column count. The empty line has

@@ -54,7 +54,7 @@ func TestMapInnerLoopObsAllocs(t *testing.T) {
 	src := sealedBlock(t, lines)
 	measure := func(o taskObs) float64 {
 		return testing.AllocsPerRun(20, func() {
-			_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, o)
+			_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, o, new(taskScratch))
 		})
 	}
 	disabled := measure(taskObs{})
@@ -100,10 +100,9 @@ func TestSampleKeepHashMatchesWrapper(t *testing.T) {
 
 // TestCombineFoldAllocs pins the combiner's steady-state cost: once a
 // key has its table entry, folding another record with that key is
-// allocation-free — the key projection fills the reusable keyBuf, the
-// canonical encoding lands in the task's scratch buffer, and the probe
-// compares stored keys against raw bytes without materializing a
-// string.
+// allocation-free — the canonical encoding lands in the task's scratch
+// buffer, and the probe compares stored keys against raw bytes without
+// materializing a string or projecting a key tuple.
 func TestCombineFoldAllocs(t *testing.T) {
 	jobs, err := compileHelper(followerSrc, CompileOptions{NumReduces: 4})
 	if err != nil {
@@ -117,14 +116,15 @@ func TestCombineFoldAllocs(t *testing.T) {
 	for i := range rows {
 		rows[i] = tuple.Tuple{tuple.Int(int64(i)), tuple.Int(int64(i * 7))}
 	}
-	comb := newCombiner(job.Reduce, &job.Inputs[0], job.NumReduces)
+	comb := newCombiner(job.Reduce, &job.Inputs[0], job.NumReduces, nil)
 	scratch := make([]byte, 0, 64)
+	var chain opChain        // its tuples are not source rows: the tuple path
 	for _, r := range rows { // first sight: entries allocate here, not below
-		scratch = comb.fold(r, job.Inputs[0].KeyCols, scratch)
+		scratch = comb.fold(r, &chain, scratch)
 	}
 	got := testing.AllocsPerRun(100, func() {
 		for _, r := range rows {
-			scratch = comb.fold(r, job.Inputs[0].KeyCols, scratch)
+			scratch = comb.fold(r, &chain, scratch)
 		}
 	})
 	if got != 0 {

@@ -64,7 +64,7 @@ func benchShuffleRuns(b *testing.B, job *JobSpec, inputs map[int][]string) ([][]
 	var runs [][]interRec
 	total := 0
 	for idx := range job.Inputs {
-		out := runMapTask(job, idx, sealedBlock(b, inputs[idx]), 0, len(inputs[idx]), nil, nil, taskObs{})
+		out := runMapTask(job, idx, sealedBlock(b, inputs[idx]), 0, len(inputs[idx]), nil, nil, taskObs{}, new(taskScratch))
 		for _, part := range out.partitions {
 			runs = append(runs, part)
 			total += len(part)
@@ -231,10 +231,11 @@ func BenchmarkDataplaneMapTaskShuffle(b *testing.B) {
 	job := uncombined(benchCompile(b, followerSrc, CompileOptions{NumReduces: 4})...)[0]
 	lines := benchEdgeLines()
 	src := sealedBlock(b, lines)
+	sc := new(taskScratch) // warm from the first op on, as a slot's is
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{})
+		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -256,7 +257,7 @@ func BenchmarkDataplaneSortRuns(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, recs)
-		sortRuns([][]interRec{work}, spec)
+		sortRuns([][]interRec{work}, spec, nil)
 	}
 	b.ReportMetric(records, "records/op")
 }
@@ -279,10 +280,11 @@ func BenchmarkDataplaneMapTaskCombine(b *testing.B) {
 	job := benchCompile(b, followerSrc, CompileOptions{NumReduces: 4})[0]
 	lines := benchHotKeyLines()
 	src := sealedBlock(b, lines)
+	sc := new(taskScratch) // warm from the first op on, as a slot's is
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{})
+		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -293,10 +295,11 @@ func BenchmarkDataplaneMapTaskCombineOff(b *testing.B) {
 	job := uncombined(benchCompile(b, followerSrc, CompileOptions{NumReduces: 4})...)[0]
 	lines := benchHotKeyLines()
 	src := sealedBlock(b, lines)
+	sc := new(taskScratch) // warm from the first op on, as a slot's is
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{})
+		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -312,10 +315,11 @@ STORE p INTO 'out/prod';
 `, CompileOptions{})[0]
 	lines := benchEdgeLines()
 	src := sealedBlock(b, lines)
+	sc := new(taskScratch) // warm from the first op on, as a slot's is
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{})
+		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -323,10 +327,11 @@ STORE p INTO 'out/prod';
 func BenchmarkDataplaneReduceAggregate(b *testing.B) {
 	job := uncombined(benchCompile(b, followerSrc, CompileOptions{NumReduces: 1})...)[0]
 	runs, total := benchShuffleRuns(b, job, map[int][]string{0: benchEdgeLines()})
+	sc := new(taskScratch) // warm from the first op on, as a slot's is
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
+		_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, sc)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -339,10 +344,11 @@ func BenchmarkDataplaneReduceAggregate(b *testing.B) {
 func BenchmarkDataplaneReduceMergeSorted(b *testing.B) {
 	job := benchCompile(b, followerSrc, CompileOptions{NumReduces: 1})[0]
 	runs, _ := benchShuffleRuns(b, job, map[int][]string{0: benchHotKeyLines()})
+	sc := new(taskScratch) // warm from the first op on, as a slot's is
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
+		_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, sc)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -350,10 +356,11 @@ func BenchmarkDataplaneReduceMergeSorted(b *testing.B) {
 func BenchmarkDataplaneReduceMergeSortedOff(b *testing.B) {
 	job := uncombined(benchCompile(b, followerSrc, CompileOptions{NumReduces: 1})...)[0]
 	runs, _ := benchShuffleRuns(b, job, map[int][]string{0: benchHotKeyLines()})
+	sc := new(taskScratch) // warm from the first op on, as a slot's is
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
+		_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, sc)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -369,10 +376,11 @@ STORE j INTO 'out/joined';
 		0: benchEdgeLines(),
 		1: benchEdgeLines(),
 	})
+	sc := new(taskScratch) // warm from the first op on, as a slot's is
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
+		_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, sc)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -384,10 +392,11 @@ d = DISTINCT a;
 STORE d INTO 'out/distinct';
 `, CompileOptions{NumReduces: 1})...)[0]
 	runs, total := benchShuffleRuns(b, job, map[int][]string{0: benchEdgeLines()})
+	sc := new(taskScratch) // warm from the first op on, as a slot's is
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
+		_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, sc)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -399,10 +408,11 @@ o = ORDER a BY follower DESC, user;
 STORE o INTO 'out/sorted';
 `, CompileOptions{NumReduces: 1})[0]
 	runs, total := benchShuffleRuns(b, job, map[int][]string{0: benchEdgeLines()})
+	sc := new(taskScratch) // warm from the first op on, as a slot's is
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
+		_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, sc)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }

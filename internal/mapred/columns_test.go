@@ -203,7 +203,7 @@ func FuzzColumnPathMatchesLines(f *testing.F) {
 					fmt.Fprintf(&reports, "%v final=%v records=%d %x\n", r.Key, r.Final, r.Records, r.Sum)
 				})
 			}
-			out := runMapTask(job, 0, src, a, b, df, corrupt, taskObs{})
+			out := runMapTask(job, 0, src, a, b, df, corrupt, taskObs{}, new(taskScratch))
 			got[side] = renderOutcome(out) + reports.String()
 		}
 		if got[0] != got[1] {
@@ -228,7 +228,7 @@ func TestCombineOverSealedBlocksAllocs(t *testing.T) {
 	}
 	allocs := func(r *dfs.Reader, hi int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if out := runMapTask(job, 0, r, 0, hi, nil, nil, taskObs{}); out.shuffleRecs != 16 {
+			if out := runMapTask(job, 0, r, 0, hi, nil, nil, taskObs{}, new(taskScratch)); out.shuffleRecs != 16 {
 				t.Fatalf("%d shuffle records", out.shuffleRecs)
 			}
 		})

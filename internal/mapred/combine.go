@@ -110,19 +110,21 @@ func partialAcc(t tuple.Tuple, i int) (int64, tuple.Value) {
 
 // combiner folds a map task's post-digest output into per-partition
 // open-addressing tables keyed by the canonical shuffle key. Hits cost
-// zero allocations: the key encodes into the task's scratch buffer and the
-// probe compares bytes against stored keys without materializing a
-// string. A first-seen key costs none of its own either: what its entry
-// keeps is cut from the slab, the arena and its partition's accumulator
-// array, which the task's outcome holds together for as long as it lives.
+// zero allocations: the key's bytes are put together in the task's scratch
+// buffer and the probe compares them against stored keys without
+// materializing a string or a tuple. A first-seen key costs none of its
+// own either: what its entry keeps is cut from the slab and the arena,
+// which the task's outcome holds together for as long as it lives. The
+// tables are the slot's (taskScratch.tables): emit empties them.
 type combiner struct {
-	spec   *ReduceSpec
-	aggs   []*pig.Aggregate // ReduceAggregate: aggregates in generator order
-	tag    int
-	keyBuf tuple.Tuple // reusable key projection, copied on first sight
-	parts  []combinePart
-	slab   tuple.Slab // key tuples, first tuples, partials
-	strs   strArena   // key strings and the string values of kept tuples
+	spec    *ReduceSpec
+	aggs    []*pig.Aggregate // ReduceAggregate: aggregates in generator order
+	tag     int
+	keyCols []int       // the input's shuffle key projection
+	keyBuf  tuple.Tuple // the key's values, projected when a key is first seen
+	parts   []combinePart
+	slab    tuple.Slab // key tuples, first tuples, partials
+	strs    strArena   // key strings and the string values of kept tuples
 }
 
 type combinePart struct {
@@ -138,12 +140,14 @@ type combineEntry struct {
 	first  tuple.Tuple // ReduceDistinct: first-arriving tuple of the key
 }
 
-func newCombiner(spec *ReduceSpec, in *JobInput, numParts int) *combiner {
+// newCombiner builds a task's combiner over tables, a slot's emptied ones.
+func newCombiner(spec *ReduceSpec, in *JobInput, numParts int, tables []combinePart) *combiner {
 	c := &combiner{
-		spec:   spec,
-		tag:    in.Tag,
-		keyBuf: make(tuple.Tuple, len(in.KeyCols)),
-		parts:  make([]combinePart, numParts),
+		spec:    spec,
+		tag:     in.Tag,
+		keyCols: in.KeyCols,
+		keyBuf:  make(tuple.Tuple, len(in.KeyCols)),
+		parts:   resize(tables, numParts),
 	}
 	for _, i := range aggOrdinals(spec.Gens) {
 		c.aggs = append(c.aggs, spec.Gens[i].Agg)
@@ -152,48 +156,45 @@ func newCombiner(spec *ReduceSpec, in *JobInput, numParts int) *combiner {
 }
 
 // fold routes one post-chain tuple into its partition's table, merging
-// into the existing entry when the key was already seen. keyCols is the
-// input's shuffle key projection; scratch is the task's reusable encode
-// buffer, returned possibly grown.
-func (c *combiner) fold(t tuple.Tuple, keyCols []int, scratch []byte) []byte {
-	for i, col := range keyCols {
-		if col < len(t) {
-			c.keyBuf[i] = t[col]
-		} else {
-			c.keyBuf[i] = tuple.Null()
+// into the existing entry when the key was already seen: one probe. The
+// key's canonical bytes go into enc, the task's scratch, returned possibly
+// grown: copied from the spans while t is still the source record ch
+// stands on (FieldType.AppendCoerced's raw-canonical rule, which a batch's
+// escape-free values meet), else encoded from t's values. One pass over
+// them advances the table's hash and partitionOf's, so combined and
+// uncombined records of one key land on the same reduce partition.
+func (c *combiner) fold(t tuple.Tuple, ch *opChain, enc []byte) []byte {
+	enc = enc[:0]
+	for i, col := range c.keyCols {
+		if i > 0 {
+			enc = append(enc, '\t')
+		}
+		switch {
+		case col >= len(t): // null: no bytes
+		case ch.srcRow:
+			enc = ch.schema.ColType(col).AppendCoerced(enc, ch.src.Value(col))
+		default:
+			enc = tuple.AppendEncoded(enc, t[col:col+1])
 		}
 	}
-	scratch = tuple.AppendEncoded(scratch[:0], c.keyBuf)
-	h := uint64(fnvOffset64)
-	for _, b := range scratch {
-		h ^= uint64(b)
-		h *= fnvPrime64
+	h, ph := uint64(fnvOffset64), uint32(fnvOffset32)
+	for _, b := range enc {
+		h = (h ^ uint64(b)) * fnvPrime64
+		ph = (ph ^ uint32(b)) * fnvPrime32
 	}
-	part := &c.parts[partitionOfBytes(scratch, len(c.parts))]
-	e := part.find(h, scratch)
+	part := &c.parts[ph%uint32(len(c.parts))]
+	e := part.find(h, enc)
 	if e < 0 {
-		e = part.insert(h, scratch, t, c)
+		for i, col := range c.keyCols {
+			c.keyBuf[i] = colOf(t, col)
+		}
+		e = part.insert(h, enc, t, c)
 	}
 	accs := part.accs[e*len(c.aggs):]
 	for i, agg := range c.aggs {
 		mergeAgg(agg, &accs[i], 1, colOf(t, agg.ColIdx))
 	}
-	return scratch
-}
-
-// partitionOfBytes is partitionOf over the key's encoded bytes — the
-// same FNV-1a fold over the same bytes, so combined and uncombined
-// records of one key always land on the same reduce partition.
-func partitionOfBytes(key []byte, numReduces int) int {
-	if numReduces <= 1 {
-		return 0
-	}
-	h := uint32(fnvOffset32)
-	for _, b := range key {
-		h ^= uint32(b)
-		h *= fnvPrime32
-	}
-	return int(h % uint32(numReduces))
+	return enc
 }
 
 // find returns the index of key's entry, -1 when it has none.
@@ -297,26 +298,31 @@ func (p *combinePart) grow(aggs int) {
 // emit materializes every partition as interRec records — the distinct
 // key's first-arriving tuple, or the flat partial-state tuple — in
 // table insertion order (first arrival), and returns the partitions
-// with their serialized-byte total. sortRuns orders them afterwards.
+// with their serialized-byte total. sortRuns orders them afterwards. The
+// tables are left empty, with their arrays, for the slot's next task.
 func (c *combiner) emit() ([][]interRec, int64) {
 	parts := make([][]interRec, len(c.parts))
 	var total int64
 	for pi := range c.parts {
-		entries := c.parts[pi].entries
-		if len(entries) == 0 {
+		p := &c.parts[pi]
+		if len(p.entries) == 0 {
 			continue
 		}
-		recs := make([]interRec, len(entries))
-		for i := range entries {
-			e := &entries[i]
+		recs := make([]interRec, len(p.entries))
+		for i := range p.entries {
+			e := &p.entries[i]
 			t := e.first
 			if c.spec.Kind != ReduceDistinct {
-				t = c.partialTuple(c.parts[pi].accs[i*len(c.aggs) : (i+1)*len(c.aggs)])
+				t = c.partialTuple(p.accs[i*len(c.aggs) : (i+1)*len(c.aggs)])
 			}
 			recs[i] = interRec{keyStr: e.keyStr, key: e.key, tag: c.tag, t: t, encLen: tuple.EncodedLen(t)}
 			total += recs[i].bytes()
 		}
 		parts[pi] = recs
+		clear(p.entries)
+		clear(p.accs)
+		clear(p.slots)
+		p.entries, p.accs = p.entries[:0], p.accs[:0]
 	}
 	return parts, total
 }
@@ -328,21 +334,21 @@ func (c *combiner) emit() ([][]interRec, int64) {
 // global arrival) order the previous reduce-side global sort produced.
 // Bare-LIMIT pass-through jobs (ReduceSort with no OrderBy) keep arrival
 // order untouched.
-func sortRuns(parts [][]interRec, spec *ReduceSpec) {
+func sortRuns(parts [][]interRec, spec *ReduceSpec, idx []int32) []int32 {
 	if spec == nil {
-		return
+		return idx
 	}
 	cmp := func(a, b *interRec) int { return strings.Compare(a.keyStr, b.keyStr) }
 	if spec.Kind == ReduceSort {
 		if len(spec.OrderBy) == 0 {
-			return
+			return idx
 		}
 		cmp = func(a, b *interRec) int { return orderCmp(a.t, b.t, spec.OrderBy) }
 	}
-	var idx []int32 // one index scratch for all of the task's partitions
-	for _, p := range parts {
+	for _, p := range parts { // one index scratch for all of the task's partitions
 		idx = sortRun(p, cmp, idx)
 	}
+	return idx
 }
 
 // sortRun sorts one run by (cmp, arrival position) and returns the index
@@ -387,14 +393,16 @@ func sortRun(p []interRec, cmp func(a, b *interRec) int, idx []int32) []int32 {
 // each pop costs one leaf-to-root comparison path (log k comparisons)
 // instead of a k-wide scan. A nil cmp treats all records as equal, so
 // runs concatenate in run order. Runs are read-only throughout —
-// concurrent reduce attempts may share them.
-func mergeRuns(runs [][]interRec, cmp func(a, b *interRec) int, yield func(*interRec)) {
-	live := make([][]interRec, 0, len(runs))
+// concurrent reduce attempts may share them. The merge's arrays are sc's;
+// the task wipes sc.live when it is done.
+func mergeRuns(runs [][]interRec, cmp func(a, b *interRec) int, yield func(*interRec), sc *taskScratch) {
+	live := sc.live[:0]
 	for _, r := range runs {
 		if len(r) > 0 {
 			live = append(live, r)
 		}
 	}
+	sc.live = live
 	k := len(live)
 	switch k {
 	case 0:
@@ -405,9 +413,11 @@ func mergeRuns(runs [][]interRec, cmp func(a, b *interRec) int, yield func(*inte
 		}
 		return
 	}
-	pos := make([]int, k)
+	sc.tree = resize(sc.tree, 4*k) // one array for the positions and the tree
+	pos, tree, winner := sc.tree[:k], sc.tree[k:2*k], sc.tree[2*k:]
+	clear(pos)
 	head := func(r int32) *interRec {
-		if pos[r] >= len(live[r]) {
+		if int(pos[r]) >= len(live[r]) {
 			return nil
 		}
 		return &live[r][pos[r]]
@@ -433,8 +443,6 @@ func mergeRuns(runs [][]interRec, cmp func(a, b *interRec) int, yield func(*inte
 	// Heap-shaped tree: leaf r sits at node k+r, internal nodes 1..k-1
 	// hold the loser of their subtree, and the overall winner bubbles
 	// out of the build.
-	tree := make([]int32, k)
-	winner := make([]int32, 2*k)
 	for r := 0; r < k; r++ {
 		winner[k+r] = int32(r)
 	}

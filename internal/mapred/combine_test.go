@@ -215,7 +215,7 @@ func TestMapTaskCombineOutcome(t *testing.T) {
 	for i := range lines {
 		lines[i] = fmt.Sprintf("%d\t%d", i%16, i+1) // 16 keys, no zero followers
 	}
-	out := runMapTask(job, 0, sealedBlock(t, lines), 0, len(lines), nil, nil, taskObs{})
+	out := runMapTask(job, 0, sealedBlock(t, lines), 0, len(lines), nil, nil, taskObs{}, new(taskScratch))
 	if out.recordsOut != 600 || out.combinedIn != 600 {
 		t.Errorf("recordsOut=%d combinedIn=%d, want 600/600", out.recordsOut, out.combinedIn)
 	}
@@ -293,7 +293,7 @@ func TestMergeRunsMatchesReferenceSort(t *testing.T) {
 		})
 		var got []string
 		cmp := func(a, b *interRec) int { return strings.Compare(a.keyStr, b.keyStr) }
-		mergeRuns(runs, cmp, func(r *interRec) { got = append(got, r.keyStr) })
+		mergeRuns(runs, cmp, func(r *interRec) { got = append(got, r.keyStr) }, new(taskScratch))
 		want := make([]string, len(all))
 		for i, a := range all {
 			want[i] = a.rec.keyStr
@@ -313,7 +313,7 @@ func TestMergeRunsNilCmp(t *testing.T) {
 		{{keyStr: "m"}},
 	}
 	var got []string
-	mergeRuns(runs, nil, func(r *interRec) { got = append(got, r.keyStr) })
+	mergeRuns(runs, nil, func(r *interRec) { got = append(got, r.keyStr) }, new(taskScratch))
 	if want := []string{"z", "a", "m"}; !slices.Equal(got, want) {
 		t.Errorf("nil-cmp merge = %v, want %v", got, want)
 	}
@@ -332,11 +332,11 @@ func TestReduceMergeLeavesRunsIntact(t *testing.T) {
 	for i := range lines {
 		lines[i] = fmt.Sprintf("%d\t%d", i%7, i+1)
 	}
-	out := runMapTask(job, 0, heldLines(t, lines), 0, len(lines), nil, nil, taskObs{})
+	out := runMapTask(job, 0, heldLines(t, lines), 0, len(lines), nil, nil, taskObs{}, new(taskScratch))
 	runs := [][]interRec{out.partitions[0]}
 	before := make([]interRec, len(runs[0]))
 	copy(before, runs[0])
-	_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
+	_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, new(taskScratch))
 	for i := range before {
 		if before[i].keyStr != runs[0][i].keyStr || !tuple.EqualTuples(before[i].t, runs[0][i].t) {
 			t.Fatalf("run mutated at %d", i)

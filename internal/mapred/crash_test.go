@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"clusterbft/internal/cluster"
-	"clusterbft/internal/tuple"
 )
 
 // crashInput is large enough for several map splits so a crash lands
@@ -175,7 +174,7 @@ func TestTaskHookCorruptTampersOutput(t *testing.T) {
 
 	tr := run(t, crashSrc, map[string][]string{"in/big": crashInput(5_000)}, CompileOptions{NumReduces: 2}, func(e *Engine) {
 		e.TaskHook = func(node cluster.NodeID, _ *Task) TaskFault {
-			return TaskFault{Corrupt: func(tp tuple.Tuple) tuple.Tuple { return cluster.Corrupt(tp) }}
+			return TaskFault{Corrupt: cluster.Corrupt}
 		}
 	})
 	if got := tr.output(t, "out/s"); reflect.DeepEqual(got, want) {

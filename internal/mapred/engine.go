@@ -81,10 +81,11 @@ type TaskFault struct {
 	// Hang withholds the attempt's result forever (omission): the slot
 	// stays occupied and no completion event fires.
 	Hang bool
-	// Corrupt, when non-nil, tampers every input tuple of a map task
-	// (commission); ignored for reduce tasks, matching the node
-	// adversary's behaviour.
-	Corrupt func(tuple.Tuple) tuple.Tuple
+	// Corrupt, when non-nil, tampers every value of every input tuple of
+	// a map task (commission): the task reads what it returns in v's place.
+	// cat(s, suffix) is s+suffix, cut from the task's arena. Ignored for
+	// reduce tasks, matching the node adversary's behaviour.
+	Corrupt func(v tuple.Value, cat func(s, suffix string) string) tuple.Value
 }
 
 // JobState tracks one submitted job through execution.
@@ -265,6 +266,9 @@ type Engine struct {
 	specHist map[string]*obs.Histogram
 
 	workers *pool.Pool
+	// scratch is one task scratch per worker slot, nil until a body first
+	// runs there; only the body holding the slot touches its element.
+	scratch []*taskScratch
 	pending []pendingBody
 
 	// Registry-backed instruments, set by InstrumentMetrics; all nil (and
@@ -627,8 +631,21 @@ func (e *Engine) bodyPool() *pool.Pool {
 	if e.workers == nil {
 		e.workers = pool.New(e.Workers)
 		e.workers.Instrument(e.obsReg)
+		e.scratch = make([]*taskScratch, e.workers.Size())
 	}
 	return e.workers
+}
+
+// borrow takes the scratch of the slot a body holds. The body puts it
+// back (e.scratch[slot] = sc) once it is done with it: one that panics
+// never does, and the slot's next task starts on a new one.
+func (e *Engine) borrow(slot int) *taskScratch {
+	sc := e.scratch[slot]
+	e.scratch[slot] = nil
+	if sc == nil {
+		sc = new(taskScratch)
+	}
+	return sc
 }
 
 // startTask claims a slot for t on node and dispatches its body to the
@@ -694,7 +711,7 @@ func (e *Engine) startTask(node *cluster.Node, t *Task) {
 		return w
 	}
 
-	var body func() bodyResult
+	var body func(slot int) bodyResult
 	if t.Kind == MapTask {
 		body = e.mapBody(t, df, buf.Add, corrupt)
 	} else {
@@ -719,7 +736,13 @@ func (e *Engine) settle() {
 	pend := e.pending
 	e.pending = nil
 	for _, p := range pend {
-		res := p.fut.Wait()
+		res, err := p.fut.Wait()
+		if err != nil {
+			// A body that panicked has no result to give: an omission.
+			p.hung = true
+			e.Trace.Instant("fault", string(p.rt.node), p.rt.task.ID()+" panicked: "+err.Error(), e.Now(),
+				obs.A("job", p.rt.task.Job.Spec.ID))
+		}
 		dur := res.dur
 		if p.slow > 1 {
 			dur = int64(float64(dur) * p.slow)
@@ -963,17 +986,19 @@ func specKey(jobID string, kind TaskKind) string {
 // emit receives the attempt's audit digest reports (the attempt's own
 // buffer in normal execution, a quiz buffer under Requiz); it is only
 // consulted when the spec has Audit set.
-func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), corrupt corruptFn) func() bodyResult {
+func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), corrupt corruptFn) func(slot int) bodyResult {
 	js := t.Job
 	split := js.splits[t.InputIdx][t.Index]
 	src := js.inputSrcs[t.InputIdx]
 	cost := e.Cost
 	o := e.obsTask
-	return func() bodyResult {
+	return func(slot int) bodyResult {
 		// Decode only this split's records, here on the worker pool —
 		// block decode parallelizes across map tasks and what is decoded
 		// never outlives the body. The reader is concurrency-safe.
-		out := runMapTask(js.Spec, t.InputIdx, src, split[0], split[1], df, corrupt, o)
+		sc := e.borrow(slot)
+		out := runMapTask(js.Spec, t.InputIdx, src, split[0], split[1], df, corrupt, o, sc)
+		e.scratch[slot] = sc
 		if js.Spec.Audit && emit != nil {
 			sum, n := auditMapSum(out)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
@@ -1041,11 +1066,11 @@ func (e *Engine) mapsFinished(js *JobState) {
 // after every map of the job committed, so js.mapOutcomes is immutable
 // while the body reads it (committed-task guards prevent late backup
 // attempts from writing outcomes again).
-func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report)) func() bodyResult {
+func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report)) func(slot int) bodyResult {
 	js := t.Job
 	cost := e.Cost
 	o := e.obsTask
-	return func() bodyResult {
+	return func(slot int) bodyResult {
 		// Each map outcome contributes its partition as one pre-sorted
 		// run; the merge reads runs in place, so attempts (including
 		// backups of the same task) share them without copying.
@@ -1060,7 +1085,9 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report))
 				localBytes += out.partitions[t.Index][i].bytes()
 			}
 		}
-		out := runReduceTask(js.Spec.Reduce, runs, df, o)
+		sc := e.borrow(slot)
+		out := runReduceTask(js.Spec.Reduce, runs, df, o, sc)
+		e.scratch[slot] = sc
 		if js.Spec.Audit && emit != nil {
 			sum, n := auditReduceSum(out)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
@@ -1420,13 +1447,16 @@ func (e *Engine) Requiz(jobID, taskID string, quizReplica int, sink func(digest.
 		r.Replica = quizReplica
 		buf.Add(r)
 	}
-	var body func() bodyResult
+	var body func(slot int) bodyResult
 	if t.Kind == MapTask {
 		body = e.mapBody(t, df, quizAdd, nil)
 	} else {
 		body = e.reduceBody(t, df, quizAdd)
 	}
-	res := pool.Go(e.bodyPool(), body).Wait()
+	res, err := pool.Go(e.bodyPool(), body).Wait()
+	if err != nil {
+		return fmt.Errorf("mapred: requiz of %s/%s: %w", jobID, taskID, err)
+	}
 	atomic.AddInt64(&e.Metrics.CPUTimeUs, res.dur)
 	e.obsCPUCommitted.Add(res.dur)
 	e.Ledger.Quiz(js.Spec.SID, res.dur)

@@ -49,7 +49,7 @@ type opChain struct {
 	// read from, and schema is what its columns coerce by; srcRow holds while
 	// the tuple in flight is still that record, untouched by a projection.
 	// Its canonical bytes are then put together from the batch's spans.
-	src     dfs.Batch
+	src     *dfs.Batch
 	schema  *tuple.Schema
 	fromSrc bool
 	srcRow  bool
@@ -257,6 +257,14 @@ func (a *strArena) addString(s string) string {
 	return a.b.String()[start:]
 }
 
+// cat is add for s+suffix.
+func (a *strArena) cat(s, suffix string) string {
+	start := a.room(len(s) + len(suffix))
+	a.b.WriteString(s)
+	a.b.WriteString(suffix)
+	return a.b.String()[start:]
+}
+
 // room makes sure the current chunk has n bytes left, starting a new one
 // if not, and returns where in it the next string will begin.
 func (a *strArena) room(n int) int {
@@ -296,8 +304,52 @@ type mapOutcome struct {
 	localBytes  int64 // shuffle bytes written
 }
 
-// corruptFn tampers tuples at the task source; nil for honest execution.
-type corruptFn func(tuple.Tuple) tuple.Tuple
+// corruptFn is TaskFault.Corrupt's type; nil for honest execution.
+type corruptFn func(v tuple.Value, cat func(s, suffix string) string) tuple.Value
+
+// taskScratch is what a worker slot keeps from one task body to the next:
+// the arrays a task grows and is done with when it returns, one body's at
+// a time because the slot is (Engine.borrow). It carries capacity, never
+// content: a task leaves every string, tuple and run slot of it zero, so
+// nothing of its split or its outcome is held for, or seen by, the next,
+// and no outcome points into it.
+type taskScratch struct {
+	batch    dfs.Batch     // map: the chain's source batch, its shape arrays and offsets
+	dec      tuple.Decoder // map: the line path's unescape buffers
+	line     tuple.Slab    // map: room for one row of lineCols columns, which every line is decoded into
+	lineCols int
+	row      tuple.Tuple   // the reused source row; the aggregate's output row
+	enc      []byte        // map: shuffle key bytes
+	canon    []byte        // the chain's canonical bytes
+	tables   []combinePart // map: combiner tables, emptied by emit
+	idx      []int32       // map: sortRun's index
+	live     [][]interRec  // reduce: the runs being merged
+	tree     []int32       // reduce: their positions and the loser tree
+	left     []tuple.Tuple // reduce: a join key's left side
+	right    []tuple.Tuple // reduce: its right side
+	joined   tuple.Tuple   // reduce: a pair of them
+	accs     []aggAcc      // reduce: one group's aggregates
+}
+
+// rowSlab returns a slab with room for one row of n columns: its arrays
+// double, so the second tuple carved from a new one leaves the room of a
+// third. A Slab is a value, and a copy of this one assigned to a Decoder
+// ahead of every line hands out that row every time, the holder's to clear.
+func rowSlab(n int) tuple.Slab {
+	var s tuple.Slab
+	s.Tuple(n)
+	s.Tuple(n)
+	return s
+}
+
+// resize returns s with n elements, in a new array only if s lacks the room.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// wipe zeroes s through its capacity and returns it empty.
+func wipe[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
+}
 
 // neededCols derives from the spec which columns of an input the map
 // side reads (DESIGN.md §6): eval lists the columns its expressions, keys
@@ -373,22 +425,28 @@ type mapRun struct {
 	comb    *combiner
 	corrupt corruptFn
 	o       taskObs
-	scratch []byte // per-task encode buffer, reused across records
+	sc      *taskScratch
 	// Shuffle keys and key strings, or map-only output lines, live as long
 	// as the outcome: a slab and an arena for all of them, not two
 	// allocations a record.
 	keys tuple.Slab
 	strs strArena
+	// cat cuts a corrupting task's strings from an arena of their own: the
+	// next record is done with them, and the outcome is not to hold them.
+	cat func(s, suffix string) string
 }
 
 // record runs one source tuple through the chain and on to the combiner,
-// the shuffle or the output.
+// the shuffle or the output. t is this record's alone: a corrupting task
+// tampers with it in place.
 func (m *mapRun) record(t tuple.Tuple) {
-	in, out := m.in, m.out
+	in, out, sc := m.in, m.out, m.sc
 	out.recordsIn++
 	m.o.mapRecords.Inc()
 	if m.corrupt != nil {
-		t = m.corrupt(t)
+		for i, v := range t {
+			t[i] = m.corrupt(v, m.cat)
+		}
 	}
 	t, ok := m.chain.apply(t)
 	if !ok {
@@ -399,7 +457,7 @@ func (m *mapRun) record(t tuple.Tuple) {
 	case m.comb != nil:
 		// Digests fired inside the chain above; combining only
 		// reshapes what crosses the shuffle.
-		m.scratch = m.comb.fold(t, in.KeyCols, m.scratch)
+		sc.enc = m.comb.fold(t, &m.chain, sc.enc)
 	case in.KeyCols != nil:
 		key := m.keys.Tuple(len(in.KeyCols))
 		for i, c := range in.KeyCols {
@@ -407,8 +465,8 @@ func (m *mapRun) record(t tuple.Tuple) {
 				key[i] = t[c]
 			}
 		}
-		m.scratch = tuple.AppendEncoded(m.scratch[:0], key)
-		rec := interRec{keyStr: m.strs.add(m.scratch), key: key, tag: in.Tag, t: t, encLen: tuple.EncodedLen(t)}
+		sc.enc = tuple.AppendEncoded(sc.enc[:0], key)
+		rec := interRec{keyStr: m.strs.add(sc.enc), key: key, tag: in.Tag, t: t, encLen: tuple.EncodedLen(t)}
 		p := partitionOf(rec.keyStr, m.job.NumReduces)
 		out.partitions[p] = append(out.partitions[p], rec)
 		out.localBytes += rec.bytes()
@@ -420,7 +478,8 @@ func (m *mapRun) record(t tuple.Tuple) {
 // noColumns is the tuple of the empty line, as tuple.Decoder returns it.
 var noColumns = tuple.Tuple{}
 
-// runMapTask executes one map task over records [lo, hi) of its input.
+// runMapTask executes one map task over records [lo, hi) of its input,
+// on the scratch of the slot it runs on.
 //
 // A sealed block reaches the chain as column spans (dfs.Batch): each
 // record is a row of values coerced straight from its columns' spans, only
@@ -429,15 +488,14 @@ var noColumns = tuple.Tuple{}
 // record overwrites one row; the uncombined shuffle carves its rows from
 // a slab. What a sealed block cannot serve that way is read as lines and
 // decoded by tuple.Decoder, to the same tuples: an unsealed tail or a
-// reader materialized for a ReadHook, a range with an escape in it, and
-// all of a corrupting task, whose digests are of tuples no span holds.
-func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df digestFactory, corrupt corruptFn, o taskObs) *mapOutcome {
+// reader materialized for a ReadHook, and a range with an escape in it.
+func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df digestFactory, corrupt corruptFn, o taskObs, sc *taskScratch) *mapOutcome {
 	in := &job.Inputs[inputIdx]
 	out := &mapOutcome{}
-	m := mapRun{job: job, in: in, out: out, corrupt: corrupt, o: o}
+	m := mapRun{job: job, in: in, out: out, corrupt: corrupt, o: o, sc: sc}
 	shuffle := in.KeyCols != nil
 	if shuffle && job.Reduce != nil && job.Reduce.Combine {
-		m.comb = newCombiner(job.Reduce, in, job.NumReduces)
+		m.comb = newCombiner(job.Reduce, in, job.NumReduces, sc.tables)
 	} else if shuffle {
 		out.partitions = make([][]interRec, job.NumReduces)
 		per := (hi-lo)/job.NumReduces + 1
@@ -450,34 +508,45 @@ func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df dige
 	// once, so there a projection may reuse its buffer, and so may the row.
 	reuse := m.comb != nil || !shuffle
 	m.chain = newOpChain(in.Ops, df, reuse)
+	m.chain.canon, m.chain.src, m.chain.schema = sc.canon, &sc.batch, in.Schema
 	defer m.chain.close()
 	eval, carry := neededCols(job, inputIdx)
 
-	// Per-task decoder of the line path: tuple slabs, unescape scratch,
-	// column mask.
-	dec := tuple.Decoder{Need: carry}
+	// A corrupting task's digests are of tuples no span holds: its chain
+	// never reads the source, and it coerces what is carried for one.
+	if corrupt != nil {
+		m.cat = new(strArena).cat
+		eval = carry
+	}
+	// The line path's decoder: tuple slabs, unescape scratch, column mask.
+	dec := &sc.dec
+	dec.Need = carry
 	lines := func(held []string) {
 		m.chain.fromSrc = false
 		for _, line := range held {
 			out.inBytes += int64(len(line)) + 1
-			m.record(dec.DecodeLine(line, in.Schema))
+			if reuse {
+				dec.Slab = sc.line // the same room again: every line into one row
+			}
+			t := dec.DecodeLine(line, in.Schema)
+			m.record(t)
+			if reuse {
+				clear(t)
+				if len(t) > sc.lineCols { // it had to allocate: room for the next as wide
+					sc.line, sc.lineCols = rowSlab(len(t)), len(t)
+				}
+			}
 		}
-	}
-	if corrupt != nil {
-		lines(src.ReadRange(lo, hi))
-		lo = hi
 	}
 	// The chain's batch serves the whole task: every block range reuses its
 	// arrays, and the chain reads the record it stands on.
-	batch := &m.chain.src
-	m.chain.schema = in.Schema
+	batch := &sc.batch
 	var cols []int // the columns to coerce, when not all
 	for c, need := range eval {
 		if need {
 			cols = append(cols, c)
 		}
 	}
-	var row tuple.Tuple // the one row, under reuse; else each is carved from the decoder's slab
 	for lo < hi {
 		next, ok := src.ReadColumns(batch, lo, hi, carry)
 		if !ok {
@@ -487,9 +556,9 @@ func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df dige
 		}
 		lo = next
 		out.inBytes += batch.LineBytes()
-		m.chain.fromSrc = true
-		if reuse && len(row) < batch.Cols() {
-			row = make(tuple.Tuple, batch.Cols()) // columns not in eval stay null for good
+		m.chain.fromSrc = corrupt == nil
+		if reuse && len(sc.row) < batch.Cols() {
+			sc.row = resize(sc.row, batch.Cols()) // columns not in eval stay null for good
 		}
 		for batch.Next() {
 			w := batch.Width()
@@ -497,7 +566,10 @@ func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df dige
 			switch {
 			case w == 0: // the empty line
 			case reuse:
-				t = row[:w]
+				t = sc.row[:w]
+				if corrupt != nil {
+					clear(t) // what is not coerced is null to tamper with, not the last record's
+				}
 			default:
 				t = dec.Slab.Tuple(w)
 			}
@@ -520,6 +592,7 @@ func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df dige
 	if m.comb != nil {
 		out.combinedIn = out.recordsOut
 		out.partitions, out.localBytes = m.comb.emit()
+		sc.tables = m.comb.parts
 		for _, p := range out.partitions {
 			out.shuffleRecs += int64(len(p))
 		}
@@ -539,12 +612,15 @@ func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df dige
 		}
 	}
 	if shuffle {
-		sortRuns(out.partitions, job.Reduce)
+		sc.idx = sortRuns(out.partitions, job.Reduce, sc.idx)
 		o.shuffleRecords.Add(out.shuffleRecs)
 		o.combineRecords.Add(out.combinedIn)
 	} else {
 		o.outRecords.Add(out.recordsOut)
 	}
+	// Hand the scratch back empty: the row held values of the split's text,
+	// the slab's arrays are the outcome's, the batch let go of its own.
+	sc.row, sc.canon, dec.Slab, dec.Need = wipe(sc.row), m.chain.canon, tuple.Slab{}, nil
 	return out
 }
 
@@ -571,8 +647,9 @@ type reduceOutcome struct {
 // nothing here allocates per emitted record: the join's concatenation,
 // the aggregate's row and the chain's projections are buffers written
 // over by the next record, and output lines are cut from one arena.
-func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o taskObs) *reduceOutcome {
+func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o taskObs, sc *taskScratch) *reduceOutcome {
 	chain := newOpChain(spec.PostOps, df, true)
+	chain.canon = sc.canon
 	defer chain.close()
 	out := &reduceOutcome{}
 	var liveRuns int64
@@ -599,7 +676,7 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 		if len(spec.OrderBy) > 0 {
 			cmp = func(a, b *interRec) int { return orderCmp(a.t, b.t, spec.OrderBy) }
 		}
-		mergeRuns(runs, cmp, func(r *interRec) { emit(r.t) })
+		mergeRuns(runs, cmp, func(r *interRec) { emit(r.t) }, sc)
 	case ReduceDistinct:
 		started := false
 		var lastKey string
@@ -610,11 +687,11 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 			started = true
 			lastKey = r.keyStr
 			emit(r.t) // first arrival of each key, keys sorted
-		})
+		}, sc)
 	case ReduceAggregate:
 		aggIdx := aggOrdinals(spec.Gens)
-		accs := make([]aggAcc, len(aggIdx))
-		row := make(tuple.Tuple, len(spec.Gens))
+		sc.accs, sc.row = resize(sc.accs, len(aggIdx)), resize(sc.row, len(spec.Gens))
+		accs, row := sc.accs, sc.row
 		var curKey tuple.Tuple
 		started := false
 		var lastKey string
@@ -651,13 +728,12 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 					mergeAgg(agg, &accs[j], 1, colOf(r.t, agg.ColIdx))
 				}
 			}
-		})
+		}, sc)
 		if started {
 			flush()
 		}
 	case ReduceJoin:
-		left, right := make([]tuple.Tuple, 0, 16), make([]tuple.Tuple, 0, 16) // one key's two sides
-		var joined tuple.Tuple
+		left, right, joined := sc.left, sc.right, sc.joined // one key's two sides, and a pair of them
 		started := false
 		var lastKey string
 		flush := func() {
@@ -684,13 +760,16 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 			} else {
 				right = append(right, r.t)
 			}
-		})
+		}, sc)
 		if started {
 			flush()
 		}
+		sc.left, sc.right, sc.joined = wipe(left), wipe(right), wipe(joined)
 	}
 	out.digested = chain.digests
 	o.outRecords.Add(out.recordsOut)
+	// Hand the scratch back empty: all of these pointed into map outcomes.
+	sc.live, sc.accs, sc.row, sc.canon = wipe(sc.live), wipe(sc.accs), wipe(sc.row), chain.canon
 	return out
 }
 

@@ -302,7 +302,7 @@ STORE o INTO 'out/o';`,
 			runtime.ReadMemStats(&before)
 			outcomes := make([]*mapOutcome, splits)
 			for s := range outcomes {
-				outcomes[s] = runMapTask(job, 0, r, s*perSplit, (s+1)*perSplit, nil, nil, taskObs{})
+				outcomes[s] = runMapTask(job, 0, r, s*perSplit, (s+1)*perSplit, nil, nil, taskObs{}, new(taskScratch))
 			}
 			runtime.GC()
 			runtime.ReadMemStats(&after)
@@ -318,9 +318,10 @@ STORE o INTO 'out/o';`,
 
 // TestMapTaskAllocs pins the per-task allocation count of the three map
 // paths the micro-benchmarks track, per 1,000 input records, read as
-// lines and as the column spans of one sealed block. None grows with the
-// record count beyond slabs, arena chunks and slice doublings, and where
-// one row serves every record a sealed block costs no slab either.
+// lines and as the column spans of one sealed block, on a scratch a task
+// before it has grown, as a slot's is. None grows with the record count
+// beyond slabs, arena chunks and slice doublings, and where one row serves
+// every record neither way of reading costs a slab.
 func TestMapTaskAllocs(t *testing.T) {
 	mapOnly := compile(t, `
 a = LOAD 'in/edges' AS (user:int, follower:int);
@@ -340,25 +341,22 @@ STORE p INTO 'out/prod';`, CompileOptions{})[0]
 		max  float64 // read as lines
 		cols float64 // read as columns
 	}{
-		// The bounds leave room for -race, under which every slices.Grow
-		// allocates twice.
-		//
-		// Decode slabs, the partition tables, their entries' slab, arena
-		// and accumulators; was three allocations a key.
-		{"combine", combine, 60, 56},
-		// Row and key slabs, key-string chunks, the partitions and the
-		// sort's index scratch.
-		{"shuffle", shuffle, 39, 45},
-		// Decode slabs, line chunks and the doublings of outLines.
-		{"map-only", mapOnly, 37, 32},
+		// The outcome's partitions, its entries' slab and arena, the
+		// chain and the combiner; the tables are the scratch's.
+		{"combine", combine, 26, 26},
+		// Row and key slabs, key-string chunks and the partitions.
+		{"shuffle", shuffle, 38, 38},
+		// Line chunks and the doublings of outLines.
+		{"map-only", mapOnly, 25, 25},
 	} {
 		for _, src := range []struct {
 			shape string
 			r     *dfs.Reader
 			max   float64
 		}{{"lines", held, tc.max}, {"columns", sealed, tc.cols}} {
+			sc := new(taskScratch) // warm from AllocsPerRun's first, uncounted run on
 			got := testing.AllocsPerRun(20, func() {
-				_ = runMapTask(tc.job, 0, src.r, 0, len(lines), nil, nil, taskObs{})
+				_ = runMapTask(tc.job, 0, src.r, 0, len(lines), nil, nil, taskObs{}, sc)
 			})
 			if got > src.max {
 				t.Errorf("%s map task over %s = %v allocs per 1000 records, want <= %v", tc.name, src.shape, got, src.max)

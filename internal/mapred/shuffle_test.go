@@ -75,7 +75,7 @@ func FuzzSortRunsMatchesStable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
 		spec := sortSpecs[int(mode)%len(sortSpecs)]
 		got, want := sortFixture(data), sortFixture(data)
-		sortRuns(got, spec)
+		sortRuns(got, spec, nil)
 		stableSortRuns(want, spec)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("spec %+v over %d records:\n got %v\nwant %v", spec, len(data), got, want)
@@ -165,7 +165,7 @@ func freshReduce(spec *ReduceSpec, runs [][]interRec, df digestFactory) *reduceO
 			return
 		}
 		groups = append(groups, []*interRec{r})
-	})
+	}, new(taskScratch))
 	for _, g := range groups {
 		switch spec.Kind {
 		case ReduceSort, ReduceDistinct:
@@ -273,7 +273,7 @@ func TestReduceReuseMatchesFresh(t *testing.T) {
 			var runs [][]interRec
 			for idx := range job.Inputs {
 				for s := 0; s < len(lines); s += 500 {
-					runs = append(runs, runMapTask(job, idx, sealedBlock(t, lines), s, s+500, nil, nil, taskObs{}).partitions[0])
+					runs = append(runs, runMapTask(job, idx, sealedBlock(t, lines), s, s+500, nil, nil, taskObs{}, new(taskScratch)).partitions[0])
 				}
 			}
 			for _, chunk := range []int{0, 100} {
@@ -284,7 +284,7 @@ func TestReduceReuseMatchesFresh(t *testing.T) {
 							func(r digest.Report) { *sink = append(*sink, r) })
 					}
 				}
-				g := runReduceTask(job.Reduce, runs, factory(&got), taskObs{})
+				g := runReduceTask(job.Reduce, runs, factory(&got), taskObs{}, new(taskScratch))
 				w := freshReduce(job.Reduce, runs, factory(&want))
 				if len(w.outLines) == 0 || w.digested == 0 {
 					t.Fatalf("%s: oracle produced %d lines, %d digested records", name, len(w.outLines), w.digested)
@@ -304,8 +304,9 @@ func TestReduceReuseMatchesFresh(t *testing.T) {
 
 // TestReduceJoinAllocs pins the reduce side of a join at a cost that
 // does not grow with what it emits: 1,000 joined records cost the chain,
-// the group buffers, the line arena's chunks and the doublings of
-// outLines — not a concatenation, a projection and a line each.
+// the line arena's chunks and the doublings of outLines — not a
+// concatenation, a projection and a line each; the group buffers and the
+// merge's arrays are the scratch's.
 func TestReduceJoinAllocs(t *testing.T) {
 	src := reuseScripts["join"]
 	job := compile(t, src, CompileOptions{NumReduces: 1, Points: digestPoints(t, plan(t, src), "j", "f", "p")})[0]
@@ -317,24 +318,25 @@ func TestReduceJoinAllocs(t *testing.T) {
 		right[i] = fmt.Sprintf("%d\t%d", i%10, 2000+i)
 	}
 	runs := [][]interRec{
-		runMapTask(job, 0, sealedBlock(t, left), 0, len(left), nil, nil, taskObs{}).partitions[0],
-		runMapTask(job, 1, heldLines(t, right), 0, len(right), nil, nil, taskObs{}).partitions[0],
+		runMapTask(job, 0, sealedBlock(t, left), 0, len(left), nil, nil, taskObs{}, new(taskScratch)).partitions[0],
+		runMapTask(job, 1, heldLines(t, right), 0, len(right), nil, nil, taskObs{}, new(taskScratch)).partitions[0],
 	}
 	df := func(point int) *digest.Writer {
 		return digest.NewWriter(digest.Key{Point: point}, 0, 0, func(digest.Report) {})
 	}
-	if out := runReduceTask(job.Reduce, runs, df, taskObs{}); out.recordsOut != 1000 {
+	sc := new(taskScratch) // warm after the first run, as a slot's is
+	if out := runReduceTask(job.Reduce, runs, df, taskObs{}, sc); out.recordsOut != 1000 {
 		t.Fatalf("join emitted %d records, want 1000", out.recordsOut)
 	}
 	got := testing.AllocsPerRun(20, func() {
-		_ = runReduceTask(job.Reduce, runs, df, taskObs{})
+		_ = runReduceTask(job.Reduce, runs, df, taskObs{}, sc)
 	})
-	if got >= 42 { // 30, and four for each of the three digest writers
-		t.Errorf("reduce join = %v allocs per 1000 emitted records, want < 42", got)
+	if got >= 34 { // 18, and four for each of the three digest writers
+		t.Errorf("reduce join = %v allocs per 1000 emitted records, want < 34", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
-		_ = runReduceTask(job.Reduce, runs, nil, taskObs{})
-	}); got >= 30 {
-		t.Errorf("reduce join without digests = %v allocs per 1000 emitted records, want < 30", got)
+		_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, sc)
+	}); got >= 22 {
+		t.Errorf("reduce join without digests = %v allocs per 1000 emitted records, want < 22", got)
 	}
 }

@@ -3,7 +3,8 @@
 // bounds *concurrency* with a semaphore rather than keeping long-lived
 // worker goroutines: each submission runs on its own goroutine that
 // first acquires a slot, so an abandoned pool (engines have no Close)
-// leaks nothing once in-flight work drains.
+// leaks nothing once in-flight work drains. The semaphore is a free list
+// of slot indices: a body may keep state for the slot it is told it holds.
 //
 // Determinism contract: Submit returns a Future; callers that need
 // reproducible behaviour must consume futures in a deterministic order
@@ -12,15 +13,17 @@
 package pool
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 
 	"clusterbft/internal/obs"
 )
 
 // Pool bounds how many submitted computations run concurrently.
 type Pool struct {
-	sem chan struct{}
-	obs *obs.Counter // submissions; set by Instrument before first Go
+	free chan int     // the slots no computation holds
+	obs  *obs.Counter // submissions; set by Instrument before first Go
 }
 
 // New builds a pool running at most size computations at once; size <= 0
@@ -29,11 +32,15 @@ func New(size int) *Pool {
 	if size <= 0 {
 		size = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{sem: make(chan struct{}, size)}
+	p := &Pool{free: make(chan int, size)}
+	for slot := 0; slot < size; slot++ {
+		p.free <- slot
+	}
+	return p
 }
 
-// Size returns the concurrency bound.
-func (p *Pool) Size() int { return cap(p.sem) }
+// Size returns the concurrency bound; slots are numbered below it.
+func (p *Pool) Size() int { return cap(p.free) }
 
 // Instrument registers the pool into reg: its concurrency bound as a
 // gauge and a counter of submitted computations. Call before the first
@@ -46,34 +53,38 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 	p.obs = reg.Counter("pool.tasks_submitted")
 }
 
-// Future is the pending result of one submitted computation. Wait is
-// not safe for concurrent use: one goroutine owns the future.
+// Future is the pending result of one submitted computation.
 type Future[T any] struct {
-	ch   chan T
+	done chan struct{} // closed once val and err are set
 	val  T
-	done bool
+	err  error
 }
 
 // Go submits fn to the pool and returns its future. fn runs on a fresh
-// goroutine once a concurrency slot frees; it must not touch state the
-// submitting goroutine mutates before the corresponding Wait.
-func Go[T any](p *Pool, fn func() T) *Future[T] {
+// goroutine once a slot frees and is given the slot it holds until it
+// returns; it must not touch state the submitting goroutine mutates
+// before the corresponding Wait. A panic in fn ends there: the future
+// reports it as an error, with the stack, and the slot is freed.
+func Go[T any](p *Pool, fn func(slot int) T) *Future[T] {
 	p.obs.Inc()
-	f := &Future[T]{ch: make(chan T, 1)}
+	f := &Future[T]{done: make(chan struct{})}
 	go func() {
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-		f.ch <- fn()
+		slot := <-p.free
+		defer func() {
+			if r := recover(); r != nil {
+				f.err = fmt.Errorf("pool: computation panicked: %v\n%s", r, debug.Stack())
+			}
+			p.free <- slot
+			close(f.done)
+		}()
+		f.val = fn(slot)
 	}()
 	return f
 }
 
-// Wait blocks until fn finished and returns its result; repeated calls
-// return the same value.
-func (f *Future[T]) Wait() T {
-	if !f.done {
-		f.val = <-f.ch
-		f.done = true
-	}
-	return f.val
+// Wait blocks until fn finished and returns its result, or the zero
+// value and an error if it panicked; repeated calls return the same.
+func (f *Future[T]) Wait() (T, error) {
+	<-f.done
+	return f.val, f.err
 }

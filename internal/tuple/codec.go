@@ -210,10 +210,12 @@ func escapedValueLen(v Value) int {
 }
 
 func appendEscaped(dst []byte, s string) []byte {
-	if !strings.ContainsAny(s, "\t\n\\") {
-		return append(dst, s...)
+	clean := 0 // s[:clean] holds nothing to escape
+	for clean < len(s) && s[clean] != '\t' && s[clean] != '\n' && s[clean] != '\\' {
+		clean++
 	}
-	for i := 0; i < len(s); i++ {
+	dst = append(dst, s[:clean]...)
+	for i := clean; i < len(s); i++ {
 		switch s[i] {
 		case '\t':
 			dst = append(dst, '\\', 't')

@@ -21,7 +21,7 @@ func TestEncodeDecodeSimple(t *testing.T) {
 func TestEncodeEscaping(t *testing.T) {
 	in := Tuple{Str("a\tb"), Str("c\nd"), Str(`e\f`)}
 	line := EncodeLine(in)
-	if strings.ContainsAny(line, "\n") {
+	if strings.Contains(line, "\n") {
 		t.Fatalf("encoded line contains raw newline: %q", line)
 	}
 	out := DecodeLine(line, nil)

@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -101,13 +102,37 @@ func FuzzRawCanonical(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, raw string, ft uint8) {
-		if strings.ContainsAny(raw, "\t\n\\") {
+		if strings.IndexAny(raw, "\t\n\\") >= 0 {
 			t.Skip("a range holding an escape byte never reaches AppendCoerced")
 		}
 		typ := FieldType(ft % 4)
 		want := appendEscapedValue([]byte("row\t"), typ.Coerce(raw))
 		if got := typ.AppendCoerced([]byte("row\t"), raw); string(got) != string(want) {
 			t.Fatalf("%v.AppendCoerced(%q) = %q, the coerced value encodes to %q", typ, raw, got, want)
+		}
+	})
+}
+
+// FuzzCoerceIntMatchesParseInt holds the integer fast path to what it
+// skips: for arbitrary bytes, coercing to an int column — declared, or
+// inferred by an untyped one — gives what strings.TrimSpace and
+// strconv.ParseInt make of them, zero where they fail.
+func FuzzCoerceIntMatchesParseInt(f *testing.F) {
+	for _, raw := range []string{"", "0", "7", "-12", "007", "+5", " 5", "5 ", "-0", "-", "00", "\t9\n",
+		"999999999999999999", "-999999999999999999", "1000000000000000000", "9223372036854775807",
+		"9223372036854775808", "-9223372036854775808", "-9223372036854775809", "1.5", "1e3", "12ab", "１２", "\x00"} {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		want, err := strconv.ParseInt(strings.TrimSpace(raw), 10, 64)
+		if err != nil {
+			want = 0
+		}
+		if got := TypeInt.Coerce(raw); got.Kind() != KindInt || got.Int() != want {
+			t.Fatalf("TypeInt.Coerce(%q) = %v %d, strconv.ParseInt gives %d", raw, got.Kind(), got.Int(), want)
+		}
+		if got := TypeAny.Coerce(raw); got.Kind() == KindInt && got.Int() != want {
+			t.Fatalf("TypeAny.Coerce(%q) = %d, strconv.ParseInt gives %d", raw, got.Int(), want)
 		}
 	})
 }

@@ -174,17 +174,36 @@ func (s *Schema) String() string {
 func (ft FieldType) Coerce(raw string) Value {
 	switch ft {
 	case TypeInt:
-		return Int(Str(raw).Int())
+		return Int(parseInt(raw))
 	case TypeFloat:
 		return Float(Str(raw).Float())
 	case TypeString:
 		return Str(raw)
 	default:
 		if looksInt(raw) {
-			return Int(Str(raw).Int())
+			return Int(parseInt(raw))
 		}
 		return Str(raw)
 	}
+}
+
+// parseInt is Str(raw).Int(). An integer in canonical form, which nearly
+// every integer column holds, is summed from its digits: it cannot
+// overflow, and nothing is trimmed or handed to strconv.
+func parseInt(raw string) int64 {
+	if !canonicalInt(raw) {
+		return Str(raw).Int()
+	}
+	var n int64
+	for i := 0; i < len(raw); i++ {
+		if raw[i] != '-' {
+			n = n*10 + int64(raw[i]-'0')
+		}
+	}
+	if raw[0] == '-' {
+		return -n
+	}
+	return n
 }
 
 // AppendCoerced appends the encoded text of ft.Coerce(raw) — what
