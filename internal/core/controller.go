@@ -323,6 +323,9 @@ func (c *Controller) Run(script string) (*Result, error) {
 		}
 	}
 	c.Eng.Run()
+	if bad := c.Eng.Fault; bad != nil {
+		c.fail(fmt.Errorf("core: trusted storage failed: %w", bad))
+	}
 	// Sweep every remaining attempt's verifier and engine state: digest
 	// vectors, scheduler affinity and job records are request-scoped, and
 	// a controller serving a stream of Runs must not accumulate them.
@@ -1335,6 +1338,9 @@ func RunPlainOpts(eng *mapred.Engine, script string, opts mapred.CompileOptions)
 		states = append(states, js)
 	}
 	eng.Run()
+	if bad := eng.Fault; bad != nil {
+		return 0, fmt.Errorf("core: trusted storage failed: %w", bad)
+	}
 	var end int64
 	for _, js := range states {
 		if !js.Done {

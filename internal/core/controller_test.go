@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
@@ -860,4 +863,76 @@ func TestPanickingBodyIsAnOmission(t *testing.T) {
 	if _, err := RunPlain(plain.Engine, weatherScript); err == nil {
 		t.Error("plain run over a panicking body returned no error")
 	}
+}
+
+// TestStorageFaultIsNotANodeFault: one flipped byte in the spill file is
+// the trusted store breaking, not a node. Every replica's map task reads
+// the same bad block and panics in its body; blaming the nodes that ran
+// them would cost r honest nodes their standing and retry into the same
+// byte forever. The run ends instead, assured and plain alike, in an error
+// naming the file and the block, with no fault recorded, and the process
+// goes on to the next statement.
+func TestStorageFaultIsNotANodeFault(t *testing.T) {
+	spilled := func() *harness {
+		dir := t.TempDir()
+		sys := NewSystem(6, 2, dfs.Options{BlockSize: 2 << 10, MemBudget: 512, SpillDir: dir, Compress: true}, mapred.DefaultCostModel())
+		t.Cleanup(func() { sys.FS.Close() })
+		sys.FS.Append("data/weather", weatherData(4000)...)
+		files, err := filepath.Glob(filepath.Join(dir, "clusterbft-spill-*.blk"))
+		if err != nil || len(files) != 1 || sys.FS.SpilledBlocks() < 2 {
+			t.Fatalf("spill files %v (%v), %d blocks spilled: want one file holding several", files, err, sys.FS.SpilledBlocks())
+		}
+		f, err := os.OpenFile(files[0], os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var b [1]byte
+		if _, err := f.ReadAt(b[:], 40); err != nil { // a byte of the first block's payload
+			t.Fatal(err)
+		}
+		b[0] ^= 0x10
+		if _, err := f.WriteAt(b[:], 40); err != nil {
+			t.Fatal(err)
+		}
+		return &harness{sys}
+	}
+	check := func(who string, err error) {
+		t.Helper()
+		var bad *dfs.BlockError
+		if !errors.As(err, &bad) || bad.Path != "data/weather" || bad.Block != 0 {
+			t.Fatalf("%s: err = %v; want a *dfs.BlockError for block 0 of data/weather", who, err)
+		}
+		if !strings.Contains(err.Error(), "data/weather") || !strings.Contains(err.Error(), "checksum") {
+			t.Errorf("%s: %q names neither the file nor the cause", who, err)
+		}
+	}
+
+	h := spilled()
+	cfg := DefaultConfig()
+	cfg.TimeoutUs = 60_000_000
+	h.Assure(cfg)
+	trail := analyze.NewAuditTrail(h.Engine.Now)
+	h.Ctrl.AttachAudit(trail)
+	res, err := h.Ctrl.Run(weatherScript)
+	check("assured", err)
+	if res != nil {
+		t.Errorf("assured: a result beside the error: %+v", res)
+	}
+	if s := h.Ctrl.FA.Suspects(); len(s) != 0 || h.Engine.Metrics.TasksHung != 0 {
+		t.Errorf("assured: suspects %v, %d tasks hung: a storage fault was charged to nodes", s, h.Engine.Metrics.TasksHung)
+	}
+	for _, n := range h.Cluster.Nodes() {
+		if lvl := h.Susp.Level(n.ID); lvl != 0 {
+			t.Errorf("assured: %s at suspicion %v", n.ID, lvl)
+		}
+	}
+	for _, ev := range trail.Events() {
+		if ev.Kind == analyze.AuditMismatch {
+			t.Errorf("assured: the trail has a mismatch: %+v", ev)
+		}
+	}
+
+	_, err = RunPlain(spilled().Engine, weatherScript)
+	check("plain", err)
 }

@@ -1,7 +1,6 @@
 package dfs
 
 import (
-	"bytes"
 	"math"
 	"slices"
 	"strings"
@@ -85,8 +84,8 @@ func (b *Batch) reset() {
 // decode reads records [lo, hi) of an encoded block into b, carrying the
 // columns need lists (nil: all; column c where c < len(need) && need[c]).
 // ok is false, and b empty, when a value in the range holds a backslash
-// or a newline. The walk is decodeBlockRange's: both fail on the same
-// blocks.
+// or a newline. The walk is decodeBlockRange's, which is this one's under
+// a nil need: a block that decodes whole reads the same under every mask.
 func (b *Batch) decode(data []byte, lo, hi int, need []bool) (ok bool, err error) {
 	b.reset()
 	n, payload, z, err := openBlock(data)
@@ -97,17 +96,17 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) (ok bool, err error
 		return false, err
 	}
 	s := &b.shape
-	if err := s.walk(payload, n, lo, hi); err != nil {
+	if err := s.walk(payload, n, lo, hi, need); err != nil {
 		return false, err
 	}
 	if len(payload) > math.MaxInt32 { // offsets are int32
 		b.reset()
 		return false, nil
 	}
-	widths := s.counts[s.lo:s.hi]
+	widths := s.widths()
 	size, vals := 0, 0
 	for c, r := range s.cols {
-		if holdsEscape(payload, r, widths, c) {
+		if r.flagged && holdsEscape(payload, r, widths, c) {
 			b.reset()
 			return false, nil
 		}
@@ -156,12 +155,11 @@ func carries(need []bool, c int) bool {
 	return need == nil || c < len(need) && need[c]
 }
 
-// holdsEscape reports whether a value of the region holds a backslash or
-// a newline.
+// holdsEscape reports whether a value that a flagged column holds for the
+// range, which the walk stepped through, holds a backslash or a newline.
 func holdsEscape(payload []byte, r colRegion, counts []int, c int) bool {
-	region := payload[r.start:r.end]
-	if bytes.IndexByte(region, '\\') < 0 && bytes.IndexByte(region, '\n') < 0 {
-		return false
+	if !holdsEscapeByte(payload[r.start:r.end]) {
+		return false // the flag is the whole region's
 	}
 	// A length of 92 or 10 is one of the two bytes as well: look at the
 	// values alone.
@@ -172,7 +170,7 @@ func holdsEscape(payload []byte, r colRegion, counts []int, c int) bool {
 		}
 		start, end := valueAt(payload, off)
 		off = end
-		if v := payload[start:end]; bytes.IndexByte(v, '\\') >= 0 || bytes.IndexByte(v, '\n') >= 0 {
+		if holdsEscapeByte(payload[start:end]) {
 			return true
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"slices"
@@ -31,15 +32,27 @@ import (
 //	byte 0: format version (blockVersion)
 //	byte 1: flags (blockFlagFlate: payload is flate-compressed)
 //	uvarint: record count (always uncompressed, so counting is cheap)
+//	4 bytes: CRC-32C of every byte before them and of the stored payload
 //	payload (possibly compressed):
 //	   uvarint: maxCols — the widest record's column count
-//	   per record: uvarint column count
-//	   for c in [0, maxCols): for each record with >c columns:
-//	      uvarint value length, value bytes
+//	   uvarint: minCols — the narrowest record's
+//	   per record, unless minCols == maxCols: uvarint column count
+//	   for c in [0, maxCols), the region of column c:
+//	      for each record with >c columns: uvarint value length, value bytes
+//	   directory:
+//	      per column: uvarint, twice its region's byte length, plus one if
+//	         a byte of the region is a backslash or a newline
+//	      per record: uvarint line length
+//	   8 bytes: where in the payload the directory begins
+//
+// The checksum is what vouches for a block: openBlock verifies it on every
+// read, and past it a reader looks only at what it was asked for (walk).
 const (
-	blockVersion   = 0x01
+	blockVersion   = 0x02
 	blockFlagFlate = 0x01
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // DefaultBlockSize is the target encoded size of one sealed block.
 const DefaultBlockSize = 256 << 10
@@ -64,11 +77,10 @@ func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
 		logical += len(l) + 1
 		spans += strings.Count(l, "\t")
 	}
-	colCounts := make([]int, len(lines))
 	pre := make([]int, len(lines)+1)
 	starts := make([]int, 0, spans)
 	ends := make([]int, 0, spans)
-	maxCols := 0
+	maxCols, minCols := 0, 0
 	for i, l := range lines {
 		n := 0
 		start := 0
@@ -85,48 +97,73 @@ func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
 			start += idx + 1
 			n++
 		}
-		colCounts[i] = n
 		pre[i+1] = pre[i] + n
-		if n > maxCols {
-			maxCols = n
+		maxCols = max(maxCols, n)
+		if i == 0 || n < minCols {
+			minCols = n
 		}
 	}
 
-	// Pass 2: column-grouped payload.
-	payload := make([]byte, 0, logical+len(lines)*2+16)
+	// Pass 2: column-grouped payload, the directory filled in as each
+	// region is written.
+	payload := make([]byte, 0, logical+len(lines)*2+5*maxCols+24)
 	payload = binary.AppendUvarint(payload, uint64(maxCols))
-	for _, n := range colCounts {
-		payload = binary.AppendUvarint(payload, uint64(n))
+	payload = binary.AppendUvarint(payload, uint64(minCols))
+	if minCols != maxCols {
+		for i := range lines {
+			payload = binary.AppendUvarint(payload, uint64(pre[i+1]-pre[i]))
+		}
 	}
+	var dirArr [64]byte
+	dir := dirArr[:0]
 	for c := 0; c < maxCols; c++ {
+		at := len(payload)
 		for i, l := range lines {
-			if colCounts[i] <= c {
+			if pre[i+1]-pre[i] <= c {
 				continue
 			}
 			s, e := starts[pre[i]+c], ends[pre[i]+c]
 			payload = binary.AppendUvarint(payload, uint64(e-s))
 			payload = append(payload, l[s:e]...)
 		}
+		region := payload[at:]
+		d := uint64(len(region)) << 1
+		if holdsEscapeByte(region) {
+			d |= 1
+		}
+		dir = binary.AppendUvarint(dir, d)
 	}
+	foot := len(payload)
+	payload = append(payload, dir...)
+	for _, l := range lines {
+		payload = binary.AppendUvarint(payload, uint64(len(l)))
+	}
+	payload = binary.LittleEndian.AppendUint64(payload, uint64(foot))
 	rawLen = len(payload)
 
 	flags := byte(0)
-	if compress && rawLen > 0 {
-		var zb bytes.Buffer
-		zb.Grow(rawLen / 2)
-		zw := deflaters.Get().(*flate.Writer)
-		zw.Reset(&zb)
-		if _, err := zw.Write(payload); err == nil && zw.Close() == nil && zb.Len() < rawLen {
-			payload = zb.Bytes()
+	if compress {
+		z := deflaters.Get().(*deflater)
+		defer deflaters.Put(z) // after the copy below
+		z.out.Reset()
+		z.zw.Reset(&z.out)
+		if _, err := z.zw.Write(payload); err == nil && z.zw.Close() == nil && z.out.Len() < rawLen {
+			payload = z.out.Bytes()
 			flags |= blockFlagFlate
 		}
-		deflaters.Put(zw)
 	}
 
-	data = make([]byte, 0, 2+binary.MaxVarintLen64+len(payload))
-	data = append(data, blockVersion, flags)
-	data = binary.AppendUvarint(data, uint64(len(lines)))
+	var head [2 + binary.MaxVarintLen64]byte
+	h := binary.AppendUvarint(append(head[:0], blockVersion, flags), uint64(len(lines)))
+	data = make([]byte, 0, len(h)+4+len(payload))
+	data = append(data, h...)
+	data = binary.LittleEndian.AppendUint32(data, crc32.Update(crc32.Checksum(h, castagnoli), castagnoli, payload))
 	return append(data, payload...), rawLen
+}
+
+// holdsEscapeByte reports whether b holds a backslash or a newline.
+func holdsEscapeByte(b []byte) bool {
+	return bytes.IndexByte(b, '\\') >= 0 || bytes.IndexByte(b, '\n') >= 0
 }
 
 // BlockRecords reports how many records data holds without decoding (or
@@ -143,18 +180,24 @@ func BlockRecords(data []byte) (int, error) {
 }
 
 // Building flate state costs more than running one block through it, so
-// it is pooled and reset per block. An inflater also keeps its output
-// buffer: decoded lines are copied out of it into a string of their own.
+// it is pooled and reset per block, and keeps its output buffer: decoded
+// lines are copied out of an inflater's into a string of their own, the
+// compressed bytes out of a deflater's into the block.
 type inflater struct {
 	zr  io.ReadCloser // a flate reader, which is a flate.Resetter
 	src bytes.Reader
 	out bytes.Buffer
 }
 
+type deflater struct {
+	zw  *flate.Writer
+	out bytes.Buffer
+}
+
 var (
 	deflaters = sync.Pool{New: func() any {
 		zw, _ := flate.NewWriter(nil, flate.BestSpeed) // errs on a bad level only
-		return zw
+		return &deflater{zw: zw}
 	}}
 	inflaters = sync.Pool{New: func() any { return &inflater{zr: flate.NewReader(nil)} }}
 )
@@ -165,10 +208,11 @@ func DecodeBlock(data []byte) ([]string, error) {
 	return decodeBlockRange(nil, data, 0, math.MaxInt)
 }
 
-// openBlock checks the header of an encoded block and returns its record
-// count and payload. A compressed payload is inflated into the buffer of a
-// pooled inflater, returned as z: the caller copies what it keeps of the
-// payload and then puts z back.
+// openBlock checks the header and the checksum of an encoded block and
+// returns its record count and payload: a flipped bit anywhere in data is
+// an error here, whatever is then read of the block. A compressed payload
+// is inflated into the buffer of a pooled inflater, returned as z: the
+// caller copies what it keeps of the payload and then puts z back.
 func openBlock(data []byte) (n uint64, payload []byte, z *inflater, err error) {
 	if len(data) < 2 {
 		return 0, nil, nil, fmt.Errorf("dfs: block too short")
@@ -176,12 +220,18 @@ func openBlock(data []byte) (n uint64, payload []byte, z *inflater, err error) {
 	if data[0] != blockVersion {
 		return 0, nil, nil, fmt.Errorf("dfs: unknown block version 0x%02x", data[0])
 	}
-	rest := data[2:]
-	n, w := binary.Uvarint(rest)
+	n, w := binary.Uvarint(data[2:])
 	if w <= 0 {
 		return 0, nil, nil, fmt.Errorf("dfs: bad block record count")
 	}
-	payload = rest[w:]
+	head := data[:2+w]
+	if len(data)-len(head) < 4 {
+		return 0, nil, nil, fmt.Errorf("dfs: block too short")
+	}
+	payload = data[len(head)+4:]
+	if crc32.Update(crc32.Checksum(head, castagnoli), castagnoli, payload) != binary.LittleEndian.Uint32(data[len(head):]) {
+		return 0, nil, nil, fmt.Errorf("dfs: block checksum mismatch")
+	}
 	if data[1]&blockFlagFlate == 0 {
 		return n, payload, nil, nil
 	}
@@ -199,116 +249,171 @@ func openBlock(data []byte) (n uint64, payload []byte, z *inflater, err error) {
 }
 
 // blockShape is what one walk over a block's payload learns of it: the
-// column count of every record and, per column, where the values of a
-// record range lie. Both ways of reading a block start from it, and a
+// column counts of the records of a range and, per column read, where the
+// range's values lie. Both ways of reading a block start from it, and a
 // reader that keeps one across blocks keeps its arrays.
 type blockShape struct {
-	counts  []int // column count of each record of the block
-	minCols int   // the narrowest record's
-	lo, hi  int   // the range walked, clamped to the block
+	// counts is the column count of each record up to hi, from lo, or from
+	// 0 in a ragged block, whose columns are stepped through by it (widths).
+	counts  []int
+	minCols int // the narrowest record's
+	lo, hi  int // the range walked, clamped to the block
 	cols    []colRegion
 	// lineBytes is what the range's records take as lines: every value and
 	// the tab or newline after it.
 	lineBytes int
 }
 
-// colRegion locates, in the payload, the values one column holds for the
-// records of the range: payload[start:end] is their lengths and bytes,
-// vals how many they are and text the bytes of the values alone.
+// widths returns the column count of each record of the range.
+func (s *blockShape) widths() []int { return s.counts[len(s.counts)-(s.hi-s.lo):] }
+
+// colRegion locates a column in the payload: its whole region, or, once
+// the walk stepped through it, the values it holds for the records of the
+// range — payload[start:end] their lengths and bytes, vals how many they
+// are and text the bytes of the values alone.
 type colRegion struct {
 	start, end int
 	vals, text int
+	flagged    bool // a byte of the whole region is a backslash or a newline
 }
 
-// walk validates a whole payload of n records, column by column, and
-// records the shape of [lo, hi), clamping the range to the block. The
-// layout is column-grouped, so the walk covers and bounds-checks every
-// value whatever the range: a malformed block fails for every range alike.
-func (s *blockShape) walk(payload []byte, n64 uint64, lo, hi int) error {
+// walk reads the directory of a checksummed payload of n records and
+// records the shape of [lo, hi), clamping the range to the block: its line
+// bytes from the line lengths, and a column's values only where they are
+// asked for — a column need carries (nil: all), one flagged as possibly
+// holding an escape, and column 0 where a record may be the empty line. It
+// steps through those from the start of their regions up to hi and looks
+// at nothing else: what is malformed in a pruned column, or past hi, fails
+// the reads that reach it. Every count and length is compared as a uint64
+// against the bytes left before it becomes an int.
+func (s *blockShape) walk(p []byte, n64 uint64, lo, hi int, need []bool) error {
 	*s = blockShape{counts: s.counts[:0], cols: s.cols[:0]}
 	if n64 == 0 {
 		return nil
 	}
-	// Counts and lengths are compared as uint64 against the bytes left
-	// before any becomes an int: a record costs at least its column-count
-	// byte, a column its length byte.
-	if n64 > uint64(len(payload)) {
+	// A record costs at least its line-length byte.
+	if n64 > uint64(len(p)) || len(p) < 8 {
 		return fmt.Errorf("dfs: block record count exceeds payload")
 	}
 	n := int(n64)
-	maxCols64, w := uvarint(payload)
-	if w <= 0 || maxCols64 > uint64(len(payload)) {
-		return fmt.Errorf("dfs: bad block maxCols")
-	}
-	off := w
-	s.counts = slices.Grow(s.counts, n)[:n]
-	s.minCols = int(maxCols64)
-	for i := range s.counts {
-		c, w := uvarint(payload[off:])
-		if w <= 0 {
-			return fmt.Errorf("dfs: bad block column count")
-		}
-		off += w
-		if c > maxCols64 || c == 0 {
-			return fmt.Errorf("dfs: block column count out of range")
-		}
-		s.counts[i] = int(c)
-		s.minCols = min(s.minCols, int(c))
-	}
 	s.hi = max(0, min(hi, n))
 	s.lo = min(max(lo, 0), s.hi)
+	dir := p[:len(p)-8]
+	foot := binary.LittleEndian.Uint64(p[len(dir):])
+	if foot > uint64(len(dir)) {
+		return fmt.Errorf("dfs: bad block directory offset")
+	}
+	maxCols, w := uvarint(p[:foot])
+	off := max(w, 0)
+	minCols, w2 := uvarint(p[off:foot])
+	if w <= 0 || w2 <= 0 || minCols == 0 || minCols > maxCols || maxCols > uint64(len(dir))-foot {
+		return fmt.Errorf("dfs: bad block column bounds")
+	}
+	off += w2
+	s.minCols = int(minCols)
 
-	s.cols = slices.Grow(s.cols, int(maxCols64))[:maxCols64]
+	// The regions end where the directory begins, so their lengths place
+	// them; between the header and the first are the column counts.
+	s.cols = slices.Grow(s.cols, int(maxCols))[:maxCols]
+	d, regions := int(foot), int(foot)
+	for c := range s.cols {
+		v, w := uvarint(dir[d:])
+		if w <= 0 || v>>1 > uint64(regions-off) {
+			return fmt.Errorf("dfs: bad block column length")
+		}
+		d += w
+		regions -= int(v >> 1)
+		s.cols[c] = colRegion{end: int(v >> 1), flagged: v&1 != 0}
+	}
+	for c, at := 0, regions; c < len(s.cols); c++ {
+		s.cols[c].start, s.cols[c].end = at, at+s.cols[c].end
+		at = s.cols[c].end
+	}
+	// A line is made of payload bytes: no run of them is longer than it.
+	d, _, ok := sumLengths(dir, d, s.lo, len(p))
+	_, sum, ok2 := sumLengths(dir, d, s.hi-s.lo, len(p))
+	if !ok || !ok2 {
+		return fmt.Errorf("dfs: bad block line length")
+	}
+	s.lineBytes = sum + s.hi - s.lo // a newline each
+
+	s.counts = slices.Grow(s.counts, n) // once for every range of a block this size
+	if minCols == maxCols {
+		s.counts = s.counts[:s.hi-s.lo]
+		for i := range s.counts {
+			s.counts[i] = s.minCols
+		}
+	} else {
+		s.counts = s.counts[:s.hi]
+		for i := range s.counts {
+			c, w := uvarint(p[off:regions])
+			if w <= 0 || c < minCols || c > maxCols {
+				return fmt.Errorf("dfs: bad block column count")
+			}
+			off += w
+			s.counts[i] = int(c)
+		}
+	}
+
 	for c := range s.cols {
 		r := &s.cols[c]
-		var extra int
-		var err error
-		if off, _, _, err = skipValues(payload, off, s.counts[:s.lo], c); err != nil {
-			return err
+		if !carries(need, c) && !r.flagged && (c > 0 || s.minCols > 1) {
+			continue
 		}
-		r.start = off
-		if off, r.vals, extra, err = skipValues(payload, off, s.counts[s.lo:s.hi], c); err != nil {
-			return err
+		off, _, _, ok := s.skipValues(p[:r.end], r.start, 0, s.lo, c)
+		end, vals, extra, ok2 := s.skipValues(p[:r.end], off, s.lo, s.hi, c)
+		if !ok || !ok2 {
+			return fmt.Errorf("dfs: block column %d overruns its region", c)
 		}
-		r.end = off
-		r.text = r.end - r.start - r.vals - extra
-		s.lineBytes += r.text + r.vals
-		if off, _, _, err = skipValues(payload, off, s.counts[s.hi:], c); err != nil {
-			return err
-		}
+		*r = colRegion{start: off, end: end, vals: vals, text: end - off - vals - extra, flagged: r.flagged}
 	}
 	return nil
 }
 
-// skipValues steps from off over the values that the records with the
-// given column counts hold in column c, checking each length against the
-// bytes left. It returns the offset after the last, how many values there
-// were and the bytes their lengths took beyond one each.
-func skipValues(payload []byte, off int, counts []int, c int) (end, vals, extra int, err error) {
-	for _, cols := range counts {
-		if cols <= c {
+// sumLengths steps from off over k uvarints of b, whose sum may not pass
+// limit, and returns the offset after them and the sum.
+func sumLengths(b []byte, off, k, limit int) (next, sum int, ok bool) {
+	for ; k > 0 && off < len(b); k-- {
+		l, w := uint64(b[off]), 1 // see skipValues
+		if l >= 0x80 {
+			l, w = binary.Uvarint(b[off:])
+		}
+		if w <= 0 || l > uint64(limit-sum) {
+			return 0, 0, false
+		}
+		off, sum = off+w, sum+int(l)
+	}
+	return off, sum, k == 0
+}
+
+// skipValues steps from off over the values that records [from, to) hold
+// in column c, whose region p ends with, checking each length against the
+// bytes left there. It returns the offset after the last, how many values
+// there were and the bytes their lengths took beyond one each.
+func (s *blockShape) skipValues(p []byte, off, from, to, c int) (next, vals, extra int, ok bool) {
+	ragged := c >= s.minCols // below minCols every record holds the column
+	for i := from; i < to; i++ {
+		if ragged && s.counts[i] <= c {
 			continue
 		}
-		if off >= len(payload) {
-			return 0, 0, 0, fmt.Errorf("dfs: bad block value length")
+		if off >= len(p) {
+			return 0, 0, 0, false
 		}
 		// Nearly every length is one byte: binary.Uvarint's case for it,
 		// taken here, because a call per value is a tenth of the walk.
-		l, w := uint64(payload[off]), 1
+		l, w := uint64(p[off]), 1
 		if l >= 0x80 {
-			if l, w = binary.Uvarint(payload[off:]); w <= 0 {
-				return 0, 0, 0, fmt.Errorf("dfs: bad block value length")
-			}
+			l, w = binary.Uvarint(p[off:])
 			extra += w - 1
 		}
 		off += w
-		if l > uint64(len(payload)-off) {
-			return 0, 0, 0, fmt.Errorf("dfs: block value overruns payload")
+		if w <= 0 || l > uint64(len(p)-off) {
+			return 0, 0, 0, false
 		}
 		off += int(l)
 		vals++
 	}
-	return off, vals, extra, nil
+	return off, vals, extra, true
 }
 
 // valueAt reads the length-prefixed value at payload[off:], which the
@@ -333,7 +438,7 @@ func decodeBlockRange(dst []string, data []byte, lo, hi int) ([]string, error) {
 		return dst, err
 	}
 	var s blockShape
-	if err := s.walk(payload, n, lo, hi); err != nil {
+	if err := s.walk(payload, n, lo, hi, nil); err != nil {
 		return dst, err
 	}
 	if s.lo == s.hi {
@@ -345,7 +450,7 @@ func decodeBlockRange(dst []string, data []byte, lo, hi int) ([]string, error) {
 	var text strings.Builder
 	text.Grow(s.lineBytes - (s.hi - s.lo))
 	ends := make([]int, s.hi-s.lo)
-	for i, cols := range s.counts[s.lo:s.hi] {
+	for i, cols := range s.widths() {
 		for c := 0; c < cols; c++ {
 			if c > 0 {
 				text.WriteByte('\t')

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"slices"
@@ -72,63 +73,272 @@ func TestBlockCompressionShrinksRepetitiveData(t *testing.T) {
 	}
 }
 
+// sealPayload puts a header with a valid checksum over stored, which is
+// taken for the payload of n records: what a test needs to get a payload of
+// its own making past openBlock.
+func sealPayload(flags byte, n uint64, stored []byte) []byte {
+	data := binary.AppendUvarint([]byte{blockVersion, flags}, n)
+	data = binary.LittleEndian.AppendUint32(data, crc32.Update(crc32.Checksum(data, castagnoli), castagnoli, stored))
+	return append(data, stored...)
+}
+
+// payloadParts is a block payload taken apart, for a test to put back
+// together wrong. dir and foot default to what the encoder would write.
+type payloadParts struct {
+	maxCols, minCols uint64
+	counts           []uint64 // written if non-nil, whatever the two above say
+	regions          [][]byte
+	dir              []uint64 // per column: twice the region's length, plus the flag
+	lens             []uint64 // per record: line length
+	foot             func(honest uint64) uint64
+}
+
+// values returns a column region holding vals.
+func values(vals ...string) []byte {
+	var region []byte
+	for _, v := range vals {
+		region = append(binary.AppendUvarint(region, uint64(len(v))), v...)
+	}
+	return region
+}
+
+func (pp payloadParts) bytes() []byte {
+	p := binary.AppendUvarint(binary.AppendUvarint(nil, pp.maxCols), pp.minCols)
+	for _, c := range pp.counts {
+		p = binary.AppendUvarint(p, c)
+	}
+	for _, r := range pp.regions {
+		p = append(p, r...)
+	}
+	foot := uint64(len(p))
+	if pp.foot != nil {
+		foot = pp.foot(foot)
+	}
+	dir := pp.dir
+	if dir == nil {
+		for _, r := range pp.regions {
+			d := uint64(len(r)) << 1
+			if holdsEscapeByte(r) {
+				d |= 1
+			}
+			dir = append(dir, d)
+		}
+	}
+	for _, d := range dir {
+		p = binary.AppendUvarint(p, d)
+	}
+	for _, l := range pp.lens {
+		p = binary.AppendUvarint(p, l)
+	}
+	return binary.LittleEndian.AppendUint64(p, foot)
+}
+
+// sealed is the block of n records that pp's payload makes, raw.
+func (pp payloadParts) sealed(n uint64) []byte { return sealPayload(0, n, pp.bytes()) }
+
+// twoByThree is the payload EncodeBlock makes of "a\tbb", "c\tdd", "e\tff":
+// every hostile payload below is this one with a part of it changed.
+func twoByThree() payloadParts {
+	return payloadParts{
+		maxCols: 2, minCols: 2,
+		regions: [][]byte{values("a", "c", "e"), values("bb", "dd", "ff")},
+		lens:    []uint64{4, 4, 4},
+	}
+}
+
+// hostilePayloads are checksummed blocks no encoder writes. The first few
+// cannot be read whole; the rest decode, or not, as they will — a directory
+// that misstates a line length or a flag is believed: the checksum is what
+// says the encoder wrote it — and are here for the fuzzer to start from.
+func hostilePayloads() (mustFail, other [][]byte) {
+	with := func(change func(*payloadParts)) []byte {
+		pp := twoByThree()
+		change(&pp)
+		return pp.sealed(3)
+	}
+	mustFail = [][]byte{
+		with(func(pp *payloadParts) { pp.foot = func(h uint64) uint64 { return h + 100 } }), // directory offset past the end
+		with(func(pp *payloadParts) { pp.foot = func(uint64) uint64 { return 0 } }),         // and before the header
+		with(func(pp *payloadParts) { pp.dir = []uint64{6 << 1, 1 << 20} }),                 // directory lengths overrun the regions
+		with(func(pp *payloadParts) { pp.lens[1] = 1 << 63 }),                               // a line longer than the payload
+		with(func(pp *payloadParts) { pp.lens = pp.lens[:2] }),                              // a line length short
+		with(func(pp *payloadParts) { pp.minCols = 3 }),                                     // minCols > maxCols
+		with(func(pp *payloadParts) { pp.minCols, pp.maxCols = 0, 0 }),                      // no column at all
+		with(func(pp *payloadParts) { pp.minCols, pp.counts = 1, []uint64{2, 3, 2} }),       // a count above maxCols
+		with(func(pp *payloadParts) { pp.minCols, pp.counts = 1, []uint64{2, 0, 2} }),       // and one below minCols
+		with(func(pp *payloadParts) { pp.regions[1][0] = 0x7f }),                            // a value overruns its region
+		with(func(pp *payloadParts) { pp.regions[1][3] = 1<<7 | 5 }),                        // a long length that overruns it
+		twoByThree().sealed(1 << 40),                                                        // a record count to size nothing by
+	}
+	other = [][]byte{
+		with(func(pp *payloadParts) { pp.lens[2] = 5 }),                                            // a line length that is not its values'
+		with(func(pp *payloadParts) { pp.regions[0][1], pp.dir = '\\', []uint64{6 << 1, 9 << 1} }), // an escape under a clear flag
+		with(func(pp *payloadParts) { pp.counts = []uint64{2, 2, 2} }),                             // counts in a uniform block
+		with(func(pp *payloadParts) { pp.dir = []uint64{4 << 1, 9 << 1} }),                         // directory lengths under-cover the regions
+		with(func(pp *payloadParts) { pp.dir = []uint64{6<<1 | 1, 9<<1 | 1} }),                     // flags set over plain values
+		with(func(pp *payloadParts) { pp.lens = append(pp.lens, 4) }),                              // a line length too many
+		with(func(pp *payloadParts) { pp.foot = func(h uint64) uint64 { return h - 1 } }),          // the directory begins in a region
+		twoByThree().sealed(2), // fewer records than the payload has
+	}
+	return mustFail, other
+}
+
 func TestDecodeBlockRejectsMalformed(t *testing.T) {
 	good := EncodeBlock([]string{"a\tb", "c"}, false)
 	bad := [][]byte{
 		nil,
 		{},
 		{blockVersion},
-		{0x7f, 0x00, 0x02}, // wrong version
-		good[:len(good)-1], // truncated value
-		append(append([]byte{}, good[:3]...), 0xff), // mangled counts
+		{blockVersion, 0, 1, 0, 0, 0},     // no room for a checksum
+		append([]byte{0x01}, good[1:]...), // the version before
+		good[:len(good)-1],                // truncated: the checksum is of more
+		append(append([]byte{}, good[:3]...), 0xff),        // mangled
+		sealPayload(blockFlagFlate, 3, []byte{0xff, 0xff}), // checksummed, and no flate stream
+		sealPayload(0, 1, nil),                             // checksummed, and no payload
 	}
-	for i, data := range bad {
+	hostile, _ := hostilePayloads()
+	for i, data := range append(bad, hostile...) {
 		if _, err := DecodeBlock(data); err == nil {
-			t.Fatalf("case %d: expected error for malformed block", i)
+			t.Errorf("case %d: expected error for malformed block %x", i, data)
 		}
+	}
+	if got, err := DecodeBlock(twoByThree().sealed(3)); err != nil || !slices.Equal(got, []string{"a\tbb", "c\tdd", "e\tff"}) {
+		t.Fatalf("the payload the hostile ones are made from = %q, %v", got, err)
+	}
+	if data := twoByThree().sealed(3); !bytes.Equal(data, EncodeBlock([]string{"a\tbb", "c\tdd", "e\tff"}, false)) {
+		t.Fatalf("payloadParts and EncodeBlock disagree on the layout:\n%x\n%x", data, EncodeBlock([]string{"a\tbb", "c\tdd", "e\tff"}, false))
 	}
 }
 
 // TestDecodeBlockHostileLengths pins the two panics arbitrary bytes used
 // to reach: a value length of 2^63 or more wrapped the end offset
 // negative, past the overrun check and into a slice expression, and a
-// record count of 2^40 went straight to make.
+// record count of 2^40 went straight to make. Both now need a good
+// checksum to get that far.
 func TestDecodeBlockHostileLengths(t *testing.T) {
-	payload := []byte{1, 1}                                      // maxCols 1, one record of one column
-	payload = binary.AppendUvarint(payload, 1<<63|5)             // its value's length
-	huge := binary.AppendUvarint([]byte{blockVersion, 0}, 1<<40) // record count, no payload to match
+	long := twoByThree()
+	long.regions[0] = append(binary.AppendUvarint(nil, 1<<63|5), "ace"...)
 	for i, data := range [][]byte{
-		append([]byte{blockVersion, 0, 1}, payload...),
-		append(huge, 1, 1, 0),
+		long.sealed(3),
+		twoByThree().sealed(1 << 40),
 	} {
 		if _, err := DecodeBlock(data); err == nil {
 			t.Errorf("case %d: hostile block decoded without error", i)
 		}
+		var b Batch
+		if _, err := b.decode(data, 0, 2, []bool{true}); err == nil {
+			t.Errorf("case %d: hostile block read as a batch without error", i)
+		}
+	}
+}
+
+// TestPrunedReadTouchesCarriedRegionsOnly documents how lazy a read is: past
+// the checksum, which vouches for all of a block, it looks at the columns it
+// carries up to the last record it returns, and at nothing else. A block
+// whose checksum is good and whose second column is malformed — which no
+// encoder writes and no flipped bit leaves — reads correctly under a mask
+// without that column and fails under any with it; one malformed past
+// record 1 reads correctly up to there.
+func TestPrunedReadTouchesCarriedRegionsOnly(t *testing.T) {
+	pp := twoByThree()
+	pp.regions[1][3] = 0x7f // the second value of column 1 claims 127 bytes
+	data := pp.sealed(3)
+	var b Batch
+	for _, need := range [][]bool{{true}, {true, false}} {
+		ok, err := b.decode(data, 0, 3, need)
+		if err != nil || !ok || b.LineBytes() != 15 {
+			t.Fatalf("need %v: ok=%v err=%v, %d line bytes: want the three records, 15 bytes", need, ok, err, b.LineBytes())
+		}
+		if got := batchLines(&b, need); !slices.Equal(got, []string{"a\t·", "c\t·", "e\t·"}) {
+			t.Fatalf("need %v = %q", need, got)
+		}
+	}
+	for _, need := range [][]bool{nil, {false, true}, {true, true}} {
+		if _, err := b.decode(data, 0, 3, need); err == nil {
+			t.Errorf("need %v: the malformed column was carried and nothing failed", need)
+		}
+		if ok, err := b.decode(data, 0, 1, need); err != nil || !ok {
+			t.Errorf("need %v, [0,1): ok=%v err=%v: the walk stops at the last record asked for", need, ok, err)
+		}
+	}
+	if _, err := DecodeBlock(data); err == nil {
+		t.Error("the whole decode carries every column and did not fail")
+	}
+	if got, err := decodeBlockRange(nil, data, 0, 1); err != nil || !slices.Equal(got, []string{"a\tbb"}) {
+		t.Errorf("lines [0,1) = %q, %v", got, err)
+	}
+}
+
+// TestAnyFlippedByteFailsEveryRead: the checksum covers the header and the
+// stored payload, so a flipped bit anywhere in an encoded block, raw or
+// compressed, is an error for every range, both shapes and every mask.
+func TestAnyFlippedByteFailsEveryRead(t *testing.T) {
+	lines := slices.Repeat([]string{"station-01\t20\tsunny", "station-02\t21\tsunny"}, 8)
+	for _, compress := range []bool{false, true} {
+		data := EncodeBlock(lines, compress)
+		if compress != (data[1]&blockFlagFlate != 0) {
+			t.Fatalf("compress=%v: flags %#x", compress, data[1])
+		}
+		var b Batch
+		for i := range data {
+			for bit := 0; bit < 8; bit++ {
+				bad := slices.Clone(data)
+				bad[i] ^= 1 << bit
+				if _, err := DecodeBlock(bad); err == nil {
+					t.Fatalf("compress=%v: byte %d bit %d flipped and the block decodes", compress, i, bit)
+				}
+				if _, err := decodeBlockRange(nil, bad, 3, 4); err == nil {
+					t.Fatalf("compress=%v: byte %d bit %d flipped and a range decodes", compress, i, bit)
+				}
+				for _, need := range [][]bool{nil, {}, {false, true}} {
+					if _, err := b.decode(bad, 0, 1, need); err == nil {
+						t.Fatalf("compress=%v: byte %d bit %d flipped and a batch reads under %v", compress, i, bit, need)
+					}
+				}
+			}
+		}
+	}
+}
+
+// blockShapes are record sets that between them meet every branch of the
+// layout: a uniform block (no column counts), ragged ones with and without
+// one-column records and empty lines, escapes in one column only, and
+// values and lines whose lengths take two bytes.
+func blockShapes() map[string][]string {
+	long := strings.Repeat("v", 200)
+	return map[string][]string{
+		"uniform":     slices.Repeat([]string{"a\tbb\tccc", "d\t\tf", "\t\t", "g\thh\ti"}, 5),
+		"one column":  {"a", "", "bb", "", "", "ccc"},
+		"ragged":      slices.Repeat([]string{"a\tb\tc", "", "d", "\t\t", "e\tf", "g\th\ti\tj", "k", "\tl", ""}, 3),
+		"ragged wide": slices.Repeat([]string{"a\tb\tc", "d\te", "f\tg\th\ti"}, 4),
+		"escapes":     {"a\tb\tc", "d\tx\\y\tf", "g\th\ti", "j\tk\nl\tm", "n\to\tp", "q\tr\ts"},
+		"long":        {long + "\tb", "a\t" + long, strings.Repeat("w\t", 150) + "end", "short\tline", long + long + "\t" + long},
+		"length 10":   {"0123456789\tb", strings.Repeat("y", '\\') + "\tc", "d\te"}, // a length byte that is one of the two escapes
 	}
 }
 
 // TestDecodeBlockRange: every range of a block decodes to exactly those
-// records, ragged column counts included, compressed and raw; out-of-range
-// bounds clamp.
+// records, whatever its shape, compressed and raw; out-of-range bounds
+// clamp.
 func TestDecodeBlockRange(t *testing.T) {
-	lines := []string{"a\tb\tc", "", "d", "\t\t", "e\tf", "g\th\ti\tj", "k"}
-	for _, compress := range []bool{false, true} {
-		data := EncodeBlock(slices.Repeat(lines, 3), compress)
-		want := slices.Repeat(lines, 3)
-		for lo := 0; lo <= len(want); lo++ {
-			for hi := lo; hi <= len(want); hi++ {
-				got, err := decodeBlockRange(nil, data, lo, hi)
-				if err != nil {
-					t.Fatalf("compress=%v [%d,%d): %v", compress, lo, hi, err)
-				}
-				if !slices.Equal(got, want[lo:hi]) {
-					t.Fatalf("compress=%v [%d,%d) = %q, want %q", compress, lo, hi, got, want[lo:hi])
+	for name, want := range blockShapes() {
+		for _, compress := range []bool{false, true} {
+			data := EncodeBlock(want, compress)
+			for lo := 0; lo <= len(want); lo++ {
+				for hi := lo; hi <= len(want); hi++ {
+					got, err := decodeBlockRange(nil, data, lo, hi)
+					if err != nil {
+						t.Fatalf("%s compress=%v [%d,%d): %v", name, compress, lo, hi, err)
+					}
+					if !slices.Equal(got, want[lo:hi]) {
+						t.Fatalf("%s compress=%v [%d,%d) = %q, want %q", name, compress, lo, hi, got, want[lo:hi])
+					}
 				}
 			}
-		}
-		got, err := decodeBlockRange([]string{"kept"}, data, -3, len(want)+9)
-		if err != nil || !slices.Equal(got, append([]string{"kept"}, want...)) {
-			t.Fatalf("compress=%v clamped append = %q, %v", compress, got, err)
+			got, err := decodeBlockRange([]string{"kept"}, data, -3, len(want)+9)
+			if err != nil || !slices.Equal(got, append([]string{"kept"}, want...)) {
+				t.Fatalf("%s compress=%v clamped append = %q, %v", name, compress, got, err)
+			}
 		}
 	}
 }
@@ -154,9 +364,9 @@ func TestPooledDeflateMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			zw.Write(raw[2+w:])
+			zw.Write(raw[2+w+4:]) // past the checksum
 			zw.Close()
-			want := append(append([]byte{blockVersion, blockFlagFlate}, raw[2:2+w]...), fresh.Bytes()...)
+			want := sealPayload(blockFlagFlate, uint64(len(lines)), fresh.Bytes())
 			if got := EncodeBlock(lines, true); !bytes.Equal(got, want) {
 				t.Fatalf("round %d block %d: pooled deflater output differs from a fresh writer's", round, b)
 			}

@@ -17,6 +17,7 @@
 package dfs
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -130,11 +131,13 @@ type file struct {
 	bytes        int64 // logical size: record bytes plus one newline each
 }
 
-// block is one sealed batch of records. data is nil once spilled, in
-// which case (off, size) locate the encoded bytes in the spill file.
-// Encoded bytes are immutable after sealing; readers may hold the data
-// slice across a spill transition safely.
+// block is one sealed batch of records, the idx-th of the file at path.
+// data is nil once spilled, in which case (off, size) locate the encoded
+// bytes in the spill file. Encoded bytes are immutable after sealing;
+// readers may hold the data slice across a spill transition safely.
 type block struct {
+	path    string
+	idx     int
 	records int
 	logical int64
 	data    []byte
@@ -186,6 +189,26 @@ func (e *ErrNotFound) Error() string { return fmt.Sprintf("dfs: %s: no such file
 type ErrExists struct{ Path string }
 
 func (e *ErrExists) Error() string { return fmt.Sprintf("dfs: %s: file exists", e.Path) }
+
+// BlockError is what a read panics with when a sealed block cannot be
+// read back: the spill file failed, or the bytes are not the block that
+// was sealed. The trusted store itself broke, which the fault model
+// assumes away and no node is to blame for: mapred.Engine.Run ends on it.
+type BlockError struct {
+	Path  string // the file
+	Block int    // which of its sealed blocks
+	Err   error
+}
+
+func (e *BlockError) Error() string {
+	return fmt.Sprintf("dfs: %s: block %d: %v", e.Path, e.Block, e.Err)
+}
+
+func (e *BlockError) Unwrap() error { return e.Err }
+
+func (b *block) failed(err error) *BlockError {
+	return &BlockError{Path: b.path, Block: b.idx, Err: err}
+}
 
 func clean(path string) string {
 	return strings.TrimPrefix(strings.TrimSuffix(path, "/"), "/")
@@ -272,14 +295,14 @@ func (fs *FS) Append(path string, lines ...string) {
 	f.pendingBytes += int(n)
 	f.lines += len(lines)
 	f.bytes += n
-	fs.sealPending(f)
+	fs.sealPending(path, f)
 	fs.mu.Unlock()
 	fs.bytesWritten.Add(n)
 }
 
-// sealPending seals full blocks off f's tail and enforces the resident
-// budget; caller holds mu.
-func (fs *FS) sealPending(f *file) {
+// sealPending seals full blocks off the tail of f, the file at path, and
+// enforces the resident budget; caller holds mu.
+func (fs *FS) sealPending(path string, f *file) {
 	sealed := 0 // pending lines already in blocks
 	for f.pendingBytes >= fs.opts.BlockSize {
 		// Take the shortest prefix of pending lines reaching the target.
@@ -292,7 +315,7 @@ func (fs *FS) sealPending(f *file) {
 			}
 		}
 		data, rawLen := encodeBlockStats(f.pending[sealed:sealed+take], fs.opts.Compress)
-		b := &block{records: take, logical: int64(taken), data: data}
+		b := &block{path: path, idx: len(f.blocks), records: take, logical: int64(taken), data: data}
 		f.blocks = append(f.blocks, b)
 		sealed += take
 		f.pendingBytes -= taken
@@ -371,9 +394,8 @@ func (fs *FS) spillBlock(b *block) error {
 // blockData returns b's encoded bytes, reading a spilled block back
 // with a positioned read. Safe for concurrent use: the encoded bytes are
 // immutable once sealed. A failure here, or in decoding what it returns,
-// means the trusted store itself broke (spill-file corruption), which the
-// fault model assumes away — it panics rather than inventing an error
-// path every reader would have to thread.
+// panics with a *BlockError rather than inventing an error path every
+// reader would have to thread.
 func (fs *FS) blockData(b *block) []byte {
 	fs.mu.RLock()
 	data := b.data
@@ -384,11 +406,11 @@ func (fs *FS) blockData(b *block) []byte {
 		return data
 	}
 	if sf == nil {
-		panic("dfs: spilled block with no spill file")
+		panic(b.failed(errors.New("spilled, and the spill file is closed")))
 	}
 	buf := make([]byte, size)
 	if _, err := sf.ReadAt(buf, off); err != nil {
-		panic(fmt.Sprintf("dfs: spill read: %v", err))
+		panic(b.failed(fmt.Errorf("spill read: %w", err)))
 	}
 	return buf
 }
@@ -398,7 +420,7 @@ func (fs *FS) blockData(b *block) []byte {
 func (fs *FS) loadBlock(dst []string, b *block, lo, hi int) []string {
 	dst, err := decodeBlockRange(dst, fs.blockData(b), lo, hi)
 	if err != nil {
-		panic(fmt.Sprintf("dfs: block decode: %v", err))
+		panic(b.failed(err))
 	}
 	return dst
 }

@@ -47,17 +47,28 @@ func FuzzBlockRoundTrip(f *testing.F) {
 				t.Fatalf("line %d: decode %q, want %q", i, got[i], lines[i])
 			}
 		}
-		// A range decode returns the same records a whole decode would;
-		// the range is derived from the input so the corpus moves it.
+		// A range decode returns the same records a whole decode would, as
+		// lines and as a batch under a mask; range and mask are derived from
+		// the input so the corpus moves them.
 		lo := len(raw) % (len(lines) + 1)
 		hi := lo + (len(raw)/7)%(len(lines)-lo+1)
+		need := []bool{len(raw)&1 != 0, len(raw)&2 != 0, len(raw)&4 != 0}
 		part, err := decodeBlockRange(nil, data, lo, hi)
 		if err != nil || !slices.Equal(part, lines[lo:hi]) {
 			t.Fatalf("range [%d,%d) = %q, %v; want %q", lo, hi, part, err, lines[lo:hi])
 		}
+		var b Batch
+		for _, need := range [][]bool{nil, need} {
+			ok, err := b.decode(data, lo, hi, need)
+			if err != nil {
+				t.Fatalf("batch [%d,%d) need %v: %v", lo, hi, need, err)
+			}
+			checkBatch(t, &b, ok, part, need, true)
+		}
 
 		// Stage 2: the same records through a spilling FS — tiny blocks
-		// and a tiny budget so sealing and spilling both trigger.
+		// and a tiny budget so sealing and spilling both trigger — read
+		// back whole, and block by block as columns where they are served.
 		fs := NewWith(Options{BlockSize: 64, MemBudget: 128, SpillDir: t.TempDir(), Compress: compress})
 		defer fs.Close()
 		for _, l := range lines {
@@ -67,13 +78,22 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ReadLines: %v", err)
 		}
-		if len(back) != len(lines) {
-			t.Fatalf("FS returned %d lines, want %d", len(back), len(lines))
+		if !slices.Equal(back, lines) {
+			t.Fatalf("FS returned %q, want %q", back, lines)
 		}
-		for i := range lines {
-			if back[i] != lines[i] {
-				t.Fatalf("FS line %d: %q, want %q", i, back[i], lines[i])
+		r, err := fs.OpenReader("fuzz/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for at := 0; at < r.NumRecords(); {
+			next, ok := r.ReadColumns(&b, at, r.NumRecords(), need)
+			if ok { // a sealed block free of escapes; the tail is held as lines
+				checkBatch(t, &b, ok, r.ReadRange(at, next), need, true)
 			}
+			if !slices.Equal(r.ReadRange(at, next), lines[at:next]) {
+				t.Fatalf("ReadRange(%d,%d) = %q, want %q", at, next, r.ReadRange(at, next), lines[at:next])
+			}
+			at = next
 		}
 		if err := fs.SpillErr(); err != nil {
 			t.Fatalf("spill error: %v", err)
@@ -81,50 +101,96 @@ func FuzzBlockRoundTrip(f *testing.F) {
 	})
 }
 
+// checkBatch holds a batch read under need to the lines of the same
+// records: served if none of them holds an escape, and then with their
+// values. Of a block the encoder wrote (honest) it is served only then,
+// and with the line bytes the lines add up to: both are the directory's
+// word, which a hostile payload under a good checksum may have made up.
+// It consumes b.
+func checkBatch(t *testing.T, b *Batch, ok bool, lines []string, need []bool, honest bool) {
+	t.Helper()
+	var want []string
+	var bytes int64
+	for _, l := range lines {
+		want = append(want, masked(l, need))
+		bytes += int64(len(l)) + 1
+	}
+	if plain := !strings.ContainsAny(strings.Join(lines, ""), "\\\n"); plain && !ok || honest && ok != plain {
+		t.Fatalf("need %v: batch served=%v over %q", need, ok, lines)
+	}
+	if !ok {
+		return
+	}
+	if b.Len() != len(lines) || honest && b.LineBytes() != bytes {
+		t.Fatalf("need %v: %d records of %d line bytes, want %d of %d", need, b.Len(), b.LineBytes(), len(lines), bytes)
+	}
+	// Joined by tabs the values are the line, whatever bytes a hostile
+	// block put in them.
+	if got := batchLines(b, need); !slices.Equal(got, want) {
+		t.Fatalf("need %v: batch = %q, want %q", need, got, want)
+	}
+}
+
 // FuzzDecodeBlockNoPanic hands the block decoder arbitrary bytes, as a
-// corrupted spill file would: it must return records or an error, never
-// panic or size an allocation from an unchecked length, and a range
-// decode, as lines or as a batch of columns, must fail on exactly the
-// inputs a whole decode fails on. A batch is served for exactly the
-// ranges free of backslash and newline, and holds the values their lines
-// are made of.
+// corrupted spill file would, and payloads of its own making under a good
+// checksum (sealPayload), which no spill file holds but which get the
+// fuzzer past openBlock. Whatever the bytes, a read returns records or an
+// error, never panics or sizes an allocation from an unchecked length. A
+// block that fails its header or checksum fails every read. And one that
+// decodes whole reads the same every other way: every range, as lines and
+// as a batch under every mask, succeeds and is that slice of it, and is
+// served as a batch wherever it is free of backslash and newline. Only the
+// implication holds, not its converse: a read looks at what it carries
+// (TestPrunedReadTouchesCarriedRegionsOnly).
 func FuzzDecodeBlockNoPanic(f *testing.F) {
 	f.Add(EncodeBlock([]string{"a\tb", "c", "\t\t"}, false), 1, 2)
 	f.Add(EncodeBlock([]string{strings.Repeat("wide\tblock\t", 40)}, true), 0, 1)
-	f.Add([]byte{blockVersion, 0, 1, 1, 1, 0x85, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, 0, 1)
-	f.Add([]byte{blockVersion, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1, 1, 0}, 0, 9)
-	f.Add([]byte{blockVersion, blockFlagFlate, 3, 0xff, 0xff}, 0, 0)
 	f.Add(EncodeBlock([]string{"a", "b"}, false), 1, -28)
 	f.Add(EncodeBlock([]string{"", "x\\\ty", "", "p\tq\tr"}, false), 0, 4)
+	f.Add(EncodeBlock(slices.Repeat([]string{"2008\t1\tATL\tORD\t-3"}, 9), true), 2, 7)
+	f.Add(sealPayload(blockFlagFlate, 3, []byte{0xff, 0xff}), 0, 0)
+	f.Add([]byte{blockVersion, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1, 1, 0}, 0, 9)
+	mustFail, other := hostilePayloads()
+	for _, data := range append(mustFail, other...) {
+		f.Add(data, 0, 3)
+		f.Add(data, 1, 2)
+	}
+	masks := [][]bool{nil, {}}
+	for m := 1; m < 8; m++ {
+		masks = append(masks, []bool{m&1 != 0, m&2 != 0, m&4 != 0})
+	}
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int) {
+		_, _, z, openErr := openBlock(data)
+		if z != nil {
+			inflaters.Put(z)
+		}
 		all, err := DecodeBlock(data)
 		part, perr := decodeBlockRange(nil, data, lo, hi)
-		if (err == nil) != (perr == nil) {
-			t.Fatalf("whole decode err %v, range [%d,%d) err %v", err, lo, hi, perr)
+		if openErr != nil && (err == nil || perr == nil) {
+			t.Fatalf("block does not open (%v) and decodes: whole err %v, range err %v", openErr, err, perr)
+		}
+		if err == nil {
+			if n, nerr := BlockRecords(data); nerr != nil || n != len(all) {
+				t.Fatalf("BlockRecords = %d, %v; decoded %d", n, nerr, len(all))
+			}
+			hi = max(0, min(hi, len(all)))
+			lo = min(max(lo, 0), hi)
+			if perr != nil || !slices.Equal(part, all[lo:hi]) {
+				t.Fatalf("range [%d,%d) = %q, %v; want %q", lo, hi, part, perr, all[lo:hi])
+			}
 		}
 		var b Batch
-		ok, berr := b.decode(data, lo, hi, nil)
-		if (err == nil) != (berr == nil) {
-			t.Fatalf("whole decode err %v, batch [%d,%d) err %v", err, lo, hi, berr)
-		}
-		if err != nil {
-			return
-		}
-		if n, nerr := BlockRecords(data); nerr != nil || n != len(all) {
-			t.Fatalf("BlockRecords = %d, %v; decoded %d", n, nerr, len(all))
-		}
-		hi = max(0, min(hi, len(all)))
-		lo = min(max(lo, 0), hi)
-		if !slices.Equal(part, all[lo:hi]) {
-			t.Fatalf("range [%d,%d) = %q, want %q", lo, hi, part, all[lo:hi])
-		}
-		if plain := !strings.ContainsAny(strings.Join(part, ""), "\\\n"); ok != plain {
-			t.Fatalf("batch [%d,%d) served=%v over %q", lo, hi, ok, part)
-		}
-		// Joined by tabs the values are the line, whatever bytes a hostile
-		// block put in them.
-		if got := batchLines(&b, nil); ok && !slices.Equal(got, part) {
-			t.Fatalf("batch [%d,%d) = %q, want %q", lo, hi, got, part)
+		for _, need := range masks {
+			ok, berr := b.decode(data, lo, hi, need)
+			if openErr != nil && berr == nil {
+				t.Fatalf("block does not open (%v) and reads as a batch under %v", openErr, need)
+			}
+			if err == nil {
+				if berr != nil {
+					t.Fatalf("whole decode succeeds, batch [%d,%d) under %v: %v", lo, hi, need, berr)
+				}
+				checkBatch(t, &b, ok, part, need, false)
+			}
 		}
 	})
 }

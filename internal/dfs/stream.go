@@ -1,7 +1,5 @@
 package dfs
 
-import "fmt"
-
 // Streaming access to block-backed files. A Reader exposes a file (or a
 // sorted part-file tree) as an indexed sequence of records without
 // materializing the whole file, in two shapes: ReadRange returns record
@@ -190,7 +188,7 @@ func (r *Reader) ReadColumns(b *Batch, start, end int, need []bool) (next int, o
 	}
 	ok, err := b.decode(r.fs.blockData(seg.blk), start-r.starts[i], next-r.starts[i], need)
 	if err != nil {
-		panic(fmt.Sprintf("dfs: block decode: %v", err))
+		panic(seg.blk.failed(err))
 	}
 	return next, ok
 }

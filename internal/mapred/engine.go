@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -264,6 +265,10 @@ type Engine struct {
 	// task kind), feeding the speculation trigger. Cross-replica by
 	// construction: replicas of one cluster share base IDs.
 	specHist map[string]*obs.Histogram
+
+	// Fault is the storage failure that ended Run, if one did: a sealed
+	// block that cannot be read back is no node's doing, nor a retry's to fix.
+	Fault *dfs.BlockError
 
 	workers *pool.Pool
 	// scratch is one task scratch per worker slot, nil until a body first
@@ -737,6 +742,9 @@ func (e *Engine) settle() {
 	e.pending = nil
 	for _, p := range pend {
 		res, err := p.fut.Wait()
+		if e.Fault != nil || errors.As(err, &e.Fault) {
+			continue // the run is over; the other bodies are only waited for
+		}
 		if err != nil {
 			// A body that panicked has no result to give: an omission.
 			p.hung = true
@@ -1316,8 +1324,18 @@ func (e *Engine) NodeDead(id cluster.NodeID) bool { return e.dead[id] }
 // Run processes events until the queue drains. Jobs hung on omission
 // faults leave the queue empty with jobs incomplete — callers arm
 // timeouts via After to regain control (the verifier does, §4.2 step 6).
+// A sealed block that cannot be read back, by a task body (settle) or by
+// the engine itself, ends the run there and then, for good: see Fault.
 func (e *Engine) Run() {
-	for e.Step() {
+	defer func() {
+		r := recover()
+		if bad, ok := r.(*dfs.BlockError); ok {
+			e.Fault = bad
+		} else if r != nil {
+			panic(r)
+		}
+	}()
+	for e.Fault == nil && e.Step() {
 	}
 }
 

@@ -329,6 +329,7 @@ type taskScratch struct {
 	right    []tuple.Tuple // reduce: its right side
 	joined   tuple.Tuple   // reduce: a pair of them
 	accs     []aggAcc      // reduce: one group's aggregates
+	outLines []string      // output lines as emitted; the outcome gets an exact copy, not the arrays append grew through
 }
 
 // rowSlab returns a slab with room for one row of n columns: its arrays
@@ -471,7 +472,7 @@ func (m *mapRun) record(t tuple.Tuple) {
 		out.partitions[p] = append(out.partitions[p], rec)
 		out.localBytes += rec.bytes()
 	default:
-		out.outLines = append(out.outLines, m.strs.add(m.chain.line(t)))
+		sc.outLines = append(sc.outLines, m.strs.add(m.chain.line(t)))
 	}
 }
 
@@ -620,6 +621,9 @@ func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df dige
 	}
 	// Hand the scratch back empty: the row held values of the split's text,
 	// the slab's arrays are the outcome's, the batch let go of its own.
+	out.outLines = append(out.outLines, sc.outLines...)
+	clear(sc.outLines) // only ever appended to: past its length it is zero already
+	sc.outLines = sc.outLines[:0]
 	sc.row, sc.canon, dec.Slab, dec.Need = wipe(sc.row), m.chain.canon, tuple.Slab{}, nil
 	return out
 }
@@ -665,7 +669,7 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 	emit := func(t tuple.Tuple) {
 		if t, ok := chain.apply(t); ok {
 			out.recordsOut++
-			out.outLines = append(out.outLines, lines.add(chain.line(t)))
+			sc.outLines = append(sc.outLines, lines.add(chain.line(t)))
 		}
 	}
 	keyCmp := func(a, b *interRec) int { return strings.Compare(a.keyStr, b.keyStr) }
@@ -769,6 +773,9 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 	out.digested = chain.digests
 	o.outRecords.Add(out.recordsOut)
 	// Hand the scratch back empty: all of these pointed into map outcomes.
+	out.outLines = append(out.outLines, sc.outLines...)
+	clear(sc.outLines) // only ever appended to: past its length it is zero already
+	sc.outLines = sc.outLines[:0]
 	sc.live, sc.accs, sc.row, sc.canon = wipe(sc.live), wipe(sc.accs), wipe(sc.row), chain.canon
 	return out
 }

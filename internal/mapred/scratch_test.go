@@ -158,12 +158,27 @@ func runOnScratch(t *testing.T, script string, points []string, tweak func(*JobS
 			fmt.Fprintf(&b, "%v final=%v records=%d %x\n", r.Key, r.Final, r.Records, r.Sum)
 		})
 	}
+	// Output lines are staged in the scratch and the outcome's are a copy:
+	// an array of their own, with no more room than a copy takes.
+	ownLines := func(who string, kept []string) {
+		if len(kept) == 0 {
+			return
+		}
+		if cap(sc.outLines) < len(kept) || &kept[0] == &sc.outLines[:1][0] {
+			t.Fatalf("%s: %d output lines, and the scratch has room for %d, or its array is theirs", who, len(kept), cap(sc.outLines))
+		}
+		if cap(kept) > len(kept)+len(kept)/4+8 {
+			t.Fatalf("%s: %d output lines in an array of %d", who, len(kept), cap(kept))
+		}
+	}
 	out := runMapTask(job, 0, openReader(t, fs), 3, len(lines)-2, df, corrupt, taskObs{}, sc)
+	ownLines("map", out.outLines)
 	b.WriteString(renderOutcome(out))
 	if job.Reduce != nil {
 		for part := range out.partitions {
 			// The same run twice: a merge of two runs, not a copy of one.
 			red := runReduceTask(job.Reduce, [][]interRec{out.partitions[part], out.partitions[part]}, df, taskObs{}, sc)
+			ownLines("reduce", red.outLines)
 			fmt.Fprintf(&b, "reduce %d: in=%d out=%d digested=%d %q\n", part, red.recordsIn, red.recordsOut, red.digested, red.outLines)
 		}
 	}
@@ -274,7 +289,7 @@ func TestScratchHoldsNoData(t *testing.T) {
 			t.Fatalf("after shape %d the scratch still holds %d values, the first: %s", i, len(found), found[0])
 		}
 	}
-	if cap(sc.row) == 0 || cap(sc.tables) == 0 || cap(sc.live) == 0 || cap(sc.left) == 0 {
+	if cap(sc.row) == 0 || cap(sc.tables) == 0 || cap(sc.live) == 0 || cap(sc.left) == 0 || cap(sc.outLines) == 0 {
 		t.Error("the shapes did not grow the scratch they were to leave empty")
 	}
 }

@@ -64,7 +64,8 @@ type Future[T any] struct {
 // goroutine once a slot frees and is given the slot it holds until it
 // returns; it must not touch state the submitting goroutine mutates
 // before the corresponding Wait. A panic in fn ends there: the future
-// reports it as an error, with the stack, and the slot is freed.
+// reports it as an error, with the stack, wrapping the panic value if that
+// is an error, and the slot is freed.
 func Go[T any](p *Pool, fn func(slot int) T) *Future[T] {
 	p.obs.Inc()
 	f := &Future[T]{done: make(chan struct{})}
@@ -72,7 +73,11 @@ func Go[T any](p *Pool, fn func(slot int) T) *Future[T] {
 		slot := <-p.free
 		defer func() {
 			if r := recover(); r != nil {
-				f.err = fmt.Errorf("pool: computation panicked: %v\n%s", r, debug.Stack())
+				err, ok := r.(error)
+				if !ok {
+					err = fmt.Errorf("%v", r)
+				}
+				f.err = fmt.Errorf("pool: computation panicked: %w\n%s", err, debug.Stack())
 			}
 			p.free <- slot
 			close(f.done)

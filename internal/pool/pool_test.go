@@ -1,6 +1,9 @@
 package pool
 
 import (
+	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -118,5 +121,10 @@ func TestPanicIsAnErrorAndFreesTheSlot(t *testing.T) {
 	}
 	if got, err := Go(p, func(slot int) int { return slot + 7 }).Wait(); got != 7 || err != nil {
 		t.Fatalf("the body after a panic got %d, %v; want slot 0 back", got, err)
+	}
+	// A body that panics with an error is reported by one that wraps it:
+	// the caller can tell a failure it knows from a bug.
+	if _, err := Go(p, func(int) int { panic(fmt.Errorf("read: %w", io.ErrUnexpectedEOF)) }).Wait(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Wait after panic(err) = %v; want it to wrap the error", err)
 	}
 }
