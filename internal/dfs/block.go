@@ -70,16 +70,17 @@ func EncodeBlock(lines []string, compress bool) []byte {
 // which the FS folds into its compression-ratio accounting.
 func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
 	// Pass 1: find the field spans of every line. starts/ends are flat,
-	// row-major, and sized once: a line has one span more than it has
-	// tabs. pre[i] is the index of line i's first span.
+	// row-major, and sized once, in one array with pre: a line has one span
+	// more than it has tabs. pre[i] is the index of line i's first span.
 	logical, spans := 0, len(lines)
 	for _, l := range lines {
 		logical += len(l) + 1
 		spans += strings.Count(l, "\t")
 	}
-	pre := make([]int, len(lines)+1)
-	starts := make([]int, 0, spans)
-	ends := make([]int, 0, spans)
+	ints := make([]int, len(lines)+1+2*spans)
+	pre := ints[:len(lines)+1]
+	starts := ints[len(pre) : len(pre) : len(pre)+spans]
+	ends := ints[len(pre)+spans : len(pre)+spans]
 	maxCols, minCols := 0, 0
 	for i, l := range lines {
 		n := 0

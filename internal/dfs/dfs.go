@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,13 +80,13 @@ func ParseBytes(s string) (int64, error) {
 // FS is a concurrency-safe block-structured file system. The zero value
 // is not usable; construct with New or NewWith.
 type FS struct {
-	// WriteHook, when set, transforms the lines of every Append before
-	// they are stored; ReadHook transforms the result of each logical
-	// read (once per ReadLines or ReadTree call, applied to the copy
-	// handed to the caller — stored data is never touched). Both are
-	// nil-safe and zero-cost when unset; they exist for fault injection,
-	// which uses them to corrupt or truncate record streams at the
-	// storage boundary. Append is the block-encode boundary and
+	// WriteHook, when set, transforms the lines of every Append and
+	// Install before they are stored; ReadHook transforms the result of
+	// each logical read (once per ReadLines or ReadTree call, applied to
+	// the copy handed to the caller — stored data is never touched). Both
+	// are nil-safe and zero-cost when unset; they exist for fault
+	// injection, which uses them to corrupt or truncate record streams at
+	// the storage boundary. Append and Install are the write boundary and
 	// ReadLines/ReadTree (and reader opens, which materialize through
 	// them when a hook is set) are the block-decode boundary, so hooks
 	// observe exactly the line streams they saw on the legacy []string
@@ -140,6 +141,7 @@ type block struct {
 	idx     int
 	records int
 	logical int64
+	raw     int // payload bytes before compression
 	data    []byte
 	off     int64
 	size    int
@@ -190,10 +192,12 @@ type ErrExists struct{ Path string }
 
 func (e *ErrExists) Error() string { return fmt.Sprintf("dfs: %s: file exists", e.Path) }
 
-// BlockError is what a read panics with when a sealed block cannot be
-// read back: the spill file failed, or the bytes are not the block that
-// was sealed. The trusted store itself broke, which the fault model
-// assumes away and no node is to blame for: mapred.Engine.Run ends on it.
+// BlockError is how a read fails when a sealed block cannot be read back:
+// the spill file failed, or the bytes are not the block that was sealed.
+// ReadLines and ReadTree return it; a Reader's reads, which have no error
+// to return, panic with it. The trusted store itself broke, which the fault
+// model assumes away and no node is to blame for: mapred.Engine.Run ends on
+// it.
 type BlockError struct {
 	Path  string // the file
 	Block int    // which of its sealed blocks
@@ -280,56 +284,129 @@ func (fs *FS) Append(path string, lines ...string) {
 	if fs.WriteHook != nil {
 		lines = fs.WriteHook(path, lines)
 	}
-	var n int64
+	fs.install(path, fs.Seal(lines))
+}
+
+// Sealed is a batch of lines as Seal encoded them, for Install to add to a
+// file: the blocks, the lines short of another block, and their size.
+type Sealed struct {
+	blocks []*block // path and idx are the installing file's to set
+	tail   []string // in an array of its own
+	bytes  int64    // the lines' logical bytes, a newline each
+}
+
+// Bytes returns the logical bytes of the sealed lines (records plus one
+// newline each): what installing them adds to BytesWritten.
+func (s *Sealed) Bytes() int64 { return s.bytes }
+
+// Tail returns the lines past the last block, in the array Seal copied
+// them into, clipped: the store only ever appends past their end.
+func (s *Sealed) Tail() []string { return slices.Clip(s.tail) }
+
+// Seal encodes lines into the blocks a file holding only them would have:
+// the shortest prefix reaching the block size, again and again, and what is
+// left short of it as the tail. It reads the options and nothing else of
+// the FS, so task bodies seal their output concurrently, off the simulation
+// goroutine, and the commit installs it.
+func (fs *FS) Seal(lines []string) Sealed {
+	var s Sealed
 	for _, l := range lines {
-		n += int64(len(l)) + 1
+		s.bytes += int64(len(l)) + 1
 	}
+	size := fs.opts.BlockSize
+	// A block takes at least size bytes and at least a line: the most blocks
+	// there can be, one array of them and one of pointers to them.
+	room := min(s.bytes/int64(size), int64(len(lines)))
+	var blocks []block
+	if room > 0 {
+		blocks, s.blocks = make([]block, room), make([]*block, 0, room)
+	}
+	sealed, left := 0, s.bytes
+	for left >= int64(size) {
+		take, taken := 0, 0
+		for _, l := range lines[sealed:] {
+			taken += len(l) + 1
+			take++
+			if taken >= size {
+				break
+			}
+		}
+		data, rawLen := encodeBlockStats(lines[sealed:sealed+take], fs.opts.Compress)
+		b := &blocks[len(s.blocks)]
+		*b = block{records: take, logical: int64(taken), raw: rawLen, data: data}
+		s.blocks = append(s.blocks, b)
+		sealed += take
+		left -= int64(taken)
+	}
+	if sealed < len(lines) {
+		s.tail = append([]string(nil), lines[sealed:]...)
+	}
+	return s
+}
+
+// Install adds to the file at path, creating it if needed, the lines s was
+// sealed from. lines are those lines, and only a WriteHook reads them: it
+// is applied to them here, as Append applies it, and what it changes is
+// sealed again.
+func (fs *FS) Install(path string, s Sealed, lines []string) {
+	path = clean(path)
+	if fs.WriteHook != nil {
+		if hooked := fs.WriteHook(path, lines); !slices.Equal(hooked, lines) {
+			s = fs.Seal(hooked)
+		}
+	}
+	fs.install(path, s)
+}
+
+// install is the one place a file grows: under mu it adopts s's blocks,
+// accounts for them, queues them for eviction and enforces the resident
+// budget. s was sealed as if the file were empty; behind a tail its lines
+// join the tail instead, sealed with it once it reaches a block.
+func (fs *FS) install(path string, s Sealed) {
 	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	f, ok := fs.files[path]
 	if !ok {
 		f = &file{}
 		fs.files[path] = f
 		fs.insertPath(path)
 	}
-	f.pending = append(f.pending, lines...)
-	f.pendingBytes += int(n)
-	f.lines += len(lines)
-	f.bytes += n
-	fs.sealPending(path, f)
-	fs.mu.Unlock()
-	fs.bytesWritten.Add(n)
-}
-
-// sealPending seals full blocks off the tail of f, the file at path, and
-// enforces the resident budget; caller holds mu.
-func (fs *FS) sealPending(path string, f *file) {
-	sealed := 0 // pending lines already in blocks
-	for f.pendingBytes >= fs.opts.BlockSize {
-		// Take the shortest prefix of pending lines reaching the target.
-		take, taken := 0, 0
-		for _, l := range f.pending[sealed:] {
-			taken += len(l) + 1
-			take++
-			if taken >= fs.opts.BlockSize {
-				break
-			}
+	fs.bytesWritten.Add(s.bytes)
+	if len(f.pending) > 0 {
+		// Past its length the tail's array is no one's: whoever else holds
+		// it clipped it (addFile, readRaw, Sealed.Tail).
+		lines := f.pending
+		for _, b := range s.blocks {
+			lines, _ = decodeBlockRange(lines, b.data, 0, b.records) // bytes Seal just wrote
 		}
-		data, rawLen := encodeBlockStats(f.pending[sealed:sealed+take], fs.opts.Compress)
-		b := &block{path: path, idx: len(f.blocks), records: take, logical: int64(taken), data: data}
-		f.blocks = append(f.blocks, b)
-		sealed += take
-		f.pendingBytes -= taken
-		fs.rawPayload += int64(rawLen)
-		fs.storedPayload += int64(len(data))
+		lines = append(lines, s.tail...)
+		f.lines -= len(f.pending)
+		f.bytes -= int64(f.pendingBytes)
+		if n := int64(f.pendingBytes) + s.bytes; n < int64(fs.opts.BlockSize) {
+			s = Sealed{tail: lines, bytes: n}
+		} else {
+			s = fs.Seal(lines)
+		}
+	}
+	f.lines += len(s.tail)
+	f.bytes += s.bytes
+	tail := s.bytes
+	for i, b := range s.blocks {
+		b.path, b.idx = path, len(f.blocks)+i
+		f.lines += b.records
+		tail -= b.logical
+		fs.rawPayload += int64(b.raw)
+		fs.storedPayload += int64(len(b.data))
 		fs.residentBlocks++
-		fs.residentBytes += int64(len(data))
+		fs.residentBytes += int64(len(b.data))
 		fs.residentQ = append(fs.residentQ, b)
 	}
-	if sealed > 0 {
-		// The tail moves once, however many blocks came off it, into an
-		// array of its own: the old one would keep every sealed string.
-		f.pending = append([]string(nil), f.pending[sealed:]...)
+	if len(f.blocks) == 0 {
+		f.blocks = s.blocks
+	} else {
+		f.blocks = append(f.blocks, s.blocks...)
 	}
+	f.pending, f.pendingBytes = s.tail, int(tail)
 	fs.enforceBudget()
 	if fs.residentBytes > fs.maxResident {
 		fs.maxResident = fs.residentBytes
@@ -393,41 +470,43 @@ func (fs *FS) spillBlock(b *block) error {
 
 // blockData returns b's encoded bytes, reading a spilled block back
 // with a positioned read. Safe for concurrent use: the encoded bytes are
-// immutable once sealed. A failure here, or in decoding what it returns,
-// panics with a *BlockError rather than inventing an error path every
-// reader would have to thread.
-func (fs *FS) blockData(b *block) []byte {
+// immutable once sealed. A failure is a *BlockError.
+func (fs *FS) blockData(b *block) ([]byte, error) {
 	fs.mu.RLock()
 	data := b.data
 	off, size := b.off, b.size
 	sf := fs.spillF
 	fs.mu.RUnlock()
 	if data != nil {
-		return data
+		return data, nil
 	}
 	if sf == nil {
-		panic(b.failed(errors.New("spilled, and the spill file is closed")))
+		return nil, b.failed(errors.New("spilled, and the spill file is closed"))
 	}
 	buf := make([]byte, size)
 	if _, err := sf.ReadAt(buf, off); err != nil {
-		panic(b.failed(fmt.Errorf("spill read: %w", err)))
+		return nil, b.failed(fmt.Errorf("spill read: %w", err))
 	}
-	return buf
+	return buf, nil
 }
 
 // loadBlock appends records [lo, hi) of b to dst (hi is clamped to the
-// block's record count).
-func (fs *FS) loadBlock(dst []string, b *block, lo, hi int) []string {
-	dst, err := decodeBlockRange(dst, fs.blockData(b), lo, hi)
+// block's record count). A failure is a *BlockError.
+func (fs *FS) loadBlock(dst []string, b *block, lo, hi int) ([]string, error) {
+	data, err := fs.blockData(b)
 	if err != nil {
-		panic(b.failed(err))
+		return dst, err
 	}
-	return dst
+	if dst, err = decodeBlockRange(dst, data, lo, hi); err != nil {
+		return dst, b.failed(err)
+	}
+	return dst, nil
 }
 
 // ---- reads ------------------------------------------------------------
 
-// ReadLines returns a copy of the lines of the file at path.
+// ReadLines returns a copy of the lines of the file at path. A sealed
+// block that cannot be read back fails it with a *BlockError.
 func (fs *FS) ReadLines(path string) ([]string, error) {
 	path = clean(path)
 	out, err := fs.readRaw(path)
@@ -454,7 +533,10 @@ func (fs *FS) readRaw(path string) ([]string, error) {
 
 	out := make([]string, 0, total)
 	for _, b := range blocks {
-		out = fs.loadBlock(out, b, 0, b.records)
+		var err error
+		if out, err = fs.loadBlock(out, b, 0, b.records); err != nil {
+			return nil, err
+		}
 	}
 	out = append(out, tail...)
 	fs.bytesRead.Add(n)
@@ -644,7 +726,7 @@ func (fs *FS) ResidentBytes() int64 {
 }
 
 // MaxResidentBytes is the high-water mark of ResidentBytes, sampled
-// after each append's budget enforcement — the number the out-of-core
+// after each install's budget enforcement — the number the out-of-core
 // experiment checks against the configured budget.
 func (fs *FS) MaxResidentBytes() int64 {
 	fs.mu.RLock()

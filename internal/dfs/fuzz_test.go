@@ -1,6 +1,10 @@
 package dfs
 
 import (
+	"errors"
+	"fmt"
+	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -192,5 +196,134 @@ func FuzzDecodeBlockNoPanic(f *testing.F) {
 				checkBatch(t, &b, ok, part, need, false)
 			}
 		}
+	})
+}
+
+// appendOracle is Append as it was before Seal and Install: the lines join
+// the file's tail, the shortest prefix of the tail reaching a block is
+// sealed off for as long as the tail holds one, and the tail then moves into
+// an array of its own.
+func (fs *FS) appendOracle(path string, lines ...string) {
+	var n int64
+	for _, l := range lines {
+		n += int64(len(l)) + 1
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	f, ok := fs.files[path]
+	if !ok {
+		f = &file{}
+		fs.files[path] = f
+		fs.insertPath(path)
+	}
+	f.pending = append(f.pending, lines...)
+	f.pendingBytes += int(n)
+	f.lines += len(lines)
+	f.bytes += n
+	sealed := 0
+	for f.pendingBytes >= fs.opts.BlockSize {
+		take, taken := 0, 0
+		for _, l := range f.pending[sealed:] {
+			taken += len(l) + 1
+			take++
+			if taken >= fs.opts.BlockSize {
+				break
+			}
+		}
+		data, rawLen := encodeBlockStats(f.pending[sealed:sealed+take], fs.opts.Compress)
+		b := &block{path: path, idx: len(f.blocks), records: take, logical: int64(taken), raw: rawLen, data: data}
+		f.blocks = append(f.blocks, b)
+		sealed += take
+		f.pendingBytes -= taken
+		fs.rawPayload += int64(rawLen)
+		fs.storedPayload += int64(len(data))
+		fs.residentBlocks++
+		fs.residentBytes += int64(len(data))
+		fs.residentQ = append(fs.residentQ, b)
+	}
+	if sealed > 0 {
+		f.pending = append([]string(nil), f.pending[sealed:]...)
+	}
+	fs.enforceBudget()
+	if fs.residentBytes > fs.maxResident {
+		fs.maxResident = fs.residentBytes
+	}
+	fs.bytesWritten.Add(n)
+}
+
+// sameStore fails t unless got holds what want holds: every file's blocks
+// (bytes, idx, records, spill offsets) and tail, the path index, the
+// eviction queue in order, the block and byte counters and the spill file.
+func sameStore(t *testing.T, who string, got, want *FS) {
+	t.Helper()
+	spill := func(fs *FS) []byte {
+		if fs.spillF == nil {
+			return nil
+		}
+		b, err := os.ReadFile(fs.spillF.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"files", got.files, want.files},
+		{"paths", got.paths, want.paths},
+		{"eviction queue", got.residentQ, want.residentQ},
+		{"counters", []int64{got.residentBlocks, got.residentBytes, got.maxResident, got.spilledBlocks, got.spilledBytes,
+			got.rawPayload, got.storedPayload, got.spillOff, got.BytesWritten()},
+			[]int64{want.residentBlocks, want.residentBytes, want.maxResident, want.spilledBlocks, want.spilledBytes,
+				want.rawPayload, want.storedPayload, want.spillOff, want.BytesWritten()}},
+		{"spill file", spill(got), spill(want)},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Fatalf("%s: %s differ:\n got %v\nwant %v", who, c.name, c.got, c.want)
+		}
+	}
+}
+
+// FuzzSealMatchesAppend holds Install of what Seal made, and Append, which
+// is built on them, to Append as it was (appendOracle): over arbitrary lines
+// cut into batches — empty ones, single lines, many blocks' worth — that go
+// to two files in turn, so a batch meets a tail the one before left, at any
+// block size, with and without compression and a spill budget, both must
+// leave the store exactly as the oracle does. A batch's lines are cleared
+// once written: a store that kept the caller's array would show it.
+func FuzzSealMatchesAppend(f *testing.F) {
+	f.Add("a\tb\nc\nd\te\tf\n\ng", uint64(0b1011_0110), uint16(8), true, uint16(16))
+	f.Add(strings.Repeat("station-7\t21\tsunny\n", 40), uint64(0x0123_4567_89ab_cdef), uint16(64), true, uint16(100))
+	f.Add(strings.Repeat("x\n", 90), uint64(7), uint16(3), false, uint16(0))
+	f.Add("", uint64(0), uint16(1), false, uint16(1))
+	f.Add("long line one\tof text\nshort\n"+strings.Repeat("w\t", 60), uint64(0xffff_0000_ffff), uint16(40), false, uint16(300))
+	f.Fuzz(func(t *testing.T, raw string, cuts uint64, blockSize uint16, compress bool, budget uint16) {
+		lines := strings.Split(raw, "\n")
+		opts := Options{BlockSize: int(blockSize)%512 + 1, MemBudget: int64(budget) % 2048, Compress: compress}
+		if opts.MemBudget > 0 {
+			opts.SpillDir = t.TempDir()
+		}
+		installed, appended, oracle := NewWith(opts), NewWith(opts), NewWith(opts)
+		defer func() {
+			if err := errors.Join(installed.Close(), appended.Close(), oracle.Close()); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		for i, lo := 0, 0; lo < len(lines); i++ {
+			hi := len(lines) // a batch of 0 to 6 lines, or of all that are left
+			if n := int(cuts >> (3 * (i % 21)) & 7); n < 7 && i < 64 {
+				hi = min(lo+n, len(lines))
+			}
+			batch := lines[lo:hi]
+			path := fmt.Sprintf("d/f%d", cuts>>(i%64)&1)
+			installed.Install(path, installed.Seal(batch), batch)
+			appended.Append(path, batch...)
+			oracle.appendOracle(path, batch...)
+			clear(batch)
+			lo = hi
+		}
+		sameStore(t, "Install(Seal)", installed, oracle)
+		sameStore(t, "Append", appended, oracle)
 	})
 }

@@ -136,7 +136,8 @@ func (r *Reader) segAt(start int) int {
 // ReadRange returns the records in [start, end), decoding from each
 // block the range overlaps only the records inside it. It is stateless
 // and safe to call concurrently from parallel task bodies. Out-of-range
-// bounds are clamped.
+// bounds are clamped. A block that cannot be read back panics with its
+// *BlockError.
 func (r *Reader) ReadRange(start, end int) []string {
 	if start < 0 {
 		start = 0
@@ -158,7 +159,10 @@ func (r *Reader) ReadRange(start, end int) []string {
 			b = e
 		}
 		if seg.blk != nil {
-			out = r.fs.loadBlock(out, seg.blk, a, b)
+			var err error
+			if out, err = r.fs.loadBlock(out, seg.blk, a, b); err != nil {
+				panic(err)
+			}
 		} else {
 			out = append(out, seg.lines[a:b]...)
 		}
@@ -173,7 +177,8 @@ func (r *Reader) ReadRange(start, end int) []string {
 // not to be had as columns: [start, next) is held as lines (an unsealed
 // tail, a reader materialized for a ReadHook), or one of its values holds
 // a backslash or a newline (see Batch). ReadRange serves those. b belongs
-// to the caller; the Reader stays safe for concurrent use.
+// to the caller; the Reader stays safe for concurrent use. A block that
+// cannot be read back panics with its *BlockError, as in ReadRange.
 func (r *Reader) ReadColumns(b *Batch, start, end int, need []bool) (next int, ok bool) {
 	b.reset()
 	start = max(start, 0)
@@ -186,8 +191,11 @@ func (r *Reader) ReadColumns(b *Batch, start, end int, need []bool) (next int, o
 	if seg.blk == nil {
 		return next, false
 	}
-	ok, err := b.decode(r.fs.blockData(seg.blk), start-r.starts[i], next-r.starts[i], need)
+	data, err := r.fs.blockData(seg.blk)
 	if err != nil {
+		panic(err)
+	}
+	if ok, err = b.decode(data, start-r.starts[i], next-r.starts[i], need); err != nil {
 		panic(seg.blk.failed(err))
 	}
 	return next, ok

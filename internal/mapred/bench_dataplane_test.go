@@ -235,7 +235,7 @@ func BenchmarkDataplaneMapTaskShuffle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc)
+		runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -284,7 +284,7 @@ func BenchmarkDataplaneMapTaskCombine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc)
+		runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -299,7 +299,7 @@ func BenchmarkDataplaneMapTaskCombineOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc)
+		runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -319,7 +319,7 @@ STORE p INTO 'out/prod';
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc)
+		runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -331,7 +331,7 @@ func BenchmarkDataplaneReduceAggregate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, sc)
+		runReduceTask(job.Reduce, runs, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -348,7 +348,7 @@ func BenchmarkDataplaneReduceMergeSorted(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, sc)
+		runReduceTask(job.Reduce, runs, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -360,7 +360,7 @@ func BenchmarkDataplaneReduceMergeSortedOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, sc)
+		runReduceTask(job.Reduce, runs, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -380,7 +380,7 @@ STORE j INTO 'out/joined';
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, sc)
+		runReduceTask(job.Reduce, runs, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -396,7 +396,7 @@ STORE d INTO 'out/distinct';
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, sc)
+		runReduceTask(job.Reduce, runs, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -412,7 +412,7 @@ STORE o INTO 'out/sorted';
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, sc)
+		runReduceTask(job.Reduce, runs, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }

@@ -34,6 +34,15 @@ func sealedBlock(tb testing.TB, lines []string) *dfs.Reader {
 	return openReader(tb, fs)
 }
 
+// linesBytes sums serialized record sizes (records + newlines).
+func linesBytes(lines []string) int64 {
+	var n int64
+	for _, l := range lines {
+		n += int64(len(l)) + 1
+	}
+	return n
+}
+
 func openReader(tb testing.TB, fs *dfs.FS) *dfs.Reader {
 	tb.Helper()
 	r, err := fs.OpenReader("in")

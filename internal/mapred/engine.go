@@ -505,15 +505,21 @@ func (e *Engine) makeRunnable(js *JobState) {
 // tree; missing paths read as empty (an upstream job may legitimately
 // have produced no records). The reader snapshots the input's blocks
 // without decoding them — map task bodies decode only their own split's
-// blocks, off the simulation goroutine.
+// blocks, off the simulation goroutine. Under a ReadHook the open reads
+// every block, and one that cannot be read back ends the run (Run).
 func (e *Engine) openInput(path string) *dfs.Reader {
+	var r *dfs.Reader
+	var err error
 	if e.FS.Exists(path) {
-		if r, err := e.FS.OpenReader(path); err == nil {
-			return r
-		}
+		r, err = e.FS.OpenReader(path)
+	} else {
+		r, err = e.FS.OpenTreeReader(path)
 	}
-	r, err := e.FS.OpenTreeReader(path)
 	if err != nil {
+		var bad *dfs.BlockError
+		if errors.As(err, &bad) {
+			panic(bad)
+		}
 		return &dfs.Reader{}
 	}
 	return r
@@ -718,9 +724,9 @@ func (e *Engine) startTask(node *cluster.Node, t *Task) {
 
 	var body func(slot int) bodyResult
 	if t.Kind == MapTask {
-		body = e.mapBody(t, df, buf.Add, corrupt)
+		body = e.mapBody(t, df, buf.Add, corrupt, false)
 	} else {
-		body = e.reduceBody(t, df, buf.Add)
+		body = e.reduceBody(t, df, buf.Add, false)
 	}
 	e.pending = append(e.pending, pendingBody{
 		rt:   rt,
@@ -993,24 +999,31 @@ func specKey(jobID string, kind TaskKind) string {
 // The commit closure it yields runs back on the simulation goroutine.
 // emit receives the attempt's audit digest reports (the attempt's own
 // buffer in normal execution, a quiz buffer under Requiz); it is only
-// consulted when the spec has Audit set.
-func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), corrupt corruptFn) func(slot int) bodyResult {
+// consulted when the spec has Audit set. A quiz's body does not seal its
+// output: its commit is dropped.
+func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), corrupt corruptFn, quiz bool) func(slot int) bodyResult {
 	js := t.Job
 	split := js.splits[t.InputIdx][t.Index]
 	src := js.inputSrcs[t.InputIdx]
 	cost := e.Cost
 	o := e.obsTask
+	var seal *dfs.FS // a shuffle's output is its partitions
+	if js.Spec.Reduce == nil && !quiz {
+		seal = e.FS
+	}
+	keep := e.keepsLines(js)
 	return func(slot int) bodyResult {
 		// Decode only this split's records, here on the worker pool —
 		// block decode parallelizes across map tasks and what is decoded
 		// never outlives the body. The reader is concurrency-safe.
 		sc := e.borrow(slot)
 		out := runMapTask(js.Spec, t.InputIdx, src, split[0], split[1], df, corrupt, o, sc)
-		e.scratch[slot] = sc
 		if js.Spec.Audit && emit != nil {
 			sum, n := auditMapSum(out)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
 		}
+		out.publish(sc, seal, keep)
+		e.scratch[slot] = sc
 		// Shuffle cost is charged on the post-combiner record count: the
 		// combiner shrinks what crosses the wire and pays CombineRecordUs
 		// per folded record instead. Map-only jobs write recordsOut lines
@@ -1037,7 +1050,7 @@ func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), co
 			js.mapsDone++
 			if js.Spec.Reduce == nil {
 				// Map-only job: task output is final.
-				e.writeOutput(js, partFileName(MapTask, t.InputIdx, t.Index), out.outLines)
+				e.writeOutput(js, partFileName(MapTask, t.InputIdx, t.Index), &out.taskOutput)
 				atomic.AddInt64(&e.Metrics.RecordsOut, out.recordsOut)
 			}
 			if js.mapsDone == js.mapsTotal {
@@ -1074,10 +1087,15 @@ func (e *Engine) mapsFinished(js *JobState) {
 // after every map of the job committed, so js.mapOutcomes is immutable
 // while the body reads it (committed-task guards prevent late backup
 // attempts from writing outcomes again).
-func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report)) func(slot int) bodyResult {
+func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report), quiz bool) func(slot int) bodyResult {
 	js := t.Job
 	cost := e.Cost
 	o := e.obsTask
+	seal := e.FS
+	if quiz {
+		seal = nil
+	}
+	keep := e.keepsLines(js)
 	return func(slot int) bodyResult {
 		// Each map outcome contributes its partition as one pre-sorted
 		// run; the merge reads runs in place, so attempts (including
@@ -1095,11 +1113,12 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report))
 		}
 		sc := e.borrow(slot)
 		out := runReduceTask(js.Spec.Reduce, runs, df, o, sc)
-		e.scratch[slot] = sc
 		if js.Spec.Audit && emit != nil {
 			sum, n := auditReduceSum(out)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
 		}
+		out.publish(sc, seal, keep)
+		e.scratch[slot] = sc
 		dur := cost.TaskStartupUs +
 			cost.ReduceRecordUs*(out.recordsIn+out.recordsOut) +
 			cost.ShuffleRecordUs*out.recordsIn +
@@ -1109,7 +1128,7 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report))
 			atomic.AddInt64(&e.Metrics.LocalBytesRead, localBytes)
 			atomic.AddInt64(&e.Metrics.DigestRecords, out.digested)
 			atomic.AddInt64(&e.Metrics.RecordsOut, out.recordsOut)
-			e.writeOutput(js, partFileName(ReduceTask, 0, t.Index), out.outLines)
+			e.writeOutput(js, partFileName(ReduceTask, 0, t.Index), &out.taskOutput)
 			js.redsDone++
 			if js.redsDone == js.redsTotal {
 				e.completeJob(js)
@@ -1119,20 +1138,26 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report))
 	}
 }
 
-// writeOutput persists task output and accounts the HDFS write. Under
-// Spec.Audit or Spec.Ckpt the produced lines are retained per part
-// (before the storage layer's write hook can transform them) for the
-// job's as-produced output digest and checkpoint capture.
-func (e *Engine) writeOutput(js *JobState, part string, lines []string) {
+// keepsLines reports whether js's output lines are read after the body
+// that emitted them: by writeOutput, or by the storage layer's write hook.
+func (e *Engine) keepsLines(js *JobState) bool {
+	return js.Spec.Audit || js.Spec.Ckpt || e.FS.WriteHook != nil
+}
+
+// writeOutput installs task output the body sealed, in commit order, and
+// accounts the HDFS write. Under Spec.Audit or Spec.Ckpt the produced
+// lines are retained per part (before the storage layer's write hook can
+// transform them) for the job's as-produced output digest and checkpoint
+// capture.
+func (e *Engine) writeOutput(js *JobState, part string, out *taskOutput) {
 	if js.Spec.Audit || js.Spec.Ckpt {
 		if js.auditParts == nil {
 			js.auditParts = make(map[string][]string)
 		}
-		js.auditParts[part] = lines
+		js.auditParts[part] = out.outLines
 	}
-	path := joinPath(js.Spec.Output, part)
-	e.FS.Append(path, lines...)
-	atomic.AddInt64(&e.Metrics.HDFSBytesWritten, linesBytes(lines))
+	e.FS.Install(joinPath(js.Spec.Output, part), out.sealed, out.outLines)
+	atomic.AddInt64(&e.Metrics.HDFSBytesWritten, out.sealed.Bytes())
 }
 
 // completeJob finishes a job and unblocks dependents.
@@ -1467,9 +1492,9 @@ func (e *Engine) Requiz(jobID, taskID string, quizReplica int, sink func(digest.
 	}
 	var body func(slot int) bodyResult
 	if t.Kind == MapTask {
-		body = e.mapBody(t, df, quizAdd, nil)
+		body = e.mapBody(t, df, quizAdd, nil, true)
 	} else {
-		body = e.reduceBody(t, df, quizAdd)
+		body = e.reduceBody(t, df, quizAdd, true)
 	}
 	res, err := pool.Go(e.bodyPool(), body).Wait()
 	if err != nil {

@@ -294,7 +294,7 @@ type taskObs struct {
 // merge the runs read-only, so outcomes may be shared by backups.
 type mapOutcome struct {
 	partitions  [][]interRec // shuffle jobs: per-reduce-partition sorted runs
-	outLines    []string     // map-only jobs: final output records
+	taskOutput               // map-only jobs: final output records
 	inBytes     int64        // input read, as lines with a newline each
 	recordsIn   int64
 	recordsOut  int64 // records surviving the operator chain
@@ -302,6 +302,35 @@ type mapOutcome struct {
 	combinedIn  int64 // records folded into the combiner (0 when off)
 	digested    int64
 	localBytes  int64 // shuffle bytes written
+}
+
+// taskOutput is what a map-only or reduce task writes to its part file.
+// runMapTask and runReduceTask leave outLines as emitted, in the slot's
+// scratch; the body publishes them before it hands the scratch back.
+type taskOutput struct {
+	outLines []string
+	sealed   dfs.Sealed // outLines as the part file's blocks, for the commit to install
+}
+
+// publish ends the output a task left in sc: with fs set, outLines are
+// sealed for the commit to install and kept, in an array of their own,
+// only if keep — something reads them after the body; with fs nil (a quiz,
+// whose commit is dropped, or a shuffle, whose output is its partitions)
+// nothing of them is. sc goes back holding none.
+func (o *taskOutput) publish(sc *taskScratch, fs *dfs.FS, keep bool) {
+	lines := o.outLines
+	o.outLines = nil
+	if fs != nil {
+		o.sealed = fs.Seal(lines)
+		if keep {
+			// Lines short of a block are all tail, already an array of their own.
+			if o.outLines = o.sealed.Tail(); len(o.outLines) < len(lines) {
+				o.outLines = slices.Clone(lines)
+			}
+		}
+	}
+	clear(sc.outLines) // only ever appended to: past its length it is zero already
+	sc.outLines = sc.outLines[:0]
 }
 
 // corruptFn is TaskFault.Corrupt's type; nil for honest execution.
@@ -329,7 +358,7 @@ type taskScratch struct {
 	right    []tuple.Tuple // reduce: its right side
 	joined   tuple.Tuple   // reduce: a pair of them
 	accs     []aggAcc      // reduce: one group's aggregates
-	outLines []string      // output lines as emitted; the outcome gets an exact copy, not the arrays append grew through
+	outLines []string      // output lines as emitted, until the body publishes them (taskOutput)
 }
 
 // rowSlab returns a slab with room for one row of n columns: its arrays
@@ -619,18 +648,17 @@ func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df dige
 	} else {
 		o.outRecords.Add(out.recordsOut)
 	}
-	// Hand the scratch back empty: the row held values of the split's text,
-	// the slab's arrays are the outcome's, the batch let go of its own.
-	out.outLines = append(out.outLines, sc.outLines...)
-	clear(sc.outLines) // only ever appended to: past its length it is zero already
-	sc.outLines = sc.outLines[:0]
+	// Hand the scratch back empty but for the output lines: the row held
+	// values of the split's text, the slab's arrays are the outcome's, the
+	// batch let go of its own.
+	out.outLines = sc.outLines
 	sc.row, sc.canon, dec.Slab, dec.Need = wipe(sc.row), m.chain.canon, tuple.Slab{}, nil
 	return out
 }
 
 // reduceOutcome carries the effects of one executed reduce task.
 type reduceOutcome struct {
-	outLines   []string
+	taskOutput
 	recordsIn  int64
 	recordsOut int64
 	digested   int64
@@ -772,10 +800,9 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 	}
 	out.digested = chain.digests
 	o.outRecords.Add(out.recordsOut)
-	// Hand the scratch back empty: all of these pointed into map outcomes.
-	out.outLines = append(out.outLines, sc.outLines...)
-	clear(sc.outLines) // only ever appended to: past its length it is zero already
-	sc.outLines = sc.outLines[:0]
+	// Hand the scratch back empty but for the output lines: all of these
+	// pointed into map outcomes.
+	out.outLines = sc.outLines
 	sc.live, sc.accs, sc.row, sc.canon = wipe(sc.live), wipe(sc.accs), wipe(sc.row), chain.canon
 	return out
 }
@@ -842,15 +869,6 @@ func auditMapSum(out *mapOutcome) (digest.Sum, int64) {
 // auditReduceSum digests a reduce task's output lines for AuditTaskPoint.
 func auditReduceSum(out *reduceOutcome) (digest.Sum, int64) {
 	return digest.OfLines(out.outLines), int64(len(out.outLines))
-}
-
-// linesBytes sums serialized record sizes (records + newlines).
-func linesBytes(lines []string) int64 {
-	var n int64
-	for _, l := range lines {
-		n += int64(len(l)) + 1
-	}
-	return n
 }
 
 // splitLines partitions a record count into deterministic contiguous

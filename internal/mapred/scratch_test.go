@@ -158,9 +158,16 @@ func runOnScratch(t *testing.T, script string, points []string, tweak func(*JobS
 			fmt.Fprintf(&b, "%v final=%v records=%d %x\n", r.Key, r.Final, r.Records, r.Sum)
 		})
 	}
-	// Output lines are staged in the scratch and the outcome's are a copy:
-	// an array of their own, with no more room than a copy takes.
-	ownLines := func(who string, kept []string) {
+	// Output lines are staged in the scratch, and what publish keeps of
+	// them is a copy: an array of their own, with no more room than a copy
+	// takes. What it seals is the lines too.
+	publish := func(who string, out *taskOutput) {
+		staged := slices.Clone(out.outLines)
+		out.publish(sc, fs, true)
+		kept := out.outLines
+		if !slices.Equal(kept, staged) || out.sealed.Bytes() != linesBytes(staged) {
+			t.Fatalf("%s: published %d lines of %d bytes, staged %d", who, len(kept), out.sealed.Bytes(), len(staged))
+		}
 		if len(kept) == 0 {
 			return
 		}
@@ -172,13 +179,13 @@ func runOnScratch(t *testing.T, script string, points []string, tweak func(*JobS
 		}
 	}
 	out := runMapTask(job, 0, openReader(t, fs), 3, len(lines)-2, df, corrupt, taskObs{}, sc)
-	ownLines("map", out.outLines)
+	publish("map", &out.taskOutput)
 	b.WriteString(renderOutcome(out))
 	if job.Reduce != nil {
 		for part := range out.partitions {
 			// The same run twice: a merge of two runs, not a copy of one.
 			red := runReduceTask(job.Reduce, [][]interRec{out.partitions[part], out.partitions[part]}, df, taskObs{}, sc)
-			ownLines("reduce", red.outLines)
+			publish("reduce", &red.taskOutput)
 			fmt.Fprintf(&b, "reduce %d: in=%d out=%d digested=%d %q\n", part, red.recordsIn, red.recordsOut, red.digested, red.outLines)
 		}
 	}

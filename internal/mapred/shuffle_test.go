@@ -303,10 +303,10 @@ func TestReduceReuseMatchesFresh(t *testing.T) {
 }
 
 // TestReduceJoinAllocs pins the reduce side of a join at a cost that
-// does not grow with what it emits: 1,000 joined records cost the chain,
-// the line arena's chunks and the doublings of outLines — not a
-// concatenation, a projection and a line each; the group buffers and the
-// merge's arrays are the scratch's.
+// does not grow with what it emits: 1,000 joined records cost the chain
+// and the line arena's chunks — not a concatenation, a projection and a
+// line each; the group buffers, the merge's arrays and the output lines
+// are the scratch's.
 func TestReduceJoinAllocs(t *testing.T) {
 	src := reuseScripts["join"]
 	job := compile(t, src, CompileOptions{NumReduces: 1, Points: digestPoints(t, plan(t, src), "j", "f", "p")})[0]
@@ -325,17 +325,19 @@ func TestReduceJoinAllocs(t *testing.T) {
 		return digest.NewWriter(digest.Key{Point: point}, 0, 0, func(digest.Report) {})
 	}
 	sc := new(taskScratch) // warm after the first run, as a slot's is
-	if out := runReduceTask(job.Reduce, runs, df, taskObs{}, sc); out.recordsOut != 1000 {
+	out := runReduceTask(job.Reduce, runs, df, taskObs{}, sc)
+	if out.recordsOut != 1000 {
 		t.Fatalf("join emitted %d records, want 1000", out.recordsOut)
 	}
+	out.publish(sc, nil, false)
 	got := testing.AllocsPerRun(20, func() {
-		_ = runReduceTask(job.Reduce, runs, df, taskObs{}, sc)
+		runReduceTask(job.Reduce, runs, df, taskObs{}, sc).publish(sc, nil, false)
 	})
 	if got >= 34 { // 18, and four for each of the three digest writers
 		t.Errorf("reduce join = %v allocs per 1000 emitted records, want < 34", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
-		_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, sc)
+		runReduceTask(job.Reduce, runs, nil, taskObs{}, sc).publish(sc, nil, false)
 	}); got >= 22 {
 		t.Errorf("reduce join without digests = %v allocs per 1000 emitted records, want < 22", got)
 	}

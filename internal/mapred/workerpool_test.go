@@ -22,9 +22,10 @@ type poolSnap struct {
 	metrics Metrics
 	out     []string
 	reports []digest.Report
+	store   [4]int64 // spilled blocks and bytes, stored/raw, resident high-water
 }
 
-func runWithWorkers(t *testing.T, workers int) poolSnap {
+func runWithWorkers(t *testing.T, workers int, storage dfs.Options) poolSnap {
 	t.Helper()
 	p, err := pig.Parse(followerSrc)
 	if err != nil {
@@ -32,7 +33,9 @@ func runWithWorkers(t *testing.T, workers int) poolSnap {
 	}
 	opts := CompileOptions{Points: digestPoints(t, p, "counts"), NumReduces: 3}
 	in := map[string][]string{"in/edges": geomEdges(12000)}
-	tr := run(t, followerSrc, in, opts, func(e *Engine) {
+	fs := dfs.NewWith(storage)
+	defer fs.Close()
+	tr := runOn(t, fs, followerSrc, in, opts, func(e *Engine) {
 		e.Workers = workers
 		e.Speculation = true
 	})
@@ -45,27 +48,44 @@ func runWithWorkers(t *testing.T, workers int) poolSnap {
 		metrics: tr.eng.Metrics,
 		out:     tr.output(t, "out/counts"),
 		reports: tr.reports,
+		store:   [4]int64{fs.SpilledBlocks(), fs.SpillBytes(), fs.CompressedRatio(), fs.MaxResidentBytes()},
 	}
 }
 
+// The second leg seals every reduce's output into compressed blocks, in
+// the reduce bodies, several at once on the pooled deflaters, and spills.
 func TestWorkerPoolSizesProduceIdenticalResults(t *testing.T) {
-	base := runWithWorkers(t, 1)
-	if len(base.out) == 0 || len(base.reports) == 0 {
-		t.Fatal("reference run produced no output or digests")
-	}
-	for _, w := range []int{2, 4, 8, 0} {
-		got := runWithWorkers(t, w)
-		if got.latency != base.latency {
-			t.Errorf("workers=%d: latency %d != %d", w, got.latency, base.latency)
+	for _, leg := range []struct {
+		storage dfs.Options
+		workers []int
+	}{
+		{dfs.Options{}, []int{2, 4, 8, 0}},
+		{dfs.Options{BlockSize: 128, MemBudget: 4 << 10, SpillDir: t.TempDir(), Compress: true}, []int{2, 8}},
+	} {
+		base := runWithWorkers(t, 1, leg.storage)
+		if len(base.out) == 0 || len(base.reports) == 0 {
+			t.Fatal("reference run produced no output or digests")
 		}
-		if got.metrics != base.metrics {
-			t.Errorf("workers=%d: metrics differ:\n%+v\n%+v", w, got.metrics, base.metrics)
+		if leg.storage.Compress && base.store[0] == 0 {
+			t.Fatal("reference run spilled nothing")
 		}
-		if !reflect.DeepEqual(got.out, base.out) {
-			t.Errorf("workers=%d: output bytes differ", w)
-		}
-		if !reflect.DeepEqual(got.reports, base.reports) {
-			t.Errorf("workers=%d: digest report stream differs", w)
+		for _, w := range leg.workers {
+			got := runWithWorkers(t, w, leg.storage)
+			if got.latency != base.latency {
+				t.Errorf("%+v workers=%d: latency %d != %d", leg.storage, w, got.latency, base.latency)
+			}
+			if got.metrics != base.metrics {
+				t.Errorf("%+v workers=%d: metrics differ:\n%+v\n%+v", leg.storage, w, got.metrics, base.metrics)
+			}
+			if !reflect.DeepEqual(got.out, base.out) {
+				t.Errorf("%+v workers=%d: output bytes differ", leg.storage, w)
+			}
+			if !reflect.DeepEqual(got.reports, base.reports) {
+				t.Errorf("%+v workers=%d: digest report stream differs", leg.storage, w)
+			}
+			if got.store != base.store {
+				t.Errorf("%+v workers=%d: store counters %v != %v", leg.storage, w, got.store, base.store)
+			}
 		}
 	}
 }
