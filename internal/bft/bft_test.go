@@ -2,7 +2,10 @@ package bft
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -232,6 +235,31 @@ func TestRequestDigestBindsIdentity(t *testing.T) {
 	}
 	if a.Digest() != (Request{Client: "c", Seq: 1, Op: []byte("op")}).Digest() {
 		t.Error("digest not deterministic")
+	}
+}
+
+// TestRequestIdentityAsFormatted pins the digest and the re-proposal
+// order to the text they were formatted from: SHA-256 of "client|seq|"
+// and the op, whatever the op's length, and the string order of
+// "client|seq" — where "ab|1" precedes "a|1" and "a|12" precedes "a|9".
+func TestRequestIdentityAsFormatted(t *testing.T) {
+	reqs := []Request{
+		{Client: "a", Seq: 9, Op: []byte("op")}, {Client: "a", Seq: 12}, {Client: "ab", Seq: 1, Op: bytes.Repeat([]byte("x"), 300)},
+		{Client: "a", Seq: 1}, {Client: "client-0", Seq: 10}, {Client: "client-0", Seq: 2}, {Client: "A", Seq: 1 << 63},
+	}
+	text := func(r Request) string { return fmt.Sprintf("%s|%d", r.Client, r.Seq) }
+	for _, r := range reqs {
+		if want := Digest(sha256.Sum256(append([]byte(text(r)+"|"), r.Op...))); r.Digest() != want {
+			t.Errorf("Digest(%s) = %x, want %x", text(r), r.Digest(), want)
+		}
+	}
+	got, want := slices.Clone(reqs), slices.Clone(reqs)
+	sortByKey(got)
+	sort.Slice(want, func(i, j int) bool { return text(want[i]) < text(want[j]) })
+	for i := range got {
+		if text(got[i]) != text(want[i]) {
+			t.Fatalf("re-proposal order %d: %s, want %s", i, text(got[i]), text(want[i]))
+		}
 	}
 }
 

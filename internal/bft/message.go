@@ -10,6 +10,9 @@ package bft
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // ID identifies a replica or client on the network.
@@ -29,18 +32,32 @@ type Request struct {
 	Op     []byte
 }
 
-// Digest binds the request's identity.
+// Digest binds the request's identity: SHA-256 of "client|seq|" and the
+// operation.
 func (r Request) Digest() Digest {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|%d|", r.Client, r.Seq)
-	h.Write(r.Op)
-	var d Digest
-	h.Sum(d[:0])
-	return d
+	var buf [256]byte
+	b := append(buf[:0], r.Client...)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, r.Seq, 10)
+	b = append(b, '|')
+	return sha256.Sum256(append(b, r.Op...))
 }
 
-// key identifies a request for deduplication.
-func (r Request) key() string { return fmt.Sprintf("%s|%d", r.Client, r.Seq) }
+// reqKey identifies a request for deduplication.
+type reqKey struct {
+	client ID
+	seq    uint64
+}
+
+func (r Request) key() reqKey { return reqKey{r.Client, r.Seq} }
+
+// sortByKey orders requests as view changes re-propose them: by the
+// string order of "client|seq", which is not the order of the pair (a
+// '|' sorts after letters and digits, and seq compares as text).
+func sortByKey(reqs []Request) {
+	text := func(r Request) string { return string(r.Client) + "|" + strconv.FormatUint(r.Seq, 10) }
+	slices.SortFunc(reqs, func(a, b Request) int { return strings.Compare(text(a), text(b)) })
+}
 
 // PrePrepare is the primary's ordering proposal for a request.
 type PrePrepare struct {

@@ -2,7 +2,6 @@ package bft
 
 import (
 	"fmt"
-	"sort"
 )
 
 // StateMachine is the deterministic service replicated by the protocol.
@@ -50,10 +49,10 @@ type Replica struct {
 	lastExec uint64
 	log      map[uint64]*entry
 
-	executed map[string][]byte  // request key -> cached result
-	client   map[string]ID      // request key -> requesting client
-	proposed map[string]bool    // primary: already assigned a slot
-	pending  map[string]Request // accepted but not yet executed
+	executed map[reqKey][]byte  // request key -> cached result
+	client   map[reqKey]ID      // request key -> requesting client
+	proposed map[reqKey]bool    // primary: already assigned a slot
+	pending  map[reqKey]Request // accepted but not yet executed
 
 	timerGen int
 	vcVotes  map[uint64]map[ID]ViewChange
@@ -87,10 +86,10 @@ func NewReplica(net *Network, index, f int, sm StateMachine) *Replica {
 		view:                0,
 		nextSeq:             1,
 		log:                 make(map[uint64]*entry),
-		executed:            make(map[string][]byte),
-		client:              make(map[string]ID),
-		proposed:            make(map[string]bool),
-		pending:             make(map[string]Request),
+		executed:            make(map[reqKey][]byte),
+		client:              make(map[reqKey]ID),
+		proposed:            make(map[reqKey]bool),
+		pending:             make(map[reqKey]Request),
 		vcVotes:             make(map[uint64]map[ID]ViewChange),
 		vcSent:              make(map[uint64]bool),
 		ViewChangeTimeoutUs: 50_000,
@@ -110,7 +109,7 @@ func (r *Replica) View() uint64 { return r.view }
 
 // primary returns the primary's ID for a view.
 func (r *Replica) primary(view uint64) ID {
-	return ReplicaID(int(view % uint64(r.n)))
+	return r.peers[view%uint64(r.n)]
 }
 
 // isPrimary reports whether this replica leads the current view.
@@ -310,15 +309,11 @@ func (r *Replica) startViewChange(newView uint64) {
 }
 
 func (r *Replica) pendingList() []Request {
-	keys := make([]string, 0, len(r.pending))
-	for k := range r.pending {
-		keys = append(keys, k)
+	out := make([]Request, 0, len(r.pending))
+	for _, req := range r.pending {
+		out = append(out, req)
 	}
-	sort.Strings(keys)
-	out := make([]Request, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, r.pending[k])
-	}
+	sortByKey(out)
 	return out
 }
 
@@ -348,7 +343,7 @@ func (r *Replica) onViewChange(from ID, vc ViewChange) {
 	// execution loop can never cross a hole, and the group live-locks
 	// through endless view changes while the request stays pending
 	// forever.
-	seen := make(map[string]Request)
+	seen := make(map[reqKey]Request)
 	maxExec := r.lastExec
 	for _, v := range votes {
 		if v.LastSeq > maxExec {
@@ -361,15 +356,14 @@ func (r *Replica) onViewChange(from ID, vc ViewChange) {
 	for k, req := range r.pending {
 		seen[k] = req
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
+	reqs := make([]Request, 0, len(seen))
+	for _, req := range seen {
+		reqs = append(reqs, req)
 	}
-	sort.Strings(keys)
+	sortByKey(reqs)
 	nv := NewView{View: vc.NewView, Primary: r.id}
 	seq := maxExec
-	for _, k := range keys {
-		req := seen[k]
+	for _, req := range reqs {
 		if r.executed[req.key()] != nil {
 			continue
 		}
@@ -413,7 +407,7 @@ func (r *Replica) installView(view, nextSeqBase uint64) {
 			delete(r.log, seq)
 		}
 	}
-	r.proposed = make(map[string]bool)
+	r.proposed = make(map[reqKey]bool)
 	if len(r.pending) > 0 {
 		r.armTimer()
 	}

@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"testing"
+	"unsafe"
 
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/dfs"
@@ -13,6 +14,24 @@ import (
 // shuffled record, so both must stay allocation-free (the inline FNV-1a
 // loops replaced hash/fnv's heap-allocated states; the sample hash runs
 // over a per-chain scratch buffer).
+
+// TestRecordWidths pins what the data plane moves per record and per
+// key: a shuffle record, a combiner entry and an aggregate's running
+// state, each paid once per replica.
+func TestRecordWidths(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, most uintptr
+	}{
+		{"interRec", unsafe.Sizeof(interRec{}), 48},
+		{"combineEntry", unsafe.Sizeof(combineEntry{}), 48},
+		{"aggAcc", unsafe.Sizeof(aggAcc{}), 40},
+	} {
+		if c.got > c.most {
+			t.Errorf("%s is %d bytes, want at most %d", c.name, c.got, c.most)
+		}
+	}
+}
 
 func TestPartitionOfAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(200, func() {

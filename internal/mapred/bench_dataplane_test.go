@@ -249,7 +249,7 @@ func BenchmarkDataplaneSortRuns(b *testing.B) {
 	for i := range recs {
 		k := int64(i*7919+13) % distinct
 		t := tuple.Tuple{tuple.Int(k), tuple.Int(int64(i))}
-		recs[i] = interRec{keyStr: fmt.Sprint(k), key: t[:1], t: t, encLen: tuple.EncodedLen(t)}
+		recs[i] = interRec{keyStr: fmt.Sprint(k), t: t, encLen: int32(tuple.EncodedLen(t))}
 	}
 	work := make([]interRec, records)
 	spec := &ReduceSpec{Kind: ReduceJoin}
@@ -331,7 +331,7 @@ func BenchmarkDataplaneReduceAggregate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runReduceTask(job.Reduce, runs, nil, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -348,7 +348,7 @@ func BenchmarkDataplaneReduceMergeSorted(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runReduceTask(job.Reduce, runs, nil, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -360,7 +360,7 @@ func BenchmarkDataplaneReduceMergeSortedOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runReduceTask(job.Reduce, runs, nil, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -380,7 +380,7 @@ STORE j INTO 'out/joined';
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runReduceTask(job.Reduce, runs, nil, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -396,7 +396,7 @@ STORE d INTO 'out/distinct';
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runReduceTask(job.Reduce, runs, nil, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -412,7 +412,7 @@ STORE o INTO 'out/sorted';
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runReduceTask(job.Reduce, runs, nil, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil, false)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }

@@ -122,14 +122,12 @@ func renderOutcome(out *mapOutcome) string {
 		}
 		b.WriteString("]")
 	}
-	fmt.Fprintf(&b, "inBytes=%d in=%d out=%d shuffle=%d combined=%d digested=%d local=%d\n",
-		out.inBytes, out.recordsIn, out.recordsOut, out.shuffleRecs, out.combinedIn, out.digested, out.localBytes)
+	fmt.Fprintf(&b, "inBytes=%d in=%d out=%d shuffle=%d combined=%d digested=%d local=%d keyVals=%d\n",
+		out.inBytes, out.recordsIn, out.recordsOut, out.shuffleRecs, out.combinedIn, out.digested, out.localBytes, out.keyVals)
 	for p, part := range out.partitions {
 		fmt.Fprintf(&b, "partition %d\n", p)
 		for _, r := range part {
-			fmt.Fprintf(&b, "  %q tag=%d enc=%d key=", r.keyStr, r.tag, r.encLen)
-			tup(r.key)
-			b.WriteString(" t=")
+			fmt.Fprintf(&b, "  %q tag=%d enc=%d t=", r.keyStr, r.tag, r.encLen)
 			tup(r.t)
 			b.WriteByte('\n')
 		}

@@ -85,18 +85,16 @@ func aggOrdinals(gens []pig.GenItem) []int {
 	return idx
 }
 
-// partialTuple encodes per-aggregate partial state as a flat
-// [n0, v0, n1, v1, ...] tuple, so combined records flow through the
-// same interRec plumbing (and byte accounting) as raw ones. A MIN/MAX
-// over a string column holds a substring of the split's text; the
-// partial, which outlives the task, gets its own copy.
-func (c *combiner) partialTuple(accs []aggAcc) tuple.Tuple {
-	t := c.slab.Tuple(2 * len(accs))
+// putPartial writes per-aggregate partial state into t, the room behind
+// a key's values, as a flat [n0, v0, n1, v1, ...] payload, so combined
+// records flow through the same interRec plumbing (and byte accounting)
+// as raw ones. A MIN/MAX over a string column holds a substring of the
+// split's text; the partial, which outlives the task, gets its own copy.
+func (c *combiner) putPartial(t tuple.Tuple, accs []aggAcc) {
 	for i, a := range accs {
 		t[2*i] = tuple.Int(a.n)
 		t[2*i+1] = c.keepValue(a.v)
 	}
-	return t
 }
 
 // partialAcc decodes the i-th aggregate's (n, v) pair from a
@@ -119,11 +117,11 @@ func partialAcc(t tuple.Tuple, i int) (int64, tuple.Value) {
 type combiner struct {
 	spec    *ReduceSpec
 	aggs    []*pig.Aggregate // ReduceAggregate: aggregates in generator order
-	tag     int
-	keyCols []int       // the input's shuffle key projection
-	keyBuf  tuple.Tuple // the key's values, projected when a key is first seen
+	tag     int32
+	keyCols []int // the input's shuffle key projection
+	keyVals int   // ReduceAggregate: len(keyCols), the key ahead of a partial
 	parts   []combinePart
-	slab    tuple.Slab // key tuples, first tuples, partials
+	slab    tuple.Slab // entry tuples
 	strs    strArena   // key strings and the string values of kept tuples
 }
 
@@ -133,21 +131,25 @@ type combinePart struct {
 	slots   []int32  // 1-based indices into entries; 0 = empty
 }
 
+// combineEntry is one key of a table. t is the one tuple it keeps, and
+// its record's: DISTINCT's first-arriving tuple of the key, or an
+// aggregate's key values with room behind them for the partial state.
 type combineEntry struct {
 	hash   uint64
 	keyStr string
-	key    tuple.Tuple
-	first  tuple.Tuple // ReduceDistinct: first-arriving tuple of the key
+	t      tuple.Tuple
 }
 
 // newCombiner builds a task's combiner over tables, a slot's emptied ones.
 func newCombiner(spec *ReduceSpec, in *JobInput, numParts int, tables []combinePart) *combiner {
 	c := &combiner{
 		spec:    spec,
-		tag:     in.Tag,
+		tag:     int32(in.Tag),
 		keyCols: in.KeyCols,
-		keyBuf:  make(tuple.Tuple, len(in.KeyCols)),
 		parts:   resize(tables, numParts),
+	}
+	if spec.Kind == ReduceAggregate {
+		c.keyVals = len(in.KeyCols)
 	}
 	for _, i := range aggOrdinals(spec.Gens) {
 		c.aggs = append(c.aggs, spec.Gens[i].Agg)
@@ -158,25 +160,11 @@ func newCombiner(spec *ReduceSpec, in *JobInput, numParts int, tables []combineP
 // fold routes one post-chain tuple into its partition's table, merging
 // into the existing entry when the key was already seen: one probe. The
 // key's canonical bytes go into enc, the task's scratch, returned possibly
-// grown: copied from the spans while t is still the source record ch
-// stands on (FieldType.AppendCoerced's raw-canonical rule, which a batch's
-// escape-free values meet), else encoded from t's values. One pass over
-// them advances the table's hash and partitionOf's, so combined and
-// uncombined records of one key land on the same reduce partition.
+// grown (opChain.appendKey). One pass over them advances the table's hash
+// and partitionOf's, so combined and uncombined records of one key land on
+// the same reduce partition.
 func (c *combiner) fold(t tuple.Tuple, ch *opChain, enc []byte) []byte {
-	enc = enc[:0]
-	for i, col := range c.keyCols {
-		if i > 0 {
-			enc = append(enc, '\t')
-		}
-		switch {
-		case col >= len(t): // null: no bytes
-		case ch.srcRow:
-			enc = ch.schema.ColType(col).AppendCoerced(enc, ch.src.Value(col))
-		default:
-			enc = tuple.AppendEncoded(enc, t[col:col+1])
-		}
-	}
+	enc = ch.appendKey(enc[:0], t, c.keyCols)
 	h, ph := uint64(fnvOffset64), uint32(fnvOffset32)
 	for _, b := range enc {
 		h = (h ^ uint64(b)) * fnvPrime64
@@ -185,9 +173,6 @@ func (c *combiner) fold(t tuple.Tuple, ch *opChain, enc []byte) []byte {
 	part := &c.parts[ph%uint32(len(c.parts))]
 	e := part.find(h, enc)
 	if e < 0 {
-		for i, col := range c.keyCols {
-			c.keyBuf[i] = colOf(t, col)
-		}
 		e = part.insert(h, enc, t, c)
 	}
 	accs := part.accs[e*len(c.aggs):]
@@ -224,10 +209,14 @@ func (p *combinePart) insert(h uint64, key []byte, t tuple.Tuple, c *combiner) i
 	// An entry outlives the task in its map outcome; its values are
 	// substrings of the split's text and its tuples the task's rows. Copy
 	// what is kept, or a few dozen keys pin the whole split.
-	e := combineEntry{hash: h, keyStr: c.strs.add(key), key: c.keep(c.keyBuf)}
+	e := combineEntry{hash: h, keyStr: c.strs.add(key)}
 	if c.spec.Kind == ReduceDistinct {
-		e.first = c.keep(t)
+		e.t = c.keep(t)
 	} else {
+		e.t = c.slab.Tuple(c.keyVals + 2*len(c.aggs))
+		for i, col := range c.keyCols {
+			e.t[i] = c.keepValue(colOf(t, col))
+		}
 		n := len(p.accs) + len(c.aggs)
 		p.accs = slices.Grow(p.accs, len(c.aggs))[:n]
 		clear(p.accs[n-len(c.aggs):])
@@ -296,10 +285,11 @@ func (p *combinePart) grow(aggs int) {
 }
 
 // emit materializes every partition as interRec records — the distinct
-// key's first-arriving tuple, or the flat partial-state tuple — in
-// table insertion order (first arrival), and returns the partitions
-// with their serialized-byte total. sortRuns orders them afterwards. The
-// tables are left empty, with their arrays, for the slot's next task.
+// key's first-arriving tuple, or the key and its flat partial state — in
+// table insertion order (first arrival), and returns the partitions with
+// their serialized-byte total, which counts no key values. sortRuns
+// orders them afterwards. The tables are left empty, with their arrays,
+// for the slot's next task.
 func (c *combiner) emit() ([][]interRec, int64) {
 	parts := make([][]interRec, len(c.parts))
 	var total int64
@@ -311,11 +301,10 @@ func (c *combiner) emit() ([][]interRec, int64) {
 		recs := make([]interRec, len(p.entries))
 		for i := range p.entries {
 			e := &p.entries[i]
-			t := e.first
 			if c.spec.Kind != ReduceDistinct {
-				t = c.partialTuple(p.accs[i*len(c.aggs) : (i+1)*len(c.aggs)])
+				c.putPartial(e.t[c.keyVals:], p.accs[i*len(c.aggs):(i+1)*len(c.aggs)])
 			}
-			recs[i] = interRec{keyStr: e.keyStr, key: e.key, tag: c.tag, t: t, encLen: tuple.EncodedLen(t)}
+			recs[i] = interRec{keyStr: e.keyStr, t: e.t, tag: c.tag, encLen: int32(tuple.EncodedLen(e.t[c.keyVals:]))}
 			total += recs[i].bytes()
 		}
 		parts[pi] = recs
@@ -355,7 +344,7 @@ func sortRuns(parts [][]interRec, spec *ReduceSpec, idx []int32) []int32 {
 // scratch for the next. Position breaks every tie, so the order is total
 // and its one sorted arrangement is the stable sort by cmp, whatever the
 // algorithm: an unstable sort moves 4-byte indices where a stable one
-// rotates 80-byte records. The permutation is then applied in place,
+// rotates 48-byte records. The permutation is then applied in place,
 // cycle by cycle: each record moves once, through one temporary.
 func sortRun(p []interRec, cmp func(a, b *interRec) int, idx []int32) []int32 {
 	idx = slices.Grow(idx[:0], len(p))[:len(p)]

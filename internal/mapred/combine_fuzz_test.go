@@ -6,8 +6,9 @@ import (
 )
 
 // fuzzScripts are the workload shapes FuzzCombineEquivalence drives:
-// every combinable reduce kind, the non-combinable AVG fallback, and a
-// two-job chain whose second shuffle consumes combined output.
+// every combinable reduce kind, the non-combinable AVG fallback, a
+// two-job chain whose second shuffle consumes combined output, and a
+// two-column key holding a string and a column past every row's width.
 var fuzzScripts = []struct {
 	src     string
 	aliases []string
@@ -45,6 +46,12 @@ g2 = GROUP c BY n;
 c2 = FOREACH g2 GENERATE group AS n, COUNT(c) AS users;
 STORE c2 INTO 'out/chain';
 `, aliases: []string{"c", "c2"}, stores: []string{"out/chain"}},
+	{src: `
+w = LOAD 'in/edges' AS (user:chararray, follower:int, extra);
+g = GROUP w BY (extra, user);
+r = FOREACH g GENERATE user, extra, COUNT(w), MIN(w.follower);
+STORE r INTO 'out/mk';
+`, aliases: []string{"r"}, stores: []string{"out/mk"}},
 }
 
 // FuzzCombineEquivalence randomizes grouped-aggregate and DISTINCT
@@ -60,6 +67,7 @@ func FuzzCombineEquivalence(f *testing.F) {
 	f.Add(int64(4), uint8(3), uint16(33), uint8(3), uint8(2), uint8(200))
 	f.Add(int64(5), uint8(4), uint16(90), uint8(5), uint8(3), uint8(25))
 	f.Add(int64(6), uint8(5), uint16(150), uint8(9), uint8(2), uint8(50))
+	f.Add(int64(7), uint8(6), uint16(180), uint8(11), uint8(3), uint8(20))
 	f.Fuzz(func(t *testing.T, seed int64, script uint8, rows uint16, keys, reduces, chunk uint8) {
 		sc := fuzzScripts[int(script)%len(fuzzScripts)]
 		n := int(rows)%256 + 1

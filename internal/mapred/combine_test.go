@@ -336,7 +336,7 @@ func TestReduceMergeLeavesRunsIntact(t *testing.T) {
 	runs := [][]interRec{out.partitions[0]}
 	before := make([]interRec, len(runs[0]))
 	copy(before, runs[0])
-	_ = runReduceTask(job.Reduce, runs, nil, taskObs{}, new(taskScratch))
+	_ = runReduceTask(job, runs, nil, taskObs{}, new(taskScratch))
 	for i := range before {
 		if before[i].keyStr != runs[0][i].keyStr || !tuple.EqualTuples(before[i].t, runs[0][i].t) {
 			t.Fatalf("run mutated at %d", i)

@@ -1112,7 +1112,7 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report),
 			}
 		}
 		sc := e.borrow(slot)
-		out := runReduceTask(js.Spec.Reduce, runs, df, o, sc)
+		out := runReduceTask(js.Spec, runs, df, o, sc)
 		if js.Spec.Audit && emit != nil {
 			sum, n := auditReduceSum(out)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))

@@ -13,15 +13,17 @@ import (
 	"clusterbft/internal/tuple"
 )
 
-// interRec is one shuffled record: its extracted key (canonical string
-// for partitioning/grouping plus decoded values for key expressions), the
-// join tag, and the payload tuple.
+// interRec is one shuffled record: its key's canonical string, which
+// partitions, sorts and groups it, the tuple it carries, and the join tag.
+// The key's values are not kept beside them: an aggregate reads them from
+// t, through the input's KeyCols or, in a combined partial, as the prefix
+// ahead of the partial state (mapOutcome.keyVals). Only what follows that
+// prefix is the record's payload, which encLen measures.
 type interRec struct {
 	keyStr string
-	key    tuple.Tuple
-	tag    int
 	t      tuple.Tuple
-	encLen int // len(EncodeLine(t)), fixed at record creation
+	tag    int32
+	encLen int32 // len(EncodeLine(payload)), fixed at record creation
 }
 
 // bytes estimates the serialized size of the record for local-I/O
@@ -154,6 +156,27 @@ func (c *opChain) canonical(t tuple.Tuple) []byte {
 	}
 	c.canon = append(buf, '\n')
 	return c.canon
+}
+
+// appendKey appends to dst the shuffle key of t, the tuple apply just
+// returned: the encoding of its cols, null past its width. While t is
+// still the source record, each is copied from its span
+// (FieldType.AppendCoerced's raw-canonical rule, which a batch's
+// escape-free values meet), else encoded from t's values.
+func (c *opChain) appendKey(dst []byte, t tuple.Tuple, cols []int) []byte {
+	for i, col := range cols {
+		if i > 0 {
+			dst = append(dst, '\t')
+		}
+		switch {
+		case col >= len(t): // null: no bytes
+		case c.srcRow:
+			dst = c.schema.ColType(col).AppendCoerced(dst, c.src.Value(col))
+		default:
+			dst = tuple.AppendEncoded(dst, t[col:col+1])
+		}
+	}
+	return dst
 }
 
 // line returns tuple.AppendEncoded of t, the tuple apply just returned:
@@ -294,6 +317,7 @@ type taskObs struct {
 // merge the runs read-only, so outcomes may be shared by backups.
 type mapOutcome struct {
 	partitions  [][]interRec // shuffle jobs: per-reduce-partition sorted runs
+	keyVals     int          // key values ahead of the payload in each record's t
 	taskOutput               // map-only jobs: final output records
 	inBytes     int64        // input read, as lines with a newline each
 	recordsIn   int64
@@ -358,6 +382,7 @@ type taskScratch struct {
 	right    []tuple.Tuple // reduce: its right side
 	joined   tuple.Tuple   // reduce: a pair of them
 	accs     []aggAcc      // reduce: one group's aggregates
+	key      tuple.Tuple   // reduce: an uncombined group's key
 	outLines []string      // output lines as emitted, until the body publishes them (taskOutput)
 }
 
@@ -456,10 +481,8 @@ type mapRun struct {
 	corrupt corruptFn
 	o       taskObs
 	sc      *taskScratch
-	// Shuffle keys and key strings, or map-only output lines, live as long
-	// as the outcome: a slab and an arena for all of them, not two
-	// allocations a record.
-	keys tuple.Slab
+	// Key strings, or map-only output lines, live as long as the outcome:
+	// an arena for all of them, not an allocation a record.
 	strs strArena
 	// cat cuts a corrupting task's strings from an arena of their own: the
 	// next record is done with them, and the outcome is not to hold them.
@@ -489,14 +512,8 @@ func (m *mapRun) record(t tuple.Tuple) {
 		// reshapes what crosses the shuffle.
 		sc.enc = m.comb.fold(t, &m.chain, sc.enc)
 	case in.KeyCols != nil:
-		key := m.keys.Tuple(len(in.KeyCols))
-		for i, c := range in.KeyCols {
-			if c < len(t) {
-				key[i] = t[c]
-			}
-		}
-		sc.enc = tuple.AppendEncoded(sc.enc[:0], key)
-		rec := interRec{keyStr: m.strs.add(sc.enc), key: key, tag: in.Tag, t: t, encLen: tuple.EncodedLen(t)}
+		sc.enc = m.chain.appendKey(sc.enc[:0], t, in.KeyCols)
+		rec := interRec{keyStr: m.strs.add(sc.enc), t: t, tag: int32(in.Tag), encLen: int32(tuple.EncodedLen(t))}
 		p := partitionOf(rec.keyStr, m.job.NumReduces)
 		out.partitions[p] = append(out.partitions[p], rec)
 		out.localBytes += rec.bytes()
@@ -622,6 +639,7 @@ func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df dige
 	if m.comb != nil {
 		out.combinedIn = out.recordsOut
 		out.partitions, out.localBytes = m.comb.emit()
+		out.keyVals = m.comb.keyVals
 		sc.tables = m.comb.parts
 		for _, p := range out.partitions {
 			out.shuffleRecs += int64(len(p))
@@ -634,7 +652,7 @@ func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df dige
 			for p, part := range out.partitions {
 				kept := make([]interRec, len(part))
 				for i, r := range part {
-					r.key, r.t = detach(r.key), detach(r.t)
+					r.t = detach(r.t)
 					kept[i] = r
 				}
 				out.partitions[p] = kept
@@ -664,8 +682,8 @@ type reduceOutcome struct {
 	digested   int64
 }
 
-// runReduceTask executes one reduce task over its partition's sorted
-// runs, one per map task in map-ordinal order — the engine's stand-in
+// runReduceTask executes one reduce task of job over its partition's
+// sorted runs, one per map task in map-ordinal order — the engine's stand-in
 // for the paper's §5.4 "order intermediate output by mapper id"
 // determinism fix. The k-way merge visits records in (key, map ordinal,
 // in-task position) order, which is exactly the (key, global arrival)
@@ -679,7 +697,8 @@ type reduceOutcome struct {
 // nothing here allocates per emitted record: the join's concatenation,
 // the aggregate's row and the chain's projections are buffers written
 // over by the next record, and output lines are cut from one arena.
-func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o taskObs, sc *taskScratch) *reduceOutcome {
+func runReduceTask(job *JobSpec, runs [][]interRec, df digestFactory, o taskObs, sc *taskScratch) *reduceOutcome {
+	spec := job.Reduce
 	chain := newOpChain(spec.PostOps, df, true)
 	chain.canon = sc.canon
 	defer chain.close()
@@ -722,9 +741,16 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 		}, sc)
 	case ReduceAggregate:
 		aggIdx := aggOrdinals(spec.Gens)
-		sc.accs, sc.row = resize(sc.accs, len(aggIdx)), resize(sc.row, len(spec.Gens))
+		// A GROUP's inputs share their key columns. A combined record carries
+		// the key's values ahead of its partial state; an uncombined one is
+		// the row, from which each group's first rebuilds them into sc.key.
+		keyCols, keyVals := job.Inputs[0].KeyCols, 0
+		if spec.Combine {
+			keyVals = len(keyCols)
+		}
+		sc.accs, sc.row, sc.key = resize(sc.accs, len(aggIdx)), resize(sc.row, len(spec.Gens)), resize(sc.key, len(keyCols))
 		accs, row := sc.accs, sc.row
-		var curKey tuple.Tuple
+		curKey := sc.key
 		started := false
 		var lastKey string
 		flush := func() {
@@ -746,7 +772,13 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 				}
 				started = true
 				lastKey = r.keyStr
-				curKey = r.key
+				if spec.Combine {
+					curKey = r.t[:keyVals]
+				} else {
+					for i, c := range keyCols {
+						curKey[i] = colOf(r.t, c)
+					}
+				}
 				for i := range accs {
 					accs[i] = aggAcc{}
 				}
@@ -754,7 +786,7 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 			for j, gi := range aggIdx {
 				agg := spec.Gens[gi].Agg
 				if spec.Combine {
-					n, v := partialAcc(r.t, j)
+					n, v := partialAcc(r.t[keyVals:], j)
 					mergeAgg(agg, &accs[j], n, v)
 				} else {
 					mergeAgg(agg, &accs[j], 1, colOf(r.t, agg.ColIdx))
@@ -803,7 +835,7 @@ func runReduceTask(spec *ReduceSpec, runs [][]interRec, df digestFactory, o task
 	// Hand the scratch back empty but for the output lines: all of these
 	// pointed into map outcomes.
 	out.outLines = sc.outLines
-	sc.live, sc.accs, sc.row, sc.canon = wipe(sc.live), wipe(sc.accs), wipe(sc.row), chain.canon
+	sc.live, sc.accs, sc.row, sc.key, sc.canon = wipe(sc.live), wipe(sc.accs), wipe(sc.row), wipe(sc.key), chain.canon
 	return out
 }
 
@@ -838,7 +870,8 @@ func colOf(t tuple.Tuple, idx int) tuple.Value {
 
 // auditMapSum digests a map task's full output for AuditTaskPoint: the
 // shuffle partitions in partition order (key, separator, payload per
-// record) plus any map-only output lines. Primary and quiz executions of
+// record; a combined partial's key values are its key's, not payload)
+// plus any map-only output lines. Primary and quiz executions of
 // the same task run the same code over the same spec, so equal work
 // yields equal sums regardless of combiner settings.
 func auditMapSum(out *mapOutcome) (digest.Sum, int64) {
@@ -849,7 +882,7 @@ func auditMapSum(out *mapOutcome) (digest.Sum, int64) {
 		for i := range part {
 			h.Write([]byte(part[i].keyStr))
 			h.Write([]byte{0x1f, byte(part[i].tag + 1), 0x1f})
-			buf = tuple.AppendEncoded(buf[:0], part[i].t)
+			buf = tuple.AppendEncoded(buf[:0], part[i].t[out.keyVals:])
 			h.Write(buf)
 			h.Write([]byte{'\n'})
 			n++

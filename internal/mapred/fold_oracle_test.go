@@ -5,18 +5,17 @@ import (
 )
 
 // oracleFold is combiner.fold as it was before keys were hashed on their
-// source spans: the key is projected from the tuple into keyBuf, encoded
-// through tuple.AppendEncoded and walked twice, once per hash. It is what
-// FuzzFoldOnSpanMatchesTuples holds fold to.
+// source spans: the key is projected from the tuple into a tuple of its
+// own, encoded through tuple.AppendEncoded and walked twice, once per
+// hash. It is what FuzzFoldOnSpanMatchesTuples holds fold to.
 func oracleFold(c *combiner, t tuple.Tuple, scratch []byte) []byte {
+	key := make(tuple.Tuple, len(c.keyCols))
 	for i, col := range c.keyCols {
 		if col < len(t) {
-			c.keyBuf[i] = t[col]
-		} else {
-			c.keyBuf[i] = tuple.Null()
+			key[i] = t[col]
 		}
 	}
-	scratch = tuple.AppendEncoded(scratch[:0], c.keyBuf)
+	scratch = tuple.AppendEncoded(scratch[:0], key)
 	h := uint64(fnvOffset64)
 	for _, b := range scratch {
 		h ^= uint64(b)

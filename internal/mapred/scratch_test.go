@@ -184,7 +184,7 @@ func runOnScratch(t *testing.T, script string, points []string, tweak func(*JobS
 	if job.Reduce != nil {
 		for part := range out.partitions {
 			// The same run twice: a merge of two runs, not a copy of one.
-			red := runReduceTask(job.Reduce, [][]interRec{out.partitions[part], out.partitions[part]}, df, taskObs{}, sc)
+			red := runReduceTask(job, [][]interRec{out.partitions[part], out.partitions[part]}, df, taskObs{}, sc)
 			publish("reduce", &red.taskOutput)
 			fmt.Fprintf(&b, "reduce %d: in=%d out=%d digested=%d %q\n", part, red.recordsIn, red.recordsOut, red.digested, red.outLines)
 		}

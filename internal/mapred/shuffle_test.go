@@ -56,7 +56,7 @@ func sortFixture(data []byte) [][]interRec {
 		t := tuple.Tuple{tuple.Int(k), tuple.Int(int64(i))}
 		p := int(b>>3) % len(parts)
 		parts[p] = append(parts[p], interRec{
-			keyStr: fmt.Sprint(k), key: t[:1], tag: i % 2, t: t, encLen: tuple.EncodedLen(t),
+			keyStr: fmt.Sprint(k), t: t, tag: int32(i % 2), encLen: int32(tuple.EncodedLen(t)),
 		})
 	}
 	return parts
@@ -135,8 +135,11 @@ func (c *freshChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 }
 
 // freshReduce is runReduceTask as it was: tuple.Concat per joined pair, a
-// new row per group, EncodeLine per output record.
-func freshReduce(spec *ReduceSpec, runs [][]interRec, df digestFactory) *reduceOutcome {
+// new row per group, EncodeLine per output record, and a new key tuple
+// per group: a combined record's leading values, or an uncombined group's
+// first row projected through the key columns.
+func freshReduce(job *JobSpec, runs [][]interRec, df digestFactory) *reduceOutcome {
+	spec, keyCols := job.Reduce, job.Inputs[0].KeyCols
 	chain := newFreshChain(spec.PostOps, df)
 	out := &reduceOutcome{}
 	for _, r := range runs {
@@ -173,11 +176,19 @@ func freshReduce(spec *ReduceSpec, runs [][]interRec, df digestFactory) *reduceO
 		case ReduceAggregate:
 			aggIdx := aggOrdinals(spec.Gens)
 			accs := make([]aggAcc, len(aggIdx))
+			key := make(tuple.Tuple, len(keyCols))
+			for i, c := range keyCols {
+				if spec.Combine {
+					key[i] = g[0].t[i]
+				} else if c < len(g[0].t) {
+					key[i] = g[0].t[c]
+				}
+			}
 			for _, r := range g {
 				for j, gi := range aggIdx {
 					agg := spec.Gens[gi].Agg
 					if spec.Combine {
-						n, v := partialAcc(r.t, j)
+						n, v := partialAcc(r.t[len(keyCols):], j)
 						mergeAgg(agg, &accs[j], n, v)
 					} else {
 						mergeAgg(agg, &accs[j], 1, colOf(r.t, agg.ColIdx))
@@ -188,7 +199,7 @@ func freshReduce(spec *ReduceSpec, runs [][]interRec, df digestFactory) *reduceO
 			ai := 0
 			for i, gen := range spec.Gens {
 				if gen.Agg == nil {
-					row[i] = gen.Expr.Eval(g[0].key)
+					row[i] = gen.Expr.Eval(key)
 					continue
 				}
 				row[i] = finalizeAgg(gen.Agg, accs[ai])
@@ -216,7 +227,11 @@ func freshReduce(spec *ReduceSpec, runs [][]interRec, df digestFactory) *reduceO
 
 // reuseScripts put digest, filter, digest, project, digest after each
 // reduce kind: two digests sharing one encode, a projection between
-// digests, and an output line taken from the last digest's bytes.
+// digests, and an output line taken from the last digest's bytes. The
+// multi-column GROUP's key holds a string, and a column that most rows
+// are too short to have: its group key is rebuilt, null where a row ends,
+// from the rows uncombined and read as the prefix of the partials
+// combined.
 var reuseScripts = map[string]string{
 	"join": `
 a = LOAD 'in/l' AS (user:int, follower:int);
@@ -232,6 +247,13 @@ j = FOREACH g GENERATE group AS user, COUNT(a) AS n, MIN(a.follower) AS lo;
 f = FILTER j BY n > 1;
 p = FOREACH f GENERATE user, n * 2 AS twice, lo;
 STORE p INTO 'out/p';`,
+	"aggregate-multikey": `
+a = LOAD 'in/l' AS (user:chararray, follower:int, tag);
+g = GROUP a BY (tag, user);
+j = FOREACH g GENERATE tag, user, COUNT(a) AS n, MAX(a.follower) AS hi;
+f = FILTER j BY n > 1;
+p = FOREACH f GENERATE user, tag, n * 2 AS twice, hi;
+STORE p INTO 'out/p';`,
 	"distinct": `
 a = LOAD 'in/l' AS (user:int, follower:int);
 j = DISTINCT a;
@@ -246,10 +268,51 @@ p = FOREACH f GENERATE follower, user;
 STORE p INTO 'out/p';`,
 }
 
+// combinedFromRaw is what a combining map task is to leave, made from the
+// records the same split leaves uncombined: per partition, one record a
+// key in key order, carrying the payload its records combine to — the
+// first of them for DISTINCT, else the partial state they fold to — with
+// the shuffle bytes of that payload alone. Held to it, the task's key
+// values stay out of its byte accounting and its audit digest.
+func combinedFromRaw(spec *ReduceSpec, raw *mapOutcome) *mapOutcome {
+	aggIdx := aggOrdinals(spec.Gens)
+	out := &mapOutcome{partitions: make([][]interRec, len(raw.partitions))}
+	for p, part := range raw.partitions {
+		var recs []interRec
+		var accs [][]aggAcc
+		for _, r := range part { // runs are key-sorted, a key's records in arrival order
+			if len(recs) == 0 || recs[len(recs)-1].keyStr != r.keyStr {
+				recs = append(recs, interRec{keyStr: r.keyStr, t: r.t, tag: r.tag})
+				accs = append(accs, make([]aggAcc, len(aggIdx)))
+			}
+			for j, gi := range aggIdx {
+				agg := spec.Gens[gi].Agg
+				mergeAgg(agg, &accs[len(accs)-1][j], 1, colOf(r.t, agg.ColIdx))
+			}
+		}
+		for i := range recs {
+			r := &recs[i]
+			if spec.Kind == ReduceAggregate {
+				r.t = nil
+				for _, a := range accs[i] {
+					r.t = append(r.t, tuple.Int(a.n), a.v)
+				}
+			}
+			r.encLen = int32(len(tuple.EncodeLine(r.t)))
+			out.localBytes += r.bytes()
+		}
+		out.partitions[p] = recs
+	}
+	return out
+}
+
 func TestReduceReuseMatchesFresh(t *testing.T) {
 	lines := make([]string, 1500)
 	for i := range lines {
 		lines[i] = fmt.Sprintf("%d\t%d", i%40, (i*7919+13)%60)
+		if i%3 == 0 { // ragged: a third of the rows have a third column
+			lines[i] += fmt.Sprintf("\tT%d", i%4)
+		}
 	}
 	for name, src := range reuseScripts {
 		compileJob := func() *JobSpec {
@@ -269,11 +332,26 @@ func TestReduceReuseMatchesFresh(t *testing.T) {
 			if want := []PhysKind{PhysDigest, PhysFilter, PhysDigest, PhysProject, PhysDigest}; !slices.Equal(kinds, want) {
 				t.Fatalf("%s: PostOps = %v, want %v", name, kinds, want)
 			}
-			// Three map tasks per input, so the reduce merges several runs.
+			// Three map tasks per input, so the reduce merges several runs. A
+			// combining task accounts and audits what its split would have
+			// shuffled combined, reckoned from the records it would have
+			// shuffled uncombined.
 			var runs [][]interRec
 			for idx := range job.Inputs {
 				for s := 0; s < len(lines); s += 500 {
-					runs = append(runs, runMapTask(job, idx, sealedBlock(t, lines), s, s+500, nil, nil, taskObs{}, new(taskScratch)).partitions[0])
+					out := runMapTask(job, idx, sealedBlock(t, lines), s, s+500, nil, nil, taskObs{}, new(taskScratch))
+					runs = append(runs, out.partitions[0])
+					if !job.Reduce.Combine {
+						continue
+					}
+					raw := runMapTask(jobs[1], idx, sealedBlock(t, lines), s, s+500, nil, nil, taskObs{}, new(taskScratch))
+					want := combinedFromRaw(job.Reduce, raw)
+					if out.localBytes != want.localBytes {
+						t.Errorf("%s: split %d: %d shuffle bytes combined, %d by its uncombined records", name, s, out.localBytes, want.localBytes)
+					}
+					if got, want := fmt.Sprint(auditMapSum(out)), fmt.Sprint(auditMapSum(want)); got != want {
+						t.Errorf("%s: split %d: audit digest %s combined, %s by its uncombined records", name, s, got, want)
+					}
 				}
 			}
 			for _, chunk := range []int{0, 100} {
@@ -284,8 +362,8 @@ func TestReduceReuseMatchesFresh(t *testing.T) {
 							func(r digest.Report) { *sink = append(*sink, r) })
 					}
 				}
-				g := runReduceTask(job.Reduce, runs, factory(&got), taskObs{}, new(taskScratch))
-				w := freshReduce(job.Reduce, runs, factory(&want))
+				g := runReduceTask(job, runs, factory(&got), taskObs{}, new(taskScratch))
+				w := freshReduce(job, runs, factory(&want))
 				if len(w.outLines) == 0 || w.digested == 0 {
 					t.Fatalf("%s: oracle produced %d lines, %d digested records", name, len(w.outLines), w.digested)
 				}
@@ -325,19 +403,19 @@ func TestReduceJoinAllocs(t *testing.T) {
 		return digest.NewWriter(digest.Key{Point: point}, 0, 0, func(digest.Report) {})
 	}
 	sc := new(taskScratch) // warm after the first run, as a slot's is
-	out := runReduceTask(job.Reduce, runs, df, taskObs{}, sc)
+	out := runReduceTask(job, runs, df, taskObs{}, sc)
 	if out.recordsOut != 1000 {
 		t.Fatalf("join emitted %d records, want 1000", out.recordsOut)
 	}
 	out.publish(sc, nil, false)
 	got := testing.AllocsPerRun(20, func() {
-		runReduceTask(job.Reduce, runs, df, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, df, taskObs{}, sc).publish(sc, nil, false)
 	})
 	if got >= 34 { // 18, and four for each of the three digest writers
 		t.Errorf("reduce join = %v allocs per 1000 emitted records, want < 34", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
-		runReduceTask(job.Reduce, runs, nil, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil, false)
 	}); got >= 22 {
 		t.Errorf("reduce join without digests = %v allocs per 1000 emitted records, want < 22", got)
 	}

@@ -394,12 +394,14 @@ type Sample struct {
 	Value  int64
 }
 
-// sortedSeries returns the registry's series ordered by (name, labels,
-// kind). Caller must hold r.mu.
-func (r *Registry) sortedSeries() []*series {
-	out := make([]*series, 0, len(r.series))
+// sortedSeries returns copies of the registry's series ordered by (name,
+// labels, kind). Caller must hold r.mu, and may read the copies after
+// releasing it: fnGauge replaces a series' fn under the lock, so a func
+// gauge is called through the copy, never through the shared series.
+func (r *Registry) sortedSeries() []series {
+	out := make([]series, 0, len(r.series))
 	for _, s := range r.series {
-		out = append(out, s)
+		out = append(out, *s)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].key, out[j].key
@@ -421,9 +423,10 @@ func (r *Registry) Snapshot() []Sample {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Sample, 0, len(r.series)+4*len(r.series)/2)
-	for _, s := range r.sortedSeries() {
+	all := r.sortedSeries()
+	r.mu.Unlock()
+	out := make([]Sample, 0, len(all)+4*len(all)/2)
+	for _, s := range all {
 		switch s.key.kind {
 		case KindCounter:
 			out = append(out, Sample{Name: s.key.name, Labels: s.key.suffix, Kind: KindCounter, Value: s.c.Value()})

@@ -101,7 +101,8 @@ func (r *Registry) WriteExposition(w io.Writer) error {
 
 	byName := make(map[string]*promFamily)
 	var order []string
-	for _, s := range all {
+	for i := range all {
+		s := &all[i]
 		name := promName(s.key.name)
 		f := byName[name]
 		if f == nil {

@@ -105,8 +105,8 @@ type Slab struct {
 }
 
 // slabValues caps a slab array at the largest malloc size class, 32 KiB,
-// which 819 Values fill to within eight bytes.
-const slabValues = 819
+// which Values fill exactly.
+const slabValues = 32 << 10 / valueBytes
 
 // Tuple carves a null-filled n-column tuple off the slab. Arrays double
 // from the first tuple's width up to slabValues, so a Slab used for one

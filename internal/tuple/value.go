@@ -7,6 +7,7 @@ package tuple
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -41,18 +42,26 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed scalar: null, int64, float64 or string.
 // Values are immutable and safe to copy.
+//
+// A Value is never an int and a float at once, so both share one word:
+// the int64's bits or the float64's, exactly as given (-0, NaN payloads
+// and all). That makes a Value 32 bytes (valueBytes); a field for each
+// would make it 40.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
 	s    string
+	bits uint64
+	kind Kind
 }
 
+// valueBytes is Value's width: a string header, the shared word and the
+// kind, padded to the word.
+const valueBytes = 32
+
 // Int returns an integer Value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, bits: uint64(i)} }
 
 // Float returns a floating point Value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, bits: math.Float64bits(f)} }
 
 // Str returns a string Value.
 func Str(s string) Value { return Value{kind: KindString, s: s} }
@@ -69,6 +78,10 @@ func Bool(b bool) Value {
 	return Int(0)
 }
 
+// i and f read the shared word as the int or the float it holds.
+func (v Value) i() int64   { return int64(v.bits) }
+func (v Value) f() float64 { return math.Float64frombits(v.bits) }
+
 // Kind reports the dynamic type of v.
 func (v Value) Kind() Kind { return v.kind }
 
@@ -80,9 +93,9 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 func (v Value) Int() int64 {
 	switch v.kind {
 	case KindInt:
-		return v.i
+		return v.i()
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.f())
 	case KindString:
 		i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 		if err != nil {
@@ -98,9 +111,9 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i)
+		return float64(v.i())
 	case KindFloat:
-		return v.f
+		return v.f()
 	case KindString:
 		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 		if err != nil {
@@ -116,9 +129,9 @@ func (v Value) Float() float64 {
 func (v Value) Str() string {
 	switch v.kind {
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	default:
@@ -132,9 +145,9 @@ func (v Value) Str() string {
 func (v Value) appendText(dst []byte) []byte {
 	switch v.kind {
 	case KindInt:
-		return strconv.AppendInt(dst, v.i, 10)
+		return strconv.AppendInt(dst, v.i(), 10)
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.f(), 'g', -1, 64)
 	case KindString:
 		return append(dst, v.s...)
 	default:
@@ -148,10 +161,10 @@ func (v Value) textLen() int {
 	switch v.kind {
 	case KindInt:
 		var tmp [20]byte // len("-9223372036854775808")
-		return len(strconv.AppendInt(tmp[:0], v.i, 10))
+		return len(strconv.AppendInt(tmp[:0], v.i(), 10))
 	case KindFloat:
 		var tmp [32]byte
-		return len(strconv.AppendFloat(tmp[:0], v.f, 'g', -1, 64))
+		return len(strconv.AppendFloat(tmp[:0], v.f(), 'g', -1, 64))
 	case KindString:
 		return len(v.s)
 	default:
@@ -164,9 +177,9 @@ func (v Value) textLen() int {
 func (v Value) Truthy() bool {
 	switch v.kind {
 	case KindInt:
-		return v.i != 0
+		return v.i() != 0
 	case KindFloat:
-		return v.f != 0
+		return v.f() != 0
 	case KindString:
 		return v.s != ""
 	default:
@@ -199,9 +212,9 @@ func Compare(a, b Value) int {
 	if numericKinds(a, b) {
 		if a.kind == KindInt && b.kind == KindInt {
 			switch {
-			case a.i < b.i:
+			case a.i() < b.i():
 				return -1
-			case a.i > b.i:
+			case a.i() > b.i():
 				return 1
 			default:
 				return 0
@@ -257,16 +270,16 @@ func arith(a, b Value, op byte) Value {
 	if a.kind == KindInt && b.kind == KindInt {
 		switch op {
 		case '+':
-			return Int(a.i + b.i)
+			return Int(a.i() + b.i())
 		case '-':
-			return Int(a.i - b.i)
+			return Int(a.i() - b.i())
 		case '*':
-			return Int(a.i * b.i)
+			return Int(a.i() * b.i())
 		case '/':
-			if b.i == 0 {
+			if b.i() == 0 {
 				return Null()
 			}
-			return Int(a.i / b.i)
+			return Int(a.i() / b.i())
 		}
 	}
 	af, bf := a.Float(), b.Float()
@@ -292,7 +305,7 @@ func arith(a, b Value, op byte) Value {
 // outputs stay bitwise comparable.
 func Truncate(v Value) Value {
 	if v.kind == KindFloat {
-		return Int(int64(v.f))
+		return Int(int64(v.f()))
 	}
 	return v
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -269,5 +270,16 @@ func TestFloatStrRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValueWidth pins the width every slab, row and record of the data
+// plane is sized by: a string header, the shared word and the kind.
+func TestValueWidth(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != valueBytes || valueBytes != 32 {
+		t.Errorf("Value is %d bytes, valueBytes says %d, want 32", got, valueBytes)
+	}
+	if got := slabValues * unsafe.Sizeof(Value{}); got != 32<<10 {
+		t.Errorf("a full slab array is %d bytes, want 32 KiB", got)
 	}
 }
