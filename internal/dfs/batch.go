@@ -4,23 +4,25 @@ import (
 	"math"
 	"slices"
 	"strings"
+
+	"clusterbft/internal/tuple"
 )
 
-// Batch holds a run of records of one sealed block as the block stores
-// them, column by column: the values of every carried column copied into
-// one backing string, with one array of offsets to cut them out of it. No
-// line is rebuilt and a column that is not carried is never copied. Next
-// steps through the records; Width and Value read the one it stands on.
+// Batch serves a run of records one at a time as the values the line
+// codec reads in each: Next steps through them; Width, Value and Plain
+// read the one it stands on. A sealed block's range whose values hold no
+// backslash or newline is held column by column, as the block stores it:
+// the carried columns' values copied into one backing string, with one
+// array of offsets to cut them out of it, and no line rebuilt. Anything
+// else (an unsealed tail, a ReadHook's lines, a block range decoded to
+// lines) is held as lines, where they are, every column carried, and read
+// by the codec's own rule (tuple.Fields).
 //
-// A Batch is only ever served for records whose values hold neither a
-// backslash nor a newline, the two bytes to which a line codec gives a
-// meaning that reaches across values (an escaped tab joins two of them),
-// so that what a consumer makes of the values one by one is what it
-// would make of the line. The zero value is ready to use, and a Batch
-// that is read into again reuses its arrays; the text of an earlier read
-// stays valid for as long as a Value cut from it is referenced, and the
-// Batch itself lets go of it once Next has stepped past the last record:
-// one kept between tasks holds arrays, not data.
+// The zero value is ready to use, and a Batch that is read into again
+// reuses its arrays; the text of an earlier read stays valid for as long
+// as a Value cut from it is referenced, and the Batch itself lets go of it
+// once Next has stepped past the last record: one kept between tasks holds
+// arrays, not data.
 type Batch struct {
 	shape  blockShape
 	text   string
@@ -32,22 +34,33 @@ type Batch struct {
 	cur     []int32 // per column, the index in ends of the current record's value; -1 when not carried
 	carried []int32 // the carried columns, ascending
 	ends    []int32 // ends[k+1] is where the k-th carried value ends in text, column after column
-}
 
-// Len returns the number of records in the batch.
-func (b *Batch) Len() int { return len(b.widths) }
+	// Held lines, non-nil while Next steps through them, and the current
+	// one's values.
+	lines []string
+	line  tuple.Fields
+
+	plain     bool
+	lineBytes int64
+}
 
 // LineBytes returns the size of the batch's records as lines, a newline
 // after each: what ReadRange's lines for them would add up to.
-func (b *Batch) LineBytes() int64 { return int64(b.shape.lineBytes) }
-
-// Cols returns the column count of the widest record of the block, which
-// no record of the batch exceeds.
-func (b *Batch) Cols() int { return len(b.shape.cols) }
+func (b *Batch) LineBytes() int64 { return b.lineBytes }
 
 // Next moves to the next record, the first on the first call, and
 // reports whether there is one.
 func (b *Batch) Next() bool {
+	if b.lines != nil {
+		if b.row++; b.row < len(b.lines) {
+			line := b.lines[b.row]
+			b.plain = !b.line.Split(line) && strings.IndexByte(line, '\n') < 0
+			return true
+		}
+		b.lines = nil
+		b.line.Split("") // let go of the last
+		return false
+	}
 	if b.row >= 0 && b.row < len(b.widths) {
 		w := b.widths[b.row]
 		for _, c := range b.carried {
@@ -67,53 +80,74 @@ func (b *Batch) Next() bool {
 
 // Width returns the current record's column count. The empty line has
 // width 0: a line codec reads it as no columns, not as one empty one.
-func (b *Batch) Width() int { return b.widths[b.row] }
+func (b *Batch) Width() int {
+	if b.lines != nil {
+		return b.line.Len()
+	}
+	return b.widths[b.row]
+}
 
 // Value returns the text of column c of the current record. c must be a
 // carried column below Width.
 func (b *Batch) Value(c int) string {
+	if b.lines != nil {
+		return b.line.Value(c)
+	}
 	k := b.cur[c]
 	return b.text[b.ends[k]:b.ends[k+1]]
 }
 
+// Plain reports whether the current record's values hold neither a
+// backslash nor a newline: only then is each the bytes that encoding what
+// it coerces to writes (tuple.FieldType.AppendCoerced).
+func (b *Batch) Plain() bool { return b.plain }
+
 // reset empties b, keeping its arrays.
 func (b *Batch) reset() {
-	b.text, b.widths, b.row, b.shape.lineBytes = "", nil, -1, 0
+	b.text, b.widths, b.row, b.lines, b.lineBytes = "", nil, -1, nil, 0
+}
+
+// holdLines serves lines where they are.
+func (b *Batch) holdLines(lines []string) {
+	b.lines = lines
+	for _, l := range lines {
+		b.lineBytes += int64(len(l)) + 1
+	}
 }
 
 // decode reads records [lo, hi) of an encoded block into b, carrying the
-// columns need lists (nil: all; column c where c < len(need) && need[c]).
-// ok is false, and b empty, when a value in the range holds a backslash
-// or a newline. The walk is decodeBlockRange's, which is this one's under
-// a nil need: a block that decodes whole reads the same under every mask.
-func (b *Batch) decode(data []byte, lo, hi int, need []bool) (ok bool, err error) {
+// columns need lists (nil: all; column c where c < len(need) && need[c]),
+// or holds their lines where a value holds a backslash or a newline or the
+// payload is too large for int32 offsets. The walk is decodeBlockRange's,
+// which is this one's under a nil need: a block that decodes whole reads
+// the same under every mask.
+func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 	b.reset()
 	n, payload, z, err := openBlock(data)
 	if z != nil {
 		defer inflaters.Put(z) // after the copy below: text never aliases its buffer
 	}
 	if err != nil {
-		return false, err
+		return err
 	}
 	s := &b.shape
 	if err := s.walk(payload, n, lo, hi, need); err != nil {
-		return false, err
-	}
-	if len(payload) > math.MaxInt32 { // offsets are int32
-		b.reset()
-		return false, nil
+		return err
 	}
 	widths := s.widths()
 	size, vals := 0, 0
+	asLines := len(payload) > math.MaxInt32
 	for c, r := range s.cols {
-		if r.flagged && holdsEscape(payload, r, widths, c) {
-			b.reset()
-			return false, nil
-		}
+		asLines = asLines || r.flagged && holdsEscape(payload, r, widths, c)
 		if carries(need, c) {
 			size += r.text
 			vals += r.vals
 		}
+	}
+	if asLines {
+		lines, err := decodeBlockRange(nil, data, lo, hi)
+		b.holdLines(lines)
+		return err
 	}
 
 	var text strings.Builder
@@ -147,8 +181,8 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) (ok bool, err error
 			}
 		}
 	}
-	b.text, b.widths = text.String(), widths
-	return true, nil
+	b.text, b.widths, b.plain, b.lineBytes = text.String(), widths, true, int64(s.lineBytes)
+	return nil
 }
 
 func carries(need []bool, c int) bool {

@@ -228,7 +228,7 @@ func TestDecodeBlockHostileLengths(t *testing.T) {
 			t.Errorf("case %d: hostile block decoded without error", i)
 		}
 		var b Batch
-		if _, err := b.decode(data, 0, 2, []bool{true}); err == nil {
+		if err := b.decode(data, 0, 2, []bool{true}); err == nil {
 			t.Errorf("case %d: hostile block read as a batch without error", i)
 		}
 	}
@@ -247,20 +247,19 @@ func TestPrunedReadTouchesCarriedRegionsOnly(t *testing.T) {
 	data := pp.sealed(3)
 	var b Batch
 	for _, need := range [][]bool{{true}, {true, false}} {
-		ok, err := b.decode(data, 0, 3, need)
-		if err != nil || !ok || b.LineBytes() != 15 {
-			t.Fatalf("need %v: ok=%v err=%v, %d line bytes: want the three records, 15 bytes", need, ok, err, b.LineBytes())
+		if err := b.decode(data, 0, 3, need); err != nil || b.LineBytes() != 15 {
+			t.Fatalf("need %v: err=%v, %d line bytes: want the three records, 15 bytes", need, err, b.LineBytes())
 		}
-		if got := batchLines(&b, need); !slices.Equal(got, []string{"a\t·", "c\t·", "e\t·"}) {
+		if got, _ := batchRecords(&b, need); !slices.EqualFunc(got, [][]string{{"a", "·"}, {"c", "·"}, {"e", "·"}}, slices.Equal) {
 			t.Fatalf("need %v = %q", need, got)
 		}
 	}
 	for _, need := range [][]bool{nil, {false, true}, {true, true}} {
-		if _, err := b.decode(data, 0, 3, need); err == nil {
+		if err := b.decode(data, 0, 3, need); err == nil {
 			t.Errorf("need %v: the malformed column was carried and nothing failed", need)
 		}
-		if ok, err := b.decode(data, 0, 1, need); err != nil || !ok {
-			t.Errorf("need %v, [0,1): ok=%v err=%v: the walk stops at the last record asked for", need, ok, err)
+		if err := b.decode(data, 0, 1, need); err != nil {
+			t.Errorf("need %v, [0,1): %v: the walk stops at the last record asked for", need, err)
 		}
 	}
 	if _, err := DecodeBlock(data); err == nil {
@@ -293,7 +292,7 @@ func TestAnyFlippedByteFailsEveryRead(t *testing.T) {
 					t.Fatalf("compress=%v: byte %d bit %d flipped and a range decodes", compress, i, bit)
 				}
 				for _, need := range [][]bool{nil, {}, {false, true}} {
-					if _, err := b.decode(bad, 0, 1, need); err == nil {
+					if err := b.decode(bad, 0, 1, need); err == nil {
 						t.Fatalf("compress=%v: byte %d bit %d flipped and a batch reads under %v", compress, i, bit, need)
 					}
 				}

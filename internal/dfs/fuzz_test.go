@@ -63,16 +63,15 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		}
 		var b Batch
 		for _, need := range [][]bool{nil, need} {
-			ok, err := b.decode(data, lo, hi, need)
-			if err != nil {
+			if err := b.decode(data, lo, hi, need); err != nil {
 				t.Fatalf("batch [%d,%d) need %v: %v", lo, hi, need, err)
 			}
-			checkBatch(t, &b, ok, part, need, true)
+			checkBatch(t, &b, part, need, true)
 		}
 
 		// Stage 2: the same records through a spilling FS — tiny blocks
 		// and a tiny budget so sealing and spilling both trigger — read
-		// back whole, and block by block as columns where they are served.
+		// back whole, and segment by segment as batches.
 		fs := NewWith(Options{BlockSize: 64, MemBudget: 128, SpillDir: t.TempDir(), Compress: compress})
 		defer fs.Close()
 		for _, l := range lines {
@@ -90,10 +89,8 @@ func FuzzBlockRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		for at := 0; at < r.NumRecords(); {
-			next, ok := r.ReadColumns(&b, at, r.NumRecords(), need)
-			if ok { // a sealed block free of escapes; the tail is held as lines
-				checkBatch(t, &b, ok, r.ReadRange(at, next), need, true)
-			}
+			next := r.ReadColumns(&b, at, r.NumRecords(), need)
+			checkBatch(t, &b, lines[at:next], need, true)
 			if !slices.Equal(r.ReadRange(at, next), lines[at:next]) {
 				t.Fatalf("ReadRange(%d,%d) = %q, want %q", at, next, r.ReadRange(at, next), lines[at:next])
 			}
@@ -106,33 +103,48 @@ func FuzzBlockRoundTrip(f *testing.F) {
 }
 
 // checkBatch holds a batch read under need to the lines of the same
-// records: served if none of them holds an escape, and then with their
-// values. Of a block the encoder wrote (honest) it is served only then,
-// and with the line bytes the lines add up to: both are the directory's
-// word, which a hostile payload under a good checksum may have made up.
-// It consumes b.
-func checkBatch(t *testing.T, b *Batch, ok bool, lines []string, need []bool, honest bool) {
+// records. Of a block the encoder wrote (honest) it reads each as
+// tuple.DecodeLine does, plain exactly where the line holds no escape
+// byte, with the line bytes the lines add up to (readsAs). Of any other it
+// reads as many records, and a line with no escape byte as plain; a record
+// it calls plain is the line's values split at its tabs, and any other is
+// what tuple.DecodeLine reads: whether a value holds an escape byte, like
+// the line bytes, is the directory's word, which a hostile payload under a
+// good checksum may have made up. It consumes b.
+func checkBatch(t *testing.T, b *Batch, lines []string, need []bool, honest bool) {
 	t.Helper()
-	var want []string
-	var bytes int64
-	for _, l := range lines {
-		want = append(want, masked(l, need))
-		bytes += int64(len(l)) + 1
-	}
-	if plain := !strings.ContainsAny(strings.Join(lines, ""), "\\\n"); plain && !ok || honest && ok != plain {
-		t.Fatalf("need %v: batch served=%v over %q", need, ok, lines)
-	}
-	if !ok {
+	if honest {
+		readsAs(t, fmt.Sprintf("need %v", need), b, lines, need)
 		return
 	}
-	if b.Len() != len(lines) || honest && b.LineBytes() != bytes {
-		t.Fatalf("need %v: %d records of %d line bytes, want %d of %d", need, b.Len(), b.LineBytes(), len(lines), bytes)
+	got, plain := batchRecords(b, need)
+	if len(got) != len(lines) {
+		t.Fatalf("need %v: %d records, want %d", need, len(got), len(lines))
 	}
-	// Joined by tabs the values are the line, whatever bytes a hostile
-	// block put in them.
-	if got := batchLines(b, need); !slices.Equal(got, want) {
-		t.Fatalf("need %v: batch = %q, want %q", need, got, want)
+	for i, l := range lines {
+		switch {
+		case isPlain(l) && !plain[i]:
+			t.Fatalf("need %v: %q is not plain", need, l)
+		case plain[i] && strings.Join(got[i], "\t") != masked(l, need),
+			!plain[i] && !slices.Equal(got[i], decoded(l, need)):
+			t.Fatalf("need %v: %q (plain %v) reads as %q", need, l, plain[i], got[i])
+		}
 	}
+}
+
+// masked is a line split at its tabs and joined again, the columns need
+// does not carry shown as "·".
+func masked(line string, need []bool) string {
+	if line == "" {
+		return "" // the empty line has no column to mask
+	}
+	vals := strings.Split(line, "\t")
+	for c := range vals {
+		if !carries(need, c) {
+			vals[c] = "·"
+		}
+	}
+	return strings.Join(vals, "\t")
 }
 
 // FuzzDecodeBlockNoPanic hands the block decoder arbitrary bytes, as a
@@ -142,10 +154,9 @@ func checkBatch(t *testing.T, b *Batch, ok bool, lines []string, need []bool, ho
 // error, never panics or sizes an allocation from an unchecked length. A
 // block that fails its header or checksum fails every read. And one that
 // decodes whole reads the same every other way: every range, as lines and
-// as a batch under every mask, succeeds and is that slice of it, and is
-// served as a batch wherever it is free of backslash and newline. Only the
-// implication holds, not its converse: a read looks at what it carries
-// (TestPrunedReadTouchesCarriedRegionsOnly).
+// as a batch under every mask, succeeds and is that slice of it
+// (checkBatch). Only the implication holds, not its converse: a read looks
+// at what it carries (TestPrunedReadTouchesCarriedRegionsOnly).
 func FuzzDecodeBlockNoPanic(f *testing.F) {
 	f.Add(EncodeBlock([]string{"a\tb", "c", "\t\t"}, false), 1, 2)
 	f.Add(EncodeBlock([]string{strings.Repeat("wide\tblock\t", 40)}, true), 0, 1)
@@ -185,7 +196,7 @@ func FuzzDecodeBlockNoPanic(f *testing.F) {
 		}
 		var b Batch
 		for _, need := range masks {
-			ok, berr := b.decode(data, lo, hi, need)
+			berr := b.decode(data, lo, hi, need)
 			if openErr != nil && berr == nil {
 				t.Fatalf("block does not open (%v) and reads as a batch under %v", openErr, need)
 			}
@@ -193,7 +204,7 @@ func FuzzDecodeBlockNoPanic(f *testing.F) {
 				if berr != nil {
 					t.Fatalf("whole decode succeeds, batch [%d,%d) under %v: %v", lo, hi, need, berr)
 				}
-				checkBatch(t, &b, ok, part, need, false)
+				checkBatch(t, &b, part, need, false)
 			}
 		}
 	})

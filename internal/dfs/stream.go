@@ -2,12 +2,13 @@ package dfs
 
 // Streaming access to block-backed files. A Reader exposes a file (or a
 // sorted part-file tree) as an indexed sequence of records without
-// materializing the whole file, in two shapes: ReadRange returns record
-// lines, ReadColumns the column spans a sealed block stores; either decodes
-// only the blocks a range overlaps. Appends need no mirror image:
-// FS.Append already seals and spills batch by batch. A Reader never hands
-// out encoded bytes, so everything the FS guarantees about hooks, counters,
-// and spilling holds for streamed access too.
+// materializing the whole file: ReadRange returns record lines, and
+// ReadColumns serves one segment's records through a Batch (a sealed
+// block's as the column spans it stores, held lines where they are);
+// either decodes only the blocks a range overlaps. Appends need no mirror
+// image: FS.Append already seals and spills batch by batch. A Reader never
+// hands out encoded bytes, so everything the FS guarantees about hooks,
+// counters, and spilling holds for streamed access too.
 
 // rseg is one contiguous run of records inside a Reader: either a
 // sealed block (decoded on demand) or a snapshot of a file's unsealed
@@ -170,33 +171,32 @@ func (r *Reader) ReadRange(start, end int) []string {
 	return out
 }
 
-// ReadColumns reads records from start on into b as column spans, up to
-// end or the end of the sealed block holding start, whichever comes first,
-// and returns the record it stopped before; need lists the columns to
-// carry (nil: all). ok is false, with b left empty, where the records are
-// not to be had as columns: [start, next) is held as lines (an unsealed
-// tail, a reader materialized for a ReadHook), or one of its values holds
-// a backslash or a newline (see Batch). ReadRange serves those. b belongs
-// to the caller; the Reader stays safe for concurrent use. A block that
-// cannot be read back panics with its *BlockError, as in ReadRange.
-func (r *Reader) ReadColumns(b *Batch, start, end int, need []bool) (next int, ok bool) {
+// ReadColumns reads records from start on into b, up to end or the end of
+// the segment holding start (a sealed block, or the lines held for an
+// unsealed tail or a ReadHook), whichever comes first, and returns the
+// record it stopped before; need lists the columns a sealed block's
+// records carry (nil: all). b belongs to the caller; the Reader stays safe
+// for concurrent use. A block that cannot be read back panics with its
+// *BlockError, as in ReadRange.
+func (r *Reader) ReadColumns(b *Batch, start, end int, need []bool) (next int) {
 	b.reset()
 	start = max(start, 0)
 	if start >= min(end, r.total) {
-		return end, false
+		return end
 	}
 	i := r.segAt(start)
 	seg := r.segs[i]
 	next = min(end, r.starts[i]+seg.n)
 	if seg.blk == nil {
-		return next, false
+		b.holdLines(seg.lines[start-r.starts[i] : next-r.starts[i]])
+		return next
 	}
 	data, err := r.fs.blockData(seg.blk)
 	if err != nil {
 		panic(err)
 	}
-	if ok, err = b.decode(data, start-r.starts[i], next-r.starts[i], need); err != nil {
+	if err := b.decode(data, start-r.starts[i], next-r.starts[i], need); err != nil {
 		panic(seg.blk.failed(err))
 	}
-	return next, ok
+	return next
 }

@@ -14,13 +14,22 @@ import (
 )
 
 // heldLines serves lines from a reader that holds them as lines, the way
-// a reader materialized for a ReadHook does: the map side decodes them
-// with tuple.Decoder.
+// a reader materialized for a ReadHook does: its batch serves them where
+// they are.
 func heldLines(tb testing.TB, lines []string) *dfs.Reader {
 	tb.Helper()
 	fs := dfs.New()
 	fs.Append("in", lines...)
 	fs.ReadHook = func(_ string, lines []string) []string { return lines }
+	return openReader(tb, fs)
+}
+
+// tailLines serves lines from a reader over a file they leave unsealed:
+// its one segment is the file's tail, held as lines.
+func tailLines(tb testing.TB, lines []string) *dfs.Reader {
+	tb.Helper()
+	fs := dfs.NewWith(dfs.Options{BlockSize: int(linesBytes(lines)) + 1})
+	fs.Append("in", lines...)
 	return openReader(tb, fs)
 }
 
@@ -138,15 +147,30 @@ func renderOutcome(out *mapOutcome) string {
 	return b.String()
 }
 
-// FuzzColumnPathMatchesLines holds the column path to the line path as
-// its oracle: the same records, served once from sealed blocks and once
-// as held lines, must leave a map task with the identical outcome —
-// partitions, output lines, every counter, the input bytes charged — and
-// the identical sequence of digest reports. Over the script shapes above,
-// ragged rows, the empty line, escaped and glued fields, raw newlines,
-// non-canonical numbers, compressed and raw blocks, one block or many
-// with an unsealed tail, task ranges that start and stop inside a block,
-// honest and corrupting tasks.
+// lineOracle is a map task over lines[lo:hi] with no batch: every line is
+// decoded whole by tuple.DecodeLine and handed to the chain as a tuple,
+// which the chain encodes again wherever it needs the record's bytes
+// (fromSrc false).
+func lineOracle(job *JobSpec, lines []string, lo, hi int, df digestFactory, corrupt corruptFn) *mapOutcome {
+	m := newMapRun(job, 0, hi-lo, df, corrupt, taskObs{}, new(taskScratch))
+	for _, line := range lines[lo:hi] {
+		m.out.inBytes += int64(len(line)) + 1
+		m.record(tuple.DecodeLine(line, m.in.Schema))
+	}
+	out := m.finish()
+	m.chain.close()
+	return out
+}
+
+// FuzzColumnPathMatchesLines holds the map task's one read shape to a line
+// oracle (lineOracle): the same records, served from sealed blocks and
+// from held lines, must each leave a map task with the outcome the oracle
+// leaves — partitions, output lines, every counter, the input bytes
+// charged — and the identical sequence of digest reports. Over the script
+// shapes above, ragged rows, the empty line, escaped and glued fields, raw
+// newlines, non-canonical numbers, compressed and raw blocks, one block or
+// many with an unsealed tail, task ranges that start and stop inside a
+// block, honest and corrupting tasks.
 func FuzzColumnPathMatchesLines(f *testing.F) {
 	for i := range columnScripts {
 		f.Add(int64(i+1), uint8(i), uint16(60+41*i), uint8(i%4), uint8([]int{0, 1, 100}[i%3]), uint8(i), uint16(7*i), uint16(300))
@@ -202,28 +226,35 @@ func FuzzColumnPathMatchesLines(f *testing.F) {
 		}
 		sealed := dfs.NewWith(dfs.Options{BlockSize: blockSize, Compress: compress})
 		sealed.Append("in", lines...)
-		var got [2]string
-		for side, src := range []*dfs.Reader{openReader(t, sealed), heldLines(t, lines)} {
+		run := func(task func(df digestFactory) *mapOutcome) string {
 			var reports strings.Builder
-			df := func(point int) *digest.Writer {
+			out := task(func(point int) *digest.Writer {
 				return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "m0-000"}, 1, int(chunk), func(r digest.Report) {
 					fmt.Fprintf(&reports, "%v final=%v records=%d %x\n", r.Key, r.Final, r.Records, r.Sum)
 				})
-			}
-			out := runMapTask(job, 0, src, a, b, df, corrupt, taskObs{}, new(taskScratch))
-			got[side] = renderOutcome(out) + reports.String()
+			})
+			return renderOutcome(out) + reports.String()
 		}
-		if got[0] != got[1] {
-			t.Errorf("%s over [%d,%d) of %d rows (compress=%v faulty=%v oneBlock=%v):\n--- sealed blocks ---\n%s--- held lines ---\n%s",
-				sc.name, a, b, len(lines), compress, faulty, oneBlock, got[0], got[1])
+		want := run(func(df digestFactory) *mapOutcome { return lineOracle(job, lines, a, b, df, corrupt) })
+		for _, side := range []struct {
+			name string
+			src  *dfs.Reader
+		}{{"sealed blocks", openReader(t, sealed)}, {"held lines", heldLines(t, lines)}} {
+			got := run(func(df digestFactory) *mapOutcome {
+				return runMapTask(job, 0, side.src, a, b, df, corrupt, taskObs{}, new(taskScratch))
+			})
+			if got != want {
+				t.Errorf("%s over [%d,%d) of %d rows (compress=%v faulty=%v oneBlock=%v):\n--- %s ---\n%s--- line oracle ---\n%s",
+					sc.name, a, b, len(lines), compress, faulty, oneBlock, side.name, got, want)
+			}
 		}
 	})
 }
 
 // TestCombineOverSealedBlocksAllocs: a combining map task over sealed
-// blocks allocates nothing per record, and per further block range only
-// that range's backing string (plus a regrown array where a later block
-// is the larger).
+// blocks allocates nothing per record, and per further range only a block
+// range's backing string (plus a regrown array where a later block is the
+// larger): the unsealed tail the blocks leave costs no more.
 func TestCombineOverSealedBlocksAllocs(t *testing.T) {
 	job := compile(t, followerSrc, CompileOptions{NumReduces: 4})[0]
 	edgeLines := func(n int) []string {
@@ -249,19 +280,14 @@ func TestCombineOverSealedBlocksAllocs(t *testing.T) {
 	fs.Append("in", large...)
 	r := openReader(t, fs)
 	var b dfs.Batch
-	ranges, sealed := 0, 0 // the task stops where the unsealed tail begins
-	for {
-		next, ok := r.ReadColumns(&b, sealed, r.NumRecords(), nil)
-		if !ok {
-			break
-		}
-		sealed = next
-		ranges++
+	ranges := 0
+	for at := 0; at < r.NumRecords(); ranges++ {
+		at = r.ReadColumns(&b, at, r.NumRecords(), nil)
 	}
-	if ranges < 8 { // a ninth of the bytes a block, the last of them in the tail
-		t.Fatalf("%d block ranges, want at least 8", ranges)
+	if ranges < 9 { // a ninth of the bytes a block, the last of them in the tail
+		t.Fatalf("%d ranges, want at least 9", ranges)
 	}
-	if got, want := allocs(r, sealed), one+2*float64(ranges-1); got > want {
+	if got, want := allocs(r, r.NumRecords()), one+2*float64(ranges-1); got > want {
 		t.Errorf("%d block ranges = %v allocs, one range %v: want <= %v", ranges, got, one, want)
 	}
 }

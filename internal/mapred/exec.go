@@ -47,14 +47,13 @@ type opChain struct {
 	// output line after the last, share one encode.
 	canon   []byte
 	canonOK bool
-	// While fromSrc, src stands on the record the tuple given to apply was
-	// read from, and schema is what its columns coerce by; srcRow holds while
-	// the tuple in flight is still that record, untouched by a projection.
-	// Its canonical bytes are then put together from the batch's spans.
+	// fromSrc holds while the tuple in flight is the record src stands on,
+	// coerced by schema and untouched by a projection: the caller of apply
+	// sets it, a projection clears it, and the record's canonical bytes are
+	// put together from the batch's spans meanwhile.
 	src     *dfs.Batch
 	schema  *tuple.Schema
 	fromSrc bool
-	srcRow  bool
 }
 
 // opState is what one op of a running chain keeps between records.
@@ -96,7 +95,6 @@ func newOpChain(ops []Op, df digestFactory, reuse bool) opChain {
 // dropped (filter miss or limit exhausted). t is only read.
 func (c *opChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 	c.canonOK = false
-	c.srcRow = c.fromSrc
 	for i := range c.ops {
 		op, st := &c.ops[i], &c.state[i]
 		switch op.Kind {
@@ -113,7 +111,7 @@ func (c *opChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 				out[g] = gen.Expr.Eval(t)
 			}
 			t = out
-			c.canonOK, c.srcRow = false, false
+			c.canonOK, c.fromSrc = false, false
 		case PhysDigest:
 			if st.w != nil {
 				st.w.AddCanonical(c.canonical(t))
@@ -140,7 +138,7 @@ func (c *opChain) canonical(t tuple.Tuple) []byte {
 		return c.canon
 	}
 	c.canonOK = true
-	if !c.srcRow {
+	if !c.fromSrc {
 		c.canon = tuple.AppendCanonical(c.canon[:0], t)
 		return c.canon
 	}
@@ -170,7 +168,7 @@ func (c *opChain) appendKey(dst []byte, t tuple.Tuple, cols []int) []byte {
 		}
 		switch {
 		case col >= len(t): // null: no bytes
-		case c.srcRow:
+		case c.fromSrc:
 			dst = c.schema.ColType(col).AppendCoerced(dst, c.src.Value(col))
 		default:
 			dst = tuple.AppendEncoded(dst, t[col:col+1])
@@ -367,10 +365,7 @@ type corruptFn func(v tuple.Value, cat func(s, suffix string) string) tuple.Valu
 // nothing of its split or its outcome is held for, or seen by, the next,
 // and no outcome points into it.
 type taskScratch struct {
-	batch    dfs.Batch     // map: the chain's source batch, its shape arrays and offsets
-	dec      tuple.Decoder // map: the line path's unescape buffers
-	line     tuple.Slab    // map: room for one row of lineCols columns, which every line is decoded into
-	lineCols int
+	batch    dfs.Batch     // map: the chain's source batch, its shape arrays, offsets and unescape buffer
 	row      tuple.Tuple   // the reused source row; the aggregate's output row
 	enc      []byte        // map: shuffle key bytes
 	canon    []byte        // the chain's canonical bytes
@@ -384,17 +379,6 @@ type taskScratch struct {
 	accs     []aggAcc      // reduce: one group's aggregates
 	key      tuple.Tuple   // reduce: an uncombined group's key
 	outLines []string      // output lines as emitted, until the body publishes them (taskOutput)
-}
-
-// rowSlab returns a slab with room for one row of n columns: its arrays
-// double, so the second tuple carved from a new one leaves the room of a
-// third. A Slab is a value, and a copy of this one assigned to a Decoder
-// ahead of every line hands out that row every time, the holder's to clear.
-func rowSlab(n int) tuple.Slab {
-	var s tuple.Slab
-	s.Tuple(n)
-	s.Tuple(n)
-	return s
 }
 
 // resize returns s with n elements, in a new array only if s lacks the room.
@@ -415,9 +399,9 @@ func wipe[T any](s []T) []T {
 // aggregate columns only. Audited inputs, and expressions of unknown type
 // or reaching past the schema, evaluate in full. A digest or sample ahead
 // of the first projection reads the whole record, but only its bytes:
-// carry is then nil and eval unchanged. A reader that has the record as
-// column spans coerces eval and carries carry; one that has only the line
-// must coerce every column it is to encode again, so carry is its mask.
+// carry is then nil and eval unchanged. The batch carries carry; a record
+// the chain must encode again from its tuple (one holding an escape byte,
+// or any of a corrupting task) coerces carry rather than eval.
 func neededCols(job *JobSpec, inputIdx int) (eval, carry []bool) {
 	in := &job.Inputs[inputIdx]
 	if in.AuditIn || in.Schema == nil {
@@ -471,7 +455,7 @@ func neededCols(job *JobSpec, inputIdx int) (eval, carry []bool) {
 }
 
 // mapRun is the state of one running map task past its reader: what each
-// record goes through once it is a tuple, whichever way it was read.
+// record goes through once it is a tuple.
 type mapRun struct {
 	job     *JobSpec
 	in      *JobInput
@@ -481,12 +465,43 @@ type mapRun struct {
 	corrupt corruptFn
 	o       taskObs
 	sc      *taskScratch
+	// Only the uncombined shuffle keeps the chain's tuples (in interRec);
+	// the combiner detaches what it keeps and output lines are encoded at
+	// once, so there a projection may reuse its buffer, and so may the row.
+	// Where not, rows are carved from slab, whose arrays are the outcome's.
+	reuse bool
+	slab  tuple.Slab
 	// Key strings, or map-only output lines, live as long as the outcome:
 	// an arena for all of them, not an allocation a record.
 	strs strArena
 	// cat cuts a corrupting task's strings from an arena of their own: the
 	// next record is done with them, and the outcome is not to hold them.
 	cat func(s, suffix string) string
+}
+
+// newMapRun sets up a map task of n records over input inputIdx of job, on
+// the scratch of the slot it runs on. Its chain's digests are the caller's
+// to close.
+func newMapRun(job *JobSpec, inputIdx, n int, df digestFactory, corrupt corruptFn, o taskObs, sc *taskScratch) mapRun {
+	in := &job.Inputs[inputIdx]
+	m := mapRun{job: job, in: in, out: &mapOutcome{}, corrupt: corrupt, o: o, sc: sc}
+	shuffle := in.KeyCols != nil
+	if shuffle && job.Reduce != nil && job.Reduce.Combine {
+		m.comb = newCombiner(job.Reduce, in, job.NumReduces, sc.tables)
+	} else if shuffle {
+		m.out.partitions = make([][]interRec, job.NumReduces)
+		per := n/job.NumReduces + 1
+		for p := range m.out.partitions {
+			m.out.partitions[p] = make([]interRec, 0, per)
+		}
+	}
+	m.reuse = m.comb != nil || !shuffle
+	m.chain = newOpChain(in.Ops, df, m.reuse)
+	m.chain.canon, m.chain.src, m.chain.schema = sc.canon, &sc.batch, in.Schema
+	if corrupt != nil {
+		m.cat = new(strArena).cat
+	}
+	return m
 }
 
 // record runs one source tuple through the chain and on to the combiner,
@@ -522,119 +537,12 @@ func (m *mapRun) record(t tuple.Tuple) {
 	}
 }
 
-// noColumns is the tuple of the empty line, as tuple.Decoder returns it.
-var noColumns = tuple.Tuple{}
-
-// runMapTask executes one map task over records [lo, hi) of its input,
-// on the scratch of the slot it runs on.
-//
-// A sealed block reaches the chain as column spans (dfs.Batch): each
-// record is a row of values coerced straight from its columns' spans, only
-// the columns neededCols lists, with no line rebuilt and no tab searched
-// for. Where nothing keeps the chain's tuples — reuse, below — every
-// record overwrites one row; the uncombined shuffle carves its rows from
-// a slab. What a sealed block cannot serve that way is read as lines and
-// decoded by tuple.Decoder, to the same tuples: an unsealed tail or a
-// reader materialized for a ReadHook, and a range with an escape in it.
-func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df digestFactory, corrupt corruptFn, o taskObs, sc *taskScratch) *mapOutcome {
-	in := &job.Inputs[inputIdx]
-	out := &mapOutcome{}
-	m := mapRun{job: job, in: in, out: out, corrupt: corrupt, o: o, sc: sc}
-	shuffle := in.KeyCols != nil
-	if shuffle && job.Reduce != nil && job.Reduce.Combine {
-		m.comb = newCombiner(job.Reduce, in, job.NumReduces, sc.tables)
-	} else if shuffle {
-		out.partitions = make([][]interRec, job.NumReduces)
-		per := (hi-lo)/job.NumReduces + 1
-		for p := range out.partitions {
-			out.partitions[p] = make([]interRec, 0, per)
-		}
-	}
-	// Only the uncombined shuffle keeps the chain's tuples (in interRec);
-	// the combiner detaches what it keeps and output lines are encoded at
-	// once, so there a projection may reuse its buffer, and so may the row.
-	reuse := m.comb != nil || !shuffle
-	m.chain = newOpChain(in.Ops, df, reuse)
-	m.chain.canon, m.chain.src, m.chain.schema = sc.canon, &sc.batch, in.Schema
-	defer m.chain.close()
-	eval, carry := neededCols(job, inputIdx)
-
-	// A corrupting task's digests are of tuples no span holds: its chain
-	// never reads the source, and it coerces what is carried for one.
-	if corrupt != nil {
-		m.cat = new(strArena).cat
-		eval = carry
-	}
-	// The line path's decoder: tuple slabs, unescape scratch, column mask.
-	dec := &sc.dec
-	dec.Need = carry
-	lines := func(held []string) {
-		m.chain.fromSrc = false
-		for _, line := range held {
-			out.inBytes += int64(len(line)) + 1
-			if reuse {
-				dec.Slab = sc.line // the same room again: every line into one row
-			}
-			t := dec.DecodeLine(line, in.Schema)
-			m.record(t)
-			if reuse {
-				clear(t)
-				if len(t) > sc.lineCols { // it had to allocate: room for the next as wide
-					sc.line, sc.lineCols = rowSlab(len(t)), len(t)
-				}
-			}
-		}
-	}
-	// The chain's batch serves the whole task: every block range reuses its
-	// arrays, and the chain reads the record it stands on.
-	batch := &sc.batch
-	var cols []int // the columns to coerce, when not all
-	for c, need := range eval {
-		if need {
-			cols = append(cols, c)
-		}
-	}
-	for lo < hi {
-		next, ok := src.ReadColumns(batch, lo, hi, carry)
-		if !ok {
-			lines(src.ReadRange(lo, next))
-			lo = next
-			continue
-		}
-		lo = next
-		out.inBytes += batch.LineBytes()
-		m.chain.fromSrc = corrupt == nil
-		if reuse && len(sc.row) < batch.Cols() {
-			sc.row = resize(sc.row, batch.Cols()) // columns not in eval stay null for good
-		}
-		for batch.Next() {
-			w := batch.Width()
-			t := noColumns
-			switch {
-			case w == 0: // the empty line
-			case reuse:
-				t = sc.row[:w]
-				if corrupt != nil {
-					clear(t) // what is not coerced is null to tamper with, not the last record's
-				}
-			default:
-				t = dec.Slab.Tuple(w)
-			}
-			if eval == nil {
-				for c := range t {
-					t[c] = in.Schema.ColType(c).Coerce(batch.Value(c))
-				}
-			}
-			for _, c := range cols {
-				if c >= w {
-					break
-				}
-				t[c] = in.Schema.ColType(c).Coerce(batch.Value(c))
-			}
-			m.record(t)
-		}
-	}
-
+// finish ends the task once every record went through record: it emits
+// the combiner, sorts the partitions and counts the outcome, and hands the
+// scratch back empty but for the output lines.
+func (m *mapRun) finish() *mapOutcome {
+	out, sc, o := m.out, m.sc, m.o
+	shuffle := m.in.KeyCols != nil
 	out.digested = m.chain.digests
 	if m.comb != nil {
 		out.combinedIn = out.recordsOut
@@ -660,18 +568,64 @@ func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df dige
 		}
 	}
 	if shuffle {
-		sc.idx = sortRuns(out.partitions, job.Reduce, sc.idx)
+		sc.idx = sortRuns(out.partitions, m.job.Reduce, sc.idx)
 		o.shuffleRecords.Add(out.shuffleRecs)
 		o.combineRecords.Add(out.combinedIn)
 	} else {
 		o.outRecords.Add(out.recordsOut)
 	}
-	// Hand the scratch back empty but for the output lines: the row held
-	// values of the split's text, the slab's arrays are the outcome's, the
-	// batch let go of its own.
+	// The row held values of the split's text; the batch let go of its own.
 	out.outLines = sc.outLines
-	sc.row, sc.canon, dec.Slab, dec.Need = wipe(sc.row), m.chain.canon, tuple.Slab{}, nil
+	sc.row, sc.canon = wipe(sc.row), m.chain.canon
 	return out
+}
+
+// runMapTask executes one map task over records [lo, hi) of its input,
+// on the scratch of the slot it runs on. Every record reaches the chain
+// through the slot's dfs.Batch (a sealed block's as column spans, held
+// lines where they are) as a row of values coerced straight from it, the
+// columns neededCols lists and no line rebuilt. Where nothing keeps the
+// chain's tuples (reuse) every record overwrites one row; the uncombined
+// shuffle carves its rows from a slab.
+func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df digestFactory, corrupt corruptFn, o taskObs, sc *taskScratch) *mapOutcome {
+	m := newMapRun(job, inputIdx, hi-lo, df, corrupt, o, sc)
+	defer m.chain.close()
+	schema := m.in.Schema
+	eval, carry := neededCols(job, inputIdx)
+	batch := &sc.batch
+	for lo < hi {
+		lo = src.ReadColumns(batch, lo, hi, carry)
+		m.out.inBytes += batch.LineBytes()
+		for batch.Next() {
+			// A corrupting task's digests are of tuples no span holds. A
+			// chain that reads the source reads no column of the tuple but
+			// eval's; one that does not encodes the tuple, every carried column.
+			m.chain.fromSrc = corrupt == nil && batch.Plain()
+			coerce := eval
+			if !m.chain.fromSrc {
+				coerce = carry
+			}
+			var t tuple.Tuple
+			if w := batch.Width(); m.reuse {
+				if len(sc.row) < w {
+					sc.row = resize(sc.row, w)
+				}
+				t = sc.row[:w]
+				if corrupt != nil {
+					clear(t) // what is not coerced is null to tamper with, not the last record's
+				}
+			} else {
+				t = m.slab.Tuple(w)
+			}
+			for c := range t {
+				if coerce == nil || c < len(coerce) && coerce[c] {
+					t[c] = schema.ColType(c).Coerce(batch.Value(c))
+				}
+			}
+			m.record(t)
+		}
+	}
+	return m.finish()
 }
 
 // reduceOutcome carries the effects of one executed reduce task.

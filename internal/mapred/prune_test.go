@@ -317,11 +317,14 @@ STORE o INTO 'out/o';`,
 }
 
 // TestMapTaskAllocs pins the per-task allocation count of the three map
-// paths the micro-benchmarks track, per 1,000 input records, read as
-// lines and as the column spans of one sealed block, on a scratch a task
-// before it has grown, as a slot's is. None grows with the record count
-// beyond slabs, arena chunks and slice doublings, and where one row serves
-// every record neither way of reading costs a slab.
+// paths the micro-benchmarks track, per 1,000 input records, on a scratch
+// a task before it has grown, as a slot's is: read from one sealed block,
+// from an unsealed tail and from a reader materialized for a ReadHook.
+// None grows with the record count beyond slabs, arena chunks and slice
+// doublings, where one row serves every record no read costs a slab, and
+// held lines cost no more than the block; a combining task, which keeps
+// nothing a record, costs over 8,000 records of a tail what it costs over
+// 1,000.
 func TestMapTaskAllocs(t *testing.T) {
 	mapOnly := compile(t, `
 a = LOAD 'in/edges' AS (user:int, follower:int);
@@ -330,38 +333,49 @@ p = FOREACH f GENERATE user, user * follower AS prod;
 STORE p INTO 'out/prod';`, CompileOptions{})[0]
 	combine := compile(t, followerSrc, CompileOptions{NumReduces: 4})[0]
 	shuffle := uncombined(compile(t, followerSrc, CompileOptions{NumReduces: 4})...)[0]
-	lines := make([]string, 1000)
-	for i := range lines {
-		lines[i] = fmt.Sprintf("%d\t%d", i%16, (i*7919+13)%1000)
+	edges := func(n int) []string {
+		lines := make([]string, n)
+		for i := range lines {
+			lines[i] = fmt.Sprintf("%d\t%d", i%16, (i*7919+13)%1000)
+		}
+		return lines
 	}
-	held, sealed := heldLines(t, lines), sealedBlock(t, lines)
+	lines := edges(1000)
+	allocs := func(job *JobSpec, r *dfs.Reader, n int) float64 {
+		sc := new(taskScratch) // warm from AllocsPerRun's first, uncounted run on
+		return testing.AllocsPerRun(20, func() {
+			runMapTask(job, 0, r, 0, n, nil, nil, taskObs{}, sc).publish(sc, nil, false)
+		})
+	}
 	for _, tc := range []struct {
 		name string
 		job  *JobSpec
-		max  float64 // read as lines
-		cols float64 // read as columns
+		max  float64
 	}{
 		// The outcome's partitions, its entries' slab and arena, the
 		// chain and the combiner; the tables are the scratch's.
-		{"combine", combine, 26, 26},
+		{"combine", combine, 26},
 		// Row and key slabs, key-string chunks and the partitions.
-		{"shuffle", shuffle, 38, 38},
+		{"shuffle", shuffle, 38},
 		// Line chunks: the lines stay in the scratch, and a body that
 		// keeps none of them copies none.
-		{"map-only", mapOnly, 12, 12},
+		{"map-only", mapOnly, 12},
 	} {
+		sealed := allocs(tc.job, sealedBlock(t, lines), len(lines))
+		if sealed > tc.max {
+			t.Errorf("%s map task over a sealed block = %v allocs per 1000 records, want <= %v", tc.name, sealed, tc.max)
+		}
 		for _, src := range []struct {
 			shape string
 			r     *dfs.Reader
-			max   float64
-		}{{"lines", held, tc.max}, {"columns", sealed, tc.cols}} {
-			sc := new(taskScratch) // warm from AllocsPerRun's first, uncounted run on
-			got := testing.AllocsPerRun(20, func() {
-				runMapTask(tc.job, 0, src.r, 0, len(lines), nil, nil, taskObs{}, sc).publish(sc, nil, false)
-			})
-			if got > src.max {
-				t.Errorf("%s map task over %s = %v allocs per 1000 records, want <= %v", tc.name, src.shape, got, src.max)
+		}{{"an unsealed tail", tailLines(t, lines)}, {"hooked lines", heldLines(t, lines)}} {
+			if got := allocs(tc.job, src.r, len(lines)); got > sealed {
+				t.Errorf("%s map task over %s = %v allocs per 1000 records, over a sealed block %v", tc.name, src.shape, got, sealed)
 			}
 		}
+	}
+	long := edges(8000)
+	if one, eight := allocs(combine, tailLines(t, lines), len(lines)), allocs(combine, tailLines(t, long), len(long)); eight != one {
+		t.Errorf("combining map task over a tail: 8000 records = %v allocs, 1000 records %v: want none a record", eight, one)
 	}
 }

@@ -24,10 +24,9 @@ func TestParseNeverPanicsOnGarbage(t *testing.T) {
 	}
 }
 
-func TestParseNeverPanicsOnMangledScripts(t *testing.T) {
-	// Mutate a valid script by deleting byte ranges; every mutation must
-	// be handled gracefully.
-	base := `
+// mangleBase is a valid script: TestParseNeverPanicsOnMangledScripts
+// parses it with byte ranges deleted (mangled).
+const mangleBase = `
 edges = LOAD 'in' AS (user:int, follower:int);
 ne = FILTER edges BY follower != 0;
 g = GROUP ne BY user;
@@ -36,39 +35,31 @@ o = ORDER counts BY n DESC;
 top = LIMIT o 10;
 STORE top INTO 'out';
 `
-	for start := 0; start < len(base); start += 7 {
+
+// mangled returns mangleBase with byte ranges deleted: every seventh
+// offset, ranges of 1, 5 and 23 bytes.
+func mangled() []string {
+	var out []string
+	for start := 0; start < len(mangleBase); start += 7 {
 		for _, width := range []int{1, 5, 23} {
-			end := start + width
-			if end > len(base) {
-				end = len(base)
-			}
-			mutated := base[:start] + base[end:]
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("panic on mutation [%d:%d]: %v", start, end, r)
-					}
-				}()
-				_, _ = Parse(mutated)
-			}()
+			end := min(start+width, len(mangleBase))
+			out = append(out, mangleBase[:start]+mangleBase[end:])
 		}
 	}
+	return out
 }
 
-func TestParseDeepExpressionNesting(t *testing.T) {
-	depth := 200
+// deepNesting returns a script whose filter nests its column in depth
+// parentheses.
+func deepNesting(depth int) string {
 	expr := strings.Repeat("(", depth) + "v" + strings.Repeat(")", depth)
-	src := "a = LOAD 'x' AS (v:int);\nb = FILTER a BY " + expr + " == 1;\nSTORE b INTO 'o';"
-	if _, err := Parse(src); err != nil {
-		t.Fatalf("deeply nested expression should parse: %v", err)
-	}
+	return "a = LOAD 'x' AS (v:int);\nb = FILTER a BY " + expr + " == 1;\nSTORE b INTO 'o';"
 }
 
-func TestParseLongScript(t *testing.T) {
-	// A long chain of filters parses and builds a linear plan.
+// longScript returns a linear chain of n filters.
+func longScript(n int) string {
 	var b strings.Builder
 	b.WriteString("r0 = LOAD 'x' AS (v:int);\n")
-	const n = 150
 	for i := 1; i <= n; i++ {
 		b.WriteString("r")
 		b.WriteString(itoa(i))
@@ -81,7 +72,38 @@ func TestParseLongScript(t *testing.T) {
 	b.WriteString("STORE r")
 	b.WriteString(itoa(n))
 	b.WriteString(" INTO 'o';\n")
-	p, err := Parse(b.String())
+	return b.String()
+}
+
+// ParseCorpus is the scripts the robustness tests parse, which FuzzParse
+// seeds from too.
+func ParseCorpus() []string {
+	return append(mangled(), mangleBase, deepNesting(200), longScript(150))
+}
+
+func TestParseNeverPanicsOnMangledScripts(t *testing.T) {
+	for i, src := range mangled() {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic on mutation %d %q: %v", i, src, r)
+				}
+			}()
+			_, _ = Parse(src)
+		}()
+	}
+}
+
+func TestParseDeepExpressionNesting(t *testing.T) {
+	if _, err := Parse(deepNesting(200)); err != nil {
+		t.Fatalf("deeply nested expression should parse: %v", err)
+	}
+}
+
+func TestParseLongScript(t *testing.T) {
+	// A long chain of filters parses and builds a linear plan.
+	const n = 150
+	p, err := Parse(longScript(n))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package tuple
 
 import (
 	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -77,38 +76,6 @@ func TestDecoderTuplesStayValid(t *testing.T) {
 	got[0] = append(got[0], Int(-1)) // must reallocate, not run into tuple 1
 	if got[1][0] != Int(1) {
 		t.Fatalf("append to tuple 0 overwrote tuple 1: %v", got[1])
-	}
-}
-
-// TestDecoderNeed: a listed column decodes as it would without the mask
-// and width never depends on the mask, on both decode paths, for rows
-// shorter and wider than mask and schema; an unlisted column is null in
-// its place on the escape-free path and free to be either on the other.
-func TestDecoderNeed(t *testing.T) {
-	schema := &Schema{Fields: []Field{{"a", TypeInt}, {"b", TypeAny}, {"c", TypeInt}}}
-	lines := []string{"1\tx\t3", "1", "1\tx", "1\tx\t3\t4\tfive", "7\tesc\\taped\t9\t\\n", "\t\t", "\\\\"}
-	masks := [][]bool{{}, {true}, {false, true}, {false, false, true}, {true, false, true}, {true, true, true}}
-	for _, line := range lines {
-		full := DecodeLine(line, schema)
-		for _, need := range masks {
-			d := Decoder{Need: need}
-			got := d.DecodeLine(line, schema)
-			if len(got) != len(full) {
-				t.Fatalf("%q need %v: width %d, unmasked %d", line, need, len(got), len(full))
-			}
-			for i := range got {
-				ok := got[i].IsNull()
-				switch {
-				case i < len(need) && need[i]:
-					ok = got[i] == full[i]
-				case strings.Contains(line, "\\"):
-					ok = ok || got[i] == full[i]
-				}
-				if !ok {
-					t.Errorf("%q need %v col %d = %v, unmasked %v", line, need, i, got[i], full[i])
-				}
-			}
-		}
 	}
 }
 

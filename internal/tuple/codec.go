@@ -66,33 +66,34 @@ func EncodedLen(t Tuple) int {
 // DecodeLine parses one encoded record into a tuple, coercing columns by
 // the schema when provided (extra columns coerce as TypeAny; missing
 // schema columns are not padded). Loops over many records should use a
-// Decoder instead, which amortizes the escaped-path scratch buffer.
+// Decoder instead, which amortizes its scratch.
 func DecodeLine(line string, schema *Schema) Tuple {
-	var d Decoder
-	return d.DecodeLine(line, schema)
+	if line == "" || strings.IndexByte(line, '\\') >= 0 {
+		var d Decoder
+		return d.DecodeLine(line, schema)
+	}
+	// Escape-free: every field is a slice of line, cut with no scratch.
+	t := make(Tuple, strings.Count(line, "\t")+1)
+	for i := range t {
+		end := strings.IndexByte(line, '\t')
+		if end < 0 {
+			end = len(line)
+		}
+		t[i] = schema.ColType(i).Coerce(line[:end])
+		line = line[min(end+1, len(line)):]
+	}
+	return t
 }
 
-// Decoder decodes the record lines of one task. It reuses one unescape
-// scratch buffer across calls, so the escaped slow path costs one
-// allocation per record (the backing string shared by every unescaped
-// field), and it carves tuples from a Slab rather than allocating each
-// one: tuples stay valid, and independent, after later calls. The zero
-// value is ready to use. Not safe for concurrent use; each task body owns
-// its own Decoder.
+// Decoder decodes a run of record lines. It reuses its Fields across
+// calls, so an escaped line costs one allocation (the backing string of
+// its unescaped fields) and any other none, and it carves tuples from a
+// Slab rather than allocating each one: tuples stay valid, and
+// independent, after later calls. The zero value is ready to use. Not safe
+// for concurrent use.
 type Decoder struct {
-	// Need, when non-nil, lists the columns the caller reads: column i is
-	// sure to be coerced only where i < len(Need) && Need[i]. Any other
-	// may be left null in its place (the escape-free path does, the
-	// escaped path coerces everything); width and positions never change.
-	Need []bool
-
-	// Slab is what decoded tuples are carved from. A task that also builds
-	// source tuples some other way carves those from it too, and fills one
-	// run of arrays instead of two.
-	Slab Slab
-
-	buf    []byte
-	bounds []int
+	slab   Slab
+	fields Fields
 }
 
 // Slab carves tuples out of shared arrays of Values instead of
@@ -127,14 +128,46 @@ func (d *Decoder) DecodeLine(line string, schema *Schema) Tuple {
 	if line == "" {
 		return Tuple{}
 	}
-	if strings.IndexByte(line, '\\') < 0 {
-		return d.decodePlain(line, schema)
+	f := &d.fields
+	f.Split(line)
+	t := d.slab.Tuple(f.Len())
+	for i := range t {
+		t[i] = schema.ColType(i).Coerce(f.Value(i))
 	}
-	// Escaped slow path: unescape the whole line into the shared scratch
-	// buffer, recording where each field ends, then cut one backing
-	// string into per-field substrings.
-	d.buf = d.buf[:0]
-	d.bounds = d.bounds[:0]
+	return t
+}
+
+// Fields reads encoded record lines into their fields by the codec's one
+// rule, reusing its arrays from line to line. The zero value is ready to
+// use.
+type Fields struct {
+	text   string
+	starts []int // where each field begins in text, and where one after the last would
+	sep    int   // what follows a field in text: a tab (1) or nothing (0)
+	buf    []byte
+}
+
+// Split makes line the one f reads, and reports whether it holds a
+// backslash. An unescaped tab ends a field. A line without a backslash is
+// read where it is; one holding a backslash is unescaped into a string of
+// its own: `\t`, `\n` and `\\` are a tab, a newline and a backslash, a
+// backslash before any other byte stands for itself and that byte (one
+// before a tab glues the tab into its field), and one ending the line for
+// itself. The empty line has no field.
+func (f *Fields) Split(line string) (escaped bool) {
+	f.text, f.starts, f.sep = line, append(f.starts[:0], 0), 1
+	if strings.IndexByte(line, '\\') < 0 {
+		for i := 0; i < len(line); i++ {
+			if line[i] == '\t' {
+				f.starts = append(f.starts, i+1)
+			}
+		}
+		if line != "" {
+			f.starts = append(f.starts, len(line)+1)
+		}
+		return false
+	}
+	buf := f.buf[:0]
 	for i := 0; i < len(line); i++ {
 		c := line[i]
 		switch {
@@ -142,53 +175,29 @@ func (d *Decoder) DecodeLine(line string, schema *Schema) Tuple {
 			i++
 			switch line[i] {
 			case 't':
-				d.buf = append(d.buf, '\t')
+				buf = append(buf, '\t')
 			case 'n':
-				d.buf = append(d.buf, '\n')
+				buf = append(buf, '\n')
 			case '\\':
-				d.buf = append(d.buf, '\\')
+				buf = append(buf, '\\')
 			default:
-				d.buf = append(d.buf, '\\', line[i])
+				buf = append(buf, '\\', line[i])
 			}
 		case c == '\t':
-			d.bounds = append(d.bounds, len(d.buf))
+			f.starts = append(f.starts, len(buf))
 		default:
-			d.buf = append(d.buf, c)
+			buf = append(buf, c)
 		}
 	}
-	d.bounds = append(d.bounds, len(d.buf))
-	all := string(d.buf)
-	t := d.Slab.Tuple(len(d.bounds))
-	start := 0
-	for i, end := range d.bounds {
-		t[i] = schema.ColType(i).Coerce(all[start:end])
-		start = end
-	}
-	return t
+	f.text, f.starts, f.sep, f.buf = string(buf), append(f.starts, len(buf)), 0, buf
+	return true
 }
 
-// decodePlain is the escape-free fast path: every field is a direct
-// slice of line, and the scan stops at the last column Need lists.
-func (d *Decoder) decodePlain(line string, schema *Schema) Tuple {
-	t := d.Slab.Tuple(strings.Count(line, "\t") + 1)
-	cols := len(t)
-	if d.Need != nil {
-		cols = min(cols, len(d.Need))
-	}
-	start := 0
-	for i := 0; i < cols; i++ {
-		rest := line[start:]
-		end := strings.IndexByte(rest, '\t')
-		if end < 0 {
-			end = len(rest)
-		}
-		if d.Need == nil || d.Need[i] {
-			t[i] = schema.ColType(i).Coerce(rest[:end])
-		}
-		start += end + 1
-	}
-	return t
-}
+// Len returns the number of fields of the line split last.
+func (f *Fields) Len() int { return len(f.starts) - 1 }
+
+// Value returns field i of the line split last.
+func (f *Fields) Value(i int) string { return f.text[f.starts[i] : f.starts[i+1]-f.sep] }
 
 // appendEscapedValue appends the escaped text form of v. Numeric and
 // null values never contain escape bytes, so only strings go through the
