@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -67,80 +68,88 @@ func EncodeBlock(lines []string, compress bool) []byte {
 }
 
 // encodeBlockStats is EncodeBlock plus the uncompressed payload length,
-// which the FS folds into its compression-ratio accounting.
+// which the FS folds into its compression-ratio accounting. The block is
+// laid out exactly before a byte of it is written, header first, so an
+// uncompressed block is built where it is kept, with no spare capacity; a
+// compressed one is one copy out of the deflater.
 func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
-	// Pass 1: find the field spans of every line. starts/ends are flat,
-	// row-major, and sized once, in one array with pre: a line has one span
-	// more than it has tabs. pre[i] is the index of line i's first span.
-	logical, spans := 0, len(lines)
-	for _, l := range lines {
-		logical += len(l) + 1
-		spans += strings.Count(l, "\t")
-	}
-	ints := make([]int, len(lines)+1+2*spans)
-	pre := ints[:len(lines)+1]
-	starts := ints[len(pre) : len(pre) : len(pre)+spans]
-	ends := ints[len(pre)+spans : len(pre)+spans]
-	maxCols, minCols := 0, 0
+	// Pass 1: the payload's size — every value's length prefix and bytes,
+	// counted into its column's region, every record's column count and
+	// line length.
+	var regionArr, cursorArr [16]int
+	regions := regionArr[:0]                     // region c's byte length
+	maxCols, minCols, counts, tail := 0, 0, 0, 0 // tail: the directory's bytes
 	for i, l := range lines {
 		n := 0
-		start := 0
-		for {
-			idx := strings.IndexByte(l[start:], '\t')
-			if idx < 0 {
-				starts = append(starts, start)
-				ends = append(ends, len(l))
-				n++
-				break
+		for start := 0; start <= len(l); n++ {
+			end := strings.IndexByte(l[start:], '\t')
+			if end < 0 {
+				end = len(l) - start
 			}
-			starts = append(starts, start)
-			ends = append(ends, start+idx)
-			start += idx + 1
-			n++
+			if n == len(regions) {
+				regions = append(regions, 0)
+			}
+			regions[n] += uvarintLen(end) + end
+			start += end + 1
 		}
-		pre[i+1] = pre[i] + n
+		counts += uvarintLen(n)
+		tail += uvarintLen(len(l))
 		maxCols = max(maxCols, n)
 		if i == 0 || n < minCols {
 			minCols = n
 		}
 	}
+	ragged := minCols != maxCols
+	if !ragged {
+		counts = 0
+	}
+	// The layout, as offsets into data: the header up to h, the checksum,
+	// then the payload from p — its head, the column counts, the regions
+	// from the cursors' starts, and from dir the directory: an entry a
+	// column, then the line lengths and the trailer.
+	h := 2 + uvarintLen(len(lines))
+	p := h + 4
+	dir := p + uvarintLen(maxCols) + uvarintLen(minCols) + counts
+	cursor := cursorArr[:0] // where column c's next value goes
+	for _, r := range regions {
+		cursor = append(cursor, dir)
+		dir += r
+		tail += uvarintLen(r << 1)
+	}
+	rawLen = dir + tail + 8 - p
 
-	// Pass 2: column-grouped payload, the directory filled in as each
-	// region is written.
-	payload := make([]byte, 0, logical+len(lines)*2+5*maxCols+24)
-	payload = binary.AppendUvarint(payload, uint64(maxCols))
-	payload = binary.AppendUvarint(payload, uint64(minCols))
-	if minCols != maxCols {
-		for i := range lines {
-			payload = binary.AppendUvarint(payload, uint64(pre[i+1]-pre[i]))
+	// Pass 2: each record's values, each at its column's cursor; then the
+	// directory.
+	data = make([]byte, p+rawLen)
+	w := p + binary.PutUvarint(data[p:], uint64(maxCols))
+	w += binary.PutUvarint(data[w:], uint64(minCols))
+	for _, l := range lines {
+		n := 0
+		for start := 0; start <= len(l); n++ {
+			end := strings.IndexByte(l[start:], '\t')
+			if end < 0 {
+				end = len(l) - start
+			}
+			at := cursor[n] + binary.PutUvarint(data[cursor[n]:], uint64(end))
+			cursor[n] = at + copy(data[at:], l[start:start+end])
+			start += end + 1
+		}
+		if ragged {
+			w += binary.PutUvarint(data[w:], uint64(n))
 		}
 	}
-	var dirArr [64]byte
-	dir := dirArr[:0]
-	for c := 0; c < maxCols; c++ {
-		at := len(payload)
-		for i, l := range lines {
-			if pre[i+1]-pre[i] <= c {
-				continue
-			}
-			s, e := starts[pre[i]+c], ends[pre[i]+c]
-			payload = binary.AppendUvarint(payload, uint64(e-s))
-			payload = append(payload, l[s:e]...)
-		}
-		region := payload[at:]
-		d := uint64(len(region)) << 1
-		if holdsEscapeByte(region) {
+	w = dir
+	for c, r := range regions {
+		d := uint64(r) << 1
+		if holdsEscapeByte(data[cursor[c]-r : cursor[c]]) { // the cursor stands at its region's end
 			d |= 1
 		}
-		dir = binary.AppendUvarint(dir, d)
+		w += binary.PutUvarint(data[w:], d)
 	}
-	foot := len(payload)
-	payload = append(payload, dir...)
 	for _, l := range lines {
-		payload = binary.AppendUvarint(payload, uint64(len(l)))
+		w += binary.PutUvarint(data[w:], uint64(len(l)))
 	}
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(foot))
-	rawLen = len(payload)
+	binary.LittleEndian.PutUint64(data[w:], uint64(dir-p))
 
 	flags := byte(0)
 	if compress {
@@ -148,19 +157,19 @@ func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
 		defer deflaters.Put(z) // after the copy below
 		z.out.Reset()
 		z.zw.Reset(&z.out)
-		if _, err := z.zw.Write(payload); err == nil && z.zw.Close() == nil && z.out.Len() < rawLen {
-			payload = z.out.Bytes()
+		if _, err := z.zw.Write(data[p:]); err == nil && z.zw.Close() == nil && z.out.Len() < rawLen {
+			data = append(make([]byte, p, p+z.out.Len()), z.out.Bytes()...)
 			flags |= blockFlagFlate
 		}
 	}
-
-	var head [2 + binary.MaxVarintLen64]byte
-	h := binary.AppendUvarint(append(head[:0], blockVersion, flags), uint64(len(lines)))
-	data = make([]byte, 0, len(h)+4+len(payload))
-	data = append(data, h...)
-	data = binary.LittleEndian.AppendUint32(data, crc32.Update(crc32.Checksum(h, castagnoli), castagnoli, payload))
-	return append(data, payload...), rawLen
+	data[0], data[1] = blockVersion, flags
+	binary.PutUvarint(data[2:h], uint64(len(lines)))
+	binary.LittleEndian.PutUint32(data[h:], crc32.Update(crc32.Checksum(data[:h], castagnoli), castagnoli, data[p:]))
+	return data, rawLen
 }
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x.
+func uvarintLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
 
 // holdsEscapeByte reports whether b holds a backslash or a newline.
 func holdsEscapeByte(b []byte) bool {

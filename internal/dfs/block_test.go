@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -557,16 +558,42 @@ func TestOneAppendSealsLikeMany(t *testing.T) {
 }
 
 // TestBlockEncodeAllocs pins block encoding at a fixed number of
-// allocations whatever the record count: the span arrays are sized once
-// from a tab count, in one array with the line index, not grown a record
-// at a time.
+// allocations whatever the record count: the block, laid out before it is
+// written, and nothing a record.
 func TestBlockEncodeAllocs(t *testing.T) {
 	lines := make([]string, 1000)
 	for i := range lines {
 		lines[i] = fmt.Sprintf("station-%03d\t%d\tclear-%d", i%50, 20+i%7, i%3)
 	}
-	if got := testing.AllocsPerRun(20, func() { _ = EncodeBlock(lines, false) }); got > 4 {
-		t.Errorf("EncodeBlock = %v allocs per 1000 records, want <= 4", got)
+	if got := testing.AllocsPerRun(20, func() { _ = EncodeBlock(lines, false) }); got > 1 {
+		t.Errorf("EncodeBlock = %v allocs per 1000 records, want 1", got)
+	}
+}
+
+// TestSealAllocs pins what sealing a block costs in memory: 1,000
+// two-column lines take one object, the block, and no more bytes than it
+// and 64 — no span table, no payload built apart and copied behind the
+// header. The heap hands out memory in size classes, so
+// the block counts as the class it rounds up to.
+func TestSealAllocs(t *testing.T) {
+	class := func(n int) int { return cap(slices.Grow([]byte(nil), n)) }
+	lines := make([]string, 1000)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("user%04d\t%d", i*7%1000, i%50)
+	}
+	data, _ := encodeBlockStats(lines, false)
+	const runs = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		data, _ = encodeBlockStats(lines, false)
+	}
+	runtime.ReadMemStats(&after)
+	objects := (after.Mallocs - before.Mallocs) / runs
+	held := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(class(len(data)) + 64); objects > 1 || held > limit {
+		t.Errorf("sealing 1000 lines into a %d-byte block = %d objects, %d bytes; want 1 object, <= %d bytes", len(data), objects, held, limit)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -15,7 +16,10 @@ import (
 // sequences — through the complete at-rest pipeline: columnar encode,
 // optional flate compression, seal into a budgeted FS, spill to disk,
 // load back, decompress, decode. The reconstructed record lines must be
-// byte-identical to the originals at every stage.
+// byte-identical to the originals at every stage, and every block the
+// encoder makes — of the lines, and of the input as one line holding raw
+// newlines — byte-identical to the reference encoder's, with no capacity
+// past its length for the memory budget to miss.
 func FuzzBlockRoundTrip(f *testing.F) {
 	f.Add("plain\tfields\there", true)
 	f.Add("esc\\taped\\nvalue\\\\", false)
@@ -24,11 +28,25 @@ func FuzzBlockRoundTrip(f *testing.F) {
 	f.Add("a\nb\nc\td", false)
 	f.Add("unicode → ünïcode\tmore", true)
 	f.Add(strings.Repeat("wide\tblock\t", 400), true)
+	// Ragged past the encoder's stack room for 16 regions, values whose
+	// length takes two bytes, the empty line.
+	f.Add(strings.Repeat("v", 300)+"\tx\n\n"+strings.Repeat("c\\t\t", 20)+"\nshort", false)
 	f.Fuzz(func(t *testing.T, raw string, compress bool) {
 		// Interpret the fuzz input as a small file: newline-separated
 		// record lines, each holding arbitrary (possibly tab/backslash
 		// riddled) content.
 		lines := strings.Split(raw, "\n")
+
+		for _, in := range [][]string{lines, {raw}} {
+			got, gotRaw := encodeBlockStats(in, compress)
+			want, wantRaw := referenceEncodeBlock(in, compress)
+			if !bytes.Equal(got, want) || gotRaw != wantRaw {
+				t.Fatalf("%q: encoded (payload %d)\n%x\nthe reference encoder (payload %d)\n%x", in, gotRaw, got, wantRaw, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("%q: a block of %d bytes holds %d", in, len(got), cap(got))
+			}
+		}
 
 		// Stage 1: bare codec round-trip.
 		data := EncodeBlock(lines, compress)

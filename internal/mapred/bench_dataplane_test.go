@@ -242,24 +242,43 @@ func BenchmarkDataplaneMapTaskShuffle(b *testing.B) {
 
 // BenchmarkDataplaneSortRuns sorts one 10,000-record partition of 2,500
 // distinct keys, four records a key in arrival order — the shape a
-// non-combining map task hands sortRuns. Each op sorts a fresh copy.
+// non-combining map task hands sortRuns. Each op sorts a fresh copy, on a
+// scratch warm from the first op on, as a slot's is. Two key shapes: a
+// join's short integer keys, which the radix sorts alone, and DISTINCT's
+// whole-tuple keys, whose words (the seven bytes past what every key
+// shares) take four values, so that the comparator finishes every
+// record — the fall-back's cost.
 func BenchmarkDataplaneSortRuns(b *testing.B) {
 	const records, distinct = 10_000, 2_500
-	recs := make([]interRec, records)
-	for i := range recs {
-		k := int64(i*7919+13) % distinct
-		t := tuple.Tuple{tuple.Int(k), tuple.Int(int64(i))}
-		recs[i] = interRec{keyStr: fmt.Sprint(k), t: t, encLen: int32(tuple.EncodedLen(t))}
+	for _, shape := range []struct {
+		name string
+		spec *ReduceSpec
+		key  func(k int64) tuple.Tuple
+	}{
+		{"join", &ReduceSpec{Kind: ReduceJoin}, func(k int64) tuple.Tuple { return tuple.Tuple{tuple.Int(k)} }},
+		{"distinct-long", &ReduceSpec{Kind: ReduceDistinct}, func(k int64) tuple.Tuple {
+			return tuple.Tuple{tuple.Str(fmt.Sprintf("region-%d/station", k%4)), tuple.Int(k), tuple.Int(k % 7)}
+		}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			recs := make([]interRec, records)
+			for i := range recs {
+				k := int64(i*7919+13) % distinct
+				t := append(shape.key(k), tuple.Int(int64(i)))
+				key := tuple.AppendEncoded(nil, t[:len(t)-1])
+				recs[i] = interRec{keyStr: string(key), t: t, encLen: int32(tuple.EncodedLen(t))}
+			}
+			work := make([]interRec, records)
+			sc := new(taskScratch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(work, recs)
+				sortRuns([][]interRec{work}, shape.spec, sc)
+			}
+			b.ReportMetric(records, "records/op")
+		})
 	}
-	work := make([]interRec, records)
-	spec := &ReduceSpec{Kind: ReduceJoin}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, recs)
-		sortRuns([][]interRec{work}, spec, nil)
-	}
-	b.ReportMetric(records, "records/op")
 }
 
 // benchHotKeyLines generates benchBatch edge records over 16 distinct

@@ -322,32 +322,140 @@ func (c *combiner) emit() ([][]interRec, int64) {
 // merge's (key, run, position) emission order is exactly the (key,
 // global arrival) order the previous reduce-side global sort produced.
 // Bare-LIMIT pass-through jobs (ReduceSort with no OrderBy) keep arrival
-// order untouched.
-func sortRuns(parts [][]interRec, spec *ReduceSpec, idx []int32) []int32 {
-	if spec == nil {
-		return idx
-	}
-	cmp := func(a, b *interRec) int { return strings.Compare(a.keyStr, b.keyStr) }
-	if spec.Kind == ReduceSort {
-		if len(spec.OrderBy) == 0 {
-			return idx
+// order untouched. The sorts' arrays are sc's, one set for all of the
+// task's partitions.
+func sortRuns(parts [][]interRec, spec *ReduceSpec, sc *taskScratch) {
+	switch {
+	case spec == nil:
+	case spec.Kind != ReduceSort:
+		for _, p := range parts {
+			sortKeyed(p, sc)
 		}
-		cmp = func(a, b *interRec) int { return orderCmp(a.t, b.t, spec.OrderBy) }
+	case len(spec.OrderBy) > 0:
+		cmp := func(a, b *interRec) int { return orderCmp(a.t, b.t, spec.OrderBy) }
+		for _, p := range parts {
+			sortRun(p, cmp, sc)
+		}
 	}
-	for _, p := range parts { // one index scratch for all of the task's partitions
-		idx = sortRun(p, cmp, idx)
-	}
-	return idx
 }
 
-// sortRun sorts one run by (cmp, arrival position) and returns the index
-// scratch for the next. Position breaks every tie, so the order is total
-// and its one sorted arrangement is the stable sort by cmp, whatever the
-// algorithm: an unstable sort moves 4-byte indices where a stable one
-// rotates 48-byte records. The permutation is then applied in place,
-// cycle by cycle: each record moves once, through one temporary.
-func sortRun(p []interRec, cmp func(a, b *interRec) int, idx []int32) []int32 {
-	idx = slices.Grow(idx[:0], len(p))[:len(p)]
+// sortPair is a keyed record in the radix sort: the bytes of its key that
+// decide its place, inline (sortWord), and its arrival position.
+type sortPair struct {
+	word uint64
+	pos  int32
+}
+
+// sortKeyed sorts one run by (keyStr, arrival position) at the cost of
+// the key bytes that tell its records apart. The bytes every key shares
+// with the first are skipped; each record's next seven, and how many
+// follow, make a word (sortWord) whose order is strings.Compare's; an LSD
+// byte radix sorts the (word, position) pairs, one pass for each byte of
+// the word that varies across the run. A radix pass is stable, so
+// records of one word stay in arrival order; only words that tie on keys
+// still longer than they hold are ordered by the rest of the key, within
+// their tie. The permutation is applied as sortRun applies its own.
+func sortKeyed(p []interRec, sc *taskScratch) {
+	n := len(p)
+	if n < 2 {
+		return
+	}
+	first := p[0].keyStr
+	skip := len(first)
+	for i := 1; i < n && skip > 0; i++ {
+		skip = sharedPrefix(first[:skip], p[i].keyStr)
+	}
+	sc.pairs = resize(sc.pairs, 2*n)
+	src, dst := sc.pairs[:n], sc.pairs[n:]
+	var diff uint64 // the bits of the word that vary across the run
+	for i := range p {
+		w := sortWord(p[i].keyStr[skip:])
+		src[i] = sortPair{word: w, pos: int32(i)}
+		diff |= w ^ src[0].word
+	}
+	// One pass a byte that varies. A pass costs its records and the span of
+	// byte values they hold, not the 256 a byte could, so a short run costs
+	// little more than its records.
+	var hist [256]int32 // zero between passes
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		lo, hi := byte(0xff), byte(0)
+		for _, e := range src {
+			d := byte(e.word >> shift)
+			hist[d]++
+			lo, hi = min(lo, d), max(hi, d)
+		}
+		at := int32(0)
+		for d := int(lo); d <= int(hi); d++ {
+			hist[d], at = at, at+hist[d]
+		}
+		for _, e := range src {
+			d := byte(e.word >> shift)
+			dst[hist[d]] = e
+			hist[d]++
+		}
+		clear(hist[lo : int(hi)+1])
+		src, dst = dst, src
+	}
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && src[j].word == src[i].word {
+			j++
+		}
+		if j-i > 1 && src[i].word&0xff == 8 {
+			rest := skip + 7
+			slices.SortFunc(src[i:j], func(a, b sortPair) int {
+				if c := strings.Compare(p[a.pos].keyStr[rest:], p[b.pos].keyStr[rest:]); c != 0 {
+					return c
+				}
+				return int(a.pos - b.pos)
+			})
+		}
+		i = j
+	}
+	sc.idx = resize(sc.idx, n)
+	for i, e := range src {
+		sc.idx[i] = e.pos
+	}
+	permute(p, sc.idx)
+}
+
+// sharedPrefix is the number of leading bytes a and b share.
+func sharedPrefix(a, b string) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// sortWord packs s's first seven bytes big-endian, zero-padded, above
+// min(len(s), 8). Words order as strings.Compare orders their strings,
+// but for strings longer than seven bytes that agree in their first
+// seven: those tie.
+func sortWord(s string) uint64 {
+	if len(s) >= 8 {
+		return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+			uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | 8
+	}
+	w := uint64(len(s))
+	for i := 0; i < len(s); i++ {
+		w |= uint64(s[i]) << (56 - 8*i)
+	}
+	return w
+}
+
+// sortRun sorts one run by (cmp, arrival position), on sc's index. Position
+// breaks every tie, so the order is total and its one sorted arrangement
+// is the stable sort by cmp, whatever the algorithm: an unstable sort
+// moves 4-byte indices where a stable one rotates 48-byte records.
+func sortRun(p []interRec, cmp func(a, b *interRec) int, sc *taskScratch) {
+	sc.idx = resize(sc.idx, len(p))
+	idx := sc.idx
 	for i := range idx {
 		idx[i] = int32(i)
 	}
@@ -357,7 +465,14 @@ func sortRun(p []interRec, cmp func(a, b *interRec) int, idx []int32) []int32 {
 		}
 		return int(a - b)
 	})
-	// idx[i] is the arrival position of the record that belongs at i.
+	permute(p, idx)
+}
+
+// permute moves every record of p to its sorted place, in place, cycle by
+// cycle: each record moves once, through one temporary. idx[i] is the
+// arrival position of the record that belongs at i; permute marks the
+// places it fills in idx, which it leaves holding 0, 1, 2, ….
+func permute(p []interRec, idx []int32) {
 	for i := range idx {
 		if int(idx[i]) == i {
 			continue
@@ -373,7 +488,6 @@ func sortRun(p []interRec, cmp func(a, b *interRec) int, idx []int32) []int32 {
 		p[j] = first
 		idx[j] = int32(j)
 	}
-	return idx
 }
 
 // mergeRuns streams the k-way merge of pre-sorted runs through yield in

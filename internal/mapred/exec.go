@@ -370,7 +370,8 @@ type taskScratch struct {
 	enc      []byte        // map: shuffle key bytes
 	canon    []byte        // the chain's canonical bytes
 	tables   []combinePart // map: combiner tables, emptied by emit
-	idx      []int32       // map: sortRun's index
+	idx      []int32       // map: the sorts' permutation
+	pairs    []sortPair    // map: sortKeyed's radix pairs, two a record
 	live     [][]interRec  // reduce: the runs being merged
 	tree     []int32       // reduce: their positions and the loser tree
 	left     []tuple.Tuple // reduce: a join key's left side
@@ -568,7 +569,7 @@ func (m *mapRun) finish() *mapOutcome {
 		}
 	}
 	if shuffle {
-		sc.idx = sortRuns(out.partitions, m.job.Reduce, sc.idx)
+		sortRuns(out.partitions, m.job.Reduce, sc)
 		o.shuffleRecords.Add(out.shuffleRecs)
 		o.combineRecords.Add(out.combinedIn)
 	} else {

@@ -378,4 +378,16 @@ STORE p INTO 'out/prod';`, CompileOptions{})[0]
 	if one, eight := allocs(combine, tailLines(t, lines), len(lines)), allocs(combine, tailLines(t, long), len(long)); eight != one {
 		t.Errorf("combining map task over a tail: 8000 records = %v allocs, 1000 records %v: want none a record", eight, one)
 	}
+	// The uncombined shuffle's sort, on a warm slot, allocates nothing: its
+	// radix pairs and permutation are the slot's. So does the comparator
+	// finishing ties of keys longer than their word.
+	sc := new(taskScratch)
+	runs := runMapTask(shuffle, 0, sealedBlock(t, lines), 0, len(lines), nil, nil, taskObs{}, sc).partitions
+	tied := sortFixture([]byte(strings.Repeat("\x00\x01\xf0\xf1\xf2\xf3", 60)), sortKeyShapes[3])
+	if got := testing.AllocsPerRun(20, func() {
+		sortRuns(runs, shuffle.Reduce, sc)
+		sortRuns(tied, &ReduceSpec{Kind: ReduceDistinct}, sc)
+	}); got != 0 {
+		t.Errorf("sorting the uncombined shuffle's runs on a warm slot = %v allocs, want 0", got)
+	}
 }

@@ -34,9 +34,8 @@ func stableSortRuns(parts [][]interRec, spec *ReduceSpec) {
 	}
 }
 
-// sortSpecs are the comparators sortRuns runs under: the canonical key,
-// and ORDER BY lists with and without Desc. The second ORDER BY column
-// is the arrival position, so the last spec has no ties at all.
+// sortSpecs are the comparators sortRuns runs under: the canonical key
+// (sortKeyed), and ORDER BY lists with and without Desc (sortRun).
 var sortSpecs = []*ReduceSpec{
 	{Kind: ReduceAggregate},
 	{Kind: ReduceSort, OrderBy: []pig.OrderKey{{Col: 0}}},
@@ -45,23 +44,54 @@ var sortSpecs = []*ReduceSpec{
 	{Kind: ReduceSort}, // bare LIMIT: arrival order
 }
 
+// sortKeyShapes give a record of data byte b its key and key values, each
+// shape reaching a branch of sortKeyed: short integer keys; the empty key
+// and NUL bytes; lengths 6 to 10 around one 7-byte prefix, where words
+// tie and the rest of the key decides; a run whose keys all share a long
+// prefix, some running past their word; whole-tuple DISTINCT keys.
+var sortKeyShapes = []func(b byte) (string, tuple.Tuple){
+	func(b byte) (string, tuple.Tuple) {
+		k := int64(b % 8)
+		return fmt.Sprint(k), tuple.Tuple{tuple.Int(k)}
+	},
+	func(b byte) (string, tuple.Tuple) {
+		k := []string{"", "\x00", "\x00\x00", "a", "a\x00", "\x00a"}[b%6]
+		return k, tuple.Tuple{tuple.Str(k)}
+	},
+	func(b byte) (string, tuple.Tuple) {
+		k := []string{"abcdef", "abcdefg", "abcdefgh", "abcdefgi", "abcdefgh\x00", "abcdefghi", "abcdefgA", "abcdefgh\x00z"}[b%8]
+		return k, tuple.Tuple{tuple.Str(k)}
+	},
+	func(b byte) (string, tuple.Tuple) {
+		k := "shared/prefix/of/every/key/" + strings.Repeat("x", int(b>>5)) + fmt.Sprint(b%5)
+		return k, tuple.Tuple{tuple.Str(k)}
+	},
+	func(b byte) (string, tuple.Tuple) {
+		t := tuple.Tuple{tuple.Str(fmt.Sprintf("user%06d", b%4)), tuple.Int(int64(b>>4) % 3)}
+		return string(tuple.AppendEncoded(nil, t)), t
+	},
+}
+
 // sortFixture spreads one record per data byte over three partitions of
-// different lengths. Keys repeat heavily (at most 8 distinct) and every
-// record carries its arrival position, so two records never compare
-// equal as wholes and any reordering of equal keys shows.
-func sortFixture(data []byte) [][]interRec {
+// different lengths, keyed by shape. Keys repeat heavily and every record
+// carries its arrival position behind its key values, so two records never
+// compare equal as wholes and any reordering of equal keys shows.
+func sortFixture(data []byte, shape func(b byte) (string, tuple.Tuple)) [][]interRec {
 	parts := make([][]interRec, 3)
 	for i, b := range data {
-		k := int64(b % 8)
-		t := tuple.Tuple{tuple.Int(k), tuple.Int(int64(i))}
+		key, vals := shape(b)
+		t := append(vals, tuple.Int(int64(i)))
 		p := int(b>>3) % len(parts)
 		parts[p] = append(parts[p], interRec{
-			keyStr: fmt.Sprint(k), t: t, tag: int32(i % 2), encLen: int32(tuple.EncodedLen(t)),
+			keyStr: key, t: t, tag: int32(i % 2), encLen: int32(tuple.EncodedLen(t)),
 		})
 	}
 	return parts
 }
 
+// FuzzSortRunsMatchesStable holds sortRuns to the stable sort of the
+// records themselves. mode picks the spec and, past the first
+// len(sortSpecs), the key shape.
 func FuzzSortRunsMatchesStable(f *testing.F) {
 	for _, seed := range [][]byte{
 		nil, {3}, {3, 3}, {9, 1, 9}, {7, 6, 5, 4, 3, 2, 1},
@@ -72,10 +102,22 @@ func FuzzSortRunsMatchesStable(f *testing.F) {
 			f.Add(seed, uint8(mode))
 		}
 	}
+	ramp := make([]byte, 300)
+	for i := range ramp {
+		ramp[i] = byte(i * 7)
+	}
+	for shape := 1; shape < len(sortKeyShapes); shape++ {
+		for _, seed := range [][]byte{[]byte("the quick brown fox jumps over the lazy dog"), make([]byte, 257), ramp} {
+			for _, spec := range []int{0, 3} {
+				f.Add(seed, uint8(shape*len(sortSpecs)+spec))
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
 		spec := sortSpecs[int(mode)%len(sortSpecs)]
-		got, want := sortFixture(data), sortFixture(data)
-		sortRuns(got, spec, nil)
+		shape := sortKeyShapes[int(mode)/len(sortSpecs)%len(sortKeyShapes)]
+		got, want := sortFixture(data, shape), sortFixture(data, shape)
+		sortRuns(got, spec, new(taskScratch))
 		stableSortRuns(want, spec)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("spec %+v over %d records:\n got %v\nwant %v", spec, len(data), got, want)
