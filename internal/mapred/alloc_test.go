@@ -154,15 +154,14 @@ func TestCombineFoldAllocs(t *testing.T) {
 // TestResolveDetachedAllocs pins the disabled-observability contract on
 // the per-attempt accounting: with no registry and no jobs board — how
 // the timed runs execute — settling an attempt's CPU, committed, lost or
-// hung, is the ledger update and nil-receiver no-ops: no task ID is
-// formatted for a board that is not there.
+// hung, is the ledger update and nil-receiver no-ops.
 func TestResolveDetachedAllocs(t *testing.T) {
 	eng := NewEngine(dfs.New(), cluster.New(2, 1), nil, DefaultCostModel())
 	if eng.Board != nil || eng.Registry() != nil {
 		t.Fatal("a fresh engine attaches a store; the pin needs none")
 	}
 	js := &JobState{Spec: &JobSpec{ID: "x/r0/j0", SID: "run1-c0-a0", Replica: 1}}
-	rt := &runningTask{task: &Task{Job: js, Kind: MapTask, Index: 3}, node: "node-000"}
+	rt := &runningTask{task: js.newTask(MapTask, 0, 3), node: "node-000"}
 	if got := testing.AllocsPerRun(200, func() {
 		eng.resolve(rt, 800_004, attemptCommitted)
 		eng.resolve(rt, 800_004, attemptLost)

@@ -359,14 +359,22 @@ func TestJobSpecClone(t *testing.T) {
 func TestTaskIDStableAcrossReplicas(t *testing.T) {
 	js1 := &JobState{Spec: &JobSpec{ID: "a", Replica: 0}}
 	js2 := &JobState{Spec: &JobSpec{ID: "b", Replica: 1}}
-	t1 := &Task{Job: js1, Kind: MapTask, InputIdx: 1, Index: 4}
-	t2 := &Task{Job: js2, Kind: MapTask, InputIdx: 1, Index: 4}
-	if t1.ID() != t2.ID() {
-		t.Errorf("task IDs differ: %q vs %q", t1.ID(), t2.ID())
+	t1 := js1.newTask(MapTask, 1, 4)
+	t2 := js2.newTask(MapTask, 1, 4)
+	if t1.ID() != t2.ID() || t1.ID() != "m1-004" {
+		t.Errorf("task IDs differ: %q vs %q, want m1-004", t1.ID(), t2.ID())
 	}
-	r := &Task{Job: js1, Kind: ReduceTask, Index: 2}
+	r := js1.newTask(ReduceTask, 0, 2)
 	if r.ID() != "r002" {
 		t.Errorf("reduce id = %q", r.ID())
+	}
+	// The constructor hands out ordinals in creation order and the job
+	// owns what it made.
+	if t1.ord != 0 || r.ord != 1 || len(js1.tasks) != 2 || js1.tasks[1] != r || r.Job != js1 {
+		t.Errorf("ordinals: map %d, reduce %d, job holds %d tasks", t1.ord, r.ord, len(js1.tasks))
+	}
+	if got := js1.TaskIDs(); len(got) != 2 || got[0] != "m1-004" || got[1] != "r002" {
+		t.Errorf("TaskIDs = %v", got)
 	}
 }
 

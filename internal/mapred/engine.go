@@ -107,8 +107,8 @@ type JobState struct {
 
 	splits      [][][2]int    // per input: line ranges
 	inputSrcs   []*dfs.Reader // per input: streaming view opened at runnable time
+	tasks       []*Task       // in ordinal order: maps by (input, split), then reduces
 	mapOutcomes []*mapOutcome // indexed by map task ordinal
-	mapOrdinal  map[string]int
 	mapsTotal   int
 	mapsDone    int
 	redsTotal   int
@@ -119,10 +119,7 @@ type JobState struct {
 	// job's output as produced for AuditIOOutPoint.
 	auditParts map[string][]string
 
-	running    map[string][]*runningTask // task ID -> active attempts
-	committed  map[string]bool           // task IDs whose result committed
-	maxDur     map[TaskKind]int64        // longest committed duration per kind
-	speculated map[string]int            // backups spawned per task ID (not yet invalidated by loss)
+	maxDur map[TaskKind]int64 // longest committed duration per kind
 
 	hasDependents bool // another submitted job consumes this job's output
 
@@ -257,6 +254,7 @@ type Engine struct {
 	ticks      int
 	specArmed  bool
 	ready      []*Task
+	cands      []*Task // legalTasks' result, its backing array reused by every probe
 	freeSlots  map[cluster.NodeID]int
 	sidBinding map[cluster.NodeID]map[string]int
 	tickArmed  bool
@@ -264,7 +262,7 @@ type Engine struct {
 	// specHist holds committed-duration histograms per (base job ID,
 	// task kind), feeding the speculation trigger. Cross-replica by
 	// construction: replicas of one cluster share base IDs.
-	specHist map[string]*obs.Histogram
+	specHist map[specKey]*obs.Histogram
 
 	// Fault is the storage failure that ended Run, if one did: a sealed
 	// block that cannot be read back is no node's doing, nor a retry's to fix.
@@ -319,7 +317,7 @@ func NewEngine(fs *dfs.FS, cl *cluster.Cluster, sched Scheduler, cost CostModel)
 		Cost:         cost,
 		Ledger:       NewCostLedger(),
 		SpecQuantile: 0.95,
-		specHist:     make(map[string]*obs.Histogram),
+		specHist:     make(map[specKey]*obs.Histogram),
 		jobs:         make(map[string]*JobState),
 		byOutput:     make(map[string]*JobState),
 		dead:         make(map[cluster.NodeID]bool),
@@ -437,11 +435,7 @@ func (e *Engine) Submit(spec *JobSpec) (*JobState, error) {
 		Spec:       spec,
 		Nodes:      make(map[cluster.NodeID]bool),
 		SubmitTime: e.Now(),
-		mapOrdinal: make(map[string]int),
-		running:    make(map[string][]*runningTask),
-		committed:  make(map[string]bool),
 		maxDur:     make(map[TaskKind]int64),
-		speculated: make(map[string]int),
 	}
 	e.jobs[spec.ID] = js
 	e.jobOrder = append(e.jobOrder, spec.ID)
@@ -485,13 +479,12 @@ func (e *Engine) makeRunnable(js *JobState) {
 		}
 		js.splits[i] = splitLines(src.NumRecords(), e.Cost.SplitRecords)
 		for s := range js.splits[i] {
-			t := &Task{Job: js, Kind: MapTask, InputIdx: i, Index: s}
+			t := js.newTask(MapTask, i, s)
 			t.Home = e.splitHome(in.Path, s)
-			js.mapOrdinal[t.ID()] = js.mapsTotal
-			js.mapsTotal++
 			e.ready = append(e.ready, t)
 		}
 	}
+	js.mapsTotal = len(js.tasks)
 	js.mapOutcomes = make([]*mapOutcome, js.mapsTotal)
 	e.Board.JobStages(js.Spec.ID, js.mapsTotal, -1)
 	if e.obsReg != nil {
@@ -599,11 +592,12 @@ func (e *Engine) tick() bool {
 
 // legalTasks filters the ready queue to tasks allowed on node: tasks of a
 // replicated job (non-empty SID) may only land on a node bound to the
-// same replica of that sub-graph, never a different one (§5.3).
+// same replica of that sub-graph, never a different one (§5.3). The
+// result lives in e.cands and is valid until the next probe.
 func (e *Engine) legalTasks(node *cluster.Node) []*Task {
-	var out []*Task
+	out := e.cands[:0]
 	for _, t := range e.ready {
-		if t.Job.committed[t.ID()] {
+		if t.committed {
 			continue // a backup whose original already finished
 		}
 		sid := t.Job.Spec.SID
@@ -614,7 +608,7 @@ func (e *Engine) legalTasks(node *cluster.Node) []*Task {
 		}
 		// A backup copy must not share a node with a live attempt.
 		dup := false
-		for _, rt := range t.Job.running[t.ID()] {
+		for _, rt := range t.running {
 			if rt.node == node.ID {
 				dup = true
 				break
@@ -625,6 +619,7 @@ func (e *Engine) legalTasks(node *cluster.Node) []*Task {
 		}
 		out = append(out, t)
 	}
+	e.cands = out
 	return out
 }
 
@@ -675,7 +670,7 @@ func (e *Engine) startTask(node *cluster.Node, t *Task) {
 		e.sidBinding[node.ID][sid] = js.Spec.Replica
 	}
 	rt := &runningTask{task: t, node: node.ID, start: e.Now(), wallStart: e.Trace.WallNow()}
-	js.running[t.ID()] = append(js.running[t.ID()], rt)
+	t.running = append(t.running, rt)
 	e.Board.TaskStarted(js.Spec.ID)
 
 	// Byzantine behaviour draw (§2.3). Drawn here, not in the body, so
@@ -786,17 +781,17 @@ func (e *Engine) scheduleCommit(p pendingBody, dur int64, commit func()) {
 			e.resolve(rt, dur, attemptLost) // torn down before its completion fired
 			return
 		}
-		e.unlink(js, t.ID(), rt)
+		t.unlink(rt)
 		e.releaseSlot(rt.node)
-		if js.Killed || js.committed[t.ID()] {
+		if js.Killed || t.committed {
 			e.resolve(rt, dur, attemptLost) // job gone, or a backup raced us and won
 			e.armTick()
 			return
 		}
-		js.committed[t.ID()] = true
+		t.committed = true
 		e.resolve(rt, dur, attemptCommitted)
 		if e.Speculation { // the histogram's only reader is specSweep
-			k := specKey(js.Spec.ID, t.Kind)
+			k := specKey{baseID(js.Spec.ID), t.Kind}
 			h := e.specHist[k]
 			if h == nil {
 				h = obs.NewHistogram(obs.DurationBucketsUs)
@@ -822,11 +817,11 @@ func (e *Engine) scheduleCommit(p pendingBody, dur int64, commit func()) {
 		// be measured against; wake the sweep for them.
 		e.armSpec()
 		// Tear down losing sibling attempts (hung originals included).
-		for _, other := range js.running[t.ID()] {
+		for _, other := range t.running {
 			other.dead = true
 			e.releaseSlot(other.node)
 		}
-		delete(js.running, t.ID())
+		t.running = nil
 		// Digests first: when commit completes the job, the verifier
 		// must already hold this task's reports, in emission order.
 		p.buf.Replay(e.DigestSink)
@@ -864,9 +859,7 @@ func (e *Engine) resolve(rt *runningTask, dur int64, outcome attemptOutcome) {
 	e.obsCPUCommitted.Add(dur)
 	e.obsTaskDur.Observe(dur)
 	e.Ledger.ResolveCommitted(spec.SID, spec.Replica, dur)
-	if e.Board != nil { // the task ID is formatted for the board alone
-		e.Board.TaskCommitted(spec.ID, t.Kind.String(), t.ID(), dur)
-	}
+	e.Board.TaskCommitted(spec.ID, t.Kind.String(), t.ID(), dur)
 	if t.Kind == MapTask {
 		t.Job.obsMapDur.Observe(dur)
 	} else {
@@ -874,14 +867,10 @@ func (e *Engine) resolve(rt *runningTask, dur int64, outcome attemptOutcome) {
 	}
 }
 
-// unlink removes one attempt from a task's live list.
-func (e *Engine) unlink(js *JobState, tid string, rt *runningTask) {
-	rts := js.running[tid]
-	for i, x := range rts {
-		if x == rt {
-			js.running[tid] = append(rts[:i], rts[i+1:]...)
-			return
-		}
+// unlink removes one attempt from the task's live list.
+func (t *Task) unlink(rt *runningTask) {
+	if i := slices.Index(t.running, rt); i >= 0 {
+		t.running = slices.Delete(t.running, i, i+1)
 	}
 }
 
@@ -908,7 +897,7 @@ func (e *Engine) armSpec() {
 // state only through engine events, and those re-arm the sweep;
 // re-arming on "anything still running" would spin the event loop
 // forever when a hung task's backup can never be placed. Iteration
-// follows submission order and sorted task IDs so runs stay
+// follows submission order and task ordinals so runs stay
 // deterministic.
 func (e *Engine) specSweep() bool {
 	again := false
@@ -917,13 +906,8 @@ func (e *Engine) specSweep() bool {
 		if js == nil || js.Done || js.Killed {
 			continue
 		}
-		tids := make([]string, 0, len(js.running))
-		for tid := range js.running {
-			tids = append(tids, tid)
-		}
-		sort.Strings(tids)
-		for _, tid := range tids {
-			rts := js.running[tid]
+		for _, t := range js.tasks {
+			rts := t.running
 			if len(rts) == 0 {
 				continue
 			}
@@ -932,10 +916,10 @@ func (e *Engine) specSweep() bool {
 			// placed attempts (original included), speculated counts
 			// spawns, so every spawned backup has been placed exactly when
 			// len(rts) > speculated.
-			if js.speculated[tid] >= maxBackups || len(rts) <= js.speculated[tid] {
+			if t.speculated >= maxBackups || len(rts) <= t.speculated {
 				continue
 			}
-			kind := rts[0].task.Kind
+			kind := t.Kind
 			// Comparator: the slowest committed sibling of the same kind
 			// in the same job, tightened by the committed durations for the
 			// same base job across all replicas — a fully-hung replica has
@@ -944,7 +928,7 @@ func (e *Engine) specSweep() bool {
 			// jobs run ONE map per replica, so a higher floor would leave a
 			// replica pinned to hanging nodes until the verifier timeout.
 			threshold := js.maxDur[kind]
-			if ub, ok := e.specHist[specKey(js.Spec.ID, kind)].Quantile(e.SpecQuantile); ok {
+			if ub, ok := e.specHist[specKey{baseID(js.Spec.ID), kind}].Quantile(e.SpecQuantile); ok {
 				if threshold == 0 || ub < threshold {
 					threshold = ub
 				}
@@ -964,9 +948,9 @@ func (e *Engine) specSweep() bool {
 				}
 			}
 			if float64(e.Now()-newest) > specLagFactor*float64(threshold) {
-				js.speculated[tid]++
+				t.speculated++
 				atomic.AddInt64(&e.Metrics.SpeculativeTasks, 1)
-				e.ready = append(e.ready, rts[0].task)
+				e.ready = append(e.ready, t)
 				e.armTick()
 			} else {
 				again = true
@@ -988,8 +972,9 @@ const (
 
 // specKey is the specHist map key: base job ID (stable across replicas
 // and attempts) plus task kind.
-func specKey(jobID string, kind TaskKind) string {
-	return baseID(jobID) + "|" + kind.String()
+type specKey struct {
+	base string
+	kind TaskKind
 }
 
 // mapBody returns the map task's data work as a closure safe to run off
@@ -1045,8 +1030,7 @@ func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), co
 			atomic.AddInt64(&e.Metrics.DigestRecords, out.digested)
 			atomic.AddInt64(&e.Metrics.ShuffleRecords, out.shuffleRecs)
 			atomic.AddInt64(&e.Metrics.CombinedRecords, out.combinedIn)
-			ord := js.mapOrdinal[t.ID()]
-			js.mapOutcomes[ord] = out
+			js.mapOutcomes[t.ord] = out
 			js.mapsDone++
 			if js.Spec.Reduce == nil {
 				// Map-only job: task output is final.
@@ -1072,7 +1056,7 @@ func (e *Engine) mapsFinished(js *JobState) {
 	}
 	js.redsTotal = js.Spec.NumReduces
 	for r := 0; r < js.redsTotal; r++ {
-		e.ready = append(e.ready, &Task{Job: js, Kind: ReduceTask, Index: r})
+		e.ready = append(e.ready, js.newTask(ReduceTask, 0, r))
 	}
 	e.Board.JobStages(js.Spec.ID, -1, js.redsTotal)
 	if e.obsReg != nil {
@@ -1191,13 +1175,7 @@ func (e *Engine) completeJob(js *JobState) {
 		obs.A("sid", js.Spec.SID))
 	// Release any attempts still occupying slots (hung originals whose
 	// work was rescued by a backup).
-	for tid, rts := range js.running {
-		for _, rt := range rts {
-			rt.dead = true
-			e.releaseSlot(rt.node)
-		}
-		delete(js.running, tid)
-	}
+	e.dropAttempts(js)
 	atomic.AddInt64(&e.Metrics.JobsCompleted, 1)
 	e.Board.JobDone(js.Spec.ID, e.Now())
 	for _, dep := range js.dependents {
@@ -1220,13 +1198,7 @@ func (e *Engine) KillJob(id string) {
 		return
 	}
 	js.Killed = true
-	for tid, rts := range js.running {
-		for _, rt := range rts {
-			rt.dead = true
-			e.releaseSlot(rt.node)
-		}
-		delete(js.running, tid)
-	}
+	e.dropAttempts(js)
 	var keep []*Task
 	for _, t := range e.ready {
 		if t.Job != js {
@@ -1236,6 +1208,17 @@ func (e *Engine) KillJob(id string) {
 	e.ready = keep
 	e.Board.JobKilled(id, e.Now())
 	e.armTick()
+}
+
+// dropAttempts tears down every live attempt of js and frees its slot.
+func (e *Engine) dropAttempts(js *JobState) {
+	for _, t := range js.tasks {
+		for _, rt := range t.running {
+			rt.dead = true
+			e.releaseSlot(rt.node)
+		}
+		t.running = nil
+	}
 }
 
 // releaseSlot returns one task slot to a node — unless the node crashed,
@@ -1274,22 +1257,16 @@ func (e *Engine) CrashNode(id cluster.NodeID) bool {
 	e.freeSlots[id] = 0
 	delete(e.sidBinding, id)
 	e.Trace.Instant("fault", string(id), "crash", e.Now())
-	// jobOrder iteration keeps the requeue order deterministic.
+	// jobOrder and ordinal iteration keep the requeue order deterministic.
 	for _, jid := range e.jobOrder {
 		js := e.jobs[jid]
 		if js == nil || js.Done || js.Killed {
 			continue
 		}
-		tids := make([]string, 0, len(js.running))
-		for tid := range js.running {
-			tids = append(tids, tid)
-		}
-		sort.Strings(tids)
-		for _, tid := range tids {
-			rts := js.running[tid]
-			survivors := rts[:0]
+		for _, t := range js.tasks {
+			survivors := t.running[:0]
 			lost := false
-			for _, rt := range rts {
+			for _, rt := range t.running {
 				if rt.node == id {
 					rt.dead = true
 					lost = true
@@ -1297,21 +1274,20 @@ func (e *Engine) CrashNode(id cluster.NodeID) bool {
 					survivors = append(survivors, rt)
 				}
 			}
-			js.running[tid] = survivors
+			t.running = survivors
 			if !lost {
 				continue
 			}
 			// Any loss re-opens speculation for this task: if the crash
 			// took the backup while a hung or slow original survives, the
-			// stale speculated flag would otherwise block every future
+			// stale speculated count would otherwise block every future
 			// sweep from launching a replacement backup.
-			delete(js.speculated, tid)
-			if len(survivors) == 0 && !js.committed[tid] {
+			t.speculated = 0
+			if len(survivors) == 0 && !t.committed {
 				// No live attempt remains: put the task back on the ready
 				// queue and let speculation treat the rerun as a fresh
-				// original. All attempts of a tid share one Task.
-				delete(js.running, tid)
-				e.ready = append(e.ready, rts[0].task)
+				// original.
+				e.ready = append(e.ready, t)
 			}
 		}
 	}
@@ -1411,41 +1387,16 @@ func auditReport(spec *JobSpec, point int, task string, records int64, sum diges
 	}
 }
 
-// TaskIDs lists the job's task identities in deterministic order: map
-// tasks by (input, split), then reduce tasks by partition. Valid once
-// the job is runnable (splits computed); for a Done job it covers every
-// task that committed.
+// TaskIDs lists the job's task identities in ordinal order: map tasks by
+// (input, split), then reduce tasks by partition. Valid once the job is
+// runnable (map tasks made); for a Done job it covers every task that
+// committed.
 func (j *JobState) TaskIDs() []string {
-	out := make([]string, 0, j.mapsTotal+j.redsTotal)
-	for i := range j.splits {
-		for s := range j.splits[i] {
-			out = append(out, (&Task{Kind: MapTask, InputIdx: i, Index: s}).ID())
-		}
-	}
-	for r := 0; r < j.redsTotal; r++ {
-		out = append(out, (&Task{Kind: ReduceTask, Index: r}).ID())
+	out := make([]string, len(j.tasks))
+	for i, t := range j.tasks {
+		out[i] = t.id
 	}
 	return out
-}
-
-// taskByID reconstructs a Task of js from its stable identity, checking
-// the identity names real work within the job's computed splits and
-// partitions.
-func (e *Engine) taskByID(js *JobState, tid string) (*Task, error) {
-	var inputIdx, index int
-	if n, err := fmt.Sscanf(tid, "m%d-%03d", &inputIdx, &index); n == 2 && err == nil {
-		if inputIdx < 0 || inputIdx >= len(js.splits) || index < 0 || index >= len(js.splits[inputIdx]) {
-			return nil, fmt.Errorf("mapred: job %s has no map task %q", js.Spec.ID, tid)
-		}
-		return &Task{Job: js, Kind: MapTask, InputIdx: inputIdx, Index: index}, nil
-	}
-	if n, err := fmt.Sscanf(tid, "r%03d", &index); n == 1 && err == nil {
-		if index < 0 || index >= js.redsTotal {
-			return nil, fmt.Errorf("mapred: job %s has no reduce task %q", js.Spec.ID, tid)
-		}
-		return &Task{Job: js, Kind: ReduceTask, Index: index}, nil
-	}
-	return nil, fmt.Errorf("mapred: bad task id %q", tid)
 }
 
 // Requiz re-executes one committed task of a completed job on the
@@ -1471,10 +1422,11 @@ func (e *Engine) Requiz(jobID, taskID string, quizReplica int, sink func(digest.
 	if !js.Done {
 		return fmt.Errorf("mapred: requiz of incomplete job %q", jobID)
 	}
-	t, err := e.taskByID(js, taskID)
-	if err != nil {
-		return err
+	i := slices.IndexFunc(js.tasks, func(t *Task) bool { return t.id == taskID })
+	if i < 0 {
+		return fmt.Errorf("mapred: job %s has no task %q", jobID, taskID)
 	}
+	t := js.tasks[i]
 	buf := &digest.Buffer{}
 	chunk := e.DigestChunk
 	df := func(point int) *digest.Writer {

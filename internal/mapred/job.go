@@ -270,7 +270,9 @@ func (k TaskKind) String() string {
 }
 
 // Task is one schedulable unit: a map task over one input split or a
-// reduce task over one partition.
+// reduce task over one partition. Its job owns it (JobState.tasks), and
+// every attempt of it — original, backup, rerun after a crash, quiz —
+// runs the same *Task.
 type Task struct {
 	Job      *JobState
 	Kind     TaskKind
@@ -280,16 +282,33 @@ type Task struct {
 	// Home is the node that "hosts" the task's input split; schedulers
 	// may prefer local placement.
 	Home cluster.NodeID
+
+	id  string // formatted once, by newTask
+	ord int    // position in Job.tasks; map tasks come first, so it indexes mapOutcomes
+
+	// Attempt state, touched only on the simulation goroutine.
+	running    []*runningTask // live attempts
+	committed  bool           // an attempt's result committed
+	speculated int            // backups spawned, not yet invalidated by loss
+}
+
+// newTask appends the job's next task in ordinal order — map tasks by
+// (input, split), then reduce tasks by partition — and formats its
+// identity, the one place a task ID is made.
+func (j *JobState) newTask(kind TaskKind, input, index int) *Task {
+	t := &Task{Job: j, Kind: kind, InputIdx: input, Index: index, ord: len(j.tasks)}
+	if kind == MapTask {
+		t.id = fmt.Sprintf("m%d-%03d", input, index)
+	} else {
+		t.id = fmt.Sprintf("r%03d", index)
+	}
+	j.tasks = append(j.tasks, t)
+	return t
 }
 
 // ID returns the task identity, stable across replicas of the same job:
 // "m<input>-<split>" or "r<partition>".
-func (t *Task) ID() string {
-	if t.Kind == MapTask {
-		return fmt.Sprintf("m%d-%03d", t.InputIdx, t.Index)
-	}
-	return fmt.Sprintf("r%03d", t.Index)
-}
+func (t *Task) ID() string { return t.id }
 
 // String renders "jobid/taskid".
 func (t *Task) String() string {

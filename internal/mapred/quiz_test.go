@@ -1,6 +1,8 @@
 package mapred
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -146,6 +148,63 @@ func TestRequizErrors(t *testing.T) {
 	}
 	if err := eng.Requiz(jobs[0].ID, "m9-999", 1, nil, nil); err == nil {
 		t.Error("out-of-range task accepted")
+	}
+}
+
+// TestRequizTaskIndexPastThreeDigits: requiz finds a task by its ID, never
+// by parsing the ID back, so quizzing split or partition 1,000 re-executes
+// that task and files its evidence under that task's own key — not split
+// or partition 100's, which the three-digit width in the ID format reads
+// back from "m0-1000" and "r1000".
+func TestRequizTaskIndexPastThreeDigits(t *testing.T) {
+	for _, c := range []struct {
+		name             string
+		records, reduces int
+		splitRecords     int
+		tid              string
+	}{
+		{"split", 1001, 1, 1, "m0-1000"},
+		{"partition", 50, 1001, DefaultCostModel().SplitRecords, "r1000"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := dfs.New()
+			lines := make([]string, c.records)
+			for i := range lines {
+				lines[i] = fmt.Sprintf("%d\t%d", i, i+1)
+			}
+			fs.Append("in/edges", lines...)
+			jobs, err := compileHelper(followerSrc, CompileOptions{NumReduces: c.reduces})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost := DefaultCostModel()
+			cost.SplitRecords = c.splitRecords
+			eng := NewEngine(fs, cluster.New(4, 2), nil, cost)
+			primary := make(map[digest.Key]digest.Sum)
+			eng.DigestSink = func(r digest.Report) { primary[r.Key] = r.Sum }
+			spec := jobs[0]
+			spec.SID, spec.Audit = "s0", true
+			js, err := eng.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+			if !js.Done || !slices.Contains(js.TaskIDs(), c.tid) {
+				t.Fatalf("job done=%v, task IDs %d, want %s among them", js.Done, len(js.TaskIDs()), c.tid)
+			}
+			want := digest.Key{SID: "s0", Point: AuditTaskPoint, Task: baseID(spec.ID) + "/" + c.tid}
+			var quiz []digest.Report
+			if err := eng.Requiz(spec.ID, c.tid, 1, func(r digest.Report) { quiz = append(quiz, r) }, nil); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+			if len(quiz) != 1 || quiz[0].Key != want {
+				t.Fatalf("requiz of %s filed %+v, want one report under %+v", c.tid, quiz, want)
+			}
+			if ps, ok := primary[want]; !ok || ps != quiz[0].Sum {
+				t.Errorf("honest quiz of %s disagrees with the primary (primary filed it: %v)", c.tid, ok)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,9 @@ import (
 type Scheduler interface {
 	// Pick returns the task node should run next, or nil to leave the
 	// slot idle this heartbeat. candidates is non-empty and ordered by
-	// readiness (FIFO).
+	// readiness (FIFO). It is valid for the call only: the engine reuses
+	// its backing array for the next slot's probe, so a scheduler that
+	// keeps candidates past Pick must copy them.
 	Pick(node *cluster.Node, candidates []*Task) *Task
 }
 

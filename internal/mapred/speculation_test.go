@@ -208,14 +208,14 @@ func TestBackupNeverSharesNodeWithLiveOriginal(t *testing.T) {
 	}
 	var check func()
 	check = func() {
-		for tid, rts := range js.running {
+		for _, tk := range js.tasks {
 			seen := map[cluster.NodeID]bool{}
-			for _, rt := range rts {
+			for _, rt := range tk.running {
 				if rt.dead {
 					continue
 				}
 				if seen[rt.node] {
-					t.Errorf("task %s has two live attempts on %s", tid, rt.node)
+					t.Errorf("task %s has two live attempts on %s", tk.ID(), rt.node)
 				}
 				seen[rt.node] = true
 			}
@@ -271,7 +271,7 @@ func TestUnplaceableBackupDoesNotSpinEngine(t *testing.T) {
 	// The queued backups stay pending — never started, never placed on
 	// the hanging node.
 	for _, rdy := range eng.ready {
-		for _, rt := range js.running[rdy.ID()] {
+		for _, rt := range rdy.running {
 			if !rt.hung {
 				t.Errorf("queued backup %s coexists with a live attempt", rdy.ID())
 			}
@@ -338,7 +338,7 @@ func (p *pinSched) Pick(node *cluster.Node, cands []*Task) *Task {
 	}
 	picked := p.inner.Pick(node, cands)
 	if picked != nil {
-		for _, rt := range picked.Job.running[picked.ID()] {
+		for _, rt := range picked.running {
 			if !rt.dead && rt.node == node.ID {
 				p.t.Errorf("backup of %s placed on %s, which still hosts a live attempt", picked.ID(), node.ID)
 			}
@@ -407,9 +407,9 @@ func TestKillJobDiscardsInFlightBackups(t *testing.T) {
 		}
 		// Kill the moment a backup attempt is live next to its original.
 		inFlight := false
-		for _, rts := range js.running {
+		for _, tk := range js.tasks {
 			live := 0
-			for _, rt := range rts {
+			for _, rt := range tk.running {
 				if !rt.dead {
 					live++
 				}
@@ -421,7 +421,7 @@ func TestKillJobDiscardsInFlightBackups(t *testing.T) {
 		}
 		if inFlight {
 			killedAt = eng.Now()
-			committedAtKill = len(js.committed)
+			committedAtKill = countTasks(js, func(tk *Task) bool { return tk.committed })
 			b, _ := eng.Ledger.SIDBuckets(spec.SID)
 			committedUsAtKill = b.CommittedUs
 			eng.KillJob(spec.ID)
@@ -440,11 +440,11 @@ func TestKillJobDiscardsInFlightBackups(t *testing.T) {
 	if !js.Killed {
 		t.Fatal("job not marked Killed")
 	}
-	if got := len(js.committed); got != committedAtKill {
+	if got := countTasks(js, func(tk *Task) bool { return tk.committed }); got != committedAtKill {
 		t.Errorf("%d task(s) committed after KillJob (had %d at kill)", got-committedAtKill, committedAtKill)
 	}
-	if len(js.running) != 0 {
-		t.Errorf("%d task(s) still listed running after kill", len(js.running))
+	if n := countTasks(js, func(tk *Task) bool { return len(tk.running) > 0 }); n != 0 {
+		t.Errorf("%d task(s) still listed running after kill", n)
 	}
 	b, ok := eng.Ledger.SIDBuckets(spec.SID)
 	if !ok {
@@ -459,6 +459,17 @@ func TestKillJobDiscardsInFlightBackups(t *testing.T) {
 	if got := eng.FreeSlotsTotal(); got != eng.Cluster.TotalSlots() {
 		t.Errorf("free slots = %d, want %d", got, eng.Cluster.TotalSlots())
 	}
+}
+
+// countTasks counts the tasks of js that satisfy pred.
+func countTasks(js *JobState, pred func(*Task) bool) int {
+	n := 0
+	for _, tk := range js.tasks {
+		if pred(tk) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestBackupReduceMergesSharedRuns: the first attempt of one reduce task
