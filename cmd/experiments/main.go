@@ -14,9 +14,11 @@
 // every controller and rig the experiments build; --trace collects every
 // engine run's spans into one Chrome trace_event timeline (plus a .jsonl
 // twin); --metrics prints the accumulated registry after all selected
-// experiments. -http serves the live introspection plane (/metrics,
-// /healthz, /jobs, /trace, pprof) while the experiments run; the
-// registry and jobs board are shared across every engine the
+// experiments. -compress codes each sealed DFS block with a dictionary of
+// one byte a value where every column holds at most 256 distinct values,
+// and deflates it where not. -http serves the live introspection plane
+// (/metrics, /healthz, /jobs, /trace, pprof) while the experiments run;
+// the registry and jobs board are shared across every engine the
 // experiments construct, and the /jobs cost buckets reflect the engine
 // currently executing.
 package main

@@ -31,7 +31,10 @@
 // under that verification policy (quiz/deferred sample at fraction 1 so
 // every commission fault is quizzable). The storage flags (-block-size,
 // -mem-budget, -spill-dir, -compress) configure the chaos runs' DFS
-// block data plane; reports are byte-identical at any setting. The
+// block data plane; reports are byte-identical at any setting.
+// -compress codes each sealed block with a dictionary of one byte a value
+// where every column holds at most 256 distinct values, and deflates it
+// where not. The
 // suspicion simulator has no engine, controller or storage layer: of
 // the shared flags (internal/cli) it reads only --trace and --metrics,
 // for its own audit-trail export.

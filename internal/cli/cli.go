@@ -45,7 +45,7 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.blockSize, "block-size", dfs.DefaultBlockSize, "target encoded size of one sealed DFS block, in bytes")
 	fs.StringVar(&f.memBudget, "mem-budget", "0", "resident block memory budget with optional k/m/g suffix; 0 keeps every block in memory")
 	fs.StringVar(&f.spillDir, "spill-dir", "", "directory for the block spill file (default: system temp dir)")
-	fs.BoolVar(&f.compress, "compress", false, "flate-compress sealed DFS blocks")
+	fs.BoolVar(&f.compress, "compress", false, "compress sealed DFS blocks: a dictionary code where every column holds at most 256 distinct values, flate otherwise")
 	return f
 }
 

@@ -118,12 +118,12 @@ func (b *Batch) holdLines(lines []string) {
 // decode reads records [lo, hi) of an encoded block into b, carrying the
 // columns need lists (nil: all; column c where c < len(need) && need[c]),
 // or holds their lines where a value holds a backslash or a newline or the
-// payload is too large for int32 offsets. The walk is decodeBlockRange's,
+// block is too large for int32 offsets. The walk is decodeBlockRange's,
 // which is this one's under a nil need: a block that decodes whole reads
 // the same under every mask.
 func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 	b.reset()
-	n, payload, z, err := openBlock(data)
+	n, payload, coded, z, err := openBlock(data)
 	if z != nil {
 		defer inflaters.Put(z) // after the copy below: text never aliases its buffer
 	}
@@ -131,20 +131,20 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 		return err
 	}
 	s := &b.shape
-	if err := s.walk(payload, n, lo, hi, need); err != nil {
+	if err := s.walk(payload, n, coded, lo, hi, need); err != nil {
 		return err
 	}
 	widths := s.widths()
 	size, vals := 0, 0
 	asLines := len(payload) > math.MaxInt32
 	for c, r := range s.cols {
-		asLines = asLines || r.flagged && holdsEscape(payload, r, widths, c)
+		asLines = asLines || r.flagged && s.holdsEscape(payload, c, widths)
 		if carries(need, c) {
 			size += r.text
 			vals += r.vals
 		}
 	}
-	if asLines {
+	if asLines || size > math.MaxInt32 {
 		lines, err := decodeBlockRange(nil, data, lo, hi)
 		b.holdLines(lines)
 		return err
@@ -163,6 +163,27 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 			b.carried = append(b.carried, int32(c))
 		} else if c > 0 || s.minCols > 1 {
 			continue // only column 0 of a one-column record can make an empty line
+		}
+		// The same loop twice, over values and over codes: one that asks
+		// which a value is costs the read of a plain block a tenth.
+		if dict := s.dictOf(c); dict != nil {
+			codes := payload[r.start:r.end]
+			for i, cols := range widths {
+				if cols <= c {
+					continue
+				}
+				start, end := dict[codes[0]], dict[int(codes[0])+1]
+				codes = codes[1:]
+				if c == 0 && cols == 1 && start == end {
+					widths[i] = 0
+					continue
+				}
+				if carry {
+					text.Write(payload[start:end])
+					b.ends = append(b.ends, int32(text.Len()))
+				}
+			}
+			continue
 		}
 		off := r.start
 		for i, cols := range widths {
@@ -189,21 +210,28 @@ func carries(need []bool, c int) bool {
 	return need == nil || c < len(need) && need[c]
 }
 
-// holdsEscape reports whether a value that a flagged column holds for the
+// holdsEscape reports whether a value that flagged column c holds for the
 // range, which the walk stepped through, holds a backslash or a newline.
-func holdsEscape(payload []byte, r colRegion, counts []int, c int) bool {
-	if !holdsEscapeByte(payload[r.start:r.end]) {
+func (s *blockShape) holdsEscape(payload []byte, c int, widths []int) bool {
+	r := s.cols[c]
+	if !s.coded && !holdsEscapeByte(payload[r.start:r.end]) {
 		return false // the flag is the whole region's
 	}
-	// A length of 92 or 10 is one of the two bytes as well: look at the
-	// values alone.
-	off := r.start
-	for _, cols := range counts {
+	// A length of 92 or 10 is one of the two bytes as well, and a coded
+	// column's flag is its dictionary's: look at the range's values alone.
+	dict, off := s.dictOf(c), r.start
+	for _, cols := range widths {
 		if cols <= c {
 			continue
 		}
-		start, end := valueAt(payload, off)
-		off = end
+		var start, end int
+		if dict != nil {
+			start, end = dict[payload[off]], dict[int(payload[off])+1]
+			off++
+		} else {
+			start, end = valueAt(payload, off)
+			off = end
+		}
 		if holdsEscapeByte(payload[start:end]) {
 			return true
 		}

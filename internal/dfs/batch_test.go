@@ -194,8 +194,8 @@ func TestReadColumnsSegments(t *testing.T) {
 
 // TestBatchReadAllocs: a batch read allocates no more objects than the
 // line decode of the same range, and from its second use on a Batch costs
-// the one backing string plus whatever the block's encoding does. Held
-// lines cost nothing.
+// the one backing string plus whatever the block's encoding does: for a
+// dictionary-coded block, nothing. Held lines cost nothing.
 func TestBatchReadAllocs(t *testing.T) {
 	lines := make([]string, 1000)
 	for i := range lines {
@@ -233,6 +233,9 @@ func TestBatchReadAllocs(t *testing.T) {
 		}
 		if want := asLines - 3; reused > want { // counts, regions and offsets are the Batch's own
 			t.Errorf("compress=%v: a repeated batch read = %v allocs, want <= %v", compress, reused, want)
+		}
+		if compress && (data[1] != blockFlagDict || reused != 1) {
+			t.Errorf("flags %#x: a repeated batch read of a coded block = %v allocs, want 1, its text", data[1], reused)
 		}
 	}
 	var b Batch

@@ -20,8 +20,8 @@ import (
 // values (the tab-separated fields of each line) are regrouped so all
 // values of column 0 are stored contiguously, then all of column 1, and
 // so on. Column grouping puts like-typed bytes next to each other, which
-// is what makes the optional per-block flate compression effective on
-// tabular data. Splitting on raw tabs and re-joining with tabs is an
+// is what makes the optional per-block compression effective on tabular
+// data. Splitting on raw tabs and re-joining with tabs is an
 // exact involution for arbitrary line content (the tuple codec escapes
 // tabs inside values, and even unescaped content round-trips), so block
 // encoding is invisible to every consumer: digests are taken over
@@ -31,7 +31,9 @@ import (
 // Layout:
 //
 //	byte 0: format version (blockVersion)
-//	byte 1: flags (blockFlagFlate: payload is flate-compressed)
+//	byte 1: flags, at most one of blockFlagFlate (the payload is
+//	   flate-compressed) and blockFlagDict (its regions are
+//	   dictionary-coded); any other bit fails every read
 //	uvarint: record count (always uncompressed, so counting is cheap)
 //	4 bytes: CRC-32C of every byte before them and of the stored payload
 //	payload (possibly compressed):
@@ -40,18 +42,36 @@ import (
 //	   per record, unless minCols == maxCols: uvarint column count
 //	   for c in [0, maxCols), the region of column c:
 //	      for each record with >c columns: uvarint value length, value bytes
+//	      or, dictionary-coded: uvarint k, the count of distinct values
+//	      (1 to 256); their k uvarint lengths; their bytes back to back;
+//	      for each record with >c columns one byte, the index of its value
 //	   directory:
 //	      per column: uvarint, twice its region's byte length, plus one if
-//	         a byte of the region is a backslash or a newline
+//	         a byte of the region (dictionary-coded: of its values) is a
+//	         backslash or a newline
 //	      per record: uvarint line length
 //	   8 bytes: where in the payload the directory begins
+//
+// Asked to compress, the encoder dictionary-codes a block whose every
+// column holds at most 256 distinct values, if that is smaller than the
+// raw payload: a value is then one byte, read with no inflate. Any other
+// block is flate-compressed (BestSpeed), and stored raw if that does not
+// shrink it. Both codecs stay because neither wins everywhere. A column
+// with more distinct values than a byte indexes (the Twitter follower
+// lists: 361 to 1,068 per block) would take two-byte codes, which store
+// 75-100 % of raw where flate stores about half.
 //
 // The checksum is what vouches for a block: openBlock verifies it on every
 // read, and past it a reader looks only at what it was asked for (walk).
 const (
 	blockVersion   = 0x02
 	blockFlagFlate = 0x01
+	blockFlagDict  = 0x02
 )
+
+// dictMax is the most distinct values a dictionary-coded column holds: a
+// code is one byte.
+const dictMax = 256
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -59,9 +79,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 const DefaultBlockSize = 256 << 10
 
 // EncodeBlock serializes a batch of record lines into one block.
-// compress enables per-block flate (BestSpeed); incompressible payloads
-// are stored raw even when compression is requested, so decoding never
-// pays inflation for nothing.
+// compress enables per-block compression: a dictionary code where every
+// column holds few enough distinct values, flate (BestSpeed) otherwise.
+// Payloads neither shrinks are stored raw even when compression is
+// requested, so decoding never pays for nothing.
 func EncodeBlock(lines []string, compress bool) []byte {
 	data, _ := encodeBlockStats(lines, compress)
 	return data
@@ -69,10 +90,15 @@ func EncodeBlock(lines []string, compress bool) []byte {
 
 // encodeBlockStats is EncodeBlock plus the uncompressed payload length,
 // which the FS folds into its compression-ratio accounting. The block is
-// laid out exactly before a byte of it is written, header first, so an
-// uncompressed block is built where it is kept, with no spare capacity; a
-// compressed one is one copy out of the deflater.
+// laid out exactly before a byte of it is written, header first, so a raw
+// or dictionary-coded block is built where it is kept, with no spare
+// capacity; a deflated one is one copy out of the deflater.
 func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
+	if compress {
+		if data, rawLen = encodeCoded(lines); data != nil {
+			return data, rawLen
+		}
+	}
 	// Pass 1: the payload's size — every value's length prefix and bytes,
 	// counted into its column's region, every record's column count and
 	// line length.
@@ -162,9 +188,140 @@ func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
 			flags |= blockFlagFlate
 		}
 	}
+	sealHeader(data, h, flags, len(lines))
+	return data, rawLen
+}
+
+// sealHeader writes the header of a block of n records, whose payload data
+// holds from h+4 on, and the checksum over both.
+func sealHeader(data []byte, h int, flags byte, n int) {
 	data[0], data[1] = blockVersion, flags
-	binary.PutUvarint(data[2:h], uint64(len(lines)))
-	binary.LittleEndian.PutUint32(data[h:], crc32.Update(crc32.Checksum(data[:h], castagnoli), castagnoli, data[p:]))
+	binary.PutUvarint(data[2:h], uint64(n))
+	binary.LittleEndian.PutUint32(data[h:], crc32.Update(crc32.Checksum(data[:h], castagnoli), castagnoli, data[h+4:]))
+}
+
+// encodeCoded is encodeBlockStats for a block whose regions are to be
+// dictionary-coded. It gives up, returning nil, once a column holds more
+// than dictMax distinct values, or where the code would not be smaller
+// than the raw payload; encodeBlockStats then deflates the block. It is a
+// function of its own so that a raw block is encoded as before, and it
+// keeps its dictionaries on its stack (dictSet), with each value's code
+// as far as there is room, so that pass 2 need not split the lines again.
+func encodeCoded(lines []string) (data []byte, rawLen int) {
+	var dictArr [16]dictCol
+	var entryArr [512]dictEntry
+	var slotArr [1024]int32
+	var codeArr [8 << 10]byte
+	dicts := dictSet{cols: dictArr[:0], entries: entryArr[:0], slots: slotArr[:]}
+	codes := codeArr[:0] // each value's code, in line order
+
+	// Pass 1: every column's dictionary and the size of its region both
+	// ways, every record's column count and line length.
+	maxCols, minCols, counts, lens := 0, 0, 0, 0 // lens: the line lengths' bytes
+	for i, l := range lines {
+		n := 0
+		for start := 0; start <= len(l); n++ {
+			end := strings.IndexByte(l[start:], '\t')
+			if end < 0 {
+				end = len(l) - start
+			}
+			v := l[start : start+end]
+			slot, e := dicts.lookup(n, v)
+			if e == 0 {
+				var ok bool
+				if dicts, ok = dicts.add(n, v, slot); !ok {
+					return nil, 0
+				}
+				e = int32(len(dicts.entries))
+			}
+			col := &dicts.cols[n]
+			col.vals++
+			col.raw += uvarintLen(end) + end
+			if len(codes) < cap(codes) {
+				codes = append(codes, dicts.entries[e-1].code)
+			}
+			start += end + 1
+		}
+		counts += uvarintLen(n)
+		lens += uvarintLen(len(l))
+		maxCols = max(maxCols, n)
+		if i == 0 || n < minCols {
+			minCols = n
+		}
+	}
+	ragged := minCols != maxCols
+	if !ragged {
+		counts = 0
+	}
+	head := uvarintLen(maxCols) + uvarintLen(minCols) + counts
+	rawLen, size := head+lens+8, head+lens+8
+	for _, col := range dicts.cols {
+		rawLen += col.raw + uvarintLen(col.raw<<1)
+		size += col.region() + uvarintLen(col.region()<<1)
+	}
+	if size >= rawLen {
+		return nil, 0
+	}
+
+	// Pass 2: the payload laid out as encodeBlockStats lays it out, each
+	// region a dictionary (k, the values' lengths, their bytes) and then a
+	// code a value, written at its column's cursor; then the directory.
+	h := 2 + uvarintLen(len(lines))
+	p := h + 4
+	data = make([]byte, p+size)
+	w := p + binary.PutUvarint(data[p:], uint64(maxCols))
+	w += binary.PutUvarint(data[w:], uint64(minCols))
+	var cursorArr [16]int
+	cursor := cursorArr[:0] // where column c's next code goes
+	dir := p + head
+	for c := range dicts.cols {
+		cursor = append(cursor, dicts.cols[c].place(data, dir))
+		dir += dicts.cols[c].region()
+	}
+	for _, e := range dicts.entries {
+		col := &dicts.cols[e.col]
+		col.lenAt += binary.PutUvarint(data[col.lenAt:], uint64(len(e.v)))
+		col.textAt += copy(data[col.textAt:], e.v)
+	}
+	nth := 0 // the line's first value's place in line order
+	for _, l := range lines {
+		n := maxCols
+		if ragged {
+			n = strings.Count(l, "\t") + 1
+			w += binary.PutUvarint(data[w:], uint64(n))
+		}
+		if nth+n <= len(codes) {
+			for c := range n {
+				data[cursor[c]] = codes[nth+c]
+				cursor[c]++
+			}
+		} else { // past the codes pass 1 had room for: look the values up again
+			for c, start := 0, 0; start <= len(l); c++ {
+				end := strings.IndexByte(l[start:], '\t')
+				if end < 0 {
+					end = len(l) - start
+				}
+				_, e := dicts.lookup(c, l[start:start+end])
+				data[cursor[c]] = dicts.entries[e-1].code
+				cursor[c]++
+				start += end + 1
+			}
+		}
+		nth += n
+	}
+	w = dir
+	for c, col := range dicts.cols {
+		d := uint64(col.region()) << 1
+		if holdsEscapeByte(data[cursor[c]-col.vals-col.text : cursor[c]-col.vals]) { // the cursor stands at its region's end, the values before the codes
+			d |= 1
+		}
+		w += binary.PutUvarint(data[w:], d)
+	}
+	for _, l := range lines {
+		w += binary.PutUvarint(data[w:], uint64(len(l)))
+	}
+	binary.LittleEndian.PutUint64(data[w:], uint64(dir-p))
+	sealHeader(data, h, blockFlagDict, len(lines))
 	return data, rawLen
 }
 
@@ -176,17 +333,114 @@ func holdsEscapeByte(b []byte) bool {
 	return bytes.IndexByte(b, '\\') >= 0 || bytes.IndexByte(b, '\n') >= 0
 }
 
-// BlockRecords reports how many records data holds without decoding (or
-// decompressing) the payload.
-func BlockRecords(data []byte) (int, error) {
-	if len(data) < 2 || data[0] != blockVersion {
-		return 0, fmt.Errorf("dfs: bad block header")
+// dictSet gathers, column by column, the distinct values of a block in the
+// order they first appear, which is the order of their codes, for as long
+// as no column holds more than dictMax. The encoder keeps it on its stack:
+// its slices start on arrays there and outgrow them only for a block of
+// more than 16 columns or 512 distinct values in all.
+type dictSet struct {
+	cols    []dictCol
+	entries []dictEntry // every column's values, each column's in code order
+	slots   []int32     // open addressing over entries: 1 + an index, 0 where free
+}
+
+type dictEntry struct {
+	v    string
+	col  int32
+	code uint8
+}
+
+// dictCol is a column's dictionary: k distinct values of text bytes in
+// all, whose lengths take lens bytes, and the vals values the column
+// holds, which take raw bytes as a raw region; and, while the encoder
+// writes its region, where the next length and value bytes go.
+type dictCol struct {
+	k, lens, text, vals, raw int
+	lenAt, textAt            int
+}
+
+// region is the byte length of the column's coded region.
+func (c dictCol) region() int { return uvarintLen(c.k) + c.lens + c.text + c.vals }
+
+// place writes k at the start of the column's region, at, and returns
+// where its codes begin: the lengths and the values go between.
+func (c *dictCol) place(data []byte, at int) int {
+	c.lenAt = at + binary.PutUvarint(data[at:], uint64(c.k))
+	c.textAt = c.lenAt + c.lens
+	return c.textAt + c.text
+}
+
+// lookup returns the slot of v in column c and what it holds: 1 + the
+// index of v's entry, or 0 where v is not there and goes. The hash is
+// FNV-1a, inline: a coded column's values are mostly a few bytes long.
+func (d *dictSet) lookup(c int, v string) (slot int, e int32) {
+	h := uint64(c) * 0x9e3779b97f4a7c15
+	for i := 0; i < len(v); i++ {
+		h = (h ^ uint64(v[i])) * 0x100000001b3
+	}
+	h ^= h >> 32
+	mask := len(d.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		e := d.slots[i]
+		if e == 0 || d.entries[e-1].col == int32(c) && d.entries[e-1].v == v {
+			return i, e
+		}
+	}
+}
+
+// add enters v, a value of column c that lookup did not find but placed at
+// slot, as the column's next code, and reports false if the column would
+// then hold more than dictMax distinct values. It returns d rather than
+// update it in place, which keeps the arrays d starts on off the heap.
+func (d dictSet) add(c int, v string, slot int) (dictSet, bool) {
+	if c == len(d.cols) {
+		d.cols = append(d.cols, dictCol{})
+	}
+	col := &d.cols[c]
+	if col.k == dictMax {
+		return d, false
+	}
+	d.entries = append(d.entries, dictEntry{v: v, col: int32(c), code: uint8(col.k)})
+	d.slots[slot] = int32(len(d.entries))
+	col.k++
+	col.lens += uvarintLen(len(v))
+	col.text += len(v)
+	if 2*len(d.entries) > len(d.slots) {
+		d.slots = make([]int32, 2*len(d.slots))
+		for j, e := range d.entries {
+			i, _ := d.lookup(int(e.col), e.v)
+			d.slots[i] = int32(j + 1)
+		}
+	}
+	return d, true
+}
+
+// header reads what precedes a block's checksum and returns the record
+// count and the header's length. A flag it does not know, or both codecs
+// at once, is an error: no encoder writes either, and what such a block
+// holds cannot be told.
+func header(data []byte) (n uint64, h int, err error) {
+	if len(data) < 2 {
+		return 0, 0, fmt.Errorf("dfs: block too short")
+	}
+	if data[0] != blockVersion {
+		return 0, 0, fmt.Errorf("dfs: unknown block version 0x%02x", data[0])
+	}
+	if f := data[1]; f&^(blockFlagFlate|blockFlagDict) != 0 || f == blockFlagFlate|blockFlagDict {
+		return 0, 0, fmt.Errorf("dfs: unknown block flags 0x%02x", f)
 	}
 	n, w := binary.Uvarint(data[2:])
 	if w <= 0 {
-		return 0, fmt.Errorf("dfs: bad block record count")
+		return 0, 0, fmt.Errorf("dfs: bad block record count")
 	}
-	return int(n), nil
+	return n, 2 + w, nil
+}
+
+// BlockRecords reports how many records data holds without decoding (or
+// decompressing) the payload.
+func BlockRecords(data []byte) (int, error) {
+	n, _, err := header(data)
+	return int(n), err
 }
 
 // Building flate state costs more than running one block through it, so
@@ -219,31 +473,25 @@ func DecodeBlock(data []byte) ([]string, error) {
 }
 
 // openBlock checks the header and the checksum of an encoded block and
-// returns its record count and payload: a flipped bit anywhere in data is
-// an error here, whatever is then read of the block. A compressed payload
-// is inflated into the buffer of a pooled inflater, returned as z: the
-// caller copies what it keeps of the payload and then puts z back.
-func openBlock(data []byte) (n uint64, payload []byte, z *inflater, err error) {
-	if len(data) < 2 {
-		return 0, nil, nil, fmt.Errorf("dfs: block too short")
+// returns its record count, its payload and whether the payload's regions
+// are dictionary-coded: a flipped bit anywhere in data is an error here,
+// whatever is then read of the block. A deflated payload is inflated into
+// the buffer of a pooled inflater, returned as z: the caller copies what
+// it keeps of the payload and then puts z back.
+func openBlock(data []byte) (n uint64, payload []byte, coded bool, z *inflater, err error) {
+	n, h, err := header(data)
+	if err != nil {
+		return 0, nil, false, nil, err
 	}
-	if data[0] != blockVersion {
-		return 0, nil, nil, fmt.Errorf("dfs: unknown block version 0x%02x", data[0])
+	if len(data)-h < 4 {
+		return 0, nil, false, nil, fmt.Errorf("dfs: block too short")
 	}
-	n, w := binary.Uvarint(data[2:])
-	if w <= 0 {
-		return 0, nil, nil, fmt.Errorf("dfs: bad block record count")
+	payload = data[h+4:]
+	if crc32.Update(crc32.Checksum(data[:h], castagnoli), castagnoli, payload) != binary.LittleEndian.Uint32(data[h:]) {
+		return 0, nil, false, nil, fmt.Errorf("dfs: block checksum mismatch")
 	}
-	head := data[:2+w]
-	if len(data)-len(head) < 4 {
-		return 0, nil, nil, fmt.Errorf("dfs: block too short")
-	}
-	payload = data[len(head)+4:]
-	if crc32.Update(crc32.Checksum(head, castagnoli), castagnoli, payload) != binary.LittleEndian.Uint32(data[len(head):]) {
-		return 0, nil, nil, fmt.Errorf("dfs: block checksum mismatch")
-	}
-	if data[1]&blockFlagFlate == 0 {
-		return n, payload, nil, nil
+	if data[1] != blockFlagFlate {
+		return n, payload, data[1] == blockFlagDict, nil, nil
 	}
 	z = inflaters.Get().(*inflater)
 	z.src.Reset(payload)
@@ -253,9 +501,9 @@ func openBlock(data []byte) (n uint64, payload []byte, z *inflater, err error) {
 		_, err = z.out.ReadFrom(z.zr)
 	}
 	if err != nil {
-		return 0, nil, z, fmt.Errorf("dfs: block decompress: %w", err)
+		return 0, nil, false, z, fmt.Errorf("dfs: block decompress: %w", err)
 	}
-	return n, z.out.Bytes(), z, nil
+	return n, z.out.Bytes(), false, z, nil
 }
 
 // blockShape is what one walk over a block's payload learns of it: the
@@ -264,7 +512,8 @@ func openBlock(data []byte) (n uint64, payload []byte, z *inflater, err error) {
 // reader that keeps one across blocks keeps its arrays.
 type blockShape struct {
 	// counts is the column count of each record up to hi, from lo, or from
-	// 0 in a ragged block, whose columns are stepped through by it (widths).
+	// 0 in a ragged block, whose columns are stepped through by it (widths);
+	// up to n in a ragged dictionary-coded block.
 	counts  []int
 	minCols int // the narrowest record's
 	lo, hi  int // the range walked, clamped to the block
@@ -272,19 +521,30 @@ type blockShape struct {
 	// lineBytes is what the range's records take as lines: every value and
 	// the tab or newline after it.
 	lineBytes int
+	// coded is set when the regions are dictionary-coded. dict then holds,
+	// column after column, the payload offsets of each dictionary's values:
+	// value j of a column starts at dict[r.dict+j] and ends at the next.
+	coded bool
+	dict  []int
 }
 
 // widths returns the column count of each record of the range.
-func (s *blockShape) widths() []int { return s.counts[len(s.counts)-(s.hi-s.lo):] }
+func (s *blockShape) widths() []int {
+	if s.minCols == len(s.cols) {
+		return s.counts // a uniform block's counts are the range's
+	}
+	return s.counts[s.lo:s.hi]
+}
 
 // colRegion locates a column in the payload: its whole region, or, once
 // the walk stepped through it, the values it holds for the records of the
-// range — payload[start:end] their lengths and bytes, vals how many they
-// are and text the bytes of the values alone.
+// range — payload[start:end] their lengths and bytes (coded: their codes),
+// vals how many they are and text the bytes of the values alone.
 type colRegion struct {
 	start, end int
 	vals, text int
-	flagged    bool // a byte of the whole region is a backslash or a newline
+	flagged    bool // a byte of the whole region (coded: of its values) is a backslash or a newline
+	dict, k    int  // coded: where the column's offsets begin in blockShape.dict, and how many values they bound
 }
 
 // walk reads the directory of a checksummed payload of n records and
@@ -294,10 +554,11 @@ type colRegion struct {
 // holding an escape, and column 0 where a record may be the empty line. It
 // steps through those from the start of their regions up to hi and looks
 // at nothing else: what is malformed in a pruned column, or past hi, fails
-// the reads that reach it. Every count and length is compared as a uint64
-// against the bytes left before it becomes an int.
-func (s *blockShape) walk(p []byte, n64 uint64, lo, hi int, need []bool) error {
-	*s = blockShape{counts: s.counts[:0], cols: s.cols[:0]}
+// the reads that reach it. A coded block's dictionaries are read whole,
+// and so are a read column's codes' count. Every count and length is
+// compared as a uint64 against the bytes left before it becomes an int.
+func (s *blockShape) walk(p []byte, n64 uint64, coded bool, lo, hi int, need []bool) error {
+	*s = blockShape{counts: s.counts[:0], cols: s.cols[:0], coded: coded, dict: s.dict[:0]}
 	if n64 == 0 {
 		return nil
 	}
@@ -339,9 +600,17 @@ func (s *blockShape) walk(p []byte, n64 uint64, lo, hi int, need []bool) error {
 		s.cols[c].start, s.cols[c].end = at, at+s.cols[c].end
 		at = s.cols[c].end
 	}
-	// A line is made of payload bytes: no run of them is longer than it.
-	d, _, ok := sumLengths(dir, d, s.lo, len(p))
-	_, sum, ok2 := sumLengths(dir, d, s.hi-s.lo, len(p))
+	// A line is made of payload bytes, or of a coded block's values: no run
+	// of them is longer than those.
+	limit := len(p)
+	if coded {
+		var err error
+		if limit, err = s.dictionaries(p); err != nil {
+			return err
+		}
+	}
+	d, _, ok := sumLengths(dir, d, s.lo, limit)
+	_, sum, ok2 := sumLengths(dir, d, s.hi-s.lo, limit)
 	if !ok || !ok2 {
 		return fmt.Errorf("dfs: bad block line length")
 	}
@@ -354,7 +623,11 @@ func (s *blockShape) walk(p []byte, n64 uint64, lo, hi int, need []bool) error {
 			s.counts[i] = s.minCols
 		}
 	} else {
+		// A coded column's codes are counted against every record's width.
 		s.counts = s.counts[:s.hi]
+		if coded {
+			s.counts = s.counts[:n]
+		}
 		for i := range s.counts {
 			c, w := uvarint(p[off:regions])
 			if w <= 0 || c < minCols || c > maxCols {
@@ -370,6 +643,12 @@ func (s *blockShape) walk(p []byte, n64 uint64, lo, hi int, need []bool) error {
 		if !carries(need, c) && !r.flagged && (c > 0 || s.minCols > 1) {
 			continue
 		}
+		if coded {
+			if !s.stepCodes(p, c, n) {
+				return fmt.Errorf("dfs: bad block column %d codes", c)
+			}
+			continue
+		}
 		off, _, _, ok := s.skipValues(p[:r.end], r.start, 0, s.lo, c)
 		end, vals, extra, ok2 := s.skipValues(p[:r.end], off, s.lo, s.hi, c)
 		if !ok || !ok2 {
@@ -378,6 +657,93 @@ func (s *blockShape) walk(p []byte, n64 uint64, lo, hi int, need []bool) error {
 		*r = colRegion{start: off, end: end, vals: vals, text: end - off - vals - extra, flagged: r.flagged}
 	}
 	return nil
+}
+
+// dictionaries reads the dictionary that heads each coded region into
+// dict, moves the region's start to its codes, and returns what no run of
+// the block's lines is longer than: a code's longest value and a tab or
+// newline, for every code.
+func (s *blockShape) dictionaries(p []byte) (limit int, err error) {
+	// Each region's k first, so that dict is sized once: a length takes a
+	// byte at least, so k is held to the region's room for k lengths.
+	total := 0
+	for c := range s.cols {
+		r := &s.cols[c]
+		k, w := uvarint(p[r.start:r.end])
+		if w <= 0 || k == 0 || k > dictMax || k > uint64(r.end-r.start-w) {
+			return 0, fmt.Errorf("dfs: bad block column %d dictionary size", c)
+		}
+		r.start += w
+		r.dict, r.k = total, int(k)
+		total += r.k + 1
+	}
+	s.dict = slices.Grow(s.dict, total)
+	for c := range s.cols {
+		r := &s.cols[c]
+		at, longest := r.start, 0
+		s.dict = append(s.dict, 0)
+		for range r.k {
+			l, w := uvarint(p[at:r.end])
+			if w <= 0 || l > uint64(r.end-at) {
+				return 0, fmt.Errorf("dfs: block column %d dictionary overruns its region", c)
+			}
+			at += w
+			s.dict = append(s.dict, s.dict[len(s.dict)-1]+int(l))
+			longest = max(longest, int(l))
+		}
+		text := s.dict[len(s.dict)-1]
+		if text > r.end-at {
+			return 0, fmt.Errorf("dfs: block column %d dictionary overruns its region", c)
+		}
+		for j := r.dict; j < len(s.dict); j++ {
+			s.dict[j] += at
+		}
+		r.start = at + text
+		hi, lo := bits.Mul64(uint64(r.end-r.start), uint64(longest)+1)
+		if hi != 0 || lo > uint64(math.MaxInt-limit) {
+			limit = math.MaxInt
+		} else {
+			limit += int(lo)
+		}
+	}
+	return limit, nil
+}
+
+// stepCodes finds the codes of records [lo, hi) in coded column c of a
+// block of n records, whose region must hold one code for every value the
+// column holds, each below its dictionary's size, and sums the bytes of
+// their values.
+func (s *blockShape) stepCodes(p []byte, c, n int) bool {
+	r := &s.cols[c]
+	before, vals, all := s.lo, s.hi-s.lo, n
+	if c >= s.minCols { // counts runs from record 0 to n: not every record holds c
+		before, vals, all = 0, 0, 0
+		for i, cols := range s.counts {
+			if cols > c {
+				switch {
+				case i < s.lo:
+					before++
+				case i < s.hi:
+					vals++
+				}
+				all++
+			}
+		}
+	}
+	if all != r.end-r.start {
+		return false
+	}
+	d := s.dict[r.dict : r.dict+r.k+1]
+	start, text := r.start+before, 0
+	for _, code := range p[start : start+vals] {
+		j := int(code)
+		if j >= r.k {
+			return false
+		}
+		text += d[j+1] - d[j]
+	}
+	r.start, r.end, r.vals, r.text = start, start+vals, vals, text
+	return true
 }
 
 // sumLengths steps from off over k uvarints of b, whose sum may not pass
@@ -426,6 +792,15 @@ func (s *blockShape) skipValues(p []byte, off, from, to, c int) (next, vals, ext
 	return off, vals, extra, true
 }
 
+// dictOf returns the value offsets of column c's dictionary, or nil in a
+// block that is not dictionary-coded.
+func (s *blockShape) dictOf(c int) []int {
+	if !s.coded {
+		return nil
+	}
+	return s.dict[s.cols[c].dict : s.cols[c].dict+s.cols[c].k+1]
+}
+
 // valueAt reads the length-prefixed value at payload[off:], which the
 // walk has validated, and returns where its bytes begin and end.
 func valueAt(payload []byte, off int) (start, end int) {
@@ -440,7 +815,7 @@ func valueAt(payload []byte, off int) (start, end int) {
 // the range to the block. Only the records asked for are materialised, as
 // substrings of one backing string built in a single copy.
 func decodeBlockRange(dst []string, data []byte, lo, hi int) ([]string, error) {
-	n, payload, z, err := openBlock(data)
+	n, payload, coded, z, err := openBlock(data)
 	if z != nil {
 		defer inflaters.Put(z)
 	}
@@ -448,7 +823,7 @@ func decodeBlockRange(dst []string, data []byte, lo, hi int) ([]string, error) {
 		return dst, err
 	}
 	var s blockShape
-	if err := s.walk(payload, n, lo, hi, nil); err != nil {
+	if err := s.walk(payload, n, coded, lo, hi, nil); err != nil {
 		return dst, err
 	}
 	if s.lo == s.hi {
@@ -460,14 +835,22 @@ func decodeBlockRange(dst []string, data []byte, lo, hi int) ([]string, error) {
 	var text strings.Builder
 	text.Grow(s.lineBytes - (s.hi - s.lo))
 	ends := make([]int, s.hi-s.lo)
+	coded, dict := s.coded, s.dict
 	for i, cols := range s.widths() {
 		for c := 0; c < cols; c++ {
 			if c > 0 {
 				text.WriteByte('\t')
 			}
-			start, end := valueAt(payload, s.cols[c].start)
-			s.cols[c].start = end
-			text.Write(payload[start:end])
+			r := &s.cols[c]
+			if !coded {
+				start, end := valueAt(payload, r.start)
+				r.start = end
+				text.Write(payload[start:end])
+				continue
+			}
+			j := r.dict + int(payload[r.start])
+			r.start++
+			text.Write(payload[dict[j]:dict[j+1]])
 		}
 		ends[i] = text.Len()
 	}

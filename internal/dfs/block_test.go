@@ -55,15 +55,18 @@ func TestBlockRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBlockCompressionShrinksRepetitiveData: a block whose second column
+// holds 500 distinct values is too varied for a dictionary and is
+// deflated, smaller than raw.
 func TestBlockCompressionShrinksRepetitiveData(t *testing.T) {
 	lines := make([]string, 500)
 	for i := range lines {
-		lines[i] = fmt.Sprintf("station-%03d\t%d\tsunny", i%7, 20+i%5)
+		lines[i] = fmt.Sprintf("station-%03d\t%d\tsunny", i%7, 2000+i)
 	}
 	raw := EncodeBlock(lines, false)
 	comp := EncodeBlock(lines, true)
-	if len(comp) >= len(raw) {
-		t.Fatalf("compressed block (%d bytes) not smaller than raw (%d bytes)", len(comp), len(raw))
+	if len(comp) >= len(raw) || comp[1] != blockFlagFlate {
+		t.Fatalf("compressed block (%d bytes, flags %#x) not deflated smaller than raw (%d bytes)", len(comp), comp[1], len(raw))
 	}
 	got, err := DecodeBlock(comp)
 	if err != nil {
@@ -139,6 +142,55 @@ func (pp payloadParts) bytes() []byte {
 // sealed is the block of n records that pp's payload makes, raw.
 func (pp payloadParts) sealed(n uint64) []byte { return sealPayload(0, n, pp.bytes()) }
 
+// coded is the block of n records that pp's payload makes, its regions
+// taken for dictionary-coded ones.
+func (pp payloadParts) coded(n uint64) []byte { return sealPayload(blockFlagDict, n, pp.bytes()) }
+
+// dictRegion returns a dictionary-coded column region: dict, and codes
+// indexing it.
+func dictRegion(dict []string, codes ...byte) []byte {
+	region := binary.AppendUvarint(nil, uint64(len(dict)))
+	for _, v := range dict {
+		region = binary.AppendUvarint(region, uint64(len(v)))
+	}
+	for _, v := range dict {
+		region = append(region, v...)
+	}
+	return append(region, codes...)
+}
+
+// twoByFourCoded is the payload EncodeBlock makes, compressing, of
+// "aaaa\tbb", "cccc\tdd", "aaaa\tbb", "aaaa\tbb": every hostile coded
+// payload below is this one with a part of it changed.
+func twoByFourCoded() payloadParts {
+	return payloadParts{
+		maxCols: 2, minCols: 2,
+		regions: [][]byte{dictRegion([]string{"aaaa", "cccc"}, 0, 1, 0, 0), dictRegion([]string{"bb", "dd"}, 0, 1, 0, 0)},
+		lens:    []uint64{7, 7, 7, 7},
+	}
+}
+
+// hostileCodedPayloads are checksummed dictionary-coded blocks no encoder
+// writes, every one of which fails a whole read.
+func hostileCodedPayloads() [][]byte {
+	with := func(change func(*payloadParts)) []byte {
+		pp := twoByFourCoded()
+		change(&pp)
+		return pp.coded(4)
+	}
+	return [][]byte{
+		with(func(pp *payloadParts) { pp.regions[1] = dictRegion([]string{"bb", "dd"}, 0, 1, 2, 0) }),               // a code past the dictionary
+		with(func(pp *payloadParts) { pp.regions[0] = dictRegion(nil, 0, 0, 0, 0) }),                                // k = 0
+		with(func(pp *payloadParts) { pp.regions[0] = append(binary.AppendUvarint(nil, 257), 1, 'a', 0, 0, 0, 0) }), // k = 257
+		with(func(pp *payloadParts) { pp.regions[0] = append([]byte{120, 4}, "aaaa\x00\x00\x00\x00"...) }),          // k past the region's room for lengths
+		with(func(pp *payloadParts) { pp.regions[0] = dictRegion([]string{"aaaa", "cccc"})[:6] }),                   // a truncated dictionary
+		with(func(pp *payloadParts) { pp.regions[0] = append([]byte{2, 4, 9}, "aaaacccc\x00\x01\x00\x00"...) }),     // lengths past the region
+		with(func(pp *payloadParts) { pp.regions[1] = dictRegion([]string{"bb", "dd"}, 0, 1, 0) }),                  // a code short
+		with(func(pp *payloadParts) { pp.regions[1] = dictRegion([]string{"bb", "dd"}, 0, 1, 0, 0, 1) }),            // and one too many
+		with(func(pp *payloadParts) { pp.lens[3] = 1 << 40 }),                                                       // a line longer than the values
+	}
+}
+
 // twoByThree is the payload EncodeBlock makes of "a\tbb", "c\tdd", "e\tff":
 // every hostile payload below is this one with a part of it changed.
 func twoByThree() payloadParts {
@@ -200,7 +252,8 @@ func TestDecodeBlockRejectsMalformed(t *testing.T) {
 		sealPayload(0, 1, nil),                             // checksummed, and no payload
 	}
 	hostile, _ := hostilePayloads()
-	for i, data := range append(bad, hostile...) {
+	bad = append(append(bad, hostile...), hostileCodedPayloads()...)
+	for i, data := range bad {
 		if _, err := DecodeBlock(data); err == nil {
 			t.Errorf("case %d: expected error for malformed block %x", i, data)
 		}
@@ -210,6 +263,13 @@ func TestDecodeBlockRejectsMalformed(t *testing.T) {
 	}
 	if data := twoByThree().sealed(3); !bytes.Equal(data, EncodeBlock([]string{"a\tbb", "c\tdd", "e\tff"}, false)) {
 		t.Fatalf("payloadParts and EncodeBlock disagree on the layout:\n%x\n%x", data, EncodeBlock([]string{"a\tbb", "c\tdd", "e\tff"}, false))
+	}
+	coded := []string{"aaaa\tbb", "cccc\tdd", "aaaa\tbb", "aaaa\tbb"}
+	if data := twoByFourCoded().coded(4); !bytes.Equal(data, EncodeBlock(coded, true)) {
+		t.Fatalf("payloadParts and EncodeBlock disagree on the coded layout:\n%x\n%x", data, EncodeBlock(coded, true))
+	}
+	if got, err := DecodeBlock(twoByFourCoded().coded(4)); err != nil || !slices.Equal(got, coded) {
+		t.Fatalf("the coded payload the hostile ones are made from = %q, %v", got, err)
 	}
 }
 
@@ -272,14 +332,23 @@ func TestPrunedReadTouchesCarriedRegionsOnly(t *testing.T) {
 }
 
 // TestAnyFlippedByteFailsEveryRead: the checksum covers the header and the
-// stored payload, so a flipped bit anywhere in an encoded block, raw or
-// compressed, is an error for every range, both shapes and every mask.
+// stored payload, so a flipped bit anywhere in an encoded block, raw,
+// deflated or dictionary-coded, is an error for every range, both shapes
+// and every mask.
 func TestAnyFlippedByteFailsEveryRead(t *testing.T) {
 	lines := slices.Repeat([]string{"station-01\t20\tsunny", "station-02\t21\tsunny"}, 8)
-	for _, compress := range []bool{false, true} {
-		data := EncodeBlock(lines, compress)
-		if compress != (data[1]&blockFlagFlate != 0) {
-			t.Fatalf("compress=%v: flags %#x", compress, data[1])
+	varied := make([]string, 260) // a column of 260 distinct values: deflated
+	for i := range varied {
+		varied[i] = fmt.Sprintf("station-0%d\t%d\tsunny", i%2, i)
+	}
+	for _, c := range []struct {
+		lines []string
+		flags byte
+	}{{lines, 0}, {varied, blockFlagFlate}, {lines, blockFlagDict}} {
+		compress := c.flags != 0
+		data := EncodeBlock(c.lines, compress)
+		if data[1] != c.flags {
+			t.Fatalf("flags %#x, want %#x", data[1], c.flags)
 		}
 		var b Batch
 		for i := range data {
@@ -351,9 +420,9 @@ func TestDecodeBlockRange(t *testing.T) {
 func TestPooledDeflateMatchesFresh(t *testing.T) {
 	var blocks [][]string
 	for b := 0; b < 4; b++ {
-		lines := make([]string, 300+b)
+		lines := make([]string, 300+b) // a column of 300 distinct values: deflated, not coded
 		for i := range lines {
-			lines[i] = fmt.Sprintf("station-%03d\t%d\tsky-%d", (i*(b+3))%11, 20+i%5, b)
+			lines[i] = fmt.Sprintf("station-%03d\t%d\tsky-%d", (i*(b+3))%11, 2000+i, b)
 		}
 		blocks = append(blocks, lines)
 	}
@@ -573,27 +642,38 @@ func TestBlockEncodeAllocs(t *testing.T) {
 // TestSealAllocs pins what sealing a block costs in memory: 1,000
 // two-column lines take one object, the block, and no more bytes than it
 // and 64 — no span table, no payload built apart and copied behind the
-// header. The heap hands out memory in size classes, so
-// the block counts as the class it rounds up to.
+// header, and, dictionary-coded, no dictionary off the stack. The heap
+// hands out memory in size classes, so the block counts as the class it
+// rounds up to.
 func TestSealAllocs(t *testing.T) {
 	class := func(n int) int { return cap(slices.Grow([]byte(nil), n)) }
-	lines := make([]string, 1000)
-	for i := range lines {
-		lines[i] = fmt.Sprintf("user%04d\t%d", i*7%1000, i%50)
+	raw, coded := make([]string, 1000), make([]string, 1000)
+	for i := range raw {
+		raw[i] = fmt.Sprintf("user%04d\t%d", i*7%1000, i%50)
+		coded[i] = fmt.Sprintf("user%04d\t%d", i*7%250, i%50)
 	}
-	data, _ := encodeBlockStats(lines, false)
-	const runs = 20
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		data, _ = encodeBlockStats(lines, false)
-	}
-	runtime.ReadMemStats(&after)
-	objects := (after.Mallocs - before.Mallocs) / runs
-	held := (after.TotalAlloc - before.TotalAlloc) / runs
-	if limit := uint64(class(len(data)) + 64); objects > 1 || held > limit {
-		t.Errorf("sealing 1000 lines into a %d-byte block = %d objects, %d bytes; want 1 object, <= %d bytes", len(data), objects, held, limit)
+	for _, c := range []struct {
+		lines    []string
+		compress bool
+	}{{raw, false}, {coded, true}} {
+		data, _ := encodeBlockStats(c.lines, c.compress)
+		if c.compress && data[1] != blockFlagDict {
+			t.Fatalf("flags %#x: the block is not dictionary-coded", data[1])
+		}
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			data, _ = encodeBlockStats(c.lines, c.compress)
+		}
+		runtime.ReadMemStats(&after)
+		objects := (after.Mallocs - before.Mallocs) / runs
+		held := (after.TotalAlloc - before.TotalAlloc) / runs
+		if limit := uint64(class(len(data)) + 64); objects > 1 || held > limit {
+			t.Errorf("compress=%v: sealing 1000 lines into a %d-byte block = %d objects, %d bytes; want 1 object, <= %d bytes",
+				c.compress, len(data), objects, held, limit)
+		}
 	}
 }
 

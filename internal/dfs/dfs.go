@@ -8,7 +8,8 @@
 // Since PR 7 the at-rest representation is block-structured rather than
 // a []string per file: records accumulate in a small unsealed tail and
 // are sealed into columnar, length-prefixed blocks (~Options.BlockSize
-// encoded bytes each, see block.go), optionally flate-compressed, and —
+// encoded bytes each, see block.go), optionally compressed (dictionary-coded
+// or deflated, whichever the block's content suits), and —
 // under a resident-memory budget — spilled to a temp file on disk. All
 // of this is invisible above the API line: reads reconstruct the exact
 // record lines that were appended, verification digests are taken over
@@ -51,7 +52,9 @@ type Options struct {
 	// SpillDir is where the spill file is created; "" uses the system
 	// temp directory. The file is removed by Close.
 	SpillDir string
-	// Compress enables per-block flate compression of sealed blocks.
+	// Compress enables per-block compression of sealed blocks: a
+	// dictionary code where every column of the block holds at most 256
+	// distinct values, flate where not.
 	Compress bool
 }
 

@@ -31,6 +31,13 @@ func FuzzBlockRoundTrip(f *testing.F) {
 	// Ragged past the encoder's stack room for 16 regions, values whose
 	// length takes two bytes, the empty line.
 	f.Add(strings.Repeat("v", 300)+"\tx\n\n"+strings.Repeat("c\\t\t", 20)+"\nshort", false)
+	// Few distinct values a column, so that the block is dictionary-coded:
+	// airline rows, ragged rows with empty lines and an escape, a column of
+	// exactly 256 values and one of 257.
+	f.Add(strings.Repeat("2008\t1\tATL\tORD\t-3\n2008\t2\tSFO\tORD\t7\n", 30), true)
+	f.Add(strings.Repeat("a\tb\n\nc\nd\te\tf\\g\n", 12), true)
+	f.Add(strings.Join(cycling(512, 256), "\n"), true)
+	f.Add(strings.Join(cycling(514, 257), "\n"), true)
 	f.Fuzz(func(t *testing.T, raw string, compress bool) {
 		// Interpret the fuzz input as a small file: newline-separated
 		// record lines, each holding arbitrary (possibly tab/backslash
@@ -182,6 +189,16 @@ func FuzzDecodeBlockNoPanic(f *testing.F) {
 	f.Add(EncodeBlock([]string{"", "x\\\ty", "", "p\tq\tr"}, false), 0, 4)
 	f.Add(EncodeBlock(slices.Repeat([]string{"2008\t1\tATL\tORD\t-3"}, 9), true), 2, 7)
 	f.Add(sealPayload(blockFlagFlate, 3, []byte{0xff, 0xff}), 0, 0)
+	// Dictionary-coded blocks, which mutations take to codes past their
+	// dictionary, dictionaries of no value or of more than 256, truncated
+	// ones, and code counts the directory disagrees with.
+	f.Add(EncodeBlock(slices.Repeat([]string{"2008\t1\tATL\tORD\t-3", "2008\t2\tSFO\tORD\t7"}, 9), true), 3, 11)
+	f.Add(EncodeBlock(slices.Repeat([]string{"a\tb", "", "c", "d\te\tf\\g"}, 6), true), 1, 20)
+	f.Add(EncodeBlock(cycling(300, 256), true), 250, 290)
+	f.Add(twoByFourCoded().coded(4), 1, 3)
+	for _, data := range hostileCodedPayloads() {
+		f.Add(data, 0, 4)
+	}
 	f.Add([]byte{blockVersion, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 1, 1, 0}, 0, 9)
 	mustFail, other := hostilePayloads()
 	for _, data := range append(mustFail, other...) {
@@ -193,7 +210,7 @@ func FuzzDecodeBlockNoPanic(f *testing.F) {
 		masks = append(masks, []bool{m&1 != 0, m&2 != 0, m&4 != 0})
 	}
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi int) {
-		_, _, z, openErr := openBlock(data)
+		_, _, _, z, openErr := openBlock(data)
 		if z != nil {
 			inflaters.Put(z)
 		}
@@ -327,6 +344,9 @@ func FuzzSealMatchesAppend(f *testing.F) {
 	f.Add(strings.Repeat("x\n", 90), uint64(7), uint16(3), false, uint16(0))
 	f.Add("", uint64(0), uint16(1), false, uint16(1))
 	f.Add("long line one\tof text\nshort\n"+strings.Repeat("w\t", 60), uint64(0xffff_0000_ffff), uint16(40), false, uint16(300))
+	// Blocks a dictionary codes, sealed whole and across a tail.
+	f.Add(strings.Repeat("ATL\tORD\t1\nSFO\tATL\t2\n\n", 40), uint64(0x0123_4567_89ab_cdef), uint16(300), true, uint16(700))
+	f.Add(strings.Repeat("k\tv\n", 200), uint64(0b111_010_001), uint16(511), true, uint16(0))
 	f.Fuzz(func(t *testing.T, raw string, cuts uint64, blockSize uint16, compress bool, budget uint16) {
 		lines := strings.Split(raw, "\n")
 		opts := Options{BlockSize: int(blockSize)%512 + 1, MemBudget: int64(budget) % 2048, Compress: compress}

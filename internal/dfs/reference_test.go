@@ -8,7 +8,8 @@ import (
 
 // referenceEncodeBlock is the block encoder as it was before blocks were
 // sized exactly and built in place: the field spans of every line in
-// row-major arrays, the payload built apart and copied behind the header.
+// row-major arrays, the payload built apart and copied behind the header,
+// and a dictionary-coded payload built apart again, with a map a column.
 // It is kept as the oracle the encoder's bytes are held to
 // (FuzzBlockRoundTrip), in the spirit of the line oracle the column path
 // is held to.
@@ -54,6 +55,7 @@ func referenceEncodeBlock(lines []string, compress bool) (data []byte, rawLen in
 			payload = binary.AppendUvarint(payload, uint64(pre[i+1]-pre[i]))
 		}
 	}
+	head := len(payload)
 	var dir []byte
 	for c := 0; c < maxCols; c++ {
 		at := len(payload)
@@ -81,7 +83,10 @@ func referenceEncodeBlock(lines []string, compress bool) (data []byte, rawLen in
 	rawLen = len(payload)
 
 	flags := byte(0)
-	if compress {
+	coded, ok := referenceDictPayload(lines, pre, starts, ends, payload[:head], maxCols)
+	if compress && ok && len(coded) < rawLen {
+		payload, flags = coded, blockFlagDict
+	} else if compress {
 		z := deflaters.Get().(*deflater)
 		defer deflaters.Put(z)
 		z.out.Reset()
@@ -96,4 +101,51 @@ func referenceEncodeBlock(lines []string, compress bool) (data []byte, rawLen in
 	data = append(h, 0, 0, 0, 0)
 	binary.LittleEndian.PutUint32(data[len(h):], crc32.Update(crc32.Checksum(h, castagnoli), castagnoli, payload))
 	return append(data, payload...), rawLen
+}
+
+// referenceDictPayload is the payload of the lines with every column
+// dictionary-coded, behind head, or false where a column holds more than
+// 256 distinct values.
+func referenceDictPayload(lines []string, pre, starts, ends []int, head []byte, maxCols int) ([]byte, bool) {
+	payload := append([]byte(nil), head...)
+	var dir []byte
+	for c := 0; c < maxCols; c++ {
+		index := map[string]int{}
+		var dict []string
+		var codes []byte
+		for i, l := range lines {
+			if pre[i+1]-pre[i] <= c {
+				continue
+			}
+			v := l[starts[pre[i]+c]:ends[pre[i]+c]]
+			code, ok := index[v]
+			if !ok {
+				if len(dict) == 256 {
+					return nil, false
+				}
+				code = len(dict)
+				index[v] = code
+				dict = append(dict, v)
+			}
+			codes = append(codes, byte(code))
+		}
+		region := binary.AppendUvarint(nil, uint64(len(dict)))
+		for _, v := range dict {
+			region = binary.AppendUvarint(region, uint64(len(v)))
+		}
+		text := strings.Join(dict, "")
+		region = append(append(region, text...), codes...)
+		d := uint64(len(region)) << 1
+		if strings.ContainsAny(text, "\\\n") {
+			d |= 1
+		}
+		payload = append(payload, region...)
+		dir = binary.AppendUvarint(dir, d)
+	}
+	foot := len(payload)
+	payload = append(payload, dir...)
+	for _, l := range lines {
+		payload = binary.AppendUvarint(payload, uint64(len(l)))
+	}
+	return binary.LittleEndian.AppendUint64(payload, uint64(foot)), true
 }
