@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"clusterbft/internal/analyze"
 	"clusterbft/internal/digest"
@@ -10,14 +11,13 @@ import (
 // Checkpoint-granular recovery (ROADMAP item 5, DESIGN.md §12).
 //
 // A full-r sub-graph's interior jobs — jobs with an in-cluster
-// dependent — run with Spec.Ckpt set: the engine retains their output
-// lines exactly as produced and emits a CkptPoint digest over the
-// concatenated stream at job completion. The controller watches those
+// dependent — run with Spec.Ckpt set: the engine keeps their output as
+// its tasks sealed it and emits a CkptPoint digest over it, streamed
+// through Engine.Produced, at job completion. The controller watches those
 // digests arrive per replica; the moment f+1 replicas agree on one
 // job's CkptPoint sum, the output is *verified at job granularity* even
 // though the sub-graph as a whole is still running, and the controller
-// persists one agreeing replica's retained lines under a durable
-// ckpt/ path.
+// appends one agreeing replica's Produced under a durable ckpt/ path.
 //
 // When the sub-graph later needs another attempt (verifier timeout,
 // no-agreement retry, deviant-source restart, escalation rerun at full
@@ -31,11 +31,12 @@ import (
 //
 // Soundness:
 //
-//   - Bytes are persisted from the engine's in-memory as-produced lines
-//     (the same stream the CkptPoint digest covers), never read back
-//     from the DFS — a storage write-mangle can therefore never poison
-//     a checkpoint. The ckpt/ namespace itself lives outside every
-//     replica prefix, on the trusted tier's store like script inputs.
+//   - Bytes are persisted from the output as its tasks sealed it (the
+//     stream the CkptPoint digest covers), never from what a write hook
+//     stored instead — a storage write-mangle can never poison a
+//     checkpoint. A block failing its checksum there ends the run
+//     (Engine.Fault), charging no node. The ckpt/ namespace lives outside
+//     every replica prefix, on the trusted tier's store like script inputs.
 //   - Agreement uses the same f+1-with-ambiguity-rejection rule as the
 //     online Observe check: a key where two sums both reach f+1
 //     proves the fault budget was exceeded and is never persisted.
@@ -98,7 +99,7 @@ func (c *Controller) ckptEligible(cs *clusterState, tmplID string) bool {
 
 // maybeCheckpoint runs on every CkptPoint digest arrival: once f+1
 // replicas agree on a job's output digest, persist one agreeing
-// replica's retained lines. Idempotent per (cluster, job) — later
+// replica's output as produced. Idempotent per (cluster, job) — later
 // arrivals of the same agreed digest find the entry and return.
 func (c *Controller) maybeCheckpoint(cs *clusterState, key digest.Key) {
 	tmplID := key.Task
@@ -130,15 +131,17 @@ func (c *Controller) maybeCheckpoint(cs *clusterState, key digest.Key) {
 		if js == nil || !js.Done {
 			continue
 		}
-		lines := js.ProducedLines()
+		out := c.Eng.Produced(js)
+		lines := slices.AppendSeq(make([]string, 0, out.NumRecords()), out.Lines)
 		path := fmt.Sprintf("ckpt/run%d/c%d/%s", c.runSeq, cs.id, tmplID)
 		_ = c.Eng.FS.Delete(path)
 		c.Eng.FS.Append(path, lines...)
+		size, _ := c.Eng.FS.Size(path) // the file was just appended: it exists
 		e := &ckptEntry{
 			sum:     sum,
 			path:    path,
 			records: int64(len(lines)),
-			bytes:   ckptLinesBytes(lines),
+			bytes:   size,
 			srcs:    make(map[int]ckptSrc, len(cs.sources)),
 		}
 		for u, s := range cs.sources {
@@ -231,14 +234,4 @@ func (c *Controller) dropCkpts(cs *clusterState) {
 		_ = c.Eng.FS.Delete(e.path)
 	}
 	delete(c.ckpts, cs.id)
-}
-
-// ckptLinesBytes sums line lengths plus newlines — the same accounting
-// the engine's HDFS byte counters use.
-func ckptLinesBytes(lines []string) int64 {
-	var n int64
-	for _, l := range lines {
-		n += int64(len(l)) + 1
-	}
-	return n
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
 	"clusterbft/internal/analyze"
+	"clusterbft/internal/dfs"
 	"clusterbft/internal/digest"
 	"clusterbft/internal/mapred"
 	"clusterbft/internal/pig"
@@ -257,5 +261,125 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	}
 	if cs2.r != 7 || cs2.suffixBoost != 0 {
 		t.Errorf("uncovered retries: r=%d boost=%d, want r=7 boost=0", cs2.r, cs2.suffixBoost)
+	}
+}
+
+// segmentEnds returns where each of the file's segments (sealed blocks,
+// then the tail) ends, in records: the blocks its lines were sealed into.
+func segmentEnds(t *testing.T, fs *dfs.FS, path string) []int {
+	t.Helper()
+	r, err := fs.OpenReader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b dfs.Batch
+	var ends []int
+	for at := 0; at < r.NumRecords(); ends = append(ends, at) {
+		at = r.ReadColumns(&b, at, r.NumRecords(), nil)
+	}
+	return ends
+}
+
+// TestWriteHookCannotPoisonCheckpoint: a write hook that changes a part of
+// one replica's interior job changes the file that part is installed as,
+// and neither the job's CkptPoint digest nor its checkpoint: the digest is
+// digest.OfLines of the lines the job's tasks produced, and the ckpt/ file,
+// saved from that very replica, holds those lines in the blocks Append
+// seals them into.
+func TestWriteHookCannotPoisonCheckpoint(t *testing.T) {
+	opts := dfs.Options{BlockSize: 24}
+	h := &harness{NewSystem(8, 2, opts, mapred.DefaultCostModel())}
+	h.FS.Append("data/weather", weatherData(2000)...)
+	cfg := DefaultConfig()
+	cfg.Checkpoint = true
+	cfg.ForcePointAliases = []string{"counts"}
+	h.Assure(cfg)
+	trail := analyze.NewAuditTrail(h.Engine.Now)
+	h.Ctrl.AttachAudit(trail)
+
+	const mangled = 1                 // the replica whose part the hook changes: the one the checkpoint comes from
+	produced := map[string][]string{} // its interior job's parts, as produced
+	var victim string
+	var stored []string // the victim part's file as the hook left it
+	h.FS.WriteHook = func(path string, lines []string) []string {
+		js := h.Engine.JobByOutput(path[:strings.LastIndexByte(path, '/')])
+		if js == nil || !js.Spec.Ckpt || js.Spec.Replica != mangled || produced[path] != nil {
+			return lines
+		}
+		produced[path] = slices.Clone(lines)
+		if victim != "" {
+			return lines
+		}
+		victim = path
+		return append(slices.Clone(lines), "mangled")
+	}
+	var sums []digest.Report
+	saved := map[string][]string{}
+	savedEnds := map[string][]int{}
+	sink := h.Engine.DigestSink
+	h.Engine.DigestSink = func(r digest.Report) {
+		sink(r)
+		if r.Key.Point != mapred.CkptPoint {
+			return
+		}
+		sums = append(sums, r)
+		if stored == nil {
+			stored, _ = h.FS.ReadLines(victim)
+		}
+		for _, p := range h.FS.List("ckpt") {
+			if saved[p] == nil {
+				saved[p], _ = h.FS.ReadLines(p)
+				savedEnds[p] = segmentEnds(t, h.FS, p)
+			}
+		}
+	}
+	if _, err := h.Ctrl.Run(weatherScript); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []string
+	for _, p := range slices.Sorted(maps.Keys(produced)) {
+		want = append(want, produced[p]...)
+	}
+	if len(produced) < 2 || len(want) < 8 {
+		t.Fatalf("the interior job produced %d lines in %d parts: too few to test", len(want), len(produced))
+	}
+	if hooked := append(slices.Clone(produced[victim]), "mangled"); !slices.Equal(stored, hooked) {
+		t.Errorf("%s holds %q, the hook returned %q", victim, stored, hooked)
+	}
+	found := false
+	for _, r := range sums {
+		if r.Replica == mangled {
+			found = true
+			if r.Sum != digest.OfLines(want) || r.Records != int64(len(want)) {
+				t.Errorf("replica %d's CkptPoint digest %v covers not the %d lines produced", mangled, r, len(want))
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("no CkptPoint digest from replica %d among %v", mangled, sums)
+	}
+	var from []int
+	for _, ev := range trail.Events() {
+		if ev.Kind == analyze.AuditCheckpoint {
+			from = append(from, ev.Replica)
+		}
+	}
+	if len(saved) != 1 || !slices.Equal(from, []int{mangled}) {
+		t.Fatalf("checkpoints %v saved from replicas %v: want one, from replica %d", slices.Sorted(maps.Keys(saved)), from, mangled)
+	}
+	ref := dfs.NewWith(opts)
+	ref.Append("ref", want...)
+	ends := segmentEnds(t, ref, "ref")
+	if len(ends) < 3 {
+		t.Fatalf("Append seals the produced lines into segments ending at %v: too few blocks to test", ends)
+	}
+	for p, lines := range saved {
+		if !slices.Equal(lines, want) {
+			t.Errorf("%s holds %q, the tasks produced %q", p, lines, want)
+		}
+		if !slices.Equal(savedEnds[p], ends) {
+			t.Errorf("%s holds blocks ending at records %v, Append seals %v", p, savedEnds[p], ends)
+		}
 	}
 }

@@ -936,3 +936,80 @@ func TestStorageFaultIsNotANodeFault(t *testing.T) {
 	_, err = RunPlain(spilled().Engine, weatherScript)
 	check("plain", err)
 }
+
+// TestOutputStorageFaultIsNotANodeFault: an output block that fails its
+// checksum when the engine reads the job's output as produced — for its
+// AuditIOOutPoint digest, before any consumer reads it — ends the run with
+// that file's *dfs.BlockError, as a bad input block does: no panic escapes
+// Run, no node is suspected, and the trail holds no mismatch.
+func TestOutputStorageFaultIsNotANodeFault(t *testing.T) {
+	const script = `
+w = LOAD 'data/weather' AS (st, temp:int);
+hot = FILTER w BY temp > 2;
+STORE hot INTO 'out/hot';
+`
+	dir := t.TempDir()
+	cost := mapred.DefaultCostModel()
+	cost.SplitRecords = 1000
+	h := &harness{NewSystem(6, 2, dfs.Options{BlockSize: 2 << 10, MemBudget: 512, SpillDir: dir, Compress: true}, cost)}
+	t.Cleanup(func() { h.FS.Close() })
+	h.FS.Append("data/weather", weatherData(4000)...)
+	inputEnd := h.FS.SpillBytes() // output blocks spill past the input's
+	var first string              // the first part installed, whose first block is flipped
+	h.FS.WriteHook = func(path string, lines []string) []string {
+		if first == "" {
+			first = path
+			return lines
+		}
+		// The first part is in the spill file now; no read has reached it.
+		files, err := filepath.Glob(filepath.Join(dir, "clusterbft-spill-*.blk"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("spill files %v (%v): want one", files, err)
+		}
+		f, err := os.OpenFile(files[0], os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var b [1]byte
+		if _, err := f.ReadAt(b[:], inputEnd+40); err != nil { // a byte of its first block's payload
+			t.Fatal(err)
+		}
+		b[0] ^= 0x10
+		if _, err := f.WriteAt(b[:], inputEnd+40); err != nil {
+			t.Fatal(err)
+		}
+		h.FS.WriteHook = nil
+		return lines
+	}
+	cfg := DefaultConfig()
+	cfg.VerifyPolicy = PolicyQuiz
+	cfg.TimeoutUs = 60_000_000
+	h.Assure(cfg)
+	trail := analyze.NewAuditTrail(h.Engine.Now)
+	h.Ctrl.AttachAudit(trail)
+	res, err := h.Ctrl.Run(script)
+	var bad *dfs.BlockError
+	if !errors.As(err, &bad) || first == "" || bad.Path != first || bad.Block != 0 {
+		t.Fatalf("err = %v; want a *dfs.BlockError for block 0 of %q", err, first)
+	}
+	if res != nil {
+		t.Errorf("a result beside the error: %+v", res)
+	}
+	if h.Engine.Fault != bad {
+		t.Errorf("Engine.Fault = %v, not the error Run returned", h.Engine.Fault)
+	}
+	if s := h.Ctrl.FA.Suspects(); len(s) != 0 || h.Engine.Metrics.TasksHung != 0 {
+		t.Errorf("suspects %v, %d tasks hung: a storage fault was charged to nodes", s, h.Engine.Metrics.TasksHung)
+	}
+	for _, n := range h.Cluster.Nodes() {
+		if lvl := h.Susp.Level(n.ID); lvl != 0 {
+			t.Errorf("%s at suspicion %v", n.ID, lvl)
+		}
+	}
+	for _, ev := range trail.Events() {
+		if ev.Kind == analyze.AuditMismatch {
+			t.Errorf("the trail has a mismatch: %+v", ev)
+		}
+	}
+}

@@ -290,8 +290,8 @@ func (fs *FS) Append(path string, lines ...string) {
 	fs.install(path, fs.Seal(lines))
 }
 
-// Sealed is a batch of lines as Seal encoded them, for Install to add to a
-// file: the blocks, the lines short of another block, and their size.
+// Sealed is a batch of lines as Seal encoded them, which Install adds to a
+// file as they are and OpenSealed reads: blocks, tail and their size.
 type Sealed struct {
 	blocks []*block // path and idx are the installing file's to set
 	tail   []string // in an array of its own
@@ -302,9 +302,14 @@ type Sealed struct {
 // newline each): what installing them adds to BytesWritten.
 func (s *Sealed) Bytes() int64 { return s.bytes }
 
-// Tail returns the lines past the last block, in the array Seal copied
-// them into, clipped: the store only ever appends past their end.
-func (s *Sealed) Tail() []string { return slices.Clip(s.tail) }
+// appendLines appends the lines s was sealed from to dst, decoding blocks
+// Seal has just written and that are still resident.
+func (s *Sealed) appendLines(dst []string) []string {
+	for _, b := range s.blocks {
+		dst, _ = decodeBlockRange(dst, b.data, 0, b.records)
+	}
+	return append(dst, s.tail...)
+}
 
 // Seal encodes lines into the blocks a file holding only them would have:
 // the shortest prefix reaching the block size, again and again, and what is
@@ -348,12 +353,13 @@ func (fs *FS) Seal(lines []string) Sealed {
 }
 
 // Install adds to the file at path, creating it if needed, the lines s was
-// sealed from. lines are those lines, and only a WriteHook reads them: it
-// is applied to them here, as Append applies it, and what it changes is
-// sealed again.
-func (fs *FS) Install(path string, s Sealed, lines []string) {
+// sealed from. A WriteHook is applied to those lines, decoded from s, as
+// Append applies it to its own, and what it changes is sealed again: s
+// itself is left as it was.
+func (fs *FS) Install(path string, s Sealed) {
 	path = clean(path)
 	if fs.WriteHook != nil {
+		lines := s.appendLines(nil)
 		if hooked := fs.WriteHook(path, lines); !slices.Equal(hooked, lines) {
 			s = fs.Seal(hooked)
 		}
@@ -377,12 +383,8 @@ func (fs *FS) install(path string, s Sealed) {
 	fs.bytesWritten.Add(s.bytes)
 	if len(f.pending) > 0 {
 		// Past its length the tail's array is no one's: whoever else holds
-		// it clipped it (addFile, readRaw, Sealed.Tail).
-		lines := f.pending
-		for _, b := range s.blocks {
-			lines, _ = decodeBlockRange(lines, b.data, 0, b.records) // bytes Seal just wrote
-		}
-		lines = append(lines, s.tail...)
+		// it reads no further (addFile, readRaw, a kept Sealed).
+		lines := s.appendLines(f.pending)
 		f.lines -= len(f.pending)
 		f.bytes -= int64(f.pendingBytes)
 		if n := int64(f.pendingBytes) + s.bytes; n < int64(fs.opts.BlockSize) {

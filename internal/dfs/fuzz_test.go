@@ -336,8 +336,10 @@ func sameStore(t *testing.T, who string, got, want *FS) {
 // cut into batches — empty ones, single lines, many blocks' worth — that go
 // to two files in turn, so a batch meets a tail the one before left, at any
 // block size, with and without compression and a spill budget, both must
-// leave the store exactly as the oracle does. A batch's lines are cleared
-// once written: a store that kept the caller's array would show it.
+// leave the store exactly as the oracle does. What Seal made reads back,
+// through OpenSealed, as the batch it was sealed from, whether its file
+// took its blocks or sealed them again behind a tail. A batch's lines are
+// cleared once written: a store that kept the caller's array would show it.
 func FuzzSealMatchesAppend(f *testing.F) {
 	f.Add("a\tb\nc\nd\te\tf\n\ng", uint64(0b1011_0110), uint16(8), true, uint16(16))
 	f.Add(strings.Repeat("station-7\t21\tsunny\n", 40), uint64(0x0123_4567_89ab_cdef), uint16(64), true, uint16(100))
@@ -366,7 +368,12 @@ func FuzzSealMatchesAppend(f *testing.F) {
 			}
 			batch := lines[lo:hi]
 			path := fmt.Sprintf("d/f%d", cuts>>(i%64)&1)
-			installed.Install(path, installed.Seal(batch), batch)
+			sealed := installed.Seal(batch)
+			installed.Install(path, sealed)
+			r := installed.OpenSealed([]Sealed{sealed})
+			if got := slices.Collect(r.Lines); !slices.Equal(got, batch) {
+				t.Fatalf("batch %d reads back through OpenSealed as %q, sealed from %q", i, got, batch)
+			}
 			appended.Append(path, batch...)
 			oracle.appendOracle(path, batch...)
 			clear(batch)

@@ -2,8 +2,11 @@ package dfs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"clusterbft/internal/digest"
 )
 
 // hookLog installs recording Read/Write hooks on fs and returns the
@@ -78,5 +81,52 @@ func TestHookEquivalenceBlockVsLegacy(t *testing.T) {
 			t.Fatalf("hook observation %d diverged:\n  legacy %q\n  block  %q",
 				i, (*legacyLog)[i], (*blockLog)[i])
 		}
+	}
+}
+
+// TestOpenSealedReadsNoFile: a reader over sealed batches serves the lines
+// they were sealed from — blocks, spilled or resident, and tails — whether
+// a file took them or not, through ReadRange, Lines and LinesSum alike, and
+// reads no file to do it: the read counter stays where it was and a set
+// ReadHook is never called.
+func TestOpenSealedReadsNoFile(t *testing.T) {
+	fs := NewWith(Options{BlockSize: 48, MemBudget: 96, SpillDir: t.TempDir(), Compress: true})
+	defer fs.Close()
+	var parts []Sealed
+	var want []string
+	for b := range 3 {
+		var lines []string
+		for i := range 10*b + 3 {
+			lines = append(lines, fmt.Sprintf("b%d-row-%02d\t%d", b, i, i*i))
+		}
+		s := fs.Seal(lines)
+		if b < 2 { // the last batch goes to no file
+			fs.Install(fmt.Sprintf("d/part-%d", b), s)
+		}
+		parts = append(parts, s)
+		want = append(want, lines...)
+	}
+	if fs.SpilledBlocks() == 0 {
+		t.Fatal("nothing spilled; the reader is not reading the spill file")
+	}
+	hooked := 0
+	fs.ReadHook = func(_ string, lines []string) []string {
+		hooked++
+		return nil
+	}
+	read := fs.BytesRead()
+
+	r := fs.OpenSealed(parts)
+	if got := r.ReadRange(0, r.NumRecords()); !slices.Equal(got, want) {
+		t.Errorf("ReadRange: %d lines %q, want %d", len(got), got, len(want))
+	}
+	if got := slices.Collect(r.Lines); !slices.Equal(got, want) {
+		t.Errorf("Lines: %d lines %q, want %d", len(got), got, len(want))
+	}
+	if got, w := r.LinesSum(), digest.OfLines(want); got != w {
+		t.Errorf("LinesSum: %x, digest.OfLines: %x", got, w)
+	}
+	if hooked != 0 || fs.BytesRead() != read {
+		t.Errorf("the ReadHook fired %d times and %d bytes were charged as read", hooked, fs.BytesRead()-read)
 	}
 }

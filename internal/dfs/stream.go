@@ -1,5 +1,11 @@
 package dfs
 
+import (
+	"crypto/sha256"
+
+	"clusterbft/internal/digest"
+)
+
 // Streaming access to block-backed files. A Reader exposes a file (or a
 // sorted part-file tree) as an indexed sequence of records without
 // materializing the whole file: ReadRange returns record lines, and
@@ -14,9 +20,9 @@ package dfs
 // sealed block (decoded on demand) or a snapshot of a file's unsealed
 // tail (held directly).
 type rseg struct {
-	blk   *block
-	lines []string
-	n     int
+	blk      *block
+	lines    []string
+	start, n int // the segment covers records [start, start+n) of the Reader
 }
 
 // Reader is a positioned, random-access view over the records of a file
@@ -24,10 +30,9 @@ type rseg struct {
 // visible, matching the copy semantics of ReadLines). The zero value is
 // an empty reader, and every method is safe for concurrent use.
 type Reader struct {
-	fs     *FS
-	segs   []rseg
-	starts []int // segs[i] covers records [starts[i], starts[i]+segs[i].n)
-	total  int
+	fs    *FS
+	segs  []rseg
+	total int
 
 	logicalBytes int64 // accumulated by addFile, charged once at open
 }
@@ -37,83 +42,79 @@ type Reader struct {
 // as a ReadLines call would. When a ReadHook is set the reader
 // materializes through ReadLines instead, so the hook observes the one
 // whole-file line stream it expects.
-func (fs *FS) OpenReader(path string) (*Reader, error) {
-	path = clean(path)
-	if fs.ReadHook != nil {
-		lines, err := fs.ReadLines(path)
-		if err != nil {
-			return nil, err
-		}
-		return readerOver(lines), nil
-	}
-	fs.mu.RLock()
-	f, ok := fs.files[path]
-	if !ok {
-		fs.mu.RUnlock()
-		return nil, &ErrNotFound{Path: path}
-	}
-	r := &Reader{fs: fs}
-	r.addFile(f)
-	fs.mu.RUnlock()
-	fs.bytesRead.Add(r.logicalBytes)
-	return r, nil
-}
+func (fs *FS) OpenReader(path string) (*Reader, error) { return fs.open(path, false) }
 
 // OpenTreeReader opens a streaming reader over the concatenation, in
 // sorted path order, of every file at or under prefix — the streaming
 // counterpart of ReadTree, with the same not-found and hook semantics.
-func (fs *FS) OpenTreeReader(prefix string) (*Reader, error) {
-	prefix = clean(prefix)
+func (fs *FS) OpenTreeReader(prefix string) (*Reader, error) { return fs.open(prefix, true) }
+
+// open is OpenReader, or with tree OpenTreeReader.
+func (fs *FS) open(path string, tree bool) (*Reader, error) {
+	path = clean(path)
+	r := &Reader{fs: fs}
 	if fs.ReadHook != nil {
-		lines, err := fs.ReadTree(prefix)
+		read := fs.ReadLines
+		if tree {
+			read = fs.ReadTree
+		}
+		lines, err := read(path)
 		if err != nil {
 			return nil, err
 		}
-		return readerOver(lines), nil
+		r.add(nil, lines)
+		return r, nil
 	}
 	fs.mu.RLock()
-	exact, lo, hi := fs.pathRanges(prefix)
-	if !exact && lo >= hi {
-		fs.mu.RUnlock()
-		return nil, &ErrNotFound{Path: prefix}
+	defer fs.mu.RUnlock()
+	exact, lo, hi := fs.files[path] != nil, 0, 0
+	if tree {
+		exact, lo, hi = fs.pathRanges(path)
 	}
-	r := &Reader{fs: fs}
+	if !exact && lo >= hi {
+		return nil, &ErrNotFound{Path: path}
+	}
 	if exact {
-		r.addFile(fs.files[prefix])
+		r.addFile(fs.files[path])
 	}
 	for _, p := range fs.paths[lo:hi] {
 		r.addFile(fs.files[p])
 	}
-	fs.mu.RUnlock()
 	fs.bytesRead.Add(r.logicalBytes)
 	return r, nil
 }
 
-// readerOver wraps an already-materialized line slice (the hook path).
-func readerOver(lines []string) *Reader {
-	r := &Reader{}
-	if len(lines) > 0 {
-		r.segs = []rseg{{lines: lines, n: len(lines)}}
-		r.starts = []int{0}
-		r.total = len(lines)
+// OpenSealed opens a reader over the lines parts were sealed from, in
+// order, whether a file holds them or not. It reads no file: it charges
+// the read counter nothing and applies no ReadHook.
+func (fs *FS) OpenSealed(parts []Sealed) *Reader {
+	n := 0
+	for _, s := range parts {
+		n += len(s.blocks) + min(len(s.tail), 1)
+	}
+	r := &Reader{fs: fs, segs: make([]rseg, 0, n)}
+	for _, s := range parts {
+		r.add(s.blocks, s.tail)
 	}
 	return r
 }
 
 // addFile appends a file's segments to the reader; caller holds fs.mu.
 func (r *Reader) addFile(f *file) {
-	for _, b := range f.blocks {
-		r.starts = append(r.starts, r.total)
-		r.segs = append(r.segs, rseg{blk: b, n: b.records})
+	r.add(f.blocks, f.pending)
+	r.logicalBytes += f.bytes
+}
+
+// add appends sealed blocks, then the lines of a tail, as segments.
+func (r *Reader) add(blocks []*block, tail []string) {
+	for _, b := range blocks {
+		r.segs = append(r.segs, rseg{blk: b, start: r.total, n: b.records})
 		r.total += b.records
 	}
-	if len(f.pending) > 0 {
-		tail := f.pending[:len(f.pending):len(f.pending)]
-		r.starts = append(r.starts, r.total)
-		r.segs = append(r.segs, rseg{lines: tail, n: len(tail)})
+	if len(tail) > 0 {
+		r.segs = append(r.segs, rseg{lines: tail, start: r.total, n: len(tail)})
 		r.total += len(tail)
 	}
-	r.logicalBytes += f.bytes
 }
 
 // NumRecords returns the total record count snapshotted at open.
@@ -125,7 +126,7 @@ func (r *Reader) segAt(start int) int {
 	lo, hi := 0, len(r.segs)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if r.starts[mid] <= start {
+		if r.segs[mid].start <= start {
 			lo = mid
 		} else {
 			hi = mid - 1
@@ -150,13 +151,13 @@ func (r *Reader) ReadRange(start, end int) []string {
 		return nil
 	}
 	out := make([]string, 0, end-start)
-	for i := r.segAt(start); i < len(r.segs) && r.starts[i] < end; i++ {
+	for i := r.segAt(start); i < len(r.segs) && r.segs[i].start < end; i++ {
 		seg := r.segs[i]
 		a, b := 0, seg.n
-		if s := start - r.starts[i]; s > a {
+		if s := start - seg.start; s > a {
 			a = s
 		}
-		if e := end - r.starts[i]; e < b {
+		if e := end - seg.start; e < b {
 			b = e
 		}
 		if seg.blk != nil {
@@ -169,6 +170,41 @@ func (r *Reader) ReadRange(start, end int) []string {
 		}
 	}
 	return out
+}
+
+// Lines yields every record's line in order (range over r.Lines), decoding
+// one block at a time. A block that cannot be read back panics with its
+// *BlockError, as in ReadRange.
+func (r *Reader) Lines(yield func(string) bool) {
+	var block []string
+	for _, seg := range r.segs {
+		lines := seg.lines
+		if seg.blk != nil {
+			var err error
+			if block, err = r.fs.loadBlock(block[:0], seg.blk, 0, seg.n); err != nil {
+				panic(err)
+			}
+			lines = block
+		}
+		for _, l := range lines {
+			if !yield(l) {
+				return
+			}
+		}
+	}
+}
+
+// LinesSum is digest.OfLines of the records' lines, streamed: each line and
+// a newline go into the hash as Lines yields them, and none is kept.
+func (r *Reader) LinesSum() (sum digest.Sum) {
+	h := sha256.New()
+	var line []byte
+	for l := range r.Lines {
+		line = append(append(line[:0], l...), '\n')
+		h.Write(line)
+	}
+	h.Sum(sum[:0])
+	return sum
 }
 
 // ReadColumns reads records from start on into b, up to end or the end of
@@ -184,18 +220,17 @@ func (r *Reader) ReadColumns(b *Batch, start, end int, need []bool) (next int) {
 	if start >= min(end, r.total) {
 		return end
 	}
-	i := r.segAt(start)
-	seg := r.segs[i]
-	next = min(end, r.starts[i]+seg.n)
+	seg := r.segs[r.segAt(start)]
+	next = min(end, seg.start+seg.n)
 	if seg.blk == nil {
-		b.holdLines(seg.lines[start-r.starts[i] : next-r.starts[i]])
+		b.holdLines(seg.lines[start-seg.start : next-seg.start])
 		return next
 	}
 	data, err := r.fs.blockData(seg.blk)
 	if err != nil {
 		panic(err)
 	}
-	if err := b.decode(data, start-r.starts[i], next-r.starts[i], need); err != nil {
+	if err := b.decode(data, start-seg.start, next-seg.start, need); err != nil {
 		panic(seg.blk.failed(err))
 	}
 	return next

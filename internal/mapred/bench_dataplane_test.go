@@ -235,7 +235,7 @@ func BenchmarkDataplaneMapTaskShuffle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc).publish(sc, nil, false)
+		runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc).publish(sc, nil)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -303,7 +303,7 @@ func BenchmarkDataplaneMapTaskCombine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc).publish(sc, nil, false)
+		runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc).publish(sc, nil)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -318,7 +318,7 @@ func BenchmarkDataplaneMapTaskCombineOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc).publish(sc, nil, false)
+		runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc).publish(sc, nil)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -338,7 +338,7 @@ STORE p INTO 'out/prod';
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc).publish(sc, nil, false)
+		runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc).publish(sc, nil)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -350,7 +350,7 @@ func BenchmarkDataplaneReduceAggregate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -367,7 +367,7 @@ func BenchmarkDataplaneReduceMergeSorted(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -379,7 +379,7 @@ func BenchmarkDataplaneReduceMergeSortedOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil)
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
@@ -399,7 +399,7 @@ STORE j INTO 'out/joined';
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -415,7 +415,7 @@ STORE d INTO 'out/distinct';
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }
@@ -431,7 +431,7 @@ STORE o INTO 'out/sorted';
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil)
 	}
 	b.ReportMetric(float64(total), "records/op")
 }

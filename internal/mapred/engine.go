@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -114,10 +113,10 @@ type JobState struct {
 	redsTotal   int
 	redsDone    int
 
-	// auditParts retains each committed part's produced lines (before any
-	// write hook) when Spec.Audit is set, so completeJob can digest the
-	// job's output as produced for AuditIOOutPoint.
-	auditParts map[string][]string
+	// parts names the parts committed under Spec.Audit or Spec.Ckpt, in
+	// order, and produced holds each one's output as its task sealed it.
+	parts    []string
+	produced []dfs.Sealed
 
 	maxDur map[TaskKind]int64 // longest committed duration per kind
 
@@ -144,26 +143,6 @@ type runningTask struct {
 
 // Latency returns the job's virtual makespan; valid once Done.
 func (j *JobState) Latency() int64 { return j.DoneTime - j.SubmitTime }
-
-// ProducedLines returns the job's output lines exactly as its tasks
-// produced them (before any storage write hook), concatenated in sorted
-// part-name order — the stream the AuditIOOutPoint and CkptPoint
-// digests cover. Nil unless the job ran with Audit or Ckpt set.
-func (j *JobState) ProducedLines() []string {
-	if j.auditParts == nil {
-		return nil
-	}
-	parts := make([]string, 0, len(j.auditParts))
-	for p := range j.auditParts {
-		parts = append(parts, p)
-	}
-	sort.Strings(parts)
-	var lines []string
-	for _, p := range parts {
-		lines = append(lines, j.auditParts[p]...)
-	}
-	return lines
-}
 
 // HasDependents reports whether another submitted job consumes this
 // job's output. With the controller's rewriting, dependents are always
@@ -472,10 +451,9 @@ func (e *Engine) makeRunnable(js *JobState) {
 			// concatenation the reader serves, after any storage-layer
 			// read transformation — so a mismatch against the producer's
 			// as-produced digest convicts the storage boundary.
-			lines := src.ReadRange(0, src.NumRecords())
 			e.DigestSink(auditReport(js.Spec, AuditIOInPoint,
 				fmt.Sprintf("%s/in%d", baseID(js.Spec.ID), i),
-				int64(len(lines)), digest.OfLines(lines)))
+				int64(src.NumRecords()), src.LinesSum()))
 		}
 		js.splits[i] = splitLines(src.NumRecords(), e.Cost.SplitRecords)
 		for s := range js.splits[i] {
@@ -996,7 +974,6 @@ func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), co
 	if js.Spec.Reduce == nil && !quiz {
 		seal = e.FS
 	}
-	keep := e.keepsLines(js)
 	return func(slot int) bodyResult {
 		// Decode only this split's records, here on the worker pool —
 		// block decode parallelizes across map tasks and what is decoded
@@ -1007,7 +984,7 @@ func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), co
 			sum, n := auditMapSum(out)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
 		}
-		out.publish(sc, seal, keep)
+		out.publish(sc, seal)
 		e.scratch[slot] = sc
 		// Shuffle cost is charged on the post-combiner record count: the
 		// combiner shrinks what crosses the wire and pays CombineRecordUs
@@ -1079,7 +1056,6 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report),
 	if quiz {
 		seal = nil
 	}
-	keep := e.keepsLines(js)
 	return func(slot int) bodyResult {
 		// Each map outcome contributes its partition as one pre-sorted
 		// run; the merge reads runs in place, so attempts (including
@@ -1101,7 +1077,7 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report),
 			sum, n := auditReduceSum(out)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
 		}
-		out.publish(sc, seal, keep)
+		out.publish(sc, seal)
 		e.scratch[slot] = sc
 		dur := cost.TaskStartupUs +
 			cost.ReduceRecordUs*(out.recordsIn+out.recordsOut) +
@@ -1122,50 +1098,41 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report),
 	}
 }
 
-// keepsLines reports whether js's output lines are read after the body
-// that emitted them: by writeOutput, or by the storage layer's write hook.
-func (e *Engine) keepsLines(js *JobState) bool {
-	return js.Spec.Audit || js.Spec.Ckpt || e.FS.WriteHook != nil
-}
-
 // writeOutput installs task output the body sealed, in commit order, and
-// accounts the HDFS write. Under Spec.Audit or Spec.Ckpt the produced
-// lines are retained per part (before the storage layer's write hook can
-// transform them) for the job's as-produced output digest and checkpoint
-// capture.
+// accounts the HDFS write. Under Spec.Audit or Spec.Ckpt the job keeps the
+// Sealed for Produced: the blocks the file holds, or, where a storage write
+// hook changed the part, the ones its task produced.
 func (e *Engine) writeOutput(js *JobState, part string, out *taskOutput) {
 	if js.Spec.Audit || js.Spec.Ckpt {
-		if js.auditParts == nil {
-			js.auditParts = make(map[string][]string)
-		}
-		js.auditParts[part] = out.outLines
+		i, _ := slices.BinarySearch(js.parts, part)
+		js.parts = slices.Insert(js.parts, i, part)
+		js.produced = slices.Insert(js.produced, i, out.sealed)
 	}
-	e.FS.Install(joinPath(js.Spec.Output, part), out.sealed, out.outLines)
+	e.FS.Install(joinPath(js.Spec.Output, part), out.sealed)
 	atomic.AddInt64(&e.Metrics.HDFSBytesWritten, out.sealed.Bytes())
 }
+
+// Produced opens a reader over js's output as its tasks produced it, before
+// any storage write hook, parts in name order (a tree read's), through
+// FS.OpenSealed. Empty unless js ran with Spec.Audit or Spec.Ckpt set.
+func (e *Engine) Produced(js *JobState) *dfs.Reader { return e.FS.OpenSealed(js.produced) }
 
 // completeJob finishes a job and unblocks dependents.
 func (e *Engine) completeJob(js *JobState) {
 	js.Done = true
 	js.DoneTime = e.Now()
-	if js.Spec.Audit && e.DigestSink != nil {
-		// Digest the job's output as produced, concatenated in sorted
-		// part-name order — the order ReadTree serves it to consumers —
-		// so the producer-side digest is directly comparable to any
-		// consumer's AuditIOInPoint digest of the same tree.
-		lines := js.ProducedLines()
-		e.DigestSink(auditReport(js.Spec, AuditIOOutPoint, baseID(js.Spec.ID),
-			int64(len(lines)), digest.OfLines(lines)))
-	}
-	if js.Spec.Ckpt && e.DigestSink != nil {
-		// Checkpoint digest over the same as-produced stream: the
-		// controller persists a replica's retained lines only under f+1
-		// agreement on this digest, so checkpoint bytes are exactly the
-		// verified bytes even when a storage write hook mangled the DFS
-		// copy.
-		lines := js.ProducedLines()
-		e.DigestSink(auditReport(js.Spec, CkptPoint, baseID(js.Spec.ID),
-			int64(len(lines)), digest.OfLines(lines)))
+	if (js.Spec.Audit || js.Spec.Ckpt) && e.DigestSink != nil {
+		// One digest of the output as produced, under both keys: it compares
+		// with consumers' AuditIOInPoint digests of the tree, and the
+		// controller checkpoints the Produced that f+1 replicas agree on.
+		r := e.Produced(js)
+		n, sum := int64(r.NumRecords()), r.LinesSum()
+		if js.Spec.Audit {
+			e.DigestSink(auditReport(js.Spec, AuditIOOutPoint, baseID(js.Spec.ID), n, sum))
+		}
+		if js.Spec.Ckpt {
+			e.DigestSink(auditReport(js.Spec, CkptPoint, baseID(js.Spec.ID), n, sum))
+		}
 	}
 	if js.Spec.Reduce != nil {
 		e.Trace.Record("stage", js.Spec.ID, "reduce", js.mapsDoneTime, e.Now(),

@@ -335,22 +335,14 @@ type taskOutput struct {
 }
 
 // publish ends the output a task left in sc: with fs set, outLines are
-// sealed for the commit to install and kept, in an array of their own,
-// only if keep — something reads them after the body; with fs nil (a quiz,
-// whose commit is dropped, or a shuffle, whose output is its partitions)
-// nothing of them is. sc goes back holding none.
-func (o *taskOutput) publish(sc *taskScratch, fs *dfs.FS, keep bool) {
-	lines := o.outLines
-	o.outLines = nil
+// sealed for the commit to install; with fs nil (a quiz, whose commit is
+// dropped, or a shuffle, whose output is its partitions) nothing of them
+// is. Either way o and sc go on holding none of them.
+func (o *taskOutput) publish(sc *taskScratch, fs *dfs.FS) {
 	if fs != nil {
-		o.sealed = fs.Seal(lines)
-		if keep {
-			// Lines short of a block are all tail, already an array of their own.
-			if o.outLines = o.sealed.Tail(); len(o.outLines) < len(lines) {
-				o.outLines = slices.Clone(lines)
-			}
-		}
+		o.sealed = fs.Seal(o.outLines)
 	}
+	o.outLines = nil
 	clear(sc.outLines) // only ever appended to: past its length it is zero already
 	sc.outLines = sc.outLines[:0]
 }

@@ -187,9 +187,9 @@ type JobSpec struct {
 	// replicas verified by quiz or deferred policies; full-r replicas
 	// run without it and stay byte-identical to historical behavior.
 	Audit bool
-	// Ckpt enables checkpoint capture: the engine retains the job's
-	// as-produced output lines in memory and emits a CkptPoint digest at
-	// completion, which lets the controller persist an f+1-agreed copy
+	// Ckpt enables checkpoint capture: the engine keeps the job's output
+	// as its tasks sealed it (Engine.Produced) and emits a CkptPoint digest
+	// at completion, which lets the controller persist an f+1-agreed copy
 	// for suffix-only recovery. Set only for full-r replicas of jobs
 	// with in-cluster dependents when checkpointing is on.
 	Ckpt bool

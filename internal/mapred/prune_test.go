@@ -344,7 +344,7 @@ STORE p INTO 'out/prod';`, CompileOptions{})[0]
 	allocs := func(job *JobSpec, r *dfs.Reader, n int) float64 {
 		sc := new(taskScratch) // warm from AllocsPerRun's first, uncounted run on
 		return testing.AllocsPerRun(20, func() {
-			runMapTask(job, 0, r, 0, n, nil, nil, taskObs{}, sc).publish(sc, nil, false)
+			runMapTask(job, 0, r, 0, n, nil, nil, taskObs{}, sc).publish(sc, nil)
 		})
 	}
 	for _, tc := range []struct {

@@ -157,35 +157,30 @@ func runOnScratch(t *testing.T, script string, points []string, tweak func(*JobS
 			fmt.Fprintf(&b, "%v final=%v records=%d %x\n", r.Key, r.Final, r.Records, r.Sum)
 		})
 	}
-	// Output lines are staged in the scratch, and what publish keeps of
-	// them is a copy: an array of their own, with no more room than a copy
-	// takes. What it seals is the lines too.
-	publish := func(who string, out *taskOutput) {
+	// Output lines are staged in the scratch; publish seals them, and
+	// leaves neither the output nor the scratch holding them, though the
+	// scratch keeps the room they took. It returns them as staged.
+	publish := func(who string, out *taskOutput) []string {
 		staged := slices.Clone(out.outLines)
-		out.publish(sc, fs, true)
-		kept := out.outLines
-		if !slices.Equal(kept, staged) || out.sealed.Bytes() != linesBytes(staged) {
-			t.Fatalf("%s: published %d lines of %d bytes, staged %d", who, len(kept), out.sealed.Bytes(), len(staged))
+		out.publish(sc, fs)
+		if sealed := slices.Collect(fs.OpenSealed([]dfs.Sealed{out.sealed}).Lines); !slices.Equal(sealed, staged) || out.sealed.Bytes() != linesBytes(staged) {
+			t.Fatalf("%s: sealed %d lines of %d bytes, staged %d", who, len(sealed), out.sealed.Bytes(), len(staged))
 		}
-		if len(kept) == 0 {
-			return
+		if out.outLines != nil || len(sc.outLines) != 0 || cap(sc.outLines) < len(staged) {
+			t.Fatalf("%s: %d output lines still held, %d in the scratch, which has room for %d of %d",
+				who, len(out.outLines), len(sc.outLines), cap(sc.outLines), len(staged))
 		}
-		if cap(sc.outLines) < len(kept) || &kept[0] == &sc.outLines[:1][0] {
-			t.Fatalf("%s: %d output lines, and the scratch has room for %d, or its array is theirs", who, len(kept), cap(sc.outLines))
-		}
-		if cap(kept) > len(kept)+len(kept)/4+8 {
-			t.Fatalf("%s: %d output lines in an array of %d", who, len(kept), cap(kept))
-		}
+		return staged
 	}
 	out := runMapTask(job, 0, openReader(t, fs), 3, len(lines)-2, df, corrupt, taskObs{}, sc)
+	b.WriteString(renderOutcome(out)) // with the output lines, as staged
 	publish("map", &out.taskOutput)
-	b.WriteString(renderOutcome(out))
 	if job.Reduce != nil {
 		for part := range out.partitions {
 			// The same run twice: a merge of two runs, not a copy of one.
 			red := runReduceTask(job, [][]interRec{out.partitions[part], out.partitions[part]}, df, taskObs{}, sc)
-			publish("reduce", &red.taskOutput)
-			fmt.Fprintf(&b, "reduce %d: in=%d out=%d digested=%d %q\n", part, red.recordsIn, red.recordsOut, red.digested, red.outLines)
+			lines := publish("reduce", &red.taskOutput)
+			fmt.Fprintf(&b, "reduce %d: in=%d out=%d digested=%d %q\n", part, red.recordsIn, red.recordsOut, red.digested, lines)
 		}
 	}
 	return b.String()

@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"unsafe"
 
 	"clusterbft/internal/dfs"
+	"clusterbft/internal/digest"
 )
 
 // storeFields are the FS fields that hold what a store is: every file's
@@ -185,5 +187,79 @@ STORE f INTO 'out/f';`
 	if fs.CompressedRatio() != want.CompressedRatio() || fs.BytesWritten() != want.BytesWritten() {
 		t.Errorf("after the quiz %d%% stored/raw and %d bytes written, without it %d%% and %d",
 			fs.CompressedRatio(), fs.BytesWritten(), want.CompressedRatio(), want.BytesWritten())
+	}
+}
+
+// TestProducedOutputOutlivesWriteHook: a write hook that changes one part
+// changes what its file holds and nothing of what the job produced: the
+// job's AuditIOOutPoint and CkptPoint digests are both digest.OfLines of
+// the lines its tasks produced, part after part in name order, and
+// Produced reads those lines back — over a store that spills, so most of
+// them from the spill file, and with the read counter and a ReadHook left
+// alone.
+func TestProducedOutputOutlivesWriteHook(t *testing.T) {
+	src := `
+fl = LOAD 'in/fl' AS (user:int, follower:int);
+f = FILTER fl BY follower != 0;
+STORE f INTO 'out/f';`
+	const victim = "out/f/part-m-0-00001"
+	fs := dfs.NewWith(dfs.Options{BlockSize: 1 << 10, MemBudget: 2 << 10, SpillDir: t.TempDir(), Compress: true})
+	t.Cleanup(func() { fs.Close() })
+	fs.Append("in/fl", geomEdges(3000)...)
+	jobs := compile(t, src, CompileOptions{})
+	jobs[0].SID, jobs[0].Audit, jobs[0].Ckpt = "s0", true, true
+	produced := map[string][]string{}
+	tr := runJobs(t, fs, nil, plan(t, src), jobs, func(e *Engine) {
+		e.Cost.SplitRecords = 1000
+		fs.WriteHook = func(path string, lines []string) []string {
+			produced[path] = slices.Clone(lines)
+			if path == victim {
+				return append(slices.Clone(lines), "mangled")
+			}
+			return lines
+		}
+	})
+	if tr.eng.Fault != nil {
+		t.Fatal(tr.eng.Fault)
+	}
+	if len(produced) != 3 || produced[victim] == nil || fs.SpilledBlocks() == 0 {
+		t.Fatalf("parts %v, %d blocks spilled: want three, %s among them, over a store that spills",
+			slices.Sorted(maps.Keys(produced)), fs.SpilledBlocks(), victim)
+	}
+	var want []string
+	for _, p := range slices.Sorted(maps.Keys(produced)) {
+		want = append(want, produced[p]...)
+	}
+	if n := linesBytes(want); n < 8<<10 {
+		t.Fatalf("%d bytes of output, too few to seal and spill", n)
+	}
+
+	stored, err := fs.ReadLines(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hooked := append(slices.Clone(produced[victim]), "mangled"); !slices.Equal(stored, hooked) {
+		t.Errorf("%s holds %d lines, the hook returned %d", victim, len(stored), len(hooked))
+	}
+	sums := map[int]digest.Report{}
+	for _, r := range tr.reports {
+		if r.Key.Point == AuditIOOutPoint || r.Key.Point == CkptPoint {
+			sums[r.Key.Point] = r
+		}
+	}
+	for _, point := range []int{AuditIOOutPoint, CkptPoint} {
+		r, ok := sums[point]
+		if !ok || r.Sum != digest.OfLines(want) || r.Records != int64(len(want)) {
+			t.Errorf("point %d: report %v (%v), want %d records digested as produced", point, r, ok, len(want))
+		}
+	}
+
+	fs.ReadHook = func(string, []string) []string { t.Error("Produced called the ReadHook"); return nil }
+	read := fs.BytesRead()
+	if got := slices.Collect(tr.eng.Produced(tr.eng.Job(jobs[0].ID)).Lines); !slices.Equal(got, want) {
+		t.Errorf("Produced reads %d lines, the tasks produced %d", len(got), len(want))
+	}
+	if fs.BytesRead() != read {
+		t.Errorf("Produced charged %d bytes as read", fs.BytesRead()-read)
 	}
 }

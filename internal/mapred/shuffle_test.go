@@ -449,15 +449,15 @@ func TestReduceJoinAllocs(t *testing.T) {
 	if out.recordsOut != 1000 {
 		t.Fatalf("join emitted %d records, want 1000", out.recordsOut)
 	}
-	out.publish(sc, nil, false)
+	out.publish(sc, nil)
 	got := testing.AllocsPerRun(20, func() {
-		runReduceTask(job, runs, df, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, df, taskObs{}, sc).publish(sc, nil)
 	})
 	if got >= 34 { // 18, and four for each of the three digest writers
 		t.Errorf("reduce join = %v allocs per 1000 emitted records, want < 34", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
-		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil, false)
+		runReduceTask(job, runs, nil, taskObs{}, sc).publish(sc, nil)
 	}); got >= 22 {
 		t.Errorf("reduce join without digests = %v allocs per 1000 emitted records, want < 22", got)
 	}
