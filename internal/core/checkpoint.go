@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"clusterbft/internal/analyze"
 	"clusterbft/internal/digest"
+	"clusterbft/internal/mapred"
 )
 
 // Checkpoint-granular recovery (ROADMAP item 5, DESIGN.md §12).
@@ -13,15 +15,16 @@ import (
 // A full-r sub-graph's interior jobs — jobs with an in-cluster
 // dependent — run with Spec.Ckpt set: the engine keeps their output as
 // its tasks sealed it and emits a CkptPoint digest over it, streamed
-// through Engine.Produced, at job completion. The controller watches those
-// digests arrive per replica; the moment f+1 replicas agree on one
-// job's CkptPoint sum, the output is *verified at job granularity* even
-// though the sub-graph as a whole is still running, and the controller
-// appends one agreeing replica's Produced under a durable ckpt/ path.
+// through Engine.Produced, at job completion. The verifier watches those
+// digests arrive per replica; the moment f+1 replicas agree on one job's
+// CkptPoint sum it decides the output is *verified at job granularity*,
+// even though the sub-graph as a whole is still running, and the
+// controller appends one agreeing replica's Produced under a durable
+// ckpt/ path.
 //
 // When the sub-graph later needs another attempt (verifier timeout,
 // no-agreement retry, deviant-source restart, escalation rerun at full
-// r), tryLaunch consults the registry: every checkpointed job whose
+// r), launch consults the registry: every checkpointed job whose
 // upstream source signature still matches is skipped, its consumers
 // read the checkpoint file instead, and only the DAG suffix downstream
 // of the last verified point re-executes — at the attempt's (higher)
@@ -97,11 +100,12 @@ func (c *Controller) ckptEligible(cs *clusterState, tmplID string) bool {
 	return t != nil && !t.Final
 }
 
-// maybeCheckpoint runs on every CkptPoint digest arrival: once f+1
-// replicas agree on a job's output digest, persist one agreeing
-// replica's output as produced. Idempotent per (cluster, job) — later
-// arrivals of the same agreed digest find the entry and return.
-func (c *Controller) maybeCheckpoint(cs *clusterState, key digest.Key) {
+// maybeCheckpoint acts on the verifier's finding that the agreeing
+// replicas (a bitmask) hold f+1 votes for sum on a job's CkptPoint key:
+// persist one agreeing replica's output as produced. Idempotent per
+// (cluster, job) — later arrivals of the same agreed digest find the
+// entry and return.
+func (c *Controller) maybeCheckpoint(cs *clusterState, key digest.Key, sum digest.Sum, agreeing uint64) {
 	tmplID := key.Task
 	if !c.ckptEligible(cs, tmplID) {
 		return
@@ -109,22 +113,13 @@ func (c *Controller) maybeCheckpoint(cs *clusterState, key digest.Key) {
 	if c.ckpts[cs.id][tmplID] != nil {
 		return
 	}
-	sum, agreeing, ok := c.matcher.KeyAgreement(cs.sid, key)
-	if !ok {
-		return
-	}
-	li := -1
-	for i, t := range cs.launchJobs {
-		if t.ID == tmplID {
-			li = i
-			break
-		}
-	}
+	li := slices.IndexFunc(cs.launchJobs, func(t *mapred.JobSpec) bool { return t.ID == tmplID })
 	if li < 0 {
 		return
 	}
-	for _, rep := range agreeing {
-		if rep < 0 || rep >= len(cs.replicas) {
+	for ; agreeing != 0; agreeing &= agreeing - 1 {
+		rep := bits.TrailingZeros64(agreeing)
+		if rep >= len(cs.replicas) {
 			continue
 		}
 		js := c.Eng.Job(cs.replicas[rep].jobIDs[li])
@@ -161,16 +156,15 @@ func (c *Controller) maybeCheckpoint(cs *clusterState, key digest.Key) {
 }
 
 // ckptValid returns the cluster's entry for tmplID when its source
-// signature matches the attempt's current sources exactly; nil
-// otherwise. A changed source (restart after a deviant optimistic
+// signature matches the attempt's sources exactly; nil otherwise. A changed source (restart after a deviant optimistic
 // source, an upstream re-verification) invalidates the checkpoint — its
 // bytes were derived from data this attempt no longer consumes.
-func (c *Controller) ckptValid(cs *clusterState, tmplID string) *ckptEntry {
+func (c *Controller) ckptValid(cs *clusterState, sources map[int]sourceRef, tmplID string) *ckptEntry {
 	e := c.ckpts[cs.id][tmplID]
-	if e == nil || len(e.srcs) != len(cs.sources) {
+	if e == nil || len(e.srcs) != len(sources) {
 		return nil
 	}
-	for u, s := range cs.sources {
+	for u, s := range sources {
 		es, ok := e.srcs[u]
 		if !ok || es.sid != s.sid || es.replica != s.replica {
 			return nil
@@ -179,8 +173,8 @@ func (c *Controller) ckptValid(cs *clusterState, tmplID string) *ckptEntry {
 	return e
 }
 
-// coveredTemplates computes the attempt's launch plan from the
-// checkpoint registry: skip maps checkpoint-covered template IDs to
+// coveredTemplates computes the launch plan of an attempt under policy p
+// reading sources from the checkpoint registry: skip maps checkpoint-covered template IDs to
 // their entries, run holds the template IDs to submit. Demand
 // propagates in reverse topological order — a boundary job (no
 // in-cluster dependent) is always demanded; a demanded job with a valid
@@ -190,8 +184,8 @@ func (c *Controller) ckptValid(cs *clusterState, tmplID string) *ckptEntry {
 // Returns (nil, nil) when checkpointing is off or nothing is covered —
 // the caller then launches the full template list, byte-identically to
 // the pre-checkpoint controller.
-func (c *Controller) coveredTemplates(cs *clusterState) (skip map[string]*ckptEntry, run map[string]bool) {
-	if !c.Cfg.Checkpoint || cs.policy != PolicyFull || len(c.ckpts[cs.id]) == 0 {
+func (c *Controller) coveredTemplates(cs *clusterState, p Policy, sources map[int]sourceRef) (skip map[string]*ckptEntry, run map[string]bool) {
+	if !c.Cfg.Checkpoint || p != PolicyFull || len(c.ckpts[cs.id]) == 0 {
 		return nil, nil
 	}
 	skip = make(map[string]*ckptEntry)
@@ -205,7 +199,7 @@ func (c *Controller) coveredTemplates(cs *clusterState) (skip map[string]*ckptEn
 		if !demanded[j.ID] {
 			continue
 		}
-		if e := c.ckptValid(cs, j.ID); e != nil {
+		if e := c.ckptValid(cs, sources, j.ID); e != nil {
 			skip[j.ID] = e
 			continue
 		}

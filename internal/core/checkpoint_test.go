@@ -71,14 +71,10 @@ func TestCheckpointSourceSignature(t *testing.T) {
 		ckpts:     map[int]map[string]*ckptEntry{},
 		templates: map[string]*mapred.JobSpec{"j01": {ID: "j01"}},
 	}
-	cs := &clusterState{
-		id:       2,
-		policy:   PolicyFull,
-		hasInDep: map[string]bool{"j01": true},
-		sources: map[int]sourceRef{
-			0: {sid: "run1-c0-a0", replica: 1},
-			1: {sid: "run1-c1-a1", replica: 0},
-		},
+	cs := &clusterState{verdict: &verdict{id: 2}, hasInDep: map[string]bool{"j01": true}}
+	sources := map[int]sourceRef{
+		0: {sid: "run1-c0-a0", replica: 1},
+		1: {sid: "run1-c1-a1", replica: 0},
 	}
 	entry := func() *ckptEntry {
 		return &ckptEntry{
@@ -92,7 +88,7 @@ func TestCheckpointSourceSignature(t *testing.T) {
 	}
 
 	c.ckpts[cs.id] = map[string]*ckptEntry{"j01": entry()}
-	if c.ckptValid(cs, "j01") == nil {
+	if c.ckptValid(cs, sources, "j01") == nil {
 		t.Fatal("exact source match rejected")
 	}
 
@@ -101,7 +97,7 @@ func TestCheckpointSourceSignature(t *testing.T) {
 	e := entry()
 	e.srcs[0] = ckptSrc{sid: "run1-c0-a0", replica: 2}
 	c.ckpts[cs.id]["j01"] = e
-	if c.ckptValid(cs, "j01") != nil {
+	if c.ckptValid(cs, sources, "j01") != nil {
 		t.Error("winner-replica change accepted")
 	}
 
@@ -109,7 +105,7 @@ func TestCheckpointSourceSignature(t *testing.T) {
 	e = entry()
 	e.srcs[1] = ckptSrc{sid: "run1-c1-a2", replica: 0}
 	c.ckpts[cs.id]["j01"] = e
-	if c.ckptValid(cs, "j01") != nil {
+	if c.ckptValid(cs, sources, "j01") != nil {
 		t.Error("upstream sid change accepted")
 	}
 
@@ -117,19 +113,19 @@ func TestCheckpointSourceSignature(t *testing.T) {
 	e = entry()
 	delete(e.srcs, 1)
 	c.ckpts[cs.id]["j01"] = e
-	if c.ckptValid(cs, "j01") != nil {
+	if c.ckptValid(cs, sources, "j01") != nil {
 		t.Error("missing upstream accepted")
 	}
 	e = entry()
 	e.srcs[3] = ckptSrc{sid: "run1-c3-a0", replica: 0}
 	c.ckpts[cs.id]["j01"] = e
-	if c.ckptValid(cs, "j01") != nil {
+	if c.ckptValid(cs, sources, "j01") != nil {
 		t.Error("extra upstream accepted")
 	}
 
 	// No entry at all.
 	delete(c.ckpts[cs.id], "j01")
-	if c.ckptValid(cs, "j01") != nil {
+	if c.ckptValid(cs, sources, "j01") != nil {
 		t.Error("missing entry accepted")
 	}
 }
@@ -146,11 +142,7 @@ func TestCheckpointEligibility(t *testing.T) {
 			"j02": {ID: "j02"},
 		},
 	}
-	cs := &clusterState{
-		id:       0,
-		policy:   PolicyFull,
-		hasInDep: map[string]bool{"j01": true, "j00": true},
-	}
+	cs := &clusterState{verdict: &verdict{policy: PolicyFull}, hasInDep: map[string]bool{"j01": true, "j00": true}}
 	if !c.ckptEligible(cs, "j01") {
 		t.Error("interior non-final job should be eligible")
 	}
@@ -201,10 +193,12 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	c.runSeq++
 	c.initRun(jobs, points)
 	cs := c.clusters[0]
-	c.tryLaunch(cs)
+	c.launch(cs)
 	if cs.r != 3 || len(cs.launchJobs) != len(cs.jobs) {
 		t.Fatalf("first attempt: r=%d launchJobs=%d/%d", cs.r, len(cs.launchJobs), len(cs.jobs))
 	}
+	// timeout fires the current attempt's verifier timer.
+	timeout := func(c *Controller, cs *clusterState) { c.dispatch(event{kind: evTimeout, sid: cs.sid}) }
 
 	// As if attempt a0 reached f+1 agreement on the interior job before
 	// timing out: plant its checkpoint (no upstream, so the source
@@ -223,7 +217,7 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	}}
 
 	// Full attempt a0 times out: a classic cluster-wide escalation.
-	c.retry(cs, analyze.CauseTimeout)
+	timeout(c, cs)
 	if cs.r != 4 || cs.suffixBoost != 0 {
 		t.Fatalf("full-graph escalation: r=%d boost=%d, want r=4 boost=0", cs.r, cs.suffixBoost)
 	}
@@ -231,8 +225,8 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 		t.Fatal("retry did not consume the planted checkpoint")
 	}
 	// Two suffix-only attempts time out: escalations scoped to the suffix.
-	c.retry(cs, analyze.CauseTimeout)
-	c.retry(cs, analyze.CauseTimeout)
+	timeout(c, cs)
+	timeout(c, cs)
 	if cs.r != 6 || cs.suffixBoost != 2 {
 		t.Fatalf("suffix escalations: r=%d boost=%d, want r=6 boost=2", cs.r, cs.suffixBoost)
 	}
@@ -241,7 +235,7 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	// come back at the degree they always had (base 3 + the one
 	// full-graph escalation), not at the suffix-inflated 7.
 	c.dropCkpts(cs)
-	c.retry(cs, analyze.CauseTimeout)
+	timeout(c, cs)
 	if len(cs.launchJobs) != len(cs.jobs) {
 		t.Fatal("expected a full re-execution after dropping checkpoints")
 	}
@@ -255,9 +249,9 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	c2.runSeq++
 	c2.initRun(jobs, points)
 	cs2 := c2.clusters[0]
-	c2.tryLaunch(cs2)
+	c2.launch(cs2)
 	for i := 0; i < 4; i++ {
-		c2.retry(cs2, analyze.CauseTimeout)
+		timeout(c2, cs2)
 	}
 	if cs2.r != 7 || cs2.suffixBoost != 0 {
 		t.Errorf("uncovered retries: r=%d boost=%d, want r=7 boost=0", cs2.r, cs2.suffixBoost)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"clusterbft/internal/analyze"
@@ -147,62 +148,35 @@ type sourceRef struct {
 	verified bool
 }
 
+// repState is what the controller keeps of one replica of an attempt:
+// where it writes, what it submitted, and the nodes its jobs ran on.
 type repState struct {
-	idx       int
-	prefix    string
-	jobIDs    []string
-	done      int
-	completed bool
-	faulty    bool
-	nodes     NodeSet
+	idx    int
+	prefix string
+	jobIDs []string
+	nodes  NodeSet
 }
 
+// clusterState is what the controller keeps of one sub-graph, over the
+// verifier's verdict state of it: read here, written only by apply.
 type clusterState struct {
-	id       int
+	*verdict
 	jobs     []*mapred.JobSpec // templates, topological
-	upstream []int
 	terminal bool
 	// hasInDep marks template IDs some other job of the SAME cluster
 	// depends on; only those are checkpoint-eligible (boundary jobs must
 	// always re-execute so a recovery suffix is never empty).
 	hasInDep map[string]bool
 
-	attempt    int
-	totalTries int
-	r          int
-	// suffixBoost counts the timeout escalations of r earned while
-	// attempts re-executed only a checkpointed suffix; a later full
-	// re-execution sheds them, since the checkpointed-prefix jobs were
-	// never implicated (suffix-scoped replica sizing, DESIGN.md §12).
-	suffixBoost int
-	timeoutUs   int64
-	sid         string
 	launchedAtV int64
-	launched    bool
-	verified    bool
-	failed      bool
 	verifiedAt  int64
-	winner      int
-	winnerFP    digest.Sum
-	sources     map[int]sourceRef
 	replicas    []*repState
 	// launchJobs is the template subset the current attempt actually
 	// submitted (all of cs.jobs unless checkpoints covered a prefix);
-	// repState.jobIDs, onJobDone counting and quiz sampling index it.
+	// repState.jobIDs and quiz sampling index it.
 	launchJobs []*mapred.JobSpec
-
-	// policy is the verification policy resolved at first launch (see
-	// decidePolicy); escalation rewrites it to PolicyFull.
-	policy Policy
-	// quizPending counts quiz re-executions still running for the current
-	// attempt; quizFailed latches the first mismatch so stragglers don't
-	// escalate twice.
-	quizPending int
-	quizFailed  bool
-	// staleSids holds superseded attempts' sids; their matcher/engine
-	// state is swept once the sub-graph verifies (after the downstream
-	// restart decisions, which still fingerprint old source sids).
-	staleSids []string
+	// quizzes counts the quizzes the current attempt started.
+	quizzes int
 }
 
 // Controller is the trusted control tier: request handler + verifier +
@@ -215,10 +189,12 @@ type Controller struct {
 	Susp *SuspicionTable
 	FA   *FaultAnalyzer
 
-	matcher *Matcher
-	runSeq  int
-	reports int64
-	audit   *analyze.AuditTrail
+	v      *verifier
+	runSeq int
+	audit  *analyze.AuditTrail
+	// acting is set while decisions are carried out: a launch's Submit
+	// files digests synchronously, and their decisions join the stream.
+	acting bool
 
 	// checkpoint registry: cluster id -> template job ID -> entry.
 	// Run-scoped (reset in initRun); entries survive across attempts of
@@ -237,8 +213,6 @@ type Controller struct {
 	producedBy map[string]string
 	templates  map[string]*mapred.JobSpec
 	clusters   []*clusterState
-	jobRef     map[string][2]int // engine job ID -> (cluster, replica)
-	sidIndex   map[string]*clusterState
 	faultyReps int
 	runErr     error
 }
@@ -267,7 +241,7 @@ func NewController(eng *mapred.Engine, cfg Config, susp *SuspicionTable, fa *Fau
 	if fa == nil {
 		fa = NewFaultAnalyzer(cfg.F)
 	}
-	c := &Controller{Eng: eng, Cfg: cfg, Susp: susp, FA: fa, matcher: NewMatcher(cfg.F)}
+	c := &Controller{Eng: eng, Cfg: cfg, Susp: susp, FA: fa, v: newVerifier(cfg)}
 	eng.DigestChunk = cfg.DigestChunk
 	eng.DigestSink = c.onDigest
 	eng.OnJobDone = c.onJobDone
@@ -319,7 +293,7 @@ func (c *Controller) Run(script string) (*Result, error) {
 	start := c.Eng.Now()
 	for _, cs := range c.clusters {
 		if len(cs.upstream) == 0 {
-			c.tryLaunch(cs)
+			c.launch(cs)
 		}
 	}
 	c.Eng.Run()
@@ -341,7 +315,7 @@ func (c *Controller) Run(script string) (*Result, error) {
 		PointsUsed:     points,
 		FaultyReplicas: c.faultyReps,
 		Suspects:       c.FA.Suspects(),
-		DigestReports:  c.reports,
+		DigestReports:  c.v.reports,
 		Metrics:        c.Eng.Metrics,
 	}
 	for _, cs := range c.clusters {
@@ -461,6 +435,7 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 	}
 	c.clusterOf = make(map[string]int, len(jobs))
 	c.clusters = nil
+	var subs []verdict
 	rootIdx := make(map[string]int)
 	for _, j := range jobs { // template order is topological
 		root := find(j.ID)
@@ -468,12 +443,8 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 		if !ok {
 			idx = len(c.clusters)
 			rootIdx[root] = idx
-			c.clusters = append(c.clusters, &clusterState{
-				id:        idx,
-				r:         c.Cfg.R,
-				timeoutUs: c.Cfg.TimeoutUs,
-				sources:   make(map[int]sourceRef),
-			})
+			c.clusters = append(c.clusters, &clusterState{})
+			subs = append(subs, verdict{id: idx})
 		}
 		c.clusterOf[j.ID] = idx
 		cs := c.clusters[idx]
@@ -484,10 +455,11 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 	}
 	for _, j := range jobs {
 		jc := c.clusterOf[j.ID]
+		s := &subs[jc]
 		for _, d := range j.Deps {
 			if dc := c.clusterOf[d]; dc != jc {
-				if !contains(c.clusters[jc].upstream, dc) {
-					c.clusters[jc].upstream = append(c.clusters[jc].upstream, dc)
+				if !slices.Contains(s.upstream, dc) {
+					s.upstream = append(s.upstream, dc)
 				}
 			} else {
 				cs := c.clusters[jc]
@@ -497,95 +469,48 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 				cs.hasInDep[d] = true
 			}
 		}
+		for i, in := range j.Inputs {
+			if prod, ok := c.producedBy[in.Path]; ok {
+				s.audits = append(s.audits, auditPair{in: fmt.Sprintf("%s/in%d", j.ID, i), out: prod, from: c.clusterOf[prod]})
+			}
+		}
+	}
+	c.v.reset(subs)
+	for i, cs := range c.clusters {
+		cs.verdict = &c.v.subs[i]
 	}
 	c.ckpts = make(map[int]map[string]*ckptEntry)
-	c.jobRef = make(map[string][2]int)
-	c.sidIndex = make(map[string]*clusterState)
 	c.faultyReps = 0
-	c.reports = 0
 	c.runErr = nil
 }
 
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// sourcesReady reports whether every upstream sub-graph can supply input:
-// a verified winner, or (offline mode) any completed replica.
-func (c *Controller) sourcesReady(cs *clusterState) bool {
-	for _, u := range cs.upstream {
-		up := c.clusters[u]
-		if up.verified {
-			continue
-		}
-		if !c.Cfg.Offline {
-			return false
-		}
-		if up.failed || firstCompleted(up) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// firstCompleted picks the optimistic source replica: the first
-// completed one the online digest comparison has not already flagged as
-// deviant (consuming a known-corrupt output would guarantee a restart).
-func firstCompleted(cs *clusterState) int {
-	for _, rs := range cs.replicas {
-		if rs.completed && !rs.faulty {
-			return rs.idx
-		}
-	}
-	return -1
-}
-
-// tryLaunch starts a sub-graph attempt once its inputs are available.
-func (c *Controller) tryLaunch(cs *clusterState) {
-	if cs.launched || cs.verified || cs.failed || !c.sourcesReady(cs) {
-		return
-	}
-	if cs.policy == 0 {
-		cs.policy = c.decidePolicy()
-		if cs.policy != PolicyFull {
+// launch starts an attempt of cs: the controller chooses its policy,
+// sources and checkpointed suffix, tells the verifier, then records,
+// submits and arms the attempt's timer.
+func (c *Controller) launch(cs *clusterState) {
+	p, r := cs.policy, cs.r
+	if p == 0 {
+		p = c.decidePolicy()
+		if p != PolicyFull {
 			// Healthy history: one primary replica; verification comes
 			// from quiz re-execution and storage-boundary audits.
-			cs.r = 1
+			r = 1
 		}
 	}
-	if cs.r > MaxReplicas {
-		c.fail(fmt.Errorf("core: sub-graph c%d needs %d replicas, the verifier tallies at most %d per attempt", cs.id, cs.r, MaxReplicas))
-		return
-	}
-	cs.launched = true
 	cs.launchedAtV = c.Eng.Now()
-	cs.totalTries++
-	cs.quizPending = 0
-	cs.quizFailed = false
 	superseded := cs.sid
-	if superseded != "" {
-		// The superseded attempt's digests are still needed for the
-		// downstream restart decisions at verification; sweep then.
-		cs.staleSids = append(cs.staleSids, superseded)
-	}
-	cs.sid = fmt.Sprintf("run%d-c%d-a%d", c.runSeq, cs.id, cs.attempt)
-	c.sidIndex[cs.sid] = cs
-	cs.sources = make(map[int]sourceRef)
+	sid := fmt.Sprintf("run%d-c%d-a%d", c.runSeq, cs.id, cs.attempt)
+	sources := make(map[int]sourceRef)
 	for _, u := range cs.upstream {
 		up := c.clusters[u]
 		if up.verified {
-			cs.sources[u] = sourceRef{
+			sources[u] = sourceRef{
 				sid: up.sid, replica: up.winner,
 				prefix: up.replicas[up.winner].prefix, verified: true,
 			}
 		} else {
-			rep := firstCompleted(up)
-			cs.sources[u] = sourceRef{
+			rep := up.firstCompleted()
+			sources[u] = sourceRef{
 				sid: up.sid, replica: rep,
 				prefix: up.replicas[rep].prefix,
 			}
@@ -595,7 +520,7 @@ func (c *Controller) tryLaunch(cs *clusterState) {
 	// actually execute. skip maps template IDs whose f+1-agreed output an
 	// earlier attempt persisted (and whose source signature still
 	// matches); their consumers read the checkpoint file instead.
-	skip, run := c.coveredTemplates(cs)
+	skip, run := c.coveredTemplates(cs, p, sources)
 	cs.launchJobs = cs.jobs
 	if skip != nil {
 		cs.launchJobs = make([]*mapred.JobSpec, 0, len(run))
@@ -606,27 +531,20 @@ func (c *Controller) tryLaunch(cs *clusterState) {
 		}
 		for _, tmpl := range cs.jobs {
 			if e := skip[tmpl.ID]; e != nil {
-				cs.ckptHit(c, e)
+				c.ckptHit(e, r)
 			}
 		}
 	}
-	// Suffix-scoped replica sizing: timeout escalations earned while
-	// re-executing only a checkpointed suffix priced the extra replicas
-	// for that suffix, not for the checkpointed-prefix jobs — which were
-	// f+1-agreed and never re-ran. When a later attempt must re-execute
-	// the full sub-graph (checkpoints invalidated or dropped), it sheds
-	// those suffix escalations and runs at the degree the prefix always
-	// had. Full-graph escalations are untouched, and so is every
-	// checkpoint-off configuration (suffixBoost stays 0 there).
-	if skip == nil && cs.suffixBoost > 0 {
-		cs.r -= cs.suffixBoost
-		cs.suffixBoost = 0
-	}
+	// The launch event resumes the verifier's pending work, whose
+	// decisions wait in the stream; none of it re-sizes this attempt, so
+	// cs.r and cs.timeoutUs below are the ones just launched.
+	c.v.apply(event{kind: evLaunch, sub: cs.id, sid: sid, policy: p, r: r,
+		jobs: len(cs.launchJobs), suffix: skip != nil, sources: sources})
 	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditLaunch, Replica: -1, Detail: superseded}, 0)
 	cs.replicas = make([]*repState, cs.r)
-	for rep := 0; rep < cs.r; rep++ {
+	for rep := range cs.r {
 		rs := &repState{idx: rep, nodes: make(NodeSet)}
-		rs.prefix = fmt.Sprintf("x/%s/r%d", cs.sid, rep)
+		rs.prefix = fmt.Sprintf("x/%s/r%d", sid, rep)
 		cs.replicas[rep] = rs
 		// Attempt-scoped sids already give every launch a fresh namespace;
 		// the purge makes the no-append guarantee unconditional — a
@@ -636,33 +554,24 @@ func (c *Controller) tryLaunch(cs *clusterState) {
 		for _, tmpl := range cs.launchJobs {
 			spec := c.rewriteJob(cs, rs, tmpl, skip)
 			rs.jobIDs = append(rs.jobIDs, spec.ID)
-			c.jobRef[spec.ID] = [2]int{cs.id, rep}
 			if _, err := c.Eng.Submit(spec); err != nil {
 				c.fail(fmt.Errorf("core: submit %s: %w", spec.ID, err))
 				return
 			}
 		}
 	}
-	c.armTimeout(cs)
+	// The timer is keyed by the attempt's sid, so a stale timer from an
+	// earlier attempt can never fire a retry against a newer one.
+	c.Eng.After(cs.timeoutUs, func() { c.dispatch(event{kind: evTimeout, sid: sid}) })
 }
 
 // ckptHit accounts one checkpoint-covered job at launch: the skipping
-// attempt avoids recomputing its output on every one of its replicas.
-func (cs *clusterState) ckptHit(c *Controller, e *ckptEntry) {
+// attempt avoids recomputing its output on every one of its r replicas.
+func (c *Controller) ckptHit(e *ckptEntry, r int) {
 	c.ckptStats.Hits++
-	c.ckptStats.BytesReclaimed += e.bytes * int64(cs.r)
+	c.ckptStats.BytesReclaimed += e.bytes * int64(r)
 	c.obsCkptHits.Inc()
-	c.obsCkptBytesReclaimed.Add(e.bytes * int64(cs.r))
-}
-
-// armTimeout arms the verifier timer for the current attempt. The timer
-// is keyed by the attempt's sid, so a stale timer from an earlier attempt
-// can never fire a retry against a newer one, and every attempt —
-// including re-initiations carrying a doubled timeout — runs under its
-// own fresh timer.
-func (c *Controller) armTimeout(cs *clusterState) {
-	sid := cs.sid
-	c.Eng.After(cs.timeoutUs, func() { c.onTimeout(cs, sid) })
+	c.obsCkptBytesReclaimed.Add(e.bytes * int64(r))
 }
 
 // rewriteJob clones a template for one replica of one attempt, rewriting
@@ -744,128 +653,94 @@ func (c *Controller) ClusterStates() []ClusterStatus {
 	return out
 }
 
-// onDigest stores digests as they stream in from the untrusted tier and
-// runs the approximate online comparison (§3.3): as soon as f+1 replicas
-// agree on a chunk, any replica reporting a different sum for it is a
-// commission fault — detected before the sub-job completes, and even if
-// that replica is later cancelled. Reports from superseded attempts
-// (stragglers killed by a retry, racing their cancellation) are dropped
-// before touching the matcher: storing them would silently regrow state
-// for sids the Forget sweep already reclaimed.
-func (c *Controller) onDigest(r digest.Report) {
-	cs := c.sidIndex[r.Key.SID]
-	if cs == nil || cs.sid != r.Key.SID {
-		return
-	}
-	c.reports++
-	deviants := c.matcher.Observe(r)
-	if r.Key.Point == mapred.CkptPoint {
-		c.maybeCheckpoint(cs, r.Key)
-	}
-	for _, rep := range deviants {
-		if rep >= 0 && rep < len(cs.replicas) {
-			c.markFaulty(cs, cs.replicas[rep])
-		}
+// dispatch hands ev to the verifier and carries out what it decided.
+func (c *Controller) dispatch(ev event) {
+	if c.v.apply(ev) {
+		c.act()
 	}
 }
 
-// onJobDone advances replica completion and verification.
+// onDigest hands the verifier each digest as it streams in from the
+// untrusted tier.
+func (c *Controller) onDigest(r digest.Report) {
+	c.dispatch(event{kind: evDigest, sid: r.Key.SID, report: r})
+}
+
+// onJobDone hands the verifier a replica's finished job. The replica's
+// nodes join its job cluster, and when the job was its last the
+// suspicion table counts the cluster before any verdict on it acts.
 func (c *Controller) onJobDone(js *mapred.JobState) {
-	ref, ok := c.jobRef[js.Spec.ID]
-	if !ok {
+	sid, rep := js.Spec.SID, js.Spec.Replica
+	if !c.v.apply(event{kind: evJobDone, sid: sid, replica: rep}) {
 		return
 	}
-	cs := c.clusters[ref[0]]
-	if js.Spec.SID != cs.sid {
-		return // stale attempt
-	}
-	rs := cs.replicas[ref[1]]
+	cs := c.clusters[c.v.bySID[sid]]
+	rs := cs.replicas[rep]
 	for n := range js.Nodes {
 		rs.nodes[n] = true
 	}
-	rs.done++
-	if rs.done < len(rs.jobIDs) {
-		return
+	if cs.reps[rep].completed {
+		c.Susp.RecordJob(rs.nodes.Sorted())
 	}
-	rs.completed = true
-	c.Susp.RecordJob(rs.nodes.Sorted())
-	c.checkVerify(cs)
-	if c.Cfg.Offline && !cs.verified {
-		for _, d := range c.clusters {
-			if contains(d.upstream, cs.id) {
-				c.tryLaunch(d)
-			}
-		}
-	}
+	c.act()
 }
 
-// checkVerify applies the verification rule for the sub-graph's policy.
-// Full: f+1 completed replicas with identical digest vectors verify the
-// sub-graph; deviants are commission faults (§4.1, §4.3). Quiz/deferred
-// delegate to checkVerifyPolicy.
-func (c *Controller) checkVerify(cs *clusterState) {
-	if cs.verified {
+// act carries out the verifier's decisions in the order it made them.
+// A launch answers with an event whose decisions join the same stream,
+// so only the outermost call drains it.
+func (c *Controller) act() {
+	if c.acting {
 		return
 	}
-	if cs.policy == PolicyQuiz || cs.policy == PolicyDeferred {
-		c.checkVerifyPolicy(cs)
-		return
+	c.acting = true
+	for i := 0; i < len(c.v.out); i++ {
+		c.do(c.v.out[i])
 	}
-	var completed []int
-	for _, rs := range cs.replicas {
-		if rs.completed {
-			completed = append(completed, rs.idx)
-		}
-	}
-	majority, deviants, ok := c.matcher.Agreement(cs.sid, completed)
-	if !ok {
-		if len(completed) == cs.r {
-			// Everyone replied and still no f+1 agreement: rerun with a
-			// higher replication degree.
-			c.retry(cs, 0)
-		}
-		return
-	}
-	c.markVerified(cs, majority[0], deviants)
+	c.v.out = c.v.out[:0]
+	c.acting = false
 }
 
-// markVerified finalizes a sub-graph: records the winner, punishes
-// deviants, frees unfinished replicas, propagates downstream and sweeps
-// superseded attempts' verifier state.
-func (c *Controller) markVerified(cs *clusterState, winner int, deviants []int) {
-	cs.verified = true
-	cs.verifiedAt = c.Eng.Now()
-	cs.winner = winner
-	cs.winnerFP = c.matcher.Fingerprint(cs.sid, cs.winner)
-	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditVerify, Replica: winner}, int64(len(deviants)))
-	for _, rep := range deviants {
-		c.markFaulty(cs, cs.replicas[rep])
-	}
-	// Unfinished replicas are no longer needed; their slots free up.
-	for _, rs := range cs.replicas {
-		if !rs.completed {
-			c.killReplica(rs)
+// do carries out one decision.
+func (c *Controller) do(d decision) {
+	cs := c.clusters[d.sub]
+	switch d.kind {
+	case dFaulty:
+		if d.cause == analyze.CauseCommission {
+			c.faultyReps++
 		}
-	}
-	// Propagate downstream: restart consumers that optimistically read a
-	// deviant replica, launch the rest.
-	for _, d := range c.clusters {
-		if !contains(d.upstream, cs.id) {
-			continue
+		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditMismatch, Replica: d.replica, Cause: d.cause}, 0)
+	case dVerified:
+		cs.verifiedAt = c.Eng.Now()
+		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditVerify, Replica: d.replica}, int64(d.n))
+		// Unfinished replicas are no longer needed; their slots free up.
+		c.kill(cs)
+	case dRetry:
+		c.kill(cs)
+		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditRetry, Replica: -1, Cause: d.cause}, 0)
+	case dEscalate:
+		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditEscalate, Replica: -1, Detail: d.detail}, 0)
+	case dRestart, dFail:
+		c.kill(cs)
+		// A cascade exists because upstream data lineage is suspect;
+		// checkpoints derived from it must not shortcut the re-run.
+		c.dropCkpts(cs)
+		if d.kind == dRestart {
+			c.record(cs, analyze.AuditEvent{Kind: analyze.AuditRestart, Replica: -1}, 0)
+			break
 		}
-		src, launched := d.sources[cs.id]
-		if launched && d.launched && !c.sourceMatchesWinner(cs, src) {
-			c.restart(d)
-		}
-		c.tryLaunch(d)
+		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditFail, Replica: -1, Cause: d.cause}, 0)
+		c.fail(fmt.Errorf("core: sub-graph c%d exhausted %d attempts", cs.id, cs.totalTries))
+	case dCheckpointAgreed:
+		c.maybeCheckpoint(cs, d.key, d.sum, d.reps)
+	case dQuiz:
+		c.startQuiz(cs)
+	case dLaunch:
+		c.launch(cs)
+	case dTooWide:
+		c.fail(fmt.Errorf("core: sub-graph c%d needs %d replicas, the verifier tallies at most %d per attempt", cs.id, d.n, MaxReplicas))
+	case dForget:
+		c.Eng.ForgetSID(d.detail)
 	}
-	// The restart decisions above were the last readers of superseded
-	// attempts' digest vectors (sourceMatchesWinner fingerprints old
-	// source sids); reclaim them now.
-	for _, sid := range cs.staleSids {
-		c.forgetSID(sid)
-	}
-	cs.staleSids = nil
 }
 
 // quizReplica is the replica index quiz re-executions report under; the
@@ -875,98 +750,6 @@ func (c *Controller) markVerified(cs *clusterState, winner int, deviants []int) 
 // an f+1 class among {primary, quiz} with f >= 1, so quiz evidence is
 // judged only by QuizAgrees.
 const quizReplica = 1
-
-// checkVerifyPolicy runs when the primary replica of a quiz/deferred
-// sub-graph completes: audit the storage boundaries, then either verify
-// optimistically (deferred) or hold verification until the quiz set
-// agrees (quiz). Any mismatch escalates to full replication.
-func (c *Controller) checkVerifyPolicy(cs *clusterState) {
-	rs := cs.replicas[0]
-	if !rs.completed {
-		return
-	}
-	if rs.faulty {
-		// Flagged before completion (e.g. by a downstream conflict);
-		// don't verify a known-bad primary.
-		c.escalate(cs, "primary replica flagged during execution")
-		return
-	}
-	clean, badUpstreams := c.auditIO(cs)
-	if len(badUpstreams) > 0 {
-		// Our io-in digest conflicts with what an upstream primary
-		// claimed to have stored: the *upstream* output is suspect
-		// (its storage write or its deferred verification). Escalating
-		// it restarts the cascade, which tears this attempt down too.
-		for _, u := range badUpstreams {
-			c.markFaulty(u, u.replicas[0])
-			c.escalate(u, fmt.Sprintf("downstream sub-graph c%d read data conflicting with the stored-output digest", cs.id))
-		}
-		return
-	}
-	if !clean {
-		// In-cluster boundary mismatch: what a job read back from the
-		// DFS is not what the producing job claims to have written.
-		c.markFaulty(cs, rs)
-		c.escalate(cs, "storage boundary digest mismatch")
-		return
-	}
-	if cs.policy == PolicyDeferred {
-		// Optimistic: downstream proceeds now; quizzes may still revoke.
-		c.markVerified(cs, 0, nil)
-	}
-	c.startQuiz(cs)
-	if cs.quizPending == 0 && !cs.verified && !cs.failed && cs.launched {
-		// Nothing quizzable (empty sub-graph) — boundary audits are the
-		// only evidence available, and they passed.
-		c.markVerified(cs, 0, nil)
-	}
-}
-
-// auditIO cross-checks storage-boundary audit digests for the primary of
-// an audited sub-graph. In-cluster: each consumed input's io-in digest
-// must equal the producing job's io-out digest (clean=false otherwise).
-// Cross-cluster: the io-in digest must equal the io-out digest the
-// source replica reported under its own sid; a conflict implicates the
-// upstream, returned in badUpstreams. Pairs where either side is absent
-// (unaudited upstream policy, raw script inputs) are skipped.
-func (c *Controller) auditIO(cs *clusterState) (clean bool, badUpstreams []*clusterState) {
-	clean = true
-	blamed := make(map[int]bool)
-	for _, tmpl := range cs.jobs {
-		for i := range tmpl.Inputs {
-			prod, produced := c.producedBy[tmpl.Inputs[i].Path]
-			if !produced {
-				continue
-			}
-			inKey := digest.Key{SID: cs.sid, Point: mapred.AuditIOInPoint,
-				Task: fmt.Sprintf("%s/in%d", tmpl.ID, i)}
-			inSum, haveIn := c.matcher.Lookup(cs.sid, 0, inKey)
-			if !haveIn {
-				continue
-			}
-			pc := c.clusterOf[prod]
-			if pc == cs.id {
-				outKey := digest.Key{SID: cs.sid, Point: mapred.AuditIOOutPoint, Task: prod}
-				outSum, haveOut := c.matcher.Lookup(cs.sid, 0, outKey)
-				if haveOut && outSum != inSum {
-					clean = false
-				}
-				continue
-			}
-			src, haveSrc := cs.sources[pc]
-			if !haveSrc || src.replica < 0 {
-				continue
-			}
-			outKey := digest.Key{SID: src.sid, Point: mapred.AuditIOOutPoint, Task: prod}
-			outSum, haveOut := c.matcher.Lookup(src.sid, src.replica, outKey)
-			if haveOut && outSum != inSum && !blamed[pc] {
-				blamed[pc] = true
-				badUpstreams = append(badUpstreams, c.clusters[pc])
-			}
-		}
-	}
-	return clean, badUpstreams
-}
 
 // startQuiz samples the primary's committed tasks and re-executes each on
 // the trusted tier; the recomputed digests flow back through onDigest
@@ -996,104 +779,43 @@ func (c *Controller) startQuiz(cs *clusterState) {
 			}
 		}
 	}
+	cs.quizzes = 0
 	for _, p := range picks {
 		err := c.Eng.Requiz(p.jobID, p.tid, quizReplica, c.onDigest,
-			func() { c.onQuizDone(cs, sid) })
+			func() { c.dispatch(event{kind: evQuiz, sid: sid, quizzes: cs.quizzes}) })
 		if err != nil {
 			c.fail(fmt.Errorf("core: quiz %s/%s: %w", p.jobID, p.tid, err))
 			return
 		}
-		cs.quizPending++
+		cs.quizzes++
 	}
 }
 
-// onQuizDone fires as each quiz re-execution commits its digests.
-func (c *Controller) onQuizDone(cs *clusterState, sid string) {
-	if cs.sid != sid || cs.failed {
-		return // quiz of a superseded attempt straggling in
-	}
-	cs.quizPending--
-	if cs.quizFailed {
-		return // already escalated on an earlier quiz of this attempt
-	}
-	if !c.matcher.QuizAgrees(sid, 0, quizReplica) {
-		// A trusted re-execution of the primary's own task, against the
-		// primary's own stored inputs, produced different records: the
-		// primary computed wrongly (commission), and with r=1 there is
-		// no honest majority to fall back on — rerun at full r.
-		cs.quizFailed = true
-		c.markFaulty(cs, cs.replicas[0])
-		c.escalate(cs, "quiz re-execution digest mismatch")
-		return
-	}
-	if cs.quizPending == 0 && cs.policy == PolicyQuiz && !cs.verified {
-		c.markVerified(cs, 0, nil)
-	}
-}
-
-// escalate abandons the cheap policy for a sub-graph that produced fault
-// evidence and reruns it under full replication. An already-verified
-// (deferred) sub-graph is revoked via the restart cascade so consumers
-// of its optimistic output are torn down with it; an unverified one goes
-// through the ordinary retry machinery.
-func (c *Controller) escalate(cs *clusterState, detail string) {
-	if cs.failed {
-		return
-	}
-	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditEscalate, Replica: -1, Detail: detail}, 0)
-	if cs.verified {
-		cs.policy = PolicyFull
-		if cs.r < c.Cfg.R {
-			cs.r = c.Cfg.R
-		}
-		c.restart(cs)
-		return
-	}
-	c.retry(cs, 0)
-}
-
-// forgetSID reclaims every trace of one sub-graph attempt: the verifier's
-// digest vectors, the controller's sid index and the engine's job and
-// scheduler-affinity records.
-func (c *Controller) forgetSID(sid string) {
-	c.matcher.Forget(sid)
-	delete(c.sidIndex, sid)
-	c.Eng.ForgetSID(sid)
-}
-
-// teardownRun sweeps all remaining attempts after the simulation drains;
-// verified winners' outputs live in the DFS, so nothing referenced by
-// Result is touched.
+// teardownRun sweeps all remaining attempts after the simulation drains:
+// the digest vectors, scheduler affinity and job records are
+// request-scoped, and a controller serving a stream of Runs must not
+// accumulate them. The run is over, so this is no event: the next run
+// resets the verifier. Verified winners' outputs live in the DFS, so nothing
+// referenced by Result is touched.
 func (c *Controller) teardownRun() {
-	sids := make([]string, 0, len(c.sidIndex))
-	for sid := range c.sidIndex {
+	sids := make([]string, 0, len(c.v.bySID))
+	for sid := range c.v.bySID {
 		sids = append(sids, sid)
 	}
 	sort.Strings(sids)
 	for _, sid := range sids {
-		c.forgetSID(sid)
+		c.v.matcher.Forget(sid)
+		delete(c.v.bySID, sid)
+		c.Eng.ForgetSID(sid)
 	}
 	for _, cs := range c.clusters {
-		for _, sid := range cs.staleSids {
-			c.forgetSID(sid)
-		}
-		cs.staleSids = nil
 		c.dropCkpts(cs)
 	}
-	// The forgetSID sweep above folded every remaining sid; with the run
-	// drained no late ledger charge can arrive, so the tombstones that
-	// route such charges are dead weight — drop them to keep ledger map
-	// sizes at baseline across sequential runs.
+	// The sweep above folded every remaining sid; with the run drained no
+	// late ledger charge can arrive, so the tombstones that route such
+	// charges are dead weight — drop them to keep ledger map sizes at
+	// baseline across sequential runs.
 	c.Eng.Ledger.DropFolds()
-}
-
-// sourceMatchesWinner reports whether a consumed source replica produced
-// the same digest vector as the verified winner (same attempt or not).
-func (c *Controller) sourceMatchesWinner(cs *clusterState, src sourceRef) bool {
-	if src.verified || (src.sid == cs.sid && src.replica == cs.winner) {
-		return true
-	}
-	return c.matcher.Fingerprint(src.sid, src.replica) == cs.winnerFP
 }
 
 // liveNodes unions the nodes recorded at replica-job completion with the
@@ -1109,17 +831,6 @@ func (c *Controller) liveNodes(rs *repState) NodeSet {
 		}
 	}
 	return s
-}
-
-// markFaulty records a commission-faulty replica: suspicion for every
-// node in its job cluster and a report to the fault analyzer.
-func (c *Controller) markFaulty(cs *clusterState, rs *repState) {
-	if rs.faulty {
-		return
-	}
-	rs.faulty = true
-	c.faultyReps++
-	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditMismatch, Replica: rs.idx, Cause: analyze.CauseCommission}, 0)
 }
 
 // record is the one writer of what the control tier keeps about a
@@ -1183,132 +894,12 @@ func (c *Controller) record(cs *clusterState, ev analyze.AuditEvent, n int64) {
 	}
 }
 
-func (c *Controller) killReplica(rs *repState) {
-	for _, id := range rs.jobIDs {
-		c.Eng.KillJob(id)
-	}
-}
-
-// retry re-initiates a sub-graph with r+1 replicas and a doubled timeout
-// (§4.2 step 6). On the timeout path (cause) the incomplete replicas'
-// nodes are marked suspicious first (omission).
-func (c *Controller) retry(cs *clusterState, cause analyze.AuditCause) {
-	if cs.verified || cs.failed {
-		return
-	}
-	if cause == analyze.CauseTimeout {
-		for _, rs := range cs.replicas {
-			if !rs.completed {
-				c.record(cs, analyze.AuditEvent{Kind: analyze.AuditMismatch, Replica: rs.idx, Cause: cause}, 0)
-			}
-		}
-	}
+func (c *Controller) kill(cs *clusterState) {
 	for _, rs := range cs.replicas {
-		c.killReplica(rs)
-	}
-	if cs.totalTries >= c.Cfg.MaxAttempts {
-		c.failCluster(cs, cause)
-		// Exhaustion outside a restart cascade: consumers launched against
-		// this sub-graph's optimistic output must not keep running.
-		c.restart(cs)
-		return
-	}
-	cs.attempt++
-	if cs.policy == PolicyQuiz || cs.policy == PolicyDeferred {
-		// The cheap policy saw fault evidence (or timed out): rerun at
-		// full replication before growing r beyond the configured degree.
-		cs.policy = PolicyFull
-		if cs.r < c.Cfg.R {
-			cs.r = c.Cfg.R
-		} else {
-			cs.r++
-		}
-	} else {
-		cs.r++
-		if len(cs.launchJobs) < len(cs.jobs) {
-			// The attempt that failed re-executed only a checkpointed
-			// suffix, so this escalation is scoped to the suffix; a later
-			// full re-execution sheds it (see tryLaunch).
-			cs.suffixBoost++
+		for _, id := range rs.jobIDs {
+			c.Eng.KillJob(id)
 		}
 	}
-	cs.timeoutUs *= 2
-	cs.launched = false
-	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditRetry, Replica: -1, Cause: cause}, 0)
-	c.tryLaunch(cs)
-}
-
-// restart re-runs a sub-graph (same r) because its optimistic input came
-// from a replica later found deviant; consumers restart transitively.
-//
-// The cascade is collected up front (breadth-first, deduplicated) instead
-// of by recursion: a consumer reached through two upstream paths in one
-// event is killed and charged exactly once, and — the critical ordering —
-// every member of the cascade is torn down even when one of them exhausts
-// MaxAttempts. The recursive version checked exhaustion before visiting
-// consumers and returned early, leaving already-launched downstream
-// sub-graphs running against the dead attempt's stale optimistic output,
-// where they could still reach "verified".
-func (c *Controller) restart(root *clusterState) {
-	affected := []*clusterState{root}
-	seen := map[int]bool{root.id: true}
-	for i := 0; i < len(affected); i++ {
-		for _, d := range c.clusters {
-			if contains(d.upstream, affected[i].id) && d.launched && !seen[d.id] {
-				seen[d.id] = true
-				affected = append(affected, d)
-			}
-		}
-	}
-	for _, cs := range affected {
-		if cs.failed {
-			continue
-		}
-		for _, rs := range cs.replicas {
-			c.killReplica(rs)
-		}
-		// The cascade exists because upstream data lineage is suspect;
-		// checkpoints derived from it must not shortcut the re-run. (The
-		// per-entry source-signature check already rejects them — fresh
-		// attempts get fresh sids — but dropping reclaims the files.)
-		c.dropCkpts(cs)
-		wasLaunched := cs.launched
-		cs.verified = false
-		cs.launched = false
-		if wasLaunched {
-			cs.attempt++
-			if cs.totalTries >= c.Cfg.MaxAttempts {
-				c.failCluster(cs, 0)
-				continue
-			}
-			c.record(cs, analyze.AuditEvent{Kind: analyze.AuditRestart, Replica: -1}, 0)
-		}
-	}
-	// Relaunch survivors upstream-first; consumers of a still-incomplete
-	// (or failed) upstream defer inside tryLaunch and are re-triggered by
-	// the normal completion propagation.
-	for _, cs := range affected {
-		c.tryLaunch(cs)
-	}
-}
-
-// failCluster marks a sub-graph permanently failed and surfaces the
-// run-level error. Its consumers are not torn down here — the restart
-// cascade that discovered the exhaustion already holds them in its
-// worklist, and unlaunched consumers are fenced by sourcesReady.
-func (c *Controller) failCluster(cs *clusterState, cause analyze.AuditCause) {
-	cs.failed = true
-	c.dropCkpts(cs)
-	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditFail, Replica: -1, Cause: cause}, 0)
-	c.fail(fmt.Errorf("core: sub-graph c%d exhausted %d attempts", cs.id, cs.totalTries))
-}
-
-// onTimeout fires when a sub-graph attempt exceeds the verifier timeout.
-func (c *Controller) onTimeout(cs *clusterState, sid string) {
-	if cs.sid != sid || cs.verified || cs.failed || !cs.launched {
-		return
-	}
-	c.retry(cs, analyze.CauseTimeout)
 }
 
 // RunPlain executes a script without replication or verification — the

@@ -57,12 +57,12 @@ func (c *Controller) Explain() string {
 			}
 			fmt.Fprintf(&b, "  job %s -> %s%s\n", j.ID, j.Output, marker)
 		}
-		for _, rs := range cs.replicas {
+		for i, rs := range cs.replicas {
 			state := "not completed"
 			switch {
-			case rs.faulty:
+			case cs.reps[i].faulty:
 				state = "DEVIANT"
-			case rs.completed:
+			case cs.reps[i].completed:
 				state = "completed"
 			}
 			fmt.Fprintf(&b, "  replica %d: %s, nodes=%d\n", rs.idx, state, len(rs.nodes))

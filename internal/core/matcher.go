@@ -324,26 +324,25 @@ func (m *Matcher) Agreement(sid string, completed []int) (majority, deviants []i
 }
 
 // KeyAgreement resolves one exact key of sid: it returns the sum with
-// at least f+1 replica votes and the ascending list of agreeing
-// replicas. Like Observe, a key where two sums both reach f+1 is
-// ambiguous (the fault budget was exceeded) and yields ok=false — the
-// checkpoint path must never persist bytes whose agreement evidence is
-// unusable.
-func (m *Matcher) KeyAgreement(sid string, key digest.Key) (digest.Sum, []int, bool) {
+// at least f+1 replica votes and the agreeing replicas as a bitmask.
+// Like Observe, a key where two sums both reach f+1 is ambiguous (the
+// fault budget was exceeded) and yields ok=false — the checkpoint path
+// must never persist bytes whose agreement evidence is unusable.
+func (m *Matcher) KeyAgreement(sid string, key digest.Key) (digest.Sum, uint64, bool) {
 	st := m.bySID[sid]
 	if st == nil {
-		return digest.Sum{}, nil, false
+		return digest.Sum{}, 0, false
 	}
 	ki, seen := st.index[voteKeyOf(key)]
 	if !seen {
-		return digest.Sum{}, nil, false
+		return digest.Sum{}, 0, false
 	}
 	win, ok := st.winner(ki, m.f)
 	if !ok {
-		return digest.Sum{}, nil, false
+		return digest.Sum{}, 0, false
 	}
 	c := &st.classes[win]
-	return c.sum, maskReplicas(c.reps), true
+	return c.sum, c.reps, true
 }
 
 // Forget drops all state for a sub-graph attempt (after verification or

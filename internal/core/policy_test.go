@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,22 +182,23 @@ func TestChoosePointsUnknownAlias(t *testing.T) {
 func TestStaleDigestDropped(t *testing.T) {
 	h := newHarness(t, 4, 2, DefaultConfig())
 	c := h.Ctrl
-	cs := &clusterState{sid: "run1-c0-a1"} // already retried once
-	c.sidIndex = map[string]*clusterState{
-		"run1-c0-a0": cs, // stale sid still indexed until verification
-		"run1-c0-a1": cs,
+	c.v.reset([]verdict{{}})
+	c.v.subs[0].sid = "run1-c0-a1" // already retried once
+	c.v.bySID = map[string]int{
+		"run1-c0-a0": 0, // stale sid still indexed until verification
+		"run1-c0-a1": 0,
 	}
 	c.onDigest(digest.Report{Key: digest.Key{SID: "run1-c0-a0", Point: 1, Task: "m0-000"}})
-	if c.reports != 0 {
-		t.Errorf("stale report counted: reports=%d", c.reports)
+	if c.v.reports != 0 {
+		t.Errorf("stale report counted: reports=%d", c.v.reports)
 	}
-	if n := c.matcher.SIDs(); n != 0 {
+	if n := c.v.matcher.SIDs(); n != 0 {
 		t.Errorf("stale report stored in matcher: %d sids", n)
 	}
 	// A report for the live attempt still lands.
 	c.onDigest(digest.Report{Key: digest.Key{SID: "run1-c0-a1", Point: 1, Task: "m0-000"}})
-	if c.reports != 1 || c.matcher.SIDs() != 1 {
-		t.Errorf("live report dropped: reports=%d sids=%d", c.reports, c.matcher.SIDs())
+	if c.v.reports != 1 || c.v.matcher.SIDs() != 1 {
+		t.Errorf("live report dropped: reports=%d sids=%d", c.v.reports, c.v.matcher.SIDs())
 	}
 }
 
@@ -240,7 +242,7 @@ func TestControllerLifecycleBounded(t *testing.T) {
 			if !res.Verified {
 				t.Fatalf("policy %v run %d not verified", p, run)
 			}
-			if n := h.Ctrl.matcher.SIDs(); n != 0 {
+			if n := h.Ctrl.v.matcher.SIDs(); n != 0 {
 				t.Errorf("policy %v run %d: matcher retains %d sids after teardown", p, run, n)
 			}
 			// Forget drops the vote tally, the per-key state and the
@@ -250,13 +252,13 @@ func TestControllerLifecycleBounded(t *testing.T) {
 			}
 			for _, r := range filed {
 				sid := r.Key.SID
-				if _, ok := h.Ctrl.matcher.Lookup(sid, r.Replica, r.Key); ok {
+				if _, ok := h.Ctrl.v.matcher.Lookup(sid, r.Replica, r.Key); ok {
 					t.Fatalf("policy %v run %d: vote %v of replica %d survived teardown", p, run, r.Key, r.Replica)
 				}
-				if _, _, ok := h.Ctrl.matcher.KeyAgreement(sid, r.Key); ok {
+				if _, _, ok := h.Ctrl.v.matcher.KeyAgreement(sid, r.Key); ok {
 					t.Fatalf("policy %v run %d: tally of %v survived teardown", p, run, r.Key)
 				}
-				if h.Ctrl.matcher.Fingerprint(sid, r.Replica) != sha256.Sum256(nil) {
+				if h.Ctrl.v.matcher.Fingerprint(sid, r.Replica) != sha256.Sum256(nil) {
 					t.Fatalf("policy %v run %d: fingerprint of %s/r%d survived teardown", p, run, sid, r.Replica)
 				}
 			}
@@ -267,8 +269,8 @@ func TestControllerLifecycleBounded(t *testing.T) {
 			if n := h.Engine.JobCount(); n != 0 {
 				t.Errorf("policy %v run %d: engine retains %d jobs", p, run, n)
 			}
-			if n := len(h.Ctrl.sidIndex); n != 0 {
-				t.Errorf("policy %v run %d: sidIndex retains %d entries", p, run, n)
+			if n := len(h.Ctrl.v.bySID); n != 0 {
+				t.Errorf("policy %v run %d: the verifier's sid index retains %d entries", p, run, n)
 			}
 			if free, total := h.Engine.FreeSlotsTotal(), h.Cluster.TotalSlots(); free != total {
 				t.Errorf("policy %v run %d: slots leaked: free=%d total=%d", p, run, free, total)
@@ -302,5 +304,74 @@ func TestSchedulerForgetSID(t *testing.T) {
 	s.ForgetSID("b")
 	if len(s.sids) != 0 {
 		t.Errorf("scheduler state not empty: %v", s.sids)
+	}
+}
+
+// TestCrossClusterAuditConflict drives the one audit rule that blames an
+// upstream sub-graph: a write hook corrupts the first line of every file
+// c0's primary stores, so c1's io-in digest of that tree conflicts with
+// the io-out digest c0's primary reported for it. c0's primary is the
+// one charged, c0 escalates to full replication, and the restart cascade
+// takes c1 down with it. The trail is pinned as it was before the
+// verifier became a state machine.
+func TestCrossClusterAuditConflict(t *testing.T) {
+	want := map[Policy]string{
+		PolicyQuiz: `t=0        launch          run1-c0-a0
+t=2012080  launch          run1-c1-a0
+t=2824090  verify          run1-c0-a0/r0
+t=4012224  mismatch        run1-c0-a0/r0 commission [node-001 node-002]
+t=4012224  escalate        run1-c0-a0  (downstream sub-graph c1 read data conflicting with the stored-output digest)
+t=4012224  restart         run1-c0-a0
+t=4012224  restart         run1-c1-a0
+t=4012224  launch          run1-c0-a1  (run1-c0-a0)
+t=6024304  launch          run1-c1-a1  (run1-c1-a0)
+t=6024304  verify          run1-c0-a1/r1
+t=8824532  verify          run1-c1-a1/r0
+`,
+		PolicyDeferred: `t=0        launch          run1-c0-a0
+t=2012080  verify          run1-c0-a0/r0
+t=2012080  launch          run1-c1-a0
+t=4012224  mismatch        run1-c0-a0/r0 commission [node-001 node-002]
+t=4012224  escalate        run1-c0-a0  (downstream sub-graph c1 read data conflicting with the stored-output digest)
+t=4012224  restart         run1-c0-a0
+t=4012224  restart         run1-c1-a0
+t=4012224  launch          run1-c0-a1  (run1-c0-a0)
+t=6024304  launch          run1-c1-a1  (run1-c1-a0)
+t=6024304  verify          run1-c0-a1/r1
+t=8024448  verify          run1-c1-a1/r0
+`,
+	}
+	for _, p := range []Policy{PolicyQuiz, PolicyDeferred} {
+		cfg := DefaultConfig()
+		cfg.VerifyPolicy = p
+		cfg.QuizFraction = 1
+		h := newRig(16, 3)
+		h.FS.WriteHook = func(path string, lines []string) []string {
+			if !strings.HasPrefix(path, "x/run1-c0-a0/r0/") || len(lines) == 0 {
+				return lines
+			}
+			out := slices.Clone(lines)
+			out[0] += "x"
+			return out
+		}
+		h.Assure(cfg)
+		trail := analyze.NewAuditTrail(h.Engine.Now)
+		h.Ctrl.AttachAudit(trail)
+		res, err := h.Ctrl.Run(weatherScript)
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		if !res.Verified || res.Attempts != 4 {
+			t.Errorf("%v: verified=%v after %d attempts, want verified after 4", p, res.Verified, res.Attempts)
+		}
+		var got strings.Builder
+		for _, e := range trail.Events() {
+			if e.SID != "" { // the controller's decisions, not the analyzer's
+				got.WriteString(e.String() + "\n")
+			}
+		}
+		if got.String() != want[p] {
+			t.Errorf("%v trail:\n%s\nwant:\n%s", p, got.String(), want[p])
+		}
 	}
 }

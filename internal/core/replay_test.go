@@ -1,0 +1,63 @@
+package core_test
+
+import (
+	"testing"
+
+	"clusterbft/internal/chaos"
+	"clusterbft/internal/core"
+	"clusterbft/internal/mapred"
+)
+
+// TestVerifierReplay drives every schedule of the default chaos campaign
+// under each verification policy, and with checkpoint-granular recovery,
+// through a tapped controller. On every schedule the events its verifier
+// received, replayed into a fresh verifier, must give the same decision
+// stream: the verdicts are a function of the ordered events alone, which
+// is what a replicated control tier needs.
+func TestVerifierReplay(t *testing.T) {
+	legs := []struct {
+		name string
+		set  func(*core.Config)
+	}{
+		{"full", func(*core.Config) {}},
+		{"quiz", func(c *core.Config) { c.VerifyPolicy = core.PolicyQuiz }},
+		{"deferred", func(c *core.Config) { c.VerifyPolicy = core.PolicyDeferred }},
+		{"auto", func(c *core.Config) { c.VerifyPolicy = core.PolicyAuto }},
+		{"checkpoint", func(c *core.Config) { c.Checkpoint = true }},
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			cfg := chaos.DefaultCampaign()
+			leg.set(&cfg.Core)
+			if cfg.Core.VerifyPolicy != 0 {
+				cfg.Core.QuizFraction = 1 // as faultsim's policy legs run
+			}
+			var events, decisions, failed int
+			for i := range cfg.Schedules {
+				seed := cfg.BaseSeed + int64(i)
+				sys := core.NewSystem(cfg.Nodes, cfg.Slots, cfg.Core.Storage, mapred.DefaultCostModel())
+				for path, lines := range cfg.Data {
+					sys.FS.Append(path, lines...)
+				}
+				log := core.TapVerifier(sys.Assure(cfg.Core))
+				chaos.NewInjector(chaos.Generate(seed, cfg.Profile)).AttachEngine(sys.Engine)
+				// A schedule may exhaust a sub-graph's attempts; the decisions
+				// that failed it replay all the same.
+				if _, err := sys.Ctrl.Run(cfg.Script); err != nil {
+					failed++
+				}
+				sys.FS.Close()
+				n, d, err := log.Replay()
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				events += n
+				decisions += d
+			}
+			if events == 0 || decisions == 0 {
+				t.Fatalf("nothing replayed: %d events, %d decisions", events, decisions)
+			}
+			t.Logf("%d schedules (%d failed): %d events, %d decisions replayed", cfg.Schedules, failed, events, decisions)
+		})
+	}
+}
