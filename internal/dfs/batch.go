@@ -145,7 +145,7 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 		}
 	}
 	if asLines || size > math.MaxInt32 {
-		lines, err := decodeBlockRange(nil, data, lo, hi)
+		lines, err := s.decodeLines(nil, data, lo, hi)
 		b.holdLines(lines)
 		return err
 	}

@@ -84,8 +84,97 @@ const DefaultBlockSize = 256 << 10
 // Payloads neither shrinks are stored raw even when compression is
 // requested, so decoding never pays for nothing.
 func EncodeBlock(lines []string, compress bool) []byte {
-	data, _ := encodeBlockStats(lines, compress)
+	data, _ := encodeBlockStats(lineSet[string]{lines: lines}, compress)
 	return data
+}
+
+// lineText is how a line is held: a string of its own, or bytes of a buffer.
+type lineText interface{ ~string | ~[]byte }
+
+// lineSet is the lines a block is encoded from, in one of two shapes: a
+// []string, or one buffer holding them back to back, cut where ends says
+// (FS.SealBuffer). Each encoder has one body for both: a line is read only
+// as its bytes.
+type lineSet[T lineText] struct {
+	lines []T     // a line each, where ends is nil
+	buf   T       // else the lines' bytes, from start on
+	start int32   // where the first line begins in buf
+	ends  []int32 // where each line ends in buf
+}
+
+func (s *lineSet[T]) len() int {
+	if s.ends == nil {
+		return len(s.lines)
+	}
+	return len(s.ends)
+}
+
+func (s *lineSet[T]) line(i int) T {
+	if s.ends == nil {
+		return s.lines[i]
+	}
+	start := s.start
+	if i > 0 {
+		start = s.ends[i-1]
+	}
+	return s.buf[start:s.ends[i]]
+}
+
+// slice is the set of lines [lo, hi).
+func (s *lineSet[T]) slice(lo, hi int) lineSet[T] {
+	if s.ends == nil {
+		return lineSet[T]{lines: s.lines[lo:hi]}
+	}
+	start := s.start
+	if lo > 0 {
+		start = s.ends[lo-1]
+	}
+	return lineSet[T]{buf: s.buf, start: start, ends: s.ends[lo:hi]}
+}
+
+// bytes is the lines' logical size: their bytes and a newline each.
+func (s *lineSet[T]) bytes() int64 {
+	if s.ends == nil {
+		var n int64
+		for _, l := range s.lines {
+			n += int64(len(l)) + 1
+		}
+		return n
+	}
+	if len(s.ends) == 0 {
+		return 0
+	}
+	return int64(s.ends[len(s.ends)-1]-s.start) + int64(len(s.ends))
+}
+
+// strings copies the lines out as strings that point into nothing of s:
+// one backing string for the bytes of a buffer's.
+func (s *lineSet[T]) strings() []string {
+	out := make([]string, s.len())
+	if s.ends == nil {
+		for i, l := range s.lines {
+			out[i] = string(l)
+		}
+		return out
+	}
+	all := string(s.buf[s.start:s.ends[len(s.ends)-1]])
+	at := int32(0)
+	for i, end := range s.ends {
+		out[i] = all[at : end-s.start]
+		at = end - s.start
+	}
+	return out
+}
+
+// indexByte is strings.IndexByte for either shape of text. The values it
+// looks through are mostly a few bytes long.
+func indexByte[T lineText](s T, c byte) int {
+	for i := 0; i < len(s); i++ {
+		if s[i] == c {
+			return i
+		}
+	}
+	return -1
 }
 
 // encodeBlockStats is EncodeBlock plus the uncompressed payload length,
@@ -93,7 +182,7 @@ func EncodeBlock(lines []string, compress bool) []byte {
 // laid out exactly before a byte of it is written, header first, so a raw
 // or dictionary-coded block is built where it is kept, with no spare
 // capacity; a deflated one is one copy out of the deflater.
-func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
+func encodeBlockStats[T lineText](lines lineSet[T], compress bool) (data []byte, rawLen int) {
 	if compress {
 		if data, rawLen = encodeCoded(lines); data != nil {
 			return data, rawLen
@@ -105,10 +194,11 @@ func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
 	var regionArr, cursorArr [16]int
 	regions := regionArr[:0]                     // region c's byte length
 	maxCols, minCols, counts, tail := 0, 0, 0, 0 // tail: the directory's bytes
-	for i, l := range lines {
+	for i := range lines.len() {
+		l := lines.line(i)
 		n := 0
 		for start := 0; start <= len(l); n++ {
-			end := strings.IndexByte(l[start:], '\t')
+			end := indexByte(l[start:], '\t')
 			if end < 0 {
 				end = len(l) - start
 			}
@@ -133,7 +223,7 @@ func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
 	// then the payload from p — its head, the column counts, the regions
 	// from the cursors' starts, and from dir the directory: an entry a
 	// column, then the line lengths and the trailer.
-	h := 2 + uvarintLen(len(lines))
+	h := 2 + uvarintLen(lines.len())
 	p := h + 4
 	dir := p + uvarintLen(maxCols) + uvarintLen(minCols) + counts
 	cursor := cursorArr[:0] // where column c's next value goes
@@ -149,10 +239,11 @@ func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
 	data = make([]byte, p+rawLen)
 	w := p + binary.PutUvarint(data[p:], uint64(maxCols))
 	w += binary.PutUvarint(data[w:], uint64(minCols))
-	for _, l := range lines {
+	for i := range lines.len() {
+		l := lines.line(i)
 		n := 0
 		for start := 0; start <= len(l); n++ {
-			end := strings.IndexByte(l[start:], '\t')
+			end := indexByte(l[start:], '\t')
 			if end < 0 {
 				end = len(l) - start
 			}
@@ -172,8 +263,8 @@ func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
 		}
 		w += binary.PutUvarint(data[w:], d)
 	}
-	for _, l := range lines {
-		w += binary.PutUvarint(data[w:], uint64(len(l)))
+	for i := range lines.len() {
+		w += binary.PutUvarint(data[w:], uint64(len(lines.line(i))))
 	}
 	binary.LittleEndian.PutUint64(data[w:], uint64(dir-p))
 
@@ -188,7 +279,7 @@ func encodeBlockStats(lines []string, compress bool) (data []byte, rawLen int) {
 			flags |= blockFlagFlate
 		}
 	}
-	sealHeader(data, h, flags, len(lines))
+	sealHeader(data, h, flags, lines.len())
 	return data, rawLen
 }
 
@@ -207,21 +298,22 @@ func sealHeader(data []byte, h int, flags byte, n int) {
 // function of its own so that a raw block is encoded as before, and it
 // keeps its dictionaries on its stack (dictSet), with each value's code
 // as far as there is room, so that pass 2 need not split the lines again.
-func encodeCoded(lines []string) (data []byte, rawLen int) {
+func encodeCoded[T lineText](lines lineSet[T]) (data []byte, rawLen int) {
 	var dictArr [16]dictCol
-	var entryArr [512]dictEntry
+	var entryArr [512]dictEntry[T]
 	var slotArr [1024]int32
 	var codeArr [8 << 10]byte
-	dicts := dictSet{cols: dictArr[:0], entries: entryArr[:0], slots: slotArr[:]}
+	dicts := dictSet[T]{cols: dictArr[:0], entries: entryArr[:0], slots: slotArr[:]}
 	codes := codeArr[:0] // each value's code, in line order
 
 	// Pass 1: every column's dictionary and the size of its region both
 	// ways, every record's column count and line length.
 	maxCols, minCols, counts, lens := 0, 0, 0, 0 // lens: the line lengths' bytes
-	for i, l := range lines {
+	for i := range lines.len() {
+		l := lines.line(i)
 		n := 0
 		for start := 0; start <= len(l); n++ {
-			end := strings.IndexByte(l[start:], '\t')
+			end := indexByte(l[start:], '\t')
 			if end < 0 {
 				end = len(l) - start
 			}
@@ -266,7 +358,7 @@ func encodeCoded(lines []string) (data []byte, rawLen int) {
 	// Pass 2: the payload laid out as encodeBlockStats lays it out, each
 	// region a dictionary (k, the values' lengths, their bytes) and then a
 	// code a value, written at its column's cursor; then the directory.
-	h := 2 + uvarintLen(len(lines))
+	h := 2 + uvarintLen(lines.len())
 	p := h + 4
 	data = make([]byte, p+size)
 	w := p + binary.PutUvarint(data[p:], uint64(maxCols))
@@ -284,10 +376,16 @@ func encodeCoded(lines []string) (data []byte, rawLen int) {
 		col.textAt += copy(data[col.textAt:], e.v)
 	}
 	nth := 0 // the line's first value's place in line order
-	for _, l := range lines {
+	for i := range lines.len() {
+		l := lines.line(i)
 		n := maxCols
 		if ragged {
-			n = strings.Count(l, "\t") + 1
+			n = 1
+			for j := 0; j < len(l); j++ {
+				if l[j] == '\t' {
+					n++
+				}
+			}
 			w += binary.PutUvarint(data[w:], uint64(n))
 		}
 		if nth+n <= len(codes) {
@@ -297,7 +395,7 @@ func encodeCoded(lines []string) (data []byte, rawLen int) {
 			}
 		} else { // past the codes pass 1 had room for: look the values up again
 			for c, start := 0, 0; start <= len(l); c++ {
-				end := strings.IndexByte(l[start:], '\t')
+				end := indexByte(l[start:], '\t')
 				if end < 0 {
 					end = len(l) - start
 				}
@@ -317,11 +415,11 @@ func encodeCoded(lines []string) (data []byte, rawLen int) {
 		}
 		w += binary.PutUvarint(data[w:], d)
 	}
-	for _, l := range lines {
-		w += binary.PutUvarint(data[w:], uint64(len(l)))
+	for i := range lines.len() {
+		w += binary.PutUvarint(data[w:], uint64(len(lines.line(i))))
 	}
 	binary.LittleEndian.PutUint64(data[w:], uint64(dir-p))
-	sealHeader(data, h, blockFlagDict, len(lines))
+	sealHeader(data, h, blockFlagDict, lines.len())
 	return data, rawLen
 }
 
@@ -338,14 +436,16 @@ func holdsEscapeByte(b []byte) bool {
 // as no column holds more than dictMax. The encoder keeps it on its stack:
 // its slices start on arrays there and outgrow them only for a block of
 // more than 16 columns or 512 distinct values in all.
-type dictSet struct {
+type dictSet[T lineText] struct {
 	cols    []dictCol
-	entries []dictEntry // every column's values, each column's in code order
-	slots   []int32     // open addressing over entries: 1 + an index, 0 where free
+	entries []dictEntry[T] // every column's values, each column's in code order
+	slots   []int32        // open addressing over entries: 1 + an index, 0 where free
 }
 
-type dictEntry struct {
-	v    string
+// dictEntry is a distinct value, held where the lines hold it: no string
+// of its own is made for it.
+type dictEntry[T lineText] struct {
+	v    T
 	col  int32
 	code uint8
 }
@@ -373,7 +473,7 @@ func (c *dictCol) place(data []byte, at int) int {
 // lookup returns the slot of v in column c and what it holds: 1 + the
 // index of v's entry, or 0 where v is not there and goes. The hash is
 // FNV-1a, inline: a coded column's values are mostly a few bytes long.
-func (d *dictSet) lookup(c int, v string) (slot int, e int32) {
+func (d *dictSet[T]) lookup(c int, v T) (slot int, e int32) {
 	h := uint64(c) * 0x9e3779b97f4a7c15
 	for i := 0; i < len(v); i++ {
 		h = (h ^ uint64(v[i])) * 0x100000001b3
@@ -382,7 +482,7 @@ func (d *dictSet) lookup(c int, v string) (slot int, e int32) {
 	mask := len(d.slots) - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		e := d.slots[i]
-		if e == 0 || d.entries[e-1].col == int32(c) && d.entries[e-1].v == v {
+		if e == 0 || d.entries[e-1].col == int32(c) && string(d.entries[e-1].v) == string(v) {
 			return i, e
 		}
 	}
@@ -392,7 +492,7 @@ func (d *dictSet) lookup(c int, v string) (slot int, e int32) {
 // slot, as the column's next code, and reports false if the column would
 // then hold more than dictMax distinct values. It returns d rather than
 // update it in place, which keeps the arrays d starts on off the heap.
-func (d dictSet) add(c int, v string, slot int) (dictSet, bool) {
+func (d dictSet[T]) add(c int, v T, slot int) (dictSet[T], bool) {
 	if c == len(d.cols) {
 		d.cols = append(d.cols, dictCol{})
 	}
@@ -400,7 +500,7 @@ func (d dictSet) add(c int, v string, slot int) (dictSet, bool) {
 	if col.k == dictMax {
 		return d, false
 	}
-	d.entries = append(d.entries, dictEntry{v: v, col: int32(c), code: uint8(col.k)})
+	d.entries = append(d.entries, dictEntry[T]{v: v, col: int32(c), code: uint8(col.k)})
 	d.slots[slot] = int32(len(d.entries))
 	col.k++
 	col.lens += uvarintLen(len(v))
@@ -813,8 +913,15 @@ func valueAt(payload []byte, off int) (start, end int) {
 
 // decodeBlockRange appends records [lo, hi) of the block to dst, clamping
 // the range to the block. Only the records asked for are materialised, as
-// substrings of one backing string built in a single copy.
+// substrings of one backing string built in a single copy: each is cut as
+// soon as it is written, and later writes leave its bytes as they are.
 func decodeBlockRange(dst []string, data []byte, lo, hi int) ([]string, error) {
+	return new(blockShape).decodeLines(dst, data, lo, hi)
+}
+
+// decodeLines is decodeBlockRange walking the block into s, whose arrays
+// a reader of many blocks keeps from one to the next.
+func (s *blockShape) decodeLines(dst []string, data []byte, lo, hi int) ([]string, error) {
 	n, payload, coded, z, err := openBlock(data)
 	if z != nil {
 		defer inflaters.Put(z)
@@ -822,7 +929,6 @@ func decodeBlockRange(dst []string, data []byte, lo, hi int) ([]string, error) {
 	if err != nil {
 		return dst, err
 	}
-	var s blockShape
 	if err := s.walk(payload, n, coded, lo, hi, nil); err != nil {
 		return dst, err
 	}
@@ -834,9 +940,10 @@ func decodeBlockRange(dst []string, data []byte, lo, hi int) ([]string, error) {
 	// A line's first value takes no tab.
 	var text strings.Builder
 	text.Grow(s.lineBytes - (s.hi - s.lo))
-	ends := make([]int, s.hi-s.lo)
+	dst = slices.Grow(dst, s.hi-s.lo)
 	coded, dict := s.coded, s.dict
-	for i, cols := range s.widths() {
+	for _, cols := range s.widths() {
+		start := text.Len()
 		for c := 0; c < cols; c++ {
 			if c > 0 {
 				text.WriteByte('\t')
@@ -852,14 +959,7 @@ func decodeBlockRange(dst []string, data []byte, lo, hi int) ([]string, error) {
 			r.start++
 			text.Write(payload[dict[j]:dict[j+1]])
 		}
-		ends[i] = text.Len()
-	}
-	all := text.String()
-	dst = slices.Grow(dst, s.hi-s.lo)
-	start := 0
-	for _, end := range ends {
-		dst = append(dst, all[start:end])
-		start = end
+		dst = append(dst, text.String()[start:])
 	}
 	return dst, nil
 }

@@ -657,24 +657,46 @@ func TestSealAllocs(t *testing.T) {
 		lines    []string
 		compress bool
 	}{{raw, false}, {coded, true}} {
-		data, _ := encodeBlockStats(c.lines, c.compress)
-		if c.compress && data[1] != blockFlagDict {
-			t.Fatalf("flags %#x: the block is not dictionary-coded", data[1])
-		}
-		const runs = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			data, _ = encodeBlockStats(c.lines, c.compress)
-		}
-		runtime.ReadMemStats(&after)
-		objects := (after.Mallocs - before.Mallocs) / runs
-		held := (after.TotalAlloc - before.TotalAlloc) / runs
-		if limit := uint64(class(len(data)) + 64); objects > 1 || held > limit {
-			t.Errorf("compress=%v: sealing 1000 lines into a %d-byte block = %d objects, %d bytes; want 1 object, <= %d bytes",
-				c.compress, len(data), objects, held, limit)
+		// The lines as strings (FS.Seal) and as one buffer cut at their ends
+		// (FS.SealBuffer) cost the same.
+		buf, ends := joinLines(c.lines)
+		for _, encode := range []func() []byte{
+			func() []byte { data, _ := encodeBlockStats(lineSet[string]{lines: c.lines}, c.compress); return data },
+			func() []byte {
+				data, _ := encodeBlockStats(lineSet[[]byte]{buf: buf, ends: ends}, c.compress)
+				return data
+			},
+		} {
+			data := encode()
+			if c.compress && data[1] != blockFlagDict {
+				t.Fatalf("flags %#x: the block is not dictionary-coded", data[1])
+			}
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				data = encode()
+			}
+			runtime.ReadMemStats(&after)
+			objects := (after.Mallocs - before.Mallocs) / runs
+			held := (after.TotalAlloc - before.TotalAlloc) / runs
+			if limit := uint64(class(len(data)) + 64); objects > 1 || held > limit {
+				t.Errorf("compress=%v: sealing 1000 lines into a %d-byte block = %d objects, %d bytes; want 1 object, <= %d bytes",
+					c.compress, len(data), objects, held, limit)
+			}
 		}
 	}
+}
+
+// joinLines lays lines back to back in one buffer, as FS.SealBuffer takes
+// them: line i ends at ends[i].
+func joinLines(lines []string) (buf []byte, ends []int32) {
+	ends = make([]int32, len(lines))
+	for i, l := range lines {
+		buf = append(buf, l...)
+		ends[i] = int32(len(buf))
+	}
+	return buf, ends
 }
 
 func TestReaderRangesOnSpilledFile(t *testing.T) {
@@ -817,5 +839,49 @@ func TestDeleteReleasesResidentMemory(t *testing.T) {
 	}
 	if got := fs.ResidentBlocks(); got != 0 {
 		t.Fatalf("resident blocks %d after deleting only file", got)
+	}
+}
+
+// TestSealBufferOutlivesItsBuffer seals lines from one buffer into raw,
+// dictionary-coded and deflated blocks and a tail, installs them, and then
+// writes over the buffer: what the file reads must not change, because
+// nothing installed points into the buffer.
+func TestSealBufferOutlivesItsBuffer(t *testing.T) {
+	coded := cycling(200, 20)
+	deflated := make([]string, 200)
+	for i := range deflated {
+		deflated[i] = fmt.Sprintf("user%05d\tuser%05d", i*7919%100000, i)
+	}
+	ragged := []string{"a\\tb\tc", "", "d", "e\tf\tg\th", `x\\y`}
+	for _, c := range []struct {
+		name     string
+		lines    []string
+		compress bool
+		flags    byte
+	}{
+		{"raw", append(slices.Clone(deflated), ragged...), false, 0},
+		{"dictionary", append(slices.Clone(coded), ragged...), true, blockFlagDict},
+		{"flate", append(slices.Clone(deflated), ragged...), true, blockFlagFlate},
+	} {
+		fs := NewWith(Options{BlockSize: 1024, Compress: c.compress})
+		buf, ends := joinLines(c.lines)
+		s := fs.SealBuffer(buf, ends)
+		if len(s.blocks) == 0 || len(s.tail) == 0 {
+			t.Fatalf("%s: %d blocks and %d tail lines, want both", c.name, len(s.blocks), len(s.tail))
+		}
+		if f := s.blocks[0].data[1]; f != c.flags {
+			t.Fatalf("%s: first block's flags %#x, want %#x", c.name, f, c.flags)
+		}
+		fs.Install("out/part", s)
+		for i := range buf {
+			buf[i] = '#'
+		}
+		got, err := fs.ReadLines("out/part")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, c.lines) {
+			t.Fatalf("%s: after the buffer was overwritten the file reads %q", c.name, got[:min(3, len(got))])
+		}
 	}
 }

@@ -316,15 +316,22 @@ func (s *Sealed) appendLines(dst []string) []string {
 // left short of it as the tail. It reads the options and nothing else of
 // the FS, so task bodies seal their output concurrently, off the simulation
 // goroutine, and the commit installs it.
-func (fs *FS) Seal(lines []string) Sealed {
-	var s Sealed
-	for _, l := range lines {
-		s.bytes += int64(len(l)) + 1
-	}
-	size := fs.opts.BlockSize
+func (fs *FS) Seal(lines []string) Sealed { return seal(fs.opts, lineSet[string]{lines: lines}) }
+
+// SealBuffer is Seal of the lines buf holds back to back, line i ending at
+// ends[i] (and beginning where line i-1 ends, line 0 at 0). Nothing it
+// returns points into buf: blocks are encoded copies and the tail is
+// copied out, so the caller may write over buf as soon as it returns.
+func (fs *FS) SealBuffer(buf []byte, ends []int32) Sealed {
+	return seal(fs.opts, lineSet[[]byte]{buf: buf, ends: ends})
+}
+
+func seal[T lineText](opts Options, lines lineSet[T]) Sealed {
+	s := Sealed{bytes: lines.bytes()}
+	size, n := opts.BlockSize, lines.len()
 	// A block takes at least size bytes and at least a line: the most blocks
 	// there can be, one array of them and one of pointers to them.
-	room := min(s.bytes/int64(size), int64(len(lines)))
+	room := min(s.bytes/int64(size), int64(n))
 	var blocks []block
 	if room > 0 {
 		blocks, s.blocks = make([]block, room), make([]*block, 0, room)
@@ -332,22 +339,23 @@ func (fs *FS) Seal(lines []string) Sealed {
 	sealed, left := 0, s.bytes
 	for left >= int64(size) {
 		take, taken := 0, 0
-		for _, l := range lines[sealed:] {
-			taken += len(l) + 1
+		for i := sealed; i < n; i++ {
+			taken += len(lines.line(i)) + 1
 			take++
 			if taken >= size {
 				break
 			}
 		}
-		data, rawLen := encodeBlockStats(lines[sealed:sealed+take], fs.opts.Compress)
+		data, rawLen := encodeBlockStats(lines.slice(sealed, sealed+take), opts.Compress)
 		b := &blocks[len(s.blocks)]
 		*b = block{records: take, logical: int64(taken), raw: rawLen, data: data}
 		s.blocks = append(s.blocks, b)
 		sealed += take
 		left -= int64(taken)
 	}
-	if sealed < len(lines) {
-		s.tail = append([]string(nil), lines[sealed:]...)
+	if sealed < n {
+		tail := lines.slice(sealed, n)
+		s.tail = tail.strings()
 	}
 	return s
 }
@@ -383,7 +391,7 @@ func (fs *FS) install(path string, s Sealed) {
 	fs.bytesWritten.Add(s.bytes)
 	if len(f.pending) > 0 {
 		// Past its length the tail's array is no one's: whoever else holds
-		// it reads no further (addFile, readRaw, a kept Sealed).
+		// it reads no further (addFile, a read's fileSnap, a kept Sealed).
 		lines := s.appendLines(f.pending)
 		f.lines -= len(f.pending)
 		f.bytes -= int64(f.pendingBytes)
@@ -496,13 +504,13 @@ func (fs *FS) blockData(b *block) ([]byte, error) {
 }
 
 // loadBlock appends records [lo, hi) of b to dst (hi is clamped to the
-// block's record count). A failure is a *BlockError.
-func (fs *FS) loadBlock(dst []string, b *block, lo, hi int) ([]string, error) {
+// block's record count), walking it into s. A failure is a *BlockError.
+func (fs *FS) loadBlock(dst []string, s *blockShape, b *block, lo, hi int) ([]string, error) {
 	data, err := fs.blockData(b)
 	if err != nil {
 		return dst, err
 	}
-	if dst, err = decodeBlockRange(dst, data, lo, hi); err != nil {
+	if dst, err = s.decodeLines(dst, data, lo, hi); err != nil {
 		return dst, b.failed(err)
 	}
 	return dst, nil
@@ -514,37 +522,58 @@ func (fs *FS) loadBlock(dst []string, b *block, lo, hi int) ([]string, error) {
 // block that cannot be read back fails it with a *BlockError.
 func (fs *FS) ReadLines(path string) ([]string, error) {
 	path = clean(path)
-	out, err := fs.readRaw(path)
+	fs.mu.RLock()
+	f, ok := fs.files[path]
+	var snap [1]fileSnap
+	if ok {
+		snap[0] = f.snap()
+	}
+	fs.mu.RUnlock()
+	if !ok {
+		return nil, &ErrNotFound{Path: path}
+	}
+	out, err := fs.readSnaps(snap[:])
 	if err == nil && fs.ReadHook != nil {
 		out = fs.ReadHook(path, out)
 	}
 	return out, err
 }
 
-// readRaw is ReadLines without the read hook; ReadTree builds on it so a
-// logical tree read passes through the hook exactly once.
-func (fs *FS) readRaw(path string) ([]string, error) {
-	fs.mu.RLock()
-	f, ok := fs.files[path]
-	if !ok {
-		fs.mu.RUnlock()
-		return nil, &ErrNotFound{Path: path}
-	}
-	blocks := f.blocks // sealed prefix is append-only; snapshot is stable
-	tail := f.pending[:len(f.pending):len(f.pending)]
-	n := f.bytes
-	total := f.lines
-	fs.mu.RUnlock()
+// fileSnap is what a read takes of a file under the lock: its sealed
+// blocks (a prefix that only ever grows, so the snapshot is stable), its
+// tail as it stands, and their lines and logical bytes.
+type fileSnap struct {
+	blocks []*block
+	tail   []string
+	lines  int
+	bytes  int64
+}
 
-	out := make([]string, 0, total)
-	for _, b := range blocks {
-		var err error
-		if out, err = fs.loadBlock(out, b, 0, b.records); err != nil {
-			return nil, err
-		}
+// snap snapshots f; caller holds mu.
+func (f *file) snap() fileSnap {
+	return fileSnap{blocks: f.blocks, tail: f.pending[:len(f.pending):len(f.pending)], lines: f.lines, bytes: f.bytes}
+}
+
+// readSnaps decodes the files snapped, in order, straight into one slice of
+// their summed length, and counts each file's bytes read once it is.
+func (fs *FS) readSnaps(snaps []fileSnap) ([]string, error) {
+	total := 0
+	for i := range snaps {
+		total += snaps[i].lines
 	}
-	out = append(out, tail...)
-	fs.bytesRead.Add(n)
+	out := make([]string, 0, total)
+	var shape blockShape
+	for i := range snaps {
+		s := &snaps[i]
+		for _, b := range s.blocks {
+			var err error
+			if out, err = fs.loadBlock(out, &shape, b, 0, b.records); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, s.tail...)
+		fs.bytesRead.Add(s.bytes)
+	}
 	return out, nil
 }
 
@@ -679,22 +708,31 @@ func (fs *FS) LineCount(path string) (int, error) {
 
 // ReadTree reads and concatenates, in sorted path order, every file at or
 // under prefix. This is how MapReduce consumers read a part-file output
-// directory.
+// directory. The files are snapshot together and decoded into one slice.
 func (fs *FS) ReadTree(prefix string) ([]string, error) {
-	paths := fs.List(prefix)
-	if len(paths) == 0 {
+	p := clean(prefix)
+	fs.mu.RLock()
+	exact, lo, hi := fs.pathRanges(p)
+	var snaps []fileSnap
+	if exact || lo < hi {
+		snaps = make([]fileSnap, 0, hi-lo+1)
+	}
+	if exact {
+		snaps = append(snaps, fs.files[p].snap())
+	}
+	for _, path := range fs.paths[lo:hi] {
+		snaps = append(snaps, fs.files[path].snap())
+	}
+	fs.mu.RUnlock()
+	if len(snaps) == 0 {
 		return nil, &ErrNotFound{Path: prefix}
 	}
-	var out []string
-	for _, p := range paths {
-		lines, err := fs.readRaw(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, lines...)
+	out, err := fs.readSnaps(snaps)
+	if err != nil {
+		return nil, err
 	}
 	if fs.ReadHook != nil {
-		out = fs.ReadHook(clean(prefix), out)
+		out = fs.ReadHook(p, out)
 	}
 	return out, nil
 }

@@ -298,3 +298,43 @@ func TestReadHookAppliesOncePerLogicalRead(t *testing.T) {
 		t.Errorf("hook mutated stored data: %d lines", n)
 	}
 }
+
+// TestReadTreeAllocs pins what reading a three-part tree costs: the
+// snapshot of its files, the one slice of all their lines, the two arrays
+// of the block shape every block is walked into, and a string for each
+// sealed block's lines. Tails are handed out as they are held, and nothing
+// is read into a slice of its own and then copied.
+func TestReadTreeAllocs(t *testing.T) {
+	fs := NewWith(Options{BlockSize: 64})
+	var want []string
+	for p := range 3 {
+		lines := make([]string, 13) // two blocks of 6 and a tail
+		for i := range lines {
+			lines[i] = fmt.Sprintf("part%d\trow%02d", p, i)
+		}
+		fs.Append(fmt.Sprintf("out/part-%05d", p), lines...)
+		want = append(want, lines...)
+	}
+	blocks := 0
+	for _, f := range fs.files {
+		blocks += len(f.blocks)
+		if len(f.blocks) == 0 || len(f.pending) == 0 {
+			t.Fatalf("a part of %d blocks and %d tail lines, want both", len(f.blocks), len(f.pending))
+		}
+	}
+	got, err := fs.ReadTree("out")
+	if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("ReadTree = %q, %v; want %q", got, err, want)
+	}
+	if cap(got) != len(want) {
+		t.Fatalf("ReadTree's slice holds %d lines, want exactly %d", cap(got), len(want))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := fs.ReadTree("out"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(4 + blocks); allocs > limit {
+		t.Fatalf("ReadTree of 3 parts and %d sealed blocks = %v allocations, want <= %v", blocks, allocs, limit)
+	}
+}

@@ -45,13 +45,19 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		lines := strings.Split(raw, "\n")
 
 		for _, in := range [][]string{lines, {raw}} {
-			got, gotRaw := encodeBlockStats(in, compress)
 			want, wantRaw := referenceEncodeBlock(in, compress)
-			if !bytes.Equal(got, want) || gotRaw != wantRaw {
-				t.Fatalf("%q: encoded (payload %d)\n%x\nthe reference encoder (payload %d)\n%x", in, gotRaw, got, wantRaw, want)
-			}
-			if cap(got) != len(got) {
-				t.Fatalf("%q: a block of %d bytes holds %d", in, len(got), cap(got))
+			buf, ends := joinLines(in)
+			for _, enc := range []func() ([]byte, int){
+				func() ([]byte, int) { return encodeBlockStats(lineSet[string]{lines: in}, compress) },
+				func() ([]byte, int) { return encodeBlockStats(lineSet[[]byte]{buf: buf, ends: ends}, compress) },
+			} {
+				got, gotRaw := enc()
+				if !bytes.Equal(got, want) || gotRaw != wantRaw {
+					t.Fatalf("%q: encoded (payload %d)\n%x\nthe reference encoder (payload %d)\n%x", in, gotRaw, got, wantRaw, want)
+				}
+				if cap(got) != len(got) {
+					t.Fatalf("%q: a block of %d bytes holds %d", in, len(got), cap(got))
+				}
 			}
 		}
 
@@ -276,7 +282,7 @@ func (fs *FS) appendOracle(path string, lines ...string) {
 				break
 			}
 		}
-		data, rawLen := encodeBlockStats(f.pending[sealed:sealed+take], fs.opts.Compress)
+		data, rawLen := encodeBlockStats(lineSet[string]{lines: f.pending[sealed : sealed+take]}, fs.opts.Compress)
 		b := &block{path: path, idx: len(f.blocks), records: take, logical: int64(taken), raw: rawLen, data: data}
 		f.blocks = append(f.blocks, b)
 		sealed += take
@@ -331,6 +337,24 @@ func sameStore(t *testing.T, who string, got, want *FS) {
 	}
 }
 
+// sealedContent is what s holds, less where its blocks were installed.
+func sealedContent(s Sealed) any {
+	type content struct {
+		data         []byte
+		records, raw int
+		logical      int64
+	}
+	blocks := make([]content, len(s.blocks))
+	for i, b := range s.blocks {
+		blocks[i] = content{b.data, b.records, b.raw, b.logical}
+	}
+	return struct {
+		Blocks []content
+		Tail   []string
+		Bytes  int64
+	}{blocks, s.tail, s.Bytes()}
+}
+
 // FuzzSealMatchesAppend holds Install of what Seal made, and Append, which
 // is built on them, to Append as it was (appendOracle): over arbitrary lines
 // cut into batches — empty ones, single lines, many blocks' worth — that go
@@ -340,6 +364,10 @@ func sameStore(t *testing.T, who string, got, want *FS) {
 // through OpenSealed, as the batch it was sealed from, whether its file
 // took its blocks or sealed them again behind a tail. A batch's lines are
 // cleared once written: a store that kept the caller's array would show it.
+// SealBuffer of the batch laid out in one buffer makes what Seal makes —
+// the same blocks byte for byte, tail and Bytes — and a store it is
+// installed into, whose buffers are written over at once, ends as the
+// oracle's too.
 func FuzzSealMatchesAppend(f *testing.F) {
 	f.Add("a\tb\nc\nd\te\tf\n\ng", uint64(0b1011_0110), uint16(8), true, uint16(16))
 	f.Add(strings.Repeat("station-7\t21\tsunny\n", 40), uint64(0x0123_4567_89ab_cdef), uint16(64), true, uint16(100))
@@ -349,15 +377,18 @@ func FuzzSealMatchesAppend(f *testing.F) {
 	// Blocks a dictionary codes, sealed whole and across a tail.
 	f.Add(strings.Repeat("ATL\tORD\t1\nSFO\tATL\t2\n\n", 40), uint64(0x0123_4567_89ab_cdef), uint16(300), true, uint16(700))
 	f.Add(strings.Repeat("k\tv\n", 200), uint64(0b111_010_001), uint16(511), true, uint16(0))
+	// Deflated blocks (values too many and too distinct to code), escaped
+	// values, ragged rows and empty lines among them.
+	f.Add(strings.Join(cycling(300, 300), "\n")+"\nesc\\t\\n\tx\n\n\ta\tb\tc", uint64(0x0fed_cba9_8765_4321), uint16(400), true, uint16(0))
 	f.Fuzz(func(t *testing.T, raw string, cuts uint64, blockSize uint16, compress bool, budget uint16) {
 		lines := strings.Split(raw, "\n")
 		opts := Options{BlockSize: int(blockSize)%512 + 1, MemBudget: int64(budget) % 2048, Compress: compress}
 		if opts.MemBudget > 0 {
 			opts.SpillDir = t.TempDir()
 		}
-		installed, appended, oracle := NewWith(opts), NewWith(opts), NewWith(opts)
+		installed, appended, buffered, oracle := NewWith(opts), NewWith(opts), NewWith(opts), NewWith(opts)
 		defer func() {
-			if err := errors.Join(installed.Close(), appended.Close(), oracle.Close()); err != nil {
+			if err := errors.Join(installed.Close(), appended.Close(), buffered.Close(), oracle.Close()); err != nil {
 				t.Fatal(err)
 			}
 		}()
@@ -369,6 +400,15 @@ func FuzzSealMatchesAppend(f *testing.F) {
 			batch := lines[lo:hi]
 			path := fmt.Sprintf("d/f%d", cuts>>(i%64)&1)
 			sealed := installed.Seal(batch)
+			buf, ends := joinLines(batch)
+			fromBuf := buffered.SealBuffer(buf, ends)
+			if got, want := sealedContent(fromBuf), sealedContent(sealed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch %d: SealBuffer made %+v, Seal %+v", i, got, want)
+			}
+			buffered.Install(path, fromBuf)
+			for j := range buf {
+				buf[j] = 'X'
+			}
 			installed.Install(path, sealed)
 			r := installed.OpenSealed([]Sealed{sealed})
 			if got := slices.Collect(r.Lines); !slices.Equal(got, batch) {
@@ -381,5 +421,6 @@ func FuzzSealMatchesAppend(f *testing.F) {
 		}
 		sameStore(t, "Install(Seal)", installed, oracle)
 		sameStore(t, "Append", appended, oracle)
+		sameStore(t, "Install(SealBuffer)", buffered, oracle)
 	})
 }

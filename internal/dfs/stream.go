@@ -151,6 +151,7 @@ func (r *Reader) ReadRange(start, end int) []string {
 		return nil
 	}
 	out := make([]string, 0, end-start)
+	var shape blockShape
 	for i := r.segAt(start); i < len(r.segs) && r.segs[i].start < end; i++ {
 		seg := r.segs[i]
 		a, b := 0, seg.n
@@ -162,7 +163,7 @@ func (r *Reader) ReadRange(start, end int) []string {
 		}
 		if seg.blk != nil {
 			var err error
-			if out, err = r.fs.loadBlock(out, seg.blk, a, b); err != nil {
+			if out, err = r.fs.loadBlock(out, &shape, seg.blk, a, b); err != nil {
 				panic(err)
 			}
 		} else {
@@ -177,11 +178,12 @@ func (r *Reader) ReadRange(start, end int) []string {
 // *BlockError, as in ReadRange.
 func (r *Reader) Lines(yield func(string) bool) {
 	var block []string
+	var shape blockShape
 	for _, seg := range r.segs {
 		lines := seg.lines
 		if seg.blk != nil {
 			var err error
-			if block, err = r.fs.loadBlock(block[:0], seg.blk, 0, seg.n); err != nil {
+			if block, err = r.fs.loadBlock(block[:0], &shape, seg.blk, 0, seg.n); err != nil {
 				panic(err)
 			}
 			lines = block

@@ -1,6 +1,8 @@
 package mapred
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -23,8 +25,8 @@ func TestRecordWidths(t *testing.T) {
 		name      string
 		got, most uintptr
 	}{
-		{"interRec", unsafe.Sizeof(interRec{}), 48},
-		{"combineEntry", unsafe.Sizeof(combineEntry{}), 48},
+		{"interRec", unsafe.Sizeof(interRec{}), 24},
+		{"combineEntry", unsafe.Sizeof(combineEntry{}), 32},
 		{"aggAcc", unsafe.Sizeof(aggAcc{}), 40},
 	} {
 		if c.got > c.most {
@@ -33,9 +35,70 @@ func TestRecordWidths(t *testing.T) {
 	}
 }
 
+// pointerFree reports whether a value of type t holds no pointer the
+// collector would follow.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// TestShuffleRecordsHoldNoPointers walks what the shuffle keeps a record
+// and a key of, and what a task's output lines are held in: the collector
+// has nothing to trace in any of them. A shuffle record and a combiner
+// entry are pointer-free through and through. A run is its arrays and
+// nothing else: its records, which hold none, its key text and its value
+// arrays. A task's output buffer is arrays of bytes and of line ends.
+func TestShuffleRecordsHoldNoPointers(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeFor[interRec](), reflect.TypeFor[combineEntry]()} {
+		if !pointerFree(typ) {
+			t.Errorf("%v holds a pointer", typ)
+		}
+	}
+	arrays := map[string]reflect.Type{
+		"recs": reflect.TypeFor[[]interRec](),
+		"text": reflect.TypeFor[string](),
+		"vals": reflect.TypeFor[[][]tuple.Value](),
+	}
+	run := reflect.TypeFor[sortedRun]()
+	for i := range run.NumField() {
+		f := run.Field(i)
+		if want, ok := arrays[f.Name]; ok && f.Type == want {
+			delete(arrays, f.Name)
+			continue
+		}
+		if !pointerFree(f.Type) {
+			t.Errorf("sortedRun.%s (%v) holds a pointer and is none of the run's arrays", f.Name, f.Type)
+		}
+	}
+	if len(arrays) != 0 {
+		t.Errorf("sortedRun lacks %v", arrays)
+	}
+	out := reflect.TypeFor[lineBuf]()
+	for i := range out.NumField() {
+		if f := out.Field(i); f.Type.Kind() != reflect.Slice || !pointerFree(f.Type.Elem()) {
+			t.Errorf("lineBuf.%s (%v) is not an array of pointer-free elements", f.Name, f.Type)
+		}
+	}
+}
+
 func TestPartitionOfAllocs(t *testing.T) {
+	key := []byte("1234\tsome-key")
 	got := testing.AllocsPerRun(200, func() {
-		_ = partitionOf("1234\tsome-key", 16)
+		_ = partitionOf(key, 16)
 	})
 	if got != 0 {
 		t.Errorf("partitionOf allocs/record = %v, want 0", got)
@@ -93,9 +156,10 @@ func TestMapInnerLoopObsAllocs(t *testing.T) {
 // and a surrounding nil counter touch stays free.
 func TestPartitionOfObsAllocs(t *testing.T) {
 	var c *obs.Counter
+	key := []byte("1234\tsome-key")
 	got := testing.AllocsPerRun(200, func() {
 		c.Inc()
-		_ = partitionOf("1234\tsome-key", 16)
+		_ = partitionOf(key, 16)
 	})
 	if got != 0 {
 		t.Errorf("partitionOf+nil-counter allocs/record = %v, want 0", got)
@@ -135,17 +199,22 @@ func TestCombineFoldAllocs(t *testing.T) {
 	for i := range rows {
 		rows[i] = tuple.Tuple{tuple.Int(int64(i)), tuple.Int(int64(i * 7))}
 	}
-	comb := newCombiner(job.Reduce, &job.Inputs[0], job.NumReduces, nil)
-	scratch := make([]byte, 0, 64)
+	comb := newCombiner(job.Reduce, &job.Inputs[0], job.NumReduces, nil, nil)
+	var vals valArrays
+	text := make([]byte, 0, 64)
 	var chain opChain        // its tuples are not source rows: the tuple path
 	for _, r := range rows { // first sight: entries allocate here, not below
-		scratch = comb.fold(r, &chain, scratch)
+		text = comb.fold(r, &chain, text, &vals)
 	}
+	keys := len(text)
 	got := testing.AllocsPerRun(100, func() {
 		for _, r := range rows {
-			scratch = comb.fold(r, &chain, scratch)
+			text = comb.fold(r, &chain, text, &vals)
 		}
 	})
+	if len(text) != keys {
+		t.Errorf("table hits grew the key text from %d to %d bytes, want it left as it was", keys, len(text))
+	}
 	if got != 0 {
 		t.Errorf("combiner fold allocs/batch = %v, want 0 on table hits", got)
 	}
@@ -171,5 +240,79 @@ func TestResolveDetachedAllocs(t *testing.T) {
 	}
 	if b := eng.Ledger.Buckets(); b.CommittedUs == 0 || b.ReplicaWasteUs != 2*b.CommittedUs {
 		t.Errorf("ledger after one committed and two lost attempts per round: %+v", b)
+	}
+}
+
+// TestWarmTaskOutputAllocs pins a task's output path on a warm slot: the
+// lines go into the slot's buffer, which grows no more, and publishing them
+// allocates only what the commit installs — the sealed blocks and the
+// tail's lines copied out, exactly what dfs.FS.SealBuffer of the same lines
+// costs. A reduce task of a join and a map-only task each cost the same
+// with four times the output.
+func TestWarmTaskOutputAllocs(t *testing.T) {
+	join := compile(t, reuseScripts["join"], CompileOptions{NumReduces: 1})[0]
+	mapOnly := compile(t, `
+a = LOAD 'in/edges' AS (user:int, follower:int);
+f = FILTER a BY follower != 0;
+p = FOREACH f GENERATE user, user * follower AS prod;
+STORE p INTO 'out/prod';`, CompileOptions{})[0]
+	// A join of keys keys with perKey records a side: keys x perKey x perKey
+	// output lines. A map-only task over keys x perKey x perKey held lines.
+	reduceTask := func(keys, perKey int) (func(sc *taskScratch), int) {
+		left, right := make([]string, keys*perKey), make([]string, keys*perKey)
+		for i := range left {
+			left[i] = fmt.Sprintf("%d\t%d", 1000+i, i%keys)
+			right[i] = fmt.Sprintf("%d\t%d", i%keys, 2000+i)
+		}
+		runs := []sortedRun{
+			runMapTask(join, 0, heldLines(t, left), 0, len(left), nil, nil, taskObs{}, new(taskScratch)).partitions[0],
+			runMapTask(join, 1, heldLines(t, right), 0, len(right), nil, nil, taskObs{}, new(taskScratch)).partitions[0],
+		}
+		return func(sc *taskScratch) { runReduceTask(join, runs, nil, taskObs{}, sc) }, keys * perKey * perKey
+	}
+	mapTask := func(keys, perKey int) (func(sc *taskScratch), int) {
+		lines := make([]string, keys*perKey*perKey)
+		for i := range lines {
+			lines[i] = fmt.Sprintf("%d\t%d", i%97, 1+i%89)
+		}
+		r := heldLines(t, lines)
+		return func(sc *taskScratch) { runMapTask(mapOnly, 0, r, 0, len(lines), nil, nil, taskObs{}, sc) }, len(lines)
+	}
+	for _, c := range []struct {
+		name string
+		task func(keys, perKey int) (func(sc *taskScratch), int)
+	}{{"reduce", reduceTask}, {"map-only", mapTask}} {
+		// run returns what a warm task of keys x perKey x perKey lines
+		// allocates, publishing to fs, and what sealing its lines there
+		// costs.
+		run := func(keys, perKey int, fs *dfs.FS) (allocs, seal float64) {
+			task, lines := c.task(keys, perKey)
+			sc := new(taskScratch)
+			var buf []byte
+			var ends []int32
+			allocs = testing.AllocsPerRun(10, func() { // its first, uncounted run warms sc
+				task(sc)
+				if sc.out.lines() != lines {
+					t.Fatalf("%s: %d output lines, want %d", c.name, sc.out.lines(), lines)
+				}
+				buf, ends = append(buf[:0], sc.out.buf...), append(ends[:0], sc.out.ends...)
+				new(taskOutput).publish(sc, fs)
+			})
+			if fs != nil {
+				seal = testing.AllocsPerRun(10, func() { fs.SealBuffer(buf, ends) })
+			}
+			return allocs, seal
+		}
+		base, _ := run(10, 10, nil)
+		if got, _ := run(10, 20, nil); got != base {
+			t.Errorf("%s: 4000 output lines = %v allocs, 1000 lines %v: the output path allocates a line", c.name, got, base)
+		}
+		fs := dfs.NewWith(dfs.Options{BlockSize: 4 << 10})
+		for _, perKey := range []int{10, 20} {
+			got, seal := run(10, perKey, fs)
+			if seal < 3 || got != base+seal {
+				t.Errorf("%s: publishing %d lines = %v allocs, %v without sealing, and sealing them %v", c.name, 10*perKey*perKey, got, base, seal)
+			}
+		}
 	}
 }

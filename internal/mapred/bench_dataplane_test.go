@@ -10,6 +10,7 @@ package mapred
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"clusterbft/internal/dfs"
@@ -59,15 +60,15 @@ func benchCompile(b *testing.B, src string, opts CompileOptions) []*JobSpec {
 // over deterministic input lines and returns the sorted runs feeding
 // reduce partition 0, one per map task (NumReduces must be 1 so nothing
 // is lost), plus the total record count.
-func benchShuffleRuns(b *testing.B, job *JobSpec, inputs map[int][]string) ([][]interRec, int) {
+func benchShuffleRuns(b *testing.B, job *JobSpec, inputs map[int][]string) ([]sortedRun, int) {
 	b.Helper()
-	var runs [][]interRec
+	var runs []sortedRun
 	total := 0
 	for idx := range job.Inputs {
 		out := runMapTask(job, idx, sealedBlock(b, inputs[idx]), 0, len(inputs[idx]), nil, nil, taskObs{}, new(taskScratch))
 		for _, part := range out.partitions {
 			runs = append(runs, part)
-			total += len(part)
+			total += len(part.recs)
 		}
 	}
 	return runs, total
@@ -196,9 +197,9 @@ func BenchmarkDataplaneSpillRoundTrip(b *testing.B) {
 }
 
 func BenchmarkDataplanePartitionOf(b *testing.B) {
-	keys := make([]string, benchBatch)
+	keys := make([][]byte, benchBatch)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d", i%200)
+		keys[i] = fmt.Appendf(nil, "key-%d", i%200)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -261,20 +262,21 @@ func BenchmarkDataplaneSortRuns(b *testing.B) {
 		}},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
-			recs := make([]interRec, records)
+			recs := make([]testRec, records)
 			for i := range recs {
 				k := int64(i*7919+13) % distinct
 				t := append(shape.key(k), tuple.Int(int64(i)))
-				key := tuple.AppendEncoded(nil, t[:len(t)-1])
-				recs[i] = interRec{keyStr: string(key), t: t, encLen: int32(tuple.EncodedLen(t))}
+				recs[i] = testRec{key: string(tuple.AppendEncoded(nil, t[:len(t)-1])), t: t}
 			}
-			work := make([]interRec, records)
+			laid := layOut(recs)
+			work := slices.Clone(laid)
+			work[0].recs = make([]interRec, records)
 			sc := new(taskScratch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				copy(work, recs)
-				sortRuns([][]interRec{work}, shape.spec, sc)
+				copy(work[0].recs, laid[0].recs)
+				sortRuns(work, shape.spec, sc)
 			}
 			b.ReportMetric(records, "records/op")
 		})

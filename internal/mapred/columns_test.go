@@ -121,8 +121,8 @@ var columnFields = []string{
 }
 
 // renderOutcome writes out everything of a map outcome, value kinds
-// included.
-func renderOutcome(out *mapOutcome) string {
+// included, and the output lines its task staged.
+func renderOutcome(out *mapOutcome, lines []string) string {
 	var b strings.Builder
 	tup := func(t tuple.Tuple) {
 		fmt.Fprintf(&b, "%d[", len(t))
@@ -135,13 +135,14 @@ func renderOutcome(out *mapOutcome) string {
 		out.inBytes, out.recordsIn, out.recordsOut, out.shuffleRecs, out.combinedIn, out.digested, out.localBytes, out.keyVals)
 	for p, part := range out.partitions {
 		fmt.Fprintf(&b, "partition %d\n", p)
-		for _, r := range part {
-			fmt.Fprintf(&b, "  %q tag=%d enc=%d t=", r.keyStr, r.tag, r.encLen)
-			tup(r.t)
+		for i := range part.recs {
+			r := &part.recs[i]
+			fmt.Fprintf(&b, "  %q tag=%d enc=%d t=", part.key(r), r.tag, r.encLen)
+			tup(part.tuple(r))
 			b.WriteByte('\n')
 		}
 	}
-	for _, l := range out.outLines {
+	for _, l := range lines {
 		fmt.Fprintf(&b, "line %q\n", l)
 	}
 	return b.String()
@@ -151,8 +152,8 @@ func renderOutcome(out *mapOutcome) string {
 // decoded whole by tuple.DecodeLine and handed to the chain as a tuple,
 // which the chain encodes again wherever it needs the record's bytes
 // (fromSrc false).
-func lineOracle(job *JobSpec, lines []string, lo, hi int, df digestFactory, corrupt corruptFn) *mapOutcome {
-	m := newMapRun(job, 0, hi-lo, df, corrupt, taskObs{}, new(taskScratch))
+func lineOracle(job *JobSpec, lines []string, lo, hi int, df digestFactory, corrupt corruptFn, sc *taskScratch) *mapOutcome {
+	m := newMapRun(job, 0, hi-lo, df, corrupt, taskObs{}, sc)
 	for _, line := range lines[lo:hi] {
 		m.out.inBytes += int64(len(line)) + 1
 		m.record(tuple.DecodeLine(line, m.in.Schema))
@@ -226,22 +227,25 @@ func FuzzColumnPathMatchesLines(f *testing.F) {
 		}
 		sealed := dfs.NewWith(dfs.Options{BlockSize: blockSize, Compress: compress})
 		sealed.Append("in", lines...)
-		run := func(task func(df digestFactory) *mapOutcome) string {
+		run := func(task func(df digestFactory, sc *taskScratch) *mapOutcome) string {
 			var reports strings.Builder
+			sc := new(taskScratch)
 			out := task(func(point int) *digest.Writer {
 				return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "m0-000"}, 1, int(chunk), func(r digest.Report) {
 					fmt.Fprintf(&reports, "%v final=%v records=%d %x\n", r.Key, r.Final, r.Records, r.Sum)
 				})
-			})
-			return renderOutcome(out) + reports.String()
+			}, sc)
+			return renderOutcome(out, staged(sc)) + reports.String()
 		}
-		want := run(func(df digestFactory) *mapOutcome { return lineOracle(job, lines, a, b, df, corrupt) })
+		want := run(func(df digestFactory, sc *taskScratch) *mapOutcome {
+			return lineOracle(job, lines, a, b, df, corrupt, sc)
+		})
 		for _, side := range []struct {
 			name string
 			src  *dfs.Reader
 		}{{"sealed blocks", openReader(t, sealed)}, {"held lines", heldLines(t, lines)}} {
-			got := run(func(df digestFactory) *mapOutcome {
-				return runMapTask(job, 0, side.src, a, b, df, corrupt, taskObs{}, new(taskScratch))
+			got := run(func(df digestFactory, sc *taskScratch) *mapOutcome {
+				return runMapTask(job, 0, side.src, a, b, df, corrupt, taskObs{}, sc)
 			})
 			if got != want {
 				t.Errorf("%s over [%d,%d) of %d rows (compress=%v faulty=%v oneBlock=%v):\n--- %s ---\n%s--- line oracle ---\n%s",
@@ -320,7 +324,7 @@ func TestFusedDigestsMatchSeparateWriters(t *testing.T) {
 				}
 			}
 			var got, want []digest.Report
-			fused, fresh := newOpChain(ops, factory(&got), true), newFreshChain(ops, factory(&want))
+			fused, fresh := newOpChain(ops, factory(&got)), newFreshChain(ops, factory(&want))
 			for _, r := range rows {
 				fused.apply(r)
 				fresh.apply(r)

@@ -86,10 +86,11 @@ func aggOrdinals(gens []pig.GenItem) []int {
 }
 
 // putPartial writes per-aggregate partial state into t, the room behind
-// a key's values, as a flat [n0, v0, n1, v1, ...] payload, so combined
-// records flow through the same interRec plumbing (and byte accounting)
-// as raw ones. A MIN/MAX over a string column holds a substring of the
-// split's text; the partial, which outlives the task, gets its own copy.
+// a key's values in the outcome's value arrays, as a flat [n0, v0, n1, v1,
+// ...] payload, so combined records flow through the same interRec
+// plumbing (and byte accounting) as raw ones. A MIN/MAX over a string
+// column holds a substring of the split's text; the partial, which
+// outlives the task, gets its own copy.
 func (c *combiner) putPartial(t tuple.Tuple, accs []aggAcc) {
 	for i, a := range accs {
 		t[2*i] = tuple.Int(a.n)
@@ -108,21 +109,22 @@ func partialAcc(t tuple.Tuple, i int) (int64, tuple.Value) {
 
 // combiner folds a map task's post-digest output into per-partition
 // open-addressing tables keyed by the canonical shuffle key. Hits cost
-// zero allocations: the key's bytes are put together in the task's scratch
-// buffer and the probe compares them against stored keys without
-// materializing a string or a tuple. A first-seen key costs none of its
-// own either: what its entry keeps is cut from the slab and the arena,
-// which the task's outcome holds together for as long as it lives. The
-// tables are the slot's (taskScratch.tables): emit empties them.
+// zero allocations: the key's bytes are put together at the end of the
+// task's key text and the probe compares them against stored keys without
+// materializing a string or a tuple; a hit takes them back off. A
+// first-seen key costs none of its own either: its key stays in the text,
+// which finish copies into the outcome, and its tuple is cut from the
+// outcome's value arrays (vals, which fold and emit are handed), its
+// strings from the arena, from insert on. The tables are the slot's
+// (taskScratch.tables): emit empties them.
 type combiner struct {
 	spec    *ReduceSpec
 	aggs    []*pig.Aggregate // ReduceAggregate: aggregates in generator order
-	tag     int32
+	tag     int16
 	keyCols []int // the input's shuffle key projection
 	keyVals int   // ReduceAggregate: len(keyCols), the key ahead of a partial
 	parts   []combinePart
-	slab    tuple.Slab // entry tuples
-	strs    strArena   // key strings and the string values of kept tuples
+	strs    strArena // the string values of entry tuples
 }
 
 type combinePart struct {
@@ -131,62 +133,73 @@ type combinePart struct {
 	slots   []int32  // 1-based indices into entries; 0 = empty
 }
 
-// combineEntry is one key of a table. t is the one tuple it keeps, and
-// its record's: DISTINCT's first-arriving tuple of the key, or an
-// aggregate's key values with room behind them for the partial state.
+// combineEntry is one key of a table: its hash and its record, whose key
+// is in the task's key text and whose tuple, the one the entry keeps, is
+// in the outcome's value arrays: DISTINCT's first-arriving tuple of the
+// key, or an aggregate's key values with room behind them for the partial
+// state. It holds no pointer.
 type combineEntry struct {
-	hash   uint64
-	keyStr string
-	t      tuple.Tuple
+	hash uint64
+	rec  interRec
 }
 
-// newCombiner builds a task's combiner over tables, a slot's emptied ones.
-func newCombiner(spec *ReduceSpec, in *JobInput, numParts int, tables []combinePart) *combiner {
-	c := &combiner{
+// newCombiner builds a task's combiner over tables and aggs, a slot's
+// emptied ones.
+func newCombiner(spec *ReduceSpec, in *JobInput, numParts int, tables []combinePart, aggs []*pig.Aggregate) combiner {
+	c := combiner{
 		spec:    spec,
-		tag:     int32(in.Tag),
+		aggs:    aggs[:0],
+		tag:     int16(in.Tag),
 		keyCols: in.KeyCols,
 		parts:   resize(tables, numParts),
 	}
 	if spec.Kind == ReduceAggregate {
 		c.keyVals = len(in.KeyCols)
 	}
-	for _, i := range aggOrdinals(spec.Gens) {
-		c.aggs = append(c.aggs, spec.Gens[i].Agg)
+	for _, gen := range spec.Gens {
+		if gen.Agg != nil {
+			c.aggs = append(c.aggs, gen.Agg)
+		}
 	}
 	return c
 }
 
 // fold routes one post-chain tuple into its partition's table, merging
 // into the existing entry when the key was already seen: one probe. The
-// key's canonical bytes go into enc, the task's scratch, returned possibly
-// grown (opChain.appendKey). One pass over them advances the table's hash
-// and partitionOf's, so combined and uncombined records of one key land on
-// the same reduce partition.
-func (c *combiner) fold(t tuple.Tuple, ch *opChain, enc []byte) []byte {
-	enc = ch.appendKey(enc[:0], t, c.keyCols)
+// key's canonical bytes are appended to text, the task's key text
+// (opChain.appendKey), which fold returns: grown by them if the key is new,
+// as it was if not. One pass over them advances the table's hash and
+// partitionOf's, so combined and uncombined records of one key land on the
+// same reduce partition.
+func (c *combiner) fold(t tuple.Tuple, ch *opChain, text []byte, vals *valArrays) []byte {
+	at := len(text)
+	text = ch.appendKey(text, t, c.keyCols)
 	h, ph := uint64(fnvOffset64), uint32(fnvOffset32)
-	for _, b := range enc {
+	for _, b := range text[at:] {
 		h = (h ^ uint64(b)) * fnvPrime64
 		ph = (ph ^ uint32(b)) * fnvPrime32
 	}
 	part := &c.parts[ph%uint32(len(c.parts))]
-	e := part.find(h, enc)
+	e := -1
+	if len(part.slots) > 0 {
+		e = part.find(h, text, text[at:])
+	}
 	if e < 0 {
-		e = part.insert(h, enc, t, c)
+		e = part.insert(h, text, at, t, c, vals)
+	} else {
+		text = text[:at]
 	}
 	accs := part.accs[e*len(c.aggs):]
 	for i, agg := range c.aggs {
 		mergeAgg(agg, &accs[i], 1, colOf(t, agg.ColIdx))
 	}
-	return enc
+	return text
 }
 
-// find returns the index of key's entry, -1 when it has none.
-func (p *combinePart) find(h uint64, key []byte) int {
-	if len(p.slots) == 0 {
-		return -1
-	}
+// find returns the index of key's entry, -1 when it has none; text holds
+// the entries' keys, and p has slots. It is small enough to inline into
+// fold, which calls it once a record.
+func (p *combinePart) find(h uint64, text, key []byte) int {
 	mask := uint64(len(p.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		s := p.slots[i]
@@ -194,66 +207,47 @@ func (p *combinePart) find(h uint64, key []byte) int {
 			return -1
 		}
 		e := &p.entries[s-1]
-		// string(key) in a comparison does not allocate.
-		if e.hash == h && e.keyStr == string(key) {
+		// string(b) in a comparison does not allocate.
+		if e.hash == h && string(text[e.rec.key:e.rec.key+e.rec.keyLen]) == string(key) {
 			return int(s - 1)
 		}
 	}
 }
 
-// insert adds key's entry and returns its index.
-func (p *combinePart) insert(h uint64, key []byte, t tuple.Tuple, c *combiner) int {
+// insert adds the entry of text[at:], the key just put together, and
+// returns its index.
+func (p *combinePart) insert(h uint64, text []byte, at int, t tuple.Tuple, c *combiner, vals *valArrays) int {
 	if 4*(len(p.entries)+1) > 3*len(p.slots) {
 		p.grow(len(c.aggs))
 	}
 	// An entry outlives the task in its map outcome; its values are
-	// substrings of the split's text and its tuples the task's rows. Copy
-	// what is kept, or a few dozen keys pin the whole split.
-	e := combineEntry{hash: h, keyStr: c.strs.add(key)}
+	// substrings of the split's text and the task's rows. Copy what is
+	// kept, or a few dozen keys pin the whole split.
+	e := combineEntry{hash: h, rec: interRec{key: int32(at), keyLen: int32(len(text) - at), tag: c.tag}}
+	var kept tuple.Tuple
 	if c.spec.Kind == ReduceDistinct {
-		e.t = c.keep(t)
+		kept, e.rec.array, e.rec.off = vals.alloc(len(t))
+		for i, v := range t {
+			kept[i] = c.keepValue(v)
+		}
 	} else {
-		e.t = c.slab.Tuple(c.keyVals + 2*len(c.aggs))
+		kept, e.rec.array, e.rec.off = vals.alloc(c.keyVals + 2*len(c.aggs))
 		for i, col := range c.keyCols {
-			e.t[i] = c.keepValue(colOf(t, col))
+			kept[i] = c.keepValue(colOf(t, col))
 		}
 		n := len(p.accs) + len(c.aggs)
 		p.accs = slices.Grow(p.accs, len(c.aggs))[:n]
 		clear(p.accs[n-len(c.aggs):])
 	}
+	e.rec.width = int32(len(kept))
 	p.entries = append(p.entries, e)
 	p.place(h, int32(len(p.entries)))
 	return len(p.entries) - 1
 }
 
-// keep copies t into the combiner's slab, string bytes into its arena.
-func (c *combiner) keep(t tuple.Tuple) tuple.Tuple {
-	k := c.slab.Tuple(len(t))
-	for i, v := range t {
-		k[i] = c.keepValue(v)
-	}
-	return k
-}
-
 func (c *combiner) keepValue(v tuple.Value) tuple.Value {
 	if v.Kind() == tuple.KindString {
 		return tuple.Str(c.strs.addString(v.Str()))
-	}
-	return v
-}
-
-// detach copies t into storage of its own, string bytes included.
-func detach(t tuple.Tuple) tuple.Tuple {
-	c := make(tuple.Tuple, len(t))
-	for i, v := range t {
-		c[i] = detachValue(v)
-	}
-	return c
-}
-
-func detachValue(v tuple.Value) tuple.Value {
-	if v.Kind() == tuple.KindString {
-		return tuple.Str(strings.Clone(v.Str()))
 	}
 	return v
 }
@@ -284,31 +278,42 @@ func (p *combinePart) grow(aggs int) {
 	p.accs = slices.Grow(p.accs, room*aggs)
 }
 
-// emit materializes every partition as interRec records — the distinct
-// key's first-arriving tuple, or the key and its flat partial state — in
-// table insertion order (first arrival), and returns the partitions with
-// their serialized-byte total, which counts no key values. sortRuns
-// orders them afterwards. The tables are left empty, with their arrays,
-// for the slot's next task.
-func (c *combiner) emit() ([][]interRec, int64) {
-	parts := make([][]interRec, len(c.parts))
+// emit lays every partition out as a run of its entries' records — the
+// distinct key's first-arriving tuple, or the key and its flat partial
+// state, written in place behind it — in table insertion order (first
+// arrival), and returns the runs with their serialized-byte total, which
+// counts no key values. The records of all runs share one array, each
+// run exactly its length; finish gives them their storage and sortRuns
+// orders them. The tables are left empty, with their arrays, for the
+// slot's next task.
+func (c *combiner) emit(vals *valArrays) ([]sortedRun, int64) {
+	parts := make([]sortedRun, len(c.parts))
+	n := 0
+	for pi := range c.parts {
+		n += len(c.parts[pi].entries)
+	}
+	if n == 0 {
+		return parts, 0
+	}
+	recs := make([]interRec, 0, n)
 	var total int64
 	for pi := range c.parts {
 		p := &c.parts[pi]
 		if len(p.entries) == 0 {
 			continue
 		}
-		recs := make([]interRec, len(p.entries))
+		start := len(recs)
 		for i := range p.entries {
-			e := &p.entries[i]
+			r := p.entries[i].rec
+			t := tupleAt(vals.arrays, &r)
 			if c.spec.Kind != ReduceDistinct {
-				c.putPartial(e.t[c.keyVals:], p.accs[i*len(c.aggs):(i+1)*len(c.aggs)])
+				c.putPartial(t[c.keyVals:], p.accs[i*len(c.aggs):(i+1)*len(c.aggs)])
 			}
-			recs[i] = interRec{keyStr: e.keyStr, t: e.t, tag: c.tag, encLen: int32(tuple.EncodedLen(e.t[c.keyVals:]))}
-			total += recs[i].bytes()
+			r.encLen = int32(tuple.EncodedLen(t[c.keyVals:]))
+			total += r.bytes()
+			recs = append(recs, r)
 		}
-		parts[pi] = recs
-		clear(p.entries)
+		parts[pi].recs = recs[start:len(recs):len(recs)]
 		clear(p.accs)
 		clear(p.slots)
 		p.entries, p.accs = p.entries[:0], p.accs[:0]
@@ -324,17 +329,17 @@ func (c *combiner) emit() ([][]interRec, int64) {
 // Bare-LIMIT pass-through jobs (ReduceSort with no OrderBy) keep arrival
 // order untouched. The sorts' arrays are sc's, one set for all of the
 // task's partitions.
-func sortRuns(parts [][]interRec, spec *ReduceSpec, sc *taskScratch) {
+func sortRuns(parts []sortedRun, spec *ReduceSpec, sc *taskScratch) {
 	switch {
 	case spec == nil:
 	case spec.Kind != ReduceSort:
-		for _, p := range parts {
-			sortKeyed(p, sc)
+		for i := range parts {
+			sortKeyed(&parts[i], sc)
 		}
 	case len(spec.OrderBy) > 0:
-		cmp := func(a, b *interRec) int { return orderCmp(a.t, b.t, spec.OrderBy) }
-		for _, p := range parts {
-			sortRun(p, cmp, sc)
+		for i := range parts {
+			p := &parts[i]
+			sortRun(p.recs, func(a, b *interRec) int { return orderCmp(p.tuple(a), p.tuple(b), spec.OrderBy) }, sc)
 		}
 	}
 }
@@ -346,7 +351,7 @@ type sortPair struct {
 	pos  int32
 }
 
-// sortKeyed sorts one run by (keyStr, arrival position) at the cost of
+// sortKeyed sorts one run by (key, arrival position) at the cost of
 // the key bytes that tell its records apart. The bytes every key shares
 // with the first are skipped; each record's next seven, and how many
 // follow, make a word (sortWord) whose order is strings.Compare's; an LSD
@@ -355,21 +360,22 @@ type sortPair struct {
 // records of one word stay in arrival order; only words that tie on keys
 // still longer than they hold are ordered by the rest of the key, within
 // their tie. The permutation is applied as sortRun applies its own.
-func sortKeyed(p []interRec, sc *taskScratch) {
-	n := len(p)
+func sortKeyed(p *sortedRun, sc *taskScratch) {
+	recs := p.recs
+	n := len(recs)
 	if n < 2 {
 		return
 	}
-	first := p[0].keyStr
+	first := p.key(&recs[0])
 	skip := len(first)
 	for i := 1; i < n && skip > 0; i++ {
-		skip = sharedPrefix(first[:skip], p[i].keyStr)
+		skip = sharedPrefix(first[:skip], p.key(&recs[i]))
 	}
 	sc.pairs = resize(sc.pairs, 2*n)
 	src, dst := sc.pairs[:n], sc.pairs[n:]
 	var diff uint64 // the bits of the word that vary across the run
-	for i := range p {
-		w := sortWord(p[i].keyStr[skip:])
+	for i := range recs {
+		w := sortWord(p.key(&recs[i])[skip:])
 		src[i] = sortPair{word: w, pos: int32(i)}
 		diff |= w ^ src[0].word
 	}
@@ -407,7 +413,7 @@ func sortKeyed(p []interRec, sc *taskScratch) {
 		if j-i > 1 && src[i].word&0xff == 8 {
 			rest := skip + 7
 			slices.SortFunc(src[i:j], func(a, b sortPair) int {
-				if c := strings.Compare(p[a.pos].keyStr[rest:], p[b.pos].keyStr[rest:]); c != 0 {
+				if c := strings.Compare(p.key(&recs[a.pos])[rest:], p.key(&recs[b.pos])[rest:]); c != 0 {
 					return c
 				}
 				return int(a.pos - b.pos)
@@ -419,7 +425,7 @@ func sortKeyed(p []interRec, sc *taskScratch) {
 	for i, e := range src {
 		sc.idx[i] = e.pos
 	}
-	permute(p, sc.idx)
+	permute(recs, sc.idx)
 }
 
 // sharedPrefix is the number of leading bytes a and b share.
@@ -449,10 +455,11 @@ func sortWord(s string) uint64 {
 	return w
 }
 
-// sortRun sorts one run by (cmp, arrival position), on sc's index. Position
-// breaks every tie, so the order is total and its one sorted arrangement
-// is the stable sort by cmp, whatever the algorithm: an unstable sort
-// moves 4-byte indices where a stable one rotates 48-byte records.
+// sortRun sorts one run's records by (cmp, arrival position), on sc's
+// index. Position breaks every tie, so the order is total and its one
+// sorted arrangement is the stable sort by cmp, whatever the algorithm: an
+// unstable sort moves 4-byte indices where a stable one rotates 24-byte
+// records.
 func sortRun(p []interRec, cmp func(a, b *interRec) int, sc *taskScratch) {
 	sc.idx = resize(sc.idx, len(p))
 	idx := sc.idx
@@ -498,10 +505,10 @@ func permute(p []interRec, idx []int32) {
 // runs concatenate in run order. Runs are read-only throughout —
 // concurrent reduce attempts may share them. The merge's arrays are sc's;
 // the task wipes sc.live when it is done.
-func mergeRuns(runs [][]interRec, cmp func(a, b *interRec) int, yield func(*interRec), sc *taskScratch) {
+func mergeRuns(runs []sortedRun, cmp func(a, b recAt) int, yield func(recAt), sc *taskScratch) {
 	live := sc.live[:0]
 	for _, r := range runs {
-		if len(r) > 0 {
+		if len(r.recs) > 0 {
 			live = append(live, r)
 		}
 	}
@@ -511,29 +518,29 @@ func mergeRuns(runs [][]interRec, cmp func(a, b *interRec) int, yield func(*inte
 	case 0:
 		return
 	case 1:
-		for i := range live[0] {
-			yield(&live[0][i])
+		for i := range live[0].recs {
+			yield(recAt{&live[0], &live[0].recs[i]})
 		}
 		return
 	}
 	sc.tree = resize(sc.tree, 4*k) // one array for the positions and the tree
 	pos, tree, winner := sc.tree[:k], sc.tree[k:2*k], sc.tree[2*k:]
 	clear(pos)
-	head := func(r int32) *interRec {
-		if int(pos[r]) >= len(live[r]) {
-			return nil
+	head := func(r int32) recAt {
+		if int(pos[r]) >= len(live[r].recs) {
+			return recAt{}
 		}
-		return &live[r][pos[r]]
+		return recAt{&live[r], &live[r].recs[pos[r]]}
 	}
 	// beats reports whether run a's head is emitted before run b's:
 	// smaller record first, lower run index on ties, exhausted runs
 	// last.
 	beats := func(a, b int32) bool {
 		ha, hb := head(a), head(b)
-		if hb == nil {
-			return ha != nil
+		if hb.rec == nil {
+			return ha.rec != nil
 		}
-		if ha == nil {
+		if ha.rec == nil {
 			return false
 		}
 		if cmp != nil {
@@ -560,7 +567,7 @@ func mergeRuns(runs [][]interRec, cmp func(a, b *interRec) int, yield func(*inte
 	champ := winner[1]
 	for {
 		h := head(champ)
-		if h == nil {
+		if h.rec == nil {
 			return
 		}
 		yield(h)

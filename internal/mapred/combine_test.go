@@ -224,15 +224,16 @@ func TestMapTaskCombineOutcome(t *testing.T) {
 	}
 	total := 0
 	for pi, part := range out.partitions {
-		total += len(part)
-		if !slices.IsSortedFunc(part, func(a, b interRec) int {
-			return strings.Compare(a.keyStr, b.keyStr)
+		recs := readRun(part)
+		total += len(recs)
+		if !slices.IsSortedFunc(recs, func(a, b testRec) int {
+			return strings.Compare(a.key, b.key)
 		}) {
 			t.Error("partition not key-sorted")
 		}
-		for _, r := range part {
-			if p := partitionOf(r.keyStr, job.NumReduces); p != pi {
-				t.Errorf("key %q combined into partition %d, partitionOf says %d", r.keyStr, pi, p)
+		for _, r := range recs {
+			if p := partitionOf([]byte(r.key), job.NumReduces); p != pi {
+				t.Errorf("key %q combined into partition %d, partitionOf says %d", r.key, pi, p)
 			}
 		}
 	}
@@ -241,14 +242,16 @@ func TestMapTaskCombineOutcome(t *testing.T) {
 	}
 }
 
-// TestPartitionOfBytesMatchesString: the byte and string variants of the
-// partition hash must agree on every key, or combined and uncombined
-// records of one key would land on different reduce tasks.
+// TestPartitionOfBytesMatchesString: partitionOf, which the uncombined
+// shuffle places a record by, and the hash the combiner advances as it
+// walks a key (kept as the fold oracle's partitionOfBytes) must agree on
+// every key, or combined and uncombined records of one key would land on
+// different reduce tasks.
 func TestPartitionOfBytesMatchesString(t *testing.T) {
 	keys := []string{"", "a", "st-7", "12\t34", "\x00\xff", "longer-key-with-more-bytes"}
 	for _, k := range keys {
 		for _, n := range []int{1, 2, 3, 16} {
-			if partitionOf(k, n) != partitionOfBytes([]byte(k), n) {
+			if partitionOf([]byte(k), n) != partitionOfBytes([]byte(k), n) {
 				t.Errorf("partition mismatch for %q n=%d", k, n)
 			}
 		}
@@ -262,28 +265,29 @@ func TestMergeRunsMatchesReferenceSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		k := rng.Intn(6)
-		runs := make([][]interRec, k)
+		parts := make([][]testRec, k)
 		type tagged struct {
-			rec      interRec
+			rec      testRec
 			run, pos int
 		}
 		var all []tagged
-		for r := range runs {
+		for r := range parts {
 			n := rng.Intn(8)
-			recs := make([]interRec, n)
+			recs := make([]testRec, n)
 			for i := range recs {
-				recs[i] = interRec{keyStr: fmt.Sprintf("k%02d", rng.Intn(5))}
+				recs[i] = testRec{key: fmt.Sprintf("k%02d", rng.Intn(5)), t: tuple.Tuple{tuple.Int(int64(r)), tuple.Int(int64(i))}}
 			}
-			slices.SortStableFunc(recs, func(a, b interRec) int {
-				return strings.Compare(a.keyStr, b.keyStr)
+			slices.SortStableFunc(recs, func(a, b testRec) int {
+				return strings.Compare(a.key, b.key)
 			})
-			runs[r] = recs
+			parts[r] = recs
 			for i, rec := range recs {
 				all = append(all, tagged{rec: rec, run: r, pos: i})
 			}
 		}
+		runs := layOut(parts...)
 		slices.SortStableFunc(all, func(a, b tagged) int {
-			if c := strings.Compare(a.rec.keyStr, b.rec.keyStr); c != 0 {
+			if c := strings.Compare(a.rec.key, b.rec.key); c != 0 {
 				return c
 			}
 			if c := a.run - b.run; c != 0 {
@@ -292,11 +296,11 @@ func TestMergeRunsMatchesReferenceSort(t *testing.T) {
 			return a.pos - b.pos
 		})
 		var got []string
-		cmp := func(a, b *interRec) int { return strings.Compare(a.keyStr, b.keyStr) }
-		mergeRuns(runs, cmp, func(r *interRec) { got = append(got, r.keyStr) }, new(taskScratch))
+		cmp := func(a, b recAt) int { return strings.Compare(a.key(), b.key()) }
+		mergeRuns(runs, cmp, func(r recAt) { got = append(got, fmt.Sprint(r.key(), r.tuple())) }, new(taskScratch))
 		want := make([]string, len(all))
 		for i, a := range all {
-			want[i] = a.rec.keyStr
+			want[i] = fmt.Sprint(a.rec.key, a.rec.t)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d: merge order %v, want %v (runs %v)", trial, got, want, runs)
@@ -307,13 +311,13 @@ func TestMergeRunsMatchesReferenceSort(t *testing.T) {
 // TestMergeRunsNilCmpConcatenates: a nil comparator (bare-LIMIT
 // pass-through jobs) must emit runs whole, in run order.
 func TestMergeRunsNilCmp(t *testing.T) {
-	runs := [][]interRec{
-		{{keyStr: "z"}, {keyStr: "a"}},
-		{},
-		{{keyStr: "m"}},
-	}
+	runs := layOut(
+		[]testRec{{key: "z"}, {key: "a"}},
+		nil,
+		[]testRec{{key: "m"}},
+	)
 	var got []string
-	mergeRuns(runs, nil, func(r *interRec) { got = append(got, r.keyStr) }, new(taskScratch))
+	mergeRuns(runs, nil, func(r recAt) { got = append(got, r.key()) }, new(taskScratch))
 	if want := []string{"z", "a", "m"}; !slices.Equal(got, want) {
 		t.Errorf("nil-cmp merge = %v, want %v", got, want)
 	}
@@ -333,12 +337,15 @@ func TestReduceMergeLeavesRunsIntact(t *testing.T) {
 		lines[i] = fmt.Sprintf("%d\t%d", i%7, i+1)
 	}
 	out := runMapTask(job, 0, heldLines(t, lines), 0, len(lines), nil, nil, taskObs{}, new(taskScratch))
-	runs := [][]interRec{out.partitions[0]}
-	before := make([]interRec, len(runs[0]))
-	copy(before, runs[0])
-	_ = runReduceTask(job, runs, nil, taskObs{}, new(taskScratch))
+	runs := []sortedRun{out.partitions[0]}
+	before := readRun(runs[0])
 	for i := range before {
-		if before[i].keyStr != runs[0][i].keyStr || !tuple.EqualTuples(before[i].t, runs[0][i].t) {
+		before[i].t = before[i].t.Clone()
+	}
+	_ = runReduceTask(job, runs, nil, taskObs{}, new(taskScratch))
+	after := readRun(runs[0])
+	for i := range before {
+		if before[i].key != after[i].key || before[i].tag != after[i].tag || !tuple.EqualTuples(before[i].t, after[i].t) {
 			t.Fatalf("run mutated at %d", i)
 		}
 	}

@@ -981,7 +981,7 @@ func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), co
 		sc := e.borrow(slot)
 		out := runMapTask(js.Spec, t.InputIdx, src, split[0], split[1], df, corrupt, o, sc)
 		if js.Spec.Audit && emit != nil {
-			sum, n := auditMapSum(out)
+			sum, n := auditMapSum(out, &sc.out)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
 		}
 		out.publish(sc, seal)
@@ -1060,21 +1060,19 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report),
 		// Each map outcome contributes its partition as one pre-sorted
 		// run; the merge reads runs in place, so attempts (including
 		// backups of the same task) share them without copying.
-		runs := make([][]interRec, 0, len(js.mapOutcomes))
+		runs := make([]sortedRun, 0, len(js.mapOutcomes))
 		var localBytes int64
 		for _, out := range js.mapOutcomes {
 			if out == nil || t.Index >= len(out.partitions) {
 				continue
 			}
 			runs = append(runs, out.partitions[t.Index])
-			for i := range out.partitions[t.Index] {
-				localBytes += out.partitions[t.Index][i].bytes()
-			}
+			localBytes += out.partitions[t.Index].bytes()
 		}
 		sc := e.borrow(slot)
 		out := runReduceTask(js.Spec, runs, df, o, sc)
 		if js.Spec.Audit && emit != nil {
-			sum, n := auditReduceSum(out)
+			sum, n := auditReduceSum(&sc.out)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
 		}
 		out.publish(sc, seal)

@@ -3,6 +3,8 @@ package mapred
 import (
 	"crypto/sha256"
 	"fmt"
+	"hash"
+	"math"
 	"slices"
 	"strings"
 
@@ -13,23 +15,100 @@ import (
 	"clusterbft/internal/tuple"
 )
 
-// interRec is one shuffled record: its key's canonical string, which
-// partitions, sorts and groups it, the tuple it carries, and the join tag.
-// The key's values are not kept beside them: an aggregate reads them from
-// t, through the input's KeyCols or, in a combined partial, as the prefix
-// ahead of the partial state (mapOutcome.keyVals). Only what follows that
-// prefix is the record's payload, which encLen measures.
+// interRec is one shuffled record, as places in the storage of the run
+// that holds it (sortedRun): its key's canonical bytes, which partition, sort
+// and group it, at text[key:key+keyLen]; the tuple it carries, width values
+// at vals[array][off:]; and the join tag. It holds no pointer, so the
+// collector never looks inside an array of them, however many replicas'
+// map outcomes hold one. The key's values are not kept beside it: an
+// aggregate reads them from the tuple, through the input's KeyCols or, in
+// a combined partial, as the prefix ahead of the partial state
+// (mapOutcome.keyVals). Only what follows that prefix is the record's
+// payload, which encLen measures.
 type interRec struct {
-	keyStr string
-	t      tuple.Tuple
-	tag    int32
-	encLen int32 // len(EncodeLine(payload)), fixed at record creation
+	key, keyLen int32
+	array       int32
+	off         uint16 // an array holds at most valArrayLen values, or one wider tuple at 0
+	tag         int16
+	width       int32
+	encLen      int32 // len(EncodeLine(payload)), fixed at record creation
 }
 
 // bytes estimates the serialized size of the record for local-I/O
 // accounting (key + payload + framing).
-func (r interRec) bytes() int64 {
-	return int64(len(r.keyStr)) + int64(r.encLen) + 2
+func (r *interRec) bytes() int64 {
+	return int64(r.keyLen) + int64(r.encLen) + 2
+}
+
+// sortedRun is one map task's records for one reduce partition, sorted,
+// and the storage they index: the text of every key of the task's outcome,
+// back to back, and the outcome's value arrays. The runs of one outcome
+// share both.
+type sortedRun struct {
+	recs []interRec
+	text string
+	vals [][]tuple.Value
+}
+
+// key returns the canonical key bytes of r, one of the run's records.
+func (p *sortedRun) key(r *interRec) string { return p.text[r.key : r.key+r.keyLen] }
+
+// tuple returns the tuple r, one of the run's records, carries. It is the
+// outcome's: the caller only reads it.
+func (p *sortedRun) tuple(r *interRec) tuple.Tuple { return tupleAt(p.vals, r) }
+
+// tupleAt returns the tuple of r in arrays, a map outcome's value arrays.
+func tupleAt(arrays [][]tuple.Value, r *interRec) tuple.Tuple {
+	end := int(r.off) + int(r.width)
+	return arrays[r.array][r.off:end:end]
+}
+
+// bytes is the run's local-I/O size: its records' bytes.
+func (p *sortedRun) bytes() int64 {
+	var n int64
+	for i := range p.recs {
+		n += p.recs[i].bytes()
+	}
+	return n
+}
+
+// recAt is a record of a run, as the merge hands it on.
+type recAt struct {
+	run *sortedRun
+	rec *interRec
+}
+
+func (a recAt) key() string        { return a.run.key(a.rec) }
+func (a recAt) tuple() tuple.Tuple { return a.run.tuple(a.rec) }
+
+// valArrayLen is the most values an array of valArrays holds: 32 KiB of
+// them, the largest malloc size class, as tuple.Slab's arrays.
+const valArrayLen = 1024
+
+// valArrays holds the tuples of a map outcome. It carves them from arrays
+// as tuple.Slab does, which double from the first tuple's width up to
+// valArrayLen and are never copied or reused, and says where each lies.
+// The list of them is the slot's while the task runs (taskScratch.arrays).
+type valArrays struct {
+	arrays [][]tuple.Value
+	used   int // values handed out of the last array
+}
+
+// alloc carves a null-filled n-value tuple and returns it and its place.
+func (v *valArrays) alloc(n int) (t tuple.Tuple, array int32, off uint16) {
+	last := len(v.arrays) - 1
+	if last < 0 || n > len(v.arrays[last])-v.used {
+		size := n
+		if last >= 0 {
+			size = max(n, min(2*len(v.arrays[last]), valArrayLen))
+		}
+		v.arrays = append(v.arrays, make([]tuple.Value, size))
+		last++
+		v.used = 0
+	}
+	at := v.used
+	v.used += n
+	return v.arrays[last][at:v.used:v.used], int32(last), uint16(at)
 }
 
 // digestFactory builds the digest writer for one verification point of
@@ -62,13 +141,13 @@ type opState struct {
 	// one before it (digest.Writer.Also).
 	w      *digest.Writer
 	passed int64       // PhysLimit: records let through so far
-	out    tuple.Tuple // PhysProject: reusable output, nil to allocate
+	out    tuple.Tuple // PhysProject: the reused output
 }
 
-// newOpChain builds the chain for one task. reuse lets each PhysProject
-// write every record into one buffer of its own; the caller must then be
-// done with a tuple apply returned before it calls apply again.
-func newOpChain(ops []Op, df digestFactory, reuse bool) opChain {
+// newOpChain builds the chain for one task. Each PhysProject writes every
+// record into one buffer of its own: the caller must be done with a tuple
+// apply returned before it calls apply again.
+func newOpChain(ops []Op, df digestFactory) opChain {
 	c := opChain{ops: ops, state: make([]opState, len(ops))}
 	for i, op := range ops {
 		switch {
@@ -84,7 +163,7 @@ func newOpChain(ops []Op, df digestFactory, reuse bool) opChain {
 			} else {
 				c.state[first].w.Also(op.Point)
 			}
-		case op.Kind == PhysProject && reuse:
+		case op.Kind == PhysProject:
 			c.state[i].out = make(tuple.Tuple, len(op.Gens))
 		}
 	}
@@ -104,9 +183,6 @@ func (c *opChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 			}
 		case PhysProject:
 			out := st.out
-			if out == nil {
-				out = make(tuple.Tuple, len(op.Gens))
-			}
 			for g, gen := range op.Gens {
 				out[g] = gen.Expr.Eval(t)
 			}
@@ -235,15 +311,15 @@ func sampleKeepHash(canon []byte, fraction float64) bool {
 	return h%buckets < uint64(fraction*buckets)
 }
 
-// partitionOf hash-partitions a shuffle key string (inline FNV-1a over
-// the string bytes; no []byte copy).
-func partitionOf(keyStr string, numReduces int) int {
+// partitionOf hash-partitions a shuffle key (inline FNV-1a over its
+// bytes).
+func partitionOf(key []byte, numReduces int) int {
 	if numReduces <= 1 {
 		return 0
 	}
 	h := uint32(fnvOffset32)
-	for i := 0; i < len(keyStr); i++ {
-		h ^= uint32(keyStr[i])
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
 		h *= fnvPrime32
 	}
 	return int(h % uint32(numReduces))
@@ -314,10 +390,10 @@ type taskObs struct {
 // jobs each partition is a sorted run (sortRuns order); reduce attempts
 // merge the runs read-only, so outcomes may be shared by backups.
 type mapOutcome struct {
-	partitions  [][]interRec // shuffle jobs: per-reduce-partition sorted runs
-	keyVals     int          // key values ahead of the payload in each record's t
-	taskOutput               // map-only jobs: final output records
-	inBytes     int64        // input read, as lines with a newline each
+	partitions  []sortedRun // shuffle jobs: per-reduce-partition sorted runs
+	keyVals     int         // key values ahead of the payload in each record's tuple
+	taskOutput              // map-only jobs: final output records
+	inBytes     int64       // input read, as lines with a newline each
 	recordsIn   int64
 	recordsOut  int64 // records surviving the operator chain
 	shuffleRecs int64 // records written into shuffle partitions
@@ -326,25 +402,72 @@ type mapOutcome struct {
 	localBytes  int64 // shuffle bytes written
 }
 
-// taskOutput is what a map-only or reduce task writes to its part file.
-// runMapTask and runReduceTask leave outLines as emitted, in the slot's
-// scratch; the body publishes them before it hands the scratch back.
+// taskOutput is what a map-only or reduce task writes to its part file:
+// the blocks the body sealed from the lines runMapTask or runReduceTask
+// left in its slot's scratch (taskScratch.out), for the commit to install.
 type taskOutput struct {
-	outLines []string
-	sealed   dfs.Sealed // outLines as the part file's blocks, for the commit to install
+	sealed dfs.Sealed
 }
 
-// publish ends the output a task left in sc: with fs set, outLines are
+// publish ends the output a task left in sc: with fs set, its lines are
 // sealed for the commit to install; with fs nil (a quiz, whose commit is
 // dropped, or a shuffle, whose output is its partitions) nothing of them
-// is. Either way o and sc go on holding none of them.
+// is. Nothing sealed points into sc, whose buffer the next task writes over.
 func (o *taskOutput) publish(sc *taskScratch, fs *dfs.FS) {
 	if fs != nil {
-		o.sealed = fs.Seal(o.outLines)
+		o.sealed = fs.SealBuffer(sc.out.buf, sc.out.ends)
 	}
-	o.outLines = nil
-	clear(sc.outLines) // only ever appended to: past its length it is zero already
-	sc.outLines = sc.outLines[:0]
+	sc.out.reset()
+}
+
+// lineBuf is a task's output lines, their bytes back to back in buf and
+// line i ending at ends[i]: two arrays the collector has nothing to trace
+// in, reused by every task of a slot.
+type lineBuf struct {
+	buf  []byte
+	ends []int32
+}
+
+// lineBufMin is what a lineBuf's arrays first grow to, bytes and lines: a
+// slot's first task skips the smallest steps of doubling.
+const lineBufMin = 4 << 10
+
+// add appends one line.
+func (b *lineBuf) add(line []byte) {
+	if cap(b.buf)-len(b.buf) < len(line) {
+		b.buf = slices.Grow(b.buf, max(len(line), len(b.buf), lineBufMin))
+	}
+	b.buf = append(b.buf, line...)
+	if len(b.buf) > math.MaxInt32 {
+		panic("mapred: a task's output passed 2 GiB")
+	}
+	if len(b.ends) == cap(b.ends) {
+		b.ends = slices.Grow(b.ends, max(len(b.ends), lineBufMin))
+	}
+	b.ends = append(b.ends, int32(len(b.buf)))
+}
+
+// lines is the number of lines held.
+func (b *lineBuf) lines() int { return len(b.ends) }
+
+// line returns line i, in the buffer: valid until the next reset.
+func (b *lineBuf) line(i int) []byte {
+	start := int32(0)
+	if i > 0 {
+		start = b.ends[i-1]
+	}
+	return b.buf[start:b.ends[i]]
+}
+
+// reset empties b, keeping its arrays.
+func (b *lineBuf) reset() { b.buf, b.ends = b.buf[:0], b.ends[:0] }
+
+// hash writes every line held, and a newline after each, to h.
+func (b *lineBuf) hash(h hash.Hash) {
+	for i := range b.lines() {
+		h.Write(b.line(i))
+		h.Write([]byte{'\n'})
+	}
 }
 
 // corruptFn is TaskFault.Corrupt's type; nil for honest execution.
@@ -355,23 +478,28 @@ type corruptFn func(v tuple.Value, cat func(s, suffix string) string) tuple.Valu
 // a time because the slot is (Engine.borrow). It carries capacity, never
 // content: a task leaves every string, tuple and run slot of it zero, so
 // nothing of its split or its outcome is held for, or seen by, the next,
-// and no outcome points into it.
+// and no outcome points into it. Its pointer-free arrays (keys, records,
+// output) are left as they are: the next task writes over what it reads.
 type taskScratch struct {
-	batch    dfs.Batch     // map: the chain's source batch, its shape arrays, offsets and unescape buffer
-	row      tuple.Tuple   // the reused source row; the aggregate's output row
-	enc      []byte        // map: shuffle key bytes
-	canon    []byte        // the chain's canonical bytes
-	tables   []combinePart // map: combiner tables, emptied by emit
-	idx      []int32       // map: the sorts' permutation
-	pairs    []sortPair    // map: sortKeyed's radix pairs, two a record
-	live     [][]interRec  // reduce: the runs being merged
-	tree     []int32       // reduce: their positions and the loser tree
-	left     []tuple.Tuple // reduce: a join key's left side
-	right    []tuple.Tuple // reduce: its right side
-	joined   tuple.Tuple   // reduce: a pair of them
-	accs     []aggAcc      // reduce: one group's aggregates
-	key      tuple.Tuple   // reduce: an uncombined group's key
-	outLines []string      // output lines as emitted, until the body publishes them (taskOutput)
+	batch  dfs.Batch        // map: the chain's source batch, its shape arrays, offsets and unescape buffer
+	row    tuple.Tuple      // the reused source row; the aggregate's output row
+	text   []byte           // map: every key of the task, back to back, until finish copies them out
+	arrays [][]tuple.Value  // map: the outcome's value arrays, until finish copies out the list of them
+	recs   []interRec       // map: the uncombined shuffle's records in arrival order
+	parts  []int32          // map: the partition of each of them; then each partition's place
+	canon  []byte           // the chain's canonical bytes
+	tables []combinePart    // map: combiner tables, emptied by emit
+	aggs   []*pig.Aggregate // map: the combiner's aggregates
+	idx    []int32          // map: the sorts' permutation
+	pairs  []sortPair       // map: sortKeyed's radix pairs, two a record
+	live   []sortedRun      // reduce: the runs being merged
+	tree   []int32          // reduce: their positions and the loser tree
+	left   []tuple.Tuple    // reduce: a join key's left side
+	right  []tuple.Tuple    // reduce: its right side
+	joined tuple.Tuple      // reduce: a pair of them
+	accs   []aggAcc         // reduce: one group's aggregates
+	key    tuple.Tuple      // reduce: an uncombined group's key
+	out    lineBuf          // output lines as emitted, until the body publishes them (taskOutput)
 }
 
 // resize returns s with n elements, in a new array only if s lacks the room.
@@ -454,42 +582,39 @@ type mapRun struct {
 	in      *JobInput
 	out     *mapOutcome
 	chain   opChain
-	comb    *combiner
+	comb    combiner
+	combine bool // records go through comb
 	corrupt corruptFn
 	o       taskObs
 	sc      *taskScratch
-	// Only the uncombined shuffle keeps the chain's tuples (in interRec);
-	// the combiner detaches what it keeps and output lines are encoded at
-	// once, so there a projection may reuse its buffer, and so may the row.
-	// Where not, rows are carved from slab, whose arrays are the outcome's.
-	reuse bool
-	slab  tuple.Slab
-	// Key strings, or map-only output lines, live as long as the outcome:
-	// an arena for all of them, not an allocation a record.
-	strs strArena
+	// The tuples the shuffle keeps live in the outcome's value arrays: the
+	// chain's, and the row, are copied there, so every projection reuses its
+	// buffer and every record the row.
+	vals valArrays
 	// cat cuts a corrupting task's strings from an arena of their own: the
 	// next record is done with them, and the outcome is not to hold them.
 	cat func(s, suffix string) string
 }
 
 // newMapRun sets up a map task of n records over input inputIdx of job, on
-// the scratch of the slot it runs on. Its chain's digests are the caller's
-// to close.
+// the scratch of the slot it runs on, whose arrays it grows at once to what
+// the task may need of them. Its chain's digests are the caller's to close.
 func newMapRun(job *JobSpec, inputIdx, n int, df digestFactory, corrupt corruptFn, o taskObs, sc *taskScratch) mapRun {
 	in := &job.Inputs[inputIdx]
 	m := mapRun{job: job, in: in, out: &mapOutcome{}, corrupt: corrupt, o: o, sc: sc}
-	shuffle := in.KeyCols != nil
-	if shuffle && job.Reduce != nil && job.Reduce.Combine {
-		m.comb = newCombiner(job.Reduce, in, job.NumReduces, sc.tables)
-	} else if shuffle {
-		m.out.partitions = make([][]interRec, job.NumReduces)
-		per := n/job.NumReduces + 1
-		for p := range m.out.partitions {
-			m.out.partitions[p] = make([]interRec, 0, per)
-		}
+	m.vals.arrays = sc.arrays
+	switch {
+	case in.KeyCols == nil:
+		sc.out.ends = slices.Grow(sc.out.ends, n)
+	case job.Reduce != nil && job.Reduce.Combine:
+		m.combine = true
+		m.comb = newCombiner(job.Reduce, in, job.NumReduces, sc.tables, sc.aggs)
+		sc.text = slices.Grow(sc.text[:0], lineBufMin)
+	default:
+		sc.text = slices.Grow(sc.text[:0], lineBufMin)
+		sc.recs, sc.parts = slices.Grow(sc.recs[:0], n), slices.Grow(sc.parts[:0], n)
 	}
-	m.reuse = m.comb != nil || !shuffle
-	m.chain = newOpChain(in.Ops, df, m.reuse)
+	m.chain = newOpChain(in.Ops, df)
 	m.chain.canon, m.chain.src, m.chain.schema = sc.canon, &sc.batch, in.Schema
 	if corrupt != nil {
 		m.cat = new(strArena).cat
@@ -515,52 +640,49 @@ func (m *mapRun) record(t tuple.Tuple) {
 	}
 	out.recordsOut++
 	switch {
-	case m.comb != nil:
+	case m.combine:
 		// Digests fired inside the chain above; combining only
 		// reshapes what crosses the shuffle.
-		sc.enc = m.comb.fold(t, &m.chain, sc.enc)
+		sc.text = m.comb.fold(t, &m.chain, sc.text, &m.vals)
 	case in.KeyCols != nil:
-		sc.enc = m.chain.appendKey(sc.enc[:0], t, in.KeyCols)
-		rec := interRec{keyStr: m.strs.add(sc.enc), t: t, tag: int32(in.Tag), encLen: int32(tuple.EncodedLen(t))}
-		p := partitionOf(rec.keyStr, m.job.NumReduces)
-		out.partitions[p] = append(out.partitions[p], rec)
+		key := len(sc.text)
+		sc.text = m.chain.appendKey(sc.text, t, in.KeyCols)
+		kept, array, off := m.vals.alloc(len(t))
+		copy(kept, t)
+		rec := interRec{key: int32(key), keyLen: int32(len(sc.text) - key), array: array, off: off,
+			tag: int16(in.Tag), width: int32(len(t)), encLen: int32(tuple.EncodedLen(t))}
+		sc.recs = append(sc.recs, rec)
+		sc.parts = append(sc.parts, int32(partitionOf(sc.text[key:], m.job.NumReduces)))
 		out.localBytes += rec.bytes()
 	default:
-		sc.outLines = append(sc.outLines, m.strs.add(m.chain.line(t)))
+		sc.out.add(m.chain.line(t))
 	}
 }
 
 // finish ends the task once every record went through record: it emits
-// the combiner, sorts the partitions and counts the outcome, and hands the
-// scratch back empty but for the output lines.
+// the combiner or lays out the shuffle's partitions, sorts them and counts
+// the outcome, and hands the scratch back empty but for the output lines.
 func (m *mapRun) finish() *mapOutcome {
 	out, sc, o := m.out, m.sc, m.o
 	shuffle := m.in.KeyCols != nil
 	out.digested = m.chain.digests
-	if m.comb != nil {
+	if m.combine {
 		out.combinedIn = out.recordsOut
-		out.partitions, out.localBytes = m.comb.emit()
+		out.partitions, out.localBytes = m.comb.emit(&m.vals)
 		out.keyVals = m.comb.keyVals
-		sc.tables = m.comb.parts
-		for _, p := range out.partitions {
-			out.shuffleRecs += int64(len(p))
-		}
+		sc.tables, sc.aggs = m.comb.parts, wipe(m.comb.aggs)
 	} else if shuffle {
-		out.shuffleRecs = out.recordsOut
-		if 2*out.recordsOut <= out.recordsIn {
-			// The few survivors of a selective chain would each pin a tuple
-			// slab and the split's text for the life of the outcome.
-			for p, part := range out.partitions {
-				kept := make([]interRec, len(part))
-				for i, r := range part {
-					r.t = detach(r.t)
-					kept[i] = r
-				}
-				out.partitions[p] = kept
-			}
-		}
+		out.partitions = m.scatter()
 	}
 	if shuffle {
+		// Every run indexes the one copy of the task's keys and of the list
+		// of its value arrays, each exactly sized.
+		text, vals := m.outcomeText(), slices.Clone(m.vals.arrays)
+		for p := range out.partitions {
+			part := &out.partitions[p]
+			part.text, part.vals = text, vals
+			out.shuffleRecs += int64(len(part.recs))
+		}
 		sortRuns(out.partitions, m.job.Reduce, sc)
 		o.shuffleRecords.Add(out.shuffleRecs)
 		o.combineRecords.Add(out.combinedIn)
@@ -568,18 +690,83 @@ func (m *mapRun) finish() *mapOutcome {
 		o.outRecords.Add(out.recordsOut)
 	}
 	// The row held values of the split's text; the batch let go of its own.
-	out.outLines = sc.outLines
-	sc.row, sc.canon = wipe(sc.row), m.chain.canon
+	sc.row, sc.arrays, sc.canon = wipe(sc.row), wipe(m.vals.arrays), m.chain.canon
 	return out
+}
+
+// outcomeText copies the task's key text out as the outcome's. A
+// combiner's keys are cut from the arena its entries' strings are, where
+// that has room. The few survivors of a selective uncombined chain would
+// each pin their split's text for the life of the outcome: their strings
+// are copied in behind the keys, and cut from the copy.
+func (m *mapRun) outcomeText() string {
+	sc := m.sc
+	if m.combine {
+		return m.comb.strs.add(sc.text)
+	}
+	if 2*m.out.recordsOut > m.out.recordsIn {
+		return string(sc.text)
+	}
+	at := len(sc.text)
+	for i := range sc.recs {
+		for _, v := range tupleAt(m.vals.arrays, &sc.recs[i]) {
+			if v.Kind() == tuple.KindString {
+				sc.text = append(sc.text, v.Str()...)
+			}
+		}
+	}
+	text := string(sc.text)
+	for i := range sc.recs {
+		t := tupleAt(m.vals.arrays, &sc.recs[i])
+		for c, v := range t {
+			if v.Kind() == tuple.KindString {
+				n := len(v.Str())
+				t[c], at = tuple.Str(text[at:at+n]), at+n
+			}
+		}
+	}
+	return text
+}
+
+// scatter lays the uncombined shuffle's records, held in arrival order with
+// their partitions, out as the partitions' runs: one array for all of them,
+// each run exactly its records' length, arrival order kept within each.
+func (m *mapRun) scatter() []sortedRun {
+	sc := m.sc
+	parts := make([]sortedRun, m.job.NumReduces)
+	if len(sc.recs) == 0 {
+		return parts
+	}
+	at := resize(sc.idx, len(parts)) // each partition's next place in recs
+	clear(at)
+	for _, p := range sc.parts {
+		at[p]++
+	}
+	next := int32(0)
+	for p, k := range at {
+		at[p] = next
+		next += k
+	}
+	recs := make([]interRec, len(sc.recs))
+	for i, p := range sc.parts {
+		recs[at[p]] = sc.recs[i]
+		at[p]++
+	}
+	start := int32(0)
+	for p, end := range at {
+		parts[p].recs = recs[start:end:end]
+		start = end
+	}
+	sc.idx = at
+	return parts
 }
 
 // runMapTask executes one map task over records [lo, hi) of its input,
 // on the scratch of the slot it runs on. Every record reaches the chain
 // through the slot's dfs.Batch (a sealed block's as column spans, held
 // lines where they are) as a row of values coerced straight from it, the
-// columns neededCols lists and no line rebuilt. Where nothing keeps the
-// chain's tuples (reuse) every record overwrites one row; the uncombined
-// shuffle carves its rows from a slab.
+// columns neededCols lists and no line rebuilt. Every record overwrites one
+// row: what the shuffle keeps of it is copied into the outcome.
 func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df digestFactory, corrupt corruptFn, o taskObs, sc *taskScratch) *mapOutcome {
 	m := newMapRun(job, inputIdx, hi-lo, df, corrupt, o, sc)
 	defer m.chain.close()
@@ -598,17 +785,13 @@ func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df dige
 			if !m.chain.fromSrc {
 				coerce = carry
 			}
-			var t tuple.Tuple
-			if w := batch.Width(); m.reuse {
-				if len(sc.row) < w {
-					sc.row = resize(sc.row, w)
-				}
-				t = sc.row[:w]
-				if corrupt != nil {
-					clear(t) // what is not coerced is null to tamper with, not the last record's
-				}
-			} else {
-				t = m.slab.Tuple(w)
+			w := batch.Width()
+			if len(sc.row) < w {
+				sc.row = resize(sc.row, w)
+			}
+			t := sc.row[:w]
+			if corrupt != nil {
+				clear(t) // what is not coerced is null to tamper with, not the last record's
 			}
 			for c := range t {
 				if coerce == nil || c < len(coerce) && coerce[c] {
@@ -643,48 +826,47 @@ type reduceOutcome struct {
 // chain makes of it, and it encodes the result before it returns. So
 // nothing here allocates per emitted record: the join's concatenation,
 // the aggregate's row and the chain's projections are buffers written
-// over by the next record, and output lines are cut from one arena.
-func runReduceTask(job *JobSpec, runs [][]interRec, df digestFactory, o taskObs, sc *taskScratch) *reduceOutcome {
+// over by the next record, and output lines go into the slot's buffer.
+func runReduceTask(job *JobSpec, runs []sortedRun, df digestFactory, o taskObs, sc *taskScratch) *reduceOutcome {
 	spec := job.Reduce
-	chain := newOpChain(spec.PostOps, df, true)
+	chain := newOpChain(spec.PostOps, df)
 	chain.canon = sc.canon
 	defer chain.close()
 	out := &reduceOutcome{}
 	var liveRuns int64
 	for _, r := range runs {
-		out.recordsIn += int64(len(r))
-		if len(r) > 0 {
+		out.recordsIn += int64(len(r.recs))
+		if len(r.recs) > 0 {
 			liveRuns++
 		}
 	}
 	o.reduceRecords.Add(out.recordsIn)
 	o.mergedRuns.Add(liveRuns)
-	var lines strArena
 	emit := func(t tuple.Tuple) {
 		if t, ok := chain.apply(t); ok {
 			out.recordsOut++
-			sc.outLines = append(sc.outLines, lines.add(chain.line(t)))
+			sc.out.add(chain.line(t))
 		}
 	}
-	keyCmp := func(a, b *interRec) int { return strings.Compare(a.keyStr, b.keyStr) }
+	keyCmp := func(a, b recAt) int { return strings.Compare(a.key(), b.key()) }
 
 	switch spec.Kind {
 	case ReduceSort:
-		var cmp func(a, b *interRec) int
+		var cmp func(a, b recAt) int
 		if len(spec.OrderBy) > 0 {
-			cmp = func(a, b *interRec) int { return orderCmp(a.t, b.t, spec.OrderBy) }
+			cmp = func(a, b recAt) int { return orderCmp(a.tuple(), b.tuple(), spec.OrderBy) }
 		}
-		mergeRuns(runs, cmp, func(r *interRec) { emit(r.t) }, sc)
+		mergeRuns(runs, cmp, func(r recAt) { emit(r.tuple()) }, sc)
 	case ReduceDistinct:
 		started := false
 		var lastKey string
-		mergeRuns(runs, keyCmp, func(r *interRec) {
-			if started && r.keyStr == lastKey {
+		mergeRuns(runs, keyCmp, func(r recAt) {
+			if started && r.key() == lastKey {
 				return
 			}
 			started = true
-			lastKey = r.keyStr
-			emit(r.t) // first arrival of each key, keys sorted
+			lastKey = r.key()
+			emit(r.tuple()) // first arrival of each key, keys sorted
 		}, sc)
 	case ReduceAggregate:
 		aggIdx := aggOrdinals(spec.Gens)
@@ -712,18 +894,19 @@ func runReduceTask(job *JobSpec, runs [][]interRec, df digestFactory, o taskObs,
 			}
 			emit(row)
 		}
-		mergeRuns(runs, keyCmp, func(r *interRec) {
-			if !started || r.keyStr != lastKey {
+		mergeRuns(runs, keyCmp, func(r recAt) {
+			t := r.tuple()
+			if key := r.key(); !started || key != lastKey {
 				if started {
 					flush()
 				}
 				started = true
-				lastKey = r.keyStr
+				lastKey = key
 				if spec.Combine {
-					curKey = r.t[:keyVals]
+					curKey = t[:keyVals]
 				} else {
 					for i, c := range keyCols {
-						curKey[i] = colOf(r.t, c)
+						curKey[i] = colOf(t, c)
 					}
 				}
 				for i := range accs {
@@ -733,10 +916,10 @@ func runReduceTask(job *JobSpec, runs [][]interRec, df digestFactory, o taskObs,
 			for j, gi := range aggIdx {
 				agg := spec.Gens[gi].Agg
 				if spec.Combine {
-					n, v := partialAcc(r.t[keyVals:], j)
+					n, v := partialAcc(t[keyVals:], j)
 					mergeAgg(agg, &accs[j], n, v)
 				} else {
-					mergeAgg(agg, &accs[j], 1, colOf(r.t, agg.ColIdx))
+					mergeAgg(agg, &accs[j], 1, colOf(t, agg.ColIdx))
 				}
 			}
 		}, sc)
@@ -757,19 +940,19 @@ func runReduceTask(job *JobSpec, runs [][]interRec, df digestFactory, o taskObs,
 			}
 			left, right = left[:0], right[:0]
 		}
-		mergeRuns(runs, keyCmp, func(r *interRec) {
-			if !started || r.keyStr != lastKey {
+		mergeRuns(runs, keyCmp, func(r recAt) {
+			if key := r.key(); !started || key != lastKey {
 				if started {
 					flush()
 				}
 				started = true
-				lastKey = r.keyStr
+				lastKey = key
 			}
 			// Merge order preserves arrival order within each side.
-			if r.tag == 0 {
-				left = append(left, r.t)
+			if r.rec.tag == 0 {
+				left = append(left, r.tuple())
 			} else {
-				right = append(right, r.t)
+				right = append(right, r.tuple())
 			}
 		}, sc)
 		if started {
@@ -781,7 +964,6 @@ func runReduceTask(job *JobSpec, runs [][]interRec, df digestFactory, o taskObs,
 	o.outRecords.Add(out.recordsOut)
 	// Hand the scratch back empty but for the output lines: all of these
 	// pointed into map outcomes.
-	out.outLines = sc.outLines
 	sc.live, sc.accs, sc.row, sc.key, sc.canon = wipe(sc.live), wipe(sc.accs), wipe(sc.row), wipe(sc.key), chain.canon
 	return out
 }
@@ -818,37 +1000,41 @@ func colOf(t tuple.Tuple, idx int) tuple.Value {
 // auditMapSum digests a map task's full output for AuditTaskPoint: the
 // shuffle partitions in partition order (key, separator, payload per
 // record; a combined partial's key values are its key's, not payload)
-// plus any map-only output lines. Primary and quiz executions of
-// the same task run the same code over the same spec, so equal work
-// yields equal sums regardless of combiner settings.
-func auditMapSum(out *mapOutcome) (digest.Sum, int64) {
+// plus any map-only output lines, read from the slot's buffer before the
+// body publishes them. Primary and quiz executions of the same task run
+// the same code over the same spec, so equal work yields equal sums
+// regardless of combiner settings.
+func auditMapSum(out *mapOutcome, lines *lineBuf) (digest.Sum, int64) {
 	h := sha256.New()
 	var n int64
 	var buf []byte
-	for _, part := range out.partitions {
-		for i := range part {
-			h.Write([]byte(part[i].keyStr))
-			h.Write([]byte{0x1f, byte(part[i].tag + 1), 0x1f})
-			buf = tuple.AppendEncoded(buf[:0], part[i].t[out.keyVals:])
-			h.Write(buf)
-			h.Write([]byte{'\n'})
+	for p := range out.partitions {
+		part := &out.partitions[p]
+		for i := range part.recs {
+			r := &part.recs[i]
+			buf = append(buf[:0], part.key(r)...)
+			buf = append(buf, 0x1f, byte(r.tag+1), 0x1f)
+			buf = tuple.AppendEncoded(buf, part.tuple(r)[out.keyVals:])
+			h.Write(append(buf, '\n'))
 			n++
 		}
 		h.Write([]byte{0x1e}) // partition boundary
 	}
-	for _, l := range out.outLines {
-		h.Write([]byte(l))
-		h.Write([]byte{'\n'})
-		n++
-	}
+	lines.hash(h)
 	var s digest.Sum
 	h.Sum(s[:0])
-	return s, n
+	return s, n + int64(lines.lines())
 }
 
-// auditReduceSum digests a reduce task's output lines for AuditTaskPoint.
-func auditReduceSum(out *reduceOutcome) (digest.Sum, int64) {
-	return digest.OfLines(out.outLines), int64(len(out.outLines))
+// auditReduceSum digests a reduce task's output lines for AuditTaskPoint,
+// as digest.OfLines does, from the slot's buffer before the body
+// publishes them.
+func auditReduceSum(lines *lineBuf) (digest.Sum, int64) {
+	h := sha256.New()
+	lines.hash(h)
+	var s digest.Sum
+	h.Sum(s[:0])
+	return s, int64(lines.lines())
 }
 
 // splitLines partitions a record count into deterministic contiguous

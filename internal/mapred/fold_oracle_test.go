@@ -6,31 +6,39 @@ import (
 
 // oracleFold is combiner.fold as it was before keys were hashed on their
 // source spans: the key is projected from the tuple into a tuple of its
-// own, encoded through tuple.AppendEncoded and walked twice, once per
-// hash. It is what FuzzFoldOnSpanMatchesTuples holds fold to.
-func oracleFold(c *combiner, t tuple.Tuple, scratch []byte) []byte {
+// own, encoded through tuple.AppendEncoded into a buffer of its own and
+// walked twice, once per hash, and only a new key is added to the text.
+// It is what FuzzFoldOnSpanMatchesTuples holds fold to.
+func oracleFold(c *combiner, t tuple.Tuple, text []byte, vals *valArrays) []byte {
 	key := make(tuple.Tuple, len(c.keyCols))
 	for i, col := range c.keyCols {
 		if col < len(t) {
 			key[i] = t[col]
 		}
 	}
-	scratch = tuple.AppendEncoded(scratch[:0], key)
+	enc := tuple.AppendEncoded(nil, key)
 	h := uint64(fnvOffset64)
-	for _, b := range scratch {
+	for _, b := range enc {
 		h ^= uint64(b)
 		h *= fnvPrime64
 	}
-	part := &c.parts[partitionOfBytes(scratch, len(c.parts))]
-	e := part.find(h, scratch)
-	if e < 0 {
-		e = part.insert(h, scratch, t, c)
+	part := &c.parts[partitionOfBytes(enc, len(c.parts))]
+	if len(part.slots) > 0 {
+		if e := part.find(h, text, enc); e >= 0 {
+			return oracleMerge(c, part, e, t, text)
+		}
 	}
+	at := len(text)
+	text = append(text, enc...)
+	return oracleMerge(c, part, part.insert(h, text, at, t, c, vals), t, text)
+}
+
+func oracleMerge(c *combiner, part *combinePart, e int, t tuple.Tuple, text []byte) []byte {
 	accs := part.accs[e*len(c.aggs):]
 	for i, agg := range c.aggs {
 		mergeAgg(agg, &accs[i], 1, colOf(t, agg.ColIdx))
 	}
-	return scratch
+	return text
 }
 
 // partitionOfBytes is partitionOf over the key's encoded bytes, the

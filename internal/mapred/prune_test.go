@@ -269,7 +269,8 @@ func FuzzPrunedDecodeEquivalence(f *testing.F) {
 // keys out of thousands of records, and its outcome lives until the
 // job's reduces finish. Holding the outcomes of many splits must cost
 // the keys, not the splits: every value kept is a substring of its
-// split's one backing string and sits in a tuple slab until detached.
+// split's one backing string until it is copied into the outcome — the
+// combiner's arena, or the selective chain's key text.
 func TestMapOutcomesDoNotPinSplits(t *testing.T) {
 	const splits, perSplit = 40, 2000
 	srcs := map[string]string{
@@ -320,11 +321,10 @@ STORE o INTO 'out/o';`,
 // paths the micro-benchmarks track, per 1,000 input records, on a scratch
 // a task before it has grown, as a slot's is: read from one sealed block,
 // from an unsealed tail and from a reader materialized for a ReadHook.
-// None grows with the record count beyond slabs, arena chunks and slice
-// doublings, where one row serves every record no read costs a slab, and
-// held lines cost no more than the block; a combining task, which keeps
-// nothing a record, costs over 8,000 records of a tail what it costs over
-// 1,000.
+// None grows with the record count beyond value arrays, arena chunks and
+// slice doublings, one row serves every record, and held lines cost no
+// more than the block; a combining task, which keeps nothing a record,
+// costs over 8,000 records of a tail what it costs over 1,000.
 func TestMapTaskAllocs(t *testing.T) {
 	mapOnly := compile(t, `
 a = LOAD 'in/edges' AS (user:int, follower:int);
@@ -352,13 +352,13 @@ STORE p INTO 'out/prod';`, CompileOptions{})[0]
 		job  *JobSpec
 		max  float64
 	}{
-		// The outcome's partitions, its entries' slab and arena, the
-		// chain and the combiner; the tables are the scratch's.
+		// The outcome's partitions, its entries' value arrays and arena,
+		// its key text and the chain; the tables are the scratch's.
 		{"combine", combine, 26},
-		// Row and key slabs, key-string chunks and the partitions.
+		// Value arrays, the key text and the partitions' records.
 		{"shuffle", shuffle, 38},
-		// Line chunks: the lines stay in the scratch, and a body that
-		// keeps none of them copies none.
+		// The lines stay in the scratch's buffer, and a body that keeps
+		// none of them copies none.
 		{"map-only", mapOnly, 12},
 	} {
 		sealed := allocs(tc.job, sealedBlock(t, lines), len(lines))

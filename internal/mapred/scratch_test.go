@@ -82,27 +82,36 @@ func FuzzFoldOnSpanMatchesTuples(f *testing.F) {
 		if next := sealedBlock(t, lines).ReadColumns(&batch, 0, len(lines), nil); next != len(lines) {
 			t.Fatalf("%d lines in one block: the batch stopped at %d", len(lines), next)
 		}
-		onSpan, onTuple, oracle := newCombiner(spec, in, numParts, nil), newCombiner(spec, in, numParts, nil), newCombiner(spec, in, numParts, nil)
+		// A combiner, the key text it leaves and the outcome's value arrays.
+		type folded struct {
+			c    combiner
+			text []byte
+			vals valArrays
+		}
+		onSpan, onTuple, oracle := &folded{c: newCombiner(spec, in, numParts, nil, nil)},
+			&folded{c: newCombiner(spec, in, numParts, nil, nil)}, &folded{c: newCombiner(spec, in, numParts, nil, nil)}
 		source, projected := opChain{src: &batch, schema: schema, fromSrc: true}, opChain{}
-		var encSpan, encTuple, encOracle []byte
 		for batch.Next() {
 			rec := make(tuple.Tuple, batch.Width())
 			for c := range rec {
 				rec[c] = schema.ColType(c).Coerce(batch.Value(c))
 			}
-			encSpan = onSpan.fold(rec, &source, encSpan)
-			encTuple = onTuple.fold(rec, &projected, encTuple)
-			encOracle = oracleFold(oracle, rec, encOracle)
+			onSpan.text = onSpan.c.fold(rec, &source, onSpan.text, &onSpan.vals)
+			onTuple.text = onTuple.c.fold(rec, &projected, onTuple.text, &onTuple.vals)
+			oracle.text = oracleFold(&oracle.c, rec, oracle.text, &oracle.vals)
 		}
-		render := func(c *combiner) string {
+		render := func(f *folded) string {
 			var b strings.Builder
-			for pi, p := range c.parts {
+			for pi, p := range f.c.parts {
 				for i, e := range p.entries {
-					fmt.Fprintf(&b, "part %d entry %d: hash %x key %q\n", pi, i, e.hash, e.keyStr)
+					fmt.Fprintf(&b, "part %d entry %d: hash %x key %q\n", pi, i, e.hash, f.text[e.rec.key:e.rec.key+e.rec.keyLen])
 				}
 			}
-			parts, total := c.emit()
-			return b.String() + renderOutcome(&mapOutcome{partitions: parts, localBytes: total})
+			parts, total := f.c.emit(&f.vals)
+			for p := range parts {
+				parts[p].text, parts[p].vals = string(f.text), f.vals.arrays
+			}
+			return b.String() + renderOutcome(&mapOutcome{partitions: parts, localBytes: total}, nil)
 		}
 		want := render(oracle)
 		if got := render(onSpan); got != want {
@@ -157,33 +166,59 @@ func runOnScratch(t *testing.T, script string, points []string, tweak func(*JobS
 			fmt.Fprintf(&b, "%v final=%v records=%d %x\n", r.Key, r.Final, r.Records, r.Sum)
 		})
 	}
-	// Output lines are staged in the scratch; publish seals them, and
-	// leaves neither the output nor the scratch holding them, though the
-	// scratch keeps the room they took. It returns them as staged.
+	// Output lines are staged in the scratch's buffer; publish seals them
+	// and empties the buffer, which keeps the room they took. Nothing
+	// sealed reads the buffer: what it held is written over, and the
+	// sealed lines must read back as they were staged. It returns them.
 	publish := func(who string, out *taskOutput) []string {
-		staged := slices.Clone(out.outLines)
+		staged := staged(sc)
 		out.publish(sc, fs)
+		if sc.out.lines() != 0 || len(sc.out.buf) != 0 || int64(cap(sc.out.buf)) < linesBytes(staged)-int64(len(staged)) {
+			t.Fatalf("%s: %d output lines of %d bytes still in the scratch, which has room for %d of %d",
+				who, sc.out.lines(), len(sc.out.buf), cap(sc.out.buf), linesBytes(staged)-int64(len(staged)))
+		}
+		poison(sc)
 		if sealed := slices.Collect(fs.OpenSealed([]dfs.Sealed{out.sealed}).Lines); !slices.Equal(sealed, staged) || out.sealed.Bytes() != linesBytes(staged) {
 			t.Fatalf("%s: sealed %d lines of %d bytes, staged %d", who, len(sealed), out.sealed.Bytes(), len(staged))
-		}
-		if out.outLines != nil || len(sc.outLines) != 0 || cap(sc.outLines) < len(staged) {
-			t.Fatalf("%s: %d output lines still held, %d in the scratch, which has room for %d of %d",
-				who, len(out.outLines), len(sc.outLines), cap(sc.outLines), len(staged))
 		}
 		return staged
 	}
 	out := runMapTask(job, 0, openReader(t, fs), 3, len(lines)-2, df, corrupt, taskObs{}, sc)
-	b.WriteString(renderOutcome(out)) // with the output lines, as staged
+	b.WriteString(renderOutcome(out, staged(sc))) // with the output lines, as staged
 	publish("map", &out.taskOutput)
 	if job.Reduce != nil {
 		for part := range out.partitions {
 			// The same run twice: a merge of two runs, not a copy of one.
-			red := runReduceTask(job, [][]interRec{out.partitions[part], out.partitions[part]}, df, taskObs{}, sc)
+			red := runReduceTask(job, []sortedRun{out.partitions[part], out.partitions[part]}, df, taskObs{}, sc)
 			lines := publish("reduce", &red.taskOutput)
 			fmt.Fprintf(&b, "reduce %d: in=%d out=%d digested=%d %q\n", part, red.recordsIn, red.recordsOut, red.digested, lines)
 		}
 	}
 	return b.String()
+}
+
+// poison writes over everything past the length of the scratch's
+// pointer-free arrays, which a task leaves as they are: the next task on
+// the scratch must read none of it. The output buffer is written over
+// even where the sealed output it was just published to was cut from.
+func poison(sc *taskScratch) {
+	fill := func(b []byte) {
+		for i := range b {
+			b[i] = '#'
+		}
+	}
+	fill(sc.out.buf[:cap(sc.out.buf)])
+	fill(sc.text[:cap(sc.text)])
+	for _, s := range [][]int32{sc.out.ends[:cap(sc.out.ends)], sc.parts[:cap(sc.parts)], sc.idx[:cap(sc.idx)], sc.tree[:cap(sc.tree)]} {
+		for i := range s {
+			s[i] = -1
+		}
+	}
+	for _, recs := range [][]interRec{sc.recs[:cap(sc.recs)]} {
+		for i := range recs {
+			recs[i] = interRec{key: -1, keyLen: -1, array: -1, width: -1, encLen: -1, tag: -1}
+		}
+	}
 }
 
 // scratchShapes are the tasks the scratch tests run: every script shape
@@ -211,7 +246,10 @@ STORE j INTO 'out/j';`
 // warmed by a task with more distinct keys and wider rows, and on one that
 // every other shape — distinct, map-only, the uncombined shuffle, joins,
 // corrupting tasks — has run on, before it and after it, and must render
-// byte for byte the same.
+// byte for byte the same. The output buffer, the key text and the record
+// arrays a task reuses are written over with garbage past their length
+// once each task publishes (poison): a task that saw a byte of the one
+// before it would render it.
 func TestWarmScratchMatchesCold(t *testing.T) {
 	lines := scratchLines(400, 12)
 	wide := make([]string, 3000)
@@ -290,16 +328,18 @@ func TestScratchHoldsNoData(t *testing.T) {
 			t.Fatalf("after shape %d the scratch still holds %d values, the first: %s", i, len(found), found[0])
 		}
 	}
-	if cap(sc.row) == 0 || cap(sc.tables) == 0 || cap(sc.live) == 0 || cap(sc.left) == 0 || cap(sc.outLines) == 0 {
+	if cap(sc.row) == 0 || cap(sc.tables) == 0 || cap(sc.live) == 0 || cap(sc.left) == 0 || cap(sc.out.buf) == 0 ||
+		cap(sc.text) == 0 || cap(sc.recs) == 0 || cap(sc.arrays) == 0 {
 		t.Error("the shapes did not grow the scratch they were to leave empty")
 	}
 }
 
 // TestWarmCombineTaskAllocs: on a warm scratch, what a combining task over
 // a sealed block allocates grows neither with its records nor with its
-// distinct keys, beyond what emit keeps for the outcome — the slab arrays
-// and arena chunks its keys and partials are cut from, a few dozen for two
-// thousand keys where the tables alone were a doubling series a partition.
+// distinct keys, beyond what the outcome keeps — the value arrays and
+// arena chunks its partials are cut from, and its key text, a few dozen
+// for two thousand keys where the tables alone were a doubling series a
+// partition.
 func TestWarmCombineTaskAllocs(t *testing.T) {
 	job := compile(t, followerSrc, CompileOptions{NumReduces: 4})[0]
 	measure := func(n, keys int) float64 {

@@ -17,20 +17,69 @@ import (
 	"clusterbft/internal/tuple"
 )
 
+// testRec is a shuffle record as a test writes and reads one: its key, its
+// tuple and its join tag.
+type testRec struct {
+	key string
+	t   tuple.Tuple
+	tag int16
+}
+
+// layOut lays parts out as the runs of one map outcome: every key in one
+// text, every tuple in one set of value arrays, each record's encLen its
+// whole tuple's.
+func layOut(parts ...[]testRec) []sortedRun {
+	var text []byte
+	var vals valArrays
+	runs := make([]sortedRun, len(parts))
+	for p, recs := range parts {
+		for _, r := range recs {
+			kept, array, off := vals.alloc(len(r.t))
+			copy(kept, r.t)
+			runs[p].recs = append(runs[p].recs, interRec{key: int32(len(text)), keyLen: int32(len(r.key)),
+				array: array, off: off, tag: r.tag, width: int32(len(r.t)), encLen: int32(tuple.EncodedLen(r.t))})
+			text = append(text, r.key...)
+		}
+	}
+	for p := range runs {
+		runs[p].text, runs[p].vals = string(text), vals.arrays
+	}
+	return runs
+}
+
+// readRun lists p's records as a test writes them.
+func readRun(p sortedRun) []testRec {
+	recs := make([]testRec, len(p.recs))
+	for i := range p.recs {
+		r := &p.recs[i]
+		recs[i] = testRec{key: p.key(r), t: p.tuple(r), tag: r.tag}
+	}
+	return recs
+}
+
+// staged lists the output lines a task left in sc, before its publish.
+func staged(sc *taskScratch) []string {
+	lines := make([]string, sc.out.lines())
+	for i := range lines {
+		lines[i] = string(sc.out.line(i))
+	}
+	return lines
+}
+
 // stableSortRuns is sortRuns as it was: a stable sort moving the records
 // themselves.
-func stableSortRuns(parts [][]interRec, spec *ReduceSpec) {
+func stableSortRuns(parts []sortedRun, spec *ReduceSpec) {
 	if spec.Kind == ReduceSort {
 		if len(spec.OrderBy) == 0 {
 			return
 		}
 		for _, p := range parts {
-			slices.SortStableFunc(p, func(a, b interRec) int { return orderCmp(a.t, b.t, spec.OrderBy) })
+			slices.SortStableFunc(p.recs, func(a, b interRec) int { return orderCmp(p.tuple(&a), p.tuple(&b), spec.OrderBy) })
 		}
 		return
 	}
 	for _, p := range parts {
-		slices.SortStableFunc(p, func(a, b interRec) int { return strings.Compare(a.keyStr, b.keyStr) })
+		slices.SortStableFunc(p.recs, func(a, b interRec) int { return strings.Compare(p.key(&a), p.key(&b)) })
 	}
 }
 
@@ -76,17 +125,15 @@ var sortKeyShapes = []func(b byte) (string, tuple.Tuple){
 // different lengths, keyed by shape. Keys repeat heavily and every record
 // carries its arrival position behind its key values, so two records never
 // compare equal as wholes and any reordering of equal keys shows.
-func sortFixture(data []byte, shape func(b byte) (string, tuple.Tuple)) [][]interRec {
-	parts := make([][]interRec, 3)
+func sortFixture(data []byte, shape func(b byte) (string, tuple.Tuple)) []sortedRun {
+	parts := make([][]testRec, 3)
 	for i, b := range data {
 		key, vals := shape(b)
 		t := append(vals, tuple.Int(int64(i)))
 		p := int(b>>3) % len(parts)
-		parts[p] = append(parts[p], interRec{
-			keyStr: key, t: t, tag: int32(i % 2), encLen: int32(tuple.EncodedLen(t)),
-		})
+		parts[p] = append(parts[p], testRec{key: key, t: t, tag: int16(i % 2)})
 	}
-	return parts
+	return layOut(parts...)
 }
 
 // FuzzSortRunsMatchesStable holds sortRuns to the stable sort of the
@@ -180,36 +227,38 @@ func (c *freshChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 // new row per group, EncodeLine per output record, and a new key tuple
 // per group: a combined record's leading values, or an uncombined group's
 // first row projected through the key columns.
-func freshReduce(job *JobSpec, runs [][]interRec, df digestFactory) *reduceOutcome {
+func freshReduce(job *JobSpec, runs []sortedRun, df digestFactory) (*reduceOutcome, []string) {
 	spec, keyCols := job.Reduce, job.Inputs[0].KeyCols
 	chain := newFreshChain(spec.PostOps, df)
 	out := &reduceOutcome{}
 	for _, r := range runs {
-		out.recordsIn += int64(len(r))
+		out.recordsIn += int64(len(r.recs))
 	}
+	var lines []string
 	emit := func(t tuple.Tuple) {
 		if t, ok := chain.apply(t); ok {
 			out.recordsOut++
-			out.outLines = append(out.outLines, tuple.EncodeLine(t))
+			lines = append(lines, tuple.EncodeLine(t))
 		}
 	}
-	keyCmp := func(a, b *interRec) int { return strings.Compare(a.keyStr, b.keyStr) }
+	keyCmp := func(a, b recAt) int { return strings.Compare(a.key(), b.key()) }
 	// Collect the merge into groups of equal key, then run each kind over
 	// whole groups.
-	var groups [][]*interRec
+	var groups [][]testRec
 	cmp := keyCmp
 	if spec.Kind == ReduceSort {
 		cmp = nil
 		if len(spec.OrderBy) > 0 {
-			cmp = func(a, b *interRec) int { return orderCmp(a.t, b.t, spec.OrderBy) }
+			cmp = func(a, b recAt) int { return orderCmp(a.tuple(), b.tuple(), spec.OrderBy) }
 		}
 	}
-	mergeRuns(runs, cmp, func(r *interRec) {
-		if n := len(groups); spec.Kind != ReduceSort && n > 0 && groups[n-1][0].keyStr == r.keyStr {
+	mergeRuns(runs, cmp, func(at recAt) {
+		r := testRec{key: at.key(), t: at.tuple(), tag: at.rec.tag}
+		if n := len(groups); spec.Kind != ReduceSort && n > 0 && groups[n-1][0].key == r.key {
 			groups[n-1] = append(groups[n-1], r)
 			return
 		}
-		groups = append(groups, []*interRec{r})
+		groups = append(groups, []testRec{r})
 	}, new(taskScratch))
 	for _, g := range groups {
 		switch spec.Kind {
@@ -264,7 +313,7 @@ func freshReduce(job *JobSpec, runs [][]interRec, df digestFactory) *reduceOutco
 		}
 	}
 	out.digested = chain.digests
-	return out
+	return out, lines
 }
 
 // reuseScripts put digest, filter, digest, project, digest after each
@@ -318,13 +367,13 @@ STORE p INTO 'out/p';`,
 // values stay out of its byte accounting and its audit digest.
 func combinedFromRaw(spec *ReduceSpec, raw *mapOutcome) *mapOutcome {
 	aggIdx := aggOrdinals(spec.Gens)
-	out := &mapOutcome{partitions: make([][]interRec, len(raw.partitions))}
+	parts := make([][]testRec, len(raw.partitions))
 	for p, part := range raw.partitions {
-		var recs []interRec
+		var recs []testRec
 		var accs [][]aggAcc
-		for _, r := range part { // runs are key-sorted, a key's records in arrival order
-			if len(recs) == 0 || recs[len(recs)-1].keyStr != r.keyStr {
-				recs = append(recs, interRec{keyStr: r.keyStr, t: r.t, tag: r.tag})
+		for _, r := range readRun(part) { // runs are key-sorted, a key's records in arrival order
+			if len(recs) == 0 || recs[len(recs)-1].key != r.key {
+				recs = append(recs, r)
 				accs = append(accs, make([]aggAcc, len(aggIdx)))
 			}
 			for j, gi := range aggIdx {
@@ -332,18 +381,23 @@ func combinedFromRaw(spec *ReduceSpec, raw *mapOutcome) *mapOutcome {
 				mergeAgg(agg, &accs[len(accs)-1][j], 1, colOf(r.t, agg.ColIdx))
 			}
 		}
-		for i := range recs {
-			r := &recs[i]
-			if spec.Kind == ReduceAggregate {
-				r.t = nil
+		if spec.Kind == ReduceAggregate {
+			for i := range recs {
+				recs[i].t = nil
 				for _, a := range accs[i] {
-					r.t = append(r.t, tuple.Int(a.n), a.v)
+					recs[i].t = append(recs[i].t, tuple.Int(a.n), a.v)
 				}
 			}
-			r.encLen = int32(len(tuple.EncodeLine(r.t)))
+		}
+		parts[p] = recs
+	}
+	out := &mapOutcome{partitions: layOut(parts...)}
+	for _, part := range out.partitions {
+		for i := range part.recs {
+			r := &part.recs[i]
+			r.encLen = int32(len(tuple.EncodeLine(part.tuple(r))))
 			out.localBytes += r.bytes()
 		}
-		out.partitions[p] = recs
 	}
 	return out
 }
@@ -378,7 +432,7 @@ func TestReduceReuseMatchesFresh(t *testing.T) {
 			// combining task accounts and audits what its split would have
 			// shuffled combined, reckoned from the records it would have
 			// shuffled uncombined.
-			var runs [][]interRec
+			var runs []sortedRun
 			for idx := range job.Inputs {
 				for s := 0; s < len(lines); s += 500 {
 					out := runMapTask(job, idx, sealedBlock(t, lines), s, s+500, nil, nil, taskObs{}, new(taskScratch))
@@ -391,7 +445,7 @@ func TestReduceReuseMatchesFresh(t *testing.T) {
 					if out.localBytes != want.localBytes {
 						t.Errorf("%s: split %d: %d shuffle bytes combined, %d by its uncombined records", name, s, out.localBytes, want.localBytes)
 					}
-					if got, want := fmt.Sprint(auditMapSum(out)), fmt.Sprint(auditMapSum(want)); got != want {
+					if got, want := fmt.Sprint(auditMapSum(out, new(lineBuf))), fmt.Sprint(auditMapSum(want, new(lineBuf))); got != want {
 						t.Errorf("%s: split %d: audit digest %s combined, %s by its uncombined records", name, s, got, want)
 					}
 				}
@@ -404,15 +458,17 @@ func TestReduceReuseMatchesFresh(t *testing.T) {
 							func(r digest.Report) { *sink = append(*sink, r) })
 					}
 				}
-				g := runReduceTask(job, runs, factory(&got), taskObs{}, new(taskScratch))
-				w := freshReduce(job, runs, factory(&want))
-				if len(w.outLines) == 0 || w.digested == 0 {
-					t.Fatalf("%s: oracle produced %d lines, %d digested records", name, len(w.outLines), w.digested)
+				sc := new(taskScratch)
+				g := runReduceTask(job, runs, factory(&got), taskObs{}, sc)
+				gLines := staged(sc)
+				w, wLines := freshReduce(job, runs, factory(&want))
+				if len(wLines) == 0 || w.digested == 0 {
+					t.Fatalf("%s: oracle produced %d lines, %d digested records", name, len(wLines), w.digested)
 				}
-				if !reflect.DeepEqual(g, w) {
-					t.Errorf("%s combine=%v d=%d: outcome differs:\n got %d lines, %+v\nwant %d lines, %+v",
-						name, job.Reduce.Combine, chunk, len(g.outLines), g.outLines[:min(3, len(g.outLines))],
-						len(w.outLines), w.outLines[:min(3, len(w.outLines))])
+				if !reflect.DeepEqual(g, w) || !slices.Equal(gLines, wLines) {
+					t.Errorf("%s combine=%v d=%d: outcome differs:\n got %+v, %d lines, %+v\nwant %+v, %d lines, %+v",
+						name, job.Reduce.Combine, chunk, *g, len(gLines), gLines[:min(3, len(gLines))],
+						*w, len(wLines), wLines[:min(3, len(wLines))])
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s combine=%v d=%d: digest reports differ: got %d, want %d", name, job.Reduce.Combine, chunk, len(got), len(want))
@@ -424,9 +480,8 @@ func TestReduceReuseMatchesFresh(t *testing.T) {
 
 // TestReduceJoinAllocs pins the reduce side of a join at a cost that
 // does not grow with what it emits: 1,000 joined records cost the chain
-// and the line arena's chunks — not a concatenation, a projection and a
-// line each; the group buffers, the merge's arrays and the output lines
-// are the scratch's.
+// — not a concatenation, a projection and a line each; the group
+// buffers, the merge's arrays and the output buffer are the scratch's.
 func TestReduceJoinAllocs(t *testing.T) {
 	src := reuseScripts["join"]
 	job := compile(t, src, CompileOptions{NumReduces: 1, Points: digestPoints(t, plan(t, src), "j", "f", "p")})[0]
@@ -437,7 +492,7 @@ func TestReduceJoinAllocs(t *testing.T) {
 		left[i] = fmt.Sprintf("%d\t%d", 1000+i, i%10)
 		right[i] = fmt.Sprintf("%d\t%d", i%10, 2000+i)
 	}
-	runs := [][]interRec{
+	runs := []sortedRun{
 		runMapTask(job, 0, sealedBlock(t, left), 0, len(left), nil, nil, taskObs{}, new(taskScratch)).partitions[0],
 		runMapTask(job, 1, heldLines(t, right), 0, len(right), nil, nil, taskObs{}, new(taskScratch)).partitions[0],
 	}

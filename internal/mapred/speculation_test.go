@@ -491,7 +491,19 @@ STORE p INTO 'out/hops';`
 	clean := run(t, src, in, opts, nil)
 
 	var backups int
-	var before [][]interRec
+	// Each run as it went in: its records, and what they read as, copied.
+	type runCopy struct {
+		recs []interRec
+		read []testRec
+	}
+	snapshot := func(p sortedRun) runCopy {
+		read := readRun(p)
+		for i := range read {
+			read[i].t = read[i].t.Clone()
+		}
+		return runCopy{slices.Clone(p.recs), read}
+	}
+	var before []runCopy
 	tr := run(t, src, in, opts, func(e *Engine) {
 		e.Speculation = true
 		e.Cost.SplitRecords = 1000 // three runs per input and partition
@@ -506,7 +518,7 @@ STORE p INTO 'out/hops';`
 				return TaskFault{}
 			}
 			for _, out := range task.Job.mapOutcomes {
-				before = append(before, slices.Clone(out.partitions[0]))
+				before = append(before, snapshot(out.partitions[0]))
 			}
 			return TaskFault{SlowFactor: 50}
 		}
@@ -525,7 +537,7 @@ STORE p INTO 'out/hops';`
 		t.Fatalf("r000 merged %d runs, want 6", len(before))
 	}
 	for i, out := range js.mapOutcomes {
-		if !reflect.DeepEqual(out.partitions[0], before[i]) {
+		if !reflect.DeepEqual(snapshot(out.partitions[0]), before[i]) {
 			t.Errorf("run %d changed after it was published", i)
 		}
 	}

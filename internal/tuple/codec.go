@@ -19,8 +19,8 @@ import (
 // The codec is the per-record hot path of the whole engine (every map
 // input, shuffle key, digest fold and output line goes through it), so
 // the Append* entry points write into caller-owned buffers and allocate
-// nothing themselves; numeric values are formatted with strconv's
-// append forms rather than through Value.Str.
+// nothing themselves; an int's digits are written in place and a float
+// through strconv's append form, never through Value.Str.
 
 // EncodeLine renders t as one tab-separated record without a trailing
 // newline.

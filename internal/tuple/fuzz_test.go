@@ -139,6 +139,38 @@ func FuzzCoerceIntMatchesParseInt(f *testing.F) {
 	})
 }
 
+// FuzzAppendIntMatchesStrconv holds the integer encoder, which counts an
+// int's digits and writes them in place, to strconv: for any int64,
+// AppendEncoded (onto a dirty buffer), EncodedLen and Value.Str give
+// strconv.FormatInt's text.
+func FuzzAppendIntMatchesStrconv(f *testing.F) {
+	f.Add(int64(0))
+	f.Add(int64(math.MinInt64))
+	f.Add(int64(math.MaxInt64))
+	for p := int64(1); ; p *= 10 {
+		for _, v := range []int64{p - 1, p, p + 1} { // 0, 1, 2, then 9, 10, 11, 99, 100, 101, …
+			f.Add(v)
+			f.Add(-v)
+		}
+		if p > math.MaxInt64/10 {
+			break
+		}
+	}
+	f.Fuzz(func(t *testing.T, i int64) {
+		want := strconv.FormatInt(i, 10)
+		v := Int(i)
+		if got := AppendEncoded([]byte("dirty"), Tuple{v}); string(got) != "dirty"+want {
+			t.Fatalf("AppendEncoded(%d) = %q, strconv gives %q", i, got, want)
+		}
+		if got := EncodedLen(Tuple{v}); got != len(want) {
+			t.Fatalf("EncodedLen(%d) = %d, strconv gives %d", i, got, len(want))
+		}
+		if got := v.Str(); got != want {
+			t.Fatalf("Str(%d) = %q, strconv gives %q", i, got, want)
+		}
+	})
+}
+
 // fields is a Value as it was laid out before the shared word: an int64
 // and a float64 side by side. FuzzValueWordMatchesFields holds Value to it.
 type fields struct {

@@ -8,6 +8,8 @@ package tuple
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -140,12 +142,13 @@ func (v Value) Str() string {
 }
 
 // appendText appends the canonical textual form of v (exactly Str's
-// output) to dst using strconv's append forms, so encoding a numeric
-// value allocates nothing when dst has capacity.
+// output) to dst: an int's digits written in place (appendInt), a float
+// through strconv's append form, so encoding a numeric value allocates
+// nothing when dst has capacity.
 func (v Value) appendText(dst []byte) []byte {
 	switch v.kind {
 	case KindInt:
-		return strconv.AppendInt(dst, v.i(), 10)
+		return appendInt(dst, v.i())
 	case KindFloat:
 		return strconv.AppendFloat(dst, v.f(), 'g', -1, 64)
 	case KindString:
@@ -155,13 +158,13 @@ func (v Value) appendText(dst []byte) []byte {
 	}
 }
 
-// textLen returns len(v.Str()) without allocating: numeric values format
-// into a stack buffer, strings and nulls are direct lengths.
+// textLen returns len(v.Str()) without allocating: an int's digits are
+// counted (intLen), a float formats into a stack buffer, strings and nulls
+// are direct lengths.
 func (v Value) textLen() int {
 	switch v.kind {
 	case KindInt:
-		var tmp [20]byte // len("-9223372036854775808")
-		return len(strconv.AppendInt(tmp[:0], v.i(), 10))
+		return intLen(v.i())
 	case KindFloat:
 		var tmp [32]byte
 		return len(strconv.AppendFloat(tmp[:0], v.f(), 'g', -1, 64))
@@ -170,6 +173,75 @@ func (v Value) textLen() int {
 	default:
 		return 0
 	}
+}
+
+// pow10 holds 10^i for every i an int64's magnitude needs, and the one
+// past it, so that decimalDigits can compare against it.
+var pow10 = [20]uint64{
+	1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+}
+
+// digitPairs spells 00 to 99, two bytes each: appendInt writes an int two
+// digits at a time from it.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// decimalDigits is the number of decimal digits of u, 1 for 0. A bit
+// length of b puts u's digits at floor(b·log10 2) or one more; 1233/4096
+// is log10 2 close enough for every b up to 64. u|1 has u's digits, and
+// one for 0.
+func decimalDigits(u uint64) int {
+	u |= 1
+	d := bits.Len64(u) * 1233 >> 12
+	if u >= pow10[d] {
+		d++
+	}
+	return d
+}
+
+// intLen is len(strconv.FormatInt(i, 10)), counted, not formatted.
+func intLen(i int64) int {
+	if i < 0 {
+		return 1 + decimalDigits(-uint64(i)) // -uint64 is i's magnitude, MinInt64's too
+	}
+	return decimalDigits(uint64(i))
+}
+
+// appendInt is strconv.AppendInt(dst, i, 10), written straight into dst:
+// its length counted first, then its digits from the last, two at a time.
+func appendInt(dst []byte, i int64) []byte {
+	n := intLen(i)
+	at := len(dst)
+	dst = slices.Grow(dst, n)[:at+n]
+	b := dst[at:]
+	u := uint64(i)
+	if i < 0 {
+		b[0] = '-'
+		u = -u
+	}
+	j := n
+	for u >= 100 {
+		q := u / 100
+		r := 2 * (u - 100*q)
+		j -= 2
+		b[j], b[j+1] = digitPairs[r], digitPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		b[j-2], b[j-1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		b[j-1] = byte('0' + u)
+	}
+	return dst
 }
 
 // Truthy reports whether the value is "true" in a boolean context:
