@@ -184,6 +184,7 @@ func TestStaleDigestDropped(t *testing.T) {
 	c := h.Ctrl
 	c.v.reset([]verdict{{}})
 	c.v.subs[0].sid = "run1-c0-a1" // already retried once
+	c.v.subs[0].launched = true
 	c.v.bySID = map[string]int{
 		"run1-c0-a0": 0, // stale sid still indexed until verification
 		"run1-c0-a1": 0,

@@ -202,14 +202,15 @@ func (v *verifier) reset(subs []verdict) {
 }
 
 // apply is the verifier's one entry point. An event for an attempt that
-// is no longer its sub-graph's current one, or for a failed sub-graph,
-// is stale: apply drops it and reports false.
+// is no longer its sub-graph's current one, that a retry or restart
+// cascade tore down, or that belongs to a failed sub-graph is stale:
+// apply drops it and reports false.
 func (v *verifier) apply(ev event) bool {
 	start := len(v.out)
 	live := ev.kind == evLaunch
 	if live {
 		v.launch(ev)
-	} else if i, ok := v.bySID[ev.sid]; ok && v.subs[i].sid == ev.sid && !v.subs[i].failed {
+	} else if i, ok := v.bySID[ev.sid]; ok && v.subs[i].sid == ev.sid && v.subs[i].launched && !v.subs[i].failed {
 		live = true
 		s := &v.subs[i]
 		switch ev.kind {
@@ -239,11 +240,8 @@ func (v *verifier) apply(ev event) bool {
 				v.verify(s, 0, nil)
 			}
 		case evTimeout:
-			// A torn-down attempt waits for its relaunch, which arms its own
-			// timer; retry ignores one already verified.
-			if s.launched {
-				v.retry(s, analyze.CauseTimeout)
-			}
+			// retry ignores an attempt already verified.
+			v.retry(s, analyze.CauseTimeout)
 		}
 	}
 	v.run()
@@ -595,13 +593,10 @@ func (v *verifier) restart(root *verdict) {
 		if s.failed {
 			continue
 		}
-		wasLaunched := s.launched
+		// Every member not failed is launched: the cascade collects only
+		// launched consumers, and a root is one of those, or verified,
+		// which only a live event of a launched attempt can make it.
 		s.verified, s.launched = false, false
-		if !wasLaunched {
-			// Torn down before, so killed then; a cheap-policy attempt, the
-			// only kind verified unlaunched, holds no checkpoints.
-			continue
-		}
 		s.attempt++
 		if v.exhausted(s) {
 			s.failed = true

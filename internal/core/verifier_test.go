@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"clusterbft/internal/digest"
@@ -36,5 +37,59 @@ func TestVerifierApplyAllocs(t *testing.T) {
 	timeout := event{kind: evTimeout, sid: sid}
 	if n := testing.AllocsPerRun(100, func() { v.apply(timeout) }); n != 0 || len(v.out) != 0 {
 		t.Errorf("a settled attempt's timeout allocates %v times and decides %v, want 0 and nothing", n, v.out)
+	}
+}
+
+// TestTornDownAttemptDecidesNothing: an attempt a restart cascade tore
+// down keeps its sid until it relaunches, and its quizzes still finish.
+// Their completion must decide nothing: c1, a quiz attempt whose job is
+// done and whose quiz agrees, is torn down when its deferred upstream c0
+// fails a quiz, and c1's late quiz completion must not verify the
+// attempt the cascade was started to distrust.
+func TestTornDownAttemptDecidesNothing(t *testing.T) {
+	const up, down = "run1-c0-a0", "run1-c1-a0"
+	cfg := DefaultConfig()
+	cfg.R = 1
+	v := newVerifier(cfg)
+	v.reset([]verdict{{id: 0}, {id: 1, upstream: []int{0}}})
+	report := func(sid string, rep int, task string, sum byte) {
+		v.apply(event{kind: evDigest, sid: sid, report: digest.Report{
+			Key: digest.Key{SID: sid, Point: 1, Task: task}, Replica: rep, Sum: digest.Sum{sum}}})
+	}
+	launched := func(sub int) bool {
+		return slices.ContainsFunc(v.out, func(d decision) bool { return d.kind == dLaunch && d.sub == sub })
+	}
+
+	v.apply(event{kind: evLaunch, sub: 0, sid: up, policy: PolicyDeferred, r: 1, jobs: 1})
+	report(up, 0, "m0-000", 1)
+	v.apply(event{kind: evJobDone, sid: up, replica: 0})
+	if !v.subs[0].verified || !launched(1) {
+		t.Fatalf("deferred c0 did not verify and launch c1: %+v", v.out)
+	}
+	v.out = v.out[:0]
+	v.apply(event{kind: evLaunch, sub: 1, sid: down, policy: PolicyQuiz, r: 1, jobs: 1,
+		sources: map[int]sourceRef{0: {sid: up, replica: 0, verified: true}}})
+	report(down, 0, "m0-000", 2)
+	v.apply(event{kind: evJobDone, sid: down, replica: 0})
+	report(down, quizReplica, "m0-000", 2) // c1's quiz agrees
+
+	// c0's quiz disagrees: c0 escalates, and the cascade tears c1 down.
+	report(up, quizReplica, "m0-000", 9)
+	v.out = v.out[:0]
+	v.apply(event{kind: evQuiz, sid: up, quizzes: 1})
+	if s := &v.subs[1]; s.launched || s.verified || s.sid != down {
+		t.Fatalf("c1 after the cascade: launched=%v verified=%v sid=%s, want torn down under %s",
+			s.launched, s.verified, s.sid, down)
+	}
+	if launched(1) {
+		t.Fatalf("c1 relaunched before c0 verified: %+v", v.out)
+	}
+
+	v.out = v.out[:0]
+	if v.apply(event{kind: evQuiz, sid: down, quizzes: 1}) || len(v.out) != 0 {
+		t.Fatalf("the torn-down attempt's quiz completion was live and decided %+v", v.out)
+	}
+	if v.subs[1].verified {
+		t.Fatal("the torn-down attempt was verified")
 	}
 }
