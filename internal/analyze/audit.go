@@ -229,6 +229,19 @@ func (a *AuditTrail) Events() []AuditEvent {
 	return out
 }
 
+// Take returns the retained events, oldest first, and empties the
+// trail.
+func (a *AuditTrail) Take() []AuditEvent {
+	if a == nil {
+		return nil
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := a.events
+	a.events = nil
+	return out
+}
+
 // Len returns the number of retained events.
 func (a *AuditTrail) Len() int {
 	if a == nil {

@@ -66,66 +66,57 @@ func TestCheckpointCleanRunSavesAndTearsDown(t *testing.T) {
 // restarted upstream (new sid), or a changed upstream set all
 // invalidate it.
 func TestCheckpointSourceSignature(t *testing.T) {
-	c := &Controller{
-		Cfg:       Config{Checkpoint: true},
-		ckpts:     map[int]map[string]*ckptEntry{},
-		templates: map[string]*mapred.JobSpec{"j01": {ID: "j01"}},
-	}
-	cs := &clusterState{verdict: &verdict{id: 2}, hasInDep: map[string]bool{"j01": true}}
-	sources := map[int]sourceRef{
+	s := &verdict{id: 2}
+	s.sources = map[int]sourceRef{
 		0: {sid: "run1-c0-a0", replica: 1},
 		1: {sid: "run1-c1-a1", replica: 0},
 	}
-	entry := func() *ckptEntry {
-		return &ckptEntry{
-			sum:  digest.Sum{1},
-			path: "ckpt/run1/c2/j01",
-			srcs: map[int]ckptSrc{
-				0: {sid: "run1-c0-a0", replica: 1},
-				1: {sid: "run1-c1-a1", replica: 0},
-			},
+	saved := func() map[int]sourceRef {
+		return map[int]sourceRef{
+			0: {sid: "run1-c0-a0", replica: 1},
+			1: {sid: "run1-c1-a1", replica: 0},
 		}
 	}
 
-	c.ckpts[cs.id] = map[string]*ckptEntry{"j01": entry()}
-	if c.ckptValid(cs, sources, "j01") == nil {
+	s.ckpts = map[string]map[int]sourceRef{"j01": saved()}
+	if !s.ckptValid("j01") {
 		t.Fatal("exact source match rejected")
 	}
 
 	// Different winner replica of the same upstream attempt: the bytes
 	// this attempt reads are another replica's output tree.
-	e := entry()
-	e.srcs[0] = ckptSrc{sid: "run1-c0-a0", replica: 2}
-	c.ckpts[cs.id]["j01"] = e
-	if c.ckptValid(cs, sources, "j01") != nil {
+	e := saved()
+	e[0] = sourceRef{sid: "run1-c0-a0", replica: 2}
+	s.ckpts["j01"] = e
+	if s.ckptValid("j01") {
 		t.Error("winner-replica change accepted")
 	}
 
 	// Restarted upstream: new attempt sid.
-	e = entry()
-	e.srcs[1] = ckptSrc{sid: "run1-c1-a2", replica: 0}
-	c.ckpts[cs.id]["j01"] = e
-	if c.ckptValid(cs, sources, "j01") != nil {
+	e = saved()
+	e[1] = sourceRef{sid: "run1-c1-a2", replica: 0}
+	s.ckpts["j01"] = e
+	if s.ckptValid("j01") {
 		t.Error("upstream sid change accepted")
 	}
 
 	// Upstream set shrank or grew between save and relaunch.
-	e = entry()
-	delete(e.srcs, 1)
-	c.ckpts[cs.id]["j01"] = e
-	if c.ckptValid(cs, sources, "j01") != nil {
+	e = saved()
+	delete(e, 1)
+	s.ckpts["j01"] = e
+	if s.ckptValid("j01") {
 		t.Error("missing upstream accepted")
 	}
-	e = entry()
-	e.srcs[3] = ckptSrc{sid: "run1-c3-a0", replica: 0}
-	c.ckpts[cs.id]["j01"] = e
-	if c.ckptValid(cs, sources, "j01") != nil {
+	e = saved()
+	e[3] = sourceRef{sid: "run1-c3-a0", replica: 0}
+	s.ckpts["j01"] = e
+	if s.ckptValid("j01") {
 		t.Error("extra upstream accepted")
 	}
 
 	// No entry at all.
-	delete(c.ckpts[cs.id], "j01")
-	if c.ckptValid(cs, sources, "j01") != nil {
+	delete(s.ckpts, "j01")
+	if s.ckptValid("j01") {
 		t.Error("missing entry accepted")
 	}
 }
@@ -134,31 +125,28 @@ func TestCheckpointSourceSignature(t *testing.T) {
 // non-Final jobs of a full-r cluster are checkpoint-eligible, and only
 // when checkpointing is configured on.
 func TestCheckpointEligibility(t *testing.T) {
-	c := &Controller{
-		Cfg: Config{Checkpoint: true},
-		templates: map[string]*mapred.JobSpec{
-			"j00": {ID: "j00", Final: true},
-			"j01": {ID: "j01"},
-			"j02": {ID: "j02"},
-		},
+	c := &Controller{Cfg: Config{Checkpoint: true}}
+	final, interior, boundary := tmpl{id: "j00", interior: true}, tmpl{id: "j01", interior: true}, tmpl{id: "j02"}
+	jobs := map[string]*mapred.JobSpec{
+		"j00": {ID: "j00", Final: true},
+		"j01": {ID: "j01"},
+		"j02": {ID: "j02"},
 	}
-	cs := &clusterState{verdict: &verdict{policy: PolicyFull}, hasInDep: map[string]bool{"j01": true, "j00": true}}
-	if !c.ckptEligible(cs, "j01") {
+	eligible := func(p Policy, t tmpl) bool { return c.ckptEligible(p, t, jobs[t.id]) }
+	if !eligible(PolicyFull, interior) {
 		t.Error("interior non-final job should be eligible")
 	}
-	if c.ckptEligible(cs, "j02") {
+	if eligible(PolicyFull, boundary) {
 		t.Error("boundary job (no in-cluster dependent) must not be eligible")
 	}
-	if c.ckptEligible(cs, "j00") {
+	if eligible(PolicyFull, final) {
 		t.Error("final job must not be eligible even with an in-cluster dependent")
 	}
-	cs.policy = PolicyQuiz
-	if c.ckptEligible(cs, "j01") {
+	if eligible(PolicyQuiz, interior) {
 		t.Error("quiz policy (r=1) can never reach f+1 agreement; must not be eligible")
 	}
-	cs.policy = PolicyFull
 	c.Cfg.Checkpoint = false
-	if c.ckptEligible(cs, "j01") {
+	if eligible(PolicyFull, interior) {
 		t.Error("checkpointing off must disable eligibility")
 	}
 }
@@ -193,9 +181,19 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	c.runSeq++
 	c.initRun(jobs, points)
 	cs := c.clusters[0]
-	c.launch(cs)
-	if cs.r != 3 || len(cs.launchJobs) != len(cs.jobs) {
-		t.Fatalf("first attempt: r=%d launchJobs=%d/%d", cs.r, len(cs.launchJobs), len(cs.jobs))
+	c.dispatch(event{kind: evStart})
+	// submitted counts the jobs each replica of the current attempt runs.
+	submitted := func(cs *clusterState) int {
+		n := 0
+		for _, id := range cs.jobIDs[0] {
+			if id != "" {
+				n++
+			}
+		}
+		return n
+	}
+	if cs.r != 3 || submitted(cs) != len(cs.jobs) {
+		t.Fatalf("first attempt: r=%d submitted=%d/%d", cs.r, submitted(cs), len(cs.jobs))
 	}
 	// timeout fires the current attempt's verifier timer.
 	timeout := func(c *Controller, cs *clusterState) { c.dispatch(event{kind: evTimeout, sid: cs.sid}) }
@@ -204,24 +202,24 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	// timing out: plant its checkpoint (no upstream, so the source
 	// signature is empty and stays valid across attempts).
 	var interior string
-	for id := range cs.hasInDep {
-		interior = id
+	for _, tm := range cs.tmpls {
+		if tm.interior {
+			interior = tm.id
+		}
 	}
 	if interior == "" {
 		t.Fatal("scenario needs an interior (checkpointable) job")
 	}
 	h.FS.Append("ckpt/run1/c0/"+interior, "st00\t1")
-	c.ckpts[cs.id] = map[string]*ckptEntry{interior: {
-		path: "ckpt/run1/c0/" + interior, records: 1, bytes: 8,
-		srcs: map[int]ckptSrc{},
-	}}
+	c.ckpts[cs.id] = map[string]*ckptEntry{interior: {path: "ckpt/run1/c0/" + interior, bytes: 8}}
+	cs.ckpts = map[string]map[int]sourceRef{interior: {}}
 
 	// Full attempt a0 times out: a classic cluster-wide escalation.
 	timeout(c, cs)
 	if cs.r != 4 || cs.suffixBoost != 0 {
 		t.Fatalf("full-graph escalation: r=%d boost=%d, want r=4 boost=0", cs.r, cs.suffixBoost)
 	}
-	if len(cs.launchJobs) >= len(cs.jobs) {
+	if submitted(cs) >= len(cs.jobs) {
 		t.Fatal("retry did not consume the planted checkpoint")
 	}
 	// Two suffix-only attempts time out: escalations scoped to the suffix.
@@ -235,8 +233,9 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	// come back at the degree they always had (base 3 + the one
 	// full-graph escalation), not at the suffix-inflated 7.
 	c.dropCkpts(cs)
+	cs.ckpts = nil
 	timeout(c, cs)
-	if len(cs.launchJobs) != len(cs.jobs) {
+	if submitted(cs) != len(cs.jobs) {
 		t.Fatal("expected a full re-execution after dropping checkpoints")
 	}
 	if cs.r != 4 || cs.suffixBoost != 0 {
@@ -249,7 +248,7 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	c2.runSeq++
 	c2.initRun(jobs, points)
 	cs2 := c2.clusters[0]
-	c2.launch(cs2)
+	c2.dispatch(event{kind: evStart})
 	for i := 0; i < 4; i++ {
 		timeout(c2, cs2)
 	}

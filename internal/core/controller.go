@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"clusterbft/internal/analyze"
 	"clusterbft/internal/cluster"
@@ -139,44 +141,30 @@ type Result struct {
 	Metrics mapred.Metrics
 }
 
-// sourceRef records which upstream replica's output a sub-graph attempt
-// consumed.
-type sourceRef struct {
-	sid      string
-	replica  int
-	prefix   string
-	verified bool
-}
-
-// repState is what the controller keeps of one replica of an attempt:
-// where it writes, what it submitted, and the nodes its jobs ran on.
-type repState struct {
-	idx    int
-	prefix string
-	jobIDs []string
-	nodes  NodeSet
+// replicaPath is where replica rep of attempt sid keeps rel: under
+// x/<sid>/r<rep>, which it is itself when rel is "".
+func replicaPath(sid string, rep int, rel string) string {
+	if rel == "" {
+		return "x/" + sid + "/r" + strconv.Itoa(rep)
+	}
+	return "x/" + sid + "/r" + strconv.Itoa(rep) + "/" + rel
 }
 
 // clusterState is what the controller keeps of one sub-graph, over the
 // verifier's verdict state of it: read here, written only by apply.
 type clusterState struct {
 	*verdict
-	jobs     []*mapred.JobSpec // templates, topological
+	jobs     []*mapred.JobSpec // templates, topological, as verdict.tmpls
 	terminal bool
-	// hasInDep marks template IDs some other job of the SAME cluster
-	// depends on; only those are checkpoint-eligible (boundary jobs must
-	// always re-execute so a recovery suffix is never empty).
-	hasInDep map[string]bool
 
+	// plan is the attempt the controller launched last, which every
+	// decision on the sub-graph until the next dLaunch is about; jobIDs
+	// holds, per replica of it, the job submitted per template job ("" for
+	// none).
+	plan        launchPlan
+	jobIDs      [][]string
 	launchedAtV int64
 	verifiedAt  int64
-	replicas    []*repState
-	// launchJobs is the template subset the current attempt actually
-	// submitted (all of cs.jobs unless checkpoints covered a prefix);
-	// repState.jobIDs and quiz sampling index it.
-	launchJobs []*mapred.JobSpec
-	// quizzes counts the quizzes the current attempt started.
-	quizzes int
 }
 
 // Controller is the trusted control tier: request handler + verifier +
@@ -193,12 +181,14 @@ type Controller struct {
 	runSeq int
 	audit  *analyze.AuditTrail
 	// acting is set while decisions are carried out: a launch's Submit
-	// files digests synchronously, and their decisions join the stream.
+	// files digests synchronously and a checkpoint reports its landing,
+	// and those events' decisions join the stream.
 	acting bool
 
-	// checkpoint registry: cluster id -> template job ID -> entry.
+	// checkpoint files: cluster id -> template job ID -> entry.
 	// Run-scoped (reset in initRun); entries survive across attempts of
-	// one run, which is the whole point.
+	// one run, which is the whole point. The verifier decides which of
+	// them an attempt reads.
 	ckpts     map[int]map[string]*ckptEntry
 	ckptStats CheckpointStats
 	// checkpoint counters, registered only when Cfg.Checkpoint is set so
@@ -211,14 +201,13 @@ type Controller struct {
 	// run-scoped state
 	clusterOf  map[string]int // template job ID -> cluster
 	producedBy map[string]string
-	templates  map[string]*mapred.JobSpec
 	clusters   []*clusterState
 	faultyReps int
 	runErr     error
 }
 
 // NewController wires a controller to an engine. susp and fa may be nil
-// for fresh state.
+// for fresh state; from here on its verifier is their only writer.
 func NewController(eng *mapred.Engine, cfg Config, susp *SuspicionTable, fa *FaultAnalyzer) *Controller {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 6
@@ -241,10 +230,15 @@ func NewController(eng *mapred.Engine, cfg Config, susp *SuspicionTable, fa *Fau
 	if fa == nil {
 		fa = NewFaultAnalyzer(cfg.F)
 	}
-	c := &Controller{Eng: eng, Cfg: cfg, Susp: susp, FA: fa, v: newVerifier(cfg)}
+	nodes := make([]cluster.NodeID, eng.Cluster.Len())
+	for i, n := range eng.Cluster.Nodes() {
+		nodes[i] = n.ID
+	}
+	c := &Controller{Eng: eng, Cfg: cfg, Susp: susp, FA: fa, v: newVerifier(cfg, susp, fa, nodes)}
 	eng.DigestChunk = cfg.DigestChunk
 	eng.DigestSink = c.onDigest
 	eng.OnJobDone = c.onJobDone
+	eng.OnAssign = c.onAssign
 	if cfg.Checkpoint {
 		if reg := eng.Registry(); reg != nil {
 			c.obsCkptSaves = reg.Counter("core.checkpoint.saves")
@@ -259,11 +253,12 @@ func NewController(eng *mapred.Engine, cfg Config, susp *SuspicionTable, fa *Fau
 // AttachAudit routes the audit trail through the pipeline: the
 // verifier's decisions (see record), category transitions from the
 // suspicion table, and every intersection step of the fault analyzer
-// land in trail with the evidence that caused them. Nil detaches.
+// land in trail with the evidence that caused them. The tables log into
+// the verifier, which hands the lines over with its decisions. Nil
+// detaches.
 func (c *Controller) AttachAudit(trail *analyze.AuditTrail) {
 	c.audit = trail
-	c.Susp.Audit = trail
-	c.FA.Audit = trail
+	c.v.attach(trail != nil)
 }
 
 // Run executes one script under BFT protection and blocks until the
@@ -291,11 +286,7 @@ func (c *Controller) Run(script string) (*Result, error) {
 	c.initRun(jobs, points)
 
 	start := c.Eng.Now()
-	for _, cs := range c.clusters {
-		if len(cs.upstream) == 0 {
-			c.launch(cs)
-		}
-	}
+	c.dispatch(event{kind: evStart})
 	c.Eng.Run()
 	if bad := c.Eng.Fault; bad != nil {
 		c.fail(fmt.Errorf("core: trusted storage failed: %w", bad))
@@ -324,13 +315,13 @@ func (c *Controller) Run(script string) (*Result, error) {
 			res.Verified = false
 			continue
 		}
-		if cs.terminal && cs.verifiedAt-start > res.LatencyUs {
-			res.LatencyUs = cs.verifiedAt - start
+		if !cs.terminal {
+			continue
 		}
-		winPrefix := cs.replicas[cs.winner].prefix
+		res.LatencyUs = max(res.LatencyUs, cs.verifiedAt-start)
 		for _, j := range cs.jobs {
 			if j.Final {
-				res.Outputs[j.Output] = winPrefix + "/" + j.Output
+				res.Outputs[j.Output] = replicaPath(cs.plan.sid, cs.winner, j.Output)
 			}
 		}
 	}
@@ -403,14 +394,14 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 	for _, p := range points {
 		pointSet[p] = true
 	}
-	c.templates = make(map[string]*mapred.JobSpec, len(jobs))
+	templates := make(map[string]*mapred.JobSpec, len(jobs))
 	c.producedBy = make(map[string]string, len(jobs))
 	for _, j := range jobs {
-		c.templates[j.ID] = j
+		templates[j.ID] = j
 		c.producedBy[j.Output] = j.ID
 	}
 	boundary := func(id string) bool {
-		j := c.templates[id]
+		j := templates[id]
 		return j != nil && pointSet[j.OutVertex]
 	}
 	// Union-find over job IDs, skipping edges out of boundary jobs.
@@ -437,7 +428,8 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 	c.clusters = nil
 	var subs []verdict
 	rootIdx := make(map[string]int)
-	for _, j := range jobs { // template order is topological
+	at := make(map[string]int, len(jobs)) // template job ID -> index in its sub-graph
+	for _, j := range jobs {              // template order is topological
 		root := find(j.ID)
 		idx, ok := rootIdx[root]
 		if !ok {
@@ -448,7 +440,9 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 		}
 		c.clusterOf[j.ID] = idx
 		cs := c.clusters[idx]
+		at[j.ID] = len(cs.jobs)
 		cs.jobs = append(cs.jobs, j)
+		subs[idx].tmpls = append(subs[idx].tmpls, tmpl{id: j.ID})
 		if j.Final {
 			cs.terminal = true
 		}
@@ -462,11 +456,9 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 					s.upstream = append(s.upstream, dc)
 				}
 			} else {
-				cs := c.clusters[jc]
-				if cs.hasInDep == nil {
-					cs.hasInDep = make(map[string]bool)
-				}
-				cs.hasInDep[d] = true
+				t := &s.tmpls[at[j.ID]]
+				t.deps = append(t.deps, d)
+				s.tmpls[at[d]].interior = true
 			}
 		}
 		for i, in := range j.Inputs {
@@ -475,7 +467,7 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 			}
 		}
 	}
-	c.v.reset(subs)
+	c.v.reset(c.runSeq, subs)
 	for i, cs := range c.clusters {
 		cs.verdict = &c.v.subs[i]
 	}
@@ -484,76 +476,40 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 	c.runErr = nil
 }
 
-// launch starts an attempt of cs: the controller chooses its policy,
-// sources and checkpointed suffix, tells the verifier, then records,
+// launch starts an attempt of cs by the verifier's plan p: it records,
 // submits and arms the attempt's timer.
-func (c *Controller) launch(cs *clusterState) {
-	p, r := cs.policy, cs.r
-	if p == 0 {
-		p = c.decidePolicy()
-		if p != PolicyFull {
-			// Healthy history: one primary replica; verification comes
-			// from quiz re-execution and storage-boundary audits.
-			r = 1
-		}
-	}
+func (c *Controller) launch(cs *clusterState, p launchPlan) {
+	superseded := cs.plan.sid
+	cs.plan = p
 	cs.launchedAtV = c.Eng.Now()
-	superseded := cs.sid
-	sid := fmt.Sprintf("run%d-c%d-a%d", c.runSeq, cs.id, cs.attempt)
-	sources := make(map[int]sourceRef)
-	for _, u := range cs.upstream {
-		up := c.clusters[u]
-		if up.verified {
-			sources[u] = sourceRef{
-				sid: up.sid, replica: up.winner,
-				prefix: up.replicas[up.winner].prefix, verified: true,
-			}
-		} else {
-			rep := up.firstCompleted()
-			sources[u] = sourceRef{
-				sid: up.sid, replica: rep,
-				prefix: up.replicas[rep].prefix,
-			}
+	// Checkpoint-granular recovery: the consumers of a skipped template
+	// job read the f+1-agreed output an earlier attempt persisted, which
+	// none of the attempt's r replicas recomputes.
+	for _, tmpl := range cs.jobs {
+		if p.skip[tmpl.ID] {
+			reclaimed := c.ckpts[cs.id][tmpl.ID].bytes * int64(p.r)
+			c.ckptStats.Hits++
+			c.ckptStats.BytesReclaimed += reclaimed
+			c.obsCkptHits.Inc()
+			c.obsCkptBytesReclaimed.Add(reclaimed)
 		}
 	}
-	// Checkpoint-granular recovery: compute the suffix this attempt must
-	// actually execute. skip maps template IDs whose f+1-agreed output an
-	// earlier attempt persisted (and whose source signature still
-	// matches); their consumers read the checkpoint file instead.
-	skip, run := c.coveredTemplates(cs, p, sources)
-	cs.launchJobs = cs.jobs
-	if skip != nil {
-		cs.launchJobs = make([]*mapred.JobSpec, 0, len(run))
-		for _, tmpl := range cs.jobs { // keep topological template order
-			if run[tmpl.ID] {
-				cs.launchJobs = append(cs.launchJobs, tmpl)
-			}
-		}
-		for _, tmpl := range cs.jobs {
-			if e := skip[tmpl.ID]; e != nil {
-				c.ckptHit(e, r)
-			}
-		}
-	}
-	// The launch event resumes the verifier's pending work, whose
-	// decisions wait in the stream; none of it re-sizes this attempt, so
-	// cs.r and cs.timeoutUs below are the ones just launched.
-	c.v.apply(event{kind: evLaunch, sub: cs.id, sid: sid, policy: p, r: r,
-		jobs: len(cs.launchJobs), suffix: skip != nil, sources: sources})
 	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditLaunch, Replica: -1, Detail: superseded}, 0)
-	cs.replicas = make([]*repState, cs.r)
-	for rep := range cs.r {
-		rs := &repState{idx: rep, nodes: make(NodeSet)}
-		rs.prefix = fmt.Sprintf("x/%s/r%d", sid, rep)
-		cs.replicas[rep] = rs
+	cs.jobIDs = make([][]string, p.r)
+	for rep := range p.r {
+		prefix := replicaPath(p.sid, rep, "")
+		cs.jobIDs[rep] = make([]string, len(cs.jobs))
 		// Attempt-scoped sids already give every launch a fresh namespace;
 		// the purge makes the no-append guarantee unconditional — a
 		// relaunch must never Append onto a dead attempt's partial records
 		// even if a prefix were ever reused.
-		c.Eng.FS.DeleteTree(rs.prefix)
-		for _, tmpl := range cs.launchJobs {
-			spec := c.rewriteJob(cs, rs, tmpl, skip)
-			rs.jobIDs = append(rs.jobIDs, spec.ID)
+		c.Eng.FS.DeleteTree(prefix)
+		for i, tmpl := range cs.jobs { // topological template order
+			if p.skip != nil && !p.run[tmpl.ID] {
+				continue
+			}
+			spec := c.rewriteJob(cs, prefix, rep, i)
+			cs.jobIDs[rep][i] = spec.ID
 			if _, err := c.Eng.Submit(spec); err != nil {
 				c.fail(fmt.Errorf("core: submit %s: %w", spec.ID, err))
 				return
@@ -562,36 +518,29 @@ func (c *Controller) launch(cs *clusterState) {
 	}
 	// The timer is keyed by the attempt's sid, so a stale timer from an
 	// earlier attempt can never fire a retry against a newer one.
-	c.Eng.After(cs.timeoutUs, func() { c.dispatch(event{kind: evTimeout, sid: sid}) })
+	c.Eng.After(p.timeoutUs, func() { c.dispatch(event{kind: evTimeout, sid: p.sid}) })
 }
 
-// ckptHit accounts one checkpoint-covered job at launch: the skipping
-// attempt avoids recomputing its output on every one of its r replicas.
-func (c *Controller) ckptHit(e *ckptEntry, r int) {
-	c.ckptStats.Hits++
-	c.ckptStats.BytesReclaimed += e.bytes * int64(r)
-	c.obsCkptHits.Inc()
-	c.obsCkptBytesReclaimed.Add(e.bytes * int64(r))
-}
-
-// rewriteJob clones a template for one replica of one attempt, rewriting
-// paths, IDs and dependencies into the replica's namespace; inputs
-// produced by upstream sub-graphs point at the chosen source replica.
-func (c *Controller) rewriteJob(cs *clusterState, rs *repState, tmpl *mapred.JobSpec, skip map[string]*ckptEntry) *mapred.JobSpec {
+// rewriteJob clones template job i of cs for replica rep of the attempt
+// the controller launches, rewriting paths, IDs and dependencies into the
+// replica's namespace, prefix; inputs produced by upstream sub-graphs
+// point at the plan's source replica.
+func (c *Controller) rewriteJob(cs *clusterState, prefix string, rep, i int) *mapred.JobSpec {
+	tmpl, p := cs.jobs[i], &cs.plan
 	spec := tmpl.Clone()
-	spec.ID = rs.prefix + "/" + tmpl.ID
-	spec.SID = cs.sid
-	spec.Replica = rs.idx
-	spec.Output = rs.prefix + "/" + tmpl.Output
+	spec.ID = prefix + "/" + tmpl.ID
+	spec.SID = p.sid
+	spec.Replica = rep
+	spec.Output = prefix + "/" + tmpl.Output
 	// Quiz/deferred attempts carry audit digests: per-task pre-combine
 	// sums quizzes are checked against, plus storage-boundary in/out sums
 	// that pin what actually crossed the untrusted DFS.
-	spec.Audit = cs.policy != PolicyFull
-	spec.Ckpt = c.ckptEligible(cs, tmpl.ID)
+	spec.Audit = p.policy != PolicyFull
+	spec.Ckpt = c.ckptEligible(p.policy, cs.tmpls[i], tmpl)
 	var deps []string
 	for _, d := range tmpl.Deps {
-		if c.clusterOf[d] == cs.id && skip[d] == nil {
-			deps = append(deps, rs.prefix+"/"+d)
+		if c.clusterOf[d] == cs.id && !p.skip[d] {
+			deps = append(deps, prefix+"/"+d)
 		}
 		// Cross-cluster deps are satisfied by data availability: the
 		// source replica completed before this attempt launched. A
@@ -605,18 +554,18 @@ func (c *Controller) rewriteJob(cs *clusterState, rs *repState, tmpl *mapred.Job
 			continue // raw script input from trusted storage
 		}
 		if c.clusterOf[prod] == cs.id {
-			if e := skip[prod]; e != nil {
+			if p.skip[prod] {
 				// Checkpoint-covered producer: read the f+1-agreed bytes
 				// from the trusted ckpt/ path, like a script input.
-				spec.Inputs[i].Path = e.path
+				spec.Inputs[i].Path = c.ckpts[cs.id][prod].path
 				continue
 			}
 			spec.Inputs[i].AuditIn = spec.Audit
-			spec.Inputs[i].Path = rs.prefix + "/" + path
+			spec.Inputs[i].Path = prefix + "/" + path
 		} else {
 			spec.Inputs[i].AuditIn = spec.Audit
-			src := cs.sources[c.clusterOf[prod]]
-			spec.Inputs[i].Path = src.prefix + "/" + path
+			src := p.sources[c.clusterOf[prod]]
+			spec.Inputs[i].Path = replicaPath(src.sid, src.replica, path)
 		}
 	}
 	return spec
@@ -666,38 +615,53 @@ func (c *Controller) onDigest(r digest.Report) {
 	c.dispatch(event{kind: evDigest, sid: r.Key.SID, report: r})
 }
 
-// onJobDone hands the verifier a replica's finished job. The replica's
-// nodes join its job cluster, and when the job was its last the
-// suspicion table counts the cluster before any verdict on it acts.
-func (c *Controller) onJobDone(js *mapred.JobState) {
-	sid, rep := js.Spec.SID, js.Spec.Replica
-	if !c.v.apply(event{kind: evJobDone, sid: sid, replica: rep}) {
-		return
-	}
-	cs := c.clusters[c.v.bySID[sid]]
-	rs := cs.replicas[rep]
-	for n := range js.Nodes {
-		rs.nodes[n] = true
-	}
-	if cs.reps[rep].completed {
-		c.Susp.RecordJob(rs.nodes.Sorted())
-	}
-	c.act()
+// onAssign hands the verifier the node a replica's job first landed on.
+func (c *Controller) onAssign(js *mapred.JobState, node cluster.NodeID) {
+	c.dispatch(event{kind: evAssigned, sid: js.Spec.SID, replica: js.Spec.Replica, job: templateOf(js), node: node})
 }
 
-// act carries out the verifier's decisions in the order it made them.
-// A launch answers with an event whose decisions join the same stream,
-// so only the outermost call drains it.
+// onJobDone hands the verifier a replica's finished job, with its task
+// IDs under a cheap policy, whose attempts' jobs carry audit digests.
+func (c *Controller) onJobDone(js *mapred.JobState) {
+	ev := event{kind: evJobDone, sid: js.Spec.SID, replica: js.Spec.Replica, job: templateOf(js)}
+	if js.Spec.Audit {
+		ev.tasks = js.TaskIDs()
+	}
+	c.dispatch(ev)
+}
+
+// templateOf names the template job js is a replica's copy of.
+func templateOf(js *mapred.JobState) string {
+	return js.Spec.ID[strings.LastIndexByte(js.Spec.ID, '/')+1:]
+}
+
+// act carries out the verifier's decisions in the order it made them,
+// each after the table lines logged before it. Events the decisions
+// raise (a launch's synchronous digests, a checkpoint's landing) join
+// the same stream, so only the outermost call drains it.
 func (c *Controller) act() {
 	if c.acting {
 		return
 	}
 	c.acting = true
+	w := 0
 	for i := 0; i < len(c.v.out); i++ {
-		c.do(c.v.out[i])
+		d := c.v.out[i]
+		w = c.trail(w, d.logged)
+		c.do(d)
 	}
-	c.v.out = c.v.out[:0]
+	c.trail(w, len(c.v.lines))
+	c.v.out, c.v.lines = c.v.out[:0], c.v.lines[:0]
 	c.acting = false
+}
+
+// trail writes the verifier's table lines from w up to end, and returns
+// end.
+func (c *Controller) trail(w, end int) int {
+	for ; w < end; w++ {
+		c.audit.Record(c.v.lines[w])
+	}
+	return w
 }
 
 // do carries out one decision.
@@ -708,7 +672,7 @@ func (c *Controller) do(d decision) {
 		if d.cause == analyze.CauseCommission {
 			c.faultyReps++
 		}
-		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditMismatch, Replica: d.replica, Cause: d.cause}, 0)
+		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditMismatch, Replica: d.replica, Cause: d.cause, Nodes: d.nodes}, 0)
 	case dVerified:
 		cs.verifiedAt = c.Eng.Now()
 		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditVerify, Replica: d.replica}, int64(d.n))
@@ -731,11 +695,11 @@ func (c *Controller) do(d decision) {
 		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditFail, Replica: -1, Cause: d.cause}, 0)
 		c.fail(fmt.Errorf("core: sub-graph c%d exhausted %d attempts", cs.id, cs.totalTries))
 	case dCheckpointAgreed:
-		c.maybeCheckpoint(cs, d.key, d.sum, d.reps)
+		c.checkpoint(cs, d.detail, d.replica)
 	case dQuiz:
-		c.startQuiz(cs)
+		c.startQuiz(cs, d.picks)
 	case dLaunch:
-		c.launch(cs)
+		c.launch(cs, d.plan)
 	case dTooWide:
 		c.fail(fmt.Errorf("core: sub-graph c%d needs %d replicas, the verifier tallies at most %d per attempt", cs.id, d.n, MaxReplicas))
 	case dForget:
@@ -751,43 +715,19 @@ func (c *Controller) do(d decision) {
 // judged only by QuizAgrees.
 const quizReplica = 1
 
-// startQuiz samples the primary's committed tasks and re-executes each on
-// the trusted tier; the recomputed digests flow back through onDigest
-// tagged as quizReplica. Sampling never leaves a sub-graph unquizzed: if
-// the draw comes up empty, the terminal job's first task is quizzed.
-func (c *Controller) startQuiz(cs *clusterState) {
-	rs := cs.replicas[0]
-	sid := cs.sid
-	type pick struct{ jobID, tid string }
-	var picks []pick
-	for ji := range cs.launchJobs {
-		js := c.Eng.Job(rs.jobIDs[ji])
-		if js == nil || !js.Done {
-			continue
-		}
-		for _, tid := range js.TaskIDs() {
-			if quizPick(sid, cs.launchJobs[ji].ID, tid, c.Cfg.QuizFraction) {
-				picks = append(picks, pick{rs.jobIDs[ji], tid})
-			}
-		}
-	}
-	if len(picks) == 0 && len(rs.jobIDs) > 0 {
-		last := rs.jobIDs[len(rs.jobIDs)-1]
-		if js := c.Eng.Job(last); js != nil && js.Done {
-			if tids := js.TaskIDs(); len(tids) > 0 {
-				picks = append(picks, pick{last, tids[0]})
-			}
-		}
-	}
-	cs.quizzes = 0
+// startQuiz re-executes the primary's picked tasks on the trusted tier;
+// the recomputed digests flow back through onDigest tagged as
+// quizReplica.
+func (c *Controller) startQuiz(cs *clusterState, picks []quizTask) {
+	sid := cs.plan.sid
 	for _, p := range picks {
-		err := c.Eng.Requiz(p.jobID, p.tid, quizReplica, c.onDigest,
-			func() { c.dispatch(event{kind: evQuiz, sid: sid, quizzes: cs.quizzes}) })
+		jobID := cs.jobIDs[0][p.tmpl]
+		err := c.Eng.Requiz(jobID, p.task, quizReplica, c.onDigest,
+			func() { c.dispatch(event{kind: evQuiz, sid: sid}) })
 		if err != nil {
-			c.fail(fmt.Errorf("core: quiz %s/%s: %w", p.jobID, p.tid, err))
+			c.fail(fmt.Errorf("core: quiz %s/%s: %w", jobID, p.task, err))
 			return
 		}
-		cs.quizzes++
 	}
 }
 
@@ -798,14 +738,7 @@ func (c *Controller) startQuiz(cs *clusterState) {
 // resets the verifier. Verified winners' outputs live in the DFS, so nothing
 // referenced by Result is touched.
 func (c *Controller) teardownRun() {
-	sids := make([]string, 0, len(c.v.bySID))
-	for sid := range c.v.bySID {
-		sids = append(sids, sid)
-	}
-	sort.Strings(sids)
-	for _, sid := range sids {
-		c.v.matcher.Forget(sid)
-		delete(c.v.bySID, sid)
+	for _, sid := range c.v.sweep() {
 		c.Eng.ForgetSID(sid)
 	}
 	for _, cs := range c.clusters {
@@ -818,34 +751,18 @@ func (c *Controller) teardownRun() {
 	c.Eng.Ledger.DropFolds()
 }
 
-// liveNodes unions the nodes recorded at replica-job completion with the
-// engine's live view (tasks assigned to still-running or hung jobs), so
-// omission faults attribute to the nodes actually involved.
-func (c *Controller) liveNodes(rs *repState) NodeSet {
-	s := rs.nodes.Clone()
-	for _, id := range rs.jobIDs {
-		if js := c.Eng.Job(id); js != nil {
-			for n := range js.Nodes {
-				s[n] = true
-			}
-		}
-	}
-	return s
-}
-
 // record is the one writer of what the control tier keeps about a
-// decision on a sub-graph attempt; nothing else in this package writes
-// these stores, so they cannot fall out of step. ev is the decision as
-// the audit trail holds it (Replica -1 for none); the ledger is told what
-// the attempt's CPU bought, the board what /jobs serves once teardown
-// forgot the sid, the tracer the timeline (n: deviants outvoted, records
-// saved), the suspicion table and fault analyzer the blame.
+// decision on the attempt the controller launched last; nothing else in
+// this package writes these stores, so they cannot fall out of step. ev
+// is the decision as the audit trail holds it (Replica -1 for none); the
+// ledger is told what the attempt's CPU bought, the board what /jobs
+// serves once teardown forgot the sid, the tracer the timeline (n:
+// deviants outvoted, records saved). The blame itself the verifier
+// already gave the suspicion table and fault analyzer.
 func (c *Controller) record(cs *clusterState, ev analyze.AuditEvent, n int64) {
-	eng, sid, rep := c.Eng, cs.sid, int64(ev.Replica)
+	eng, p, rep := c.Eng, &cs.plan, int64(ev.Replica)
+	sid := p.sid
 	ev.SID = sid
-	if ev.Kind == analyze.AuditMismatch {
-		ev.Nodes = c.liveNodes(cs.replicas[ev.Replica]).Sorted()
-	}
 	c.audit.Record(ev)
 	b, tr, now := eng.Board, eng.Trace, eng.Now()
 	switch ev.Kind {
@@ -854,10 +771,10 @@ func (c *Controller) record(cs *clusterState, ev analyze.AuditEvent, n int64) {
 			eng.Ledger.Supersede(ev.Detail)
 			b.UpsertSID(ev.Detail, func(s *obs.SIDStatus) { s.State = "superseded" })
 		}
-		eng.Ledger.Launch(sid, cs.policy.String())
+		eng.Ledger.Launch(sid, p.policy.String())
 		b.UpsertSID(sid, func(s *obs.SIDStatus) {
-			s.Cluster, s.Attempt, s.Replicas = cs.id, cs.totalTries, cs.r
-			s.Policy, s.State, s.Winner = cs.policy.String(), "running", -1
+			s.Cluster, s.Attempt, s.Replicas = cs.id, p.totalTries, p.r
+			s.Policy, s.State, s.Winner = p.policy.String(), "running", -1
 		})
 	case analyze.AuditVerify:
 		eng.Ledger.Verified(sid, ev.Replica)
@@ -869,9 +786,7 @@ func (c *Controller) record(cs *clusterState, ev analyze.AuditEvent, n int64) {
 	case analyze.AuditCheckpoint: // Detail: the template job saved
 		tr.Instant("ckpt", "verifier", "save "+sid+"/"+ev.Detail, now, obs.AI("records", n), obs.AI("replica", rep))
 	case analyze.AuditMismatch:
-		c.Susp.RecordFault(ev.Nodes)
-		if ev.Cause == analyze.CauseCommission { // a timeout over-approximates (§4.3): suspicion only
-			c.FA.Report(NewNodeSet(ev.Nodes...))
+		if ev.Cause == analyze.CauseCommission {
 			tr.Instant("suspicion", "verifier", "fault "+sid, now, obs.AI("replica", rep), obs.AI("nodes", int64(len(ev.Nodes))))
 			b.UpsertSID(sid, func(s *obs.SIDStatus) {
 				s.FaultyReplicas = append(s.FaultyReplicas, ev.Replica)
@@ -895,8 +810,8 @@ func (c *Controller) record(cs *clusterState, ev analyze.AuditEvent, n int64) {
 }
 
 func (c *Controller) kill(cs *clusterState) {
-	for _, rs := range cs.replicas {
-		for _, id := range rs.jobIDs {
+	for _, ids := range cs.jobIDs {
+		for _, id := range ids {
 			c.Eng.KillJob(id)
 		}
 	}

@@ -782,7 +782,7 @@ func TestRecordDetachedAllocs(t *testing.T) {
 	if c.audit != nil || c.Eng.Board != nil || c.Eng.Trace != nil {
 		t.Fatal("harness attaches a store; the pin needs none")
 	}
-	cs := &clusterState{verdict: &verdict{id: 1, sid: "run1-c1-a1", policy: PolicyFull, r: 4, totalTries: 2}}
+	cs := &clusterState{verdict: &verdict{id: 1}, plan: launchPlan{sid: "run1-c1-a1", policy: PolicyFull, r: 4, totalTries: 2}}
 	kinds := []analyze.AuditEvent{
 		{Kind: analyze.AuditLaunch, Replica: -1, Detail: "run1-c1-a0"},
 		{Kind: analyze.AuditVerify, Replica: 2},

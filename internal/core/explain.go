@@ -57,7 +57,7 @@ func (c *Controller) Explain() string {
 			}
 			fmt.Fprintf(&b, "  job %s -> %s%s\n", j.ID, j.Output, marker)
 		}
-		for i, rs := range cs.replicas {
+		for i := range cs.jobIDs {
 			state := "not completed"
 			switch {
 			case cs.reps[i].faulty:
@@ -65,7 +65,7 @@ func (c *Controller) Explain() string {
 			case cs.reps[i].completed:
 				state = "completed"
 			}
-			fmt.Fprintf(&b, "  replica %d: %s, nodes=%d\n", rs.idx, state, len(rs.nodes))
+			fmt.Fprintf(&b, "  replica %d: %s, nodes=%d\n", i, state, cs.reps[i].ranOn)
 		}
 	}
 	return b.String()

@@ -76,20 +76,20 @@ func ParsePolicy(s string) (Policy, error) {
 // decidePolicy resolves the configured policy for one sub-graph launch.
 // PolicyAuto consults the suspicion table: excluded nodes get no work
 // anyway, so only nodes still on the inclusion list argue for caution.
-func (c *Controller) decidePolicy() Policy {
-	p := c.Cfg.VerifyPolicy
-	if p == 0 {
+func (v *verifier) decidePolicy() Policy {
+	switch v.policy {
+	case 0:
 		return PolicyFull
-	}
-	if p != PolicyAuto {
-		return p
+	case PolicyAuto:
+	default:
+		return v.policy
 	}
 	worst := None
-	for _, n := range c.Eng.Cluster.Nodes() {
-		if c.Susp.Excluded(n.ID) {
+	for _, n := range v.nodes {
+		if v.susp.Excluded(n) {
 			continue
 		}
-		if cat := c.Susp.CategoryOf(n.ID); cat > worst {
+		if cat := v.susp.CategoryOf(n); cat > worst {
 			worst = cat
 		}
 	}

@@ -125,22 +125,23 @@ func TestQuizDetectsCommission(t *testing.T) {
 func TestAutoPolicySelection(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VerifyPolicy = PolicyAuto
-	h := newHarness(t, 4, 2, cfg)
-	if got := h.Ctrl.decidePolicy(); got != PolicyDeferred {
+	susp := NewSuspicionTable(0)
+	v := newVerifier(cfg, susp, NewFaultAnalyzer(cfg.F), []cluster.NodeID{"node-000", "node-001", "node-002", "node-003"})
+	if got := v.decidePolicy(); got != PolicyDeferred {
 		t.Errorf("clean history: got %v, want deferred", got)
 	}
 	// One fault over four jobs: s = 0.25 -> Low -> quiz.
 	nodes := []cluster.NodeID{"node-000"}
 	for i := 0; i < 4; i++ {
-		h.Ctrl.Susp.RecordJob(nodes)
+		susp.RecordJob(nodes)
 	}
-	h.Ctrl.Susp.RecordFault(nodes)
-	if got := h.Ctrl.decidePolicy(); got != PolicyQuiz {
+	susp.RecordFault(nodes)
+	if got := v.decidePolicy(); got != PolicyQuiz {
 		t.Errorf("low suspicion: got %v, want quiz", got)
 	}
 	// Two faults over four jobs: s = 0.5 -> Med -> full.
-	h.Ctrl.Susp.RecordFault(nodes)
-	if got := h.Ctrl.decidePolicy(); got != PolicyFull {
+	susp.RecordFault(nodes)
+	if got := v.decidePolicy(); got != PolicyFull {
 		t.Errorf("medium suspicion: got %v, want full", got)
 	}
 
@@ -182,7 +183,7 @@ func TestChoosePointsUnknownAlias(t *testing.T) {
 func TestStaleDigestDropped(t *testing.T) {
 	h := newHarness(t, 4, 2, DefaultConfig())
 	c := h.Ctrl
-	c.v.reset([]verdict{{}})
+	c.v.reset(1, []verdict{{}})
 	c.v.subs[0].sid = "run1-c0-a1" // already retried once
 	c.v.subs[0].launched = true
 	c.v.bySID = map[string]int{
@@ -209,10 +210,16 @@ func TestStaleDigestDropped(t *testing.T) {
 // records, while suspicion state (the part that is *supposed* to
 // persist) carries across.
 func TestControllerLifecycleBounded(t *testing.T) {
-	for _, p := range []Policy{PolicyFull, PolicyQuiz, PolicyDeferred} {
+	// The last leg runs full-r with both MR jobs in one sub-graph, so its
+	// interior job is checkpointed on every run.
+	for leg, p := range []Policy{PolicyFull, PolicyQuiz, PolicyDeferred, PolicyFull} {
 		cfg := DefaultConfig()
 		cfg.VerifyPolicy = p
 		cfg.QuizFraction = 1
+		if leg == 3 {
+			cfg.Checkpoint = true
+			cfg.ForcePointAliases = []string{"counts"}
+		}
 		h := newHarness(t, 4, 3, cfg)
 		sched := h.Engine.Sched.(*OverlapScheduler)
 		// Record every report the verifier is handed, to probe the matcher
@@ -273,12 +280,27 @@ func TestControllerLifecycleBounded(t *testing.T) {
 			if n := len(h.Ctrl.v.bySID); n != 0 {
 				t.Errorf("policy %v run %d: the verifier's sid index retains %d entries", p, run, n)
 			}
+			// The verifier's per-run state: each replica's node placements,
+			// each sub-graph's checkpoint signatures and quiz candidates.
+			for _, s := range h.Ctrl.v.subs {
+				for i, r := range s.reps {
+					if r.placed != nil {
+						t.Errorf("policy %v run %d: c%d/r%d retains %d node placements", p, run, s.id, i, len(r.placed))
+					}
+				}
+				if s.ckpts != nil || s.cands != nil {
+					t.Errorf("policy %v run %d: c%d retains %d checkpoint signatures and %d quiz candidate lists", p, run, s.id, len(s.ckpts), len(s.cands))
+				}
+			}
 			if free, total := h.Engine.FreeSlotsTotal(), h.Cluster.TotalSlots(); free != total {
 				t.Errorf("policy %v run %d: slots leaked: free=%d total=%d", p, run, free, total)
 			}
 			if run >= 1 && len(h.Ctrl.Susp.Suspects()) == 0 {
 				t.Errorf("policy %v run %d: suspicion did not carry across runs", p, run)
 			}
+		}
+		if saves := h.Ctrl.CheckpointStats().Saves; (leg == 3) != (saves > 0) {
+			t.Errorf("leg %d: %d checkpoint saves", leg, saves)
 		}
 	}
 }

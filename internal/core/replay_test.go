@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"clusterbft/internal/analyze"
 	"clusterbft/internal/chaos"
 	"clusterbft/internal/core"
 	"clusterbft/internal/mapred"
@@ -10,10 +11,13 @@ import (
 
 // TestVerifierReplay drives every schedule of the default chaos campaign
 // under each verification policy, and with checkpoint-granular recovery,
-// through a tapped controller. On every schedule the events its verifier
-// received, replayed into a fresh verifier, must give the same decision
-// stream: the verdicts are a function of the ordered events alone, which
-// is what a replicated control tier needs.
+// through a tapped controller with an audit trail attached. On every
+// schedule the events its verifier received, replayed into a fresh
+// verifier over fresh tables, must give the same decision stream, the
+// same suspicion-table and fault-analyzer trail lines with each
+// decision, and leave the tables concluding what the run's did: the
+// verdicts, the blame and the launch plans are a function of the ordered
+// events alone, which is what a replicated control tier needs.
 func TestVerifierReplay(t *testing.T) {
 	legs := []struct {
 		name string
@@ -32,14 +36,16 @@ func TestVerifierReplay(t *testing.T) {
 			if cfg.Core.VerifyPolicy != 0 {
 				cfg.Core.QuizFraction = 1 // as faultsim's policy legs run
 			}
-			var events, decisions, failed int
+			var events, decisions, lines, failed int
 			for i := range cfg.Schedules {
 				seed := cfg.BaseSeed + int64(i)
 				sys := core.NewSystem(cfg.Nodes, cfg.Slots, cfg.Core.Storage, mapred.DefaultCostModel())
 				for path, lines := range cfg.Data {
 					sys.FS.Append(path, lines...)
 				}
-				log := core.TapVerifier(sys.Assure(cfg.Core))
+				ctrl := sys.Assure(cfg.Core)
+				ctrl.AttachAudit(analyze.NewAuditTrail(sys.Engine.Now))
+				log := core.TapVerifier(ctrl)
 				chaos.NewInjector(chaos.Generate(seed, cfg.Profile)).AttachEngine(sys.Engine)
 				// A schedule may exhaust a sub-graph's attempts; the decisions
 				// that failed it replay all the same.
@@ -47,17 +53,18 @@ func TestVerifierReplay(t *testing.T) {
 					failed++
 				}
 				sys.FS.Close()
-				n, d, err := log.Replay()
+				n, d, l, err := log.Replay()
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 				events += n
 				decisions += d
+				lines += l
 			}
-			if events == 0 || decisions == 0 {
-				t.Fatalf("nothing replayed: %d events, %d decisions", events, decisions)
+			if events == 0 || decisions == 0 || lines == 0 {
+				t.Fatalf("nothing replayed: %d events, %d decisions, %d table lines", events, decisions, lines)
 			}
-			t.Logf("%d schedules (%d failed): %d events, %d decisions replayed", cfg.Schedules, failed, events, decisions)
+			t.Logf("%d schedules (%d failed): %d events, %d decisions, %d table lines replayed", cfg.Schedules, failed, events, decisions, lines)
 		})
 	}
 }

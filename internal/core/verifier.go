@@ -2,29 +2,36 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"clusterbft/internal/analyze"
+	"clusterbft/internal/cluster"
 	"clusterbft/internal/digest"
 	"clusterbft/internal/mapred"
 )
 
 // The verifier decides; the Controller acts (DESIGN.md §5, "The verifier
-// as a state machine"). Its state is the matcher, each sub-graph's
-// verdict state and the upstream topology, and it changes only in apply,
-// so the ordered events alone determine every decision: replaying them
-// into a fresh verifier gives the same decision stream, which is what
-// lets the verifier be replicated (§5.2) and replayed. It holds no
-// engine, storage, tracer or trail and reads no clock.
+// as a state machine"). Its state is the matcher, the suspicion table
+// and fault analyzer it was handed, each sub-graph's verdict state, its
+// template DAG and the upstream topology, and it changes only in apply,
+// so the ordered events alone determine every decision — verdicts,
+// blame, and each launch's policy, sources, checkpointed suffix and quiz
+// sample: replaying them into a fresh verifier gives the same decision
+// stream, which is what lets the verifier be replicated (§5.2) and
+// replayed. It holds no engine, storage, tracer or trail and reads no
+// clock.
 
 type eventKind uint8
 
 const (
-	evDigest  eventKind = iota + 1 // a digest report
-	evJobDone                      // one job of a replica finished; its last completes the replica
-	evQuiz                         // a quiz re-execution committed its digests
-	evTimeout                      // an attempt's verifier timer fired
-	evLaunch                       // the controller launched an attempt
+	evDigest     eventKind = iota + 1 // a digest report
+	evJobDone                         // one job of a replica finished; its last completes the replica
+	evQuiz                            // a quiz re-execution committed its digests
+	evTimeout                         // an attempt's verifier timer fired
+	evStart                           // a run began: launch its roots
+	evAssigned                        // a job of a replica first landed on a node
+	evCheckpoint                      // a job's agreed output landed under ckpt/
 )
 
 // event is one input to the verifier, passed by value. sid names the
@@ -32,16 +39,13 @@ const (
 type event struct {
 	kind    eventKind
 	sid     string
-	replica int           // evJobDone
-	quizzes int           // evQuiz: how many quizzes the attempt started
-	report  digest.Report // evDigest
-	// evLaunch: the sub-graph and what the controller chose for it.
-	sub     int
-	policy  Policy
-	r       int
-	jobs    int  // jobs each replica runs
-	suffix  bool // only a checkpointed suffix runs
-	sources map[int]sourceRef
+	replica int            // evAssigned, evJobDone
+	node    cluster.NodeID // evAssigned
+	job     string         // evAssigned, evJobDone, evCheckpoint: the template job
+	// evJobDone of an attempt under a cheap policy: the job's task IDs,
+	// the quiz sample's candidates.
+	tasks  []string
+	report digest.Report // evDigest
 }
 
 type decisionKind uint8
@@ -54,9 +58,9 @@ const (
 	dEscalate                                 // a cheap policy saw fault evidence (detail): record
 	dRestart                                  // restarted in a cascade: kill, drop checkpoints, record
 	dFail                                     // attempts exhausted (cause): kill, drop checkpoints, record, fail the run
-	dCheckpointAgreed                         // reps agree on key's sum: save one agreeing replica's output
-	dQuiz                                     // quiz the primary's tasks
-	dLaunch                                   // inputs ready: launch an attempt, and answer with evLaunch
+	dCheckpointAgreed                         // f+1 replicas agree on a job's output: save replica's
+	dQuiz                                     // quiz the primary's tasks in picks
+	dLaunch                                   // inputs ready: launch an attempt by plan
 	dTooWide                                  // needs n replicas, more than the matcher tallies: fail the run
 	dForget                                   // superseded attempt detail is swept: forget it in the engine
 )
@@ -65,13 +69,56 @@ const (
 type decision struct {
 	kind    decisionKind
 	sub     int
-	replica int                // dFaulty: the replica; dVerified: the winner
+	replica int                // dFaulty: the replica; dVerified: the winner; dCheckpointAgreed: the one to save
 	cause   analyze.AuditCause // dFaulty, dRetry, dFail
 	n       int                // dVerified: replicas outvoted; dTooWide: replicas needed
-	reps    uint64             // dCheckpointAgreed: the agreeing replicas
-	detail  string             // dEscalate: the evidence; dForget: the sid
-	key     digest.Key         // dCheckpointAgreed
-	sum     digest.Sum         // dCheckpointAgreed
+	detail  string             // dEscalate: the evidence; dForget: the sid; dCheckpointAgreed: the template job
+	nodes   []cluster.NodeID   // dFaulty: the replica's nodes, sorted
+	picks   []quizTask         // dQuiz
+	plan    launchPlan         // dLaunch
+	// logged counts the table lines (verifier.lines) logged before the
+	// decision in its batch: the trail holds those first, and the ones its
+	// own blame logged right after it.
+	logged int
+}
+
+// launchPlan is what one attempt of a sub-graph runs with. The verifier
+// decides it at launch and copies it into the dLaunch decision: the
+// same batch of decisions may already tear the attempt down and plan
+// the next one before the controller acts.
+type launchPlan struct {
+	sid        string
+	policy     Policy
+	r          int
+	totalTries int // launches of the sub-graph, this one included
+	timeoutUs  int64
+	sources    map[int]sourceRef
+	// skip holds the template jobs whose consumers read a checkpoint
+	// instead, run the ones the attempt submits; both are nil when it
+	// submits every template.
+	skip, run map[string]bool
+}
+
+// sourceRef records which upstream replica's output a sub-graph attempt
+// consumed.
+type sourceRef struct {
+	sid      string
+	replica  int
+	verified bool
+}
+
+// quizTask is one task of the primary to re-execute: the index of its
+// template job in the sub-graph, and its task ID.
+type quizTask struct {
+	tmpl int
+	task string
+}
+
+// tmpl is one template job of a sub-graph, as its launch plans read it.
+type tmpl struct {
+	id       string
+	deps     []string // the template jobs of the same sub-graph it reads
+	interior bool     // another job of the sub-graph reads it
 }
 
 // auditPair is one input of a sub-graph's job that another job of the
@@ -87,6 +134,46 @@ type repVerdict struct {
 	done      int // jobs finished
 	completed bool
 	faulty    bool
+	placed    []placement
+	// ranOn counts the nodes its finished jobs ran on; Explain reads it
+	// once the run is over and placed is swept.
+	ranOn int
+}
+
+// placement is one node a replica's template job was assigned to.
+type placement struct {
+	node cluster.NodeID
+	job  string
+	ran  bool // the job finished
+}
+
+// finish marks job's placements finished, counting the nodes no other
+// finished job of the replica ran on.
+func (r *repVerdict) finish(job string) {
+	for i := range r.placed {
+		p := &r.placed[i]
+		if p.job != job {
+			continue
+		}
+		if !slices.ContainsFunc(r.placed, func(q placement) bool { return q.ran && q.node == p.node }) {
+			r.ranOn++
+		}
+		p.ran = true
+	}
+}
+
+// jobCluster returns the nodes the replica's jobs were assigned to,
+// sorted: its job cluster (§4.3), including the nodes of jobs still
+// running or hung unless only those of its finished jobs are asked for.
+func (r *repVerdict) jobCluster(finished bool) []cluster.NodeID {
+	nodes := make([]cluster.NodeID, 0, len(r.placed))
+	for _, p := range r.placed {
+		if p.ran || !finished {
+			nodes = append(nodes, p.node)
+		}
+	}
+	slices.Sort(nodes)
+	return slices.Compact(nodes)
 }
 
 // verdict is one sub-graph's verdict state.
@@ -94,29 +181,31 @@ type verdict struct {
 	id       int
 	upstream []int
 	audits   []auditPair
+	tmpls    []tmpl // topological
 
-	sid   string
+	// launchPlan is the current attempt's; between a retry and the
+	// relaunch, r and timeoutUs already size the next one.
+	launchPlan
 	stale []string // superseded attempts, swept once the sub-graph verifies
-	// attempt numbers the next sid; totalTries counts launches.
-	attempt    int
-	totalTries int
-	r          int
-	timeoutUs  int64
+	// attempt numbers the next sid.
+	attempt int
 	// suffixBoost counts the timeout escalations of r earned while
 	// attempts re-executed only a checkpointed suffix; a later full
 	// re-execution sheds them, since the checkpointed-prefix jobs were
 	// never implicated (suffix-scoped replica sizing, DESIGN.md §12).
 	suffixBoost int
 	njobs       int // jobs each replica of the attempt runs
-	suffix      bool
-	// policy is resolved at first launch (decidePolicy); escalation
-	// rewrites it to PolicyFull.
-	policy   Policy
-	sources  map[int]sourceRef
-	launched bool
-	reps     []repVerdict
-	// quizDone counts the attempt's quizzes in; quizFailed latches the
-	// first mismatch so stragglers don't escalate twice.
+	launched    bool
+	reps        []repVerdict
+	// ckpts holds, per template job whose agreed output landed under
+	// ckpt/, the sources of the attempt that produced it.
+	ckpts map[string]map[int]sourceRef
+	// cands holds, per template job the primary finished under a cheap
+	// policy, its task IDs; quizzes counts the tasks drawn from them,
+	// quizDone the quizzes in, and quizFailed latches the first mismatch
+	// so stragglers don't escalate twice.
+	cands      [][]string
+	quizzes    int
 	quizDone   int
 	quizFailed bool
 	verified   bool
@@ -147,58 +236,108 @@ const (
 	stBlame                          // escalate the i-th upstream sub's audit blamed
 )
 
-// step is pending work. Work that follows a launch waits for the launch
-// event, since what it decides depends on the launched attempt.
+// step is pending work.
 type step struct {
 	kind   stepKind
 	sub, i int
 }
 
 type verifier struct {
-	matcher     *Matcher
-	r           int // the configured degree
-	maxAttempts int
-	timeoutUs   int64
-	offline     bool
+	matcher      *Matcher
+	susp         *SuspicionTable
+	fa           *FaultAnalyzer
+	nodes        []cluster.NodeID // the cluster's, for PolicyAuto
+	r            int              // the configured degree
+	maxAttempts  int
+	timeoutUs    int64
+	offline      bool
+	policy       Policy
+	quizFraction float64
 
+	runSeq  int
 	subs    []verdict
 	bySID   map[string]int // every attempt not yet forgotten
 	reports int64
 
-	// out holds decisions until the controller acts; todo is the pending
-	// work, paused while a decided launch has not been reported.
-	out    []decision
-	todo   []step
-	paused bool
+	// out holds decisions until the controller acts, and lines what the
+	// suspicion table and fault analyzer logged into log (nil when no
+	// trail is attached) while deciding them; todo is the pending work.
+	out   []decision
+	lines []analyze.AuditEvent
+	log   *analyze.AuditTrail
+	todo  []step
 	// buffers reused across events
 	done, blame, cascade []int
 
-	// tap, when set, sees every event and the decisions it produced.
-	tap func(ev event, ds []decision)
+	// tap, when set, sees every event, the decisions it produced and the
+	// table lines logged meanwhile.
+	tap func(ev event, ds []decision, lines []analyze.AuditEvent)
 }
 
-func newVerifier(cfg Config) *verifier {
+// newVerifier builds a verifier over cfg, with cfg's defaults already
+// applied, that alone writes susp and fa.
+func newVerifier(cfg Config, susp *SuspicionTable, fa *FaultAnalyzer, nodes []cluster.NodeID) *verifier {
 	return &verifier{
-		matcher:     NewMatcher(cfg.F),
-		r:           cfg.R,
-		maxAttempts: cfg.MaxAttempts,
-		timeoutUs:   cfg.TimeoutUs,
-		offline:     cfg.Offline,
-		bySID:       make(map[string]int),
-		out:         make([]decision, 0, 16),
-		todo:        make([]step, 0, 16),
-		done:        make([]int, 0, 8),
+		matcher:      NewMatcher(cfg.F),
+		susp:         susp,
+		fa:           fa,
+		nodes:        nodes,
+		r:            cfg.R,
+		maxAttempts:  cfg.MaxAttempts,
+		timeoutUs:    cfg.TimeoutUs,
+		offline:      cfg.Offline,
+		policy:       cfg.VerifyPolicy,
+		quizFraction: cfg.QuizFraction,
+		bySID:        make(map[string]int),
+		out:          make([]decision, 0, 16),
+		todo:         make([]step, 0, 16),
+		done:         make([]int, 0, 8),
 	}
 }
 
-// reset starts a run over subs, of which only id, upstream and audits
-// are read.
-func (v *verifier) reset(subs []verdict) {
+// attach routes what the tables log into the verifier's lines when on,
+// and turns their logging off otherwise.
+func (v *verifier) attach(on bool) {
+	v.log = nil
+	if on {
+		v.log = analyze.NewAuditTrail(nil)
+	}
+	v.susp.Audit, v.fa.Audit = v.log, v.log
+}
+
+// reset starts run runSeq over subs, of which only id, upstream, audits
+// and tmpls are read.
+func (v *verifier) reset(runSeq int, subs []verdict) {
 	for i := range subs {
 		subs[i].r, subs[i].timeoutUs = v.r, v.timeoutUs
 	}
+	v.runSeq = runSeq
 	v.subs = subs
 	v.reports = 0
+}
+
+// sweep ends the run: it forgets every attempt not forgotten yet and
+// returns their sids, sorted, and drops each replica's node placements
+// and each sub-graph's checkpoint signatures and quiz candidates. The
+// verdicts stay.
+func (v *verifier) sweep() []string {
+	sids := make([]string, 0, len(v.bySID))
+	for sid := range v.bySID {
+		sids = append(sids, sid)
+	}
+	slices.Sort(sids)
+	for _, sid := range sids {
+		v.matcher.Forget(sid)
+		delete(v.bySID, sid)
+	}
+	for i := range v.subs {
+		s := &v.subs[i]
+		for j := range s.reps {
+			s.reps[j].placed = nil
+		}
+		s.ckpts, s.cands = nil, nil
+	}
+	return sids
 }
 
 // apply is the verifier's one entry point. An event for an attempt that
@@ -206,21 +345,39 @@ func (v *verifier) reset(subs []verdict) {
 // cascade tore down, or that belongs to a failed sub-graph is stale:
 // apply drops it and reports false.
 func (v *verifier) apply(ev event) bool {
-	start := len(v.out)
-	live := ev.kind == evLaunch
+	start, lines := len(v.out), len(v.lines)
+	live := ev.kind == evStart
 	if live {
-		v.launch(ev)
+		for i := len(v.subs) - 1; i >= 0; i-- {
+			if len(v.subs[i].upstream) == 0 {
+				v.push(stLaunch, i, 0)
+			}
+		}
 	} else if i, ok := v.bySID[ev.sid]; ok && v.subs[i].sid == ev.sid && v.subs[i].launched && !v.subs[i].failed {
 		live = true
 		s := &v.subs[i]
 		switch ev.kind {
+		case evAssigned:
+			rep := &s.reps[ev.replica]
+			rep.placed = append(rep.placed, placement{node: ev.node, job: ev.job})
 		case evDigest:
 			v.digest(s, ev.report)
 		case evJobDone:
+			if ev.tasks != nil {
+				if s.cands == nil {
+					s.cands = make([][]string, len(s.tmpls))
+				}
+				s.cands[slices.IndexFunc(s.tmpls, func(t tmpl) bool { return t.id == ev.job })] = ev.tasks
+			}
 			rep := &s.reps[ev.replica]
+			rep.finish(ev.job)
 			rep.done++
 			if rep.done == s.njobs {
 				rep.completed = true
+				// The suspicion table counts the job cluster before any
+				// verdict on it.
+				v.susp.RecordJob(rep.jobCluster(true))
+				v.logged()
 				v.push(stPropagate, s.id, 0)
 				v.decide(s)
 			}
@@ -236,30 +393,45 @@ func (v *verifier) apply(ev event) bool {
 				s.quizFailed = true
 				v.faulty(s, 0)
 				v.escalate(s, "quiz re-execution digest mismatch")
-			case s.quizDone == ev.quizzes && s.policy == PolicyQuiz && !s.verified:
+			case s.quizDone == s.quizzes && s.policy == PolicyQuiz && !s.verified:
 				v.verify(s, 0, nil)
 			}
 		case evTimeout:
 			// retry ignores an attempt already verified.
 			v.retry(s, analyze.CauseTimeout)
+		case evCheckpoint:
+			if s.ckpts == nil {
+				s.ckpts = make(map[string]map[int]sourceRef)
+			}
+			s.ckpts[ev.job] = s.sources
 		}
 	}
 	v.run()
 	if v.tap != nil {
-		v.tap(ev, v.out[start:])
+		v.tap(ev, v.out[start:], v.lines[lines:])
 	}
 	return live
 }
 
-func (v *verifier) emit(d decision) { v.out = append(v.out, d) }
+func (v *verifier) emit(d decision) {
+	d.logged = len(v.lines)
+	v.out = append(v.out, d)
+}
+
+// logged moves what the tables just wrote to the trail into lines.
+func (v *verifier) logged() {
+	if v.log != nil {
+		v.lines = append(v.lines, v.log.Take()...)
+	}
+}
 
 func (v *verifier) push(kind stepKind, sub, i int) {
 	v.todo = append(v.todo, step{kind: kind, sub: sub, i: i})
 }
 
-// run works the pending steps until none is left or a launch is due.
+// run works the pending steps until none is left.
 func (v *verifier) run() {
-	for !v.paused && len(v.todo) > 0 {
+	for len(v.todo) > 0 {
 		st := v.todo[len(v.todo)-1]
 		v.todo = v.todo[:len(v.todo)-1]
 		s := &v.subs[st.sub]
@@ -269,7 +441,9 @@ func (v *verifier) run() {
 		case stDownstream:
 			v.downstream(s, st.i)
 		case stQuiz:
-			v.emit(decision{kind: dQuiz, sub: s.id})
+			picks := v.quizSample(s)
+			s.quizzes = len(picks)
+			v.emit(decision{kind: dQuiz, sub: s.id, picks: picks})
 		case stPropagate:
 			if v.offline && !s.verified {
 				for j := len(v.subs) - 1; j >= 0; j-- {
@@ -291,29 +465,6 @@ func (v *verifier) run() {
 			v.escalate(u, fmt.Sprintf("downstream sub-graph c%d read data conflicting with the stored-output digest", s.id))
 		}
 	}
-}
-
-// launch takes in an attempt the controller started and resumes the
-// work that waited for it.
-func (v *verifier) launch(ev event) {
-	s := &v.subs[ev.sub]
-	if s.sid != "" {
-		s.stale = append(s.stale, s.sid)
-	}
-	s.sid = ev.sid
-	v.bySID[ev.sid] = ev.sub
-	s.policy, s.r, s.njobs, s.suffix, s.sources = ev.policy, ev.r, ev.jobs, ev.suffix, ev.sources
-	if !ev.suffix && s.suffixBoost > 0 {
-		// A full re-execution sheds the escalations its checkpointed
-		// suffix earned and runs at the degree the prefix always had.
-		s.r -= s.suffixBoost
-		s.suffixBoost = 0
-	}
-	s.launched = true
-	s.totalTries++
-	s.quizDone, s.quizFailed = 0, false
-	s.reps = append(s.reps[:0], make([]repVerdict, s.r)...)
-	v.paused = false
 }
 
 // ready reports whether every upstream sub-graph can supply input: a
@@ -339,8 +490,131 @@ func (v *verifier) tryLaunch(s *verdict) {
 		v.emit(decision{kind: dTooWide, sub: s.id, n: s.r})
 		return
 	}
-	v.emit(decision{kind: dLaunch, sub: s.id})
-	v.paused = true
+	if s.policy == 0 {
+		if s.policy = v.decidePolicy(); s.policy != PolicyFull {
+			// Healthy history: one primary replica; verification comes
+			// from quiz re-execution and storage-boundary audits.
+			s.r = 1
+		}
+	}
+	if s.sid != "" {
+		s.stale = append(s.stale, s.sid)
+	}
+	s.sid = fmt.Sprintf("run%d-c%d-a%d", v.runSeq, s.id, s.attempt)
+	v.bySID[s.sid] = s.id
+	s.sources = make(map[int]sourceRef)
+	for _, u := range s.upstream {
+		up := &v.subs[u]
+		if up.verified {
+			s.sources[u] = sourceRef{sid: up.sid, replica: up.winner, verified: true}
+		} else {
+			s.sources[u] = sourceRef{sid: up.sid, replica: up.firstCompleted()}
+		}
+	}
+	s.skip, s.run = v.covered(s)
+	s.njobs = len(s.tmpls)
+	if s.skip != nil {
+		s.njobs = len(s.run)
+	} else if s.suffixBoost > 0 {
+		// A full re-execution sheds the escalations its checkpointed
+		// suffix earned and runs at the degree the prefix always had.
+		s.r -= s.suffixBoost
+		s.suffixBoost = 0
+	}
+	s.launched = true
+	s.totalTries++
+	s.quizzes, s.quizDone, s.quizFailed = 0, 0, false
+	clear(s.cands)
+	for i := range s.reps {
+		s.reps[i] = repVerdict{placed: s.reps[i].placed[:0]}
+	}
+	if s.r > len(s.reps) {
+		s.reps = append(s.reps, make([]repVerdict, s.r-len(s.reps))...)
+	}
+	s.reps = s.reps[:s.r]
+	v.emit(decision{kind: dLaunch, sub: s.id, plan: s.launchPlan})
+}
+
+// covered decides which template jobs of s's attempt run and which are
+// covered by a checkpoint an earlier attempt saved: skip holds the
+// covered ones, run the ones to submit. Demand propagates in reverse
+// topological order — a boundary job (no in-cluster dependent) is always
+// demanded; a demanded job with a valid checkpoint is skipped and
+// shields its prefix; a demanded job without one runs and demands its
+// in-cluster dependencies. Jobs nobody demands (their every consumer
+// sits behind a checkpoint) neither run nor skip. Both are nil when
+// nothing is covered, and a cheap policy (r=1, never f+1 agreement) is
+// never covered.
+func (v *verifier) covered(s *verdict) (skip, run map[string]bool) {
+	if s.policy != PolicyFull || len(s.ckpts) == 0 {
+		return nil, nil
+	}
+	skip = make(map[string]bool)
+	run = make(map[string]bool)
+	demanded := make(map[string]bool)
+	for i := len(s.tmpls) - 1; i >= 0; i-- {
+		t := &s.tmpls[i]
+		if !t.interior {
+			demanded[t.id] = true
+		}
+		if !demanded[t.id] {
+			continue
+		}
+		if s.ckptValid(t.id) {
+			skip[t.id] = true
+			continue
+		}
+		run[t.id] = true
+		for _, d := range t.deps {
+			demanded[d] = true
+		}
+	}
+	if len(skip) == 0 {
+		return nil, nil
+	}
+	return skip, run
+}
+
+// ckptValid reports whether the checkpoint of template job id was saved
+// by an attempt that consumed exactly the upstream (sid, replica) pairs
+// s's attempt does. A changed source (restart after a deviant optimistic
+// source, an upstream re-verification) invalidates it: its bytes were
+// derived from data this attempt no longer consumes.
+func (s *verdict) ckptValid(id string) bool {
+	saved, ok := s.ckpts[id]
+	if !ok || len(saved) != len(s.sources) {
+		return false
+	}
+	for u, src := range s.sources {
+		was, ok := saved[u]
+		if !ok || was.sid != src.sid || was.replica != src.replica {
+			return false
+		}
+	}
+	return true
+}
+
+// quizSample draws the primary's tasks to re-execute (quizPick), in
+// template order. Sampling never leaves a sub-graph unquizzed: if the
+// draw comes up empty, the last template job's first task is quizzed.
+func (v *verifier) quizSample(s *verdict) []quizTask {
+	var picks []quizTask
+	last := -1
+	for i, tasks := range s.cands {
+		if tasks == nil {
+			continue
+		}
+		last = i
+		for _, tid := range tasks {
+			if quizPick(s.sid, s.tmpls[i].id, tid, v.quizFraction) {
+				picks = append(picks, quizTask{tmpl: i, task: tid})
+			}
+		}
+	}
+	if len(picks) == 0 && last >= 0 && len(s.cands[last]) > 0 {
+		picks = append(picks, quizTask{tmpl: last, task: s.cands[last][0]})
+	}
+	return picks
 }
 
 // digest stores a report and runs the approximate online comparison
@@ -350,9 +624,10 @@ func (v *verifier) tryLaunch(s *verdict) {
 func (v *verifier) digest(s *verdict, r digest.Report) {
 	v.reports++
 	deviants := v.matcher.Observe(r)
-	if r.Key.Point == mapred.CkptPoint {
-		if sum, agreeing, ok := v.matcher.KeyAgreement(s.sid, r.Key); ok {
-			v.emit(decision{kind: dCheckpointAgreed, sub: s.id, key: r.Key, sum: sum, reps: agreeing})
+	if _, saved := s.ckpts[r.Key.Task]; r.Key.Point == mapred.CkptPoint && !saved {
+		// Later agreeing votes find the checkpoint saved.
+		if _, agreeing, ok := v.matcher.KeyAgreement(s.sid, r.Key); ok {
+			v.emit(decision{kind: dCheckpointAgreed, sub: s.id, replica: bits.TrailingZeros64(agreeing), detail: r.Key.Task})
 		}
 	}
 	for _, rep := range deviants {
@@ -451,7 +726,21 @@ func (v *verifier) faulty(s *verdict, rep int) {
 		return
 	}
 	s.reps[rep].faulty = true
-	v.emit(decision{kind: dFaulty, sub: s.id, replica: rep, cause: analyze.CauseCommission})
+	v.charge(s, rep, analyze.CauseCommission)
+}
+
+// charge decides that replica rep of s failed for cause, and blames the
+// nodes its jobs ran on: the suspicion table counts a fault on each, and
+// a commission fault also goes to the fault analyzer (a timeout
+// over-approximates, §4.3: suspicion only).
+func (v *verifier) charge(s *verdict, rep int, cause analyze.AuditCause) {
+	nodes := s.reps[rep].jobCluster(false)
+	v.emit(decision{kind: dFaulty, sub: s.id, replica: rep, cause: cause, nodes: nodes})
+	v.susp.RecordFault(nodes)
+	if cause == analyze.CauseCommission {
+		v.fa.Report(NewNodeSet(nodes...))
+	}
+	v.logged()
 }
 
 // verify finalizes a sub-graph at winner, flags the deviants, then walks
@@ -543,12 +832,13 @@ func (v *verifier) retry(s *verdict, cause analyze.AuditCause) {
 	if cause == analyze.CauseTimeout {
 		for i, rep := range s.reps {
 			if !rep.completed {
-				v.emit(decision{kind: dFaulty, sub: s.id, replica: i, cause: cause})
+				v.charge(s, i, cause)
 			}
 		}
 	}
 	if v.exhausted(s) {
 		s.failed = true
+		s.ckpts = nil
 		v.emit(decision{kind: dFail, sub: s.id, cause: cause})
 		// Exhaustion outside a restart cascade: consumers launched against
 		// this sub-graph's optimistic output must not keep running.
@@ -560,7 +850,7 @@ func (v *verifier) retry(s *verdict, cause analyze.AuditCause) {
 	if !cheap || !v.full(s) {
 		s.r++
 	}
-	if !cheap && s.suffix {
+	if !cheap && s.skip != nil {
 		// The attempt that failed re-executed only a checkpointed suffix,
 		// so this escalation is scoped to the suffix.
 		s.suffixBoost++
@@ -595,8 +885,11 @@ func (v *verifier) restart(root *verdict) {
 		}
 		// Every member not failed is launched: the cascade collects only
 		// launched consumers, and a root is one of those, or verified,
-		// which only a live event of a launched attempt can make it.
+		// which only a live event of a launched attempt can make it. Its
+		// lineage is suspect, so its checkpoints must not shortcut the
+		// re-run.
 		s.verified, s.launched = false, false
+		s.ckpts = nil
 		s.attempt++
 		if v.exhausted(s) {
 			s.failed = true

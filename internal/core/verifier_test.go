@@ -12,9 +12,14 @@ import (
 // timeout for an attempt that already verified.
 func TestVerifierApplyAllocs(t *testing.T) {
 	const sid = "run1-c0-a0"
-	v := newVerifier(DefaultConfig())
-	v.reset(make([]verdict, 1))
-	v.apply(event{kind: evLaunch, sid: sid, policy: PolicyFull, r: 4, jobs: 1})
+	cfg := DefaultConfig()
+	v := newVerifier(cfg, NewSuspicionTable(0), NewFaultAnalyzer(cfg.F), nil)
+	v.reset(1, []verdict{{tmpls: []tmpl{{id: "j00"}}}})
+	v.apply(event{kind: evStart})
+	if len(v.out) != 1 || v.out[0].kind != dLaunch || v.out[0].plan.sid != sid || v.out[0].plan.r != 4 {
+		t.Fatalf("the run's start decided %+v, want one full-r launch of %s", v.out, sid)
+	}
+	v.out = v.out[:0]
 	vote := func(rep int) event {
 		return event{kind: evDigest, sid: sid, report: digest.Report{
 			Key: digest.Key{SID: sid, Point: 1, Task: "m0-000"}, Replica: rep, Sum: digest.Sum{1}}}
@@ -28,8 +33,8 @@ func TestVerifierApplyAllocs(t *testing.T) {
 	}
 
 	// Two replicas complete with equal vectors: f+1 agreement verifies.
-	v.apply(event{kind: evJobDone, sid: sid, replica: 0})
-	v.apply(event{kind: evJobDone, sid: sid, replica: 1})
+	v.apply(event{kind: evJobDone, sid: sid, replica: 0, job: "j00"})
+	v.apply(event{kind: evJobDone, sid: sid, replica: 1, job: "j00"})
 	if !v.subs[0].verified {
 		t.Fatalf("no verdict after f+1 agreeing completions: %+v", v.out)
 	}
@@ -50,8 +55,13 @@ func TestTornDownAttemptDecidesNothing(t *testing.T) {
 	const up, down = "run1-c0-a0", "run1-c1-a0"
 	cfg := DefaultConfig()
 	cfg.R = 1
-	v := newVerifier(cfg)
-	v.reset([]verdict{{id: 0}, {id: 1, upstream: []int{0}}})
+	cfg.VerifyPolicy = PolicyDeferred
+	v := newVerifier(cfg, NewSuspicionTable(0), NewFaultAnalyzer(cfg.F), nil)
+	v.reset(1, []verdict{
+		{id: 0, tmpls: []tmpl{{id: "j00"}}},
+		{id: 1, upstream: []int{0}, tmpls: []tmpl{{id: "j01"}}},
+	})
+	v.subs[1].policy = PolicyQuiz
 	report := func(sid string, rep int, task string, sum byte) {
 		v.apply(event{kind: evDigest, sid: sid, report: digest.Report{
 			Key: digest.Key{SID: sid, Point: 1, Task: task}, Replica: rep, Sum: digest.Sum{sum}}})
@@ -60,23 +70,20 @@ func TestTornDownAttemptDecidesNothing(t *testing.T) {
 		return slices.ContainsFunc(v.out, func(d decision) bool { return d.kind == dLaunch && d.sub == sub })
 	}
 
-	v.apply(event{kind: evLaunch, sub: 0, sid: up, policy: PolicyDeferred, r: 1, jobs: 1})
+	v.apply(event{kind: evStart})
 	report(up, 0, "m0-000", 1)
-	v.apply(event{kind: evJobDone, sid: up, replica: 0})
-	if !v.subs[0].verified || !launched(1) {
-		t.Fatalf("deferred c0 did not verify and launch c1: %+v", v.out)
+	v.apply(event{kind: evJobDone, sid: up, replica: 0, job: "j00", tasks: []string{"m0-000"}})
+	if !v.subs[0].verified || !launched(1) || v.subs[1].sid != down {
+		t.Fatalf("deferred c0 did not verify and launch c1 as %s: %+v", down, v.out)
 	}
-	v.out = v.out[:0]
-	v.apply(event{kind: evLaunch, sub: 1, sid: down, policy: PolicyQuiz, r: 1, jobs: 1,
-		sources: map[int]sourceRef{0: {sid: up, replica: 0, verified: true}}})
 	report(down, 0, "m0-000", 2)
-	v.apply(event{kind: evJobDone, sid: down, replica: 0})
+	v.apply(event{kind: evJobDone, sid: down, replica: 0, job: "j01", tasks: []string{"m0-000"}})
 	report(down, quizReplica, "m0-000", 2) // c1's quiz agrees
 
 	// c0's quiz disagrees: c0 escalates, and the cascade tears c1 down.
 	report(up, quizReplica, "m0-000", 9)
 	v.out = v.out[:0]
-	v.apply(event{kind: evQuiz, sid: up, quizzes: 1})
+	v.apply(event{kind: evQuiz, sid: up})
 	if s := &v.subs[1]; s.launched || s.verified || s.sid != down {
 		t.Fatalf("c1 after the cascade: launched=%v verified=%v sid=%s, want torn down under %s",
 			s.launched, s.verified, s.sid, down)
@@ -86,7 +93,7 @@ func TestTornDownAttemptDecidesNothing(t *testing.T) {
 	}
 
 	v.out = v.out[:0]
-	if v.apply(event{kind: evQuiz, sid: down, quizzes: 1}) || len(v.out) != 0 {
+	if v.apply(event{kind: evQuiz, sid: down}) || len(v.out) != 0 {
 		t.Fatalf("the torn-down attempt's quiz completion was live and decided %+v", v.out)
 	}
 	if v.subs[1].verified {

@@ -212,6 +212,9 @@ type Engine struct {
 	DigestSink func(digest.Report)
 	// OnJobDone fires when a job's last task completes.
 	OnJobDone func(*JobState)
+	// OnAssign fires when a task of a job is first assigned to a node,
+	// as the node joins the job cluster (JobState.Nodes).
+	OnAssign func(js *JobState, node cluster.NodeID)
 
 	// Speculation enables Hadoop-style backup tasks: an attempt running
 	// specLagFactor times longer than its comparator (see specSweep)
@@ -640,7 +643,12 @@ func (e *Engine) startTask(node *cluster.Node, t *Task) {
 	e.removeReady(t)
 	e.freeSlots[node.ID]--
 	js := t.Job
-	js.Nodes[node.ID] = true
+	if !js.Nodes[node.ID] {
+		js.Nodes[node.ID] = true
+		if e.OnAssign != nil {
+			e.OnAssign(js, node.ID)
+		}
+	}
 	if sid := js.Spec.SID; sid != "" {
 		if e.sidBinding[node.ID] == nil {
 			e.sidBinding[node.ID] = make(map[string]int)
