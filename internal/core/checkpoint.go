@@ -8,46 +8,18 @@ import (
 	"clusterbft/internal/mapred"
 )
 
-// Checkpoint-granular recovery (ROADMAP item 5, DESIGN.md §12).
-//
-// A full-r sub-graph's interior jobs — jobs with an in-cluster
-// dependent — run with Spec.Ckpt set: the engine keeps their output as
-// its tasks sealed it and emits a CkptPoint digest over it, streamed
-// through Engine.Produced, at job completion. The verifier watches those
-// digests arrive per replica; the moment f+1 replicas agree on one job's
-// CkptPoint sum it decides the output is *verified at job granularity*,
-// even though the sub-graph as a whole is still running, and the
-// controller appends one agreeing replica's Produced under a durable
-// ckpt/ path and reports the landing (evCheckpoint), on which the
-// verifier keeps the source signature.
-//
-// When the sub-graph later needs another attempt (verifier timeout,
-// no-agreement retry, deviant-source restart, escalation rerun at full
-// r), the verifier's launch plan (verifier.covered) skips every
-// checkpointed job whose upstream source signature still matches, its
-// consumers read the checkpoint file instead, and only the DAG suffix
-// downstream of the last verified point re-executes — at the attempt's
-// (higher) replication degree. Boundary jobs (no in-cluster dependent)
-// are never checkpointed, so the suffix is never empty and the
-// verification digests the sub-graph verdict needs always flow.
-//
-// Soundness:
-//
-//   - Bytes are persisted from the output as its tasks sealed it (the
-//     stream the CkptPoint digest covers), never from what a write hook
-//     stored instead — a storage write-mangle can never poison a
-//     checkpoint. A block failing its checksum there ends the run
-//     (Engine.Fault), charging no node. The ckpt/ namespace lives outside
-//     every replica prefix, on the trusted tier's store like script inputs.
-//   - Agreement uses the same f+1-with-ambiguity-rejection rule as the
-//     online Observe check: a key where two sums both reach f+1
-//     proves the fault budget was exceeded and is never persisted.
-//   - The verifier records the upstream source signature (sid + replica
-//     per upstream cluster) at save time; an attempt whose sources
-//     changed — a restart after a deviant optimistic source, an
-//     upstream retry — fails the signature check and re-runs from
-//     scratch. The restart cascade additionally drops the affected
-//     clusters' entries outright.
+// Checkpoint-granular recovery (DESIGN.md §12). A full-r sub-graph's
+// interior jobs run with Spec.Ckpt set, and the engine digests their
+// output as produced (CkptPoint) when each finishes. Once f+1 replicas
+// agree on one, the verifier decides it verified at job granularity; the
+// controller appends that replica's Produced under a trusted ckpt/ path,
+// out of every write hook's reach, and reports the landing, on which the
+// verifier keeps the source signature (the upstream sid and replica per
+// upstream sub-graph). A later attempt whose sources match it skips the
+// job: its consumers read the checkpoint, and only the DAG suffix
+// re-executes. A restart cascade drops a sub-graph's checkpoints, since
+// its lineage is suspect. Boundary jobs are never checkpointed, so the
+// suffix is never empty.
 
 // ckptEntry is one persisted checkpoint of a template job: the durable
 // DFS path holding the agreed bytes, and their size.
@@ -59,17 +31,10 @@ type ckptEntry struct {
 // CheckpointStats counts checkpoint activity across a controller's
 // lifetime; the chaos campaign and the recovery experiment read it.
 type CheckpointStats struct {
-	// Saves counts checkpoints persisted (one per (cluster, job) per
-	// source signature).
-	Saves int64
-	// Hits counts jobs skipped at launch because a valid checkpoint
-	// covered them.
-	Hits int64
-	// BytesWritten is the line bytes persisted into ckpt/ paths.
-	BytesWritten int64
-	// BytesReclaimed is the output bytes NOT recomputed thanks to
-	// skips, summed over every replica of the skipping attempt.
-	BytesReclaimed int64
+	Saves          int64 // checkpoints persisted, one per (cluster, job) per source signature
+	Hits           int64 // jobs skipped at launch because a valid checkpoint covered them
+	BytesWritten   int64 // line bytes persisted into ckpt/ paths
+	BytesReclaimed int64 // output bytes not recomputed, over every replica of the skipping attempt
 }
 
 // CheckpointStats returns the controller's checkpoint counters.

@@ -230,11 +230,7 @@ func NewController(eng *mapred.Engine, cfg Config, susp *SuspicionTable, fa *Fau
 	if fa == nil {
 		fa = NewFaultAnalyzer(cfg.F)
 	}
-	nodes := make([]cluster.NodeID, eng.Cluster.Len())
-	for i, n := range eng.Cluster.Nodes() {
-		nodes[i] = n.ID
-	}
-	c := &Controller{Eng: eng, Cfg: cfg, Susp: susp, FA: fa, v: newVerifier(cfg, susp, fa, nodes)}
+	c := &Controller{Eng: eng, Cfg: cfg, Susp: susp, FA: fa, v: newVerifier(cfg, susp, fa, eng.Cluster.Nodes())}
 	eng.DigestChunk = cfg.DigestChunk
 	eng.DigestSink = c.onDigest
 	eng.OnJobDone = c.onJobDone
@@ -291,9 +287,6 @@ func (c *Controller) Run(script string) (*Result, error) {
 	if bad := c.Eng.Fault; bad != nil {
 		c.fail(fmt.Errorf("core: trusted storage failed: %w", bad))
 	}
-	// Sweep every remaining attempt's verifier and engine state: digest
-	// vectors, scheduler affinity and job records are request-scoped, and
-	// a controller serving a stream of Runs must not accumulate them.
 	c.teardownRun()
 	if c.runErr != nil {
 		return nil, c.runErr
@@ -390,19 +383,11 @@ func (c *Controller) sizeOf(path string) int64 {
 // every job materializing a verification point, and each connected
 // component becomes one replicated cluster (§3.3 "variable granularity").
 func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
-	pointSet := make(map[int]bool, len(points))
-	for _, p := range points {
-		pointSet[p] = true
-	}
-	templates := make(map[string]*mapred.JobSpec, len(jobs))
+	boundary := make(map[string]bool, len(jobs)) // jobs materializing a point
 	c.producedBy = make(map[string]string, len(jobs))
 	for _, j := range jobs {
-		templates[j.ID] = j
+		boundary[j.ID] = slices.Contains(points, j.OutVertex)
 		c.producedBy[j.Output] = j.ID
-	}
-	boundary := func(id string) bool {
-		j := templates[id]
-		return j != nil && pointSet[j.OutVertex]
 	}
 	// Union-find over job IDs, skipping edges out of boundary jobs.
 	parent := make(map[string]string, len(jobs))
@@ -419,7 +404,7 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 	}
 	for _, j := range jobs {
 		for _, d := range j.Deps {
-			if !boundary(d) {
+			if !boundary[d] {
 				parent[find(j.ID)] = find(d)
 			}
 		}
@@ -553,17 +538,16 @@ func (c *Controller) rewriteJob(cs *clusterState, prefix string, rep, i int) *ma
 		if !ok {
 			continue // raw script input from trusted storage
 		}
+		if p.skip[prod] {
+			// Checkpoint-covered producer: read the f+1-agreed bytes from
+			// the trusted ckpt/ path, like a script input.
+			spec.Inputs[i].Path = c.ckpts[cs.id][prod].path
+			continue
+		}
+		spec.Inputs[i].AuditIn = spec.Audit
 		if c.clusterOf[prod] == cs.id {
-			if p.skip[prod] {
-				// Checkpoint-covered producer: read the f+1-agreed bytes
-				// from the trusted ckpt/ path, like a script input.
-				spec.Inputs[i].Path = c.ckpts[cs.id][prod].path
-				continue
-			}
-			spec.Inputs[i].AuditIn = spec.Audit
 			spec.Inputs[i].Path = prefix + "/" + path
 		} else {
-			spec.Inputs[i].AuditIn = spec.Audit
 			src := p.sources[c.clusterOf[prod]]
 			spec.Inputs[i].Path = replicaPath(src.sid, src.replica, path)
 		}
@@ -732,10 +716,10 @@ func (c *Controller) startQuiz(cs *clusterState, picks []quizTask) {
 }
 
 // teardownRun sweeps all remaining attempts after the simulation drains:
-// the digest vectors, scheduler affinity and job records are
-// request-scoped, and a controller serving a stream of Runs must not
-// accumulate them. The run is over, so this is no event: the next run
-// resets the verifier. Verified winners' outputs live in the DFS, so nothing
+// the digest vectors, node placements, checkpoints, scheduler affinity
+// and job records are request-scoped, and a controller serving a stream
+// of Runs must not accumulate them. The run is over, so this is no
+// event. Verified winners' outputs live in the DFS, so nothing
 // referenced by Result is touched.
 func (c *Controller) teardownRun() {
 	for _, sid := range c.v.sweep() {

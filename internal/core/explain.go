@@ -30,23 +30,16 @@ func (c *Controller) Explain() string {
 		}
 		fmt.Fprintf(&b, "c%d%s: attempts=%d r=%d %s\n", cs.id, kind, cs.totalTries, cs.r, status)
 		if len(cs.upstream) > 0 {
-			fmt.Fprintf(&b, "  reads from: ")
-			for i, u := range cs.upstream {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				src, ok := cs.sources[u]
-				if ok {
-					fmt.Fprintf(&b, "c%d (replica %d", u, src.replica)
-					if src.verified {
-						b.WriteString(", verified")
-					} else {
-						b.WriteString(", optimistic")
-					}
-					b.WriteString(")")
+			sep := "  reads from: "
+			for _, u := range cs.upstream {
+				if src, ok := cs.sources[u]; !ok {
+					fmt.Fprintf(&b, "%sc%d", sep, u)
+				} else if src.verified {
+					fmt.Fprintf(&b, "%sc%d (replica %d, verified)", sep, u, src.replica)
 				} else {
-					fmt.Fprintf(&b, "c%d", u)
+					fmt.Fprintf(&b, "%sc%d (replica %d, optimistic)", sep, u, src.replica)
 				}
+				sep = ", "
 			}
 			b.WriteByte('\n')
 		}

@@ -14,7 +14,7 @@ import (
 // meanwhile, and the tables the verifier wrote.
 type VerifierLog struct {
 	cfg   Config
-	nodes []cluster.NodeID
+	nodes []*cluster.Node
 	susp  *SuspicionTable
 	fa    *FaultAnalyzer
 	runs  []verifierRun
@@ -43,8 +43,8 @@ type tableState struct {
 func tablesOf(v *verifier) tableState {
 	st := tableState{histogram: v.susp.Histogram(), suspects: v.susp.Suspects(), analyzer: v.fa.Suspects()}
 	for _, n := range v.nodes {
-		if v.susp.Excluded(n) {
-			st.excluded = append(st.excluded, n)
+		if v.susp.Excluded(n.ID) {
+			st.excluded = append(st.excluded, n.ID)
 		}
 	}
 	return st

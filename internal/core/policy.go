@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
 )
 
 // Policy selects how a sub-graph's execution is verified. The classic
@@ -34,7 +36,7 @@ const (
 	// boundary — revokes the verification and escalates to full
 	// replication with a restart cascade.
 	PolicyDeferred
-	// PolicyAuto lets the graph analyzer choose per sub-graph from
+	// PolicyAuto lets the verifier choose per sub-graph from
 	// suspicion history: any Med/High-suspicion node still on the
 	// inclusion list forces PolicyFull, a Low-suspicion history picks
 	// PolicyQuiz, and a clean cluster runs PolicyDeferred.
@@ -86,10 +88,10 @@ func (v *verifier) decidePolicy() Policy {
 	}
 	worst := None
 	for _, n := range v.nodes {
-		if v.susp.Excluded(n) {
+		if v.susp.Excluded(n.ID) {
 			continue
 		}
-		if cat := v.susp.CategoryOf(n); cat > worst {
+		if cat := v.susp.CategoryOf(n.ID); cat > worst {
 			worst = cat
 		}
 	}
@@ -115,22 +117,11 @@ func quizPick(sid, job, tid string, fraction float64) bool {
 	if fraction >= 1 {
 		return true
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	fold := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-		h ^= 0xff
-		h *= prime64
+	h := fnv.New64a()
+	for _, s := range [...]string{sid, job, tid} {
+		io.WriteString(h, s)
+		h.Write([]byte{0xff})
 	}
-	fold(sid)
-	fold(job)
-	fold(tid)
 	const buckets = 1 << 20
-	return h%buckets < uint64(fraction*buckets)
+	return h.Sum64()%buckets < uint64(fraction*buckets)
 }

@@ -126,7 +126,7 @@ func TestAutoPolicySelection(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.VerifyPolicy = PolicyAuto
 	susp := NewSuspicionTable(0)
-	v := newVerifier(cfg, susp, NewFaultAnalyzer(cfg.F), []cluster.NodeID{"node-000", "node-001", "node-002", "node-003"})
+	v := newVerifier(cfg, susp, NewFaultAnalyzer(cfg.F), cluster.New(4, 2).Nodes())
 	if got := v.decidePolicy(); got != PolicyDeferred {
 		t.Errorf("clean history: got %v, want deferred", got)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 
@@ -82,39 +83,34 @@ type decision struct {
 	logged int
 }
 
-// launchPlan is what one attempt of a sub-graph runs with. The verifier
-// decides it at launch and copies it into the dLaunch decision: the
-// same batch of decisions may already tear the attempt down and plan
-// the next one before the controller acts.
+// launchPlan is what one attempt of a sub-graph runs with, decided at
+// launch. The dLaunch decision carries a copy: the same batch may tear
+// the attempt down and plan the next before the controller acts.
 type launchPlan struct {
 	sid        string
 	policy     Policy
 	r          int
 	totalTries int // launches of the sub-graph, this one included
 	timeoutUs  int64
-	sources    map[int]sourceRef
+	sources    map[int]sourceRef // the upstream replica read, per upstream sub-graph
 	// skip holds the template jobs whose consumers read a checkpoint
-	// instead, run the ones the attempt submits; both are nil when it
-	// submits every template.
+	// instead, run the ones submitted; both are nil when all are.
 	skip, run map[string]bool
 }
 
-// sourceRef records which upstream replica's output a sub-graph attempt
-// consumed.
 type sourceRef struct {
 	sid      string
 	replica  int
 	verified bool
 }
 
-// quizTask is one task of the primary to re-execute: the index of its
-// template job in the sub-graph, and its task ID.
+// quizTask is a task of the primary's template job tmpl to re-execute.
 type quizTask struct {
 	tmpl int
 	task string
 }
 
-// tmpl is one template job of a sub-graph, as its launch plans read it.
+// tmpl is one template job of a sub-graph, as launch plans read it.
 type tmpl struct {
 	id       string
 	deps     []string // the template jobs of the same sub-graph it reads
@@ -135,9 +131,7 @@ type repVerdict struct {
 	completed bool
 	faulty    bool
 	placed    []placement
-	// ranOn counts the nodes its finished jobs ran on; Explain reads it
-	// once the run is over and placed is swept.
-	ranOn int
+	ranOn     int // nodes its finished jobs ran on, which outlives placed for Explain
 }
 
 // placement is one node a replica's template job was assigned to.
@@ -147,24 +141,21 @@ type placement struct {
 	ran  bool // the job finished
 }
 
-// finish marks job's placements finished, counting the nodes no other
-// finished job of the replica ran on.
+// finish marks job's placements finished.
 func (r *repVerdict) finish(job string) {
 	for i := range r.placed {
-		p := &r.placed[i]
-		if p.job != job {
-			continue
+		if p := &r.placed[i]; p.job == job {
+			if !slices.ContainsFunc(r.placed, func(q placement) bool { return q.ran && q.node == p.node }) {
+				r.ranOn++
+			}
+			p.ran = true
 		}
-		if !slices.ContainsFunc(r.placed, func(q placement) bool { return q.ran && q.node == p.node }) {
-			r.ranOn++
-		}
-		p.ran = true
 	}
 }
 
-// jobCluster returns the nodes the replica's jobs were assigned to,
-// sorted: its job cluster (§4.3), including the nodes of jobs still
-// running or hung unless only those of its finished jobs are asked for.
+// jobCluster returns the nodes the replica's jobs, or only its finished
+// ones, were assigned to, sorted: its job cluster (§4.3), which with
+// running and hung jobs included is what a fault is charged to.
 func (r *repVerdict) jobCluster(finished bool) []cluster.NodeID {
 	nodes := make([]cluster.NodeID, 0, len(r.placed))
 	for _, p := range r.placed {
@@ -183,12 +174,11 @@ type verdict struct {
 	audits   []auditPair
 	tmpls    []tmpl // topological
 
-	// launchPlan is the current attempt's; between a retry and the
-	// relaunch, r and timeoutUs already size the next one.
+	// launchPlan is the current attempt's; from a retry on, r and
+	// timeoutUs size the next one, which attempt numbers.
 	launchPlan
-	stale []string // superseded attempts, swept once the sub-graph verifies
-	// attempt numbers the next sid.
 	attempt int
+	stale   []string // superseded attempts, swept once the sub-graph verifies
 	// suffixBoost counts the timeout escalations of r earned while
 	// attempts re-executed only a checkpointed suffix; a later full
 	// re-execution sheds them, since the checkpointed-prefix jobs were
@@ -197,13 +187,13 @@ type verdict struct {
 	njobs       int // jobs each replica of the attempt runs
 	launched    bool
 	reps        []repVerdict
-	// ckpts holds, per template job whose agreed output landed under
-	// ckpt/, the sources of the attempt that produced it.
+	// ckpts holds, per template job checkpointed, the sources of the
+	// attempt that saved it.
 	ckpts map[string]map[int]sourceRef
 	// cands holds, per template job the primary finished under a cheap
-	// policy, its task IDs; quizzes counts the tasks drawn from them,
-	// quizDone the quizzes in, and quizFailed latches the first mismatch
-	// so stragglers don't escalate twice.
+	// policy, its task IDs; quizzes counts the tasks drawn, quizDone the
+	// quizzes in, and quizFailed latches the first mismatch so
+	// stragglers don't escalate twice.
 	cands      [][]string
 	quizzes    int
 	quizDone   int
@@ -246,8 +236,8 @@ type verifier struct {
 	matcher      *Matcher
 	susp         *SuspicionTable
 	fa           *FaultAnalyzer
-	nodes        []cluster.NodeID // the cluster's, for PolicyAuto
-	r            int              // the configured degree
+	nodes        []*cluster.Node // for PolicyAuto
+	r            int             // the configured degree
 	maxAttempts  int
 	timeoutUs    int64
 	offline      bool
@@ -259,9 +249,8 @@ type verifier struct {
 	bySID   map[string]int // every attempt not yet forgotten
 	reports int64
 
-	// out holds decisions until the controller acts, and lines what the
-	// suspicion table and fault analyzer logged into log (nil when no
-	// trail is attached) while deciding them; todo is the pending work.
+	// out holds decisions until the controller acts, lines what the
+	// tables logged into log (nil with no trail attached) meanwhile.
 	out   []decision
 	lines []analyze.AuditEvent
 	log   *analyze.AuditTrail
@@ -269,14 +258,13 @@ type verifier struct {
 	// buffers reused across events
 	done, blame, cascade []int
 
-	// tap, when set, sees every event, the decisions it produced and the
-	// table lines logged meanwhile.
+	// tap, when set, sees every event with its decisions and lines.
 	tap func(ev event, ds []decision, lines []analyze.AuditEvent)
 }
 
-// newVerifier builds a verifier over cfg, with cfg's defaults already
-// applied, that alone writes susp and fa.
-func newVerifier(cfg Config, susp *SuspicionTable, fa *FaultAnalyzer, nodes []cluster.NodeID) *verifier {
+// newVerifier builds a verifier over cfg (defaults applied) that alone
+// writes susp and fa.
+func newVerifier(cfg Config, susp *SuspicionTable, fa *FaultAnalyzer, nodes []*cluster.Node) *verifier {
 	return &verifier{
 		matcher:      NewMatcher(cfg.F),
 		susp:         susp,
@@ -316,10 +304,9 @@ func (v *verifier) reset(runSeq int, subs []verdict) {
 	v.reports = 0
 }
 
-// sweep ends the run: it forgets every attempt not forgotten yet and
-// returns their sids, sorted, and drops each replica's node placements
-// and each sub-graph's checkpoint signatures and quiz candidates. The
-// verdicts stay.
+// sweep ends the run: it forgets every attempt left, returning their
+// sids sorted, and drops node placements, checkpoint signatures and quiz
+// candidates. The verdicts stay.
 func (v *verifier) sweep() []string {
 	sids := make([]string, 0, len(v.bySID))
 	for sid := range v.bySID {
@@ -525,26 +512,18 @@ func (v *verifier) tryLaunch(s *verdict) {
 	s.totalTries++
 	s.quizzes, s.quizDone, s.quizFailed = 0, 0, false
 	clear(s.cands)
-	for i := range s.reps {
-		s.reps[i] = repVerdict{placed: s.reps[i].placed[:0]}
-	}
-	if s.r > len(s.reps) {
-		s.reps = append(s.reps, make([]repVerdict, s.r-len(s.reps))...)
-	}
-	s.reps = s.reps[:s.r]
+	s.reps = append(s.reps[:0], make([]repVerdict, s.r)...)
 	v.emit(decision{kind: dLaunch, sub: s.id, plan: s.launchPlan})
 }
 
-// covered decides which template jobs of s's attempt run and which are
-// covered by a checkpoint an earlier attempt saved: skip holds the
-// covered ones, run the ones to submit. Demand propagates in reverse
-// topological order — a boundary job (no in-cluster dependent) is always
-// demanded; a demanded job with a valid checkpoint is skipped and
-// shields its prefix; a demanded job without one runs and demands its
-// in-cluster dependencies. Jobs nobody demands (their every consumer
-// sits behind a checkpoint) neither run nor skip. Both are nil when
-// nothing is covered, and a cheap policy (r=1, never f+1 agreement) is
-// never covered.
+// covered decides which template jobs of s's attempt a checkpoint an
+// earlier attempt saved covers (skip) and which run. Demand propagates
+// in reverse topological order — a boundary job (no in-cluster
+// dependent) is always demanded; a demanded job with a valid checkpoint
+// is skipped and shields its prefix; a demanded job without one runs and
+// demands its in-cluster dependencies. Jobs nobody demands neither run
+// nor skip. Both are nil when nothing is covered, as always under a
+// cheap policy (r=1, never f+1 agreement).
 func (v *verifier) covered(s *verdict) (skip, run map[string]bool) {
 	if s.policy != PolicyFull || len(s.ckpts) == 0 {
 		return nil, nil
@@ -575,28 +554,19 @@ func (v *verifier) covered(s *verdict) (skip, run map[string]bool) {
 	return skip, run
 }
 
-// ckptValid reports whether the checkpoint of template job id was saved
-// by an attempt that consumed exactly the upstream (sid, replica) pairs
-// s's attempt does. A changed source (restart after a deviant optimistic
-// source, an upstream re-verification) invalidates it: its bytes were
-// derived from data this attempt no longer consumes.
+// ckptValid reports whether template job id's checkpoint was saved by an
+// attempt that read exactly the upstream (sid, replica) pairs s's does: a
+// changed source (a restart after a deviant optimistic source, an
+// upstream re-verification) means other input data.
 func (s *verdict) ckptValid(id string) bool {
 	saved, ok := s.ckpts[id]
-	if !ok || len(saved) != len(s.sources) {
-		return false
-	}
-	for u, src := range s.sources {
-		was, ok := saved[u]
-		if !ok || was.sid != src.sid || was.replica != src.replica {
-			return false
-		}
-	}
-	return true
+	return ok && maps.EqualFunc(saved, s.sources, func(a, b sourceRef) bool {
+		return a.sid == b.sid && a.replica == b.replica
+	})
 }
 
 // quizSample draws the primary's tasks to re-execute (quizPick), in
-// template order. Sampling never leaves a sub-graph unquizzed: if the
-// draw comes up empty, the last template job's first task is quizzed.
+// template order; an empty draw quizzes the last job's first task.
 func (v *verifier) quizSample(s *verdict) []quizTask {
 	var picks []quizTask
 	last := -1
@@ -729,9 +699,9 @@ func (v *verifier) faulty(s *verdict, rep int) {
 	v.charge(s, rep, analyze.CauseCommission)
 }
 
-// charge decides that replica rep of s failed for cause, and blames the
-// nodes its jobs ran on: the suspicion table counts a fault on each, and
-// a commission fault also goes to the fault analyzer (a timeout
+// charge decides that replica rep of s failed for cause and blames its
+// job cluster: the suspicion table counts a fault on each node, and the
+// fault analyzer hears of a commission fault (a timeout
 // over-approximates, §4.3: suspicion only).
 func (v *verifier) charge(s *verdict, rep int, cause analyze.AuditCause) {
 	nodes := s.reps[rep].jobCluster(false)
@@ -883,11 +853,9 @@ func (v *verifier) restart(root *verdict) {
 		if s.failed {
 			continue
 		}
-		// Every member not failed is launched: the cascade collects only
-		// launched consumers, and a root is one of those, or verified,
-		// which only a live event of a launched attempt can make it. Its
-		// lineage is suspect, so its checkpoints must not shortcut the
-		// re-run.
+		// Every member not failed is launched (a root is a launched
+		// consumer, or verified by a live event). Its lineage is suspect,
+		// so its checkpoints must not shortcut the re-run.
 		s.verified, s.launched = false, false
 		s.ckpts = nil
 		s.attempt++
