@@ -21,13 +21,6 @@ import (
 // its lineage is suspect. Boundary jobs are never checkpointed, so the
 // suffix is never empty.
 
-// ckptEntry is one persisted checkpoint of a template job: the durable
-// DFS path holding the agreed bytes, and their size.
-type ckptEntry struct {
-	path  string
-	bytes int64
-}
-
 // CheckpointStats counts checkpoint activity across a controller's
 // lifetime; the chaos campaign and the recovery experiment read it.
 type CheckpointStats struct {
@@ -59,14 +52,10 @@ func (c *Controller) checkpoint(cs *clusterState, tmplID string, rep int) {
 	li := slices.IndexFunc(cs.jobs, func(t *mapred.JobSpec) bool { return t.ID == tmplID })
 	out := c.Eng.Produced(c.Eng.Job(cs.jobIDs[rep][li]))
 	lines := slices.AppendSeq(make([]string, 0, out.NumRecords()), out.Lines)
-	path := fmt.Sprintf("ckpt/run%d/c%d/%s", c.runSeq, cs.id, tmplID)
+	path := c.ckptPath(cs, tmplID)
 	_ = c.Eng.FS.Delete(path)
 	c.Eng.FS.Append(path, lines...)
 	size, _ := c.Eng.FS.Size(path) // the file was just appended: it exists
-	if c.ckpts[cs.id] == nil {
-		c.ckpts[cs.id] = make(map[string]*ckptEntry)
-	}
-	c.ckpts[cs.id][tmplID] = &ckptEntry{path: path, bytes: size}
 	c.ckptStats.Saves++
 	c.ckptStats.BytesWritten += size
 	c.obsCkptSaves.Inc()
@@ -75,16 +64,17 @@ func (c *Controller) checkpoint(cs *clusterState, tmplID string, rep int) {
 	c.dispatch(event{kind: evCheckpoint, sid: cs.plan.sid, job: tmplID})
 }
 
-// dropCkpts deletes a cluster's checkpoint entries and their persisted
-// files. Called for every member of a restart cascade (their upstream
-// data lineage is suspect) and at run teardown.
+// ckptPath is where template job tmplID of cs keeps its checkpoint in
+// this run, under ckpt/run<seq>/c<id>/, which it is when tmplID is "".
+func (c *Controller) ckptPath(cs *clusterState, tmplID string) string {
+	return fmt.Sprintf("ckpt/run%d/c%d/%s", c.runSeq, cs.id, tmplID)
+}
+
+// dropCkpts deletes a cluster's checkpoint files. Called for every member
+// of a restart cascade (their upstream data lineage is suspect) and at
+// run teardown; the verifier drops the signatures.
 func (c *Controller) dropCkpts(cs *clusterState) {
-	reg := c.ckpts[cs.id]
-	if len(reg) == 0 {
-		return
+	if c.Cfg.Checkpoint {
+		c.Eng.FS.DeleteTree(c.ckptPath(cs, ""))
 	}
-	for _, e := range reg {
-		_ = c.Eng.FS.Delete(e.path)
-	}
-	delete(c.ckpts, cs.id)
 }

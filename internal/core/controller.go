@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -185,11 +185,6 @@ type Controller struct {
 	// and those events' decisions join the stream.
 	acting bool
 
-	// checkpoint files: cluster id -> template job ID -> entry.
-	// Run-scoped (reset in initRun); entries survive across attempts of
-	// one run, which is the whole point. The verifier decides which of
-	// them an attempt reads.
-	ckpts     map[int]map[string]*ckptEntry
 	ckptStats CheckpointStats
 	// checkpoint counters, registered only when Cfg.Checkpoint is set so
 	// the /metrics surface of legacy configs stays byte-identical.
@@ -355,21 +350,11 @@ func (c *Controller) choosePoints(plan *pig.Plan) ([]int, error) {
 		a := analyze.Analyze(plan, c.sizeOf)
 		// Final outputs are already verified; seed them into the marker
 		// so the n explicit points land mid-flow (Fig 4's tradeoff).
-		finals := make([]int, 0, len(set))
-		for id := range set {
-			finals = append(finals, id)
-		}
-		sort.Ints(finals)
-		for _, p := range a.Mark(c.Cfg.Points, c.Cfg.Model, finals...) {
+		for _, p := range a.Mark(c.Cfg.Points, c.Cfg.Model, slices.Sorted(maps.Keys(set))...) {
 			set[p] = true
 		}
 	}
-	out := make([]int, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out, nil
+	return slices.Sorted(maps.Keys(set)), nil
 }
 
 func (c *Controller) sizeOf(path string) int64 {
@@ -456,7 +441,6 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 	for i, cs := range c.clusters {
 		cs.verdict = &c.v.subs[i]
 	}
-	c.ckpts = make(map[int]map[string]*ckptEntry)
 	c.faultyReps = 0
 	c.runErr = nil
 }
@@ -472,7 +456,8 @@ func (c *Controller) launch(cs *clusterState, p launchPlan) {
 	// none of the attempt's r replicas recomputes.
 	for _, tmpl := range cs.jobs {
 		if p.skip[tmpl.ID] {
-			reclaimed := c.ckpts[cs.id][tmpl.ID].bytes * int64(p.r)
+			size, _ := c.Eng.FS.Size(c.ckptPath(cs, tmpl.ID)) // saved before the verifier could plan the skip
+			reclaimed := size * int64(p.r)
 			c.ckptStats.Hits++
 			c.ckptStats.BytesReclaimed += reclaimed
 			c.obsCkptHits.Inc()
@@ -541,7 +526,7 @@ func (c *Controller) rewriteJob(cs *clusterState, prefix string, rep, i int) *ma
 		if p.skip[prod] {
 			// Checkpoint-covered producer: read the f+1-agreed bytes from
 			// the trusted ckpt/ path, like a script input.
-			spec.Inputs[i].Path = c.ckpts[cs.id][prod].path
+			spec.Inputs[i].Path = c.ckptPath(cs, prod)
 			continue
 		}
 		spec.Inputs[i].AuditIn = spec.Audit
