@@ -488,7 +488,8 @@ func (c *Controller) launch(cs *clusterState, p launchPlan) {
 	}
 	// The timer is keyed by the attempt's sid, so a stale timer from an
 	// earlier attempt can never fire a retry against a newer one.
-	c.Eng.After(p.timeoutUs, func() { c.dispatch(event{kind: evTimeout, sid: p.sid}) })
+	sid := p.sid
+	c.Eng.After(p.timeoutUs, func() { c.dispatch(event{kind: evTimeout, sid: sid}) })
 }
 
 // rewriteJob clones template job i of cs for replica rep of the attempt
@@ -507,14 +508,14 @@ func (c *Controller) rewriteJob(cs *clusterState, prefix string, rep, i int) *ma
 	// that pin what actually crossed the untrusted DFS.
 	spec.Audit = p.policy != PolicyFull
 	spec.Ckpt = c.ckptEligible(p.policy, cs.tmpls[i], tmpl)
+	// Cross-cluster deps are satisfied by data availability: the source
+	// replica completed before this attempt launched. A
+	// checkpoint-skipped producer's data is likewise already durable.
 	var deps []string
-	for _, d := range tmpl.Deps {
-		if c.clusterOf[d] == cs.id && !p.skip[d] {
+	for _, d := range cs.tmpls[i].deps {
+		if !p.skip[d] {
 			deps = append(deps, prefix+"/"+d)
 		}
-		// Cross-cluster deps are satisfied by data availability: the
-		// source replica completed before this attempt launched. A
-		// checkpoint-skipped producer's data is likewise already durable.
 	}
 	spec.Deps = deps
 	for i := range spec.Inputs {
