@@ -88,7 +88,7 @@ type decision struct {
 // the attempt down and plan the next before the controller acts.
 type launchPlan struct {
 	sid        string
-	policy     Policy
+	policy     Policy // resolved at first launch (decidePolicy); escalation rewrites it to full
 	r          int
 	totalTries int // launches of the sub-graph, this one included
 	timeoutUs  int64
@@ -98,6 +98,7 @@ type launchPlan struct {
 	skip, run map[string]bool
 }
 
+// sourceRef names the upstream replica an attempt reads.
 type sourceRef struct {
 	sid      string
 	replica  int
