@@ -18,6 +18,12 @@ import (
 // lines) is held as lines, where they are, every column carried, and read
 // by the codec's own rule (tuple.Fields).
 //
+// A column held as spans also carries what the read learnt of its values
+// as it copied them (Form): whether every one is a canonical integer, or
+// none looks like an integer, so that a reader coerces and encodes the
+// column by one rule for the whole batch rather than looking at every
+// value again.
+//
 // The zero value is ready to use, and a Batch that is read into again
 // reuses its arrays; the text of an earlier read stays valid for as long
 // as a Value cut from it is referenced, and the Batch itself lets go of it
@@ -28,11 +34,19 @@ type Batch struct {
 	text   string
 	widths []int // column count of each record, 0 for the empty line
 	row    int
-	// One array, cut in three, so that a read costs one allocation for all
+	// uniform is the record count of a range held as spans whose every
+	// record holds every column, 0 otherwise: there a value's index in ends
+	// is its column's first plus the row, and Next only counts rows.
+	uniform int
+	// One array, cut in four, so that a read costs one allocation for all
 	// of its offsets.
-	ints    []int32
-	cur     []int32 // per column, the index in ends of the current record's value; -1 when not carried
+	ints []int32
+	// cur is, per column, the index in ends of the current record's value
+	// less the row; -1 when not carried. A record that lacks a carried
+	// column leaves the next record's index where it was, one less the row.
+	cur     []int32
 	carried []int32 // the carried columns, ascending
+	forms   []int32 // per column, the tuple.IntForm its carried values share (Form)
 	ends    []int32 // ends[k+1] is where the k-th carried value ends in text, column after column
 
 	// Held lines, non-nil while Next steps through them, and the current
@@ -49,8 +63,19 @@ type Batch struct {
 func (b *Batch) LineBytes() int64 { return b.lineBytes }
 
 // Next moves to the next record, the first on the first call, and
-// reports whether there is one.
+// reports whether there is one. Within a uniform range it only counts the
+// row, and is small enough to inline into the loop that calls it.
 func (b *Batch) Next() bool {
+	if b.row+1 < b.uniform {
+		b.row++
+		return true
+	}
+	return b.step()
+}
+
+// step is Next for held lines and ragged ranges, and at the end of a
+// uniform one.
+func (b *Batch) step() bool {
 	if b.lines != nil {
 		if b.row++; b.row < len(b.lines) {
 			line := b.lines[b.row]
@@ -63,18 +88,15 @@ func (b *Batch) Next() bool {
 	}
 	if b.row >= 0 && b.row < len(b.widths) {
 		w := b.widths[b.row]
-		for _, c := range b.carried {
-			if int(c) >= w {
-				break
-			}
-			b.cur[c]++
+		for i := len(b.carried) - 1; i >= 0 && int(b.carried[i]) >= w; i-- {
+			b.cur[b.carried[i]]--
 		}
 	}
 	b.row++
 	if b.row < len(b.widths) {
 		return true
 	}
-	b.text = ""
+	b.text, b.uniform = "", 0
 	return false
 }
 
@@ -93,8 +115,24 @@ func (b *Batch) Value(c int) string {
 	if b.lines != nil {
 		return b.line.Value(c)
 	}
-	k := b.cur[c]
+	k := int(b.cur[c]) + b.row
 	return b.text[b.ends[k]:b.ends[k+1]]
+}
+
+// Columns returns the width of a range held as spans, that of its widest
+// record; 0 for held lines.
+func (b *Batch) Columns() int { return len(b.forms) }
+
+// Form returns what the batch knows of the values of column c across all
+// of its records: tuple.IntCanon if every one is a canonical integer,
+// tuple.IntNone if none looks like an integer, and tuple.IntOther if
+// neither is known, which is always so for held lines and a column not
+// carried. A dictionary-coded column's form is its dictionary's.
+func (b *Batch) Form(c int) tuple.IntForm {
+	if b.lines != nil || c >= len(b.forms) {
+		return tuple.IntOther
+	}
+	return tuple.IntForm(b.forms[c])
 }
 
 // Plain reports whether the current record's values hold neither a
@@ -104,7 +142,7 @@ func (b *Batch) Plain() bool { return b.plain }
 
 // reset empties b, keeping its arrays.
 func (b *Batch) reset() {
-	b.text, b.widths, b.row, b.lines, b.lineBytes = "", nil, -1, nil, 0
+	b.text, b.widths, b.row, b.uniform, b.lines, b.forms, b.lineBytes = "", nil, -1, 0, nil, nil, 0
 }
 
 // holdLines serves lines where they are.
@@ -153,10 +191,12 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 	var text strings.Builder
 	text.Grow(size)
 	k := len(s.cols)
-	b.ints = slices.Grow(b.ints[:0], 2*k+vals+1)[:2*k+vals+1]
-	b.cur, b.carried, b.ends = b.ints[:k:k], b.ints[k:k:2*k], append(b.ints[2*k:2*k], 0)
+	b.ints = slices.Grow(b.ints[:0], 3*k+vals+1)[:3*k+vals+1]
+	b.cur, b.carried, b.forms = b.ints[:k:k], b.ints[k:k:2*k], b.ints[2*k:3*k:3*k]
+	b.ends = append(b.ints[3*k:3*k], 0)
+	uniform := s.minCols == k
 	for c, r := range s.cols {
-		b.cur[c] = -1
+		b.cur[c], b.forms[c] = -1, int32(tuple.IntOther)
 		carry := carries(need, c)
 		if carry {
 			b.cur[c] = int32(len(b.ends) - 1)
@@ -167,6 +207,13 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 		// The same loop twice, over values and over codes: one that asks
 		// which a value is costs the read of a plain block a tenth.
 		if dict := s.dictOf(c); dict != nil {
+			if carry {
+				var f forms
+				for j := range len(dict) - 1 {
+					f.add(payload[dict[j]:dict[j+1]])
+				}
+				b.forms[c] = f.form()
+			}
 			codes := payload[r.start:r.end]
 			for i, cols := range widths {
 				if cols <= c {
@@ -175,7 +222,7 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 				start, end := dict[codes[0]], dict[int(codes[0])+1]
 				codes = codes[1:]
 				if c == 0 && cols == 1 && start == end {
-					widths[i] = 0
+					widths[i], uniform = 0, false
 					continue
 				}
 				if carry {
@@ -185,6 +232,7 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 			}
 			continue
 		}
+		var f forms
 		off := r.start
 		for i, cols := range widths {
 			if cols <= c {
@@ -193,17 +241,55 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 			start, end := valueAt(payload, off)
 			off = end
 			if c == 0 && cols == 1 && start == end {
-				widths[i] = 0 // the empty line: no column, and no value to step over
+				widths[i], uniform = 0, false // the empty line: no column, and no value to step over
 				continue
 			}
 			if carry {
+				f.add(payload[start:end])
 				text.Write(payload[start:end])
 				b.ends = append(b.ends, int32(text.Len()))
 			}
 		}
+		if carry {
+			b.forms[c] = f.form()
+		}
 	}
 	b.text, b.widths, b.plain, b.lineBytes = text.String(), widths, true, int64(s.lineBytes)
+	if uniform {
+		b.uniform = len(widths)
+	}
 	return nil
+}
+
+// forms gathers the two facts Batch.Form reports of a run of values, as
+// what the values seen so far break: a value not a canonical integer breaks
+// IntCanon, one that looks like an integer IntNone.
+type forms uint8
+
+const (
+	notCanon forms = 1 << iota
+	someInt
+)
+
+// formBits is what a value of each tuple.IntForm breaks.
+var formBits = [...]forms{tuple.IntNone: notCanon, tuple.IntOther: notCanon | someInt, tuple.IntCanon: someInt}
+
+// add folds v in. Once both facts are broken it looks at no more values.
+func (f *forms) add(v []byte) {
+	if *f != notCanon|someInt {
+		*f |= formBits[tuple.IntFormOf(v)]
+	}
+}
+
+// form is the run's tuple.IntForm; an empty run's is IntCanon.
+func (f forms) form() int32 {
+	switch f {
+	case 0, someInt:
+		return int32(tuple.IntCanon)
+	case notCanon:
+		return int32(tuple.IntNone)
+	}
+	return int32(tuple.IntOther)
 }
 
 func carries(need []bool, c int) bool {

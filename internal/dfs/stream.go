@@ -1,10 +1,6 @@
 package dfs
 
-import (
-	"crypto/sha256"
-
-	"clusterbft/internal/digest"
-)
+import "clusterbft/internal/digest"
 
 // Streaming access to block-backed files. A Reader exposes a file (or a
 // sorted part-file tree) as an indexed sequence of records without
@@ -197,16 +193,15 @@ func (r *Reader) Lines(yield func(string) bool) {
 }
 
 // LinesSum is digest.OfLines of the records' lines, streamed: each line and
-// a newline go into the hash as Lines yields them, and none is kept.
-func (r *Reader) LinesSum() (sum digest.Sum) {
-	h := sha256.New()
-	var line []byte
+// a newline go into the hash's buffer as Lines yields them, and none is
+// kept.
+func (r *Reader) LinesSum() digest.Sum {
+	hs := digest.NewHasher(nil)
 	for l := range r.Lines {
-		line = append(append(line[:0], l...), '\n')
-		h.Write(line)
+		hs.WriteString(l)
+		hs.WriteByte('\n')
 	}
-	h.Sum(sum[:0])
-	return sum
+	return hs.Sum()
 }
 
 // ReadColumns reads records from start on into b, up to end or the end of

@@ -55,16 +55,15 @@ type Writer struct {
 	every   int // records per chunk; <= 0 means a single final digest
 	emit    func(Report)
 
-	// Obs, when set, counts every record folded into the stream. Nil (the
-	// default) is free: the alloc tests pin Add at zero allocations with
-	// and without a counter.
+	// Obs, when set, counts every record folded into the stream, as each
+	// chunk ends. Nil (the default) is free: the alloc tests pin Add at
+	// zero allocations with and without a counter.
 	Obs *obs.Counter
 
 	// also lists further verification points this writer reports under.
 	also []int
 
-	h       hash.Hash
-	buf     []byte
+	hs      Hasher
 	inChunk int64
 	chunk   int
 	closed  bool
@@ -74,17 +73,23 @@ type Writer struct {
 // point of one task. every is the paper's d parameter: a digest is
 // emitted after each `every` records (and a final one at Close); every <=
 // 0 disables chunking so only the final digest is produced. emit must be
-// non-nil.
+// non-nil. The writer gathers records in a buffer of BufferSize bytes of
+// its own, made when the first arrives, unless SetBuffer hands it one.
 func NewWriter(key Key, replica, every int, emit func(Report)) *Writer {
 	return &Writer{
 		key:     key,
 		replica: replica,
 		every:   every,
 		emit:    emit,
-		h:       sha256.New(),
-		buf:     make([]byte, 0, 128),
+		hs:      Hasher{h: sha256.New()},
 	}
 }
+
+// SetBuffer makes w gather its records in buf's array, from its start up
+// to its capacity, instead of one of its own: a task's writers take theirs
+// from the worker slot that runs it, which hands them to the next task
+// once these are closed. Call it before the first record.
+func (w *Writer) SetBuffer(buf []byte) { w.hs.buf = buf[:0] }
 
 // Also makes w report every chunk under verification point p as well,
 // right after its own: two points that see the same records in the same
@@ -97,13 +102,20 @@ func (w *Writer) Also(p int) { w.also = append(w.also, p) }
 func (w *Writer) Points() int { return 1 + len(w.also) }
 
 // Add folds one tuple's canonical bytes into the current chunk, emitting
-// a Report when the chunk fills.
+// a Report when the chunk fills. The tuple is encoded straight into the
+// writer's buffer.
 func (w *Writer) Add(t tuple.Tuple) {
 	if w.closed {
 		return
 	}
-	w.buf = tuple.AppendCanonical(w.buf[:0], t)
-	w.AddCanonical(w.buf)
+	hs := &w.hs
+	hs.ready()
+	room := cap(hs.buf)
+	hs.buf = tuple.AppendCanonical(hs.buf, t)
+	if len(hs.buf) >= room { // full, or grown past its array, which it keeps
+		hs.drain()
+	}
+	w.added()
 }
 
 // AddCanonical is Add for a record the caller has already encoded: canon
@@ -114,9 +126,13 @@ func (w *Writer) AddCanonical(canon []byte) {
 	if w.closed {
 		return
 	}
-	w.h.Write(canon)
+	w.hs.Write(canon)
+	w.added()
+}
+
+// added counts one record into the chunk, and ends the chunk if full.
+func (w *Writer) added() {
 	w.inChunk++
-	w.Obs.Add(int64(w.Points()))
 	if w.every > 0 && w.inChunk >= int64(w.every) {
 		w.flush(false)
 	}
@@ -145,15 +161,91 @@ func (w *Writer) flush(final bool) {
 		Final:   final,
 		Records: w.inChunk,
 	}
-	w.h.Sum(r.Sum[:0])
+	r.Sum = w.hs.Sum()
+	w.hs.h.Reset()
+	w.Obs.Add(w.inChunk * int64(w.Points()))
 	w.emit(r)
 	for _, p := range w.also {
 		r.Key.Point = p
 		w.emit(r)
 	}
-	w.h.Reset()
 	w.inChunk = 0
 	w.chunk++
+}
+
+// BufferSize is what a Hasher, and a Writer, gathers of its stream before
+// hashing it: a chunk of d = 100 short records is one hash Write, where a
+// Write a record pays the hash's call and block bookkeeping each time.
+const BufferSize = 4 << 10
+
+// Hasher is SHA-256 over a stream fed a buffer at a time: what is written
+// is gathered in the buffer, which is hashed when it is full and when the
+// sum is taken. The sum is that of the bytes written, in order, however
+// they were cut.
+type Hasher struct {
+	h   hash.Hash
+	buf []byte
+	sum Sum // what h.Sum appends to: a Sum of the caller's would escape to the heap
+}
+
+// NewHasher returns a Hasher that gathers in buf's array, from its start
+// up to its capacity; a buf of no capacity is replaced by one of
+// BufferSize.
+func NewHasher(buf []byte) *Hasher {
+	hs := &Hasher{h: sha256.New(), buf: buf[:0]}
+	hs.ready()
+	return hs
+}
+
+// ready gives the Hasher a buffer of its own if it has none.
+func (hs *Hasher) ready() {
+	if cap(hs.buf) == 0 {
+		hs.buf = make([]byte, 0, BufferSize)
+	}
+}
+
+// Write adds p to the stream. p is copied, never held or handed on.
+func (hs *Hasher) Write(p []byte) { gather(hs, p) }
+
+// WriteString is Write for a string.
+func (hs *Hasher) WriteString(s string) { gather(hs, s) }
+
+// gather is Write and WriteString: what does not fit the buffer's room
+// fills it, and the buffer is hashed, until the rest fits.
+func gather[T string | []byte](hs *Hasher, p T) {
+	hs.ready()
+	for len(p) > cap(hs.buf)-len(hs.buf) {
+		n := cap(hs.buf) - len(hs.buf)
+		hs.buf = append(hs.buf, p[:n]...)
+		p = p[n:]
+		hs.drain()
+	}
+	hs.buf = append(hs.buf, p...)
+}
+
+// WriteByte adds c to the stream. It never fails.
+func (hs *Hasher) WriteByte(c byte) error {
+	hs.ready()
+	if len(hs.buf) == cap(hs.buf) {
+		hs.drain()
+	}
+	hs.buf = append(hs.buf, c)
+	return nil
+}
+
+// drain hashes what the buffer holds and empties it.
+func (hs *Hasher) drain() {
+	if len(hs.buf) > 0 {
+		hs.h.Write(hs.buf)
+		hs.buf = hs.buf[:0]
+	}
+}
+
+// Sum returns the digest of the stream so far.
+func (hs *Hasher) Sum() Sum {
+	hs.drain()
+	hs.h.Sum(hs.sum[:0])
+	return hs.sum
 }
 
 // Buffer is a Report sink that records reports in emission order so a
@@ -209,12 +301,10 @@ func Of(tuples []tuple.Tuple) Sum {
 // outputs and storage-boundary streams for quiz/deferred verification)
 // are built on it.
 func OfLines(lines []string) Sum {
-	h := sha256.New()
+	hs := NewHasher(nil)
 	for _, l := range lines {
-		h.Write([]byte(l))
-		h.Write([]byte{'\n'})
+		hs.WriteString(l)
+		hs.WriteByte('\n')
 	}
-	var s Sum
-	h.Sum(s[:0])
-	return s
+	return hs.Sum()
 }

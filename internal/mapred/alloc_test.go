@@ -8,6 +8,7 @@ import (
 
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/dfs"
+	"clusterbft/internal/digest"
 	"clusterbft/internal/obs"
 	"clusterbft/internal/tuple"
 )
@@ -313,6 +314,50 @@ STORE p INTO 'out/prod';`, CompileOptions{})[0]
 			if seal < 3 || got != base+seal {
 				t.Errorf("%s: publishing %d lines = %v allocs, %v without sealing, and sealing them %v", c.name, 10*perKey*perKey, got, base, seal)
 			}
+		}
+	}
+}
+
+// TestWarmDigestAllocs pins the hashing of a map task on a warm slot: a
+// filter between two digest points (the airline ETL chain, over a
+// dictionary-coded store) feeds two writers, which gather their records
+// in the slot's digest buffers. The task allocates, over what it
+// allocates with digests off, what making and closing its two writers
+// does and nothing else, whatever the number of records and chunks.
+func TestWarmDigestAllocs(t *testing.T) {
+	const src = `
+fl = LOAD 'in/fl' AS (year:int, month:int, origin, dest, delay:int);
+late = FILTER fl BY delay > 0;
+STORE late INTO 'out/late';`
+	job := compile(t, src, CompileOptions{Points: digestPoints(t, plan(t, src), "fl", "late")})[0]
+	if n := len(job.Inputs[0].Ops); n != 3 {
+		t.Fatalf("%d ops, want a filter between two digests", n)
+	}
+	df := func(point int) *digest.Writer {
+		return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "m0-000"}, 1, 100, func(digest.Report) {})
+	}
+	writers := testing.AllocsPerRun(10, func() {
+		df(1).Close()
+		df(2).Close()
+	})
+	for _, n := range []int{1000, 4000} {
+		lines := make([]string, n)
+		for i := range lines {
+			lines[i] = fmt.Sprintf("2008\t%d\t%s\t%s\t%d", 1+i%12, []string{"ATL", "ORD", "SFO"}[i%3], []string{"JFK", "LAX"}[i%2], i%9-3)
+		}
+		fs := dfs.NewWith(dfs.Options{BlockSize: 16 << 10, Compress: true})
+		fs.Append("in", lines...)
+		r := openReader(t, fs)
+		sc := new(taskScratch)
+		task := func(df digestFactory) float64 {
+			return testing.AllocsPerRun(10, func() { // its first, uncounted run warms sc
+				runMapTask(job, 0, r, 0, n, df, nil, taskObs{}, sc)
+				sc.out.reset()
+			})
+		}
+		with, without := task(df), task(nil)
+		if with != without+writers {
+			t.Errorf("%d records: %v allocs with two digests, %v without, and their writers %v: hashing allocates", n, with, without, writers)
 		}
 	}
 }

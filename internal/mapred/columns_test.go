@@ -43,6 +43,15 @@ func sealedBlock(tb testing.TB, lines []string) *dfs.Reader {
 	return openReader(tb, fs)
 }
 
+// codedBlock is sealedBlock under Compress: lines of few distinct values
+// a column are sealed dictionary-coded.
+func codedBlock(tb testing.TB, lines []string) *dfs.Reader {
+	tb.Helper()
+	fs := dfs.NewWith(dfs.Options{BlockSize: int(linesBytes(lines)), Compress: true})
+	fs.Append("in", lines...)
+	return openReader(tb, fs)
+}
+
 // linesBytes sums serialized record sizes (records + newlines).
 func linesBytes(lines []string) int64 {
 	var n int64
@@ -120,6 +129,20 @@ var columnFields = []string{
 	"x\\ty", "a\\\\b", "\\n", "odd\\", "odd\\\\\\", "raw\nline", "0x1F", "ten-bytes!", strings.Repeat("w", 92),
 }
 
+// intKinds are the kinds of column FuzzColumnPathMatchesLines makes of
+// the schema's int and untyped columns (0, 2 and 4): its values drawn from
+// vals, and one row's from odd. The first leaves them to the fuzzer's other
+// draws.
+var intKinds = []struct {
+	name      string
+	vals, odd []string
+}{
+	{name: "any"},
+	{name: "canonical", vals: []string{"0", "7", "-12", "2008", "39", "999999999999999999", "-999999999999999999"}},
+	{name: "canonical but one", vals: []string{"0", "7", "-12", "2008", "39"}, odd: []string{"007", "+5", "-0", "1234567890123456789"}},
+	{name: "not int", vals: []string{"ORD", "LAX", "", " 5", "-", "1.50", "NaN"}},
+}
+
 // renderOutcome writes out everything of a map outcome, value kinds
 // included, and the output lines its task staged.
 func renderOutcome(out *mapOutcome, lines []string) string {
@@ -171,14 +194,23 @@ func lineOracle(job *JobSpec, lines []string, lo, hi int, df digestFactory, corr
 // shapes above, ragged rows, the empty line, escaped and glued fields, raw
 // newlines, non-canonical numbers, compressed and raw blocks, one block or
 // many with an unsealed tail, task ranges that start and stop inside a
-// block, honest and corrupting tasks.
+// block, honest and corrupting tasks. The two int columns and the untyped
+// one may each be of one kind throughout (intKinds), so that a batch knows
+// its values' form (dfs.Batch.Form) and the task reads them by it.
 func FuzzColumnPathMatchesLines(f *testing.F) {
 	for i := range columnScripts {
 		f.Add(int64(i+1), uint8(i), uint16(60+41*i), uint8(i%4), uint8([]int{0, 1, 100}[i%3]), uint8(i), uint16(7*i), uint16(300))
 	}
+	// Each kind of int column, in a raw and in a coded store.
+	for kind := 1; kind < len(intKinds); kind++ {
+		for compress := range 2 {
+			f.Add(int64(kind), uint8(kind), uint16(250), uint8(2), uint8(100), uint8(kind<<4|compress), uint16(0), uint16(250))
+		}
+	}
 	f.Fuzz(func(t *testing.T, seed int64, script uint8, rows uint16, reduces, chunk, flags uint8, lo, hi uint16) {
 		sc := columnScripts[int(script)%len(columnScripts)]
 		compress, faulty, oneBlock, dirty := flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0
+		kind := intKinds[int(flags>>4)%len(intKinds)]
 		state := uint64(seed) | 1
 		next := func(n int) int {
 			state ^= state << 13
@@ -187,11 +219,17 @@ func FuzzColumnPathMatchesLines(f *testing.F) {
 			return int(state % uint64(n))
 		}
 		lines := make([]string, int(rows)%400+1)
+		odd := next(len(lines)) // the row a column of kind "canonical but one" holds its other value in
 		for i := range lines {
 			cols := []int{5, 5, 5, 5, 5, 1, 3, 7}[next(8)] // mostly schema-width, some short, some wide
 			row := make([]string, cols)
 			for c := range row {
 				switch {
+				case kind.vals != nil && c%5 != 1 && c%5 != 3:
+					row[c] = kind.vals[next(len(kind.vals))]
+					if i == odd && kind.odd != nil {
+						row[c] = kind.odd[next(len(kind.odd))]
+					}
 				case !dirty && next(8) > 0 || dirty && next(2) > 0:
 					// Mostly what the schema expects: small ints, a few keys.
 					row[c] = []string{fmt.Sprint(next(9) - 2), "2.5", "ORD", "LAX", fmt.Sprint(next(40))}[c%5]
@@ -248,8 +286,8 @@ func FuzzColumnPathMatchesLines(f *testing.F) {
 				return runMapTask(job, 0, side.src, a, b, df, corrupt, taskObs{}, sc)
 			})
 			if got != want {
-				t.Errorf("%s over [%d,%d) of %d rows (compress=%v faulty=%v oneBlock=%v):\n--- %s ---\n%s--- line oracle ---\n%s",
-					sc.name, a, b, len(lines), compress, faulty, oneBlock, side.name, got, want)
+				t.Errorf("%s over [%d,%d) of %d rows (compress=%v faulty=%v oneBlock=%v ints=%s):\n--- %s ---\n%s--- line oracle ---\n%s",
+					sc.name, a, b, len(lines), compress, faulty, oneBlock, kind.name, side.name, got, want)
 			}
 		}
 	})
@@ -324,7 +362,7 @@ func TestFusedDigestsMatchSeparateWriters(t *testing.T) {
 				}
 			}
 			var got, want []digest.Report
-			fused, fresh := newOpChain(ops, factory(&got)), newFreshChain(ops, factory(&want))
+			fused, fresh := newOpChain(ops, factory(&got), new(taskScratch)), newFreshChain(ops, factory(&want))
 			for _, r := range rows {
 				fused.apply(r)
 				fresh.apply(r)

@@ -989,7 +989,7 @@ func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), co
 		sc := e.borrow(slot)
 		out := runMapTask(js.Spec, t.InputIdx, src, split[0], split[1], df, corrupt, o, sc)
 		if js.Spec.Audit && emit != nil {
-			sum, n := auditMapSum(out, &sc.out)
+			sum, n := auditMapSum(out, sc)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
 		}
 		out.publish(sc, seal)
@@ -1080,7 +1080,7 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report),
 		sc := e.borrow(slot)
 		out := runReduceTask(js.Spec, runs, df, o, sc)
 		if js.Spec.Audit && emit != nil {
-			sum, n := auditReduceSum(&sc.out)
+			sum, n := auditReduceSum(sc)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
 		}
 		out.publish(sc, seal)

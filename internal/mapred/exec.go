@@ -1,9 +1,7 @@
 package mapred
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"hash"
 	"math"
 	"slices"
 	"strings"
@@ -129,10 +127,83 @@ type opChain struct {
 	// fromSrc holds while the tuple in flight is the record src stands on,
 	// coerced by schema and untouched by a projection: the caller of apply
 	// sets it, a projection clears it, and the record's canonical bytes are
-	// put together from the batch's spans meanwhile.
+	// put together from the batch's spans meanwhile, by plans.
 	src     *dfs.Batch
 	schema  *tuple.Schema
 	fromSrc bool
+	plans   []colPlan // per column of src's batch, how it is read (planBatch)
+}
+
+// colPlan is how the map side reads a column of a batch: decided once a
+// batch, from the column's declared type and what the batch knows of its
+// values (dfs.Batch.Form), instead of from each value.
+type colPlan uint8
+
+const (
+	// planValue coerces and encodes each value by its type
+	// (FieldType.Coerce, AppendCoerced).
+	planValue colPlan = iota
+	// planInt: each value is a canonical integer, coerced by summing its
+	// digits (tuple.CanonicalInt), and its span is its encoding.
+	planInt
+	// planStr: each value is the string it is, and its span its encoding.
+	planStr
+)
+
+// planBatch decides the plan of every column of src, the batch just read.
+// Where every value of a column is a canonical integer (tuple.IntCanon), a
+// column typed int or untyped reads each as its digits; where none looks
+// like an integer (tuple.IntNone), an untyped column reads each as a
+// string, as a chararray column always does. Columns past the plans, and a
+// batch of held lines but for its chararray columns, take planValue.
+func (c *opChain) planBatch() {
+	n := c.src.Columns()
+	if c.schema != nil {
+		n = max(n, c.schema.Len())
+	}
+	c.plans = resize(c.plans, n)
+	for col := range c.plans {
+		ft, form := c.schema.ColType(col), c.src.Form(col)
+		switch {
+		case ft == tuple.TypeString, ft == tuple.TypeAny && form == tuple.IntNone:
+			c.plans[col] = planStr
+		case (ft == tuple.TypeAny || ft == tuple.TypeInt) && form == tuple.IntCanon:
+			c.plans[col] = planInt
+		default:
+			c.plans[col] = planValue
+		}
+	}
+}
+
+// plan returns column col's plan.
+func (c *opChain) plan(col int) colPlan {
+	if col < len(c.plans) {
+		return c.plans[col]
+	}
+	return planValue
+}
+
+// coerce returns the value column col of src's current record holds.
+func (c *opChain) coerce(col int) tuple.Value {
+	v := c.src.Value(col)
+	switch c.plan(col) {
+	case planInt:
+		return tuple.Int(tuple.CanonicalInt(v))
+	case planStr:
+		return tuple.Str(v)
+	}
+	return c.schema.ColType(col).Coerce(v)
+}
+
+// appendSpan appends the encoding of column col of src's current record,
+// a plain one: its span, where the plan says it is that, or what
+// FieldType.AppendCoerced's rule makes of it.
+func (c *opChain) appendSpan(dst []byte, col int) []byte {
+	v := c.src.Value(col)
+	if c.plan(col) != planValue {
+		return append(dst, v...)
+	}
+	return c.schema.ColType(col).AppendCoerced(dst, v)
 }
 
 // opState is what one op of a running chain keeps between records.
@@ -144,11 +215,14 @@ type opState struct {
 	out    tuple.Tuple // PhysProject: the reused output
 }
 
-// newOpChain builds the chain for one task. Each PhysProject writes every
-// record into one buffer of its own: the caller must be done with a tuple
-// apply returned before it calls apply again.
-func newOpChain(ops []Op, df digestFactory) opChain {
-	c := opChain{ops: ops, state: make([]opState, len(ops))}
+// newOpChain builds the chain for one task, on the scratch of the slot it
+// runs on: its writers gather their records in the slot's digest buffers,
+// one each (taskScratch.hashBuf). Each PhysProject writes every record into
+// one buffer of its own: the caller must be done with a tuple apply
+// returned before it calls apply again.
+func newOpChain(ops []Op, df digestFactory, sc *taskScratch) opChain {
+	c := opChain{ops: ops, state: make([]opState, len(ops)), canon: sc.canon, plans: sc.plans}
+	writers := 0
 	for i, op := range ops {
 		switch {
 		case op.Kind == PhysDigest && df != nil:
@@ -160,6 +234,8 @@ func newOpChain(ops []Op, df digestFactory) opChain {
 			}
 			if first == i {
 				c.state[i].w = df(op.Point)
+				c.state[i].w.SetBuffer(sc.hashBuf(writers))
+				writers++
 			} else {
 				c.state[first].w.Also(op.Point)
 			}
@@ -219,14 +295,21 @@ func (c *opChain) canonical(t tuple.Tuple) []byte {
 		return c.canon
 	}
 	// t is the source record as coerced, column by column, from the spans:
-	// AppendCoerced writes what encoding t's values would, whether or not
-	// t holds them, and copies the span wherever that is the same bytes.
+	// appendSpan writes what encoding t's values would, whether or not t
+	// holds them, and copies the span wherever that is the same bytes. Its
+	// copy is written out here, where every column of every record of a
+	// source digest passes, so that a column read by its plan costs no
+	// call.
 	buf := c.canon[:0]
 	for i, w := 0, c.src.Width(); i < w; i++ {
 		if i > 0 {
 			buf = append(buf, '\t')
 		}
-		buf = c.schema.ColType(i).AppendCoerced(buf, c.src.Value(i))
+		if c.plan(i) != planValue {
+			buf = append(buf, c.src.Value(i)...)
+		} else {
+			buf = c.appendSpan(buf, i)
+		}
 	}
 	c.canon = append(buf, '\n')
 	return c.canon
@@ -234,9 +317,8 @@ func (c *opChain) canonical(t tuple.Tuple) []byte {
 
 // appendKey appends to dst the shuffle key of t, the tuple apply just
 // returned: the encoding of its cols, null past its width. While t is
-// still the source record, each is copied from its span
-// (FieldType.AppendCoerced's raw-canonical rule, which a batch's
-// escape-free values meet), else encoded from t's values.
+// still the source record, each is copied from its span (appendSpan),
+// else encoded from t's values.
 func (c *opChain) appendKey(dst []byte, t tuple.Tuple, cols []int) []byte {
 	for i, col := range cols {
 		if i > 0 {
@@ -245,7 +327,7 @@ func (c *opChain) appendKey(dst []byte, t tuple.Tuple, cols []int) []byte {
 		switch {
 		case col >= len(t): // null: no bytes
 		case c.fromSrc:
-			dst = c.schema.ColType(col).AppendCoerced(dst, c.src.Value(col))
+			dst = c.appendSpan(dst, col)
 		default:
 			dst = tuple.AppendEncoded(dst, t[col:col+1])
 		}
@@ -462,11 +544,11 @@ func (b *lineBuf) line(i int) []byte {
 // reset empties b, keeping its arrays.
 func (b *lineBuf) reset() { b.buf, b.ends = b.buf[:0], b.ends[:0] }
 
-// hash writes every line held, and a newline after each, to h.
-func (b *lineBuf) hash(h hash.Hash) {
+// hash writes every line held, and a newline after each, to hs.
+func (b *lineBuf) hash(hs *digest.Hasher) {
 	for i := range b.lines() {
-		h.Write(b.line(i))
-		h.Write([]byte{'\n'})
+		hs.Write(b.line(i))
+		hs.WriteByte('\n')
 	}
 }
 
@@ -488,6 +570,8 @@ type taskScratch struct {
 	recs   []interRec       // map: the uncombined shuffle's records in arrival order
 	parts  []int32          // map: the partition of each of them; then each partition's place
 	canon  []byte           // the chain's canonical bytes
+	plans  []colPlan        // map: the chain's plan of each column of the batch
+	hashes [][]byte         // digest buffers, one a writer of the chain (hashBuf)
 	tables []combinePart    // map: combiner tables, emptied by emit
 	aggs   []*pig.Aggregate // map: the combiner's aggregates
 	idx    []int32          // map: the sorts' permutation
@@ -500,6 +584,16 @@ type taskScratch struct {
 	accs   []aggAcc         // reduce: one group's aggregates
 	key    tuple.Tuple      // reduce: an uncombined group's key
 	out    lineBuf          // output lines as emitted, until the body publishes them (taskOutput)
+}
+
+// hashBuf returns digest buffer i of the slot, made the first time a task
+// asks for it: a chain hands one to each of its writers, an audit sum
+// takes the first once they are closed.
+func (sc *taskScratch) hashBuf(i int) []byte {
+	for len(sc.hashes) <= i {
+		sc.hashes = append(sc.hashes, make([]byte, 0, digest.BufferSize))
+	}
+	return sc.hashes[i]
 }
 
 // resize returns s with n elements, in a new array only if s lacks the room.
@@ -614,8 +708,8 @@ func newMapRun(job *JobSpec, inputIdx, n int, df digestFactory, corrupt corruptF
 		sc.text = slices.Grow(sc.text[:0], lineBufMin)
 		sc.recs, sc.parts = slices.Grow(sc.recs[:0], n), slices.Grow(sc.parts[:0], n)
 	}
-	m.chain = newOpChain(in.Ops, df)
-	m.chain.canon, m.chain.src, m.chain.schema = sc.canon, &sc.batch, in.Schema
+	m.chain = newOpChain(in.Ops, df, sc)
+	m.chain.src, m.chain.schema = &sc.batch, in.Schema
 	if corrupt != nil {
 		m.cat = new(strArena).cat
 	}
@@ -690,7 +784,7 @@ func (m *mapRun) finish() *mapOutcome {
 		o.outRecords.Add(out.recordsOut)
 	}
 	// The row held values of the split's text; the batch let go of its own.
-	sc.row, sc.arrays, sc.canon = wipe(sc.row), wipe(m.vals.arrays), m.chain.canon
+	sc.row, sc.arrays, sc.canon, sc.plans = wipe(sc.row), wipe(m.vals.arrays), m.chain.canon, m.chain.plans
 	return out
 }
 
@@ -765,17 +859,18 @@ func (m *mapRun) scatter() []sortedRun {
 // on the scratch of the slot it runs on. Every record reaches the chain
 // through the slot's dfs.Batch (a sealed block's as column spans, held
 // lines where they are) as a row of values coerced straight from it, the
-// columns neededCols lists and no line rebuilt. Every record overwrites one
-// row: what the shuffle keeps of it is copied into the outcome.
+// columns neededCols lists and no line rebuilt, each column by the plan
+// the chain made of it for the batch (planBatch). Every record overwrites
+// one row: what the shuffle keeps of it is copied into the outcome.
 func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df digestFactory, corrupt corruptFn, o taskObs, sc *taskScratch) *mapOutcome {
 	m := newMapRun(job, inputIdx, hi-lo, df, corrupt, o, sc)
 	defer m.chain.close()
-	schema := m.in.Schema
 	eval, carry := neededCols(job, inputIdx)
 	batch := &sc.batch
 	for lo < hi {
 		lo = src.ReadColumns(batch, lo, hi, carry)
 		m.out.inBytes += batch.LineBytes()
+		m.chain.planBatch()
 		for batch.Next() {
 			// A corrupting task's digests are of tuples no span holds. A
 			// chain that reads the source reads no column of the tuple but
@@ -795,7 +890,7 @@ func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df dige
 			}
 			for c := range t {
 				if coerce == nil || c < len(coerce) && coerce[c] {
-					t[c] = schema.ColType(c).Coerce(batch.Value(c))
+					t[c] = m.chain.coerce(c)
 				}
 			}
 			m.record(t)
@@ -829,8 +924,7 @@ type reduceOutcome struct {
 // over by the next record, and output lines go into the slot's buffer.
 func runReduceTask(job *JobSpec, runs []sortedRun, df digestFactory, o taskObs, sc *taskScratch) *reduceOutcome {
 	spec := job.Reduce
-	chain := newOpChain(spec.PostOps, df)
-	chain.canon = sc.canon
+	chain := newOpChain(spec.PostOps, df, sc)
 	defer chain.close()
 	out := &reduceOutcome{}
 	var liveRuns int64
@@ -1004,8 +1098,8 @@ func colOf(t tuple.Tuple, idx int) tuple.Value {
 // body publishes them. Primary and quiz executions of the same task run
 // the same code over the same spec, so equal work yields equal sums
 // regardless of combiner settings.
-func auditMapSum(out *mapOutcome, lines *lineBuf) (digest.Sum, int64) {
-	h := sha256.New()
+func auditMapSum(out *mapOutcome, sc *taskScratch) (digest.Sum, int64) {
+	hs := digest.NewHasher(sc.hashBuf(0))
 	var n int64
 	var buf []byte
 	for p := range out.partitions {
@@ -1015,26 +1109,22 @@ func auditMapSum(out *mapOutcome, lines *lineBuf) (digest.Sum, int64) {
 			buf = append(buf[:0], part.key(r)...)
 			buf = append(buf, 0x1f, byte(r.tag+1), 0x1f)
 			buf = tuple.AppendEncoded(buf, part.tuple(r)[out.keyVals:])
-			h.Write(append(buf, '\n'))
+			hs.Write(append(buf, '\n'))
 			n++
 		}
-		h.Write([]byte{0x1e}) // partition boundary
+		hs.WriteByte(0x1e) // partition boundary
 	}
-	lines.hash(h)
-	var s digest.Sum
-	h.Sum(s[:0])
-	return s, n + int64(lines.lines())
+	sc.out.hash(hs)
+	return hs.Sum(), n + int64(sc.out.lines())
 }
 
 // auditReduceSum digests a reduce task's output lines for AuditTaskPoint,
 // as digest.OfLines does, from the slot's buffer before the body
 // publishes them.
-func auditReduceSum(lines *lineBuf) (digest.Sum, int64) {
-	h := sha256.New()
-	lines.hash(h)
-	var s digest.Sum
-	h.Sum(s[:0])
-	return s, int64(lines.lines())
+func auditReduceSum(sc *taskScratch) (digest.Sum, int64) {
+	hs := digest.NewHasher(sc.hashBuf(0))
+	sc.out.hash(hs)
+	return hs.Sum(), int64(sc.out.lines())
 }
 
 // splitLines partitions a record count into deterministic contiguous

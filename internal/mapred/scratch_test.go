@@ -32,8 +32,11 @@ var foldFields = []string{
 // key off its spans, to the fold it replaced (oracleFold), which projects
 // and encodes the tuple: over every column type, one- and two-column keys,
 // key columns a short row lacks, the empty line, non-canonical numbers and
-// the fuzzer's own text, the two must leave the same tables — partitions,
-// entry order, hashes, keys and partial state — and emit the same records.
+// the fuzzer's own text, in a raw block and a dictionary-coded one, the two
+// must leave the same tables — partitions, entry order, hashes, keys and
+// partial state — and emit the same records. The fold on the spans reads
+// its record as the map task does, each column by the plan made of it for
+// the batch (opChain.planBatch); the oracle's is coerced value by value.
 // fold's own tuple path, taken once a projection has run, is held to the
 // same.
 func FuzzFoldOnSpanMatchesTuples(f *testing.F) {
@@ -77,50 +80,58 @@ func FuzzFoldOnSpanMatchesTuples(f *testing.F) {
 			spec = &ReduceSpec{Kind: ReduceDistinct, Combine: true}
 		}
 		numParts := int(parts)%4 + 1
-
-		var batch dfs.Batch
-		if next := sealedBlock(t, lines).ReadColumns(&batch, 0, len(lines), nil); next != len(lines) {
-			t.Fatalf("%d lines in one block: the batch stopped at %d", len(lines), next)
-		}
-		// A combiner, the key text it leaves and the outcome's value arrays.
-		type folded struct {
-			c    combiner
-			text []byte
-			vals valArrays
-		}
-		onSpan, onTuple, oracle := &folded{c: newCombiner(spec, in, numParts, nil, nil)},
-			&folded{c: newCombiner(spec, in, numParts, nil, nil)}, &folded{c: newCombiner(spec, in, numParts, nil, nil)}
-		source, projected := opChain{src: &batch, schema: schema, fromSrc: true}, opChain{}
-		for batch.Next() {
-			rec := make(tuple.Tuple, batch.Width())
-			for c := range rec {
-				rec[c] = schema.ColType(c).Coerce(batch.Value(c))
-			}
-			onSpan.text = onSpan.c.fold(rec, &source, onSpan.text, &onSpan.vals)
-			onTuple.text = onTuple.c.fold(rec, &projected, onTuple.text, &onTuple.vals)
-			oracle.text = oracleFold(&oracle.c, rec, oracle.text, &oracle.vals)
-		}
-		render := func(f *folded) string {
-			var b strings.Builder
-			for pi, p := range f.c.parts {
-				for i, e := range p.entries {
-					fmt.Fprintf(&b, "part %d entry %d: hash %x key %q\n", pi, i, e.hash, f.text[e.rec.key:e.rec.key+e.rec.keyLen])
-				}
-			}
-			parts, total := f.c.emit(&f.vals)
-			for p := range parts {
-				parts[p].text, parts[p].vals = string(f.text), f.vals.arrays
-			}
-			return b.String() + renderOutcome(&mapOutcome{partitions: parts, localBytes: total}, nil)
-		}
-		want := render(oracle)
-		if got := render(onSpan); got != want {
-			t.Errorf("key %v over %v: fold on the spans left\n%s\nthe tuple-keyed fold\n%s", in.KeyCols, schema, got, want)
-		}
-		if got := render(onTuple); got != want {
-			t.Errorf("key %v over %v: fold on the tuples left\n%s\nthe tuple-keyed fold\n%s", in.KeyCols, schema, got, want)
-		}
+		foldOnSpan(t, "raw", sealedBlock(t, lines), lines, schema, in, spec, numParts)
+		foldOnSpan(t, "coded", codedBlock(t, lines), lines, schema, in, spec, numParts)
 	})
+}
+
+// foldOnSpan is FuzzFoldOnSpanMatchesTuples over the one block src holds
+// lines in, sealed by codec.
+func foldOnSpan(t *testing.T, codec string, src *dfs.Reader, lines []string, schema *tuple.Schema, in *JobInput, spec *ReduceSpec, numParts int) {
+	t.Helper()
+	var batch dfs.Batch
+	if next := src.ReadColumns(&batch, 0, len(lines), nil); next != len(lines) {
+		t.Fatalf("%d lines in one block: the batch stopped at %d", len(lines), next)
+	}
+	// A combiner, the key text it leaves and the outcome's value arrays.
+	type folded struct {
+		c    combiner
+		text []byte
+		vals valArrays
+	}
+	onSpan, onTuple, oracle := &folded{c: newCombiner(spec, in, numParts, nil, nil)},
+		&folded{c: newCombiner(spec, in, numParts, nil, nil)}, &folded{c: newCombiner(spec, in, numParts, nil, nil)}
+	source, projected := opChain{src: &batch, schema: schema, fromSrc: true}, opChain{}
+	source.planBatch()
+	for batch.Next() {
+		rec, planned := make(tuple.Tuple, batch.Width()), make(tuple.Tuple, batch.Width())
+		for c := range rec {
+			rec[c], planned[c] = schema.ColType(c).Coerce(batch.Value(c)), source.coerce(c)
+		}
+		onSpan.text = onSpan.c.fold(planned, &source, onSpan.text, &onSpan.vals)
+		onTuple.text = onTuple.c.fold(rec, &projected, onTuple.text, &onTuple.vals)
+		oracle.text = oracleFold(&oracle.c, rec, oracle.text, &oracle.vals)
+	}
+	render := func(f *folded) string {
+		var b strings.Builder
+		for pi, p := range f.c.parts {
+			for i, e := range p.entries {
+				fmt.Fprintf(&b, "part %d entry %d: hash %x key %q\n", pi, i, e.hash, f.text[e.rec.key:e.rec.key+e.rec.keyLen])
+			}
+		}
+		parts, total := f.c.emit(&f.vals)
+		for p := range parts {
+			parts[p].text, parts[p].vals = string(f.text), f.vals.arrays
+		}
+		return b.String() + renderOutcome(&mapOutcome{partitions: parts, localBytes: total}, nil)
+	}
+	want := render(oracle)
+	if got := render(onSpan); got != want {
+		t.Errorf("%s block, key %v over %v: fold on the spans left\n%s\nthe tuple-keyed fold\n%s", codec, in.KeyCols, schema, got, want)
+	}
+	if got := render(onTuple); got != want {
+		t.Errorf("%s block, key %v over %v: fold on the tuples left\n%s\nthe tuple-keyed fold\n%s", codec, in.KeyCols, schema, got, want)
+	}
 }
 
 // scratchLines is input for the scratch tests: mostly what columnsLoad's

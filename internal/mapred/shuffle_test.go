@@ -445,7 +445,7 @@ func TestReduceReuseMatchesFresh(t *testing.T) {
 					if out.localBytes != want.localBytes {
 						t.Errorf("%s: split %d: %d shuffle bytes combined, %d by its uncombined records", name, s, out.localBytes, want.localBytes)
 					}
-					if got, want := fmt.Sprint(auditMapSum(out, new(lineBuf))), fmt.Sprint(auditMapSum(want, new(lineBuf))); got != want {
+					if got, want := fmt.Sprint(auditMapSum(out, new(taskScratch))), fmt.Sprint(auditMapSum(want, new(taskScratch))); got != want {
 						t.Errorf("%s: split %d: audit digest %s combined, %s by its uncombined records", name, s, got, want)
 					}
 				}

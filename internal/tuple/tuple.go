@@ -194,13 +194,21 @@ func parseInt(raw string) int64 {
 	if !canonicalInt(raw) {
 		return Str(raw).Int()
 	}
+	return CanonicalInt(raw)
+}
+
+// CanonicalInt is the integer raw spells, for a raw whose IntForm is
+// IntCanon: its digits summed, and nothing checked. A reader that knows
+// the form of a whole column of values (dfs.Batch.Form) coerces each of
+// them with it, where Coerce would look at every one again.
+func CanonicalInt(raw string) int64 {
 	var n int64
 	for i := 0; i < len(raw); i++ {
 		if raw[i] != '-' {
 			n = n*10 + int64(raw[i]-'0')
 		}
 	}
-	if raw[0] == '-' {
+	if raw != "" && raw[0] == '-' {
 		return -n
 	}
 	return n
@@ -228,14 +236,47 @@ func (ft FieldType) AppendCoerced(dst []byte, raw string) []byte {
 	return appendEscapedValue(dst, ft.Coerce(raw))
 }
 
+// IntForm is what kind of integer text a value is, which decides how
+// Coerce and AppendCoerced read it under TypeAny and TypeInt.
+type IntForm uint8
+
+// The forms of IntFormOf. Of a run of values (dfs.Batch.Form), IntCanon
+// and IntNone say that every one of them has that form, and IntOther that
+// neither is known.
+const (
+	// IntNone is text that does not look like an integer: TypeAny reads it
+	// as the string it is, which encodes to itself.
+	IntNone IntForm = iota
+	// IntOther is integer text not in canonical form ("007", "+5", "-0",
+	// 19 digits or more): it is parsed, and encodes to other bytes.
+	IntOther
+	// IntCanon is an integer as strconv formats it, short enough to fit
+	// an int64: its digits are summed (CanonicalInt), and it encodes to
+	// itself.
+	IntCanon
+)
+
+// IntFormOf returns the form of s, which is a value's text as a string or
+// as the bytes a block stores it in: the one rule of both Coerce and
+// AppendCoerced, for a reader that learns it once for many values.
+func IntFormOf[T string | []byte](s T) IntForm {
+	switch {
+	case canonicalInt(s):
+		return IntCanon
+	case looksInt(s):
+		return IntOther
+	}
+	return IntNone
+}
+
 // canonicalInt reports whether s matches 0|-?[1-9][0-9]{0,17}: an
 // integer as strconv formats it, short enough to be sure to fit an int64,
 // so that parsing and formatting s gives s.
-func canonicalInt(s string) bool {
-	if s == "0" {
+func canonicalInt[T string | []byte](s T) bool {
+	if len(s) == 1 && s[0] == '0' {
 		return true
 	}
-	if s != "" && s[0] == '-' {
+	if len(s) > 0 && s[0] == '-' {
 		s = s[1:]
 	}
 	if len(s) == 0 || len(s) > 18 || s[0] < '1' || s[0] > '9' {
@@ -249,8 +290,8 @@ func canonicalInt(s string) bool {
 	return true
 }
 
-func looksInt(s string) bool {
-	if s == "" {
+func looksInt[T string | []byte](s T) bool {
+	if len(s) == 0 {
 		return false
 	}
 	i := 0
