@@ -301,10 +301,12 @@ func Of(tuples []tuple.Tuple) Sum {
 // outputs and storage-boundary streams for quiz/deferred verification)
 // are built on it.
 func OfLines(lines []string) Sum {
-	hs := NewHasher(nil)
+	h := sha256.New()
 	for _, l := range lines {
-		hs.WriteString(l)
-		hs.WriteByte('\n')
+		h.Write([]byte(l))
+		h.Write([]byte{'\n'})
 	}
-	return hs.Sum()
+	var s Sum
+	h.Sum(s[:0])
+	return s
 }

@@ -1,6 +1,7 @@
 package digest
 
 import (
+	"crypto/sha256"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -284,6 +285,45 @@ func TestAlsoMatchesTwoWriters(t *testing.T) {
 			if two, one := reg.Counter("two").Value(), reg.Counter("fused").Value(); one != two || one != int64(2*n) {
 				t.Errorf("d=%d, %d records: counted %d fused, %d apart, want %d", every, n, one, two, 2*n)
 			}
+		}
+	}
+}
+
+// TestHasherMatchesOneShot: a Hasher's sum is SHA-256 of the bytes written
+// to it, in order, whatever its buffer and however the writes are cut —
+// bytes, strings and single bytes, shorter and longer than the buffer,
+// across a sum taken midway.
+func TestHasherMatchesOneShot(t *testing.T) {
+	for _, room := range []int{0, 1, 7, 64, BufferSize} {
+		hs := NewHasher(make([]byte, 0, room))
+		var all []byte
+		state := uint64(room) | 1
+		for i := 0; i < 300; i++ {
+			state ^= state << 13
+			state ^= state >> 7
+			state ^= state << 17
+			p := make([]byte, int(state%uint64(3*BufferSize))>>uint(state%11))
+			for j := range p {
+				p[j] = byte(i + j)
+			}
+			switch i % 3 {
+			case 0:
+				hs.Write(p)
+			case 1:
+				hs.WriteString(string(p))
+			default:
+				hs.WriteByte(byte(i))
+				p = []byte{byte(i)}
+			}
+			all = append(all, p...)
+			if i == 150 {
+				if got, want := hs.Sum(), Sum(sha256.Sum256(all)); got != want {
+					t.Fatalf("buffer of %d: midway sum %v, one-shot %v", room, got, want)
+				}
+			}
+		}
+		if got, want := hs.Sum(), Sum(sha256.Sum256(all)); got != want {
+			t.Errorf("buffer of %d: sum %v over %d bytes, one-shot %v", room, got, len(all), want)
 		}
 	}
 }
