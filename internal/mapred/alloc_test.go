@@ -3,6 +3,7 @@ package mapred
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -200,7 +201,7 @@ func TestCombineFoldAllocs(t *testing.T) {
 	for i := range rows {
 		rows[i] = tuple.Tuple{tuple.Int(int64(i)), tuple.Int(int64(i * 7))}
 	}
-	comb := newCombiner(job.Reduce, &job.Inputs[0], job.NumReduces, nil, nil)
+	comb := newCombiner(job.Reduce, &job.Inputs[0], job.NumReduces, combineTable{}, nil)
 	var vals valArrays
 	text := make([]byte, 0, 64)
 	var chain opChain        // its tuples are not source rows: the tuple path
@@ -218,6 +219,44 @@ func TestCombineFoldAllocs(t *testing.T) {
 	}
 	if got != 0 {
 		t.Errorf("combiner fold allocs/batch = %v, want 0 on table hits", got)
+	}
+}
+
+// TestWarmEmitAllocs pins what emit costs on a warm slot: the runs and
+// the one record array they share, two allocations whatever the number of
+// keys and partitions. Each key's partition is staged in the slot's
+// arrays, and each partition's count in its index, not in arrays of the
+// task's own.
+func TestWarmEmitAllocs(t *testing.T) {
+	job := compile(t, followerSrc, CompileOptions{NumReduces: 4})[0]
+	rows := make([]tuple.Tuple, 2000)
+	for i := range rows {
+		rows[i] = tuple.Tuple{tuple.Int(int64(i % 500)), tuple.Int(int64(i * 7))}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sc := new(taskScratch)
+	comb := newCombiner(job.Reduce, &job.Inputs[0], job.NumReduces, combineTable{}, nil)
+	var chain opChain // its tuples are not source rows: the tuple path
+	var before, after runtime.MemStats
+	emit := func() uint64 {
+		var vals valArrays
+		var text []byte
+		for _, r := range rows {
+			text = comb.fold(r, &chain, text, &vals)
+		}
+		runtime.ReadMemStats(&before)
+		parts, _ := comb.emit(text, &vals, sc)
+		runtime.ReadMemStats(&after)
+		if n := len(parts[0].recs) + len(parts[1].recs) + len(parts[2].recs) + len(parts[3].recs); n != 500 {
+			t.Fatalf("emitted %d records, want 500", n)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	emit() // warms sc
+	for i := 0; i < 3; i++ {
+		if got := emit(); got != 2 {
+			t.Errorf("emit on a warm slot allocates %d times, want 2: the runs and their record array", got)
+		}
 	}
 }
 

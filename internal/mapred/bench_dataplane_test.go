@@ -17,6 +17,7 @@ import (
 	"clusterbft/internal/digest"
 	"clusterbft/internal/pig"
 	"clusterbft/internal/tuple"
+	"clusterbft/internal/workload"
 )
 
 const benchBatch = 1000
@@ -300,6 +301,28 @@ func benchHotKeyLines() []string {
 func BenchmarkDataplaneMapTaskCombine(b *testing.B) {
 	job := benchCompile(b, followerSrc, CompileOptions{NumReduces: 4})[0]
 	lines := benchHotKeyLines()
+	src := sealedBlock(b, lines)
+	sc := new(taskScratch) // warm from the first op on, as a slot's is
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runMapTask(job, 0, src, 0, len(lines), nil, nil, taskObs{}, sc).publish(sc, nil)
+	}
+	b.ReportMetric(benchBatch, "records/op")
+}
+
+// BenchmarkDataplaneMapTaskCombineStringKey is the combining map hot path
+// of the airline job's outbound count (GROUP fl BY origin, COUNT) over
+// workload.Airline's three-letter airport codes: a one-column key read off
+// its source span, 40 distinct keys, skewed toward the big hubs.
+func BenchmarkDataplaneMapTaskCombineStringKey(b *testing.B) {
+	job := benchCompile(b, `
+fl = LOAD 'in/flights' AS (year:int, month:int, origin, dest, delay:int);
+g = GROUP fl BY origin;
+n = FOREACH g GENERATE group AS airport, COUNT(fl) AS n;
+STORE n INTO 'out/n';
+`, CompileOptions{NumReduces: 4})[0]
+	lines := workload.Airline(benchBatch, 40, 1)
 	src := sealedBlock(b, lines)
 	sc := new(taskScratch) // warm from the first op on, as a slot's is
 	b.ReportAllocs()

@@ -1,9 +1,9 @@
 package mapred
 
 // The combining, sort-merge shuffle data path. Map tasks fold
-// post-digest records into per-partition open-addressing tables keyed by
-// the canonical shuffle key and emit one partial-state record per
-// (partition, key); every partition leaves the map task as a key-sorted
+// post-digest records into one open-addressing table keyed by the
+// canonical shuffle key and emit one partial-state record per key, into
+// its partition; every partition leaves the map task as a key-sorted
 // run, and the reduce side replaces its global sort with a k-way
 // loser-tree merge over the pre-sorted runs. Verification points digest
 // the pre-shuffle stream inside the map operator chain, before any
@@ -12,6 +12,7 @@ package mapred
 // byte-identical with combining on or off.
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -107,51 +108,53 @@ func partialAcc(t tuple.Tuple, i int) (int64, tuple.Value) {
 	return t[2*i].Int(), t[2*i+1]
 }
 
-// combiner folds a map task's post-digest output into per-partition
-// open-addressing tables keyed by the canonical shuffle key. Hits cost
-// zero allocations: the key's bytes are put together at the end of the
-// task's key text and the probe compares them against stored keys without
-// materializing a string or a tuple; a hit takes them back off. A
-// first-seen key costs none of its own either: its key stays in the text,
-// which finish copies into the outcome, and its tuple is cut from the
-// outcome's value arrays (vals, which fold and emit are handed), its
-// strings from the arena, from insert on. The tables are the slot's
-// (taskScratch.tables): emit empties them.
+// combiner folds a map task's post-digest output into one open-addressing
+// table keyed by the canonical shuffle key, whatever partition each key
+// goes to: emit works that out, once a key. Hits cost zero allocations:
+// the probe compares a key's first eight bytes as one word, and only the
+// bytes past them of a longer key, against the task's key text, without
+// materializing a string or a tuple. A first-seen key costs none of its
+// own either: its bytes go at the end of the key text, which finish copies
+// into the outcome, and its tuple is cut from the outcome's value arrays
+// (vals, which fold and emit are handed), its strings from the arena, from
+// insert on. The table is the slot's (taskScratch.table): emit empties it.
 type combiner struct {
-	spec    *ReduceSpec
-	aggs    []*pig.Aggregate // ReduceAggregate: aggregates in generator order
-	tag     int16
-	keyCols []int // the input's shuffle key projection
-	keyVals int   // ReduceAggregate: len(keyCols), the key ahead of a partial
-	parts   []combinePart
-	strs    strArena // the string values of entry tuples
+	spec     *ReduceSpec
+	aggs     []*pig.Aggregate // ReduceAggregate: aggregates in generator order
+	tag      int16
+	keyCols  []int // the input's shuffle key projection
+	keyVals  int   // ReduceAggregate: len(keyCols), the key ahead of a partial
+	numParts int
+	table    combineTable
+	strs     strArena // the string values of entry tuples
 }
 
-type combinePart struct {
+type combineTable struct {
 	entries []combineEntry
 	accs    []aggAcc // ReduceAggregate: len(aggs) per entry, in entry order
 	slots   []int32  // 1-based indices into entries; 0 = empty
 }
 
-// combineEntry is one key of a table: its hash and its record, whose key
-// is in the task's key text and whose tuple, the one the entry keeps, is
-// in the outcome's value arrays: DISTINCT's first-arriving tuple of the
-// key, or an aggregate's key values with room behind them for the partial
-// state. It holds no pointer.
+// combineEntry is one key of the table: its word (keyWord) and its record,
+// whose key is in the task's key text and whose tuple, the one the entry
+// keeps, is in the outcome's value arrays: DISTINCT's first-arriving tuple
+// of the key, or an aggregate's key values with room behind them for the
+// partial state. It holds no pointer.
 type combineEntry struct {
-	hash uint64
+	word uint64
 	rec  interRec
 }
 
-// newCombiner builds a task's combiner over tables and aggs, a slot's
+// newCombiner builds a task's combiner over table and aggs, a slot's
 // emptied ones.
-func newCombiner(spec *ReduceSpec, in *JobInput, numParts int, tables []combinePart, aggs []*pig.Aggregate) combiner {
+func newCombiner(spec *ReduceSpec, in *JobInput, numParts int, table combineTable, aggs []*pig.Aggregate) combiner {
 	c := combiner{
-		spec:    spec,
-		aggs:    aggs[:0],
-		tag:     int16(in.Tag),
-		keyCols: in.KeyCols,
-		parts:   resize(tables, numParts),
+		spec:     spec,
+		aggs:     aggs[:0],
+		tag:      int16(in.Tag),
+		keyCols:  in.KeyCols,
+		numParts: numParts,
+		table:    table,
 	}
 	if spec.Kind == ReduceAggregate {
 		c.keyVals = len(in.KeyCols)
@@ -164,66 +167,104 @@ func newCombiner(spec *ReduceSpec, in *JobInput, numParts int, tables []combineP
 	return c
 }
 
-// fold routes one post-chain tuple into its partition's table, merging
-// into the existing entry when the key was already seen: one probe. The
-// key's canonical bytes are appended to text, the task's key text
-// (opChain.appendKey), which fold returns: grown by them if the key is new,
-// as it was if not. One pass over them advances the table's hash and
-// partitionOf's, so combined and uncombined records of one key land on the
-// same reduce partition.
+// fold merges one post-chain tuple into its key's entry, which it adds if
+// the key is new: one hash of the key and one probe (find). text is the
+// task's key text, which fold returns, grown by the key if it is new. A
+// one-column key that is still a source span the batch's plan copies as it
+// is (opChain.appendSpan) is probed where it lies, and copied into the text
+// only when new; any other key is put together at the end of the text
+// (opChain.appendKey) and taken back off on a hit.
 func (c *combiner) fold(t tuple.Tuple, ch *opChain, text []byte, vals *valArrays) []byte {
-	at := len(text)
-	text = ch.appendKey(text, t, c.keyCols)
-	h, ph := uint64(fnvOffset64), uint32(fnvOffset32)
-	for _, b := range text[at:] {
-		h = (h ^ uint64(b)) * fnvPrime64
-		ph = (ph ^ uint32(b)) * fnvPrime32
-	}
-	part := &c.parts[ph%uint32(len(c.parts))]
-	e := -1
-	if len(part.slots) > 0 {
-		e = part.find(h, text, text[at:])
-	}
-	if e < 0 {
-		e = part.insert(h, text, at, t, c, vals)
+	var e int
+	if len(c.keyCols) == 1 && ch.fromSrc && c.keyCols[0] < len(t) && ch.plan(c.keyCols[0]) != planValue {
+		key := ch.src.Value(c.keyCols[0])
+		if e = find(&c.table, text, key); e < 0 {
+			at := len(text)
+			text = append(text, key...)
+			e = c.insert(text, at, t, vals)
+		}
 	} else {
-		text = text[:at]
+		at := len(text)
+		text = ch.appendKey(text, t, c.keyCols)
+		if e = find(&c.table, text, text[at:]); e < 0 {
+			e = c.insert(text, at, t, vals)
+		} else {
+			text = text[:at]
+		}
 	}
-	accs := part.accs[e*len(c.aggs):]
+	accs := c.table.accs[e*len(c.aggs):]
 	for i, agg := range c.aggs {
 		mergeAgg(agg, &accs[i], 1, colOf(t, agg.ColIdx))
 	}
 	return text
 }
 
+// keyWord packs key's first eight bytes little-endian, zero-padded: all of
+// a key of at most eight bytes, which its word and length tell apart from
+// every other key.
+func keyWord[K string | []byte](key K) uint64 {
+	var w uint64
+	for i := 0; i < len(key) && i < 8; i++ {
+		w |= uint64(key[i]) << (8 * i)
+	}
+	return w
+}
+
+// keyHash is the table's hash of key, whose word is w: one multiply over
+// the word and the length for a key of at most eight bytes, FNV-1a over
+// the bytes for a longer one. A probe starts at its top bits (slotOf),
+// which every bit of the word reaches.
+func keyHash[K string | []byte](w uint64, key K) uint64 {
+	if len(key) <= 8 {
+		return (w ^ uint64(len(key))<<56) * 0x9e3779b97f4a7c15
+	}
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * fnvPrime64
+	}
+	return h
+}
+
+// slotOf is the slot a probe for hash h starts at, in a table of mask+1
+// slots, a power of two: h's top bits.
+func slotOf(h, mask uint64) uint64 { return h >> bits.LeadingZeros64(mask) }
+
 // find returns the index of key's entry, -1 when it has none; text holds
-// the entries' keys, and p has slots. It is small enough to inline into
-// fold, which calls it once a record.
-func (p *combinePart) find(h uint64, text, key []byte) int {
+// the entries' keys. A key of at most eight bytes is told apart by its
+// word and length alone; a longer one is compared in text past a word
+// that matches. fold calls it once a record, on the key text's bytes or on
+// a span's.
+func find[K string | []byte](p *combineTable, text []byte, key K) int {
+	if len(p.slots) == 0 {
+		return -1
+	}
+	w := keyWord(key)
 	mask := uint64(len(p.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
+	for i := slotOf(keyHash(w, key), mask); ; i = (i + 1) & mask {
 		s := p.slots[i]
 		if s == 0 {
 			return -1
 		}
-		e := &p.entries[s-1]
 		// string(b) in a comparison does not allocate.
-		if e.hash == h && string(text[e.rec.key:e.rec.key+e.rec.keyLen]) == string(key) {
+		if e := &p.entries[s-1]; e.word == w && int(e.rec.keyLen) == len(key) &&
+			(len(key) <= 8 || string(text[e.rec.key:e.rec.key+e.rec.keyLen]) == string(key)) {
 			return int(s - 1)
 		}
 	}
 }
 
-// insert adds the entry of text[at:], the key just put together, and
-// returns its index.
-func (p *combinePart) insert(h uint64, text []byte, at int, t tuple.Tuple, c *combiner, vals *valArrays) int {
+// insert adds the entry of text[at:], the key just put together or
+// copied, and returns its index.
+func (c *combiner) insert(text []byte, at int, t tuple.Tuple, vals *valArrays) int {
+	p := &c.table
 	if 4*(len(p.entries)+1) > 3*len(p.slots) {
-		p.grow(len(c.aggs))
+		p.grow(text)
 	}
 	// An entry outlives the task in its map outcome; its values are
 	// substrings of the split's text and the task's rows. Copy what is
 	// kept, or a few dozen keys pin the whole split.
-	e := combineEntry{hash: h, rec: interRec{key: int32(at), keyLen: int32(len(text) - at), tag: c.tag}}
+	key := text[at:]
+	e := combineEntry{word: keyWord(key), rec: interRec{key: int32(at), keyLen: int32(len(key)), tag: c.tag}}
 	var kept tuple.Tuple
 	if c.spec.Kind == ReduceDistinct {
 		kept, e.rec.array, e.rec.off = vals.alloc(len(t))
@@ -241,7 +282,7 @@ func (p *combinePart) insert(h uint64, text []byte, at int, t tuple.Tuple, c *co
 	}
 	e.rec.width = int32(len(kept))
 	p.entries = append(p.entries, e)
-	p.place(h, int32(len(p.entries)))
+	p.place(keyHash(e.word, key), int32(len(p.entries)))
 	return len(p.entries) - 1
 }
 
@@ -252,9 +293,9 @@ func (c *combiner) keepValue(v tuple.Value) tuple.Value {
 	return v
 }
 
-func (p *combinePart) place(h uint64, idx int32) {
+func (p *combineTable) place(h uint64, idx int32) {
 	mask := uint64(len(p.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
+	for i := slotOf(h, mask); ; i = (i + 1) & mask {
 		if p.slots[i] == 0 {
 			p.slots[i] = idx
 			return
@@ -262,63 +303,49 @@ func (p *combinePart) place(h uint64, idx int32) {
 	}
 }
 
-// grow doubles the table, and with it the room for the entries and
-// accumulators it can index before it next grows.
-func (p *combinePart) grow(aggs int) {
+// grow doubles the table's slots and places every entry again, hashed
+// from its word and, past it, its key in text. The entries and their
+// accumulators grow as append grows them.
+func (p *combineTable) grow(text []byte) {
 	n := 2 * len(p.slots)
 	if n == 0 {
 		n = 16
 	}
 	p.slots = make([]int32, n)
 	for i := range p.entries {
-		p.place(p.entries[i].hash, int32(i+1))
+		e := &p.entries[i]
+		p.place(keyHash(e.word, text[e.rec.key:e.rec.key+e.rec.keyLen]), int32(i+1))
 	}
-	room := 3*n/4 - len(p.entries)
-	p.entries = slices.Grow(p.entries, room)
-	p.accs = slices.Grow(p.accs, room*aggs)
 }
 
-// emit lays every partition out as a run of its entries' records — the
-// distinct key's first-arriving tuple, or the key and its flat partial
-// state, written in place behind it — in table insertion order (first
-// arrival), and returns the runs with their serialized-byte total, which
-// counts no key values. The records of all runs share one array, each
-// run exactly its length; finish gives them their storage and sortRuns
-// orders them. The tables are left empty, with their arrays, for the
-// slot's next task.
-func (c *combiner) emit(vals *valArrays) ([]sortedRun, int64) {
-	parts := make([]sortedRun, len(c.parts))
-	n := 0
-	for pi := range c.parts {
-		n += len(c.parts[pi].entries)
-	}
-	if n == 0 {
-		return parts, 0
-	}
-	recs := make([]interRec, 0, n)
+// emit turns every entry into its record — the distinct key's
+// first-arriving tuple, or the key and its flat partial state, written in
+// place behind it — and computes, once a key, the partition partitionOf
+// gives its bytes in text. It lays the records out as the partitions' runs
+// (scatter), each in table insertion order (first arrival), and returns
+// them with their serialized-byte total, which counts no key values. The
+// records and their partitions are staged in sc's arrays; finish gives the
+// runs their storage and sortRuns orders them. The table is left empty,
+// with its arrays, for the slot's next task.
+func (c *combiner) emit(text []byte, vals *valArrays, sc *taskScratch) ([]sortedRun, int64) {
+	p := &c.table
+	sc.recs, sc.parts = slices.Grow(sc.recs[:0], len(p.entries)), slices.Grow(sc.parts[:0], len(p.entries))
 	var total int64
-	for pi := range c.parts {
-		p := &c.parts[pi]
-		if len(p.entries) == 0 {
-			continue
+	for i := range p.entries {
+		r := p.entries[i].rec
+		t := tupleAt(vals.arrays, &r)
+		if c.spec.Kind != ReduceDistinct {
+			c.putPartial(t[c.keyVals:], p.accs[i*len(c.aggs):(i+1)*len(c.aggs)])
 		}
-		start := len(recs)
-		for i := range p.entries {
-			r := p.entries[i].rec
-			t := tupleAt(vals.arrays, &r)
-			if c.spec.Kind != ReduceDistinct {
-				c.putPartial(t[c.keyVals:], p.accs[i*len(c.aggs):(i+1)*len(c.aggs)])
-			}
-			r.encLen = int32(tuple.EncodedLen(t[c.keyVals:]))
-			total += r.bytes()
-			recs = append(recs, r)
-		}
-		parts[pi].recs = recs[start:len(recs):len(recs)]
-		clear(p.accs)
-		clear(p.slots)
-		p.entries, p.accs = p.entries[:0], p.accs[:0]
+		r.encLen = int32(tuple.EncodedLen(t[c.keyVals:]))
+		total += r.bytes()
+		sc.recs = append(sc.recs, r)
+		sc.parts = append(sc.parts, int32(partitionOf(text[r.key:r.key+r.keyLen], c.numParts)))
 	}
-	return parts, total
+	clear(p.accs)
+	clear(p.slots)
+	p.entries, p.accs = p.entries[:0], p.accs[:0]
+	return scatter(sc.recs, sc.parts, c.numParts, sc), total
 }
 
 // sortRuns sorts each emitted partition into the run order the

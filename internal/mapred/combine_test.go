@@ -242,11 +242,10 @@ func TestMapTaskCombineOutcome(t *testing.T) {
 	}
 }
 
-// TestPartitionOfBytesMatchesString: partitionOf, which the uncombined
-// shuffle places a record by, and the hash the combiner advances as it
-// walks a key (kept as the fold oracle's partitionOfBytes) must agree on
-// every key, or combined and uncombined records of one key would land on
-// different reduce tasks.
+// TestPartitionOfBytesMatchesString: partitionOf, which both shuffles place
+// a key by, and the combiner oracle's own partitionOfBytes, which
+// FuzzFoldOnSpanMatchesTuples checks every emitted run's partition with,
+// must agree on every key.
 func TestPartitionOfBytesMatchesString(t *testing.T) {
 	keys := []string{"", "a", "st-7", "12\t34", "\x00\xff", "longer-key-with-more-bytes"}
 	for _, k := range keys {
@@ -255,6 +254,80 @@ func TestPartitionOfBytesMatchesString(t *testing.T) {
 				t.Errorf("partition mismatch for %q n=%d", k, n)
 			}
 		}
+	}
+}
+
+// TestCombineLongProbeChain: keys whose hashes share their top ten bits
+// start their probes at one slot of every table of up to 1,024 slots, so
+// forty of them make one chain, which each grow (16, 32, 64 slots)
+// places again. Keys that fit the probe's word, longer keys that share
+// their word, and longer keys that do not, must each still find their one
+// entry, folded in the order they were put in and in reverse, and emit
+// what the oracle does; so must a fold of the same keys read off a sealed
+// block's spans.
+func TestCombineLongProbeChain(t *testing.T) {
+	schema := &tuple.Schema{Fields: []tuple.Field{{Name: "k", Type: tuple.TypeString}, {Name: "v", Type: tuple.TypeInt}}}
+	in := &JobInput{Schema: schema, KeyCols: []int{0}, Tag: -1}
+	spec := &ReduceSpec{Kind: ReduceAggregate, Combine: true, Gens: []pig.GenItem{
+		{Name: "group"},
+		{Agg: &pig.Aggregate{Func: "count", ColIdx: -1}},
+		{Agg: &pig.Aggregate{Func: "sum", ColIdx: 1}},
+	}}
+	for _, format := range []string{"k%d", "a-longer-key-%d", "%05d-a-longer-key"} {
+		byTop := map[uint64][]string{}
+		var chain []string
+		for i := 0; chain == nil; i++ {
+			k := fmt.Sprintf(format, i)
+			top := keyHash(keyWord(k), k) >> 54
+			if byTop[top] = append(byTop[top], k); len(byTop[top]) == 40 {
+				chain = byTop[top]
+			}
+		}
+		// Every key once in order, then again in reverse, each with a value
+		// of its own.
+		var lines []string
+		for pass := 0; pass < 2; pass++ {
+			for i := range chain {
+				if pass == 1 {
+					i = len(chain) - 1 - i
+				}
+				lines = append(lines, fmt.Sprintf("%s\t%d", chain[i], 100*pass+i))
+			}
+		}
+		c := newCombiner(spec, in, 3, combineTable{}, nil)
+		oracle := newOracleCombiner(&c)
+		var text []byte
+		var vals valArrays
+		var chainOp opChain // tuples, not source rows
+		for _, line := range lines {
+			row := tuple.DecodeLine(line, schema)
+			text = c.fold(row, &chainOp, text, &vals)
+			oracle.fold(row)
+		}
+		if len(c.table.entries) != len(chain) || len(c.table.slots) != 64 {
+			t.Fatalf("%q: %d keys folded twice left %d entries in %d slots, want %d in 64", format, len(chain), len(c.table.entries), len(c.table.slots), len(chain))
+		}
+		// One run of slots from the start they share holds every key.
+		mask := uint64(len(c.table.slots) - 1)
+		start := slotOf(keyHash(keyWord(chain[0]), chain[0]), mask)
+		for i := range chain {
+			if slotOf(keyHash(keyWord(chain[i]), chain[i]), mask) != start {
+				t.Fatalf("%q: %q and %q start their probes apart: no chain", format, chain[0], chain[i])
+			}
+			if c.table.slots[(start+uint64(i))&mask] == 0 {
+				t.Fatalf("%q: slot %d of the chain from %d is empty: grow placed its keys elsewhere", format, i, start)
+			}
+		}
+		parts, total := c.emit(text, &vals, new(taskScratch))
+		for p := range parts {
+			parts[p].text, parts[p].vals = string(text), vals.arrays
+		}
+		got := renderOutcome(&mapOutcome{partitions: parts, localBytes: total}, nil)
+		parts, total = oracle.emit(3)
+		if want := renderOutcome(&mapOutcome{partitions: parts, localBytes: total}, nil); got != want {
+			t.Errorf("%q: a chain of %d keys emitted\n%s\nthe oracle\n%s", format, len(chain), got, want)
+		}
+		foldOnSpan(t, "raw", sealedBlock(t, lines), lines, schema, in, spec, 3)
 	}
 }
 

@@ -567,12 +567,12 @@ type taskScratch struct {
 	row    tuple.Tuple      // the reused source row; the aggregate's output row
 	text   []byte           // map: every key of the task, back to back, until finish copies them out
 	arrays [][]tuple.Value  // map: the outcome's value arrays, until finish copies out the list of them
-	recs   []interRec       // map: the uncombined shuffle's records in arrival order
-	parts  []int32          // map: the partition of each of them; then each partition's place
+	recs   []interRec       // map: the shuffle's records in arrival order, or the combiner's in entry order
+	parts  []int32          // map: the partition of each of them
 	canon  []byte           // the chain's canonical bytes
 	plans  []colPlan        // map: the chain's plan of each column of the batch
 	hashes [][]byte         // digest buffers, one a writer of the chain (hashBuf)
-	tables []combinePart    // map: combiner tables, emptied by emit
+	table  combineTable     // map: the combiner's table, emptied by emit
 	aggs   []*pig.Aggregate // map: the combiner's aggregates
 	idx    []int32          // map: the sorts' permutation
 	pairs  []sortPair       // map: sortKeyed's radix pairs, two a record
@@ -702,7 +702,7 @@ func newMapRun(job *JobSpec, inputIdx, n int, df digestFactory, corrupt corruptF
 		sc.out.ends = slices.Grow(sc.out.ends, n)
 	case job.Reduce != nil && job.Reduce.Combine:
 		m.combine = true
-		m.comb = newCombiner(job.Reduce, in, job.NumReduces, sc.tables, sc.aggs)
+		m.comb = newCombiner(job.Reduce, in, job.NumReduces, sc.table, sc.aggs)
 		sc.text = slices.Grow(sc.text[:0], lineBufMin)
 	default:
 		sc.text = slices.Grow(sc.text[:0], lineBufMin)
@@ -762,11 +762,11 @@ func (m *mapRun) finish() *mapOutcome {
 	out.digested = m.chain.digests
 	if m.combine {
 		out.combinedIn = out.recordsOut
-		out.partitions, out.localBytes = m.comb.emit(&m.vals)
+		out.partitions, out.localBytes = m.comb.emit(sc.text, &m.vals, sc)
 		out.keyVals = m.comb.keyVals
-		sc.tables, sc.aggs = m.comb.parts, wipe(m.comb.aggs)
+		sc.table, sc.aggs = m.comb.table, wipe(m.comb.aggs)
 	} else if shuffle {
-		out.partitions = m.scatter()
+		out.partitions = scatter(sc.recs, sc.parts, m.job.NumReduces, sc)
 	}
 	if shuffle {
 		// Every run indexes the one copy of the task's keys and of the list
@@ -822,18 +822,18 @@ func (m *mapRun) outcomeText() string {
 	return text
 }
 
-// scatter lays the uncombined shuffle's records, held in arrival order with
-// their partitions, out as the partitions' runs: one array for all of them,
-// each run exactly its records' length, arrival order kept within each.
-func (m *mapRun) scatter() []sortedRun {
-	sc := m.sc
-	parts := make([]sortedRun, m.job.NumReduces)
-	if len(sc.recs) == 0 {
-		return parts
+// scatter lays recs, held in arrival order with their partitions, out as
+// the partitions' runs: one array for all of them, each run exactly its
+// records' length, arrival order kept within each. Each partition's count,
+// then its next place, is kept in sc's index.
+func scatter(recs []interRec, parts []int32, numParts int, sc *taskScratch) []sortedRun {
+	runs := make([]sortedRun, numParts)
+	if len(recs) == 0 {
+		return runs
 	}
-	at := resize(sc.idx, len(parts)) // each partition's next place in recs
+	at := resize(sc.idx, numParts)
 	clear(at)
-	for _, p := range sc.parts {
+	for _, p := range parts {
 		at[p]++
 	}
 	next := int32(0)
@@ -841,18 +841,18 @@ func (m *mapRun) scatter() []sortedRun {
 		at[p] = next
 		next += k
 	}
-	recs := make([]interRec, len(sc.recs))
-	for i, p := range sc.parts {
-		recs[at[p]] = sc.recs[i]
+	laid := make([]interRec, len(recs))
+	for i, p := range parts {
+		laid[at[p]] = recs[i]
 		at[p]++
 	}
 	start := int32(0)
 	for p, end := range at {
-		parts[p].recs = recs[start:end:end]
+		runs[p].recs = laid[start:end:end]
 		start = end
 	}
 	sc.idx = at
-	return parts
+	return runs
 }
 
 // runMapTask executes one map task over records [lo, hi) of its input,

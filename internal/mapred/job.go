@@ -154,9 +154,9 @@ type ReduceSpec struct {
 	OrderBy []pig.OrderKey // ReduceSort
 	PostOps []Op           // applied to core output before writing
 	// Combine enables the map-side combiner: map tasks fold post-digest
-	// records into per-partition tables keyed by the canonical shuffle
-	// key and emit one partial-state record per (partition, key), which
-	// the reduce side merges. The compiler sets it only for
+	// records into one table keyed by the canonical shuffle key and emit
+	// one partial-state record per key, into its partition, which the
+	// reduce side merges. The compiler sets it only for
 	// ReduceAggregate jobs whose generators are all algebraic
 	// (pig.Aggregate.Algebraic) and for ReduceDistinct jobs, where the
 	// merged result is byte-identical to the uncombined fold. Digesting

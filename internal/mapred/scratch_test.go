@@ -21,20 +21,26 @@ import (
 // foldFields is what FuzzFoldOnSpanMatchesTuples draws column text from:
 // keys whose span is their canonical text and keys whose span is not
 // (padded, signed, spaced, overflowing integers, "-0", floats), the empty
-// string and strings holding a NUL. None holds an escape byte.
+// string, strings holding a NUL, and keys around the 8 bytes the
+// combiner's probe compares as one word: exactly 8, longer ones sharing
+// their first 8, and keys of equal word but different length ("ORD" and
+// "ORD\x00"). None holds an escape byte.
 var foldFields = []string{
 	"ORD", "LAX", "st-7", "7", "12", "-12", "0", "", "007", "+5", " 12", "12 ", "-0", "-", "+",
 	"1234567890123456789", "999999999999999999", "99999999999999999999", "-9223372036854775808",
 	"1.50", "2.5", "1e3", "x\x00y", "\x00", "\x00x",
+	"12345678", "123456789", "12345678x", "ORD\x00", "st000123", "ABCDEFGH", "ABCDEFGH\x00",
 }
 
-// FuzzFoldOnSpanMatchesTuples holds fold, which reads a source record's
-// key off its spans, to the fold it replaced (oracleFold), which projects
-// and encodes the tuple: over every column type, one- and two-column keys,
-// key columns a short row lacks, the empty line, non-canonical numbers and
-// the fuzzer's own text, in a raw block and a dictionary-coded one, the two
-// must leave the same tables — partitions, entry order, hashes, keys and
-// partial state — and emit the same records. The fold on the spans reads
+// FuzzFoldOnSpanMatchesTuples holds the combiner, which reads a source
+// record's key off its spans, to an oracle without its table
+// (oracleCombiner), which projects and encodes the tuple: over every
+// column type, one- and two-column keys, key columns a short row lacks,
+// the empty line, non-canonical numbers, keys around the probe's 8-byte
+// word and the fuzzer's own text, in a raw block and a dictionary-coded
+// one, the two must emit the same runs — each record in the partition
+// partitionOfBytes gives it, in first-arrival order, with the same key,
+// tuple and partial state. The fold on the spans reads
 // its record as the map task does, each column by the plan made of it for
 // the batch (opChain.planBatch); the oracle's is coerced value by value.
 // fold's own tuple path, taken once a projection has run, is held to the
@@ -99,8 +105,8 @@ func foldOnSpan(t *testing.T, codec string, src *dfs.Reader, lines []string, sch
 		text []byte
 		vals valArrays
 	}
-	onSpan, onTuple, oracle := &folded{c: newCombiner(spec, in, numParts, nil, nil)},
-		&folded{c: newCombiner(spec, in, numParts, nil, nil)}, &folded{c: newCombiner(spec, in, numParts, nil, nil)}
+	onSpan, onTuple := &folded{c: newCombiner(spec, in, numParts, combineTable{}, nil)}, &folded{c: newCombiner(spec, in, numParts, combineTable{}, nil)}
+	oracle := newOracleCombiner(&onTuple.c)
 	source, projected := opChain{src: &batch, schema: schema, fromSrc: true}, opChain{}
 	source.planBatch()
 	for batch.Next() {
@@ -110,27 +116,22 @@ func foldOnSpan(t *testing.T, codec string, src *dfs.Reader, lines []string, sch
 		}
 		onSpan.text = onSpan.c.fold(planned, &source, onSpan.text, &onSpan.vals)
 		onTuple.text = onTuple.c.fold(rec, &projected, onTuple.text, &onTuple.vals)
-		oracle.text = oracleFold(&oracle.c, rec, oracle.text, &oracle.vals)
+		oracle.fold(rec)
 	}
 	render := func(f *folded) string {
-		var b strings.Builder
-		for pi, p := range f.c.parts {
-			for i, e := range p.entries {
-				fmt.Fprintf(&b, "part %d entry %d: hash %x key %q\n", pi, i, e.hash, f.text[e.rec.key:e.rec.key+e.rec.keyLen])
-			}
-		}
-		parts, total := f.c.emit(&f.vals)
+		parts, total := f.c.emit(f.text, &f.vals, new(taskScratch))
 		for p := range parts {
 			parts[p].text, parts[p].vals = string(f.text), f.vals.arrays
 		}
-		return b.String() + renderOutcome(&mapOutcome{partitions: parts, localBytes: total}, nil)
+		return renderOutcome(&mapOutcome{partitions: parts, localBytes: total}, nil)
 	}
-	want := render(oracle)
+	parts, total := oracle.emit(numParts)
+	want := renderOutcome(&mapOutcome{partitions: parts, localBytes: total}, nil)
 	if got := render(onSpan); got != want {
-		t.Errorf("%s block, key %v over %v: fold on the spans left\n%s\nthe tuple-keyed fold\n%s", codec, in.KeyCols, schema, got, want)
+		t.Errorf("%s block, key %v over %v: fold on the spans emitted\n%s\nthe oracle\n%s", codec, in.KeyCols, schema, got, want)
 	}
 	if got := render(onTuple); got != want {
-		t.Errorf("%s block, key %v over %v: fold on the tuples left\n%s\nthe tuple-keyed fold\n%s", codec, in.KeyCols, schema, got, want)
+		t.Errorf("%s block, key %v over %v: fold on the tuples emitted\n%s\nthe oracle\n%s", codec, in.KeyCols, schema, got, want)
 	}
 }
 
@@ -339,7 +340,7 @@ func TestScratchHoldsNoData(t *testing.T) {
 			t.Fatalf("after shape %d the scratch still holds %d values, the first: %s", i, len(found), found[0])
 		}
 	}
-	if cap(sc.row) == 0 || cap(sc.tables) == 0 || cap(sc.live) == 0 || cap(sc.left) == 0 || cap(sc.out.buf) == 0 ||
+	if cap(sc.row) == 0 || cap(sc.table.slots) == 0 || cap(sc.live) == 0 || cap(sc.left) == 0 || cap(sc.out.buf) == 0 ||
 		cap(sc.text) == 0 || cap(sc.recs) == 0 || cap(sc.arrays) == 0 {
 		t.Error("the shapes did not grow the scratch they were to leave empty")
 	}
