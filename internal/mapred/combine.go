@@ -175,22 +175,21 @@ func newCombiner(spec *ReduceSpec, in *JobInput, numParts int, table combineTabl
 // only when new; any other key is put together at the end of the text
 // (opChain.appendKey) and taken back off on a hit.
 func (c *combiner) fold(t tuple.Tuple, ch *opChain, text []byte, vals *valArrays) []byte {
+	at := len(text)
 	var e int
 	if len(c.keyCols) == 1 && ch.fromSrc && c.keyCols[0] < len(t) && ch.plan(c.keyCols[0]) != planValue {
 		key := ch.src.Value(c.keyCols[0])
 		if e = find(&c.table, text, key); e < 0 {
-			at := len(text)
 			text = append(text, key...)
-			e = c.insert(text, at, t, vals)
 		}
 	} else {
-		at := len(text)
 		text = ch.appendKey(text, t, c.keyCols)
-		if e = find(&c.table, text, text[at:]); e < 0 {
-			e = c.insert(text, at, t, vals)
-		} else {
-			text = text[:at]
-		}
+		e = find(&c.table, text, text[at:])
+	}
+	if e < 0 {
+		e = c.insert(text, at, t, vals)
+	} else {
+		text = text[:at]
 	}
 	accs := c.table.accs[e*len(c.aggs):]
 	for i, agg := range c.aggs {
