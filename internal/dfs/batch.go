@@ -2,8 +2,8 @@ package dfs
 
 import (
 	"math"
-	"slices"
 	"strings"
+	"unsafe"
 
 	"clusterbft/internal/tuple"
 )
@@ -12,42 +12,47 @@ import (
 // codec reads in each: Next steps through them; Width, Value and Plain
 // read the one it stands on. A sealed block's range whose values hold no
 // backslash or newline is held column by column, as the block stores it:
-// the carried columns' values copied into one backing string, with one
-// array of offsets to cut them out of it, and no line rebuilt. Anything
+// the text is the block's payload itself, seen as a string with no copy
+// (one copy of it where the block is deflated), and a carried value is cut
+// out of it by a start and an end offset — a plain column's at its bytes
+// in the column's region, a dictionary-coded column's at the dictionary
+// entry its code names. No value is copied and no line rebuilt. Anything
 // else (an unsealed tail, a ReadHook's lines, a block range decoded to
 // lines) is held as lines, where they are, every column carried, and read
 // by the codec's own rule (tuple.Fields).
 //
 // A column held as spans also carries what the read learnt of its values
-// as it copied them (Form): whether every one is a canonical integer, or
+// as it cut them (Form): whether every one is a canonical integer, or
 // none looks like an integer, so that a reader coerces and encodes the
 // column by one rule for the whole batch rather than looking at every
 // value again.
 //
 // The zero value is ready to use, and a Batch that is read into again
 // reuses its arrays; the text of an earlier read stays valid for as long
-// as a Value cut from it is referenced, and the Batch itself lets go of it
-// once Next has stepped past the last record: one kept between tasks holds
-// arrays, not data.
+// as a Value cut from it is referenced, and so keeps its whole block alive
+// (blockText). The Batch itself lets go of it once Next has stepped past
+// the last record: one kept between tasks holds arrays, not data.
 type Batch struct {
 	shape  blockShape
 	text   string
 	widths []int // column count of each record, 0 for the empty line
 	row    int
 	// uniform is the record count of a range held as spans whose every
-	// record holds every column, 0 otherwise: there a value's index in ends
-	// is its column's first plus the row, and Next only counts rows.
+	// record holds every column, 0 otherwise: there a value's index is its
+	// column's first plus the row, and Next only counts rows.
 	uniform int
 	// One array, cut in four, so that a read costs one allocation for all
 	// of its offsets.
 	ints []int32
-	// cur is, per column, the index in ends of the current record's value
-	// less the row; -1 when not carried. A record that lacks a carried
-	// column leaves the next record's index where it was, one less the row.
+	// cur is, per column, the index of the current record's value among
+	// the carried values less the row; -1 when not carried. A record that
+	// lacks a carried column leaves the next record's index where it was,
+	// one less the row.
 	cur     []int32
 	carried []int32 // the carried columns, ascending
 	forms   []int32 // per column, the tuple.IntForm its carried values share (Form)
-	ends    []int32 // ends[k+1] is where the k-th carried value ends in text, column after column
+	// The k-th carried value, column after column, is text[ends[2k]:ends[2k+1]].
+	ends []int32
 
 	// Held lines, non-nil while Next steps through them, and the current
 	// one's values.
@@ -115,7 +120,7 @@ func (b *Batch) Value(c int) string {
 	if b.lines != nil {
 		return b.line.Value(c)
 	}
-	k := int(b.cur[c]) + b.row
+	k := 2 * (int(b.cur[c]) + b.row)
 	return b.text[b.ends[k]:b.ends[k+1]]
 }
 
@@ -156,7 +161,7 @@ func (b *Batch) holdLines(lines []string) {
 // decode reads records [lo, hi) of an encoded block into b, carrying the
 // columns need lists (nil: all; column c where c < len(need) && need[c]),
 // or holds their lines where a value holds a backslash or a newline or the
-// block is too large for int32 offsets. The walk is decodeBlockRange's,
+// payload is too large for int32 offsets. The walk is decodeBlockRange's,
 // which is this one's under a nil need: a block that decodes whole reads
 // the same under every mask.
 func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
@@ -173,33 +178,37 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 		return err
 	}
 	widths := s.widths()
-	size, vals := 0, 0
+	vals := 0
 	asLines := len(payload) > math.MaxInt32
 	for c, r := range s.cols {
 		asLines = asLines || r.flagged && s.holdsEscape(payload, c, widths)
 		if carries(need, c) {
-			size += r.text
 			vals += r.vals
 		}
 	}
-	if asLines || size > math.MaxInt32 {
+	if asLines {
 		lines, err := s.decodeLines(nil, data, lo, hi)
 		b.holdLines(lines)
 		return err
 	}
 
-	var text strings.Builder
-	text.Grow(size)
+	switch {
+	case vals == 0:
+	case z != nil:
+		b.text = string(payload) // one copy: the inflater's buffer is the next read's
+	default:
+		b.text = blockText(payload)
+	}
 	k := len(s.cols)
-	b.ints = slices.Grow(b.ints[:0], 3*k+vals+1)[:3*k+vals+1]
+	b.ints = grown(b.ints, 3*k+2*vals)[:3*k+2*vals]
 	b.cur, b.carried, b.forms = b.ints[:k:k], b.ints[k:k:2*k], b.ints[2*k:3*k:3*k]
-	b.ends = append(b.ints[3*k:3*k], 0)
+	b.ends = b.ints[3*k : 3*k]
 	uniform := s.minCols == k
 	for c, r := range s.cols {
 		b.cur[c], b.forms[c] = -1, int32(tuple.IntOther)
 		carry := carries(need, c)
 		if carry {
-			b.cur[c] = int32(len(b.ends) - 1)
+			b.cur[c] = int32(len(b.ends) / 2)
 			b.carried = append(b.carried, int32(c))
 		} else if c > 0 || s.minCols > 1 {
 			continue // only column 0 of a one-column record can make an empty line
@@ -226,8 +235,7 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 					continue
 				}
 				if carry {
-					text.Write(payload[start:end])
-					b.ends = append(b.ends, int32(text.Len()))
+					b.ends = append(b.ends, int32(start), int32(end))
 				}
 			}
 			continue
@@ -246,19 +254,30 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 			}
 			if carry {
 				f.add(payload[start:end])
-				text.Write(payload[start:end])
-				b.ends = append(b.ends, int32(text.Len()))
+				b.ends = append(b.ends, int32(start), int32(end))
 			}
 		}
 		if carry {
 			b.forms[c] = f.form()
 		}
 	}
-	b.text, b.widths, b.plain, b.lineBytes = text.String(), widths, true, int64(s.lineBytes)
+	b.widths, b.plain, b.lineBytes = widths, true, int64(s.lineBytes)
 	if uniform {
 		b.uniform = len(widths)
 	}
 	return nil
+}
+
+// blockText returns a sealed block's payload as a string, without a copy.
+// It rests on one invariant: nothing writes a sealed block's bytes after
+// sealHeader. A spill writes them out and drops them, a spilled block is
+// read back into a buffer of its own (FS.blockData), and Delete only drops
+// the reference; so a value cut from the string stays as read for as long
+// as anyone holds it, and holding it keeps the block's bytes alive. A
+// deflated payload lives in a pooled inflater's buffer, which the next
+// read writes over: it is never passed here.
+func blockText(payload []byte) string {
+	return unsafe.String(unsafe.SliceData(payload), len(payload))
 }
 
 // forms gathers the two facts Batch.Form reports of a run of values, as

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -193,9 +194,10 @@ func TestReadColumnsSegments(t *testing.T) {
 }
 
 // TestBatchReadAllocs: a batch read allocates no more objects than the
-// line decode of the same range, and from its second use on a Batch costs
-// the one backing string plus whatever the block's encoding does: for a
-// dictionary-coded block, nothing. Held lines cost nothing.
+// line decode of the same range, and from its second use on a Batch a read
+// of a raw or a dictionary-coded block allocates nothing: its text is the
+// block's payload and its offsets are the Batch's own. Held lines cost
+// nothing.
 func TestBatchReadAllocs(t *testing.T) {
 	lines := make([]string, 1000)
 	for i := range lines {
@@ -231,11 +233,12 @@ func TestBatchReadAllocs(t *testing.T) {
 		if fresh > asLines {
 			t.Errorf("compress=%v: a first batch read = %v allocs, the line decode %v", compress, fresh, asLines)
 		}
-		if want := asLines - 3; reused > want { // counts, regions and offsets are the Batch's own
-			t.Errorf("compress=%v: a repeated batch read = %v allocs, want <= %v", compress, reused, want)
+		flags := byte(0)
+		if compress {
+			flags = blockFlagDict
 		}
-		if compress && (data[1] != blockFlagDict || reused != 1) {
-			t.Errorf("flags %#x: a repeated batch read of a coded block = %v allocs, want 1, its text", data[1], reused)
+		if data[1] != flags || reused != 0 {
+			t.Errorf("flags %#x: a repeated batch read = %v allocs, want 0 (flags %#x)", data[1], reused, flags)
 		}
 	}
 	var b Batch
@@ -248,5 +251,119 @@ func TestBatchReadAllocs(t *testing.T) {
 	})
 	if held != 0 {
 		t.Errorf("held lines = %v allocs, want 0", held)
+	}
+}
+
+// TestBatchValuesOutliveTheirBlock: a value a batch read serves is cut
+// out of the block's own bytes (blockText), so whatever happens to the
+// block after the read must leave it as read. Values kept from a resident
+// raw block, a dictionary-coded one, a spilled one and a deflated one
+// still equal the lines read first once more files are sealed and
+// installed, the blocks spill, the source files are deleted, other
+// deflated blocks go through the pooled inflater and the collector runs.
+func TestBatchValuesOutliveTheirBlock(t *testing.T) {
+	dir := t.TempDir()
+	plain := NewWith(Options{BlockSize: 512, MemBudget: 2048, SpillDir: dir})
+	packed := NewWith(Options{BlockSize: 512, MemBudget: 8192, SpillDir: dir, Compress: true})
+	defer plain.Close()
+	defer packed.Close()
+	gen := func(n int, line func(i int) string) []string {
+		lines := make([]string, n)
+		for i := range lines {
+			lines[i] = line(i)
+		}
+		return lines
+	}
+	// Distinct values that repeat their bytes: flate shrinks them, a
+	// dictionary does not.
+	deflatable := func(tag string) []string {
+		return gen(120, func(i int) string {
+			return fmt.Sprintf("%s-%05d	%s%d	%d", tag, i*37, strings.Repeat(tag, 4), i, i*i)
+		})
+	}
+	sources := []struct {
+		fs    *FS
+		path  string
+		flags byte // of the first block, which is resident at the read
+		lines []string
+	}{
+		{plain, "in/spilled", 0, gen(200, func(i int) string { return fmt.Sprintf("s%04d	%d	spilled-%d", i, i*7, i%13) })},
+		{plain, "in/raw", 0, gen(60, func(i int) string { return fmt.Sprintf("r%04d	%d	raw-%d", i, i*3, i%11) })},
+		{packed, "in/coded", blockFlagDict, gen(200, func(i int) string { return fmt.Sprintf("st-%02d	%d	clear-%d", i%20, 20+i%7, i%3) })},
+		{packed, "in/deflated", blockFlagFlate, deflatable("dfl")},
+	}
+	for _, src := range sources {
+		src.fs.Append(src.path, src.lines...)
+	}
+
+	type kept struct {
+		who       string
+		got, want []string
+	}
+	var keep []kept
+	var first []*block
+	var b Batch
+	for _, src := range sources {
+		blk := src.fs.files[src.path].blocks[0]
+		first = append(first, blk)
+		if spilled := src.path == "in/spilled"; (blk.data == nil) != spilled || !spilled && blk.data[1] != src.flags {
+			t.Fatalf("%s: first block resident=%v, want a %s block with flags %#x", src.path, blk.data != nil, map[bool]string{true: "spilled", false: "resident"}[spilled], src.flags)
+		}
+		lines, err := src.fs.ReadLines(src.path)
+		if err != nil || !slices.Equal(lines, src.lines) {
+			t.Fatalf("%s: ReadLines = %v", src.path, err)
+		}
+		r, err := src.fs.OpenReader(src.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, need := range [][]bool{nil, {false, true, true}} {
+			for at := 0; at < r.NumRecords(); {
+				next := r.ReadColumns(&b, at, r.NumRecords(), need)
+				recs, _ := batchRecords(&b, need)
+				for i, vals := range recs {
+					who := fmt.Sprintf("%s need %v record %d", src.path, need, at+i)
+					keep = append(keep, kept{who, vals, decoded(lines[at+i], need)})
+				}
+				at = next
+			}
+		}
+	}
+
+	// Everything that may happen to a block after a read.
+	for i := range 20 {
+		plain.Append(fmt.Sprintf("more/%d", i), gen(100, func(j int) string { return fmt.Sprintf("m%d-%04d	%d	more", i, j, j) })...)
+		packed.Append(fmt.Sprintf("more/%d", i), deflatable(fmt.Sprintf("m%d", i))...)
+	}
+	for i, blk := range first {
+		if blk.data != nil {
+			t.Fatalf("%s: its first block was not spilled", sources[i].path)
+		}
+	}
+	for _, src := range sources {
+		if err := src.fs.Delete(src.path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := deflatable("xyz")
+	packed.Append("other/deflated", other...)
+	if f := packed.files["other/deflated"]; f.blocks[0].data[1] != blockFlagFlate {
+		t.Fatalf("flags %#x: want a deflated block", f.blocks[0].data[1])
+	}
+	r, err := packed.OpenReader("other/deflated")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at := 0; at < r.NumRecords(); {
+		next := r.ReadColumns(&b, at, r.NumRecords(), nil)
+		readsAs(t, fmt.Sprintf("other/deflated [%d,%d)", at, next), &b, other[at:next], nil)
+		at = next
+	}
+	runtime.GC()
+
+	for _, k := range keep {
+		if !slices.Equal(k.got, k.want) {
+			t.Fatalf("%s = %q once its block was gone, read as %q", k.who, k.got, k.want)
+		}
 	}
 }

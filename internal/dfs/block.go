@@ -545,8 +545,8 @@ func BlockRecords(data []byte) (int, error) {
 
 // Building flate state costs more than running one block through it, so
 // it is pooled and reset per block, and keeps its output buffer: decoded
-// lines are copied out of an inflater's into a string of their own, the
-// compressed bytes out of a deflater's into the block.
+// lines and a batch's text are copied out of an inflater's into a string
+// of their own, the compressed bytes out of a deflater's into the block.
 type inflater struct {
 	zr  io.ReadCloser // a flate reader, which is a flate.Resetter
 	src bytes.Reader
@@ -685,7 +685,7 @@ func (s *blockShape) walk(p []byte, n64 uint64, coded bool, lo, hi int, need []b
 
 	// The regions end where the directory begins, so their lengths place
 	// them; between the header and the first are the column counts.
-	s.cols = slices.Grow(s.cols, int(maxCols))[:maxCols]
+	s.cols = grown(s.cols, int(maxCols))[:maxCols]
 	d, regions := int(foot), int(foot)
 	for c := range s.cols {
 		v, w := uvarint(dir[d:])
@@ -716,7 +716,7 @@ func (s *blockShape) walk(p []byte, n64 uint64, coded bool, lo, hi int, need []b
 	}
 	s.lineBytes = sum + s.hi - s.lo // a newline each
 
-	s.counts = slices.Grow(s.counts, n) // once for every range of a block this size
+	s.counts = grown(s.counts, n) // once for every range of a block this size
 	if minCols == maxCols {
 		s.counts = s.counts[:s.hi-s.lo]
 		for i := range s.counts {
@@ -777,7 +777,7 @@ func (s *blockShape) dictionaries(p []byte) (limit int, err error) {
 		r.dict, r.k = total, int(k)
 		total += r.k + 1
 	}
-	s.dict = slices.Grow(s.dict, total)
+	s.dict = grown(s.dict, total)
 	for c := range s.cols {
 		r := &s.cols[c]
 		at, longest := r.start, 0
@@ -899,6 +899,16 @@ func (s *blockShape) dictOf(c int) []int {
 		return nil
 	}
 	return s.dict[s.cols[c].dict : s.cols[c].dict+s.cols[c].k+1]
+}
+
+// grown returns s emptied, with room for n elements: one allocation where
+// it has less, in every build. slices.Grow's append of a make is two under
+// the race detector, which turns off the compiler's fusing of the two.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // valueAt reads the length-prefixed value at payload[off:], which the

@@ -166,6 +166,41 @@ func BenchmarkDataplaneBlockDecode(b *testing.B) {
 	b.ReportMetric(benchBatch, "records/op")
 }
 
+// BenchmarkDataplaneBatchRead is a map task's read alone: ReadColumns of
+// one sealed block of benchBatch five-column records, two columns carried,
+// and a step through every record reading both, from a raw block and from
+// a dictionary-coded one.
+func BenchmarkDataplaneBatchRead(b *testing.B) {
+	lines := make([]string, benchBatch)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("station-%03d\t%d\tclear-%d\t%d\tzone-%d", i%50, 20+i%7, i%3, i%97, i%5)
+	}
+	need := []bool{true, false, false, true}
+	for _, c := range []struct {
+		name string
+		src  *dfs.Reader
+	}{{"raw", sealedBlock(b, lines)}, {"coded", codedBlock(b, lines)}} {
+		b.Run(c.name, func(b *testing.B) {
+			var batch dfs.Batch
+			n := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for at := 0; at < benchBatch; {
+					at = c.src.ReadColumns(&batch, at, benchBatch, need)
+					for batch.Next() {
+						n += len(batch.Value(0)) + len(batch.Value(3))
+					}
+				}
+			}
+			if n == 0 {
+				b.Fatal("read no values")
+			}
+			b.ReportMetric(benchBatch, "records/op")
+		})
+	}
+}
+
 // BenchmarkDataplaneSpillRoundTrip drives the full out-of-core path per
 // op: append the batch into a budgeted FS (sealing compressed blocks and
 // spilling them to disk), then stream every record back.
