@@ -901,12 +901,15 @@ func (s *blockShape) dictOf(c int) []int {
 	return s.dict[s.cols[c].dict : s.cols[c].dict+s.cols[c].k+1]
 }
 
-// grown returns s emptied, with room for n elements: one allocation where
-// it has less, in every build. slices.Grow's append of a make is two under
-// the race detector, which turns off the compiler's fusing of the two.
+// grown returns s emptied, with room for n elements. Where it has less it
+// allocates once, in every build: slices.Grow's append of a make is two
+// allocations under the race detector, which turns off the compiler's
+// fusing of them. It leaves room for an eighth more, about what append's
+// rounding up to a size class leaves, so that the next block or range of
+// about this size fits.
 func grown[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, 0, n)
+		return make([]T, 0, n+n/8)
 	}
 	return s[:0]
 }
