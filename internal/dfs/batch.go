@@ -192,12 +192,10 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 		return err
 	}
 
-	switch {
-	case vals == 0:
-	case z != nil:
-		b.text = string(payload) // one copy: the inflater's buffer is the next read's
-	default:
+	if z == nil {
 		b.text = blockText(payload)
+	} else if vals > 0 {
+		b.text = string(payload) // one copy: the inflater's buffer is the next read's
 	}
 	k := len(s.cols)
 	b.ints = grown(b.ints, 3*k+2*vals)[:3*k+2*vals]

@@ -278,7 +278,7 @@ func TestBatchValuesOutliveTheirBlock(t *testing.T) {
 	// dictionary does not.
 	deflatable := func(tag string) []string {
 		return gen(120, func(i int) string {
-			return fmt.Sprintf("%s-%05d	%s%d	%d", tag, i*37, strings.Repeat(tag, 4), i, i*i)
+			return fmt.Sprintf("%s-%05d\t%s%d\t%d", tag, i*37, strings.Repeat(tag, 4), i, i*i)
 		})
 	}
 	sources := []struct {
@@ -287,9 +287,9 @@ func TestBatchValuesOutliveTheirBlock(t *testing.T) {
 		flags byte // of the first block, which is resident at the read
 		lines []string
 	}{
-		{plain, "in/spilled", 0, gen(200, func(i int) string { return fmt.Sprintf("s%04d	%d	spilled-%d", i, i*7, i%13) })},
-		{plain, "in/raw", 0, gen(60, func(i int) string { return fmt.Sprintf("r%04d	%d	raw-%d", i, i*3, i%11) })},
-		{packed, "in/coded", blockFlagDict, gen(200, func(i int) string { return fmt.Sprintf("st-%02d	%d	clear-%d", i%20, 20+i%7, i%3) })},
+		{plain, "in/spilled", 0, gen(200, func(i int) string { return fmt.Sprintf("s%04d\t%d\tspilled-%d", i, i*7, i%13) })},
+		{plain, "in/raw", 0, gen(60, func(i int) string { return fmt.Sprintf("r%04d\t%d\traw-%d", i, i*3, i%11) })},
+		{packed, "in/coded", blockFlagDict, gen(200, func(i int) string { return fmt.Sprintf("st-%02d\t%d\tclear-%d", i%20, 20+i%7, i%3) })},
 		{packed, "in/deflated", blockFlagFlate, deflatable("dfl")},
 	}
 	for _, src := range sources {
@@ -307,7 +307,7 @@ func TestBatchValuesOutliveTheirBlock(t *testing.T) {
 		blk := src.fs.files[src.path].blocks[0]
 		first = append(first, blk)
 		if spilled := src.path == "in/spilled"; (blk.data == nil) != spilled || !spilled && blk.data[1] != src.flags {
-			t.Fatalf("%s: first block resident=%v, want a %s block with flags %#x", src.path, blk.data != nil, map[bool]string{true: "spilled", false: "resident"}[spilled], src.flags)
+			t.Fatalf("%s: first block spilled=%v, want spilled=%v, else flags %#x", src.path, blk.data == nil, spilled, src.flags)
 		}
 		lines, err := src.fs.ReadLines(src.path)
 		if err != nil || !slices.Equal(lines, src.lines) {
@@ -332,7 +332,7 @@ func TestBatchValuesOutliveTheirBlock(t *testing.T) {
 
 	// Everything that may happen to a block after a read.
 	for i := range 20 {
-		plain.Append(fmt.Sprintf("more/%d", i), gen(100, func(j int) string { return fmt.Sprintf("m%d-%04d	%d	more", i, j, j) })...)
+		plain.Append(fmt.Sprintf("more/%d", i), gen(100, func(j int) string { return fmt.Sprintf("m%d-%04d\t%d\tmore", i, j, j) })...)
 		packed.Append(fmt.Sprintf("more/%d", i), deflatable(fmt.Sprintf("m%d", i))...)
 	}
 	for i, blk := range first {

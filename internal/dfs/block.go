@@ -639,10 +639,10 @@ func (s *blockShape) widths() []int {
 // colRegion locates a column in the payload: its whole region, or, once
 // the walk stepped through it, the values it holds for the records of the
 // range — payload[start:end] their lengths and bytes (coded: their codes),
-// vals how many they are and text the bytes of the values alone.
+// and vals how many they are.
 type colRegion struct {
 	start, end int
-	vals, text int
+	vals       int
 	flagged    bool // a byte of the whole region (coded: of its values) is a backslash or a newline
 	dict, k    int  // coded: where the column's offsets begin in blockShape.dict, and how many values they bound
 }
@@ -749,12 +749,12 @@ func (s *blockShape) walk(p []byte, n64 uint64, coded bool, lo, hi int, need []b
 			}
 			continue
 		}
-		off, _, _, ok := s.skipValues(p[:r.end], r.start, 0, s.lo, c)
-		end, vals, extra, ok2 := s.skipValues(p[:r.end], off, s.lo, s.hi, c)
+		off, _, ok := s.skipValues(p[:r.end], r.start, 0, s.lo, c)
+		end, vals, ok2 := s.skipValues(p[:r.end], off, s.lo, s.hi, c)
 		if !ok || !ok2 {
 			return fmt.Errorf("dfs: block column %d overruns its region", c)
 		}
-		*r = colRegion{start: off, end: end, vals: vals, text: end - off - vals - extra, flagged: r.flagged}
+		*r = colRegion{start: off, end: end, vals: vals, flagged: r.flagged}
 	}
 	return nil
 }
@@ -811,8 +811,7 @@ func (s *blockShape) dictionaries(p []byte) (limit int, err error) {
 
 // stepCodes finds the codes of records [lo, hi) in coded column c of a
 // block of n records, whose region must hold one code for every value the
-// column holds, each below its dictionary's size, and sums the bytes of
-// their values.
+// column holds, each below its dictionary's size.
 func (s *blockShape) stepCodes(p []byte, c, n int) bool {
 	r := &s.cols[c]
 	before, vals, all := s.lo, s.hi-s.lo, n
@@ -833,16 +832,13 @@ func (s *blockShape) stepCodes(p []byte, c, n int) bool {
 	if all != r.end-r.start {
 		return false
 	}
-	d := s.dict[r.dict : r.dict+r.k+1]
-	start, text := r.start+before, 0
+	start := r.start + before
 	for _, code := range p[start : start+vals] {
-		j := int(code)
-		if j >= r.k {
+		if int(code) >= r.k {
 			return false
 		}
-		text += d[j+1] - d[j]
 	}
-	r.start, r.end, r.vals, r.text = start, start+vals, vals, text
+	r.start, r.end, r.vals = start, start+vals, vals
 	return true
 }
 
@@ -864,32 +860,31 @@ func sumLengths(b []byte, off, k, limit int) (next, sum int, ok bool) {
 
 // skipValues steps from off over the values that records [from, to) hold
 // in column c, whose region p ends with, checking each length against the
-// bytes left there. It returns the offset after the last, how many values
-// there were and the bytes their lengths took beyond one each.
-func (s *blockShape) skipValues(p []byte, off, from, to, c int) (next, vals, extra int, ok bool) {
+// bytes left there. It returns the offset after the last and how many
+// values there were.
+func (s *blockShape) skipValues(p []byte, off, from, to, c int) (next, vals int, ok bool) {
 	ragged := c >= s.minCols // below minCols every record holds the column
 	for i := from; i < to; i++ {
 		if ragged && s.counts[i] <= c {
 			continue
 		}
 		if off >= len(p) {
-			return 0, 0, 0, false
+			return 0, 0, false
 		}
 		// Nearly every length is one byte: binary.Uvarint's case for it,
 		// taken here, because a call per value is a tenth of the walk.
 		l, w := uint64(p[off]), 1
 		if l >= 0x80 {
 			l, w = binary.Uvarint(p[off:])
-			extra += w - 1
 		}
 		off += w
 		if w <= 0 || l > uint64(len(p)-off) {
-			return 0, 0, 0, false
+			return 0, 0, false
 		}
 		off += int(l)
 		vals++
 	}
-	return off, vals, extra, true
+	return off, vals, true
 }
 
 // dictOf returns the value offsets of column c's dictionary, or nil in a
