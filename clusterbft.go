@@ -13,8 +13,8 @@
 // storage, a simulated untrusted worker tier, the MapReduce engine and
 // the ClusterBFT control tier into one System. The detailed machinery
 // lives in internal/ packages (pig, mapred, core, bft, ...); everything
-// a client needs is re-exported here — examples/quickstart and
-// examples/weather are written against this package alone.
+// a client needs is re-exported here. examples/quickstart uses only it
+// (and workload's generators); examples/weather adds core.ControlTierTime.
 //
 // Basic usage:
 //

@@ -66,7 +66,7 @@ func TestLoadFile(t *testing.T) {
 	if err := os.WriteFile(local, []byte("1\ta\n2\tb\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	if err := loadFile(fs, "in/data", local); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestLoadFile(t *testing.T) {
 }
 
 func TestLoadFileMissing(t *testing.T) {
-	if err := loadFile(dfs.New(), "x", "/nonexistent/file"); err == nil {
+	if err := loadFile(dfs.NewWith(dfs.Options{}), "x", "/nonexistent/file"); err == nil {
 		t.Error("missing file should error")
 	}
 }

@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -242,37 +241,10 @@ func (a *AuditTrail) Take() []AuditEvent {
 	return out
 }
 
-// Len returns the number of retained events.
-func (a *AuditTrail) Len() int {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.events)
-}
-
-// Dropped returns how many events were evicted by the capacity bound.
-func (a *AuditTrail) Dropped() int {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.dropped
-}
-
-// Render formats the trail as a human-readable convergence timeline,
-// one event per line, oldest first. max <= 0 renders everything;
-// otherwise the most recent max events render, with an elision header
-// counting what was cut.
-func (a *AuditTrail) Render(max int) string {
-	return RenderTimeline(a.Events(), max)
-}
-
-// RenderTimeline formats events as a convergence timeline (see
-// AuditTrail.Render). It works on any event slice so callers can filter
-// before rendering.
+// RenderTimeline formats events (a trail's Events, filtered or not) as a
+// human-readable convergence timeline, one event per line, oldest first.
+// max <= 0 renders everything; otherwise the most recent max events
+// render, with an elision header counting what was cut.
 func RenderTimeline(events []AuditEvent, max int) string {
 	var b strings.Builder
 	if max > 0 && len(events) > max {
@@ -284,12 +256,4 @@ func RenderTimeline(events []AuditEvent, max int) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SortedIDs copies and sorts node IDs for deterministic event payloads.
-func SortedIDs(ids []cluster.NodeID) []cluster.NodeID {
-	out := make([]cluster.NodeID, len(ids))
-	copy(out, ids)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -70,13 +70,13 @@ func TestWatchdogRearmAllocs(t *testing.T) {
 	w := watchdog{net: net, expire: func() { expired++ }}
 	w.arm(10)
 	w.arm(10)
-	net.Run(0)
+	net.RunWhile(0, nil)
 	if expired != 1 {
 		t.Fatalf("two armings expired %d times, want once", expired)
 	}
 	w.arm(10)
 	w.disarm()
-	net.Run(0)
+	net.RunWhile(0, nil)
 	if expired != 1 {
 		t.Fatalf("a disarmed watchdog expired")
 	}

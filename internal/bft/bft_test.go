@@ -106,7 +106,7 @@ func TestToleratesSilentPrimaryViaViewChange(t *testing.T) {
 		t.Errorf("result = %q", res)
 	}
 	for _, r := range g.Replicas[1:] {
-		if r.View() == 0 {
+		if r.view == 0 {
 			t.Errorf("%v still in view 0 after faulty primary", r)
 		}
 	}
@@ -170,11 +170,11 @@ func TestDuplicateRequestNotReExecuted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Retransmit the identical request (same client seq) manually.
-	req := Request{Client: g.Client.ID(), Seq: 1, Op: []byte("once")}
+	req := Request{Client: g.Client.id, Seq: 1, Op: []byte("once")}
 	for _, r := range g.Replicas {
-		g.Net.Send(g.Client.ID(), r.ID(), req)
+		g.Net.Send(g.Client.id, r.id, req)
 	}
-	g.Net.Run(0)
+	g.Net.RunWhile(0, nil)
 	for i, sm := range sms {
 		if len(sm.ops) != 1 {
 			t.Errorf("replica %d executed %d times", i, len(sm.ops))
@@ -274,7 +274,7 @@ func TestNetworkDropAndTrace(t *testing.T) {
 	net.Trace = func(from, to ID, msg Message) { traced++ }
 	net.Send("blocked", "a", "nope")
 	net.Send("ok", "a", "hi")
-	net.Run(0)
+	net.RunWhile(0, nil)
 	if len(got) != 1 || got[0] != "ok:hi" {
 		t.Errorf("got %v", got)
 	}
@@ -301,7 +301,7 @@ func TestNetworkDeliveryOrdering(t *testing.T) {
 	}
 	net.Send("slow", "x", "second")
 	net.Send("fast", "x", "first")
-	net.Run(0)
+	net.RunWhile(0, nil)
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
 		t.Errorf("order = %v", order)
 	}
@@ -312,12 +312,12 @@ func TestReplicaStringAndIDs(t *testing.T) {
 	// These names go on the wire (request digests, peer and reply
 	// addressing), so a default group's are pinned byte for byte.
 	for i, r := range g.Replicas {
-		if want := ID(fmt.Sprintf("replica-%d", i)); r.ID() != want || ReplicaID(i) != want {
-			t.Errorf("replica %d: ID = %q, ReplicaID = %q, want %q", i, r.ID(), ReplicaID(i), want)
+		if want := ID(fmt.Sprintf("replica-%d", i)); r.id != want || ReplicaID(i) != want {
+			t.Errorf("replica %d: ID = %q, ReplicaID = %q, want %q", i, r.id, ReplicaID(i), want)
 		}
 	}
-	if g.Client.ID() != "client-0" {
-		t.Errorf("client ID = %q, want client-0", g.Client.ID())
+	if g.Client.id != "client-0" {
+		t.Errorf("client ID = %q, want client-0", g.Client.id)
 	}
 	if !strings.Contains(g.Replicas[0].String(), "view=0") {
 		t.Errorf("String = %q", g.Replicas[0].String())
@@ -333,7 +333,7 @@ func TestResultBytesAreCopied(t *testing.T) {
 		t.Fatal(err)
 	}
 	op[0] = 'X' // mutate caller's buffer after Invoke
-	g.Net.Run(0)
+	g.Net.RunWhile(0, nil)
 	if !bytes.Contains(res, []byte("mut")) {
 		t.Errorf("result %q affected by caller mutation", res)
 	}

@@ -37,7 +37,7 @@ func TestEquivocatingPrimarySafety(t *testing.T) {
 	}
 	// Drain with a bounded budget: an unsettled client retransmits
 	// forever, so an unbounded drain would never return.
-	g.Net.Run(100_000)
+	g.Net.RunWhile(100_000, nil)
 	// No two replicas may hold different first log entries.
 	var first string
 	for i, sm := range sms {
@@ -135,7 +135,7 @@ func TestSuccessiveViewChanges(t *testing.T) {
 		t.Errorf("result = %q", res)
 	}
 	for _, r := range g.Replicas[2:] {
-		if r.View() < 2 {
+		if r.view < 2 {
 			t.Errorf("%v should have reached view >= 2", r)
 		}
 	}
@@ -181,7 +181,7 @@ func TestForgedVotesCannotSplitASlot(t *testing.T) {
 	if string(res) != "1:real" {
 		t.Errorf("result = %q, want 1:real", res)
 	}
-	g.Net.Run(20_000)
+	g.Net.RunWhile(20_000, nil)
 	for i, sm := range sms[1:] {
 		if len(sm.ops) > 0 && sm.ops[0] != "real" {
 			t.Errorf("honest replica %d executed %q at slot 1; the others executed real", i+1, sm.ops[0])
@@ -196,7 +196,7 @@ func TestForgedVotesCannotSplitASlot(t *testing.T) {
 // the honest result wins.
 func TestForgedRepliesCannotSettleTheClient(t *testing.T) {
 	g, _ := newGroup(1)
-	evil, client := ReplicaID(3), g.Client.ID()
+	evil, client := ReplicaID(3), g.Client.id
 	g.Net.Delay = func(from, to ID) int64 {
 		if to == client && from != evil {
 			return 3_000
@@ -234,7 +234,7 @@ func TestClientTalliesDistinctResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		net.Send(ReplicaID(i), c.ID(), Reply{ReqSeq: 1, Replica: ReplicaID(i), Result: []byte{byte('a' + i)}})
+		net.Send(ReplicaID(i), c.id, Reply{ReqSeq: 1, Replica: ReplicaID(i), Result: []byte{byte('a' + i)}})
 	}
 	// The replicas are not on the bus: the client's sends go nowhere, and
 	// only the replies above are delivered, before its retry timer.
@@ -244,7 +244,7 @@ func TestClientTalliesDistinctResults(t *testing.T) {
 	if got != nil {
 		t.Fatalf("settled on %q with one vote each", got)
 	}
-	net.Send(ReplicaID(0), c.ID(), Reply{ReqSeq: 1, Replica: ReplicaID(0), Result: []byte("d")})
+	net.Send(ReplicaID(0), c.id, Reply{ReqSeq: 1, Replica: ReplicaID(0), Result: []byte("d")})
 	for net.Delivered() < 5 {
 		net.Step()
 	}

@@ -54,9 +54,6 @@ func NewClient(net *Network, name string, f int) *Client {
 	return c
 }
 
-// ID returns the client's network identity.
-func (c *Client) ID() ID { return c.id }
-
 // Invoke submits op for ordered execution; done fires exactly once with
 // the f+1-matching result. Only one call may be outstanding per client.
 func (c *Client) Invoke(op []byte, done func([]byte)) error {

@@ -31,7 +31,7 @@ func TestAgreementUnderRandomDelays(t *testing.T) {
 					t.Fatalf("op %d: got %q, want %q", i, res, want)
 				}
 			}
-			g.Net.Run(50_000) // drain stragglers
+			g.Net.RunWhile(50_000, nil) // drain stragglers
 			ref := strings.Join(sms[0].ops, "|")
 			for i, sm := range sms {
 				if got := strings.Join(sm.ops, "|"); got != ref && len(sm.ops) == len(sms[0].ops) {

@@ -154,7 +154,7 @@ func byzantineRun(t *testing.T, data []byte) {
 	in := fuzzBytes(data[1:])
 	g, sms := newGroup(1)
 	bad := ReplicaID(faulty)
-	forge := &forger{in: &in, client: g.Client.ID()}
+	forge := &forger{in: &in, client: g.Client.id}
 	// A NewView carries no view-change certificate in this model, so one
 	// forged by a backup installs a view nobody voted for, and the
 	// replicas left in the old view can stall the group (ROADMAP item 10).
@@ -216,7 +216,7 @@ func byzantineRun(t *testing.T, data []byte) {
 			t.Fatalf("op %d: client accepted %q, which no honest replica produced", i, res)
 		}
 	}
-	g.Net.Run(5_000)
+	g.Net.RunWhile(5_000, nil)
 	for i, a := range sms {
 		for j, b := range sms[:i] {
 			if i == faulty || j == faulty {

@@ -1,7 +1,6 @@
 package bft
 
 import (
-	"clusterbft/internal/obs"
 	"clusterbft/internal/vtime"
 )
 
@@ -99,17 +98,6 @@ func (n *Network) Register(id ID, h Handler) { n.nodes[id] = h }
 // Delivered returns the number of messages delivered so far.
 func (n *Network) Delivered() int64 { return n.delivered }
 
-// Instrument registers live views of the bus into reg: delivered message
-// count, registered replica count, and the current virtual time.
-func (n *Network) Instrument(reg *obs.Registry) {
-	if n == nil || reg == nil {
-		return
-	}
-	reg.Func("bft.messages_delivered", n.Delivered)
-	reg.Func("bft.replicas", func() int64 { return int64(len(n.nodes)) })
-	reg.Func("bft.virtual_time_us", n.Now)
-}
-
 // Send schedules msg for delivery from -> to.
 func (n *Network) Send(from, to ID, msg Message) {
 	if n.Drop != nil && n.Drop(from, to, msg) {
@@ -200,18 +188,12 @@ func (a *alarm) fire() {
 	}
 }
 
-// Run processes events until the queue drains or the optional budget of
-// deliveries is exhausted (budget <= 0 means unbounded). It returns the
-// virtual time reached.
-func (n *Network) Run(budget int64) int64 {
-	return n.RunWhile(budget, nil)
-}
-
-// RunWhile is Run with an additional stop condition checked before each
-// event: processing halts as soon as cond returns false. Pending events
-// (retransmission timers, in-flight messages) stay queued for the next
-// Run, so the virtual clock reflects when the condition was met rather
-// than when the queue drained.
+// RunWhile processes events until the queue drains, the optional budget
+// of deliveries is exhausted (budget <= 0 means unbounded) or cond (if
+// not nil), checked before each event, returns false. It returns the
+// virtual time reached. Pending events (retransmission timers, in-flight
+// messages) stay queued for the next call, so the virtual clock reflects
+// when the condition was met rather than when the queue drained.
 func (n *Network) RunWhile(budget int64, cond func() bool) int64 {
 	start := n.delivered
 	for n.Pending() > 0 {

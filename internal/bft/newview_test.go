@@ -27,7 +27,7 @@ func TestViewChangeAfterPartialProgress(t *testing.T) {
 		t.Errorf("result = %q, want %q", res, "1:held-op")
 	}
 	for i, r := range g.Replicas {
-		if r.View() == 0 {
+		if r.view == 0 {
 			t.Errorf("replica %d still in view 0; the stall never triggered a view change", i)
 		}
 	}

@@ -108,12 +108,6 @@ func NewReplica(net *Network, index, f int, sm StateMachine) *Replica {
 	return r
 }
 
-// ID returns the replica's network identity.
-func (r *Replica) ID() ID { return r.id }
-
-// View returns the current view number, for tests.
-func (r *Replica) View() uint64 { return r.view }
-
 // primary returns the primary's ID for a view.
 func (r *Replica) primary(view uint64) ID {
 	return r.peers[view%uint64(r.n)]

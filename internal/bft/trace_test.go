@@ -97,7 +97,7 @@ func messageTrace(t *testing.T, f int, setup func(g *Group)) string {
 		}
 		fmt.Fprintf(h, "settled %s\n", res)
 	}
-	g.Net.Run(20_000)
+	g.Net.RunWhile(20_000, nil)
 	fmt.Fprintf(h, "drained at %d after %d, %d pending\n", g.Net.Now(), g.Net.Delivered(), g.Net.Pending())
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -162,11 +162,6 @@ type Profile struct {
 	CrashWindowUs int64
 }
 
-// DefaultProfile matches the paper's common setup (f=1).
-func DefaultProfile(nodes int) Profile {
-	return Profile{Nodes: nodes, F: 1, MaxFaults: 3, CrashWindowUs: 120_000_000}
-}
-
 // Generate derives a schedule from seed alone: same seed, same profile —
 // same schedule, independent of any runtime state.
 func Generate(seed int64, p Profile) *Schedule {

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"clusterbft/internal/cluster"
@@ -12,7 +13,7 @@ import (
 // a seed fully determines the schedule, and different seeds explore
 // different fault plans.
 func TestGenerateDeterministic(t *testing.T) {
-	p := DefaultProfile(8)
+	p := Profile{Nodes: 8, F: 1, MaxFaults: 3, CrashWindowUs: 120_000_000}
 	distinct := 0
 	for seed := int64(1); seed <= 50; seed++ {
 		a := Generate(seed, p)
@@ -35,9 +36,7 @@ func TestGenerateDeterministic(t *testing.T) {
 // share one victim node, all storage mangles share one victim replica,
 // and a schedule never mixes the two families.
 func TestGenerateRespectsBounds(t *testing.T) {
-	p := DefaultProfile(8)
-	p.MaxFaults = 6
-	p.MaxVictims = 2
+	p := Profile{Nodes: 8, F: 1, MaxFaults: 6, MaxVictims: 2, CrashWindowUs: 120_000_000}
 	for seed := int64(1); seed <= 200; seed++ {
 		s := Generate(seed, p)
 		if got := len(s.Victims()); got > p.MaxVictims {
@@ -87,10 +86,10 @@ func TestSaltedCorruptDistinctPerNode(t *testing.T) {
 	in := tuple.Tuple{tuple.Str("st01"), tuple.Int(17), tuple.Float(2.5)}
 	a := tamper("node-000", 99, in)
 	b := tamper("node-001", 99, in)
-	if tuple.EqualTuples(a, in) || tuple.EqualTuples(b, in) {
+	if slices.EqualFunc(a, in, tuple.Equal) || slices.EqualFunc(b, in, tuple.Equal) {
 		t.Fatal("corruption left the tuple unchanged")
 	}
-	if tuple.EqualTuples(a, b) {
+	if slices.EqualFunc(a, b, tuple.Equal) {
 		t.Errorf("nodes corrupt identically: %v", a)
 	}
 	// All-integer tuples are the dangerous case: no string field carries
@@ -103,7 +102,7 @@ func TestSaltedCorruptDistinctPerNode(t *testing.T) {
 			for j := i + 1; j < len(nodes); j++ {
 				ci := tamper(cluster.NodeID(nodes[i]), salt, ints)
 				cj := tamper(cluster.NodeID(nodes[j]), salt, ints)
-				if tuple.EqualTuples(ci, cj) {
+				if slices.EqualFunc(ci, cj, tuple.Equal) {
 					t.Fatalf("salt %d: %s and %s corrupt all-int tuples identically (%v)",
 						salt, nodes[i], nodes[j], ci)
 				}

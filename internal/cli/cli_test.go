@@ -88,7 +88,7 @@ STORE c INTO 'out/c';
 
 func plainEngine(t *testing.T, rows int) *mapred.Engine {
 	t.Helper()
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	for i := 0; i < rows; i++ {
 		fs.Append("in/e", "1\t2")
 	}

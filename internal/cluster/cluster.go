@@ -9,7 +9,6 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"clusterbft/internal/tuple"
 )
@@ -115,11 +114,6 @@ type Node struct {
 	Adversary *Adversary
 }
 
-// Faulty reports whether the node has a non-trivial adversary attached.
-func (n *Node) Faulty() bool {
-	return n.Adversary != nil && n.Adversary.Kind != FaultNone && n.Adversary.Probability > 0
-}
-
 // Cluster is the set of worker nodes.
 type Cluster struct {
 	nodes []*Node
@@ -145,9 +139,6 @@ func (c *Cluster) Nodes() []*Node { return c.nodes }
 // Node looks a node up by ID, returning nil when absent.
 func (c *Cluster) Node(id NodeID) *Node { return c.byID[id] }
 
-// Len returns the number of nodes.
-func (c *Cluster) Len() int { return len(c.nodes) }
-
 // TotalSlots returns the cluster-wide resource unit count.
 func (c *Cluster) TotalSlots() int {
 	total := 0
@@ -166,16 +157,4 @@ func (c *Cluster) SetAdversary(id NodeID, kind FaultKind, probability float64, s
 	}
 	n.Adversary = NewAdversary(kind, probability, seed)
 	return nil
-}
-
-// FaultyNodes returns the IDs of nodes with active adversaries, sorted.
-func (c *Cluster) FaultyNodes() []NodeID {
-	var out []NodeID
-	for _, n := range c.nodes {
-		if n.Faulty() {
-			out = append(out, n.ID)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

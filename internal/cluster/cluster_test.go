@@ -8,8 +8,8 @@ import (
 
 func TestNewCluster(t *testing.T) {
 	c := New(4, 3)
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.Nodes()) != 4 {
+		t.Fatalf("Len = %d", len(c.Nodes()))
 	}
 	if c.TotalSlots() != 12 {
 		t.Errorf("TotalSlots = %d", c.TotalSlots())
@@ -33,15 +33,11 @@ func TestSetAdversary(t *testing.T) {
 	if err := c.SetAdversary("node-999", FaultOmission, 1.0, 7); err == nil {
 		t.Error("unknown node should error")
 	}
-	faulty := c.FaultyNodes()
-	if len(faulty) != 1 || faulty[0] != "node-001" {
-		t.Errorf("FaultyNodes = %v", faulty)
+	if a := c.Node("node-001").Adversary; a == nil || a.Kind != FaultCommission {
+		t.Errorf("node-001 adversary = %+v", a)
 	}
-	if !c.Node("node-001").Faulty() {
-		t.Error("node should report faulty")
-	}
-	if c.Node("node-000").Faulty() {
-		t.Error("honest node reports faulty")
+	if c.Node("node-000").Adversary != nil {
+		t.Error("honest node has an adversary")
 	}
 }
 

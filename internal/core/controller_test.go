@@ -102,7 +102,7 @@ func TestControllerOutputMatchesPlainRun(t *testing.T) {
 	}
 	bftOut := h.outputLines(t, res, "out/counts")
 
-	fs2 := dfs.New()
+	fs2 := dfs.NewWith(dfs.Options{})
 	fs2.Append("data/weather", weatherData(2000)...)
 	eng2 := mapred.NewEngine(fs2, cluster.New(16, 3), nil, mapred.DefaultCostModel())
 	if _, err := RunPlain(eng2, weatherScript); err != nil {
@@ -322,7 +322,7 @@ func TestControllerLatencyOverheadVsPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fs2 := dfs.New()
+	fs2 := dfs.NewWith(dfs.Options{})
 	fs2.Append("data/weather", weatherData(2000)...)
 	eng2 := mapred.NewEngine(fs2, cluster.New(32, 3), nil, mapred.DefaultCostModel())
 	plain, err := RunPlain(eng2, weatherScript)
@@ -356,7 +356,7 @@ func TestControllerParseError(t *testing.T) {
 }
 
 func TestRunPlainErrors(t *testing.T) {
-	eng := mapred.NewEngine(dfs.New(), cluster.New(2, 2), nil, mapred.DefaultCostModel())
+	eng := mapred.NewEngine(dfs.NewWith(dfs.Options{}), cluster.New(2, 2), nil, mapred.DefaultCostModel())
 	if _, err := RunPlain(eng, "garbage"); err == nil {
 		t.Error("parse error expected")
 	}

@@ -108,12 +108,6 @@ func NewFaultAnalyzer(f int) *FaultAnalyzer {
 // mutate).
 func (fa *FaultAnalyzer) Disjoint() []NodeSet { return fa.d }
 
-// Overlapping returns the current family O.
-func (fa *FaultAnalyzer) Overlapping() []NodeSet { return fa.o }
-
-// Reports returns how many faulty job clusters have been analyzed.
-func (fa *FaultAnalyzer) Reports() int { return fa.reports }
-
 // Saturated reports whether |D| has reached f — the point after which the
 // suspect population stops growing (§6.3, Fig 11).
 func (fa *FaultAnalyzer) Saturated() bool { return len(fa.d) >= fa.f }

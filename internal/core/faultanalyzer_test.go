@@ -38,14 +38,14 @@ func TestNodeSetOps(t *testing.T) {
 func TestAnalyzerFirstReportDisjoint(t *testing.T) {
 	fa := NewFaultAnalyzer(1)
 	fa.Report(set("a", "b", "c"))
-	if len(fa.Disjoint()) != 1 || len(fa.Overlapping()) != 0 {
-		t.Fatalf("D=%v O=%v", fa.Disjoint(), fa.Overlapping())
+	if len(fa.Disjoint()) != 1 || len(fa.o) != 0 {
+		t.Fatalf("D=%v O=%v", fa.Disjoint(), fa.o)
 	}
 	if !fa.Saturated() {
 		t.Error("f=1 with one disjoint set should saturate")
 	}
-	if fa.Reports() != 1 {
-		t.Errorf("Reports = %d", fa.Reports())
+	if fa.reports != 1 {
+		t.Errorf("Reports = %d", fa.reports)
 	}
 }
 
@@ -60,8 +60,8 @@ func TestAnalyzerSubsetRefines(t *testing.T) {
 	if len(d[0]) != 2 || !d[0]["b"] || !d[0]["c"] {
 		t.Errorf("refined set = %v", d[0].Sorted())
 	}
-	if len(fa.Overlapping()) != 1 {
-		t.Errorf("O = %v", fa.Overlapping())
+	if len(fa.o) != 1 {
+		t.Errorf("O = %v", fa.o)
 	}
 }
 
@@ -116,15 +116,15 @@ func TestAnalyzerAmbiguousEvidenceGoesToO(t *testing.T) {
 	if len(d[0])+len(d[1]) != 4 {
 		t.Errorf("ambiguous evidence should not shrink D: %v %v", d[0].Sorted(), d[1].Sorted())
 	}
-	if len(fa.Overlapping()) != 1 {
-		t.Errorf("O = %v", fa.Overlapping())
+	if len(fa.o) != 1 {
+		t.Errorf("O = %v", fa.o)
 	}
 }
 
 func TestAnalyzerEmptySetIgnored(t *testing.T) {
 	fa := NewFaultAnalyzer(1)
 	fa.Report(NodeSet{})
-	if fa.Reports() != 0 || len(fa.Disjoint()) != 0 {
+	if fa.reports != 0 || len(fa.Disjoint()) != 0 {
 		t.Error("empty set must be ignored")
 	}
 }

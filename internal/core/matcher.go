@@ -245,15 +245,6 @@ func (st *sidVotes) sumOf(ki int32, replica int) (digest.Sum, bool) {
 	return digest.Sum{}, false
 }
 
-// Reports returns how many digests replica has filed under sid.
-func (m *Matcher) Reports(sid string, replica int) int {
-	_, rv := m.votes(sid, replica)
-	if rv == nil {
-		return 0
-	}
-	return len(rv.keys)
-}
-
 // Fingerprint rolls a replica's digest vector for sid into one sum,
 // iterating keys in sorted order so equal vectors give equal prints.
 // The result is memoised per (sid, replica) and recomputed only after
@@ -351,11 +342,6 @@ func (m *Matcher) KeyAgreement(sid string, key digest.Key) (digest.Sum, uint64, 
 func (m *Matcher) Forget(sid string) {
 	delete(m.bySID, sid)
 }
-
-// SIDs returns how many sub-graph attempts currently hold digest state;
-// lifecycle tests pin it to prove the controller's Forget sweep bounds
-// matcher growth across retries and repeated runs.
-func (m *Matcher) SIDs() int { return len(m.bySID) }
 
 // Lookup returns the sum a replica reported for one exact key under sid.
 func (m *Matcher) Lookup(sid string, replica int, key digest.Key) (digest.Sum, bool) {

@@ -250,7 +250,7 @@ func checkObserveEquivalence(t testing.TB, data []byte) {
 			// One replica index past the live range and a negative one
 			// must read as "never reported" on both sides.
 			for rep := -1; rep <= replicas; rep++ {
-				if g, w := m.Reports(s, rep), o.Reports(s, rep); g != w {
+				if g, w := filed(m, s, rep), o.Reports(s, rep); g != w {
 					t.Fatalf("step %d: Reports(%s,%d) = %d, oracle %d", step, s, rep, g, w)
 				}
 				if g, w := m.Fingerprint(s, rep), o.Fingerprint(s, rep); g != w {

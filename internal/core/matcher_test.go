@@ -213,8 +213,8 @@ func TestObserveOverwriteMovesVote(t *testing.T) {
 	if !ok || reps != 0b1011 || sum != report("s", 0, 1, "r000", 0, "good").Sum {
 		t.Errorf("KeyAgreement = %s %v %v, want the good sum from [0 1 3]", sum, reps, ok)
 	}
-	if m.Reports("s", 3) != 1 {
-		t.Errorf("replica 3 holds %d votes on one key, want 1", m.Reports("s", 3))
+	if filed(m, "s", 3) != 1 {
+		t.Errorf("replica 3 holds %d votes on one key, want 1", filed(m, "s", 3))
 	}
 	if got, _ := m.Lookup("s", 3, key); got != sum {
 		t.Errorf("Lookup returns the superseded sum %s", got)
@@ -243,8 +243,8 @@ func TestForgetDropsTallyAndMemo(t *testing.T) {
 	observeAll(m, report("s", 0, 1, "t", 0, "x"), report("s", 1, 1, "t", 0, "x"))
 	before := m.Fingerprint("s", 0)
 	m.Forget("s")
-	if m.SIDs() != 0 {
-		t.Fatalf("SIDs = %d after Forget", m.SIDs())
+	if len(m.bySID) != 0 {
+		t.Fatalf("%d sids after Forget", len(m.bySID))
 	}
 	if _, _, ok := m.KeyAgreement("s", key); ok {
 		t.Error("tally survived Forget")
@@ -272,14 +272,14 @@ func TestObserveIgnoresOutOfRangeReplica(t *testing.T) {
 		if got := m.Observe(report("s", rep, 1, "t", 0, "x")); got != nil {
 			t.Errorf("replica %d: deviants = %v", rep, got)
 		}
-		if m.Reports("s", rep) != 0 || m.SIDs() != 0 {
+		if len(m.bySID) != 0 {
 			t.Errorf("replica %d left state behind", rep)
 		}
 	}
 	if got := m.Observe(report("s", MaxReplicas-1, 1, "t", 0, "x")); got != nil {
 		t.Errorf("deviants = %v", got)
 	}
-	if m.Reports("s", MaxReplicas-1) != 1 {
+	if _, rv := m.votes("s", MaxReplicas-1); rv == nil || len(rv.keys) != 1 {
 		t.Error("highest representable replica index was not stored")
 	}
 }
@@ -332,15 +332,24 @@ func TestObserveAllocs(t *testing.T) {
 	}
 }
 
+// filed returns how many digests replica has filed under sid.
+func filed(m *Matcher, sid string, replica int) int {
+	_, rv := m.votes(sid, replica)
+	if rv == nil {
+		return 0
+	}
+	return len(rv.keys)
+}
+
 func TestReportsAndForget(t *testing.T) {
 	m := NewMatcher(1)
 	m.Observe(report("s", 0, 1, "t", 0, "x"))
 	m.Observe(report("s", 0, 1, "t", 1, "y"))
-	if m.Reports("s", 0) != 2 {
-		t.Errorf("Reports = %d", m.Reports("s", 0))
+	if filed(m, "s", 0) != 2 {
+		t.Errorf("Reports = %d", filed(m, "s", 0))
 	}
 	m.Forget("s")
-	if m.Reports("s", 0) != 0 {
+	if filed(m, "s", 0) != 0 {
 		t.Error("Forget did not clear state")
 	}
 }

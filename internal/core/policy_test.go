@@ -194,13 +194,13 @@ func TestStaleDigestDropped(t *testing.T) {
 	if c.v.reports != 0 {
 		t.Errorf("stale report counted: reports=%d", c.v.reports)
 	}
-	if n := c.v.matcher.SIDs(); n != 0 {
+	if n := len(c.v.matcher.bySID); n != 0 {
 		t.Errorf("stale report stored in matcher: %d sids", n)
 	}
 	// A report for the live attempt still lands.
 	c.onDigest(digest.Report{Key: digest.Key{SID: "run1-c0-a1", Point: 1, Task: "m0-000"}})
-	if c.v.reports != 1 || c.v.matcher.SIDs() != 1 {
-		t.Errorf("live report dropped: reports=%d sids=%d", c.v.reports, c.v.matcher.SIDs())
+	if c.v.reports != 1 || len(c.v.matcher.bySID) != 1 {
+		t.Errorf("live report dropped: reports=%d sids=%d", c.v.reports, len(c.v.matcher.bySID))
 	}
 }
 
@@ -250,7 +250,7 @@ func TestControllerLifecycleBounded(t *testing.T) {
 			if !res.Verified {
 				t.Fatalf("policy %v run %d not verified", p, run)
 			}
-			if n := h.Ctrl.v.matcher.SIDs(); n != 0 {
+			if n := len(h.Ctrl.v.matcher.bySID); n != 0 {
 				t.Errorf("policy %v run %d: matcher retains %d sids after teardown", p, run, n)
 			}
 			// Forget drops the vote tally, the per-key state and the
@@ -271,8 +271,8 @@ func TestControllerLifecycleBounded(t *testing.T) {
 				}
 			}
 			filed = filed[:0]
-			if n := sched.HostedSIDs(); n != 0 {
-				t.Errorf("policy %v run %d: scheduler retains %d sid affinities", p, run, n)
+			if n := len(sched.sids); n != 0 {
+				t.Errorf("policy %v run %d: scheduler retains sid affinities on %d nodes", p, run, n)
 			}
 			if n := h.Engine.JobCount(); n != 0 {
 				t.Errorf("policy %v run %d: engine retains %d jobs", p, run, n)
@@ -314,12 +314,9 @@ func TestSchedulerForgetSID(t *testing.T) {
 		"node-000": {"a": true, "b": true},
 		"node-001": {"a": true},
 	}
-	if got := s.HostedSIDs(); got != 3 {
-		t.Fatalf("HostedSIDs = %d, want 3", got)
-	}
 	s.ForgetSID("a")
-	if got := s.HostedSIDs(); got != 1 {
-		t.Errorf("after forget a: HostedSIDs = %d, want 1", got)
+	if hosted := s.sids["node-000"]; len(hosted) != 1 || !hosted["b"] {
+		t.Errorf("after forget a: node-000 hosts %v, want only b", hosted)
 	}
 	if _, ok := s.sids["node-001"]; ok {
 		t.Error("empty per-node set not reclaimed")

@@ -47,7 +47,7 @@ func liarHarness(t *testing.T, nodes int, cfg Config) *harness {
 	if err := h.Cluster.SetAdversary("node-000", cluster.FaultCommission, 1.0, 5); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < h.Cluster.Len(); i++ {
+	for i := 1; i < len(h.Cluster.Nodes()); i++ {
 		adv := cluster.NewAdversary(cluster.FaultSlow, 1.0, int64(i))
 		adv.SlowFactor = 6
 		h.Cluster.Nodes()[i].Adversary = adv

@@ -27,7 +27,7 @@ func TestOfflineRestartOnDeviantSource(t *testing.T) {
 			if err := cl.SetAdversary("node-000", cluster.FaultCommission, 1.0, 5); err != nil {
 				t.Fatal(err)
 			}
-			for i := 1; i < cl.Len(); i++ {
+			for i := 1; i < len(cl.Nodes()); i++ {
 				adv := cluster.NewAdversary(cluster.FaultSlow, 1.0, int64(i))
 				adv.SlowFactor = 6
 				cl.Nodes()[i].Adversary = adv

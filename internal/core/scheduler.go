@@ -78,13 +78,3 @@ func (s *OverlapScheduler) ForgetSID(sid string) {
 		}
 	}
 }
-
-// HostedSIDs counts (node, sid) affinity entries currently tracked;
-// lifecycle tests pin it to prove teardown prunes scheduler state.
-func (s *OverlapScheduler) HostedSIDs() int {
-	n := 0
-	for _, hosted := range s.sids {
-		n += len(hosted)
-	}
-	return n
-}

@@ -63,8 +63,8 @@ type nodeStats struct {
 
 // SuspicionTable tracks per-node suspicion s = faults/jobs (§4.1) and
 // implements the resource manager's inclusion list: nodes whose suspicion
-// exceeds the configured threshold are excluded from further scheduling
-// until an administrator re-initializes them (§4.2).
+// exceeds the configured threshold are excluded from further scheduling;
+// only a fresh table re-admits them (§4.2).
 type SuspicionTable struct {
 	mu sync.Mutex
 	// Threshold above which a node leaves the inclusion list; <= 0
@@ -177,15 +177,6 @@ func (t *SuspicionTable) Excluded(n cluster.NodeID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.excluded[n]
-}
-
-// Reinstate puts an (administrator-reinitialized) node back on the
-// inclusion list with a clean history.
-func (t *SuspicionTable) Reinstate(n cluster.NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.excluded, n)
-	delete(t.stats, n)
 }
 
 // Histogram counts nodes per suspicion category (only nodes with history

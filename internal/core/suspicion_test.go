@@ -90,10 +90,6 @@ func TestExclusionThreshold(t *testing.T) {
 	if st.Excluded("b") {
 		t.Error("node b should remain included")
 	}
-	st.Reinstate("a")
-	if st.Excluded("a") || st.Level("a") != 0 {
-		t.Error("reinstate should clear exclusion and history")
-	}
 }
 
 func TestExclusionDisabled(t *testing.T) {

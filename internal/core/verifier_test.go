@@ -100,3 +100,82 @@ func TestTornDownAttemptDecidesNothing(t *testing.T) {
 		t.Fatal("the torn-down attempt was verified")
 	}
 }
+
+// timeOutEachLaunch starts a one-job run on v and times out every
+// attempt it launches, until the verifier stops launching, and returns
+// the launch plans in order.
+func timeOutEachLaunch(v *verifier) []launchPlan {
+	var plans []launchPlan
+	v.apply(event{kind: evStart})
+	for {
+		i := slices.IndexFunc(v.out, func(d decision) bool { return d.kind == dLaunch })
+		if i < 0 {
+			return plans
+		}
+		plans = append(plans, v.out[i].plan)
+		v.out = v.out[:0]
+		v.apply(event{kind: evTimeout, sid: plans[len(plans)-1].sid})
+	}
+}
+
+// TestAttemptBoundIsMaxAttempts: MaxAttempts counts launches. A
+// sub-graph whose every attempt times out is launched exactly
+// MaxAttempts times, each at one more replica, and then fails.
+func TestAttemptBoundIsMaxAttempts(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxAttempts = 3
+	v := newVerifier(cfg, NewSuspicionTable(0), NewFaultAnalyzer(cfg.F), nil)
+	v.reset(1, []verdict{{tmpls: []tmpl{{id: "j00"}}}})
+	plans := timeOutEachLaunch(v)
+	if len(plans) != cfg.MaxAttempts {
+		t.Fatalf("%d launches, want MaxAttempts = %d", len(plans), cfg.MaxAttempts)
+	}
+	for i, p := range plans {
+		if p.totalTries != i+1 || p.r != cfg.R+i {
+			t.Errorf("launch %d: try %d at r=%d, want try %d at r=%d", i, p.totalTries, p.r, i+1, cfg.R+i)
+		}
+	}
+	if !v.subs[0].failed || !slices.ContainsFunc(v.out, func(d decision) bool { return d.kind == dFail }) {
+		t.Errorf("the exhausted sub-graph did not fail: %+v", v.out)
+	}
+}
+
+// TestEscalationAtConfiguredDegreeRaisesR: escalating a cheap policy
+// raises r to the configured degree, and where the cheap attempt already
+// ran at that degree (R = 1) the retry still runs at one more replica,
+// as every retry does (§4.2 step 6).
+func TestEscalationAtConfiguredDegreeRaisesR(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.R = 1
+	cfg.MaxAttempts = 2
+	v := newVerifier(cfg, NewSuspicionTable(0), NewFaultAnalyzer(cfg.F), nil)
+	v.reset(1, []verdict{{tmpls: []tmpl{{id: "j00"}}}})
+	v.subs[0].policy = PolicyQuiz
+	plans := timeOutEachLaunch(v)
+	if len(plans) != 2 {
+		t.Fatalf("%d launches, want 2", len(plans))
+	}
+	if p := plans[0]; p.policy != PolicyQuiz || p.r != 1 {
+		t.Fatalf("first launch %v at r=%d, want quiz at r=1", p.policy, p.r)
+	}
+	if p := plans[1]; p.policy != PolicyFull || p.r != 2 {
+		t.Errorf("retry %v at r=%d, want full at r=2", p.policy, p.r)
+	}
+}
+
+// TestReplicaCapIsInclusive: a sub-graph may run at exactly MaxReplicas
+// replicas, the most the matcher tallies; only a retry past it is too
+// wide.
+func TestReplicaCapIsInclusive(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.R = MaxReplicas - 1
+	v := newVerifier(cfg, NewSuspicionTable(0), NewFaultAnalyzer(cfg.F), nil)
+	v.reset(1, []verdict{{tmpls: []tmpl{{id: "j00"}}}})
+	plans := timeOutEachLaunch(v)
+	if len(plans) != 2 || plans[1].r != MaxReplicas {
+		t.Fatalf("launched at %+v, want r=%d then r=%d", plans, MaxReplicas-1, MaxReplicas)
+	}
+	if !slices.ContainsFunc(v.out, func(d decision) bool { return d.kind == dTooWide && d.n == MaxReplicas+1 }) {
+		t.Errorf("the retry past MaxReplicas was not refused as too wide: %+v", v.out)
+	}
+}

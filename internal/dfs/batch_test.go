@@ -36,7 +36,7 @@ func decoded(line string, need []bool) []string {
 	for i := range schema.Fields {
 		schema.Fields[i].Type = tuple.TypeString
 	}
-	t := tuple.DecodeLine(line, schema)
+	t := new(tuple.Decoder).DecodeLine(line, schema)
 	vals := make([]string, len(t))
 	for c, v := range t {
 		vals[c] = "·"

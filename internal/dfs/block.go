@@ -536,13 +536,6 @@ func header(data []byte) (n uint64, h int, err error) {
 	return n, 2 + w, nil
 }
 
-// BlockRecords reports how many records data holds without decoding (or
-// decompressing) the payload.
-func BlockRecords(data []byte) (int, error) {
-	n, _, err := header(data)
-	return int(n), err
-}
-
 // Building flate state costs more than running one block through it, so
 // it is pooled and reset per block, and keeps its output buffer: decoded
 // lines and a batch's text are copied out of an inflater's into a string

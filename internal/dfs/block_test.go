@@ -32,12 +32,12 @@ func TestBlockRoundTrip(t *testing.T) {
 	for i, lines := range cases {
 		for _, compress := range []bool{false, true} {
 			data := EncodeBlock(lines, compress)
-			n, err := BlockRecords(data)
+			n, _, err := header(data)
 			if err != nil {
-				t.Fatalf("case %d compress=%v: BlockRecords: %v", i, compress, err)
+				t.Fatalf("case %d compress=%v: header: %v", i, compress, err)
 			}
-			if n != len(lines) {
-				t.Fatalf("case %d compress=%v: BlockRecords=%d want %d", i, compress, n, len(lines))
+			if int(n) != len(lines) {
+				t.Fatalf("case %d compress=%v: header counts %d records, want %d", i, compress, n, len(lines))
 			}
 			got, err := DecodeBlock(data)
 			if err != nil {

@@ -90,11 +90,12 @@ type FS struct {
 	// are nil-safe and zero-cost when unset; they exist for fault
 	// injection, which uses them to corrupt or truncate record streams at
 	// the storage boundary. Append and Install are the write boundary and
-	// ReadLines/ReadTree (and reader opens, which materialize through
-	// them when a hook is set) are the block-decode boundary, so hooks
-	// observe exactly the line streams they saw on the legacy []string
-	// store. Set hooks before using the FS concurrently; a hook must be
-	// a pure function and must not call back into the FS.
+	// ReadLines/ReadTree (and reader opens, which with a hook set decode
+	// the same whole-file read and hold its hooked lines) are the
+	// block-decode boundary, so hooks observe exactly the line streams
+	// they saw on the legacy []string store. Set hooks before using the
+	// FS concurrently; a hook must be a pure function and must not call
+	// back into the FS.
 	ReadHook  func(path string, lines []string) []string
 	WriteHook func(path string, lines []string) []string
 
@@ -151,10 +152,6 @@ type block struct {
 	freed   bool // owning file deleted; skip when evicting
 }
 
-// New returns an empty file system with default options (everything
-// resident, uncompressed).
-func New() *FS { return NewWith(Options{}) }
-
 // NewWith returns an empty file system with the given block data-plane
 // options. The spill file is created lazily on first spill; if creating
 // or writing it fails, spilling stops and blocks stay resident (the
@@ -189,11 +186,6 @@ func (fs *FS) Close() error {
 type ErrNotFound struct{ Path string }
 
 func (e *ErrNotFound) Error() string { return fmt.Sprintf("dfs: %s: no such file", e.Path) }
-
-// ErrExists is returned by Create when the path already exists.
-type ErrExists struct{ Path string }
-
-func (e *ErrExists) Error() string { return fmt.Sprintf("dfs: %s: file exists", e.Path) }
 
 // BlockError is how a read fails when a sealed block cannot be read back:
 // the spill file failed, or the bytes are not the block that was sealed.
@@ -262,19 +254,6 @@ func (fs *FS) pathRanges(prefix string) (exact bool, lo, hi int) {
 }
 
 // ---- writes -----------------------------------------------------------
-
-// Create makes an empty file at path, failing if it already exists.
-func (fs *FS) Create(path string) error {
-	path = clean(path)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, ok := fs.files[path]; ok {
-		return &ErrExists{Path: path}
-	}
-	fs.files[path] = &file{}
-	fs.insertPath(path)
-	return nil
-}
 
 // Append adds lines to the file at path, creating it if needed. The file
 // system is append-only in keeping with cloud-store semantics (§1): there
@@ -391,7 +370,7 @@ func (fs *FS) install(path string, s Sealed) {
 	fs.bytesWritten.Add(s.bytes)
 	if len(f.pending) > 0 {
 		// Past its length the tail's array is no one's: whoever else holds
-		// it reads no further (addFile, a read's fileSnap, a kept Sealed).
+		// it reads no further (a Reader's snapshot, a kept Sealed).
 		lines := s.appendLines(f.pending)
 		f.lines -= len(f.pending)
 		f.bytes -= int64(f.pendingBytes)
@@ -520,61 +499,17 @@ func (fs *FS) loadBlock(dst []string, s *blockShape, b *block, lo, hi int) ([]st
 
 // ReadLines returns a copy of the lines of the file at path. A sealed
 // block that cannot be read back fails it with a *BlockError.
-func (fs *FS) ReadLines(path string) ([]string, error) {
+func (fs *FS) ReadLines(path string) ([]string, error) { return fs.read(path, false) }
+
+// read is ReadLines, or with tree ReadTree: the snapshot a Reader takes,
+// decoded into one slice.
+func (fs *FS) read(path string, tree bool) ([]string, error) {
 	path = clean(path)
-	fs.mu.RLock()
-	f, ok := fs.files[path]
-	var snap [1]fileSnap
-	if ok {
-		snap[0] = f.snap()
+	r := Reader{fs: fs}
+	if err := fs.snapshot(&r, path, tree); err != nil {
+		return nil, err
 	}
-	fs.mu.RUnlock()
-	if !ok {
-		return nil, &ErrNotFound{Path: path}
-	}
-	out, err := fs.readSnaps(snap[:])
-	if err == nil && fs.ReadHook != nil {
-		out = fs.ReadHook(path, out)
-	}
-	return out, err
-}
-
-// fileSnap is what a read takes of a file under the lock: its sealed
-// blocks (a prefix that only ever grows, so the snapshot is stable), its
-// tail as it stands, and their lines and logical bytes.
-type fileSnap struct {
-	blocks []*block
-	tail   []string
-	lines  int
-	bytes  int64
-}
-
-// snap snapshots f; caller holds mu.
-func (f *file) snap() fileSnap {
-	return fileSnap{blocks: f.blocks, tail: f.pending[:len(f.pending):len(f.pending)], lines: f.lines, bytes: f.bytes}
-}
-
-// readSnaps decodes the files snapped, in order, straight into one slice of
-// their summed length, and counts each file's bytes read once it is.
-func (fs *FS) readSnaps(snaps []fileSnap) ([]string, error) {
-	total := 0
-	for i := range snaps {
-		total += snaps[i].lines
-	}
-	out := make([]string, 0, total)
-	var shape blockShape
-	for i := range snaps {
-		s := &snaps[i]
-		for _, b := range s.blocks {
-			var err error
-			if out, err = fs.loadBlock(out, &shape, b, 0, b.records); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, s.tail...)
-		fs.bytesRead.Add(s.bytes)
-	}
-	return out, nil
+	return r.readAll(path)
 }
 
 // Exists reports whether the exact path exists as a file.
@@ -694,48 +629,10 @@ func (fs *FS) TreeSize(prefix string) int64 {
 	return n
 }
 
-// LineCount returns the number of records in the file at path.
-func (fs *FS) LineCount(path string) (int, error) {
-	path = clean(path)
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	f, ok := fs.files[path]
-	if !ok {
-		return 0, &ErrNotFound{Path: path}
-	}
-	return f.lines, nil
-}
-
 // ReadTree reads and concatenates, in sorted path order, every file at or
 // under prefix. This is how MapReduce consumers read a part-file output
 // directory. The files are snapshot together and decoded into one slice.
-func (fs *FS) ReadTree(prefix string) ([]string, error) {
-	p := clean(prefix)
-	fs.mu.RLock()
-	exact, lo, hi := fs.pathRanges(p)
-	var snaps []fileSnap
-	if exact || lo < hi {
-		snaps = make([]fileSnap, 0, hi-lo+1)
-	}
-	if exact {
-		snaps = append(snaps, fs.files[p].snap())
-	}
-	for _, path := range fs.paths[lo:hi] {
-		snaps = append(snaps, fs.files[path].snap())
-	}
-	fs.mu.RUnlock()
-	if len(snaps) == 0 {
-		return nil, &ErrNotFound{Path: prefix}
-	}
-	out, err := fs.readSnaps(snaps)
-	if err != nil {
-		return nil, err
-	}
-	if fs.ReadHook != nil {
-		out = fs.ReadHook(p, out)
-	}
-	return out, nil
-}
+func (fs *FS) ReadTree(prefix string) ([]string, error) { return fs.read(prefix, true) }
 
 // ---- counters ---------------------------------------------------------
 

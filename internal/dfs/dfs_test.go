@@ -9,24 +9,21 @@ import (
 )
 
 func TestCreateAndExists(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	if fs.Exists("a") {
 		t.Fatal("fresh FS should be empty")
 	}
-	if err := fs.Create("a"); err != nil {
-		t.Fatal(err)
+	fs.Append("a/b")
+	if !fs.Exists("a/b") {
+		t.Error("an append with no lines should create the file")
 	}
-	if !fs.Exists("a") {
-		t.Error("created file should exist")
-	}
-	var exists *ErrExists
-	if err := fs.Create("a"); !errors.As(err, &exists) {
-		t.Errorf("second Create should fail with ErrExists, got %v", err)
+	if fs.Exists("a") {
+		t.Error("a directory prefix is not a file")
 	}
 }
 
 func TestPathCleaning(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	fs.Append("/data/in/", "x")
 	if !fs.Exists("data/in") {
 		t.Error("leading/trailing slashes should normalize")
@@ -38,7 +35,7 @@ func TestPathCleaning(t *testing.T) {
 }
 
 func TestAppendAndRead(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	fs.Append("f", "one", "two")
 	fs.Append("f", "three")
 	lines, err := fs.ReadLines("f")
@@ -57,7 +54,7 @@ func TestAppendAndRead(t *testing.T) {
 }
 
 func TestReadReturnsCopy(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	fs.Append("f", "orig")
 	lines, _ := fs.ReadLines("f")
 	lines[0] = "mutated"
@@ -68,7 +65,7 @@ func TestReadReturnsCopy(t *testing.T) {
 }
 
 func TestReadMissing(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	var nf *ErrNotFound
 	if _, err := fs.ReadLines("ghost"); !errors.As(err, &nf) {
 		t.Errorf("want ErrNotFound, got %v", err)
@@ -76,7 +73,7 @@ func TestReadMissing(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	fs.Append("f", "x")
 	if err := fs.Delete("f"); err != nil {
 		t.Fatal(err)
@@ -90,7 +87,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestDeleteTree(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	fs.Append("out/part-00000", "a")
 	fs.Append("out/part-00001", "b")
 	fs.Append("outlier", "c")
@@ -103,7 +100,7 @@ func TestDeleteTree(t *testing.T) {
 }
 
 func TestListPrefixBoundary(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	fs.Append("job/a", "1")
 	fs.Append("job/b", "2")
 	fs.Append("jobx", "3")
@@ -117,7 +114,7 @@ func TestListPrefixBoundary(t *testing.T) {
 }
 
 func TestSizeAccounting(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	fs.Append("f", "abc", "de") // 4 + 3 bytes with newlines
 	sz, err := fs.Size("f")
 	if err != nil || sz != 7 {
@@ -129,7 +126,7 @@ func TestSizeAccounting(t *testing.T) {
 }
 
 func TestTreeSize(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	fs.Append("d/a", "xx") // 3
 	fs.Append("d/b", "y")  // 2
 	fs.Append("e", "zzzz") // 5
@@ -142,19 +139,22 @@ func TestTreeSize(t *testing.T) {
 }
 
 func TestLineCount(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	fs.Append("f", "a", "b", "c")
-	n, err := fs.LineCount("f")
-	if err != nil || n != 3 {
-		t.Errorf("LineCount = %d, %v", n, err)
+	r, err := fs.OpenReader("f")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := fs.LineCount("nope"); err == nil {
-		t.Error("LineCount of missing file should error")
+	if r.NumRecords() != 3 {
+		t.Errorf("NumRecords = %d, want 3", r.NumRecords())
+	}
+	if _, err := fs.OpenReader("nope"); err == nil {
+		t.Error("opening a missing file should error")
 	}
 }
 
 func TestReadTreeOrder(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	fs.Append("out/part-00001", "second")
 	fs.Append("out/part-00000", "first")
 	lines, err := fs.ReadTree("out")
@@ -167,14 +167,14 @@ func TestReadTreeOrder(t *testing.T) {
 }
 
 func TestReadTreeMissing(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	if _, err := fs.ReadTree("none"); err == nil {
 		t.Error("ReadTree on empty prefix should error")
 	}
 }
 
 func TestCounters(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	fs.Append("f", "abcd") // 5 bytes
 	if fs.BytesWritten() != 5 {
 		t.Errorf("BytesWritten = %d", fs.BytesWritten())
@@ -193,7 +193,7 @@ func TestCounters(t *testing.T) {
 }
 
 func TestConcurrentAppends(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	const workers, per = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -208,11 +208,7 @@ func TestConcurrentAppends(t *testing.T) {
 	wg.Wait()
 	total := 0
 	for w := 0; w < workers; w++ {
-		n, err := fs.LineCount(fmt.Sprintf("w%d", w))
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += n
+		total += fs.files[fmt.Sprintf("w%d", w)].lines
 	}
 	if total != workers*per {
 		t.Errorf("total lines = %d, want %d", total, workers*per)
@@ -221,7 +217,7 @@ func TestConcurrentAppends(t *testing.T) {
 
 func TestSizeMatchesBytesWrittenProperty(t *testing.T) {
 	f := func(lines []string) bool {
-		fs := New()
+		fs := NewWith(Options{})
 		sanitized := make([]string, len(lines))
 		copy(sanitized, lines)
 		fs.Append("f", sanitized...)
@@ -240,7 +236,7 @@ func TestSizeMatchesBytesWrittenProperty(t *testing.T) {
 // hook: Append stores the hook's transformation, and byte accounting
 // follows what was actually stored.
 func TestWriteHookTransformsStoredLines(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	fs.WriteHook = func(path string, lines []string) []string {
 		if path != "x/out" || len(lines) == 0 {
 			return lines
@@ -256,7 +252,7 @@ func TestWriteHookTransformsStoredLines(t *testing.T) {
 	if len(got) != 2 {
 		t.Errorf("hooked file kept %d lines, want 2", len(got))
 	}
-	if n, _ := fs.LineCount("plain"); n != 3 {
+	if n := fs.files["plain"].lines; n != 3 {
 		t.Errorf("unmatched path was transformed: %d lines", n)
 	}
 	if sz, _ := fs.Size("x/out"); sz != 4 {
@@ -268,7 +264,7 @@ func TestWriteHookTransformsStoredLines(t *testing.T) {
 // exactly once per ReadLines or ReadTree call — a tree read must not
 // additionally filter each part file — and never touches stored data.
 func TestReadHookAppliesOncePerLogicalRead(t *testing.T) {
-	fs := New()
+	fs := NewWith(Options{})
 	fs.Append("d/part-0", "a")
 	fs.Append("d/part-1", "b")
 	calls := 0
@@ -294,7 +290,7 @@ func TestReadHookAppliesOncePerLogicalRead(t *testing.T) {
 	}
 	// Stored data is untouched: a hookless FS view of the same ops.
 	fs.ReadHook = nil
-	if n, _ := fs.LineCount("d/part-0"); n != 1 {
+	if n := fs.files["d/part-0"].lines; n != 1 {
 		t.Errorf("hook mutated stored data: %d lines", n)
 	}
 }
@@ -336,5 +332,37 @@ func TestReadTreeAllocs(t *testing.T) {
 	})
 	if limit := float64(4 + blocks); allocs > limit {
 		t.Fatalf("ReadTree of 3 parts and %d sealed blocks = %v allocations, want <= %v", blocks, allocs, limit)
+	}
+}
+
+// TestOpenReaderAllocs: a reader's snapshot is counted under the lock and
+// taken into one segment array, so opening one costs two allocations (the
+// Reader and that array) whatever the number of blocks and files.
+func TestOpenReaderAllocs(t *testing.T) {
+	fs := NewWith(Options{BlockSize: 64})
+	row := func(p, i int) string { return fmt.Sprintf("part%d\trow%02d", p, i) }
+	for p := range 3 {
+		for i := range 13 { // two blocks of 6 and a tail
+			fs.Append(fmt.Sprintf("out/part-%05d", p), row(p, i))
+		}
+	}
+	for i := range 37 { // six blocks of 6 and a tail
+		fs.Append("in", row(9, i))
+	}
+	if n := len(fs.files["in"].blocks); n != 6 {
+		t.Fatalf("in holds %d blocks, want 6", n)
+	}
+	for name, open := range map[string]func() (*Reader, error){
+		"OpenReader":     func() (*Reader, error) { return fs.OpenReader("in") },
+		"OpenTreeReader": func() (*Reader, error) { return fs.OpenTreeReader("out") },
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := open(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%s = %v allocations, want <= 2", name, allocs)
+		}
 	}
 }

@@ -173,8 +173,8 @@ func TestUnknownBlockFlagsFailEveryRead(t *testing.T) {
 	for _, data := range [][]byte{EncodeBlock(lines, false), EncodeBlock(lines, true)} {
 		for _, flags := range []byte{0x04, 0x05, blockFlagDict | blockFlagFlate, 0x80} {
 			bad := reflag(data, flags)
-			if _, err := BlockRecords(bad); err == nil {
-				t.Errorf("flags %#x: BlockRecords counts the block", flags)
+			if _, _, err := header(bad); err == nil {
+				t.Errorf("flags %#x: header counts the block", flags)
 			}
 			if _, err := DecodeBlock(bad); err == nil {
 				t.Errorf("flags %#x: the block decodes", flags)

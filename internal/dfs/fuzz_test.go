@@ -63,12 +63,12 @@ func FuzzBlockRoundTrip(f *testing.F) {
 
 		// Stage 1: bare codec round-trip.
 		data := EncodeBlock(lines, compress)
-		n, err := BlockRecords(data)
+		n, _, err := header(data)
 		if err != nil {
-			t.Fatalf("BlockRecords on own encoding: %v", err)
+			t.Fatalf("header on own encoding: %v", err)
 		}
-		if n != len(lines) {
-			t.Fatalf("BlockRecords = %d, want %d", n, len(lines))
+		if int(n) != len(lines) {
+			t.Fatalf("header counts %d records, want %d", n, len(lines))
 		}
 		got, err := DecodeBlock(data)
 		if err != nil {
@@ -226,8 +226,8 @@ func FuzzDecodeBlockNoPanic(f *testing.F) {
 			t.Fatalf("block does not open (%v) and decodes: whole err %v, range err %v", openErr, err, perr)
 		}
 		if err == nil {
-			if n, nerr := BlockRecords(data); nerr != nil || n != len(all) {
-				t.Fatalf("BlockRecords = %d, %v; decoded %d", n, nerr, len(all))
+			if n, _, nerr := header(data); nerr != nil || int(n) != len(all) {
+				t.Fatalf("header counts %d records, %v; decoded %d", n, nerr, len(all))
 			}
 			hi = max(0, min(hi, len(all)))
 			lo = min(max(lo, 0), hi)

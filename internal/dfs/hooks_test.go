@@ -34,7 +34,7 @@ func hookLog(fs *FS) *[]string {
 // hook observation logs must match entry for entry.
 func TestHookEquivalenceBlockVsLegacy(t *testing.T) {
 	workload := func(fs *FS) {
-		fs.Create("job/in")
+		fs.Append("job/in")
 		fs.Append("job/in", "alpha\t1", "beta\\t2", "gamma\\\\3")
 		for i := 0; i < 40; i++ {
 			fs.Append("job/in", fmt.Sprintf("row-%03d\t%d\tpayload-%d", i, i*i, i%7))
@@ -61,7 +61,7 @@ func TestHookEquivalenceBlockVsLegacy(t *testing.T) {
 		tr.ReadRange(0, tr.NumRecords())
 	}
 
-	legacy := New()
+	legacy := NewWith(Options{})
 	legacyLog := hookLog(legacy)
 	workload(legacy)
 

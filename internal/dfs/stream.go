@@ -29,15 +29,13 @@ type Reader struct {
 	fs    *FS
 	segs  []rseg
 	total int
-
-	logicalBytes int64 // accumulated by addFile, charged once at open
 }
 
 // OpenReader opens a streaming reader over the file at path. The file's
 // full logical bytes are charged to the read counter at open, exactly
-// as a ReadLines call would. When a ReadHook is set the reader
-// materializes through ReadLines instead, so the hook observes the one
-// whole-file line stream it expects.
+// as a ReadLines call would. When a ReadHook is set the reader holds the
+// lines of that ReadLines call instead, hook applied, so the hook
+// observes the one whole-file line stream it expects.
 func (fs *FS) OpenReader(path string) (*Reader, error) { return fs.open(path, false) }
 
 // OpenTreeReader opens a streaming reader over the concatenation, in
@@ -49,35 +47,84 @@ func (fs *FS) OpenTreeReader(prefix string) (*Reader, error) { return fs.open(pr
 func (fs *FS) open(path string, tree bool) (*Reader, error) {
 	path = clean(path)
 	r := &Reader{fs: fs}
+	if err := fs.snapshot(r, path, tree); err != nil {
+		return nil, err
+	}
 	if fs.ReadHook != nil {
-		read := fs.ReadLines
-		if tree {
-			read = fs.ReadTree
-		}
-		lines, err := read(path)
+		lines, err := r.readAll(path)
 		if err != nil {
 			return nil, err
 		}
+		r.segs, r.total = r.segs[:0], 0
 		r.add(nil, lines)
-		return r, nil
 	}
+	return r, nil
+}
+
+// snapshot adds to the empty r the segments of the file at path, or with
+// tree of every file at or under it in sorted path order, and charges
+// their logical bytes to the read counter. It counts the segments under
+// the lock first, so r's array is allocated once. Sealed blocks are a
+// prefix of a file that only grows, and a tail is never written below its
+// length, so the snapshot stays as it was taken.
+func (fs *FS) snapshot(r *Reader, path string, tree bool) error {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	exact, lo, hi := fs.files[path] != nil, 0, 0
+	f := fs.files[path]
+	var under []string
 	if tree {
-		exact, lo, hi = fs.pathRanges(path)
+		_, lo, hi := fs.pathRanges(path)
+		under = fs.paths[lo:hi]
 	}
-	if !exact && lo >= hi {
-		return nil, &ErrNotFound{Path: path}
+	if f == nil && len(under) == 0 {
+		return &ErrNotFound{Path: path}
 	}
-	if exact {
-		r.addFile(fs.files[path])
+	n := 0
+	if f != nil {
+		n = f.segments()
 	}
-	for _, p := range fs.paths[lo:hi] {
-		r.addFile(fs.files[p])
+	for _, p := range under {
+		n += fs.files[p].segments()
 	}
-	fs.bytesRead.Add(r.logicalBytes)
-	return r, nil
+	r.segs = make([]rseg, 0, n)
+	var bytes int64
+	if f != nil {
+		r.add(f.blocks, f.pending)
+		bytes = f.bytes
+	}
+	for _, p := range under {
+		g := fs.files[p]
+		r.add(g.blocks, g.pending)
+		bytes += g.bytes
+	}
+	fs.bytesRead.Add(bytes)
+	return nil
+}
+
+// segments is how many segments a Reader over f holds: one per sealed
+// block, and one for a tail.
+func (f *file) segments() int { return len(f.blocks) + min(len(f.pending), 1) }
+
+// readAll decodes every record of r straight into one slice of their
+// count and applies the FS's ReadHook to it, as the read of path. A sealed
+// block that cannot be read back fails it with a *BlockError.
+func (r *Reader) readAll(path string) ([]string, error) {
+	out := make([]string, 0, r.total)
+	var shape blockShape
+	for _, seg := range r.segs {
+		if seg.blk == nil {
+			out = append(out, seg.lines...)
+			continue
+		}
+		var err error
+		if out, err = r.fs.loadBlock(out, &shape, seg.blk, 0, seg.n); err != nil {
+			return nil, err
+		}
+	}
+	if r.fs.ReadHook != nil {
+		out = r.fs.ReadHook(path, out)
+	}
+	return out, nil
 }
 
 // OpenSealed opens a reader over the lines parts were sealed from, in
@@ -93,12 +140,6 @@ func (fs *FS) OpenSealed(parts []Sealed) *Reader {
 		r.add(s.blocks, s.tail)
 	}
 	return r
-}
-
-// addFile appends a file's segments to the reader; caller holds fs.mu.
-func (r *Reader) addFile(f *file) {
-	r.add(f.blocks, f.pending)
-	r.logicalBytes += f.bytes
 }
 
 // add appends sealed blocks, then the lines of a tail, as segments.

@@ -44,8 +44,8 @@ func TestAddAfterCloseIgnored(t *testing.T) {
 	if got[0].Sum != Of(data) {
 		t.Error("late Add leaked into the closed digest")
 	}
-	if w.Records() != 0 {
-		t.Errorf("records after close = %d, want 0", w.Records())
+	if w.inChunk != 0 {
+		t.Errorf("records after close = %d, want 0", w.inChunk)
 	}
 }
 
@@ -73,7 +73,7 @@ func TestDoubleCloseEmitsOnce(t *testing.T) {
 
 func TestBufferZeroValueEmpty(t *testing.T) {
 	var b Buffer
-	if b.Len() != 0 || len(b.Reports()) != 0 {
+	if len(b.reports) != 0 {
 		t.Error("zero-value buffer must be empty")
 	}
 	called := false
@@ -88,7 +88,7 @@ func TestBufferReplayNilSink(t *testing.T) {
 	var b Buffer
 	b.Add(Report{Replica: 1})
 	b.Replay(nil) // digests disabled: must be a silent no-op
-	if b.Len() != 1 {
+	if len(b.reports) != 1 {
 		t.Error("replay must not consume the buffer")
 	}
 }
@@ -121,7 +121,7 @@ func TestBufferReplayPreservesEmissionOrder(t *testing.T) {
 	if !reflect.DeepEqual(direct, replayed) {
 		t.Fatalf("replayed sequence differs from direct emission:\n%v\nvs\n%v", replayed, direct)
 	}
-	if b.Len() != len(direct) || !reflect.DeepEqual(b.Reports(), direct) {
+	if len(b.reports) != len(direct) || !reflect.DeepEqual(b.reports, direct) {
 		t.Error("Reports() must expose the buffered sequence unchanged")
 	}
 	// Replay is repeatable — a retried commit sees the same sequence.
@@ -139,11 +139,11 @@ func TestBufferChunkIndicesMonotonicPerPoint(t *testing.T) {
 		w.Add(r)
 	}
 	w.Close()
-	for i, r := range b.Reports() {
+	for i, r := range b.reports {
 		if r.Key.Chunk != i {
 			t.Fatalf("report %d has chunk %d", i, r.Key.Chunk)
 		}
-		if i == len(b.Reports())-1 && !r.Final {
+		if i == len(b.reports)-1 && !r.Final {
 			t.Error("last buffered report must be the final chunk")
 		}
 	}

@@ -150,10 +150,6 @@ func (w *Writer) Close() {
 	w.closed = true
 }
 
-// Records returns the number of records folded into the current (open)
-// chunk; used by tests.
-func (w *Writer) Records() int64 { return w.inChunk }
-
 func (w *Writer) flush(final bool) {
 	r := Report{
 		Key:     Key{SID: w.key.SID, Point: w.key.Point, Task: w.key.Task, Chunk: w.chunk},
@@ -261,13 +257,6 @@ type Buffer struct {
 // Add records one report. It is the emit callback wired into the
 // attempt's writers.
 func (b *Buffer) Add(r Report) { b.reports = append(b.reports, r) }
-
-// Len returns the number of buffered reports.
-func (b *Buffer) Len() int { return len(b.reports) }
-
-// Reports returns the buffered reports in emission order. The slice is
-// shared; callers must not mutate it.
-func (b *Buffer) Reports() []Report { return b.reports }
 
 // Replay feeds the buffered reports to sink in emission order — the
 // same order a Writer emitting straight into the sink would have

@@ -175,8 +175,8 @@ func TestWriterRecordsCounter(t *testing.T) {
 	for _, r := range rows(4) {
 		w.Add(r)
 	}
-	if w.Records() != 4 {
-		t.Errorf("Records = %d", w.Records())
+	if w.inChunk != 4 {
+		t.Errorf("Records = %d", w.inChunk)
 	}
 }
 
@@ -234,9 +234,9 @@ func TestWriterAddCanonicalMatchesAdd(t *testing.T) {
 			} else {
 				m.AddCanonical(buf)
 			}
-			if a.Records() != c.Records() || a.Records() != m.Records() {
+			if a.inChunk != c.inChunk || a.inChunk != m.inChunk {
 				t.Fatalf("every=%d record %d: open-chunk Records %d (Add), %d (AddCanonical), %d (mixed)",
-					every, i, a.Records(), c.Records(), m.Records())
+					every, i, a.inChunk, c.inChunk, m.inChunk)
 			}
 		}
 		a.Close()
@@ -247,7 +247,7 @@ func TestWriterAddCanonicalMatchesAdd(t *testing.T) {
 		}
 		c.AddCanonical(buf)
 		c.Close()
-		if c.Records() != 0 || len(viaCanon) != len(viaAdd) {
+		if c.inChunk != 0 || len(viaCanon) != len(viaAdd) {
 			t.Errorf("every=%d: closed writer took a record or reported again", every)
 		}
 	}

@@ -168,21 +168,6 @@ func TestPartitionOfObsAllocs(t *testing.T) {
 	}
 }
 
-// TestSampleKeepHashMatchesWrapper: the scratch-buffer fast path and the
-// allocate-per-call wrapper must agree on every verdict (replicas mixing
-// the two would diverge on sampled subsets).
-func TestSampleKeepHashMatchesWrapper(t *testing.T) {
-	for i := 0; i < 500; i++ {
-		row := tuple.Tuple{tuple.Int(int64(i)), tuple.Str("v")}
-		canon := tuple.AppendCanonical(nil, row)
-		for _, frac := range []float64{-1, 0, 0.3, 0.9, 1, 2} {
-			if sampleKeep(row, frac) != sampleKeepHash(canon, frac) {
-				t.Fatalf("sampleKeep disagreement at i=%d frac=%v", i, frac)
-			}
-		}
-	}
-}
-
 // TestCombineFoldAllocs pins the combiner's steady-state cost: once a
 // key has its table entry, folding another record with that key is
 // allocation-free — the canonical encoding lands in the task's scratch
@@ -265,7 +250,7 @@ func TestWarmEmitAllocs(t *testing.T) {
 // the timed runs execute — settling an attempt's CPU, committed, lost or
 // hung, is the ledger update and nil-receiver no-ops.
 func TestResolveDetachedAllocs(t *testing.T) {
-	eng := NewEngine(dfs.New(), cluster.New(2, 1), nil, DefaultCostModel())
+	eng := NewEngine(dfs.NewWith(dfs.Options{}), cluster.New(2, 1), nil, DefaultCostModel())
 	if eng.Board != nil || eng.Registry() != nil {
 		t.Fatal("a fresh engine attaches a store; the pin needs none")
 	}

@@ -81,7 +81,7 @@ func BenchmarkDataplaneCodecEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range rows {
-			_ = tuple.EncodeLine(r)
+			_ = string(tuple.AppendEncoded(nil, r))
 		}
 	}
 	b.ReportMetric(benchBatch, "records/op")
@@ -117,10 +117,10 @@ func BenchmarkDataplaneCodecDecodePlain(b *testing.B) {
 func BenchmarkDataplaneCodecDecodeEscaped(b *testing.B) {
 	lines := make([]string, benchBatch)
 	for i := range lines {
-		lines[i] = tuple.EncodeLine(tuple.Tuple{
+		lines[i] = string(tuple.AppendEncoded(nil, tuple.Tuple{
 			tuple.Str(fmt.Sprintf("a\tb-%d", i)),
 			tuple.Str("c\nd\\e"),
-		})
+		}))
 	}
 	var dec tuple.Decoder // the per-task decoder runMapTask uses
 	b.ReportAllocs()
@@ -519,7 +519,7 @@ func BenchmarkDataplaneDigestChunked(b *testing.B) {
 // pays per checkpointed job for checkpoint-granular recovery.
 func BenchmarkDataplaneCheckpointWrite(b *testing.B) {
 	lines := benchEdgeLines()
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	defer fs.Close()
 	b.ReportAllocs()
 	b.ResetTimer()

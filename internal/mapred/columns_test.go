@@ -18,7 +18,7 @@ import (
 // they are.
 func heldLines(tb testing.TB, lines []string) *dfs.Reader {
 	tb.Helper()
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	fs.Append("in", lines...)
 	fs.ReadHook = func(_ string, lines []string) []string { return lines }
 	return openReader(tb, fs)
@@ -179,7 +179,7 @@ func lineOracle(job *JobSpec, lines []string, lo, hi int, df digestFactory, corr
 	m := newMapRun(job, 0, hi-lo, df, corrupt, taskObs{}, sc)
 	for _, line := range lines[lo:hi] {
 		m.out.inBytes += int64(len(line)) + 1
-		m.record(tuple.DecodeLine(line, m.in.Schema))
+		m.record(new(tuple.Decoder).DecodeLine(line, m.in.Schema))
 	}
 	out := m.finish()
 	m.chain.close()

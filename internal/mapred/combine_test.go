@@ -300,7 +300,7 @@ func TestCombineLongProbeChain(t *testing.T) {
 		var vals valArrays
 		var chainOp opChain // tuples, not source rows
 		for _, line := range lines {
-			row := tuple.DecodeLine(line, schema)
+			row := new(tuple.Decoder).DecodeLine(line, schema)
 			text = c.fold(row, &chainOp, text, &vals)
 			oracle.fold(row)
 		}
@@ -413,12 +413,12 @@ func TestReduceMergeLeavesRunsIntact(t *testing.T) {
 	runs := []sortedRun{out.partitions[0]}
 	before := readRun(runs[0])
 	for i := range before {
-		before[i].t = before[i].t.Clone()
+		before[i].t = slices.Clone(before[i].t)
 	}
 	_ = runReduceTask(job, runs, nil, taskObs{}, new(taskScratch))
 	after := readRun(runs[0])
 	for i := range before {
-		if before[i].key != after[i].key || before[i].tag != after[i].tag || !tuple.EqualTuples(before[i].t, after[i].t) {
+		if before[i].key != after[i].key || before[i].tag != after[i].tag || !slices.EqualFunc(before[i].t, after[i].t, tuple.Equal) {
 			t.Fatalf("run mutated at %d", i)
 		}
 	}

@@ -195,7 +195,7 @@ STORE j INTO 'out';
 	if len(got) != 0 {
 		t.Errorf("join with empty side = %v, want empty", got)
 	}
-	if !tr.eng.Idle() {
+	if !idle(tr.eng) {
 		t.Error("engine should complete")
 	}
 }

@@ -45,10 +45,10 @@ func TestCrashNodeMidRunRecovers(t *testing.T) {
 	if got := tr.output(t, "out/s"); !reflect.DeepEqual(got, want) {
 		t.Errorf("post-crash output = %v, want %v", got, want)
 	}
-	if !tr.eng.Idle() {
+	if !idle(tr.eng) {
 		t.Fatal("engine not idle after recovery")
 	}
-	if !tr.eng.NodeDead("node-000") {
+	if !tr.eng.dead["node-000"] {
 		t.Error("node-000 should still be dead")
 	}
 	// The dead node's capacity is gone, not leaked into the free pool.
@@ -157,7 +157,7 @@ func TestTaskHookHangWithholdsResult(t *testing.T) {
 			return TaskFault{Hang: true}
 		}
 	})
-	if tr.eng.Idle() {
+	if idle(tr.eng) {
 		t.Fatal("all-hang run cannot complete")
 	}
 	if tr.eng.Metrics.TasksHung == 0 {
@@ -180,7 +180,7 @@ func TestTaskHookCorruptTampersOutput(t *testing.T) {
 	if got := tr.output(t, "out/s"); reflect.DeepEqual(got, want) {
 		t.Error("corrupting hook left output identical to honest run")
 	}
-	if !tr.eng.Idle() {
+	if !idle(tr.eng) {
 		t.Error("corrupted run should still complete")
 	}
 }

@@ -34,7 +34,7 @@ func dispatchFixture(t *testing.T, nodes, placeable, blocked int) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	cost := DefaultCostModel()
 	cost.SplitRecords = 1
 	eng := NewEngine(fs, cluster.New(nodes, 1), nil, cost)

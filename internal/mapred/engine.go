@@ -141,9 +141,6 @@ type runningTask struct {
 	dead      bool
 }
 
-// Latency returns the job's virtual makespan; valid once Done.
-func (j *JobState) Latency() int64 { return j.DoneTime - j.SubmitTime }
-
 // HasDependents reports whether another submitted job consumes this
 // job's output. With the controller's rewriting, dependents are always
 // same-replica consumers, so corruption of such an output is detectable
@@ -1292,9 +1289,6 @@ func (e *Engine) RejoinNode(id cluster.NodeID) bool {
 	return true
 }
 
-// NodeDead reports whether id is currently crash-stopped.
-func (e *Engine) NodeDead(id cluster.NodeID) bool { return e.dead[id] }
-
 // Run processes events until the queue drains. Jobs hung on omission
 // faults leave the queue empty with jobs incomplete — callers arm
 // timeouts via After to regain control (the verifier does, §4.2 step 6).
@@ -1322,16 +1316,6 @@ func (e *Engine) FreeSlotsTotal() int {
 		total += e.freeSlots[n.ID]
 	}
 	return total
-}
-
-// Idle reports whether no job is runnable, running, or pending.
-func (e *Engine) Idle() bool {
-	for _, js := range e.jobs {
-		if !js.Done && !js.Killed {
-			return false
-		}
-	}
-	return true
 }
 
 // JobCount returns how many submitted jobs the engine still tracks;

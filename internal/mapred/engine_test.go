@@ -24,7 +24,7 @@ type testRun struct {
 
 func run(t *testing.T, script string, inputs map[string][]string, opts CompileOptions, mutate func(*Engine)) *testRun {
 	t.Helper()
-	return runOn(t, dfs.New(), script, inputs, opts, mutate)
+	return runOn(t, dfs.NewWith(dfs.Options{}), script, inputs, opts, mutate)
 }
 
 // uncombined clears Reduce.Combine on compiled specs and returns them:
@@ -44,7 +44,17 @@ func uncombined(jobs ...*JobSpec) []*JobSpec {
 func runUncombined(t *testing.T, script string, inputs map[string][]string, opts CompileOptions, mutate func(*Engine)) *testRun {
 	t.Helper()
 	p := plan(t, script)
-	return runJobs(t, dfs.New(), inputs, p, uncombined(compile(t, script, opts)...), mutate)
+	return runJobs(t, dfs.NewWith(dfs.Options{}), inputs, p, uncombined(compile(t, script, opts)...), mutate)
+}
+
+// idle reports whether no job of e is runnable, running or pending.
+func idle(e *Engine) bool {
+	for _, js := range e.jobs {
+		if !js.Done && !js.Killed {
+			return false
+		}
+	}
+	return true
 }
 
 // runOn is run over a caller-built FS, so suites can exercise the same
@@ -104,7 +114,7 @@ func TestRunFollowerCount(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("counts = %v, want %v", got, want)
 	}
-	if !tr.eng.Idle() {
+	if !idle(tr.eng) {
 		t.Error("engine should be idle after run")
 	}
 }
@@ -224,7 +234,7 @@ STORE c INTO 'out/all';
 
 func TestRunEmptyInput(t *testing.T) {
 	tr := run(t, followerSrc, map[string][]string{"in/edges": {}}, CompileOptions{}, nil)
-	if !tr.eng.Idle() {
+	if !idle(tr.eng) {
 		t.Fatal("job over empty input should complete")
 	}
 	got := tr.output(t, "out/counts")
@@ -241,8 +251,8 @@ func TestRunDeterministicAcrossRuns(t *testing.T) {
 	if !reflect.DeepEqual(a.output(t, "out/counts"), b.output(t, "out/counts")) {
 		t.Error("outputs differ across identical runs")
 	}
-	la := a.eng.Job(a.jobs[0].ID).Latency()
-	lb := b.eng.Job(b.jobs[0].ID).Latency()
+	ja, jb := a.eng.Job(a.jobs[0].ID), b.eng.Job(b.jobs[0].ID)
+	la, lb := ja.DoneTime-ja.SubmitTime, jb.DoneTime-jb.SubmitTime
 	if la != lb {
 		t.Errorf("latencies differ: %d vs %d", la, lb)
 	}
@@ -294,7 +304,7 @@ func TestRunReplicasProduceMatchingDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := CompileOptions{Points: digestPoints(t, p, "ne", "counts"), NumReduces: 2}
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	fs.Append("in/edges", edges()...)
 	jobs, err := Compile(p, opts)
 	if err != nil {
@@ -385,7 +395,7 @@ func TestRunOmissionHangsJob(t *testing.T) {
 			n.Adversary = cluster.NewAdversary(cluster.FaultOmission, 1.0, 3)
 		}
 	})
-	if tr.eng.Idle() {
+	if idle(tr.eng) {
 		t.Fatal("omission faults everywhere should stall the job")
 	}
 	if tr.eng.Metrics.TasksHung == 0 {
@@ -398,7 +408,7 @@ func TestRunOmissionHangsJob(t *testing.T) {
 }
 
 func TestKillJobFreesSlots(t *testing.T) {
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	fs.Append("in/edges", edges()...)
 	p, _ := pig.Parse(followerSrc)
 	jobs, _ := Compile(p, CompileOptions{})
@@ -438,7 +448,7 @@ func TestKillJobFreesSlots(t *testing.T) {
 func TestReplicaExclusionConstraint(t *testing.T) {
 	// Two replicas of one SID on a 2-node cluster: node sets must be
 	// disjoint even across many tasks.
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	var lines []string
 	for i := 0; i < 25000; i++ { // several splits
 		lines = append(lines, fmt.Sprintf("%d\t%d", i%50, i))
@@ -512,7 +522,7 @@ func TestDigestCostIncreasesCPU(t *testing.T) {
 }
 
 func TestSubmitErrors(t *testing.T) {
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	cl := cluster.New(1, 1)
 	eng := NewEngine(fs, cl, nil, DefaultCostModel())
 	spec := &JobSpec{ID: "a", Inputs: []JobInput{{Path: "x"}}, NumReduces: 1, Output: "o"}
@@ -529,7 +539,7 @@ func TestSubmitErrors(t *testing.T) {
 }
 
 func TestAfterAndNow(t *testing.T) {
-	eng := NewEngine(dfs.New(), cluster.New(1, 1), nil, DefaultCostModel())
+	eng := NewEngine(dfs.NewWith(dfs.Options{}), cluster.New(1, 1), nil, DefaultCostModel())
 	var times []int64
 	eng.After(100, func() { times = append(times, eng.Now()) })
 	eng.After(50, func() { times = append(times, eng.Now()) })
@@ -544,7 +554,7 @@ func TestReplicatedLatencyOverheadIsModest(t *testing.T) {
 	// The headline claim (§6.1): with enough nodes, running 4 replicas
 	// with digests costs only a little extra latency over one replica,
 	// because replicas execute in parallel.
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	var lines []string
 	for i := 0; i < 30000; i++ {
 		lines = append(lines, fmt.Sprintf("%d\t%d", i%100, i%977))
@@ -561,7 +571,7 @@ func TestReplicatedLatencyOverheadIsModest(t *testing.T) {
 		t.Fatal(err)
 	}
 	single.Run()
-	singleLat := single.Job(j.ID).Latency()
+	singleLat := single.Job(j.ID).DoneTime - single.Job(j.ID).SubmitTime
 
 	bft := NewEngine(dfsWith(lines), cluster.New(32, 3), nil, DefaultCostModel())
 	var latencies []int64
@@ -581,7 +591,7 @@ func TestReplicatedLatencyOverheadIsModest(t *testing.T) {
 		if !js.Done {
 			t.Fatal("replica incomplete")
 		}
-		latencies = append(latencies, js.Latency())
+		latencies = append(latencies, js.DoneTime-js.SubmitTime)
 	}
 	worst := latencies[0]
 	for _, l := range latencies {
@@ -595,7 +605,7 @@ func TestReplicatedLatencyOverheadIsModest(t *testing.T) {
 }
 
 func dfsWith(lines []string) *dfs.FS {
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	fs.Append("in/edges", lines...)
 	return fs
 }
@@ -605,7 +615,7 @@ func dfsWith(lines []string) *dfs.FS {
 // ID submits cleanly once the spec is fixed.
 func TestSubmitFailsClosed(t *testing.T) {
 	jobs := compile(t, followerSrc, CompileOptions{NumReduces: 2})
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	fs.Append("in/edges", edges()...)
 	eng := NewEngine(fs, cluster.New(4, 2), nil, DefaultCostModel())
 

@@ -29,7 +29,7 @@ type interRec struct {
 	off         uint16 // an array holds at most valArrayLen values, or one wider tuple at 0
 	tag         int16
 	width       int32
-	encLen      int32 // len(EncodeLine(payload)), fixed at record creation
+	encLen      int32 // len(AppendEncoded(nil, payload)), fixed at record creation
 }
 
 // bytes estimates the serialized size of the record for local-I/O
@@ -352,17 +352,6 @@ func (c *opChain) close() {
 	}
 }
 
-// sampleKeep deterministically selects a fraction of tuples by hashing
-// their canonical bytes, so every replica samples the same subset and
-// digests stay comparable (§5.4 determinism requirement). fraction is
-// clamped to [0, 1]: it is client input, and converting a negative
-// float to uint64 yields a platform-dependent value in Go (the spec
-// leaves out-of-range float→integer conversions implementation-defined)
-// rather than the "keep nothing" a negative fraction means.
-func sampleKeep(t tuple.Tuple, fraction float64) bool {
-	return sampleKeepHash(tuple.AppendCanonical(nil, t), fraction)
-}
-
 // FNV-1a parameters, inlined so the hot path hashes without the
 // heap-allocated hash.Hash of hash/fnv. The loops below fold bytes
 // exactly as fnv.New64a/New32a do (xor then multiply), so every hash
@@ -375,8 +364,15 @@ const (
 	fnvPrime32  = 16777619
 )
 
-// sampleKeepHash is sampleKeep over pre-encoded canonical bytes; callers
-// on the per-record path reuse one scratch buffer for the encoding.
+// sampleKeepHash deterministically selects a fraction of tuples by
+// hashing their canonical bytes (canon, which callers on the per-record
+// path encode into one reused scratch buffer), so every replica samples
+// the same subset and digests stay comparable (§5.4 determinism
+// requirement). fraction is clamped to [0, 1]: it is client input, and
+// converting a negative float to uint64 yields a platform-dependent value
+// in Go (the spec leaves out-of-range float→integer conversions
+// implementation-defined) rather than the "keep nothing" a negative
+// fraction means.
 func sampleKeepHash(canon []byte, fraction float64) bool {
 	if fraction <= 0 {
 		return false

@@ -26,7 +26,7 @@ import (
 // CLUSTERBFT_UPDATE_GOLDEN=1 after auditing that the change is meant to
 // alter observable bytes.
 func TestGoldenFollowerDigestStream(t *testing.T) {
-	got := goldenFollowerObservables(t, dfs.New())
+	got := goldenFollowerObservables(t, dfs.NewWith(dfs.Options{}))
 
 	golden := filepath.Join("testdata", "golden_follower.txt")
 	if os.Getenv("CLUSTERBFT_UPDATE_GOLDEN") != "" {

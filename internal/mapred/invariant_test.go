@@ -14,7 +14,7 @@ import (
 
 func slotFixture(t *testing.T, rows int) (*Engine, []*JobSpec) {
 	t.Helper()
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	var lines []string
 	for i := 0; i < rows; i++ {
 		lines = append(lines, fmt.Sprintf("%d\t%d", i%40, i))

@@ -48,7 +48,7 @@ func storePaths(tr *testRun) []string {
 // split size.
 func runWithGeometry(t *testing.T, script string, inputs map[string][]string, opts CompileOptions, nodes, slots, split int) *testRun {
 	t.Helper()
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	for path, lines := range inputs {
 		fs.Append(path, lines...)
 	}

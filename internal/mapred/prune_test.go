@@ -287,7 +287,7 @@ f = FILTER fl BY delay == 1;
 o = ORDER f BY origin;
 STORE o INTO 'out/o';`,
 	}
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	for i := 0; i < splits*perSplit; i++ {
 		fs.Append("in/fl", fmt.Sprintf("%d\t%d\tairport-%02d\tairport-%02d\t%d", 1990+i%20, 1+i%12, i%40, (i/40)%2, i%500))
 	}

@@ -17,7 +17,7 @@ import (
 // returns the engine plus the primary's reports keyed for comparison.
 func auditedRun(t *testing.T, script string, inputs map[string][]string, hook func(cluster.NodeID, *Task) TaskFault) (*Engine, []*JobSpec, map[digest.Key]digest.Sum) {
 	t.Helper()
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	for path, lines := range inputs {
 		fs.Append(path, lines...)
 	}
@@ -167,7 +167,7 @@ func TestRequizTaskIndexPastThreeDigits(t *testing.T) {
 		{"partition", 50, 1001, DefaultCostModel().SplitRecords, "r1000"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			fs := dfs.New()
+			fs := dfs.NewWith(dfs.Options{})
 			lines := make([]string, c.records)
 			for i := range lines {
 				lines[i] = fmt.Sprintf("%d\t%d", i, i+1)
@@ -211,7 +211,7 @@ func TestRequizTaskIndexPastThreeDigits(t *testing.T) {
 // TestEngineForgetSID: dropping a sub-graph attempt removes its jobs,
 // output registrations and ordering entries, while other sids survive.
 func TestEngineForgetSID(t *testing.T) {
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	fs.Append("in/edges", edges()...)
 	p, err := pig.Parse(followerSrc)
 	if err != nil {

@@ -65,7 +65,7 @@ STORE c INTO 'o';
 	}
 	var total int64
 	for _, l := range got {
-		total += tuple.DecodeLine(l, nil)[1].Int()
+		total += new(tuple.Decoder).DecodeLine(l, nil)[1].Int()
 	}
 	frac := float64(total) / 3000
 	if frac < 0.4 || frac > 0.6 {
@@ -77,7 +77,7 @@ func TestSampleKeepHelper(t *testing.T) {
 	keep := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		if sampleKeep(tuple.Tuple{tuple.Int(int64(i))}, 0.1) {
+		if sampleKeepHash(tuple.AppendCanonical(nil, tuple.Tuple{tuple.Int(int64(i))}), 0.1) {
 			keep++
 		}
 	}
@@ -87,16 +87,16 @@ func TestSampleKeepHelper(t *testing.T) {
 	}
 	// Fraction 1 keeps everything.
 	for i := 0; i < 100; i++ {
-		if !sampleKeep(tuple.Tuple{tuple.Int(int64(i))}, 1.0) {
+		if !sampleKeepHash(tuple.AppendCanonical(nil, tuple.Tuple{tuple.Int(int64(i))}), 1.0) {
 			t.Fatal("fraction 1.0 must keep all")
 		}
 	}
 	// Same tuple, same verdict.
 	tup := tuple.Tuple{tuple.Str("stable")}
-	first := sampleKeep(tup, 0.5)
+	first := sampleKeepHash(tuple.AppendCanonical(nil, tup), 0.5)
 	for i := 0; i < 10; i++ {
-		if sampleKeep(tup, 0.5) != first {
-			t.Fatal("sampleKeep not deterministic")
+		if sampleKeepHash(tuple.AppendCanonical(nil, tup), 0.5) != first {
+			t.Fatal("sampleKeepHash not deterministic")
 		}
 	}
 }
@@ -123,7 +123,7 @@ func TestSampleKeepFractionClamped(t *testing.T) {
 	for _, tc := range cases {
 		kept := 0
 		for _, tp := range tuples {
-			if sampleKeep(tp, tc.fraction) {
+			if sampleKeepHash(tuple.AppendCanonical(nil, tp), tc.fraction) {
 				kept++
 			}
 		}

@@ -215,7 +215,7 @@ func (c *freshChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 			}
 			c.passed[i]++
 		case PhysSample:
-			if !sampleKeep(t, op.Fraction) {
+			if !sampleKeepHash(tuple.AppendCanonical(nil, t), op.Fraction) {
 				return nil, false
 			}
 		}
@@ -223,8 +223,8 @@ func (c *freshChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 	return t, true
 }
 
-// freshReduce is runReduceTask as it was: tuple.Concat per joined pair, a
-// new row per group, EncodeLine per output record, and a new key tuple
+// freshReduce is runReduceTask as it was: a new tuple per joined pair, a
+// new row per group, a new string per output record, and a new key tuple
 // per group: a combined record's leading values, or an uncombined group's
 // first row projected through the key columns.
 func freshReduce(job *JobSpec, runs []sortedRun, df digestFactory) (*reduceOutcome, []string) {
@@ -238,7 +238,7 @@ func freshReduce(job *JobSpec, runs []sortedRun, df digestFactory) (*reduceOutco
 	emit := func(t tuple.Tuple) {
 		if t, ok := chain.apply(t); ok {
 			out.recordsOut++
-			lines = append(lines, tuple.EncodeLine(t))
+			lines = append(lines, string(tuple.AppendEncoded(nil, t)))
 		}
 	}
 	keyCmp := func(a, b recAt) int { return strings.Compare(a.key(), b.key()) }
@@ -301,7 +301,7 @@ func freshReduce(job *JobSpec, runs []sortedRun, df digestFactory) (*reduceOutco
 			for _, l := range g {
 				for _, r := range g {
 					if l.tag == 0 && r.tag != 0 {
-						emit(tuple.Concat(l.t, r.t))
+						emit(append(slices.Clone(l.t), r.t...))
 					}
 				}
 			}
@@ -395,7 +395,7 @@ func combinedFromRaw(spec *ReduceSpec, raw *mapOutcome) *mapOutcome {
 	for _, part := range out.partitions {
 		for i := range part.recs {
 			r := &part.recs[i]
-			r.encLen = int32(len(tuple.EncodeLine(part.tuple(r))))
+			r.encLen = int32(len(tuple.AppendEncoded(nil, part.tuple(r))))
 			out.localBytes += r.bytes()
 		}
 	}

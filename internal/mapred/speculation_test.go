@@ -14,7 +14,7 @@ import (
 // specFixture builds an engine over enough data for multiple map tasks.
 func specFixture(t *testing.T, nodes, slots int, speculation bool) (*Engine, []*JobSpec) {
 	t.Helper()
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	var lines []string
 	for i := 0; i < 30000; i++ { // 3 map splits
 		lines = append(lines, fmt.Sprintf("%d\t%d", i%50, i))
@@ -95,7 +95,7 @@ func TestSlowFaultStretchesLatency(t *testing.T) {
 		if !js.Done {
 			t.Fatal("job incomplete")
 		}
-		return js.Latency()
+		return js.DoneTime - js.SubmitTime
 	}
 	fast, stretched := run(false), run(true)
 	if stretched < 3*fast {
@@ -150,7 +150,7 @@ func TestSpeculationAgainstStraggler(t *testing.T) {
 		if !js.Done {
 			t.Fatal("job incomplete")
 		}
-		return js.Latency()
+		return js.DoneTime - js.SubmitTime
 	}
 	without := run(false)
 	with := run(true)
@@ -167,7 +167,7 @@ func TestSpeculationDeterministic(t *testing.T) {
 		eng.Cluster.Nodes()[1].Adversary = adv
 		js, _ := eng.Submit(jobs[0])
 		eng.Run()
-		return js.Latency(), eng.Metrics.SpeculativeTasks
+		return js.DoneTime - js.SubmitTime, eng.Metrics.SpeculativeTasks
 	}
 	l1, s1 := run()
 	l2, s2 := run()
@@ -241,7 +241,7 @@ func TestUnplaceableBackupDoesNotSpinEngine(t *testing.T) {
 	// quiescent (Run returns, job incomplete) instead of re-arming
 	// heartbeats and speculation sweeps forever — before the fix this
 	// test never returned.
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	var lines []string
 	for i := 0; i < 30000; i++ {
 		lines = append(lines, fmt.Sprintf("%d\t%d", i%50, i))
@@ -286,7 +286,7 @@ func TestCommittedTaskLeavesReadyQueue(t *testing.T) {
 	// and Run never returned. Single node + mixed straggler forces the
 	// shape: the backup is never placeable, and the slow original
 	// eventually commits on its own.
-	fs := dfs.New()
+	fs := dfs.NewWith(dfs.Options{})
 	var lines []string
 	for i := 0; i < 30000; i++ {
 		lines = append(lines, fmt.Sprintf("%d\t%d", i%50, i))
@@ -499,7 +499,7 @@ STORE p INTO 'out/hops';`
 	snapshot := func(p sortedRun) runCopy {
 		read := readRun(p)
 		for i := range read {
-			read[i].t = read[i].t.Clone()
+			read[i].t = slices.Clone(read[i].t)
 		}
 		return runCopy{slices.Clone(p.recs), read}
 	}

@@ -44,7 +44,7 @@ func runWithWorkers(t *testing.T, workers int, storage dfs.Options) poolSnap {
 		t.Fatalf("workers=%d: job incomplete", workers)
 	}
 	return poolSnap{
-		latency: js.Latency(),
+		latency: js.DoneTime - js.SubmitTime,
 		metrics: tr.eng.Metrics,
 		out:     tr.output(t, "out/counts"),
 		reports: tr.reports,
@@ -94,7 +94,7 @@ func TestWorkerPoolWithFaultsStaysDeterministic(t *testing.T) {
 	// Fault draws happen at dispatch on the simulation goroutine, so a
 	// commission + straggler mix must also be pool-size invariant.
 	runFaulty := func(workers int) (Metrics, []digest.Report) {
-		fs := dfs.New()
+		fs := dfs.NewWith(dfs.Options{})
 		fs.Append("in/edges", geomEdges(9000)...)
 		jobs, err := compileHelper(followerSrc, CompileOptions{NumReduces: 2})
 		if err != nil {
@@ -136,7 +136,7 @@ func TestWorkerPoolWithFaultsStaysDeterministic(t *testing.T) {
 
 func TestSplitHomeDeterministicAndInRange(t *testing.T) {
 	mk := func() *Engine {
-		return NewEngine(dfs.New(), cluster.New(7, 2), nil, DefaultCostModel())
+		return NewEngine(dfs.NewWith(dfs.Options{}), cluster.New(7, 2), nil, DefaultCostModel())
 	}
 	a, b := mk(), mk()
 	valid := map[cluster.NodeID]bool{}
@@ -171,7 +171,7 @@ func TestSplitHomeDeterministicAndInRange(t *testing.T) {
 		t.Errorf("40 splits landed on only %d node(s)", len(seen))
 	}
 	// Empty cluster degrades to the empty ID instead of dividing by zero.
-	if got := NewEngine(dfs.New(), cluster.New(0, 0), nil, DefaultCostModel()).splitHome("p", 0); got != "" {
+	if got := NewEngine(dfs.NewWith(dfs.Options{}), cluster.New(0, 0), nil, DefaultCostModel()).splitHome("p", 0); got != "" {
 		t.Errorf("empty cluster splitHome = %q, want \"\"", got)
 	}
 }

@@ -10,12 +10,12 @@ import (
 // time, so permuted With calls address the same series.
 func TestWithCanonicalOrdering(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.With("b", "2", "a", "1").Counter("m")
-	c2 := r.With("a", "1", "b", "2").Counter("m")
-	if c1 != c2 {
+	if r.With("b", "2", "a", "1").Histogram("m", nil) != r.With("a", "1", "b", "2").Histogram("m", nil) {
 		t.Fatal("permuted label order produced distinct instruments")
 	}
-	c1.Add(5)
+	r = NewRegistry()
+	r.With("b", "2", "a", "1").Func("m", func() int64 { return 4 })
+	r.With("a", "1", "b", "2").Func("m", func() int64 { return 5 })
 	snap := r.Snapshot()
 	if len(snap) != 1 {
 		t.Fatalf("snapshot has %d samples, want 1: %+v", len(snap), snap)
@@ -25,30 +25,13 @@ func TestWithCanonicalOrdering(t *testing.T) {
 	}
 }
 
-// TestWithChaining: View.With extends the label set; the chained view
-// addresses the same series as a flat With.
-func TestWithChaining(t *testing.T) {
-	r := NewRegistry()
-	chained := r.With("job", "j1").With("stage", "map").Counter("tasks")
-	flat := r.With("job", "j1", "stage", "map").Counter("tasks")
-	if chained != flat {
-		t.Fatal("chained With diverges from flat With")
-	}
-	// The intermediate view is unchanged by the extension.
-	base := r.With("job", "j1")
-	_ = base.With("stage", "reduce")
-	if got := base.suffix; got != `{job="j1"}` {
-		t.Errorf("base view mutated by With extension: %q", got)
-	}
-}
-
 // TestLabeledFamilies: the same base name carries many label sets plus
 // an unlabeled member, and the snapshot orders members by label suffix.
 func TestLabeledFamilies(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("req").Add(1)
-	r.With("code", "500").Counter("req").Add(2)
-	r.With("code", "200").Counter("req").Add(3)
+	r.Func("req", func() int64 { return 1 })
+	r.With("code", "500").Func("req", func() int64 { return 2 })
+	r.With("code", "200").Func("req", func() int64 { return 3 })
 	snap := r.Snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("snapshot = %+v, want 3 members", snap)
@@ -71,7 +54,7 @@ func TestLabeledFamilies(t *testing.T) {
 // and Prometheus exposition).
 func TestLabelValueEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.With("path", "a\\b\"c\nd").Counter("m").Inc()
+	r.With("path", "a\\b\"c\nd").Func("m", func() int64 { return 1 })
 	snap := r.Snapshot()
 	want := `{path="a\\b\"c\nd"}`
 	if len(snap) != 1 || snap[0].Labels != want {
@@ -97,7 +80,6 @@ func TestNilViewChain(t *testing.T) {
 	if v != nil {
 		t.Fatal("nil registry must hand out a nil view")
 	}
-	v.With("b", "2").Counter("x").Inc()
 	v.Histogram("z", DurationBucketsUs).Observe(1)
 	v.Func("w", func() int64 { return 1 })
 }
@@ -109,13 +91,12 @@ func TestNilViewChain(t *testing.T) {
 // interleaving.
 func TestSnapshotRaceHammer(t *testing.T) {
 	r := NewRegistry()
-	r.Help("hammer.ops", "hammer counter family")
+	r.Help("hammer.lat", "hammer histogram family")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
 	// Writers: bump pre-registered labeled instruments.
 	for w := 0; w < 4; w++ {
-		c := r.With("writer", string(rune('a'+w))).Counter("hammer.ops")
 		h := r.With("writer", string(rune('a'+w))).Histogram("hammer.lat", []int64{10, 100})
 		wg.Add(1)
 		go func() {
@@ -125,7 +106,6 @@ func TestSnapshotRaceHammer(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					c.Inc()
 					h.Observe(int64(i % 200))
 				}
 			}
@@ -192,26 +172,11 @@ func TestSnapshotRaceHammer(t *testing.T) {
 	}
 }
 
-// Labeled hot-path allocation pins: once registered through a View, a
+// Labeled hot-path allocation pin: once registered through a View, a
 // labeled instrument is the same atomic type as an unlabeled one.
-func TestLabeledCounterAddAllocs(t *testing.T) {
-	c := NewRegistry().With("job", "j1", "stage", "map").Counter("hot")
-	if got := testing.AllocsPerRun(200, func() { c.Add(1) }); got != 0 {
-		t.Errorf("labeled Counter.Add allocs = %v, want 0", got)
-	}
-}
-
 func TestLabeledHistogramObserveAllocs(t *testing.T) {
 	h := NewRegistry().With("job", "j1").Histogram("lat", DurationBucketsUs)
 	if got := testing.AllocsPerRun(200, func() { h.Observe(12345) }); got != 0 {
 		t.Errorf("labeled Histogram.Observe allocs = %v, want 0", got)
-	}
-}
-
-func TestNilViewCounterAllocs(t *testing.T) {
-	var r *Registry
-	c := r.With("a", "b").Counter("off")
-	if got := testing.AllocsPerRun(200, func() { c.Add(1) }); got != 0 {
-		t.Errorf("nil labeled Counter.Add allocs = %v, want 0", got)
 	}
 }

@@ -198,16 +198,12 @@ func (r *Registry) get(key seriesKey, labels []Label) *series {
 
 // Counter registers (or returns the existing) counter under name.
 func (r *Registry) Counter(name string) *Counter {
-	return r.counter(name, nil, "")
-}
-
-func (r *Registry) counter(name string, labels []Label, suffix string) *Counter {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.get(seriesKey{kind: KindCounter, name: name, suffix: suffix}, labels)
+	s := r.get(seriesKey{kind: KindCounter, name: name}, nil)
 	if s.c == nil {
 		s.c = &Counter{}
 	}
@@ -271,8 +267,8 @@ func (r *Registry) Help(name, text string) {
 // label work beyond a map lookup.
 //
 // A nil View (from a nil Registry) hands out nil instruments, keeping
-// the whole chain nil-safe: reg.With("a", "b").Counter("x").Inc() is a
-// no-op when reg is nil.
+// the whole chain nil-safe: reg.With("a", "b").Histogram("x",
+// bounds).Observe(1) is a no-op when reg is nil.
 type View struct {
 	r      *Registry
 	labels []Label
@@ -294,28 +290,6 @@ func (r *Registry) With(kv ...string) *View {
 	}
 	sort.Slice(labels, func(i, j int) bool { return labels[i].K < labels[j].K })
 	return &View{r: r, labels: labels, suffix: labelSuffix(labels)}
-}
-
-// With extends the view's label set with more pairs, returning a new
-// View. The receiver is unchanged.
-func (v *View) With(kv ...string) *View {
-	if v == nil {
-		return nil
-	}
-	flat := make([]string, 0, len(v.labels)*2+len(kv))
-	for _, l := range v.labels {
-		flat = append(flat, l.K, l.V)
-	}
-	flat = append(flat, kv...)
-	return v.r.With(flat...)
-}
-
-// Counter registers (or returns the existing) labeled counter.
-func (v *View) Counter(name string) *Counter {
-	if v == nil {
-		return nil
-	}
-	return v.r.counter(name, v.labels, v.suffix)
 }
 
 // Histogram registers (or returns the existing) labeled histogram.

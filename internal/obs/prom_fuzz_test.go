@@ -32,7 +32,7 @@ func FuzzParseExposition(f *testing.F) {
 		for _, v := range strings.Split(values, "|") {
 			distinct[v] = true
 			view := r.With("k", v)
-			view.Counter("c." + counter).Add(int64(len(v)))
+			r.Counter("c." + counter).Add(int64(len(v)))
 			view.Histogram("h."+hist, bounds).Observe(int64(len(v)))
 			n := int64(len(v))
 			view.Func("g."+gauge, func() int64 { return n })
@@ -45,11 +45,11 @@ func FuzzParseExposition(f *testing.F) {
 		if err != nil {
 			t.Fatalf("own exposition does not parse: %v\n%s", err, b.String())
 		}
-		// Per label value: a counter, a gauge, and a histogram's buckets
-		// (+Inf included), _sum and _count.
-		perValue := 1 + 1 + len(bounds) + 1 + 2
-		if st.Families != 3 || st.Series != perValue*len(distinct) {
-			t.Fatalf("stats = %+v, want 3 families / %d series\n%s", st, perValue*len(distinct), b.String())
+		// One counter, and per label value a gauge and a histogram's
+		// buckets (+Inf included), _sum and _count.
+		perValue := 1 + len(bounds) + 1 + 2
+		if want := 1 + perValue*len(distinct); st.Families != 3 || st.Series != want {
+			t.Fatalf("stats = %+v, want 3 families / %d series\n%s", st, want, b.String())
 		}
 	})
 }

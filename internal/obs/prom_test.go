@@ -11,9 +11,9 @@ import (
 func TestWriteExpositionShape(t *testing.T) {
 	r := NewRegistry()
 	r.Help("mapred.tasks", "tasks by stage")
-	r.With("stage", "map").Counter("mapred.tasks").Add(3)
-	r.With("stage", "reduce").Counter("mapred.tasks").Add(1)
-	r.Func("slots.free", func() int64 { return 7 })
+	r.With("stage", "map").Func("mapred.tasks", func() int64 { return 3 })
+	r.With("stage", "reduce").Func("mapred.tasks", func() int64 { return 1 })
+	r.Counter("jobs.done").Add(7)
 	h := r.Histogram("lat.us", []int64{10, 100})
 	h.Observe(5)
 	h.Observe(50)
@@ -23,18 +23,18 @@ func TestWriteExpositionShape(t *testing.T) {
 	if err := r.WriteExposition(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `# TYPE lat_us histogram
+	want := `# TYPE jobs_done counter
+jobs_done 7
+# TYPE lat_us histogram
 lat_us_bucket{le="10"} 1
 lat_us_bucket{le="100"} 2
 lat_us_bucket{le="+Inf"} 3
 lat_us_sum 5055
 lat_us_count 3
 # HELP mapred_tasks tasks by stage
-# TYPE mapred_tasks counter
+# TYPE mapred_tasks gauge
 mapred_tasks{stage="map"} 3
 mapred_tasks{stage="reduce"} 1
-# TYPE slots_free gauge
-slots_free 7
 `
 	if got := b.String(); got != want {
 		t.Errorf("exposition mismatch:\ngot:\n%s\nwant:\n%s", got, want)

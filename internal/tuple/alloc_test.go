@@ -10,19 +10,6 @@ import (
 // testing.AllocsPerRun. The budgets are exact: a fix that adds an
 // allocation must consciously raise them.
 
-func TestDecodeLinePlainAllocs(t *testing.T) {
-	schema := NewSchema("user", "follower", "note")
-	line := "1234\t5678\tplain-text-field"
-	got := testing.AllocsPerRun(200, func() {
-		_ = DecodeLine(line, schema)
-	})
-	// Exactly the Tuple backing array: escape-free fields slice the line,
-	// and a Decoder's first slab is one tuple wide.
-	if got != 1 {
-		t.Errorf("DecodeLine (escape-free) allocs/record = %v, want 1", got)
-	}
-}
-
 // TestDecoderPlainAllocs: over a task's worth of lines the only
 // allocations left are the slabs, one per slabValues Values.
 func TestDecoderPlainAllocs(t *testing.T) {
@@ -79,6 +66,9 @@ func TestDecoderTuplesStayValid(t *testing.T) {
 	}
 }
 
+// TestDecoderMatchesDecodeLine: a Decoder reused across lines, escaped and
+// plain, decodes each one as a fresh Decoder does: nothing it keeps from
+// one line (its Fields, its slab) leaks into the next.
 func TestDecoderMatchesDecodeLine(t *testing.T) {
 	schema := NewSchema("a", "b")
 	lines := []string{
@@ -91,14 +81,14 @@ func TestDecoderMatchesDecodeLine(t *testing.T) {
 	}
 	var d Decoder
 	for _, line := range lines {
-		want := DecodeLine(line, schema)
+		want := new(Decoder).DecodeLine(line, schema)
 		got := d.DecodeLine(line, schema)
 		if len(got) != len(want) {
-			t.Fatalf("%q: Decoder gave %d cols, package func %d", line, len(got), len(want))
+			t.Fatalf("%q: reused Decoder gave %d cols, a fresh one %d", line, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%q col %d: Decoder %v, package func %v", line, i, got[i], want[i])
+				t.Fatalf("%q col %d: reused Decoder %v, a fresh one %v", line, i, got[i], want[i])
 			}
 		}
 	}
@@ -159,8 +149,8 @@ func TestEncodedLenMatchesEncodeLine(t *testing.T) {
 		{Int(7), Str("x"), Null(), Float(1.25)},
 	}
 	for _, r := range rows {
-		if got, want := EncodedLen(r), len(EncodeLine(r)); got != want {
-			t.Errorf("EncodedLen(%v) = %d, len(EncodeLine) = %d", r, got, want)
+		if got, want := EncodedLen(r), len(encode(r)); got != want {
+			t.Errorf("EncodedLen(%v) = %d, len(encode) = %d", r, got, want)
 		}
 	}
 }

@@ -22,13 +22,6 @@ import (
 // nothing themselves; an int's digits are written in place and a float
 // through strconv's append form, never through Value.Str.
 
-// EncodeLine renders t as one tab-separated record without a trailing
-// newline.
-func EncodeLine(t Tuple) string {
-	buf := make([]byte, 0, EncodedLen(t))
-	return string(AppendEncoded(buf, t))
-}
-
 // AppendEncoded appends the tab-separated encoding of t (no trailing
 // newline) to dst and returns the extended slice. It allocates only when
 // dst lacks capacity, so a caller looping over records can reuse one
@@ -50,7 +43,7 @@ func AppendCanonical(dst []byte, t Tuple) []byte {
 	return append(AppendEncoded(dst, t), '\n')
 }
 
-// EncodedLen returns len(EncodeLine(t)) without encoding: the shuffle
+// EncodedLen returns len(AppendEncoded(nil, t)) without encoding: the shuffle
 // path sizes record-byte accounting and encode buffers with it.
 func EncodedLen(t Tuple) int {
 	n := 0
@@ -61,28 +54,6 @@ func EncodedLen(t Tuple) int {
 		n += escapedValueLen(v)
 	}
 	return n
-}
-
-// DecodeLine parses one encoded record into a tuple, coercing columns by
-// the schema when provided (extra columns coerce as TypeAny; missing
-// schema columns are not padded). Loops over many records should use a
-// Decoder instead, which amortizes its scratch.
-func DecodeLine(line string, schema *Schema) Tuple {
-	if line == "" || strings.IndexByte(line, '\\') >= 0 {
-		var d Decoder
-		return d.DecodeLine(line, schema)
-	}
-	// Escape-free: every field is a slice of line, cut with no scratch.
-	t := make(Tuple, strings.Count(line, "\t")+1)
-	for i := range t {
-		end := strings.IndexByte(line, '\t')
-		if end < 0 {
-			end = len(line)
-		}
-		t[i] = schema.ColType(i).Coerce(line[:end])
-		line = line[min(end+1, len(line)):]
-	}
-	return t
 }
 
 // Decoder decodes a run of record lines. It reuses its Fields across
@@ -122,8 +93,9 @@ func (s *Slab) Tuple(n int) Tuple {
 	return t
 }
 
-// DecodeLine parses one encoded record into a tuple; see the package
-// function for semantics.
+// DecodeLine parses one encoded record into a tuple, coercing columns by
+// the schema when provided (extra columns coerce as TypeAny; missing
+// schema columns are not padded).
 func (d *Decoder) DecodeLine(line string, schema *Schema) Tuple {
 	if line == "" {
 		return Tuple{}

@@ -1,30 +1,34 @@
 package tuple
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// encode is t's tab-separated encoding, as the stored line holds it.
+func encode(t Tuple) string { return string(AppendEncoded(nil, t)) }
+
 func TestEncodeDecodeSimple(t *testing.T) {
 	in := Tuple{Int(1), Str("hello"), Int(-3)}
-	line := EncodeLine(in)
+	line := encode(in)
 	if line != "1\thello\t-3" {
-		t.Fatalf("EncodeLine = %q", line)
+		t.Fatalf("encode = %q", line)
 	}
-	out := DecodeLine(line, nil)
-	if !EqualTuples(in, out) {
+	out := new(Decoder).DecodeLine(line, nil)
+	if !slices.EqualFunc(in, out, Equal) {
 		t.Errorf("round trip: got %v, want %v", out, in)
 	}
 }
 
 func TestEncodeEscaping(t *testing.T) {
 	in := Tuple{Str("a\tb"), Str("c\nd"), Str(`e\f`)}
-	line := EncodeLine(in)
+	line := encode(in)
 	if strings.Contains(line, "\n") {
 		t.Fatalf("encoded line contains raw newline: %q", line)
 	}
-	out := DecodeLine(line, nil)
+	out := new(Decoder).DecodeLine(line, nil)
 	if out[0].Str() != "a\tb" || out[1].Str() != "c\nd" || out[2].Str() != `e\f` {
 		t.Errorf("escape round trip failed: %v", out)
 	}
@@ -35,7 +39,7 @@ func TestDecodeWithSchema(t *testing.T) {
 		{Name: "id", Type: TypeInt},
 		{Name: "name", Type: TypeString},
 	}}
-	out := DecodeLine("42\t42", s)
+	out := new(Decoder).DecodeLine("42\t42", s)
 	if out[0].Kind() != KindInt || out[1].Kind() != KindString {
 		t.Errorf("schema coercion failed: kinds %v %v", out[0].Kind(), out[1].Kind())
 	}
@@ -43,7 +47,7 @@ func TestDecodeWithSchema(t *testing.T) {
 
 func TestDecodeExtraColumnsBeyondSchema(t *testing.T) {
 	s := NewSchema("a")
-	out := DecodeLine("1\t2\tx", s)
+	out := new(Decoder).DecodeLine("1\t2\tx", s)
 	if len(out) != 3 {
 		t.Fatalf("len = %d", len(out))
 	}
@@ -53,13 +57,13 @@ func TestDecodeExtraColumnsBeyondSchema(t *testing.T) {
 }
 
 func TestDecodeEmptyLine(t *testing.T) {
-	if got := DecodeLine("", nil); len(got) != 0 {
+	if got := new(Decoder).DecodeLine("", nil); len(got) != 0 {
 		t.Errorf("DecodeLine(\"\") = %v", got)
 	}
 }
 
 func TestDecodeEmptyFields(t *testing.T) {
-	out := DecodeLine("\t\t", nil)
+	out := new(Decoder).DecodeLine("\t\t", nil)
 	if len(out) != 3 {
 		t.Fatalf("len = %d, want 3", len(out))
 	}
@@ -73,8 +77,8 @@ func TestDecodeEmptyFields(t *testing.T) {
 func TestAppendCanonicalMatchesEncodeLine(t *testing.T) {
 	in := Tuple{Int(7), Str("x\ty"), Float(1.5)}
 	canon := AppendCanonical(nil, in)
-	if string(canon) != EncodeLine(in)+"\n" {
-		t.Errorf("canonical %q != line %q + newline", canon, EncodeLine(in))
+	if string(canon) != encode(in)+"\n" {
+		t.Errorf("canonical %q != line %q + newline", canon, encode(in))
 	}
 }
 
@@ -88,7 +92,7 @@ func TestAppendCanonicalAppends(t *testing.T) {
 
 func TestTrailingBackslashSurvives(t *testing.T) {
 	in := Tuple{Str(`end\`)}
-	out := DecodeLine(EncodeLine(in), nil)
+	out := new(Decoder).DecodeLine(encode(in), nil)
 	if out[0].Str() != `end\` {
 		t.Errorf("trailing backslash round trip: %q", out[0].Str())
 	}
@@ -96,7 +100,7 @@ func TestTrailingBackslashSurvives(t *testing.T) {
 
 func TestUnknownEscapePassthrough(t *testing.T) {
 	// A stray escape not produced by the encoder is preserved verbatim.
-	out := DecodeLine(`a\qb`, nil)
+	out := new(Decoder).DecodeLine(`a\qb`, nil)
 	if out[0].Str() != `a\qb` {
 		t.Errorf("got %q", out[0].Str())
 	}
@@ -119,8 +123,8 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		for i := range schema.Fields {
 			schema.Fields[i] = Field{Name: "c", Type: TypeString}
 		}
-		out := DecodeLine(EncodeLine(in), schema)
-		return EqualTuples(in, out)
+		out := new(Decoder).DecodeLine(encode(in), schema)
+		return slices.EqualFunc(in, out, Equal)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -131,7 +135,7 @@ func TestCanonicalDeterminismProperty(t *testing.T) {
 	f := func(a int64, s string) bool {
 		tup := Tuple{Int(a), Str(s)}
 		x := AppendCanonical(nil, tup)
-		y := AppendCanonical(nil, tup.Clone())
+		y := AppendCanonical(nil, slices.Clone(tup))
 		return string(x) == string(y)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -3,6 +3,7 @@ package tuple
 import (
 	"cmp"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,11 +13,11 @@ import (
 // arbitrary field content and checks the invariants the data plane
 // depends on:
 //
-//  1. DecodeLine(EncodeLine(t)) == t under a string schema (string
+//  1. Decoder.DecodeLine(encode(t)) == t under a string schema (string
 //     typing sidesteps the documented int re-inference of TypeAny);
-//  2. AppendCanonical emits exactly EncodeLine + '\n' (the digest byte
+//  2. AppendCanonical emits exactly encode(t) + '\n' (the digest byte
 //     stream and the storage encoding cannot diverge);
-//  3. EncodedLen matches len(EncodeLine(t)) (shuffle byte accounting);
+//  3. EncodedLen matches len(encode(t)) (shuffle byte accounting);
 //  4. AppendEncoded into a dirty, reused buffer appends exactly the
 //     encoding (scratch-buffer reuse in the map/reduce hot path).
 func FuzzCodecRoundTrip(f *testing.F) {
@@ -33,29 +34,29 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			in[i] = Str(s)
 			schema.Fields[i] = Field{Name: "c", Type: TypeString}
 		}
-		line := EncodeLine(in)
+		line := encode(in)
 		if len(in) == 0 || (len(in) == 1 && fields[0] == "") {
 			// The empty tuple and the single-empty-field tuple share the
 			// empty-line encoding (documented ambiguity); nothing more to
 			// check.
 			if line != "" {
-				t.Fatalf("EncodeLine(%v) = %q, want empty", in, line)
+				t.Fatalf("encode(%v) = %q, want empty", in, line)
 			}
 			return
 		}
 		if strings.Contains(line, "\n") {
-			t.Fatalf("EncodeLine(%v) contains raw newline: %q", in, line)
+			t.Fatalf("encode(%v) contains raw newline: %q", in, line)
 		}
-		out := DecodeLine(line, schema)
-		if !EqualTuples(in, out) {
+		out := new(Decoder).DecodeLine(line, schema)
+		if !slices.EqualFunc(in, out, Equal) {
 			t.Fatalf("round trip: DecodeLine(%q) = %v, want %v", line, out, in)
 		}
 		canon := AppendCanonical(nil, in)
 		if string(canon) != line+"\n" {
-			t.Fatalf("AppendCanonical = %q, EncodeLine+\\n = %q", canon, line+"\n")
+			t.Fatalf("AppendCanonical = %q, encode+\\n = %q", canon, line+"\n")
 		}
 		if got := EncodedLen(in); got != len(line) {
-			t.Fatalf("EncodedLen = %d, len(EncodeLine) = %d", got, len(line))
+			t.Fatalf("EncodedLen = %d, len(encode) = %d", got, len(line))
 		}
 		dirty := append(make([]byte, 0, 64), "dirty-prefix|"...)
 		reused := AppendEncoded(dirty, in)
@@ -79,10 +80,10 @@ func FuzzDecodeLineNoPanic(f *testing.F) {
 		if strings.ContainsRune(line, '\n') {
 			t.Skip("raw newlines never reach DecodeLine (line-split input)")
 		}
-		got := DecodeLine(line, nil)
-		re := EncodeLine(got)
-		again := DecodeLine(re, nil)
-		if !EqualTuples(got, again) && !(len(got) == 1 && got[0].Str() == "") {
+		got := new(Decoder).DecodeLine(line, nil)
+		re := encode(got)
+		again := new(Decoder).DecodeLine(re, nil)
+		if !slices.EqualFunc(got, again, Equal) && !(len(got) == 1 && got[0].Str() == "") {
 			t.Fatalf("decode not idempotent: %q -> %v -> %q -> %v", line, got, re, again)
 		}
 	})

@@ -8,14 +8,6 @@ import (
 // Tuple is one row of a relation: an ordered list of Values.
 type Tuple []Value
 
-// Clone returns a copy of t; Values are immutable so a shallow copy of the
-// slice suffices.
-func (t Tuple) Clone() Tuple {
-	c := make(Tuple, len(t))
-	copy(c, t)
-	return c
-}
-
 // String renders the tuple as a parenthesized, comma-separated list.
 func (t Tuple) String() string {
 	var b strings.Builder
@@ -28,41 +20,6 @@ func (t Tuple) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// Concat returns the concatenation of t followed by u as a new tuple.
-func Concat(t, u Tuple) Tuple {
-	c := make(Tuple, 0, len(t)+len(u))
-	c = append(c, t...)
-	c = append(c, u...)
-	return c
-}
-
-// CompareTuples orders tuples field by field; shorter tuples sort first on
-// a common-prefix tie.
-func CompareTuples(a, b Tuple) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if c := Compare(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
-	}
-}
-
-// EqualTuples reports whether a and b have equal length and fields.
-func EqualTuples(a, b Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return CompareTuples(a, b) == 0
 }
 
 // FieldType is the declared type of a schema column.
@@ -133,15 +90,6 @@ func (s *Schema) Index(name string) int {
 		}
 	}
 	return -1
-}
-
-// Names returns the column names in order.
-func (s *Schema) Names() []string {
-	names := make([]string, len(s.Fields))
-	for i, f := range s.Fields {
-		names[i] = f.Name
-	}
-	return names
 }
 
 // Clone returns a deep copy of the schema.
