@@ -21,11 +21,12 @@ import (
 // lines) is held as lines, where they are, every column carried, and read
 // by the codec's own rule (tuple.Fields).
 //
-// A column held as spans also carries what the read learnt of its values
-// as it cut them (Form): whether every one is a canonical integer, or
+// A column held as spans also carries what the block's seal learnt of the
+// values it holds (Form): whether every one is a canonical integer, or
 // none looks like an integer, so that a reader coerces and encodes the
 // column by one rule for the whole batch rather than looking at every
-// value again.
+// value again. The facts are the whole block's, so they hold for every
+// range of it; the read looks at no value to learn them.
 //
 // The zero value is ready to use, and a Batch that is read into again
 // reuses its arrays; the text of an earlier read stays valid for as long
@@ -50,7 +51,7 @@ type Batch struct {
 	// one less the row.
 	cur     []int32
 	carried []int32 // the carried columns, ascending
-	forms   []int32 // per column, the tuple.IntForm its carried values share (Form)
+	forms   []int32 // per column, the tuple.IntForm its values share in the block (Form)
 	// The k-th carried value, column after column, is text[ends[2k]:ends[2k+1]].
 	ends []int32
 
@@ -132,7 +133,9 @@ func (b *Batch) Columns() int { return len(b.forms) }
 // of its records: tuple.IntCanon if every one is a canonical integer,
 // tuple.IntNone if none looks like an integer, and tuple.IntOther if
 // neither is known, which is always so for held lines and a column not
-// carried. A dictionary-coded column's form is its dictionary's.
+// carried. What it knows is the block's directory's word for every value
+// the column holds in the block, the empty line's excepted (forms), and
+// so for any range of it.
 func (b *Batch) Form(c int) tuple.IntForm {
 	if b.lines != nil || c >= len(b.forms) {
 		return tuple.IntOther
@@ -206,7 +209,7 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 		b.cur[c], b.forms[c] = -1, int32(tuple.IntOther)
 		carry := carries(need, c)
 		if carry {
-			b.cur[c] = int32(len(b.ends) / 2)
+			b.cur[c], b.forms[c] = int32(len(b.ends)/2), r.facts.form()
 			b.carried = append(b.carried, int32(c))
 		} else if c > 0 || s.minCols > 1 {
 			continue // only column 0 of a one-column record can make an empty line
@@ -214,13 +217,6 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 		// The same loop twice, over values and over codes: one that asks
 		// which a value is costs the read of a plain block a tenth.
 		if dict := s.dictOf(c); dict != nil {
-			if carry {
-				var f forms
-				for j := range len(dict) - 1 {
-					f.add(payload[dict[j]:dict[j+1]])
-				}
-				b.forms[c] = f.form()
-			}
 			codes := payload[r.start:r.end]
 			for i, cols := range widths {
 				if cols <= c {
@@ -238,7 +234,6 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 			}
 			continue
 		}
-		var f forms
 		off := r.start
 		for i, cols := range widths {
 			if cols <= c {
@@ -251,12 +246,8 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 				continue
 			}
 			if carry {
-				f.add(payload[start:end])
 				b.ends = append(b.ends, int32(start), int32(end))
 			}
-		}
-		if carry {
-			b.forms[c] = f.form()
 		}
 	}
 	b.widths, b.plain, b.lineBytes = widths, true, int64(s.lineBytes)
@@ -276,37 +267,6 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 // read writes over: it is never passed here.
 func blockText(payload []byte) string {
 	return unsafe.String(unsafe.SliceData(payload), len(payload))
-}
-
-// forms gathers the two facts Batch.Form reports of a run of values, as
-// what the values seen so far break: a value not a canonical integer breaks
-// IntCanon, one that looks like an integer IntNone.
-type forms uint8
-
-const (
-	notCanon forms = 1 << iota
-	someInt
-)
-
-// formBits is what a value of each tuple.IntForm breaks.
-var formBits = [...]forms{tuple.IntNone: notCanon, tuple.IntOther: notCanon | someInt, tuple.IntCanon: someInt}
-
-// add folds v in. Once both facts are broken it looks at no more values.
-func (f *forms) add(v []byte) {
-	if *f != notCanon|someInt {
-		*f |= formBits[tuple.IntFormOf(v)]
-	}
-}
-
-// form is the run's tuple.IntForm; an empty run's is IntCanon.
-func (f forms) form() int32 {
-	switch f {
-	case 0, someInt:
-		return int32(tuple.IntCanon)
-	case notCanon:
-		return int32(tuple.IntNone)
-	}
-	return int32(tuple.IntOther)
 }
 
 func carries(need []bool, c int) bool {

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -366,4 +367,126 @@ func TestBatchValuesOutliveTheirBlock(t *testing.T) {
 			t.Fatalf("%s = %q once its block was gone, read as %q", k.who, k.got, k.want)
 		}
 	}
+}
+
+// FuzzBatchValuesOutliveTheirBlock is TestBatchValuesOutliveTheirBlock
+// over sequences of what may happen to a block after a read. Each byte of
+// ops is one operation on one of two stores, both spilling under a small
+// budget, one of them compressing: append lines to a file, raw, coded or
+// deflated as their values fall; seal lines and install them; append to a
+// filler file, which spills what is resident; delete a file; seal and read
+// a file of deflated blocks through the pooled inflater; run the
+// collector; or read a file through batches under a mask. Every value a
+// batch served is kept beside the line decode of its record, taken first
+// from ReadLines, and must still equal it once the collector has run.
+func FuzzBatchValuesOutliveTheirBlock(f *testing.F) {
+	// Read, spill, read again, delete, collect; install, read, spill,
+	// collect: in the raw store, in the compressing one, and in both.
+	f.Add([]byte{0x00, 0x00, 0x06, 0x02, 0x02, 0x02, 0x0e, 0x03, 0x05, 0x11, 0x16, 0x02, 0x02, 0x05}, uint64(1))
+	f.Add([]byte{0x80, 0x80, 0x86, 0x8e, 0x84, 0x82, 0x82, 0x82, 0x86, 0x83, 0x85, 0x91, 0x96, 0x84, 0x82, 0x85}, uint64(7))
+	f.Add([]byte{0x00, 0x80, 0x06, 0x86, 0x02, 0x82, 0x82, 0x04, 0x05, 0x03, 0x83, 0x21, 0xa1, 0x26, 0xae, 0x02, 0x84, 0x05}, uint64(0xdeadbeef))
+	f.Fuzz(func(t *testing.T, ops []byte, seed uint64) {
+		ops = ops[:min(len(ops), 48)]
+		dir := t.TempDir()
+		stores := [2]*FS{
+			NewWith(Options{BlockSize: 512, MemBudget: 2048, SpillDir: dir}),
+			NewWith(Options{BlockSize: 512, MemBudget: 4096, SpillDir: dir, Compress: true}),
+		}
+		defer func() {
+			for _, fs := range stores {
+				if err := fs.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}()
+		state := seed | 1
+		next := func(n int) int {
+			state ^= state << 13
+			state ^= state >> 7
+			state ^= state << 17
+			return int(state % uint64(n))
+		}
+		// Lines of distinct values, of few distinct values (which a
+		// dictionary codes), and of distinct values that repeat their bytes
+		// (which flate shrinks).
+		gen := func(kind int, tag string) []string {
+			lines := make([]string, 1+next(150))
+			for i := range lines {
+				switch kind {
+				case 0:
+					lines[i] = fmt.Sprintf("%s%d\t%d\t%x", tag, next(1<<20), i, next(1<<30))
+				case 1:
+					lines[i] = fmt.Sprintf("%s-%d\t%d\tk%d", tag, next(20), 20+next(7), next(3))
+				default:
+					lines[i] = fmt.Sprintf("%s-%05d\t%s%d\t%d", tag, i*37, strings.Repeat(tag, 4), i, i*i)
+				}
+			}
+			return lines
+		}
+		type kept struct {
+			who       string
+			got, want []string
+		}
+		var keep []kept
+		check := func(after int) {
+			for _, k := range keep {
+				if !slices.Equal(k.got, k.want) {
+					t.Fatalf("%s = %q after op %d, read as %q", k.who, k.got, after, k.want)
+				}
+			}
+		}
+		var b Batch
+		for i, op := range ops {
+			fs := stores[op>>7]
+			path := fmt.Sprintf("in/%d", op>>4&7)
+			switch op & 7 {
+			case 0:
+				fs.Append(path, gen(next(3), "a")...)
+			case 1:
+				fs.Install(path, fs.Seal(gen(next(3), "s")))
+			case 2:
+				fs.Append("filler", gen(2, "fill")...)
+			case 3:
+				if err := fs.Delete(path); err != nil && !errors.As(err, new(*ErrNotFound)) {
+					t.Fatal(err)
+				}
+			case 4:
+				lines, path := gen(2, "dfl"), fmt.Sprintf("dfl/%d", i)
+				stores[1].Install(path, stores[1].Seal(lines))
+				r, err := stores[1].OpenReader(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for at := 0; at < r.NumRecords(); {
+					next := r.ReadColumns(&b, at, r.NumRecords(), nil)
+					readsAs(t, fmt.Sprintf("op %d: %s [%d,%d)", i, path, at, next), &b, lines[at:next], nil)
+					at = next
+				}
+			case 5:
+				runtime.GC()
+				check(i)
+			default:
+				lines, err := fs.ReadLines(path)
+				if err != nil {
+					continue // deleted, or never written
+				}
+				r, err := fs.OpenReader(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				need := []bool{op&8 != 0, true, op&8 == 0}
+				for at := 0; at < r.NumRecords(); {
+					next := r.ReadColumns(&b, at, r.NumRecords(), need)
+					recs, _ := batchRecords(&b, need)
+					for j, vals := range recs {
+						who := fmt.Sprintf("op %d: %s need %v record %d", i, path, need, at+j)
+						keep = append(keep, kept{who, vals, decoded(lines[at+j], need)})
+					}
+					at = next
+				}
+			}
+		}
+		runtime.GC()
+		check(len(ops))
+	})
 }

@@ -12,6 +12,8 @@ import (
 	"slices"
 	"strings"
 	"sync"
+
+	"clusterbft/internal/tuple"
 )
 
 // The block format is the at-rest representation of file records: a file
@@ -28,7 +30,7 @@ import (
 // canonical record bytes, never over block bytes (PR 2's separation),
 // which is what lets the storage representation change freely here.
 //
-// Layout:
+// Layout (version 3):
 //
 //	byte 0: format version (blockVersion)
 //	byte 1: flags, at most one of blockFlagFlate (the payload is
@@ -46,10 +48,18 @@ import (
 //	      (1 to 256); their k uvarint lengths; their bytes back to back;
 //	      for each record with >c columns one byte, the index of its value
 //	   directory:
-//	      per column: uvarint, twice its region's byte length, plus one if
-//	         a byte of the region (dictionary-coded: of its values) is a
-//	         backslash or a newline
+//	      per column: uvarint, its region's byte length times 8, plus the
+//	         column's facts times 2, plus one if a byte of the region
+//	         (dictionary-coded: of its values) is a backslash or a newline.
+//	         The facts are what a batch reports of the column (Batch.Form),
+//	         two bits folded over every value it holds, the empty line's
+//	         excepted: 1, a value is not a canonical integer; 2, a value
+//	         looks like an integer (forms)
 //	      per record: uvarint line length
+//	      the row index, in a raw block whose every record holds every
+//	         column, for each record r = 1024, 2048, ... below the record
+//	         count: 8 bytes, where in the payload r's line length begins;
+//	         per column, 8 bytes, where r's value begins
 //	   8 bytes: where in the payload the directory begins
 //
 // Asked to compress, the encoder dictionary-codes a block whose every
@@ -62,12 +72,23 @@ import (
 // 75-100 % of raw where flate stores about half.
 //
 // The checksum is what vouches for a block: openBlock verifies it on every
-// read, and past it a reader looks only at what it was asked for (walk).
+// read, and past it a reader looks only at what it was asked for (walk),
+// stepping from the last row index entry at or before the first record it
+// returns. A coded block's codes are found without one (a code is a byte),
+// and a ragged block is walked from record 0.
 const (
-	blockVersion   = 0x02
+	blockVersion   = 0x03
 	blockFlagFlate = 0x01
 	blockFlagDict  = 0x02
 )
+
+// indexStride is how many records apart the row index's entries are.
+const indexStride = 1024
+
+// entries is how many the row index of a raw block of n records whose
+// every record holds every column has: one for each record 1024, 2048, ...
+// below n.
+func entries(n int) int { return max(n-1, 0) / indexStride }
 
 // dictMax is the most distinct values a dictionary-coded column holds: a
 // code is one byte.
@@ -89,7 +110,7 @@ func EncodeBlock(lines []string, compress bool) []byte {
 }
 
 // lineText is how a line is held: a string of its own, or bytes of a buffer.
-type lineText interface{ ~string | ~[]byte }
+type lineText interface{ string | []byte }
 
 // lineSet is the lines a block is encoded from, in one of two shapes: a
 // []string, or one buffer holding them back to back, cut where ends says
@@ -190,20 +211,45 @@ func encodeBlockStats[T lineText](lines lineSet[T], compress bool) (data []byte,
 	}
 	// Pass 1: the payload's size — every value's length prefix and bytes,
 	// counted into its column's region, every record's column count and
-	// line length.
+	// line length — and each column's facts.
 	var regionArr, cursorArr [16]int
+	var factArr [16]forms
 	regions := regionArr[:0]                     // region c's byte length
+	facts := factArr[:0]                         // column c's
 	maxCols, minCols, counts, tail := 0, 0, 0, 0 // tail: the directory's bytes
 	for i := range lines.len() {
 		l := lines.line(i)
 		n := 0
 		for start := 0; start <= len(l); n++ {
-			end := indexByte(l[start:], '\t')
-			if end < 0 {
-				end = len(l) - start
-			}
 			if n == len(regions) {
-				regions = append(regions, 0)
+				regions, facts = append(regions, 0), append(facts, 0)
+			}
+			// The value's end and, while its column's facts still tell
+			// something, what it breaks of them, learnt as it is scanned
+			// where it can be: a value led by neither a digit nor a sign
+			// is no integer, and digits alone up to the tab are a
+			// canonical one unless there are none or more than 18, or a
+			// zero leads. The empty line holds no value.
+			end, scan := 0, true
+			if len(l) > 0 && facts[n] != notCanon|someInt {
+				for start+end < len(l) && l[start+end]-'0' < 10 {
+					end++
+				}
+				switch {
+				case end == 0 && (start == len(l) || l[start] != '-' && l[start] != '+'):
+					facts[n] |= notCanon
+				case start+end < len(l) && l[start+end] != '\t' || end == 0 || end > 18 || end > 1 && l[start] == '0':
+					var f forms
+					end, f = cutOther(l[start:], end)
+					facts[n], scan = facts[n]|f, false
+				default:
+					facts[n], scan = facts[n]|someInt, false
+				}
+			}
+			if scan {
+				if end = indexByte(l[start:], '\t'); end < 0 {
+					end = len(l) - start
+				}
 			}
 			regions[n] += uvarintLen(end) + end
 			start += end + 1
@@ -216,31 +262,41 @@ func encodeBlockStats[T lineText](lines lineSet[T], compress bool) (data []byte,
 		}
 	}
 	ragged := minCols != maxCols
+	index := 0 // the row index's entries: a ragged block has none
 	if !ragged {
 		counts = 0
+		index = entries(lines.len())
 	}
 	// The layout, as offsets into data: the header up to h, the checksum,
 	// then the payload from p — its head, the column counts, the regions
 	// from the cursors' starts, and from dir the directory: an entry a
-	// column, then the line lengths and the trailer.
+	// column, the line lengths, from ix the row index, and the trailer.
 	h := 2 + uvarintLen(lines.len())
 	p := h + 4
 	dir := p + uvarintLen(maxCols) + uvarintLen(minCols) + counts
+	tail += 8 * index * (1 + maxCols)
 	cursor := cursorArr[:0] // where column c's next value goes
 	for _, r := range regions {
 		cursor = append(cursor, dir)
 		dir += r
-		tail += uvarintLen(r << 1)
+		tail += uvarintLen(r << 3)
 	}
 	rawLen = dir + tail + 8 - p
+	ix := p + rawLen - 8 - 8*index*(1+maxCols)
 
-	// Pass 2: each record's values, each at its column's cursor; then the
-	// directory.
+	// Pass 2: each record's values, each at its column's cursor, where an
+	// index entry's record takes them from; then the directory.
 	data = make([]byte, p+rawLen)
 	w := p + binary.PutUvarint(data[p:], uint64(maxCols))
 	w += binary.PutUvarint(data[w:], uint64(minCols))
 	for i := range lines.len() {
 		l := lines.line(i)
+		if index > 0 && i > 0 && i%indexStride == 0 {
+			at := ix + 8*(i/indexStride-1)*(1+maxCols)
+			for c := range cursor {
+				binary.LittleEndian.PutUint64(data[at+8+8*c:], uint64(cursor[c]-p))
+			}
+		}
 		n := 0
 		for start := 0; start <= len(l); n++ {
 			end := indexByte(l[start:], '\t')
@@ -257,16 +313,16 @@ func encodeBlockStats[T lineText](lines lineSet[T], compress bool) (data []byte,
 	}
 	w = dir
 	for c, r := range regions {
-		d := uint64(r) << 1
-		if holdsEscapeByte(data[cursor[c]-r : cursor[c]]) { // the cursor stands at its region's end
-			d |= 1
-		}
-		w += binary.PutUvarint(data[w:], d)
+		// The cursor stands at its region's end.
+		w += binary.PutUvarint(data[w:], dirEntry(r, facts[c], data[cursor[c]-r:cursor[c]]))
 	}
 	for i := range lines.len() {
+		if index > 0 && i > 0 && i%indexStride == 0 {
+			binary.LittleEndian.PutUint64(data[ix+8*(i/indexStride-1)*(1+maxCols):], uint64(w-p))
+		}
 		w += binary.PutUvarint(data[w:], uint64(len(lines.line(i))))
 	}
-	binary.LittleEndian.PutUint64(data[w:], uint64(dir-p))
+	binary.LittleEndian.PutUint64(data[len(data)-8:], uint64(dir-p))
 
 	flags := byte(0)
 	if compress {
@@ -319,7 +375,8 @@ func encodeCoded[T lineText](lines lineSet[T]) (data []byte, rawLen int) {
 			}
 			v := l[start : start+end]
 			slot, e := dicts.lookup(n, v)
-			if e == 0 {
+			fresh := e == 0
+			if fresh {
 				var ok bool
 				if dicts, ok = dicts.add(n, v, slot); !ok {
 					return nil, 0
@@ -327,6 +384,11 @@ func encodeCoded[T lineText](lines lineSet[T]) (data []byte, rawLen int) {
 				e = int32(len(dicts.entries))
 			}
 			col := &dicts.cols[n]
+			// A column's facts are its dictionary's, but for the empty
+			// line's value: the empty value of any other line counts.
+			if len(l) > 0 && (fresh || end == 0) {
+				foldForm(&col.facts, v)
+			}
 			col.vals++
 			col.raw += uvarintLen(end) + end
 			if len(codes) < cap(codes) {
@@ -347,9 +409,12 @@ func encodeCoded[T lineText](lines lineSet[T]) (data []byte, rawLen int) {
 	}
 	head := uvarintLen(maxCols) + uvarintLen(minCols) + counts
 	rawLen, size := head+lens+8, head+lens+8
+	if !ragged { // stored raw, the block would carry a row index
+		rawLen += 8 * entries(lines.len()) * (1 + maxCols)
+	}
 	for _, col := range dicts.cols {
-		rawLen += col.raw + uvarintLen(col.raw<<1)
-		size += col.region() + uvarintLen(col.region()<<1)
+		rawLen += col.raw + uvarintLen(col.raw<<3)
+		size += col.region() + uvarintLen(col.region()<<3)
 	}
 	if size >= rawLen {
 		return nil, 0
@@ -409,11 +474,8 @@ func encodeCoded[T lineText](lines lineSet[T]) (data []byte, rawLen int) {
 	}
 	w = dir
 	for c, col := range dicts.cols {
-		d := uint64(col.region()) << 1
-		if holdsEscapeByte(data[cursor[c]-col.vals-col.text : cursor[c]-col.vals]) { // the cursor stands at its region's end, the values before the codes
-			d |= 1
-		}
-		w += binary.PutUvarint(data[w:], d)
+		// The cursor stands at its region's end, the values before the codes.
+		w += binary.PutUvarint(data[w:], dirEntry(col.region(), col.facts, data[cursor[c]-col.vals-col.text:cursor[c]-col.vals]))
 	}
 	for i := range lines.len() {
 		w += binary.PutUvarint(data[w:], uint64(len(lines.line(i))))
@@ -421,6 +483,62 @@ func encodeCoded[T lineText](lines lineSet[T]) (data []byte, rawLen int) {
 	binary.LittleEndian.PutUint64(data[w:], uint64(dir-p))
 	sealHeader(data, h, blockFlagDict, lines.len())
 	return data, rawLen
+}
+
+// dirEntry is the directory's word for a column of region bytes, of the
+// given facts, whose values (coded: whose dictionary's) are text.
+func dirEntry(region int, facts forms, text []byte) uint64 {
+	d := uint64(region)<<3 | uint64(facts)<<1
+	if holdsEscapeByte(text) {
+		d |= 1
+	}
+	return d
+}
+
+// forms gathers the two facts Batch.Form reports of a run of values, as
+// what the values seen so far break: a value not a canonical integer breaks
+// IntCanon, one that looks like an integer IntNone. The encoder folds every
+// value of a column into its forms, and the directory keeps them.
+type forms uint8
+
+const (
+	notCanon forms = 1 << iota
+	someInt
+)
+
+// formBits is what a value of each tuple.IntForm breaks.
+var formBits = [...]forms{tuple.IntNone: notCanon, tuple.IntOther: notCanon | someInt, tuple.IntCanon: someInt}
+
+// cutOther returns the length of the value s begins with, up to its first
+// tab, of which i digits lead, and what the value breaks of its column's
+// facts: the encoder's way for a value its scan could not classify.
+func cutOther[T lineText](s T, i int) (int, forms) {
+	end := indexByte(s[i:], '\t')
+	if end < 0 {
+		end = len(s)
+	} else {
+		end += i
+	}
+	return end, formBits[tuple.IntFormOf(s[:end])]
+}
+
+// foldForm folds v into f. Once both facts are broken it looks at no more
+// values.
+func foldForm[T lineText](f *forms, v T) {
+	if *f != notCanon|someInt {
+		*f |= formBits[tuple.IntFormOf(v)]
+	}
+}
+
+// form is the run's tuple.IntForm; an empty run's is IntCanon.
+func (f forms) form() int32 {
+	switch f {
+	case 0, someInt:
+		return int32(tuple.IntCanon)
+	case notCanon:
+		return int32(tuple.IntNone)
+	}
+	return int32(tuple.IntOther)
 }
 
 // uvarintLen is the length of binary.AppendUvarint's encoding of x.
@@ -452,10 +570,12 @@ type dictEntry[T lineText] struct {
 
 // dictCol is a column's dictionary: k distinct values of text bytes in
 // all, whose lengths take lens bytes, and the vals values the column
-// holds, which take raw bytes as a raw region; and, while the encoder
-// writes its region, where the next length and value bytes go.
+// holds, which take raw bytes as a raw region, and their facts; and,
+// while the encoder writes its region, where the next length and value
+// bytes go.
 type dictCol struct {
 	k, lens, text, vals, raw int
+	facts                    forms
 	lenAt, textAt            int
 }
 
@@ -619,6 +739,25 @@ type blockShape struct {
 	// value j of a column starts at dict[r.dict+j] and ends at the next.
 	coded bool
 	dict  []int
+	// index is the row index of a block that has one, where the payload
+	// holds it (entry).
+	index []byte
+}
+
+// entry returns slot j of the row index entry of record r, a multiple of
+// indexStride: the payload offset of r's line length for j = 0, of its
+// value of column j-1 otherwise.
+func (s *blockShape) entry(r, j int) uint64 {
+	return binary.LittleEndian.Uint64(s.index[8*((r/indexStride-1)*(1+len(s.cols))+j):])
+}
+
+// stop is where a step from record i towards to next passes a row index
+// entry: the first multiple of indexStride above i, or to.
+func (s *blockShape) stop(i, to int) int {
+	if len(s.index) == 0 {
+		return to
+	}
+	return min(to, (i/indexStride+1)*indexStride)
 }
 
 // widths returns the column count of each record of the range.
@@ -636,8 +775,9 @@ func (s *blockShape) widths() []int {
 type colRegion struct {
 	start, end int
 	vals       int
-	flagged    bool // a byte of the whole region (coded: of its values) is a backslash or a newline
-	dict, k    int  // coded: where the column's offsets begin in blockShape.dict, and how many values they bound
+	flagged    bool  // a byte of the whole region (coded: of its values) is a backslash or a newline
+	facts      forms // of every value the column holds
+	dict, k    int   // coded: where the column's offsets begin in blockShape.dict, and how many values they bound
 }
 
 // walk reads the directory of a checksummed payload of n records and
@@ -645,11 +785,14 @@ type colRegion struct {
 // bytes from the line lengths, and a column's values only where they are
 // asked for — a column need carries (nil: all), one flagged as possibly
 // holding an escape, and column 0 where a record may be the empty line. It
-// steps through those from the start of their regions up to hi and looks
-// at nothing else: what is malformed in a pruned column, or past hi, fails
-// the reads that reach it. A coded block's dictionaries are read whole,
-// and so are a read column's codes' count. Every count and length is
-// compared as a uint64 against the bytes left before it becomes an int.
+// steps through those from the last row index entry at or before lo (from
+// the start of their regions in a block with none) up to hi and looks at
+// nothing else: what is malformed in a pruned column, before that entry or
+// past hi, fails the reads that reach it, and so does an entry a step
+// passes that places its record elsewhere. A coded block's dictionaries
+// are read whole, and so are a read column's codes' count. Every count,
+// length and index entry is compared as a uint64 against the bytes left
+// before it becomes an int.
 func (s *blockShape) walk(p []byte, n64 uint64, coded bool, lo, hi int, need []bool) error {
 	*s = blockShape{counts: s.counts[:0], cols: s.cols[:0], coded: coded, dict: s.dict[:0]}
 	if n64 == 0 {
@@ -682,16 +825,25 @@ func (s *blockShape) walk(p []byte, n64 uint64, coded bool, lo, hi int, need []b
 	d, regions := int(foot), int(foot)
 	for c := range s.cols {
 		v, w := uvarint(dir[d:])
-		if w <= 0 || v>>1 > uint64(regions-off) {
+		if w <= 0 || v>>3 > uint64(regions-off) {
 			return fmt.Errorf("dfs: bad block column length")
 		}
 		d += w
-		regions -= int(v >> 1)
-		s.cols[c] = colRegion{end: int(v >> 1), flagged: v&1 != 0}
+		regions -= int(v >> 3)
+		s.cols[c] = colRegion{end: int(v >> 3), flagged: v&1 != 0, facts: forms(v>>1) & (notCanon | someInt)}
 	}
 	for c, at := 0, regions; c < len(s.cols); c++ {
 		s.cols[c].start, s.cols[c].end = at, at+s.cols[c].end
 		at = s.cols[c].end
+	}
+	lensEnd := len(dir) // the line lengths end where the row index begins
+	if !coded && minCols == maxCols && n > indexStride {
+		size := uint64(entries(n)) * (1 + maxCols) * 8
+		if size > uint64(len(dir)-d) {
+			return fmt.Errorf("dfs: block row index overruns the directory")
+		}
+		lensEnd -= int(size)
+		s.index = dir[lensEnd:]
 	}
 	// A line is made of payload bytes, or of a coded block's values: no run
 	// of them is longer than those.
@@ -702,8 +854,18 @@ func (s *blockShape) walk(p []byte, n64 uint64, coded bool, lo, hi int, need []b
 			return err
 		}
 	}
-	d, _, ok := sumLengths(dir, d, s.lo, limit)
-	_, sum, ok2 := sumLengths(dir, d, s.hi-s.lo, limit)
+	// The walk starts from the last entry at or before lo.
+	first := 0
+	if len(s.index) > 0 && s.lo >= indexStride {
+		first = s.lo / indexStride * indexStride
+		at := s.entry(first, 0)
+		if at < uint64(d) || at > uint64(lensEnd) {
+			return fmt.Errorf("dfs: block row index entry past the line lengths")
+		}
+		d = int(at)
+	}
+	d, _, ok := s.sumLengths(dir[:lensEnd], d, first, s.lo, limit)
+	_, sum, ok2 := s.sumLengths(dir[:lensEnd], d, s.lo, s.hi, limit)
 	if !ok || !ok2 {
 		return fmt.Errorf("dfs: bad block line length")
 	}
@@ -742,13 +904,22 @@ func (s *blockShape) walk(p []byte, n64 uint64, coded bool, lo, hi int, need []b
 			}
 			continue
 		}
-		off, _, ok := s.skipValues(p[:r.end], r.start, 0, s.lo, c)
+		start := r.start
+		if first > 0 {
+			at := s.entry(first, 1+c)
+			if at < uint64(r.start) || at > uint64(r.end) {
+				return fmt.Errorf("dfs: block row index entry past column %d's region", c)
+			}
+			start = int(at)
+		}
+		off, _, ok := s.skipValues(p[:r.end], start, first, s.lo, c)
 		end, vals, ok2 := s.skipValues(p[:r.end], off, s.lo, s.hi, c)
 		if !ok || !ok2 {
 			return fmt.Errorf("dfs: block column %d overruns its region", c)
 		}
-		*r = colRegion{start: off, end: end, vals: vals, flagged: r.flagged}
+		r.start, r.end, r.vals = off, end, vals
 	}
+	s.index = nil // the payload's: a shape kept across blocks holds arrays, not data
 	return nil
 }
 
@@ -835,47 +1006,65 @@ func (s *blockShape) stepCodes(p []byte, c, n int) bool {
 	return true
 }
 
-// sumLengths steps from off over k uvarints of b, whose sum may not pass
-// limit, and returns the offset after them and the sum.
-func sumLengths(b []byte, off, k, limit int) (next, sum int, ok bool) {
-	for ; k > 0 && off < len(b); k-- {
-		l, w := uint64(b[off]), 1 // see skipValues
-		if l >= 0x80 {
-			l, w = binary.Uvarint(b[off:])
+// sumLengths steps from off over the line lengths of records [from, to)
+// in b, whose sum may not pass limit, and returns the offset after them
+// and the sum. A row index entry it steps past must place its record's
+// line length where the step stands.
+func (s *blockShape) sumLengths(b []byte, off, from, to, limit int) (next, sum int, ok bool) {
+	for i := from; i < to; {
+		stop := s.stop(i, to)
+		for ; i < stop; i++ {
+			if off >= len(b) {
+				return 0, 0, false
+			}
+			l, w := uint64(b[off]), 1 // see skipValues
+			if l >= 0x80 {
+				l, w = binary.Uvarint(b[off:])
+			}
+			if w <= 0 || l > uint64(limit-sum) {
+				return 0, 0, false
+			}
+			off, sum = off+w, sum+int(l)
 		}
-		if w <= 0 || l > uint64(limit-sum) {
+		if i < to && s.entry(i, 0) != uint64(off) {
 			return 0, 0, false
 		}
-		off, sum = off+w, sum+int(l)
 	}
-	return off, sum, k == 0
+	return off, sum, true
 }
 
 // skipValues steps from off over the values that records [from, to) hold
 // in column c, whose region p ends with, checking each length against the
 // bytes left there. It returns the offset after the last and how many
-// values there were.
+// values there were. A row index entry it steps past must place its
+// record's value where the step stands.
 func (s *blockShape) skipValues(p []byte, off, from, to, c int) (next, vals int, ok bool) {
 	ragged := c >= s.minCols // below minCols every record holds the column
-	for i := from; i < to; i++ {
-		if ragged && s.counts[i] <= c {
-			continue
+	for i := from; i < to; {
+		stop := s.stop(i, to)
+		for ; i < stop; i++ {
+			if ragged && s.counts[i] <= c {
+				continue
+			}
+			if off >= len(p) {
+				return 0, 0, false
+			}
+			// Nearly every length is one byte: binary.Uvarint's case for it,
+			// taken here, because a call per value is a tenth of the walk.
+			l, w := uint64(p[off]), 1
+			if l >= 0x80 {
+				l, w = binary.Uvarint(p[off:])
+			}
+			off += w
+			if w <= 0 || l > uint64(len(p)-off) {
+				return 0, 0, false
+			}
+			off += int(l)
+			vals++
 		}
-		if off >= len(p) {
+		if i < to && s.entry(i, 1+c) != uint64(off) {
 			return 0, 0, false
 		}
-		// Nearly every length is one byte: binary.Uvarint's case for it,
-		// taken here, because a call per value is a tenth of the walk.
-		l, w := uint64(p[off]), 1
-		if l >= 0x80 {
-			l, w = binary.Uvarint(p[off:])
-		}
-		off += w
-		if w <= 0 || l > uint64(len(p)-off) {
-			return 0, 0, false
-		}
-		off += int(l)
-		vals++
 	}
 	return off, vals, true
 }

@@ -94,7 +94,8 @@ type payloadParts struct {
 	maxCols, minCols uint64
 	counts           []uint64 // written if non-nil, whatever the two above say
 	regions          [][]byte
-	dir              []uint64 // per column: twice the region's length, plus the flag
+	facts            []uint64 // per column: the facts' two bits, which the default dir holds
+	dir              []uint64 // per column: eight times the region's length, twice the facts, plus the flag
 	lens             []uint64 // per record: line length
 	foot             func(honest uint64) uint64
 }
@@ -122,8 +123,11 @@ func (pp payloadParts) bytes() []byte {
 	}
 	dir := pp.dir
 	if dir == nil {
-		for _, r := range pp.regions {
-			d := uint64(len(r)) << 1
+		for c, r := range pp.regions {
+			d := uint64(len(r)) << 3
+			if c < len(pp.facts) {
+				d |= pp.facts[c] << 1
+			}
 			if holdsEscapeByte(r) {
 				d |= 1
 			}
@@ -166,6 +170,7 @@ func twoByFourCoded() payloadParts {
 	return payloadParts{
 		maxCols: 2, minCols: 2,
 		regions: [][]byte{dictRegion([]string{"aaaa", "cccc"}, 0, 1, 0, 0), dictRegion([]string{"bb", "dd"}, 0, 1, 0, 0)},
+		facts:   []uint64{1, 1}, // no value is an integer
 		lens:    []uint64{7, 7, 7, 7},
 	}
 }
@@ -197,6 +202,7 @@ func twoByThree() payloadParts {
 	return payloadParts{
 		maxCols: 2, minCols: 2,
 		regions: [][]byte{values("a", "c", "e"), values("bb", "dd", "ff")},
+		facts:   []uint64{1, 1}, // no value is an integer
 		lens:    []uint64{4, 4, 4},
 	}
 }
@@ -214,7 +220,7 @@ func hostilePayloads() (mustFail, other [][]byte) {
 	mustFail = [][]byte{
 		with(func(pp *payloadParts) { pp.foot = func(h uint64) uint64 { return h + 100 } }), // directory offset past the end
 		with(func(pp *payloadParts) { pp.foot = func(uint64) uint64 { return 0 } }),         // and before the header
-		with(func(pp *payloadParts) { pp.dir = []uint64{6 << 1, 1 << 20} }),                 // directory lengths overrun the regions
+		with(func(pp *payloadParts) { pp.dir = []uint64{6 << 3, 1 << 22} }),                 // directory lengths overrun the regions
 		with(func(pp *payloadParts) { pp.lens[1] = 1 << 63 }),                               // a line longer than the payload
 		with(func(pp *payloadParts) { pp.lens = pp.lens[:2] }),                              // a line length short
 		with(func(pp *payloadParts) { pp.minCols = 3 }),                                     // minCols > maxCols
@@ -227,12 +233,13 @@ func hostilePayloads() (mustFail, other [][]byte) {
 	}
 	other = [][]byte{
 		with(func(pp *payloadParts) { pp.lens[2] = 5 }),                                            // a line length that is not its values'
-		with(func(pp *payloadParts) { pp.regions[0][1], pp.dir = '\\', []uint64{6 << 1, 9 << 1} }), // an escape under a clear flag
+		with(func(pp *payloadParts) { pp.regions[0][1], pp.dir = '\\', []uint64{6 << 3, 9 << 3} }), // an escape under a clear flag
 		with(func(pp *payloadParts) { pp.counts = []uint64{2, 2, 2} }),                             // counts in a uniform block
-		with(func(pp *payloadParts) { pp.dir = []uint64{4 << 1, 9 << 1} }),                         // directory lengths under-cover the regions
-		with(func(pp *payloadParts) { pp.dir = []uint64{6<<1 | 1, 9<<1 | 1} }),                     // flags set over plain values
+		with(func(pp *payloadParts) { pp.dir = []uint64{4 << 3, 9 << 3} }),                         // directory lengths under-cover the regions
+		with(func(pp *payloadParts) { pp.dir = []uint64{6<<3 | 1, 9<<3 | 1} }),                     // flags set over plain values
 		with(func(pp *payloadParts) { pp.lens = append(pp.lens, 4) }),                              // a line length too many
 		with(func(pp *payloadParts) { pp.foot = func(h uint64) uint64 { return h - 1 } }),          // the directory begins in a region
+		with(func(pp *payloadParts) { pp.facts = []uint64{0, 0} }),                                 // facts that claim IntCanon over letters
 		twoByThree().sealed(2), // fewer records than the payload has
 	}
 	return mustFail, other
@@ -329,6 +336,131 @@ func TestPrunedReadTouchesCarriedRegionsOnly(t *testing.T) {
 	if got, err := decodeBlockRange(nil, data, 0, 1); err != nil || !slices.Equal(got, []string{"a\tbb"}) {
 		t.Errorf("lines [0,1) = %q, %v", got, err)
 	}
+}
+
+// indexedLines are 2,500 two-column records, which a raw block seals with
+// a row index of two entries (records 1,024 and 2,048). Record 1,500's
+// first value is "MARK", which no other record holds.
+func indexedLines() []string {
+	lines := make([]string, 2500)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("%05d\tv%d", i*7, i%13)
+	}
+	lines[1500] = "MARK\tv5"
+	return lines
+}
+
+// indexedPayload is the payload of the raw block of indexedLines, for a
+// test to change and seal again (sealPayload), and where slot j of the
+// row index's entry for record r begins in it: 0 for the line length,
+// 1+c for column c's value.
+func indexedPayload() (payload []byte, slot func(r, j int) int) {
+	data := EncodeBlock(indexedLines(), false)
+	_, h, _ := header(data)
+	payload = slices.Clone(data[h+4:])
+	index := len(payload) - 8 - 2*3*8
+	return payload, func(r, j int) int { return index + 8*((r/1024-1)*3+j) }
+}
+
+// TestIndexedReadStartsAtItsEntry: a read of a raw block that starts at or
+// past a row index entry steps from that entry and never looks before it.
+// With the length of a value before entry 2,048 made to overrun its
+// region, under a good checksum, every read that reaches that value fails
+// — from record 0, and from entry 1,024 — and every read from entry 2,048
+// on returns the records it asks for, as lines and as batches.
+func TestIndexedReadStartsAtItsEntry(t *testing.T) {
+	lines := indexedLines()
+	payload, _ := indexedPayload()
+	if data := EncodeBlock(lines, false); !bytes.Equal(data, sealPayload(0, 2500, payload)) {
+		t.Fatal("the payload does not seal back into the block")
+	}
+	at := bytes.Index(payload, []byte("\x04MARK"))
+	if at < 0 || bytes.Count(payload, []byte("MARK")) != 1 {
+		t.Fatalf("record 1500's value is not in the payload once")
+	}
+	payload[at] = 0xff // a length of 0x7f + 'M'<<7: past the bytes left in column 0's region
+	bad := sealPayload(0, 2500, payload)
+	if _, err := DecodeBlock(bad); err == nil {
+		t.Fatal("the whole decode steps over the malformed value and did not fail")
+	}
+	var b Batch
+	for _, r := range [][2]int{{0, 2500}, {0, 1501}, {1024, 1600}, {1400, 2048}} {
+		if err := b.decode(bad, r[0], r[1], nil); err == nil {
+			t.Errorf("batch %v: the read reaches the malformed value and did not fail", r)
+		}
+	}
+	for _, r := range [][2]int{{0, 1500}, {1024, 1500}, {2048, 2500}, {2100, 2400}, {2500, 2500}, {3000, 4000}} {
+		lo, hi := min(r[0], len(lines)), min(r[1], len(lines))
+		if got, err := decodeBlockRange(nil, bad, lo, hi); err != nil || !slices.Equal(got, lines[lo:hi]) {
+			t.Errorf("lines %v: %v", r, err)
+		}
+		for _, need := range [][]bool{nil, {true}, {false, true}} {
+			if err := b.decode(bad, lo, hi, need); err != nil {
+				t.Fatalf("batch %v need %v: %v", r, need, err)
+			}
+			readsAs(t, fmt.Sprintf("batch %v need %v", r, need), &b, lines[lo:hi], need)
+		}
+	}
+
+	// Over a bad entry, a whole read fails, and so does any read that steps
+	// past it.
+	mustFail, other := hostileIndexPayloads()
+	for i, data := range mustFail {
+		if _, err := DecodeBlock(data); err == nil {
+			t.Errorf("hostile index %d: the whole decode did not fail", i)
+		}
+		for _, r := range [][2]int{{0, 2500}, {1000, 2100}} {
+			if err := b.decode(data, r[0], r[1], nil); err == nil {
+				t.Errorf("hostile index %d: batch %v stepped past a bad entry and did not fail", i, r)
+			}
+		}
+	}
+	for i, data := range other {
+		if got, err := DecodeBlock(data); err != nil || !slices.Equal(got, lines) {
+			t.Errorf("hostile facts %d: %v", i, err)
+		}
+	}
+}
+
+// hostileIndexPayloads are checksummed raw blocks of indexedLines whose
+// row index or column facts no encoder writes. Every one of the first
+// (mustFail) holds an entry that a whole read steps past and that does not
+// place its record where the step stands, and the read from that entry on
+// fails or reads another record. Facts are believed as the directory
+// states them, like its flags (other).
+func hostileIndexPayloads() (mustFail, other [][]byte) {
+	with := func(change func(p []byte, slot func(r, j int) int)) []byte {
+		payload, slot := indexedPayload()
+		change(payload, slot)
+		return sealPayload(0, 2500, payload)
+	}
+	put := func(r, j int, v func(old uint64, p []byte) uint64) []byte {
+		return with(func(p []byte, slot func(r, j int) int) {
+			at := slot(r, j)
+			binary.LittleEndian.PutUint64(p[at:], v(binary.LittleEndian.Uint64(p[at:]), p))
+		})
+	}
+	mustFail = [][]byte{
+		put(2048, 1, func(uint64, []byte) uint64 { return 1 << 40 }),            // an entry past its region
+		put(2048, 2, func(uint64, []byte) uint64 { return 3 }),                  // and one before it
+		put(1024, 0, func(_ uint64, p []byte) uint64 { return uint64(len(p)) }), // a line length past the line lengths
+		put(1024, 1, func(old uint64, _ []byte) uint64 { return old + 6 }),      // a record late
+		with(func(p []byte, slot func(r, j int) int) { // entries out of order
+			first, second := slot(1024, 0), slot(2048, 0)
+			tmp := slices.Clone(p[first:second])
+			copy(p[first:], p[second:second+len(tmp)])
+			copy(p[second:], tmp)
+		}),
+	}
+	other = [][]byte{
+		with(func(p []byte, _ func(r, j int) int) { // column 1's facts claim IntCanon over "v0" to "v12"
+			foot := binary.LittleEndian.Uint64(p[len(p)-8:])
+			_, w := binary.Uvarint(p[foot:])
+			d, _ := binary.Uvarint(p[int(foot)+w:])
+			binary.PutUvarint(p[int(foot)+w:], d&^6)
+		}),
+	}
+	return mustFail, other
 }
 
 // TestAnyFlippedByteFailsEveryRead: the checksum covers the header and the

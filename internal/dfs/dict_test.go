@@ -104,6 +104,7 @@ func TestDictionaryCodecChoice(t *testing.T) {
 	one := payloadParts{
 		maxCols: 3, minCols: 3,
 		regions: [][]byte{dictRegion([]string{"a"}, 0), dictRegion([]string{"bb"}, 0), dictRegion([]string{"ccc"}, 0)},
+		facts:   []uint64{1, 1, 1},
 		lens:    []uint64{8},
 	}
 	readsBack(t, "one coded record", one.coded(1), []string{"a\tbb\tccc"})

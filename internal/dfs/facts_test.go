@@ -31,7 +31,10 @@ var (
 // value, and of any kind, every fact a batch reports holds for every
 // value of the column in its range. Under each declared type, coercing
 // and encoding a value by the fact gives what FieldType.Coerce and
-// AppendCoerced give on the per-value path.
+// AppendCoerced give on the per-value path. And the facts are exact, not
+// just sound: a batch held as spans reports for each column it carries
+// what blockForm folds over every value the block holds there, so a seal
+// that gave up on a column's facts would fail here.
 func FuzzBatchFacts(f *testing.F) {
 	for i := 0; i < 12; i++ {
 		f.Add(int64(i+1), uint16(20+37*i), uint8(i%3<<4|i&15), uint16(i%2*3*i), uint16(400), factValues[i%3][i%6])
@@ -103,8 +106,12 @@ func FuzzBatchFacts(f *testing.F) {
 			who := fmt.Sprintf("flags %#x, [%d,%d) of %d rows, need %v", data[1], a, b, len(lines), need)
 			held := batch.lines != nil
 			for c := range width + 1 {
-				if form := batch.Form(c); (held || !carries(need, c)) && form != tuple.IntOther {
+				form := batch.Form(c)
+				if (held || !carries(need, c)) && form != tuple.IntOther {
 					t.Fatalf("%s: column %d, held=%v: form %v, want IntOther", who, c, held, form)
+				}
+				if want := blockForm(lines, c); !held && carries(need, c) && c < batch.Columns() && form != want {
+					t.Fatalf("%s: column %d: form %v, the block's values fold to %v", who, c, form, want)
 				}
 			}
 			for row := 0; batch.Next(); row++ {
@@ -124,6 +131,30 @@ func FuzzBatchFacts(f *testing.F) {
 			}
 		}
 	})
+}
+
+// blockForm is what a block of lines holds in column c, by
+// tuple.IntFormOf of every value there but the empty line's: IntCanon if
+// each is a canonical integer (or there is none), IntNone if none looks
+// like an integer, and IntOther otherwise.
+func blockForm(lines []string, c int) tuple.IntForm {
+	canon, none := true, true
+	for _, l := range lines {
+		vals := strings.Split(l, "\t")
+		if l == "" || c >= len(vals) {
+			continue
+		}
+		form := tuple.IntFormOf(vals[c])
+		canon = canon && form == tuple.IntCanon
+		none = none && form == tuple.IntNone
+	}
+	switch {
+	case canon:
+		return tuple.IntCanon
+	case none:
+		return tuple.IntNone
+	}
+	return tuple.IntOther
 }
 
 // holdsByFact fails t unless v, of a column whose values all have form,

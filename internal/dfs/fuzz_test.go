@@ -38,6 +38,11 @@ func FuzzBlockRoundTrip(f *testing.F) {
 	f.Add(strings.Repeat("a\tb\n\nc\nd\te\tf\\g\n", 12), true)
 	f.Add(strings.Join(cycling(512, 256), "\n"), true)
 	f.Add(strings.Join(cycling(514, 257), "\n"), true)
+	// Uniform blocks of more than 1,024 records, which carry a row index:
+	// raw, deflated, and one the dictionary codes (which has none).
+	f.Add(strings.Join(indexedLines(), "\n"), false)
+	f.Add(strings.Join(indexedLines(), "\n"), true)
+	f.Add(strings.Join(cycling(3100, 200), "\n"), true)
 	f.Fuzz(func(t *testing.T, raw string, compress bool) {
 		// Interpret the fuzz input as a small file: newline-separated
 		// record lines, each holding arbitrary (possibly tab/backslash
@@ -210,6 +215,19 @@ func FuzzDecodeBlockNoPanic(f *testing.F) {
 	for _, data := range append(mustFail, other...) {
 		f.Add(data, 0, 3)
 		f.Add(data, 1, 2)
+	}
+	// Version 3's parts under a good checksum: row index entries past their
+	// regions, out of order or a record late, and column facts that claim
+	// canonical integers over letters, raw and coded; the index read from
+	// 0, from an entry and from between two.
+	lying := twoByFourCoded()
+	lying.facts = []uint64{0, 0}
+	f.Add(lying.coded(4), 0, 4)
+	mustFail, other = hostileIndexPayloads()
+	for _, data := range append(mustFail, other...) {
+		f.Add(data, 0, 2500)
+		f.Add(data, 1024, 1100)
+		f.Add(data, 2100, 2500)
 	}
 	masks := [][]bool{nil, {}}
 	for m := 1; m < 8; m++ {

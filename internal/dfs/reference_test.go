@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"strings"
+
+	"clusterbft/internal/tuple"
 )
 
 // referenceEncodeBlock is the block encoder as it was before blocks were
@@ -12,7 +14,10 @@ import (
 // and a dictionary-coded payload built apart again, with a map a column.
 // It is kept as the oracle the encoder's bytes are held to
 // (FuzzBlockRoundTrip), in the spirit of the line oracle the column path
-// is held to.
+// is held to. Version 3's parts are built here their own way: a column's
+// facts from two booleans over every value of a non-empty line, and the
+// row index from the offsets noted as each region grows and from the line
+// lengths of the records before each entry's.
 func referenceEncodeBlock(lines []string, compress bool) (data []byte, rawLen int) {
 	logical, spans := 0, len(lines)
 	for _, l := range lines {
@@ -57,27 +62,35 @@ func referenceEncodeBlock(lines []string, compress bool) (data []byte, rawLen in
 	}
 	head := len(payload)
 	var dir []byte
+	// marks[r] is, for every 1024th record r, where its values begin.
+	marks := map[int][]int{}
 	for c := 0; c < maxCols; c++ {
 		at := len(payload)
 		for i, l := range lines {
 			if pre[i+1]-pre[i] <= c {
 				continue
 			}
+			if i > 0 && i%1024 == 0 {
+				marks[i] = append(marks[i], len(payload))
+			}
 			s, e := starts[pre[i]+c], ends[pre[i]+c]
 			payload = binary.AppendUvarint(payload, uint64(e-s))
 			payload = append(payload, l[s:e]...)
 		}
 		region := payload[at:]
-		d := uint64(len(region)) << 1
-		if holdsEscapeByte(region) {
-			d |= 1
-		}
-		dir = binary.AppendUvarint(dir, d)
+		dir = binary.AppendUvarint(dir, referenceDirEntry(len(region), referenceFacts(lines, pre, starts, ends, c), holdsEscapeByte(region)))
 	}
 	foot := len(payload)
 	payload = append(payload, dir...)
-	for _, l := range lines {
-		payload = binary.AppendUvarint(payload, uint64(len(l)))
+	lens := len(payload)
+	payload = append(payload, lineLengths(lines)...)
+	if minCols == maxCols {
+		for r := 1024; r < len(lines); r += 1024 {
+			payload = binary.LittleEndian.AppendUint64(payload, uint64(lens+len(lineLengths(lines[:r]))))
+			for _, v := range marks[r] {
+				payload = binary.LittleEndian.AppendUint64(payload, uint64(v))
+			}
+		}
 	}
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(foot))
 	rawLen = len(payload)
@@ -135,17 +148,58 @@ func referenceDictPayload(lines []string, pre, starts, ends []int, head []byte, 
 		}
 		text := strings.Join(dict, "")
 		region = append(append(region, text...), codes...)
-		d := uint64(len(region)) << 1
-		if strings.ContainsAny(text, "\\\n") {
-			d |= 1
-		}
 		payload = append(payload, region...)
-		dir = binary.AppendUvarint(dir, d)
+		dir = binary.AppendUvarint(dir, referenceDirEntry(len(region), referenceFacts(lines, pre, starts, ends, c), strings.ContainsAny(text, "\\\n")))
 	}
 	foot := len(payload)
 	payload = append(payload, dir...)
-	for _, l := range lines {
-		payload = binary.AppendUvarint(payload, uint64(len(l)))
-	}
+	payload = append(payload, lineLengths(lines)...)
 	return binary.LittleEndian.AppendUint64(payload, uint64(foot)), true
+}
+
+// lineLengths is the directory's line lengths of lines.
+func lineLengths(lines []string) []byte {
+	var b []byte
+	for _, l := range lines {
+		b = binary.AppendUvarint(b, uint64(len(l)))
+	}
+	return b
+}
+
+// referenceFacts is the two bits of column c's facts: 1 unless every value
+// a non-empty line holds there is a canonical integer, 2 unless none looks
+// like an integer.
+func referenceFacts(lines []string, pre, starts, ends []int, c int) uint64 {
+	allCanon, noneInt := true, true
+	for i, l := range lines {
+		if l == "" || pre[i+1]-pre[i] <= c {
+			continue
+		}
+		switch tuple.IntFormOf(l[starts[pre[i]+c]:ends[pre[i]+c]]) {
+		case tuple.IntCanon:
+			noneInt = false
+		case tuple.IntOther:
+			allCanon, noneInt = false, false
+		case tuple.IntNone:
+			allCanon = false
+		}
+	}
+	var f uint64
+	if !allCanon {
+		f |= 1
+	}
+	if !noneInt {
+		f |= 2
+	}
+	return f
+}
+
+// referenceDirEntry is a column's directory entry: its region's length,
+// its facts and its escape flag.
+func referenceDirEntry(region int, facts uint64, escape bool) uint64 {
+	d := uint64(region)*8 + facts*2
+	if escape {
+		d++
+	}
+	return d
 }

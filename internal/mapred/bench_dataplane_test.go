@@ -154,6 +154,22 @@ func BenchmarkDataplaneBlockEncode(b *testing.B) {
 	b.ReportMetric(benchBatch, "records/op")
 }
 
+// BenchmarkDataplaneBlockEncodeIntPairs seals 20,000 lines of two integer
+// columns, the shape of a two-hop join's output, into one raw block: what
+// sealing pays to classify every value for the directory's column facts.
+func BenchmarkDataplaneBlockEncodeIntPairs(b *testing.B) {
+	lines := make([]string, 20000)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("%d\t%d", (i*7919+13)%50000, i%4000)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = dfs.EncodeBlock(lines, false)
+	}
+	b.ReportMetric(float64(len(lines)), "records/op")
+}
+
 func BenchmarkDataplaneBlockDecode(b *testing.B) {
 	data := dfs.EncodeBlock(benchBlockLines(), false)
 	b.ReportAllocs()
@@ -169,25 +185,34 @@ func BenchmarkDataplaneBlockDecode(b *testing.B) {
 // BenchmarkDataplaneBatchRead is a map task's read alone: ReadColumns of
 // one sealed block of benchBatch five-column records, two columns carried,
 // and a step through every record reading both, from a raw block and from
-// a dictionary-coded one.
+// a dictionary-coded one. The mid-block legs read the last quarter of a
+// block of 8,192 such records, which starts past six row index entries in
+// the raw block; the coded block has no index, and its read sums the line
+// lengths before the range.
 func BenchmarkDataplaneBatchRead(b *testing.B) {
-	lines := make([]string, benchBatch)
+	lines := make([]string, 8<<10)
 	for i := range lines {
 		lines[i] = fmt.Sprintf("station-%03d\t%d\tclear-%d\t%d\tzone-%d", i%50, 20+i%7, i%3, i%97, i%5)
 	}
 	need := []bool{true, false, false, true}
 	for _, c := range []struct {
-		name string
-		src  *dfs.Reader
-	}{{"raw", sealedBlock(b, lines)}, {"coded", codedBlock(b, lines)}} {
+		name   string
+		src    *dfs.Reader
+		lo, hi int
+	}{
+		{"raw", sealedBlock(b, lines[:benchBatch]), 0, benchBatch},
+		{"coded", codedBlock(b, lines[:benchBatch]), 0, benchBatch},
+		{"raw-mid-block", sealedBlock(b, lines), 6 << 10, 8 << 10},
+		{"coded-mid-block", codedBlock(b, lines), 6 << 10, 8 << 10},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			var batch dfs.Batch
 			n := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for at := 0; at < benchBatch; {
-					at = c.src.ReadColumns(&batch, at, benchBatch, need)
+				for at := c.lo; at < c.hi; {
+					at = c.src.ReadColumns(&batch, at, c.hi, need)
 					for batch.Next() {
 						n += len(batch.Value(0)) + len(batch.Value(3))
 					}
@@ -196,7 +221,7 @@ func BenchmarkDataplaneBatchRead(b *testing.B) {
 			if n == 0 {
 				b.Fatal("read no values")
 			}
-			b.ReportMetric(benchBatch, "records/op")
+			b.ReportMetric(float64(c.hi-c.lo), "records/op")
 		})
 	}
 }
