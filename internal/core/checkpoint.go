@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"clusterbft/internal/analyze"
-	"clusterbft/internal/mapred"
 )
 
 // Checkpoint-granular recovery (DESIGN.md §12). A full-r sub-graph's
@@ -33,14 +32,14 @@ type CheckpointStats struct {
 // CheckpointStats returns the controller's checkpoint counters.
 func (c *Controller) CheckpointStats() CheckpointStats { return c.ckptStats }
 
-// ckptEligible reports whether template job j, with shape t, runs with
-// checkpoint capture under policy p: checkpointing on, full replication
+// ckptEligible reports whether template job t runs with checkpoint
+// capture under policy p: checkpointing on, full replication
 // (quiz/deferred run r=1 and can never reach f+1 agreement), an
 // in-cluster dependent to serve, and not a STORE materialization —
 // Result.Outputs points consumers at the winner replica's prefix, so
 // Final outputs must exist there on every attempt.
-func (c *Controller) ckptEligible(p Policy, t tmpl, j *mapred.JobSpec) bool {
-	return c.Cfg.Checkpoint && p == PolicyFull && t.interior && !j.Final
+func (c *Controller) ckptEligible(p Policy, t tmpl) bool {
+	return c.Cfg.Checkpoint && p == PolicyFull && t.interior && !t.spec.Final
 }
 
 // checkpoint acts on the verifier's finding that replica rep is among
@@ -49,8 +48,7 @@ func (c *Controller) ckptEligible(p Policy, t tmpl, j *mapred.JobSpec) bool {
 // and report the landing. The verifier decides it once per job until a
 // cascade drops the job's checkpoint.
 func (c *Controller) checkpoint(cs *clusterState, tmplID string, rep int) {
-	li := slices.IndexFunc(cs.jobs, func(t *mapred.JobSpec) bool { return t.ID == tmplID })
-	out := c.Eng.Produced(c.Eng.Job(cs.jobIDs[rep][li]))
+	out := c.Eng.Produced(c.Eng.Job(replicaPath(cs.plan.sid, rep, tmplID)))
 	lines := slices.AppendSeq(make([]string, 0, out.NumRecords()), out.Lines)
 	path := c.ckptPath(cs, tmplID)
 	_ = c.Eng.FS.Delete(path)

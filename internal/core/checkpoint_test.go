@@ -126,13 +126,10 @@ func TestCheckpointSourceSignature(t *testing.T) {
 // when checkpointing is configured on.
 func TestCheckpointEligibility(t *testing.T) {
 	c := &Controller{Cfg: Config{Checkpoint: true}}
-	final, interior, boundary := tmpl{id: "j00", interior: true}, tmpl{id: "j01", interior: true}, tmpl{id: "j02"}
-	jobs := map[string]*mapred.JobSpec{
-		"j00": {ID: "j00", Final: true},
-		"j01": {ID: "j01"},
-		"j02": {ID: "j02"},
-	}
-	eligible := func(p Policy, t tmpl) bool { return c.ckptEligible(p, t, jobs[t.id]) }
+	final := tmpl{id: "j00", spec: &mapred.JobSpec{ID: "j00", Final: true}, interior: true}
+	interior := tmpl{id: "j01", spec: &mapred.JobSpec{ID: "j01"}, interior: true}
+	boundary := tmpl{id: "j02", spec: &mapred.JobSpec{ID: "j02"}}
+	eligible := c.ckptEligible
 	if !eligible(PolicyFull, interior) {
 		t.Error("interior non-final job should be eligible")
 	}
@@ -185,15 +182,15 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	// submitted counts the jobs each replica of the current attempt runs.
 	submitted := func(cs *clusterState) int {
 		n := 0
-		for _, id := range cs.jobIDs[0] {
-			if id != "" {
+		for _, tm := range cs.tmpls {
+			if c.Eng.Job(replicaPath(cs.plan.sid, 0, tm.id)) != nil {
 				n++
 			}
 		}
 		return n
 	}
-	if cs.r != 3 || submitted(cs) != len(cs.jobs) {
-		t.Fatalf("first attempt: r=%d submitted=%d/%d", cs.r, submitted(cs), len(cs.jobs))
+	if cs.r != 3 || submitted(cs) != len(cs.tmpls) {
+		t.Fatalf("first attempt: r=%d submitted=%d/%d", cs.r, submitted(cs), len(cs.tmpls))
 	}
 	// timeout fires the current attempt's verifier timer.
 	timeout := func(c *Controller, cs *clusterState) { c.dispatch(event{kind: evTimeout, sid: cs.sid}) }
@@ -218,7 +215,7 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	if cs.r != 4 || cs.suffixBoost != 0 {
 		t.Fatalf("full-graph escalation: r=%d boost=%d, want r=4 boost=0", cs.r, cs.suffixBoost)
 	}
-	if submitted(cs) >= len(cs.jobs) {
+	if submitted(cs) >= len(cs.tmpls) {
 		t.Fatal("retry did not consume the planted checkpoint")
 	}
 	// Two suffix-only attempts time out: escalations scoped to the suffix.
@@ -234,7 +231,7 @@ func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
 	c.dropCkpts(cs)
 	cs.ckpts = nil
 	timeout(c, cs)
-	if submitted(cs) != len(cs.jobs) {
+	if submitted(cs) != len(cs.tmpls) {
 		t.Fatal("expected a full re-execution after dropping checkpoints")
 	}
 	if cs.r != 4 || cs.suffixBoost != 0 {

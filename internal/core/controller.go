@@ -151,18 +151,16 @@ func replicaPath(sid string, rep int, rel string) string {
 }
 
 // clusterState is what the controller keeps of one sub-graph, over the
-// verifier's verdict state of it: read here, written only by apply.
+// verifier's verdict state of it, template jobs included: read here,
+// written only by apply.
 type clusterState struct {
 	*verdict
-	jobs     []*mapred.JobSpec // templates, topological, as verdict.tmpls
 	terminal bool
 
 	// plan is the attempt the controller launched last, which every
-	// decision on the sub-graph until the next dLaunch is about; jobIDs
-	// holds, per replica of it, the job submitted per template job ("" for
-	// none).
+	// decision on the sub-graph until the next dLaunch is about. Replica
+	// rep of it runs template t as job replicaPath(plan.sid, rep, t.id).
 	plan        launchPlan
-	jobIDs      [][]string
 	launchedAtV int64
 	verifiedAt  int64
 }
@@ -307,9 +305,9 @@ func (c *Controller) Run(script string) (*Result, error) {
 			continue
 		}
 		res.LatencyUs = max(res.LatencyUs, cs.verifiedAt-start)
-		for _, j := range cs.jobs {
-			if j.Final {
-				res.Outputs[j.Output] = replicaPath(cs.plan.sid, cs.winner, j.Output)
+		for _, t := range cs.tmpls {
+			if t.spec.Final {
+				res.Outputs[t.spec.Output] = replicaPath(cs.plan.sid, cs.winner, t.spec.Output)
 			}
 		}
 	}
@@ -409,12 +407,10 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 			subs = append(subs, verdict{id: idx})
 		}
 		c.clusterOf[j.ID] = idx
-		cs := c.clusters[idx]
-		at[j.ID] = len(cs.jobs)
-		cs.jobs = append(cs.jobs, j)
-		subs[idx].tmpls = append(subs[idx].tmpls, tmpl{id: j.ID})
+		at[j.ID] = len(subs[idx].tmpls)
+		subs[idx].tmpls = append(subs[idx].tmpls, tmpl{id: j.ID, spec: j})
 		if j.Final {
-			cs.terminal = true
+			c.clusters[idx].terminal = true
 		}
 	}
 	for _, j := range jobs {
@@ -454,9 +450,9 @@ func (c *Controller) launch(cs *clusterState, p launchPlan) {
 	// Checkpoint-granular recovery: the consumers of a skipped template
 	// job read the f+1-agreed output an earlier attempt persisted, which
 	// none of the attempt's r replicas recomputes.
-	for _, tmpl := range cs.jobs {
-		if p.skip[tmpl.ID] {
-			size, _ := c.Eng.FS.Size(c.ckptPath(cs, tmpl.ID)) // saved before the verifier could plan the skip
+	for _, t := range cs.tmpls {
+		if p.skip[t.id] {
+			size, _ := c.Eng.FS.Size(c.ckptPath(cs, t.id)) // saved before the verifier could plan the skip
 			reclaimed := size * int64(p.r)
 			c.ckptStats.Hits++
 			c.ckptStats.BytesReclaimed += reclaimed
@@ -465,21 +461,18 @@ func (c *Controller) launch(cs *clusterState, p launchPlan) {
 		}
 	}
 	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditLaunch, Replica: -1, Detail: superseded}, 0)
-	cs.jobIDs = make([][]string, p.r)
 	for rep := range p.r {
 		prefix := replicaPath(p.sid, rep, "")
-		cs.jobIDs[rep] = make([]string, len(cs.jobs))
 		// Attempt-scoped sids already give every launch a fresh namespace;
 		// the purge makes the no-append guarantee unconditional — a
 		// relaunch must never Append onto a dead attempt's partial records
 		// even if a prefix were ever reused.
 		c.Eng.FS.DeleteTree(prefix)
-		for i, tmpl := range cs.jobs { // topological template order
-			if p.skip != nil && !p.run[tmpl.ID] {
+		for i, t := range cs.tmpls { // topological template order
+			if p.skip != nil && !p.run[t.id] {
 				continue
 			}
 			spec := c.rewriteJob(cs, prefix, rep, i)
-			cs.jobIDs[rep][i] = spec.ID
 			if _, err := c.Eng.Submit(spec); err != nil {
 				c.fail(fmt.Errorf("core: submit %s: %w", spec.ID, err))
 				return
@@ -497,22 +490,22 @@ func (c *Controller) launch(cs *clusterState, p launchPlan) {
 // replica's namespace, prefix; inputs produced by upstream sub-graphs
 // point at the plan's source replica.
 func (c *Controller) rewriteJob(cs *clusterState, prefix string, rep, i int) *mapred.JobSpec {
-	tmpl, p := cs.jobs[i], &cs.plan
-	spec := tmpl.Clone()
-	spec.ID = prefix + "/" + tmpl.ID
+	t, p := &cs.tmpls[i], &cs.plan
+	spec := t.spec.Clone()
+	spec.ID = prefix + "/" + t.id
 	spec.SID = p.sid
 	spec.Replica = rep
-	spec.Output = prefix + "/" + tmpl.Output
+	spec.Output = prefix + "/" + t.spec.Output
 	// Quiz/deferred attempts carry audit digests: per-task pre-combine
 	// sums quizzes are checked against, plus storage-boundary in/out sums
 	// that pin what actually crossed the untrusted DFS.
 	spec.Audit = p.policy != PolicyFull
-	spec.Ckpt = c.ckptEligible(p.policy, cs.tmpls[i], tmpl)
+	spec.Ckpt = c.ckptEligible(p.policy, *t)
 	// Cross-cluster deps are satisfied by data availability: the source
 	// replica completed before this attempt launched. A
 	// checkpoint-skipped producer's data is likewise already durable.
 	var deps []string
-	for _, d := range cs.tmpls[i].deps {
+	for _, d := range t.deps {
 		if !p.skip[d] {
 			deps = append(deps, prefix+"/"+d)
 		}
@@ -691,7 +684,7 @@ const quizReplica = 1
 func (c *Controller) startQuiz(cs *clusterState, picks []quizTask) {
 	sid := cs.plan.sid
 	for _, p := range picks {
-		jobID := cs.jobIDs[0][p.tmpl]
+		jobID := replicaPath(sid, 0, cs.tmpls[p.tmpl].id)
 		err := c.Eng.Requiz(jobID, p.task, quizReplica, c.onDigest,
 			func() { c.dispatch(event{kind: evQuiz, sid: sid}) })
 		if err != nil {
@@ -779,10 +772,12 @@ func (c *Controller) record(cs *clusterState, ev analyze.AuditEvent, n int64) {
 	}
 }
 
+// kill stops every job of the attempt launched last; a template it
+// skipped was never submitted, and killing it is a no-op.
 func (c *Controller) kill(cs *clusterState) {
-	for _, ids := range cs.jobIDs {
-		for _, id := range ids {
-			c.Eng.KillJob(id)
+	for rep := range cs.plan.r {
+		for _, t := range cs.tmpls {
+			c.Eng.KillJob(replicaPath(cs.plan.sid, rep, t.id))
 		}
 	}
 }

@@ -370,7 +370,7 @@ func TestOverlapSchedulerExclusion(t *testing.T) {
 	node := &cluster.Node{ID: "node-000", Slots: 2}
 	js := &mapred.JobState{Spec: &mapred.JobSpec{ID: "j", SID: "s1"}}
 	task := &mapred.Task{Job: js, Kind: mapred.MapTask}
-	if s.Pick(node, []*mapred.Task{task}) != nil {
+	if s.Pick(node, nil, []*mapred.Task{task}) != nil {
 		t.Error("excluded node must get no work")
 	}
 }
@@ -381,14 +381,13 @@ func TestOverlapSchedulerReplicaAffinity(t *testing.T) {
 	mk := func(sid string) *mapred.Task {
 		return &mapred.Task{Job: &mapred.JobState{Spec: &mapred.JobSpec{ID: sid + "-j", SID: sid}}, Kind: mapred.MapTask}
 	}
-	first := s.Pick(node, []*mapred.Task{mk("a")})
-	if first == nil || first.Job.Spec.SID != "a" {
-		t.Fatal("first pick failed")
+	if got := s.Pick(node, nil, []*mapred.Task{mk("b"), mk("a")}); got == nil || got.Job.Spec.SID != "b" {
+		t.Fatalf("unbound node picked %v, want the first candidate", got)
 	}
-	// A node already serving sub-graph "a" keeps packing "a" tasks
+	// A node the engine binds to sub-graph "a" keeps packing "a" tasks
 	// (replica affinity prevents later replicas being starved of legal
 	// nodes), even when a new SID is on offer.
-	got := s.Pick(node, []*mapred.Task{mk("b"), mk("a")})
+	got := s.Pick(node, map[string]int{"a": 0}, []*mapred.Task{mk("b"), mk("a")})
 	if got == nil || got.Job.Spec.SID != "a" {
 		t.Errorf("overlap scheduler picked %v, want affine SID a", got)
 	}
@@ -403,7 +402,7 @@ func TestOverlapSchedulerNewSIDOverRemote(t *testing.T) {
 	js2 := &mapred.JobState{Spec: &mapred.JobSpec{ID: "y-j", SID: "y"}}
 	remote := &mapred.Task{Job: js1, Kind: mapred.MapTask, Home: "node-009"}
 	local := &mapred.Task{Job: js2, Kind: mapred.MapTask, Home: "node-001"}
-	if got := s.Pick(node, []*mapred.Task{remote, local}); got != local {
+	if got := s.Pick(node, nil, []*mapred.Task{remote, local}); got != local {
 		t.Errorf("picked %v, want the local new-SID task", got)
 	}
 }
@@ -414,7 +413,7 @@ func TestOverlapSchedulerLocalityTiebreak(t *testing.T) {
 	js := &mapred.JobState{Spec: &mapred.JobSpec{ID: "j", SID: "x"}}
 	remote := &mapred.Task{Job: js, Kind: mapred.MapTask, Index: 0, Home: "node-000"}
 	local := &mapred.Task{Job: js, Kind: mapred.MapTask, Index: 1, Home: "node-002"}
-	got := s.Pick(node, []*mapred.Task{remote, local})
+	got := s.Pick(node, nil, []*mapred.Task{remote, local})
 	if got != local {
 		t.Error("equal-overlap tie should break by locality")
 	}

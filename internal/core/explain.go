@@ -43,14 +43,14 @@ func (c *Controller) Explain() string {
 			}
 			b.WriteByte('\n')
 		}
-		for _, j := range cs.jobs {
+		for _, t := range cs.tmpls {
 			marker := ""
-			if pts := j.Points(); len(pts) > 0 {
+			if pts := t.spec.Points(); len(pts) > 0 {
 				marker = fmt.Sprintf("  points=%v", pts)
 			}
-			fmt.Fprintf(&b, "  job %s -> %s%s\n", j.ID, j.Output, marker)
+			fmt.Fprintf(&b, "  job %s -> %s%s\n", t.id, t.spec.Output, marker)
 		}
-		for i := range cs.jobIDs {
+		for i := range cs.plan.r {
 			state := "not completed"
 			switch {
 			case cs.reps[i].faulty:

@@ -206,9 +206,10 @@ func TestStaleDigestDropped(t *testing.T) {
 
 // TestControllerLifecycleBounded is the satellite-1/3/5 regression: one
 // controller serving a stream of Runs — with faults in the middle run —
-// must not accumulate matcher digests, scheduler affinity, or engine job
-// records, while suspicion state (the part that is *supposed* to
-// persist) carries across.
+// must not accumulate matcher digests or engine job records (the
+// engine's replica bindings go with them: TestEngineForgetSID), while
+// suspicion state (the part that is *supposed* to persist) carries
+// across.
 func TestControllerLifecycleBounded(t *testing.T) {
 	// The last leg runs full-r with both MR jobs in one sub-graph, so its
 	// interior job is checkpointed on every run.
@@ -221,7 +222,6 @@ func TestControllerLifecycleBounded(t *testing.T) {
 			cfg.ForcePointAliases = []string{"counts"}
 		}
 		h := newHarness(t, 4, 3, cfg)
-		sched := h.Engine.Sched.(*OverlapScheduler)
 		// Record every report the verifier is handed, to probe the matcher
 		// for leftovers of exactly those votes after teardown.
 		var filed []digest.Report
@@ -271,9 +271,6 @@ func TestControllerLifecycleBounded(t *testing.T) {
 				}
 			}
 			filed = filed[:0]
-			if n := len(sched.sids); n != 0 {
-				t.Errorf("policy %v run %d: scheduler retains sid affinities on %d nodes", p, run, n)
-			}
 			if n := h.Engine.JobCount(); n != 0 {
 				t.Errorf("policy %v run %d: engine retains %d jobs", p, run, n)
 			}
@@ -302,28 +299,6 @@ func TestControllerLifecycleBounded(t *testing.T) {
 		if saves := h.Ctrl.CheckpointStats().Saves; (leg == 3) != (saves > 0) {
 			t.Errorf("leg %d: %d checkpoint saves", leg, saves)
 		}
-	}
-}
-
-// TestSchedulerForgetSID unit-tests the satellite-3 prune: dropping a sid
-// removes it from every node's hosted set and empty per-node sets are
-// reclaimed entirely.
-func TestSchedulerForgetSID(t *testing.T) {
-	s := NewOverlapScheduler(nil)
-	s.sids = map[cluster.NodeID]map[string]bool{
-		"node-000": {"a": true, "b": true},
-		"node-001": {"a": true},
-	}
-	s.ForgetSID("a")
-	if hosted := s.sids["node-000"]; len(hosted) != 1 || !hosted["b"] {
-		t.Errorf("after forget a: node-000 hosts %v, want only b", hosted)
-	}
-	if _, ok := s.sids["node-001"]; ok {
-		t.Error("empty per-node set not reclaimed")
-	}
-	s.ForgetSID("b")
-	if len(s.sids) != 0 {
-		t.Errorf("scheduler state not empty: %v", s.sids)
 	}
 }
 

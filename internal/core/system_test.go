@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/mapred"
+	"clusterbft/internal/pig"
 )
 
 // TestSystemPlainRig: an un-Assured system is the Pure-Pig baseline's
@@ -32,12 +34,51 @@ func TestSystemAssureSharesOneTable(t *testing.T) {
 	}
 	task := &mapred.Task{Job: &mapred.JobState{Spec: &mapred.JobSpec{ID: "j", SID: "s1"}}, Kind: mapred.MapTask}
 	node := sys.Cluster.Nodes()[1]
-	if sys.Engine.Sched.Pick(node, []*mapred.Task{task}) != task {
+	if sys.Engine.Sched.Pick(node, nil, []*mapred.Task{task}) != task {
 		t.Fatal("an unsuspected node must get the task")
 	}
 	sys.Susp.RecordFault([]cluster.NodeID{node.ID})
-	if sys.Engine.Sched.Pick(node, []*mapred.Task{task}) != nil {
+	if sys.Engine.Sched.Pick(node, nil, []*mapred.Task{task}) != nil {
 		t.Error("a node excluded through sys.Susp still got work from sys.Engine.Sched")
+	}
+}
+
+// TestRejoinedNodeHasNoAffinity: a crash forgets the node's replica
+// bindings (CrashNode), and the overlap scheduler's affinity is read
+// from them, so a rejoined node has none left for the attempt it served
+// before the crash. Offered another attempt's task first and one of that
+// attempt second, it takes them in order.
+func TestRejoinedNodeHasNoAffinity(t *testing.T) {
+	sys := newRig(1, 1)
+	sys.Assure(DefaultConfig())
+	plan, err := pig.Parse("w = LOAD 'data/weather' AS (st, temp:int);\nSTORE w INTO 'out/w';")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := mapred.Compile(plan, mapred.CompileOptions{NumReduces: 1})
+	if err != nil || len(jobs) != 1 {
+		t.Fatalf("compile: %d jobs, err %v", len(jobs), err)
+	}
+	var assigned []string // the attempts in the order the node took their first task
+	sys.Engine.OnAssign = func(js *mapred.JobState, _ cluster.NodeID) { assigned = append(assigned, js.Spec.SID) }
+	submit := func(sid, job string) {
+		spec := jobs[0].Clone()
+		spec.ID, spec.SID, spec.Output = sid+"/"+job, sid, "out/"+sid+"/"+job
+		if _, err := sys.Engine.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := sys.Cluster.Nodes()[0].ID
+	submit("s", "j0")
+	sys.Engine.Run()
+	if !sys.Engine.CrashNode(node) || !sys.Engine.RejoinNode(node) {
+		t.Fatal("crash and rejoin must both happen")
+	}
+	submit("other", "j0")
+	submit("s", "j1")
+	sys.Engine.Run()
+	if want := []string{"s", "other", "s"}; !slices.Equal(assigned, want) {
+		t.Errorf("node took attempts in order %v, want %v", assigned, want)
 	}
 }
 

@@ -114,8 +114,9 @@ type quizTask struct {
 // tmpl is one template job of a sub-graph, as launch plans read it.
 type tmpl struct {
 	id       string
-	deps     []string // the template jobs of the same sub-graph it reads
-	interior bool     // another job of the sub-graph reads it
+	spec     *mapred.JobSpec // the compiled job replicas clone; the verifier never reads it
+	deps     []string        // the template jobs of the same sub-graph it reads
+	interior bool            // another job of the sub-graph reads it
 }
 
 // auditPair is one input of a sub-graph's job that another job of the

@@ -557,7 +557,7 @@ func (e *Engine) tick() bool {
 				break
 			}
 			sawWork = true
-			t := e.Sched.Pick(node, cands)
+			t := e.Sched.Pick(node, e.sidBinding[node.ID], cands)
 			if t == nil {
 				break
 			}
@@ -1425,21 +1425,14 @@ func (e *Engine) Requiz(jobID, taskID string, quizReplica int, sink func(digest.
 	return nil
 }
 
-// SIDForgetter is implemented by schedulers that keep per-sub-graph
-// affinity state; Engine.ForgetSID forwards to it so attempt teardown
-// prunes the whole stack.
-type SIDForgetter interface {
-	ForgetSID(sid string)
-}
-
 // ForgetSID drops every trace of a sub-graph attempt from the engine:
 // its jobs, output registrations, queued tasks, and per-node replica
-// bindings, plus the scheduler's affinity state when the scheduler
-// implements SIDForgetter. The controller calls it for superseded
-// attempts once their replacement verified and for all attempts at
-// end-of-run teardown, so engine state stays bounded across repeated
-// runs. Callers must not forget a sid that may still receive events
-// (live attempts, or completed attempts a pending quiz still reads).
+// bindings, the one record of which nodes serve it. The controller
+// calls it for superseded attempts once their replacement verified and
+// for all attempts at end-of-run teardown, so engine state stays bounded
+// across repeated runs. Callers must not forget a sid that may still
+// receive events (live attempts, or completed attempts a pending quiz
+// still reads).
 func (e *Engine) ForgetSID(sid string) {
 	if sid == "" {
 		return
@@ -1470,8 +1463,5 @@ func (e *Engine) ForgetSID(sid string) {
 		}
 	}
 	e.ready = keepReady
-	if f, ok := e.Sched.(SIDForgetter); ok {
-		f.ForgetSID(sid)
-	}
 	e.Ledger.Fold(sid)
 }

@@ -209,7 +209,8 @@ func TestRequizTaskIndexPastThreeDigits(t *testing.T) {
 }
 
 // TestEngineForgetSID: dropping a sub-graph attempt removes its jobs,
-// output registrations and ordering entries, while other sids survive.
+// output registrations, ordering entries and every node's replica
+// binding to it, while other sids survive.
 func TestEngineForgetSID(t *testing.T) {
 	fs := dfs.NewWith(dfs.Options{})
 	fs.Append("in/edges", edges()...)
@@ -241,9 +242,32 @@ func TestEngineForgetSID(t *testing.T) {
 	if got := eng.JobCount(); got != total {
 		t.Fatalf("JobCount = %d, want %d", got, total)
 	}
+	// boundTo counts the nodes bound to sid; an empty binding is reclaimed.
+	boundTo := func(sid string) int {
+		n := 0
+		for node, m := range eng.sidBinding {
+			if len(m) == 0 {
+				t.Errorf("%s keeps an empty binding", node)
+			}
+			if _, ok := m[sid]; ok {
+				n++
+			}
+		}
+		return n
+	}
+	if boundTo("sA") == 0 || boundTo("sB") == 0 {
+		t.Fatalf("run bound sA to %d nodes and sB to %d, want some each", boundTo("sA"), boundTo("sB"))
+	}
+	nB := boundTo("sB")
 	eng.ForgetSID("sA")
 	if got := eng.JobCount(); got != total/2 {
 		t.Errorf("after forget sA: JobCount = %d, want %d", got, total/2)
+	}
+	if n := boundTo("sA"); n != 0 {
+		t.Errorf("after forget sA: %d nodes still bound to it", n)
+	}
+	if n := boundTo("sB"); n != nB {
+		t.Errorf("forgetting sA unbound sB: %d of %d nodes remain", n, nB)
 	}
 	// sB's jobs are intact and still in submission order.
 	found := 0
@@ -261,5 +285,8 @@ func TestEngineForgetSID(t *testing.T) {
 	}
 	if len(eng.jobOrder) != 0 {
 		t.Errorf("jobOrder not emptied: %v", eng.jobOrder)
+	}
+	if len(eng.sidBinding) != 0 {
+		t.Errorf("sidBinding not emptied: %v", eng.sidBinding)
 	}
 }

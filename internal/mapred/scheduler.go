@@ -11,11 +11,13 @@ import (
 // TaskScheduler (§5.3).
 type Scheduler interface {
 	// Pick returns the task node should run next, or nil to leave the
-	// slot idle this heartbeat. candidates is non-empty and ordered by
-	// readiness (FIFO). It is valid for the call only: the engine reuses
-	// its backing array for the next slot's probe, so a scheduler that
-	// keeps candidates past Pick must copy them.
-	Pick(node *cluster.Node, candidates []*Task) *Task
+	// slot idle this heartbeat. bound is the engine's binding of node
+	// (each SID it serves, to its replica; a crash clears it), read-only.
+	// candidates is non-empty and ordered by readiness (FIFO). Both are
+	// valid for the call only: the engine reuses candidates' backing
+	// array for the next slot's probe, so a scheduler must copy what it
+	// keeps past Pick.
+	Pick(node *cluster.Node, bound map[string]int, candidates []*Task) *Task
 }
 
 // FIFOScheduler runs the oldest ready task, like Hadoop's default
@@ -23,6 +25,6 @@ type Scheduler interface {
 type FIFOScheduler struct{}
 
 // Pick returns the first candidate.
-func (FIFOScheduler) Pick(_ *cluster.Node, candidates []*Task) *Task {
+func (FIFOScheduler) Pick(_ *cluster.Node, _ map[string]int, candidates []*Task) *Task {
 	return candidates[0]
 }

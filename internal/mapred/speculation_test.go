@@ -332,11 +332,11 @@ type pinSched struct {
 	inner Scheduler
 }
 
-func (p *pinSched) Pick(node *cluster.Node, cands []*Task) *Task {
+func (p *pinSched) Pick(node *cluster.Node, bound map[string]int, cands []*Task) *Task {
 	if p.e.freeSlots[node.ID] <= 0 {
 		p.t.Errorf("scheduler offered work to %s with %d free slots", node.ID, p.e.freeSlots[node.ID])
 	}
-	picked := p.inner.Pick(node, cands)
+	picked := p.inner.Pick(node, bound, cands)
 	if picked != nil {
 		for _, rt := range picked.running {
 			if !rt.dead && rt.node == node.ID {

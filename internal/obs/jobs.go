@@ -17,14 +17,14 @@ import (
 // All methods are nil-safe no-ops, so a disabled board costs one nil
 // check per hook, like the rest of the obs instruments.
 type JobsBoard struct {
-	mu      sync.Mutex
-	jobs    map[string]*JobStatus
-	jobIDs  []string // insertion order, for FIFO eviction
-	sids    map[string]*SIDStatus
-	sidIDs  []string
-	susp    SuspicionStatus
-	maxJobs int
-	maxDur  int // per-stage retained task durations
+	mu       sync.Mutex
+	jobs     map[string]*JobStatus
+	jobOrder []string // insertion order, for FIFO eviction
+	sids     map[string]*SIDStatus
+	sidOrder []string
+	susp     SuspicionStatus
+	maxJobs  int
+	maxDur   int // per-stage retained task durations
 }
 
 // Defaults bounding the board's memory on long campaigns.
@@ -138,26 +138,26 @@ func NewJobsBoard() *JobsBoard {
 func (b *JobsBoard) job(id string) *JobStatus {
 	j := b.jobs[id]
 	if j == nil {
-		if len(b.jobIDs) >= b.maxJobs {
+		if len(b.jobOrder) >= b.maxJobs {
 			// Evict the oldest finished job; if none is finished, the
 			// oldest outright — bounded memory beats a perfect window.
 			evicted := false
-			for i, old := range b.jobIDs {
+			for i, old := range b.jobOrder {
 				if s := b.jobs[old]; s == nil || s.State == "done" || s.State == "killed" {
 					delete(b.jobs, old)
-					b.jobIDs = append(b.jobIDs[:i], b.jobIDs[i+1:]...)
+					b.jobOrder = append(b.jobOrder[:i], b.jobOrder[i+1:]...)
 					evicted = true
 					break
 				}
 			}
 			if !evicted {
-				delete(b.jobs, b.jobIDs[0])
-				b.jobIDs = b.jobIDs[1:]
+				delete(b.jobs, b.jobOrder[0])
+				b.jobOrder = b.jobOrder[1:]
 			}
 		}
 		j = &JobStatus{ID: id, State: "pending", stages: make(map[string]*stageDurations)}
 		b.jobs[id] = j
-		b.jobIDs = append(b.jobIDs, id)
+		b.jobOrder = append(b.jobOrder, id)
 	}
 	return j
 }
@@ -306,11 +306,11 @@ func (b *JobsBoard) UpsertSID(sid string, update func(*SIDStatus)) {
 	b.mu.Lock()
 	st := b.sids[sid]
 	if st == nil {
-		if len(b.sidIDs) >= b.maxJobs {
-			delete(b.sids, b.sidIDs[0])
-			b.sidIDs = b.sidIDs[1:]
+		if len(b.sidOrder) >= b.maxJobs {
+			delete(b.sids, b.sidOrder[0])
+			b.sidOrder = b.sidOrder[1:]
 		}
-		b.sidIDs = append(b.sidIDs, sid)
+		b.sidOrder = append(b.sidOrder, sid)
 		st = &SIDStatus{SID: sid}
 		b.sids[sid] = st
 	}
