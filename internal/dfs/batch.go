@@ -125,6 +125,42 @@ func (b *Batch) Value(c int) string {
 	return b.text[b.ends[k]:b.ends[k+1]]
 }
 
+// Rows returns the record count of a range held as spans whose every
+// record holds every column, every one carried; 0 for any other batch.
+// AppendLines serves such a range.
+func (b *Batch) Rows() int {
+	if len(b.carried) < len(b.cur) {
+		return 0
+	}
+	return b.uniform
+}
+
+// AppendLines appends records from, from+1, ... of a range Rows serves to
+// dst as lines, each its values with a tab between and a newline after,
+// at most max of them and no more than dst's capacity takes, but always
+// one where dst is empty; it returns dst and how many it appended. It is
+// the span bytes alone, with no value coerced or escaped: a line is its
+// record's canonical encoding where every value is the string, or the
+// canonical integer, it reads as. The batch's cursor does not move.
+func (b *Batch) AppendLines(dst []byte, from, max int) ([]byte, int) {
+	cur, ends, text := b.cur, b.ends, b.text
+	end := from + min(max, b.uniform-from)
+	for r := from; r < end; r++ {
+		at := len(dst)
+		for _, first := range cur {
+			k := 2 * (int(first) + r)
+			v := text[ends[k]:ends[k+1]]
+			if len(dst)+len(v) >= cap(dst) && at > 0 { // no room for it and a tab or newline
+				return dst[:at], r - from
+			}
+			dst = append(dst, v...)
+			dst = append(dst, '\t')
+		}
+		dst[len(dst)-1] = '\n'
+	}
+	return dst, end - from
+}
+
 // Columns returns the width of a range held as spans, that of its widest
 // record; 0 for held lines.
 func (b *Batch) Columns() int { return len(b.forms) }

@@ -130,6 +130,46 @@ func (w *Writer) AddCanonical(canon []byte) {
 	w.added()
 }
 
+// Lines is a run of records whose canonical bytes a Writer can take
+// straight into its buffer, a buffer at a time (AddLines).
+type Lines interface {
+	// AppendLines appends to dst the canonical bytes of records from,
+	// from+1, ..., at most max of them, stopping before a record that
+	// would take dst past its capacity unless dst is empty: an empty dst
+	// always takes one. It returns dst and how many records it took.
+	AppendLines(dst []byte, from, max int) ([]byte, int)
+}
+
+// AddLines folds records [0, n) of src into the stream: the same bytes,
+// chunks and reports as n calls of AddCanonical, one a record. src
+// appends them into the writer's own buffer, as many at a time as it and
+// the current chunk have room for, so a record is copied once and a
+// chunk's records are counted with one add.
+func (w *Writer) AddLines(src Lines, n int) {
+	if w.closed {
+		return
+	}
+	hs := &w.hs
+	hs.ready()
+	for r := 0; r < n; {
+		k := n - r
+		if w.every > 0 {
+			k = min(k, w.every-int(w.inChunk))
+		}
+		room := cap(hs.buf)
+		var took int
+		hs.buf, took = src.AppendLines(hs.buf, r, k)
+		if took < k || len(hs.buf) >= room { // the next record does not fit, or grown past its array, which it keeps
+			hs.drain()
+		}
+		r += took
+		w.inChunk += int64(took)
+		if w.every > 0 && w.inChunk >= int64(w.every) {
+			w.flush(false)
+		}
+	}
+}
+
 // added counts one record into the chunk, and ends the chunk if full.
 func (w *Writer) added() {
 	w.inChunk++
@@ -253,6 +293,11 @@ func (hs *Hasher) Sum() Sum {
 type Buffer struct {
 	reports []Report
 }
+
+// NewBuffer returns a Buffer with room for n reports: a map attempt knows
+// before its first record how many its writers can emit at most, and
+// sizes its buffer once instead of growing it.
+func NewBuffer(n int) *Buffer { return &Buffer{reports: make([]Report, 0, n)} }
 
 // Add records one report. It is the emit callback wired into the
 // attempt's writers.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -12,6 +13,7 @@ import (
 	"clusterbft/internal/digest"
 	"clusterbft/internal/obs"
 	"clusterbft/internal/tuple"
+	"clusterbft/internal/workload"
 )
 
 // Shuffle-path allocation pins: partitioning and sampling run once per
@@ -382,6 +384,93 @@ STORE late INTO 'out/late';`
 		with, without := task(df), task(nil)
 		if with != without+writers {
 			t.Errorf("%d records: %v allocs with two digests, %v without, and their writers %v: hashing allocates", n, with, without, writers)
+		}
+	}
+}
+
+// TestWarmSourceDigestAllocs pins the source digest hashed a batch at a
+// time on a warm slot: weather_finegrain's first job, a digest of the
+// source straight into a combining GROUP, at d = 100, over raw and over
+// dictionary-coded blocks. Its writer takes each batch's records as lines
+// straight from the block (dfs.Batch.AppendLines) into the slot's digest
+// buffer: the task allocates, over what it allocates with digests off,
+// what making and closing its writer does and nothing else, whatever the
+// number of records and chunks.
+func TestWarmSourceDigestAllocs(t *testing.T) {
+	const src = `
+w = LOAD 'in/w' AS (station, date:int, temp:int);
+g = GROUP w BY station;
+a = FOREACH g GENERATE group, AVG(w.temp);
+STORE a INTO 'out/a';`
+	job := compile(t, src, CompileOptions{Points: digestPoints(t, plan(t, src), "w")})[0]
+	df := func(point int) *digest.Writer {
+		return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "m0-000"}, 1, 100, func(digest.Report) {})
+	}
+	if m := newMapRun(job, 0, 0, df, nil, taskObs{}, new(taskScratch)); m.chain.lead != 1 {
+		t.Fatalf("map chain %v leads with %d batch digests, want 1", job.Inputs[0].Ops, m.chain.lead)
+	}
+	writer := testing.AllocsPerRun(10, func() { df(1).Close() })
+	for _, compress := range []bool{false, true} {
+		for _, n := range []int{1000, 4000} {
+			lines := make([]string, n)
+			for i := range lines {
+				lines[i] = fmt.Sprintf("st%05d\t%d\t%d", i%40, 20080101+i%28, 20+i%50)
+			}
+			fs := dfs.NewWith(dfs.Options{BlockSize: 16 << 10, Compress: compress})
+			fs.Append("in", lines...)
+			r := openReader(t, fs)
+			sc := new(taskScratch)
+			task := func(df digestFactory) float64 {
+				return testing.AllocsPerRun(10, func() { // its first, uncounted run warms sc
+					if out := runMapTask(job, 0, r, 0, n, df, nil, taskObs{}, sc); df != nil && out.digested != int64(n) {
+						t.Fatalf("%d records digested of %d", out.digested, n)
+					}
+				})
+			}
+			with, without := task(df), task(nil)
+			if with != without+writer {
+				t.Errorf("compress=%v, %d records: %v allocs with a source digest, %v without, and its writer %v: hashing allocates",
+					compress, n, with, without, writer)
+			}
+		}
+	}
+}
+
+// TestMapReportsBoundEachAttempt: the report buffer a map attempt is
+// sized to before its first record (mapReports) holds every report it
+// emits, in-chain digests and the audit sum alike, at every chunking —
+// exactly, where every digest of the chain sees every record of the split.
+func TestMapReportsBoundEachAttempt(t *testing.T) {
+	lines := workload.Weather(1000, 40, 1)
+	for _, chunk := range []int{0, 1, 100} {
+		p := plan(t, workload.WeatherScript)
+		jobs := compile(t, workload.WeatherScript, CompileOptions{Points: digestPoints(t, p, "w", "bystation", "avgs", "byavg")})
+		for _, j := range jobs {
+			j.SID, j.Audit = j.ID, true
+		}
+		tr := runJobs(t, dfs.NewWith(dfs.Options{}), map[string][]string{workload.WeatherPath: lines}, p, jobs, func(e *Engine) {
+			e.DigestChunk = chunk
+			e.Cost.SplitRecords = 300
+		})
+		emitted := map[[2]string]int{}
+		for _, r := range tr.reports {
+			emitted[[2]string{r.Key.SID, r.Key.Task[strings.LastIndexByte(r.Key.Task, '/')+1:]}]++
+		}
+		maps := 0
+		for _, j := range jobs {
+			for _, task := range tr.eng.Job(j.ID).tasks {
+				if task.Kind != MapTask {
+					continue
+				}
+				maps++
+				got, bound := emitted[[2]string{j.SID, task.ID()}], mapReports(task, chunk)
+				if got > bound || j == jobs[0] && got != bound {
+					t.Errorf("d=%d: %s %s emitted %d reports, its buffer was sized for %d", chunk, j.ID, task.ID(), got, bound)
+				}
+			}
+		}
+		if maps < 4 {
+			t.Fatalf("d=%d: %d map tasks, want several splits", chunk, maps)
 		}
 	}
 }

@@ -554,3 +554,31 @@ func BenchmarkDataplaneCheckpointWrite(b *testing.B) {
 	}
 	b.ReportMetric(benchBatch, "records/op")
 }
+
+// BenchmarkDataplaneSourceDigest is weather_finegrain's first map task at
+// d = 100: a digest of the source straight into a combining GROUP, over
+// workload.Weather's rows sealed in 16 KiB blocks, on a warm slot. The
+// digest hashes each batch's records straight from the block
+// (opChain.digestBatch); with digests off the same task is the plain
+// run's.
+func BenchmarkDataplaneSourceDigest(b *testing.B) {
+	p, err := pig.Parse(workload.WeatherScript)
+	if err != nil {
+		b.Fatal(err)
+	}
+	job := benchCompile(b, workload.WeatherScript, CompileOptions{Points: []int{p.ByAlias("w").ID}, NumReduces: 4})[0]
+	lines := workload.Weather(4*benchBatch, 400, 1)
+	fs := dfs.NewWith(dfs.Options{BlockSize: 16 << 10})
+	fs.Append("in", lines...)
+	src := openReader(b, fs)
+	df := func(point int) *digest.Writer {
+		return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "m0-000"}, 1, 100, func(digest.Report) {})
+	}
+	sc := new(taskScratch) // warm from the first op on, as a slot's is
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runMapTask(job, 0, src, 0, len(lines), df, nil, taskObs{}, sc)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines)), "ns/rec")
+}

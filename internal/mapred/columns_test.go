@@ -72,16 +72,36 @@ func openReader(tb testing.TB, fs *dfs.FS) *dfs.Reader {
 
 const columnsLoad = "fl = LOAD 'in/fl' AS (year:int, f:float, origin, dest:chararray, delay:int);\n"
 
-// columnScripts are the map-side shapes FuzzColumnPathMatchesLines drives,
-// each over the five-column schema above (an int, a float, an untyped, a
-// chararray and another int column): what the chain does ahead of the
-// first projection, and what takes its tuples.
-var columnScripts = []struct {
+// spansLoad is columnsLoad with a chararray where the float was: no column
+// type forces a value to be coerced, so a batch of canonical integers and
+// strings is its spans, and a source digest may hash it whole
+// (opChain.digestBatch).
+const spansLoad = "fl = LOAD 'in/fl' AS (year:int, tag:chararray, origin, dest:chararray, delay:int);\n"
+
+// columnScript is a map-side shape FuzzColumnPathMatchesLines drives:
+// what the chain does ahead of the first projection, and what takes its
+// tuples.
+type columnScript struct {
 	name   string
+	load   string // the LOAD of fl: columnsLoad when empty
 	src    string
 	points []string
 	tweak  func(*JobSpec)
-}{
+	long   bool // one row's dest holds more than digest.BufferSize bytes
+}
+
+// script returns the shape's whole Pig script.
+func (s columnScript) script() string {
+	if s.load == "" {
+		return columnsLoad + s.src
+	}
+	return s.load + s.src
+}
+
+// columnScripts are the shapes, each over a five-column schema above (an
+// int, a float or a chararray, an untyped, a chararray and another int
+// column).
+var columnScripts = []columnScript{
 	{name: "combine", src: `
 g = GROUP fl BY origin;
 c = FOREACH g GENERATE group, COUNT(fl), SUM(fl.delay), MIN(fl.dest), MAX(fl.f);
@@ -116,6 +136,23 @@ STORE d INTO 'out/d';`, points: []string{"fl"}},
 	{name: "sort-whole-tuple", src: `
 o = ORDER fl BY delay DESC, origin;
 STORE o INTO 'out/o';`, points: []string{"fl"}},
+	// weather_finegrain's first job: a source digest straight into a
+	// combining GROUP over an untyped key and int columns.
+	{name: "source-digest-combine", load: spansLoad, src: `
+g = GROUP fl BY origin;
+c = FOREACH g GENERATE group, COUNT(fl), SUM(fl.delay), MAX(fl.year);
+STORE c INTO 'out/c';`, points: []string{"fl"}},
+	// A second digest behind a projection: its reports of a record come
+	// after the source digest's, which must not hash the batch ahead.
+	{name: "source-digest-project-digest", load: spansLoad, src: `
+p = FOREACH fl GENERATE origin, delay, tag;
+STORE p INTO 'out/p';`, points: []string{"fl", "p"}},
+	// A row longer than the digest's buffer: hashed a batch at a time, it
+	// must be taken whole into an empty buffer.
+	{name: "source-digest-long-row", load: spansLoad, long: true, src: `
+g = GROUP fl BY dest;
+c = FOREACH g GENERATE group, COUNT(fl), SUM(fl.year);
+STORE c INTO 'out/c';`, points: []string{"fl"}},
 }
 
 // columnFields is what the fuzzer draws column text from: canonical and
@@ -196,7 +233,10 @@ func lineOracle(job *JobSpec, lines []string, lo, hi int, df digestFactory, corr
 // many with an unsealed tail, task ranges that start and stop inside a
 // block, honest and corrupting tasks. The two int columns and the untyped
 // one may each be of one kind throughout (intKinds), so that a batch knows
-// its values' form (dfs.Batch.Form) and the task reads them by it.
+// its values' form (dfs.Batch.Form) and the task reads them by it. Rows
+// may all be schema-wide, so that a source digest over spansLoad hashes
+// whole batches (opChain.digestBatch), one row perhaps longer than the
+// digest's buffer.
 func FuzzColumnPathMatchesLines(f *testing.F) {
 	for i := range columnScripts {
 		f.Add(int64(i+1), uint8(i), uint16(60+41*i), uint8(i%4), uint8([]int{0, 1, 100}[i%3]), uint8(i), uint16(7*i), uint16(300))
@@ -207,9 +247,24 @@ func FuzzColumnPathMatchesLines(f *testing.F) {
 			f.Add(int64(kind), uint8(kind), uint16(250), uint8(2), uint8(100), uint8(kind<<4|compress), uint16(0), uint16(250))
 		}
 	}
+	// The source digests hashed a batch at a time: canonical int columns
+	// in schema-wide rows, raw and coded, in one block or many, at every
+	// chunking, over a range that starts and ends inside a block.
+	for i, s := range columnScripts {
+		if s.load != spansLoad {
+			continue
+		}
+		for _, chunk := range []uint8{0, 1, 100} {
+			for flags := range uint8(2) {
+				flags |= 64 | 1<<4 // schema-wide rows, canonical ints
+				f.Add(int64(i)+int64(chunk), uint8(i), uint16(300), uint8(2), chunk, flags, uint16(0), uint16(300))
+				f.Add(int64(i)*int64(chunk), uint8(i), uint16(300), uint8(3), chunk, flags|4, uint16(17), uint16(290))
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, seed int64, script uint8, rows uint16, reduces, chunk, flags uint8, lo, hi uint16) {
 		sc := columnScripts[int(script)%len(columnScripts)]
-		compress, faulty, oneBlock, dirty := flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0
+		compress, faulty, oneBlock, dirty, even := flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0, flags&64 != 0
 		kind := intKinds[int(flags>>4)%len(intKinds)]
 		state := uint64(seed) | 1
 		next := func(n int) int {
@@ -222,9 +277,14 @@ func FuzzColumnPathMatchesLines(f *testing.F) {
 		odd := next(len(lines)) // the row a column of kind "canonical but one" holds its other value in
 		for i := range lines {
 			cols := []int{5, 5, 5, 5, 5, 1, 3, 7}[next(8)] // mostly schema-width, some short, some wide
+			if even || i == odd && sc.long {
+				cols = 5
+			}
 			row := make([]string, cols)
 			for c := range row {
 				switch {
+				case c == 3 && i == odd && sc.long:
+					row[c] = strings.Repeat("long", digest.BufferSize/3)
 				case kind.vals != nil && c%5 != 1 && c%5 != 3:
 					row[c] = kind.vals[next(len(kind.vals))]
 					if i == odd && kind.odd != nil {
@@ -246,7 +306,7 @@ func FuzzColumnPathMatchesLines(f *testing.F) {
 			a, b = b, a
 		}
 
-		p := plan(t, columnsLoad+sc.src)
+		p := plan(t, sc.script())
 		jobs, err := Compile(p, CompileOptions{Points: digestPoints(t, p, sc.points...), NumReduces: int(reduces)%4 + 1})
 		if err != nil {
 			t.Fatal(err)
@@ -341,7 +401,7 @@ func TestCombineOverSealedBlocksAllocs(t *testing.T) {
 // filter empties, and still counts every record once per point.
 func TestFusedDigestsMatchSeparateWriters(t *testing.T) {
 	sc := columnScripts[1]
-	p := plan(t, columnsLoad+sc.src)
+	p := plan(t, sc.script())
 	job, err := Compile(p, CompileOptions{Points: digestPoints(t, p, "late", "g"), NumReduces: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -393,10 +453,10 @@ func TestFusedDigestsCountPerPoint(t *testing.T) {
 		lines[i] = fmt.Sprintf("2000\t2.5\tORD\tA%d\t%d", i%7, 1+i%9)
 	}
 	runWith := func(points ...string) (*testRun, *obs.Registry) {
-		p := plan(t, columnsLoad+sc.src)
+		p := plan(t, sc.script())
 		reg := obs.NewRegistry()
 		opts := CompileOptions{Points: digestPoints(t, p, points...), NumReduces: 2}
-		return run(t, columnsLoad+sc.src, map[string][]string{"in/fl": lines}, opts, func(e *Engine) {
+		return run(t, sc.script(), map[string][]string{"in/fl": lines}, opts, func(e *Engine) {
 			e.InstrumentMetrics(reg)
 			e.DigestChunk = 100
 		}), reg

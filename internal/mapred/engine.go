@@ -690,8 +690,12 @@ func (e *Engine) startTask(node *cluster.Node, t *Task) {
 	// Digest reports are buffered per attempt and replayed at commit
 	// time, never emitted straight into the sink from the body: the
 	// body runs off the simulation goroutine and attempts may lose.
-	buf := &digest.Buffer{}
 	chunk := e.DigestChunk
+	reports := 0 // a reduce attempt's buffer grows
+	if t.Kind == MapTask {
+		reports = mapReports(t, chunk)
+	}
+	buf := digest.NewBuffer(reports)
 	digestRecs := e.obsDigestRecs
 	df := func(point int) *digest.Writer {
 		key := digest.Key{SID: js.Spec.SID, Point: point, Task: t.ID()}
@@ -714,6 +718,28 @@ func (e *Engine) startTask(node *cluster.Node, t *Task) {
 		hung: hung,
 	})
 	e.armSpec()
+}
+
+// mapReports bounds how many digest reports a map attempt of t emits:
+// each digest point of its chain one a chunk of the split's records, and
+// a final one, and the audit sum one more.
+func mapReports(t *Task, chunk int) int {
+	js := t.Job
+	split := js.splits[t.InputIdx][t.Index]
+	per := 1
+	if chunk > 0 {
+		per += (split[1] - split[0]) / chunk
+	}
+	n := 0
+	for _, op := range js.Spec.Inputs[t.InputIdx].Ops {
+		if op.Kind == PhysDigest {
+			n += per
+		}
+	}
+	if js.Spec.Audit {
+		n++
+	}
+	return n
 }
 
 // settle joins every task body dispatched this tick, in dispatch order:

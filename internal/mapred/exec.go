@@ -132,6 +132,10 @@ type opChain struct {
 	schema  *tuple.Schema
 	fromSrc bool
 	plans   []colPlan // per column of src's batch, how it is read (planBatch)
+	// lead is how many PhysDigest ops lead a map chain whose writer may
+	// hash src's batch whole (batchDigest), 0 for any other chain; from is
+	// where apply starts, past them once it has (digestBatch).
+	lead, from int
 }
 
 // colPlan is how the map side reads a column of a batch: decided once a
@@ -246,11 +250,65 @@ func newOpChain(ops []Op, df digestFactory, sc *taskScratch) opChain {
 	return c
 }
 
+// batchDigest sets lead for a map chain that takes its records from src
+// and, when keyed, hands them on as keys: the PhysDigest ops that lead
+// the chain may hash a batch of source records whole, ahead of the
+// per-record loop, if their writer is the chain's only one and nothing
+// after them reads the unprojected record's bytes — no sample before the
+// first projection, and no output line where there is none, each of which
+// would encode again the bytes the digest no longer leaves behind. A
+// second writer would see its records only after the first had hashed the
+// whole batch, and so move its reports ahead of the first's.
+func (c *opChain) batchDigest(keyed bool) {
+	c.lead = 0
+	if len(c.ops) == 0 || c.ops[0].Kind != PhysDigest || c.state[0].w == nil {
+		return
+	}
+	lead := 1
+	for lead < len(c.ops) && c.ops[lead].Kind == PhysDigest {
+		lead++
+	}
+	projected := false
+	for i := lead; i < len(c.ops); i++ {
+		switch {
+		case c.state[i].w != nil, c.ops[i].Kind == PhysSample && !projected:
+			return
+		case c.ops[i].Kind == PhysProject:
+			projected = true
+		}
+	}
+	if projected || keyed {
+		c.lead = lead
+	}
+}
+
+// digestBatch hashes every record of src's batch, just read, into the
+// leading digests' writer at once, straight from the block's spans
+// (dfs.Batch.AppendLines), where the chain allows it (lead) and the batch
+// does: an honest task's range held as spans, every record holding every
+// column, each column's plan its span. apply then starts past them.
+func (c *opChain) digestBatch(honest bool) {
+	c.from = 0
+	n := c.src.Rows()
+	if c.lead == 0 || !honest || n == 0 {
+		return
+	}
+	for col := range c.src.Columns() {
+		if c.plan(col) == planValue {
+			return
+		}
+	}
+	w := c.state[0].w
+	w.AddLines(c.src, n)
+	c.digests += int64(n * w.Points())
+	c.from = c.lead
+}
+
 // apply runs one tuple through the chain; ok is false when the tuple was
 // dropped (filter miss or limit exhausted). t is only read.
 func (c *opChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 	c.canonOK = false
-	for i := range c.ops {
+	for i := c.from; i < len(c.ops); i++ {
 		op, st := &c.ops[i], &c.state[i]
 		switch op.Kind {
 		case PhysFilter:
@@ -706,6 +764,7 @@ func newMapRun(job *JobSpec, inputIdx, n int, df digestFactory, corrupt corruptF
 	}
 	m.chain = newOpChain(in.Ops, df, sc)
 	m.chain.src, m.chain.schema = &sc.batch, in.Schema
+	m.chain.batchDigest(in.KeyCols != nil)
 	if corrupt != nil {
 		m.cat = new(strArena).cat
 	}
@@ -867,6 +926,7 @@ func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df dige
 		lo = src.ReadColumns(batch, lo, hi, carry)
 		m.out.inBytes += batch.LineBytes()
 		m.chain.planBatch()
+		m.chain.digestBatch(corrupt == nil)
 		for batch.Next() {
 			// A corrupting task's digests are of tuples no span holds. A
 			// chain that reads the source reads no column of the tuple but

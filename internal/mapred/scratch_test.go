@@ -240,7 +240,7 @@ func scratchShapes() []func(t *testing.T, lines []string, sc *taskScratch) strin
 	for _, cs := range columnScripts {
 		for _, corrupt := range []corruptFn{nil, cluster.Corrupt} {
 			shapes = append(shapes, func(t *testing.T, lines []string, sc *taskScratch) string {
-				return runOnScratch(t, columnsLoad+cs.src, cs.points, cs.tweak, lines, corrupt, sc)
+				return runOnScratch(t, cs.script(), cs.points, cs.tweak, lines, corrupt, sc)
 			})
 		}
 	}
