@@ -70,7 +70,7 @@ func TestLoadFile(t *testing.T) {
 	if err := loadFile(fs, "in/data", local); err != nil {
 		t.Fatal(err)
 	}
-	lines, err := fs.ReadLines("in/data")
+	lines, err := fs.ReadTree("in/data")
 	if err != nil || len(lines) != 2 || lines[0] != "1\ta" {
 		t.Errorf("lines = %v, err = %v", lines, err)
 	}

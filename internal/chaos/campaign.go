@@ -8,6 +8,7 @@ import (
 	"clusterbft/internal/analyze"
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/core"
+	"clusterbft/internal/dfs"
 	"clusterbft/internal/mapred"
 )
 
@@ -39,9 +40,12 @@ type CampaignConfig struct {
 // big enough that faults land mid-pipeline and restart cascades cross
 // sub-graph boundaries, small enough to run hundreds of schedules. The
 // first two sub-graphs each hold TWO chained MR jobs, so they contain
-// intra-replica intermediate outputs — the only storage the mangler may
-// legally tamper with (mangling a verification-boundary output would be
-// indistinguishable from an honest divergence).
+// intra-replica intermediate outputs — the only records a storage mangle
+// may tamper with (mangling a verification-boundary output would be
+// indistinguishable from an honest divergence). Its storage seals 512-byte
+// blocks, dictionary-codes or deflates them and spills past a 1 KiB
+// budget, so every schedule reads sealed blocks, some from the spill file:
+// the read path that ships, not one unsealed tail per file.
 func DefaultCampaign() CampaignConfig {
 	script := `
 w = LOAD 'data/weather' AS (st, temp:int);
@@ -66,6 +70,7 @@ STORE final INTO 'out/final';
 	cfg.ForcePointAliases = []string{"counts", "c4"}
 	cfg.TimeoutUs = 30_000_000
 	cfg.MaxAttempts = 4
+	cfg.Storage = dfs.Options{BlockSize: 512, MemBudget: 1 << 10, Compress: true}
 	// MaxVictims 2 (> F) is deliberate: commission corruption is salted
 	// per node, so two victim replicas of the same job still cannot form
 	// a colluding f+1 majority — but a second victim makes genuine retry

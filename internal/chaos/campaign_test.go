@@ -7,6 +7,7 @@ import (
 
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/dfs"
+	"clusterbft/internal/mapred"
 )
 
 // TestChaosCampaign is the property test of the fault-injection
@@ -17,12 +18,15 @@ import (
 // traced to an injected fault, and the BFT group agreeing under
 // quorum-bounded message perturbations. The campaign runs twice and the
 // reports must be byte-identical: the whole subsystem is a pure function
-// of the seeds.
+// of the seeds. Its storage must seal, spill and code blocks, so that the
+// faults meet the read path that ships.
 func TestChaosCampaign(t *testing.T) {
 	cfg := DefaultCampaign()
 	if testing.Short() {
 		cfg.Schedules = 40
 	}
+	var stores []*dfs.FS
+	cfg.Observe = func(e *mapred.Engine) { stores = append(stores, e.FS) }
 	rep, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -55,6 +59,14 @@ func TestChaosCampaign(t *testing.T) {
 	}
 	if netRuns == 0 {
 		t.Error("no schedule perturbed the BFT network")
+	}
+	spilled, coded := false, false
+	for _, fs := range stores {
+		spilled = spilled || fs.SpilledBlocks() > 0
+		coded = coded || fs.CompressedRatio() < 100
+	}
+	if !spilled || !coded {
+		t.Errorf("over %d runs, blocks spilled: %v, a block stored coded: %v", len(stores), spilled, coded)
 	}
 
 	again, err := RunCampaign(cfg)
@@ -193,30 +205,25 @@ func TestCheckpointHitRecovery(t *testing.T) {
 }
 
 // TestCampaignByteIdenticalAcrossStorage replays the same seeded
-// schedule batch on the default all-resident data plane and on a
-// deliberately hostile block configuration — tiny compressed blocks
-// under a resident budget that forces spilling — and requires the two
+// schedule batch on the campaign's own storage — tiny compressed blocks
+// under a resident budget that forces spilling — and on the all-resident
+// data plane, where every file is one unsealed tail, and requires the two
 // campaign reports to be byte-for-byte identical. Faults are injected
-// at the line-stream level and digests are over canonical record bytes,
-// so every mangle, recovery action and invariant outcome must land the
-// same way regardless of how bytes rest on disk.
+// where workers handle records and digests are over canonical record
+// bytes, so every mangle, recovery action and invariant outcome must land
+// the same way regardless of how bytes rest on disk.
 func TestCampaignByteIdenticalAcrossStorage(t *testing.T) {
 	cfg := DefaultCampaign()
 	cfg.Schedules = 12
-
-	base, err := RunCampaign(cfg)
+	cfg.Core.Storage.SpillDir = t.TempDir()
+	spill, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	spillCfg := cfg
-	spillCfg.Core.Storage = dfs.Options{
-		BlockSize: 512,
-		MemBudget: 1 << 10,
-		SpillDir:  t.TempDir(),
-		Compress:  true,
-	}
-	spill, err := RunCampaign(spillCfg)
+	resident := cfg
+	resident.Core.Storage = dfs.Options{}
+	base, err := RunCampaign(resident)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,15 @@
 // Package chaos is the deterministic, seed-driven fault-injection
 // subsystem: it generates schedules of faults spanning every layer of
 // the stack — node crash-stop and rejoin, task stragglers and hangs,
-// commission-faulty task bodies, storage-boundary read/write corruption
-// and truncation, and BFT message drop/duplication/reordering — and
-// injects them through the nil-safe hooks the engine, DFS and BFT
-// network expose. Everything is a pure function of the schedule seed and
-// runs in virtual time, so a campaign of hundreds of schedules replays
-// byte-identically at any worker-pool size (the Medusa-style
-// fault-and-re-execute evaluation the ROADMAP's robustness lane calls
-// for).
+// commission-faulty task bodies, workers that corrupt or truncate the
+// intermediate records they read or write, and BFT message
+// drop/duplication/reordering — and injects them through the nil-safe
+// hooks the engine and BFT network expose. The store itself is trusted
+// (§2.3) and has no injection hook. Everything is a pure function of the
+// schedule seed and runs in virtual time, so a campaign of hundreds of
+// schedules replays byte-identically at any worker-pool size (the
+// Medusa-style fault-and-re-execute evaluation the ROADMAP's robustness
+// lane calls for).
 package chaos
 
 import (
@@ -37,18 +38,19 @@ const (
 	// node-distinct corruption so two victims can never collude into an
 	// accidental f+1 agreement.
 	Commission
-	// MangleRead flips a record in replica-local DFS reads (per-path
-	// draw with probability Prob). Only paths whose producing job has
-	// same-replica dependents are touched: those corruptions surface in
-	// downstream digests, whereas tampering a verification-boundary
-	// output after its digests were taken would model a broken trusted
-	// store, which the paper rules out (§2.3).
+	// MangleRead makes a map task of the victim replica (Replica)
+	// corrupt the records it reads of an input a same-replica job
+	// produced (per-task draw with probability Prob), salted with the
+	// replica so two mangled replicas never agree. The corruption
+	// surfaces in that replica's own digests; the store the records came
+	// from is trusted (§2.3) and untouched.
 	MangleRead
-	// MangleWrite flips a record as it is written, under the same
-	// same-replica-dependents rule.
+	// MangleWrite makes a task of the victim replica flip the first line
+	// of its output, in a job with same-replica dependents, before it
+	// digests and seals it.
 	MangleWrite
-	// TruncateWrite drops the tail record of a written stream, under the
-	// same rule.
+	// TruncateWrite makes such a task drop the last line of its output,
+	// under the same rule.
 	TruncateWrite
 	// NetDrop, NetDup and NetDelay perturb BFT messages touching the
 	// victim replica index (Replica) with per-message probability Prob.
@@ -86,7 +88,7 @@ type Event struct {
 	AtUs    int64          // crash instant
 	DownUs  int64          // crash duration before rejoin
 	Slow    float64        // straggler factor
-	Prob    int            // per-mille probability for per-task/per-path/per-message draws
+	Prob    int            // per-mille probability for per-task/per-message draws
 	Salt    uint64         // decorrelates this event's deterministic draws
 }
 
@@ -114,7 +116,7 @@ type Schedule struct {
 // Victims returns the sorted set of nodes named by node-scoped events —
 // the only nodes fault attribution may legitimately blame for digest
 // deviations (storage-mangle blame is tracked per replica by the
-// injector instead).
+// injector instead, since any node may serve the victim replica).
 func (s *Schedule) Victims() []cluster.NodeID {
 	set := map[cluster.NodeID]bool{}
 	for _, e := range s.Events {
@@ -251,7 +253,7 @@ func Generate(seed int64, p Profile) *Schedule {
 }
 
 // det is the shared deterministic per-site draw: a pure hash of
-// (salt, site) mapped onto [0, 1000). Used for per-task, per-path and
+// (salt, site) mapped onto [0, 1000). Used for per-task and
 // per-message decisions so outcomes depend only on the schedule and the
 // site's identity, never on arrival order or host scheduling.
 func det(salt uint64, site string) int {

@@ -79,7 +79,7 @@ func TestSaltedCorruptDistinctPerNode(t *testing.T) {
 	tamper := func(node cluster.NodeID, salt uint64, in tuple.Tuple) tuple.Tuple {
 		out := make(tuple.Tuple, len(in))
 		for i, v := range in {
-			out[i] = saltedCorrupt(node, salt)(v, func(s, suffix string) string { return s + suffix })
+			out[i] = saltedCorrupt(string(node), salt)(v, func(s, suffix string) string { return s + suffix })
 		}
 		return out
 	}
@@ -107,20 +107,6 @@ func TestSaltedCorruptDistinctPerNode(t *testing.T) {
 						salt, nodes[i], nodes[j], ci)
 				}
 			}
-		}
-	}
-}
-
-// TestReplicaOf pins the attempt-namespace parser the storage mangler
-// uses for attribution.
-func TestReplicaOf(t *testing.T) {
-	idx, key, ok := replicaOf("x/run1-c2-a0/r3/im/j4/part-r-00001")
-	if !ok || idx != 3 || key != "run1-c2-a0/r3" {
-		t.Errorf("got (%d, %q, %v)", idx, key, ok)
-	}
-	for _, p := range []string{"data/weather", "x/sid", "x/sid/q1/out", ""} {
-		if _, _, ok := replicaOf(p); ok {
-			t.Errorf("%q parsed as a replica path", p)
 		}
 	}
 }

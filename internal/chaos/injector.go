@@ -1,15 +1,12 @@
 package chaos
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"clusterbft/internal/bft"
 	"clusterbft/internal/cluster"
-	"clusterbft/internal/dfs"
 	"clusterbft/internal/mapred"
 	"clusterbft/internal/tuple"
 )
@@ -17,13 +14,13 @@ import (
 // Injector binds one Schedule onto the per-layer injection hooks. All
 // decisions are pure functions of (event salt, site identity), so a run
 // under the same schedule replays identically regardless of worker-pool
-// interleaving; the only mutable state is the record of which replica
-// namespaces had data mangled, kept for fault-attribution checks.
+// interleaving; the only mutable state is the record of which replicas'
+// workers mangled data, kept for fault-attribution checks.
 type Injector struct {
 	Sched *Schedule
 
 	mu      sync.Mutex
-	mangled map[string]bool // "sid/r<idx>" whose stored/read data was tampered
+	mangled map[string]bool // "sid/r<idx>" whose workers tampered with what they read or wrote
 
 	corrupts map[cluster.NodeID]corruptFn
 	netSeq   uint64
@@ -40,22 +37,20 @@ func NewInjector(s *Schedule) *Injector {
 	}
 	for _, ev := range s.Events {
 		if ev.Kind == Commission {
-			in.corrupts[ev.Node] = saltedCorrupt(ev.Node, ev.Salt)
+			in.corrupts[ev.Node] = saltedCorrupt(string(ev.Node), ev.Salt)
 		}
 	}
 	return in
 }
 
-// AttachEngine wires task faults, storage mangling and crash/rejoin pairs
-// into an engine that has not started running yet.
+// AttachEngine wires task faults, worker-side storage mangling and
+// crash/rejoin pairs into an engine that has not started running yet.
 func (in *Injector) AttachEngine(eng *mapred.Engine) {
-	var taskEvents, storeEvents []Event
+	var taskEvents []Event
 	for _, ev := range in.Sched.Events {
 		switch ev.Kind {
-		case Straggler, HangTask, Commission:
+		case Straggler, HangTask, Commission, MangleRead, MangleWrite, TruncateWrite:
 			taskEvents = append(taskEvents, ev)
-		case MangleRead, MangleWrite, TruncateWrite:
-			storeEvents = append(storeEvents, ev)
 		case CrashRejoin:
 			ev := ev
 			eng.After(ev.AtUs, func() { eng.CrashNode(ev.Node) })
@@ -63,10 +58,7 @@ func (in *Injector) AttachEngine(eng *mapred.Engine) {
 		}
 	}
 	if len(taskEvents) > 0 {
-		eng.TaskHook = in.taskHook(taskEvents)
-	}
-	if len(storeEvents) > 0 {
-		in.attachFS(eng, eng.FS, storeEvents)
+		eng.TaskHook = in.taskHook(eng, taskEvents)
 	}
 }
 
@@ -75,115 +67,110 @@ func (in *Injector) AttachEngine(eng *mapred.Engine) {
 // attempt-scoped — so each attempt of each replica rolls independently,
 // and a relaunched attempt is not doomed to repeat its predecessor's
 // hang.
-func (in *Injector) taskHook(events []Event) func(cluster.NodeID, *mapred.Task) mapred.TaskFault {
+//
+// The storage kinds act in a worker of the victim replica, on records of
+// an intra-replica intermediate: a job whose output same-replica jobs
+// consume. A write mangle tampers with such a job's task output before
+// the task digests and seals it; a read mangle corrupts a map task's
+// input that such a job produced. Either way the deviation surfaces in
+// that replica's digests alone and is pinned to it. Mangling a raw input
+// would hit every replica identically (undetectable collusion), and the
+// store itself is trusted (§2.3): nothing is tampered with after a task
+// sealed it.
+func (in *Injector) taskHook(eng *mapred.Engine, events []Event) func(cluster.NodeID, *mapred.Task) mapred.TaskFault {
 	return func(node cluster.NodeID, t *mapred.Task) mapred.TaskFault {
 		var f mapred.TaskFault
+		var writes []Event
+		site := t.Job.Spec.ID + "/" + t.ID()
 		for _, ev := range events {
-			if ev.Node != node {
-				continue
-			}
 			switch ev.Kind {
 			case Straggler:
-				if ev.Slow > f.SlowFactor {
+				if ev.Node == node && ev.Slow > f.SlowFactor {
 					f.SlowFactor = ev.Slow
 				}
 			case HangTask:
-				if det(ev.Salt, t.Job.Spec.ID+"/"+t.ID()) < ev.Prob {
+				if ev.Node == node && det(ev.Salt, site) < ev.Prob {
 					f.Hang = true
 				}
 			case Commission:
-				if f.Corrupt == nil && det(ev.Salt, t.Job.Spec.ID+"/"+t.ID()) < ev.Prob {
+				if ev.Node == node && f.Corrupt == nil && det(ev.Salt, site) < ev.Prob {
 					f.Corrupt = in.corrupts[node]
 				}
+			case MangleRead:
+				if t.Job.Spec.Replica == ev.Replica && f.Corrupt == nil && readsIntermediate(eng, t) && det(ev.Salt, site) < ev.Prob {
+					f.Corrupt = in.mangleRead(ev.Salt, replicaKey(t))
+				}
+			case MangleWrite, TruncateWrite:
+				if t.Job.Spec.Replica == ev.Replica && t.Job.HasDependents() && det(ev.Salt, site) < ev.Prob {
+					writes = append(writes, ev)
+				}
 			}
+		}
+		if len(writes) > 0 {
+			f.Tamper = in.mangleWrite(writes, replicaKey(t))
 		}
 		return f
 	}
 }
 
-// attachFS wires read/write mangling. Only intra-replica intermediates —
-// outputs whose producing job has same-replica consumers — are eligible:
-// their corruption surfaces in the consumer's digests and is pinned to
-// one replica. Mangling a raw input would hit every replica identically
-// (undetectable collusion), and mangling a verification-boundary output
-// after its digests were taken would model a broken trusted store, which
-// the paper assumes away.
-func (in *Injector) attachFS(eng *mapred.Engine, fs *dfs.FS, events []Event) {
-	var readEvents, writeEvents []Event
-	for _, ev := range events {
-		if ev.Kind == MangleRead {
-			readEvents = append(readEvents, ev)
-		} else {
-			writeEvents = append(writeEvents, ev)
+// replicaKey is the "sid/r<idx>" attribution key of t's replica.
+func replicaKey(t *mapred.Task) string {
+	return t.Job.Spec.SID + "/r" + strconv.Itoa(t.Job.Spec.Replica)
+}
+
+// readsIntermediate reports whether t is a map task whose input one of its
+// job's same-replica dependencies produced.
+func readsIntermediate(eng *mapred.Engine, t *mapred.Task) bool {
+	if t.Kind != mapred.MapTask {
+		return false
+	}
+	path := t.Job.Spec.Inputs[t.InputIdx].Path
+	for _, dep := range t.Job.Spec.Deps {
+		if js := eng.Job(dep); js != nil && js.Spec.Output == path {
+			return true
 		}
 	}
-	apply := func(events []Event, path string, lines []string) []string {
-		repIdx, repKey, ok := replicaOf(path)
-		if !ok || len(lines) == 0 {
-			return lines
-		}
+	return false
+}
+
+// mangleRead is the Corrupt of a read mangle on the replica behind key:
+// a commission-style corruption salted with the replica rather than a
+// node, so two mangled replicas never corrupt alike, that records the
+// replica as mangled once it touches a value.
+func (in *Injector) mangleRead(salt uint64, key string) corruptFn {
+	corrupt := saltedCorrupt(key, salt)
+	return func(v tuple.Value, cat func(s, suffix string) string) tuple.Value {
+		in.mark(key)
+		return corrupt(v, cat)
+	}
+}
+
+// mangleWrite is the Tamper of the write events on the replica behind
+// key: each in turn flips the first line, tagging it with the replica so
+// two mangled streams are never equal, or drops the last line. Output with
+// no lines is left alone and marks nothing.
+func (in *Injector) mangleWrite(events []Event, key string) func([]string) []string {
+	return func(lines []string) []string {
 		for _, ev := range events {
-			if repIdx != ev.Replica || det(ev.Salt, path) >= ev.Prob {
-				continue
-			}
-			if !eligible(eng, path) {
-				continue
-			}
-			switch ev.Kind {
-			case TruncateWrite:
-				lines = lines[:len(lines)-1]
-			default: // MangleRead, MangleWrite
-				// Append a tampered duplicate of the first record, tagged
-				// with the replica so two mangled streams are never equal.
-				tampered := append([]string(nil), lines...)
-				tampered = append(tampered, lines[0]+"\x00"+repKey)
-				lines = tampered
-			}
-			in.mu.Lock()
-			in.mangled[repKey] = true
-			in.mu.Unlock()
 			if len(lines) == 0 {
 				break
 			}
+			if ev.Kind == TruncateWrite {
+				lines = lines[:len(lines)-1]
+			} else {
+				lines[0] += "\x00" + key
+			}
+			in.mark(key)
 		}
 		return lines
 	}
-	if len(writeEvents) > 0 {
-		fs.WriteHook = func(path string, lines []string) []string {
-			return apply(writeEvents, path, lines)
-		}
-	}
-	if len(readEvents) > 0 {
-		fs.ReadHook = func(path string, lines []string) []string {
-			return apply(readEvents, path, lines)
-		}
-	}
 }
 
-// replicaOf parses the attempt-scoped namespace "x/<sid>/r<idx>/..." and
-// returns the replica index plus the "sid/r<idx>" attribution key.
-func replicaOf(path string) (int, string, bool) {
-	parts := strings.SplitN(path, "/", 4)
-	if len(parts) < 4 || parts[0] != "x" || len(parts[2]) < 2 || parts[2][0] != 'r' {
-		return 0, "", false
-	}
-	idx, err := strconv.Atoi(parts[2][1:])
-	if err != nil {
-		return 0, "", false
-	}
-	return idx, parts[1] + "/" + parts[2], true
-}
-
-// eligible reports whether the path belongs to an output with
-// same-replica dependents. Part-file paths resolve through their parent
-// directory; tree reads pass the directory itself.
-func eligible(eng *mapred.Engine, path string) bool {
-	dir := path
-	if i := strings.LastIndexByte(path, '/'); i > 0 && strings.HasPrefix(path[i+1:], "part-") {
-		dir = path[:i]
-	}
-	js := eng.JobByOutput(dir)
-	return js != nil && js.HasDependents()
+// mark records the replica behind key as mangled.
+func (in *Injector) mark(key string) {
+	in.mu.Lock()
+	in.mangled[key] = true
+	in.mu.Unlock()
 }
 
 // MangledReplicas returns the sorted "sid/r<idx>" keys whose data this
@@ -200,8 +187,8 @@ func (in *Injector) MangledReplicas() []string {
 	return out
 }
 
-// WasMangled reports whether the replica behind the "sid/r<idx>" key had
-// its stored or read data tampered.
+// WasMangled reports whether a worker of the replica behind the
+// "sid/r<idx>" key tampered with what it read or wrote.
 func (in *Injector) WasMangled(key string) bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -251,17 +238,18 @@ func (in *Injector) AttachNetwork(net *bft.Network) {
 // corruptFn is the type of mapred.TaskFault.Corrupt.
 type corruptFn = func(v tuple.Value, cat func(s, suffix string) string) tuple.Value
 
-// saltedCorrupt builds a commission fault distinct per victim node: two
-// commission-faulty nodes must never produce byte-identical corruption,
+// saltedCorrupt builds a commission fault distinct per victim — a node,
+// or the replica a read mangle hits: two commission-faulty nodes must
+// never produce byte-identical corruption,
 // or their replicas could assemble an accidental f+1 agreement the
 // verifier has no way to reject. The numeric delta draws from the full
 // hash width — an earlier %5 draw collided between nodes one time in
 // five, and on all-integer tuples (no string field to carry the node
 // tag) two victims then corrupted byte-identically, formed a false f+1
 // and got the honest replica blamed.
-func saltedCorrupt(node cluster.NodeID, salt uint64) corruptFn {
-	delta := int64(det64(salt, string(node))%1_000_000_007) + 1
-	tag := fmt.Sprintf("\x00%s", node)
+func saltedCorrupt(victim string, salt uint64) corruptFn {
+	delta := int64(det64(salt, victim)%1_000_000_007) + 1
+	tag := "\x00" + victim
 	return func(v tuple.Value, cat func(s, suffix string) string) tuple.Value {
 		switch v.Kind() {
 		case tuple.KindInt:

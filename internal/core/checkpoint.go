@@ -9,14 +9,13 @@ import (
 
 // Checkpoint-granular recovery (DESIGN.md §12). A full-r sub-graph's
 // interior jobs run with Spec.Ckpt set, and the engine digests their
-// output as produced (CkptPoint) when each finishes. Once f+1 replicas
+// output as stored (CkptPoint) when each finishes. Once f+1 replicas
 // agree on one, the verifier decides it verified at job granularity; the
-// controller appends that replica's Produced under a trusted ckpt/ path,
-// out of every write hook's reach, and reports the landing, on which the
-// verifier keeps the source signature (the upstream sid and replica per
-// upstream sub-graph). A later attempt whose sources match it skips the
-// job: its consumers read the checkpoint, and only the DAG suffix
-// re-executes. A restart cascade drops a sub-graph's checkpoints, since
+// controller appends that replica's output under a trusted ckpt/ path and
+// reports the landing, on which the verifier keeps the source signature
+// (the upstream sid and replica per upstream sub-graph). A later attempt
+// whose sources match it skips the job: its consumers read the checkpoint,
+// and only the DAG suffix re-executes. A restart cascade drops a sub-graph's checkpoints, since
 // its lineage is suspect. Boundary jobs are never checkpointed, so the
 // suffix is never empty.
 
@@ -44,11 +43,12 @@ func (c *Controller) ckptEligible(p Policy, t tmpl) bool {
 
 // checkpoint acts on the verifier's finding that replica rep is among
 // the f+1 agreeing on template job tmplID's CkptPoint digest, which it
-// reported as the job finished: persist that job's output as produced,
-// and report the landing. The verifier decides it once per job until a
-// cascade drops the job's checkpoint.
+// reported as the job finished: persist that job's output, and report the
+// landing. The verifier decides it once per job until a cascade drops the
+// job's checkpoint. The replica's namespace is purged only when an
+// attempt under its sid launches, so the output is still there.
 func (c *Controller) checkpoint(cs *clusterState, tmplID string, rep int) {
-	out := c.Eng.Produced(c.Eng.Job(replicaPath(cs.plan.sid, rep, tmplID)))
+	out := c.Eng.FS.OpenOutput(c.Eng.Job(replicaPath(cs.plan.sid, rep, tmplID)).Spec.Output)
 	lines := slices.AppendSeq(make([]string, 0, out.NumRecords()), out.Lines)
 	path := c.ckptPath(cs, tmplID)
 	_ = c.Eng.FS.Delete(path)

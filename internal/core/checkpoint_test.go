@@ -3,10 +3,11 @@ package core
 import (
 	"maps"
 	"slices"
-	"strings"
+	"sync"
 	"testing"
 
 	"clusterbft/internal/analyze"
+	"clusterbft/internal/cluster"
 	"clusterbft/internal/dfs"
 	"clusterbft/internal/digest"
 	"clusterbft/internal/mapred"
@@ -269,106 +270,92 @@ func segmentEnds(t *testing.T, fs *dfs.FS, path string) []int {
 	return ends
 }
 
-// TestWriteHookCannotPoisonCheckpoint: a write hook that changes a part of
-// one replica's interior job changes the file that part is installed as,
-// and neither the job's CkptPoint digest nor its checkpoint: the digest is
-// digest.OfLines of the lines the job's tasks produced, and the ckpt/ file,
-// saved from that very replica, holds those lines in the blocks Append
-// seals them into.
-func TestWriteHookCannotPoisonCheckpoint(t *testing.T) {
+// TestMangledReplicaIsNeverCheckpointed: a worker of the replica a clean
+// run checkpoints from tampers with a part of its interior job before
+// sealing it. The part file holds the tampered lines, so the replica's
+// CkptPoint digest leaves the f+1 that agree: the one checkpoint is saved
+// from another replica, and the ckpt/ file holds the clean run's lines in
+// the blocks Append seals them into.
+func TestMangledReplicaIsNeverCheckpointed(t *testing.T) {
 	opts := dfs.Options{BlockSize: 24}
-	h := &harness{NewSystem(8, 2, opts, mapred.DefaultCostModel())}
-	h.FS.Append("data/weather", weatherData(2000)...)
-	cfg := DefaultConfig()
-	cfg.Checkpoint = true
-	cfg.ForcePointAliases = []string{"counts"}
-	h.Assure(cfg)
-	trail := analyze.NewAuditTrail(h.Engine.Now)
-	h.Ctrl.AttachAudit(trail)
-
-	const mangled = 1                 // the replica whose part the hook changes: the one the checkpoint comes from
-	produced := map[string][]string{} // its interior job's parts, as produced
-	var victim string
-	var stored []string // the victim part's file as the hook left it
-	h.FS.WriteHook = func(path string, lines []string) []string {
-		js := h.Engine.JobByOutput(path[:strings.LastIndexByte(path, '/')])
-		if js == nil || !js.Spec.Ckpt || js.Spec.Replica != mangled || produced[path] != nil {
-			return lines
-		}
-		produced[path] = slices.Clone(lines)
-		if victim != "" {
-			return lines
-		}
-		victim = path
-		return append(slices.Clone(lines), "mangled")
-	}
-	var sums []digest.Report
-	saved := map[string][]string{}
-	savedEnds := map[string][]int{}
-	sink := h.Engine.DigestSink
-	h.Engine.DigestSink = func(r digest.Report) {
-		sink(r)
-		if r.Key.Point != mapred.CkptPoint {
-			return
-		}
-		sums = append(sums, r)
-		if stored == nil {
-			stored, _ = h.FS.ReadLines(victim)
-		}
-		for _, p := range h.FS.List("ckpt") {
-			if saved[p] == nil {
-				saved[p], _ = h.FS.ReadLines(p)
-				savedEnds[p] = segmentEnds(t, h.FS, p)
+	// run runs the script with a Tamper from tamper on every task it
+	// returns one for, and returns every ckpt/ file as saved, the records
+	// its segments end at and the replicas checkpoints came from.
+	run := func(tamper func(*mapred.Task) func([]string) []string) (saved map[string][]string, savedEnds map[string][]int, from []int) {
+		h := &harness{NewSystem(8, 2, opts, mapred.DefaultCostModel())}
+		h.FS.Append("data/weather", weatherData(2000)...)
+		cfg := DefaultConfig()
+		cfg.Checkpoint = true
+		cfg.ForcePointAliases = []string{"counts"}
+		h.Assure(cfg)
+		trail := analyze.NewAuditTrail(h.Engine.Now)
+		h.Ctrl.AttachAudit(trail)
+		if tamper != nil {
+			h.Engine.TaskHook = func(_ cluster.NodeID, task *mapred.Task) mapred.TaskFault {
+				return mapred.TaskFault{Tamper: tamper(task)}
 			}
 		}
-	}
-	if _, err := h.Ctrl.Run(weatherScript); err != nil {
-		t.Fatal(err)
-	}
-
-	var want []string
-	for _, p := range slices.Sorted(maps.Keys(produced)) {
-		want = append(want, produced[p]...)
-	}
-	if len(produced) < 2 || len(want) < 8 {
-		t.Fatalf("the interior job produced %d lines in %d parts: too few to test", len(want), len(produced))
-	}
-	if hooked := append(slices.Clone(produced[victim]), "mangled"); !slices.Equal(stored, hooked) {
-		t.Errorf("%s holds %q, the hook returned %q", victim, stored, hooked)
-	}
-	found := false
-	for _, r := range sums {
-		if r.Replica == mangled {
-			found = true
-			if r.Sum != digest.OfLines(want) || r.Records != int64(len(want)) {
-				t.Errorf("replica %d's CkptPoint digest %v covers not the %d lines produced", mangled, r, len(want))
+		saved, savedEnds = map[string][]string{}, map[string][]int{}
+		sink := h.Engine.DigestSink
+		h.Engine.DigestSink = func(r digest.Report) {
+			sink(r)
+			if r.Key.Point != mapred.CkptPoint {
+				return
+			}
+			for _, p := range h.FS.List("ckpt") { // teardown deletes them
+				if saved[p] == nil {
+					saved[p], _ = h.FS.ReadTree(p)
+					savedEnds[p] = segmentEnds(t, h.FS, p)
+				}
 			}
 		}
+		if _, err := h.Ctrl.Run(weatherScript); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range trail.Events() {
+			if ev.Kind == analyze.AuditCheckpoint {
+				from = append(from, ev.Replica)
+			}
+		}
+		return saved, savedEnds, from
 	}
-	if !found {
-		t.Fatalf("no CkptPoint digest from replica %d among %v", mangled, sums)
+
+	want, wantEnds, cleanFrom := run(nil)
+	if len(want) != 1 || len(cleanFrom) != 1 {
+		t.Fatalf("the clean run saved checkpoints %v from replicas %v: want one", slices.Sorted(maps.Keys(want)), cleanFrom)
 	}
-	var from []int
-	for _, ev := range trail.Events() {
-		if ev.Kind == analyze.AuditCheckpoint {
-			from = append(from, ev.Replica)
+	for p, lines := range want {
+		if len(lines) < 8 || len(wantEnds[p]) < 3 {
+			t.Fatalf("%s holds %d lines in segments ending at %v: too few to test", p, len(lines), wantEnds[p])
 		}
 	}
-	if len(saved) != 1 || !slices.Equal(from, []int{mangled}) {
-		t.Fatalf("checkpoints %v saved from replicas %v: want one, from replica %d", slices.Sorted(maps.Keys(saved)), from, mangled)
+	mangled := cleanFrom[0]
+	var mu sync.Mutex
+	var victim []string // the part the mangled replica's task stored
+	saved, savedEnds, from := run(func(task *mapred.Task) func([]string) []string {
+		if !task.Job.Spec.Ckpt || task.Job.Spec.Replica != mangled || task.Kind != mapred.ReduceTask || task.Index != 0 {
+			return nil
+		}
+		return func(lines []string) []string {
+			lines = append(lines, "mangled")
+			mu.Lock()
+			victim = slices.Clone(lines)
+			mu.Unlock()
+			return lines
+		}
+	})
+	if len(victim) < 2 {
+		t.Fatalf("replica %d's task stored %q: nothing mangled", mangled, victim)
 	}
-	ref := dfs.NewWith(opts)
-	ref.Append("ref", want...)
-	ends := segmentEnds(t, ref, "ref")
-	if len(ends) < 3 {
-		t.Fatalf("Append seals the produced lines into segments ending at %v: too few blocks to test", ends)
+	if len(saved) != 1 || len(from) != 1 || from[0] == mangled {
+		t.Fatalf("checkpoints %v saved from replicas %v: want one, not from replica %d", slices.Sorted(maps.Keys(saved)), from, mangled)
 	}
 	for p, lines := range saved {
-		if !slices.Equal(lines, want) {
-			t.Errorf("%s holds %q, the tasks produced %q", p, lines, want)
+		if !slices.Equal(lines, want[p]) {
+			t.Errorf("%s holds %q, the clean run's %q", p, lines, want[p])
 		}
-		if !slices.Equal(savedEnds[p], ends) {
-			t.Errorf("%s holds blocks ending at records %v, Append seals %v", p, savedEnds[p], ends)
+		if !slices.Equal(savedEnds[p], wantEnds[p]) {
+			t.Errorf("%s holds blocks ending at records %v, the clean run's at %v", p, savedEnds[p], wantEnds[p])
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"clusterbft/internal/analyze"
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/dfs"
+	"clusterbft/internal/digest"
 	"clusterbft/internal/mapred"
 	"clusterbft/internal/obs"
 	"clusterbft/internal/pig"
@@ -937,7 +938,7 @@ func TestStorageFaultIsNotANodeFault(t *testing.T) {
 }
 
 // TestOutputStorageFaultIsNotANodeFault: an output block that fails its
-// checksum when the engine reads the job's output as produced — for its
+// checksum when the engine reads the job's stored output — for its
 // AuditIOOutPoint digest, before any consumer reads it — ends the run with
 // that file's *dfs.BlockError, as a bad input block does: no panic escapes
 // Run, no node is suspected, and the trail holds no mismatch.
@@ -954,12 +955,23 @@ STORE hot INTO 'out/hot';
 	t.Cleanup(func() { h.FS.Close() })
 	h.FS.Append("data/weather", weatherData(4000)...)
 	inputEnd := h.FS.SpillBytes() // output blocks spill past the input's
-	var first string              // the first part installed, whose first block is flipped
-	h.FS.WriteHook = func(path string, lines []string) []string {
-		if first == "" {
-			first = path
-			return lines
+	cfg := DefaultConfig()
+	cfg.VerifyPolicy = PolicyQuiz
+	cfg.TimeoutUs = 60_000_000
+	h.Assure(cfg)
+	trail := analyze.NewAuditTrail(h.Engine.Now)
+	h.Ctrl.AttachAudit(trail)
+	// A task's digests reach the sink just before it commits, so the
+	// second task's find the first part installed, and nothing yet read.
+	var first string // the first part installed, whose first block is flipped
+	sink := h.Engine.DigestSink
+	h.Engine.DigestSink = func(r digest.Report) {
+		defer sink(r)
+		parts := h.FS.List("x")
+		if first != "" || len(parts) == 0 {
+			return
 		}
+		first = parts[0]
 		// The first part is in the spill file now; no read has reached it.
 		files, err := filepath.Glob(filepath.Join(dir, "clusterbft-spill-*.blk"))
 		if err != nil || len(files) != 1 {
@@ -978,15 +990,7 @@ STORE hot INTO 'out/hot';
 		if _, err := f.WriteAt(b[:], inputEnd+40); err != nil {
 			t.Fatal(err)
 		}
-		h.FS.WriteHook = nil
-		return lines
 	}
-	cfg := DefaultConfig()
-	cfg.VerifyPolicy = PolicyQuiz
-	cfg.TimeoutUs = 60_000_000
-	h.Assure(cfg)
-	trail := analyze.NewAuditTrail(h.Engine.Now)
-	h.Ctrl.AttachAudit(trail)
 	res, err := h.Ctrl.Run(script)
 	var bad *dfs.BlockError
 	if !errors.As(err, &bad) || first == "" || bad.Path != first || bad.Block != 0 {

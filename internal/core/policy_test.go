@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/sha256"
-	"slices"
 	"strings"
 	"testing"
 
@@ -303,9 +302,10 @@ func TestControllerLifecycleBounded(t *testing.T) {
 }
 
 // TestCrossClusterAuditConflict drives the one audit rule that blames an
-// upstream sub-graph: a write hook corrupts the first line of every file
-// c0's primary stores, so c1's io-in digest of that tree conflicts with
-// the io-out digest c0's primary reported for it. c0's primary is the
+// upstream sub-graph: once c0's primary has reported the io-out digest of
+// its output, the first line of every part of it is changed through the
+// store's own API, before c1 opens the tree, so c1's io-in digest of that
+// tree conflicts with the io-out digest c0's primary reported for it. c0's primary is the
 // one charged, c0 escalates to full replication, and the restart cascade
 // takes c1 down with it. The trail is pinned as it was before the
 // verifier became a state machine.
@@ -341,15 +341,26 @@ t=8024448  verify          run1-c1-a1/r0
 		cfg.VerifyPolicy = p
 		cfg.QuizFraction = 1
 		h := newRig(16, 3)
-		h.FS.WriteHook = func(path string, lines []string) []string {
-			if !strings.HasPrefix(path, "x/run1-c0-a0/r0/") || len(lines) == 0 {
-				return lines
-			}
-			out := slices.Clone(lines)
-			out[0] += "x"
-			return out
-		}
 		h.Assure(cfg)
+		done := h.Engine.OnJobDone // which launches c1 once c0's primary is done
+		h.Engine.OnJobDone = func(js *mapred.JobState) {
+			if strings.HasPrefix(js.Spec.ID, "x/run1-c0-a0/r0/") {
+				for _, part := range h.FS.List(js.Spec.Output) {
+					lines, err := h.FS.ReadTree(part)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(lines) > 0 {
+						lines[0] += "x"
+						if err := h.FS.Delete(part); err != nil {
+							t.Fatal(err)
+						}
+						h.FS.Append(part, lines...)
+					}
+				}
+			}
+			done(js)
+		}
 		trail := analyze.NewAuditTrail(h.Engine.Now)
 		h.Ctrl.AttachAudit(trail)
 		res, err := h.Ctrl.Run(weatherScript)

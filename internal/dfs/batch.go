@@ -17,9 +17,9 @@ import (
 // out of it by a start and an end offset — a plain column's at its bytes
 // in the column's region, a dictionary-coded column's at the dictionary
 // entry its code names. No value is copied and no line rebuilt. Anything
-// else (an unsealed tail, a ReadHook's lines, a block range decoded to
-// lines) is held as lines, where they are, every column carried, and read
-// by the codec's own rule (tuple.Fields).
+// else (an unsealed tail, a block range decoded to lines) is held as
+// lines, where they are, every column carried, and read by the codec's own
+// rule (tuple.Fields).
 //
 // A column held as spans also carries what the block's seal learnt of the
 // values it holds (Form): whether every one is a canonical integer, or

@@ -140,7 +140,7 @@ func TestBatchEscapesMatchDecodeLine(t *testing.T) {
 // unsealed tail in strides that straddle block boundaries: every call
 // stops at its segment's end, and every range — sealed, escaped or the
 // tail — comes back as a batch, the ranges together every record once, in
-// order. A reader materialized for a ReadHook is served the same way.
+// order.
 func TestReadColumnsSegments(t *testing.T) {
 	fs := NewWith(Options{BlockSize: 128, MemBudget: 256, SpillDir: t.TempDir(), Compress: true})
 	defer fs.Close()
@@ -181,17 +181,6 @@ func TestReadColumnsSegments(t *testing.T) {
 	if next := r.ReadColumns(&b, 20, 10, nil); next != 10 || b.Next() {
 		t.Fatalf("empty range: next=%d", next)
 	}
-
-	// A reader materialized for a ReadHook holds lines only.
-	fs.ReadHook = func(_ string, lines []string) []string { return lines }
-	hooked, err := fs.OpenReader("t/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next := hooked.ReadColumns(&b, 140, 160, nil); next != 160 {
-		t.Fatalf("hook-materialized reader: next=%d", next)
-	}
-	readsAs(t, "hook-materialized reader", &b, lines[140:160], nil)
 }
 
 // TestBatchReadAllocs: a batch read allocates no more objects than the
@@ -310,9 +299,9 @@ func TestBatchValuesOutliveTheirBlock(t *testing.T) {
 		if spilled := src.path == "in/spilled"; (blk.data == nil) != spilled || !spilled && blk.data[1] != src.flags {
 			t.Fatalf("%s: first block spilled=%v, want spilled=%v, else flags %#x", src.path, blk.data == nil, spilled, src.flags)
 		}
-		lines, err := src.fs.ReadLines(src.path)
+		lines, err := readLines(src.fs, src.path)
 		if err != nil || !slices.Equal(lines, src.lines) {
-			t.Fatalf("%s: ReadLines = %v", src.path, err)
+			t.Fatalf("%s: readLines = %v", src.path, err)
 		}
 		r, err := src.fs.OpenReader(src.path)
 		if err != nil {
@@ -378,7 +367,7 @@ func TestBatchValuesOutliveTheirBlock(t *testing.T) {
 // a file of deflated blocks through the pooled inflater; run the
 // collector; or read a file through batches under a mask. Every value a
 // batch served is kept beside the line decode of its record, taken first
-// from ReadLines, and must still equal it once the collector has run.
+// from readLines, and must still equal it once the collector has run.
 func FuzzBatchValuesOutliveTheirBlock(f *testing.F) {
 	// Read, spill, read again, delete, collect; install, read, spill,
 	// collect: in the raw store, in the compressing one, and in both.
@@ -466,7 +455,7 @@ func FuzzBatchValuesOutliveTheirBlock(f *testing.F) {
 				runtime.GC()
 				check(i)
 			default:
-				lines, err := fs.ReadLines(path)
+				lines, err := readLines(fs, path)
 				if err != nil {
 					continue // deleted, or never written
 				}

@@ -630,7 +630,7 @@ func TestSealSpillReadBack(t *testing.T) {
 			// than a couple of block sizes.
 			t.Fatalf("compress=%v: max resident %d far above budget", compress, got)
 		}
-		got, err := fs.ReadLines("data/in")
+		got, err := readLines(fs, "data/in")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -650,7 +650,7 @@ func TestSealSpillReadBack(t *testing.T) {
 
 // TestReadBackFailsClosed: a spilled output block that cannot be read back
 // — one byte of it flipped in the spill file, or the spill file closed —
-// fails ReadLines and ReadTree with an error that is the block's
+// fails readLines and ReadTree with an error that is the block's
 // *BlockError, and a Reader's ReadRange, which has no error to return,
 // panics with it.
 func TestReadBackFailsClosed(t *testing.T) {
@@ -685,12 +685,12 @@ func TestReadBackFailsClosed(t *testing.T) {
 			t.Fatalf("%s: err = %v; want a *BlockError for block 0 of out/part-0 naming %q", who, err, cause)
 		}
 	}
-	_, err = fs.ReadLines("out/part-0")
-	failed("ReadLines", err, "checksum")
+	_, err = readLines(fs, "out/part-0")
+	failed("readLines", err, "checksum")
 	_, err = fs.ReadTree("out")
 	failed("ReadTree", err, "checksum")
-	if _, err := fs.ReadLines("out/part-1"); err != nil {
-		t.Errorf("ReadLines of the other part: %v", err)
+	if _, err := readLines(fs, "out/part-1"); err != nil {
+		t.Errorf("readLines of the other part: %v", err)
 	}
 	r, err := fs.OpenReader("out/part-0")
 	if err != nil {
@@ -740,7 +740,7 @@ func TestOneAppendSealsLikeMany(t *testing.T) {
 			if cap(f.pending) > 2*len(f.pending) {
 				t.Errorf("budget %d: tail keeps an array of %d for %d lines: sealed strings stay reachable", budget, cap(f.pending), len(f.pending))
 			}
-			got, err := fs.ReadLines("f")
+			got, err := readLines(fs, "f")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -900,34 +900,6 @@ func TestTreeReaderMatchesReadTree(t *testing.T) {
 	}
 }
 
-func TestOpenReaderHonorsReadHook(t *testing.T) {
-	fs := NewWith(Options{BlockSize: 32})
-	for i := 0; i < 20; i++ {
-		fs.Append("h/f", fmt.Sprintf("line%d", i))
-	}
-	calls := 0
-	fs.ReadHook = func(path string, lines []string) []string {
-		calls++
-		out := append([]string(nil), lines...)
-		out[0] = "mangled"
-		return out
-	}
-	r, err := fs.OpenReader("h/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("hook fired %d times at open, want exactly 1", calls)
-	}
-	got := r.ReadRange(0, r.NumRecords())
-	if got[0] != "mangled" || got[1] != "line1" {
-		t.Fatalf("hooked reader stream wrong: %q", got[:2])
-	}
-	if calls != 1 {
-		t.Fatalf("hook fired again on ReadRange (%d calls)", calls)
-	}
-}
-
 func TestParseBytes(t *testing.T) {
 	cases := map[string]int64{
 		"0": 0, "123": 123, "4k": 4 << 10, "4K": 4 << 10,
@@ -1008,7 +980,7 @@ func TestSealBufferOutlivesItsBuffer(t *testing.T) {
 		for i := range buf {
 			buf[i] = '#'
 		}
-		got, err := fs.ReadLines("out/part")
+		got, err := readLines(fs, "out/part")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,8 +13,7 @@
 // under a resident-memory budget — spilled to a temp file on disk. All
 // of this is invisible above the API line: reads reconstruct the exact
 // record lines that were appended, verification digests are taken over
-// canonical record bytes (never block bytes), and the line-level
-// Read/Write hooks keep firing on exactly the streams they always saw.
+// canonical record bytes (never block bytes).
 package dfs
 
 import (
@@ -22,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,22 +81,6 @@ func ParseBytes(s string) (int64, error) {
 // FS is a concurrency-safe block-structured file system. The zero value
 // is not usable; construct with New or NewWith.
 type FS struct {
-	// WriteHook, when set, transforms the lines of every Append and
-	// Install before they are stored; ReadHook transforms the result of
-	// each logical read (once per ReadLines or ReadTree call, applied to
-	// the copy handed to the caller — stored data is never touched). Both
-	// are nil-safe and zero-cost when unset; they exist for fault
-	// injection, which uses them to corrupt or truncate record streams at
-	// the storage boundary. Append and Install are the write boundary and
-	// ReadLines/ReadTree (and reader opens, which with a hook set decode
-	// the same whole-file read and hold its hooked lines) are the
-	// block-decode boundary, so hooks observe exactly the line streams
-	// they saw on the legacy []string store. Set hooks before using the
-	// FS concurrently; a hook must be a pure function and must not call
-	// back into the FS.
-	ReadHook  func(path string, lines []string) []string
-	WriteHook func(path string, lines []string) []string
-
 	opts Options
 
 	mu    sync.RWMutex
@@ -189,7 +171,7 @@ func (e *ErrNotFound) Error() string { return fmt.Sprintf("dfs: %s: no such file
 
 // BlockError is how a read fails when a sealed block cannot be read back:
 // the spill file failed, or the bytes are not the block that was sealed.
-// ReadLines and ReadTree return it; a Reader's reads, which have no error
+// ReadTree returns it; a Reader's reads, which have no error
 // to return, panic with it. The trusted store itself broke, which the fault
 // model assumes away and no node is to blame for: mapred.Engine.Run ends on
 // it.
@@ -261,16 +243,10 @@ func (fs *FS) pathRanges(prefix string) (exact bool, lo, hi int) {
 // in the file's unsealed tail; once the tail reaches the target block
 // size it is sealed into encoded (optionally compressed) blocks, which
 // spill to disk when the resident-memory budget is exceeded.
-func (fs *FS) Append(path string, lines ...string) {
-	path = clean(path)
-	if fs.WriteHook != nil {
-		lines = fs.WriteHook(path, lines)
-	}
-	fs.install(path, fs.Seal(lines))
-}
+func (fs *FS) Append(path string, lines ...string) { fs.Install(path, fs.Seal(lines)) }
 
 // Sealed is a batch of lines as Seal encoded them, which Install adds to a
-// file as they are and OpenSealed reads: blocks, tail and their size.
+// file as they are: blocks, tail and their size.
 type Sealed struct {
 	blocks []*block // path and idx are the installing file's to set
 	tail   []string // in an array of its own
@@ -340,25 +316,12 @@ func seal[T lineText](opts Options, lines lineSet[T]) Sealed {
 }
 
 // Install adds to the file at path, creating it if needed, the lines s was
-// sealed from. A WriteHook is applied to those lines, decoded from s, as
-// Append applies it to its own, and what it changes is sealed again: s
-// itself is left as it was.
+// sealed from. It is the one place a file grows: under mu it adopts s's
+// blocks, accounts for them, queues them for eviction and enforces the
+// resident budget. s was sealed as if the file were empty; behind a tail
+// its lines join the tail instead, sealed with it once it reaches a block.
 func (fs *FS) Install(path string, s Sealed) {
 	path = clean(path)
-	if fs.WriteHook != nil {
-		lines := s.appendLines(nil)
-		if hooked := fs.WriteHook(path, lines); !slices.Equal(hooked, lines) {
-			s = fs.Seal(hooked)
-		}
-	}
-	fs.install(path, s)
-}
-
-// install is the one place a file grows: under mu it adopts s's blocks,
-// accounts for them, queues them for eviction and enforces the resident
-// budget. s was sealed as if the file were empty; behind a tail its lines
-// join the tail instead, sealed with it once it reaches a block.
-func (fs *FS) install(path string, s Sealed) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	f, ok := fs.files[path]
@@ -497,21 +460,6 @@ func (fs *FS) loadBlock(dst []string, s *blockShape, b *block, lo, hi int) ([]st
 
 // ---- reads ------------------------------------------------------------
 
-// ReadLines returns a copy of the lines of the file at path. A sealed
-// block that cannot be read back fails it with a *BlockError.
-func (fs *FS) ReadLines(path string) ([]string, error) { return fs.read(path, false) }
-
-// read is ReadLines, or with tree ReadTree: the snapshot a Reader takes,
-// decoded into one slice.
-func (fs *FS) read(path string, tree bool) ([]string, error) {
-	path = clean(path)
-	r := Reader{fs: fs}
-	if err := fs.snapshot(&r, path, tree); err != nil {
-		return nil, err
-	}
-	return r.readAll(path)
-}
-
 // Exists reports whether the exact path exists as a file.
 func (fs *FS) Exists(path string) bool {
 	path = clean(path)
@@ -631,8 +579,18 @@ func (fs *FS) TreeSize(prefix string) int64 {
 
 // ReadTree reads and concatenates, in sorted path order, every file at or
 // under prefix. This is how MapReduce consumers read a part-file output
-// directory. The files are snapshot together and decoded into one slice.
-func (fs *FS) ReadTree(prefix string) ([]string, error) { return fs.read(prefix, true) }
+// directory. The files are snapshot together, as a Reader's, and decoded
+// into one slice. A sealed block that cannot be read back fails it with a
+// *BlockError.
+func (fs *FS) ReadTree(prefix string) ([]string, error) {
+	r := Reader{fs: fs}
+	n, err := fs.snapshot(&r, clean(prefix), true)
+	if err != nil {
+		return nil, err
+	}
+	fs.bytesRead.Add(n)
+	return r.readAll()
+}
 
 // ---- counters ---------------------------------------------------------
 

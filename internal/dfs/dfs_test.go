@@ -3,10 +3,24 @@ package dfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"clusterbft/internal/digest"
 )
+
+// readLines reads the one file at path, as ReadTree reads a tree: a
+// Reader's snapshot of it, charged to the read counter, decoded into one
+// slice.
+func readLines(fs *FS, path string) ([]string, error) {
+	r, err := fs.OpenReader(path)
+	if err != nil {
+		return nil, err
+	}
+	return r.readAll()
+}
 
 func TestCreateAndExists(t *testing.T) {
 	fs := NewWith(Options{})
@@ -28,9 +42,9 @@ func TestPathCleaning(t *testing.T) {
 	if !fs.Exists("data/in") {
 		t.Error("leading/trailing slashes should normalize")
 	}
-	lines, err := fs.ReadLines("/data/in")
+	lines, err := readLines(fs, "/data/in")
 	if err != nil || len(lines) != 1 {
-		t.Errorf("ReadLines via alternate spelling: %v %v", lines, err)
+		t.Errorf("readLines via alternate spelling: %v %v", lines, err)
 	}
 }
 
@@ -38,7 +52,7 @@ func TestAppendAndRead(t *testing.T) {
 	fs := NewWith(Options{})
 	fs.Append("f", "one", "two")
 	fs.Append("f", "three")
-	lines, err := fs.ReadLines("f")
+	lines, err := readLines(fs, "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,18 +70,18 @@ func TestAppendAndRead(t *testing.T) {
 func TestReadReturnsCopy(t *testing.T) {
 	fs := NewWith(Options{})
 	fs.Append("f", "orig")
-	lines, _ := fs.ReadLines("f")
+	lines, _ := readLines(fs, "f")
 	lines[0] = "mutated"
-	again, _ := fs.ReadLines("f")
+	again, _ := readLines(fs, "f")
 	if again[0] != "orig" {
-		t.Error("ReadLines must return a copy")
+		t.Error("readLines must return a copy")
 	}
 }
 
 func TestReadMissing(t *testing.T) {
 	fs := NewWith(Options{})
 	var nf *ErrNotFound
-	if _, err := fs.ReadLines("ghost"); !errors.As(err, &nf) {
+	if _, err := readLines(fs, "ghost"); !errors.As(err, &nf) {
 		t.Errorf("want ErrNotFound, got %v", err)
 	}
 }
@@ -173,13 +187,53 @@ func TestReadTreeMissing(t *testing.T) {
 	}
 }
 
+// TestOpenOutputChargesNothing: a reader OpenOutput opens over a part-file
+// tree serves every part's lines in path order — blocks, spilled or
+// resident, and tails — through ReadRange, Lines and LinesSum alike, and
+// charges the read counter nothing; a dir holding nothing reads as empty.
+func TestOpenOutputChargesNothing(t *testing.T) {
+	fs := NewWith(Options{BlockSize: 48, MemBudget: 96, SpillDir: t.TempDir(), Compress: true})
+	defer fs.Close()
+	var want []string
+	for b := range 3 {
+		var lines []string
+		for i := range 10*b + 3 {
+			lines = append(lines, fmt.Sprintf("b%d-row-%02d\t%d", b, i, i*i))
+		}
+		fs.Append(fmt.Sprintf("d/part-%d", b), lines...)
+		want = append(want, lines...)
+	}
+	fs.Append("d!", "not under d")
+	if fs.SpilledBlocks() == 0 || fs.ResidentBlocks() == 0 {
+		t.Fatal("want blocks both spilled and resident")
+	}
+	read := fs.BytesRead()
+
+	r := fs.OpenOutput("d")
+	if got := r.ReadRange(0, r.NumRecords()); !slices.Equal(got, want) {
+		t.Errorf("ReadRange: %d lines %q, want %d", len(got), got, len(want))
+	}
+	if got := slices.Collect(r.Lines); !slices.Equal(got, want) {
+		t.Errorf("Lines: %d lines %q, want %d", len(got), got, len(want))
+	}
+	if got, w := r.LinesSum(), digest.OfLines(want); got != w {
+		t.Errorf("LinesSum: %x, digest.OfLines: %x", got, w)
+	}
+	if n := fs.OpenOutput("ghost").NumRecords(); n != 0 {
+		t.Errorf("a dir holding nothing reads %d records", n)
+	}
+	if fs.BytesRead() != read {
+		t.Errorf("%d bytes were charged as read", fs.BytesRead()-read)
+	}
+}
+
 func TestCounters(t *testing.T) {
 	fs := NewWith(Options{})
 	fs.Append("f", "abcd") // 5 bytes
 	if fs.BytesWritten() != 5 {
 		t.Errorf("BytesWritten = %d", fs.BytesWritten())
 	}
-	fs.ReadLines("f")
+	readLines(fs, "f")
 	if fs.BytesRead() != 5 {
 		t.Errorf("BytesRead = %d", fs.BytesRead())
 	}
@@ -229,69 +283,6 @@ func TestSizeMatchesBytesWrittenProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestWriteHookTransformsStoredLines checks the write-side injection
-// hook: Append stores the hook's transformation, and byte accounting
-// follows what was actually stored.
-func TestWriteHookTransformsStoredLines(t *testing.T) {
-	fs := NewWith(Options{})
-	fs.WriteHook = func(path string, lines []string) []string {
-		if path != "x/out" || len(lines) == 0 {
-			return lines
-		}
-		return lines[:len(lines)-1] // truncate the stream's tail
-	}
-	fs.Append("x/out", "a", "b", "c")
-	fs.Append("plain", "a", "b", "c")
-	got, err := fs.ReadLines("x/out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Errorf("hooked file kept %d lines, want 2", len(got))
-	}
-	if n := fs.files["plain"].lines; n != 3 {
-		t.Errorf("unmatched path was transformed: %d lines", n)
-	}
-	if sz, _ := fs.Size("x/out"); sz != 4 {
-		t.Errorf("size %d counts dropped lines", sz)
-	}
-}
-
-// TestReadHookAppliesOncePerLogicalRead checks the read-side hook fires
-// exactly once per ReadLines or ReadTree call — a tree read must not
-// additionally filter each part file — and never touches stored data.
-func TestReadHookAppliesOncePerLogicalRead(t *testing.T) {
-	fs := NewWith(Options{})
-	fs.Append("d/part-0", "a")
-	fs.Append("d/part-1", "b")
-	calls := 0
-	fs.ReadHook = func(path string, lines []string) []string {
-		calls++
-		return append(lines, "tampered:"+path)
-	}
-	tree, err := fs.ReadTree("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Errorf("tree read fired the hook %d times, want 1", calls)
-	}
-	if len(tree) != 3 || tree[2] != "tampered:d" {
-		t.Errorf("tree = %v, want 2 lines + tamper marker for the prefix", tree)
-	}
-	if _, err := fs.ReadLines("d/part-0"); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Errorf("flat read fired the hook %d more times, want 1", calls-1)
-	}
-	// Stored data is untouched: a hookless FS view of the same ops.
-	fs.ReadHook = nil
-	if n := fs.files["d/part-0"].lines; n != 1 {
-		t.Errorf("hook mutated stored data: %d lines", n)
 	}
 }
 

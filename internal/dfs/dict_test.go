@@ -201,8 +201,8 @@ func TestUnknownBlockFlagsFailEveryRead(t *testing.T) {
 			t.Errorf("%s: err = %v; want the *BlockError of block 0 of out/part-0", who, err)
 		}
 	}
-	_, err := fs.ReadLines("out/part-0")
-	failed("ReadLines", err)
+	_, err := readLines(fs, "out/part-0")
+	failed("readLines", err)
 	_, err = fs.ReadTree("out")
 	failed("ReadTree", err)
 	r, err := fs.OpenReader("out/part-0")

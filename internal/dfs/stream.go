@@ -9,8 +9,8 @@ import "clusterbft/internal/digest"
 // block's as the column spans it stores, held lines where they are);
 // either decodes only the blocks a range overlaps. Appends need no mirror
 // image: FS.Append already seals and spills batch by batch. A Reader never
-// hands out encoded bytes, so everything the FS guarantees about hooks,
-// counters, and spilling holds for streamed access too.
+// hands out encoded bytes, so everything the FS guarantees about counters
+// and spilling holds for streamed access too.
 
 // rseg is one contiguous run of records inside a Reader: either a
 // sealed block (decoded on demand) or a snapshot of a file's unsealed
@@ -23,7 +23,7 @@ type rseg struct {
 
 // Reader is a positioned, random-access view over the records of a file
 // or file tree, snapshotted at open time (appends after open are not
-// visible, matching the copy semantics of ReadLines). The zero value is
+// visible, matching the copy semantics of ReadTree). The zero value is
 // an empty reader, and every method is safe for concurrent use.
 type Reader struct {
 	fs    *FS
@@ -33,41 +33,44 @@ type Reader struct {
 
 // OpenReader opens a streaming reader over the file at path. The file's
 // full logical bytes are charged to the read counter at open, exactly
-// as a ReadLines call would. When a ReadHook is set the reader holds the
-// lines of that ReadLines call instead, hook applied, so the hook
-// observes the one whole-file line stream it expects.
+// as a ReadTree call would.
 func (fs *FS) OpenReader(path string) (*Reader, error) { return fs.open(path, false) }
 
 // OpenTreeReader opens a streaming reader over the concatenation, in
 // sorted path order, of every file at or under prefix — the streaming
-// counterpart of ReadTree, with the same not-found and hook semantics.
+// counterpart of ReadTree, with the same not-found semantics.
 func (fs *FS) OpenTreeReader(prefix string) (*Reader, error) { return fs.open(prefix, true) }
+
+// OpenOutput opens a reader over every file at or under dir, as
+// OpenTreeReader does, but charges the read counter nothing: it is the
+// trusted tier reading back what a job stored (its output digests, a
+// checkpoint's copy), not a task's read. A dir holding nothing reads as
+// empty.
+func (fs *FS) OpenOutput(dir string) *Reader {
+	r := &Reader{fs: fs}
+	_, _ = fs.snapshot(r, clean(dir), true) // charged nothing; with nothing there, r stays empty
+	return r
+}
 
 // open is OpenReader, or with tree OpenTreeReader.
 func (fs *FS) open(path string, tree bool) (*Reader, error) {
-	path = clean(path)
 	r := &Reader{fs: fs}
-	if err := fs.snapshot(r, path, tree); err != nil {
+	n, err := fs.snapshot(r, clean(path), tree)
+	if err != nil {
 		return nil, err
 	}
-	if fs.ReadHook != nil {
-		lines, err := r.readAll(path)
-		if err != nil {
-			return nil, err
-		}
-		r.segs, r.total = r.segs[:0], 0
-		r.add(nil, lines)
-	}
+	fs.bytesRead.Add(n)
 	return r, nil
 }
 
 // snapshot adds to the empty r the segments of the file at path, or with
-// tree of every file at or under it in sorted path order, and charges
-// their logical bytes to the read counter. It counts the segments under
-// the lock first, so r's array is allocated once. Sealed blocks are a
-// prefix of a file that only grows, and a tail is never written below its
-// length, so the snapshot stays as it was taken.
-func (fs *FS) snapshot(r *Reader, path string, tree bool) error {
+// tree of every file at or under it in sorted path order, and returns
+// their logical bytes, for the caller to charge to the read counter. It
+// counts the segments under the lock first, so r's array is allocated
+// once. Sealed blocks are a prefix of a file that only grows, and a tail
+// is never written below its length, so the snapshot stays as it was
+// taken.
+func (fs *FS) snapshot(r *Reader, path string, tree bool) (int64, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	f := fs.files[path]
@@ -77,7 +80,7 @@ func (fs *FS) snapshot(r *Reader, path string, tree bool) error {
 		under = fs.paths[lo:hi]
 	}
 	if f == nil && len(under) == 0 {
-		return &ErrNotFound{Path: path}
+		return 0, &ErrNotFound{Path: path}
 	}
 	n := 0
 	if f != nil {
@@ -97,8 +100,7 @@ func (fs *FS) snapshot(r *Reader, path string, tree bool) error {
 		r.add(g.blocks, g.pending)
 		bytes += g.bytes
 	}
-	fs.bytesRead.Add(bytes)
-	return nil
+	return bytes, nil
 }
 
 // segments is how many segments a Reader over f holds: one per sealed
@@ -106,9 +108,9 @@ func (fs *FS) snapshot(r *Reader, path string, tree bool) error {
 func (f *file) segments() int { return len(f.blocks) + min(len(f.pending), 1) }
 
 // readAll decodes every record of r straight into one slice of their
-// count and applies the FS's ReadHook to it, as the read of path. A sealed
-// block that cannot be read back fails it with a *BlockError.
-func (r *Reader) readAll(path string) ([]string, error) {
+// count. A sealed block that cannot be read back fails it with a
+// *BlockError.
+func (r *Reader) readAll() ([]string, error) {
 	out := make([]string, 0, r.total)
 	var shape blockShape
 	for _, seg := range r.segs {
@@ -121,25 +123,7 @@ func (r *Reader) readAll(path string) ([]string, error) {
 			return nil, err
 		}
 	}
-	if r.fs.ReadHook != nil {
-		out = r.fs.ReadHook(path, out)
-	}
 	return out, nil
-}
-
-// OpenSealed opens a reader over the lines parts were sealed from, in
-// order, whether a file holds them or not. It reads no file: it charges
-// the read counter nothing and applies no ReadHook.
-func (fs *FS) OpenSealed(parts []Sealed) *Reader {
-	n := 0
-	for _, s := range parts {
-		n += len(s.blocks) + min(len(s.tail), 1)
-	}
-	r := &Reader{fs: fs, segs: make([]rseg, 0, n)}
-	for _, s := range parts {
-		r.add(s.blocks, s.tail)
-	}
-	return r
 }
 
 // add appends sealed blocks, then the lines of a tail, as segments.
@@ -247,7 +231,7 @@ func (r *Reader) LinesSum() digest.Sum {
 
 // ReadColumns reads records from start on into b, up to end or the end of
 // the segment holding start (a sealed block, or the lines held for an
-// unsealed tail or a ReadHook), whichever comes first, and returns the
+// unsealed tail), whichever comes first, and returns the
 // record it stopped before; need lists the columns a sealed block's
 // records carry (nil: all). b belongs to the caller; the Reader stays safe
 // for concurrent use. A block that cannot be read back panics with its

@@ -292,8 +292,8 @@ STORE p INTO 'out/prod';`, CompileOptions{})[0]
 			right[i] = fmt.Sprintf("%d\t%d", i%keys, 2000+i)
 		}
 		runs := []sortedRun{
-			runMapTask(join, 0, heldLines(t, left), 0, len(left), nil, nil, taskObs{}, new(taskScratch)).partitions[0],
-			runMapTask(join, 1, heldLines(t, right), 0, len(right), nil, nil, taskObs{}, new(taskScratch)).partitions[0],
+			runMapTask(join, 0, tailLines(t, left), 0, len(left), nil, nil, taskObs{}, new(taskScratch)).partitions[0],
+			runMapTask(join, 1, tailLines(t, right), 0, len(right), nil, nil, taskObs{}, new(taskScratch)).partitions[0],
 		}
 		return func(sc *taskScratch) { runReduceTask(join, runs, nil, taskObs{}, sc) }, keys * perKey * perKey
 	}
@@ -302,7 +302,7 @@ STORE p INTO 'out/prod';`, CompileOptions{})[0]
 		for i := range lines {
 			lines[i] = fmt.Sprintf("%d\t%d", i%97, 1+i%89)
 		}
-		r := heldLines(t, lines)
+		r := tailLines(t, lines)
 		return func(sc *taskScratch) { runMapTask(mapOnly, 0, r, 0, len(lines), nil, nil, taskObs{}, sc) }, len(lines)
 	}
 	for _, c := range []struct {

@@ -13,17 +13,6 @@ import (
 	"clusterbft/internal/tuple"
 )
 
-// heldLines serves lines from a reader that holds them as lines, the way
-// a reader materialized for a ReadHook does: its batch serves them where
-// they are.
-func heldLines(tb testing.TB, lines []string) *dfs.Reader {
-	tb.Helper()
-	fs := dfs.NewWith(dfs.Options{})
-	fs.Append("in", lines...)
-	fs.ReadHook = func(_ string, lines []string) []string { return lines }
-	return openReader(tb, fs)
-}
-
 // tailLines serves lines from a reader over a file they leave unsealed:
 // its one segment is the file's tail, held as lines.
 func tailLines(tb testing.TB, lines []string) *dfs.Reader {
@@ -341,7 +330,7 @@ func FuzzColumnPathMatchesLines(f *testing.F) {
 		for _, side := range []struct {
 			name string
 			src  *dfs.Reader
-		}{{"sealed blocks", openReader(t, sealed)}, {"held lines", heldLines(t, lines)}} {
+		}{{"sealed blocks", openReader(t, sealed)}, {"held lines", tailLines(t, lines)}} {
 			got := run(func(df digestFactory, sc *taskScratch) *mapOutcome {
 				return runMapTask(job, 0, side.src, a, b, df, corrupt, taskObs{}, sc)
 			})

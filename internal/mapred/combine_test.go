@@ -409,7 +409,7 @@ func TestReduceMergeLeavesRunsIntact(t *testing.T) {
 	for i := range lines {
 		lines[i] = fmt.Sprintf("%d\t%d", i%7, i+1)
 	}
-	out := runMapTask(job, 0, heldLines(t, lines), 0, len(lines), nil, nil, taskObs{}, new(taskScratch))
+	out := runMapTask(job, 0, tailLines(t, lines), 0, len(lines), nil, nil, taskObs{}, new(taskScratch))
 	runs := []sortedRun{out.partitions[0]}
 	before := readRun(runs[0])
 	for i := range before {

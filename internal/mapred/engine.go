@@ -86,6 +86,12 @@ type TaskFault struct {
 	// cat(s, suffix) is s+suffix, cut from the task's arena. Ignored for
 	// reduce tasks, matching the node adversary's behaviour.
 	Corrupt func(v tuple.Value, cat func(s, suffix string) string) tuple.Value
+	// Tamper, when non-nil, replaces the output lines of a map-only or
+	// reduce task with what it returns for them, after the task's
+	// verification-point digests and before its AuditTaskPoint digest and
+	// the seal: the task reports and stores what it returns, as a worker
+	// that corrupts what it writes would.
+	Tamper func(lines []string) []string
 }
 
 // JobState tracks one submitted job through execution.
@@ -113,11 +119,6 @@ type JobState struct {
 	redsTotal   int
 	redsDone    int
 
-	// parts names the parts committed under Spec.Audit or Spec.Ckpt, in
-	// order, and produced holds each one's output as its task sealed it.
-	parts    []string
-	produced []dfs.Sealed
-
 	maxDur map[TaskKind]int64 // longest committed duration per kind
 
 	hasDependents bool // another submitted job consumes this job's output
@@ -144,9 +145,8 @@ type runningTask struct {
 // HasDependents reports whether another submitted job consumes this
 // job's output. With the controller's rewriting, dependents are always
 // same-replica consumers, so corruption of such an output is detectable
-// by digest comparison — chaos uses this to pick sound write-mangle
-// targets (tampering an output nobody re-reads within the replica would
-// land after the digests were taken, which trusted storage rules out).
+// by digest comparison — chaos uses this to pick the tasks whose output
+// a write mangle may tamper.
 func (j *JobState) HasDependents() bool { return j.hasDependents }
 
 // Engine is the deterministic virtual-time MapReduce runtime: a job
@@ -228,7 +228,6 @@ type Engine struct {
 
 	jobs       map[string]*JobState
 	jobOrder   []string
-	byOutput   map[string]*JobState
 	dead       map[cluster.NodeID]bool
 	ticks      int
 	specArmed  bool
@@ -298,7 +297,6 @@ func NewEngine(fs *dfs.FS, cl *cluster.Cluster, sched Scheduler, cost CostModel)
 		SpecQuantile: 0.95,
 		specHist:     make(map[specKey]*obs.Histogram),
 		jobs:         make(map[string]*JobState),
-		byOutput:     make(map[string]*JobState),
 		dead:         make(map[cluster.NodeID]bool),
 		freeSlots:    make(map[cluster.NodeID]int),
 		sidBinding:   make(map[cluster.NodeID]map[string]int),
@@ -376,10 +374,6 @@ func (e *Engine) Registry() *obs.Registry { return e.obsReg }
 // Job returns the state of a submitted job, or nil.
 func (e *Engine) Job(id string) *JobState { return e.jobs[id] }
 
-// JobByOutput returns the job writing under the output directory dir, or
-// nil. Chaos injection uses it to map DFS paths back to jobs.
-func (e *Engine) JobByOutput(dir string) *JobState { return e.byOutput[dir] }
-
 // Submit enqueues a job. Dependencies must have been submitted earlier
 // (compiler output order satisfies this). A duplicate ID, an unsubmitted
 // dependency, an unknown reduce kind, a reduce into no partitions or a
@@ -418,7 +412,6 @@ func (e *Engine) Submit(spec *JobSpec) (*JobState, error) {
 	}
 	e.jobs[spec.ID] = js
 	e.jobOrder = append(e.jobOrder, spec.ID)
-	e.byOutput[spec.Output] = js
 	for _, dep := range spec.Deps {
 		d := e.jobs[dep]
 		d.hasDependents = true
@@ -448,9 +441,9 @@ func (e *Engine) makeRunnable(js *JobState) {
 		js.inputSrcs[i] = src
 		if js.Spec.Audit && in.AuditIn && e.DigestSink != nil {
 			// Digest the input exactly as read back — the flat
-			// concatenation the reader serves, after any storage-layer
-			// read transformation — so a mismatch against the producer's
-			// as-produced digest convicts the storage boundary.
+			// concatenation the reader serves — so a mismatch against the
+			// producer's digest of its stored output convicts the storage
+			// boundary.
 			e.DigestSink(auditReport(js.Spec, AuditIOInPoint,
 				fmt.Sprintf("%s/in%d", baseID(js.Spec.ID), i),
 				int64(src.NumRecords()), src.LinesSum()))
@@ -476,8 +469,7 @@ func (e *Engine) makeRunnable(js *JobState) {
 // tree; missing paths read as empty (an upstream job may legitimately
 // have produced no records). The reader snapshots the input's blocks
 // without decoding them — map task bodies decode only their own split's
-// blocks, off the simulation goroutine. Under a ReadHook the open reads
-// every block, and one that cannot be read back ends the run (Run).
+// blocks, off the simulation goroutine.
 func (e *Engine) openInput(path string) *dfs.Reader {
 	var r *dfs.Reader
 	var err error
@@ -487,10 +479,6 @@ func (e *Engine) openInput(path string) *dfs.Reader {
 		r, err = e.FS.OpenTreeReader(path)
 	}
 	if err != nil {
-		var bad *dfs.BlockError
-		if errors.As(err, &bad) {
-			panic(bad)
-		}
 		return &dfs.Reader{}
 	}
 	return r
@@ -674,11 +662,13 @@ func (e *Engine) startTask(node *cluster.Node, t *Task) {
 	}
 	// Chaos overlay: injected faults compose with (and never mask) the
 	// node adversary's draw.
+	var tamper func([]string) []string
 	if e.TaskHook != nil {
 		f := e.TaskHook(node.ID, t)
 		if f.Corrupt != nil && corrupt == nil {
 			corrupt = f.Corrupt
 		}
+		tamper = f.Tamper
 		if f.Hang {
 			hung = true
 		}
@@ -706,9 +696,9 @@ func (e *Engine) startTask(node *cluster.Node, t *Task) {
 
 	var body func(slot int) bodyResult
 	if t.Kind == MapTask {
-		body = e.mapBody(t, df, buf.Add, corrupt, false)
+		body = e.mapBody(t, df, buf.Add, corrupt, tamper, false)
 	} else {
-		body = e.reduceBody(t, df, buf.Add, false)
+		body = e.reduceBody(t, df, buf.Add, tamper, false)
 	}
 	e.pending = append(e.pending, pendingBody{
 		rt:   rt,
@@ -993,9 +983,10 @@ type specKey struct {
 // The commit closure it yields runs back on the simulation goroutine.
 // emit receives the attempt's audit digest reports (the attempt's own
 // buffer in normal execution, a quiz buffer under Requiz); it is only
-// consulted when the spec has Audit set. A quiz's body does not seal its
+// consulted when the spec has Audit set. tamper, when set, replaces the
+// output lines (TaskFault.Tamper). A quiz's body does not seal its
 // output: its commit is dropped.
-func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), corrupt corruptFn, quiz bool) func(slot int) bodyResult {
+func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), corrupt corruptFn, tamper func([]string) []string, quiz bool) func(slot int) bodyResult {
 	js := t.Job
 	split := js.splits[t.InputIdx][t.Index]
 	src := js.inputSrcs[t.InputIdx]
@@ -1011,6 +1002,9 @@ func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), co
 		// never outlives the body. The reader is concurrency-safe.
 		sc := e.borrow(slot)
 		out := runMapTask(js.Spec, t.InputIdx, src, split[0], split[1], df, corrupt, o, sc)
+		if tamper != nil && js.Spec.Reduce == nil {
+			sc.out.tamper(tamper)
+		}
 		if js.Spec.Audit && emit != nil {
 			sum, n := auditMapSum(out, sc)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
@@ -1078,8 +1072,8 @@ func (e *Engine) mapsFinished(js *JobState) {
 // run off the simulation goroutine. Reduce tasks are only dispatched
 // after every map of the job committed, so js.mapOutcomes is immutable
 // while the body reads it (committed-task guards prevent late backup
-// attempts from writing outcomes again).
-func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report), quiz bool) func(slot int) bodyResult {
+// attempts from writing outcomes again). tamper is as in mapBody.
+func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report), tamper func([]string) []string, quiz bool) func(slot int) bodyResult {
 	js := t.Job
 	cost := e.Cost
 	o := e.obsTask
@@ -1102,6 +1096,9 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report),
 		}
 		sc := e.borrow(slot)
 		out := runReduceTask(js.Spec, runs, df, o, sc)
+		if tamper != nil {
+			sc.out.tamper(tamper)
+		}
 		if js.Spec.Audit && emit != nil {
 			sum, n := auditReduceSum(sc)
 			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
@@ -1128,33 +1125,22 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report),
 }
 
 // writeOutput installs task output the body sealed, in commit order, and
-// accounts the HDFS write. Under Spec.Audit or Spec.Ckpt the job keeps the
-// Sealed for Produced: the blocks the file holds, or, where a storage write
-// hook changed the part, the ones its task produced.
+// accounts the HDFS write.
 func (e *Engine) writeOutput(js *JobState, part string, out *taskOutput) {
-	if js.Spec.Audit || js.Spec.Ckpt {
-		i, _ := slices.BinarySearch(js.parts, part)
-		js.parts = slices.Insert(js.parts, i, part)
-		js.produced = slices.Insert(js.produced, i, out.sealed)
-	}
 	e.FS.Install(joinPath(js.Spec.Output, part), out.sealed)
 	atomic.AddInt64(&e.Metrics.HDFSBytesWritten, out.sealed.Bytes())
 }
-
-// Produced opens a reader over js's output as its tasks produced it, before
-// any storage write hook, parts in name order (a tree read's), through
-// FS.OpenSealed. Empty unless js ran with Spec.Audit or Spec.Ckpt set.
-func (e *Engine) Produced(js *JobState) *dfs.Reader { return e.FS.OpenSealed(js.produced) }
 
 // completeJob finishes a job and unblocks dependents.
 func (e *Engine) completeJob(js *JobState) {
 	js.Done = true
 	js.DoneTime = e.Now()
 	if (js.Spec.Audit || js.Spec.Ckpt) && e.DigestSink != nil {
-		// One digest of the output as produced, under both keys: it compares
-		// with consumers' AuditIOInPoint digests of the tree, and the
-		// controller checkpoints the Produced that f+1 replicas agree on.
-		r := e.Produced(js)
+		// One digest of the output as stored, every part its task sealed,
+		// under both keys: it compares with consumers' AuditIOInPoint
+		// digests of the tree, and the controller checkpoints the output
+		// that f+1 replicas agree on.
+		r := e.FS.OpenOutput(js.Spec.Output)
 		n, sum := int64(r.NumRecords()), r.LinesSum()
 		if js.Spec.Audit {
 			e.DigestSink(auditReport(js.Spec, AuditIOOutPoint, baseID(js.Spec.ID), n, sum))
@@ -1427,9 +1413,9 @@ func (e *Engine) Requiz(jobID, taskID string, quizReplica int, sink func(digest.
 	}
 	var body func(slot int) bodyResult
 	if t.Kind == MapTask {
-		body = e.mapBody(t, df, quizAdd, nil, true)
+		body = e.mapBody(t, df, quizAdd, nil, nil, true)
 	} else {
-		body = e.reduceBody(t, df, quizAdd, true)
+		body = e.reduceBody(t, df, quizAdd, nil, true)
 	}
 	res, err := pool.Go(e.bodyPool(), body).Wait()
 	if err != nil {
@@ -1474,9 +1460,6 @@ func (e *Engine) ForgetSID(sid string) {
 		js := e.jobs[id]
 		if js != nil && js.Spec.SID == sid {
 			delete(e.jobs, id)
-			if e.byOutput[js.Spec.Output] == js {
-				delete(e.byOutput, js.Spec.Output)
-			}
 			continue
 		}
 		keepOrder = append(keepOrder, id)

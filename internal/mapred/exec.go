@@ -598,6 +598,18 @@ func (b *lineBuf) line(i int) []byte {
 // reset empties b, keeping its arrays.
 func (b *lineBuf) reset() { b.buf, b.ends = b.buf[:0], b.ends[:0] }
 
+// tamper replaces the lines held with what f returns for them.
+func (b *lineBuf) tamper(f func(lines []string) []string) {
+	lines := make([]string, b.lines())
+	for i := range lines {
+		lines[i] = string(b.line(i))
+	}
+	b.reset()
+	for _, l := range f(lines) {
+		b.add([]byte(l))
+	}
+}
+
 // hash writes every line held, and a newline after each, to hs.
 func (b *lineBuf) hash(hs *digest.Hasher) {
 	for i := range b.lines() {

@@ -97,15 +97,15 @@ const (
 	// re-executed task's digests — these plus the task's in-chain
 	// verification-point digests — against the primary's.
 	AuditTaskPoint = -1
-	// AuditIOOutPoint digests a job's output as produced, before the
-	// storage layer sees it; Task is "<job>".
+	// AuditIOOutPoint digests a job's output as its tasks sealed and
+	// stored it, read back once the job completes; Task is "<job>".
 	AuditIOOutPoint = -2
 	// AuditIOInPoint digests an input exactly as read back from storage;
 	// Task is "<job>/in<i>". A mismatch against the producer's
 	// AuditIOOutPoint digest convicts the storage boundary (write or
 	// read tampering) without a second replica.
 	AuditIOInPoint = -3
-	// CkptPoint digests a checkpoint-eligible job's output as produced
+	// CkptPoint digests a checkpoint-eligible job's output as stored
 	// (same bytes as AuditIOOutPoint but emitted on the full-r path);
 	// Task is "<job>". The controller's checkpoint registry persists a
 	// replica's output only once f+1 replicas agree on this digest, so a
@@ -187,11 +187,11 @@ type JobSpec struct {
 	// replicas verified by quiz or deferred policies; full-r replicas
 	// run without it and stay byte-identical to historical behavior.
 	Audit bool
-	// Ckpt enables checkpoint capture: the engine keeps the job's output
-	// as its tasks sealed it (Engine.Produced) and emits a CkptPoint digest
-	// at completion, which lets the controller persist an f+1-agreed copy
-	// for suffix-only recovery. Set only for full-r replicas of jobs
-	// with in-cluster dependents when checkpointing is on.
+	// Ckpt enables checkpoint capture: at completion the engine digests
+	// the job's output as its tasks sealed it into a CkptPoint digest,
+	// which lets the controller persist an f+1-agreed copy for
+	// suffix-only recovery. Set only for full-r replicas of jobs with
+	// in-cluster dependents when checkpointing is on.
 	Ckpt bool
 }
 

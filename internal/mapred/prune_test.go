@@ -317,13 +317,12 @@ STORE o INTO 'out/o';`,
 	runtime.KeepAlive(fs)
 }
 
-// TestMapTaskAllocs pins the per-task allocation count of the three map
-// paths the micro-benchmarks track, per 1,000 input records, on a scratch
-// a task before it has grown, as a slot's is: read from one sealed block,
-// from an unsealed tail and from a reader materialized for a ReadHook.
-// None grows with the record count beyond value arrays, arena chunks and
-// slice doublings, one row serves every record, and held lines cost no
-// more than the block; a combining task, which keeps nothing a record,
+// TestMapTaskAllocs pins the per-task allocation count of the map paths
+// the micro-benchmarks track, per 1,000 input records, on a scratch a task
+// before it has grown, as a slot's is: read from one sealed block and from
+// an unsealed tail. Neither grows with the record count beyond value
+// arrays, arena chunks and slice doublings, one row serves every record,
+// and held lines cost no more than the block; a combining task, which keeps nothing a record,
 // costs over 8,000 records of a tail what it costs over 1,000.
 func TestMapTaskAllocs(t *testing.T) {
 	mapOnly := compile(t, `
@@ -365,13 +364,8 @@ STORE p INTO 'out/prod';`, CompileOptions{})[0]
 		if sealed > tc.max {
 			t.Errorf("%s map task over a sealed block = %v allocs per 1000 records, want <= %v", tc.name, sealed, tc.max)
 		}
-		for _, src := range []struct {
-			shape string
-			r     *dfs.Reader
-		}{{"an unsealed tail", tailLines(t, lines)}, {"hooked lines", heldLines(t, lines)}} {
-			if got := allocs(tc.job, src.r, len(lines)); got > sealed {
-				t.Errorf("%s map task over %s = %v allocs per 1000 records, over a sealed block %v", tc.name, src.shape, got, sealed)
-			}
+		if got := allocs(tc.job, tailLines(t, lines), len(lines)); got > sealed {
+			t.Errorf("%s map task over an unsealed tail = %v allocs per 1000 records, over a sealed block %v", tc.name, got, sealed)
 		}
 	}
 	long := edges(8000)

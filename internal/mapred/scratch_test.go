@@ -190,7 +190,9 @@ func runOnScratch(t *testing.T, script string, points []string, tweak func(*JobS
 				who, sc.out.lines(), len(sc.out.buf), cap(sc.out.buf), linesBytes(staged)-int64(len(staged)))
 		}
 		poison(sc)
-		if sealed := slices.Collect(fs.OpenSealed([]dfs.Sealed{out.sealed}).Lines); !slices.Equal(sealed, staged) || out.sealed.Bytes() != linesBytes(staged) {
+		path := fmt.Sprintf("sealed/%d", len(fs.List("sealed")))
+		fs.Install(path, out.sealed)
+		if sealed, err := fs.ReadTree(path); err != nil || !slices.Equal(sealed, staged) || out.sealed.Bytes() != linesBytes(staged) {
 			t.Fatalf("%s: sealed %d lines of %d bytes, staged %d", who, len(sealed), out.sealed.Bytes(), len(staged))
 		}
 		return staged

@@ -7,11 +7,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
+	"clusterbft/internal/cluster"
 	"clusterbft/internal/dfs"
 	"clusterbft/internal/digest"
+	"clusterbft/internal/obs"
 )
 
 // storeFields are the FS fields that hold what a store is: every file's
@@ -31,8 +34,8 @@ func storeField(fs *dfs.FS, name string) any {
 // committed part's lines, in commit order, to a new one does — block bytes,
 // idx and records, tails, eviction order, the spill file and every counter
 // — for a map-only job over a compressed store that spills and a join over
-// a resident one; with no write hook, one that changes nothing and one
-// that changes every part it is given.
+// a resident one; with no task fault, a Tamper that changes nothing and
+// one that changes every part it is given.
 func TestSealedOutputMatchesAppend(t *testing.T) {
 	type input struct {
 		path  string
@@ -66,14 +69,14 @@ STORE late INTO 'out/late';`,
 		path  string
 		lines []string
 	}
-	hooks := []struct {
-		name string
-		hook func(path string, lines []string) []string
+	tampers := []struct {
+		name   string
+		tamper func(path string, lines []string) []string
 	}{
-		{"a hook that changes nothing", func(_ string, lines []string) []string { return lines }},
-		{"no hook", nil},
-		{"a hook that changes every part", func(path string, lines []string) []string {
-			return append(slices.Clone(lines), path+"\tmangled")
+		{"a Tamper that changes nothing", func(_ string, lines []string) []string { return lines }},
+		{"no task fault", nil},
+		{"a Tamper that changes every part", func(path string, lines []string) []string {
+			return append(lines, path+"\tmangled")
 		}},
 	}
 	open := func(c int) (*dfs.FS, string) {
@@ -97,28 +100,53 @@ STORE late INTO 'out/late';`,
 		return b
 	}
 	for c, tc := range cases {
-		var commits []part // every part's lines in commit order, as the first hook saw them
-		for _, h := range hooks {
+		var stored map[string][]string // every part's lines as the first run's tasks stored them
+		for _, h := range tampers {
 			who := tc.name + ", " + h.name
 			fs, dir := open(c)
-			var log []part
-			runJobs(t, fs, nil, plan(t, tc.script), compile(t, tc.script, CompileOptions{NumReduces: 3}), func(e *Engine) {
+			var mu sync.Mutex
+			lines := map[string][]string{}
+			tracer := obs.NewTracer(0)
+			tr := runJobs(t, fs, nil, plan(t, tc.script), compile(t, tc.script, CompileOptions{NumReduces: 3}), func(e *Engine) {
 				e.Cost.SplitRecords = 500
-				if h.hook != nil {
-					fs.WriteHook = func(path string, lines []string) []string {
-						log = append(log, part{path, slices.Clone(lines)})
-						return h.hook(path, lines)
+				e.Trace = tracer
+				if h.tamper != nil {
+					e.TaskHook = func(_ cluster.NodeID, task *Task) TaskFault {
+						path := joinPath(task.Job.Spec.Output, partFileName(task.Kind, task.InputIdx, task.Index))
+						return TaskFault{Tamper: func(out []string) []string {
+							out = h.tamper(path, out)
+							mu.Lock()
+							lines[path] = slices.Clone(out)
+							mu.Unlock()
+							return out
+						}}
 					}
 				}
 			})
-			if commits == nil {
-				commits = log
+			if stored == nil {
+				stored = lines
+			} else if h.tamper == nil {
+				lines = stored
 			}
-			if len(commits) < 3 || h.hook != nil && !reflect.DeepEqual(log, commits) {
-				t.Fatalf("%s: %d parts committed, or not the parts, or not in the order, of the first run", who, len(log))
+			// The parts in commit order: a task span is recorded as its
+			// attempt commits.
+			var commits []part
+			for _, sp := range tracer.Spans() {
+				if sp.Cat != "task" {
+					continue
+				}
+				js := tr.eng.Job(sp.Attrs[0].V) // the span's job
+				task := js.tasks[slices.IndexFunc(js.tasks, func(t *Task) bool { return t.id == sp.Name })]
+				if task.Kind == MapTask && js.Spec.Reduce != nil {
+					continue // its output is its partitions
+				}
+				path := joinPath(js.Spec.Output, partFileName(task.Kind, task.InputIdx, task.Index))
+				commits = append(commits, part{path, lines[path]})
+			}
+			if len(commits) < 3 || len(commits) != len(lines) {
+				t.Fatalf("%s: %d parts committed, %d produced", who, len(commits), len(lines))
 			}
 			replay, rdir := open(c)
-			replay.WriteHook = h.hook
 			for _, p := range commits {
 				replay.Append(p.path, p.lines...)
 			}
@@ -190,14 +218,14 @@ STORE f INTO 'out/f';`
 	}
 }
 
-// TestProducedOutputOutlivesWriteHook: a write hook that changes one part
-// changes what its file holds and nothing of what the job produced: the
-// job's AuditIOOutPoint and CkptPoint digests are both digest.OfLines of
-// the lines its tasks produced, part after part in name order, and
-// Produced reads those lines back — over a store that spills, so most of
-// them from the spill file, and with the read counter and a ReadHook left
+// TestTaskHookTamperIsWhatIsStored: a task whose TaskFault.Tamper changes
+// its part reports and stores what the Tamper returned — its AuditTaskPoint
+// digest and its part file are of the tampered lines — and the job's
+// AuditIOOutPoint and CkptPoint digests are both digest.OfLines of the
+// output as stored, part after part in name order, read over a store that
+// spills, so most of it from the spill file, with the read counter left
 // alone.
-func TestProducedOutputOutlivesWriteHook(t *testing.T) {
+func TestTaskHookTamperIsWhatIsStored(t *testing.T) {
 	src := `
 fl = LOAD 'in/fl' AS (user:int, follower:int);
 f = FILTER fl BY follower != 0;
@@ -208,58 +236,69 @@ STORE f INTO 'out/f';`
 	fs.Append("in/fl", geomEdges(3000)...)
 	jobs := compile(t, src, CompileOptions{})
 	jobs[0].SID, jobs[0].Audit, jobs[0].Ckpt = "s0", true, true
-	produced := map[string][]string{}
+	var mu sync.Mutex
+	stored := map[string][]string{} // each part as its task stored it
+	var produced []string           // the victim's lines as its task produced them
 	tr := runJobs(t, fs, nil, plan(t, src), jobs, func(e *Engine) {
 		e.Cost.SplitRecords = 1000
-		fs.WriteHook = func(path string, lines []string) []string {
-			produced[path] = slices.Clone(lines)
-			if path == victim {
-				return append(slices.Clone(lines), "mangled")
-			}
-			return lines
+		e.TaskHook = func(_ cluster.NodeID, task *Task) TaskFault {
+			path := joinPath(task.Job.Spec.Output, partFileName(task.Kind, task.InputIdx, task.Index))
+			return TaskFault{Tamper: func(lines []string) []string {
+				mu.Lock()
+				defer mu.Unlock()
+				if path == victim {
+					produced = slices.Clone(lines)
+					lines = append(lines, "mangled")
+				}
+				stored[path] = slices.Clone(lines)
+				return lines
+			}}
 		}
 	})
 	if tr.eng.Fault != nil {
 		t.Fatal(tr.eng.Fault)
 	}
-	if len(produced) != 3 || produced[victim] == nil || fs.SpilledBlocks() == 0 {
+	if len(stored) != 3 || stored[victim] == nil || fs.SpilledBlocks() == 0 {
 		t.Fatalf("parts %v, %d blocks spilled: want three, %s among them, over a store that spills",
-			slices.Sorted(maps.Keys(produced)), fs.SpilledBlocks(), victim)
+			slices.Sorted(maps.Keys(stored)), fs.SpilledBlocks(), victim)
 	}
 	var want []string
-	for _, p := range slices.Sorted(maps.Keys(produced)) {
-		want = append(want, produced[p]...)
+	for _, p := range slices.Sorted(maps.Keys(stored)) {
+		want = append(want, stored[p]...)
 	}
 	if n := linesBytes(want); n < 8<<10 {
 		t.Fatalf("%d bytes of output, too few to seal and spill", n)
 	}
 
-	stored, err := fs.ReadLines(victim)
-	if err != nil {
-		t.Fatal(err)
+	if got, err := fs.ReadTree(victim); err != nil || !slices.Equal(got, append(slices.Clone(produced), "mangled")) {
+		t.Errorf("%s holds %d lines (%v), the Tamper returned %d", victim, len(got), err, len(produced)+1)
 	}
-	if hooked := append(slices.Clone(produced[victim]), "mangled"); !slices.Equal(stored, hooked) {
-		t.Errorf("%s holds %d lines, the hook returned %d", victim, len(stored), len(hooked))
+	read := fs.BytesRead()
+	if in, _ := fs.Size("in/fl"); read != in+fs.TreeSize(victim) {
+		t.Errorf("%d bytes charged as read: want the job's input's and %s's, read here", read, victim)
 	}
+	tampered, honest := digest.OfLines(stored[victim]), digest.OfLines(produced)
 	sums := map[int]digest.Report{}
 	for _, r := range tr.reports {
-		if r.Key.Point == AuditIOOutPoint || r.Key.Point == CkptPoint {
+		switch r.Key.Point {
+		case AuditIOOutPoint, CkptPoint:
 			sums[r.Key.Point] = r
+		case AuditTaskPoint:
+			if r.Sum == honest {
+				t.Errorf("%s: the task reported its output before the Tamper", r.Key.Task)
+			}
+			if r.Sum == tampered {
+				sums[AuditTaskPoint] = r
+			}
 		}
+	}
+	if _, ok := sums[AuditTaskPoint]; !ok {
+		t.Error("no task reported the output its Tamper returned")
 	}
 	for _, point := range []int{AuditIOOutPoint, CkptPoint} {
 		r, ok := sums[point]
 		if !ok || r.Sum != digest.OfLines(want) || r.Records != int64(len(want)) {
-			t.Errorf("point %d: report %v (%v), want %d records digested as produced", point, r, ok, len(want))
+			t.Errorf("point %d: report %v (%v), want %d records digested as stored", point, r, ok, len(want))
 		}
-	}
-
-	fs.ReadHook = func(string, []string) []string { t.Error("Produced called the ReadHook"); return nil }
-	read := fs.BytesRead()
-	if got := slices.Collect(tr.eng.Produced(tr.eng.Job(jobs[0].ID)).Lines); !slices.Equal(got, want) {
-		t.Errorf("Produced reads %d lines, the tasks produced %d", len(got), len(want))
-	}
-	if fs.BytesRead() != read {
-		t.Errorf("Produced charged %d bytes as read", fs.BytesRead()-read)
 	}
 }

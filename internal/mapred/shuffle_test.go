@@ -494,7 +494,7 @@ func TestReduceJoinAllocs(t *testing.T) {
 	}
 	runs := []sortedRun{
 		runMapTask(job, 0, sealedBlock(t, left), 0, len(left), nil, nil, taskObs{}, new(taskScratch)).partitions[0],
-		runMapTask(job, 1, heldLines(t, right), 0, len(right), nil, nil, taskObs{}, new(taskScratch)).partitions[0],
+		runMapTask(job, 1, tailLines(t, right), 0, len(right), nil, nil, taskObs{}, new(taskScratch)).partitions[0],
 	}
 	df := func(point int) *digest.Writer {
 		return digest.NewWriter(digest.Key{Point: point}, 0, 0, func(digest.Report) {})

@@ -38,7 +38,6 @@ var allowlist = map[string]string{
 	"internal/mapred.CostLedger.Sizes": "core's teardown tests pin the cost ledger bounded across the package line; nothing else exposes its size",
 	"internal/digest.Of":               "reference implementation the fast digest paths are held to in core, dfs and mapred tests",
 	"internal/digest.OfLines":          "reference implementation the fast digest paths are held to in core, dfs and mapred tests",
-	"internal/dfs.FS.ReadLines":        "the store's one-file read, ReadTree's exact-path twin and what OpenReader holds under a ReadHook; dfs, core and mapred tests read stored files with it",
 }
 
 // listed is the part of `go list -json` this check reads.
