@@ -105,7 +105,7 @@ func run(args []string, stdout io.Writer) error {
 		if shared.Checkpoint {
 			return fmt.Errorf("-checkpoint needs a verifying -verify-policy, not none")
 		}
-		cfg.Storage, err = shared.Storage()
+		err = shared.Storage(&cfg.Storage)
 	} else {
 		err = shared.Apply(&cfg)
 	}

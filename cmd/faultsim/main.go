@@ -29,9 +29,11 @@
 // the same seed always reproduces the same report byte-for-byte.
 // -verify-policy=full|quiz|deferred|auto runs the campaign's controllers
 // under that verification policy (quiz/deferred sample at fraction 1 so
-// every commission fault is quizzable). The storage flags (-block-size,
-// -mem-budget, -spill-dir, -compress) configure the chaos runs' DFS
-// block data plane; reports are byte-identical at any setting.
+// every commission fault is quizzable). The chaos runs' DFS block data
+// plane is the campaign's own (512-byte blocks, a 1 KiB budget, coded),
+// and each storage flag given (-block-size, -mem-budget, -spill-dir,
+// -compress) replaces that one setting; reports are byte-identical at any
+// setting.
 // -compress codes each sealed block with a dictionary of one byte a value
 // where every column holds at most 256 distinct values, and deflates it
 // where not. The

@@ -31,12 +31,13 @@ type Flags struct {
 	memBudget string
 	spillDir  string
 	compress  bool
+	set       *flag.FlagSet // where they were declared, to see which were given
 }
 
 // Bind declares the shared flags on fs — typically flag.CommandLine —
 // and returns where their values land once fs has been parsed.
 func Bind(fs *flag.FlagSet) *Flags {
-	f := &Flags{}
+	f := &Flags{set: fs}
 	fs.StringVar(&f.VerifyPolicy, "verify-policy", "full", "verification policy: full, quiz, deferred or auto")
 	fs.BoolVar(&f.Checkpoint, "checkpoint", false, "persist verified interior outputs as checkpoints so retries re-execute only the DAG suffix, and arm straggler re-launch")
 	fs.StringVar(&f.Trace, "trace", "", "write a Chrome trace_event JSON timeline here (a .jsonl twin is written next to it)")
@@ -49,21 +50,35 @@ func Bind(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Storage resolves the four block data-plane flags.
-func (f *Flags) Storage() (dfs.Options, error) {
-	budget, err := dfs.ParseBytes(f.memBudget)
-	return dfs.Options{BlockSize: f.blockSize, MemBudget: budget, SpillDir: f.spillDir, Compress: f.compress}, err
+// Storage sets on o those of the four block data-plane flags that were
+// given, and leaves the rest of o as the command had it: a campaign's own
+// storage stands unless a flag says otherwise.
+func (f *Flags) Storage(o *dfs.Options) error {
+	var err error
+	f.set.Visit(func(fl *flag.Flag) {
+		switch fl.Name {
+		case "block-size":
+			o.BlockSize = f.blockSize
+		case "mem-budget":
+			o.MemBudget, err = dfs.ParseBytes(f.memBudget)
+		case "spill-dir":
+			o.SpillDir = f.spillDir
+		case "compress":
+			o.Compress = f.compress
+		}
+	})
+	return err
 }
 
-// Apply resolves -verify-policy, -checkpoint and the storage flags onto
-// cfg and validates the result, so a command sets its own fields (-f,
-// -r, ...) first and calls Apply last.
+// Apply resolves -verify-policy, -checkpoint and the storage flags given
+// onto cfg and validates the result, so a command sets its own fields
+// (-f, -r, its storage, ...) first and calls Apply last.
 func (f *Flags) Apply(cfg *core.Config) error {
 	var err error
 	if cfg.VerifyPolicy, err = core.ParsePolicy(f.VerifyPolicy); err != nil {
 		return err
 	}
-	if cfg.Storage, err = f.Storage(); err != nil {
+	if err = f.Storage(&cfg.Storage); err != nil {
 		return err
 	}
 	cfg.Checkpoint = f.Checkpoint

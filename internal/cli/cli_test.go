@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,8 +29,9 @@ func parse(t *testing.T, args ...string) *Flags {
 }
 
 // TestBindApply: the shared flags land on exactly the Config fields they
-// own — policy, checkpoint, storage — and leave the rest of the caller's
-// Config alone; what cannot be resolved or validated is an error.
+// own — policy, checkpoint, the storage fields given — and leave the rest
+// of the caller's Config alone; what cannot be resolved or validated is
+// an error.
 func TestBindApply(t *testing.T) {
 	f := parse(t, "-verify-policy", "quiz", "-checkpoint",
 		"-block-size", "4096", "-mem-budget", "16k", "-spill-dir", "/x", "-compress",
@@ -51,15 +53,30 @@ func TestBindApply(t *testing.T) {
 		t.Errorf("observability flags = %q %v %q", f.Trace, f.Metrics, f.HTTP)
 	}
 
-	cfg = core.DefaultConfig()
-	if err := parse(t).Apply(&cfg); err != nil {
-		t.Fatal(err)
-	}
-	want = core.DefaultConfig()
-	want.VerifyPolicy = core.PolicyFull
-	want.Storage = dfs.Options{BlockSize: dfs.DefaultBlockSize}
-	if !reflect.DeepEqual(cfg, want) {
-		t.Errorf("Apply with no flags:\n got %+v\nwant %+v", cfg, want)
+	// A storage flag not given leaves the caller's storage field as it was
+	// (a campaign's own storage), one given replaces that field alone.
+	own := dfs.Options{BlockSize: 512, MemBudget: 1 << 10, SpillDir: "/own", Compress: true}
+	for _, c := range []struct {
+		args []string
+		want dfs.Options
+	}{
+		{nil, own},
+		{[]string{"-block-size", "4096"}, dfs.Options{BlockSize: 4096, MemBudget: 1 << 10, SpillDir: "/own", Compress: true}},
+		{[]string{"-mem-budget", "16k"}, dfs.Options{BlockSize: 512, MemBudget: 16 << 10, SpillDir: "/own", Compress: true}},
+		{[]string{"-spill-dir", "/x", "-compress=false"}, dfs.Options{BlockSize: 512, MemBudget: 1 << 10, SpillDir: "/x"}},
+		{[]string{"-mem-budget", "0", "-block-size", "256"}, dfs.Options{BlockSize: 256, SpillDir: "/own", Compress: true}},
+	} {
+		cfg = core.DefaultConfig()
+		cfg.Storage = own
+		if err := parse(t, c.args...).Apply(&cfg); err != nil {
+			t.Fatal(err)
+		}
+		want = core.DefaultConfig()
+		want.VerifyPolicy = core.PolicyFull
+		want.Storage = c.want
+		if !reflect.DeepEqual(cfg, want) {
+			t.Errorf("Apply(%q):\n got %+v\nwant %+v", c.args, cfg, want)
+		}
 	}
 
 	for _, bad := range [][]string{
@@ -89,9 +106,7 @@ STORE c INTO 'out/c';
 func plainEngine(t *testing.T, rows int) *mapred.Engine {
 	t.Helper()
 	fs := dfs.NewWith(dfs.Options{})
-	for i := 0; i < rows; i++ {
-		fs.Append("in/e", "1\t2")
-	}
+	fs.Append("in/e", slices.Repeat([]string{"1\t2"}, rows)...)
 	return mapred.NewEngine(fs, cluster.New(2, 2), nil, mapred.DefaultCostModel())
 }
 

@@ -656,9 +656,11 @@ STORE n INTO 'out/n';
 	}
 	run := func(faulty bool) (*harness, *Result) {
 		h := newHarness(t, 16, 3, cfg)
-		for i := 0; i < 3000; i++ {
-			h.FS.Append("data/flights", fmt.Sprintf("%d\t%d\tAP%02d\tAP%02d\t%d", 1990+i%20, 1+i%12, i%17, (i*7)%17, i%90-30))
+		flights := make([]string, 3000)
+		for i := range flights {
+			flights[i] = fmt.Sprintf("%d\t%d\tAP%02d\tAP%02d\t%d", 1990+i%20, 1+i%12, i%17, (i*7)%17, i%90-30)
 		}
+		h.FS.Append("data/flights", flights...)
 		if faulty {
 			if err := h.Cluster.SetAdversary("node-003", cluster.FaultCommission, 1.0, 11); err != nil {
 				t.Fatal(err)
@@ -954,7 +956,10 @@ STORE hot INTO 'out/hot';
 	h := &harness{NewSystem(6, 2, dfs.Options{BlockSize: 2 << 10, MemBudget: 512, SpillDir: dir, Compress: true}, cost)}
 	t.Cleanup(func() { h.FS.Close() })
 	h.FS.Append("data/weather", weatherData(4000)...)
-	inputEnd := h.FS.SpillBytes() // output blocks spill past the input's
+	// Output blocks spill past the input's: those spilled, and those still
+	// resident, its short last block among them, which the eviction queue
+	// spills first.
+	inputEnd := h.FS.SpillBytes() + h.FS.ResidentBytes()
 	cfg := DefaultConfig()
 	cfg.VerifyPolicy = PolicyQuiz
 	cfg.TimeoutUs = 60_000_000

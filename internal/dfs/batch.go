@@ -17,9 +17,10 @@ import (
 // out of it by a start and an end offset — a plain column's at its bytes
 // in the column's region, a dictionary-coded column's at the dictionary
 // entry its code names. No value is copied and no line rebuilt. Anything
-// else (an unsealed tail, a block range decoded to lines) is held as
-// lines, where they are, every column carried, and read by the codec's own
-// rule (tuple.Fields).
+// else (a part file's unsealed tail, held as its one string cut at its
+// line ends, or a block range decoded to lines) is held as lines, where
+// they are, every column carried, and read by the codec's own rule
+// (tuple.Fields).
 //
 // A column held as spans also carries what the block's seal learnt of the
 // values it holds (Form): whether every one is a canonical integer, or
@@ -55,14 +56,25 @@ type Batch struct {
 	// The k-th carried value, column after column, is text[ends[2k]:ends[2k+1]].
 	ends []int32
 
-	// Held lines, non-nil while Next steps through them, and the current
-	// one's values.
-	lines []string
+	// Held lines, nheld of them while Next steps through them (0 when it
+	// does not), and the current one's values.
+	held  lineSet[string]
+	nheld int
 	line  tuple.Fields
 
 	plain     bool
 	lineBytes int64
+	// room is how many records a read grows the arrays for at least
+	// (Reserve).
+	room int
 }
+
+// Reserve makes every read that grows b's arrays grow them for at least
+// records records, as many as the largest block of the Reader holds at
+// most. A slot that reads splits of at most records records then grows
+// them once, whichever split it reads first: a short last split, or a
+// range that a block's end cuts short.
+func (b *Batch) Reserve(records int) { b.room = records }
 
 // LineBytes returns the size of the batch's records as lines, a newline
 // after each: what ReadRange's lines for them would add up to.
@@ -82,13 +94,13 @@ func (b *Batch) Next() bool {
 // step is Next for held lines and ragged ranges, and at the end of a
 // uniform one.
 func (b *Batch) step() bool {
-	if b.lines != nil {
-		if b.row++; b.row < len(b.lines) {
-			line := b.lines[b.row]
+	if b.nheld > 0 {
+		if b.row++; b.row < b.nheld {
+			line := b.held.line(b.row)
 			b.plain = !b.line.Split(line) && strings.IndexByte(line, '\n') < 0
 			return true
 		}
-		b.lines = nil
+		b.held, b.nheld = lineSet[string]{}, 0
 		b.line.Split("") // let go of the last
 		return false
 	}
@@ -109,7 +121,7 @@ func (b *Batch) step() bool {
 // Width returns the current record's column count. The empty line has
 // width 0: a line codec reads it as no columns, not as one empty one.
 func (b *Batch) Width() int {
-	if b.lines != nil {
+	if b.nheld > 0 {
 		return b.line.Len()
 	}
 	return b.widths[b.row]
@@ -118,7 +130,7 @@ func (b *Batch) Width() int {
 // Value returns the text of column c of the current record. c must be a
 // carried column below Width.
 func (b *Batch) Value(c int) string {
-	if b.lines != nil {
+	if b.nheld > 0 {
 		return b.line.Value(c)
 	}
 	k := 2 * (int(b.cur[c]) + b.row)
@@ -173,7 +185,7 @@ func (b *Batch) Columns() int { return len(b.forms) }
 // the column holds in the block, the empty line's excepted (forms), and
 // so for any range of it.
 func (b *Batch) Form(c int) tuple.IntForm {
-	if b.lines != nil || c >= len(b.forms) {
+	if b.nheld > 0 || c >= len(b.forms) {
 		return tuple.IntOther
 	}
 	return tuple.IntForm(b.forms[c])
@@ -186,15 +198,13 @@ func (b *Batch) Plain() bool { return b.plain }
 
 // reset empties b, keeping its arrays.
 func (b *Batch) reset() {
-	b.text, b.widths, b.row, b.uniform, b.lines, b.forms, b.lineBytes = "", nil, -1, 0, nil, nil, 0
+	b.text, b.widths, b.row, b.uniform, b.forms, b.lineBytes = "", nil, -1, 0, nil, 0
+	b.held, b.nheld = lineSet[string]{}, 0
 }
 
 // holdLines serves lines where they are.
-func (b *Batch) holdLines(lines []string) {
-	b.lines = lines
-	for _, l := range lines {
-		b.lineBytes += int64(len(l)) + 1
-	}
+func (b *Batch) holdLines(lines lineSet[string]) {
+	b.held, b.nheld, b.lineBytes = lines, lines.len(), lines.bytes()
 }
 
 // decode reads records [lo, hi) of an encoded block into b, carrying the
@@ -202,8 +212,11 @@ func (b *Batch) holdLines(lines []string) {
 // or holds their lines where a value holds a backslash or a newline or the
 // payload is too large for int32 offsets. The walk is decodeBlockRange's,
 // which is this one's under a nil need: a block that decodes whole reads
-// the same under every mask.
-func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
+// the same under every mask. Where b's arrays must grow, they grow with
+// room for as many records as room says, if that is more than the range:
+// a slot whose reads are of one size at most grows them once, whichever
+// of its reads comes first.
+func (b *Batch) decode(data []byte, lo, hi, room int, need []bool) error {
 	b.reset()
 	n, payload, coded, z, err := openBlock(data)
 	if z != nil {
@@ -213,21 +226,25 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 		return err
 	}
 	s := &b.shape
+	if cap(s.counts) < room {
+		s.counts = grown(s.counts, room)
+	}
 	if err := s.walk(payload, n, coded, lo, hi, need); err != nil {
 		return err
 	}
 	widths := s.widths()
-	vals := 0
+	vals, carried := 0, 0
 	asLines := len(payload) > math.MaxInt32
 	for c, r := range s.cols {
 		asLines = asLines || r.flagged && s.holdsEscape(payload, c, widths)
 		if carries(need, c) {
 			vals += r.vals
+			carried++
 		}
 	}
 	if asLines {
 		lines, err := s.decodeLines(nil, data, lo, hi)
-		b.holdLines(lines)
+		b.holdLines(lineSet[string]{lines: lines})
 		return err
 	}
 
@@ -237,7 +254,10 @@ func (b *Batch) decode(data []byte, lo, hi int, need []bool) error {
 		b.text = string(payload) // one copy: the inflater's buffer is the next read's
 	}
 	k := len(s.cols)
-	b.ints = grown(b.ints, 3*k+2*vals)[:3*k+2*vals]
+	if cap(b.ints) < 3*k+2*vals {
+		b.ints = grown(b.ints, 3*k+2*max(vals, carried*room))
+	}
+	b.ints = b.ints[:3*k+2*vals]
 	b.cur, b.carried, b.forms = b.ints[:k:k], b.ints[k:k:2*k], b.ints[2*k:3*k:3*k]
 	b.ends = b.ints[3*k : 3*k]
 	uniform := s.minCols == k

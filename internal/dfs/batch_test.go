@@ -88,7 +88,7 @@ func TestBatchMatchesLines(t *testing.T) {
 				for hi := lo; hi <= len(lines); hi++ {
 					for _, need := range masks {
 						who := fmt.Sprintf("%s compress=%v [%d,%d) need %v", name, compress, lo, hi, need)
-						if err := b.decode(data, lo, hi, need); err != nil {
+						if err := b.decode(data, lo, hi, 0, need); err != nil {
 							t.Fatalf("%s: %v", who, err)
 						}
 						readsAs(t, who, &b, lines[lo:hi], need)
@@ -98,7 +98,7 @@ func TestBatchMatchesLines(t *testing.T) {
 		}
 	}
 	lines := blockShapes()["ragged"]
-	if err := b.decode(EncodeBlock(lines, false), -4, len(lines)+7, nil); err != nil {
+	if err := b.decode(EncodeBlock(lines, false), -4, len(lines)+7, 0, nil); err != nil {
 		t.Fatalf("out-of-range bounds: %v", err)
 	}
 	readsAs(t, "out-of-range bounds", &b, lines, nil)
@@ -127,7 +127,7 @@ func TestBatchEscapesMatchDecodeLine(t *testing.T) {
 		for hi := lo; hi <= len(lines); hi++ {
 			for _, need := range [][]bool{nil, {false, true}, {}, {true, false, false, true}} {
 				who := fmt.Sprintf("[%d,%d) need %v", lo, hi, need)
-				if err := b.decode(data, lo, hi, need); err != nil {
+				if err := b.decode(data, lo, hi, 0, need); err != nil {
 					t.Fatalf("%s: %v", who, err)
 				}
 				readsAs(t, who, &b, lines[lo:hi], need)
@@ -136,9 +136,10 @@ func TestBatchEscapesMatchDecodeLine(t *testing.T) {
 	}
 }
 
-// TestReadColumnsSegments walks a spilled, compressed file with an
-// unsealed tail in strides that straddle block boundaries: every call
-// stops at its segment's end, and every range — sealed, escaped or the
+// TestReadColumnsSegments walks a spilled, compressed part file with an
+// unsealed tail, and the same lines appended, which end in a short block,
+// in strides that straddle block boundaries: every call stops at its
+// segment's end, and every range — sealed, escaped, the short block or the
 // tail — comes back as a batch, the ranges together every record once, in
 // order.
 func TestReadColumnsSegments(t *testing.T) {
@@ -152,34 +153,39 @@ func TestReadColumnsSegments(t *testing.T) {
 		}
 		lines = append(lines, line)
 	}
-	fs.Append("t/f", lines...)
-	if fs.SpilledBlocks() == 0 || len(fs.files["t/f"].pending) == 0 {
-		t.Fatal("want spilled blocks and an unsealed tail")
+	installPart(fs, "t/part", lines)
+	fs.Append("t/appended", lines...)
+	part, appended := fs.files["t/part"], fs.files["t/appended"]
+	if fs.SpilledBlocks() == 0 || part.tail.len() == 0 || appended.tail.len() != 0 ||
+		appended.blocks[len(appended.blocks)-1].records != part.tail.len() {
+		t.Fatal("want spilled blocks, a part with an unsealed tail and an appended file ending in a block of its lines")
 	}
-	r, err := fs.OpenReader("t/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b Batch
-	for _, stride := range []int{1, 7, 64, 1000} {
-		for at := 0; at < r.NumRecords(); {
-			end := at + stride
-			next := r.ReadColumns(&b, at, end, nil)
-			if next <= at || next > end {
-				t.Fatalf("stride %d: ReadColumns(%d,%d) stopped at %d", stride, at, end, next)
-			}
-			readsAs(t, fmt.Sprintf("stride %d: [%d,%d)", stride, at, next), &b, lines[at:next], nil)
-			if b.Next() {
-				t.Fatalf("stride %d: a consumed batch steps again", stride)
-			}
-			at = next
+	for _, path := range []string{"t/part", "t/appended"} {
+		r, err := fs.OpenReader(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if next := r.ReadColumns(&b, 305, 400, nil); next != 400 || b.Next() {
-		t.Fatalf("past the end: next=%d", next)
-	}
-	if next := r.ReadColumns(&b, 20, 10, nil); next != 10 || b.Next() {
-		t.Fatalf("empty range: next=%d", next)
+		var b Batch
+		for _, stride := range []int{1, 7, 64, 1000} {
+			for at := 0; at < r.NumRecords(); {
+				end := at + stride
+				next := r.ReadColumns(&b, at, end, nil)
+				if next <= at || next > end {
+					t.Fatalf("%s stride %d: ReadColumns(%d,%d) stopped at %d", path, stride, at, end, next)
+				}
+				readsAs(t, fmt.Sprintf("%s stride %d: [%d,%d)", path, stride, at, next), &b, lines[at:next], nil)
+				if b.Next() {
+					t.Fatalf("%s stride %d: a consumed batch steps again", path, stride)
+				}
+				at = next
+			}
+		}
+		if next := r.ReadColumns(&b, 305, 400, nil); next != 400 || b.Next() {
+			t.Fatalf("%s past the end: next=%d", path, next)
+		}
+		if next := r.ReadColumns(&b, 20, 10, nil); next != 10 || b.Next() {
+			t.Fatalf("%s empty range: next=%d", path, next)
+		}
 	}
 }
 
@@ -210,13 +216,13 @@ func TestBatchReadAllocs(t *testing.T) {
 		})
 		fresh := minAllocs(func() {
 			var b Batch
-			if err := b.decode(data, 100, 900, nil); err != nil {
+			if err := b.decode(data, 100, 900, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
 		var b Batch
 		reused := minAllocs(func() {
-			if err := b.decode(data, 100, 900, []bool{true, false, true}); err != nil {
+			if err := b.decode(data, 100, 900, 0, []bool{true, false, true}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -234,7 +240,7 @@ func TestBatchReadAllocs(t *testing.T) {
 	var b Batch
 	held := testing.AllocsPerRun(20, func() {
 		b.reset()
-		b.holdLines(lines)
+		b.holdLines(lineSet[string]{lines: lines})
 		for b.Next() {
 			_ = b.Value(b.Width() - 1)
 		}

@@ -17,7 +17,8 @@ import (
 )
 
 // The block format is the at-rest representation of file records: a file
-// is a sequence of sealed blocks plus an unsealed tail. Each block holds
+// is a sequence of sealed blocks, the last possibly short, and a task's
+// part file may end in an unsealed tail. Each block holds
 // a batch of records in column-grouped, length-prefixed form — record
 // values (the tab-separated fields of each line) are regrouped so all
 // values of column 0 are stored contiguously, then all of column 1, and
@@ -168,23 +169,33 @@ func (s *lineSet[T]) bytes() int64 {
 	return int64(s.ends[len(s.ends)-1]-s.start) + int64(len(s.ends))
 }
 
-// strings copies the lines out as strings that point into nothing of s:
-// one backing string for the bytes of a buffer's.
-func (s *lineSet[T]) strings() []string {
-	out := make([]string, s.len())
-	if s.ends == nil {
-		for i, l := range s.lines {
-			out[i] = string(l)
+// compact copies the lines out as one string of their bytes back to back,
+// cut at ends rebased to it: two allocations, the text and 4 bytes a line,
+// and nothing of s pointed into.
+func (s *lineSet[T]) compact() lineSet[string] {
+	ends := make([]int32, s.len())
+	if s.ends != nil {
+		for i, end := range s.ends {
+			ends[i] = end - s.start
 		}
-		return out
+		return lineSet[string]{buf: string(s.buf[s.start:s.ends[len(s.ends)-1]]), ends: ends}
 	}
-	all := string(s.buf[s.start:s.ends[len(s.ends)-1]])
-	at := int32(0)
-	for i, end := range s.ends {
-		out[i] = all[at : end-s.start]
-		at = end - s.start
+	var text strings.Builder
+	text.Grow(int(s.bytes()) - len(s.lines))
+	for i, l := range s.lines {
+		text.WriteString(string(l))
+		ends[i] = int32(text.Len())
 	}
-	return out
+	return lineSet[string]{buf: text.String(), ends: ends}
+}
+
+// appendStrings appends the lines to dst, each a string of its own or
+// cut out of the one string they are held in.
+func (s *lineSet[T]) appendStrings(dst []string) []string {
+	for i := range s.len() {
+		dst = append(dst, string(s.line(i)))
+	}
+	return dst
 }
 
 // indexByte is strings.IndexByte for either shape of text. The values it
@@ -871,18 +882,21 @@ func (s *blockShape) walk(p []byte, n64 uint64, coded bool, lo, hi int, need []b
 	}
 	s.lineBytes = sum + s.hi - s.lo // a newline each
 
-	s.counts = grown(s.counts, n) // once for every range of a block this size
 	if minCols == maxCols {
-		s.counts = s.counts[:s.hi-s.lo]
+		// Sized by the range: a short read of a long block grows nothing
+		// by the block.
+		s.counts = grown(s.counts, s.hi-s.lo)[:s.hi-s.lo]
 		for i := range s.counts {
 			s.counts[i] = s.minCols
 		}
 	} else {
-		// A coded column's codes are counted against every record's width.
-		s.counts = s.counts[:s.hi]
+		// A ragged block's widths are stepped through from record 0, and a
+		// coded column's codes are counted against every record's width.
+		m := s.hi
 		if coded {
-			s.counts = s.counts[:n]
+			m = n
 		}
+		s.counts = grown(s.counts, m)[:m]
 		for i := range s.counts {
 			c, w := uvarint(p[off:regions])
 			if w <= 0 || c < minCols || c > maxCols {

@@ -296,7 +296,7 @@ func TestDecodeBlockHostileLengths(t *testing.T) {
 			t.Errorf("case %d: hostile block decoded without error", i)
 		}
 		var b Batch
-		if err := b.decode(data, 0, 2, []bool{true}); err == nil {
+		if err := b.decode(data, 0, 2, 0, []bool{true}); err == nil {
 			t.Errorf("case %d: hostile block read as a batch without error", i)
 		}
 	}
@@ -315,7 +315,7 @@ func TestPrunedReadTouchesCarriedRegionsOnly(t *testing.T) {
 	data := pp.sealed(3)
 	var b Batch
 	for _, need := range [][]bool{{true}, {true, false}} {
-		if err := b.decode(data, 0, 3, need); err != nil || b.LineBytes() != 15 {
+		if err := b.decode(data, 0, 3, 0, need); err != nil || b.LineBytes() != 15 {
 			t.Fatalf("need %v: err=%v, %d line bytes: want the three records, 15 bytes", need, err, b.LineBytes())
 		}
 		if got, _ := batchRecords(&b, need); !slices.EqualFunc(got, [][]string{{"a", "·"}, {"c", "·"}, {"e", "·"}}, slices.Equal) {
@@ -323,10 +323,10 @@ func TestPrunedReadTouchesCarriedRegionsOnly(t *testing.T) {
 		}
 	}
 	for _, need := range [][]bool{nil, {false, true}, {true, true}} {
-		if err := b.decode(data, 0, 3, need); err == nil {
+		if err := b.decode(data, 0, 3, 0, need); err == nil {
 			t.Errorf("need %v: the malformed column was carried and nothing failed", need)
 		}
-		if err := b.decode(data, 0, 1, need); err != nil {
+		if err := b.decode(data, 0, 1, 0, need); err != nil {
 			t.Errorf("need %v, [0,1): %v: the walk stops at the last record asked for", need, err)
 		}
 	}
@@ -385,7 +385,7 @@ func TestIndexedReadStartsAtItsEntry(t *testing.T) {
 	}
 	var b Batch
 	for _, r := range [][2]int{{0, 2500}, {0, 1501}, {1024, 1600}, {1400, 2048}} {
-		if err := b.decode(bad, r[0], r[1], nil); err == nil {
+		if err := b.decode(bad, r[0], r[1], 0, nil); err == nil {
 			t.Errorf("batch %v: the read reaches the malformed value and did not fail", r)
 		}
 	}
@@ -395,7 +395,7 @@ func TestIndexedReadStartsAtItsEntry(t *testing.T) {
 			t.Errorf("lines %v: %v", r, err)
 		}
 		for _, need := range [][]bool{nil, {true}, {false, true}} {
-			if err := b.decode(bad, lo, hi, need); err != nil {
+			if err := b.decode(bad, lo, hi, 0, need); err != nil {
 				t.Fatalf("batch %v need %v: %v", r, need, err)
 			}
 			readsAs(t, fmt.Sprintf("batch %v need %v", r, need), &b, lines[lo:hi], need)
@@ -410,7 +410,7 @@ func TestIndexedReadStartsAtItsEntry(t *testing.T) {
 			t.Errorf("hostile index %d: the whole decode did not fail", i)
 		}
 		for _, r := range [][2]int{{0, 2500}, {1000, 2100}} {
-			if err := b.decode(data, r[0], r[1], nil); err == nil {
+			if err := b.decode(data, r[0], r[1], 0, nil); err == nil {
 				t.Errorf("hostile index %d: batch %v stepped past a bad entry and did not fail", i, r)
 			}
 		}
@@ -494,7 +494,7 @@ func TestAnyFlippedByteFailsEveryRead(t *testing.T) {
 					t.Fatalf("compress=%v: byte %d bit %d flipped and a range decodes", compress, i, bit)
 				}
 				for _, need := range [][]bool{nil, {}, {false, true}} {
-					if err := b.decode(bad, 0, 1, need); err == nil {
+					if err := b.decode(bad, 0, 1, 0, need); err == nil {
 						t.Fatalf("compress=%v: byte %d bit %d flipped and a batch reads under %v", compress, i, bit, need)
 					}
 				}
@@ -710,14 +710,14 @@ func TestReadBackFailsClosed(t *testing.T) {
 	failed("ReadTree after Close", err, "spill file is closed")
 }
 
-// TestOneAppendSealsLikeMany: an Append that seals ten blocks leaves the
-// file exactly as ten Appends sealing one block each do — same blocks,
-// same unsealed tail, same lines read back — with and without a spill
-// budget. The tail is cut off the pending array once per Append, however
-// many blocks came off it.
+// TestOneAppendSealsLikeMany: an Append that seals ten blocks and a short
+// one leaves the file exactly as eleven Appends sealing one block each do —
+// same blocks, the last short, no unsealed tail, same lines read back —
+// with and without a spill budget; and so do appends of a line at a time,
+// each sealing the short block again with its line.
 func TestOneAppendSealsLikeMany(t *testing.T) {
 	const blockSize, perBlock, blocks = 256, 16, 10 // 16 lines of 15 bytes + newline
-	lines := make([]string, perBlock*blocks+5)      // five lines stay unsealed
+	lines := make([]string, perBlock*blocks+5)      // five lines make a short block
 	for i := range lines {
 		lines[i] = fmt.Sprintf("key-%04d\t%06d", i%37, i)
 	}
@@ -726,19 +726,21 @@ func TestOneAppendSealsLikeMany(t *testing.T) {
 		if budget > 0 {
 			opts.SpillDir = t.TempDir()
 		}
-		one, many := NewWith(opts), NewWith(opts)
+		one, many, single := NewWith(opts), NewWith(opts), NewWith(opts)
 		one.Append("f", lines...)
 		for i := 0; i < len(lines); i += perBlock {
 			many.Append("f", lines[i:min(i+perBlock, len(lines))]...)
 		}
-		for _, fs := range []*FS{one, many} {
+		for _, l := range lines {
+			single.Append("f", l)
+		}
+		for _, fs := range []*FS{one, many, single} {
 			f := fs.files["f"]
-			if len(f.blocks) != blocks || len(f.pending) != 5 || f.pendingBytes != 5*16 {
-				t.Fatalf("budget %d: %d blocks, %d pending lines (%d bytes), want %d, 5 (80)",
-					budget, len(f.blocks), len(f.pending), f.pendingBytes, blocks)
+			if len(f.blocks) != blocks+1 || f.tail.len() != 0 {
+				t.Fatalf("budget %d: %d blocks and %d tail lines, want %d and none", budget, len(f.blocks), f.tail.len(), blocks+1)
 			}
-			if cap(f.pending) > 2*len(f.pending) {
-				t.Errorf("budget %d: tail keeps an array of %d for %d lines: sealed strings stay reachable", budget, cap(f.pending), len(f.pending))
+			if last := f.blocks[blocks]; last.records != 5 || last.logical != 5*16 {
+				t.Fatalf("budget %d: the last block holds %d records (%d bytes), want 5 (80)", budget, last.records, last.logical)
 			}
 			got, err := readLines(fs, "f")
 			if err != nil {
@@ -748,11 +750,12 @@ func TestOneAppendSealsLikeMany(t *testing.T) {
 				t.Errorf("budget %d: read back %d lines, not the %d appended", budget, len(got), len(lines))
 			}
 		}
-		if one.ResidentBytes() != many.ResidentBytes() || one.SpilledBlocks() != many.SpilledBlocks() {
-			t.Errorf("budget %d: one Append leaves %d resident bytes and %d spilled blocks, ten leave %d and %d",
-				budget, one.ResidentBytes(), one.SpilledBlocks(), many.ResidentBytes(), many.SpilledBlocks())
+		if one.ResidentBytes() != many.ResidentBytes() || one.SpilledBlocks() != many.SpilledBlocks() ||
+			one.ResidentBytes() != single.ResidentBytes() || one.CompressedRatio() != single.CompressedRatio() {
+			t.Errorf("budget %d: one Append leaves %d resident bytes and %d spilled blocks, eleven leave %d and %d, one a line %d resident",
+				budget, one.ResidentBytes(), one.SpilledBlocks(), many.ResidentBytes(), many.SpilledBlocks(), single.ResidentBytes())
 		}
-		if err := errors.Join(one.Close(), many.Close()); err != nil {
+		if err := errors.Join(one.Close(), many.Close(), single.Close()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -818,6 +821,14 @@ func TestSealAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// installPart installs lines at path as a task installs its part file:
+// FS.SealBuffer of them laid out in one buffer, which keeps what is short
+// of a block as an unsealed tail.
+func installPart(fs *FS, path string, lines []string) {
+	buf, ends := joinLines(lines)
+	fs.Install(path, fs.SealBuffer(buf, ends))
 }
 
 // joinLines lays lines back to back in one buffer, as FS.SealBuffer takes
@@ -970,8 +981,8 @@ func TestSealBufferOutlivesItsBuffer(t *testing.T) {
 		fs := NewWith(Options{BlockSize: 1024, Compress: c.compress})
 		buf, ends := joinLines(c.lines)
 		s := fs.SealBuffer(buf, ends)
-		if len(s.blocks) == 0 || len(s.tail) == 0 {
-			t.Fatalf("%s: %d blocks and %d tail lines, want both", c.name, len(s.blocks), len(s.tail))
+		if len(s.blocks) == 0 || s.tail.len() == 0 {
+			t.Fatalf("%s: %d blocks and %d tail lines, want both", c.name, len(s.blocks), s.tail.len())
 		}
 		if f := s.blocks[0].data[1]; f != c.flags {
 			t.Fatalf("%s: first block's flags %#x, want %#x", c.name, f, c.flags)
@@ -987,5 +998,209 @@ func TestSealBufferOutlivesItsBuffer(t *testing.T) {
 		if !slices.Equal(got, c.lines) {
 			t.Fatalf("%s: after the buffer was overwritten the file reads %q", c.name, got[:min(3, len(got))])
 		}
+	}
+}
+
+// TestAppendLeavesNoTail: whatever the block size, compressed or not, in
+// one Append or many, an appended file is sealed blocks to its last line:
+// no tail, every block but the last reaching the block size, and every
+// segment of a Reader over it a block, which reads back as the lines.
+func TestAppendLeavesNoTail(t *testing.T) {
+	lines := make([]string, 500)
+	for i := range lines {
+		lines[i] = strings.Repeat("x", i%23) + fmt.Sprintf("\t%d", i) // one in 23 starts with a tab
+		if i%97 == 0 {
+			lines[i] = ""
+		}
+	}
+	for _, size := range []int{1, 7, 64, 300, 4096, DefaultBlockSize} {
+		for _, compress := range []bool{false, true} {
+			fs := NewWith(Options{BlockSize: size, Compress: compress})
+			fs.Append("one", lines...)
+			for i := 0; i < len(lines); i += 37 {
+				fs.Append("many", lines[i:min(i+37, len(lines))]...)
+			}
+			for _, path := range []string{"one", "many"} {
+				who := fmt.Sprintf("block size %d, compress=%v, %s", size, compress, path)
+				f := fs.files[path]
+				if f.tail.len() != 0 {
+					t.Fatalf("%s: a tail of %d lines", who, f.tail.len())
+				}
+				for i, b := range f.blocks[:len(f.blocks)-1] {
+					if b.logical < int64(size) {
+						t.Fatalf("%s: block %d of %d is short (%d bytes)", who, i, len(f.blocks), b.logical)
+					}
+				}
+				r, err := fs.OpenReader(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, seg := range r.segs {
+					if seg.blk == nil {
+						t.Fatalf("%s: a segment of %d records is not a block", who, seg.n)
+					}
+				}
+				if got, err := r.readAll(); err != nil || !slices.Equal(got, lines) {
+					t.Fatalf("%s: reads back %d lines (%v), not the %d appended", who, len(got), err, len(lines))
+				}
+			}
+		}
+	}
+}
+
+// TestPartKeepsItsTail: a part installed from SealBuffer keeps what is
+// short of a block unsealed, held as one string of the lines' bytes and
+// their ends, and a Reader serves it as its last segment, read as held
+// lines.
+func TestPartKeepsItsTail(t *testing.T) {
+	lines := cycling(100, 7) // 6 bytes and a newline a line: 37 a block
+	fs := NewWith(Options{BlockSize: 256})
+	installPart(fs, "out/part", lines)
+	f := fs.files["out/part"]
+	held := lines[len(lines)-f.tail.len():]
+	if len(f.blocks) != 2 || len(held) != 26 || f.tail.bytes() != 7*26 {
+		t.Fatalf("%d blocks and a tail of %d lines (%d bytes), want 2 and 26 (182)", len(f.blocks), len(held), f.tail.bytes())
+	}
+	if f.tail.lines != nil || f.tail.buf != strings.Join(held, "") || f.tail.start != 0 {
+		t.Fatalf("the tail is held as %d strings, or as %q from %d: want its lines' bytes back to back", len(f.tail.lines), f.tail.buf, f.tail.start)
+	}
+	for i := range held {
+		if f.tail.ends[i] != int32(6*(i+1)) {
+			t.Fatalf("tail line %d ends at %d, want %d", i, f.tail.ends[i], 6*(i+1))
+		}
+	}
+	r, err := fs.OpenReader("out/part")
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := r.segs[len(r.segs)-1]
+	if last.blk != nil || last.n != len(held) {
+		t.Fatalf("the last segment holds %d records in a block (%v), want the %d of the tail", last.n, last.blk != nil, len(held))
+	}
+	var b Batch
+	if next := r.ReadColumns(&b, last.start, r.NumRecords(), nil); next != r.NumRecords() || b.nheld != len(held) || b.Rows() != 0 {
+		t.Fatalf("the tail reads to %d as %d held lines and %d rows", next, b.nheld, b.Rows())
+	}
+	readsAs(t, "the tail", &b, held, nil)
+
+	fs.Install("out/part", fs.SealBuffer(nil, nil)) // no lines: the tail stays
+	if g := fs.files["out/part"]; g.tail.len() != len(held) || g.tail.buf != f.tail.buf || g.lines != len(lines) {
+		t.Fatalf("after an empty install, %d tail lines of %d in the file, want %d of %d", g.tail.len(), g.lines, len(held), len(lines))
+	}
+}
+
+// TestShortReadGrowsByItsRange: a read of 100 records of a uniform block
+// of 25,000 grows a fresh batch's arrays by about 100 entries, not by the
+// block: the column counts and the offsets are sized by the range read.
+func TestShortReadGrowsByItsRange(t *testing.T) {
+	lines := make([]string, 25_000)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("user%05d\tuser%05d", i*7919%25_000, i)
+	}
+	data := EncodeBlock(lines, false)
+	for _, lo := range []int{0, 12_345, 24_900} {
+		var b Batch
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := b.decode(data, lo, lo+100, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if b.Rows() != 100 {
+			t.Fatalf("[%d,%d): %d rows, want 100", lo, lo+100, b.Rows())
+		}
+		// 100 counts of 8 bytes, 2 columns' 3 words and 2 offsets a value
+		// of 4 bytes, the column regions, an eighth more of each.
+		if held := after.TotalAlloc - before.TotalAlloc; cap(b.shape.counts) > 100+100/8 || held > 4<<10 {
+			t.Errorf("[%d,%d): counts grown to %d, %d bytes allocated; want about 100 entries and under 4 KiB",
+				lo, lo+100, cap(b.shape.counts), held)
+		}
+	}
+}
+
+// TestSplitReadsGrowOnce: a Reader's read grows a batch's arrays for the
+// records it asks for or the batch reserved, as many as the largest block
+// holds at most, so a slot that reads splits of one length grows them at
+// its first read whichever split that is: one that ends a block early, the
+// file's short last block, or a short last split.
+func TestSplitReadsGrowOnce(t *testing.T) {
+	lines := make([]string, 4500)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("user%05d\t%02d", i*7919%4500, i%97)
+	}
+	fs := NewWith(Options{BlockSize: 13 * 1000}) // 13 bytes a line: blocks of 1,000
+	fs.Append("in", lines...)
+	r, err := fs.OpenReader("in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(r.segs); n != 5 || r.segs[4].n != 500 {
+		t.Fatalf("%d blocks, the last of %d records; want 5, the last of 500", n, r.segs[4].n)
+	}
+	for _, first := range [][2]int{{4000, 5000}, {500, 1500}, {0, 1000}} {
+		var b Batch
+		read := func(lo, hi int) {
+			for at := lo; at < hi; {
+				at = r.ReadColumns(&b, at, hi, nil)
+				for b.Next() {
+				}
+			}
+		}
+		read(first[0], first[1])
+		counts, ints := cap(b.shape.counts), cap(b.ints)
+		for lo := 0; lo < len(lines); lo += 250 {
+			if allocs := testing.AllocsPerRun(1, func() { read(lo, lo+1000) }); allocs != 0 {
+				t.Fatalf("first [%d,%d): a later split [%d,%d) allocates %v times", first[0], first[1], lo, lo+1000, allocs)
+			}
+		}
+		if cap(b.shape.counts) != counts || cap(b.ints) != ints || counts < 1000 || counts > 1000+1000/8 {
+			t.Errorf("first [%d,%d): arrays of %d counts and %d offsets, then %d and %d; want room for 1,000 records once",
+				first[0], first[1], counts, ints, cap(b.shape.counts), cap(b.ints))
+		}
+	}
+	var b Batch
+	r.ReadColumns(&b, 2000, 2100, nil)
+	if c := cap(b.shape.counts); c > 100+100/8 {
+		t.Errorf("a read of 100 records grows the counts to %d", c)
+	}
+	// Reserved for splits of 1,000, a batch whose first read is a split
+	// of 100 grows for 1,000 at once; reserved for more than the largest
+	// block holds, for that block.
+	for _, reserve := range []int{1000, 5000} {
+		var b Batch
+		b.Reserve(reserve)
+		r.ReadColumns(&b, 4400, 4500, nil)
+		counts := cap(b.shape.counts)
+		if allocs := testing.AllocsPerRun(1, func() { r.ReadColumns(&b, 1000, 2000, nil) }); allocs != 0 || counts < 1000 || counts > 1000+1000/8 {
+			t.Errorf("reserved %d: a first read of 100 records grows the counts to %d, a later one of 1,000 allocates %v times",
+				reserve, counts, allocs)
+		}
+	}
+}
+
+// TestPartTailAllocs: the tail SealBuffer leaves costs two objects, its
+// lines' bytes in one string and 4 bytes a line for their ends, and no
+// string header a line.
+func TestPartTailAllocs(t *testing.T) {
+	class := func(n int) uint64 { return uint64(cap(slices.Grow([]byte(nil), n))) }
+	lines := cycling(2000, 50) // 14,000 bytes as lines, short of a block
+	buf, ends := joinLines(lines)
+	fs := NewWith(Options{})
+	if s := fs.SealBuffer(buf, ends); len(s.blocks) != 0 || s.tail.len() != len(lines) {
+		t.Fatalf("%d blocks and %d tail lines, want none and %d", len(s.blocks), s.tail.len(), len(lines))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_ = fs.SealBuffer(buf, ends)
+	}
+	runtime.ReadMemStats(&after)
+	objects := (after.Mallocs - before.Mallocs) / runs
+	held := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := class(len(buf)) + class(4*len(lines)); objects > 2 || held > limit {
+		t.Errorf("a tail of %d lines (%d bytes) = %d objects, %d bytes; want 2 objects, <= %d bytes",
+			len(lines), len(buf), objects, held, limit)
 	}
 }

@@ -5,12 +5,13 @@
 // directory. The file system counts bytes read and written so the
 // Table 3 "HDFS write" metric can be reported.
 //
-// Since PR 7 the at-rest representation is block-structured rather than
-// a []string per file: records accumulate in a small unsealed tail and
-// are sealed into columnar, length-prefixed blocks (~Options.BlockSize
-// encoded bytes each, see block.go), optionally compressed (dictionary-coded
-// or deflated, whichever the block's content suits), and —
-// under a resident-memory budget — spilled to a temp file on disk. All
+// The at-rest representation is block-structured rather than a []string
+// per file: records are sealed into columnar, length-prefixed blocks
+// (~Options.BlockSize encoded bytes each, the last of a file possibly
+// short, see block.go), optionally compressed (dictionary-coded or
+// deflated, whichever the block's content suits), and — under a
+// resident-memory budget — spilled to a temp file on disk. Only a task's
+// part file keeps what is short of a block unsealed, as a tail. All
 // of this is invisible above the API line: reads reconstruct the exact
 // record lines that were appended, verification digests are taken over
 // canonical record bytes (never block bytes).
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,8 +46,8 @@ type Options struct {
 	// when an append pushes the total past the budget, the oldest
 	// resident blocks spill to the spill file until the total is back
 	// under. <= 0 disables spilling entirely. The budget governs
-	// sealed blocks only: each file's unsealed tail additionally holds
-	// up to ~BlockSize of pending records.
+	// sealed blocks only: a part file's unsealed tail additionally holds
+	// up to ~BlockSize of records.
 	MemBudget int64
 	// SpillDir is where the spill file is created; "" uses the system
 	// temp directory. The file is removed by Close.
@@ -109,13 +111,13 @@ type FS struct {
 	bytesRead    atomic.Int64
 }
 
-// file is one stored file: sealed blocks plus the unsealed tail.
+// file is one stored file: sealed blocks, the last of which may be short,
+// and, in a task's part file, the unsealed tail.
 type file struct {
-	blocks       []*block
-	pending      []string
-	pendingBytes int
-	lines        int
-	bytes        int64 // logical size: record bytes plus one newline each
+	blocks []*block
+	tail   lineSet[string] // one string, cut at its ends
+	lines  int
+	bytes  int64 // logical size: record bytes plus one newline each
 }
 
 // block is one sealed batch of records, the idx-th of the file at path.
@@ -239,18 +241,23 @@ func (fs *FS) pathRanges(prefix string) (exact bool, lo, hi int) {
 
 // Append adds lines to the file at path, creating it if needed. The file
 // system is append-only in keeping with cloud-store semantics (§1): there
-// is no way to overwrite existing records in place. Appended records land
-// in the file's unsealed tail; once the tail reaches the target block
-// size it is sealed into encoded (optionally compressed) blocks, which
-// spill to disk when the resident-memory budget is exceeded.
+// is no way to overwrite existing records in place. Every appended record
+// is sealed into encoded (optionally compressed) blocks, the last one
+// short of the block size where the lines end short of it, as HDFS keeps
+// the last block of a file; blocks spill to disk when the resident-memory
+// budget is exceeded. Appending behind a short block seals it again with
+// the new lines, so one Append leaves what many of the same lines leave,
+// at the cost of that block's decode and encode: a writer appends lines in
+// batches, not one at a time.
 func (fs *FS) Append(path string, lines ...string) { fs.Install(path, fs.Seal(lines)) }
 
-// Sealed is a batch of lines as Seal encoded them, which Install adds to a
-// file as they are: blocks, tail and their size.
+// Sealed is a batch of lines as Seal or SealBuffer encoded them, which
+// Install adds to a file as they are: blocks, tail and their size.
 type Sealed struct {
-	blocks []*block // path and idx are the installing file's to set
-	tail   []string // in an array of its own
-	bytes  int64    // the lines' logical bytes, a newline each
+	blocks   []*block        // path and idx are the installing file's to set
+	tail     lineSet[string] // one string, cut at its ends
+	bytes    int64           // the lines' logical bytes, a newline each
+	keepTail bool            // sealed by SealBuffer: what is short of a block stays a tail
 }
 
 // Bytes returns the logical bytes of the sealed lines (records plus one
@@ -263,36 +270,44 @@ func (s *Sealed) appendLines(dst []string) []string {
 	for _, b := range s.blocks {
 		dst, _ = decodeBlockRange(dst, b.data, 0, b.records)
 	}
-	return append(dst, s.tail...)
+	return s.tail.appendStrings(dst)
 }
 
 // Seal encodes lines into the blocks a file holding only them would have:
 // the shortest prefix reaching the block size, again and again, and what is
-// left short of it as the tail. It reads the options and nothing else of
-// the FS, so task bodies seal their output concurrently, off the simulation
-// goroutine, and the commit installs it.
-func (fs *FS) Seal(lines []string) Sealed { return seal(fs.opts, lineSet[string]{lines: lines}) }
+// left short of it as one short block. It reads the options and nothing
+// else of the FS, so it may run concurrently with anything.
+func (fs *FS) Seal(lines []string) Sealed { return seal(fs.opts, lineSet[string]{lines: lines}, false) }
 
 // SealBuffer is Seal of the lines buf holds back to back, line i ending at
-// ends[i] (and beginning where line i-1 ends, line 0 at 0). Nothing it
-// returns points into buf: blocks are encoded copies and the tail is
-// copied out, so the caller may write over buf as soon as it returns.
+// ends[i] (and beginning where line i-1 ends, line 0 at 0), but for what is
+// short of a block: that stays unsealed, as a tail. It is how a task body
+// seals its part file, off the simulation goroutine, for the commit to
+// install; a part is read once, by the next job, and a tail costs neither
+// an encode nor a spill. Nothing it returns points into buf: blocks are
+// encoded copies and the tail is one string and its line ends, copied out,
+// so the caller may write over buf as soon as it returns.
 func (fs *FS) SealBuffer(buf []byte, ends []int32) Sealed {
-	return seal(fs.opts, lineSet[[]byte]{buf: buf, ends: ends})
+	return seal(fs.opts, lineSet[[]byte]{buf: buf, ends: ends}, true)
 }
 
-func seal[T lineText](opts Options, lines lineSet[T]) Sealed {
-	s := Sealed{bytes: lines.bytes()}
+func seal[T lineText](opts Options, lines lineSet[T], keepTail bool) Sealed {
+	s := Sealed{bytes: lines.bytes(), keepTail: keepTail}
 	size, n := opts.BlockSize, lines.len()
-	// A block takes at least size bytes and at least a line: the most blocks
-	// there can be, one array of them and one of pointers to them.
-	room := min(s.bytes/int64(size), int64(n))
+	// A full block takes at least size bytes and at least a line, and Seal
+	// adds a short one: the most blocks there can be, one array of them and
+	// one of pointers to them.
+	room := s.bytes / int64(size)
+	if !keepTail {
+		room++
+	}
+	room = min(room, int64(n))
 	var blocks []block
 	if room > 0 {
 		blocks, s.blocks = make([]block, room), make([]*block, 0, room)
 	}
 	sealed, left := 0, s.bytes
-	for left >= int64(size) {
+	for sealed < n && (left >= int64(size) || !keepTail) {
 		take, taken := 0, 0
 		for i := sealed; i < n; i++ {
 			taken += len(lines.line(i)) + 1
@@ -310,7 +325,7 @@ func seal[T lineText](opts Options, lines lineSet[T]) Sealed {
 	}
 	if sealed < n {
 		tail := lines.slice(sealed, n)
-		s.tail = tail.strings()
+		s.tail = tail.compact()
 	}
 	return s
 }
@@ -318,8 +333,10 @@ func seal[T lineText](opts Options, lines lineSet[T]) Sealed {
 // Install adds to the file at path, creating it if needed, the lines s was
 // sealed from. It is the one place a file grows: under mu it adopts s's
 // blocks, accounts for them, queues them for eviction and enforces the
-// resident budget. s was sealed as if the file were empty; behind a tail
-// its lines join the tail instead, sealed with it once it reaches a block.
+// resident budget. s was sealed as if the file were empty; behind a tail or
+// a short block its lines join that one's instead, and all of them are
+// sealed again as s was (Seal or SealBuffer). A short block that is spilled
+// is read back for it, and panics with its *BlockError if it cannot be.
 func (fs *FS) Install(path string, s Sealed) {
 	path = clean(path)
 	fs.mu.Lock()
@@ -331,25 +348,17 @@ func (fs *FS) Install(path string, s Sealed) {
 		fs.insertPath(path)
 	}
 	fs.bytesWritten.Add(s.bytes)
-	if len(f.pending) > 0 {
-		// Past its length the tail's array is no one's: whoever else holds
-		// it reads no further (a Reader's snapshot, a kept Sealed).
-		lines := s.appendLines(f.pending)
-		f.lines -= len(f.pending)
-		f.bytes -= int64(f.pendingBytes)
-		if n := int64(f.pendingBytes) + s.bytes; n < int64(fs.opts.BlockSize) {
-			s = Sealed{tail: lines, bytes: n}
-		} else {
-			s = fs.Seal(lines)
-		}
+	if s.bytes == 0 { // no lines: the file ends as it did
+		return
 	}
-	f.lines += len(s.tail)
+	if end := fs.takeEnd(f); end != nil {
+		s = seal(fs.opts, lineSet[string]{lines: s.appendLines(end)}, s.keepTail)
+	}
+	f.lines += s.tail.len()
 	f.bytes += s.bytes
-	tail := s.bytes
 	for i, b := range s.blocks {
 		b.path, b.idx = path, len(f.blocks)+i
 		f.lines += b.records
-		tail -= b.logical
 		fs.rawPayload += int64(b.raw)
 		fs.storedPayload += int64(len(b.data))
 		fs.residentBlocks++
@@ -361,11 +370,59 @@ func (fs *FS) Install(path string, s Sealed) {
 	} else {
 		f.blocks = append(f.blocks, s.blocks...)
 	}
-	f.pending, f.pendingBytes = s.tail, int(tail)
+	f.tail = s.tail
 	fs.enforceBudget()
 	if fs.residentBytes > fs.maxResident {
 		fs.maxResident = fs.residentBytes
 	}
+}
+
+// takeEnd takes off f, for Install to seal again, its tail or its short
+// last block, and returns its lines; nil where f ends in a full block or
+// holds nothing. A block taken off stays as it is for any Reader that
+// holds it, but the store no longer counts or evicts it. Caller holds mu.
+func (fs *FS) takeEnd(f *file) []string {
+	if n := f.tail.len(); n > 0 {
+		lines := f.tail.appendStrings(nil)
+		f.lines -= n
+		f.bytes -= f.tail.bytes()
+		f.tail = lineSet[string]{}
+		return lines
+	}
+	last := len(f.blocks) - 1
+	if last < 0 || f.blocks[last].logical >= int64(fs.opts.BlockSize) {
+		return nil
+	}
+	b := f.blocks[last]
+	data, err := b.data, error(nil)
+	if data == nil {
+		data, err = readSpilled(fs.spillF, b.off, b.size)
+	}
+	var lines []string
+	if err == nil {
+		lines, err = decodeBlockRange(make([]string, 0, b.records), data, 0, b.records)
+	}
+	if err != nil {
+		panic(b.failed(err))
+	}
+	f.blocks[last] = nil
+	f.blocks = f.blocks[:last]
+	f.lines -= b.records
+	f.bytes -= b.logical
+	fs.rawPayload -= int64(b.raw)
+	fs.storedPayload -= int64(len(data))
+	if b.data != nil {
+		fs.residentBlocks--
+		fs.residentBytes -= int64(len(b.data))
+		// Installed last of its file, it is most likely at the queue's end.
+		for i := len(fs.residentQ) - 1; i >= 0; i-- {
+			if fs.residentQ[i] == b {
+				fs.residentQ = slices.Delete(fs.residentQ, i, i+1)
+				break
+			}
+		}
+	}
+	return lines
 }
 
 // enforceBudget spills the oldest resident blocks until resident bytes
@@ -435,12 +492,21 @@ func (fs *FS) blockData(b *block) ([]byte, error) {
 	if data != nil {
 		return data, nil
 	}
+	data, err := readSpilled(sf, off, size)
+	if err != nil {
+		return nil, b.failed(err)
+	}
+	return data, nil
+}
+
+// readSpilled reads the size bytes a block spilled to off back from sf.
+func readSpilled(sf *os.File, off int64, size int) ([]byte, error) {
 	if sf == nil {
-		return nil, b.failed(errors.New("spilled, and the spill file is closed"))
+		return nil, errors.New("spilled, and the spill file is closed")
 	}
 	buf := make([]byte, size)
 	if _, err := sf.ReadAt(buf, off); err != nil {
-		return nil, b.failed(fmt.Errorf("spill read: %w", err))
+		return nil, fmt.Errorf("spill read: %w", err)
 	}
 	return buf, nil
 }

@@ -289,8 +289,9 @@ func TestSizeMatchesBytesWrittenProperty(t *testing.T) {
 // TestReadTreeAllocs pins what reading a three-part tree costs: the
 // snapshot of its files, the one slice of all their lines, the two arrays
 // of the block shape every block is walked into, and a string for each
-// sealed block's lines. Tails are handed out as they are held, and nothing
-// is read into a slice of its own and then copied.
+// sealed block's lines. Tails are handed out as cut from the one string
+// they are held in, and nothing is read into a slice of its own and then
+// copied.
 func TestReadTreeAllocs(t *testing.T) {
 	fs := NewWith(Options{BlockSize: 64})
 	var want []string
@@ -299,14 +300,14 @@ func TestReadTreeAllocs(t *testing.T) {
 		for i := range lines {
 			lines[i] = fmt.Sprintf("part%d\trow%02d", p, i)
 		}
-		fs.Append(fmt.Sprintf("out/part-%05d", p), lines...)
+		installPart(fs, fmt.Sprintf("out/part-%05d", p), lines)
 		want = append(want, lines...)
 	}
 	blocks := 0
 	for _, f := range fs.files {
 		blocks += len(f.blocks)
-		if len(f.blocks) == 0 || len(f.pending) == 0 {
-			t.Fatalf("a part of %d blocks and %d tail lines, want both", len(f.blocks), len(f.pending))
+		if len(f.blocks) == 0 || f.tail.len() == 0 {
+			t.Fatalf("a part of %d blocks and %d tail lines, want both", len(f.blocks), f.tail.len())
 		}
 	}
 	got, err := fs.ReadTree("out")
@@ -333,15 +334,20 @@ func TestOpenReaderAllocs(t *testing.T) {
 	fs := NewWith(Options{BlockSize: 64})
 	row := func(p, i int) string { return fmt.Sprintf("part%d\trow%02d", p, i) }
 	for p := range 3 {
+		var lines []string
 		for i := range 13 { // two blocks of 6 and a tail
-			fs.Append(fmt.Sprintf("out/part-%05d", p), row(p, i))
+			lines = append(lines, row(p, i))
 		}
+		installPart(fs, fmt.Sprintf("out/part-%05d", p), lines)
 	}
-	for i := range 37 { // six blocks of 6 and a tail
+	for i := range 37 { // six blocks of 6 and a short one
 		fs.Append("in", row(9, i))
 	}
-	if n := len(fs.files["in"].blocks); n != 6 {
-		t.Fatalf("in holds %d blocks, want 6", n)
+	if f := fs.files["in"]; len(f.blocks) != 7 || f.tail.len() != 0 {
+		t.Fatalf("in holds %d blocks and %d tail lines, want 7 and none", len(f.blocks), f.tail.len())
+	}
+	if f := fs.files["out/part-00000"]; len(f.blocks) != 2 || f.tail.len() != 1 {
+		t.Fatalf("a part holds %d blocks and %d tail lines, want 2 and 1", len(f.blocks), f.tail.len())
 	}
 	for name, open := range map[string]func() (*Reader, error){
 		"OpenReader":     func() (*Reader, error) { return fs.OpenReader("in") },

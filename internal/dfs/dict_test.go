@@ -47,7 +47,7 @@ func readsBack(t *testing.T, who string, data []byte, lines []string) {
 			t.Fatalf("%s: lines [%d,%d) = %q, %v", who, lo, hi, got, err)
 		}
 		for _, need := range [][]bool{nil, {}, {true}, {false, true}, {false, false, true}} {
-			if err := b.decode(data, lo, hi, need); err != nil {
+			if err := b.decode(data, lo, hi, 0, need); err != nil {
 				t.Fatalf("%s: batch [%d,%d) need %v: %v", who, lo, hi, need, err)
 			}
 			readsAs(t, fmt.Sprintf("%s: batch [%d,%d) need %v", who, lo, hi, need), &b, lines[lo:hi], need)
@@ -181,7 +181,7 @@ func TestUnknownBlockFlagsFailEveryRead(t *testing.T) {
 				t.Errorf("flags %#x: the block decodes", flags)
 			}
 			var b Batch
-			if err := b.decode(bad, 0, 1, []bool{true}); err == nil {
+			if err := b.decode(bad, 0, 1, 0, []bool{true}); err == nil {
 				t.Errorf("flags %#x: the block reads as a batch", flags)
 			}
 		}
@@ -239,7 +239,7 @@ func BenchmarkAirlineBlock(b *testing.B) {
 		b.Run(name+"/batch", func(b *testing.B) {
 			var batch Batch
 			for range b.N {
-				if err := batch.decode(data, 0, len(lines), nil); err != nil {
+				if err := batch.decode(data, 0, len(lines), 0, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

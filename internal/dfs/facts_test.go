@@ -100,11 +100,11 @@ func FuzzBatchFacts(f *testing.F) {
 		for _, compress := range []bool{false, true} {
 			data := EncodeBlock(lines, compress)
 			var batch Batch
-			if err := batch.decode(data, a, b, need); err != nil {
+			if err := batch.decode(data, a, b, 0, need); err != nil {
 				t.Fatal(err)
 			}
 			who := fmt.Sprintf("flags %#x, [%d,%d) of %d rows, need %v", data[1], a, b, len(lines), need)
-			held := batch.lines != nil
+			held := batch.nheld > 0
 			for c := range width + 1 {
 				form := batch.Form(c)
 				if (held || !carries(need, c)) && form != tuple.IntOther {

@@ -99,7 +99,7 @@ func FuzzBlockRoundTrip(f *testing.F) {
 		}
 		var b Batch
 		for _, need := range [][]bool{nil, need} {
-			if err := b.decode(data, lo, hi, need); err != nil {
+			if err := b.decode(data, lo, hi, 0, need); err != nil {
 				t.Fatalf("batch [%d,%d) need %v: %v", lo, hi, need, err)
 			}
 			checkBatch(t, &b, part, need, true)
@@ -255,7 +255,7 @@ func FuzzDecodeBlockNoPanic(f *testing.F) {
 		}
 		var b Batch
 		for _, need := range masks {
-			berr := b.decode(data, lo, hi, need)
+			berr := b.decode(data, lo, hi, 0, need)
 			if openErr != nil && berr == nil {
 				t.Fatalf("block does not open (%v) and reads as a batch under %v", openErr, need)
 			}
@@ -269,11 +269,23 @@ func FuzzDecodeBlockNoPanic(f *testing.F) {
 	})
 }
 
-// appendOracle is Append as it was before Seal and Install: the lines join
-// the file's tail, the shortest prefix of the tail reaching a block is
-// sealed off for as long as the tail holds one, and the tail then moves into
-// an array of its own.
-func (fs *FS) appendOracle(path string, lines ...string) {
+// storeOracle is Install told the long way. It keeps aside, per file, the
+// lines past its last full block — its tail, or its short block — and an
+// install joins them with its own, seals the shortest prefix reaching a
+// block for as long as there is one, and then seals what is left as one
+// short block (Seal) or keeps it as the tail, in one string of its own
+// (SealBuffer, held).
+type storeOracle struct {
+	fs   *FS
+	open map[string][]string
+}
+
+func newStoreOracle(opts Options) *storeOracle {
+	return &storeOracle{fs: NewWith(opts), open: map[string][]string{}}
+}
+
+func (o *storeOracle) install(path string, held bool, lines ...string) {
+	fs := o.fs
 	var n int64
 	for _, l := range lines {
 		n += int64(len(l)) + 1
@@ -286,39 +298,70 @@ func (fs *FS) appendOracle(path string, lines ...string) {
 		fs.files[path] = f
 		fs.insertPath(path)
 	}
-	f.pending = append(f.pending, lines...)
-	f.pendingBytes += int(n)
+	fs.bytesWritten.Add(n)
 	f.lines += len(lines)
 	f.bytes += n
+	if len(lines) == 0 {
+		return
+	}
+	pending := append(slices.Clone(o.open[path]), lines...)
+	if f.tail.len() == 0 && len(o.open[path]) > 0 { // a short block: it goes
+		b := f.blocks[len(f.blocks)-1]
+		if f.blocks = f.blocks[:len(f.blocks)-1]; len(f.blocks) == 0 {
+			f.blocks = nil // a file of no blocks adopts the next install's array
+		}
+		fs.rawPayload -= int64(b.raw)
+		if b.data == nil {
+			fs.storedPayload -= int64(b.size)
+		} else {
+			fs.storedPayload -= int64(len(b.data))
+			fs.residentBlocks--
+			fs.residentBytes -= int64(len(b.data))
+			fs.residentQ = slices.DeleteFunc(fs.residentQ, func(q *block) bool { return q == b })
+		}
+	}
+	f.tail, o.open[path] = lineSet[string]{}, nil
+	left := 0
+	for _, l := range pending {
+		left += len(l) + 1
+	}
 	sealed := 0
-	for f.pendingBytes >= fs.opts.BlockSize {
+	for sealed < len(pending) && (left >= fs.opts.BlockSize || !held) {
 		take, taken := 0, 0
-		for _, l := range f.pending[sealed:] {
+		for _, l := range pending[sealed:] {
 			taken += len(l) + 1
 			take++
 			if taken >= fs.opts.BlockSize {
 				break
 			}
 		}
-		data, rawLen := encodeBlockStats(lineSet[string]{lines: f.pending[sealed : sealed+take]}, fs.opts.Compress)
+		data, rawLen := encodeBlockStats(lineSet[string]{lines: pending[sealed : sealed+take]}, fs.opts.Compress)
 		b := &block{path: path, idx: len(f.blocks), records: take, logical: int64(taken), raw: rawLen, data: data}
 		f.blocks = append(f.blocks, b)
+		if taken < fs.opts.BlockSize {
+			o.open[path] = pending[sealed:]
+		}
 		sealed += take
-		f.pendingBytes -= taken
+		left -= taken
 		fs.rawPayload += int64(rawLen)
 		fs.storedPayload += int64(len(data))
 		fs.residentBlocks++
 		fs.residentBytes += int64(len(data))
 		fs.residentQ = append(fs.residentQ, b)
 	}
-	if sealed > 0 {
-		f.pending = append([]string(nil), f.pending[sealed:]...)
+	if rest := pending[sealed:]; len(rest) > 0 {
+		ends := make([]int32, len(rest))
+		at := int32(0)
+		for i, l := range rest {
+			at += int32(len(l))
+			ends[i] = at
+		}
+		f.tail, o.open[path] = lineSet[string]{buf: strings.Join(rest, ""), ends: ends}, rest
 	}
 	fs.enforceBudget()
 	if fs.residentBytes > fs.maxResident {
 		fs.maxResident = fs.residentBytes
 	}
-	fs.bytesWritten.Add(n)
 }
 
 // sameStore fails t unless got holds what want holds: every file's blocks
@@ -356,35 +399,39 @@ func sameStore(t *testing.T, who string, got, want *FS) {
 }
 
 // sealedContent is what s holds, less where its blocks were installed.
-func sealedContent(s Sealed) any {
-	type content struct {
-		data         []byte
-		records, raw int
-		logical      int64
-	}
-	blocks := make([]content, len(s.blocks))
+type sealedContent struct {
+	Blocks []blockContent
+	Tail   []string
+	Bytes  int64
+}
+
+type blockContent struct {
+	data         []byte
+	records, raw int
+	logical      int64
+}
+
+func contentOf(s Sealed) sealedContent {
+	blocks := make([]blockContent, len(s.blocks))
 	for i, b := range s.blocks {
-		blocks[i] = content{b.data, b.records, b.raw, b.logical}
+		blocks[i] = blockContent{b.data, b.records, b.raw, b.logical}
 	}
-	return struct {
-		Blocks []content
-		Tail   []string
-		Bytes  int64
-	}{blocks, s.tail, s.Bytes()}
+	return sealedContent{blocks, s.tail.appendStrings(nil), s.Bytes()}
 }
 
 // FuzzSealMatchesAppend holds Install of what Seal made, and Append, which
-// is built on them, to Append as it was (appendOracle): over arbitrary lines
-// cut into batches — empty ones, single lines, many blocks' worth — that go
-// to two files in turn, so a batch meets a tail the one before left, at any
-// block size, with and without compression and a spill budget, both must
-// leave the store exactly as the oracle does. What Seal made reads back as
-// the batch it was sealed from. A batch's lines are
-// cleared once written: a store that kept the caller's array would show it.
-// SealBuffer of the batch laid out in one buffer makes what Seal makes —
-// the same blocks byte for byte, tail and Bytes — and a store it is
-// installed into, whose buffers are written over at once, ends as the
-// oracle's too.
+// is built on them, to the oracle (storeOracle): over arbitrary lines cut
+// into batches — empty ones, single lines, many blocks' worth — that go to
+// two files in turn, so a batch meets the short block or the tail the one
+// before left, at any block size, with and without compression and a
+// spill budget, both must leave the store exactly as the oracle does. What
+// Seal made reads back as the batch it was sealed from. A batch's lines
+// are cleared once written: a store that kept the caller's array would
+// show it. SealBuffer of the batch laid out in one buffer makes Seal's full
+// blocks byte for byte and Bytes, and holds what Seal makes a short block
+// of as its tail; a store it is installed into, whose buffers are written
+// over at once, ends as the oracle's that keeps tails, and a store that
+// takes each batch one way or the other as the oracle that does the same.
 func FuzzSealMatchesAppend(f *testing.F) {
 	f.Add("a\tb\nc\nd\te\tf\n\ng", uint64(0b1011_0110), uint16(8), true, uint16(16))
 	f.Add(strings.Repeat("station-7\t21\tsunny\n", 40), uint64(0x0123_4567_89ab_cdef), uint16(64), true, uint16(100))
@@ -397,15 +444,21 @@ func FuzzSealMatchesAppend(f *testing.F) {
 	// Deflated blocks (values too many and too distinct to code), escaped
 	// values, ragged rows and empty lines among them.
 	f.Add(strings.Join(cycling(300, 300), "\n")+"\nesc\\t\\n\tx\n\n\ta\tb\tc", uint64(0x0fed_cba9_8765_4321), uint16(400), true, uint16(0))
+	// Batches of no lines behind a tail, which must leave it as it is, and
+	// a short block taken off as a file's only block.
+	f.Add("\n", uint64(8), uint16(8), true, uint16(5))
+	f.Add("\n\n", uint64(281470681809040), uint16(17), false, uint16(238))
 	f.Fuzz(func(t *testing.T, raw string, cuts uint64, blockSize uint16, compress bool, budget uint16) {
 		lines := strings.Split(raw, "\n")
 		opts := Options{BlockSize: int(blockSize)%512 + 1, MemBudget: int64(budget) % 2048, Compress: compress}
 		if opts.MemBudget > 0 {
 			opts.SpillDir = t.TempDir()
 		}
-		installed, appended, buffered, oracle := NewWith(opts), NewWith(opts), NewWith(opts), NewWith(opts)
+		installed, appended, buffered, mixed := NewWith(opts), NewWith(opts), NewWith(opts), NewWith(opts)
+		sealOracle, partOracle, mixedOracle := newStoreOracle(opts), newStoreOracle(opts), newStoreOracle(opts)
 		defer func() {
-			if err := errors.Join(installed.Close(), appended.Close(), buffered.Close(), oracle.Close()); err != nil {
+			if err := errors.Join(installed.Close(), appended.Close(), buffered.Close(), mixed.Close(),
+				sealOracle.fs.Close(), partOracle.fs.Close(), mixedOracle.fs.Close()); err != nil {
 				t.Fatal(err)
 			}
 		}()
@@ -416,13 +469,27 @@ func FuzzSealMatchesAppend(f *testing.F) {
 			}
 			batch := lines[lo:hi]
 			path := fmt.Sprintf("d/f%d", cuts>>(i%64)&1)
+			held := cuts>>((i+5)%64)&1 == 1 // how mixed takes the batch
 			sealed := installed.Seal(batch)
 			buf, ends := joinLines(batch)
 			fromBuf := buffered.SealBuffer(buf, ends)
-			if got, want := sealedContent(fromBuf), sealedContent(sealed); !reflect.DeepEqual(got, want) {
-				t.Fatalf("batch %d: SealBuffer made %+v, Seal %+v", i, got, want)
+			want := contentOf(sealed)
+			if k := len(sealed.blocks) - 1; k >= 0 && sealed.blocks[k].logical < int64(opts.BlockSize) {
+				want.Blocks = want.Blocks[:k]
+				var err error
+				if want.Tail, err = DecodeBlock(sealed.blocks[k].data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := contentOf(fromBuf); !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch %d: SealBuffer made %+v, Seal's full blocks and short block's lines %+v", i, got, want)
 			}
 			buffered.Install(path, fromBuf)
+			if held {
+				mixed.Install(path, mixed.SealBuffer(buf, ends))
+			} else {
+				mixed.Append(path, batch...)
+			}
 			for j := range buf {
 				buf[j] = 'X'
 			}
@@ -431,12 +498,15 @@ func FuzzSealMatchesAppend(f *testing.F) {
 			}
 			installed.Install(path, sealed)
 			appended.Append(path, batch...)
-			oracle.appendOracle(path, batch...)
+			sealOracle.install(path, false, batch...)
+			partOracle.install(path, true, batch...)
+			mixedOracle.install(path, held, batch...)
 			clear(batch)
 			lo = hi
 		}
-		sameStore(t, "Install(Seal)", installed, oracle)
-		sameStore(t, "Append", appended, oracle)
-		sameStore(t, "Install(SealBuffer)", buffered, oracle)
+		sameStore(t, "Install(Seal)", installed, sealOracle.fs)
+		sameStore(t, "Append", appended, sealOracle.fs)
+		sameStore(t, "Install(SealBuffer)", buffered, partOracle.fs)
+		sameStore(t, "Append or Install(SealBuffer)", mixed, mixedOracle.fs)
 	})
 }

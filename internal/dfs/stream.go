@@ -13,11 +13,11 @@ import "clusterbft/internal/digest"
 // and spilling holds for streamed access too.
 
 // rseg is one contiguous run of records inside a Reader: either a
-// sealed block (decoded on demand) or a snapshot of a file's unsealed
+// sealed block (decoded on demand) or a snapshot of a part file's unsealed
 // tail (held directly).
 type rseg struct {
 	blk      *block
-	lines    []string
+	tail     lineSet[string]
 	start, n int // the segment covers records [start, start+n) of the Reader
 }
 
@@ -29,6 +29,7 @@ type Reader struct {
 	fs    *FS
 	segs  []rseg
 	total int
+	most  int // the most records a segment holds
 }
 
 // OpenReader opens a streaming reader over the file at path. The file's
@@ -67,9 +68,9 @@ func (fs *FS) open(path string, tree bool) (*Reader, error) {
 // tree of every file at or under it in sorted path order, and returns
 // their logical bytes, for the caller to charge to the read counter. It
 // counts the segments under the lock first, so r's array is allocated
-// once. Sealed blocks are a prefix of a file that only grows, and a tail
-// is never written below its length, so the snapshot stays as it was
-// taken.
+// once. A file's blocks and its tail are never written once installed: a
+// later install that seals a short block or a tail again makes new ones
+// and leaves those the snapshot holds as they were.
 func (fs *FS) snapshot(r *Reader, path string, tree bool) (int64, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -92,12 +93,12 @@ func (fs *FS) snapshot(r *Reader, path string, tree bool) (int64, error) {
 	r.segs = make([]rseg, 0, n)
 	var bytes int64
 	if f != nil {
-		r.add(f.blocks, f.pending)
+		r.add(f.blocks, f.tail)
 		bytes = f.bytes
 	}
 	for _, p := range under {
 		g := fs.files[p]
-		r.add(g.blocks, g.pending)
+		r.add(g.blocks, g.tail)
 		bytes += g.bytes
 	}
 	return bytes, nil
@@ -105,7 +106,7 @@ func (fs *FS) snapshot(r *Reader, path string, tree bool) (int64, error) {
 
 // segments is how many segments a Reader over f holds: one per sealed
 // block, and one for a tail.
-func (f *file) segments() int { return len(f.blocks) + min(len(f.pending), 1) }
+func (f *file) segments() int { return len(f.blocks) + min(f.tail.len(), 1) }
 
 // readAll decodes every record of r straight into one slice of their
 // count. A sealed block that cannot be read back fails it with a
@@ -115,7 +116,7 @@ func (r *Reader) readAll() ([]string, error) {
 	var shape blockShape
 	for _, seg := range r.segs {
 		if seg.blk == nil {
-			out = append(out, seg.lines...)
+			out = seg.tail.appendStrings(out)
 			continue
 		}
 		var err error
@@ -127,14 +128,15 @@ func (r *Reader) readAll() ([]string, error) {
 }
 
 // add appends sealed blocks, then the lines of a tail, as segments.
-func (r *Reader) add(blocks []*block, tail []string) {
+func (r *Reader) add(blocks []*block, tail lineSet[string]) {
 	for _, b := range blocks {
 		r.segs = append(r.segs, rseg{blk: b, start: r.total, n: b.records})
 		r.total += b.records
+		r.most = max(r.most, b.records)
 	}
-	if len(tail) > 0 {
-		r.segs = append(r.segs, rseg{lines: tail, start: r.total, n: len(tail)})
-		r.total += len(tail)
+	if n := tail.len(); n > 0 {
+		r.segs = append(r.segs, rseg{tail: tail, start: r.total, n: n})
+		r.total += n
 	}
 }
 
@@ -188,7 +190,8 @@ func (r *Reader) ReadRange(start, end int) []string {
 				panic(err)
 			}
 		} else {
-			out = append(out, seg.lines[a:b]...)
+			lines := seg.tail.slice(a, b)
+			out = lines.appendStrings(out)
 		}
 	}
 	return out
@@ -201,16 +204,16 @@ func (r *Reader) Lines(yield func(string) bool) {
 	var block []string
 	var shape blockShape
 	for _, seg := range r.segs {
-		lines := seg.lines
+		lines := seg.tail
 		if seg.blk != nil {
 			var err error
 			if block, err = r.fs.loadBlock(block[:0], &shape, seg.blk, 0, seg.n); err != nil {
 				panic(err)
 			}
-			lines = block
+			lines = lineSet[string]{lines: block}
 		}
-		for _, l := range lines {
-			if !yield(l) {
+		for i := range lines.len() {
+			if !yield(lines.line(i)) {
 				return
 			}
 		}
@@ -230,12 +233,14 @@ func (r *Reader) LinesSum() digest.Sum {
 }
 
 // ReadColumns reads records from start on into b, up to end or the end of
-// the segment holding start (a sealed block, or the lines held for an
-// unsealed tail), whichever comes first, and returns the
+// the segment holding start (a sealed block, or the lines held for a part
+// file's unsealed tail), whichever comes first, and returns the
 // record it stopped before; need lists the columns a sealed block's
-// records carry (nil: all). b belongs to the caller; the Reader stays safe
-// for concurrent use. A block that cannot be read back panics with its
-// *BlockError, as in ReadRange.
+// records carry (nil: all). Where b's arrays grow, they grow for as many
+// records as the call asks for or b reserved (Batch.Reserve), whichever is
+// more, or as the largest block holds if fewer. b belongs to the caller;
+// the Reader stays safe for concurrent use. A block that cannot be read
+// back panics with its *BlockError, as in ReadRange.
 func (r *Reader) ReadColumns(b *Batch, start, end int, need []bool) (next int) {
 	b.reset()
 	start = max(start, 0)
@@ -245,14 +250,14 @@ func (r *Reader) ReadColumns(b *Batch, start, end int, need []bool) (next int) {
 	seg := r.segs[r.segAt(start)]
 	next = min(end, seg.start+seg.n)
 	if seg.blk == nil {
-		b.holdLines(seg.lines[start-seg.start : next-seg.start])
+		b.holdLines(seg.tail.slice(start-seg.start, next-seg.start))
 		return next
 	}
 	data, err := r.fs.blockData(seg.blk)
 	if err != nil {
 		panic(err)
 	}
-	if err := b.decode(data, start-seg.start, next-seg.start, need); err != nil {
+	if err := b.decode(data, start-seg.start, next-seg.start, min(max(end-start, b.room), r.most), need); err != nil {
 		panic(seg.blk.failed(err))
 	}
 	return next

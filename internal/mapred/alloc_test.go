@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -434,6 +435,56 @@ STORE a INTO 'out/a';`
 			}
 		}
 	}
+}
+
+// TestLoadedInputIsReadAsColumns: an input Append loads is sealed to its
+// last line, the last block short, so the weather workload's 15,000 rows
+// at the default block size read through ReadColumns as batches held as
+// spans whose Rows add up to all of them, and a map task whose chain leads
+// with a source digest hashes every one of them a batch at a time
+// (digestBatch), none a record at a time.
+func TestLoadedInputIsReadAsColumns(t *testing.T) {
+	lines := workload.Weather(15_000, 400, 1)
+	fs := dfs.NewWith(dfs.Options{})
+	fs.Append("in", lines...)
+	r := openReader(t, fs)
+	job := compile(t, workload.WeatherScript, CompileOptions{Points: digestPoints(t, plan(t, workload.WeatherScript), "w")})[0]
+	df := func(point int) *digest.Writer {
+		return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "m0-000"}, 1, 100, func(digest.Report) {})
+	}
+	sc := new(taskScratch)
+	m := newMapRun(job, 0, len(lines), df, nil, taskObs{}, sc)
+	if m.chain.lead != 1 {
+		t.Fatalf("map chain %v leads with %d batch digests, want 1", job.Inputs[0].Ops, m.chain.lead)
+	}
+	_, carry := neededCols(job, 0)
+	var rows, batched []int
+	for lo := 0; lo < len(lines); {
+		lo = r.ReadColumns(&sc.batch, lo, len(lines), carry)
+		rows = append(rows, sc.batch.Rows())
+		m.chain.planBatch()
+		m.chain.digestBatch(true)
+		if m.chain.from == m.chain.lead {
+			batched = append(batched, sc.batch.Rows())
+		}
+		for sc.batch.Next() {
+		}
+	}
+	m.chain.close()
+	if len(rows) < 2 || !slices.Equal(batched, rows) || sum(rows) != len(lines) {
+		t.Errorf("%d rows read as batches %v, of which digested a batch at a time %v; want every one of %d, over more than one block",
+			sum(rows), rows, batched, len(lines))
+	}
+	if out := runMapTask(job, 0, r, 0, len(lines), df, nil, taskObs{}, new(taskScratch)); out.digested != int64(len(lines)) {
+		t.Errorf("%d records digested of %d", out.digested, len(lines))
+	}
+}
+
+func sum(xs []int) (n int) {
+	for _, x := range xs {
+		n += x
+	}
+	return n
 }
 
 // TestMapReportsBoundEachAttempt: the report buffer a map attempt is

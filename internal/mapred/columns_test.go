@@ -13,13 +13,26 @@ import (
 	"clusterbft/internal/tuple"
 )
 
-// tailLines serves lines from a reader over a file they leave unsealed:
-// its one segment is the file's tail, held as lines.
+// tailLines serves lines from a reader over a part file they leave
+// unsealed: its one segment is the file's tail, held as lines.
 func tailLines(tb testing.TB, lines []string) *dfs.Reader {
 	tb.Helper()
 	fs := dfs.NewWith(dfs.Options{BlockSize: int(linesBytes(lines)) + 1})
-	fs.Append("in", lines...)
+	installPart(fs, "in", lines)
 	return openReader(tb, fs)
+}
+
+// installPart installs lines at path as a task's commit installs its part
+// file: sealed by FS.SealBuffer from one buffer, so that what is short of
+// a block stays an unsealed tail, which Append never leaves.
+func installPart(fs *dfs.FS, path string, lines []string) {
+	var buf []byte
+	ends := make([]int32, len(lines))
+	for i, l := range lines {
+		buf = append(buf, l...)
+		ends[i] = int32(len(buf))
+	}
+	fs.Install(path, fs.SealBuffer(buf, ends))
 }
 
 // sealedBlock serves lines from a reader over one sealed block holding
@@ -219,8 +232,8 @@ func lineOracle(job *JobSpec, lines []string, lo, hi int, df digestFactory, corr
 // charged — and the identical sequence of digest reports. Over the script
 // shapes above, ragged rows, the empty line, escaped and glued fields, raw
 // newlines, non-canonical numbers, compressed and raw blocks, one block or
-// many with an unsealed tail, task ranges that start and stop inside a
-// block, honest and corrupting tasks. The two int columns and the untyped
+// many, the last short, a part file's blocks and its unsealed tail, task
+// ranges that start and stop inside a block, honest and corrupting tasks. The two int columns and the untyped
 // one may each be of one kind throughout (intKinds), so that a batch knows
 // its values' form (dfs.Batch.Form) and the task reads them by it. Rows
 // may all be schema-wide, so that a source digest over spansLoad hashes
@@ -314,6 +327,8 @@ func FuzzColumnPathMatchesLines(f *testing.F) {
 		}
 		sealed := dfs.NewWith(dfs.Options{BlockSize: blockSize, Compress: compress})
 		sealed.Append("in", lines...)
+		part := dfs.NewWith(dfs.Options{BlockSize: blockSize, Compress: compress})
+		installPart(part, "in", lines)
 		run := func(task func(df digestFactory, sc *taskScratch) *mapOutcome) string {
 			var reports strings.Builder
 			sc := new(taskScratch)
@@ -330,7 +345,7 @@ func FuzzColumnPathMatchesLines(f *testing.F) {
 		for _, side := range []struct {
 			name string
 			src  *dfs.Reader
-		}{{"sealed blocks", openReader(t, sealed)}, {"held lines", tailLines(t, lines)}} {
+		}{{"sealed blocks", openReader(t, sealed)}, {"a part's blocks and tail", openReader(t, part)}, {"held lines", tailLines(t, lines)}} {
 			got := run(func(df digestFactory, sc *taskScratch) *mapOutcome {
 				return runMapTask(job, 0, side.src, a, b, df, corrupt, taskObs{}, sc)
 			})
@@ -345,7 +360,7 @@ func FuzzColumnPathMatchesLines(f *testing.F) {
 // TestCombineOverSealedBlocksAllocs: a combining map task over sealed
 // blocks allocates nothing per record, and per further range only a block
 // range's backing string (plus a regrown array where a later block is the
-// larger): the unsealed tail the blocks leave costs no more.
+// larger): the short block the others leave costs no more.
 func TestCombineOverSealedBlocksAllocs(t *testing.T) {
 	job := compile(t, followerSrc, CompileOptions{NumReduces: 4})[0]
 	edgeLines := func(n int) []string {
@@ -375,7 +390,7 @@ func TestCombineOverSealedBlocksAllocs(t *testing.T) {
 	for at := 0; at < r.NumRecords(); ranges++ {
 		at = r.ReadColumns(&b, at, r.NumRecords(), nil)
 	}
-	if ranges < 9 { // a ninth of the bytes a block, the last of them in the tail
+	if ranges < 9 { // a ninth of the bytes a block, the last of them short
 		t.Fatalf("%d ranges, want at least 9", ranges)
 	}
 	if got, want := allocs(r, r.NumRecords()), one+2*float64(ranges-1); got > want {

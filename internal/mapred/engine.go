@@ -616,6 +616,9 @@ func (e *Engine) borrow(slot int) *taskScratch {
 	e.scratch[slot] = nil
 	if sc == nil {
 		sc = new(taskScratch)
+		// Grown for a whole split at the slot's first read, the batch's
+		// arrays are not grown again by a later task's longer one.
+		sc.batch.Reserve(e.Cost.SplitRecords)
 	}
 	return sc
 }

@@ -188,13 +188,17 @@ STORE c INTO 'out/c';`, points: []string{"late", "c"}, stores: []string{"out/c"}
 // FuzzPrunedDecodeEquivalence requires the column mask to be invisible:
 // over random script shapes and rows — short rows, rows wider than the
 // schema, escaped fields, text in int columns, honest and commission-
-// faulty tasks — STORE bytes, digest reports and engine metrics are
-// identical with the derived mask and with every input decoded in full.
+// faulty tasks, the input appended or (rows' top bit) installed as a part
+// file whose tail is held as lines — STORE bytes, digest reports and
+// engine metrics are identical with the derived mask and with every input
+// decoded in full.
 // The all-columns side marks every input AuditIn, which (without
 // JobSpec.Audit) does nothing but force a nil mask.
 func FuzzPrunedDecodeEquivalence(f *testing.F) {
 	for i := range pruneScripts {
 		f.Add(int64(i+1), uint8(i), uint16(100+37*i), uint8(i%3+1), uint8(10*i), i%2 == 1)
+		// The input a part file: blocks and the unsealed tail, held as lines.
+		f.Add(int64(i+1), uint8(i), uint16(1<<15|(100+37*i)), uint8(i%3+1), uint8(10*i), i%2 == 0)
 	}
 	fields := []string{"ORD", "7", "-12", "", "x\\ty", "a\\\\b", "\\n", "3000000000", " 5", "LAX", "0", "+4", "1e3"}
 	f.Fuzz(func(t *testing.T, seed int64, script uint8, rows uint16, reduces, chunk uint8, faulty bool) {
@@ -241,7 +245,11 @@ func FuzzPrunedDecodeEquivalence(f *testing.F) {
 				t.Fatal("all-columns side still derives a mask")
 			}
 			fs := dfs.NewWith(dfs.Options{BlockSize: 1 << 10}) // several blocks per split
-			fs.Append("in/fl", lines...)
+			if rows&(1<<15) != 0 {
+				installPart(fs, "in/fl", lines)
+			} else {
+				fs.Append("in/fl", lines...)
+			}
 			eng := NewEngine(fs, cluster.New(4, 2), nil, DefaultCostModel())
 			eng.Cost.SplitRecords = 64
 			eng.DigestChunk = int(chunk)
@@ -288,9 +296,11 @@ o = ORDER f BY origin;
 STORE o INTO 'out/o';`,
 	}
 	fs := dfs.NewWith(dfs.Options{})
-	for i := 0; i < splits*perSplit; i++ {
-		fs.Append("in/fl", fmt.Sprintf("%d\t%d\tairport-%02d\tairport-%02d\t%d", 1990+i%20, 1+i%12, i%40, (i/40)%2, i%500))
+	flights := make([]string, splits*perSplit)
+	for i := range flights {
+		flights[i] = fmt.Sprintf("%d\t%d\tairport-%02d\tairport-%02d\t%d", 1990+i%20, 1+i%12, i%40, (i/40)%2, i%500)
 	}
+	fs.Append("in/fl", flights...)
 	r, err := fs.OpenReader("in/fl")
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +330,7 @@ STORE o INTO 'out/o';`,
 // TestMapTaskAllocs pins the per-task allocation count of the map paths
 // the micro-benchmarks track, per 1,000 input records, on a scratch a task
 // before it has grown, as a slot's is: read from one sealed block and from
-// an unsealed tail. Neither grows with the record count beyond value
+// a part file's unsealed tail. Neither grows with the record count beyond value
 // arrays, arena chunks and slice doublings, one row serves every record,
 // and held lines cost no more than the block; a combining task, which keeps nothing a record,
 // costs over 8,000 records of a tail what it costs over 1,000.

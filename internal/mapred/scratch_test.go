@@ -155,8 +155,9 @@ func scratchLines(n, keys int) []string {
 	return lines
 }
 
-// runOnScratch runs one map task of script over lines on sc — over small
-// blocks and the unsealed tail they leave — and, for a shuffle job, one
+// runOnScratch runs one map task of script over lines on sc — over a part
+// file's small blocks and the unsealed tail they leave — and, for a shuffle
+// job, one
 // reduce task per partition after it, and renders everything they
 // produced: outcome, output lines and digest reports.
 func runOnScratch(t *testing.T, script string, points []string, tweak func(*JobSpec), lines []string, corrupt corruptFn, sc *taskScratch) string {
@@ -171,7 +172,7 @@ func runOnScratch(t *testing.T, script string, points []string, tweak func(*JobS
 		tweak(job)
 	}
 	fs := dfs.NewWith(dfs.Options{BlockSize: 1 << 10})
-	fs.Append("in", lines...)
+	installPart(fs, "in", lines)
 	var b strings.Builder
 	df := func(point int) *digest.Writer {
 		return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "t"}, 1, 50, func(r digest.Report) {

@@ -30,8 +30,10 @@ func storeField(fs *dfs.FS, name string) any {
 }
 
 // TestSealedOutputMatchesAppend: output sealed in the task bodies and
-// installed by their commits leaves the store exactly as Appending each
-// committed part's lines, in commit order, to a new one does — block bytes,
+// installed by their commits leaves the store exactly as sealing each
+// committed part's lines from one buffer (FS.SealBuffer) and installing
+// them, one part after another in commit order, into a new one does — its
+// inputs Appended as the run's were — block bytes,
 // idx and records, tails, eviction order, the spill file and every counter
 // — for a map-only job over a compressed store that spills and a join over
 // a resident one; with no task fault, a Tamper that changes nothing and
@@ -148,7 +150,7 @@ STORE late INTO 'out/late';`,
 			}
 			replay, rdir := open(c)
 			for _, p := range commits {
-				replay.Append(p.path, p.lines...)
+				installPart(replay, p.path, p.lines)
 			}
 			for _, name := range storeFields {
 				if got, want := storeField(fs, name), storeField(replay, name); !reflect.DeepEqual(got, want) {
