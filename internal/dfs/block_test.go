@@ -957,6 +957,42 @@ func TestDeleteReleasesResidentMemory(t *testing.T) {
 	}
 }
 
+// TestDeletedFilesLeaveNoQueue: the eviction queue holds exactly the
+// resident blocks where a budget spills them, and nothing where none
+// does, so files sealed and deleted leave no entry behind it, whether
+// their blocks were resident or spilled when they went.
+func TestDeletedFilesLeaveNoQueue(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		budget int64
+	}{{"no budget", 0}, {"budget never reached", 1 << 30}, {"budget spilling", 256}} {
+		fs := NewWith(Options{BlockSize: 64, MemBudget: c.budget, SpillDir: t.TempDir()})
+		for i := range 1000 {
+			path := fmt.Sprintf("d%d/f%d", i%10, i)
+			fs.Append(path, fmt.Sprintf("line %d of a file", i), "and one more line, longer than a block")
+			queued := int64(len(fs.residentQ))
+			if c.budget == 0 && queued != 0 || c.budget > 0 && queued != fs.ResidentBlocks() {
+				t.Fatalf("%s, file %d: %d blocks queued, %d resident", c.name, i, queued, fs.ResidentBlocks())
+			}
+			if i%3 == 0 {
+				if err := fs.Delete(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for d := range 10 {
+			fs.DeleteTree(fmt.Sprintf("d%d", d))
+		}
+		if len(fs.List("")) != 0 || len(fs.residentQ) != 0 || fs.ResidentBlocks() != 0 {
+			t.Fatalf("%s: %d files, %d blocks queued, %d resident after deleting every file",
+				c.name, len(fs.List("")), len(fs.residentQ), fs.ResidentBlocks())
+		}
+		if err := fs.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSealBufferOutlivesItsBuffer seals lines from one buffer into raw,
 // dictionary-coded and deflated blocks and a tail, installs them, and then
 // writes over the buffer: what the file reads must not change, because

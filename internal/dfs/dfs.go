@@ -133,7 +133,6 @@ type block struct {
 	data    []byte
 	off     int64
 	size    int
-	freed   bool // owning file deleted; skip when evicting
 }
 
 // NewWith returns an empty file system with the given block data-plane
@@ -363,7 +362,9 @@ func (fs *FS) Install(path string, s Sealed) {
 		fs.storedPayload += int64(len(b.data))
 		fs.residentBlocks++
 		fs.residentBytes += int64(len(b.data))
-		fs.residentQ = append(fs.residentQ, b)
+		if fs.evicts() {
+			fs.residentQ = append(fs.residentQ, b)
+		}
 	}
 	if len(f.blocks) == 0 {
 		f.blocks = s.blocks
@@ -425,28 +426,23 @@ func (fs *FS) takeEnd(f *file) []string {
 	return lines
 }
 
+// evicts reports whether the store spills blocks to hold a budget: only
+// then does it queue resident blocks, oldest first, in residentQ, which
+// holds every resident block and no other. Caller holds mu.
+func (fs *FS) evicts() bool { return fs.opts.MemBudget > 0 && fs.spillErr == nil }
+
 // enforceBudget spills the oldest resident blocks until resident bytes
 // fit the budget; caller holds mu. On spill-file errors spilling is
-// disabled (sticky) and blocks stay resident.
+// disabled (sticky), the queue dropped, and blocks stay resident.
 func (fs *FS) enforceBudget() {
-	if fs.opts.MemBudget <= 0 || fs.spillErr != nil {
+	if !fs.evicts() {
 		return
 	}
 	for fs.residentBytes > fs.opts.MemBudget && len(fs.residentQ) > 0 {
 		b := fs.residentQ[0]
 		fs.residentQ = fs.residentQ[1:]
-		if b.data == nil {
-			continue
-		}
-		if b.freed {
-			// Owning file deleted: drop without paying a spill write.
-			fs.residentBlocks--
-			fs.residentBytes -= int64(len(b.data))
-			b.data = nil
-			continue
-		}
 		if err := fs.spillBlock(b); err != nil {
-			fs.spillErr = err
+			fs.spillErr, fs.residentQ = err, nil
 			return
 		}
 	}
@@ -555,20 +551,20 @@ func (fs *FS) Delete(path string) error {
 	return nil
 }
 
-// freeBlocks releases the resident memory of f's sealed blocks; caller
-// holds mu. Blocks still queued for eviction are marked freed and
-// skipped there.
+// freeBlocks releases the resident memory of f's sealed blocks and drops
+// them from the eviction queue; caller holds mu.
 func (fs *FS) freeBlocks(f *file) {
+	freed := false
 	for _, b := range f.blocks {
-		if b.freed {
-			continue
-		}
-		b.freed = true
 		if b.data != nil {
 			fs.residentBlocks--
 			fs.residentBytes -= int64(len(b.data))
 			b.data = nil
+			freed = true
 		}
+	}
+	if freed && len(fs.residentQ) > 0 {
+		fs.residentQ = slices.DeleteFunc(fs.residentQ, func(b *block) bool { return b.data == nil })
 	}
 }
 

@@ -347,7 +347,9 @@ func (o *storeOracle) install(path string, held bool, lines ...string) {
 		fs.storedPayload += int64(len(data))
 		fs.residentBlocks++
 		fs.residentBytes += int64(len(data))
-		fs.residentQ = append(fs.residentQ, b)
+		if fs.evicts() {
+			fs.residentQ = append(fs.residentQ, b)
+		}
 	}
 	if rest := pending[sealed:]; len(rest) > 0 {
 		ends := make([]int32, len(rest))

@@ -376,18 +376,17 @@ func (c *opChain) canonical(t tuple.Tuple) []byte {
 // appendKey appends to dst the shuffle key of t, the tuple apply just
 // returned: the encoding of its cols, null past its width. While t is
 // still the source record, each is copied from its span (appendSpan),
-// else encoded from t's values.
+// else encoded from t's values (tuple.AppendColumns).
 func (c *opChain) appendKey(dst []byte, t tuple.Tuple, cols []int) []byte {
+	if !c.fromSrc {
+		return tuple.AppendColumns(dst, t, cols)
+	}
 	for i, col := range cols {
 		if i > 0 {
 			dst = append(dst, '\t')
 		}
-		switch {
-		case col >= len(t): // null: no bytes
-		case c.fromSrc:
+		if col < len(t) { // one past t's width is a null: no bytes
 			dst = c.appendSpan(dst, col)
-		default:
-			dst = tuple.AppendEncoded(dst, t[col:col+1])
 		}
 	}
 	return dst

@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"strconv"
 	"strings"
 )
 
@@ -19,39 +20,141 @@ import (
 // The codec is the per-record hot path of the whole engine (every map
 // input, shuffle key, digest fold and output line goes through it), so
 // the Append* entry points write into caller-owned buffers and allocate
-// nothing themselves; an int's digits are written in place and a float
-// through strconv's append form, never through Value.Str.
+// nothing themselves, and one flat loop writes a whole record
+// (appendRecord): each value's bytes are written where the loop meets it,
+// switching on its kind, with no call for the values records are mostly
+// made of. An int of fewer than five digits is written from digitPairs at
+// its known length, in one append with the tab that follows it; a longer
+// one by appendInt; a string is copied up to its first byte to escape; a
+// float goes through strconv's append form. The last value's tab is the
+// canonical form's newline, or is taken off.
 
 // AppendEncoded appends the tab-separated encoding of t (no trailing
 // newline) to dst and returns the extended slice. It allocates only when
 // dst lacks capacity, so a caller looping over records can reuse one
-// scratch buffer across the whole stream.
+// scratch buffer across the whole stream. It writes one byte past what it
+// returns (the last value's tab, taken off again), so the capacity it
+// needs is the encoding's length plus one.
 func AppendEncoded(dst []byte, t Tuple) []byte {
-	for i, v := range t {
-		if i > 0 {
-			dst = append(dst, '\t')
-		}
-		dst = appendEscapedValue(dst, v)
-	}
-	return dst
+	return endRecord(appendRecord(dst, t, nil, true), len(t))
+}
+
+// AppendColumns appends the encoding of t's cols, in their order, as
+// AppendEncoded writes the tuple of those values (and with its one byte
+// past): a column past t's width is a null, which has no bytes. A shuffle
+// key is t's key columns so encoded.
+func AppendColumns(dst []byte, t Tuple, cols []int) []byte {
+	return endRecord(appendRecord(dst, t, cols, false), len(cols))
 }
 
 // AppendCanonical appends the canonical byte encoding of t (the escaped
 // tab-separated record followed by '\n') to dst and returns the extended
 // slice. This is the exact byte stream fed to verification digests.
 func AppendCanonical(dst []byte, t Tuple) []byte {
-	return append(AppendEncoded(dst, t), '\n')
+	if len(t) == 0 {
+		return append(dst, '\n')
+	}
+	dst = appendRecord(dst, t, nil, true)
+	dst[len(dst)-1] = '\n'
+	return dst
+}
+
+// endRecord takes the tab off the last of n values appendRecord wrote.
+func endRecord(dst []byte, n int) []byte {
+	if n > 0 {
+		dst = dst[:len(dst)-1]
+	}
+	return dst
+}
+
+// appendRecord appends the encoding of every column of t if all is set,
+// else of t's cols, each value followed by a tab, which goes in the same
+// append as a short int's digits.
+func appendRecord(dst []byte, t Tuple, cols []int, all bool) []byte {
+	n := len(cols)
+	if all {
+		n = len(t)
+	}
+	for k := 0; k < n; k++ {
+		c := k
+		if !all {
+			if c = cols[k]; c >= len(t) {
+				dst = append(dst, '\t') // null: no bytes
+				continue
+			}
+		}
+		v := &t[c]
+		switch v.kind {
+		case KindInt:
+			i := v.i()
+			u := uint64(i)
+			if i < 0 {
+				u = -u // MinInt64's magnitude too
+			}
+			if u >= 1e4 {
+				dst = append(appendInt(dst, i), '\t')
+				continue
+			}
+			if i < 0 {
+				dst = append(dst, '-')
+			}
+			switch {
+			case u < 10:
+				dst = append(dst, byte('0'+u), '\t')
+			case u < 100:
+				dst = append(dst, digitPairs[2*u], digitPairs[2*u+1], '\t')
+			case u < 1000:
+				q, r := u/100, 2*(u%100)
+				dst = append(dst, byte('0'+q), digitPairs[r], digitPairs[r+1], '\t')
+			default:
+				q, r := 2*(u/100), 2*(u%100)
+				dst = append(dst, digitPairs[q], digitPairs[q+1], digitPairs[r], digitPairs[r+1], '\t')
+			}
+		case KindString:
+			s := v.s
+			clean := 0 // s[:clean] holds nothing to escape
+			for clean < len(s) && s[clean] != '\t' && s[clean] != '\n' && s[clean] != '\\' {
+				clean++
+			}
+			dst = append(dst, s[:clean]...)
+			if clean < len(s) {
+				dst = appendEscapes(dst, s[clean:])
+			}
+			dst = append(dst, '\t')
+		case KindFloat:
+			dst = append(strconv.AppendFloat(dst, v.f(), 'g', -1, 64), '\t')
+		default:
+			dst = append(dst, '\t')
+		}
+	}
+	return dst
 }
 
 // EncodedLen returns len(AppendEncoded(nil, t)) without encoding: the shuffle
-// path sizes record-byte accounting and encode buffers with it.
+// path sizes record-byte accounting and encode buffers with it. It counts
+// in appendRecord's shape, with no call for an int or a string: an int's
+// digits counted (intLen, inlined), a string's escape bytes, a float
+// formatted on the stack.
 func EncodedLen(t Tuple) int {
-	n := 0
-	for i, v := range t {
-		if i > 0 {
-			n++
+	n := max(len(t)-1, 0) // the tabs
+	for k := range t {
+		v := &t[k]
+		switch v.kind {
+		case KindInt:
+			n += intLen(v.i())
+		case KindString:
+			s := v.s
+			n += len(s)
+			for j := 0; j < len(s); j++ {
+				switch s[j] {
+				case '\t', '\n', '\\':
+					n++
+				}
+			}
+		case KindFloat:
+			var tmp [32]byte
+			n += len(strconv.AppendFloat(tmp[:0], v.f(), 'g', -1, 64))
 		}
-		n += escapedValueLen(v)
 	}
 	return n
 }
@@ -171,32 +274,9 @@ func (f *Fields) Len() int { return len(f.starts) - 1 }
 // Value returns field i of the line split last.
 func (f *Fields) Value(i int) string { return f.text[f.starts[i] : f.starts[i+1]-f.sep] }
 
-// appendEscapedValue appends the escaped text form of v. Numeric and
-// null values never contain escape bytes, so only strings go through the
-// escape scan.
-func appendEscapedValue(dst []byte, v Value) []byte {
-	if v.kind == KindString {
-		return appendEscaped(dst, v.s)
-	}
-	return v.appendText(dst)
-}
-
-// escapedValueLen returns len of the escaped text form of v without
-// allocating.
-func escapedValueLen(v Value) int {
-	if v.kind == KindString {
-		return escapedLen(v.s)
-	}
-	return v.textLen()
-}
-
-func appendEscaped(dst []byte, s string) []byte {
-	clean := 0 // s[:clean] holds nothing to escape
-	for clean < len(s) && s[clean] != '\t' && s[clean] != '\n' && s[clean] != '\\' {
-		clean++
-	}
-	dst = append(dst, s[:clean]...)
-	for i := clean; i < len(s); i++ {
+// appendEscapes appends s with each tab, newline and backslash escaped.
+func appendEscapes(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '\t':
 			dst = append(dst, '\\', 't')
@@ -209,16 +289,4 @@ func appendEscaped(dst []byte, s string) []byte {
 		}
 	}
 	return dst
-}
-
-// escapedLen is len(appendEscaped(nil, s)) without the encode.
-func escapedLen(s string) int {
-	n := len(s)
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\t', '\n', '\\':
-			n++
-		}
-	}
-	return n
 }

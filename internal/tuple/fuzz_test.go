@@ -348,3 +348,78 @@ func FuzzValueWordMatchesFields(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppendEncodedMatchesValues holds the flat record encoder to the
+// layered one it replaced (refEncoded, a call per value): over tuples of
+// every kind, AppendEncoded onto a dirty buffer, AppendCanonical,
+// EncodedLen and AppendColumns, columns past the width included, write
+// and count what encoding value after value does. Each byte of spec makes
+// one value: its low two bits the kind, the rest an int's shift right
+// (twice bits 3-7) and sign (bit 2), a string's prefix length (bits 3-7,
+// of 31) or a float's sign (bit 2); and one column AppendColumns picks.
+func FuzzAppendEncodedMatchesValues(f *testing.F) {
+	const (
+		intAsIs = byte(KindInt)
+		negated = byte(KindInt) | 4
+		float   = byte(KindFloat)
+		str     = byte(KindString) | 31<<3 // the whole string
+		null    = byte(KindNull)
+	)
+	ints := []int64{0, math.MinInt64, math.MaxInt64, math.MinInt64 + 1}
+	for p := int64(1); p <= 1e6; p *= 10 { // both sides of the four-digit path
+		ints = append(ints, p-1, p, p+1)
+	}
+	floats := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e21, 0.1}
+	strs := []string{"", "\t", "\n", `\`, "plain", "a\tb\nc\\d", `trailing\`}
+	for k, i := range ints {
+		fl, s := floats[k%len(floats)], strs[k%len(strs)]
+		f.Add([]byte{intAsIs, negated, str, null, float}, i, fl, s)
+		f.Add([]byte{str, intAsIs | 1<<3, negated | 2<<3, null, float | 4, byte(KindString)}, i, fl, s)
+	}
+	f.Fuzz(func(t *testing.T, spec []byte, i int64, fl float64, s string) {
+		spec = spec[:min(len(spec), 12)]
+		row := make(Tuple, len(spec))
+		for k, b := range spec {
+			switch Kind(b & 3) {
+			case KindInt:
+				x := i >> (b >> 3 * 2)
+				if b&4 != 0 {
+					x = -x
+				}
+				row[k] = Int(x)
+			case KindFloat:
+				x := fl
+				if b&4 != 0 {
+					x = -x
+				}
+				row[k] = Float(x)
+			case KindString:
+				row[k] = Str(s[:len(s)*int(b>>3)/31])
+			}
+		}
+		want := refEncoded([]byte("dirty|"), row)
+		if got := AppendEncoded([]byte("dirty|"), row); string(got) != string(want) {
+			t.Fatalf("AppendEncoded(%#v) = %q, value by value %q", row, got, want)
+		}
+		if got := AppendCanonical([]byte("dirty|"), row); string(got) != string(want)+"\n" {
+			t.Fatalf("AppendCanonical(%#v) = %q, value by value %q", row, got, string(want)+"\n")
+		}
+		if got, n := EncodedLen(row), refEncodedLen(row); got != n || n != len(want)-len("dirty|") {
+			t.Fatalf("EncodedLen(%#v) = %d, value by value %d, encoded %d", row, got, n, len(want)-len("dirty|"))
+		}
+		cols := make([]int, len(spec))
+		wantCols := []byte("dirty|")
+		for k, b := range spec {
+			cols[k] = int(b>>2) % (len(row) + 2)
+			if k > 0 {
+				wantCols = append(wantCols, '\t')
+			}
+			if cols[k] < len(row) {
+				wantCols = appendEscapedValue(wantCols, row[cols[k]])
+			}
+		}
+		if got := AppendColumns([]byte("dirty|"), row, cols); string(got) != string(wantCols) {
+			t.Fatalf("AppendColumns(%#v, %v) = %q, value by value %q", row, cols, got, wantCols)
+		}
+	})
+}

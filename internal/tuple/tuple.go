@@ -181,7 +181,7 @@ func (ft FieldType) AppendCoerced(dst []byte, raw string) []byte {
 			return append(dst, raw...)
 		}
 	}
-	return appendEscapedValue(dst, ft.Coerce(raw))
+	return AppendEncoded(dst, Tuple{ft.Coerce(raw)})
 }
 
 // IntForm is what kind of integer text a value is, which decides how

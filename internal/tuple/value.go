@@ -141,40 +141,6 @@ func (v Value) Str() string {
 	}
 }
 
-// appendText appends the canonical textual form of v (exactly Str's
-// output) to dst: an int's digits written in place (appendInt), a float
-// through strconv's append form, so encoding a numeric value allocates
-// nothing when dst has capacity.
-func (v Value) appendText(dst []byte) []byte {
-	switch v.kind {
-	case KindInt:
-		return appendInt(dst, v.i())
-	case KindFloat:
-		return strconv.AppendFloat(dst, v.f(), 'g', -1, 64)
-	case KindString:
-		return append(dst, v.s...)
-	default:
-		return dst
-	}
-}
-
-// textLen returns len(v.Str()) without allocating: an int's digits are
-// counted (intLen), a float formats into a stack buffer, strings and nulls
-// are direct lengths.
-func (v Value) textLen() int {
-	switch v.kind {
-	case KindInt:
-		return intLen(v.i())
-	case KindFloat:
-		var tmp [32]byte
-		return len(strconv.AppendFloat(tmp[:0], v.f(), 'g', -1, 64))
-	case KindString:
-		return len(v.s)
-	default:
-		return 0
-	}
-}
-
 // pow10 holds 10^i for every i an int64's magnitude needs, and the one
 // past it, so that decimalDigits can compare against it.
 var pow10 = [20]uint64{
@@ -182,8 +148,8 @@ var pow10 = [20]uint64{
 	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
 }
 
-// digitPairs spells 00 to 99, two bytes each: appendInt writes an int two
-// digits at a time from it.
+// digitPairs spells 00 to 99, two bytes each: appendInt and appendRecord
+// write an int two digits at a time from it.
 const digitPairs = "00010203040506070809" +
 	"10111213141516171819" +
 	"20212223242526272829" +
