@@ -713,8 +713,9 @@ func TestReadBackFailsClosed(t *testing.T) {
 // TestOneAppendSealsLikeMany: an Append that seals ten blocks and a short
 // one leaves the file exactly as eleven Appends sealing one block each do —
 // same blocks, the last short, no unsealed tail, same lines read back —
-// with and without a spill budget; and so do appends of a line at a time,
-// each sealing the short block again with its line.
+// with and without a spill budget. Appends of a line at a time leave what
+// each line sealed alone leaves, one after the other: a block a line, byte
+// for byte, and the counters of those blocks.
 func TestOneAppendSealsLikeMany(t *testing.T) {
 	const blockSize, perBlock, blocks = 256, 16, 10 // 16 lines of 15 bytes + newline
 	lines := make([]string, perBlock*blocks+5)      // five lines make a short block
@@ -735,13 +736,6 @@ func TestOneAppendSealsLikeMany(t *testing.T) {
 			single.Append("f", l)
 		}
 		for _, fs := range []*FS{one, many, single} {
-			f := fs.files["f"]
-			if len(f.blocks) != blocks+1 || f.tail.len() != 0 {
-				t.Fatalf("budget %d: %d blocks and %d tail lines, want %d and none", budget, len(f.blocks), f.tail.len(), blocks+1)
-			}
-			if last := f.blocks[blocks]; last.records != 5 || last.logical != 5*16 {
-				t.Fatalf("budget %d: the last block holds %d records (%d bytes), want 5 (80)", budget, last.records, last.logical)
-			}
 			got, err := readLines(fs, "f")
 			if err != nil {
 				t.Fatal(err)
@@ -749,15 +743,127 @@ func TestOneAppendSealsLikeMany(t *testing.T) {
 			if !slices.Equal(got, lines) {
 				t.Errorf("budget %d: read back %d lines, not the %d appended", budget, len(got), len(lines))
 			}
+			if fs.BytesWritten() != one.BytesWritten() {
+				t.Errorf("budget %d: %d bytes written, one Append writes %d", budget, fs.BytesWritten(), one.BytesWritten())
+			}
+		}
+		for _, fs := range []*FS{one, many} {
+			f := fs.files["f"]
+			if len(f.blocks) != blocks+1 || f.tail.len() != 0 {
+				t.Fatalf("budget %d: %d blocks and %d tail lines, want %d and none", budget, len(f.blocks), f.tail.len(), blocks+1)
+			}
+			if last := f.blocks[blocks]; last.records != 5 || last.logical != 5*16 {
+				t.Fatalf("budget %d: the last block holds %d records (%d bytes), want 5 (80)", budget, last.records, last.logical)
+			}
 		}
 		if one.ResidentBytes() != many.ResidentBytes() || one.SpilledBlocks() != many.SpilledBlocks() ||
-			one.ResidentBytes() != single.ResidentBytes() || one.CompressedRatio() != single.CompressedRatio() {
-			t.Errorf("budget %d: one Append leaves %d resident bytes and %d spilled blocks, eleven leave %d and %d, one a line %d resident",
-				budget, one.ResidentBytes(), one.SpilledBlocks(), many.ResidentBytes(), many.SpilledBlocks(), single.ResidentBytes())
+			one.CompressedRatio() != many.CompressedRatio() {
+			t.Errorf("budget %d: one Append leaves %d resident bytes and %d spilled blocks, eleven leave %d and %d",
+				budget, one.ResidentBytes(), one.SpilledBlocks(), many.ResidentBytes(), many.SpilledBlocks())
+		}
+		f := single.files["f"]
+		if len(f.blocks) != len(lines) || f.tail.len() != 0 {
+			t.Fatalf("budget %d: one line an Append leaves %d blocks and %d tail lines, want %d and none", budget, len(f.blocks), f.tail.len(), len(lines))
+		}
+		var raw, stored int64
+		for i, b := range f.blocks {
+			want, rawLen := encodeBlockStats(lineSet[string]{lines: lines[i : i+1]}, opts.Compress)
+			data, err := single.blockData(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.idx != i || b.records != 1 || b.logical != 16 || b.raw != rawLen || !bytes.Equal(data, want) {
+				t.Fatalf("budget %d: block %d (idx %d) holds %d records (%d bytes), not line %d sealed alone", budget, i, b.idx, b.records, b.logical, i)
+			}
+			raw, stored = raw+int64(rawLen), stored+int64(len(want))
+		}
+		if single.ResidentBytes()+single.SpillBytes() != stored || single.CompressedRatio() != stored*100/raw {
+			t.Errorf("budget %d: one line an Append leaves %d resident and %d spilled bytes at ratio %d, its blocks hold %d at %d",
+				budget, single.ResidentBytes(), single.SpillBytes(), single.CompressedRatio(), stored, stored*100/raw)
 		}
 		if err := errors.Join(one.Close(), many.Close(), single.Close()); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestAppendNeverReopensABlock: a second Append to a file adds blocks after
+// the first one's, whose blocks, the short last one included, stay the same
+// blocks holding the same bytes, resident or spilled; a part's tail is
+// sealed as one short block of its own ahead of the Append's. The file
+// reads back as what was appended, in order.
+func TestAppendNeverReopensABlock(t *testing.T) {
+	a, b := cycling(40, 7), cycling(25, 5) // 6 bytes and a newline a line: 37 a block
+	for _, budget := range []int64{0, 100} {
+		fs := NewWith(Options{BlockSize: 256, MemBudget: budget, SpillDir: t.TempDir(), Compress: budget > 0})
+		fs.Append("f", a...)
+		installPart(fs, "out/part", a)
+		for _, path := range []string{"f", "out/part"} {
+			f := fs.files[path]
+			first := slices.Clone(f.blocks)
+			data := make([][]byte, len(first))
+			for i, blk := range first {
+				var err error
+				if data[i], err = fs.blockData(blk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tail := f.tail.appendStrings(nil)
+			fs.Append(path, b...)
+			f = fs.files[path]
+			who := fmt.Sprintf("budget %d, %s", budget, path)
+			if len(f.blocks) < len(first) || !slices.Equal(f.blocks[:len(first)], first) {
+				t.Fatalf("%s: the first Append's blocks %p are now %p", who, first, f.blocks[:min(len(first), len(f.blocks))])
+			}
+			for i, blk := range first {
+				if got, err := fs.blockData(blk); err != nil || !bytes.Equal(got, data[i]) {
+					t.Fatalf("%s: block %d's bytes changed (%v)", who, i, err)
+				}
+			}
+			next := f.blocks[len(first)]
+			if len(tail) > 0 {
+				got, err := fs.loadBlock(nil, &blockShape{}, next, 0, next.records)
+				if err != nil || !slices.Equal(got, tail) {
+					t.Fatalf("%s: the tail of %d lines is sealed as %d (%v)", who, len(tail), len(got), err)
+				}
+			} else if next.records != len(b) {
+				t.Fatalf("%s: the Append's first block holds %d records, want its %d lines", who, next.records, len(b))
+			}
+			if got, err := fs.ReadTree(path); err != nil || !slices.Equal(got, append(slices.Clone(a), b...)) {
+				t.Fatalf("%s: reads back %d lines (%v), want the %d appended", who, len(got), err, len(a)+len(b))
+			}
+		}
+		if err := fs.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAppendBehindALostSpillFailsClosed: an Append behind a short block
+// that spilled and can no longer be read back adds its own block and
+// returns; the read of the file then fails with a *BlockError naming the
+// lost block.
+func TestAppendBehindALostSpillFailsClosed(t *testing.T) {
+	fs := NewWith(Options{BlockSize: 4096, MemBudget: 1, SpillDir: t.TempDir()})
+	fs.Append("f", cycling(10, 3)...)
+	if fs.SpilledBlocks() != 1 {
+		t.Fatalf("%d blocks spilled, want the short one", fs.SpilledBlocks())
+	}
+	if err := fs.spillF.Close(); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("Append behind the lost block panics: %v", p)
+			}
+		}()
+		fs.Append("f", cycling(5, 2)...)
+	}()
+	_, err := fs.ReadTree("f")
+	var be *BlockError
+	if !errors.As(err, &be) || be.Path != "f" || be.Block != 0 {
+		t.Fatalf("ReadTree = %v, want a *BlockError for block 0 of f", err)
 	}
 }
 
@@ -1039,8 +1145,9 @@ func TestSealBufferOutlivesItsBuffer(t *testing.T) {
 
 // TestAppendLeavesNoTail: whatever the block size, compressed or not, in
 // one Append or many, an appended file is sealed blocks to its last line:
-// no tail, every block but the last reaching the block size, and every
-// segment of a Reader over it a block, which reads back as the lines.
+// no tail, every block but an Append's last reaching the block size, and
+// every segment of a Reader over it a block, which reads back as the
+// lines.
 func TestAppendLeavesNoTail(t *testing.T) {
 	lines := make([]string, 500)
 	for i := range lines {
@@ -1056,15 +1163,17 @@ func TestAppendLeavesNoTail(t *testing.T) {
 			for i := 0; i < len(lines); i += 37 {
 				fs.Append("many", lines[i:min(i+37, len(lines))]...)
 			}
-			for _, path := range []string{"one", "many"} {
+			for path, per := range map[string]int{"one": len(lines), "many": 37} {
 				who := fmt.Sprintf("block size %d, compress=%v, %s", size, compress, path)
 				f := fs.files[path]
 				if f.tail.len() != 0 {
 					t.Fatalf("%s: a tail of %d lines", who, f.tail.len())
 				}
-				for i, b := range f.blocks[:len(f.blocks)-1] {
-					if b.logical < int64(size) {
-						t.Fatalf("%s: block %d of %d is short (%d bytes)", who, i, len(f.blocks), b.logical)
+				end := 0 // records through block i
+				for i, b := range f.blocks {
+					end += b.records
+					if b.logical < int64(size) && end%per != 0 && end != len(lines) {
+						t.Fatalf("%s: block %d of %d is short (%d bytes), and no Append ended in it", who, i, len(f.blocks), b.logical)
 					}
 				}
 				r, err := fs.OpenReader(path)
@@ -1120,8 +1229,12 @@ func TestPartKeepsItsTail(t *testing.T) {
 	readsAs(t, "the tail", &b, held, nil)
 
 	fs.Install("out/part", fs.SealBuffer(nil, nil)) // no lines: the tail stays
-	if g := fs.files["out/part"]; g.tail.len() != len(held) || g.tail.buf != f.tail.buf || g.lines != len(lines) {
-		t.Fatalf("after an empty install, %d tail lines of %d in the file, want %d of %d", g.tail.len(), g.lines, len(held), len(lines))
+	r, err = fs.OpenReader("out/part")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := fs.files["out/part"]; g.tail.len() != len(held) || g.tail.buf != f.tail.buf || r.NumRecords() != len(lines) {
+		t.Fatalf("after an empty install, %d tail lines of %d in the file, want %d of %d", g.tail.len(), r.NumRecords(), len(held), len(lines))
 	}
 }
 

@@ -11,10 +11,11 @@
 // short, see block.go), optionally compressed (dictionary-coded or
 // deflated, whichever the block's content suits), and — under a
 // resident-memory budget — spilled to a temp file on disk. Only a task's
-// part file keeps what is short of a block unsealed, as a tail. All
-// of this is invisible above the API line: reads reconstruct the exact
-// record lines that were appended, verification digests are taken over
-// canonical record bytes (never block bytes).
+// part file keeps what is short of a block unsealed, as a tail. A sealed
+// block is written once: an append adds blocks after it and never opens it
+// again. All of this is invisible above the API line: reads reconstruct
+// the exact record lines that were appended, verification digests are
+// taken over canonical record bytes (never block bytes).
 package dfs
 
 import (
@@ -45,7 +46,8 @@ type Options struct {
 	// MemBudget caps the resident encoded bytes of sealed blocks;
 	// when an append pushes the total past the budget, the oldest
 	// resident blocks spill to the spill file until the total is back
-	// under. <= 0 disables spilling entirely. The budget governs
+	// under. A spilled block is read back only by a read, never by an
+	// append. <= 0 disables spilling entirely. The budget governs
 	// sealed blocks only: a part file's unsealed tail additionally holds
 	// up to ~BlockSize of records.
 	MemBudget int64
@@ -116,8 +118,7 @@ type FS struct {
 type file struct {
 	blocks []*block
 	tail   lineSet[string] // one string, cut at its ends
-	lines  int
-	bytes  int64 // logical size: record bytes plus one newline each
+	bytes  int64           // logical size: record bytes plus one newline each
 }
 
 // block is one sealed batch of records, the idx-th of the file at path.
@@ -244,33 +245,22 @@ func (fs *FS) pathRanges(prefix string) (exact bool, lo, hi int) {
 // is sealed into encoded (optionally compressed) blocks, the last one
 // short of the block size where the lines end short of it, as HDFS keeps
 // the last block of a file; blocks spill to disk when the resident-memory
-// budget is exceeded. Appending behind a short block seals it again with
-// the new lines, so one Append leaves what many of the same lines leave,
-// at the cost of that block's decode and encode: a writer appends lines in
-// batches, not one at a time.
+// budget is exceeded. A second Append to a file adds its blocks after the
+// first one's, short block and all: a block is never reopened, so lines
+// appended one at a time cost a block each.
 func (fs *FS) Append(path string, lines ...string) { fs.Install(path, fs.Seal(lines)) }
 
 // Sealed is a batch of lines as Seal or SealBuffer encoded them, which
 // Install adds to a file as they are: blocks, tail and their size.
 type Sealed struct {
-	blocks   []*block        // path and idx are the installing file's to set
-	tail     lineSet[string] // one string, cut at its ends
-	bytes    int64           // the lines' logical bytes, a newline each
-	keepTail bool            // sealed by SealBuffer: what is short of a block stays a tail
+	blocks []*block        // path and idx are the installing file's to set
+	tail   lineSet[string] // one string, cut at its ends
+	bytes  int64           // the lines' logical bytes, a newline each
 }
 
 // Bytes returns the logical bytes of the sealed lines (records plus one
 // newline each): what installing them adds to BytesWritten.
 func (s *Sealed) Bytes() int64 { return s.bytes }
-
-// appendLines appends the lines s was sealed from to dst, decoding blocks
-// Seal has just written and that are still resident.
-func (s *Sealed) appendLines(dst []string) []string {
-	for _, b := range s.blocks {
-		dst, _ = decodeBlockRange(dst, b.data, 0, b.records)
-	}
-	return s.tail.appendStrings(dst)
-}
 
 // Seal encodes lines into the blocks a file holding only them would have:
 // the shortest prefix reaching the block size, again and again, and what is
@@ -291,7 +281,7 @@ func (fs *FS) SealBuffer(buf []byte, ends []int32) Sealed {
 }
 
 func seal[T lineText](opts Options, lines lineSet[T], keepTail bool) Sealed {
-	s := Sealed{bytes: lines.bytes(), keepTail: keepTail}
+	s := Sealed{bytes: lines.bytes()}
 	size, n := opts.BlockSize, lines.len()
 	// A full block takes at least size bytes and at least a line, and Seal
 	// adds a short one: the most blocks there can be, one array of them and
@@ -331,11 +321,9 @@ func seal[T lineText](opts Options, lines lineSet[T], keepTail bool) Sealed {
 
 // Install adds to the file at path, creating it if needed, the lines s was
 // sealed from. It is the one place a file grows: under mu it adopts s's
-// blocks, accounts for them, queues them for eviction and enforces the
-// resident budget. s was sealed as if the file were empty; behind a tail or
-// a short block its lines join that one's instead, and all of them are
-// sealed again as s was (Seal or SealBuffer). A short block that is spilled
-// is read back for it, and panics with its *BlockError if it cannot be.
+// blocks as Seal or SealBuffer made them, after the file's own, accounts
+// for them, queues them for eviction and enforces the resident budget. It
+// never decodes, encodes again or reads back a block the file holds.
 func (fs *FS) Install(path string, s Sealed) {
 	path = clean(path)
 	fs.mu.Lock()
@@ -350,14 +338,16 @@ func (fs *FS) Install(path string, s Sealed) {
 	if s.bytes == 0 { // no lines: the file ends as it did
 		return
 	}
-	if end := fs.takeEnd(f); end != nil {
-		s = seal(fs.opts, lineSet[string]{lines: s.appendLines(end)}, s.keepTail)
+	blocks := s.blocks
+	if f.tail.len() > 0 {
+		// Only a part file has a tail, and no program installs into one
+		// twice: its lines, short of a block, are sealed as Seal seals
+		// them, one short block ahead of s's.
+		blocks = append(seal(fs.opts, f.tail, false).blocks, blocks...)
 	}
-	f.lines += s.tail.len()
 	f.bytes += s.bytes
-	for i, b := range s.blocks {
+	for i, b := range blocks {
 		b.path, b.idx = path, len(f.blocks)+i
-		f.lines += b.records
 		fs.rawPayload += int64(b.raw)
 		fs.storedPayload += int64(len(b.data))
 		fs.residentBlocks++
@@ -367,63 +357,15 @@ func (fs *FS) Install(path string, s Sealed) {
 		}
 	}
 	if len(f.blocks) == 0 {
-		f.blocks = s.blocks
+		f.blocks = blocks
 	} else {
-		f.blocks = append(f.blocks, s.blocks...)
+		f.blocks = append(f.blocks, blocks...)
 	}
 	f.tail = s.tail
 	fs.enforceBudget()
 	if fs.residentBytes > fs.maxResident {
 		fs.maxResident = fs.residentBytes
 	}
-}
-
-// takeEnd takes off f, for Install to seal again, its tail or its short
-// last block, and returns its lines; nil where f ends in a full block or
-// holds nothing. A block taken off stays as it is for any Reader that
-// holds it, but the store no longer counts or evicts it. Caller holds mu.
-func (fs *FS) takeEnd(f *file) []string {
-	if n := f.tail.len(); n > 0 {
-		lines := f.tail.appendStrings(nil)
-		f.lines -= n
-		f.bytes -= f.tail.bytes()
-		f.tail = lineSet[string]{}
-		return lines
-	}
-	last := len(f.blocks) - 1
-	if last < 0 || f.blocks[last].logical >= int64(fs.opts.BlockSize) {
-		return nil
-	}
-	b := f.blocks[last]
-	data, err := b.data, error(nil)
-	if data == nil {
-		data, err = readSpilled(fs.spillF, b.off, b.size)
-	}
-	var lines []string
-	if err == nil {
-		lines, err = decodeBlockRange(make([]string, 0, b.records), data, 0, b.records)
-	}
-	if err != nil {
-		panic(b.failed(err))
-	}
-	f.blocks[last] = nil
-	f.blocks = f.blocks[:last]
-	f.lines -= b.records
-	f.bytes -= b.logical
-	fs.rawPayload -= int64(b.raw)
-	fs.storedPayload -= int64(len(data))
-	if b.data != nil {
-		fs.residentBlocks--
-		fs.residentBytes -= int64(len(b.data))
-		// Installed last of its file, it is most likely at the queue's end.
-		for i := len(fs.residentQ) - 1; i >= 0; i-- {
-			if fs.residentQ[i] == b {
-				fs.residentQ = slices.Delete(fs.residentQ, i, i+1)
-				break
-			}
-		}
-	}
-	return lines
 }
 
 // evicts reports whether the store spills blocks to hold a budget: only

@@ -262,7 +262,11 @@ func TestConcurrentAppends(t *testing.T) {
 	wg.Wait()
 	total := 0
 	for w := 0; w < workers; w++ {
-		total += fs.files[fmt.Sprintf("w%d", w)].lines
+		r, err := fs.OpenReader(fmt.Sprintf("w%d", w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += r.NumRecords()
 	}
 	if total != workers*per {
 		t.Errorf("total lines = %d, want %d", total, workers*per)
@@ -340,11 +344,11 @@ func TestOpenReaderAllocs(t *testing.T) {
 		}
 		installPart(fs, fmt.Sprintf("out/part-%05d", p), lines)
 	}
-	for i := range 37 { // six blocks of 6 and a short one
+	for i := range 37 { // a block a line
 		fs.Append("in", row(9, i))
 	}
-	if f := fs.files["in"]; len(f.blocks) != 7 || f.tail.len() != 0 {
-		t.Fatalf("in holds %d blocks and %d tail lines, want 7 and none", len(f.blocks), f.tail.len())
+	if f := fs.files["in"]; len(f.blocks) != 37 || f.tail.len() != 0 {
+		t.Fatalf("in holds %d blocks and %d tail lines, want 37 and none", len(f.blocks), f.tail.len())
 	}
 	if f := fs.files["out/part-00000"]; len(f.blocks) != 2 || f.tail.len() != 1 {
 		t.Fatalf("a part holds %d blocks and %d tail lines, want 2 and 1", len(f.blocks), f.tail.len())

@@ -269,27 +269,19 @@ func FuzzDecodeBlockNoPanic(f *testing.F) {
 	})
 }
 
-// storeOracle is Install told the long way. It keeps aside, per file, the
-// lines past its last full block — its tail, or its short block — and an
-// install joins them with its own, seals the shortest prefix reaching a
-// block for as long as there is one, and then seals what is left as one
-// short block (Seal) or keeps it as the tail, in one string of its own
-// (SealBuffer, held).
-type storeOracle struct {
-	fs   *FS
-	open map[string][]string
-}
+// storeOracle is Install told the long way. An install adds, after what
+// the file holds, the blocks of its own lines alone: the shortest prefix
+// reaching a block for as long as there is one, and then what is left as
+// one short block (Seal) or kept as the tail, in one string of its own
+// (SealBuffer, held). A tail the file held is first sealed whole, as one
+// short block, ahead of them.
+type storeOracle struct{ fs *FS }
 
-func newStoreOracle(opts Options) *storeOracle {
-	return &storeOracle{fs: NewWith(opts), open: map[string][]string{}}
-}
+func newStoreOracle(opts Options) *storeOracle { return &storeOracle{fs: NewWith(opts)} }
 
 func (o *storeOracle) install(path string, held bool, lines ...string) {
 	fs := o.fs
-	var n int64
-	for _, l := range lines {
-		n += int64(len(l)) + 1
-	}
+	n := linesBytes(lines)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	f, ok := fs.files[path]
@@ -299,50 +291,14 @@ func (o *storeOracle) install(path string, held bool, lines ...string) {
 		fs.insertPath(path)
 	}
 	fs.bytesWritten.Add(n)
-	f.lines += len(lines)
-	f.bytes += n
 	if len(lines) == 0 {
 		return
 	}
-	pending := append(slices.Clone(o.open[path]), lines...)
-	if f.tail.len() == 0 && len(o.open[path]) > 0 { // a short block: it goes
-		b := f.blocks[len(f.blocks)-1]
-		if f.blocks = f.blocks[:len(f.blocks)-1]; len(f.blocks) == 0 {
-			f.blocks = nil // a file of no blocks adopts the next install's array
-		}
-		fs.rawPayload -= int64(b.raw)
-		if b.data == nil {
-			fs.storedPayload -= int64(b.size)
-		} else {
-			fs.storedPayload -= int64(len(b.data))
-			fs.residentBlocks--
-			fs.residentBytes -= int64(len(b.data))
-			fs.residentQ = slices.DeleteFunc(fs.residentQ, func(q *block) bool { return q == b })
-		}
-	}
-	f.tail, o.open[path] = lineSet[string]{}, nil
-	left := 0
-	for _, l := range pending {
-		left += len(l) + 1
-	}
-	sealed := 0
-	for sealed < len(pending) && (left >= fs.opts.BlockSize || !held) {
-		take, taken := 0, 0
-		for _, l := range pending[sealed:] {
-			taken += len(l) + 1
-			take++
-			if taken >= fs.opts.BlockSize {
-				break
-			}
-		}
-		data, rawLen := encodeBlockStats(lineSet[string]{lines: pending[sealed : sealed+take]}, fs.opts.Compress)
-		b := &block{path: path, idx: len(f.blocks), records: take, logical: int64(taken), raw: rawLen, data: data}
+	f.bytes += n
+	add := func(lines []string) {
+		data, rawLen := encodeBlockStats(lineSet[string]{lines: lines}, fs.opts.Compress)
+		b := &block{path: path, idx: len(f.blocks), records: len(lines), logical: linesBytes(lines), raw: rawLen, data: data}
 		f.blocks = append(f.blocks, b)
-		if taken < fs.opts.BlockSize {
-			o.open[path] = pending[sealed:]
-		}
-		sealed += take
-		left -= taken
 		fs.rawPayload += int64(rawLen)
 		fs.storedPayload += int64(len(data))
 		fs.residentBlocks++
@@ -351,19 +307,46 @@ func (o *storeOracle) install(path string, held bool, lines ...string) {
 			fs.residentQ = append(fs.residentQ, b)
 		}
 	}
-	if rest := pending[sealed:]; len(rest) > 0 {
+	if tail := f.tail.appendStrings(nil); len(tail) > 0 {
+		add(tail)
+	}
+	f.tail = lineSet[string]{}
+	sealed, left := 0, n
+	for sealed < len(lines) && (left >= int64(fs.opts.BlockSize) || !held) {
+		take, taken := 0, 0
+		for _, l := range lines[sealed:] {
+			taken += len(l) + 1
+			take++
+			if taken >= fs.opts.BlockSize {
+				break
+			}
+		}
+		add(lines[sealed : sealed+take])
+		sealed += take
+		left -= int64(taken)
+	}
+	if rest := lines[sealed:]; len(rest) > 0 {
 		ends := make([]int32, len(rest))
 		at := int32(0)
 		for i, l := range rest {
 			at += int32(len(l))
 			ends[i] = at
 		}
-		f.tail, o.open[path] = lineSet[string]{buf: strings.Join(rest, ""), ends: ends}, rest
+		f.tail = lineSet[string]{buf: strings.Join(rest, ""), ends: ends}
 	}
 	fs.enforceBudget()
 	if fs.residentBytes > fs.maxResident {
 		fs.maxResident = fs.residentBytes
 	}
+}
+
+// linesBytes is the logical size of lines: their bytes and a newline each.
+func linesBytes(lines []string) int64 {
+	var n int64
+	for _, l := range lines {
+		n += int64(len(l)) + 1
+	}
+	return n
 }
 
 // sameStore fails t unless got holds what want holds: every file's blocks
@@ -413,6 +396,20 @@ type blockContent struct {
 	logical      int64
 }
 
+// sealedLines decodes the lines s was sealed from; its blocks are the
+// ones Seal has just written, still resident.
+func sealedLines(t *testing.T, s Sealed) []string {
+	t.Helper()
+	var lines []string
+	for _, b := range s.blocks {
+		var err error
+		if lines, err = decodeBlockRange(lines, b.data, 0, b.records); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s.tail.appendStrings(lines)
+}
+
 func contentOf(s Sealed) sealedContent {
 	blocks := make([]blockContent, len(s.blocks))
 	for i, b := range s.blocks {
@@ -424,9 +421,10 @@ func contentOf(s Sealed) sealedContent {
 // FuzzSealMatchesAppend holds Install of what Seal made, and Append, which
 // is built on them, to the oracle (storeOracle): over arbitrary lines cut
 // into batches — empty ones, single lines, many blocks' worth — that go to
-// two files in turn, so a batch meets the short block or the tail the one
-// before left, at any block size, with and without compression and a
-// spill budget, both must leave the store exactly as the oracle does. What
+// two files in turn, so a batch lands behind the short block or the tail
+// the one before left (each install's own sealing, concatenated), at any
+// block size, with and without compression and a spill budget, both must
+// leave the store exactly as the oracle does. What
 // Seal made reads back as the batch it was sealed from. A batch's lines
 // are cleared once written: a store that kept the caller's array would
 // show it. SealBuffer of the batch laid out in one buffer makes Seal's full
@@ -446,10 +444,12 @@ func FuzzSealMatchesAppend(f *testing.F) {
 	// Deflated blocks (values too many and too distinct to code), escaped
 	// values, ragged rows and empty lines among them.
 	f.Add(strings.Join(cycling(300, 300), "\n")+"\nesc\\t\\n\tx\n\n\ta\tb\tc", uint64(0x0fed_cba9_8765_4321), uint16(400), true, uint16(0))
-	// Batches of no lines behind a tail, which must leave it as it is, and
-	// a short block taken off as a file's only block.
+	// Batches of no lines behind a tail, which must leave it as it is (the
+	// last a file takes, in the third), and a batch behind a file's only
+	// block, a short one.
 	f.Add("\n", uint64(8), uint16(8), true, uint16(5))
 	f.Add("\n\n", uint64(281470681809040), uint16(17), false, uint16(238))
+	f.Add("\n", uint64(6816991773774997000), uint16(8), true, uint16(5))
 	f.Fuzz(func(t *testing.T, raw string, cuts uint64, blockSize uint16, compress bool, budget uint16) {
 		lines := strings.Split(raw, "\n")
 		opts := Options{BlockSize: int(blockSize)%512 + 1, MemBudget: int64(budget) % 2048, Compress: compress}
@@ -495,7 +495,7 @@ func FuzzSealMatchesAppend(f *testing.F) {
 			for j := range buf {
 				buf[j] = 'X'
 			}
-			if got := sealed.appendLines(nil); !slices.Equal(got, batch) {
+			if got := sealedLines(t, sealed); !slices.Equal(got, batch) {
 				t.Fatalf("batch %d reads back as %q, sealed from %q", i, got, batch)
 			}
 			installed.Install(path, sealed)

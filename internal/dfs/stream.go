@@ -69,8 +69,8 @@ func (fs *FS) open(path string, tree bool) (*Reader, error) {
 // their logical bytes, for the caller to charge to the read counter. It
 // counts the segments under the lock first, so r's array is allocated
 // once. A file's blocks and its tail are never written once installed: a
-// later install that seals a short block or a tail again makes new ones
-// and leaves those the snapshot holds as they were.
+// later install adds blocks after them, sealing a tail into a new one, and
+// leaves those the snapshot holds as they were.
 func (fs *FS) snapshot(r *Reader, path string, tree bool) (int64, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()

@@ -1,0 +1,54 @@
+#!/usr/bin/env bash
+# Reports what the programs reach, as opposed to the tests: the statement
+# coverage of every package over the command lines the stdout pins run.
+# Run from the root of a checkout:
+#
+#   bash scripts/reach.sh
+#
+# It builds ./cmd/... with -cover -coverpkg=./... into a temporary
+# directory, runs every command line listed in cmd/*/testdata/stdout.sha256
+# from that command's directory (as TestStdoutDigests does), and one more,
+# the unreplicated clusterbft baseline (-verify-policy none). It then prints
+# each package's reach and, for dfs, digest, mapred and core, the functions
+# no run reached. A manual command: neither tier-1 nor CI runs it.
+set -euo pipefail
+
+if [[ ! -f go.mod || ! -d cmd ]]; then
+	echo "scripts/reach.sh: run from the root of a clusterbft checkout" >&2
+	exit 2
+fi
+
+root=$PWD
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir -p "$work/bin" "$work/cov"
+
+go build -cover -coverpkg=./... -o "$work/bin/" ./cmd/...
+
+# run DIR NAME ARGS...: runs the built command NAME in cmd/DIR, counting.
+run() {
+	local dir=$1
+	shift
+	echo "reach: $*" >&2
+	(cd "$root/cmd/$dir" && GOCOVERDIR=$work/cov GOMAXPROCS=2 "$work/bin/$1" "${@:2}" >/dev/null)
+}
+
+for pins in cmd/*/testdata/stdout.sha256; do
+	dir=$(basename "$(dirname "$(dirname "$pins")")")
+	while read -r sum line; do
+		[[ -z $sum || $sum == \#* ]] && continue
+		read -ra argv <<<"$line"
+		run "$dir" "${argv[@]}"
+	done <"$pins"
+done
+run clusterbft clusterbft -script testdata/front.pig -input in/edges=testdata/edges.tsv -verify-policy none
+
+echo "== reach per package"
+go tool covdata percent -i "$work/cov" | sed 's|^[[:space:]]*clusterbft/||' | sort
+
+go tool covdata textfmt -i "$work/cov" -o "$work/cover.out"
+for pkg in dfs digest mapred core; do
+	echo "== $pkg: functions no run reached"
+	go tool cover -func="$work/cover.out" |
+		awk -v p="clusterbft/internal/$pkg/" 'index($1, p) == 1 && $NF == "0.0%" { sub(/^clusterbft\/internal\//, "", $1); print $1, $2 }'
+done
