@@ -867,6 +867,36 @@ func TestAppendBehindALostSpillFailsClosed(t *testing.T) {
 	}
 }
 
+// TestClosedStoreFailsClosed: after Close nothing spills again. A later
+// Append keeps its blocks resident and the store's spill error names the
+// closed store; a read of a block spilled before Close fails with a
+// *BlockError that says so; and no spill file outlives Close.
+func TestClosedStoreFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	fs := NewWith(Options{BlockSize: 4096, MemBudget: 1, SpillDir: dir})
+	fs.Append("f", cycling(10, 3)...)
+	spilled := fs.SpilledBlocks()
+	if spilled == 0 {
+		t.Fatal("nothing spilled before Close")
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs.Append("f", cycling(5, 2)...)
+	if fs.SpilledBlocks() != spilled || !errors.Is(fs.SpillErr(), errClosed) {
+		t.Errorf("after Close: %d blocks spilled (%d before), spill error %v; want none more, and the closed store named",
+			fs.SpilledBlocks(), spilled, fs.SpillErr())
+	}
+	_, err := fs.ReadTree("f")
+	var be *BlockError
+	if !errors.As(err, &be) || be.Path != "f" || be.Block != 0 || !errors.Is(err, errClosed) {
+		t.Errorf("ReadTree = %v, want a *BlockError for block 0 of f saying the store is closed", err)
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) > 0 {
+		t.Errorf("spill dir after Close holds %v (%v), want nothing", left, err)
+	}
+}
+
 // TestBlockEncodeAllocs pins block encoding at a fixed number of
 // allocations whatever the record count: the block, laid out before it is
 // written, and nothing a record.

@@ -148,7 +148,10 @@ func NewWith(opts Options) *FS {
 }
 
 // Close releases the spill file, if any. Open readers holding spilled
-// block references must not be used afterwards.
+// block references must not be used afterwards. The store fails closed
+// after it: a block spilled before reads as a *BlockError that says the
+// store is closed, and the sticky spill error names the closed store, so
+// nothing spills again and later blocks stay resident.
 func (fs *FS) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -163,8 +166,16 @@ func (fs *FS) Close() error {
 		}
 		fs.spillF = nil
 	}
+	if fs.spillErr == nil {
+		fs.spillErr = fmt.Errorf("dfs: spill: %w", errClosed)
+	}
+	fs.residentQ = nil
 	return err
 }
+
+// errClosed is what a spill, or the read of a block spilled, fails with
+// after Close.
+var errClosed = errors.New("the store is closed")
 
 // ErrNotFound is returned when a path does not exist.
 type ErrNotFound struct{ Path string }
@@ -437,10 +448,11 @@ func (fs *FS) blockData(b *block) ([]byte, error) {
 	return data, nil
 }
 
-// readSpilled reads the size bytes a block spilled to off back from sf.
+// readSpilled reads the size bytes a block spilled to off back from sf,
+// which is nil only once Close has removed it.
 func readSpilled(sf *os.File, off int64, size int) ([]byte, error) {
 	if sf == nil {
-		return nil, errors.New("spilled, and the spill file is closed")
+		return nil, fmt.Errorf("spilled, and the spill file is closed: %w", errClosed)
 	}
 	buf := make([]byte, size)
 	if _, err := sf.ReadAt(buf, off); err != nil {

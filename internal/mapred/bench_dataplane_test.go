@@ -489,6 +489,43 @@ STORE j INTO 'out/joined';
 	b.ReportMetric(float64(total), "records/op")
 }
 
+// BenchmarkDataplaneReduceTwoHop is the two-hop query's reduce as
+// twohop_join runs it: the self-join of workload.Twitter's skewed edges,
+// then its filter and projection, with a digest after the join, the filter
+// and the projection, on a warm slot. Each input is four map tasks' runs.
+// pairs/op counts the joined pairs, what the filter sees.
+func BenchmarkDataplaneReduceTwoHop(b *testing.B) {
+	src := workload.TwoHopScript
+	p, err := pig.Parse(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	job := benchCompile(b, src, CompileOptions{NumReduces: 1, Points: digestPoints(b, p, "hops", "proper", "pairs")})[0]
+	lines := workload.Twitter(25_000, 6_250, 1)
+	in := sealedBlock(b, lines)
+	var runs []sortedRun
+	for idx := range job.Inputs {
+		for s := 0; s < len(lines); s += len(lines) / 4 {
+			runs = append(runs, runMapTask(job, idx, in, s, s+len(lines)/4, nil, nil, taskObs{}, new(taskScratch)).partitions[0])
+		}
+	}
+	pairs := 0
+	for _, n := range joinSides(runs) {
+		pairs += n[0] * n[1]
+	}
+	df := func(point int) *digest.Writer {
+		return digest.NewWriter(digest.Key{Point: point}, 0, 0, func(digest.Report) {})
+	}
+	sc := new(taskScratch) // warm from the first op on, as a slot's is
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runReduceTask(job, runs, df, taskObs{}, sc).publish(sc, nil)
+	}
+	b.ReportMetric(float64(pairs), "pairs/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+}
+
 func BenchmarkDataplaneReduceDistinct(b *testing.B) {
 	job := uncombined(benchCompile(b, `
 a = LOAD 'in/edges' AS (user:int, follower:int);

@@ -523,15 +523,29 @@ func permute(p []interRec, idx []int32) {
 	}
 }
 
-// mergeRuns streams the k-way merge of pre-sorted runs through yield in
-// (cmp, run index, position) order, using a loser tree: internal nodes
-// cache the loser of their subtree so re-seating the champion after
-// each pop costs one leaf-to-root comparison path (log k comparisons)
-// instead of a k-wide scan. A nil cmp treats all records as equal, so
-// runs concatenate in run order. Runs are read-only throughout —
-// concurrent reduce attempts may share them. The merge's arrays are sc's;
-// the task wipes sc.live when it is done.
-func mergeRuns(runs []sortedRun, cmp func(a, b recAt) int, yield func(recAt), sc *taskScratch) {
+// exhausted is the head word of a run with no record left: above every
+// sortWord, whose low byte is at most 8, so a spent run loses to any head.
+const exhausted = ^uint64(0)
+
+// vacant marks a node of the loser tree that no run has reached yet.
+const vacant = ^uint64(0)
+
+// mergeRuns streams the k-way merge of pre-sorted runs through yield,
+// using a loser tree: internal nodes cache the loser of their subtree so
+// re-seating the champion after each pop costs one leaf-to-root
+// comparison path (log k comparisons) instead of a k-wide scan. Records
+// leave in (order, run index, position) order. Keyed, the order is the
+// canonical key's, strings.Compare's, decided a word at a time: each
+// run's head key is held as its sortWord, whose order is the keys', and
+// two heads are compared by their words alone unless the words are equal
+// with low byte 8 — keys of at least 8 bytes that share their first 7 —
+// when the rest of the keys decides. Equal words with a lower low byte
+// are equal keys. Unkeyed, the order is cmp's; a nil cmp treats all
+// records as equal, so runs concatenate in run order. Runs are read-only
+// throughout — concurrent reduce attempts may share them; the merge
+// consumes its own copies of their headers, sc.live. The merge's arrays
+// are sc's; the task wipes sc.live when it is done.
+func mergeRuns(runs []sortedRun, keyed bool, cmp func(a, b recAt) int, yield func(recAt), sc *taskScratch) {
 	live := sc.live[:0]
 	for _, r := range runs {
 		if len(r.recs) > 0 {
@@ -549,19 +563,42 @@ func mergeRuns(runs []sortedRun, cmp func(a, b recAt) int, yield func(recAt), sc
 		}
 		return
 	}
-	sc.tree = resize(sc.tree, 4*k) // one array for the positions and the tree
-	pos, tree, winner := sc.tree[:k], sc.tree[k:2*k], sc.tree[2*k:]
-	clear(pos)
-	head := func(r int32) recAt {
-		if int(pos[r]) >= len(live[r].recs) {
+	// One array for the head words and the tree, whose nodes hold run
+	// indices: leaf r is node k+r, and internal node j (1 ≤ j < k) holds
+	// the loser of the match between its subtrees' winners.
+	sc.tree = resize(sc.tree, 2*k)
+	words, tree := sc.tree[:k], sc.tree[k:]
+	head := func(r uint64) recAt {
+		if len(live[r].recs) == 0 {
 			return recAt{}
 		}
-		return recAt{&live[r], &live[r].recs[pos[r]]}
+		return recAt{&live[r], &live[r].recs[0]}
+	}
+	word := func(r uint64) uint64 {
+		if h := head(r); h.rec != nil {
+			return sortWord(h.key())
+		}
+		return exhausted
+	}
+	if keyed {
+		for r := range words {
+			words[r] = word(uint64(r))
+		}
 	}
 	// beats reports whether run a's head is emitted before run b's:
 	// smaller record first, lower run index on ties, exhausted runs
 	// last.
-	beats := func(a, b int32) bool {
+	beats := func(a, b uint64) bool {
+		if keyed {
+			if wa, wb := words[a], words[b]; wa != wb {
+				return wa < wb
+			} else if wa&0xff == 8 {
+				if c := strings.Compare(head(a).key()[7:], head(b).key()[7:]); c != 0 {
+					return c < 0
+				}
+			}
+			return a < b
+		}
 		ha, hb := head(a), head(b)
 		if hb.rec == nil {
 			return ha.rec != nil
@@ -576,28 +613,35 @@ func mergeRuns(runs []sortedRun, cmp func(a, b recAt) int, yield func(recAt), sc
 		}
 		return a < b
 	}
-	// Heap-shaped tree: leaf r sits at node k+r, internal nodes 1..k-1
-	// hold the loser of their subtree, and the overall winner bubbles
-	// out of the build.
-	for r := 0; r < k; r++ {
-		winner[k+r] = int32(r)
+	// Build by replaying every leaf into vacant nodes: a head that reaches
+	// a vacant node waits there for the other subtree's winner, so the
+	// last replay, the first to reach the root, carries the champion out.
+	for j := range tree {
+		tree[j] = vacant
 	}
-	for j := k - 1; j >= 1; j-- {
-		a, b := winner[2*j], winner[2*j+1]
-		if beats(a, b) {
-			winner[j], tree[j] = a, b
-		} else {
-			winner[j], tree[j] = b, a
+	var champ uint64
+	for r := 0; r < k; r++ {
+		champ = uint64(r)
+		for j := (k + r) / 2; j >= 1; j /= 2 {
+			if tree[j] == vacant {
+				tree[j] = champ
+				break
+			}
+			if beats(tree[j], champ) {
+				tree[j], champ = champ, tree[j]
+			}
 		}
 	}
-	champ := winner[1]
 	for {
 		h := head(champ)
 		if h.rec == nil {
 			return
 		}
 		yield(h)
-		pos[champ]++
+		live[champ].recs = live[champ].recs[1:]
+		if keyed {
+			words[champ] = word(champ)
+		}
 		// Replay the champion's leaf-to-root path: the new head competes
 		// against the cached losers.
 		cur := champ

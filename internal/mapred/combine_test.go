@@ -332,52 +332,151 @@ func TestCombineLongProbeChain(t *testing.T) {
 }
 
 // TestMergeRunsMatchesReferenceSort: the loser-tree merge over sorted
-// runs must emit exactly the (cmp, run, position) order a global stable
-// sort of the tagged concatenation produces.
+// runs, keyed and by a comparator, must emit exactly the (key, run,
+// position) order a global stable sort of the tagged concatenation
+// produces, for every tree shape from no runs to 40.
 func TestMergeRunsMatchesReferenceSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		k := rng.Intn(6)
-		parts := make([][]testRec, k)
-		type tagged struct {
-			rec      testRec
-			run, pos int
-		}
-		var all []tagged
-		for r := range parts {
-			n := rng.Intn(8)
-			recs := make([]testRec, n)
-			for i := range recs {
-				recs[i] = testRec{key: fmt.Sprintf("k%02d", rng.Intn(5)), t: tuple.Tuple{tuple.Int(int64(r)), tuple.Int(int64(i))}}
-			}
-			slices.SortStableFunc(recs, func(a, b testRec) int {
-				return strings.Compare(a.key, b.key)
-			})
-			parts[r] = recs
-			for i, rec := range recs {
-				all = append(all, tagged{rec: rec, run: r, pos: i})
+	for trial := 0; trial < 400; trial++ {
+		keys := make([][]string, trial%41)
+		for r := range keys {
+			keys[r] = make([]string, rng.Intn(8))
+			for i := range keys[r] {
+				keys[r][i] = fmt.Sprintf("k%02d", rng.Intn(5))
 			}
 		}
-		runs := layOut(parts...)
-		slices.SortStableFunc(all, func(a, b tagged) int {
-			if c := strings.Compare(a.rec.key, b.rec.key); c != 0 {
-				return c
+		want := stableMerge(keys)
+		for _, keyed := range []bool{true, false} {
+			if got := merged(keys, keyed); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, keyed %v: merge order %v, want %v", trial, keyed, got, want)
 			}
-			if c := a.run - b.run; c != 0 {
-				return c
+		}
+	}
+}
+
+// merged sorts each run's keys, lays the runs out and lists what the
+// merge emits, keyed or by strings.Compare on the keys as its comparator:
+// each record's key, run and position in its run.
+func merged(keys [][]string, keyed bool) []string {
+	parts := make([][]testRec, len(keys))
+	for r, ks := range keys {
+		ks = slices.Clone(ks)
+		slices.Sort(ks)
+		for i, k := range ks {
+			parts[r] = append(parts[r], testRec{key: k, t: tuple.Tuple{tuple.Int(int64(r)), tuple.Int(int64(i))}})
+		}
+	}
+	var cmp func(a, b recAt) int
+	if !keyed {
+		cmp = func(a, b recAt) int { return strings.Compare(a.key(), b.key()) }
+	}
+	var got []string
+	mergeRuns(layOut(parts...), keyed, cmp, func(r recAt) { got = append(got, fmt.Sprintf("%q %v", r.key(), r.tuple())) }, new(taskScratch))
+	return got
+}
+
+// stableMerge is what merged is to list: every run's sorted keys,
+// tagged, in the stable sort by (strings.Compare, run, position).
+func stableMerge(keys [][]string) []string {
+	type tagged struct {
+		key      string
+		run, pos int
+	}
+	var all []tagged
+	for r, ks := range keys {
+		ks = slices.Clone(ks)
+		slices.Sort(ks)
+		for i, k := range ks {
+			all = append(all, tagged{k, r, i})
+		}
+	}
+	slices.SortStableFunc(all, func(a, b tagged) int {
+		if c := strings.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		if c := a.run - b.run; c != 0 {
+			return c
+		}
+		return a.pos - b.pos
+	})
+	want := make([]string, len(all))
+	for i, a := range all {
+		want[i] = fmt.Sprintf("%q %v", a.key, tuple.Tuple{tuple.Int(int64(a.run)), tuple.Int(int64(a.pos))})
+	}
+	return want
+}
+
+// mergeFuzzKeys reads the fuzzer's bytes as records: a byte whose high
+// nibble is the record's run (of sixteen) and whose low one its key's
+// length, then the key, cut short where the bytes end.
+func mergeFuzzKeys(data []byte) [][]string {
+	var keys [][]string
+	for len(data) > 0 {
+		run, n := int(data[0]>>4), min(int(data[0]&15), len(data)-1)
+		for len(keys) <= run {
+			keys = append(keys, nil)
+		}
+		keys[run] = append(keys[run], string(data[1:1+n]))
+		data = data[1+n:]
+	}
+	return keys
+}
+
+// mergeFuzzInput is mergeFuzzKeys' inverse: key i goes to run runs[i].
+func mergeFuzzInput(keys []string, runs ...int) []byte {
+	var data []byte
+	for i, k := range keys {
+		data = append(data, byte(runs[i%len(runs)]<<4|len(k)))
+		data = append(data, k...)
+	}
+	return data
+}
+
+// FuzzMergeRunsMatchesStable holds the keyed merge, and the merge by a
+// comparator, to the stable sort by (strings.Compare, run, position). Its
+// seeds are keys that a word does not tell apart, or tells apart only by
+// its length byte: keys of 8 bytes and more that share their first 7, NUL
+// and 0xff bytes, the empty key and keys that are prefixes of others.
+func FuzzMergeRunsMatchesStable(f *testing.F) {
+	for _, seed := range [][]byte{
+		nil,
+		mergeFuzzInput([]string{"abcdefgX", "abcdefgA", "abcdefg", "abcdefgXY", "abcdefgX", "abcdefgA\x00"}, 0, 1, 2),
+		mergeFuzzInput([]string{"\x00", "\xff", "", "\x00\x00", "a\xff", "\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff", "\x00\x00\x00\x00\x00\x00\x00\x00"}, 3, 0, 5, 1),
+		mergeFuzzInput([]string{"", "a", "ab", "abcdefg", "abcdefgh", "abcdefghi", "", "ab"}, 1, 0),
+		mergeFuzzInput([]string{"user0001", "user0002", "user0001", "user00010", "user0001", "user000", "user0002"}, 15, 7, 0, 9),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		keys := mergeFuzzKeys(data)
+		want := stableMerge(keys)
+		for _, keyed := range []bool{true, false} {
+			if got := merged(keys, keyed); !slices.Equal(got, want) {
+				t.Fatalf("runs %q, keyed %v:\n got %v\nwant %v", keys, keyed, got, want)
 			}
-			return a.pos - b.pos
-		})
-		var got []string
-		cmp := func(a, b recAt) int { return strings.Compare(a.key(), b.key()) }
-		mergeRuns(runs, cmp, func(r recAt) { got = append(got, fmt.Sprint(r.key(), r.tuple())) }, new(taskScratch))
-		want := make([]string, len(all))
-		for i, a := range all {
-			want[i] = fmt.Sprint(a.rec.key, a.rec.t)
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: merge order %v, want %v (runs %v)", trial, got, want, runs)
+	})
+}
+
+// TestKeyedMergeAllocs: on a warm slot the keyed merge of 24 runs
+// allocates nothing — its head words, positions and tree are the
+// scratch's.
+func TestKeyedMergeAllocs(t *testing.T) {
+	parts := make([][]testRec, 24)
+	for r := range parts {
+		for i := 0; i < 50; i++ {
+			parts[r] = append(parts[r], testRec{key: fmt.Sprintf("user%06d", i*7+r%5)})
 		}
+	}
+	runs, sc := layOut(parts...), new(taskScratch)
+	n := 0
+	count := func(recAt) { n++ }
+	mergeRuns(runs, true, nil, count, sc)
+	if n != 24*50 {
+		t.Fatalf("merged %d records, want %d", n, 24*50)
+	}
+	if got := testing.AllocsPerRun(20, func() { mergeRuns(runs, true, nil, count, sc) }); got != 0 {
+		t.Errorf("warm keyed merge of 24 runs = %v allocs, want 0", got)
 	}
 }
 
@@ -390,7 +489,7 @@ func TestMergeRunsNilCmp(t *testing.T) {
 		[]testRec{{key: "m"}},
 	)
 	var got []string
-	mergeRuns(runs, nil, func(r recAt) { got = append(got, r.key()) }, new(taskScratch))
+	mergeRuns(runs, false, nil, func(r recAt) { got = append(got, r.key()) }, new(taskScratch))
 	if want := []string{"z", "a", "m"}; !slices.Equal(got, want) {
 		t.Errorf("nil-cmp merge = %v, want %v", got, want)
 	}

@@ -258,7 +258,7 @@ func TestRunDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func digestPoints(t *testing.T, p *pig.Plan, aliases ...string) []int {
+func digestPoints(t testing.TB, p *pig.Plan, aliases ...string) []int {
 	t.Helper()
 	var pts []int
 	for _, a := range aliases {

@@ -642,7 +642,7 @@ type taskScratch struct {
 	idx    []int32          // map: the sorts' permutation
 	pairs  []sortPair       // map: sortKeyed's radix pairs, two a record
 	live   []sortedRun      // reduce: the runs being merged
-	tree   []int32          // reduce: their positions and the loser tree
+	tree   []uint64         // reduce: their head words and loser tree
 	left   []tuple.Tuple    // reduce: a join key's left side
 	right  []tuple.Tuple    // reduce: its right side
 	joined tuple.Tuple      // reduce: a pair of them
@@ -1009,19 +1009,17 @@ func runReduceTask(job *JobSpec, runs []sortedRun, df digestFactory, o taskObs, 
 			sc.out.add(chain.line(t))
 		}
 	}
-	keyCmp := func(a, b recAt) int { return strings.Compare(a.key(), b.key()) }
-
 	switch spec.Kind {
 	case ReduceSort:
 		var cmp func(a, b recAt) int
 		if len(spec.OrderBy) > 0 {
 			cmp = func(a, b recAt) int { return orderCmp(a.tuple(), b.tuple(), spec.OrderBy) }
 		}
-		mergeRuns(runs, cmp, func(r recAt) { emit(r.tuple()) }, sc)
+		mergeRuns(runs, false, cmp, func(r recAt) { emit(r.tuple()) }, sc)
 	case ReduceDistinct:
 		started := false
 		var lastKey string
-		mergeRuns(runs, keyCmp, func(r recAt) {
+		mergeRuns(runs, true, nil, func(r recAt) {
 			if started && r.key() == lastKey {
 				return
 			}
@@ -1055,7 +1053,7 @@ func runReduceTask(job *JobSpec, runs []sortedRun, df digestFactory, o taskObs, 
 			}
 			emit(row)
 		}
-		mergeRuns(runs, keyCmp, func(r recAt) {
+		mergeRuns(runs, true, nil, func(r recAt) {
 			t := r.tuple()
 			if key := r.key(); !started || key != lastKey {
 				if started {
@@ -1092,16 +1090,10 @@ func runReduceTask(job *JobSpec, runs []sortedRun, df digestFactory, o taskObs, 
 		started := false
 		var lastKey string
 		flush := func() {
-			for _, lt := range left {
-				joined = append(joined[:0], lt...)
-				for _, rt := range right {
-					joined = append(joined[:len(lt)], rt...)
-					emit(joined)
-				}
-			}
+			joined = joinKey(left, right, joined, emit)
 			left, right = left[:0], right[:0]
 		}
-		mergeRuns(runs, keyCmp, func(r recAt) {
+		mergeRuns(runs, true, nil, func(r recAt) {
 			if key := r.key(); !started || key != lastKey {
 				if started {
 					flush()
@@ -1127,6 +1119,37 @@ func runReduceTask(job *JobSpec, runs []sortedRun, df digestFactory, o taskObs, 
 	// pointed into map outcomes.
 	sc.live, sc.accs, sc.row, sc.key, sc.canon = wipe(sc.live), wipe(sc.accs), wipe(sc.row), wipe(sc.key), chain.canon
 	return out
+}
+
+// joinKey emits every pair of one key's left and right records, left
+// first, each written into pair, which it returns grown to the widest.
+// A pair is written a value at a time: a pair is a few values, too few for
+// a slice copy's call to pay. A key missing from either side pairs
+// nothing, and no record of it is read.
+func joinKey(left, right []tuple.Tuple, pair tuple.Tuple, emit func(tuple.Tuple)) tuple.Tuple {
+	if len(left) == 0 || len(right) == 0 {
+		return pair
+	}
+	wide := 0
+	for _, rt := range right {
+		wide = max(wide, len(rt))
+	}
+	for _, lt := range left {
+		n := len(lt)
+		pair = resize(pair, n+wide)
+		for i, v := range lt {
+			pair[i] = v
+		}
+		for _, rt := range right {
+			p := pair[:n+len(rt)]
+			dst := p[n:]
+			for i := range rt {
+				dst[i] = rt[i]
+			}
+			emit(p)
+		}
+	}
+	return pair
 }
 
 // orderCmp compares two tuples under an ORDER BY key list, three-way.

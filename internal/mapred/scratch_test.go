@@ -224,10 +224,16 @@ func poison(sc *taskScratch) {
 	}
 	fill(sc.out.buf[:cap(sc.out.buf)])
 	fill(sc.text[:cap(sc.text)])
-	for _, s := range [][]int32{sc.out.ends[:cap(sc.out.ends)], sc.parts[:cap(sc.parts)], sc.idx[:cap(sc.idx)], sc.tree[:cap(sc.tree)]} {
+	for _, s := range [][]int32{sc.out.ends[:cap(sc.out.ends)], sc.parts[:cap(sc.parts)], sc.idx[:cap(sc.idx)]} {
 		for i := range s {
 			s[i] = -1
 		}
+	}
+	// Not vacant or exhausted, which a reset writes: a run index and a
+	// low head word, so a merge that read a stale node or word would
+	// change its order.
+	for i := range sc.tree[:cap(sc.tree)] {
+		sc.tree[i] = uint64(i & 1)
 	}
 	for _, recs := range [][]interRec{sc.recs[:cap(sc.recs)]} {
 		for i := range recs {

@@ -15,6 +15,7 @@ import (
 	"clusterbft/internal/digest"
 	"clusterbft/internal/pig"
 	"clusterbft/internal/tuple"
+	"clusterbft/internal/workload"
 )
 
 // testRec is a shuffle record as a test writes and reads one: its key, its
@@ -226,7 +227,9 @@ func (c *freshChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 // freshReduce is runReduceTask as it was: a new tuple per joined pair, a
 // new row per group, a new string per output record, and a new key tuple
 // per group: a combined record's leading values, or an uncombined group's
-// first row projected through the key columns.
+// first row projected through the key columns. Its merge compares keys
+// with strings.Compare, not by their words, and its join pairs every
+// record of a key with every other, a side empty or not.
 func freshReduce(job *JobSpec, runs []sortedRun, df digestFactory) (*reduceOutcome, []string) {
 	spec, keyCols := job.Reduce, job.Inputs[0].KeyCols
 	chain := newFreshChain(spec.PostOps, df)
@@ -252,7 +255,7 @@ func freshReduce(job *JobSpec, runs []sortedRun, df digestFactory) (*reduceOutco
 			cmp = func(a, b recAt) int { return orderCmp(a.tuple(), b.tuple(), spec.OrderBy) }
 		}
 	}
-	mergeRuns(runs, cmp, func(at recAt) {
+	mergeRuns(runs, false, cmp, func(at recAt) {
 		r := testRec{key: at.key(), t: at.tuple(), tag: at.rec.tag}
 		if n := len(groups); spec.Kind != ReduceSort && n > 0 && groups[n-1][0].key == r.key {
 			groups[n-1] = append(groups[n-1], r)
@@ -450,32 +453,87 @@ func TestReduceReuseMatchesFresh(t *testing.T) {
 					}
 				}
 			}
-			for _, chunk := range []int{0, 100} {
-				var got, want []digest.Report
-				factory := func(sink *[]digest.Report) digestFactory {
-					return func(point int) *digest.Writer {
-						return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "r000"}, 0, chunk,
-							func(r digest.Report) { *sink = append(*sink, r) })
-					}
-				}
-				sc := new(taskScratch)
-				g := runReduceTask(job, runs, factory(&got), taskObs{}, sc)
-				gLines := staged(sc)
-				w, wLines := freshReduce(job, runs, factory(&want))
-				if len(wLines) == 0 || w.digested == 0 {
-					t.Fatalf("%s: oracle produced %d lines, %d digested records", name, len(wLines), w.digested)
-				}
-				if !reflect.DeepEqual(g, w) || !slices.Equal(gLines, wLines) {
-					t.Errorf("%s combine=%v d=%d: outcome differs:\n got %+v, %d lines, %+v\nwant %+v, %d lines, %+v",
-						name, job.Reduce.Combine, chunk, *g, len(gLines), gLines[:min(3, len(gLines))],
-						*w, len(wLines), wLines[:min(3, len(wLines))])
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s combine=%v d=%d: digest reports differ: got %d, want %d", name, job.Reduce.Combine, chunk, len(got), len(want))
-				}
-			}
+			matchesFresh(t, fmt.Sprintf("%s combine=%v", name, job.Reduce.Combine), job, runs)
 		}
 	}
+}
+
+// matchesFresh runs job's reduce over runs at d = 0 and d = 100 and holds
+// its outcome, its lines and its digest reports to freshReduce's.
+func matchesFresh(t *testing.T, name string, job *JobSpec, runs []sortedRun) {
+	t.Helper()
+	for _, chunk := range []int{0, 100} {
+		var got, want []digest.Report
+		factory := func(sink *[]digest.Report) digestFactory {
+			return func(point int) *digest.Writer {
+				return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "r000"}, 0, chunk,
+					func(r digest.Report) { *sink = append(*sink, r) })
+			}
+		}
+		sc := new(taskScratch)
+		g := runReduceTask(job, runs, factory(&got), taskObs{}, sc)
+		gLines := staged(sc)
+		w, wLines := freshReduce(job, runs, factory(&want))
+		if len(wLines) == 0 || w.digested == 0 {
+			t.Fatalf("%s: oracle produced %d lines, %d digested records", name, len(wLines), w.digested)
+		}
+		if !reflect.DeepEqual(g, w) || !slices.Equal(gLines, wLines) {
+			t.Errorf("%s d=%d: outcome differs:\n got %+v, %d lines, %+v\nwant %+v, %d lines, %+v",
+				name, chunk, *g, len(gLines), gLines[:min(3, len(gLines))],
+				*w, len(wLines), wLines[:min(3, len(wLines))])
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s d=%d: digest reports differ: got %d, want %d", name, chunk, len(got), len(want))
+		}
+	}
+}
+
+// TestReduceTwoHopMatchesFresh: the two-hop query's reduce — the join, its
+// filter and projection, a digest after each — over the skewed follower
+// graph equals freshReduce's. The graph's keys cover every shape the
+// join's flush tells apart: a key with left records only (a user who
+// follows others and whom no one follows), one with right records only
+// (followed, following no one), and a hot user with about two hundred
+// right records.
+func TestReduceTwoHopMatchesFresh(t *testing.T) {
+	src := workload.TwoHopScript
+	job := compile(t, src, CompileOptions{NumReduces: 1, Points: digestPoints(t, plan(t, src), "hops", "proper", "pairs")})[0]
+	lines := workload.Twitter(2_000, 500, 1)
+	in := sealedBlock(t, lines)
+	var runs []sortedRun
+	for idx := range job.Inputs {
+		for s := 0; s < len(lines); s += 500 {
+			runs = append(runs, runMapTask(job, idx, in, s, s+500, nil, nil, taskObs{}, new(taskScratch)).partitions[0])
+		}
+	}
+	sides := joinSides(runs)
+	leftOnly, rightOnly, hot := 0, 0, 0
+	for _, n := range sides {
+		switch {
+		case n[1] == 0:
+			leftOnly++
+		case n[0] == 0:
+			rightOnly++
+		}
+		hot = max(hot, n[1])
+	}
+	if leftOnly == 0 || rightOnly == 0 || hot < 100 {
+		t.Fatalf("%d keys: %d left-only, %d right-only, at most %d right records a key; want some of each and a key with 100", len(sides), leftOnly, rightOnly, hot)
+	}
+	matchesFresh(t, "twohop", job, runs)
+}
+
+// joinSides counts each join key's left and right records over runs.
+func joinSides(runs []sortedRun) map[string][2]int {
+	sides := map[string][2]int{}
+	for _, r := range runs {
+		for _, rec := range readRun(r) {
+			n := sides[rec.key]
+			n[min(rec.tag, 1)]++
+			sides[rec.key] = n
+		}
+	}
+	return sides
 }
 
 // TestReduceJoinAllocs pins the reduce side of a join at a cost that
