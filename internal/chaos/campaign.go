@@ -336,6 +336,11 @@ func RunSchedule(cfg CampaignConfig, sched *Schedule, baseline map[string][]stri
 		bad("cost ledger leak: buckets sum to %dus but engine charged %dus (unattributed=%d)",
 			got, want, want-got)
 	}
+	// Teardown folded every sid, and an attempt resolves before its sid
+	// folds: a charge that came after a fold would hold a sid live here.
+	if n := h.Engine.Ledger.Sizes(); n != 0 {
+		bad("cost ledger holds %d sids after teardown", n)
+	}
 	// I3: a verified run's outputs are byte-identical to the clean run.
 	if err == nil && res != nil {
 		for store, want := range baseline {

@@ -707,11 +707,6 @@ func (c *Controller) teardownRun() {
 	for _, cs := range c.clusters {
 		c.dropCkpts(cs)
 	}
-	// The sweep above folded every remaining sid; with the run drained no
-	// late ledger charge can arrive, so the tombstones that route such
-	// charges are dead weight — drop them to keep ledger map sizes at
-	// baseline across sequential runs.
-	c.Eng.Ledger.DropFolds()
 }
 
 // record is the one writer of what the control tier keeps about a

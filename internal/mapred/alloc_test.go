@@ -258,11 +258,11 @@ func TestResolveDetachedAllocs(t *testing.T) {
 		t.Fatal("a fresh engine attaches a store; the pin needs none")
 	}
 	js := &JobState{Spec: &JobSpec{ID: "x/r0/j0", SID: "run1-c0-a0", Replica: 1}}
-	rt := &runningTask{task: js.newTask(MapTask, 0, 3), node: "node-000"}
+	rt := &runningTask{task: js.newTask(MapTask, 0, 3), node: "node-000", dur: 800_004}
 	if got := testing.AllocsPerRun(200, func() {
-		eng.resolve(rt, 800_004, attemptCommitted)
-		eng.resolve(rt, 800_004, attemptLost)
-		eng.resolve(rt, 800_004, attemptHung)
+		eng.resolve(rt, attemptCommitted)
+		eng.resolve(rt, attemptLost)
+		eng.resolve(rt, attemptHung)
 	}); got != 0 {
 		t.Errorf("resolve with nothing attached allocates %v times per three attempts, want 0", got)
 	}

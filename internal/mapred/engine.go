@@ -138,6 +138,7 @@ type runningTask struct {
 	node      cluster.NodeID
 	start     int64
 	wallStart int64 // wall-clock dispatch time; 0 unless tracing with a wall clock
+	dur       int64 // the CPU settle charged the attempt
 	hung      bool
 	dead      bool
 }
@@ -758,40 +759,36 @@ func (e *Engine) settle() {
 		if p.slow > 1 {
 			dur = int64(float64(dur) * p.slow)
 		}
+		p.rt.dur = dur
 		atomic.AddInt64(&e.Metrics.CPUTimeUs, dur)
 		if p.hung {
 			p.rt.hung = true
 			atomic.AddInt64(&e.Metrics.TasksHung, 1)
-			e.resolve(p.rt, dur, attemptHung)
+			e.resolve(p.rt, attemptHung)
 			e.Trace.Instant("fault", string(p.rt.node), p.rt.task.ID()+" hung", e.Now(),
 				obs.A("job", p.rt.task.Job.Spec.ID))
 			continue // no completion event: the node withholds the result
 		}
-		e.scheduleCommit(p, dur, res.commit)
+		e.scheduleCommit(p, res.commit)
 	}
 }
 
 // scheduleCommit arms the completion event for one live attempt: at
-// start+dur the attempt's effects commit, unless the attempt died or a
-// sibling won the race in the meantime.
-func (e *Engine) scheduleCommit(p pendingBody, dur int64, commit func()) {
+// start+dur the attempt's effects commit, unless a teardown ended the
+// attempt in the meantime — that teardown already settled its CPU.
+func (e *Engine) scheduleCommit(p pendingBody, commit func()) {
 	rt := p.rt
 	t := rt.task
 	js := t.Job
+	dur := rt.dur
 	e.After(dur, func() {
 		if rt.dead {
-			e.resolve(rt, dur, attemptLost) // torn down before its completion fired
 			return
 		}
 		t.unlink(rt)
 		e.releaseSlot(rt.node)
-		if js.Killed || t.committed {
-			e.resolve(rt, dur, attemptLost) // job gone, or a backup raced us and won
-			e.armTick()
-			return
-		}
 		t.committed = true
-		e.resolve(rt, dur, attemptCommitted)
+		e.resolve(rt, attemptCommitted)
 		if e.Speculation { // the histogram's only reader is specSweep
 			k := specKey{baseID(js.Spec.ID), t.Kind}
 			h := e.specHist[k]
@@ -820,8 +817,7 @@ func (e *Engine) scheduleCommit(p pendingBody, dur int64, commit func()) {
 		e.armSpec()
 		// Tear down losing sibling attempts (hung originals included).
 		for _, other := range t.running {
-			other.dead = true
-			e.releaseSlot(other.node)
+			e.end(other)
 		}
 		t.running = nil
 		// Digests first: when commit completes the job, the verifier
@@ -841,13 +837,16 @@ const (
 	attemptHung                            // the node withholds the result: no completion ever fires
 )
 
-// resolve settles the dur microseconds an attempt was charged at
-// dispatch into one side of every committed/lost account — the
-// registry's CPU split and duration histograms, the cost ledger, the
-// jobs board. It is their only writer, so they cannot disagree; with no
-// registry and no board attached it costs the ledger update alone.
-func (e *Engine) resolve(rt *runningTask, dur int64, outcome attemptOutcome) {
-	t, spec := rt.task, rt.task.Job.Spec
+// resolve settles the rt.dur microseconds settle charged an attempt
+// into one side of every committed/lost account — the registry's CPU
+// split and duration histograms, the cost ledger, the jobs board. It is
+// their only writer, so they cannot disagree; with no registry and no
+// board attached it costs the ledger update alone. Each attempt resolves
+// once: in settle when it hangs, at its completion when it commits, in
+// end when a teardown takes it. So no charge reaches a sid after
+// ForgetSID folded it.
+func (e *Engine) resolve(rt *runningTask, outcome attemptOutcome) {
+	t, spec, dur := rt.task, rt.task.Job.Spec, rt.dur
 	if outcome != attemptCommitted {
 		e.obsCPULost.Add(dur)
 		e.Ledger.ResolveLost(spec.SID, spec.Replica, dur)
@@ -1158,9 +1157,6 @@ func (e *Engine) completeJob(js *JobState) {
 	}
 	e.Trace.Record("job", js.Spec.ID, "job", js.SubmitTime, e.Now(),
 		obs.A("sid", js.Spec.SID))
-	// Release any attempts still occupying slots (hung originals whose
-	// work was rescued by a backup).
-	e.dropAttempts(js)
 	atomic.AddInt64(&e.Metrics.JobsCompleted, 1)
 	e.Board.JobDone(js.Spec.ID, e.Now())
 	for _, dep := range js.dependents {
@@ -1183,7 +1179,12 @@ func (e *Engine) KillJob(id string) {
 		return
 	}
 	js.Killed = true
-	e.dropAttempts(js)
+	for _, t := range js.tasks {
+		for _, rt := range t.running {
+			e.end(rt)
+		}
+		t.running = nil
+	}
 	var keep []*Task
 	for _, t := range e.ready {
 		if t.Job != js {
@@ -1195,14 +1196,17 @@ func (e *Engine) KillJob(id string) {
 	e.armTick()
 }
 
-// dropAttempts tears down every live attempt of js and frees its slot.
-func (e *Engine) dropAttempts(js *JobState) {
-	for _, t := range js.tasks {
-		for _, rt := range t.running {
-			rt.dead = true
-			e.releaseSlot(rt.node)
-		}
-		t.running = nil
+// end tears one attempt down: it is dead, its slot is freed (a no-op on
+// a crashed node) and its CPU resolves as lost, unless it hung, which
+// settle already resolved. Its completion event then finds it dead and
+// does nothing. Teardowns run only from events, and bodies are pending
+// only inside tick, from startTask to settle, so every attempt a
+// teardown takes has been charged.
+func (e *Engine) end(rt *runningTask) {
+	rt.dead = true
+	e.releaseSlot(rt.node)
+	if !rt.hung {
+		e.resolve(rt, attemptLost)
 	}
 }
 
@@ -1253,7 +1257,7 @@ func (e *Engine) CrashNode(id cluster.NodeID) bool {
 			lost := false
 			for _, rt := range t.running {
 				if rt.node == id {
-					rt.dead = true
+					e.end(rt)
 					lost = true
 				} else {
 					survivors = append(survivors, rt)
@@ -1445,9 +1449,11 @@ func (e *Engine) Requiz(jobID, taskID string, quizReplica int, sink func(digest.
 // bindings, the one record of which nodes serve it. The controller
 // calls it for superseded attempts once their replacement verified and
 // for all attempts at end-of-run teardown, so engine state stays bounded
-// across repeated runs. Callers must not forget a sid that may still
+// across repeated runs, and folds the sid's CPU into the ledger's
+// settled buckets. Callers must not forget a sid that may still
 // receive events (live attempts, or completed attempts a pending quiz
-// still reads).
+// still reads). Attempts a teardown ended already resolved their CPU in
+// end; their completion events may fire after the fold and do nothing.
 func (e *Engine) ForgetSID(sid string) {
 	if sid == "" {
 		return

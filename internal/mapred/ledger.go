@@ -19,21 +19,21 @@ import "sync"
 // The engine reports resolutions (committed / lost / quiz) at the exact
 // sites that already maintain the pinned committed+lost == CPUTimeUs
 // split, so the four buckets sum to Metrics.CPUTimeUs once a run has
-// drained (the in_flight residue — charged at dispatch settle but not
-// yet resolved at completion — is zero at quiesce). The controller
-// reports dispositions (Launch / Verified / Supersede); attribution of
-// a sub-graph's accumulated CPU happens when its disposition is known,
-// so resolution order never races the verdict.
+// drained (the in_flight residue — live attempts charged at dispatch
+// settle whose completion has not fired — is zero at quiesce). An
+// attempt resolves once, when it commits, hangs or is torn down, and
+// always before ForgetSID folds its sid, so a folded sid takes no
+// further charge. The controller reports dispositions (Launch /
+// Verified / Supersede); attribution of a sub-graph's accumulated CPU
+// happens when its disposition is known, so resolution order never
+// races the verdict.
 //
 // All methods are nil-safe no-ops and safe for concurrent use, so
 // introspection handlers can read buckets while the simulation runs.
 type CostLedger struct {
-	mu       sync.Mutex
-	sids     map[string]*sidCost
-	settled  CostBuckets
-	folded   map[string]string // sid -> final state, for late resolutions
-	foldedQ  []string          // FIFO pruning of folded
-	maxFolds int
+	mu      sync.Mutex
+	sids    map[string]*sidCost
+	settled CostBuckets
 }
 
 // Verification-mode labels used by the verify bucket split.
@@ -97,20 +97,12 @@ func (b *CostBuckets) add(o CostBuckets) {
 
 // NewCostLedger returns an empty ledger.
 func NewCostLedger() *CostLedger {
-	return &CostLedger{
-		sids:     make(map[string]*sidCost),
-		folded:   make(map[string]string),
-		maxFolds: 4096,
-	}
+	return &CostLedger{sids: make(map[string]*sidCost)}
 }
 
-// sid returns (creating if needed) the live entry for id. Caller holds
-// mu. A sid that was already folded returns nil — late arrivals are
-// routed straight to settled buckets by the caller.
+// sid returns the live entry for id, creating it if needed. Caller
+// holds mu.
 func (l *CostLedger) sid(id string) *sidCost {
-	if _, gone := l.folded[id]; gone {
-		return nil
-	}
 	s := l.sids[id]
 	if s == nil {
 		s = &sidCost{state: sidLive, winner: -1, perRep: make(map[int]*repCost)}
@@ -135,9 +127,7 @@ func (l *CostLedger) Launch(sid, mode string) {
 		return
 	}
 	l.mu.Lock()
-	if s := l.sid(sid); s != nil {
-		s.mode = mode
-	}
+	l.sid(sid).mode = mode
 	l.mu.Unlock()
 }
 
@@ -149,10 +139,9 @@ func (l *CostLedger) Verified(sid string, winner int) {
 		return
 	}
 	l.mu.Lock()
-	if s := l.sid(sid); s != nil {
-		s.state = sidVerified
-		s.winner = winner
-	}
+	s := l.sid(sid)
+	s.state = sidVerified
+	s.winner = winner
 	l.mu.Unlock()
 }
 
@@ -163,9 +152,7 @@ func (l *CostLedger) Supersede(sid string) {
 		return
 	}
 	l.mu.Lock()
-	if s := l.sid(sid); s != nil {
-		s.state = sidSuperseded
-	}
+	l.sid(sid).state = sidSuperseded
 	l.mu.Unlock()
 }
 
@@ -177,11 +164,7 @@ func (l *CostLedger) ResolveCommitted(sid string, replica int, durUs int64) {
 		return
 	}
 	l.mu.Lock()
-	if s := l.sid(sid); s != nil {
-		s.rep(replica).committedUs += durUs
-	} else {
-		l.settled.add(routeLate(l.folded[sid], false, durUs))
-	}
+	l.sid(sid).rep(replica).committedUs += durUs
 	l.mu.Unlock()
 }
 
@@ -192,11 +175,7 @@ func (l *CostLedger) ResolveLost(sid string, replica int, durUs int64) {
 		return
 	}
 	l.mu.Lock()
-	if s := l.sid(sid); s != nil {
-		s.rep(replica).lostUs += durUs
-	} else {
-		l.settled.add(routeLate(l.folded[sid], true, durUs))
-	}
+	l.sid(sid).rep(replica).lostUs += durUs
 	l.mu.Unlock()
 }
 
@@ -206,34 +185,8 @@ func (l *CostLedger) Quiz(sid string, durUs int64) {
 		return
 	}
 	l.mu.Lock()
-	if s := l.sid(sid); s != nil {
-		s.quizUs += durUs
-	} else {
-		l.settled.add(routeLate(l.folded[sid], false, durUs))
-	}
+	l.sid(sid).quizUs += durUs
 	l.mu.Unlock()
-}
-
-// routeLate attributes CPU that arrives after its sid was folded. Only
-// superseded sids can legally receive late work (their dead attempts'
-// completion events fire after the replacement verified and the stale
-// sid was forgotten), so everything late lands in recovery_rerun; a
-// defensive fallback keeps the sum invariant for unknown sids.
-func routeLate(state string, lost bool, durUs int64) CostBuckets {
-	switch state {
-	case sidSuperseded:
-		return CostBuckets{RecoveryRerunUs: durUs}
-	case sidVerified:
-		if lost {
-			return CostBuckets{ReplicaWasteUs: durUs}
-		}
-		return CostBuckets{CommittedUs: durUs}
-	default:
-		if lost {
-			return CostBuckets{ReplicaWasteUs: durUs}
-		}
-		return CostBuckets{CommittedUs: durUs}
-	}
 }
 
 // route attributes one sid's accumulated CPU according to its state.
@@ -289,39 +242,19 @@ func (l *CostLedger) Fold(sid string) {
 	}
 	l.settled.add(s.route())
 	delete(l.sids, sid)
-	if len(l.foldedQ) >= l.maxFolds {
-		delete(l.folded, l.foldedQ[0])
-		l.foldedQ = l.foldedQ[1:]
-	}
-	l.folded[sid] = s.state
-	l.foldedQ = append(l.foldedQ, sid)
 	l.mu.Unlock()
 }
 
-// DropFolds clears the folded-sid tombstones. Tombstones exist only to
-// route charges that arrive after ForgetSID — once a run has fully
-// drained no late resolution can fire, so the controller calls this at
-// run teardown to keep the maps at baseline across sequential runs
-// instead of accumulating up to maxFolds entries forever.
-func (l *CostLedger) DropFolds() {
+// Sizes reports how many sids the ledger holds live: zero once a
+// controller run has torn down, since the engine resolves no CPU to a
+// sid it has folded.
+func (l *CostLedger) Sizes() int {
 	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	clear(l.folded)
-	l.foldedQ = l.foldedQ[:0]
-	l.mu.Unlock()
-}
-
-// Sizes reports the ledger's live-sid and folded-tombstone map sizes;
-// leak regression tests pin both to baseline after sequential runs.
-func (l *CostLedger) Sizes() (live, folded int) {
-	if l == nil {
-		return 0, 0
+		return 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.sids), len(l.folded)
+	return len(l.sids)
 }
 
 // Buckets returns the attribution of everything resolved so far:

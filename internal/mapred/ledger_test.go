@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"clusterbft/internal/cluster"
+	"clusterbft/internal/dfs"
 )
 
 // checkLedgerInvariant pins the tentpole claim: every CPU microsecond
@@ -106,11 +107,12 @@ func TestLedgerRoutingSuperseded(t *testing.T) {
 	}
 }
 
-// TestLedgerFoldAndLateArrivals: folding settles a sid's attribution and
-// drops its state; resolutions arriving after the fold (a dead
-// straggler's completion event firing after the replacement verified)
-// must still land in a bucket so the sum invariant cannot drift.
-func TestLedgerFoldAndLateArrivals(t *testing.T) {
+// TestLedgerFold: folding settles a sid's attribution into the
+// cumulative buckets and drops its state, and a sid still live when
+// folded (end-of-run teardown of failed work) counts as superseded. No
+// charge follows a fold: the engine resolves every attempt before
+// ForgetSID (TestTeardownSettlesBeforeCompletion).
+func TestLedgerFold(t *testing.T) {
 	l := NewCostLedger()
 	l.Launch("s1", CostModeFull)
 	l.ResolveCommitted("s1", 0, 50)
@@ -119,36 +121,18 @@ func TestLedgerFoldAndLateArrivals(t *testing.T) {
 	if _, ok := l.SIDBuckets("s1"); ok {
 		t.Error("folded sid still resolvable via SIDBuckets")
 	}
-	if b := l.Buckets(); b.RecoveryRerunUs != 50 {
+	if b := l.Buckets(); b.RecoveryRerunUs != 50 || b.TotalUs() != 50 {
 		t.Errorf("settled = %+v, want 50us recovery_rerun", b)
 	}
-	// Late work on a superseded sid is recovery re-run by definition.
-	l.ResolveLost("s1", 1, 7)
-	l.ResolveCommitted("s1", 1, 3)
-	l.Quiz("s1", 2)
-	if b := l.Buckets(); b.RecoveryRerunUs != 62 || b.TotalUs() != 62 {
-		t.Errorf("after late arrivals = %+v, want 62us recovery_rerun", b)
-	}
 
-	// A verified sid folded at teardown keeps its attribution; late lost
-	// work (impossible in practice, defensive) stays waste not committed.
-	l.Launch("s2", CostModeDeferred)
-	l.ResolveCommitted("s2", 0, 20)
-	l.Verified("s2", 0)
-	l.Fold("s2")
-	l.ResolveLost("s2", 0, 5)
-	b := l.Buckets()
-	if b.CommittedUs != 20 || b.ReplicaWasteUs != 5 {
-		t.Errorf("verified fold + late = %+v", b)
-	}
-
-	// Folding a still-live sid (end-of-run teardown of failed work)
-	// treats it as superseded.
 	l.Launch("s3", CostModeQuiz)
 	l.ResolveCommitted("s3", 0, 9)
 	l.Fold("s3")
-	if b := l.Buckets(); b.RecoveryRerunUs != 62+9 {
+	if b := l.Buckets(); b.RecoveryRerunUs != 50+9 {
 		t.Errorf("live fold = %+v, want live spend in recovery_rerun", b)
+	}
+	if n := l.Sizes(); n != 0 {
+		t.Errorf("ledger holds %d sids after folding both", n)
 	}
 }
 
@@ -171,5 +155,77 @@ func TestLedgerNilSafe(t *testing.T) {
 	}
 	if l.TotalUs() != 0 {
 		t.Error("nil ledger non-zero total")
+	}
+}
+
+// TestTeardownSettlesBeforeCompletion: a teardown resolves the CPU of the
+// attempts it ends at once, while their completion events are still
+// pending, so the buckets sum to the engine's charge before the queue
+// drains, and a completion that fires after the sid folded brings
+// nothing back.
+func TestTeardownSettlesBeforeCompletion(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		teardown func(e *Engine, spec *JobSpec)
+	}{
+		{"kill", func(e *Engine, spec *JobSpec) {
+			e.KillJob(spec.ID)
+			e.ForgetSID(spec.SID)
+		}},
+		{"crash", func(e *Engine, spec *JobSpec) {
+			e.CrashNode("node-000")
+			e.After(10_000_000, func() { e.RejoinNode("node-000") })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := dfs.NewWith(dfs.Options{})
+			fs.Append("in/edges", crashInput(25_000)...)
+			jobs, err := compileHelper(followerSrc, CompileOptions{NumReduces: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := jobs[0]
+			spec.SID = "sid-teardown"
+			// One node: the crash takes every attempt there is.
+			eng := NewEngine(fs, cluster.New(1, 4), nil, DefaultCostModel())
+			eng.Ledger.Launch(spec.SID, CostModeFull)
+			js, err := eng.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.After(eng.Cost.HeartbeatUs+1, func() {
+				var charged int64
+				live := 0
+				for _, tk := range js.tasks {
+					for _, rt := range tk.running {
+						if rt.start+rt.dur <= eng.Now() {
+							t.Fatalf("%s completes at %d, not after %d", tk.ID(), rt.start+rt.dur, eng.Now())
+						}
+						charged += rt.dur
+						live++
+					}
+				}
+				if live == 0 || charged != eng.Metrics.CPUTimeUs {
+					t.Fatalf("%d live attempts charged %dus, engine charged %dus", live, charged, eng.Metrics.CPUTimeUs)
+				}
+				tc.teardown(eng, spec)
+				b := eng.Ledger.Buckets()
+				if got, want := b.TotalUs(), eng.Metrics.CPUTimeUs; got != want {
+					t.Errorf("after %s, before the completions: buckets sum to %dus, engine charged %dus", tc.name, got, want)
+				}
+				if lost := b.ReplicaWasteUs + b.RecoveryRerunUs; lost != charged {
+					t.Errorf("after %s: %dus lost, want the %dus its attempts were charged", tc.name, lost, charged)
+				}
+			})
+			eng.Run()
+			checkLedgerInvariant(t, eng)
+			if tc.name == "kill" {
+				if n := eng.Ledger.Sizes(); n != 0 {
+					t.Errorf("a completion after the fold brought %d sids back", n)
+				}
+			} else if !js.Done {
+				t.Error("job did not finish after the rejoin")
+			}
+		})
 	}
 }

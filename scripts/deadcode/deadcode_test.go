@@ -34,10 +34,9 @@ import (
 // allowlist names the functions that stay with no caller outside tests,
 // keyed as the failure prints them, each with the reason it stays.
 var allowlist = map[string]string{
-	"internal/mapred.Engine.JobCount":  "core's teardown tests pin the engine's job table bounded across the package line; nothing else exposes its size",
-	"internal/mapred.CostLedger.Sizes": "core's teardown tests pin the cost ledger bounded across the package line; nothing else exposes its size",
-	"internal/digest.Of":               "reference implementation the fast digest paths are held to in core, dfs and mapred tests",
-	"internal/digest.OfLines":          "reference implementation the fast digest paths are held to in core, dfs and mapred tests",
+	"internal/mapred.Engine.JobCount": "core's teardown tests pin the engine's job table bounded across the package line; nothing else exposes its size",
+	"internal/digest.Of":              "reference implementation the fast digest paths are held to in core, dfs and mapred tests",
+	"internal/digest.OfLines":         "reference implementation the fast digest paths are held to in core, dfs and mapred tests",
 }
 
 // listed is the part of `go list -json` this check reads.

@@ -1,15 +1,20 @@
 #!/usr/bin/env bash
 # Reports what the programs reach, as opposed to the tests: the statement
-# coverage of every package over the command lines the stdout pins run.
-# Run from the root of a checkout:
+# coverage of every package over the command lines the stdout pins run and
+# a short run of the benchmark. Run from the root of a checkout:
 #
 #   bash scripts/reach.sh
 #
 # It builds ./cmd/... with -cover -coverpkg=./... into a temporary
 # directory, runs every command line listed in cmd/*/testdata/stdout.sha256
 # from that command's directory (as TestStdoutDigests does), and one more,
-# the unreplicated clusterbft baseline (-verify-policy none). It then prints
-# each package's reach and, for dfs, digest, mapred and core, the functions
+# the unreplicated clusterbft baseline (-verify-policy none). It builds
+# bench/ the same way and runs all five workloads at 2 % scale for half a
+# second each, untraced. The bench's main package is built with coverage
+# too, since a binary whose main package counts nothing writes no counters,
+# but it is left out of the report: `go tool cover` cannot resolve a package
+# of the nested module. It then prints each package's reach over all the
+# runs and, for dfs, digest, mapred, core, tuple, obs and bft, the functions
 # no run reached. A manual command: neither tier-1 nor CI runs it.
 set -euo pipefail
 
@@ -43,12 +48,18 @@ for pins in cmd/*/testdata/stdout.sha256; do
 done
 run clusterbft clusterbft -script testdata/front.pig -input in/edges=testdata/edges.tsv -verify-policy none
 
-echo "== reach per package"
-go tool covdata percent -i "$work/cov" | sed 's|^[[:space:]]*clusterbft/||' | sort
+# bench/ is its own module, so it is built from inside its directory.
+(cd "$root/bench" && go build -cover -coverpkg=clusterbft/internal/...,clusterbft/bench -o "$work/bin/bench" .)
+echo "reach: bench -scale-pct 2 -seconds 0.5 -trace 0" >&2
+GOCOVERDIR=$work/cov GOMAXPROCS=2 "$work/bin/bench" -scale-pct 2 -seconds 0.5 -trace 0 -out "$work/bench" >/dev/null
 
-go tool covdata textfmt -i "$work/cov" -o "$work/cover.out"
-for pkg in dfs digest mapred core; do
+echo "== reach per package"
+pkgs=clusterbft/cmd/...,clusterbft/internal/...
+go tool covdata percent -i "$work/cov" -pkg "$pkgs" | sed 's|^[[:space:]]*clusterbft/||' | sort
+
+go tool covdata textfmt -i "$work/cov" -pkg "$pkgs" -o "$work/cover.out"
+for pkg in dfs digest mapred core tuple obs bft; do
 	echo "== $pkg: functions no run reached"
 	go tool cover -func="$work/cover.out" |
-		awk -v p="clusterbft/internal/$pkg/" 'index($1, p) == 1 && $NF == "0.0%" { sub(/^clusterbft\/internal\//, "", $1); print $1, $2 }'
+		awk -v p="clusterbft/internal/$pkg/" 'index($1, p) == 1 && index(substr($1, length(p) + 1), "/") == 0 && $NF == "0.0%" { sub(/^clusterbft\/internal\//, "", $1); print $1, $2 }'
 done
