@@ -99,7 +99,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// "none" is this command's own: the unverified baseline is not a
-	// verification policy, so core.Policy has no value for it.
+	// verification policy, so verify.Policy has no value for it.
 	baseline := shared.VerifyPolicy == "none"
 	if baseline {
 		if shared.Checkpoint {

@@ -52,9 +52,9 @@ import (
 	"clusterbft/internal/chaos"
 	"clusterbft/internal/cli"
 	"clusterbft/internal/cluster"
-	"clusterbft/internal/core"
 	"clusterbft/internal/faultsim"
 	"clusterbft/internal/obs"
+	"clusterbft/internal/verify"
 )
 
 func main() {
@@ -81,7 +81,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "chaos:", err)
 			os.Exit(2)
 		}
-		if cfg.Core.VerifyPolicy != core.PolicyFull {
+		if cfg.Core.VerifyPolicy != verify.PolicyFull {
 			cfg.Core.QuizFraction = 1
 		}
 		plane, err := shared.Start(os.Stdout)

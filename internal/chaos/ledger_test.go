@@ -3,7 +3,7 @@ package chaos
 import (
 	"testing"
 
-	"clusterbft/internal/core"
+	"clusterbft/internal/verify"
 )
 
 // TestChaosLedgerInvariantAllPolicies runs a short campaign under every
@@ -13,7 +13,7 @@ import (
 // once the simulation drains. Violations (I6 among them) surface in the
 // report.
 func TestChaosLedgerInvariantAllPolicies(t *testing.T) {
-	for _, p := range []core.Policy{core.PolicyFull, core.PolicyQuiz, core.PolicyDeferred, core.PolicyAuto} {
+	for _, p := range []verify.Policy{verify.PolicyFull, verify.PolicyQuiz, verify.PolicyDeferred, verify.PolicyAuto} {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := DefaultCampaign()
 			cfg.Schedules = 25
@@ -21,7 +21,7 @@ func TestChaosLedgerInvariantAllPolicies(t *testing.T) {
 				cfg.Schedules = 8
 			}
 			cfg.Core.VerifyPolicy = p
-			if p != core.PolicyFull {
+			if p != verify.PolicyFull {
 				cfg.Core.QuizFraction = 1
 			}
 			rep, err := RunCampaign(cfg)

@@ -9,8 +9,8 @@ import (
 
 	"clusterbft/internal/analyze"
 	"clusterbft/internal/cluster"
-	"clusterbft/internal/core"
 	"clusterbft/internal/mapred"
+	"clusterbft/internal/verify"
 )
 
 // TestWorkerMangleIsDetectedAndAttributed runs one hand-built schedule per
@@ -22,7 +22,7 @@ import (
 // each part it tampered with holds the lines its Tamper returned, not the
 // ones the task produced.
 func TestWorkerMangleIsDetectedAndAttributed(t *testing.T) {
-	for _, policy := range []core.Policy{core.PolicyFull, core.PolicyQuiz} {
+	for _, policy := range []verify.Policy{verify.PolicyFull, verify.PolicyQuiz} {
 		cfg := DefaultCampaign()
 		cfg.Core.VerifyPolicy = policy
 		cfg.Core.QuizFraction = 1

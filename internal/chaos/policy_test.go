@@ -3,7 +3,7 @@ package chaos
 import (
 	"testing"
 
-	"clusterbft/internal/core"
+	"clusterbft/internal/verify"
 )
 
 // TestChaosCampaignPolicies reruns the fault-injection campaign with the
@@ -13,7 +13,7 @@ import (
 // full-r agreement) is attributed to an injected fault — and the report
 // must stay a pure function of the seeds.
 func TestChaosCampaignPolicies(t *testing.T) {
-	for _, p := range []core.Policy{core.PolicyQuiz, core.PolicyDeferred} {
+	for _, p := range []verify.Policy{verify.PolicyQuiz, verify.PolicyDeferred} {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := DefaultCampaign()
 			cfg.Schedules = 60

@@ -15,6 +15,7 @@ import (
 	"clusterbft/internal/mapred"
 	"clusterbft/internal/obs"
 	"clusterbft/internal/obs/introspect"
+	"clusterbft/internal/verify"
 )
 
 // Flags holds the parsed values of the shared flags.
@@ -75,7 +76,7 @@ func (f *Flags) Storage(o *dfs.Options) error {
 // (-f, -r, its storage, ...) first and calls Apply last.
 func (f *Flags) Apply(cfg *core.Config) error {
 	var err error
-	if cfg.VerifyPolicy, err = core.ParsePolicy(f.VerifyPolicy); err != nil {
+	if cfg.VerifyPolicy, err = verify.ParsePolicy(f.VerifyPolicy); err != nil {
 		return err
 	}
 	if err = f.Storage(&cfg.Storage); err != nil {

@@ -15,6 +15,7 @@ import (
 	"clusterbft/internal/core"
 	"clusterbft/internal/dfs"
 	"clusterbft/internal/mapred"
+	"clusterbft/internal/verify"
 )
 
 func parse(t *testing.T, args ...string) *Flags {
@@ -43,7 +44,7 @@ func TestBindApply(t *testing.T) {
 	}
 	want := core.DefaultConfig()
 	want.F, want.R = 2, 7
-	want.VerifyPolicy = core.PolicyQuiz
+	want.VerifyPolicy = verify.PolicyQuiz
 	want.Checkpoint = true
 	want.Storage = dfs.Options{BlockSize: 4096, MemBudget: 16 << 10, SpillDir: "/x", Compress: true}
 	if !reflect.DeepEqual(cfg, want) {
@@ -72,7 +73,7 @@ func TestBindApply(t *testing.T) {
 			t.Fatal(err)
 		}
 		want = core.DefaultConfig()
-		want.VerifyPolicy = core.PolicyFull
+		want.VerifyPolicy = verify.PolicyFull
 		want.Storage = c.want
 		if !reflect.DeepEqual(cfg, want) {
 			t.Errorf("Apply(%q):\n got %+v\nwant %+v", c.args, cfg, want)
@@ -81,7 +82,7 @@ func TestBindApply(t *testing.T) {
 
 	for _, bad := range [][]string{
 		{"-verify-policy", "bogus"},
-		{"-verify-policy", "none"}, // cmd/clusterbft's own, not a core.Policy
+		{"-verify-policy", "none"}, // cmd/clusterbft's own, not a verify.Policy
 		{"-mem-budget", "lots"},
 	} {
 		cfg := core.DefaultConfig()

@@ -5,6 +5,8 @@ import (
 	"slices"
 
 	"clusterbft/internal/analyze"
+	"clusterbft/internal/mapred"
+	"clusterbft/internal/verify"
 )
 
 // Checkpoint-granular recovery (DESIGN.md §12). A full-r sub-graph's
@@ -31,14 +33,14 @@ type CheckpointStats struct {
 // CheckpointStats returns the controller's checkpoint counters.
 func (c *Controller) CheckpointStats() CheckpointStats { return c.ckptStats }
 
-// ckptEligible reports whether template job t runs with checkpoint
-// capture under policy p: checkpointing on, full replication
-// (quiz/deferred run r=1 and can never reach f+1 agreement), an
-// in-cluster dependent to serve, and not a STORE materialization —
-// Result.Outputs points consumers at the winner replica's prefix, so
-// Final outputs must exist there on every attempt.
-func (c *Controller) ckptEligible(p Policy, t tmpl) bool {
-	return c.Cfg.Checkpoint && p == PolicyFull && t.interior && !t.spec.Final
+// ckptEligible reports whether template job t, compiled as spec, runs
+// with checkpoint capture under policy p: checkpointing on, full
+// replication (quiz/deferred run r=1 and can never reach f+1
+// agreement), an in-cluster dependent to serve, and not a STORE
+// materialization — Result.Outputs points consumers at the winner
+// replica's prefix, so Final outputs must exist there on every attempt.
+func (c *Controller) ckptEligible(p verify.Policy, t verify.Tmpl, spec *mapred.JobSpec) bool {
+	return c.Cfg.Checkpoint && p == verify.PolicyFull && t.Interior && !spec.Final
 }
 
 // checkpoint acts on the verifier's finding that replica rep is among
@@ -48,7 +50,7 @@ func (c *Controller) ckptEligible(p Policy, t tmpl) bool {
 // job's checkpoint. The replica's namespace is purged only when an
 // attempt under its sid launches, so the output is still there.
 func (c *Controller) checkpoint(cs *clusterState, tmplID string, rep int) {
-	out := c.Eng.FS.OpenOutput(c.Eng.Job(replicaPath(cs.plan.sid, rep, tmplID)).Spec.Output)
+	out := c.Eng.FS.OpenOutput(c.Eng.Job(replicaPath(cs.plan.SID, rep, tmplID)).Spec.Output)
 	lines := slices.AppendSeq(make([]string, 0, out.NumRecords()), out.Lines)
 	path := c.ckptPath(cs, tmplID)
 	_ = c.Eng.FS.Delete(path)
@@ -59,13 +61,13 @@ func (c *Controller) checkpoint(cs *clusterState, tmplID string, rep int) {
 	c.obsCkptSaves.Inc()
 	c.obsCkptBytesWritten.Add(size)
 	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditCheckpoint, Replica: rep, Detail: tmplID}, int64(len(lines)))
-	c.dispatch(event{kind: evCheckpoint, sid: cs.plan.sid, job: tmplID})
+	c.dispatch(verify.Event{Kind: verify.EvCheckpoint, SID: cs.plan.SID, Job: tmplID})
 }
 
 // ckptPath is where template job tmplID of cs keeps its checkpoint in
 // this run, under ckpt/run<seq>/c<id>/, which it is when tmplID is "".
 func (c *Controller) ckptPath(cs *clusterState, tmplID string) string {
-	return fmt.Sprintf("ckpt/run%d/c%d/%s", c.runSeq, cs.id, tmplID)
+	return fmt.Sprintf("ckpt/run%d/c%d/%s", c.runSeq, cs.sub.ID, tmplID)
 }
 
 // dropCkpts deletes a cluster's checkpoint files. Called for every member

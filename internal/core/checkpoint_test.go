@@ -11,7 +11,7 @@ import (
 	"clusterbft/internal/dfs"
 	"clusterbft/internal/digest"
 	"clusterbft/internal/mapred"
-	"clusterbft/internal/pig"
+	"clusterbft/internal/verify"
 )
 
 // TestCheckpointCleanRunSavesAndTearsDown: with checkpointing on, a
@@ -61,196 +61,29 @@ func TestCheckpointCleanRunSavesAndTearsDown(t *testing.T) {
 	}
 }
 
-// TestCheckpointSourceSignature: a checkpoint is only valid for an
-// attempt consuming exactly the upstream (sid, replica) pairs recorded
-// at save time. A re-verified upstream (same sid, different winner), a
-// restarted upstream (new sid), or a changed upstream set all
-// invalidate it.
-func TestCheckpointSourceSignature(t *testing.T) {
-	s := &verdict{id: 2}
-	s.sources = map[int]sourceRef{
-		0: {sid: "run1-c0-a0", replica: 1},
-		1: {sid: "run1-c1-a1", replica: 0},
-	}
-	saved := func() map[int]sourceRef {
-		return map[int]sourceRef{
-			0: {sid: "run1-c0-a0", replica: 1},
-			1: {sid: "run1-c1-a1", replica: 0},
-		}
-	}
-
-	s.ckpts = map[string]map[int]sourceRef{"j01": saved()}
-	if !s.ckptValid("j01") {
-		t.Fatal("exact source match rejected")
-	}
-
-	// Different winner replica of the same upstream attempt: the bytes
-	// this attempt reads are another replica's output tree.
-	e := saved()
-	e[0] = sourceRef{sid: "run1-c0-a0", replica: 2}
-	s.ckpts["j01"] = e
-	if s.ckptValid("j01") {
-		t.Error("winner-replica change accepted")
-	}
-
-	// Restarted upstream: new attempt sid.
-	e = saved()
-	e[1] = sourceRef{sid: "run1-c1-a2", replica: 0}
-	s.ckpts["j01"] = e
-	if s.ckptValid("j01") {
-		t.Error("upstream sid change accepted")
-	}
-
-	// Upstream set shrank or grew between save and relaunch.
-	e = saved()
-	delete(e, 1)
-	s.ckpts["j01"] = e
-	if s.ckptValid("j01") {
-		t.Error("missing upstream accepted")
-	}
-	e = saved()
-	e[3] = sourceRef{sid: "run1-c3-a0", replica: 0}
-	s.ckpts["j01"] = e
-	if s.ckptValid("j01") {
-		t.Error("extra upstream accepted")
-	}
-
-	// No entry at all.
-	delete(s.ckpts, "j01")
-	if s.ckptValid("j01") {
-		t.Error("missing entry accepted")
-	}
-}
-
 // TestCheckpointEligibility: only interior (in-cluster-depended-upon),
 // non-Final jobs of a full-r cluster are checkpoint-eligible, and only
 // when checkpointing is configured on.
 func TestCheckpointEligibility(t *testing.T) {
 	c := &Controller{Cfg: Config{Checkpoint: true}}
-	final := tmpl{id: "j00", spec: &mapred.JobSpec{ID: "j00", Final: true}, interior: true}
-	interior := tmpl{id: "j01", spec: &mapred.JobSpec{ID: "j01"}, interior: true}
-	boundary := tmpl{id: "j02", spec: &mapred.JobSpec{ID: "j02"}}
+	interior, boundary := verify.Tmpl{ID: "j01", Interior: true}, verify.Tmpl{ID: "j02"}
+	final, spec := &mapred.JobSpec{ID: "j00", Final: true}, &mapred.JobSpec{ID: "j01"}
 	eligible := c.ckptEligible
-	if !eligible(PolicyFull, interior) {
+	if !eligible(verify.PolicyFull, interior, spec) {
 		t.Error("interior non-final job should be eligible")
 	}
-	if eligible(PolicyFull, boundary) {
+	if eligible(verify.PolicyFull, boundary, spec) {
 		t.Error("boundary job (no in-cluster dependent) must not be eligible")
 	}
-	if eligible(PolicyFull, final) {
+	if eligible(verify.PolicyFull, verify.Tmpl{ID: "j00", Interior: true}, final) {
 		t.Error("final job must not be eligible even with an in-cluster dependent")
 	}
-	if eligible(PolicyQuiz, interior) {
+	if eligible(verify.PolicyQuiz, interior, spec) {
 		t.Error("quiz policy (r=1) can never reach f+1 agreement; must not be eligible")
 	}
 	c.Cfg.Checkpoint = false
-	if eligible(PolicyFull, interior) {
+	if eligible(verify.PolicyFull, interior, spec) {
 		t.Error("checkpointing off must disable eligibility")
-	}
-}
-
-// TestSuffixRetryShedsSuffixEscalations is the satellite-1 regression
-// test for suffix-scoped replica sizing: timeout escalations earned
-// while re-executing only a checkpointed suffix must not follow the
-// checkpointed-prefix jobs into a later full re-execution — those jobs
-// re-run at their original degree. Escalations earned by full-graph
-// attempts are kept.
-func TestSuffixRetryShedsSuffixEscalations(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.R = 3
-	cfg.MaxAttempts = 10
-	cfg.Checkpoint = true
-	cfg.ForcePointAliases = []string{"counts"}
-	h := newHarness(t, 8, 2, cfg)
-	c := h.Ctrl
-
-	plan, err := pig.Parse(weatherScript)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points, err := c.choosePoints(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := mapred.Compile(plan, mapred.CompileOptions{Points: points, NumReduces: cfg.NumReduces})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.runSeq++
-	c.initRun(jobs, points)
-	cs := c.clusters[0]
-	c.dispatch(event{kind: evStart})
-	// submitted counts the jobs each replica of the current attempt runs.
-	submitted := func(cs *clusterState) int {
-		n := 0
-		for _, tm := range cs.tmpls {
-			if c.Eng.Job(replicaPath(cs.plan.sid, 0, tm.id)) != nil {
-				n++
-			}
-		}
-		return n
-	}
-	if cs.r != 3 || submitted(cs) != len(cs.tmpls) {
-		t.Fatalf("first attempt: r=%d submitted=%d/%d", cs.r, submitted(cs), len(cs.tmpls))
-	}
-	// timeout fires the current attempt's verifier timer.
-	timeout := func(c *Controller, cs *clusterState) { c.dispatch(event{kind: evTimeout, sid: cs.sid}) }
-
-	// As if attempt a0 reached f+1 agreement on the interior job before
-	// timing out: plant its checkpoint (no upstream, so the source
-	// signature is empty and stays valid across attempts).
-	var interior string
-	for _, tm := range cs.tmpls {
-		if tm.interior {
-			interior = tm.id
-		}
-	}
-	if interior == "" {
-		t.Fatal("scenario needs an interior (checkpointable) job")
-	}
-	h.FS.Append("ckpt/run1/c0/"+interior, "st00\t1")
-	cs.ckpts = map[string]map[int]sourceRef{interior: {}}
-
-	// Full attempt a0 times out: a classic cluster-wide escalation.
-	timeout(c, cs)
-	if cs.r != 4 || cs.suffixBoost != 0 {
-		t.Fatalf("full-graph escalation: r=%d boost=%d, want r=4 boost=0", cs.r, cs.suffixBoost)
-	}
-	if submitted(cs) >= len(cs.tmpls) {
-		t.Fatal("retry did not consume the planted checkpoint")
-	}
-	// Two suffix-only attempts time out: escalations scoped to the suffix.
-	timeout(c, cs)
-	timeout(c, cs)
-	if cs.r != 6 || cs.suffixBoost != 2 {
-		t.Fatalf("suffix escalations: r=%d boost=%d, want r=6 boost=2", cs.r, cs.suffixBoost)
-	}
-	// Upstream lineage becomes suspect: checkpoints dropped, the next
-	// attempt re-executes the full graph — the checkpointed-prefix jobs
-	// come back at the degree they always had (base 3 + the one
-	// full-graph escalation), not at the suffix-inflated 7.
-	c.dropCkpts(cs)
-	cs.ckpts = nil
-	timeout(c, cs)
-	if submitted(cs) != len(cs.tmpls) {
-		t.Fatal("expected a full re-execution after dropping checkpoints")
-	}
-	if cs.r != 4 || cs.suffixBoost != 0 {
-		t.Errorf("full re-execution r=%d boost=%d, want r=4 boost=0 (suffix escalations shed)", cs.r, cs.suffixBoost)
-	}
-
-	// Control: the identical sequence without checkpoint coverage keeps
-	// the historical cluster-wide escalation.
-	c2 := newHarness(t, 8, 2, cfg).Ctrl
-	c2.runSeq++
-	c2.initRun(jobs, points)
-	cs2 := c2.clusters[0]
-	c2.dispatch(event{kind: evStart})
-	for i := 0; i < 4; i++ {
-		timeout(c2, cs2)
-	}
-	if cs2.r != 7 || cs2.suffixBoost != 0 {
-		t.Errorf("uncovered retries: r=%d boost=%d, want r=7 boost=0", cs2.r, cs2.suffixBoost)
 	}
 }
 
@@ -299,7 +132,7 @@ func TestMangledReplicaIsNeverCheckpointed(t *testing.T) {
 		sink := h.Engine.DigestSink
 		h.Engine.DigestSink = func(r digest.Report) {
 			sink(r)
-			if r.Key.Point != mapred.CkptPoint {
+			if r.Key.Point != digest.CkptPoint {
 				return
 			}
 			for _, p := range h.FS.List("ckpt") { // teardown deletes them

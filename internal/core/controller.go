@@ -1,3 +1,8 @@
+// Package core implements ClusterBFT's control tier over the untrusted
+// engine (paper §4): the request handler (graph analysis, job
+// initiation, replication), the Controller that carries out the
+// decisions of package verify's verifier, checkpoint-granular recovery,
+// and the resource manager's overlap-maximizing task scheduler.
 package core
 
 import (
@@ -14,6 +19,7 @@ import (
 	"clusterbft/internal/mapred"
 	"clusterbft/internal/obs"
 	"clusterbft/internal/pig"
+	"clusterbft/internal/verify"
 )
 
 // Config parameterizes one ClusterBFT request (paper §4.1: the client
@@ -60,8 +66,8 @@ type Config struct {
 	// VerifyPolicy selects how sub-graphs are verified: PolicyFull (the
 	// zero value behaves as full) replicates r times, PolicyQuiz and
 	// PolicyDeferred run one primary at "1+ε" cost, and PolicyAuto picks
-	// per sub-graph from suspicion history. See policy.go.
-	VerifyPolicy Policy
+	// per sub-graph from suspicion history. See package verify.
+	VerifyPolicy verify.Policy
 	// QuizFraction is the fraction of a primary's tasks re-executed as
 	// quizzes under PolicyQuiz/PolicyDeferred; <= 0 defaults to 0.25 and
 	// values above 1 are clamped. At least one task is always quizzed.
@@ -108,10 +114,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: f = %d, want >= 0", c.F)
 	case c.R < 1:
 		return fmt.Errorf("core: r = %d, want >= 1", c.R)
-	case c.R > MaxReplicas:
-		return fmt.Errorf("core: r = %d replicas, the verifier tallies at most %d per attempt", c.R, MaxReplicas)
+	case c.R > verify.MaxReplicas:
+		return fmt.Errorf("core: r = %d replicas, the verifier tallies at most %d per attempt", c.R, verify.MaxReplicas)
 	}
 	return nil
+}
+
+// params is the verifier's share of c.
+func (c Config) params() verify.Params {
+	return verify.Params{F: c.F, R: c.R, MaxAttempts: c.MaxAttempts, TimeoutUs: c.TimeoutUs,
+		Offline: c.Offline, Policy: c.VerifyPolicy, QuizFraction: c.QuizFraction}
 }
 
 // Result summarizes one assured script execution.
@@ -150,32 +162,39 @@ func replicaPath(sid string, rep int, rel string) string {
 	return "x/" + sid + "/r" + strconv.Itoa(rep) + "/" + rel
 }
 
-// clusterState is what the controller keeps of one sub-graph, over the
-// verifier's verdict state of it, template jobs included: read here,
-// written only by apply.
+// clusterState is what the controller keeps of one sub-graph beside the
+// verifier's verdict state of it, which only Apply writes.
 type clusterState struct {
-	*verdict
+	sub      *verify.Verdict
 	terminal bool
 
 	// plan is the attempt the controller launched last, which every
-	// decision on the sub-graph until the next dLaunch is about. Replica
-	// rep of it runs template t as job replicaPath(plan.sid, rep, t.id).
-	plan        launchPlan
+	// decision on the sub-graph until the next DLaunch is about. Replica
+	// rep of it runs template t as job replicaPath(plan.SID, rep, t.ID).
+	plan        verify.LaunchPlan
 	launchedAtV int64
 	verifiedAt  int64
 }
 
-// Controller is the trusted control tier: request handler + verifier +
-// resource-manager bookkeeping, driving an untrusted mapred.Engine. A
-// controller owns its engine's callbacks. Suspicion state persists across
-// Run calls, which is how fault isolation sharpens over a stream of jobs.
+// tmplJob is a template job as the controller keeps it: the sub-graph it
+// belongs to and the compiled spec its replicas clone.
+type tmplJob struct {
+	cluster int
+	spec    *mapred.JobSpec
+}
+
+// Controller is the trusted control tier: request handler + the hands of
+// a verify.Verifier + resource-manager bookkeeping, driving an untrusted
+// mapred.Engine. A controller owns its engine's callbacks. Suspicion
+// state persists across Run calls, which is how fault isolation sharpens
+// over a stream of jobs.
 type Controller struct {
 	Eng  *mapred.Engine
 	Cfg  Config
-	Susp *SuspicionTable
-	FA   *FaultAnalyzer
+	Susp *verify.SuspicionTable
+	FA   *verify.FaultAnalyzer
 
-	v      *verifier
+	v      *verify.Verifier
 	runSeq int
 	audit  *analyze.AuditTrail
 	// acting is set while decisions are carried out: a launch's Submit
@@ -192,7 +211,7 @@ type Controller struct {
 	obsCkptBytesReclaimed *obs.Counter
 
 	// run-scoped state
-	clusterOf  map[string]int // template job ID -> cluster
+	jobs       map[string]tmplJob // by template job ID
 	producedBy map[string]string
 	clusters   []*clusterState
 	faultyReps int
@@ -201,7 +220,7 @@ type Controller struct {
 
 // NewController wires a controller to an engine. susp and fa may be nil
 // for fresh state; from here on its verifier is their only writer.
-func NewController(eng *mapred.Engine, cfg Config, susp *SuspicionTable, fa *FaultAnalyzer) *Controller {
+func NewController(eng *mapred.Engine, cfg Config, susp *verify.SuspicionTable, fa *verify.FaultAnalyzer) *Controller {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 6
 	}
@@ -209,7 +228,7 @@ func NewController(eng *mapred.Engine, cfg Config, susp *SuspicionTable, fa *Fau
 		cfg.Model = analyze.Weak
 	}
 	if cfg.VerifyPolicy == 0 {
-		cfg.VerifyPolicy = PolicyFull
+		cfg.VerifyPolicy = verify.PolicyFull
 	}
 	if cfg.QuizFraction <= 0 {
 		cfg.QuizFraction = 0.25
@@ -218,12 +237,16 @@ func NewController(eng *mapred.Engine, cfg Config, susp *SuspicionTable, fa *Fau
 		cfg.QuizFraction = 1
 	}
 	if susp == nil {
-		susp = NewSuspicionTable(cfg.SuspicionThreshold)
+		susp = verify.NewSuspicionTable(cfg.SuspicionThreshold)
 	}
 	if fa == nil {
-		fa = NewFaultAnalyzer(cfg.F)
+		fa = verify.NewFaultAnalyzer(cfg.F)
 	}
-	c := &Controller{Eng: eng, Cfg: cfg, Susp: susp, FA: fa, v: newVerifier(cfg, susp, fa, eng.Cluster.Nodes())}
+	nodes := make([]cluster.NodeID, 0, len(eng.Cluster.Nodes()))
+	for _, n := range eng.Cluster.Nodes() {
+		nodes = append(nodes, n.ID)
+	}
+	c := &Controller{Eng: eng, Cfg: cfg, Susp: susp, FA: fa, v: verify.New(cfg.params(), susp, fa, nodes)}
 	eng.DigestChunk = cfg.DigestChunk
 	eng.DigestSink = c.onDigest
 	eng.OnJobDone = c.onJobDone
@@ -247,7 +270,7 @@ func NewController(eng *mapred.Engine, cfg Config, susp *SuspicionTable, fa *Fau
 // detaches.
 func (c *Controller) AttachAudit(trail *analyze.AuditTrail) {
 	c.audit = trail
-	c.v.attach(trail != nil)
+	c.v.Attach(trail != nil)
 }
 
 // Run executes one script under BFT protection and blocks until the
@@ -275,7 +298,7 @@ func (c *Controller) Run(script string) (*Result, error) {
 	c.initRun(jobs, points)
 
 	start := c.Eng.Now()
-	c.dispatch(event{kind: evStart})
+	c.dispatch(verify.Event{Kind: verify.EvStart})
 	c.Eng.Run()
 	if bad := c.Eng.Fault; bad != nil {
 		c.fail(fmt.Errorf("core: trusted storage failed: %w", bad))
@@ -292,12 +315,12 @@ func (c *Controller) Run(script string) (*Result, error) {
 		PointsUsed:     points,
 		FaultyReplicas: c.faultyReps,
 		Suspects:       c.FA.Suspects(),
-		DigestReports:  c.v.reports,
+		DigestReports:  c.v.Reports,
 		Metrics:        c.Eng.Metrics,
 	}
 	for _, cs := range c.clusters {
-		res.Attempts += cs.totalTries
-		if !cs.verified {
+		res.Attempts += cs.sub.TotalTries
+		if !cs.sub.Verified {
 			res.Verified = false
 			continue
 		}
@@ -305,9 +328,9 @@ func (c *Controller) Run(script string) (*Result, error) {
 			continue
 		}
 		res.LatencyUs = max(res.LatencyUs, cs.verifiedAt-start)
-		for _, t := range cs.tmpls {
-			if t.spec.Final {
-				res.Outputs[t.spec.Output] = replicaPath(cs.plan.sid, cs.winner, t.spec.Output)
+		for _, t := range cs.sub.Tmpls {
+			if spec := c.jobs[t.ID].spec; spec.Final {
+				res.Outputs[spec.Output] = replicaPath(cs.plan.SID, cs.sub.Winner, spec.Output)
 			}
 		}
 	}
@@ -392,9 +415,9 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 			}
 		}
 	}
-	c.clusterOf = make(map[string]int, len(jobs))
+	c.jobs = make(map[string]tmplJob, len(jobs))
 	c.clusters = nil
-	var subs []verdict
+	var subs []verify.Verdict
 	rootIdx := make(map[string]int)
 	at := make(map[string]int, len(jobs)) // template job ID -> index in its sub-graph
 	for _, j := range jobs {              // template order is topological
@@ -404,38 +427,38 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 			idx = len(c.clusters)
 			rootIdx[root] = idx
 			c.clusters = append(c.clusters, &clusterState{})
-			subs = append(subs, verdict{id: idx})
+			subs = append(subs, verify.Verdict{ID: idx})
 		}
-		c.clusterOf[j.ID] = idx
-		at[j.ID] = len(subs[idx].tmpls)
-		subs[idx].tmpls = append(subs[idx].tmpls, tmpl{id: j.ID, spec: j})
+		c.jobs[j.ID] = tmplJob{cluster: idx, spec: j}
+		at[j.ID] = len(subs[idx].Tmpls)
+		subs[idx].Tmpls = append(subs[idx].Tmpls, verify.Tmpl{ID: j.ID})
 		if j.Final {
 			c.clusters[idx].terminal = true
 		}
 	}
 	for _, j := range jobs {
-		jc := c.clusterOf[j.ID]
+		jc := c.jobs[j.ID].cluster
 		s := &subs[jc]
 		for _, d := range j.Deps {
-			if dc := c.clusterOf[d]; dc != jc {
-				if !slices.Contains(s.upstream, dc) {
-					s.upstream = append(s.upstream, dc)
+			if dc := c.jobs[d].cluster; dc != jc {
+				if !slices.Contains(s.Upstream, dc) {
+					s.Upstream = append(s.Upstream, dc)
 				}
 			} else {
-				t := &s.tmpls[at[j.ID]]
-				t.deps = append(t.deps, d)
-				s.tmpls[at[d]].interior = true
+				t := &s.Tmpls[at[j.ID]]
+				t.Deps = append(t.Deps, d)
+				s.Tmpls[at[d]].Interior = true
 			}
 		}
 		for i, in := range j.Inputs {
 			if prod, ok := c.producedBy[in.Path]; ok {
-				s.audits = append(s.audits, auditPair{in: fmt.Sprintf("%s/in%d", j.ID, i), out: prod, from: c.clusterOf[prod]})
+				s.Audits = append(s.Audits, verify.AuditPair{In: fmt.Sprintf("%s/in%d", j.ID, i), Out: prod, From: c.jobs[prod].cluster})
 			}
 		}
 	}
-	c.v.reset(c.runSeq, subs)
+	c.v.Reset(c.runSeq, subs)
 	for i, cs := range c.clusters {
-		cs.verdict = &c.v.subs[i]
+		cs.sub = &c.v.Subs[i]
 	}
 	c.faultyReps = 0
 	c.runErr = nil
@@ -443,17 +466,17 @@ func (c *Controller) initRun(jobs []*mapred.JobSpec, points []int) {
 
 // launch starts an attempt of cs by the verifier's plan p: it records,
 // submits and arms the attempt's timer.
-func (c *Controller) launch(cs *clusterState, p launchPlan) {
-	superseded := cs.plan.sid
+func (c *Controller) launch(cs *clusterState, p verify.LaunchPlan) {
+	superseded := cs.plan.SID
 	cs.plan = p
 	cs.launchedAtV = c.Eng.Now()
 	// Checkpoint-granular recovery: the consumers of a skipped template
 	// job read the f+1-agreed output an earlier attempt persisted, which
 	// none of the attempt's r replicas recomputes.
-	for _, t := range cs.tmpls {
-		if p.skip[t.id] {
-			size, _ := c.Eng.FS.Size(c.ckptPath(cs, t.id)) // saved before the verifier could plan the skip
-			reclaimed := size * int64(p.r)
+	for _, t := range cs.sub.Tmpls {
+		if p.Skip[t.ID] {
+			size, _ := c.Eng.FS.Size(c.ckptPath(cs, t.ID)) // saved before the verifier could plan the skip
+			reclaimed := size * int64(p.R)
 			c.ckptStats.Hits++
 			c.ckptStats.BytesReclaimed += reclaimed
 			c.obsCkptHits.Inc()
@@ -461,15 +484,15 @@ func (c *Controller) launch(cs *clusterState, p launchPlan) {
 		}
 	}
 	c.record(cs, analyze.AuditEvent{Kind: analyze.AuditLaunch, Replica: -1, Detail: superseded}, 0)
-	for rep := range p.r {
-		prefix := replicaPath(p.sid, rep, "")
+	for rep := range p.R {
+		prefix := replicaPath(p.SID, rep, "")
 		// Attempt-scoped sids already give every launch a fresh namespace;
 		// the purge makes the no-append guarantee unconditional — a
 		// relaunch must never Append onto a dead attempt's partial records
 		// even if a prefix were ever reused.
 		c.Eng.FS.DeleteTree(prefix)
-		for i, t := range cs.tmpls { // topological template order
-			if p.skip != nil && !p.run[t.id] {
+		for i, t := range cs.sub.Tmpls { // topological template order
+			if p.Skip != nil && !p.Run[t.ID] {
 				continue
 			}
 			spec := c.rewriteJob(cs, prefix, rep, i)
@@ -481,8 +504,8 @@ func (c *Controller) launch(cs *clusterState, p launchPlan) {
 	}
 	// The timer is keyed by the attempt's sid, so a stale timer from an
 	// earlier attempt can never fire a retry against a newer one.
-	sid := p.sid
-	c.Eng.After(p.timeoutUs, func() { c.dispatch(event{kind: evTimeout, sid: sid}) })
+	sid := p.SID
+	c.Eng.After(p.TimeoutUs, func() { c.dispatch(verify.Event{Kind: verify.EvTimeout, SID: sid}) })
 }
 
 // rewriteJob clones template job i of cs for replica rep of the attempt
@@ -490,23 +513,23 @@ func (c *Controller) launch(cs *clusterState, p launchPlan) {
 // replica's namespace, prefix; inputs produced by upstream sub-graphs
 // point at the plan's source replica.
 func (c *Controller) rewriteJob(cs *clusterState, prefix string, rep, i int) *mapred.JobSpec {
-	t, p := &cs.tmpls[i], &cs.plan
-	spec := t.spec.Clone()
-	spec.ID = prefix + "/" + t.id
-	spec.SID = p.sid
+	t, p := &cs.sub.Tmpls[i], &cs.plan
+	spec := c.jobs[t.ID].spec.Clone()
+	spec.ID = prefix + "/" + t.ID
+	spec.SID = p.SID
 	spec.Replica = rep
-	spec.Output = prefix + "/" + t.spec.Output
+	spec.Output = prefix + "/" + spec.Output
 	// Quiz/deferred attempts carry audit digests: per-task pre-combine
 	// sums quizzes are checked against, plus storage-boundary in/out sums
 	// that pin what actually crossed the untrusted DFS.
-	spec.Audit = p.policy != PolicyFull
-	spec.Ckpt = c.ckptEligible(p.policy, *t)
+	spec.Audit = p.Policy != verify.PolicyFull
+	spec.Ckpt = c.ckptEligible(p.Policy, *t, spec)
 	// Cross-cluster deps are satisfied by data availability: the source
 	// replica completed before this attempt launched. A
 	// checkpoint-skipped producer's data is likewise already durable.
 	var deps []string
-	for _, d := range t.deps {
-		if !p.skip[d] {
+	for _, d := range t.Deps {
+		if !p.Skip[d] {
 			deps = append(deps, prefix+"/"+d)
 		}
 	}
@@ -517,18 +540,18 @@ func (c *Controller) rewriteJob(cs *clusterState, prefix string, rep, i int) *ma
 		if !ok {
 			continue // raw script input from trusted storage
 		}
-		if p.skip[prod] {
+		if p.Skip[prod] {
 			// Checkpoint-covered producer: read the f+1-agreed bytes from
 			// the trusted ckpt/ path, like a script input.
 			spec.Inputs[i].Path = c.ckptPath(cs, prod)
 			continue
 		}
 		spec.Inputs[i].AuditIn = spec.Audit
-		if c.clusterOf[prod] == cs.id {
+		if c.jobs[prod].cluster == cs.sub.ID {
 			spec.Inputs[i].Path = prefix + "/" + path
 		} else {
-			src := p.sources[c.clusterOf[prod]]
-			spec.Inputs[i].Path = replicaPath(src.sid, src.replica, path)
+			src := p.Sources[c.jobs[prod].cluster]
+			spec.Inputs[i].Path = replicaPath(src.SID, src.Replica, path)
 		}
 	}
 	return spec
@@ -555,19 +578,19 @@ func (c *Controller) ClusterStates() []ClusterStatus {
 	out := make([]ClusterStatus, len(c.clusters))
 	for i, cs := range c.clusters {
 		out[i] = ClusterStatus{
-			ID:       cs.id,
-			Attempts: cs.totalTries,
-			Upstream: append([]int(nil), cs.upstream...),
-			Verified: cs.verified,
-			Failed:   cs.failed,
+			ID:       cs.sub.ID,
+			Attempts: cs.sub.TotalTries,
+			Upstream: append([]int(nil), cs.sub.Upstream...),
+			Verified: cs.sub.Verified,
+			Failed:   cs.sub.Failed,
 		}
 	}
 	return out
 }
 
 // dispatch hands ev to the verifier and carries out what it decided.
-func (c *Controller) dispatch(ev event) {
-	if c.v.apply(ev) {
+func (c *Controller) dispatch(ev verify.Event) {
+	if c.v.Apply(ev) {
 		c.act()
 	}
 }
@@ -575,20 +598,20 @@ func (c *Controller) dispatch(ev event) {
 // onDigest hands the verifier each digest as it streams in from the
 // untrusted tier.
 func (c *Controller) onDigest(r digest.Report) {
-	c.dispatch(event{kind: evDigest, sid: r.Key.SID, report: r})
+	c.dispatch(verify.Event{Kind: verify.EvDigest, SID: r.Key.SID, Report: r})
 }
 
 // onAssign hands the verifier the node a replica's job first landed on.
 func (c *Controller) onAssign(js *mapred.JobState, node cluster.NodeID) {
-	c.dispatch(event{kind: evAssigned, sid: js.Spec.SID, replica: js.Spec.Replica, job: templateOf(js), node: node})
+	c.dispatch(verify.Event{Kind: verify.EvAssigned, SID: js.Spec.SID, Replica: js.Spec.Replica, Job: templateOf(js), Node: node})
 }
 
 // onJobDone hands the verifier a replica's finished job, with its task
 // IDs under a cheap policy, whose attempts' jobs carry audit digests.
 func (c *Controller) onJobDone(js *mapred.JobState) {
-	ev := event{kind: evJobDone, sid: js.Spec.SID, replica: js.Spec.Replica, job: templateOf(js)}
+	ev := verify.Event{Kind: verify.EvJobDone, SID: js.Spec.SID, Replica: js.Spec.Replica, Job: templateOf(js)}
 	if js.Spec.Audit {
-		ev.tasks = js.TaskIDs()
+		ev.Tasks = js.TaskIDs()
 	}
 	c.dispatch(ev)
 }
@@ -608,13 +631,13 @@ func (c *Controller) act() {
 	}
 	c.acting = true
 	w := 0
-	for i := 0; i < len(c.v.out); i++ {
-		d := c.v.out[i]
-		w = c.trail(w, d.logged)
+	for i := 0; i < len(c.v.Out); i++ {
+		d := c.v.Out[i]
+		w = c.trail(w, d.Logged)
 		c.do(d)
 	}
-	c.trail(w, len(c.v.lines))
-	c.v.out, c.v.lines = c.v.out[:0], c.v.lines[:0]
+	c.trail(w, len(c.v.Lines))
+	c.v.Out, c.v.Lines = c.v.Out[:0], c.v.Lines[:0]
 	c.acting = false
 }
 
@@ -622,73 +645,65 @@ func (c *Controller) act() {
 // end.
 func (c *Controller) trail(w, end int) int {
 	for ; w < end; w++ {
-		c.audit.Record(c.v.lines[w])
+		c.audit.Record(c.v.Lines[w])
 	}
 	return w
 }
 
 // do carries out one decision.
-func (c *Controller) do(d decision) {
-	cs := c.clusters[d.sub]
-	switch d.kind {
-	case dFaulty:
-		if d.cause == analyze.CauseCommission {
+func (c *Controller) do(d verify.Decision) {
+	cs := c.clusters[d.Sub]
+	switch d.Kind {
+	case verify.DFaulty:
+		if d.Cause == analyze.CauseCommission {
 			c.faultyReps++
 		}
-		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditMismatch, Replica: d.replica, Cause: d.cause, Nodes: d.nodes}, 0)
-	case dVerified:
+		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditMismatch, Replica: d.Replica, Cause: d.Cause, Nodes: d.Nodes}, 0)
+	case verify.DVerified:
 		cs.verifiedAt = c.Eng.Now()
-		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditVerify, Replica: d.replica}, int64(d.n))
+		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditVerify, Replica: d.Replica}, int64(d.N))
 		// Unfinished replicas are no longer needed; their slots free up.
 		c.kill(cs)
-	case dRetry:
+	case verify.DRetry:
 		c.kill(cs)
-		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditRetry, Replica: -1, Cause: d.cause}, 0)
-	case dEscalate:
-		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditEscalate, Replica: -1, Detail: d.detail}, 0)
-	case dRestart, dFail:
+		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditRetry, Replica: -1, Cause: d.Cause}, 0)
+	case verify.DEscalate:
+		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditEscalate, Replica: -1, Detail: d.Detail}, 0)
+	case verify.DRestart, verify.DFail:
 		c.kill(cs)
 		// A cascade exists because upstream data lineage is suspect;
 		// checkpoints derived from it must not shortcut the re-run.
 		c.dropCkpts(cs)
-		if d.kind == dRestart {
+		if d.Kind == verify.DRestart {
 			c.record(cs, analyze.AuditEvent{Kind: analyze.AuditRestart, Replica: -1}, 0)
 			break
 		}
-		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditFail, Replica: -1, Cause: d.cause}, 0)
-		c.fail(fmt.Errorf("core: sub-graph c%d exhausted %d attempts", cs.id, cs.totalTries))
-	case dCheckpointAgreed:
-		c.checkpoint(cs, d.detail, d.replica)
-	case dQuiz:
-		c.startQuiz(cs, d.picks)
-	case dLaunch:
-		c.launch(cs, d.plan)
-	case dTooWide:
-		c.fail(fmt.Errorf("core: sub-graph c%d needs %d replicas, the verifier tallies at most %d per attempt", cs.id, d.n, MaxReplicas))
-	case dForget:
-		c.Eng.ForgetSID(d.detail)
+		c.record(cs, analyze.AuditEvent{Kind: analyze.AuditFail, Replica: -1, Cause: d.Cause}, 0)
+		c.fail(fmt.Errorf("core: sub-graph c%d exhausted %d attempts", cs.sub.ID, cs.sub.TotalTries))
+	case verify.DCheckpointAgreed:
+		c.checkpoint(cs, d.Detail, d.Replica)
+	case verify.DQuiz:
+		c.startQuiz(cs, d.Picks)
+	case verify.DLaunch:
+		c.launch(cs, d.Plan)
+	case verify.DTooWide:
+		c.fail(fmt.Errorf("core: sub-graph c%d needs %d replicas, the verifier tallies at most %d per attempt", cs.sub.ID, d.N, verify.MaxReplicas))
+	case verify.DForget:
+		c.Eng.ForgetSID(d.Detail)
 	}
 }
 
-// quizReplica is the replica index quiz re-executions report under; the
-// primary is always 0 under quiz/deferred (r=1), and keeping quizzes at
-// a fixed non-zero index lets the matcher compare the two vectors with
-// the machinery it already has. The online Observe check never sees
-// an f+1 class among {primary, quiz} with f >= 1, so quiz evidence is
-// judged only by QuizAgrees.
-const quizReplica = 1
-
 // startQuiz re-executes the primary's picked tasks on the trusted tier;
 // the recomputed digests flow back through onDigest tagged as
-// quizReplica.
-func (c *Controller) startQuiz(cs *clusterState, picks []quizTask) {
-	sid := cs.plan.sid
+// verify.QuizReplica.
+func (c *Controller) startQuiz(cs *clusterState, picks []verify.QuizTask) {
+	sid := cs.plan.SID
 	for _, p := range picks {
-		jobID := replicaPath(sid, 0, cs.tmpls[p.tmpl].id)
-		err := c.Eng.Requiz(jobID, p.task, quizReplica, c.onDigest,
-			func() { c.dispatch(event{kind: evQuiz, sid: sid}) })
+		jobID := replicaPath(sid, 0, cs.sub.Tmpls[p.Tmpl].ID)
+		err := c.Eng.Requiz(jobID, p.Task, verify.QuizReplica, c.onDigest,
+			func() { c.dispatch(verify.Event{Kind: verify.EvQuiz, SID: sid}) })
 		if err != nil {
-			c.fail(fmt.Errorf("core: quiz %s/%s: %w", jobID, p.task, err))
+			c.fail(fmt.Errorf("core: quiz %s/%s: %w", jobID, p.Task, err))
 			return
 		}
 	}
@@ -701,7 +716,7 @@ func (c *Controller) startQuiz(cs *clusterState, picks []quizTask) {
 // event. Verified winners' outputs live in the DFS, so nothing
 // referenced by Result is touched.
 func (c *Controller) teardownRun() {
-	for _, sid := range c.v.sweep() {
+	for _, sid := range c.v.Sweep() {
 		c.Eng.ForgetSID(sid)
 	}
 	for _, cs := range c.clusters {
@@ -719,7 +734,7 @@ func (c *Controller) teardownRun() {
 // already gave the suspicion table and fault analyzer.
 func (c *Controller) record(cs *clusterState, ev analyze.AuditEvent, n int64) {
 	eng, p, rep := c.Eng, &cs.plan, int64(ev.Replica)
-	sid := p.sid
+	sid := p.SID
 	ev.SID = sid
 	c.audit.Record(ev)
 	b, tr, now := eng.Board, eng.Trace, eng.Now()
@@ -729,10 +744,10 @@ func (c *Controller) record(cs *clusterState, ev analyze.AuditEvent, n int64) {
 			eng.Ledger.Supersede(ev.Detail)
 			b.UpsertSID(ev.Detail, func(s *obs.SIDStatus) { s.State = "superseded" })
 		}
-		eng.Ledger.Launch(sid, p.policy.String())
+		eng.Ledger.Launch(sid, p.Policy.String())
 		b.UpsertSID(sid, func(s *obs.SIDStatus) {
-			s.Cluster, s.Attempt, s.Replicas = cs.id, p.totalTries, p.r
-			s.Policy, s.State, s.Winner = p.policy.String(), "running", -1
+			s.Cluster, s.Attempt, s.Replicas = cs.sub.ID, p.TotalTries, p.R
+			s.Policy, s.State, s.Winner = p.Policy.String(), "running", -1
 		})
 	case analyze.AuditVerify:
 		eng.Ledger.Verified(sid, ev.Replica)
@@ -756,7 +771,7 @@ func (c *Controller) record(cs *clusterState, ev analyze.AuditEvent, n int64) {
 	}
 	if b != nil && ev.Cause != 0 { // blame moved, or a timeout found none to move: refresh what /jobs serves
 		h := c.Susp.Histogram()
-		st := obs.SuspicionStatus{Low: h[Low], Med: h[Med], High: h[High]}
+		st := obs.SuspicionStatus{Low: h[verify.Low], Med: h[verify.Med], High: h[verify.High]}
 		for _, n := range c.Susp.Suspects() {
 			st.Suspects = append(st.Suspects, string(n))
 			if c.Susp.Excluded(n) {
@@ -770,9 +785,9 @@ func (c *Controller) record(cs *clusterState, ev analyze.AuditEvent, n int64) {
 // kill stops every job of the attempt launched last; a template it
 // skipped was never submitted, and killing it is a no-op.
 func (c *Controller) kill(cs *clusterState) {
-	for rep := range cs.plan.r {
-		for _, t := range cs.tmpls {
-			c.Eng.KillJob(replicaPath(cs.plan.sid, rep, t.id))
+	for rep := range cs.plan.R {
+		for _, t := range cs.sub.Tmpls {
+			c.Eng.KillJob(replicaPath(cs.plan.SID, rep, t.ID))
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"clusterbft/internal/obs"
 	"clusterbft/internal/pig"
 	"clusterbft/internal/tuple"
+	"clusterbft/internal/verify"
 )
 
 const weatherScript = `
@@ -364,7 +365,7 @@ func TestRunPlainErrors(t *testing.T) {
 }
 
 func TestOverlapSchedulerExclusion(t *testing.T) {
-	susp := NewSuspicionTable(0.5)
+	susp := verify.NewSuspicionTable(0.5)
 	susp.RecordJob([]cluster.NodeID{"node-000"})
 	susp.RecordFault([]cluster.NodeID{"node-000"})
 	s := NewOverlapScheduler(susp)
@@ -569,11 +570,11 @@ func TestControllerCombinedCommissionCaught(t *testing.T) {
 
 // TestLaunchRejectsReplicationBeyondTally: the verifier's vote classes
 // are 64-bit replica masks, and a replica the matcher cannot tally would
-// fingerprint as an empty vector — so a degree past MaxReplicas must end
+// fingerprint as an empty vector — so a degree past verify.MaxReplicas must end
 // the run with an error, never launch.
 func TestLaunchRejectsReplicationBeyondTally(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.R = MaxReplicas + 1
+	cfg.R = verify.MaxReplicas + 1
 	h := newHarness(t, 4, 2, cfg)
 	_, err := h.Ctrl.Run(weatherScript)
 	if err == nil || !strings.Contains(err.Error(), "replicas") {
@@ -597,7 +598,7 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"default", func(*Config) {}, ""},
 		{"f=0 r=1", func(c *Config) { c.F, c.R = 0, 1 }, ""},
-		{"r=MaxReplicas", func(c *Config) { c.R = MaxReplicas }, ""},
+		{"r=MaxReplicas", func(c *Config) { c.R = verify.MaxReplicas }, ""},
 		{"f=-1", func(c *Config) { c.F = -1 }, "f = -1"},
 		{"r=0", func(c *Config) { c.R = 0 }, "r = 0"},
 		{"r=-2", func(c *Config) { c.R = -2 }, "r = -2"},
@@ -784,7 +785,7 @@ func TestRecordDetachedAllocs(t *testing.T) {
 	if c.audit != nil || c.Eng.Board != nil || c.Eng.Trace != nil {
 		t.Fatal("harness attaches a store; the pin needs none")
 	}
-	cs := &clusterState{verdict: &verdict{id: 1}, plan: launchPlan{sid: "run1-c1-a1", policy: PolicyFull, r: 4, totalTries: 2}}
+	cs := &clusterState{sub: &verify.Verdict{ID: 1}, plan: verify.LaunchPlan{SID: "run1-c1-a1", Policy: verify.PolicyFull, R: 4, TotalTries: 2}}
 	kinds := []analyze.AuditEvent{
 		{Kind: analyze.AuditLaunch, Replica: -1, Detail: "run1-c1-a0"},
 		{Kind: analyze.AuditVerify, Replica: 2},
@@ -961,7 +962,7 @@ STORE hot INTO 'out/hot';
 	// spills first.
 	inputEnd := h.FS.SpillBytes() + h.FS.ResidentBytes()
 	cfg := DefaultConfig()
-	cfg.VerifyPolicy = PolicyQuiz
+	cfg.VerifyPolicy = verify.PolicyQuiz
 	cfg.TimeoutUs = 60_000_000
 	h.Assure(cfg)
 	trail := analyze.NewAuditTrail(h.Engine.Now)

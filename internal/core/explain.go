@@ -18,47 +18,47 @@ func (c *Controller) Explain() string {
 	for _, cs := range c.clusters {
 		status := "unverified"
 		switch {
-		case cs.verified:
+		case cs.sub.Verified:
 			status = fmt.Sprintf("verified at %.2fs (winner replica %d)",
-				float64(cs.verifiedAt)/1e6, cs.winner)
-		case cs.failed:
+				float64(cs.verifiedAt)/1e6, cs.sub.Winner)
+		case cs.sub.Failed:
 			status = "FAILED"
 		}
 		kind := ""
 		if cs.terminal {
 			kind = " [final]"
 		}
-		fmt.Fprintf(&b, "c%d%s: attempts=%d r=%d %s\n", cs.id, kind, cs.totalTries, cs.r, status)
-		if len(cs.upstream) > 0 {
+		fmt.Fprintf(&b, "c%d%s: attempts=%d r=%d %s\n", cs.sub.ID, kind, cs.sub.TotalTries, cs.sub.R, status)
+		if len(cs.sub.Upstream) > 0 {
 			sep := "  reads from: "
-			for _, u := range cs.upstream {
-				if src, ok := cs.sources[u]; !ok {
+			for _, u := range cs.sub.Upstream {
+				if src, ok := cs.sub.Sources[u]; !ok {
 					fmt.Fprintf(&b, "%sc%d", sep, u)
-				} else if src.verified {
-					fmt.Fprintf(&b, "%sc%d (replica %d, verified)", sep, u, src.replica)
+				} else if src.Verified {
+					fmt.Fprintf(&b, "%sc%d (replica %d, verified)", sep, u, src.Replica)
 				} else {
-					fmt.Fprintf(&b, "%sc%d (replica %d, optimistic)", sep, u, src.replica)
+					fmt.Fprintf(&b, "%sc%d (replica %d, optimistic)", sep, u, src.Replica)
 				}
 				sep = ", "
 			}
 			b.WriteByte('\n')
 		}
-		for _, t := range cs.tmpls {
-			marker := ""
-			if pts := t.spec.Points(); len(pts) > 0 {
+		for _, t := range cs.sub.Tmpls {
+			spec, marker := c.jobs[t.ID].spec, ""
+			if pts := spec.Points(); len(pts) > 0 {
 				marker = fmt.Sprintf("  points=%v", pts)
 			}
-			fmt.Fprintf(&b, "  job %s -> %s%s\n", t.id, t.spec.Output, marker)
+			fmt.Fprintf(&b, "  job %s -> %s%s\n", spec.ID, spec.Output, marker)
 		}
-		for i := range cs.plan.r {
-			state := "not completed"
+		for i := range cs.plan.R {
+			rep, state := cs.sub.Reps[i], "not completed"
 			switch {
-			case cs.reps[i].faulty:
+			case rep.Faulty:
 				state = "DEVIANT"
-			case cs.reps[i].completed:
+			case rep.Completed:
 				state = "completed"
 			}
-			fmt.Fprintf(&b, "  replica %d: %s, nodes=%d\n", i, state, cs.reps[i].ranOn)
+			fmt.Fprintf(&b, "  replica %d: %s, nodes=%d\n", i, state, rep.RanOn)
 		}
 	}
 	return b.String()

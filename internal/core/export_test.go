@@ -7,6 +7,7 @@ import (
 
 	"clusterbft/internal/analyze"
 	"clusterbft/internal/cluster"
+	"clusterbft/internal/verify"
 )
 
 // VerifierLog holds, run by run, every event a controller's verifier
@@ -14,37 +15,36 @@ import (
 // meanwhile, and the tables the verifier wrote.
 type VerifierLog struct {
 	cfg   Config
-	nodes []*cluster.Node
-	susp  *SuspicionTable
-	fa    *FaultAnalyzer
+	nodes []cluster.NodeID
+	susp  *verify.SuspicionTable
+	fa    *verify.FaultAnalyzer
 	runs  []verifierRun
 }
 
 type verifierRun struct {
 	seq      int
 	audited  bool
-	topology []verdict
-	events   []event
-	ds       [][]decision
+	topology []verify.Verdict
+	events   []verify.Event
+	ds       [][]verify.Decision
 	lines    [][]analyze.AuditEvent
 	// after is what the tables held when the next run started.
 	after tableState
 }
 
-// tableState is what the verifier's suspicion table and fault analyzer
-// conclude.
+// tableState is what a suspicion table and fault analyzer conclude.
 type tableState struct {
-	histogram map[Category]int
+	histogram map[verify.Category]int
 	suspects  []cluster.NodeID
 	excluded  []cluster.NodeID
 	analyzer  []cluster.NodeID
 }
 
-func tablesOf(v *verifier) tableState {
-	st := tableState{histogram: v.susp.Histogram(), suspects: v.susp.Suspects(), analyzer: v.fa.Suspects()}
-	for _, n := range v.nodes {
-		if v.susp.Excluded(n.ID) {
-			st.excluded = append(st.excluded, n.ID)
+func tablesOf(susp *verify.SuspicionTable, fa *verify.FaultAnalyzer, nodes []cluster.NodeID) tableState {
+	st := tableState{histogram: susp.Histogram(), suspects: susp.Suspects(), analyzer: fa.Suspects()}
+	for _, n := range nodes {
+		if susp.Excluded(n) {
+			st.excluded = append(st.excluded, n)
 		}
 	}
 	return st
@@ -53,25 +53,28 @@ func tablesOf(v *verifier) tableState {
 // TapVerifier logs every event c's verifier applies from now on.
 func TapVerifier(c *Controller) *VerifierLog {
 	v := c.v
-	l := &VerifierLog{cfg: c.Cfg, nodes: v.nodes, susp: v.susp, fa: v.fa}
-	v.tap = func(ev event, ds []decision, lines []analyze.AuditEvent) {
-		if ev.kind == evStart {
+	l := &VerifierLog{cfg: c.Cfg, susp: c.Susp, fa: c.FA}
+	for _, n := range c.Eng.Cluster.Nodes() {
+		l.nodes = append(l.nodes, n.ID)
+	}
+	v.Tap = func(ev verify.Event, ds []verify.Decision, lines []analyze.AuditEvent) {
+		if ev.Kind == verify.EvStart {
 			if n := len(l.runs); n > 0 {
-				l.runs[n-1].after = tablesOf(v)
+				l.runs[n-1].after = tablesOf(l.susp, l.fa, l.nodes)
 			}
-			topology := make([]verdict, len(v.subs))
-			for i, s := range v.subs {
-				topology[i] = verdict{id: s.id, upstream: s.upstream, audits: s.audits, tmpls: s.tmpls}
+			topology := make([]verify.Verdict, len(v.Subs))
+			for i, s := range v.Subs {
+				topology[i] = verify.Verdict{ID: s.ID, Upstream: s.Upstream, Audits: s.Audits, Tmpls: s.Tmpls}
 			}
-			l.runs = append(l.runs, verifierRun{seq: v.runSeq, audited: v.log != nil, topology: topology})
+			l.runs = append(l.runs, verifierRun{seq: c.runSeq, audited: c.audit != nil, topology: topology})
 		}
 		run := &l.runs[len(l.runs)-1]
 		run.events = append(run.events, ev)
 		// Count each decision's lines from the event's first one.
-		first := len(v.lines) - len(lines)
+		first := len(v.Lines) - len(lines)
 		ds = slices.Clone(ds)
 		for i := range ds {
-			ds[i].logged -= first
+			ds[i].Logged -= first
 		}
 		run.ds = append(run.ds, ds)
 		run.lines = append(run.lines, slices.Clone(lines))
@@ -85,16 +88,17 @@ func TapVerifier(c *Controller) *VerifierLog {
 // first event whose decisions or lines differ from the ones the run
 // made, or the first run after which the tables differ.
 func (l *VerifierLog) Replay() (events, decisions, lines int, err error) {
-	v := newVerifier(l.cfg, NewSuspicionTable(l.cfg.SuspicionThreshold), NewFaultAnalyzer(l.cfg.F), l.nodes)
+	susp, fa := verify.NewSuspicionTable(l.cfg.SuspicionThreshold), verify.NewFaultAnalyzer(l.cfg.F)
+	v := verify.New(l.cfg.params(), susp, fa, l.nodes)
 	for ri, run := range l.runs {
-		v.attach(run.audited)
-		v.reset(run.seq, slices.Clone(run.topology))
+		v.Attach(run.audited)
+		v.Reset(run.seq, slices.Clone(run.topology))
 		for i, ev := range run.events {
-			v.out, v.lines = v.out[:0], v.lines[:0]
-			v.apply(ev)
-			if !sameOrEmpty(v.out, run.ds[i]) || !sameOrEmpty(v.lines, run.lines[i]) {
+			v.Out, v.Lines = v.Out[:0], v.Lines[:0]
+			v.Apply(ev)
+			if !sameOrEmpty(v.Out, run.ds[i]) || !sameOrEmpty(v.Lines, run.lines[i]) {
 				return events, decisions, lines, fmt.Errorf("run %d, event %d (%+v): replay decided %+v logging %v, the run decided %+v logging %v",
-					ri, i, ev, v.out, v.lines, run.ds[i], run.lines[i])
+					ri, i, ev, v.Out, v.Lines, run.ds[i], run.lines[i])
 			}
 			events++
 			decisions += len(run.ds[i])
@@ -102,9 +106,9 @@ func (l *VerifierLog) Replay() (events, decisions, lines int, err error) {
 		}
 		want := run.after
 		if ri == len(l.runs)-1 {
-			want = tablesOf(&verifier{susp: l.susp, fa: l.fa, nodes: l.nodes})
+			want = tablesOf(l.susp, l.fa, l.nodes)
 		}
-		if got := tablesOf(v); !reflect.DeepEqual(got, want) {
+		if got := tablesOf(susp, fa, l.nodes); !reflect.DeepEqual(got, want) {
 			return events, decisions, lines, fmt.Errorf("after run %d the replayed tables hold %+v, the run's %+v", ri, got, want)
 		}
 	}

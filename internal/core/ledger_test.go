@@ -6,6 +6,7 @@ import (
 
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/mapred"
+	"clusterbft/internal/verify"
 )
 
 // checkLedger pins the cost-attribution invariant at quiesce: the four
@@ -27,7 +28,7 @@ func checkLedger(t *testing.T, h *harness, label string) mapred.CostBuckets {
 // modes pay their redundancy as quiz CPU while full-r pays it as the
 // r-1 non-winner replicas.
 func TestCostLedgerFaultFree(t *testing.T) {
-	for _, p := range []Policy{PolicyFull, PolicyQuiz, PolicyDeferred, PolicyAuto} {
+	for _, p := range []verify.Policy{verify.PolicyFull, verify.PolicyQuiz, verify.PolicyDeferred, verify.PolicyAuto} {
 		cfg := DefaultConfig()
 		cfg.VerifyPolicy = p
 		cfg.QuizFraction = 1
@@ -47,18 +48,18 @@ func TestCostLedgerFaultFree(t *testing.T) {
 			t.Errorf("policy %v: fault-free run charged %dus recovery_rerun", p, b.RecoveryRerunUs)
 		}
 		switch p {
-		case PolicyFull:
+		case verify.PolicyFull:
 			if b.VerifyFullUs == 0 {
 				t.Errorf("full-r charged no verify_full (non-winner replicas)")
 			}
 			if b.VerifyQuizUs != 0 || b.VerifyDeferredUs != 0 {
 				t.Errorf("full-r charged quiz buckets: %+v", b)
 			}
-		case PolicyQuiz:
+		case verify.PolicyQuiz:
 			if b.VerifyQuizUs == 0 {
 				t.Errorf("quiz policy charged no verify_quiz")
 			}
-		case PolicyDeferred, PolicyAuto: // auto resolves to deferred on a clean history
+		case verify.PolicyDeferred, verify.PolicyAuto: // auto resolves to deferred on a clean history
 			if b.VerifyDeferredUs == 0 {
 				t.Errorf("policy %v charged no verify_deferred", p)
 			}
@@ -66,7 +67,7 @@ func TestCostLedgerFaultFree(t *testing.T) {
 		// The ledger's committed+waste view must agree with the engine's
 		// pinned committed/lost split: lost CPU is exactly waste plus the
 		// lost share of superseded attempts (zero here).
-		if b.VerifyUs()*2 > b.TotalUs() && p != PolicyFull {
+		if b.VerifyUs()*2 > b.TotalUs() && p != verify.PolicyFull {
 			t.Errorf("policy %v: verification overhead %dus dominates total %dus", p, b.VerifyUs(), b.TotalUs())
 		}
 	}
@@ -77,7 +78,7 @@ func TestCostLedgerFaultFree(t *testing.T) {
 // and full-r outvotes the liar in place (its committed work becomes
 // verification redundancy). The sum invariant holds either way.
 func TestCostLedgerUnderCommission(t *testing.T) {
-	for _, p := range []Policy{PolicyFull, PolicyQuiz, PolicyDeferred} {
+	for _, p := range []verify.Policy{verify.PolicyFull, verify.PolicyQuiz, verify.PolicyDeferred} {
 		cfg := DefaultConfig()
 		cfg.VerifyPolicy = p
 		cfg.QuizFraction = 1
@@ -91,7 +92,7 @@ func TestCostLedgerUnderCommission(t *testing.T) {
 		}
 		b := checkLedger(t, h, p.String())
 		switch p {
-		case PolicyFull:
+		case verify.PolicyFull:
 			// The corrupted replica commits but never wins: its spend is
 			// full-r verification redundancy, not committed output.
 			if b.VerifyFullUs == 0 {
@@ -120,7 +121,7 @@ func TestCostLedgerUnderCommission(t *testing.T) {
 // the settled buckets — the ledger is cumulative, like CPUTimeUs.
 func TestCostLedgerAcrossRuns(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.VerifyPolicy = PolicyQuiz
+	cfg.VerifyPolicy = verify.PolicyQuiz
 	cfg.QuizFraction = 1
 	h := commissionHarness(t, cfg)
 	hook := h.Engine.TaskHook

@@ -1,19 +1,18 @@
 package core
 
 import (
-	"crypto/sha256"
 	"strings"
 	"testing"
 
 	"clusterbft/internal/analyze"
 	"clusterbft/internal/cluster"
-	"clusterbft/internal/digest"
 	"clusterbft/internal/mapred"
+	"clusterbft/internal/verify"
 )
 
 // runPolicy executes weatherScript on a fresh honest harness under one
 // verification policy and returns the result plus the harness.
-func runPolicy(t *testing.T, p Policy) (*harness, *Result) {
+func runPolicy(t *testing.T, p verify.Policy) (*harness, *Result) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.VerifyPolicy = p
@@ -32,14 +31,14 @@ func runPolicy(t *testing.T, p Policy) (*harness, *Result) {
 // claims: every policy produces byte-identical verified STORE output,
 // and quiz/deferred spend at least 2x less compute than full-r.
 func TestPolicyFaultFreeEquivalence(t *testing.T) {
-	hFull, resFull := runPolicy(t, PolicyFull)
+	hFull, resFull := runPolicy(t, verify.PolicyFull)
 	want := strings.Join(hFull.outputLines(t, resFull, "out/counts"), "|")
 	fullCPU := resFull.Metrics.CPUTimeUs
 	if hFull.Engine.QuizTasks != 0 {
 		t.Errorf("full-r ran %d quizzes; wanted none", hFull.Engine.QuizTasks)
 	}
 
-	for _, p := range []Policy{PolicyQuiz, PolicyDeferred} {
+	for _, p := range []verify.Policy{verify.PolicyQuiz, verify.PolicyDeferred} {
 		h, res := runPolicy(t, p)
 		if got := strings.Join(h.outputLines(t, res, "out/counts"), "|"); got != want {
 			t.Errorf("policy %v output differs from full-r:\n%s\nvs\n%s", p, got, want)
@@ -73,11 +72,11 @@ func commissionHarness(t *testing.T, cfg Config) *harness {
 	return h
 }
 
-// TestQuizDetectsCommission: under PolicyQuiz a commission-faulty primary
+// TestQuizDetectsCommission: under verify.PolicyQuiz a commission-faulty primary
 // is caught by trusted re-execution, escalated to full replication, and
 // the run still ends verified with honest output.
 func TestQuizDetectsCommission(t *testing.T) {
-	for _, p := range []Policy{PolicyQuiz, PolicyDeferred} {
+	for _, p := range []verify.Policy{verify.PolicyQuiz, verify.PolicyDeferred} {
 		cfg := DefaultConfig()
 		cfg.VerifyPolicy = p
 		cfg.QuizFraction = 1
@@ -111,7 +110,7 @@ func TestQuizDetectsCommission(t *testing.T) {
 		}
 
 		// The verified output must equal an honest full-r run's.
-		hHonest, resHonest := runPolicy(t, PolicyFull)
+		hHonest, resHonest := runPolicy(t, verify.PolicyFull)
 		want := strings.Join(hHonest.outputLines(t, resHonest, "out/counts"), "|")
 		if got := strings.Join(h.outputLines(t, res, "out/counts"), "|"); got != want {
 			t.Errorf("policy %v verified corrupt output:\n%s\nvs\n%s", p, got, want)
@@ -119,40 +118,17 @@ func TestQuizDetectsCommission(t *testing.T) {
 	}
 }
 
-// TestAutoPolicySelection pins decidePolicy's mapping from suspicion
-// history to policy: clean -> deferred, Low -> quiz, Med/High -> full.
+// TestAutoPolicySelection: a clean auto run picks the cheap path for
+// every sub-graph and stays byte-identical with full-r. The mapping from
+// suspicion history to policy is verify's TestDecidePolicyFromSuspicion.
 func TestAutoPolicySelection(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.VerifyPolicy = PolicyAuto
-	susp := NewSuspicionTable(0)
-	v := newVerifier(cfg, susp, NewFaultAnalyzer(cfg.F), cluster.New(4, 2).Nodes())
-	if got := v.decidePolicy(); got != PolicyDeferred {
-		t.Errorf("clean history: got %v, want deferred", got)
-	}
-	// One fault over four jobs: s = 0.25 -> Low -> quiz.
-	nodes := []cluster.NodeID{"node-000"}
-	for i := 0; i < 4; i++ {
-		susp.RecordJob(nodes)
-	}
-	susp.RecordFault(nodes)
-	if got := v.decidePolicy(); got != PolicyQuiz {
-		t.Errorf("low suspicion: got %v, want quiz", got)
-	}
-	// Two faults over four jobs: s = 0.5 -> Med -> full.
-	susp.RecordFault(nodes)
-	if got := v.decidePolicy(); got != PolicyFull {
-		t.Errorf("medium suspicion: got %v, want full", got)
-	}
-
-	// End to end: a clean auto run picks the cheap path for every
-	// sub-graph and stays byte-identical with full-r.
-	hAuto, resAuto := runPolicy(t, PolicyAuto)
-	for _, cs := range hAuto.Ctrl.clusters {
-		if cs.policy != PolicyDeferred {
-			t.Errorf("auto on clean history resolved c%d to %v, want deferred", cs.id, cs.policy)
+	hAuto, resAuto := runPolicy(t, verify.PolicyAuto)
+	for _, s := range hAuto.Ctrl.v.Subs {
+		if s.Policy != verify.PolicyDeferred {
+			t.Errorf("auto on clean history resolved c%d to %v, want deferred", s.ID, s.Policy)
 		}
 	}
-	hFull, resFull := runPolicy(t, PolicyFull)
+	hFull, resFull := runPolicy(t, verify.PolicyFull)
 	want := strings.Join(hFull.outputLines(t, resFull, "out/counts"), "|")
 	if got := strings.Join(hAuto.outputLines(t, resAuto, "out/counts"), "|"); got != want {
 		t.Errorf("auto output differs from full-r")
@@ -175,34 +151,6 @@ func TestChoosePointsUnknownAlias(t *testing.T) {
 	}
 }
 
-// TestStaleDigestDropped is the satellite-2 regression: a digest report
-// from a superseded attempt (a straggler racing its cancellation after a
-// retry) must be dropped before it touches the matcher, not stored and
-// counted.
-func TestStaleDigestDropped(t *testing.T) {
-	h := newHarness(t, 4, 2, DefaultConfig())
-	c := h.Ctrl
-	c.v.reset(1, []verdict{{}})
-	c.v.subs[0].sid = "run1-c0-a1" // already retried once
-	c.v.subs[0].launched = true
-	c.v.bySID = map[string]int{
-		"run1-c0-a0": 0, // stale sid still indexed until verification
-		"run1-c0-a1": 0,
-	}
-	c.onDigest(digest.Report{Key: digest.Key{SID: "run1-c0-a0", Point: 1, Task: "m0-000"}})
-	if c.v.reports != 0 {
-		t.Errorf("stale report counted: reports=%d", c.v.reports)
-	}
-	if n := len(c.v.matcher.bySID); n != 0 {
-		t.Errorf("stale report stored in matcher: %d sids", n)
-	}
-	// A report for the live attempt still lands.
-	c.onDigest(digest.Report{Key: digest.Key{SID: "run1-c0-a1", Point: 1, Task: "m0-000"}})
-	if c.v.reports != 1 || len(c.v.matcher.bySID) != 1 {
-		t.Errorf("live report dropped: reports=%d sids=%d", c.v.reports, len(c.v.matcher.bySID))
-	}
-}
-
 // TestControllerLifecycleBounded is the satellite-1/3/5 regression: one
 // controller serving a stream of Runs — with faults in the middle run —
 // must not accumulate matcher digests or engine job records (the
@@ -212,7 +160,7 @@ func TestStaleDigestDropped(t *testing.T) {
 func TestControllerLifecycleBounded(t *testing.T) {
 	// The last leg runs full-r with both MR jobs in one sub-graph, so its
 	// interior job is checkpointed on every run.
-	for leg, p := range []Policy{PolicyFull, PolicyQuiz, PolicyDeferred, PolicyFull} {
+	for leg, p := range []verify.Policy{verify.PolicyFull, verify.PolicyQuiz, verify.PolicyDeferred, verify.PolicyFull} {
 		cfg := DefaultConfig()
 		cfg.VerifyPolicy = p
 		cfg.QuizFraction = 1
@@ -221,14 +169,6 @@ func TestControllerLifecycleBounded(t *testing.T) {
 			cfg.ForcePointAliases = []string{"counts"}
 		}
 		h := newHarness(t, 4, 3, cfg)
-		// Record every report the verifier is handed, to probe the matcher
-		// for leftovers of exactly those votes after teardown.
-		var filed []digest.Report
-		sink := h.Engine.DigestSink
-		h.Engine.DigestSink = func(r digest.Report) {
-			filed = append(filed, r)
-			sink(r)
-		}
 		scripts := []string{weatherScript, weatherScript, weatherScript}
 		for run, script := range scripts {
 			if run == 1 {
@@ -249,44 +189,14 @@ func TestControllerLifecycleBounded(t *testing.T) {
 			if !res.Verified {
 				t.Fatalf("policy %v run %d not verified", p, run)
 			}
-			if n := len(h.Ctrl.v.matcher.bySID); n != 0 {
-				t.Errorf("policy %v run %d: matcher retains %d sids after teardown", p, run, n)
-			}
-			// Forget drops the vote tally, the per-key state and the
-			// memoised fingerprints together: no filed vote answers.
-			if len(filed) == 0 {
-				t.Fatalf("policy %v run %d: no digest reports observed", p, run)
-			}
-			for _, r := range filed {
-				sid := r.Key.SID
-				if _, ok := h.Ctrl.v.matcher.Lookup(sid, r.Replica, r.Key); ok {
-					t.Fatalf("policy %v run %d: vote %v of replica %d survived teardown", p, run, r.Key, r.Replica)
-				}
-				if _, _, ok := h.Ctrl.v.matcher.KeyAgreement(sid, r.Key); ok {
-					t.Fatalf("policy %v run %d: tally of %v survived teardown", p, run, r.Key)
-				}
-				if h.Ctrl.v.matcher.Fingerprint(sid, r.Replica) != sha256.Sum256(nil) {
-					t.Fatalf("policy %v run %d: fingerprint of %s/r%d survived teardown", p, run, sid, r.Replica)
-				}
-			}
-			filed = filed[:0]
 			if n := h.Engine.JobCount(); n != 0 {
 				t.Errorf("policy %v run %d: engine retains %d jobs", p, run, n)
 			}
-			if n := len(h.Ctrl.v.bySID); n != 0 {
-				t.Errorf("policy %v run %d: the verifier's sid index retains %d entries", p, run, n)
-			}
-			// The verifier's per-run state: each replica's node placements,
-			// each sub-graph's checkpoint signatures and quiz candidates.
-			for _, s := range h.Ctrl.v.subs {
-				for i, r := range s.reps {
-					if r.placed != nil {
-						t.Errorf("policy %v run %d: c%d/r%d retains %d node placements", p, run, s.id, i, len(r.placed))
-					}
-				}
-				if s.ckpts != nil || s.cands != nil {
-					t.Errorf("policy %v run %d: c%d retains %d checkpoint signatures and %d quiz candidate lists", p, run, s.id, len(s.ckpts), len(s.cands))
-				}
+			// Teardown swept the verifier: no attempt is left for a second
+			// sweep. What a sweep drops (votes, placements, checkpoint
+			// signatures, quiz candidates) is verify's TestSweepForgetsTheRun.
+			if sids := h.Ctrl.v.Sweep(); len(sids) != 0 {
+				t.Errorf("policy %v run %d: the verifier still indexes %v", p, run, sids)
 			}
 			if free, total := h.Engine.FreeSlotsTotal(), h.Cluster.TotalSlots(); free != total {
 				t.Errorf("policy %v run %d: slots leaked: free=%d total=%d", p, run, free, total)
@@ -310,8 +220,8 @@ func TestControllerLifecycleBounded(t *testing.T) {
 // takes c1 down with it. The trail is pinned as it was before the
 // verifier became a state machine.
 func TestCrossClusterAuditConflict(t *testing.T) {
-	want := map[Policy]string{
-		PolicyQuiz: `t=0        launch          run1-c0-a0
+	want := map[verify.Policy]string{
+		verify.PolicyQuiz: `t=0        launch          run1-c0-a0
 t=2012080  launch          run1-c1-a0
 t=2824090  verify          run1-c0-a0/r0
 t=4012224  mismatch        run1-c0-a0/r0 commission [node-001 node-002]
@@ -323,7 +233,7 @@ t=6024304  launch          run1-c1-a1  (run1-c1-a0)
 t=6024304  verify          run1-c0-a1/r1
 t=8824532  verify          run1-c1-a1/r0
 `,
-		PolicyDeferred: `t=0        launch          run1-c0-a0
+		verify.PolicyDeferred: `t=0        launch          run1-c0-a0
 t=2012080  verify          run1-c0-a0/r0
 t=2012080  launch          run1-c1-a0
 t=4012224  mismatch        run1-c0-a0/r0 commission [node-001 node-002]
@@ -336,7 +246,7 @@ t=6024304  verify          run1-c0-a1/r1
 t=8024448  verify          run1-c1-a1/r0
 `,
 	}
-	for _, p := range []Policy{PolicyQuiz, PolicyDeferred} {
+	for _, p := range []verify.Policy{verify.PolicyQuiz, verify.PolicyDeferred} {
 		cfg := DefaultConfig()
 		cfg.VerifyPolicy = p
 		cfg.QuizFraction = 1

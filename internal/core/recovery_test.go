@@ -74,8 +74,8 @@ func TestRestartExhaustionTearsDownConsumers(t *testing.T) {
 		t.Fatal("exhaustion must surface as a run error")
 	}
 	failed := false
-	for _, cs := range h.Ctrl.clusters {
-		if cs.failed {
+	for _, cs := range h.Ctrl.v.Subs {
+		if cs.Failed {
 			failed = true
 		}
 	}
@@ -86,21 +86,21 @@ func TestRestartExhaustionTearsDownConsumers(t *testing.T) {
 	// upstream it consumed from is verified too. Pre-fix, the terminal
 	// sub-graph stays launched after its input sub-graph failed and later
 	// "verifies" against the dead attempt's output.
-	for _, cs := range h.Ctrl.clusters {
-		if !cs.verified {
+	for _, cs := range h.Ctrl.v.Subs {
+		if !cs.Verified {
 			continue
 		}
-		for _, u := range cs.upstream {
-			if !h.Ctrl.clusters[u].verified {
+		for _, u := range cs.Upstream {
+			if !h.Ctrl.v.Subs[u].Verified {
 				t.Errorf("cluster %d verified but upstream %d is not (failed=%v launched=%v)",
-					cs.id, u, h.Ctrl.clusters[u].failed, h.Ctrl.clusters[u].launched)
+					cs.ID, u, h.Ctrl.v.Subs[u].Failed, h.Ctrl.v.Subs[u].Launched)
 			}
 		}
 	}
 	// Consumers of a failed sub-graph must not be left running either.
-	for _, cs := range h.Ctrl.clusters {
-		if cs.launched && !cs.verified && !cs.failed {
-			t.Errorf("cluster %d left launched after upstream failure", cs.id)
+	for _, cs := range h.Ctrl.v.Subs {
+		if cs.Launched && !cs.Verified && !cs.Failed {
+			t.Errorf("cluster %d left launched after upstream failure", cs.ID)
 		}
 	}
 	if free, total := h.Engine.FreeSlotsTotal(), h.Cluster.TotalSlots(); free != total {
@@ -142,15 +142,15 @@ func TestRestartDiamondCascadeSingleCharge(t *testing.T) {
 	if got := h.outputLines(t, res, "out/j"); !reflect.DeepEqual(got, want) {
 		t.Errorf("verified output differs from clean run:\n got %v\nwant %v", got, want)
 	}
-	for _, cs := range h.Ctrl.clusters {
+	for _, cs := range h.Ctrl.v.Subs {
 		// One optimistic launch plus at most one restart per upstream
 		// verification round; double-charging in a single cascade blows
 		// past this bound and toward MaxAttempts.
-		if cs.totalTries > 4 {
-			t.Errorf("cluster %d charged %d attempts; cascade over-counting", cs.id, cs.totalTries)
+		if cs.TotalTries > 4 {
+			t.Errorf("cluster %d charged %d attempts; cascade over-counting", cs.ID, cs.TotalTries)
 		}
-		if cs.totalTries >= cfg.MaxAttempts {
-			t.Errorf("cluster %d burned all %d attempts on a recoverable fault", cs.id, cs.totalTries)
+		if cs.TotalTries >= cfg.MaxAttempts {
+			t.Errorf("cluster %d burned all %d attempts on a recoverable fault", cs.ID, cs.TotalTries)
 		}
 	}
 	if free, total := h.Engine.FreeSlotsTotal(), h.Cluster.TotalSlots(); free != total {
@@ -187,11 +187,11 @@ func TestRetryReArmsTimeoutPerAttempt(t *testing.T) {
 	// Each retried sub-graph must have doubled its timeout at least once;
 	// the retry only fires because the fresh timer for the new sid did.
 	doubled := false
-	for _, cs := range h.Ctrl.clusters {
-		if !cs.verified {
-			t.Errorf("cluster %d not verified", cs.id)
+	for _, cs := range h.Ctrl.v.Subs {
+		if !cs.Verified {
+			t.Errorf("cluster %d not verified", cs.ID)
 		}
-		if cs.timeoutUs > cfg.TimeoutUs {
+		if cs.TimeoutUs > cfg.TimeoutUs {
 			doubled = true
 		}
 	}

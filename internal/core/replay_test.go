@@ -7,6 +7,7 @@ import (
 	"clusterbft/internal/chaos"
 	"clusterbft/internal/core"
 	"clusterbft/internal/mapred"
+	"clusterbft/internal/verify"
 )
 
 // TestVerifierReplay drives every schedule of the default chaos campaign
@@ -24,9 +25,9 @@ func TestVerifierReplay(t *testing.T) {
 		set  func(*core.Config)
 	}{
 		{"full", func(*core.Config) {}},
-		{"quiz", func(c *core.Config) { c.VerifyPolicy = core.PolicyQuiz }},
-		{"deferred", func(c *core.Config) { c.VerifyPolicy = core.PolicyDeferred }},
-		{"auto", func(c *core.Config) { c.VerifyPolicy = core.PolicyAuto }},
+		{"quiz", func(c *core.Config) { c.VerifyPolicy = verify.PolicyQuiz }},
+		{"deferred", func(c *core.Config) { c.VerifyPolicy = verify.PolicyDeferred }},
+		{"auto", func(c *core.Config) { c.VerifyPolicy = verify.PolicyAuto }},
 		{"checkpoint", func(c *core.Config) { c.Checkpoint = true }},
 	}
 	for _, leg := range legs {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"clusterbft/internal/cluster"
@@ -142,86 +141,5 @@ func TestEngineSpeculationUnderController(t *testing.T) {
 	}
 	if res.FaultyReplicas != 0 {
 		t.Errorf("stragglers are benign; %d replicas flagged", res.FaultyReplicas)
-	}
-}
-
-// TestFaultAnalyzerDisjointInvariant property-checks Fig 7's core
-// invariant: members of D stay pairwise disjoint and non-empty under any
-// report sequence.
-func TestFaultAnalyzerDisjointInvariant(t *testing.T) {
-	// Deterministic pseudo-random set stream.
-	seq := []NodeSet{}
-	x := uint32(12345)
-	next := func(n int) uint32 { x = x*1664525 + 1013904223; return x % uint32(n) }
-	for i := 0; i < 200; i++ {
-		s := make(NodeSet)
-		for j := 0; j < int(next(6))+1; j++ {
-			s[cluster.NodeID(string(rune('a'+next(15))))] = true
-		}
-		seq = append(seq, s)
-	}
-	for _, f := range []int{1, 2, 3} {
-		fa := NewFaultAnalyzer(f)
-		for i, s := range seq {
-			fa.Report(s)
-			d := fa.Disjoint()
-			for a := 0; a < len(d); a++ {
-				if len(d[a]) == 0 {
-					t.Fatalf("f=%d step %d: empty member of D", f, i)
-				}
-				for b := a + 1; b < len(d); b++ {
-					if d[a].Intersects(d[b]) {
-						t.Fatalf("f=%d step %d: D members intersect: %v %v",
-							f, i, d[a].Sorted(), d[b].Sorted())
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestMatcherAgreementInvariants property-checks the verifier: majority
-// and deviants partition the completed set, majority is at least f+1,
-// and every majority member shares one fingerprint.
-func TestMatcherAgreementInvariants(t *testing.T) {
-	x := uint32(99)
-	next := func(n int) uint32 { x = x*1664525 + 1013904223; return x % uint32(n) }
-	for trial := 0; trial < 100; trial++ {
-		f := int(next(3))
-		m := NewMatcher(f)
-		reps := int(next(5)) + 1
-		completed := make([]int, 0, reps)
-		for rep := 0; rep < reps; rep++ {
-			completed = append(completed, rep)
-			// Each replica reports 1-3 keys with one of two payloads.
-			for k := 0; k < int(next(3))+1; k++ {
-				payload := "x"
-				if next(4) == 0 {
-					payload = "y"
-				}
-				m.Observe(report("s", rep, k, "t", 0, payload))
-			}
-		}
-		maj, dev, ok := m.Agreement("s", completed)
-		if !ok {
-			continue
-		}
-		if len(maj) < f+1 {
-			t.Fatalf("majority %v smaller than f+1=%d", maj, f+1)
-		}
-		if len(maj)+len(dev) != len(completed) {
-			t.Fatalf("majority %v + deviants %v != completed %v", maj, dev, completed)
-		}
-		fp := m.Fingerprint("s", maj[0])
-		for _, r := range maj[1:] {
-			if m.Fingerprint("s", r) != fp {
-				t.Fatal("majority members with different fingerprints")
-			}
-		}
-		sorted := append([]int(nil), dev...)
-		sort.Ints(sorted)
-		if !reflect.DeepEqual(sorted, dev) {
-			t.Fatal("deviants not sorted")
-		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/mapred"
+	"clusterbft/internal/verify"
 )
 
 // OverlapScheduler is ClusterBFT's resource manager policy (§4.2): honor
@@ -15,12 +16,12 @@ import (
 // the engine's replica binding, and keeps no record of its own.
 type OverlapScheduler struct {
 	// Suspicion, when set, supplies the inclusion list.
-	Suspicion *SuspicionTable
+	Suspicion *verify.SuspicionTable
 }
 
 // NewOverlapScheduler builds the scheduler around a suspicion table
 // (which may be nil).
-func NewOverlapScheduler(susp *SuspicionTable) *OverlapScheduler {
+func NewOverlapScheduler(susp *verify.SuspicionTable) *OverlapScheduler {
 	return &OverlapScheduler{Suspicion: susp}
 }
 

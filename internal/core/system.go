@@ -7,6 +7,7 @@ import (
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/dfs"
 	"clusterbft/internal/mapred"
+	"clusterbft/internal/verify"
 )
 
 // System is one deployment: trusted storage, the untrusted worker tier
@@ -16,8 +17,8 @@ type System struct {
 	FS      *dfs.FS
 	Cluster *cluster.Cluster
 	Engine  *mapred.Engine
-	Susp    *SuspicionTable // nil until Assure
-	Ctrl    *Controller     // nil until Assure
+	Susp    *verify.SuspicionTable // nil until Assure
+	Ctrl    *Controller            // nil until Assure
 }
 
 // NewSystem builds storage, workers and a FIFO engine: exactly the
@@ -34,7 +35,7 @@ func NewSystem(nodes, slots int, storage dfs.Options, cost mapred.CostModel) *Sy
 // checkpoint-granular recovery ships with straggler re-launch, so
 // cfg.Checkpoint arms speculation — the one place that rule lives.
 func (s *System) Assure(cfg Config) *Controller {
-	s.Susp = NewSuspicionTable(cfg.SuspicionThreshold)
+	s.Susp = verify.NewSuspicionTable(cfg.SuspicionThreshold)
 	s.Engine.Sched = NewOverlapScheduler(s.Susp)
 	if cfg.Checkpoint {
 		s.Engine.Speculation = true
@@ -42,6 +43,9 @@ func (s *System) Assure(cfg Config) *Controller {
 	s.Ctrl = NewController(s.Engine, cfg, s.Susp, nil)
 	return s.Ctrl
 }
+
+// NewSuspicionTable forwards to verify for bench/, which calls it here.
+var NewSuspicionTable = verify.NewSuspicionTable
 
 // ControlTierTime models this control tier replicated (§5.2, Fig 14):
 // the virtual time a fresh 3f+1 PBFT group takes to order the verdicts

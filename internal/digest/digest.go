@@ -38,6 +38,34 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s/p%d/%s#%d", k.SID, k.Point, k.Task, k.Chunk)
 }
 
+// Audit digest points. Plan vertex IDs are non-negative, so negative
+// Point values give audit digests a namespace disjoint from every
+// verification point the compiler can instrument. The Task field carries
+// the job's base ID (the spec ID after the last '/') so streams from
+// different jobs of one sub-graph never collide even when their task IDs
+// ("m0-000", "r000") do.
+const (
+	// AuditTaskPoint digests a task's full output (shuffle partitions or
+	// final lines); Task is "<job>/<task>". Quiz verification compares a
+	// re-executed task's digests — these plus the task's in-chain
+	// verification-point digests — against the primary's.
+	AuditTaskPoint = -1
+	// AuditIOOutPoint digests a job's output as its tasks sealed and
+	// stored it, read back once the job completes; Task is "<job>".
+	AuditIOOutPoint = -2
+	// AuditIOInPoint digests an input exactly as read back from storage;
+	// Task is "<job>/in<i>". A mismatch against the producer's
+	// AuditIOOutPoint digest convicts the storage boundary (write or
+	// read tampering) without a second replica.
+	AuditIOInPoint = -3
+	// CkptPoint digests a checkpoint-eligible job's output as stored
+	// (same bytes as AuditIOOutPoint but emitted on the full-r path);
+	// Task is "<job>". The controller persists a replica's output only
+	// once f+1 replicas agree on this digest, so a checkpoint can never
+	// contain bytes that verification would reject.
+	CkptPoint = -4
+)
+
 // Report is one digest sent from a worker to the trusted verifier.
 type Report struct {
 	Key     Key

@@ -7,6 +7,7 @@ import (
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/core"
 	"clusterbft/internal/mapred"
+	"clusterbft/internal/verify"
 	"clusterbft/internal/workload"
 )
 
@@ -80,7 +81,7 @@ func (r *VerifyCostResult) Render() string {
 // verifyCostConfig is the shared controller setup: f=1, marker points,
 // generous timeout so detection latency is driven by evidence, not
 // timers.
-func verifyCostConfig(p core.Policy) core.Config {
+func verifyCostConfig(p verify.Policy) core.Config {
 	return core.Config{
 		F: 1, R: 4, Points: 2, NumReduces: 2,
 		TimeoutUs: 3_600_000_000, Offline: true,
@@ -116,7 +117,7 @@ func VerifyCost(sc Scale) (*VerifyCostResult, error) {
 	res.PureCPUUs = pure.Engine.Metrics.CPUTimeUs
 	res.PureCost = pure.Engine.Ledger.Buckets()
 
-	for _, p := range []core.Policy{core.PolicyFull, core.PolicyQuiz, core.PolicyDeferred} {
+	for _, p := range []verify.Policy{verify.PolicyFull, verify.PolicyQuiz, verify.PolicyDeferred} {
 		row := VerifyCostRow{Policy: p.String()}
 
 		// Fault-free cost.

@@ -13,7 +13,7 @@ import (
 
 	"clusterbft/internal/analyze"
 	"clusterbft/internal/cluster"
-	"clusterbft/internal/core"
+	"clusterbft/internal/verify"
 )
 
 // SizeClass is an inclusive slot-count range for one job category.
@@ -150,7 +150,7 @@ func (r *Result) RenderTimeline(max int) string {
 
 type job struct {
 	end      int
-	replicas []core.NodeSet
+	replicas []verify.NodeSet
 	faulty   []bool
 }
 
@@ -169,9 +169,9 @@ func Run(cfg Config) *Result {
 
 	now := 0
 	trail := analyze.NewAuditTrail(func() int64 { return int64(now) })
-	fa := core.NewFaultAnalyzer(cfg.F)
+	fa := verify.NewFaultAnalyzer(cfg.F)
 	fa.Audit = trail
-	susp := core.NewSuspicionTable(0)
+	susp := verify.NewSuspicionTable(0)
 	susp.Audit = trail
 	res := &Result{JobsAtSaturation: -1, TimeAtSaturation: -1, TimeToExactIsolation: -1}
 	for n := range faulty {
@@ -236,10 +236,10 @@ func Run(cfg Config) *Result {
 		h := susp.Histogram()
 		res.Samples = append(res.Samples, Sample{
 			Time:     now,
-			Low:      h[core.Low],
-			Med:      h[core.Med],
-			High:     h[core.High],
-			Suspects: h[core.Low] + h[core.Med] + h[core.High],
+			Low:      h[verify.Low],
+			Med:      h[verify.Med],
+			High:     h[verify.High],
+			Suspects: h[verify.Low] + h[verify.Med] + h[verify.High],
 		})
 	}
 
@@ -255,14 +255,14 @@ func Run(cfg Config) *Result {
 // are provably bystanders — so the suspect population stops growing
 // (§6.3: "the number of suspicious nodes will not increase after this
 // point").
-func reportFault(fa *core.FaultAnalyzer, susp *core.SuspicionTable, rep core.NodeSet) {
+func reportFault(fa *verify.FaultAnalyzer, susp *verify.SuspicionTable, rep verify.NodeSet) {
 	wasSaturated := fa.Saturated()
 	fa.Audit.Add(analyze.AuditMismatch, rep.Sorted(),
 		"job cluster returned a commission fault")
 	fa.Report(rep)
 	if wasSaturated {
 		hits := 0
-		var inter core.NodeSet
+		var inter verify.NodeSet
 		for _, x := range fa.Disjoint() {
 			if rep.Intersects(x) {
 				hits++
@@ -299,13 +299,13 @@ func (c Config) jobSlots(rng *rand.Rand) int {
 func allocate(cfg Config, rng *rand.Rand, free []int, offset *int, slots int, faulty map[int]bool, now int) (*job, bool) {
 	j := &job{
 		end:      now + 1 + rng.Intn(cfg.MaxJobLen),
-		replicas: make([]core.NodeSet, cfg.Replicas),
+		replicas: make([]verify.NodeSet, cfg.Replicas),
 		faulty:   make([]bool, cfg.Replicas),
 	}
 	taken := make(map[int]int) // node -> slots taken by this job overall
 	usedByReplica := make([]map[int]bool, cfg.Replicas)
 	for ri := range j.replicas {
-		j.replicas[ri] = make(core.NodeSet)
+		j.replicas[ri] = make(verify.NodeSet)
 		usedByReplica[ri] = make(map[int]bool)
 		got := 0
 		for probe := 0; probe < cfg.Nodes && got < slots; probe++ {

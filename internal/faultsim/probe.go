@@ -3,7 +3,7 @@ package faultsim
 import (
 	"math/rand"
 
-	"clusterbft/internal/core"
+	"clusterbft/internal/verify"
 )
 
 // Allocation selects the slot-placement policy, the knob behind the
@@ -43,7 +43,7 @@ type probePlacement struct {
 
 // pickProbeTargets selects up to half the members of the first
 // non-singleton disjoint suspect set, in deterministic order.
-func pickProbeTargets(fa *core.FaultAnalyzer) []int {
+func pickProbeTargets(fa *verify.FaultAnalyzer) []int {
 	for _, x := range fa.Disjoint() {
 		if len(x) < 2 {
 			continue
@@ -71,13 +71,13 @@ func allocateProbe(cfg Config, rng *rand.Rand, free []int, offset *int, targets 
 	}
 	j := &job{
 		end:      now + 1, // probes are short
-		replicas: make([]core.NodeSet, cfg.Replicas),
+		replicas: make([]verify.NodeSet, cfg.Replicas),
 		faulty:   make([]bool, cfg.Replicas),
 	}
 	taken := make(map[int]int)
 	used := make([]map[int]bool, cfg.Replicas)
 	for ri := range j.replicas {
-		j.replicas[ri] = make(core.NodeSet)
+		j.replicas[ri] = make(verify.NodeSet)
 		used[ri] = make(map[int]bool)
 	}
 	place := func(ri, n int) bool {

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"clusterbft/internal/cluster"
-	"clusterbft/internal/core"
+	"clusterbft/internal/verify"
 )
 
 func TestAllocationString(t *testing.T) {
@@ -150,10 +150,10 @@ func TestPickProbeTargetsHalvesFirstBigSet(t *testing.T) {
 	}
 }
 
-func newAnalyzerWithSet(t *testing.T, names ...string) *core.FaultAnalyzer {
+func newAnalyzerWithSet(t *testing.T, names ...string) *verify.FaultAnalyzer {
 	t.Helper()
-	fa := core.NewFaultAnalyzer(1)
-	s := make(core.NodeSet)
+	fa := verify.NewFaultAnalyzer(1)
+	s := make(verify.NodeSet)
 	for _, n := range names {
 		s[cluster.NodeID("node-0"+n)] = true
 	}

@@ -88,7 +88,7 @@ type TaskFault struct {
 	Corrupt func(v tuple.Value, cat func(s, suffix string) string) tuple.Value
 	// Tamper, when non-nil, replaces the output lines of a map-only or
 	// reduce task with what it returns for them, after the task's
-	// verification-point digests and before its AuditTaskPoint digest and
+	// verification-point digests and before its digest.AuditTaskPoint digest and
 	// the seal: the task reports and stores what it returns, as a worker
 	// that corrupts what it writes would.
 	Tamper func(lines []string) []string
@@ -445,7 +445,7 @@ func (e *Engine) makeRunnable(js *JobState) {
 			// concatenation the reader serves — so a mismatch against the
 			// producer's digest of its stored output convicts the storage
 			// boundary.
-			e.DigestSink(auditReport(js.Spec, AuditIOInPoint,
+			e.DigestSink(auditReport(js.Spec, digest.AuditIOInPoint,
 				fmt.Sprintf("%s/in%d", baseID(js.Spec.ID), i),
 				int64(src.NumRecords()), src.LinesSum()))
 		}
@@ -1009,7 +1009,7 @@ func (e *Engine) mapBody(t *Task, df digestFactory, emit func(digest.Report), co
 		}
 		if js.Spec.Audit && emit != nil {
 			sum, n := auditMapSum(out, sc)
-			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
+			emit(auditReport(js.Spec, digest.AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
 		}
 		out.publish(sc, seal)
 		e.scratch[slot] = sc
@@ -1103,7 +1103,7 @@ func (e *Engine) reduceBody(t *Task, df digestFactory, emit func(digest.Report),
 		}
 		if js.Spec.Audit && emit != nil {
 			sum, n := auditReduceSum(sc)
-			emit(auditReport(js.Spec, AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
+			emit(auditReport(js.Spec, digest.AuditTaskPoint, baseID(js.Spec.ID)+"/"+t.ID(), n, sum))
 		}
 		out.publish(sc, seal)
 		e.scratch[slot] = sc
@@ -1139,16 +1139,16 @@ func (e *Engine) completeJob(js *JobState) {
 	js.DoneTime = e.Now()
 	if (js.Spec.Audit || js.Spec.Ckpt) && e.DigestSink != nil {
 		// One digest of the output as stored, every part its task sealed,
-		// under both keys: it compares with consumers' AuditIOInPoint
+		// under both keys: it compares with consumers' digest.AuditIOInPoint
 		// digests of the tree, and the controller checkpoints the output
 		// that f+1 replicas agree on.
 		r := e.FS.OpenOutput(js.Spec.Output)
 		n, sum := int64(r.NumRecords()), r.LinesSum()
 		if js.Spec.Audit {
-			e.DigestSink(auditReport(js.Spec, AuditIOOutPoint, baseID(js.Spec.ID), n, sum))
+			e.DigestSink(auditReport(js.Spec, digest.AuditIOOutPoint, baseID(js.Spec.ID), n, sum))
 		}
 		if js.Spec.Ckpt {
-			e.DigestSink(auditReport(js.Spec, CkptPoint, baseID(js.Spec.ID), n, sum))
+			e.DigestSink(auditReport(js.Spec, digest.CkptPoint, baseID(js.Spec.ID), n, sum))
 		}
 	}
 	if js.Spec.Reduce != nil {
@@ -1383,7 +1383,7 @@ func (j *JobState) TaskIDs() []string {
 // reader snapshots the input at runnable time, so the quiz re-reads the
 // exact records the primary saw — the primary's committed map
 // outcomes for a reduce task), computing the same in-chain
-// verification-point digests plus the AuditTaskPoint output digest, all
+// verification-point digests plus the digest.AuditTaskPoint output digest, all
 // tagged with quizReplica. The re-execution holds no cluster slot: the
 // trusted tier is modeled as parallel capacity, but its CPU is charged
 // to Metrics.CPUTimeUs (the ε of "1+ε cost" verification) and its

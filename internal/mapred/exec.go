@@ -1181,7 +1181,7 @@ func colOf(t tuple.Tuple, idx int) tuple.Value {
 	return tuple.Null()
 }
 
-// auditMapSum digests a map task's full output for AuditTaskPoint: the
+// auditMapSum digests a map task's full output for digest.AuditTaskPoint: the
 // shuffle partitions in partition order (key, separator, payload per
 // record; a combined partial's key values are its key's, not payload)
 // plus any map-only output lines, read from the slot's buffer before the
@@ -1208,7 +1208,7 @@ func auditMapSum(out *mapOutcome, sc *taskScratch) (digest.Sum, int64) {
 	return hs.Sum(), n + int64(sc.out.lines())
 }
 
-// auditReduceSum digests a reduce task's output lines for AuditTaskPoint,
+// auditReduceSum digests a reduce task's output lines for digest.AuditTaskPoint,
 // as digest.OfLines does, from the slot's buffer before the body
 // publishes them.
 func auditReduceSum(sc *taskScratch) (digest.Sum, int64) {

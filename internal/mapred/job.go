@@ -85,34 +85,6 @@ type JobInput struct {
 	AuditIn bool
 }
 
-// Audit digest points. Plan vertex IDs are non-negative, so negative
-// Point values give audit digests a namespace disjoint from every
-// verification point the compiler can instrument. The Task field carries
-// the job's base ID (the spec ID after the last '/') so streams from
-// different jobs of one sub-graph never collide even when their task IDs
-// ("m0-000", "r000") do.
-const (
-	// AuditTaskPoint digests a task's full output (shuffle partitions or
-	// final lines); Task is "<job>/<task>". Quiz verification compares a
-	// re-executed task's digests — these plus the task's in-chain
-	// verification-point digests — against the primary's.
-	AuditTaskPoint = -1
-	// AuditIOOutPoint digests a job's output as its tasks sealed and
-	// stored it, read back once the job completes; Task is "<job>".
-	AuditIOOutPoint = -2
-	// AuditIOInPoint digests an input exactly as read back from storage;
-	// Task is "<job>/in<i>". A mismatch against the producer's
-	// AuditIOOutPoint digest convicts the storage boundary (write or
-	// read tampering) without a second replica.
-	AuditIOInPoint = -3
-	// CkptPoint digests a checkpoint-eligible job's output as stored
-	// (same bytes as AuditIOOutPoint but emitted on the full-r path);
-	// Task is "<job>". The controller's checkpoint registry persists a
-	// replica's output only once f+1 replicas agree on this digest, so a
-	// checkpoint can never contain bytes that verification would reject.
-	CkptPoint = -4
-)
-
 // ReduceKind enumerates reduce cores.
 type ReduceKind uint8
 
@@ -182,13 +154,13 @@ type JobSpec struct {
 	OutVertex  int    // plan vertex whose output this job materializes
 	Final      bool   // materializes a STORE (counts as HDFS write)
 	// Audit enables the engine's audit digests for this job: per-task
-	// output digests (AuditTaskPoint) and storage-boundary I/O digests
-	// (AuditIOOutPoint/AuditIOInPoint). The controller sets it on
+	// output digests (digest.AuditTaskPoint) and storage-boundary I/O digests
+	// (digest.AuditIOOutPoint/digest.AuditIOInPoint). The controller sets it on
 	// replicas verified by quiz or deferred policies; full-r replicas
 	// run without it and stay byte-identical to historical behavior.
 	Audit bool
 	// Ckpt enables checkpoint capture: at completion the engine digests
-	// the job's output as its tasks sealed it into a CkptPoint digest,
+	// the job's output as its tasks sealed it into a digest.CkptPoint digest,
 	// which lets the controller persist an f+1-agreed copy for
 	// suffix-only recovery. Set only for full-r replicas of jobs with
 	// in-cluster dependents when checkpointing is on.

@@ -192,7 +192,7 @@ func TestRequizTaskIndexPastThreeDigits(t *testing.T) {
 			if !js.Done || !slices.Contains(js.TaskIDs(), c.tid) {
 				t.Fatalf("job done=%v, task IDs %d, want %s among them", js.Done, len(js.TaskIDs()), c.tid)
 			}
-			want := digest.Key{SID: "s0", Point: AuditTaskPoint, Task: baseID(spec.ID) + "/" + c.tid}
+			want := digest.Key{SID: "s0", Point: digest.AuditTaskPoint, Task: baseID(spec.ID) + "/" + c.tid}
 			var quiz []digest.Report
 			if err := eng.Requiz(spec.ID, c.tid, 1, func(r digest.Report) { quiz = append(quiz, r) }, nil); err != nil {
 				t.Fatal(err)

@@ -221,9 +221,9 @@ STORE f INTO 'out/f';`
 }
 
 // TestTaskHookTamperIsWhatIsStored: a task whose TaskFault.Tamper changes
-// its part reports and stores what the Tamper returned — its AuditTaskPoint
+// its part reports and stores what the Tamper returned — its digest.AuditTaskPoint
 // digest and its part file are of the tampered lines — and the job's
-// AuditIOOutPoint and CkptPoint digests are both digest.OfLines of the
+// digest.AuditIOOutPoint and digest.CkptPoint digests are both digest.OfLines of the
 // output as stored, part after part in name order, read over a store that
 // spills, so most of it from the spill file, with the read counter left
 // alone.
@@ -283,21 +283,21 @@ STORE f INTO 'out/f';`
 	sums := map[int]digest.Report{}
 	for _, r := range tr.reports {
 		switch r.Key.Point {
-		case AuditIOOutPoint, CkptPoint:
+		case digest.AuditIOOutPoint, digest.CkptPoint:
 			sums[r.Key.Point] = r
-		case AuditTaskPoint:
+		case digest.AuditTaskPoint:
 			if r.Sum == honest {
 				t.Errorf("%s: the task reported its output before the Tamper", r.Key.Task)
 			}
 			if r.Sum == tampered {
-				sums[AuditTaskPoint] = r
+				sums[digest.AuditTaskPoint] = r
 			}
 		}
 	}
-	if _, ok := sums[AuditTaskPoint]; !ok {
+	if _, ok := sums[digest.AuditTaskPoint]; !ok {
 		t.Error("no task reported the output its Tamper returned")
 	}
-	for _, point := range []int{AuditIOOutPoint, CkptPoint} {
+	for _, point := range []int{digest.AuditIOOutPoint, digest.CkptPoint} {
 		r, ok := sums[point]
 		if !ok || r.Sum != digest.OfLines(want) || r.Records != int64(len(want)) {
 			t.Errorf("point %d: report %v (%v), want %d records digested as stored", point, r, ok, len(want))

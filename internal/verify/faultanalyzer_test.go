@@ -1,4 +1,4 @@
-package core
+package verify
 
 import (
 	"reflect"
@@ -164,5 +164,40 @@ func TestAnalyzerManyJobsConvergence(t *testing.T) {
 	}
 	if got := fa.Suspects(); len(got) != 1 || got[0] != "evil" {
 		t.Errorf("Suspects = %v, want [evil]", got)
+	}
+}
+
+// TestFaultAnalyzerDisjointInvariant property-checks Fig 7's core
+// invariant: members of D stay pairwise disjoint and non-empty under any
+// report sequence.
+func TestFaultAnalyzerDisjointInvariant(t *testing.T) {
+	// Deterministic pseudo-random set stream.
+	seq := []NodeSet{}
+	x := uint32(12345)
+	next := func(n int) uint32 { x = x*1664525 + 1013904223; return x % uint32(n) }
+	for i := 0; i < 200; i++ {
+		s := make(NodeSet)
+		for j := 0; j < int(next(6))+1; j++ {
+			s[cluster.NodeID(string(rune('a'+next(15))))] = true
+		}
+		seq = append(seq, s)
+	}
+	for _, f := range []int{1, 2, 3} {
+		fa := NewFaultAnalyzer(f)
+		for i, s := range seq {
+			fa.Report(s)
+			d := fa.Disjoint()
+			for a := 0; a < len(d); a++ {
+				if len(d[a]) == 0 {
+					t.Fatalf("f=%d step %d: empty member of D", f, i)
+				}
+				for b := a + 1; b < len(d); b++ {
+					if d[a].Intersects(d[b]) {
+						t.Fatalf("f=%d step %d: D members intersect: %v %v",
+							f, i, d[a].Sorted(), d[b].Sorted())
+					}
+				}
+			}
+		}
 	}
 }

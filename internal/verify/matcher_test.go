@@ -1,4 +1,4 @@
-package core
+package verify
 
 import (
 	"crypto/sha256"
@@ -405,5 +405,51 @@ func BenchmarkMatcherObserve(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(stream)), "records/op")
 		})
+	}
+}
+
+// TestMatcherAgreementInvariants property-checks the verifier: majority
+// and deviants partition the completed set, majority is at least f+1,
+// and every majority member shares one fingerprint.
+func TestMatcherAgreementInvariants(t *testing.T) {
+	x := uint32(99)
+	next := func(n int) uint32 { x = x*1664525 + 1013904223; return x % uint32(n) }
+	for trial := 0; trial < 100; trial++ {
+		f := int(next(3))
+		m := NewMatcher(f)
+		reps := int(next(5)) + 1
+		completed := make([]int, 0, reps)
+		for rep := 0; rep < reps; rep++ {
+			completed = append(completed, rep)
+			// Each replica reports 1-3 keys with one of two payloads.
+			for k := 0; k < int(next(3))+1; k++ {
+				payload := "x"
+				if next(4) == 0 {
+					payload = "y"
+				}
+				m.Observe(report("s", rep, k, "t", 0, payload))
+			}
+		}
+		maj, dev, ok := m.Agreement("s", completed)
+		if !ok {
+			continue
+		}
+		if len(maj) < f+1 {
+			t.Fatalf("majority %v smaller than f+1=%d", maj, f+1)
+		}
+		if len(maj)+len(dev) != len(completed) {
+			t.Fatalf("majority %v + deviants %v != completed %v", maj, dev, completed)
+		}
+		fp := m.Fingerprint("s", maj[0])
+		for _, r := range maj[1:] {
+			if m.Fingerprint("s", r) != fp {
+				t.Fatal("majority members with different fingerprints")
+			}
+		}
+		sorted := append([]int(nil), dev...)
+		sort.Ints(sorted)
+		if !reflect.DeepEqual(sorted, dev) {
+			t.Fatal("deviants not sorted")
+		}
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package verify
 
 import (
 	"fmt"
@@ -71,27 +71,27 @@ func ParsePolicy(s string) (Policy, error) {
 	case "auto":
 		return PolicyAuto, nil
 	default:
-		return 0, fmt.Errorf("core: unknown verify policy %q (want full, quiz, deferred or auto)", s)
+		return 0, fmt.Errorf("verify: unknown verify policy %q (want full, quiz, deferred or auto)", s)
 	}
 }
 
 // decidePolicy resolves the configured policy for one sub-graph launch.
 // PolicyAuto consults the suspicion table: excluded nodes get no work
 // anyway, so only nodes still on the inclusion list argue for caution.
-func (v *verifier) decidePolicy() Policy {
-	switch v.policy {
+func (v *Verifier) decidePolicy() Policy {
+	switch v.Policy {
 	case 0:
 		return PolicyFull
 	case PolicyAuto:
 	default:
-		return v.policy
+		return v.Policy
 	}
 	worst := None
 	for _, n := range v.nodes {
-		if v.susp.Excluded(n.ID) {
+		if v.susp.Excluded(n) {
 			continue
 		}
-		if cat := v.susp.CategoryOf(n.ID); cat > worst {
+		if cat := v.susp.CategoryOf(n); cat > worst {
 			worst = cat
 		}
 	}

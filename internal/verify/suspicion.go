@@ -1,10 +1,4 @@
-// Package core implements ClusterBFT itself (paper §4): the request
-// handler (graph analysis, job initiation, replication), the verifier
-// (f+1 digest matching with timeouts and re-execution at higher
-// replication), suspicion tracking, the fault analyzer that isolates
-// Byzantine nodes by intersecting suspicious job clusters, and the
-// resource manager's overlap-maximizing task scheduler.
-package core
+package verify
 
 import (
 	"fmt"

@@ -35,8 +35,8 @@ import (
 // keyed as the failure prints them, each with the reason it stays.
 var allowlist = map[string]string{
 	"internal/mapred.Engine.JobCount": "core's teardown tests pin the engine's job table bounded across the package line; nothing else exposes its size",
-	"internal/digest.Of":              "reference implementation the fast digest paths are held to in core, dfs and mapred tests",
-	"internal/digest.OfLines":         "reference implementation the fast digest paths are held to in core, dfs and mapred tests",
+	"internal/digest.Of":              "reference implementation the fast digest paths are held to in verify, dfs and mapred tests",
+	"internal/digest.OfLines":         "reference implementation the fast digest paths are held to in verify, dfs and mapred tests",
 }
 
 // listed is the part of `go list -json` this check reads.

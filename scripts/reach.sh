@@ -14,8 +14,10 @@
 # too, since a binary whose main package counts nothing writes no counters,
 # but it is left out of the report: `go tool cover` cannot resolve a package
 # of the nested module. It then prints each package's reach over all the
-# runs and, for dfs, digest, mapred, core, tuple, obs and bft, the functions
-# no run reached. A manual command: neither tier-1 nor CI runs it.
+# runs and, for dfs, digest, mapred, core, verify, tuple, obs and bft, the
+# functions no run reached. Last it prints the non-test line count of
+# verify, the trusted decision core. A manual command: neither tier-1 nor
+# CI runs it.
 set -euo pipefail
 
 if [[ ! -f go.mod || ! -d cmd ]]; then
@@ -58,8 +60,10 @@ pkgs=clusterbft/cmd/...,clusterbft/internal/...
 go tool covdata percent -i "$work/cov" -pkg "$pkgs" | sed 's|^[[:space:]]*clusterbft/||' | sort
 
 go tool covdata textfmt -i "$work/cov" -pkg "$pkgs" -o "$work/cover.out"
-for pkg in dfs digest mapred core tuple obs bft; do
+for pkg in dfs digest mapred core verify tuple obs bft; do
 	echo "== $pkg: functions no run reached"
 	go tool cover -func="$work/cover.out" |
 		awk -v p="clusterbft/internal/$pkg/" 'index($1, p) == 1 && index(substr($1, length(p) + 1), "/") == 0 && $NF == "0.0%" { sub(/^clusterbft\/internal\//, "", $1); print $1, $2 }'
 done
+
+echo "== trusted decision core: $(cat $(ls internal/verify/*.go | grep -v '_test\.go$') | wc -l) non-test lines (internal/verify)"
