@@ -21,9 +21,6 @@
 // and exits. The flags from -verify-policy to -http are shared with
 // experiments and faultsim and documented in internal/cli; -http-linger
 // keeps the -http endpoints up after the run, until SIGINT/SIGTERM.
-// -compress codes each sealed DFS block with a dictionary of one byte a
-// value where every column holds at most 256 distinct values, and deflates
-// it where not.
 package main
 
 import (

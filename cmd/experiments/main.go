@@ -9,14 +9,12 @@
 //
 // Each experiment prints rows shaped like the paper's (§6); see
 // EXPERIMENTS.md for the mapping and the expected shapes. The flags
-// from -verify-policy on are the ones every command shares
-// (internal/cli): the policy, checkpointing and DFS block data plane of
+// from -verify-policy on are the ones every command shares, documented
+// in internal/cli: the policy, checkpointing and DFS block data plane of
 // every controller and rig the experiments build; --trace collects every
 // engine run's spans into one Chrome trace_event timeline (plus a .jsonl
 // twin); --metrics prints the accumulated registry after all selected
-// experiments. -compress codes each sealed DFS block with a dictionary of
-// one byte a value where every column holds at most 256 distinct values,
-// and deflates it where not. -http serves the live introspection plane
+// experiments. -http serves the live introspection plane
 // (/metrics, /healthz, /jobs, /trace, pprof) while the experiments run;
 // the registry and jobs board are shared across every engine the
 // experiments construct, and the /jobs cost buckets reflect the engine

@@ -32,14 +32,10 @@
 // every commission fault is quizzable). The chaos runs' DFS block data
 // plane is the campaign's own (512-byte blocks, a 1 KiB budget, coded),
 // and each storage flag given (-block-size, -mem-budget, -spill-dir,
-// -compress) replaces that one setting; reports are byte-identical at any
-// setting.
-// -compress codes each sealed block with a dictionary of one byte a value
-// where every column holds at most 256 distinct values, and deflates it
-// where not. The
-// suspicion simulator has no engine, controller or storage layer: of
-// the shared flags (internal/cli) it reads only --trace and --metrics,
-// for its own audit-trail export.
+// -compress, documented in internal/cli) replaces that one setting;
+// reports are byte-identical at any setting. The suspicion simulator has
+// no engine, controller or storage layer: of the shared flags it reads
+// only --trace and --metrics, for its own audit-trail export.
 package main
 
 import (

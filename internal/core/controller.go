@@ -296,6 +296,9 @@ func (c *Controller) Run(script string) (*Result, error) {
 	}
 	c.runSeq++
 	c.initRun(jobs, points)
+	if b := c.Eng.Board; b != nil { // the method value allocates
+		b.ReadSuspicionFrom(c.suspicion)
+	}
 
 	start := c.Eng.Now()
 	c.dispatch(verify.Event{Kind: verify.EvStart})
@@ -769,17 +772,20 @@ func (c *Controller) record(cs *clusterState, ev analyze.AuditEvent, n int64) {
 			})
 		}
 	}
-	if b != nil && ev.Cause != 0 { // blame moved, or a timeout found none to move: refresh what /jobs serves
-		h := c.Susp.Histogram()
-		st := obs.SuspicionStatus{Low: h[verify.Low], Med: h[verify.Med], High: h[verify.High]}
-		for _, n := range c.Susp.Suspects() {
-			st.Suspects = append(st.Suspects, string(n))
-			if c.Susp.Excluded(n) {
-				st.Excluded = append(st.Excluded, string(n))
-			}
+}
+
+// suspicion summarizes the suspicion table for /jobs, which reads it
+// when it is served.
+func (c *Controller) suspicion() obs.SuspicionStatus {
+	h := c.Susp.Histogram()
+	st := obs.SuspicionStatus{Low: h[verify.Low], Med: h[verify.Med], High: h[verify.High]}
+	for _, n := range c.Susp.Suspects() {
+		st.Suspects = append(st.Suspects, string(n))
+		if c.Susp.Excluded(n) {
+			st.Excluded = append(st.Excluded, string(n))
 		}
-		b.SetSuspicion(st)
 	}
+	return st
 }
 
 // kill stops every job of the attempt launched last; a template it

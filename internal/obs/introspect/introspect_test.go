@@ -18,6 +18,8 @@ import (
 	"clusterbft/internal/mapred"
 	"clusterbft/internal/obs"
 	"clusterbft/internal/pig"
+	"clusterbft/internal/verify"
+	"clusterbft/internal/workload"
 )
 
 const testScript = `
@@ -48,13 +50,19 @@ type rig struct {
 // corrupts, node-005 always withholds — so the endpoints are read, and
 // under -race hammered, while the fault path writes the board.
 func newRig(t *testing.T) *rig {
-	t.Helper()
-	sys := core.NewSystem(8, 3, dfs.Options{}, mapred.DefaultCostModel())
-	fs, eng := sys.FS, sys.Engine
-	for id, kind := range map[cluster.NodeID]cluster.FaultKind{
+	return newRigOf(t, 8, map[cluster.NodeID]cluster.FaultKind{
 		"node-003": cluster.FaultCommission,
 		"node-005": cluster.FaultOmission,
-	} {
+	})
+}
+
+// newRigOf builds the deployment on nodes×3 slots with the given
+// always-faulty nodes.
+func newRigOf(t *testing.T, nodes int, faulty map[cluster.NodeID]cluster.FaultKind) *rig {
+	t.Helper()
+	sys := core.NewSystem(nodes, 3, dfs.Options{}, mapred.DefaultCostModel())
+	fs, eng := sys.FS, sys.Engine
+	for id, kind := range faulty {
 		if err := sys.Cluster.SetAdversary(id, kind, 1.0, 11); err != nil {
 			t.Fatal(err)
 		}
@@ -102,6 +110,37 @@ type jobsDoc struct {
 	SIDs      []obs.SIDStatus     `json:"sids"`
 	Suspicion obs.SuspicionStatus `json:"suspicion"`
 	Cost      *mapred.CostBuckets `json:"cost"`
+}
+
+// TestJobsSuspicionIsTheTable serves /jobs after a controller's second
+// and third runs and holds its suspicion summary to the table's. A
+// completion moves every node's level without a blame decision, so a
+// summary pushed only when blame moved goes stale from the second run on.
+func TestJobsSuspicionIsTheTable(t *testing.T) {
+	r := newRigOf(t, 16, map[cluster.NodeID]cluster.FaultKind{"node-003": cluster.FaultCommission})
+	r.eng.FS.Append(workload.WeatherPath, workload.Weather(500, 50, 7)...)
+	for run := 1; run <= 3; run++ {
+		if _, err := r.ctrl.Run(workload.WeatherScript); err != nil {
+			t.Fatal(err)
+		}
+		_, body, _ := get(t, r.srv.URL()+"/jobs")
+		var doc jobsDoc
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Fatalf("/jobs JSON: %v\n%s", err, body)
+		}
+		h := r.ctrl.Susp.Histogram()
+		got := [3]int{doc.Suspicion.Low, doc.Suspicion.Med, doc.Suspicion.High}
+		if want := [3]int{h[verify.Low], h[verify.Med], h[verify.High]}; got != want {
+			t.Errorf("run %d: /jobs low/med/high = %v, the suspicion table's %v", run, got, want)
+		}
+		var suspects []string
+		for _, n := range r.ctrl.Susp.Suspects() {
+			suspects = append(suspects, string(n))
+		}
+		if fmt.Sprint(doc.Suspicion.Suspects) != fmt.Sprint(suspects) {
+			t.Errorf("run %d: /jobs suspects %v, the table's %v", run, doc.Suspicion.Suspects, suspects)
+		}
+	}
 }
 
 // TestMetricsGolden pins the /metrics exposition byte-for-byte for a

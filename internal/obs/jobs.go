@@ -22,7 +22,7 @@ type JobsBoard struct {
 	jobOrder []string // insertion order, for FIFO eviction
 	sids     map[string]*SIDStatus
 	sidOrder []string
-	susp     SuspicionStatus
+	susp     func() SuspicionStatus
 	maxJobs  int
 	maxDur   int // per-stage retained task durations
 }
@@ -115,7 +115,7 @@ type SIDStatus struct {
 	FaultyNodes    []string `json:"faulty_nodes,omitempty"`
 }
 
-// SuspicionStatus is the controller's latest suspicion-table summary.
+// SuspicionStatus summarizes the controller's suspicion table.
 type SuspicionStatus struct {
 	Low      int      `json:"low"`
 	Med      int      `json:"med"`
@@ -318,15 +318,14 @@ func (b *JobsBoard) UpsertSID(sid string, update func(*SIDStatus)) {
 	b.mu.Unlock()
 }
 
-// SetSuspicion replaces the suspicion summary. The controller pushes
-// it whenever blame moves: this package cannot see the table it
-// summarizes.
-func (b *JobsBoard) SetSuspicion(s SuspicionStatus) {
+// ReadSuspicionFrom sets where Suspicion reads the summary when /jobs
+// is served: the controller's table, which this package cannot see.
+func (b *JobsBoard) ReadSuspicionFrom(f func() SuspicionStatus) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
-	b.susp = s
+	b.susp = f
 	b.mu.Unlock()
 }
 
@@ -378,14 +377,18 @@ func (b *JobsBoard) SIDs() []SIDStatus {
 	return out
 }
 
-// Suspicion returns the latest suspicion summary.
+// Suspicion returns the suspicion summary as it stands now.
 func (b *JobsBoard) Suspicion() SuspicionStatus {
-	if b == nil {
+	var f func() SuspicionStatus
+	if b != nil {
+		b.mu.Lock()
+		f = b.susp
+		b.mu.Unlock()
+	}
+	if f == nil {
 		return SuspicionStatus{}
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.susp
+	return f()
 }
 
 // Stragglers builds the per-stage duration report for one job. A task

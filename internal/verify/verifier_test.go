@@ -444,7 +444,7 @@ func TestSweepForgetsTheRun(t *testing.T) {
 }
 
 // TestSaturatedChargeBlamesWholeJobCluster pins the blame rule the
-// verifier runs today (DESIGN.md, "Known deviations"). Once the fault
+// verifier runs today (EXPERIMENTS.md, "Known deviations"). Once the fault
 // analyzer is saturated (|D| = f), §6.3 puts suspicion only on where a
 // faulty job cluster meets the one member of D it touches, and
 // faultsim's reportFault does so to draw Fig 11–13. charge puts a fault
