@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"encoding/binary"
 	"math"
 	"strings"
 	"unsafe"
@@ -32,8 +33,9 @@ import (
 // The zero value is ready to use, and a Batch that is read into again
 // reuses its arrays; the text of an earlier read stays valid for as long
 // as a Value cut from it is referenced, and so keeps its whole block alive
-// (blockText). The Batch itself lets go of it once Next has stepped past
-// the last record: one kept between tasks holds arrays, not data.
+// (blockText). The Batch itself holds it until the next read or Release,
+// so that AppendLines still serves a range Next has stepped past: one kept
+// between tasks, released, holds arrays, not data.
 type Batch struct {
 	shape  blockShape
 	text   string
@@ -111,12 +113,11 @@ func (b *Batch) step() bool {
 		}
 	}
 	b.row++
-	if b.row < len(b.widths) {
-		return true
-	}
-	b.text, b.uniform = "", 0
-	return false
+	return b.row < len(b.widths)
 }
+
+// Row returns the index of the record Next stands on, 0 for the first.
+func (b *Batch) Row() int { return b.row }
 
 // Width returns the current record's column count. The empty line has
 // width 0: a line codec reads it as no columns, not as one empty one.
@@ -153,19 +154,27 @@ func (b *Batch) Rows() int {
 // one where dst is empty; it returns dst and how many it appended. It is
 // the span bytes alone, with no value coerced or escaped: a line is its
 // record's canonical encoding where every value is the string, or the
-// canonical integer, it reads as. The batch's cursor does not move.
+// canonical integer, it reads as. The batch's cursor does not move, and
+// dst's array past what it returns may be written over.
 func (b *Batch) AppendLines(dst []byte, from, max int) ([]byte, int) {
-	cur, ends, text := b.cur, b.ends, b.text
+	cur, ends := b.cur, b.ends
+	text := unsafe.Slice(unsafe.StringData(b.text), len(b.text)) // only read
 	end := from + min(max, b.uniform-from)
 	for r := from; r < end; r++ {
 		at := len(dst)
 		for _, first := range cur {
 			k := 2 * (int(first) + r)
-			v := text[ends[k]:ends[k+1]]
-			if len(dst)+len(v) >= cap(dst) && at > 0 { // no room for it and a tab or newline
+			s, e, n := int(ends[k]), int(ends[k+1]), len(dst)
+			if n+e-s >= cap(dst) && at > 0 { // no room for it and a tab or newline
 				return dst[:at], r - from
 			}
-			dst = append(dst, v...)
+			if e-s <= 8 && s+8 <= len(text) && n+8 <= cap(dst) {
+				// one word moved, the value and bytes past it, beats a call to copy it
+				binary.LittleEndian.PutUint64(dst[n:n+8], binary.LittleEndian.Uint64(text[s:]))
+				dst = dst[:n+e-s]
+			} else {
+				dst = append(dst, text[s:e]...)
+			}
 			dst = append(dst, '\t')
 		}
 		dst[len(dst)-1] = '\n'
@@ -195,6 +204,9 @@ func (b *Batch) Form(c int) tuple.IntForm {
 // backslash nor a newline: only then is each the bytes that encoding what
 // it coerces to writes (tuple.FieldType.AppendCoerced).
 func (b *Batch) Plain() bool { return b.plain }
+
+// Release lets go of the text of the last read, keeping b's arrays.
+func (b *Batch) Release() { b.reset() }
 
 // reset empties b, keeping its arrays.
 func (b *Batch) reset() {

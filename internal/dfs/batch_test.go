@@ -73,11 +73,41 @@ func readsAs(t *testing.T, who string, b *Batch, lines []string, need []bool) {
 	}
 }
 
+// appendsLines fails t unless b, just read whole from lines, serves
+// through AppendLines, from each of its rows on and into buffers of every
+// room, exactly those lines with a newline after each, as many a call as
+// the room takes but always one, whose room it may grow: where Rows serves
+// the batch at all, which every uniform range of a block with no escape
+// byte is.
+func appendsLines(t *testing.T, who string, b *Batch, lines []string) {
+	t.Helper()
+	n := b.Rows()
+	if n == 0 {
+		return
+	}
+	for from := 0; from <= n; from++ {
+		for _, room := range []int{0, 1, 5, 9, 16, 64, 4096} {
+			var got []byte
+			for r := from; r < n; {
+				buf, took := b.AppendLines(make([]byte, 0, room), r, n-r)
+				if took < 1 || len(buf) > room && len(lines[r]) < room { // a first line longer than the room grows it
+					t.Fatalf("%s: AppendLines from %d into room %d took %d rows in %d bytes", who, r, room, took, len(buf))
+				}
+				got, r = append(got, buf...), r+took
+			}
+			if want := strings.Join(lines[from:], "\n") + "\n"; from < n && string(got) != want || from == n && got != nil {
+				t.Fatalf("%s: AppendLines from %d into room %d = %q, want %q", who, from, room, got, want)
+			}
+		}
+	}
+}
+
 // TestBatchMatchesLines: every range of a block, under every mask, reads
 // to exactly the values tuple.DecodeLine reads in its lines — whatever the
 // block's shape (blockShapes), compressed and raw — plain where a line
 // holds no escape byte, with the line bytes ReadRange's lines add up to,
-// which a pruned read takes from the directory.
+// which a pruned read takes from the directory; and a range Rows serves
+// appends as those lines (appendsLines).
 func TestBatchMatchesLines(t *testing.T) {
 	masks := [][]bool{nil, {}, {true}, {false, true}, {true, false, true, true}, {false, false, false, false, true}}
 	var b Batch // one batch for every read: stale state must not show
@@ -90,6 +120,9 @@ func TestBatchMatchesLines(t *testing.T) {
 						who := fmt.Sprintf("%s compress=%v [%d,%d) need %v", name, compress, lo, hi, need)
 						if err := b.decode(data, lo, hi, 0, need); err != nil {
 							t.Fatalf("%s: %v", who, err)
+						}
+						if need == nil {
+							appendsLines(t, who, &b, lines[lo:hi])
 						}
 						readsAs(t, who, &b, lines[lo:hi], need)
 					}

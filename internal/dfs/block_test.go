@@ -517,6 +517,9 @@ func blockShapes() map[string][]string {
 		"escapes":     {"a\tb\tc", "d\tx\\y\tf", "g\th\ti", "j\tk\nl\tm", "n\to\tp", "q\tr\ts"},
 		"long":        {long + "\tb", "a\t" + long, strings.Repeat("w\t", 150) + "end", "short\tline", long + long + "\t" + long},
 		"length 10":   {"0123456789\tb", strings.Repeat("y", '\\') + "\tc", "d\te"}, // a length byte that is one of the two escapes
+		// Values about a word long: Batch.AppendLines moves one of up to 8
+		// bytes as a word.
+		"word sized": {"seven77\teight888\tnine99999", "\tab\t12345678", "x\tnine99999\t1234567"},
 	}
 }
 

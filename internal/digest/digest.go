@@ -159,7 +159,10 @@ func (w *Writer) AddCanonical(canon []byte) {
 }
 
 // Lines is a run of records whose canonical bytes a Writer can take
-// straight into its buffer, a buffer at a time (AddLines).
+// straight into its buffer, a buffer at a time (AddLines). A map task's
+// *dfs.Batch is one, over the rows of a block range held as spans: the
+// task passes it as it is, since an adapter around it would escape to the
+// heap.
 type Lines interface {
 	// AppendLines appends to dst the canonical bytes of records from,
 	// from+1, ..., at most max of them, stopping before a record that
@@ -168,19 +171,20 @@ type Lines interface {
 	AppendLines(dst []byte, from, max int) ([]byte, int)
 }
 
-// AddLines folds records [0, n) of src into the stream: the same bytes,
-// chunks and reports as n calls of AddCanonical, one a record. src
+// AddLines folds records [from, from+n) of src into the stream: the same
+// bytes, chunks and reports as n calls of AddCanonical, one a record. src
 // appends them into the writer's own buffer, as many at a time as it and
 // the current chunk have room for, so a record is copied once and a
-// chunk's records are counted with one add.
-func (w *Writer) AddLines(src Lines, n int) {
+// chunk's records are counted with one add. A caller that folds only some
+// of src's records folds each run of consecutive ones with one call.
+func (w *Writer) AddLines(src Lines, from, n int) {
 	if w.closed {
 		return
 	}
 	hs := &w.hs
 	hs.ready()
-	for r := 0; r < n; {
-		k := n - r
+	for r, end := from, from+n; r < end; {
+		k := end - r
 		if w.every > 0 {
 			k = min(k, w.every-int(w.inChunk))
 		}

@@ -22,12 +22,14 @@ func (l recordLines) AppendLines(dst []byte, from, max int) ([]byte, int) {
 	return dst, r - from
 }
 
-// FuzzWriterBatchMatchesAdd: records folded through AddLines, in groups
-// of any size, mixed with groups folded one record at a time, leave
-// exactly the reports — keys, chunk boundaries, counts, sums and order —
-// and the counts that AddCanonical called once a record leaves: at chunk
-// sizes 0 to 300, under Also points, over empty records and records
-// longer than BufferSize, into buffers of any room.
+// FuzzWriterBatchMatchesAdd: records [from, len) folded through AddLines
+// from src, in groups of any size, each group from where the last ended,
+// mixed with groups folded one record at a time, leave exactly the reports
+// — keys, chunk boundaries, counts, sums and order — and the counts that
+// AddCanonical called once a record over the same records leaves: from 0
+// or from a record within, at chunk sizes 0 to 300, under Also points,
+// over empty records and records longer than BufferSize, into buffers of
+// any room.
 func FuzzWriterBatchMatchesAdd(f *testing.F) {
 	f.Add(int64(1), uint16(250), uint16(100), uint8(0), uint16(0))
 	f.Add(int64(2), uint16(600), uint16(1), uint8(1), uint16(64))
@@ -68,28 +70,32 @@ func FuzzWriterBatchMatchesAdd(f *testing.F) {
 		var want, got []Report
 		one, batched := writer(&want, "one"), writer(&got, "batched")
 		batched.SetBuffer(make([]byte, 0, int(room)%(2*BufferSize)))
-		for _, r := range recs {
+		from := 0
+		if next(2) == 0 {
+			from = next(len(recs) + 1)
+		}
+		for _, r := range recs[from:] {
 			one.AddCanonical(r)
 		}
-		for at := 0; at < len(recs); {
+		for at := from; at < len(recs); {
 			k := min(next(3*max(every, 1)+2), len(recs)-at)
 			if next(4) == 0 {
 				for _, r := range recs[at : at+k] {
 					batched.AddCanonical(r)
 				}
 			} else {
-				batched.AddLines(recs[at:], k)
+				batched.AddLines(recs, at, k)
 			}
 			at += k
 		}
 		one.Close()
 		batched.Close()
-		batched.AddLines(recs, len(recs)) // closed: takes nothing
+		batched.AddLines(recs, 0, len(recs)) // closed: takes nothing
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d records, d=%d, %d points: batched writer reported\n%v\none a record\n%v", len(recs), every, one.Points(), got, want)
+			t.Fatalf("records [%d, %d), d=%d, %d points: batched writer reported\n%v\none a record\n%v", from, len(recs), every, one.Points(), got, want)
 		}
-		if a, b := reg.Counter("one").Value(), reg.Counter("batched").Value(); a != b || a != int64(len(recs)*one.Points()) {
-			t.Errorf("counted %d one a record, %d batched, want %d", a, b, len(recs)*one.Points())
+		if a, b := reg.Counter("one").Value(), reg.Counter("batched").Value(); a != b || a != int64((len(recs)-from)*one.Points()) {
+			t.Errorf("counted %d one a record, %d batched, want %d", a, b, (len(recs)-from)*one.Points())
 		}
 	})
 }

@@ -389,94 +389,167 @@ STORE late INTO 'out/late';`
 	}
 }
 
-// TestWarmSourceDigestAllocs pins the source digest hashed a batch at a
-// time on a warm slot: weather_finegrain's first job, a digest of the
-// source straight into a combining GROUP, at d = 100, over raw and over
-// dictionary-coded blocks. Its writer takes each batch's records as lines
+// TestWarmSourceDigestAllocs pins the source digest hashed from the spans
+// on a warm slot, at d = 100, over raw and over dictionary-coded blocks:
+// weather_finegrain's first job, a digest of the source straight into a
+// combining GROUP, where a batch is one run; and follower_clean's, a
+// FILTER ahead of two fused digests, where the rows that pass make runs
+// between the ones it drops. The writer takes each run's records as lines
 // straight from the block (dfs.Batch.AppendLines) into the slot's digest
 // buffer: the task allocates, over what it allocates with digests off,
 // what making and closing its writer does and nothing else, whatever the
 // number of records and chunks.
 func TestWarmSourceDigestAllocs(t *testing.T) {
-	const src = `
+	for _, c := range []struct {
+		name, src string
+		points    []string
+		line      func(i int) string
+		passes    func(i int) bool
+	}{
+		{name: "source digest", src: `
 w = LOAD 'in/w' AS (station, date:int, temp:int);
 g = GROUP w BY station;
 a = FOREACH g GENERATE group, AVG(w.temp);
-STORE a INTO 'out/a';`
-	job := compile(t, src, CompileOptions{Points: digestPoints(t, plan(t, src), "w")})[0]
-	df := func(point int) *digest.Writer {
-		return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "m0-000"}, 1, 100, func(digest.Report) {})
-	}
-	if m := newMapRun(job, 0, 0, df, nil, taskObs{}, new(taskScratch)); m.chain.lead != 1 {
-		t.Fatalf("map chain %v leads with %d batch digests, want 1", job.Inputs[0].Ops, m.chain.lead)
-	}
-	writer := testing.AllocsPerRun(10, func() { df(1).Close() })
-	for _, compress := range []bool{false, true} {
-		for _, n := range []int{1000, 4000} {
-			lines := make([]string, n)
-			for i := range lines {
-				lines[i] = fmt.Sprintf("st%05d\t%d\t%d", i%40, 20080101+i%28, 20+i%50)
+STORE a INTO 'out/a';`, points: []string{"w"},
+			line:   func(i int) string { return fmt.Sprintf("st%05d\t%d\t%d", i%40, 20080101+i%28, 20+i%50) },
+			passes: func(int) bool { return true }},
+		{name: "filter ahead", src: workload.FollowerScript, points: []string{"nonempty", "grouped"},
+			line:   func(i int) string { return fmt.Sprintf("%d\t%d", 1+i%40, i%7%3) },
+			passes: func(i int) bool { return i%7%3 != 0 }},
+	} {
+		job := compile(t, c.src, CompileOptions{Points: digestPoints(t, plan(t, c.src), c.points...)})[0]
+		df := func(point int) *digest.Writer {
+			return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "m0-000"}, 1, 100, func(digest.Report) {})
+		}
+		if m := newMapRun(job, 0, 0, df, nil, taskObs{}, new(taskScratch)); m.chain.runW == nil || m.chain.runW.Points() != len(c.points) {
+			t.Fatalf("%s: map chain %v hashes no source digest of %d points from the spans", c.name, job.Inputs[0].Ops, len(c.points))
+		}
+		writer := testing.AllocsPerRun(10, func() {
+			w := df(1)
+			for p := range len(c.points) - 1 {
+				w.Also(2 + p)
 			}
-			fs := dfs.NewWith(dfs.Options{BlockSize: 16 << 10, Compress: compress})
-			fs.Append("in", lines...)
-			r := openReader(t, fs)
-			sc := new(taskScratch)
-			task := func(df digestFactory) float64 {
-				return testing.AllocsPerRun(10, func() { // its first, uncounted run warms sc
-					if out := runMapTask(job, 0, r, 0, n, df, nil, taskObs{}, sc); df != nil && out.digested != int64(n) {
-						t.Fatalf("%d records digested of %d", out.digested, n)
+			w.Close()
+		})
+		for _, compress := range []bool{false, true} {
+			for _, n := range []int{1000, 4000} {
+				lines := make([]string, n)
+				passing := 0
+				for i := range lines {
+					lines[i] = c.line(i)
+					if c.passes(i) {
+						passing++
 					}
-				})
-			}
-			with, without := task(df), task(nil)
-			if with != without+writer {
-				t.Errorf("compress=%v, %d records: %v allocs with a source digest, %v without, and its writer %v: hashing allocates",
-					compress, n, with, without, writer)
+				}
+				fs := dfs.NewWith(dfs.Options{BlockSize: 16 << 10, Compress: compress})
+				fs.Append("in", lines...)
+				r := openReader(t, fs)
+				sc := new(taskScratch)
+				task := func(df digestFactory) float64 {
+					return testing.AllocsPerRun(10, func() { // its first, uncounted run warms sc
+						if out := runMapTask(job, 0, r, 0, n, df, nil, taskObs{}, sc); df != nil && out.digested != int64(passing*len(c.points)) {
+							t.Fatalf("%s: %d records digested of %d, at %d points", c.name, out.digested, passing, len(c.points))
+						}
+					})
+				}
+				with, without := task(df), task(nil)
+				if with != without+writer {
+					t.Errorf("%s, compress=%v, %d records: %v allocs with a source digest, %v without, and its writer %v: hashing allocates",
+						c.name, compress, n, with, without, writer)
+				}
 			}
 		}
 	}
+}
+
+// digestedFromSpans runs the map task of job over every record of lines,
+// sealed at the default block size, and reports the record count of each
+// batch the read gives, and of each whose rows reaching the chain's source
+// digest its writer takes from the spans (opChain.digestBatch). It then
+// runs the task whole on a fresh slot and returns its outcome, and whether
+// the chain encoded any record's canonical bytes: none of a chain that
+// digests from the spans and hands on no record as a line.
+func digestedFromSpans(t *testing.T, job *JobSpec, lines []string, df digestFactory) (rows, spans []int, out *mapOutcome, encoded bool) {
+	t.Helper()
+	fs := dfs.NewWith(dfs.Options{})
+	fs.Append("in", lines...)
+	r := openReader(t, fs)
+	sc := new(taskScratch)
+	m := newMapRun(job, 0, len(lines), df, nil, taskObs{}, sc)
+	if m.chain.runW == nil {
+		t.Fatalf("map chain %v hashes no source digest from the spans", job.Inputs[0].Ops)
+	}
+	_, carry := neededCols(job, 0)
+	for lo := 0; lo < len(lines); {
+		lo = r.ReadColumns(&sc.batch, lo, len(lines), carry)
+		rows = append(rows, sc.batch.Rows())
+		m.chain.planBatch()
+		m.chain.digestBatch(true)
+		if m.chain.runs {
+			spans = append(spans, sc.batch.Rows())
+		}
+		for sc.batch.Next() {
+		}
+	}
+	m.chain.close()
+	fresh := new(taskScratch)
+	out = runMapTask(job, 0, r, 0, len(lines), df, nil, taskObs{}, fresh)
+	return rows, spans, out, cap(fresh.canon) > 0
 }
 
 // TestLoadedInputIsReadAsColumns: an input Append loads is sealed to its
 // last line, the last block short, so the weather workload's 15,000 rows
 // at the default block size read through ReadColumns as batches held as
 // spans whose Rows add up to all of them, and a map task whose chain leads
-// with a source digest hashes every one of them a batch at a time
-// (digestBatch), none a record at a time.
+// with a source digest hashes every one of them from the spans, each batch
+// one run (digestBatch), none a record at a time.
 func TestLoadedInputIsReadAsColumns(t *testing.T) {
 	lines := workload.Weather(15_000, 400, 1)
-	fs := dfs.NewWith(dfs.Options{})
-	fs.Append("in", lines...)
-	r := openReader(t, fs)
 	job := compile(t, workload.WeatherScript, CompileOptions{Points: digestPoints(t, plan(t, workload.WeatherScript), "w")})[0]
 	df := func(point int) *digest.Writer {
 		return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "m0-000"}, 1, 100, func(digest.Report) {})
 	}
-	sc := new(taskScratch)
-	m := newMapRun(job, 0, len(lines), df, nil, taskObs{}, sc)
-	if m.chain.lead != 1 {
-		t.Fatalf("map chain %v leads with %d batch digests, want 1", job.Inputs[0].Ops, m.chain.lead)
+	rows, spans, out, encoded := digestedFromSpans(t, job, lines, df)
+	if len(rows) < 2 || !slices.Equal(spans, rows) || sum(rows) != len(lines) {
+		t.Errorf("%d rows read as batches %v, of which digested from the spans %v; want every one of %d, over more than one block",
+			sum(rows), rows, spans, len(lines))
 	}
-	_, carry := neededCols(job, 0)
-	var rows, batched []int
-	for lo := 0; lo < len(lines); {
-		lo = r.ReadColumns(&sc.batch, lo, len(lines), carry)
-		rows = append(rows, sc.batch.Rows())
-		m.chain.planBatch()
-		m.chain.digestBatch(true)
-		if m.chain.from == m.chain.lead {
-			batched = append(batched, sc.batch.Rows())
+	if out.digested != int64(len(lines)) || encoded {
+		t.Errorf("%d records digested of %d; encoded a record for its digest: %v", out.digested, len(lines), encoded)
+	}
+}
+
+// TestFilteredInputIsDigestedFromSpans is TestLoadedInputIsReadAsColumns
+// for the follower workload, whose map chain is a FILTER ahead of two
+// digests fused into one writer, into a combining GROUP: every batch of
+// workload.Twitter's rows is digested from the spans, the rows that pass
+// the filter a run at a time, and none a record at a time, so that no
+// record is encoded for its digest; and every passing record is counted
+// once per point of the writer.
+func TestFilteredInputIsDigestedFromSpans(t *testing.T) {
+	lines := workload.Twitter(60_000, 3_000, 1)
+	p := plan(t, workload.FollowerScript)
+	job := compile(t, workload.FollowerScript, CompileOptions{Points: digestPoints(t, p, "nonempty", "grouped")})[0]
+	if ops := job.Inputs[0].Ops; len(ops) != 3 || ops[0].Kind != PhysFilter || ops[1].Kind != PhysDigest || ops[2].Kind != PhysDigest {
+		t.Fatalf("map chain = %v, want filter, digest, digest", ops)
+	}
+	df := func(point int) *digest.Writer {
+		return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "m0-000"}, 1, 0, func(digest.Report) {})
+	}
+	rows, spans, out, encoded := digestedFromSpans(t, job, lines, df)
+	if len(rows) < 2 || !slices.Equal(spans, rows) || sum(rows) != len(lines) {
+		t.Errorf("%d rows read as batches %v, of which digested from the spans %v; want every one of %d, over more than one block",
+			sum(rows), rows, spans, len(lines))
+	}
+	passing := 0
+	for _, l := range lines {
+		if !strings.HasSuffix(l, "\t0") {
+			passing++
 		}
-		for sc.batch.Next() {
-		}
 	}
-	m.chain.close()
-	if len(rows) < 2 || !slices.Equal(batched, rows) || sum(rows) != len(lines) {
-		t.Errorf("%d rows read as batches %v, of which digested a batch at a time %v; want every one of %d, over more than one block",
-			sum(rows), rows, batched, len(lines))
-	}
-	if out := runMapTask(job, 0, r, 0, len(lines), df, nil, taskObs{}, new(taskScratch)); out.digested != int64(len(lines)) {
-		t.Errorf("%d records digested of %d", out.digested, len(lines))
+	if passing == len(lines) || out.recordsOut != int64(passing) || out.digested != int64(2*passing) || encoded {
+		t.Errorf("%d of %d records passed the filter, %d digested at two points, want %d of %d and %d; encoded a record for its digest: %v",
+			out.recordsOut, len(lines), out.digested, passing, len(lines), 2*passing, encoded)
 	}
 }
 

@@ -595,9 +595,9 @@ func BenchmarkDataplaneCheckpointWrite(b *testing.B) {
 // BenchmarkDataplaneSourceDigest is weather_finegrain's first map task at
 // d = 100: a digest of the source straight into a combining GROUP, over
 // workload.Weather's rows sealed in 16 KiB blocks, on a warm slot. The
-// digest hashes each batch's records straight from the block
-// (opChain.digestBatch); with digests off the same task is the plain
-// run's.
+// digest hashes each batch's records straight from the block, the batch
+// one run (opChain.digestBatch); with digests off the same task is the
+// plain run's.
 func BenchmarkDataplaneSourceDigest(b *testing.B) {
 	p, err := pig.Parse(workload.WeatherScript)
 	if err != nil {
@@ -610,6 +610,35 @@ func BenchmarkDataplaneSourceDigest(b *testing.B) {
 	src := openReader(b, fs)
 	df := func(point int) *digest.Writer {
 		return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "m0-000"}, 1, 100, func(digest.Report) {})
+	}
+	sc := new(taskScratch) // warm from the first op on, as a slot's is
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runMapTask(job, 0, src, 0, len(lines), df, nil, taskObs{}, sc)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(lines)), "ns/rec")
+}
+
+// BenchmarkDataplaneFilteredSourceDigest is follower_clean's map task with
+// both of its digest points, at d = 0: a FILTER ahead of two digests fused
+// into one writer, into a combining GROUP, over workload.Twitter's rows
+// sealed at the default block size, on a warm slot. The writer hashes the
+// rows that pass the filter straight from the block, a run of consecutive
+// rows at a time (opChain.digestBatch).
+func BenchmarkDataplaneFilteredSourceDigest(b *testing.B) {
+	p, err := pig.Parse(workload.FollowerScript)
+	if err != nil {
+		b.Fatal(err)
+	}
+	points := []int{p.ByAlias("nonempty").ID, p.ByAlias("grouped").ID}
+	job := benchCompile(b, workload.FollowerScript, CompileOptions{Points: points, NumReduces: 4})[0]
+	lines := workload.Twitter(4*benchBatch, 2_000, 1)
+	fs := dfs.NewWith(dfs.Options{})
+	fs.Append("in", lines...)
+	src := openReader(b, fs)
+	df := func(point int) *digest.Writer {
+		return digest.NewWriter(digest.Key{SID: "s", Point: point, Task: "m0-000"}, 1, 0, func(digest.Report) {})
 	}
 	sc := new(taskScratch) // warm from the first op on, as a slot's is
 	b.ReportAllocs()

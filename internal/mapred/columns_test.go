@@ -76,8 +76,8 @@ const columnsLoad = "fl = LOAD 'in/fl' AS (year:int, f:float, origin, dest:chara
 
 // spansLoad is columnsLoad with a chararray where the float was: no column
 // type forces a value to be coerced, so a batch of canonical integers and
-// strings is its spans, and a source digest may hash it whole
-// (opChain.digestBatch).
+// strings is its spans, and a source digest may hash the rows that reach
+// it from them, a run at a time (opChain.digestBatch).
 const spansLoad = "fl = LOAD 'in/fl' AS (year:int, tag:chararray, origin, dest:chararray, delay:int);\n"
 
 // columnScript is a map-side shape FuzzColumnPathMatchesLines drives:
@@ -90,6 +90,9 @@ type columnScript struct {
 	points []string
 	tweak  func(*JobSpec)
 	long   bool // one row's dest holds more than digest.BufferSize bytes
+	// alternate makes column 1 (tag) of row i "even" or "odd" by i, in a
+	// row that has it.
+	alternate bool
 }
 
 // script returns the shape's whole Pig script.
@@ -145,16 +148,43 @@ g = GROUP fl BY origin;
 c = FOREACH g GENERATE group, COUNT(fl), SUM(fl.delay), MAX(fl.year);
 STORE c INTO 'out/c';`, points: []string{"fl"}},
 	// A second digest behind a projection: its reports of a record come
-	// after the source digest's, which must not hash the batch ahead.
+	// after the source digest's, which must not hash its rows as runs.
 	{name: "source-digest-project-digest", load: spansLoad, src: `
 p = FOREACH fl GENERATE origin, delay, tag;
 STORE p INTO 'out/p';`, points: []string{"fl", "p"}},
-	// A row longer than the digest's buffer: hashed a batch at a time, it
-	// must be taken whole into an empty buffer.
+	// A row longer than the digest's buffer: hashed from the spans, it must
+	// be taken whole into an empty buffer.
 	{name: "source-digest-long-row", load: spansLoad, long: true, src: `
 g = GROUP fl BY dest;
 c = FOREACH g GENERATE group, COUNT(fl), SUM(fl.year);
 STORE c INTO 'out/c';`, points: []string{"fl"}},
+	// follower_clean's map chain: a FILTER ahead of two digests fused into
+	// one writer, into a combining GROUP. The rows that pass reach the
+	// writer as runs between the ones the filter drops.
+	{name: "filter-digests-combine", load: spansLoad, src: `
+late = FILTER fl BY delay > 0;
+g = GROUP late BY origin;
+c = FOREACH g GENERATE group, COUNT(late), SUM(late.year);
+STORE c INTO 'out/c';`, points: []string{"late", "g"}},
+	// A filter that keeps every other row: every run is one row long.
+	{name: "filter-alternate-digest", load: spansLoad, alternate: true, src: `
+odd = FILTER fl BY tag == 'odd';
+g = GROUP odd BY dest;
+c = FOREACH g GENERATE group, COUNT(odd), MAX(odd.delay);
+STORE c INTO 'out/c';`, points: []string{"odd"}},
+	// A filter that keeps nothing: no run, and a writer that reports the
+	// empty stream.
+	{name: "filter-none-digest", load: spansLoad, src: `
+none = FILTER fl BY tag == 'never';
+g = GROUP none BY origin;
+c = FOREACH g GENERATE group, COUNT(none);
+STORE c INTO 'out/c';`, points: []string{"none"}},
+	// A filter, the digest, a projection and a shuffle of what it makes.
+	{name: "filter-digest-project-shuffle", load: spansLoad, src: `
+late = FILTER fl BY delay > 0;
+p = FOREACH late GENERATE origin, dest, year;
+d = DISTINCT p;
+STORE d INTO 'out/d';`, points: []string{"late"}},
 }
 
 // columnFields is what the fuzzer draws column text from: canonical and
@@ -236,9 +266,9 @@ func lineOracle(job *JobSpec, lines []string, lo, hi int, df digestFactory, corr
 // ranges that start and stop inside a block, honest and corrupting tasks. The two int columns and the untyped
 // one may each be of one kind throughout (intKinds), so that a batch knows
 // its values' form (dfs.Batch.Form) and the task reads them by it. Rows
-// may all be schema-wide, so that a source digest over spansLoad hashes
-// whole batches (opChain.digestBatch), one row perhaps longer than the
-// digest's buffer.
+// may all be schema-wide, so that a source digest over spansLoad, behind
+// filters or none, hashes from the spans each run of rows that reach it
+// (opChain.digestBatch), one row perhaps longer than the digest's buffer.
 func FuzzColumnPathMatchesLines(f *testing.F) {
 	for i := range columnScripts {
 		f.Add(int64(i+1), uint8(i), uint16(60+41*i), uint8(i%4), uint8([]int{0, 1, 100}[i%3]), uint8(i), uint16(7*i), uint16(300))
@@ -249,9 +279,9 @@ func FuzzColumnPathMatchesLines(f *testing.F) {
 			f.Add(int64(kind), uint8(kind), uint16(250), uint8(2), uint8(100), uint8(kind<<4|compress), uint16(0), uint16(250))
 		}
 	}
-	// The source digests hashed a batch at a time: canonical int columns
-	// in schema-wide rows, raw and coded, in one block or many, at every
-	// chunking, over a range that starts and ends inside a block.
+	// The source digests hashed from the spans a run at a time: canonical
+	// int columns in schema-wide rows, raw and coded, in one block or many,
+	// at every chunking, over a range that starts and ends inside a block.
 	for i, s := range columnScripts {
 		if s.load != spansLoad {
 			continue
@@ -300,6 +330,9 @@ func FuzzColumnPathMatchesLines(f *testing.F) {
 				default:
 					row[c] = columnFields[next(19)] // nothing the column path refuses
 				}
+			}
+			if sc.alternate && cols > 1 {
+				row[1] = []string{"even", "odd"}[i%2]
 			}
 			lines[i] = strings.Join(row, "\t")
 		}

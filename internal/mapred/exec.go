@@ -132,10 +132,12 @@ type opChain struct {
 	schema  *tuple.Schema
 	fromSrc bool
 	plans   []colPlan // per column of src's batch, how it is read (planBatch)
-	// lead is how many PhysDigest ops lead a map chain whose writer may
-	// hash src's batch whole (batchDigest), 0 for any other chain; from is
-	// where apply starts, past them once it has (digestBatch).
-	lead, from int
+	// runW is the writer of a map chain's first digest where it may hash
+	// the rows that reach it from src's batch (batchDigest); while the batch
+	// allows it (runs), rows [runLo, runHi) are pending (flushRun).
+	runW         *digest.Writer
+	runs         bool
+	runLo, runHi int
 }
 
 // colPlan is how the map side reads a column of a batch: decided once a
@@ -250,26 +252,23 @@ func newOpChain(ops []Op, df digestFactory, sc *taskScratch) opChain {
 	return c
 }
 
-// batchDigest sets lead for a map chain that takes its records from src
-// and, when keyed, hands them on as keys: the PhysDigest ops that lead
-// the chain may hash a batch of source records whole, ahead of the
-// per-record loop, if their writer is the chain's only one and nothing
-// after them reads the unprojected record's bytes — no sample before the
-// first projection, and no output line where there is none, each of which
-// would encode again the bytes the digest no longer leaves behind. A
-// second writer would see its records only after the first had hashed the
-// whole batch, and so move its reports ahead of the first's.
+// batchDigest sets runW for a map chain that takes its records from src
+// and, when keyed, hands them on as keys: the first PhysDigest, behind
+// nothing but filters, may hash the source records that reach it from the
+// batch, a run of consecutive rows at a time, if its writer is the chain's
+// only one and nothing after it reads the unprojected record's bytes — no
+// sample before the first projection, and no output line where there is
+// none, each of which would encode again the bytes the digest no longer
+// leaves behind. A second writer would see each record before the first
+// had hashed its run, and so move its reports ahead of the first's.
 func (c *opChain) batchDigest(keyed bool) {
-	c.lead = 0
-	if len(c.ops) == 0 || c.ops[0].Kind != PhysDigest || c.state[0].w == nil {
+	c.runW = nil
+	first := slices.IndexFunc(c.ops, func(op Op) bool { return op.Kind != PhysFilter })
+	if first < 0 || c.ops[first].Kind != PhysDigest || c.state[first].w == nil {
 		return
 	}
-	lead := 1
-	for lead < len(c.ops) && c.ops[lead].Kind == PhysDigest {
-		lead++
-	}
 	projected := false
-	for i := lead; i < len(c.ops); i++ {
+	for i := first + 1; i < len(c.ops); i++ {
 		switch {
 		case c.state[i].w != nil, c.ops[i].Kind == PhysSample && !projected:
 			return
@@ -278,19 +277,17 @@ func (c *opChain) batchDigest(keyed bool) {
 		}
 	}
 	if projected || keyed {
-		c.lead = lead
+		c.runW = c.state[first].w
 	}
 }
 
-// digestBatch hashes every record of src's batch, just read, into the
-// leading digests' writer at once, straight from the block's spans
-// (dfs.Batch.AppendLines), where the chain allows it (lead) and the batch
-// does: an honest task's range held as spans, every record holding every
-// column, each column's plan its span. apply then starts past them.
+// digestBatch decides whether runW takes the rows of src's batch, just
+// read, from the block's spans (dfs.Batch.AppendLines): where the batch is
+// an honest task's range held as spans, every record holding every column,
+// each column's plan its span. With no filter ahead a batch is one run.
 func (c *opChain) digestBatch(honest bool) {
-	c.from = 0
-	n := c.src.Rows()
-	if c.lead == 0 || !honest || n == 0 {
+	c.runs = false
+	if c.runW == nil || !honest || c.src.Rows() == 0 {
 		return
 	}
 	for col := range c.src.Columns() {
@@ -298,17 +295,33 @@ func (c *opChain) digestBatch(honest bool) {
 			return
 		}
 	}
-	w := c.state[0].w
-	w.AddLines(c.src, n)
-	c.digests += int64(n * w.Points())
-	c.from = c.lead
+	c.runs = true
+}
+
+// addRow adds the row src stands on, which reached runW, to the pending
+// run, hashing the run first where the row does not extend it.
+func (c *opChain) addRow() {
+	if row := c.src.Row(); row != c.runHi {
+		c.flushRun(row)
+	}
+	c.runHi++
+}
+
+// flushRun hashes the pending run into runW and leaves an empty one at
+// next: as a row breaks the run, and once the batch's last row is done.
+func (c *opChain) flushRun(next int) {
+	if n := c.runHi - c.runLo; n > 0 {
+		c.runW.AddLines(c.src, c.runLo, n)
+		c.digests += int64(n * c.runW.Points())
+	}
+	c.runLo, c.runHi = next, next
 }
 
 // apply runs one tuple through the chain; ok is false when the tuple was
 // dropped (filter miss or limit exhausted). t is only read.
 func (c *opChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 	c.canonOK = false
-	for i := c.from; i < len(c.ops); i++ {
+	for i := range c.ops {
 		op, st := &c.ops[i], &c.state[i]
 		switch op.Kind {
 		case PhysFilter:
@@ -323,7 +336,11 @@ func (c *opChain) apply(t tuple.Tuple) (tuple.Tuple, bool) {
 			t = out
 			c.canonOK, c.fromSrc = false, false
 		case PhysDigest:
-			if st.w != nil {
+			switch {
+			case st.w == nil:
+			case c.runs:
+				c.addRow() // st.w is runW, the chain's only writer
+			default:
 				st.w.AddCanonical(c.canonical(t))
 				c.digests += int64(st.w.Points())
 			}
@@ -962,7 +979,9 @@ func runMapTask(job *JobSpec, inputIdx int, src *dfs.Reader, lo, hi int, df dige
 			}
 			m.record(t)
 		}
+		m.chain.flushRun(0)
 	}
+	batch.Release()
 	return m.finish()
 }
 
