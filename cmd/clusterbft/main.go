@@ -6,7 +6,7 @@
 //
 //	clusterbft -script q.pig -input data/edges=edges.tsv \
 //	    [-f 1] [-r 4] [-points 2] [-nodes 16] [-slots 3] [-reduces 2] \
-//	    [-d 0] [-final-only] [-faulty node-003:commission:1.0] [-show 20]
+//	    [-d 0] [-faulty node-003:commission:1.0] [-show 20]
 //	    [-verify-policy=full|quiz|deferred|auto|none] [-checkpoint] [-explain]
 //	    [-block-size N] [-mem-budget 64m] [-spill-dir DIR] [-compress]
 //	    [--trace=run.json] [--metrics] [-http :8080] [-http-linger]
@@ -66,12 +66,11 @@ func run(args []string, stdout io.Writer) error {
 	cfg := core.DefaultConfig()
 	fset.IntVar(&cfg.F, "f", cfg.F, "tolerated faults")
 	fset.IntVar(&cfg.R, "r", cfg.R, "replication degree (f+1, 2f+1 or 3f+1)")
-	fset.IntVar(&cfg.Points, "points", cfg.Points, "verification points (-1: every candidate vertex)")
+	fset.IntVar(&cfg.Points, "points", cfg.Points, "verification points (0: final outputs only (the P baseline); -1: every candidate vertex)")
 	nodes := fset.Int("nodes", 16, "untrusted tier size")
 	slots := fset.Int("slots", 3, "task slots per node")
 	fset.IntVar(&cfg.NumReduces, "reduces", cfg.NumReduces, "reduce parallelism")
 	fset.IntVar(&cfg.DigestChunk, "d", cfg.DigestChunk, "digest granularity: records per digest (0: per stream)")
-	fset.BoolVar(&cfg.VerifyFinalOnly, "final-only", cfg.VerifyFinalOnly, "verify final outputs only (the P baseline)")
 	show := fset.Int("show", 20, "output records to print per store")
 	explain := fset.Bool("explain", false, "print the replication structure after the run; with -verify-policy none, print the logical plan and compiled jobs and exit")
 	httpLinger := fset.Bool("http-linger", false, "with -http: keep serving introspection after the run completes, until interrupted")

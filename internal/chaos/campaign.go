@@ -84,8 +84,6 @@ STORE final INTO 'out/final';
 		Data:      map[string][]string{"data/weather": lines},
 		Core:      cfg,
 		Profile: Profile{
-			Nodes:         6,
-			F:             1,
 			MaxFaults:     4,
 			MaxVictims:    2,
 			CrashWindowUs: 120_000_000,
@@ -198,7 +196,7 @@ func RunCampaign(cfg CampaignConfig) (*Report, error) {
 	}
 	for i := 0; i < cfg.Schedules; i++ {
 		seed := cfg.BaseSeed + int64(i)
-		rep.Results = append(rep.Results, RunSchedule(cfg, Generate(seed, cfg.Profile), baseline))
+		rep.Results = append(rep.Results, RunSchedule(cfg, Generate(seed, cfg), baseline))
 	}
 	return rep, nil
 }
@@ -417,7 +415,7 @@ func RunSchedule(cfg CampaignConfig, sched *Schedule, baseline map[string][]stri
 	// schedule's quorum-bounded message perturbations.
 	if cfg.NetOps > 0 && sched.HasNetEvents() {
 		sr.NetRan = true
-		agreed, nerr := netRun(in, cfg.Profile.F, cfg.NetOps)
+		agreed, nerr := netRun(in, cfg.Core.F, cfg.NetOps)
 		sr.NetAgreed = agreed
 		if nerr != nil {
 			bad("bft group under perturbation: %v", nerr)

@@ -147,15 +147,10 @@ func (s *Schedule) String() string {
 
 // Profile bounds schedule generation.
 type Profile struct {
-	// Nodes and F describe the target deployment: victims are drawn from
-	// node-000..node-(Nodes-1), and net events target at most F distinct
-	// replica indices of the 3F+1 BFT group.
-	Nodes int
-	F     int
 	// MaxFaults caps events per schedule (at least 1 is drawn unless the
 	// generator rolls a clean schedule).
 	MaxFaults int
-	// MaxVictims caps distinct victim nodes per schedule; 0 means F.
+	// MaxVictims caps distinct victim nodes per schedule; 0 means f.
 	// Keeping victims at or below the replication margin makes recovery
 	// the common case; exhaustion remains a legitimate outcome.
 	MaxVictims int
@@ -164,9 +159,13 @@ type Profile struct {
 	CrashWindowUs int64
 }
 
-// Generate derives a schedule from seed alone: same seed, same profile —
-// same schedule, independent of any runtime state.
-func Generate(seed int64, p Profile) *Schedule {
+// Generate derives a schedule from seed alone: same seed, same campaign —
+// same schedule, independent of any runtime state. The campaign's
+// deployment bounds it: victims are drawn from node-000..node-(Nodes-1),
+// and net events target at most f distinct replica indices of the 3f+1
+// BFT group.
+func Generate(seed int64, c CampaignConfig) *Schedule {
+	p, f := c.Profile, c.Core.F
 	rng := rand.New(rand.NewSource(seed))
 	s := &Schedule{Seed: seed}
 	if p.MaxFaults <= 0 {
@@ -174,7 +173,7 @@ func Generate(seed int64, p Profile) *Schedule {
 	}
 	maxVictims := p.MaxVictims
 	if maxVictims <= 0 {
-		maxVictims = p.F
+		maxVictims = f
 	}
 	if rng.Intn(10) == 0 {
 		return s // ~10% clean schedules keep the no-fault baseline honest
@@ -203,7 +202,7 @@ func Generate(seed int64, p Profile) *Schedule {
 		ev := Event{Kind: k, Salt: rng.Uint64()}
 		switch k {
 		case CrashRejoin, Straggler, HangTask, Commission:
-			node := cluster.NodeID(fmt.Sprintf("node-%03d", rng.Intn(p.Nodes)))
+			node := cluster.NodeID(fmt.Sprintf("node-%03d", rng.Intn(c.Nodes)))
 			if k == Commission {
 				if storageVictim >= 0 {
 					continue // storage already claimed the integrity budget
@@ -230,9 +229,9 @@ func Generate(seed int64, p Profile) *Schedule {
 				ev.Prob = 500 + rng.Intn(500)
 			}
 		case NetDrop, NetDup, NetDelay:
-			r := rng.Intn(3*p.F + 1)
-			if !netVictims[r] && len(netVictims) >= p.F {
-				continue // quorum bound: at most F perturbed replicas
+			r := rng.Intn(3*f + 1)
+			if !netVictims[r] && len(netVictims) >= f {
+				continue // quorum bound: at most f perturbed replicas
 			}
 			netVictims[r] = true
 			ev.Replica = r

@@ -13,15 +13,16 @@ import (
 // a seed fully determines the schedule, and different seeds explore
 // different fault plans.
 func TestGenerateDeterministic(t *testing.T) {
-	p := Profile{Nodes: 8, F: 1, MaxFaults: 3, CrashWindowUs: 120_000_000}
+	c := DefaultCampaign()
+	c.Profile = Profile{MaxFaults: 3, CrashWindowUs: 120_000_000}
 	distinct := 0
 	for seed := int64(1); seed <= 50; seed++ {
-		a := Generate(seed, p)
-		b := Generate(seed, p)
+		a := Generate(seed, c)
+		b := Generate(seed, c)
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: schedules differ:\n%s\n%s", seed, a, b)
 		}
-		if a.String() != Generate(seed+1, p).String() {
+		if a.String() != Generate(seed+1, c).String() {
 			distinct++
 		}
 	}
@@ -36,9 +37,11 @@ func TestGenerateDeterministic(t *testing.T) {
 // share one victim node, all storage mangles share one victim replica,
 // and a schedule never mixes the two families.
 func TestGenerateRespectsBounds(t *testing.T) {
-	p := Profile{Nodes: 8, F: 1, MaxFaults: 6, MaxVictims: 2, CrashWindowUs: 120_000_000}
+	c := DefaultCampaign()
+	c.Profile = Profile{MaxFaults: 6, MaxVictims: 2, CrashWindowUs: 120_000_000}
+	p, f := c.Profile, c.Core.F
 	for seed := int64(1); seed <= 200; seed++ {
-		s := Generate(seed, p)
+		s := Generate(seed, c)
 		if got := len(s.Victims()); got > p.MaxVictims {
 			t.Errorf("seed %d: %d node victims, max %d", seed, got, p.MaxVictims)
 		}
@@ -63,8 +66,8 @@ func TestGenerateRespectsBounds(t *testing.T) {
 				commissionVictim = string(ev.Node)
 			}
 		}
-		if len(netVictims) > p.F {
-			t.Errorf("seed %d: %d net victims, max %d", seed, len(netVictims), p.F)
+		if len(netVictims) > f {
+			t.Errorf("seed %d: %d net victims, max %d", seed, len(netVictims), f)
 		}
 		if storageVictim >= 0 && commissionVictim != "" {
 			t.Errorf("seed %d: schedule mixes storage mangles with commission faults", seed)

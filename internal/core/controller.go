@@ -32,8 +32,9 @@ type Config struct {
 	// re-runs), 2f+1 (safe absent omissions) or 3f+1 (§3.3).
 	R int
 	// Points is n, the number of verification points the graph analyzer
-	// marks; -1 marks every candidate vertex (the "Individual"
-	// configuration of Fig 14).
+	// marks; 0 verifies final outputs only (the paper's "P" baseline of
+	// Table 3: any fault re-runs the whole script), and -1 marks every
+	// candidate vertex (the "Individual" configuration of Fig 14).
 	Points int
 	// ForcePointAliases bypasses the marker function and places
 	// verification points at the named relation aliases (used by the
@@ -41,9 +42,6 @@ type Config struct {
 	ForcePointAliases []string
 	// Model is the adversary model restricting candidate points.
 	Model analyze.Model
-	// VerifyFinalOnly is the paper's "P" baseline (Table 3): digests only
-	// at final outputs, so any fault re-runs the whole script.
-	VerifyFinalOnly bool
 	// DigestChunk is d, records per digest (§6.4); <= 0 digests whole
 	// streams.
 	DigestChunk int
@@ -344,19 +342,17 @@ func (c *Controller) Run(script string) (*Result, error) {
 }
 
 // choosePoints runs the graph analyzer. Final outputs are always
-// verified; VerifyFinalOnly stops there (the P baseline), otherwise the
-// marker function adds the client's n points (§4.1). A forced alias
-// that names no relation in the plan is a configuration error: silently
-// skipping it would run the script with fewer verification points than
-// the client asked for.
+// verified; forced aliases add theirs, Points == 0 adds none (the P
+// baseline), otherwise the marker function adds the client's n points
+// (§4.1). A forced alias that names no relation in the plan is a
+// configuration error: silently skipping it would run the script with
+// fewer verification points than the client asked for.
 func (c *Controller) choosePoints(plan *pig.Plan) ([]int, error) {
 	set := make(map[int]bool)
 	for _, st := range plan.Stores() {
 		set[st.Parents[0].ID] = true
 	}
 	switch {
-	case c.Cfg.VerifyFinalOnly:
-		// final outputs only (the P / Full baselines)
 	case len(c.Cfg.ForcePointAliases) > 0:
 		for _, alias := range c.Cfg.ForcePointAliases {
 			v := plan.ByAlias(alias)

@@ -229,25 +229,25 @@ func TestControllerCvsPRecomputationAdvantage(t *testing.T) {
 	// ClusterBFT (intermediate points) re-runs only the failed
 	// sub-graph, while P (final-only) re-runs the whole pipeline, so
 	// C's latency multiplier is lower.
-	runWith := func(finalOnly bool) int64 {
+	runWith := func(points int) int64 {
 		cfg := DefaultConfig()
 		cfg.R = 2
-		cfg.VerifyFinalOnly = finalOnly
+		cfg.Points = points
 		h := newHarness(t, 20, 3, cfg)
 		if err := h.Cluster.SetAdversary("node-002", cluster.FaultCommission, 1.0, 13); err != nil {
 			t.Fatal(err)
 		}
 		res, err := h.Ctrl.Run(weatherScript)
 		if err != nil {
-			t.Fatalf("finalOnly=%v: %v", finalOnly, err)
+			t.Fatalf("points=%d: %v", points, err)
 		}
 		if !res.Verified {
-			t.Fatalf("finalOnly=%v not verified", finalOnly)
+			t.Fatalf("points=%d not verified", points)
 		}
 		return res.LatencyUs
 	}
-	c := runWith(false)
-	p := runWith(true)
+	c := runWith(2)
+	p := runWith(0)
 	if c >= p {
 		t.Errorf("ClusterBFT latency %d should beat final-only %d under recomputation", c, p)
 	}
@@ -255,7 +255,7 @@ func TestControllerCvsPRecomputationAdvantage(t *testing.T) {
 
 func TestControllerVerifyFinalOnlySingleCluster(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.VerifyFinalOnly = true
+	cfg.Points = 0
 	h := newHarness(t, 16, 3, cfg)
 	res, err := h.Ctrl.Run(weatherScript)
 	if err != nil {

@@ -47,7 +47,7 @@ func TestVerifierReplay(t *testing.T) {
 				ctrl := sys.Assure(cfg.Core)
 				ctrl.AttachAudit(analyze.NewAuditTrail(sys.Engine.Now))
 				log := core.TapVerifier(ctrl)
-				chaos.NewInjector(chaos.Generate(seed, cfg.Profile)).AttachEngine(sys.Engine)
+				chaos.NewInjector(chaos.Generate(seed, cfg)).AttachEngine(sys.Engine)
 				// A schedule may exhaust a sub-graph's attempts; the decisions
 				// that failed it replay all the same.
 				if _, err := sys.Ctrl.Run(cfg.Script); err != nil {

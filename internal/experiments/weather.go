@@ -68,7 +68,7 @@ func Fig14(sc Scale) (*Fig14Result, error) {
 		for _, d := range []int{10_000, 1_000, 100} {
 			row := Fig14Row{F: f, D: d}
 			var err error
-			if row.Full, err = fig14Run(sc, data, f, d, core.Config{VerifyFinalOnly: true}); err != nil {
+			if row.Full, err = fig14Run(sc, data, f, d, core.Config{Points: 0}); err != nil {
 				return nil, fmt.Errorf("fig14 full f=%d d=%d: %w", f, d, err)
 			}
 			// ClusterBFT's two §6.4 verification points: the first
@@ -92,7 +92,6 @@ func fig14Run(sc Scale, data []string, f, d int, variant core.Config) (Fig14Cell
 		R:                 3*f + 1,
 		Points:            variant.Points,
 		ForcePointAliases: variant.ForcePointAliases,
-		VerifyFinalOnly:   variant.VerifyFinalOnly,
 		DigestChunk:       d,
 		NumReduces:        2,
 		TimeoutUs:         3_600_000_000,

@@ -4,8 +4,8 @@
 // replicated jobs, where a small set of Byzantine nodes produces
 // commission faults with a configurable probability. Unlike the paper's
 // standalone Java simulator, this one drives the production fault
-// analyzer and suspicion table from internal/core, so the isolation
-// behaviour measured is that of the real implementation.
+// analyzer, suspicion table and blame rule from internal/verify, so the
+// isolation behaviour measured is that of the real implementation.
 package faultsim
 
 import (
@@ -15,11 +15,6 @@ import (
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/verify"
 )
-
-// SizeClass is an inclusive slot-count range for one job category.
-type SizeClass struct {
-	Min, Max int
-}
 
 // Mix gives the ratio of large : medium : small jobs in the workload.
 // The paper's r1 is 6:3:1 and r2 is 2:2:1.
@@ -33,24 +28,24 @@ var (
 	R2 = Mix{Large: 2, Medium: 2, Small: 1}
 )
 
+// The paper's job shape: a job runs 1 to maxJobLen ticks, and each of its
+// replicas takes 20–30 slots (large), 10–15 (medium) or 3–5 (small).
+const (
+	maxJobLen = 4
+	smallMin  = 3
+)
+
 // Config parameterizes one simulation.
 type Config struct {
 	Nodes int // cluster size; paper: 250
 	Slots int // slots per node; paper: 3
-	F     int // tolerated faults; replicas defaults to 3F+1 (4 or 7)
-	// Replicas overrides the replica count when > 0.
-	Replicas int
-	// FaultyNodes is how many Byzantine nodes exist; defaults to F.
-	FaultyNodes int
+	// F is both the tolerated faults and the number of Byzantine nodes;
+	// every job runs 3F+1 replicas (4 or 7).
+	F int
 	// CommissionProb is the per-replica-involvement probability that a
 	// faulty node corrupts the replica's output (the x-axis of Fig 11).
 	CommissionProb float64
 	Mix            Mix
-	// Large/Medium/Small override the paper's slot ranges when non-zero.
-	Large, Medium, Small SizeClass
-	// MaxJobLen is the maximum job length in ticks (length uniform in
-	// [1, MaxJobLen]).
-	MaxJobLen int
 	// MaxTime bounds the simulation.
 	MaxTime int
 	// StopAtSaturation ends the run once |D| = f.
@@ -77,32 +72,17 @@ func (c Config) withDefaults() Config {
 	if c.F == 0 {
 		c.F = 1
 	}
-	if c.Replicas == 0 {
-		c.Replicas = 3*c.F + 1
-	}
-	if c.FaultyNodes == 0 {
-		c.FaultyNodes = c.F
-	}
 	if c.Mix == (Mix{}) {
 		c.Mix = R1
-	}
-	if c.Large == (SizeClass{}) {
-		c.Large = SizeClass{Min: 20, Max: 30}
-	}
-	if c.Medium == (SizeClass{}) {
-		c.Medium = SizeClass{Min: 10, Max: 15}
-	}
-	if c.Small == (SizeClass{}) {
-		c.Small = SizeClass{Min: 3, Max: 5}
-	}
-	if c.MaxJobLen == 0 {
-		c.MaxJobLen = 4
 	}
 	if c.MaxTime == 0 {
 		c.MaxTime = 2000
 	}
 	return c
 }
+
+// replicas is the replica count of every job: 3f+1 (§3.3).
+func (c Config) replicas() int { return 3*c.F + 1 }
 
 // Sample is one per-tick observation of the suspicion population
 // (Figs 12 and 13).
@@ -162,8 +142,8 @@ func Run(cfg Config) *Result {
 	for i := range free {
 		free[i] = cfg.Slots
 	}
-	faulty := make(map[int]bool, cfg.FaultyNodes)
-	for len(faulty) < cfg.FaultyNodes {
+	faulty := make(map[int]bool, cfg.F)
+	for len(faulty) < cfg.F {
 		faulty[rng.Intn(cfg.Nodes)] = true
 	}
 
@@ -197,7 +177,9 @@ func Run(cfg Config) *Result {
 				}
 				if j.faulty[ri] {
 					res.FaultsObserved++
-					reportFault(fa, susp, rep)
+					fa.Audit.Add(analyze.AuditMismatch, rep.Sorted(),
+						"job cluster returned a commission fault")
+					verify.Blame(fa, susp, rep)
 					if fa.Saturated() && res.JobsAtSaturation < 0 {
 						res.JobsAtSaturation = res.JobsCompleted
 						res.TimeAtSaturation = now
@@ -249,47 +231,17 @@ func Run(cfg Config) *Result {
 	return res
 }
 
-// reportFault feeds the analyzer and applies the paper's post-saturation
-// suspicion rule: once |D| = f, a faulty set that intersects exactly one
-// member of D only incriminates the intersection — the remaining members
-// are provably bystanders — so the suspect population stops growing
-// (§6.3: "the number of suspicious nodes will not increase after this
-// point").
-func reportFault(fa *verify.FaultAnalyzer, susp *verify.SuspicionTable, rep verify.NodeSet) {
-	wasSaturated := fa.Saturated()
-	fa.Audit.Add(analyze.AuditMismatch, rep.Sorted(),
-		"job cluster returned a commission fault")
-	fa.Report(rep)
-	if wasSaturated {
-		hits := 0
-		var inter verify.NodeSet
-		for _, x := range fa.Disjoint() {
-			if rep.Intersects(x) {
-				hits++
-				inter = rep.Intersect(x)
-			}
-		}
-		if hits == 1 {
-			susp.RecordFault(inter.Sorted())
-			return
-		}
-	}
-	susp.RecordFault(rep.Sorted())
-}
-
 func (c Config) jobSlots(rng *rand.Rand) int {
 	total := c.Mix.Large + c.Mix.Medium + c.Mix.Small
 	draw := rng.Intn(total)
-	var sc SizeClass
+	lo, hi := smallMin, 5
 	switch {
 	case draw < c.Mix.Large:
-		sc = c.Large
+		lo, hi = 20, 30
 	case draw < c.Mix.Large+c.Mix.Medium:
-		sc = c.Medium
-	default:
-		sc = c.Small
+		lo, hi = 10, 15
 	}
-	return sc.Min + rng.Intn(sc.Max-sc.Min+1)
+	return lo + rng.Intn(hi-lo+1)
 }
 
 // allocate tries to place all replicas of a job (disjoint node sets, one
@@ -298,12 +250,12 @@ func (c Config) jobSlots(rng *rand.Rand) int {
 // side effects when capacity is insufficient.
 func allocate(cfg Config, rng *rand.Rand, free []int, offset *int, slots int, faulty map[int]bool, now int) (*job, bool) {
 	j := &job{
-		end:      now + 1 + rng.Intn(cfg.MaxJobLen),
-		replicas: make([]verify.NodeSet, cfg.Replicas),
-		faulty:   make([]bool, cfg.Replicas),
+		end:      now + 1 + rng.Intn(maxJobLen),
+		replicas: make([]verify.NodeSet, cfg.replicas()),
+		faulty:   make([]bool, cfg.replicas()),
 	}
 	taken := make(map[int]int) // node -> slots taken by this job overall
-	usedByReplica := make([]map[int]bool, cfg.Replicas)
+	usedByReplica := make([]map[int]bool, cfg.replicas())
 	for ri := range j.replicas {
 		j.replicas[ri] = make(verify.NodeSet)
 		usedByReplica[ri] = make(map[int]bool)

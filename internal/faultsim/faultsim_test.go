@@ -9,15 +9,18 @@ import (
 
 func TestDefaults(t *testing.T) {
 	c := (Config{}).withDefaults()
-	if c.Nodes != 250 || c.Slots != 3 || c.F != 1 || c.Replicas != 4 || c.FaultyNodes != 1 {
-		t.Errorf("defaults = %+v", c)
+	if c.Nodes != 250 || c.Slots != 3 || c.F != 1 || c.replicas() != 4 {
+		t.Errorf("defaults = %+v, %d replicas", c, c.replicas())
 	}
 	if c.Mix != R1 {
 		t.Errorf("default mix = %+v", c.Mix)
 	}
+	if n := len(Run(Config{MaxTime: 1}).TrueFaulty); n != 1 {
+		t.Errorf("f=1 runs %d faulty nodes", n)
+	}
 	c2 := (Config{F: 2}).withDefaults()
-	if c2.Replicas != 7 || c2.FaultyNodes != 2 {
-		t.Errorf("f=2 defaults = %+v", c2)
+	if n := len(Run(Config{F: 2, MaxTime: 1}).TrueFaulty); c2.replicas() != 7 || n != 2 {
+		t.Errorf("f=2 runs %d replicas, %d faulty nodes", c2.replicas(), n)
 	}
 }
 

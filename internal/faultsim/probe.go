@@ -65,17 +65,14 @@ func pickProbeTargets(fa *verify.FaultAnalyzer) []int {
 // match allocate. Returns ok=false without side effects when the
 // targets or capacity are unavailable.
 func allocateProbe(cfg Config, rng *rand.Rand, free []int, offset *int, targets []int, faulty map[int]bool, now int) (*job, bool) {
-	slots := cfg.Small.Min
-	if slots < len(targets) {
-		slots = len(targets)
-	}
+	slots := max(smallMin, len(targets))
 	j := &job{
 		end:      now + 1, // probes are short
-		replicas: make([]verify.NodeSet, cfg.Replicas),
-		faulty:   make([]bool, cfg.Replicas),
+		replicas: make([]verify.NodeSet, cfg.replicas()),
+		faulty:   make([]bool, cfg.replicas()),
 	}
 	taken := make(map[int]int)
-	used := make([]map[int]bool, cfg.Replicas)
+	used := make([]map[int]bool, len(j.replicas))
 	for ri := range j.replicas {
 		j.replicas[ri] = make(verify.NodeSet)
 		used[ri] = make(map[int]bool)
@@ -84,7 +81,7 @@ func allocateProbe(cfg Config, rng *rand.Rand, free []int, offset *int, targets 
 		if used[ri][n] {
 			return false
 		}
-		for prev := 0; prev < cfg.Replicas; prev++ {
+		for prev := range used {
 			if prev != ri && used[prev][n] {
 				return false
 			}
@@ -103,7 +100,7 @@ func allocateProbe(cfg Config, rng *rand.Rand, free []int, offset *int, targets 
 			return nil, false
 		}
 	}
-	for ri := 0; ri < cfg.Replicas; ri++ {
+	for ri := range j.replicas {
 		need := slots - len(j.replicas[ri])
 		for probe := 0; probe < cfg.Nodes && need > 0; probe++ {
 			n := (*offset + probe) % cfg.Nodes

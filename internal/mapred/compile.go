@@ -16,10 +16,11 @@ type CompileOptions struct {
 	// (global sorts and GROUP ALL always run one reduce task). The paper
 	// requires all replicas of a job to use the same value (§4.1).
 	NumReduces int
-	// TempPrefix is the DFS directory receiving intermediate
-	// (between-job) outputs. Defaults to "tmp".
-	TempPrefix string
 }
+
+// tempPrefix is the DFS directory receiving intermediate (between-job)
+// outputs.
+const tempPrefix = "tmp"
 
 // Compile lowers a logical plan into a DAG of MapReduce jobs, mirroring
 // how Pig compiles scripts for Hadoop (paper §2.2): map-side chains
@@ -32,9 +33,6 @@ type CompileOptions struct {
 func Compile(p *pig.Plan, opts CompileOptions) ([]*JobSpec, error) {
 	if opts.NumReduces <= 0 {
 		opts.NumReduces = 2
-	}
-	if opts.TempPrefix == "" {
-		opts.TempPrefix = "tmp"
 	}
 	c := &compiler{
 		opts:   opts,
@@ -137,7 +135,7 @@ func (c *compiler) materialize(v *pig.Vertex) (matInfo, error) {
 	if mi, ok := c.mat[v.ID]; ok {
 		return mi, nil
 	}
-	path := fmt.Sprintf("%s/v%02d", c.opts.TempPrefix, v.ID)
+	path := fmt.Sprintf("%s/v%02d", tempPrefix, v.ID)
 	jobID, err := c.buildJob(v, path, false)
 	if err != nil {
 		return matInfo{}, err

@@ -123,9 +123,6 @@ func (s *sidCost) rep(replica int) *repCost {
 // Launch records that the controller launched (or re-launched) sid
 // under the given verification mode.
 func (l *CostLedger) Launch(sid, mode string) {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	l.sid(sid).mode = mode
 	l.mu.Unlock()
@@ -135,9 +132,6 @@ func (l *CostLedger) Launch(sid, mode string) {
 // work is real output, everything else the sid spent is verification
 // redundancy or waste.
 func (l *CostLedger) Verified(sid string, winner int) {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	s := l.sid(sid)
 	s.state = sidVerified
@@ -148,9 +142,6 @@ func (l *CostLedger) Verified(sid string, winner int) {
 // Supersede marks sid's entire spend as recovery re-run cost: a retry,
 // restart, escalation, or sub-graph failure replaced it.
 func (l *CostLedger) Supersede(sid string) {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	l.sid(sid).state = sidSuperseded
 	l.mu.Unlock()
@@ -160,7 +151,7 @@ func (l *CostLedger) Supersede(sid string) {
 // replica). The engine calls it where it moves CPU into the committed
 // half of the pinned committed/lost split.
 func (l *CostLedger) ResolveCommitted(sid string, replica int, durUs int64) {
-	if l == nil || durUs == 0 {
+	if durUs == 0 {
 		return
 	}
 	l.mu.Lock()
@@ -171,7 +162,7 @@ func (l *CostLedger) ResolveCommitted(sid string, replica int, durUs int64) {
 // ResolveLost charges durUs of lost task work (hung, raced, torn down)
 // to (sid, replica).
 func (l *CostLedger) ResolveLost(sid string, replica int, durUs int64) {
-	if l == nil || durUs == 0 {
+	if durUs == 0 {
 		return
 	}
 	l.mu.Lock()
@@ -181,7 +172,7 @@ func (l *CostLedger) ResolveLost(sid string, replica int, durUs int64) {
 
 // Quiz charges durUs of trusted-tier re-execution to sid.
 func (l *CostLedger) Quiz(sid string, durUs int64) {
-	if l == nil || durUs == 0 {
+	if durUs == 0 {
 		return
 	}
 	l.mu.Lock()
@@ -228,9 +219,6 @@ func (s *sidCost) route() CostBuckets {
 // is still live when folded is treated as superseded — the only caller
 // folding live sids is end-of-run teardown of failed work.
 func (l *CostLedger) Fold(sid string) {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	s := l.sids[sid]
 	if s == nil {
@@ -249,9 +237,6 @@ func (l *CostLedger) Fold(sid string) {
 // controller run has torn down, since the engine resolves no CPU to a
 // sid it has folded.
 func (l *CostLedger) Sizes() int {
-	if l == nil {
-		return 0
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.sids)
@@ -261,9 +246,6 @@ func (l *CostLedger) Sizes() int {
 // settled (folded) spend plus the live sids routed by their current
 // state.
 func (l *CostLedger) Buckets() CostBuckets {
-	if l == nil {
-		return CostBuckets{}
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	b := l.settled
@@ -275,9 +257,6 @@ func (l *CostLedger) Buckets() CostBuckets {
 
 // SIDBuckets returns one live sub-graph's attribution so far.
 func (l *CostLedger) SIDBuckets(sid string) (CostBuckets, bool) {
-	if l == nil {
-		return CostBuckets{}, false
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := l.sids[sid]

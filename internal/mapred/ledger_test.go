@@ -136,28 +136,6 @@ func TestLedgerFold(t *testing.T) {
 	}
 }
 
-// TestLedgerNilSafe: a nil ledger ignores everything, like the rest of
-// the obs plane.
-func TestLedgerNilSafe(t *testing.T) {
-	var l *CostLedger
-	l.Launch("s", CostModeFull)
-	l.ResolveCommitted("s", 0, 1)
-	l.ResolveLost("s", 0, 1)
-	l.Quiz("s", 1)
-	l.Verified("s", 0)
-	l.Supersede("s")
-	l.Fold("s")
-	if b := l.Buckets(); b != (CostBuckets{}) {
-		t.Errorf("nil ledger accumulated %+v", b)
-	}
-	if _, ok := l.SIDBuckets("s"); ok {
-		t.Error("nil ledger resolved a sid")
-	}
-	if l.TotalUs() != 0 {
-		t.Error("nil ledger non-zero total")
-	}
-}
-
 // TestTeardownSettlesBeforeCompletion: a teardown resolves the CPU of the
 // attempts it ends at once, while their completion events are still
 // pending, so the buckets sum to the engine's charge before the queue

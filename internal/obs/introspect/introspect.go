@@ -13,7 +13,7 @@
 // Endpoints:
 //
 //	/metrics                 Prometheus text exposition of the registry
-//	/healthz                 "ok" (200), or the Health callback's error (503)
+//	/healthz                 "ok" (200) whenever the server can answer
 //	/jobs                    JSON: all jobs, sub-graphs, suspicion, cost buckets
 //	/jobs/{id}               JSON: one job (IDs may contain slashes)
 //	/jobs/{id}/stragglers    JSON: per-stage duration stats + flagged stragglers
@@ -40,10 +40,6 @@ type Options struct {
 	Registry *obs.Registry
 	Tracer   *obs.Tracer
 	Board    *obs.JobsBoard
-
-	// Health, when set, is consulted by /healthz; a non-nil error turns
-	// the endpoint 503. Nil means "healthy whenever we can answer".
-	Health func() error
 
 	// Cost, when set, returns the run-level cost-attribution buckets
 	// rendered into /jobs (typically mapred's CostBuckets). Declared as
@@ -80,12 +76,6 @@ func Handler(o Options) http.Handler {
 		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if o.Health != nil {
-			if err := o.Health(); err != nil {
-				http.Error(w, err.Error(), http.StatusServiceUnavailable)
-				return
-			}
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})

@@ -387,20 +387,14 @@ func TestEndpointsLiveDuringRun(t *testing.T) {
 	<-hammerDone
 }
 
-// TestHealthCallbackAndUnservedEndpoints: a failing Health turns 503,
-// and a handler with no tracer 404s /trace instead of crashing.
-func TestHealthCallbackAndUnservedEndpoints(t *testing.T) {
-	srv, err := Start("127.0.0.1:0", Options{
-		Health: func() error { return fmt.Errorf("sim wedged") },
-	})
+// TestUnservedEndpoints: a handler with no tracer 404s /trace instead of
+// crashing.
+func TestUnservedEndpoints(t *testing.T) {
+	srv, err := Start("127.0.0.1:0", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	code, body, _ := get(t, srv.URL()+"/healthz")
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, "sim wedged") {
-		t.Errorf("/healthz = %d %q, want 503", code, body)
-	}
 	if code, _, _ := get(t, srv.URL()+"/trace"); code != http.StatusNotFound {
 		t.Errorf("/trace with no tracer = %d, want 404", code)
 	}
@@ -408,7 +402,7 @@ func TestHealthCallbackAndUnservedEndpoints(t *testing.T) {
 	if code, body, _ := get(t, srv.URL()+"/metrics"); code != http.StatusOK || body != "" {
 		t.Errorf("/metrics with nil registry = %d %q", code, body)
 	}
-	code, body, _ = get(t, srv.URL()+"/jobs")
+	code, body, _ := get(t, srv.URL()+"/jobs")
 	if code != http.StatusOK || !strings.Contains(body, `"jobs": []`) {
 		t.Errorf("/jobs with nil board = %d %q", code, body)
 	}

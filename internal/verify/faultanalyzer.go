@@ -163,6 +163,32 @@ func (fa *FaultAnalyzer) Report(s NodeSet) {
 	fa.refine()
 }
 
+// Blame charges a job cluster that returned a commission fault: the
+// analyzer hears of it, and the suspicion table counts a fault on each
+// node the evidence incriminates. That is every node of the cluster,
+// unless |D| had already reached f: then a cluster that meets exactly one
+// member of D only incriminates the intersection, the rest being provably
+// bystanders, so the suspect population stops growing (§6.3: "the number
+// of suspicious nodes will not increase after this point").
+func Blame(fa *FaultAnalyzer, susp *SuspicionTable, s NodeSet) {
+	wasSaturated := fa.Saturated()
+	fa.Report(s)
+	if wasSaturated {
+		hits := 0
+		var inter NodeSet
+		for _, x := range fa.d {
+			if s.Intersects(x) {
+				hits++
+				inter = s.Intersect(x)
+			}
+		}
+		if hits == 1 {
+			s = inter
+		}
+	}
+	susp.RecordFault(s.Sorted())
+}
+
 // noteSet records a conviction when D[i] has narrowed to a single node.
 func (fa *FaultAnalyzer) noteSet(i int) {
 	if len(fa.d[i]) != 1 {

@@ -721,15 +721,15 @@ func (v *Verifier) faulty(s *Verdict, rep int) {
 }
 
 // charge decides that replica rep of s failed for cause and blames its
-// job cluster: the suspicion table counts a fault on each node, and the
-// fault analyzer hears of a commission fault (a timeout
-// over-approximates, §4.3: suspicion only).
+// job cluster: a commission fault goes through Blame, and a timeout
+// over-approximates (§4.3: suspicion on every node, nothing analyzed).
 func (v *Verifier) charge(s *Verdict, rep int, cause analyze.AuditCause) {
 	nodes := s.Reps[rep].jobCluster(false)
 	v.emit(Decision{Kind: DFaulty, Sub: s.ID, Replica: rep, Cause: cause, Nodes: nodes})
-	v.susp.RecordFault(nodes)
 	if cause == analyze.CauseCommission {
-		v.fa.Report(NewNodeSet(nodes...))
+		Blame(v.fa, v.susp, NewNodeSet(nodes...))
+	} else {
+		v.susp.RecordFault(nodes)
 	}
 	v.logged()
 }

@@ -443,16 +443,13 @@ func TestSweepForgetsTheRun(t *testing.T) {
 	}
 }
 
-// TestSaturatedChargeBlamesWholeJobCluster pins the blame rule the
-// verifier runs today (EXPERIMENTS.md, "Known deviations"). Once the fault
-// analyzer is saturated (|D| = f), §6.3 puts suspicion only on where a
-// faulty job cluster meets the one member of D it touches, and
-// faultsim's reportFault does so to draw Fig 11–13. charge puts a fault
-// on every node of the job cluster, every time: here the analyzer
-// narrows to node-002 while the suspicion table blames node-003 too.
-// ROADMAP item 6 decides between the two rules; this test moves with
-// that decision.
-func TestSaturatedChargeBlamesWholeJobCluster(t *testing.T) {
+// TestSaturatedChargeBlamesOnlyTheIntersection pins the §6.3 blame rule
+// the verifier shares with faultsim (Blame): once the fault analyzer is
+// saturated (|D| = f), a faulty job cluster that meets exactly one member
+// of D is charged only where it meets it. Here the analyzer narrows to
+// node-002, and the suspicion table spares node-003, the bystander the
+// decision still names as the replica's job cluster.
+func TestSaturatedChargeBlamesOnlyTheIntersection(t *testing.T) {
 	p := defaults()
 	p.R = 3
 	susp, fa := NewSuspicionTable(0), NewFaultAnalyzer(p.F)
@@ -480,7 +477,7 @@ func TestSaturatedChargeBlamesWholeJobCluster(t *testing.T) {
 	if got := fa.Suspects(); !slices.Equal(got, ids("node-002")) {
 		t.Errorf("the analyzer suspects %v, want it narrowed to [node-002]", got)
 	}
-	if got := susp.Suspects(); !slices.Equal(got, ids("node-002", "node-003")) {
-		t.Errorf("the suspicion table blames %v, want the whole job cluster [node-002 node-003]", got)
+	if got := susp.Suspects(); !slices.Equal(got, ids("node-002")) {
+		t.Errorf("the suspicion table blames %v, want only the intersection [node-002]", got)
 	}
 }

@@ -1,9 +1,12 @@
-// Package deadcode holds one check: every function and method declared in
-// the module, outside bench/ and the facade (the root package, which is
+// Package deadcode holds two checks. Every function and method declared
+// in the module, outside bench/ and the facade (the root package, which is
 // public API), is used by the non-test code of the module, examples/ or
-// bench/, or is on the allowlist below with the reason it stays. Test
-// code does not count as a use, so an exported function kept alive only by
-// its own tests fails here.
+// bench/, or is on the allowlist below with the reason it stays. And every
+// exported field of the option structs (optionStructs) is written by that
+// code, or is on the field allowlist with its reason: a knob no program
+// sets is a default spelled as a field. Test code counts as neither a use
+// nor a write, so an exported function or field kept alive only by its own
+// tests fails here.
 //
 //	go test ./scripts/deadcode
 //
@@ -28,6 +31,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -39,6 +43,29 @@ var allowlist = map[string]string{
 	"internal/digest.OfLines":         "reference implementation the fast digest paths are held to in verify, dfs and mapred tests",
 }
 
+// optionStructs are the option types whose exported fields the field rule
+// holds to a writer, keyed as the failure prints them.
+var optionStructs = []string{
+	"internal/core.Config",
+	"internal/dfs.Options",
+	"internal/mapred.CompileOptions",
+	"internal/mapred.CostModel",
+	"internal/faultsim.Config",
+	"internal/chaos.CampaignConfig",
+	"internal/chaos.Profile",
+	"internal/experiments.Scale",
+	"internal/obs/introspect.Options",
+	"internal/verify.Params",
+}
+
+// fieldAllowlist names the option fields that stay with no writer outside
+// tests, keyed as the failure prints them, each with the reason it stays.
+var fieldAllowlist = map[string]string{
+	"internal/faultsim.Config.Nodes":      "the allocator tests run 3-30 node clusters; every program runs the paper's 250",
+	"internal/faultsim.Config.Slots":      "the allocator tests run 1-3 slots a node; every program runs the paper's 3",
+	"internal/faultsim.Config.Allocation": "EXPERIMENTS.md's overlap-scheduling ablation (BenchmarkAblationOverlapScheduling, a test file) compares the two placements",
+}
+
 // listed is the part of `go list -json` this check reads.
 type listed struct {
 	Dir        string
@@ -46,23 +73,22 @@ type listed struct {
 	GoFiles    []string
 }
 
-func goList(t *testing.T, dir string) []listed {
-	t.Helper()
+func goList(dir string) ([]listed, error) {
 	cmd := exec.Command("go", "list", "-json", "./...")
 	cmd.Dir = dir
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list in %s: %v", dir, err)
+		return nil, fmt.Errorf("go list in %s: %v", dir, err)
 	}
 	var pkgs []listed
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var p listed
 		if err := dec.Decode(&p); err != nil {
-			t.Fatalf("go list in %s: %v", dir, err)
+			return nil, fmt.Errorf("go list in %s: %v", dir, err)
 		}
 		pkgs = append(pkgs, p)
 	}
-	return pkgs
+	return pkgs, nil
 }
 
 // checker type-checks the listed packages on demand, as the importer of
@@ -100,10 +126,33 @@ func (c *checker) Import(path string) (*types.Package, error) {
 	return p, nil
 }
 
-func TestEveryFunctionHasACaller(t *testing.T) {
+// loaded is the module and bench/, type-checked once for every rule.
+type loaded struct {
+	root   string
+	c      *checker
+	module []listed // the module's packages; module[0] is the facade
+	paths  []string // every checked package of the module and bench/, sorted
+}
+
+var (
+	loadOnce sync.Once
+	load     loaded
+	loadErr  error
+)
+
+func loadModule(t *testing.T) loaded {
+	t.Helper()
+	loadOnce.Do(func() { load, loadErr = typeCheck() })
+	if loadErr != nil {
+		t.Fatal(loadErr)
+	}
+	return load
+}
+
+func typeCheck() (loaded, error) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
-		t.Fatal(err)
+		return loaded{}, err
 	}
 	// Read the standard library's pure-Go files, as a CGO_ENABLED=0
 	// build would: the check needs its interfaces, not its cgo.
@@ -117,8 +166,15 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 		files:  map[string][]*ast.File{},
 		info:   &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
 	}
-	module := goList(t, root)
-	for _, l := range append(module, goList(t, filepath.Join(root, "bench"))...) {
+	module, err := goList(root)
+	if err != nil {
+		return loaded{}, err
+	}
+	benchPkgs, err := goList(filepath.Join(root, "bench"))
+	if err != nil {
+		return loaded{}, err
+	}
+	for _, l := range append(module, benchPkgs...) {
 		c.listed[l.ImportPath] = l
 	}
 	paths := make([]string, 0, len(c.listed))
@@ -128,9 +184,15 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 	sort.Strings(paths)
 	for _, p := range paths {
 		if _, err := c.Import(p); err != nil {
-			t.Fatalf("type-check %s: %v", p, err)
+			return loaded{}, fmt.Errorf("type-check %s: %v", p, err)
 		}
 	}
+	return loaded{root: root, c: c, module: module, paths: paths}, nil
+}
+
+func TestEveryFunctionHasACaller(t *testing.T) {
+	m := loadModule(t)
+	root, c, module, paths, fset := m.root, m.c, m.module, m.paths, m.c.fset
 
 	// A use inside a function's own body (recursion) does not count.
 	used := map[*types.Func]bool{}
@@ -198,6 +260,122 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 	for key := range allowlist {
 		if !seen[key] {
 			t.Errorf("allowlist entry %s has a caller or is gone: drop it", key)
+		}
+	}
+}
+
+func TestEveryOptionFieldIsSet(t *testing.T) {
+	m := loadModule(t)
+	c := m.c
+	fieldOf := func(e ast.Expr) *types.Var {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if v, ok := c.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+				return v
+			}
+		}
+		return nil
+	}
+	// A write is a selector on the left of an assignment, under ++/--,
+	// or under &, or a composite-literal element. An assignment under an
+	// if whose condition reads the same field fills in a default (if
+	// c.N == 0 { c.N = 250 }) or clamps a value; it sets nothing.
+	written := map[*types.Var]bool{}
+	lhs := func(e ast.Expr) {
+		if v := fieldOf(e); v != nil {
+			written[v] = true
+		}
+	}
+	defaults := map[ast.Expr]bool{}
+	for _, p := range m.paths {
+		for _, f := range c.files[p] {
+			// Inspect visits an if before its body, so the defaults it
+			// holds are marked before their assignments are seen.
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.IfStmt:
+					read := map[*types.Var]bool{}
+					ast.Inspect(n.Cond, func(n ast.Node) bool {
+						if e, ok := n.(ast.Expr); ok {
+							if v := fieldOf(e); v != nil {
+								read[v] = true
+							}
+						}
+						return true
+					})
+					ast.Inspect(n.Body, func(n ast.Node) bool {
+						if as, ok := n.(*ast.AssignStmt); ok {
+							for _, e := range as.Lhs {
+								if v := fieldOf(e); v != nil && read[v] {
+									defaults[e] = true
+								}
+							}
+						}
+						return true
+					})
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						if !defaults[e] {
+							lhs(e)
+						}
+					}
+				case *ast.IncDecStmt:
+					lhs(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						lhs(n.X)
+					}
+				case *ast.CompositeLit:
+					t := c.info.Types[n].Type
+					if p, ok := t.(*types.Pointer); ok {
+						t = p.Elem() // an elided &T in []*T{{...}}
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							written[c.info.Uses[kv.Key.(*ast.Ident)].(*types.Var)] = true
+						} else {
+							written[st.Field(i)] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	modPath := m.module[0].ImportPath
+	seen := map[string]bool{}
+	for _, name := range optionStructs {
+		dot := strings.LastIndex(name, ".")
+		pkg := c.pkgs[modPath+"/"+name[:dot]]
+		if pkg == nil {
+			t.Fatalf("option struct %s: no package %s", name, name[:dot])
+		}
+		tn, ok := pkg.Scope().Lookup(name[dot+1:]).(*types.TypeName)
+		if !ok {
+			t.Fatalf("option struct %s is gone: drop it from optionStructs", name)
+		}
+		st := tn.Type().Underlying().(*types.Struct)
+		for v := range st.Fields() {
+			key := name + "." + v.Name()
+			if !v.Exported() || written[v] {
+				continue
+			}
+			seen[key] = true
+			if _, ok := fieldAllowlist[key]; ok {
+				continue
+			}
+			pos := c.fset.Position(v.Pos())
+			file, _ := filepath.Rel(m.root, pos.Filename)
+			t.Errorf("no writer outside tests: %s:%d %s", file, pos.Line, key)
+		}
+	}
+	for key := range fieldAllowlist {
+		if !seen[key] {
+			t.Errorf("field allowlist entry %s has a writer or is gone: drop it", key)
 		}
 	}
 }
