@@ -264,8 +264,8 @@ func NewController(eng *mapred.Engine, cfg Config, susp *verify.SuspicionTable, 
 // verifier's decisions (see record), category transitions from the
 // suspicion table, and every intersection step of the fault analyzer
 // land in trail with the evidence that caused them. The tables log into
-// the verifier, which hands the lines over with its decisions. Nil
-// detaches.
+// the verifier, which hands each line over as a decision in its place
+// among the others. Nil detaches.
 func (c *Controller) AttachAudit(trail *analyze.AuditTrail) {
 	c.audit = trail
 	c.v.Attach(trail != nil)
@@ -620,33 +620,20 @@ func templateOf(js *mapred.JobState) string {
 	return js.Spec.ID[strings.LastIndexByte(js.Spec.ID, '/')+1:]
 }
 
-// act carries out the verifier's decisions in the order it made them,
-// each after the table lines logged before it. Events the decisions
-// raise (a launch's synchronous digests, a checkpoint's landing) join
-// the same stream, so only the outermost call drains it.
+// act carries out the verifier's decisions in the order it made them.
+// Events the decisions raise (a launch's synchronous digests, a
+// checkpoint's landing) join the same stream, so only the outermost call
+// drains it.
 func (c *Controller) act() {
 	if c.acting {
 		return
 	}
 	c.acting = true
-	w := 0
 	for i := 0; i < len(c.v.Out); i++ {
-		d := c.v.Out[i]
-		w = c.trail(w, d.Logged)
-		c.do(d)
+		c.do(c.v.Out[i])
 	}
-	c.trail(w, len(c.v.Lines))
-	c.v.Out, c.v.Lines = c.v.Out[:0], c.v.Lines[:0]
+	c.v.Out = c.v.Out[:0]
 	c.acting = false
-}
-
-// trail writes the verifier's table lines from w up to end, and returns
-// end.
-func (c *Controller) trail(w, end int) int {
-	for ; w < end; w++ {
-		c.audit.Record(c.v.Lines[w])
-	}
-	return w
 }
 
 // do carries out one decision.
@@ -689,6 +676,8 @@ func (c *Controller) do(d verify.Decision) {
 		c.fail(fmt.Errorf("core: sub-graph c%d needs %d replicas, the verifier tallies at most %d per attempt", cs.sub.ID, d.N, verify.MaxReplicas))
 	case verify.DForget:
 		c.Eng.ForgetSID(d.Detail)
+	case verify.DLog:
+		c.audit.Record(*d.Line)
 	}
 }
 
@@ -725,7 +714,8 @@ func (c *Controller) teardownRun() {
 
 // record is the one writer of what the control tier keeps about a
 // decision on the attempt the controller launched last; nothing else in
-// this package writes these stores, so they cannot fall out of step. ev
+// this package writes these stores, so they cannot fall out of step (a
+// DLog's table line goes to the trail as the verifier logged it). ev
 // is the decision as the audit trail holds it (Replica -1 for none); the
 // ledger is told what the attempt's CPU bought, the board what /jobs
 // serves once teardown forgot the sid, the tracer the timeline (n:

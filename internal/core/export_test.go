@@ -5,14 +5,13 @@ import (
 	"reflect"
 	"slices"
 
-	"clusterbft/internal/analyze"
 	"clusterbft/internal/cluster"
 	"clusterbft/internal/verify"
 )
 
 // VerifierLog holds, run by run, every event a controller's verifier
-// applied, the decisions each one produced and the table lines logged
-// meanwhile, and the tables the verifier wrote.
+// applied, the decisions each one produced, table lines included, and
+// the tables the verifier wrote.
 type VerifierLog struct {
 	cfg   Config
 	nodes []cluster.NodeID
@@ -27,7 +26,6 @@ type verifierRun struct {
 	topology []verify.Verdict
 	events   []verify.Event
 	ds       [][]verify.Decision
-	lines    [][]analyze.AuditEvent
 	// after is what the tables held when the next run started.
 	after tableState
 }
@@ -57,7 +55,7 @@ func TapVerifier(c *Controller) *VerifierLog {
 	for _, n := range c.Eng.Cluster.Nodes() {
 		l.nodes = append(l.nodes, n.ID)
 	}
-	v.Tap = func(ev verify.Event, ds []verify.Decision, lines []analyze.AuditEvent) {
+	v.Tap = func(ev verify.Event, ds []verify.Decision) {
 		if ev.Kind == verify.EvStart {
 			if n := len(l.runs); n > 0 {
 				l.runs[n-1].after = tablesOf(l.susp, l.fa, l.nodes)
@@ -70,23 +68,16 @@ func TapVerifier(c *Controller) *VerifierLog {
 		}
 		run := &l.runs[len(l.runs)-1]
 		run.events = append(run.events, ev)
-		// Count each decision's lines from the event's first one.
-		first := len(v.Lines) - len(lines)
-		ds = slices.Clone(ds)
-		for i := range ds {
-			ds[i].Logged -= first
-		}
-		run.ds = append(run.ds, ds)
-		run.lines = append(run.lines, slices.Clone(lines))
+		run.ds = append(run.ds, slices.Clone(ds))
 	}
 	return l
 }
 
 // Replay applies each logged run's events, in order, to one fresh
 // verifier over fresh tables and the run's topology. It returns how many
-// events, decisions and table lines it replayed, or an error naming the
-// first event whose decisions or lines differ from the ones the run
-// made, or the first run after which the tables differ.
+// events, decisions and table lines (DLog decisions) it replayed, or an
+// error naming the first event whose decisions differ from the ones the
+// run made, or the first run after which the tables differ.
 func (l *VerifierLog) Replay() (events, decisions, lines int, err error) {
 	susp, fa := verify.NewSuspicionTable(l.cfg.SuspicionThreshold), verify.NewFaultAnalyzer(l.cfg.F)
 	v := verify.New(l.cfg.params(), susp, fa, l.nodes)
@@ -94,15 +85,19 @@ func (l *VerifierLog) Replay() (events, decisions, lines int, err error) {
 		v.Attach(run.audited)
 		v.Reset(run.seq, slices.Clone(run.topology))
 		for i, ev := range run.events {
-			v.Out, v.Lines = v.Out[:0], v.Lines[:0]
+			v.Out = v.Out[:0]
 			v.Apply(ev)
-			if !sameOrEmpty(v.Out, run.ds[i]) || !sameOrEmpty(v.Lines, run.lines[i]) {
-				return events, decisions, lines, fmt.Errorf("run %d, event %d (%+v): replay decided %+v logging %v, the run decided %+v logging %v",
-					ri, i, ev, v.Out, v.Lines, run.ds[i], run.lines[i])
+			if !sameOrEmpty(v.Out, run.ds[i]) {
+				return events, decisions, lines, fmt.Errorf("run %d, event %d (%+v): replay decided %+v, the run decided %+v", ri, i, ev, v.Out, run.ds[i])
 			}
 			events++
-			decisions += len(run.ds[i])
-			lines += len(run.lines[i])
+			for _, d := range v.Out {
+				if d.Kind == verify.DLog {
+					lines++
+				} else {
+					decisions++
+				}
+			}
 		}
 		want := run.after
 		if ri == len(l.runs)-1 {

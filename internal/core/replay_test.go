@@ -14,9 +14,9 @@ import (
 // under each verification policy, and with checkpoint-granular recovery,
 // through a tapped controller with an audit trail attached. On every
 // schedule the events its verifier received, replayed into a fresh
-// verifier over fresh tables, must give the same decision stream, the
-// same suspicion-table and fault-analyzer trail lines with each
-// decision, and leave the tables concluding what the run's did: the
+// verifier over fresh tables, must give the same decision stream, with
+// the suspicion-table and fault-analyzer trail lines in their places in
+// it, and leave the tables concluding what the run's did: the
 // verdicts, the blame and the launch plans are a function of the ordered
 // events alone, which is what a replicated control tier needs.
 func TestVerifierReplay(t *testing.T) {

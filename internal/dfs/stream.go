@@ -112,19 +112,29 @@ func (f *file) segments() int { return len(f.blocks) + min(f.tail.len(), 1) }
 // count. A sealed block that cannot be read back fails it with a
 // *BlockError.
 func (r *Reader) readAll() ([]string, error) {
-	out := make([]string, 0, r.total)
+	return r.appendRange(make([]string, 0, r.total), 0, r.total)
+}
+
+// appendRange appends the records in [start, end), a range within
+// [0, total], to dst, decoding from each block the range overlaps only
+// the records inside it. A sealed block that cannot be read back fails
+// it with a *BlockError.
+func (r *Reader) appendRange(dst []string, start, end int) ([]string, error) {
 	var shape blockShape
-	for _, seg := range r.segs {
+	for i := r.segAt(start); i < len(r.segs) && r.segs[i].start < end; i++ {
+		seg := r.segs[i]
+		a, b := max(start-seg.start, 0), min(end-seg.start, seg.n)
 		if seg.blk == nil {
-			out = seg.tail.appendStrings(out)
+			lines := seg.tail.slice(a, b)
+			dst = lines.appendStrings(dst)
 			continue
 		}
 		var err error
-		if out, err = r.fs.loadBlock(out, &shape, seg.blk, 0, seg.n); err != nil {
+		if dst, err = r.fs.loadBlock(dst, &shape, seg.blk, a, b); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // add appends sealed blocks, then the lines of a tail, as segments.
@@ -173,26 +183,9 @@ func (r *Reader) ReadRange(start, end int) []string {
 	if start >= end {
 		return nil
 	}
-	out := make([]string, 0, end-start)
-	var shape blockShape
-	for i := r.segAt(start); i < len(r.segs) && r.segs[i].start < end; i++ {
-		seg := r.segs[i]
-		a, b := 0, seg.n
-		if s := start - seg.start; s > a {
-			a = s
-		}
-		if e := end - seg.start; e < b {
-			b = e
-		}
-		if seg.blk != nil {
-			var err error
-			if out, err = r.fs.loadBlock(out, &shape, seg.blk, a, b); err != nil {
-				panic(err)
-			}
-		} else {
-			lines := seg.tail.slice(a, b)
-			out = lines.appendStrings(out)
-		}
+	out, err := r.appendRange(make([]string, 0, end-start), start, end)
+	if err != nil {
+		panic(err)
 	}
 	return out
 }

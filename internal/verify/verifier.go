@@ -71,23 +71,21 @@ const (
 	DLaunch                                   // inputs ready: launch an attempt by plan
 	DTooWide                                  // needs n replicas, more than the matcher tallies: fail the run
 	DForget                                   // superseded attempt detail is swept: forget it in the engine
+	DLog                                      // the suspicion table or fault analyzer logged Line: write it to the trail
 )
 
 // Decision is one verdict the controller carries out.
 type Decision struct {
 	Kind    DecisionKind
 	Sub     int
-	Replica int                // DFaulty: the replica; DVerified: the winner; DCheckpointAgreed: the one to save
-	Cause   analyze.AuditCause // DFaulty, DRetry, DFail
-	N       int                // DVerified: replicas outvoted; DTooWide: replicas needed
-	Detail  string             // DEscalate: the evidence; DForget: the sid; DCheckpointAgreed: the template job
-	Nodes   []cluster.NodeID   // DFaulty: the replica's nodes, sorted
-	Picks   []QuizTask         // DQuiz
-	Plan    LaunchPlan         // DLaunch
-	// Logged counts the table lines (Verifier.Lines) logged before the
-	// decision in its batch: the trail holds those first, and the ones its
-	// own blame logged right after it.
-	Logged int
+	Replica int                 // DFaulty: the replica; DVerified: the winner; DCheckpointAgreed: the one to save
+	Cause   analyze.AuditCause  // DFaulty, DRetry, DFail
+	N       int                 // DVerified: replicas outvoted; DTooWide: replicas needed
+	Detail  string              // DEscalate: the evidence; DForget: the sid; DCheckpointAgreed: the template job
+	Nodes   []cluster.NodeID    // DFaulty: the replica's nodes, sorted
+	Picks   []QuizTask          // DQuiz
+	Plan    LaunchPlan          // DLaunch
+	Line    *analyze.AuditEvent // DLog: the table line, by pointer so that no decision grows by a whole line
 }
 
 // LaunchPlan is what one attempt of a sub-graph runs with, decided at
@@ -276,17 +274,16 @@ type Verifier struct {
 	bySID   map[string]int // every attempt not yet forgotten
 	Reports int64          // digest reports taken this run
 
-	// Out holds decisions until the controller acts, Lines what the
-	// tables logged into log (nil with no trail attached) meanwhile.
-	Out   []Decision
-	Lines []analyze.AuditEvent
-	log   *analyze.AuditTrail
-	todo  []step
+	// Out holds decisions until the controller acts; what the tables log
+	// into log (nil with no trail attached) joins it as DLog decisions.
+	Out  []Decision
+	log  *analyze.AuditTrail
+	todo []step
 	// buffers reused across events
 	done, blame, cascade []int
 
-	// Tap, when set, sees every event with its decisions and lines.
-	Tap func(ev Event, ds []Decision, lines []analyze.AuditEvent)
+	// Tap, when set, sees every event with its decisions.
+	Tap func(ev Event, ds []Decision)
 }
 
 // New builds a verifier over p that alone writes susp and fa.
@@ -304,8 +301,9 @@ func New(p Params, susp *SuspicionTable, fa *FaultAnalyzer, nodes []cluster.Node
 	}
 }
 
-// Attach routes what the tables log into the verifier's Lines when on,
-// and turns their logging off otherwise.
+// Attach routes what the tables log into the verifier's decision stream,
+// one DLog decision a line, when on, and turns their logging off
+// otherwise.
 func (v *Verifier) Attach(on bool) {
 	v.log = nil
 	if on {
@@ -353,7 +351,7 @@ func (v *Verifier) Sweep() []string {
 // cascade tore down, or that belongs to a failed sub-graph is stale:
 // Apply drops it and reports false.
 func (v *Verifier) Apply(ev Event) bool {
-	start, lines := len(v.Out), len(v.Lines)
+	start := len(v.Out)
 	live := ev.Kind == EvStart
 	if live {
 		for i := len(v.Subs) - 1; i >= 0; i-- {
@@ -385,7 +383,7 @@ func (v *Verifier) Apply(ev Event) bool {
 				// The suspicion table counts the job cluster before any
 				// verdict on it.
 				v.susp.RecordJob(rep.jobCluster(true))
-				v.logged()
+				v.logged(s)
 				v.push(stPropagate, s.ID, 0)
 				v.decide(s)
 			}
@@ -416,20 +414,19 @@ func (v *Verifier) Apply(ev Event) bool {
 	}
 	v.run()
 	if v.Tap != nil {
-		v.Tap(ev, v.Out[start:], v.Lines[lines:])
+		v.Tap(ev, v.Out[start:])
 	}
 	return live
 }
 
-func (v *Verifier) emit(d Decision) {
-	d.Logged = len(v.Lines)
-	v.Out = append(v.Out, d)
-}
+func (v *Verifier) emit(d Decision) { v.Out = append(v.Out, d) }
 
-// logged moves what the tables just wrote to the trail into lines.
-func (v *Verifier) logged() {
-	if v.log != nil {
-		v.Lines = append(v.Lines, v.log.Take()...)
+// logged emits what the tables just wrote to the trail about s, one DLog
+// decision a line, so each line keeps its place among the decisions.
+func (v *Verifier) logged(s *Verdict) {
+	lines := v.log.Take()
+	for i := range lines {
+		v.emit(Decision{Kind: DLog, Sub: s.ID, Line: &lines[i]})
 	}
 }
 
@@ -731,7 +728,7 @@ func (v *Verifier) charge(s *Verdict, rep int, cause analyze.AuditCause) {
 	} else {
 		v.susp.RecordFault(nodes)
 	}
-	v.logged()
+	v.logged(s)
 }
 
 // verify finalizes a sub-graph at winner, flags the deviants, then walks

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -479,5 +480,72 @@ func TestSaturatedChargeBlamesOnlyTheIntersection(t *testing.T) {
 	}
 	if got := susp.Suspects(); !slices.Equal(got, ids("node-002")) {
 		t.Errorf("the suspicion table blames %v, want only the intersection [node-002]", got)
+	}
+}
+
+// TestTableLinesKeepTheirPlace: with a trail attached, every line the
+// suspicion table and fault analyzer log is a DLog decision in the place
+// it was logged. A commission charge's DFaulty comes first, then the
+// analyzer's lines about its job cluster, then the table's score line;
+// a completion's score line comes before the verdict it leads to.
+func TestTableLinesKeepTheirPlace(t *testing.T) {
+	const sid = "run1-c0-a0"
+	p := defaults()
+	p.R = 3
+	susp := NewSuspicionTable(0)
+	// node-001 is at one fault in one job (high), so one more job moves it.
+	susp.RecordJob(ids("node-001"))
+	susp.RecordFault(ids("node-001"))
+	v := New(p, susp, NewFaultAnalyzer(p.F), nil)
+	v.Attach(true)
+	v.Reset(1, []Verdict{{Tmpls: []Tmpl{{ID: "j00"}}}})
+	v.Apply(Event{Kind: EvStart})
+	for rep, n := range ids("node-002", "node-001", "node-003") {
+		v.Apply(Event{Kind: EvAssigned, SID: sid, Replica: rep, Job: "j00", Node: n})
+	}
+	// stream renders the decisions an event made, a DLog as its line.
+	stream := func(ev Event) []string {
+		v.Out = v.Out[:0]
+		v.Apply(ev)
+		var got []string
+		for _, d := range v.Out {
+			if d.Sub != 0 {
+				t.Errorf("%+v is about sub-graph c%d, want c0", d, d.Sub)
+			}
+			switch d.Kind {
+			case DLog:
+				got = append(got, fmt.Sprintf("log %s %v", d.Line.Kind, d.Line.Nodes))
+			case DFaulty:
+				got = append(got, fmt.Sprintf("faulty r%d %v", d.Replica, d.Nodes))
+			case DVerified:
+				got = append(got, fmt.Sprintf("verified r%d", d.Replica))
+			default:
+				got = append(got, fmt.Sprintf("kind %d", d.Kind))
+			}
+		}
+		return got
+	}
+	vote := func(rep int, sum byte) Event {
+		return Event{Kind: EvDigest, SID: sid, Report: digest.Report{
+			Key: digest.Key{SID: sid, Point: 1, Task: "m0-000"}, Replica: rep, Sum: digest.Sum{sum}}}
+	}
+	stream(vote(0, 1))
+	stream(vote(1, 1))
+	want := []string{
+		"faulty r2 [node-003]",
+		"log new-suspect-set [node-003]",
+		"log conviction [node-003]",
+		"log saturated [node-003]",
+		"log score [node-003]",
+	}
+	if got := stream(vote(2, 2)); !slices.Equal(got, want) {
+		t.Errorf("the commission charge decided\n%q, want\n%q", got, want)
+	}
+	if got := stream(Event{Kind: EvJobDone, SID: sid, Replica: 0, Job: "j00"}); len(got) != 0 {
+		t.Errorf("the first completion decided %q, want nothing", got)
+	}
+	want = []string{"log score [node-001]", "verified r0"}
+	if got := stream(Event{Kind: EvJobDone, SID: sid, Replica: 1, Job: "j00"}); !slices.Equal(got, want) {
+		t.Errorf("the verifying completion decided\n%q, want\n%q", got, want)
 	}
 }
